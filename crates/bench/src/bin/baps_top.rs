@@ -1,9 +1,9 @@
 //! `baps_top` — a live terminal dashboard for a running BAPS proxy.
 //!
-//! Scrapes `STATS` + `METRICS` + `HEALTH` once per interval (1 Hz by
-//! default) over one keep-alive connection and renders an at-a-glance
-//! view: rolling request/error rates with a sparkline of recent history,
-//! the serve-tier split, worker/reactor saturation gauges, and the
+//! Scrapes `METRICS` + `HEALTH` once per interval (1 Hz by default) over
+//! one keep-alive connection and renders an at-a-glance view: rolling
+//! request/error rates with a sparkline of recent history, the
+//! serve-tier split, miss-executor/event-loop saturation gauges, and the
 //! active SLO alerts with their exemplar trace ids (each fetchable via
 //! `TRACE`).
 //!
@@ -127,22 +127,16 @@ impl Scraper {
 
 /// One rendered frame's inputs.
 struct Frame {
-    stats: Message,
     samples: Vec<prom::Sample>,
     health: HealthReport,
 }
 
 fn scrape(s: &mut Scraper) -> Result<Frame, String> {
-    let stats = s.roundtrip("STATS").map_err(|e| format!("STATS: {e}"))?;
     let metrics = s
         .roundtrip("METRICS")
         .map_err(|e| format!("METRICS: {e}"))?;
     let health = s.roundtrip("HEALTH").map_err(|e| format!("HEALTH: {e}"))?;
-    for (verb, reply) in [
-        ("STATS", &stats),
-        ("METRICS", &metrics),
-        ("HEALTH", &health),
-    ] {
+    for (verb, reply) in [("METRICS", &metrics), ("HEALTH", &health)] {
         if response_code(reply) != Some(200) {
             return Err(format!("{verb} answered {:?}", reply.start));
         }
@@ -151,11 +145,7 @@ fn scrape(s: &mut Scraper) -> Result<Frame, String> {
     let samples = prom::parse(&text).map_err(|e| format!("bad exposition: {e}"))?;
     let body = std::str::from_utf8(&health.body).map_err(|_| "HEALTH not UTF-8")?;
     let health = HealthReport::parse(body).map_err(|e| format!("bad verdict document: {e}"))?;
-    Ok(Frame {
-        stats,
-        samples,
-        health,
-    })
+    Ok(Frame { samples, health })
 }
 
 fn sparkline(history: &[f64]) -> String {
@@ -199,8 +189,8 @@ fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
         Verdict::Critical => "CRITICAL",
     };
     out.push_str(&format!(
-        "baps_top — io_mode={} uptime={}s verdict={}\n\n",
-        h.io_mode, h.uptime_secs, verdict_tag
+        "baps_top — uptime={}s verdict={}\n\n",
+        h.uptime_secs, verdict_tag
     ));
 
     for w in &h.windows {
@@ -225,8 +215,7 @@ fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
     }
     out.push('\n');
 
-    // Saturation: worker pool (or miss executor) and, when present,
-    // reactor loops.
+    // Saturation: the miss executor, then the event loops.
     let workers = metric(&frame.samples, "baps_workers").max(1.0);
     let busy = metric(&frame.samples, "baps_workers_busy");
     out.push_str(&format!(
@@ -241,17 +230,15 @@ fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
         metric(&frame.samples, "baps_queue_depth_peak"),
         metric(&frame.samples, "baps_queue_rejected_total"),
     ));
-    if frame.stats.get("Reactor-Loops").is_some() {
-        let busy_fraction = metric(&frame.samples, "baps_reactor_busy_fraction");
-        out.push_str(&format!(
-            "  reactor   {} busy {:>4.0}%   fds {:>4.0} (peak {:.0}, ready-batch peak {:.0})\n",
-            gauge(busy_fraction),
-            busy_fraction * 100.0,
-            metric(&frame.samples, "baps_reactor_registered_fds"),
-            metric(&frame.samples, "baps_reactor_registered_fds_peak"),
-            metric(&frame.samples, "baps_reactor_ready_batch_peak"),
-        ));
-    }
+    let busy_fraction = metric(&frame.samples, "baps_reactor_busy_fraction");
+    out.push_str(&format!(
+        "  reactor   {} busy {:>4.0}%   fds {:>4.0} (peak {:.0}, ready-batch peak {:.0})\n",
+        gauge(busy_fraction),
+        busy_fraction * 100.0,
+        metric(&frame.samples, "baps_reactor_registered_fds"),
+        metric(&frame.samples, "baps_reactor_registered_fds_peak"),
+        metric(&frame.samples, "baps_reactor_ready_batch_peak"),
+    ));
     out.push_str(&format!(
         "  recorder  {:>6.0} events held, {:>6.0} shed\n",
         metric(&frame.samples, "baps_flight_recorder_events"),

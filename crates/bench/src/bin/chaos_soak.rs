@@ -59,14 +59,8 @@
 //! cargo run --release -p baps-bench --bin chaos_soak -- \
 //!     [--seed N] [--requests N] [--clients N] [--docs N] \
 //!     [--intensity F] [--direct] [--once] [--restart-warm] \
-//!     [--scenario NAME] [--io-mode threads|reactor]
+//!     [--scenario NAME]
 //! ```
-//!
-//! `--io-mode reactor` runs the proxy on the epoll reactor (DESIGN.md
-//! §13) instead of the worker pool; every invariant above — byte-exact
-//! bodies under stalls/drops/truncation/corruption, bounded time,
-//! counter balance, run-to-run determinism — is gated identically in
-//! both modes.
 
 use baps_bench::scenario::{
     bed_config, flash_crowd_herd, replay_schedule, scenario_corpus, ScenarioTally,
@@ -74,8 +68,8 @@ use baps_bench::scenario::{
 use baps_obs::{EventKind, TraceId};
 use baps_proxy::fault::FaultKind;
 use baps_proxy::{
-    DocumentStore, FaultConfig, FaultCounts, FaultPlan, IoMode, ProxyError, SloRule, SloSignal,
-    SloTable, Source, TestBed, TestBedConfig, Verdict,
+    DocumentStore, FaultConfig, FaultCounts, FaultPlan, ProxyError, SloRule, SloSignal, SloTable,
+    Source, TestBed, TestBedConfig, Verdict,
 };
 use baps_trace::Scenario;
 use rand::rngs::StdRng;
@@ -141,7 +135,6 @@ struct SoakArgs {
     once: bool,
     restart_warm: bool,
     scenario: Option<Scenario>,
-    io_mode: IoMode,
 }
 
 impl Default for SoakArgs {
@@ -156,7 +149,6 @@ impl Default for SoakArgs {
             once: false,
             restart_warm: false,
             scenario: None,
-            io_mode: IoMode::default(),
         }
     }
 }
@@ -169,7 +161,7 @@ impl SoakArgs {
     fn repro_line(&self) -> String {
         format!(
             "cargo run --release -p baps-bench --bin chaos_soak -- \
-             --seed {} --requests {} --clients {} --docs {} --intensity {}{}{}{}{}{}",
+             --seed {} --requests {} --clients {} --docs {} --intensity {}{}{}{}{}",
             self.seed,
             self.requests,
             self.clients,
@@ -185,10 +177,6 @@ impl SoakArgs {
             match self.scenario {
                 Some(s) => format!(" --scenario {}", s.name()),
                 None => String::new(),
-            },
-            match self.io_mode {
-                IoMode::Threads => "",
-                IoMode::Reactor => " --io-mode reactor",
             },
         )
     }
@@ -263,7 +251,6 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
         store,
         TestBedConfig {
             n_clients: args.clients,
-            io_mode: args.io_mode,
             // Small caches force churn: evictions, invalidations, and a
             // live peer-fetch path instead of an all-hits steady state.
             proxy_capacity: 16 << 10,
@@ -476,22 +463,12 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
 /// is distinguishable from a logic bug at a glance.
 fn saturation_line(bed: &TestBed) -> String {
     let sat = bed.proxy.saturation();
-    let reactor = bed.proxy.reactor_stats().map_or(String::new(), |r| {
-        format!(
-            " | reactor {} loops (fds {} peak {}, busy {:.1}%, \
-             inline {} offloaded {})",
-            r.loops,
-            r.registered_fds,
-            r.registered_fds_peak,
-            r.busy_fraction * 100.0,
-            r.inline_served,
-            r.offloaded,
-        )
-    });
+    let r = bed.proxy.reactor_stats();
     format!(
-        "=== saturation: pool {} workers (busy {} peak {}) | queue depth {} \
+        "=== saturation: miss executor {} workers (busy {} peak {}) | queue depth {} \
          (peak {}, rejected {}) | queue-wait p99 {:.3} ms over {} waits | \
-         flight occupancy {} | recorder drops {}{} ===",
+         flight occupancy {} | recorder drops {} | reactor {} loops \
+         (fds {} peak {}, busy {:.1}%, inline {} offloaded {}) ===",
         sat.workers,
         sat.busy_workers,
         sat.busy_workers_peak,
@@ -502,7 +479,12 @@ fn saturation_line(bed: &TestBed) -> String {
         sat.queue_wait.count(),
         bed.proxy.flight_occupancy(),
         bed.recorder.dropped(),
-        reactor,
+        r.loops,
+        r.registered_fds,
+        r.registered_fds_peak,
+        r.busy_fraction * 100.0,
+        r.inline_served,
+        r.offloaded,
     )
 }
 
@@ -658,7 +640,6 @@ fn run_scenario_soak(scenario: Scenario, args: SoakArgs, run: u32) -> ScenarioRe
     let bed = TestBed::start(
         store,
         TestBedConfig {
-            io_mode: args.io_mode,
             ..bed_config(&cfg, Some(disk_root.clone()))
         },
     )
@@ -732,8 +713,8 @@ fn run_scenario_soak(scenario: Scenario, args: SoakArgs, run: u32) -> ScenarioRe
     // The flash-crowd moment itself: a cold viral doc hit by HERD_WORKERS
     // concurrent clients must cost exactly one origin fetch per TTL
     // window — the miss-coalescing acceptance gate.
-    let herd = (scenario == Scenario::FlashCrowd)
-        .then(|| flash_crowd_herd(args.seed, HERD_WORKERS, args.io_mode));
+    let herd =
+        (scenario == Scenario::FlashCrowd).then(|| flash_crowd_herd(args.seed, HERD_WORKERS));
     let herd_summary = herd.as_ref().map(|probe| {
         for v in &probe.violations {
             violate(&bed, &mut violations, format!("herd: {v}"));
@@ -890,13 +871,12 @@ fn scenario_main(scenario: Scenario, args: SoakArgs) {
 fn print_report(label: &str, args: SoakArgs, r: &SoakReport) {
     println!("--- {label} ---");
     println!(
-        "schedule : {} requests, {} clients, {} docs, seed {}, intensity {}, io {}{}",
+        "schedule : {} requests, {} clients, {} docs, seed {}, intensity {}{}",
         args.requests,
         args.clients,
         args.docs,
         args.seed,
         args.intensity,
-        args.io_mode.name(),
         if args.direct { ", direct-forward" } else { "" },
     );
     if args.restart_warm {
@@ -929,8 +909,7 @@ fn parse_args() -> SoakArgs {
     let mut args = std::env::args().skip(1);
     let usage = "usage: chaos_soak [--seed N] [--requests N] [--clients N] [--docs N] \
                  [--intensity F] [--direct] [--once] [--restart-warm] \
-                 [--scenario flash-crowd|invalidation-storm|diurnal-swing|heavy-tail] \
-                 [--io-mode threads|reactor]";
+                 [--scenario flash-crowd|invalidation-storm|diurnal-swing|heavy-tail]";
     while let Some(flag) = args.next() {
         let mut value = |name: &str| {
             args.next().unwrap_or_else(|| {
@@ -955,16 +934,6 @@ fn parse_args() -> SoakArgs {
                     eprintln!("unknown scenario {name:?}\n{usage}");
                     std::process::exit(2);
                 }));
-            }
-            "--io-mode" => {
-                out.io_mode = match value("--io-mode").as_str() {
-                    "threads" => IoMode::Threads,
-                    "reactor" => IoMode::Reactor,
-                    other => {
-                        eprintln!("unknown io mode {other:?}\n{usage}");
-                        std::process::exit(2);
-                    }
-                };
             }
             other => {
                 eprintln!("unknown flag {other:?}\n{usage}");

@@ -20,12 +20,11 @@
 //!    one proxy-side hop under it).
 //!
 //! Exits nonzero on the first violated assertion; CI runs this next to
-//! the metrics smoke. Usage: `health_smoke [--io-mode reactor]`.
+//! the metrics smoke. Takes no arguments.
 
 use baps_obs::{prom, span};
 use baps_proxy::{
-    response_code, DocumentStore, FaultConfig, FaultPlan, HealthReport, IoMode, TestBed,
-    TestBedConfig,
+    response_code, DocumentStore, FaultConfig, FaultPlan, HealthReport, TestBed, TestBedConfig,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,23 +41,13 @@ fn fail(what: &str) -> ! {
 }
 
 fn main() {
-    let mut io_mode = IoMode::Threads;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--io-mode" => {
-                io_mode = match args.next().as_deref() {
-                    Some("threads") => IoMode::Threads,
-                    Some("reactor") => IoMode::Reactor,
-                    other => fail(&format!("bad --io-mode {other:?}")),
-                }
-            }
-            "--help" | "-h" => {
-                println!("usage: health_smoke [--io-mode threads|reactor]");
-                return;
-            }
-            other => fail(&format!("unknown argument {other:?}")),
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--help" | "-h") => {
+            println!("usage: health_smoke");
+            return;
         }
+        Some(other) => fail(&format!("unknown argument {other:?}")),
     }
 
     // Every origin reply stalls 15 ms mid-frame: decisively past the
@@ -78,16 +67,12 @@ fn main() {
         store,
         TestBedConfig {
             n_clients: 2,
-            io_mode,
             fault_plan: Some(faults),
             ..TestBedConfig::default()
         },
     )
     .unwrap_or_else(|e| fail(&format!("test bed failed to start: {e}")));
-    println!(
-        "# health_smoke: io_mode={} load={LOAD_REQUESTS}+{BETWEEN_REQUESTS} requests",
-        bed.proxy.io_mode().name()
-    );
+    println!("# health_smoke: load={LOAD_REQUESTS}+{BETWEEN_REQUESTS} requests");
 
     for i in 0..LOAD_REQUESTS {
         let url = format!("http://origin/doc/{i}");
@@ -212,8 +197,7 @@ fn main() {
     }
 
     println!(
-        "PASS: health_smoke io_mode={} rules={} verdict={} exemplars_resolved={}",
-        bed.proxy.io_mode().name(),
+        "PASS: health_smoke rules={} verdict={} exemplars_resolved={}",
         second.rules.len(),
         second.verdict.name(),
         exemplar_traces.len()
@@ -229,7 +213,7 @@ fn scrape_health(bed: &TestBed) -> HealthReport {
     if response_code(&reply) != Some(200) {
         fail(&format!("HEALTH answered {:?}", reply.start));
     }
-    for header in ["Verdict", "Rules", "Uptime-Seconds", "Io-Mode"] {
+    for header in ["Verdict", "Rules", "Uptime-Seconds"] {
         if reply.get(header).is_none() {
             fail(&format!("HEALTH reply missing {header} header"));
         }

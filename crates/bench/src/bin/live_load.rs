@@ -24,16 +24,15 @@
 //! workers), writes the scaling curve as JSON to `--out`, then measures
 //! the observability overhead by re-running one point with recording
 //! disabled ([`baps_obs::set_recording`]); the on/off delta lands in the
-//! JSON too. Each point also records the proxy's worker-pool saturation
-//! (busy-worker peak, accept-backlog depth, time-in-queue p50/p99) as the
+//! JSON too. Each point also records the proxy's miss-executor saturation
+//! (busy-worker peak, queue depth, time-in-queue p50/p99) as the
 //! `saturation` block, and one dedicated instrumented point is scraped
 //! via `TRACE BAPS/1.0` and assembled into per-kind critical-path
 //! attribution as the `critical_path` block. The sweep also walks the
 //! connection-count axis — 100/1k/10k idle registered connections held
 //! open (by a helper child process, so each side of the socket pair gets
-//! its own fd table) while 16 active clients drive traffic, in both
-//! `io_mode=threads` and `io_mode=reactor` — and records it as the
-//! `connections` block. See the README for how to read the file.
+//! its own fd table) while 16 active clients drive traffic — and records
+//! it as the `connections` block. See the README for how to read the file.
 //!
 //! `--metrics` additionally scrapes the proxy's `METRICS BAPS/1.0`
 //! exposition over the wire after the keep-alive run, checks that it
@@ -44,9 +43,6 @@
 //! assertion applies, including the `baps_build_info` /
 //! `baps_uptime_seconds` identity gauges), then the overhead A/B, exiting
 //! nonzero if always-on recording costs more than 3% throughput.
-//! `--io-mode reactor` runs the driven deployment on the epoll reactor;
-//! `--no-overhead` skips the A/B (CI uses it for the second, reactor-mode
-//! smoke so the wall-clock-heavy overhead gate runs once).
 //!
 //! `--scenario <name>` replays one adversarial workload shape from
 //! `baps_trace::scenarios` (`flash-crowd`, `invalidation-storm`,
@@ -59,7 +55,7 @@ use baps_bench::critical_path;
 use baps_bench::scenario::{bed_config, flash_crowd_herd, scenario_corpus, url_of};
 use baps_obs::{prom, span, LatencyHistogram};
 use baps_proxy::{
-    read_message, response_code, write_message, DocumentStore, IoMode, Message, SaturationSnapshot,
+    read_message, response_code, write_message, DocumentStore, Message, SaturationSnapshot,
     TestBed, TestBedConfig,
 };
 use baps_trace::{DocId, Scenario, ScenarioOp};
@@ -80,8 +76,8 @@ struct ModeReport {
     /// Raw `METRICS BAPS/1.0` exposition scraped over the wire just
     /// before shutdown (only when requested).
     metrics: Option<String>,
-    /// Worker-pool saturation at the end of the run: accept-backlog
-    /// depth/peak, busy workers, and the time-in-queue histogram.
+    /// Miss-executor saturation at the end of the run: queue depth/peak,
+    /// busy workers, and the time-in-queue histogram.
     saturation: SaturationSnapshot,
     /// Raw `TRACE BAPS/1.0` JSONL span dump (only when requested).
     trace: Option<String>,
@@ -110,7 +106,6 @@ impl ModeReport {
 
 fn run_mode(
     keep_alive: bool,
-    io_mode: IoMode,
     n_clients: u32,
     per_client: u32,
     n_docs: usize,
@@ -123,7 +118,6 @@ fn run_mode(
         store,
         TestBedConfig {
             n_clients,
-            io_mode,
             proxy_capacity: 256 << 10,
             // Tiny browser caches keep most requests on the wire, which is
             // what this benchmark is about.
@@ -233,8 +227,8 @@ fn summarize_metrics(text: &str) {
         "tier histogram counts must sum to requests - errors"
     );
     // Identity gauges (DESIGN.md §14): `baps_build_info` pins the version
-    // and serving mode of whatever produced the scrape, `baps_uptime_seconds`
-    // distinguishes a restart from a counter reset.
+    // of whatever produced the scrape, `baps_uptime_seconds` distinguishes
+    // a restart from a counter reset.
     let build_info = samples
         .iter()
         .find(|s| s.name == "baps_build_info")
@@ -243,12 +237,6 @@ fn summarize_metrics(text: &str) {
     assert!(
         build_info.label("version").is_some_and(|v| !v.is_empty()),
         "baps_build_info must carry a non-empty version label"
-    );
-    assert!(
-        build_info
-            .label("io_mode")
-            .is_some_and(|m| m == "threads" || m == "reactor"),
-        "baps_build_info must carry a valid io_mode label"
     );
     assert!(
         get("baps_uptime_seconds", &[]) >= 0.0,
@@ -309,30 +297,14 @@ fn run_sweep(total: u32, n_docs: usize, out_path: &str) {
     );
     // Warmup: touch the page cache / allocator / loopback stack once so
     // the first measured point doesn't pay the process's cold-start costs.
-    let _ = run_mode(
-        true,
-        IoMode::Threads,
-        2,
-        (total / 16).max(1),
-        n_docs,
-        false,
-        false,
-    );
+    let _ = run_mode(true, 2, (total / 16).max(1), n_docs, false, false);
 
     let mut points: Vec<(u32, Option<ModeReport>)> =
         SWEEP_WORKERS.iter().map(|&w| (w, None)).collect();
     for round in 0..SWEEP_ROUNDS {
         for (workers, best) in &mut points {
             let per_client = (total / *workers).max(1);
-            let report = run_mode(
-                true,
-                IoMode::Threads,
-                *workers,
-                per_client,
-                n_docs,
-                false,
-                false,
-            );
+            let report = run_mode(true, *workers, per_client, n_docs, false, false);
             println!(
                 "round {}  {:>3} workers  {:>9.0} req/s   p50 {:>7.3} ms   p99 {:>7.3} ms   \
                  ({} requests in {:.2} s)",
@@ -381,7 +353,7 @@ fn run_sweep(total: u32, n_docs: usize, out_path: &str) {
         }
     }
 
-    println!("\nsaturation at each best point (proxy worker pool):");
+    println!("\nsaturation at each best point (proxy miss executor):");
     for (workers, report) in &points {
         let sat = &report.saturation;
         println!(
@@ -408,7 +380,6 @@ fn run_sweep(total: u32, n_docs: usize, out_path: &str) {
     println!("\ncritical-path attribution ({OVERHEAD_WORKERS} workers, from a TRACE scrape):");
     let traced = run_mode(
         true,
-        IoMode::Threads,
         OVERHEAD_WORKERS,
         (total / OVERHEAD_WORKERS).max(1),
         n_docs,
@@ -509,10 +480,9 @@ fn run_sweep(total: u32, n_docs: usize, out_path: &str) {
     for (i, p) in connections.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"io_mode\": \"{}\", \"idle_conns\": {}, \"active_clients\": {CONN_ACTIVE}, \
+            "    {{\"idle_conns\": {}, \"active_clients\": {CONN_ACTIVE}, \
              \"serving_threads\": {}, \"loops\": {}, \"registered_fds_peak\": {}, \
              \"req_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
-            p.mode.name(),
             p.idle,
             p.serving_threads,
             p.loops,
@@ -997,7 +967,7 @@ fn run_scenario_point(scenario: Scenario, total: u32, n_docs: usize) -> Scenario
     let _ = std::fs::remove_dir_all(&disk_root);
 
     let herd = (scenario == Scenario::FlashCrowd).then(|| {
-        let probe = flash_crowd_herd(seed, SCENARIO_HERD, IoMode::Threads);
+        let probe = flash_crowd_herd(seed, SCENARIO_HERD);
         assert!(probe.violations.is_empty(), "{:?}", probe.violations);
         (probe.herd, probe.origin_fetches, probe.coalesced_fetches)
     });
@@ -1034,29 +1004,21 @@ fn measure_scenarios(total: u32, n_docs: usize) -> Vec<ScenarioPoint> {
 const CONN_ACTIVE: u32 = 16;
 
 /// Idle-connection counts of the axis (the ROADMAP's 100/1k/10k ladder,
-/// plus the zero baseline both modes share).
+/// plus the zero baseline).
 const CONN_IDLE: [usize; 4] = [0, 100, 1_000, 10_000];
-
-/// Idle counts the thread mode is measured at. Beyond this each idle
-/// connection costs a whole parked worker thread (the pool is sized
-/// `active + idle + headroom` so idle connections cannot starve active
-/// ones), which is exactly the scaling wall the reactor removes — the
-/// 1k/10k points exist only in reactor mode.
-const CONN_IDLE_THREADS_MAX: usize = 100;
 
 /// Interleaved measurement rounds per connection-axis point (best kept).
 const CONN_ROUNDS: usize = 3;
 
 /// One point on the connection-count axis.
 struct ConnPoint {
-    mode: IoMode,
     idle: usize,
-    /// Threads the mode spent serving connections: pool workers in
-    /// thread mode, event loops + miss-executor workers in reactor mode.
+    /// Threads the proxy spent serving: event loops + miss-executor
+    /// workers.
     serving_threads: u64,
-    /// Event loops (reactor mode; 0 in thread mode).
+    /// Event loops.
     loops: u64,
-    /// Peak connections registered with the event loops (reactor mode).
+    /// Peak connections registered with the event loops.
     registered_fds_peak: u64,
     req_per_sec: f64,
     p50_ms: f64,
@@ -1067,9 +1029,8 @@ struct ConnPoint {
 impl ConnPoint {
     fn print(&self) {
         println!(
-            "{:<8} idle {:>6}  {:>9.0} req/s   p50 {:>7.3} ms   p99 {:>7.3} ms   \
+            "idle {:>6}  {:>9.0} req/s   p50 {:>7.3} ms   p99 {:>7.3} ms   \
              p99.9 {:>7.3} ms   serving threads {:>4}   registered peak {:>6}",
-            self.mode.name(),
             self.idle,
             self.req_per_sec,
             self.p50_ms,
@@ -1143,10 +1104,11 @@ fn spawn_holder(addr: std::net::SocketAddr, count: usize) -> std::process::Child
     child
 }
 
-/// Measures one (io_mode, idle-connection-count) point: a fresh
-/// deployment, `idle` held-open registered connections, then
-/// [`CONN_ACTIVE`] clients driving `total` requests split evenly.
-fn measure_conn_point(mode: IoMode, idle: usize, total: u32, n_docs: usize) -> ConnPoint {
+/// Measures one idle-connection-count point: a fresh deployment, `idle`
+/// held-open registered connections, then [`CONN_ACTIVE`] clients driving
+/// `total` requests split evenly. The miss executor keeps its automatic
+/// (active-scaled) sizing regardless of idle connections.
+fn measure_conn_point(idle: usize, total: u32, n_docs: usize) -> ConnPoint {
     let store = DocumentStore::synthetic(n_docs, 256, 2048, 0x5eed);
     let bed = TestBed::start(
         store,
@@ -1154,15 +1116,6 @@ fn measure_conn_point(mode: IoMode, idle: usize, total: u32, n_docs: usize) -> C
             n_clients: CONN_ACTIVE,
             proxy_capacity: 256 << 10,
             browser_capacity: 4 << 10,
-            io_mode: mode,
-            // Thread mode can hold an idle connection only by parking a
-            // worker on it, so its pool must grow with the idle count.
-            // Reactor mode keeps the automatic (active-scaled) sizing for
-            // its miss executor regardless of idle connections.
-            proxy_workers: match mode {
-                IoMode::Threads => CONN_ACTIVE as usize + idle + 4,
-                IoMode::Reactor => 0,
-            },
             ..TestBedConfig::default()
         },
     )
@@ -1171,13 +1124,11 @@ fn measure_conn_point(mode: IoMode, idle: usize, total: u32, n_docs: usize) -> C
         client.set_keep_alive(true);
     }
     let holder = (idle > 0).then(|| spawn_holder(bed.proxy.addr(), idle));
-    if let Some(r) = bed.proxy.reactor_stats() {
-        assert!(
-            r.registered_fds >= idle as u64,
-            "reactor lost idle connections: {} registered, {idle} held",
-            r.registered_fds
-        );
-    }
+    let registered = bed.proxy.reactor_stats().registered_fds;
+    assert!(
+        registered >= idle as u64,
+        "reactor lost idle connections: {registered} registered, {idle} held"
+    );
 
     let per_client = (total / CONN_ACTIVE).max(1);
     let t0 = Instant::now();
@@ -1210,20 +1161,14 @@ fn measure_conn_point(mode: IoMode, idle: usize, total: u32, n_docs: usize) -> C
         histo.merge(h);
     }
     let reactor = bed.proxy.reactor_stats();
-    let saturation = bed.proxy.saturation();
-    let (serving_threads, loops, registered_peak) = match &reactor {
-        // The idle mass must still be registered after the measured
-        // burst: the reactor held 10k connections *while* serving.
-        Some(r) => {
-            assert!(
-                r.registered_fds >= idle as u64,
-                "reactor dropped idle connections under load: {} left of {idle}",
-                r.registered_fds
-            );
-            (r.loops + saturation.workers, r.loops, r.registered_fds_peak)
-        }
-        None => (saturation.workers, 0, 0),
-    };
+    let miss_workers = bed.proxy.saturation().workers;
+    // The idle mass must still be registered after the measured burst:
+    // the reactor held 10k connections *while* serving.
+    assert!(
+        reactor.registered_fds >= idle as u64,
+        "reactor dropped idle connections under load: {} left of {idle}",
+        reactor.registered_fds
+    );
     if let Some(mut child) = holder {
         drop(child.stdin.take()); // EOF releases the held connections
         let _ = child.wait();
@@ -1231,11 +1176,10 @@ fn measure_conn_point(mode: IoMode, idle: usize, total: u32, n_docs: usize) -> C
     bed.shutdown();
 
     ConnPoint {
-        mode,
         idle,
-        serving_threads,
-        loops,
-        registered_fds_peak: registered_peak,
+        serving_threads: reactor.loops + miss_workers,
+        loops: reactor.loops,
+        registered_fds_peak: reactor.registered_fds_peak,
         req_per_sec: histo.count() as f64 / wall_secs,
         p50_ms: histo.quantile_ms(0.50),
         p99_ms: histo.quantile_ms(0.99),
@@ -1243,29 +1187,20 @@ fn measure_conn_point(mode: IoMode, idle: usize, total: u32, n_docs: usize) -> C
     }
 }
 
-/// Walks the connection-count axis in both io modes ([`CONN_ROUNDS`]
-/// interleaved rounds, best-of per point): does holding 100/1k/10k idle
-/// registered connections degrade the active path, and what does each
-/// mode spend to hold them? Thread mode stops at
-/// [`CONN_IDLE_THREADS_MAX`] (beyond that it pays a parked thread per
-/// connection); the reactor walks the full ladder on its fixed loop +
-/// miss-executor thread budget.
+/// Walks the connection-count axis ([`CONN_ROUNDS`] interleaved rounds,
+/// best-of per point): does holding 100/1k/10k idle registered
+/// connections degrade the active path? The proxy walks the whole ladder
+/// on its fixed loop + miss-executor thread budget.
 fn measure_connections(total: u32, n_docs: usize) -> Vec<ConnPoint> {
     println!(
         "\nconnection-count axis ({CONN_ACTIVE} active clients, idle ladder {CONN_IDLE:?}, \
          best of {CONN_ROUNDS} rounds):"
     );
-    let grid: Vec<(IoMode, usize)> = CONN_IDLE
-        .iter()
-        .filter(|&&idle| idle <= CONN_IDLE_THREADS_MAX)
-        .map(|&idle| (IoMode::Threads, idle))
-        .chain(CONN_IDLE.iter().map(|&idle| (IoMode::Reactor, idle)))
-        .collect();
-    let mut points: Vec<(IoMode, usize, Option<ConnPoint>)> =
-        grid.iter().map(|&(m, i)| (m, i, None)).collect();
+    let mut points: Vec<(usize, Option<ConnPoint>)> =
+        CONN_IDLE.iter().map(|&idle| (idle, None)).collect();
     for _round in 0..CONN_ROUNDS {
-        for (mode, idle, best) in &mut points {
-            let point = measure_conn_point(*mode, *idle, total, n_docs);
+        for (idle, best) in &mut points {
+            let point = measure_conn_point(*idle, total, n_docs);
             if best
                 .as_ref()
                 .is_none_or(|b| point.req_per_sec > b.req_per_sec)
@@ -1276,7 +1211,7 @@ fn measure_connections(total: u32, n_docs: usize) -> Vec<ConnPoint> {
     }
     let points: Vec<ConnPoint> = points
         .into_iter()
-        .map(|(_, _, p)| p.expect("every point measured"))
+        .map(|(_, p)| p.expect("every point measured"))
         .collect();
     for point in &points {
         point.print();
@@ -1290,19 +1225,10 @@ fn measure_connections(total: u32, n_docs: usize) -> Vec<ConnPoint> {
 /// scheduler noise, so a first reading over budget triggers two more
 /// measurements and the gate judges the median of the three
 /// ([`measure_overhead_gated`]).
-fn run_smoke(io_mode: IoMode, with_overhead: bool, total: u32, n_docs: usize) {
-    println!(
-        "live_load --smoke: METRICS exposition{} (io_mode={})\n",
-        if with_overhead {
-            " + recording-overhead gate"
-        } else {
-            ""
-        },
-        io_mode.name()
-    );
+fn run_smoke(total: u32, n_docs: usize) {
+    println!("live_load --smoke: METRICS exposition + recording-overhead gate\n");
     let report = run_mode(
         true,
-        io_mode,
         OVERHEAD_WORKERS,
         (total / OVERHEAD_WORKERS).max(1),
         n_docs,
@@ -1327,10 +1253,6 @@ fn run_smoke(io_mode: IoMode, with_overhead: bool, total: u32, n_docs: usize) {
         span::assemble(&spans).len()
     );
 
-    if !with_overhead {
-        println!("\nsmoke OK: exposition parses, counters balance (overhead gate skipped)");
-        return;
-    }
     let (overhead, measurements) = measure_overhead_gated(n_docs);
     let delta = overhead.delta_pct();
     if measurements > 1 {
@@ -1357,8 +1279,6 @@ fn main() {
     let mut sweep = false;
     let mut smoke = false;
     let mut metrics = false;
-    let mut io_mode = IoMode::Threads;
-    let mut with_overhead = true;
     let mut scenario = None;
     let mut out_path = "BENCH_live.json".to_owned();
     let mut positional = Vec::new();
@@ -1381,17 +1301,6 @@ fn main() {
             "--sweep" => sweep = true,
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
-            "--no-overhead" => with_overhead = false,
-            "--io-mode" => {
-                io_mode = match raw.next().as_deref() {
-                    Some("threads") => IoMode::Threads,
-                    Some("reactor") => IoMode::Reactor,
-                    other => {
-                        eprintln!("bad --io-mode {other:?} (threads|reactor)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--scenario" => {
                 let name = raw.next().unwrap_or_else(|| {
                     eprintln!("--scenario needs a name");
@@ -1438,7 +1347,7 @@ fn main() {
     if smoke {
         let total: u32 = arg(args.next(), "total_requests", 8000);
         let n_docs: usize = arg(args.next(), "n_docs", 64);
-        run_smoke(io_mode, with_overhead, total, n_docs);
+        run_smoke(total, n_docs);
         return;
     }
 
@@ -1450,9 +1359,9 @@ fn main() {
         "live_load: {n_clients} clients x {per_client} requests, {n_docs} docs (loopback sockets)\n"
     );
 
-    let per_request = run_mode(false, io_mode, n_clients, per_client, n_docs, false, false);
+    let per_request = run_mode(false, n_clients, per_client, n_docs, false, false);
     per_request.print();
-    let keep_alive = run_mode(true, io_mode, n_clients, per_client, n_docs, metrics, false);
+    let keep_alive = run_mode(true, n_clients, per_client, n_docs, metrics, false);
     keep_alive.print();
 
     println!(

@@ -18,7 +18,7 @@
 
 use baps_obs::{EventKind, LatencyHistogram, TraceId};
 use baps_proxy::{
-    DocumentStore, FaultConfig, FaultPlan, IoMode, ProxyError, Source, TestBed, TestBedConfig,
+    DocumentStore, FaultConfig, FaultPlan, ProxyError, Source, TestBed, TestBedConfig,
 };
 use baps_trace::{DocId, Scenario, ScenarioConfig, ScenarioOp, ScenarioSchedule};
 use rand::rngs::StdRng;
@@ -254,10 +254,10 @@ pub struct HerdProbe {
 /// This runs on its own bed (not the sequential replay's) because the
 /// stampede is genuinely concurrent: its *outcome counters* are
 /// deterministic, its interleaving is not, so it must not share counters
-/// with the determinism-gated replay. In reactor mode the whole herd
-/// lands on the blocking miss executor (a cold doc is a miss), so the
-/// probe doubles as the coalescing gate for that path.
-pub fn flash_crowd_herd(seed: u64, herd: u32, io_mode: IoMode) -> HerdProbe {
+/// with the determinism-gated replay. The whole herd lands on the
+/// blocking miss executor (a cold doc is a miss), so the probe doubles as
+/// the coalescing gate for that path.
+pub fn flash_crowd_herd(seed: u64, herd: u32) -> HerdProbe {
     let store = DocumentStore::synthetic(2, 512, 1024, seed);
     let url = "http://origin/doc/0";
     let want = store.get(url).expect("synthetic doc exists").to_vec();
@@ -265,7 +265,6 @@ pub fn flash_crowd_herd(seed: u64, herd: u32, io_mode: IoMode) -> HerdProbe {
         store,
         TestBedConfig {
             n_clients: herd,
-            io_mode,
             // Retries off: each fetch is exactly one proxy GET, keeping
             // the counter arithmetic exact. The stall pins the leader in
             // flight long enough for the whole herd to pile in.
@@ -350,16 +349,7 @@ mod tests {
 
     #[test]
     fn herd_probe_coalesces_to_one_origin_fetch() {
-        let probe = flash_crowd_herd(5, 8, IoMode::Threads);
-        assert!(probe.violations.is_empty(), "{:?}", probe.violations);
-        assert_eq!(probe.origin_fetches, 1);
-        assert_eq!(probe.coalesced_fetches, 7);
-        assert_eq!(probe.errors, 0);
-    }
-
-    #[test]
-    fn herd_probe_coalesces_on_the_reactor_too() {
-        let probe = flash_crowd_herd(5, 8, IoMode::Reactor);
+        let probe = flash_crowd_herd(5, 8);
         assert!(probe.violations.is_empty(), "{:?}", probe.violations);
         assert_eq!(probe.origin_fetches, 1);
         assert_eq!(probe.coalesced_fetches, 7);

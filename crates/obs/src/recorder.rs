@@ -66,8 +66,8 @@ pub enum EventKind {
     /// Proxy: a miss coalesced onto another request's in-flight fetch
     /// (the span is the time spent parked on the flight's condvar).
     Coalesced,
-    /// Proxy: time a connection spent parked in the worker pool's accept
-    /// backlog before a worker picked it up.
+    /// Proxy: time an accepted connection waited for its event loop to
+    /// register it (attributed to the connection's first sampled request).
     QueueWait,
     /// An invariant violation (chaos soak, live test); always recorded.
     Violation,

@@ -145,12 +145,11 @@ pub enum SloSignal {
     OriginFallbackRate,
     /// p999 of client-facing GET latency, milliseconds (all tiers merged).
     RequestP999Ms,
-    /// p99 of accept-backlog / miss-executor queue wait, milliseconds.
+    /// p99 of miss-executor queue wait, milliseconds.
     QueueWaitP99Ms,
     /// Flight-recorder events shed per second (ring contention).
     RecorderShedPerSec,
-    /// Instantaneous gauge: deepest `epoll_wait` ready batch since start
-    /// (0 in `Threads` mode, where no reactor exists).
+    /// Instantaneous gauge: deepest `epoll_wait` ready batch since start.
     ReactorReadyDepth,
 }
 
@@ -370,8 +369,6 @@ pub struct HealthReport {
     pub verdict: Verdict,
     /// Seconds since this proxy incarnation started.
     pub uptime_secs: u64,
-    /// Serving mode (`threads` or `reactor`).
-    pub io_mode: String,
     /// Rolling rates for each of [`REPORT_WINDOWS`].
     pub windows: Vec<WindowRates>,
     /// Every rule in table order.
@@ -394,7 +391,6 @@ impl HealthReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("uptime_s={}\n", self.uptime_secs));
-        out.push_str(&format!("io_mode={}\n", self.io_mode));
         out.push_str(&format!("verdict={}\n", self.verdict.name()));
         for w in &self.windows {
             out.push_str(&format!(
@@ -445,7 +441,6 @@ impl HealthReport {
     /// proxy and tooling fails loudly in CI instead of silently.
     pub fn parse(text: &str) -> Result<HealthReport, String> {
         let mut uptime_secs = None;
-        let mut io_mode = None;
         let mut verdict = None;
         let mut windows = Vec::new();
         let mut rules = Vec::new();
@@ -458,7 +453,6 @@ impl HealthReport {
             let err = |e: String| format!("line {}: {e}", n + 1);
             match fields[0].0 {
                 "uptime_s" => uptime_secs = Some(num(&fields, "uptime_s").map_err(err)? as u64),
-                "io_mode" => io_mode = Some(get(&fields, "io_mode").map_err(err)?.to_string()),
                 "verdict" => {
                     let v = get(&fields, "verdict").map_err(err)?;
                     verdict =
@@ -472,7 +466,6 @@ impl HealthReport {
         Ok(HealthReport {
             verdict: verdict.ok_or("missing verdict line")?,
             uptime_secs: uptime_secs.ok_or("missing uptime_s line")?,
-            io_mode: io_mode.ok_or("missing io_mode line")?,
             windows,
             rules,
         })
@@ -601,7 +594,6 @@ pub(crate) fn evaluate(state: &ProxyState) -> HealthReport {
     HealthReport {
         verdict: worst,
         uptime_secs: state.windows.uptime_secs(),
-        io_mode: state.config.io_mode.name().to_string(),
         windows,
         rules,
     }
@@ -612,12 +604,7 @@ pub(crate) fn evaluate(state: &ProxyState) -> HealthReport {
 /// span — "no data" is not an alert.
 fn measure(state: &ProxyState, rule: &SloRule) -> (f64, u64) {
     if rule.signal == SloSignal::ReactorReadyDepth {
-        let depth = state
-            .reactor
-            .as_ref()
-            .map(|r| r.snapshot().ready_batch_peak as f64)
-            .unwrap_or(0.0);
-        return (depth, 0);
+        return (state.reactor.snapshot().ready_batch_peak as f64, 0);
     }
     let Some(w) = state.windows.ring().window(rule.window_secs) else {
         return (0.0, 0);
@@ -674,7 +661,6 @@ mod tests {
         HealthReport {
             verdict: Verdict::Warn,
             uptime_secs: 42,
-            io_mode: "threads".to_string(),
             windows: vec![WindowRates {
                 window_secs: 10,
                 span_secs: 10,
@@ -721,7 +707,6 @@ mod tests {
         let parsed = HealthReport::parse(&report.render()).expect("parses");
         assert_eq!(parsed.verdict, Verdict::Warn);
         assert_eq!(parsed.uptime_secs, 42);
-        assert_eq!(parsed.io_mode, "threads");
         assert_eq!(parsed.windows.len(), 1);
         assert_eq!(parsed.windows[0].requests, 1000);
         assert!((parsed.windows[0].p999_ms - 80.25).abs() < 1e-9);

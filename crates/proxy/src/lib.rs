@@ -48,7 +48,7 @@ pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdic
 pub use origin::OriginServer;
 pub use pool::{dial_with_deadline, ConnRegistry, PoolTelemetry, SaturationSnapshot, WorkerPool};
 pub use protocol::{encode_message, read_message, response_code, write_message, Body, Message};
-pub use proxy::{IoMode, ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
+pub use proxy::{ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
 pub use reactor::{ReactorSnapshot, ReactorTelemetry};
 pub use runtime::{TestBed, TestBedConfig};
 pub use shard::{auto_shards, ShardedCache, StripedIndex};

@@ -20,7 +20,7 @@ use baps_obs::prom::PromText;
 pub(crate) fn render(state: &ProxyState) -> String {
     let mut out = PromText::new();
 
-    // Who is answering: the crate version and serving mode as an
+    // Who is answering: the crate version as an
     // info-style gauge (constant 1), plus seconds since this incarnation
     // started — the standard pair scrapers use to detect restarts and
     // correlate a deploy with a metric shift.
@@ -31,10 +31,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.sample(
         "baps_build_info",
-        &[
-            ("version", env!("CARGO_PKG_VERSION")),
-            ("io_mode", state.config.io_mode.name()),
-        ],
+        &[("version", env!("CARGO_PKG_VERSION"))],
         1.0,
     );
     out.gauge(
@@ -247,18 +244,17 @@ pub(crate) fn render(state: &ProxyState) -> String {
         state.obs.recorder.dropped(),
     );
 
-    // Runtime saturation: how busy the worker pool runs and how long
-    // connections wait in the accept backlog — the measured evidence for
-    // or against the thread-per-connection architecture.
+    // Miss-executor saturation: how busy the blocking workers run and how
+    // long offloaded requests wait for one.
     let sat = state.telemetry.snapshot();
     out.gauge(
         "baps_workers",
-        "Worker threads serving client connections.",
+        "Blocking miss-executor threads.",
         sat.workers as f64,
     );
     out.gauge(
         "baps_workers_busy",
-        "Workers currently serving a connection.",
+        "Miss-executor workers currently running a request.",
         sat.busy_workers as f64,
     );
     out.gauge(
@@ -268,17 +264,17 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.gauge(
         "baps_queue_depth",
-        "Connections currently parked in the accept backlog.",
+        "Requests currently queued for the miss executor.",
         sat.queue_depth as f64,
     );
     out.gauge(
         "baps_queue_depth_peak",
-        "Deepest the accept backlog has been since start.",
+        "Deepest the miss-executor queue has been since start.",
         sat.queue_depth_peak as f64,
     );
     out.counter(
         "baps_queue_rejected_total",
-        "Connections dropped because the accept backlog was full.",
+        "Requests refused because the miss executor was shutting down.",
         sat.rejected,
     );
     out.gauge(
@@ -289,63 +285,58 @@ pub(crate) fn render(state: &ProxyState) -> String {
     out.header(
         "baps_queue_wait_ms",
         "histogram",
-        "Time connections spent in the accept backlog, milliseconds.",
+        "Time requests spent queued for the miss executor, milliseconds.",
     );
     out.histogram("baps_queue_wait_ms", &[], &sat.queue_wait);
 
-    // Reactor saturation (io_mode=reactor only): the event-driven
-    // equivalents of the pool gauges above — registered connections
-    // instead of parked threads, loop busy-fraction instead of busy
-    // workers. In this mode the `baps_workers*`/`baps_queue_*` series
-    // describe the blocking miss executor.
-    if let Some(reactor) = &state.reactor {
-        let r = reactor.snapshot();
-        out.gauge(
-            "baps_reactor_loops",
-            "Event loops serving client connections.",
-            r.loops as f64,
-        );
-        out.gauge(
-            "baps_reactor_registered_fds",
-            "Connections currently registered with the event loops.",
-            r.registered_fds as f64,
-        );
-        out.gauge(
-            "baps_reactor_registered_fds_peak",
-            "Most connections simultaneously registered since start.",
-            r.registered_fds_peak as f64,
-        );
-        out.gauge(
-            "baps_reactor_ready_batch_peak",
-            "Most ready events one epoll_wait returned at once.",
-            r.ready_batch_peak as f64,
-        );
-        out.counter(
-            "baps_reactor_ready_events_total",
-            "Readiness events delivered to the event loops.",
-            r.ready_events,
-        );
-        out.counter(
-            "baps_reactor_wakeups_total",
-            "Eventfd wakeups (new connections and miss completions).",
-            r.wakeups,
-        );
-        out.counter(
-            "baps_reactor_inline_dispatch_total",
-            "Requests answered inline on an event loop.",
-            r.inline_served,
-        );
-        out.counter(
-            "baps_reactor_offloaded_dispatch_total",
-            "Requests handed to the blocking miss executor.",
-            r.offloaded,
-        );
-        out.gauge(
-            "baps_reactor_busy_fraction",
-            "Fraction of wall time the loops spent processing events.",
-            r.busy_fraction,
-        );
-    }
+    // Event-loop saturation: registered connections, ready-batch depth,
+    // loop busy-fraction, inline vs offloaded dispatches.
+    let r = state.reactor.snapshot();
+    out.gauge(
+        "baps_reactor_event_loops",
+        "Event loops serving client connections.",
+        r.loops as f64,
+    );
+    out.gauge(
+        "baps_reactor_registered_fds",
+        "Connections currently registered with the event loops.",
+        r.registered_fds as f64,
+    );
+    out.gauge(
+        "baps_reactor_registered_fds_peak",
+        "Most connections simultaneously registered since start.",
+        r.registered_fds_peak as f64,
+    );
+    out.gauge(
+        "baps_reactor_ready_batch_peak",
+        "Most ready events one epoll_wait returned at once.",
+        r.ready_batch_peak as f64,
+    );
+    out.counter(
+        "baps_reactor_ready_events_total",
+        "Readiness events delivered to the event loops.",
+        r.ready_events,
+    );
+    out.counter(
+        "baps_reactor_wakeups_total",
+        "Eventfd wakeups (new connections and miss completions).",
+        r.wakeups,
+    );
+    out.counter(
+        "baps_reactor_inline_dispatch_total",
+        "Requests answered inline on an event loop.",
+        r.inline_served,
+    );
+    out.counter(
+        "baps_reactor_offloaded_dispatch_total",
+        "Requests handed to the blocking miss executor.",
+        r.offloaded,
+    );
+    out.gauge(
+        "baps_reactor_busy_fraction",
+        "Fraction of wall time the loops spent processing events.",
+        r.busy_fraction,
+    );
 
     // Latency histograms: answered GETs by serve tier (tail buckets
     // annotated with OpenMetrics-style exemplar trace ids, resolvable

@@ -1,5 +1,6 @@
-//! Bounded connection-serving infrastructure shared by the proxy, origin,
-//! and client peer servers.
+//! Bounded connection-serving infrastructure shared by the origin and
+//! client peer servers (the proxy serves connections from event loops, see
+//! `reactor.rs`; it reuses [`PoolTelemetry`] for its miss executor).
 //!
 //! The seed runtime spawned one detached `std::thread` per accepted TCP
 //! connection: under a connection flood that exhausts OS threads, and the
@@ -90,35 +91,28 @@ impl ConnRegistry {
         self.conns.lock().len()
     }
 
-    /// Severs every currently open connection but keeps the registry
-    /// accepting new ones. Ops/test hook: peers with keep-alive
-    /// connections observe an abrupt EOF mid-session and must reconnect.
-    pub fn drop_all(&self) {
-        let conns = std::mem::take(&mut *self.conns.lock());
-        for stream in conns.into_values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-
     /// Shuts down both directions of every registered socket, forcing any
     /// handler blocked in a read to observe EOF and exit its serve loop.
     /// Further registrations are refused.
     pub fn close_all(&self) {
         self.closing.store(true, Ordering::Release);
-        self.drop_all();
+        let conns = std::mem::take(&mut *self.conns.lock());
+        for stream in conns.into_values() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
     }
 }
 
-/// Runtime-saturation telemetry for one [`WorkerPool`]: how deep the
-/// accept backlog runs, how long connections sit in it before a worker
-/// picks them up, and how many workers are busy — the measured evidence
-/// for (or against) the thread-per-connection architecture (ROADMAP
-/// item 1: queue delay vs service time decides the event-driven reactor).
+/// Runtime-saturation telemetry for a queue feeding a fixed set of worker
+/// threads: how deep the queue runs, how long items sit in it before a
+/// worker picks them up, and how many workers are busy. The proxy's miss
+/// executor reports through it (one item per offloaded request); so does
+/// each [`WorkerPool`] (one item per accepted connection).
 ///
 /// All fields are plain atomics recorded unconditionally: saturation data
 /// must exist even when the overhead benchmark turns event recording off,
-/// and a handful of relaxed atomic ops per *connection* (not per request)
-/// is far below the always-on budget.
+/// and a handful of relaxed atomic ops per queued item is far below the
+/// always-on budget.
 #[derive(Debug, Default)]
 pub struct PoolTelemetry {
     workers: AtomicU64,
@@ -130,27 +124,27 @@ pub struct PoolTelemetry {
     queue_wait: AtomicHistogram,
 }
 
-/// A point-in-time copy of a pool's [`PoolTelemetry`].
+/// A point-in-time copy of a [`PoolTelemetry`].
 #[derive(Debug, Clone)]
 pub struct SaturationSnapshot {
     /// Configured worker threads.
     pub workers: u64,
-    /// Connections currently parked in the accept backlog.
+    /// Items currently queued, waiting for a worker.
     pub queue_depth: u64,
-    /// Deepest the backlog has been since start.
+    /// Deepest the queue has been since start.
     pub queue_depth_peak: u64,
-    /// Workers currently serving a connection.
+    /// Workers currently running an item.
     pub busy_workers: u64,
     /// Most workers simultaneously busy since start.
     pub busy_workers_peak: u64,
-    /// Connections dropped because the backlog was full.
+    /// Items refused because the queue was full or closed.
     pub rejected: u64,
-    /// Time connections spent in the backlog before a worker claimed them.
+    /// Time items spent queued before a worker claimed them.
     pub queue_wait: LatencyHistogram,
 }
 
 impl PoolTelemetry {
-    /// Creates zeroed telemetry; hand it to [`WorkerPool::start_with`].
+    /// Creates zeroed telemetry.
     pub fn new() -> PoolTelemetry {
         PoolTelemetry::default()
     }
@@ -163,10 +157,7 @@ impl PoolTelemetry {
         }
     }
 
-    /// Records the configured worker count. `WorkerPool::start_with` calls
-    /// this itself; the reactor's miss executor (which reuses this
-    /// telemetry for its own queue/busy gauges, see DESIGN.md §13) calls
-    /// it directly.
+    /// Records the configured worker count.
     pub(crate) fn set_workers(&self, n: u64) {
         self.workers.store(n, Ordering::Relaxed);
     }
@@ -231,32 +222,9 @@ impl WorkerPool {
     where
         F: Fn(TcpStream) + Send + Sync + 'static,
     {
-        Self::start_with(
-            name,
-            workers,
-            backlog,
-            Arc::new(PoolTelemetry::new()),
-            move |stream, _queue_wait| handler(stream),
-        )
-    }
-
-    /// [`start`](Self::start) with caller-owned [`PoolTelemetry`] (so the
-    /// handler's captured state can hold the same `Arc`) and a handler
-    /// that also receives the time this connection spent parked in the
-    /// accept backlog — the proxy attributes it to the connection's first
-    /// request as a `queue-wait` span.
-    pub fn start_with<F>(
-        name: &str,
-        workers: usize,
-        backlog: usize,
-        telemetry: Arc<PoolTelemetry>,
-        handler: F,
-    ) -> io::Result<WorkerPool>
-    where
-        F: Fn(TcpStream, Duration) + Send + Sync + 'static,
-    {
         let workers = workers.max(1);
-        telemetry.workers.store(workers as u64, Ordering::Relaxed);
+        let telemetry = Arc::new(PoolTelemetry::new());
+        telemetry.set_workers(workers as u64);
         let (tx, rx) = std::sync::mpsc::sync_channel::<(TcpStream, Instant)>(backlog.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let registry = Arc::new(ConnRegistry::new());
@@ -327,7 +295,7 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop<F: Fn(TcpStream, Duration) + ?Sized>(
+fn worker_loop<F: Fn(TcpStream) + ?Sized>(
     rx: &Mutex<Receiver<(TcpStream, Instant)>>,
     registry: &ConnRegistry,
     telemetry: &PoolTelemetry,
@@ -343,15 +311,14 @@ fn worker_loop<F: Fn(TcpStream, Duration) + ?Sized>(
         let Ok((stream, enqueued_at)) = received else {
             break;
         };
-        let queue_wait = enqueued_at.elapsed();
-        telemetry.dequeued(queue_wait);
+        telemetry.dequeued(enqueued_at.elapsed());
         // Request/response protocol: never trade latency for batching.
         let _ = stream.set_nodelay(true);
         let Some(token) = registry.register(&stream) else {
             continue; // shutting down: drop the connection
         };
         telemetry.task_started();
-        handler(stream, queue_wait);
+        handler(stream);
         telemetry.task_finished();
         registry.deregister(token);
     }
@@ -423,23 +390,14 @@ mod tests {
     fn telemetry_tracks_queue_busy_and_waits() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let telemetry = Arc::new(PoolTelemetry::new());
-        let pool = WorkerPool::start_with(
-            "telemetry-pool",
-            2,
-            4,
-            Arc::clone(&telemetry),
-            |mut s: TcpStream, queue_wait: Duration| {
-                // The measured wait is handed to the handler so servers can
-                // attribute it to the connection's first request.
-                assert!(queue_wait < Duration::from_secs(5));
-                let mut buf = [0u8; 4];
-                if s.read_exact(&mut buf).is_ok() {
-                    let _ = s.write_all(&buf);
-                }
-            },
-        )
+        let pool = WorkerPool::start("telemetry-pool", 2, 4, |mut s: TcpStream| {
+            let mut buf = [0u8; 4];
+            if s.read_exact(&mut buf).is_ok() {
+                let _ = s.write_all(&buf);
+            }
+        })
         .unwrap();
+        let telemetry = Arc::clone(pool.telemetry());
         let acceptor = std::thread::spawn(move || {
             for _ in 0..4 {
                 let (conn, _) = listener.accept().unwrap();

@@ -67,19 +67,25 @@
 //! treat as the end of the session. Clients hold one lazily-dialed
 //! connection to the proxy and transparently redial (replaying the
 //! in-flight request once) when the proxy drops it; the proxy keeps a pool
-//! of kept-alive origin connections the same way. Servers run a fixed
-//! worker pool, so each open connection occupies one worker until it
-//! closes (see [`crate::pool`]).
+//! of kept-alive origin connections the same way. The proxy multiplexes
+//! its client connections on event loops (`reactor.rs`), so an idle one
+//! costs a registered fd; the origin and the clients' peer servers run a
+//! fixed worker pool, where each open connection occupies one worker until
+//! it closes (see [`crate::pool`]).
 //!
 //! [`ProxyCounters`]: crate::proxy::ProxyCounters
 
-use std::io::{self, BufRead, IoSlice, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// Maximum accepted header count (straightforward DoS hygiene).
 pub(crate) const MAX_HEADERS: usize = 64;
 /// Maximum accepted body size.
 pub const MAX_BODY: usize = 64 << 20;
+/// Maximum accepted head size (start line + headers), far above any
+/// legitimate head: a peer that dribbles bytes without ever ending a line
+/// gets a bounded allowance instead of unbounded memory.
+pub(crate) const MAX_HEAD_BYTES: usize = 1 << 20;
 
 /// A document body as shared immutable bytes. Cloning a `Body` is a
 /// refcount bump, so a cached document travels cache → response frame →
@@ -232,55 +238,115 @@ pub(crate) fn encode_head(msg: &Message) -> io::Result<String> {
     Ok(head)
 }
 
+fn invalid(reason: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason.into())
+}
+
+/// The frame head grammar and its limits, defined once: start line,
+/// `name: value` headers, the blank line that ends the head, and the body
+/// length the head declares. It is fed one `\n`-terminated line at a time,
+/// so the blocking transport ([`read_message`], lines from `read_line`) and
+/// the event loops (`reactor::FrameParser`, lines cut from a socket buffer)
+/// accept and refuse exactly the same bytes. Acquiring the body stays with
+/// the transport.
+#[derive(Default)]
+pub(crate) struct HeadParser {
+    /// Empty until the start line has arrived.
+    start: String,
+    headers: Vec<(String, String)>,
+    /// Head bytes consumed so far in this frame.
+    head_bytes: usize,
+}
+
+impl HeadParser {
+    /// Whether a frame has begun (EOF now would be mid-head, not clean).
+    pub(crate) fn in_head(&self) -> bool {
+        !self.start.is_empty()
+    }
+
+    /// Head bytes this frame may still spend before [`MAX_HEAD_BYTES`].
+    pub(crate) fn allowance(&self) -> usize {
+        MAX_HEAD_BYTES - self.head_bytes
+    }
+
+    /// Refuses a head that would pass [`MAX_HEAD_BYTES`] once `pending`
+    /// more bytes (a line, or an unterminated tail still buffering) count.
+    pub(crate) fn fits(&self, pending: usize) -> io::Result<()> {
+        if pending > self.allowance() {
+            return Err(invalid("frame head too large"));
+        }
+        Ok(())
+    }
+
+    /// Consumes one head line, terminator included. The blank
+    /// line completes the head: the message so far (body still empty) and
+    /// its declared body length come back and the parser is ready for the
+    /// next frame.
+    pub(crate) fn line(&mut self, line: &str) -> io::Result<Option<(Message, usize)>> {
+        self.fits(line.len())?;
+        self.head_bytes += line.len();
+        let line = line.trim_end();
+        if self.start.is_empty() {
+            if line.is_empty() {
+                return Err(invalid("empty start line"));
+            }
+            self.start = line.to_owned();
+            return Ok(None);
+        }
+        if !line.is_empty() {
+            if self.headers.len() >= MAX_HEADERS {
+                return Err(invalid("too many headers"));
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| invalid(format!("bad header: {line}")))?;
+            self.headers
+                .push((name.trim().to_owned(), value.trim().to_owned()));
+            return Ok(None);
+        }
+        let head = std::mem::take(self);
+        let msg = Message {
+            start: head.start,
+            headers: head.headers,
+            body: empty_body(),
+        };
+        let len = match msg.get("Content-Length") {
+            None => 0,
+            Some(len) => len
+                .parse()
+                .map_err(|e| invalid(format!("bad length: {e}")))?,
+        };
+        if len > MAX_BODY {
+            return Err(invalid("body too large"));
+        }
+        Ok(Some((msg, len)))
+    }
+}
+
 /// Reads one message; returns `None` on a cleanly closed connection.
 pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
-    let mut start = String::new();
-    if r.read_line(&mut start)? == 0 {
-        return Ok(None);
-    }
-    let start = start.trim_end().to_owned();
-    if start.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "empty start line",
-        ));
-    }
-    let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof inside headers",
-            ));
+    let mut head = HeadParser::default();
+    let mut line = String::new();
+    let (mut msg, len) = loop {
+        line.clear();
+        // Read at most one byte past the head allowance: a sender that
+        // never sends `\n` is refused by the parser instead of growing
+        // `line` without limit.
+        let mut capped = Read::take(&mut *r, head.allowance() as u64 + 1);
+        if capped.read_line(&mut line)? == 0 {
+            if head.in_head() {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof inside headers",
+                ));
+            }
+            return Ok(None);
         }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
+        if let Some(done) = head.line(&line)? {
+            break done;
         }
-        if headers.len() >= MAX_HEADERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "too many headers",
-            ));
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad header: {line}"))
-        })?;
-        headers.push((name.trim().to_owned(), value.trim().to_owned()));
-    }
-    let mut msg = Message {
-        start,
-        headers,
-        body: empty_body(),
     };
-    if let Some(len) = msg.get("Content-Length") {
-        let len: usize = len
-            .parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}")))?;
-        if len > MAX_BODY {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-        }
+    if len > 0 {
         // The one unavoidable copy: socket bytes into a fresh allocation,
         // immediately frozen into a shared `Body`.
         let mut body = vec![0u8; len];
@@ -407,6 +473,44 @@ mod tests {
     fn tokens_split() {
         let m = Message::new("PEERGET http://a/b BAPS/1.0");
         assert_eq!(m.tokens(), vec!["PEERGET", "http://a/b", "BAPS/1.0"]);
+    }
+
+    /// Regression: a sender that never ends a line is refused once the
+    /// head passes `MAX_HEAD_BYTES` — in the start line or in a header —
+    /// instead of growing the line buffer without limit.
+    #[test]
+    fn unterminated_head_is_capped() {
+        /// Yields `prefix`, then `a` bytes forever, counting what it served.
+        struct Endless {
+            prefix: &'static [u8],
+            served: usize,
+        }
+        impl Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = if self.served < self.prefix.len() {
+                    let rest = &self.prefix[self.served..];
+                    let n = rest.len().min(buf.len());
+                    buf[..n].copy_from_slice(&rest[..n]);
+                    n
+                } else {
+                    buf.fill(b'a');
+                    buf.len()
+                };
+                self.served += n;
+                Ok(n)
+            }
+        }
+        for prefix in [&b""[..], b"GET x BAPS/1.0\r\nClient: 1\r\nX-Pad: "] {
+            let mut r = BufReader::new(Endless { prefix, served: 0 });
+            let buffer = r.capacity();
+            let err = read_message(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                r.get_ref().served <= MAX_HEAD_BYTES + buffer,
+                "read {} bytes before refusing",
+                r.get_ref().served
+            );
+        }
     }
 
     /// Regression: a caller-supplied `Content-Length` must not be emitted

@@ -14,12 +14,9 @@
 //! `METRICS BAPS/1.0` verb renders all of it as Prometheus text.
 
 use crate::disk::{DiskConfig, DiskStats, DiskTier};
-use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::health::{HealthReport, ProxyWindows, SloTable};
-use crate::pool::{
-    dial_with_deadline, ConnRegistry, PoolTelemetry, SaturationSnapshot, WorkerPool,
-    DEFAULT_BACKLOG, DEFAULT_WORKERS,
-};
+use crate::pool::{dial_with_deadline, PoolTelemetry, SaturationSnapshot, DEFAULT_WORKERS};
 use crate::protocol::{
     read_message, response, response_code, status, write_message, Body, Message,
 };
@@ -52,29 +49,6 @@ const ORIGIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Initial backoff between retried peer probes / origin fetches.
 const RETRY_BACKOFF: Duration = Duration::from_millis(5);
 
-/// How the proxy serves client connections (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The classic bounded worker pool: each open keep-alive connection
-    /// occupies one thread. Simple, and the A/B baseline for the reactor.
-    #[default]
-    Threads,
-    /// The epoll reactor: event loops multiplex every connection, idle
-    /// connections cost one registered fd, and only blocking miss-path
-    /// work (disk, peers, origin) runs on a small executor pool.
-    Reactor,
-}
-
-impl IoMode {
-    /// Stable lowercase name, as reported in the `Io-Mode` STATS header.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Threads => "threads",
-            IoMode::Reactor => "reactor",
-        }
-    }
-}
-
 /// Proxy configuration.
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
@@ -94,24 +68,11 @@ pub struct ProxyConfig {
     /// (the paper's companion anonymity protocols, HPL-2001-204, address
     /// that; the relayed mode keeps full mutual anonymity).
     pub direct_forward: bool,
-    /// Connection-serving architecture. `Threads` (the default) keeps the
-    /// bounded worker pool; `Reactor` serves every connection from epoll
-    /// event loops and uses `worker_threads` to size the blocking miss
-    /// executor instead.
-    pub io_mode: IoMode,
-    /// Event loops in `Reactor` mode; `0` sizes one per CPU core.
-    pub reactor_loops: usize,
-    /// Worker threads serving client connections. In `Threads` mode each
-    /// keep-alive connection occupies a worker while open, so this bounds
-    /// the number of concurrently connected clients (size it at
-    /// `n_clients` plus headroom for one-shot administrative connections).
-    /// In `Reactor` mode this sizes the blocking miss executor — the
-    /// threads that run disk/peer/origin fetches — while connections
-    /// themselves are unbounded-by-threads.
+    /// Threads of the blocking miss executor — the ones that run
+    /// disk/peer/origin fetches, so this bounds concurrent miss-path work
+    /// (`0` = the library default). Connections themselves are served by
+    /// event loops, one per available core, and are not bounded by threads.
     pub worker_threads: usize,
-    /// Bounded queue of accepted-but-unclaimed connections; when full,
-    /// new connections are dropped (clients see EOF and may retry).
-    pub accept_backlog: usize,
     /// Dial/read/write deadline for peer probes (`Duration::ZERO` falls
     /// back to the built-in default).
     pub peer_timeout: Duration,
@@ -350,13 +311,12 @@ pub(crate) struct ProxyState {
     pub(crate) disk: Option<DiskTier>,
     /// Idle keep-alive connections to the origin, reused across fetches.
     origin_pool: Mutex<Vec<OriginConn>>,
-    /// Worker-pool saturation telemetry (shared with the pool itself), so
+    /// Miss-executor saturation telemetry (shared with the executor), so
     /// STATS/METRICS can report queue depth, busy workers, and
-    /// time-in-queue without reaching into the acceptor thread.
+    /// time-in-queue.
     pub(crate) telemetry: Arc<PoolTelemetry>,
-    /// Reactor-loop telemetry, present only in `IoMode::Reactor` (in that
-    /// mode `telemetry` above describes the blocking miss executor).
-    pub(crate) reactor: Option<Arc<ReactorTelemetry>>,
+    /// Event-loop telemetry (shared with the loops).
+    pub(crate) reactor: Arc<ReactorTelemetry>,
     /// Per-document in-flight miss registry (thundering-herd coalescing):
     /// the first miss for a doc becomes the leader and fetches; concurrent
     /// misses park on the entry's condvar and share the leader's outcome.
@@ -383,77 +343,16 @@ impl ProxyState {
     }
 }
 
-/// The connection-serving engine behind the accept loop: the bounded
-/// worker pool (`IoMode::Threads`) or the epoll reactor
-/// (`IoMode::Reactor`). Both expose the same three operations the server
-/// needs: hand over an accepted socket, expose connection control, and
-/// shut down joining every thread.
-enum ServeBackend {
-    Threads(WorkerPool),
-    Reactor(Reactor),
-}
-
-impl ServeBackend {
-    fn dispatch(&self, stream: TcpStream) -> bool {
-        match self {
-            ServeBackend::Threads(pool) => pool.dispatch(stream),
-            ServeBackend::Reactor(reactor) => reactor.dispatch(stream),
-        }
-    }
-
-    fn conn_control(&self) -> ConnControl {
-        match self {
-            ServeBackend::Threads(pool) => ConnControl::Threads(Arc::clone(pool.registry())),
-            ServeBackend::Reactor(reactor) => ConnControl::Reactor(reactor.handle()),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            ServeBackend::Threads(pool) => pool.shutdown(),
-            ServeBackend::Reactor(reactor) => reactor.shutdown(),
-        }
-    }
-}
-
-/// Mode-specific handle for the connection-control surface
-/// (`open_connections` / `drop_connections`), kept on [`ProxyServer`]
-/// because the backend itself moves into the acceptor thread. Thread mode
-/// goes through the pool's [`ConnRegistry`] (which holds a duplicate fd per
-/// connection so any thread can sever it); reactor mode asks the loops,
-/// which own their sockets outright — one fd per connection, which is what
-/// lets a 10k-idle-connection ladder fit in an ordinary fd table.
-enum ConnControl {
-    Threads(Arc<ConnRegistry>),
-    Reactor(ReactorHandle),
-}
-
-impl ConnControl {
-    fn open_connections(&self) -> usize {
-        match self {
-            ConnControl::Threads(registry) => registry.open_connections(),
-            ConnControl::Reactor(handle) => handle.open_connections(),
-        }
-    }
-
-    fn drop_all(&self) {
-        match self {
-            ConnControl::Threads(registry) => registry.drop_all(),
-            ConnControl::Reactor(handle) => handle.drop_all(),
-        }
-    }
-}
-
 /// A running browsers-aware proxy.
 pub struct ProxyServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// The acceptor thread; it owns the serving backend (worker pool or
-    /// reactor) and hands it back on exit so `stop` can join the threads.
-    handle: Option<JoinHandle<ServeBackend>>,
+    /// The acceptor thread; it owns the reactor and hands it back on exit
+    /// so `stop` can join the loops and the miss executor.
+    handle: Option<JoinHandle<Reactor>>,
     /// The 1 Hz window sampler thread feeding `state.windows`.
     sampler: Option<JoinHandle<()>>,
-    conns: ConnControl,
+    conns: ReactorHandle,
     state: Arc<ProxyState>,
     /// The bound listening socket. The acceptor thread runs on a clone;
     /// keeping the original here lets [`ProxyServer::restart`] hand the
@@ -481,11 +380,6 @@ impl ProxyServer {
         } else {
             config.worker_threads
         };
-        let backlog = if config.accept_backlog == 0 {
-            DEFAULT_BACKLOG
-        } else {
-            config.accept_backlog
-        };
         let recorder = config
             .recorder
             .clone()
@@ -501,18 +395,7 @@ impl ProxyServer {
             .map(|d| load_baseline(d.root()))
             .unwrap_or_default();
         let telemetry = Arc::new(PoolTelemetry::new());
-        let reactor_telemetry = match config.io_mode {
-            IoMode::Reactor => Some(Arc::new(ReactorTelemetry::new())),
-            IoMode::Threads => None,
-        };
-        let io_mode = config.io_mode;
-        let reactor_loops = if config.reactor_loops == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.reactor_loops
-        };
+        let reactor_telemetry = Arc::new(ReactorTelemetry::new());
         let state = Arc::new(ProxyState {
             cache: ShardedCache::new(config.cache_capacity, auto_shards(config.cache_capacity)),
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
@@ -531,7 +414,7 @@ impl ProxyServer {
             disk,
             origin_pool: Mutex::new(Vec::new()),
             telemetry: Arc::clone(&telemetry),
-            reactor: reactor_telemetry.clone(),
+            reactor: Arc::clone(&reactor_telemetry),
             inflight: Mutex::new(HashMap::new()),
             windows: ProxyWindows::new(),
         });
@@ -551,29 +434,14 @@ impl ProxyServer {
                     }
                 })?
         };
-        let backend = match io_mode {
-            IoMode::Threads => {
-                let state = Arc::clone(&state);
-                ServeBackend::Threads(WorkerPool::start_with(
-                    "baps-proxy-worker",
-                    workers,
-                    backlog,
-                    telemetry,
-                    move |stream, queue_wait| {
-                        let _ = serve_connection(stream, queue_wait, &state);
-                    },
-                )?)
-            }
-            IoMode::Reactor => ServeBackend::Reactor(Reactor::start(
-                "baps-proxy",
-                reactor_loops,
-                workers,
-                Arc::clone(&state),
-                telemetry,
-                reactor_telemetry.expect("reactor telemetry exists in reactor mode"),
-            )?),
-        };
-        let conns = backend.conn_control();
+        let reactor = Reactor::start(
+            "baps-proxy",
+            workers,
+            Arc::clone(&state),
+            telemetry,
+            reactor_telemetry,
+        )?;
+        let conns = reactor.handle();
         let handle = {
             let shutdown = Arc::clone(&shutdown);
             let acceptor = listener.try_clone()?;
@@ -585,13 +453,9 @@ impl ProxyServer {
                             break;
                         }
                         let Ok(stream) = conn else { continue };
-                        // Threads mode: bounded dispatch — under a
-                        // connection flood the excess connections are
-                        // dropped, not threaded. Reactor mode: the loop
-                        // registers the fd; idle connections are cheap.
-                        backend.dispatch(stream);
+                        reactor.dispatch(stream);
                     }
-                    backend
+                    reactor
                 })?
         };
         Ok(ProxyServer {
@@ -688,31 +552,23 @@ impl ProxyServer {
         self.state.cache.get(doc, url).map(|d| d.body)
     }
 
-    /// Client connections currently held open (by workers in thread mode,
-    /// registered with the event loops in reactor mode).
+    /// Client connections currently registered with the event loops.
     pub fn open_connections(&self) -> usize {
         self.conns.open_connections()
     }
 
-    /// Runtime-saturation snapshot of the worker pool: configured workers,
-    /// accept-backlog depth (current and peak), busy workers (current and
-    /// peak), rejected connections, and the time-in-queue histogram. In
-    /// `IoMode::Reactor` the same gauges describe the blocking miss
-    /// executor (its queue is the offload channel, not the accept backlog).
+    /// Runtime-saturation snapshot of the blocking miss executor:
+    /// configured workers, queue depth (current and peak), busy workers
+    /// (current and peak), rejected jobs, and the time-in-queue histogram.
     pub fn saturation(&self) -> SaturationSnapshot {
         self.state.telemetry.snapshot()
     }
 
-    /// The configured connection-serving mode.
-    pub fn io_mode(&self) -> IoMode {
-        self.state.config.io_mode
-    }
-
-    /// Reactor-loop telemetry snapshot: registered fds (current and peak),
+    /// Event-loop telemetry snapshot: registered fds (current and peak),
     /// ready-batch depth, loop busy-fraction, inline vs offloaded
-    /// dispatches. `None` in `IoMode::Threads`.
-    pub fn reactor_stats(&self) -> Option<ReactorSnapshot> {
-        self.state.reactor.as_ref().map(|r| r.snapshot())
+    /// dispatches.
+    pub fn reactor_stats(&self) -> ReactorSnapshot {
+        self.state.reactor.snapshot()
     }
 
     /// Entries currently in the in-flight miss registry (thundering-herd
@@ -767,13 +623,12 @@ impl ProxyServer {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Unblock the acceptor; it checks the flag and returns the backend.
+        // Unblock the acceptor; it checks the flag and returns the reactor.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.handle.take() {
-            if let Ok(backend) = handle.join() {
-                // Closes every open connection so looping handlers (or
-                // event loops) exit, then joins the threads.
-                backend.shutdown();
+            if let Ok(reactor) = handle.join() {
+                // Closes every open connection, then joins the threads.
+                reactor.shutdown();
             }
         }
         if let Some(sampler) = self.sampler.take() {
@@ -858,58 +713,15 @@ fn load_baseline(root: &std::path::Path) -> ProxyStats {
     s
 }
 
-fn serve_connection(stream: TcpStream, queue_wait: Duration, state: &ProxyState) -> io::Result<()> {
-    let peer_ip = stream.peer_addr()?.ip();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    // The accept-backlog wait is attributed to this connection's first
-    // *sampled* request: under thread-per-connection only the first
-    // request ever waited in the backlog, and an unsampled trace carries
-    // no span tree to attach it to (the histogram still counts it).
-    let mut queue_wait = Some(queue_wait);
-    while let Some(msg) = read_message(&mut reader)? {
-        // One proxy-site fault decision per client-facing GET. The
-        // administrative verbs (REGISTER, INVALIDATE, STATS) stay honest
-        // so chaos runs can still register clients and read counters.
-        let fault = match (msg.tokens().first(), state.config.faults.as_deref()) {
-            (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
-            _ => None,
-        };
-        if fault == Some(FaultKind::ProxyDrop) {
-            // Sever before handling: the client sees EOF, redials, and
-            // replays; the request is never counted.
-            return Ok(());
-        }
-        let t_verb = Instant::now();
-        let reply = dispatch(&msg, peer_ip, &mut queue_wait, state);
-        state
-            .obs
-            .verbs
-            .record(verb_index(msg.tokens().first()), t_verb.elapsed());
-        if let Some(reply) = reply {
-            let stall = state
-                .config
-                .faults
-                .as_deref()
-                .map(FaultPlan::stall)
-                .unwrap_or_default();
-            if !write_reply_with_fault(&mut writer, &reply, fault, stall)? {
-                return Ok(());
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Whether this request can block the thread that runs it (disk reads,
 /// peer probes with retry backoff, origin fetches, coalesced followers
-/// parking on a condvar) — i.e. whether the reactor must hand it to the
-/// blocking miss executor instead of running it inline on an event loop.
+/// parking on a condvar) — i.e. whether the event loop must hand it to the
+/// blocking miss executor instead of running it inline.
 /// Only a `GET` that misses the memory cache qualifies; every admin verb
 /// and every memory hit answers from local state. The probe uses
 /// `ShardedCache::contains` (no LRU promotion, no hit/miss counters), so
-/// the real `cache.get` in `handle_get` keeps identical stats in both I/O
-/// modes. The probe can race an eviction — `contains` true, then the real
+/// the real `cache.get` in `handle_get` alone moves the cache stats. The
+/// probe can race an eviction — `contains` true, then the real
 /// `get` misses — in which case the loop rarely runs one miss inline;
 /// correctness is unaffected (DESIGN.md §13 discusses the trade).
 pub(crate) fn needs_miss_executor(msg: &Message, state: &ProxyState) -> bool {
@@ -948,7 +760,7 @@ pub(crate) fn dispatch(
                 parent,
                 EventKind::QueueWait,
                 wait,
-                "queue=accept-backlog",
+                "queue=accept-handoff",
             );
         }
     }
@@ -1004,8 +816,7 @@ pub(crate) fn dispatch(
             )
         }
         // Like the other read-only admin verbs this runs inline on an
-        // event loop in reactor mode (`needs_miss_executor` is false), so
-        // both I/O modes answer through the identical code path.
+        // event loop (`needs_miss_executor` is false).
         ["HEALTH", "BAPS/1.0"] => {
             state.windows.force_capture(state);
             let report = crate::health::evaluate(state);
@@ -1015,7 +826,6 @@ pub(crate) fn dispatch(
                     .header("Verdict", report.verdict.name())
                     .header("Rules", report.rules.len().to_string())
                     .header("Uptime-Seconds", report.uptime_secs.to_string())
-                    .header("Io-Mode", state.config.io_mode.name())
                     .with_body(report.render().into_bytes()),
             )
         }
@@ -1700,25 +1510,21 @@ fn stats_response(state: &ProxyState) -> Message {
     let s = state.stats();
     let disk = state.disk.as_ref().map(DiskTier::stats).unwrap_or_default();
     let sat = state.telemetry.snapshot();
-    let mut resp = response(status::OK, "OK").header("Io-Mode", state.config.io_mode.name());
-    // Reactor gauges ride the same verb so BENCH/ops tooling needs no new
-    // endpoint; `Workers`/`Queue-*` below describe the miss executor in
-    // reactor mode.
-    if let Some(reactor) = &state.reactor {
-        let r = reactor.snapshot();
-        resp = resp
-            .header("Reactor-Loops", r.loops.to_string())
-            .header("Reactor-Fds", r.registered_fds.to_string())
-            .header("Reactor-Fds-Peak", r.registered_fds_peak.to_string())
-            .header("Reactor-Ready-Peak", r.ready_batch_peak.to_string())
-            .header(
-                "Reactor-Busy-Permille",
-                format!("{:.0}", r.busy_fraction * 1000.0),
-            )
-            .header("Reactor-Inline", r.inline_served.to_string())
-            .header("Reactor-Offloaded", r.offloaded.to_string());
-    }
-    resp.header("Requests", s.requests.to_string())
+    let r = state.reactor.snapshot();
+    // `Reactor-*` describe the event loops; `Workers`/`Queue-*` below
+    // describe the miss executor.
+    response(status::OK, "OK")
+        .header("Reactor-Loops", r.loops.to_string())
+        .header("Reactor-Fds", r.registered_fds.to_string())
+        .header("Reactor-Fds-Peak", r.registered_fds_peak.to_string())
+        .header("Reactor-Ready-Peak", r.ready_batch_peak.to_string())
+        .header(
+            "Reactor-Busy-Permille",
+            format!("{:.0}", r.busy_fraction * 1000.0),
+        )
+        .header("Reactor-Inline", r.inline_served.to_string())
+        .header("Reactor-Offloaded", r.offloaded.to_string())
+        .header("Requests", s.requests.to_string())
         .header("Recorder-Dropped", state.obs.recorder.dropped().to_string())
         .header("Workers", sat.workers.to_string())
         .header("Busy-Workers", sat.busy_workers.to_string())

@@ -1,45 +1,44 @@
-//! Event-driven connection serving for the proxy (`io_mode = Reactor`).
+//! Event-driven connection serving for the proxy (DESIGN.md §13).
 //!
-//! The thread-per-connection pool (`pool.rs`) parks one OS thread per open
-//! keep-alive connection, which caps the proxy at a few dozen sockets —
-//! nowhere near the many-mostly-idle-browsers deployment the paper
-//! describes. This module multiplexes every client connection onto a small
-//! set of event loops instead (DESIGN.md §13):
+//! The paper's proxy holds a connection for every browser, most of them
+//! idle most of the time, so connections must not cost a thread each. This
+//! module multiplexes every client connection onto a small set of event
+//! loops:
 //!
-//! - an **accept loop** (unchanged, still blocking) hands accepted sockets
-//!   round-robin to per-core event loops through a mutex-protected inbox,
-//!   waking the loop via an eventfd;
+//! - an **accept loop** (blocking) hands accepted sockets round-robin to
+//!   per-core event loops through a mutex-protected inbox, waking the loop
+//!   via an eventfd;
 //! - each **event loop** owns an epoll instance and a set of per-connection
 //!   state machines that carry partial reads and partial writes of BAPS
 //!   frames across readiness events — an idle connection costs one
 //!   registered fd and a parser buffer, not a parked thread;
-//! - a complete frame is dispatched through the *unchanged* request logic
-//!   (`proxy::dispatch`): inline on the loop when the answer cannot block
-//!   (memory-cache hits, admin verbs), or on a small blocking **miss
-//!   executor** when it can (disk, peer probes, origin fetches, coalesced
-//!   followers parking on a condvar);
+//! - a complete frame is dispatched through `proxy::dispatch`: inline on
+//!   the loop when the answer cannot block (memory-cache hits, admin
+//!   verbs), or on a small blocking **miss executor** when it can (disk,
+//!   peer probes, origin fetches, coalesced followers parking on a
+//!   condvar);
 //! - replies are queued as `[owned head, shared body]` segments and pushed
 //!   with nonblocking vectored writes, continuing from the exact byte where
 //!   the kernel said `EAGAIN`.
 //!
-//! Fault injection keeps its thread-mode semantics: drops sever before
-//! handling, stalls write half the frame and arm a loop timer (the loop
-//! never sleeps), truncation closes after the half frame flushes.
+//! Fault injection: drops sever before handling, stalls write half the
+//! frame and arm a loop timer (the loop never sleeps), truncation closes
+//! after the half frame flushes.
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultKind, FaultPlan, WireFault};
 use crate::pool::PoolTelemetry;
-use crate::protocol::{encode_head, encode_message, Body, Message, MAX_BODY, MAX_HEADERS};
+use crate::protocol::{encode_head, encode_message, Body, HeadParser, Message};
 use crate::proxy::{dispatch, needs_miss_executor, verb_index, ProxyState};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE};
 
@@ -49,12 +48,6 @@ const WAKE_TOKEN: u64 = u64::MAX;
 const EVENT_BATCH: usize = 256;
 /// Bytes read per `read` call on a ready socket.
 const READ_CHUNK: usize = 16 << 10;
-/// Cap on buffered-but-unparsed *head* bytes (start line + headers) per
-/// connection. `read_message` never needed one because a dribbling sender
-/// only tied up its own thread's line buffer; under the reactor the buffer
-/// lives in the shared loop, so a slow-loris peer gets a bounded allowance
-/// (far above any legitimate head) instead of unbounded memory.
-const MAX_HEAD_BYTES: usize = 1 << 20;
 /// Most write-queue segments offered to one vectored write.
 const MAX_IOVEC: usize = 16;
 
@@ -62,25 +55,19 @@ const MAX_IOVEC: usize = 16;
 // Incremental frame parsing
 // ---------------------------------------------------------------------------
 
-enum ParseState {
-    Start,
-    Headers,
-    /// Headers done; waiting for this many body bytes.
-    Body(usize),
-}
-
-/// Incremental, resumable equivalent of [`crate::protocol::read_message`]:
+/// Incremental, resumable counterpart of [`crate::protocol::read_message`]:
 /// feed it raw socket bytes with [`push`](Self::push), pull complete frames
-/// with [`next`](Self::next). Error cases (empty start line, bad header,
-/// header-count and body-size limits, non-UTF-8 head) match `read_message`
-/// byte for byte so both I/O modes reject exactly the same inputs.
+/// with [`next`](Self::next). The head grammar and every limit live in
+/// [`HeadParser`], which `read_message` drives too, so both transports
+/// accept and refuse the same bytes; only body acquisition differs (here:
+/// one copy out of the connection buffer once it holds the whole body).
 pub(crate) struct FrameParser {
     buf: Vec<u8>,
     /// Parse cursor into `buf`; everything before it has been consumed.
     pos: usize,
-    state: ParseState,
-    start: String,
-    headers: Vec<(String, String)>,
+    head: HeadParser,
+    /// A completed head waiting for this many body bytes.
+    awaiting_body: Option<(Message, usize)>,
 }
 
 impl FrameParser {
@@ -88,9 +75,8 @@ impl FrameParser {
         FrameParser {
             buf: Vec::new(),
             pos: 0,
-            state: ParseState::Start,
-            start: String::new(),
-            headers: Vec::new(),
+            head: HeadParser::default(),
+            awaiting_body: None,
         }
     }
 
@@ -105,115 +91,38 @@ impl FrameParser {
     /// way, so this is a test-only distinction.)
     #[cfg(test)]
     pub(crate) fn is_idle(&self) -> bool {
-        matches!(self.state, ParseState::Start) && self.pos == self.buf.len()
-    }
-
-    /// Takes the next `\n`-terminated line (without the terminator) from
-    /// the buffer, or `None` if no full line is buffered yet.
-    fn take_line(&mut self) -> io::Result<Option<String>> {
-        match self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                let line = std::str::from_utf8(&self.buf[self.pos..self.pos + i])
-                    .map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "stream did not contain valid UTF-8",
-                        )
-                    })?
-                    .to_owned();
-                self.pos += i + 1;
-                Ok(Some(line))
-            }
-            None => {
-                if self.buf.len() - self.pos > MAX_HEAD_BYTES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "frame head too large",
-                    ));
-                }
-                Ok(None)
-            }
-        }
+        !self.head.in_head() && self.awaiting_body.is_none() && self.pos == self.buf.len()
     }
 
     /// Returns the next complete frame, `Ok(None)` if more bytes are
     /// needed, or the same `InvalidData` errors `read_message` raises.
     pub(crate) fn next(&mut self) -> io::Result<Option<Message>> {
         loop {
-            match self.state {
-                ParseState::Start => {
-                    let Some(line) = self.take_line()? else {
-                        return Ok(None);
-                    };
-                    let start = line.trim_end().to_owned();
-                    if start.is_empty() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "empty start line",
-                        ));
-                    }
-                    self.start = start;
-                    self.state = ParseState::Headers;
+            if let Some((_, len)) = self.awaiting_body {
+                if self.buf.len() - self.pos < len {
+                    return Ok(None);
                 }
-                ParseState::Headers => {
-                    let Some(line) = self.take_line()? else {
-                        return Ok(None);
-                    };
-                    let line = line.trim_end();
-                    if line.is_empty() {
-                        let len = self.content_length()?;
-                        self.state = ParseState::Body(len);
-                        continue;
-                    }
-                    if self.headers.len() >= MAX_HEADERS {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "too many headers",
-                        ));
-                    }
-                    let (name, value) = line.split_once(':').ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("bad header: {line}"))
-                    })?;
-                    self.headers
-                        .push((name.trim().to_owned(), value.trim().to_owned()));
-                }
-                ParseState::Body(len) => {
-                    if self.buf.len() - self.pos < len {
-                        return Ok(None);
-                    }
-                    let body: Body = Arc::from(&self.buf[self.pos..self.pos + len]);
-                    self.pos += len;
-                    // Compact: everything consumed so far is dead weight.
-                    self.buf.drain(..self.pos);
-                    self.pos = 0;
-                    self.state = ParseState::Start;
-                    return Ok(Some(Message {
-                        start: std::mem::take(&mut self.start),
-                        headers: std::mem::take(&mut self.headers),
-                        body,
-                    }));
-                }
+                let (mut msg, _) = self.awaiting_body.take().expect("checked above");
+                msg.body = Arc::from(&self.buf[self.pos..self.pos + len]);
+                // Compact: everything consumed so far is dead weight.
+                self.buf.drain(..self.pos + len);
+                self.pos = 0;
+                return Ok(Some(msg));
             }
+            let rest = &self.buf[self.pos..];
+            let Some(i) = rest.iter().position(|&b| b == b'\n') else {
+                self.head.fits(rest.len())?;
+                return Ok(None);
+            };
+            let line = std::str::from_utf8(&rest[..=i]).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            self.awaiting_body = self.head.line(line)?;
+            self.pos += i + 1;
         }
-    }
-
-    /// `Content-Length` of the frame whose headers were just completed
-    /// (first case-insensitive match, like `Message::get`); zero if absent.
-    fn content_length(&self) -> io::Result<usize> {
-        let Some((_, value)) = self
-            .headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case("Content-Length"))
-        else {
-            return Ok(0);
-        };
-        let len: usize = value
-            .parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}")))?;
-        if len > MAX_BODY {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-        }
-        Ok(len)
     }
 }
 
@@ -327,11 +236,9 @@ impl WriteQueue {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-/// Always-on gauges for the reactor, the event-driven analogue of
-/// [`PoolTelemetry`]: registered connections instead of parked threads,
-/// loop busy-fraction instead of busy workers, epoll batch depth instead of
-/// backlog depth. (In reactor mode `PoolTelemetry` itself keeps reporting —
-/// it describes the blocking miss executor.)
+/// Always-on gauges for the event loops: registered connections, epoll
+/// batch depth, loop busy-fraction, inline vs offloaded dispatches.
+/// ([`PoolTelemetry`] beside it describes the blocking miss executor.)
 #[derive(Debug)]
 pub struct ReactorTelemetry {
     loops: AtomicU64,
@@ -464,9 +371,9 @@ enum Inbound {
         queue_wait: Option<Duration>,
     },
     /// Sever every connection this loop owns, then ack. The ack makes
-    /// `drop_connections` synchronous from the caller's side, matching
-    /// thread mode (`ConnRegistry::drop_all` returns only after every
-    /// socket is shut down) — the sequential chaos driver relies on that.
+    /// `drop_connections` synchronous from the caller's side (it returns
+    /// only after every socket is closed) — the sequential chaos driver
+    /// relies on that.
     DropAll(Sender<()>),
 }
 
@@ -475,8 +382,8 @@ struct LoopShared {
     wake: WakeFd,
 }
 
-/// One offloaded request: everything a miss worker needs to run the
-/// unchanged `dispatch` and route the reply home.
+/// One offloaded request: everything a miss worker needs to run
+/// `dispatch` and route the reply home.
 struct MissJob {
     loop_id: usize,
     token: u64,
@@ -488,8 +395,7 @@ struct MissJob {
 }
 
 /// A stalled reply's second half, due at `at` (`FaultKind::ProxyStall`:
-/// thread mode sleeps the worker mid-frame; the reactor arms a timer and
-/// keeps serving everyone else).
+/// the loop arms a timer and keeps serving everyone else).
 struct StallTimer {
     at: Instant,
     token: u64,
@@ -510,12 +416,12 @@ struct Conn {
     /// Interest mask currently registered with epoll.
     interest: u32,
     /// A dispatch is in flight (offloaded) or a stall timer is pending:
-    /// buffered frames wait, exactly like the thread-mode worker that is
-    /// busy inside `dispatch` or asleep mid-stall.
+    /// buffered frames wait, so replies leave in request order.
     busy: bool,
     /// Close once the write queue drains (fault truncation).
     close_after_flush: bool,
-    /// Accept-backlog wait, attributed to the first sampled request.
+    /// Accept-to-loop handoff wait, attributed to the first sampled
+    /// request.
     queue_wait: Option<Duration>,
 }
 
@@ -531,7 +437,7 @@ struct EventLoop {
     next_token: u64,
     timers: Vec<StallTimer>,
     state: Arc<ProxyState>,
-    miss_tx: Sender<MissJob>,
+    misses: Arc<MissQueue>,
     pool_telemetry: Arc<PoolTelemetry>,
     telemetry: Arc<ReactorTelemetry>,
     stop: Arc<AtomicBool>,
@@ -696,8 +602,7 @@ impl EventLoop {
                     }
                 }
                 Ok(None) => break,
-                // Protocol violation: thread mode propagates the error out
-                // of `serve_connection`, closing without a reply. Same here.
+                // Protocol violation: close without a reply.
                 Err(_) => return false,
             }
         }
@@ -732,9 +637,11 @@ impl EventLoop {
         true
     }
 
-    /// One complete request frame: draw the fault decision (same single
-    /// RNG draw per GET as thread mode, in arrival order), then dispatch
-    /// inline or offload to the miss executor. `false` = close.
+    /// One complete request frame: draw the fault decision (one RNG draw
+    /// per client-facing GET, in arrival order; the administrative verbs
+    /// stay honest so chaos runs can still register clients and read
+    /// counters), then dispatch inline or offload to the miss executor.
+    /// `false` = close.
     fn handle_frame(&mut self, conn: &mut Conn, msg: Message) -> bool {
         let fault = match (msg.tokens().first(), self.state.config.faults.as_deref()) {
             (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
@@ -757,9 +664,9 @@ impl EventLoop {
                 enqueued: Instant::now(),
                 msg,
             };
-            if self.miss_tx.send(job).is_err() {
+            if !self.misses.push(job) {
                 self.pool_telemetry.enqueue_failed();
-                return false; // executor gone: shutting down
+                return false; // executor closed: shutting down
             }
             return true;
         }
@@ -775,8 +682,7 @@ impl EventLoop {
     }
 
     /// A miss-executor completion for connection `token` (which may have
-    /// died in the meantime — the thread-mode analogue is a reply whose
-    /// write fails).
+    /// died in the meantime).
     fn on_done(
         &mut self,
         token: u64,
@@ -802,8 +708,9 @@ impl EventLoop {
     }
 
     /// Queues a reply, applying the wire-level fault exactly as
-    /// [`crate::fault::write_reply_with_fault`] would — except a stall
-    /// arms a loop timer instead of sleeping the thread. `false` = close.
+    /// [`crate::fault::write_reply_with_fault`] does on the blocking
+    /// servers — except a stall arms a loop timer instead of sleeping the
+    /// thread. `false` = close.
     fn enqueue_reply(
         &mut self,
         conn: &mut Conn,
@@ -854,8 +761,8 @@ impl EventLoop {
                     .unwrap_or_default();
                 let half = frame.len() / 2;
                 conn.wq.push_owned(frame[..half].to_vec());
-                // Mirror the sleeping thread-mode worker: no further
-                // requests on this connection until the frame completes.
+                // No further requests on this connection until the frame
+                // completes.
                 conn.busy = true;
                 self.timers.push(StallTimer {
                     at: Instant::now() + stall,
@@ -899,25 +806,74 @@ impl EventLoop {
 // The reactor: loops + miss executor + accept-side handle
 // ---------------------------------------------------------------------------
 
-/// The event-driven serving backend: per-core event loops plus a small
-/// blocking miss executor, behind the same dispatch/shutdown surface as
-/// [`crate::pool::WorkerPool`].
+/// The miss executor's job queue: one mutex-guarded deque and one condvar.
+/// A push wakes exactly one parked worker. (An `mpsc::Receiver` shared
+/// behind a mutex wakes two per job — the worker parked in `recv` and the
+/// next one parked on the mutex — which cost `disk-storm` +36 % p99; see
+/// DESIGN.md §13.)
+struct MissQueue {
+    /// Pending jobs; `None` once [`close`](Self::close) has been called.
+    jobs: Mutex<Option<VecDeque<MissJob>>>,
+    ready: Condvar,
+}
+
+impl MissQueue {
+    fn new() -> MissQueue {
+        MissQueue {
+            jobs: Mutex::new(Some(VecDeque::new())),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Queues a job; `false` once the queue is closed.
+    fn push(&self, job: MissJob) -> bool {
+        let mut jobs = self.jobs.lock();
+        let Some(queue) = jobs.as_mut() else {
+            return false;
+        };
+        queue.push_back(job);
+        drop(jobs);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Parks until a job arrives; `None` once the queue is closed.
+    fn pop(&self) -> Option<MissJob> {
+        let mut jobs = self.jobs.lock();
+        loop {
+            if let Some(job) = jobs.as_mut()?.pop_front() {
+                return Some(job);
+            }
+            self.ready.wait(&mut jobs);
+        }
+    }
+
+    /// Refuses further pushes, abandons jobs still queued (their loops
+    /// are already gone) and wakes every parked worker to exit.
+    fn close(&self) {
+        *self.jobs.lock() = None;
+        self.ready.notify_all();
+    }
+}
+
+/// The proxy's connection-serving engine: per-core event loops plus a
+/// small blocking miss executor.
 pub(crate) struct Reactor {
     shared: Arc<Vec<Arc<LoopShared>>>,
     next: AtomicUsize,
     loops: Vec<JoinHandle<()>>,
-    miss_tx: Option<Sender<MissJob>>,
+    misses: Arc<MissQueue>,
     miss_workers: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     telemetry: Arc<ReactorTelemetry>,
 }
 
 /// Cloneable control surface over a running reactor, detached from the
-/// [`Reactor`] itself (which moves into the acceptor thread). Fills the
-/// role [`crate::pool::ConnRegistry`] plays in thread mode — but without
-/// the `try_clone` duplicate fd per connection the registry keeps: the
-/// loops are the sole owners of their sockets, so `open_connections` reads
-/// the registered gauge and `drop_all` asks each loop to close its own.
+/// [`Reactor`] itself (which moves into the acceptor thread). The loops
+/// are the sole owners of their sockets — one fd per connection, which is
+/// what lets a 10k-idle-connection ladder fit in an ordinary fd table — so
+/// `open_connections` reads the registered gauge and `drop_all` asks each
+/// loop to close its own.
 pub(crate) struct ReactorHandle {
     shared: Arc<Vec<Arc<LoopShared>>>,
     telemetry: Arc<ReactorTelemetry>,
@@ -930,8 +886,7 @@ impl ReactorHandle {
     }
 
     /// Severs every open connection without stopping the loops, returning
-    /// once every loop has acked (same synchronous contract as
-    /// `ConnRegistry::drop_all` — callers may immediately assert on EOF).
+    /// once every loop has acked (callers may immediately assert on EOF).
     pub(crate) fn drop_all(&self) {
         let (tx, rx) = std::sync::mpsc::channel();
         for sh in self.shared.iter() {
@@ -946,25 +901,25 @@ impl ReactorHandle {
 }
 
 impl Reactor {
-    /// Spawns `loops` event loops (`{name}-loop-N`) and `miss_workers`
-    /// blocking executor threads (`{name}-miss-N`). `pool_telemetry`
-    /// tracks the miss executor's queue/busy gauges; `telemetry` tracks
-    /// the loops themselves.
+    /// Spawns one event loop per available core (`{name}-loop-N`) and
+    /// `miss_workers` blocking executor threads (`{name}-miss-N`).
+    /// `pool_telemetry` tracks the miss executor's queue/busy gauges;
+    /// `telemetry` tracks the loops themselves.
     pub(crate) fn start(
         name: &str,
-        loops: usize,
         miss_workers: usize,
         state: Arc<ProxyState>,
         pool_telemetry: Arc<PoolTelemetry>,
         telemetry: Arc<ReactorTelemetry>,
     ) -> io::Result<Reactor> {
-        let loops = loops.max(1);
+        let loops = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         let miss_workers = miss_workers.max(1);
         telemetry.set_loops(loops as u64);
         pool_telemetry.set_workers(miss_workers as u64);
         let stop = Arc::new(AtomicBool::new(false));
-        let (miss_tx, miss_rx) = std::sync::mpsc::channel::<MissJob>();
-        let miss_rx = Arc::new(Mutex::new(miss_rx));
+        let misses = Arc::new(MissQueue::new());
 
         let mut shared = Vec::with_capacity(loops);
         let mut loop_handles = Vec::with_capacity(loops);
@@ -990,7 +945,7 @@ impl Reactor {
                 next_token: 0,
                 timers: Vec::new(),
                 state: Arc::clone(&state),
-                miss_tx: miss_tx.clone(),
+                misses: Arc::clone(&misses),
                 pool_telemetry: Arc::clone(&pool_telemetry),
                 telemetry: Arc::clone(&telemetry),
                 stop: Arc::clone(&stop),
@@ -1005,14 +960,14 @@ impl Reactor {
 
         let mut miss_handles = Vec::with_capacity(miss_workers);
         for i in 0..miss_workers {
-            let rx = Arc::clone(&miss_rx);
+            let misses = Arc::clone(&misses);
             let state = Arc::clone(&state);
             let shared = Arc::clone(&shared);
             let pool_telemetry = Arc::clone(&pool_telemetry);
             miss_handles.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-miss-{i}"))
-                    .spawn(move || miss_worker_loop(&rx, &state, &shared, &pool_telemetry))?,
+                    .spawn(move || miss_worker_loop(&misses, &state, &shared, &pool_telemetry))?,
             );
         }
 
@@ -1020,22 +975,20 @@ impl Reactor {
             shared,
             next: AtomicUsize::new(0),
             loops: loop_handles,
-            miss_tx: Some(miss_tx),
+            misses,
             miss_workers: miss_handles,
             stop,
             telemetry,
         })
     }
 
-    /// Hands an accepted connection to the next loop, round-robin.
-    /// (Never rejects: an idle connection costs a registered fd, not a
-    /// bounded-backlog slot.)
-    pub(crate) fn dispatch(&self, stream: TcpStream) -> bool {
+    /// Hands an accepted connection to the next loop, round-robin. Never
+    /// rejects: an idle connection costs a registered fd, nothing more.
+    pub(crate) fn dispatch(&self, stream: TcpStream) {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.len();
         let sh = &self.shared[i];
         sh.inbox.lock().push(Inbound::Conn(stream, Instant::now()));
         sh.wake.wake();
-        true
     }
 
     /// Control surface for `open_connections` / `drop_connections`,
@@ -1050,8 +1003,7 @@ impl Reactor {
     /// Stops the loops and the miss executor, joining every thread. The
     /// loops never block in socket I/O, so the stop flag plus an eventfd
     /// wake is enough; each loop closes its own connections on exit
-    /// (dropping its conn table), giving keep-alive clients the same EOF
-    /// thread mode produces via `ConnRegistry::close_all`.
+    /// (dropping its conn table), so keep-alive clients see EOF.
     pub(crate) fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
         for sh in self.shared.iter() {
@@ -1060,10 +1012,8 @@ impl Reactor {
         for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
-        // Loops are gone (their Sender clones dropped); dropping ours
-        // disconnects the channel and the miss workers exit after their
-        // current job.
-        drop(self.miss_tx.take());
+        // Parked workers wake and exit; a busy one exits after its job.
+        self.misses.close();
         for handle in self.miss_workers.drain(..) {
             let _ = handle.join();
         }
@@ -1072,22 +1022,15 @@ impl Reactor {
 
 /// Blocking executor for requests the loops must not run inline: the whole
 /// miss path (disk tier, peer probes with retry backoff, origin fetches,
-/// coalesced followers parking on the in-flight condvar). Runs the
-/// unchanged `dispatch`, then routes the reply to the owning loop's inbox.
+/// coalesced followers parking on the in-flight condvar). Runs `dispatch`,
+/// then routes the reply to the owning loop's inbox.
 fn miss_worker_loop(
-    rx: &Mutex<Receiver<MissJob>>,
+    misses: &MissQueue,
     state: &Arc<ProxyState>,
     shared: &Arc<Vec<Arc<LoopShared>>>,
     pool_telemetry: &Arc<PoolTelemetry>,
 ) {
-    loop {
-        let job = {
-            let rx = rx.lock();
-            match rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
-        };
+    while let Some(job) = misses.pop() {
         pool_telemetry.dequeued(job.enqueued.elapsed());
         pool_telemetry.task_started();
         let mut queue_wait = job.queue_wait;
@@ -1110,7 +1053,7 @@ fn miss_worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_message, response, status};
+    use crate::protocol::{read_message, response, status, MAX_BODY, MAX_HEADERS, MAX_HEAD_BYTES};
     use std::io::BufReader;
 
     fn frame(msg: &Message) -> Vec<u8> {

@@ -6,7 +6,7 @@ use crate::error::ProxyError;
 use crate::fault::FaultPlan;
 use crate::health::SloTable;
 use crate::origin::OriginServer;
-use crate::proxy::{IoMode, ProxyConfig, ProxyServer};
+use crate::proxy::{ProxyConfig, ProxyServer};
 use crate::store::DocumentStore;
 use baps_obs::FlightRecorder;
 use std::path::PathBuf;
@@ -28,17 +28,11 @@ pub struct TestBedConfig {
     pub direct_forward: bool,
     /// Seed for the proxy's key pair.
     pub key_seed: u64,
-    /// Proxy connection-serving mode: the bounded worker pool (default)
-    /// or the epoll reactor (DESIGN.md §13).
-    pub io_mode: IoMode,
-    /// Proxy worker threads. `0` (the default) sizes the pool
-    /// automatically: one worker per client's keep-alive connection plus
-    /// headroom for one-shot administrative connections. In reactor mode
-    /// the same count sizes the blocking miss executor, preserving the
-    /// thread-mode concurrency envelope for miss-path work.
+    /// Proxy miss-executor threads (and origin workers, which must keep
+    /// pace with them). `0` (the default) sizes them automatically: one
+    /// per client plus headroom, so every client can have a miss in
+    /// flight at once.
     pub proxy_workers: usize,
-    /// Proxy accept backlog. `0` (the default) uses the library default.
-    pub proxy_backlog: usize,
     /// Client-side deadline on the proxy connection (`Duration::ZERO`
     /// disables it).
     pub client_timeout: Duration,
@@ -86,9 +80,7 @@ impl Default for TestBedConfig {
             cache_peer_hits: false,
             direct_forward: false,
             key_seed: 0xbaf5,
-            io_mode: IoMode::default(),
             proxy_workers: 0,
-            proxy_backlog: 0,
             client_timeout: Duration::from_secs(5),
             client_retries: 2,
             peer_timeout: Duration::ZERO,
@@ -121,10 +113,9 @@ pub struct TestBed {
 impl TestBed {
     /// Starts everything on ephemeral loopback ports.
     pub fn start(store: DocumentStore, config: TestBedConfig) -> Result<TestBed, ProxyError> {
-        // Every client keeps one persistent connection to the proxy, and
-        // each open connection occupies a proxy worker — so the automatic
-        // sizing scales with the client count (plus headroom for one-shot
-        // connections such as a STATS probe).
+        // Every client can have one miss in flight, and each runs on a
+        // miss-executor thread — so the automatic sizing scales with the
+        // client count (plus headroom).
         let workers = if config.proxy_workers == 0 {
             (config.n_clients as usize + 4).max(crate::pool::DEFAULT_WORKERS)
         } else {
@@ -152,10 +143,7 @@ impl TestBed {
             key_seed: config.key_seed,
             cache_peer_hits: config.cache_peer_hits,
             direct_forward: config.direct_forward,
-            io_mode: config.io_mode,
-            reactor_loops: 0,
             worker_threads: workers,
-            accept_backlog: config.proxy_backlog,
             peer_timeout: config.peer_timeout,
             peer_retries: config.peer_retries,
             origin_timeout: config.origin_timeout,

@@ -38,6 +38,12 @@ fn origin_then_proxy_then_local() {
     assert_eq!(stats.origin_fetches, 1);
     assert_eq!(stats.proxy_hits, 1);
     assert_eq!(bed.origin.hits(), 1);
+
+    // The miss ran on the blocking executor; the memory hit (and the
+    // REGISTERs) were answered inline on an event loop.
+    let r = bed.proxy.reactor_stats();
+    assert_eq!(r.offloaded, 1, "{r:?}");
+    assert!(r.inline_served >= 1, "{r:?}");
     bed.shutdown();
 }
 
@@ -340,7 +346,35 @@ fn stats_verb_over_one_keepalive_connection() {
         assert_eq!(index_entries.iter().sum::<u64>(), field("Index-Entries"));
         assert_eq!(field("Index-Entries"), bed.proxy.index_entries());
         assert!(index_locks.iter().sum::<u64>() > 0);
+
+        // Event-loop gauges ride the same verb.
+        assert!(field("Reactor-Loops") >= 1);
+        assert!(field("Reactor-Fds") >= 1, "this very connection counts");
+        assert!(field("Reactor-Fds-Peak") >= field("Reactor-Fds"));
+        assert!(field("Reactor-Inline") >= 1);
+        assert!(field("Reactor-Offloaded") >= 1);
     }
+
+    // The other verbs answer on the same framed connection.
+    write_message(&mut writer, &Message::new("METRICS BAPS/1.0")).unwrap();
+    let metrics = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(response_code(&metrics), Some(200));
+    let text = String::from_utf8(metrics.body.to_vec()).unwrap();
+    assert!(text.contains("baps_reactor_registered_fds"), "{text}");
+    assert!(text.contains("baps_requests_total"), "{text}");
+
+    write_message(&mut writer, &Message::new("TRACE BAPS/1.0")).unwrap();
+    let trace = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(response_code(&trace), Some(200));
+    assert_eq!(trace.get("Content-Type"), Some("application/jsonl"));
+
+    write_message(
+        &mut writer,
+        &Message::new("INVALIDATE http://origin/doc/0 BAPS/1.0").header("Client", "0"),
+    )
+    .unwrap();
+    let inv = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(response_code(&inv), Some(200));
     bed.shutdown();
 }
 

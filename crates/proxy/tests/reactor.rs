@@ -1,225 +1,37 @@
-//! End-to-end tests of the proxy's epoll reactor (`io_mode = Reactor`,
-//! DESIGN.md §13): full verb coverage, the disk tier, warm restarts,
-//! connection drops, idle-connection scaling, and the slow-loris
-//! regression thread-per-connection could never express.
+//! End-to-end tests of what the proxy's event loops and miss executor
+//! (DESIGN.md §13) make possible: idle-connection scaling far past the
+//! worker count, slow-loris immunity, a miss queue that drains, and a
+//! prompt shutdown. Verb, tier, disk and restart coverage lives in
+//! `live.rs`.
 
 use baps_proxy::{
-    read_message, response_code, write_message, DocumentStore, IoMode, Message, Source, TestBed,
+    read_message, response_code, write_message, DocumentStore, Message, Source, TestBed,
     TestBedConfig,
 };
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-fn reactor_bed(n_clients: u32, config: TestBedConfig) -> TestBed {
+fn bed(n_clients: u32, config: TestBedConfig) -> TestBed {
     let store = DocumentStore::synthetic(16, 200, 2_000, 42);
     TestBed::start(
         store,
         TestBedConfig {
             n_clients,
-            io_mode: IoMode::Reactor,
             ..config
         },
     )
     .expect("test bed starts")
 }
 
-/// A fresh, empty disk root under the system temp dir, unique per test.
-fn disk_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("baps_reactor_{}_{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The full serve-tier ladder works on the reactor: origin miss, proxy
-/// memory hit, local browser hit, and a peer hit after proxy eviction —
-/// with the same counters thread mode produces.
+/// Idle-connection scaling smoke on a default `TestBedConfig` (8 miss
+/// workers): hundreds of registered keep-alive connections cost fds, not
+/// threads, and active traffic still flows. (The 10k point lives in
+/// `live_load --sweep`'s connections axis.)
 #[test]
-fn reactor_serves_every_tier() {
-    let bed = reactor_bed(
-        3,
-        TestBedConfig {
-            proxy_capacity: 2_500, // one ~2KB doc evicts another
-            browser_capacity: 64 << 10,
-            ..TestBedConfig::default()
-        },
-    );
-    assert_eq!(bed.proxy.io_mode(), IoMode::Reactor);
-    let url0 = "http://origin/doc/0";
-
-    let r0 = bed.clients[0].fetch(url0).unwrap();
-    assert_eq!(r0.source, Source::Origin);
-
-    let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.source, Source::Proxy);
-    assert_eq!(r1.body, r0.body);
-
-    let r2 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r2.source, Source::LocalBrowser);
-
-    // Evict doc/0 from the tiny proxy cache; client 1's copy serves it.
-    for i in 1..8 {
-        bed.clients[2]
-            .fetch(&format!("http://origin/doc/{i}"))
-            .unwrap();
-    }
-    let r3 = bed.clients[2].fetch(url0).unwrap();
-    assert_eq!(r3.source, Source::Peer, "expected a peer hit");
-    assert_eq!(r3.body, r0.body);
-
-    let stats = bed.proxy.stats();
-    assert_eq!(stats.proxy_hits, 1);
-    assert_eq!(stats.peer_hits, 1);
-    assert_eq!(
-        stats.requests,
-        stats.proxy_hits + stats.disk_hits + stats.peer_hits + stats.origin_fetches + stats.errors,
-        "balance identity holds in reactor mode"
-    );
-
-    // Misses were offloaded, the memory hit ran inline on a loop.
-    let r = bed.proxy.reactor_stats().expect("reactor telemetry");
-    assert!(r.offloaded >= 8, "misses offload to the executor: {r:?}");
-    assert!(r.inline_served >= 1, "hits serve inline on the loop: {r:?}");
-    bed.shutdown();
-}
-
-/// STATS/TRACE/METRICS (and pipelined keep-alive framing) over one raw
-/// connection against a reactor proxy, including the reactor's own gauges.
-#[test]
-fn reactor_admin_verbs_over_one_keepalive_connection() {
-    let bed = reactor_bed(2, TestBedConfig::default());
-    bed.clients[0].fetch("http://origin/doc/0").unwrap();
-    bed.clients[1].fetch("http://origin/doc/0").unwrap();
-
-    let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-
-    // GET (memory hit: served inline by the loop).
-    write_message(
-        &mut writer,
-        &Message::new("GET http://origin/doc/0 BAPS/1.0").header("Client", "0"),
-    )
-    .unwrap();
-    let reply = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&reply), Some(200));
-
-    // STATS carries the reactor gauges alongside the classic counters.
-    write_message(&mut writer, &Message::new("STATS BAPS/1.0")).unwrap();
-    let stats = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&stats), Some(200));
-    assert_eq!(stats.get("Io-Mode"), Some("reactor"));
-    let field = |name: &str| -> u64 { stats.get(name).unwrap().parse().unwrap() };
-    assert!(field("Reactor-Loops") >= 1);
-    assert!(field("Reactor-Fds") >= 1, "this very connection counts");
-    assert!(field("Reactor-Fds-Peak") >= field("Reactor-Fds"));
-    assert!(field("Reactor-Inline") >= 1);
-    assert!(field("Reactor-Offloaded") >= 1);
-    assert_eq!(
-        field("Requests"),
-        field("Proxy-Hits")
-            + field("Disk-Hits")
-            + field("Peer-Hits")
-            + field("Origin-Fetches")
-            + field("Errors")
-    );
-
-    // METRICS exposes the baps_reactor_* series.
-    write_message(&mut writer, &Message::new("METRICS BAPS/1.0")).unwrap();
-    let metrics = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&metrics), Some(200));
-    let text = String::from_utf8(metrics.body.to_vec()).unwrap();
-    assert!(text.contains("baps_reactor_registered_fds"), "{text}");
-    assert!(text.contains("baps_reactor_busy_fraction"), "{text}");
-    assert!(text.contains("baps_requests_total"), "{text}");
-
-    // TRACE still answers on the same framed connection.
-    write_message(&mut writer, &Message::new("TRACE BAPS/1.0")).unwrap();
-    let trace = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&trace), Some(200));
-    assert_eq!(trace.get("Content-Type"), Some("application/jsonl"));
-
-    // INVALIDATE (inline admin verb).
-    write_message(
-        &mut writer,
-        &Message::new("INVALIDATE http://origin/doc/0 BAPS/1.0").header("Client", "0"),
-    )
-    .unwrap();
-    let inv = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&inv), Some(200));
-    bed.shutdown();
-}
-
-/// The disk tier works under the reactor, including a warm in-place
-/// restart with monotonic restart-surviving counters.
-#[test]
-fn reactor_disk_tier_survives_warm_restart() {
-    let dir = disk_dir("warm");
-    let mut bed = reactor_bed(
-        2,
-        TestBedConfig {
-            proxy_capacity: 64 << 10,
-            browser_capacity: 32 << 10,
-            disk_root: Some(dir.clone()),
-            disk_capacity: 1 << 20,
-            disk_ttl: Duration::from_secs(3600),
-            ..TestBedConfig::default()
-        },
-    );
-    let url = "http://origin/doc/0";
-    let r0 = bed.clients[0].fetch(url).unwrap();
-    assert_eq!(r0.source, Source::Origin);
-    let before = bed.proxy.stats();
-
-    bed.restart_proxy().expect("proxy restarts in place");
-    assert_eq!(
-        bed.proxy.io_mode(),
-        IoMode::Reactor,
-        "mode survives restart"
-    );
-    assert!(
-        bed.proxy.disk_stats().unwrap().entries >= 1,
-        "restarted proxy re-opens a non-empty store"
-    );
-
-    // Next fetch misses memory but hits disk — byte-exact, no origin.
-    let r1 = bed.clients[1].fetch(url).unwrap();
-    assert_eq!(r1.body, r0.body);
-    assert_eq!(bed.origin.hits(), 1, "origin not touched again");
-    let after = bed.proxy.stats();
-    assert!(after.disk_hits >= 1, "served from disk: {after:?}");
-    assert!(
-        after.requests >= before.requests,
-        "counters stay monotonic across the restart"
-    );
-    bed.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `drop_connections` severs reactor-registered connections; clients see
-/// EOF and transparently reconnect.
-#[test]
-fn reactor_drop_connections_then_reconnect() {
-    let bed = reactor_bed(2, TestBedConfig::default());
-    bed.clients[0].fetch("http://origin/doc/0").unwrap();
-    assert!(bed.proxy.open_connections() >= 1);
-
-    bed.proxy.drop_connections();
-    assert_eq!(bed.proxy.open_connections(), 0);
-
-    // The client's next fetch redials and succeeds.
-    let r = bed.clients[0].fetch("http://origin/doc/1").unwrap();
-    assert_eq!(r.source, Source::Origin);
-    bed.shutdown();
-}
-
-/// Idle-connection scaling smoke: hundreds of registered keep-alive
-/// connections cost fds, not threads, and active traffic still flows.
-/// (The 10k point lives in `live_load --sweep`'s connections axis.)
-#[test]
-fn reactor_holds_idle_connections_while_serving() {
+fn holds_idle_connections_while_serving() {
     const IDLE: usize = 300;
-    let bed = reactor_bed(2, TestBedConfig::default());
+    let bed = bed(2, TestBedConfig::default());
 
     let mut idle = Vec::with_capacity(IDLE);
     for i in 0..IDLE {
@@ -237,7 +49,7 @@ fn reactor_holds_idle_connections_while_serving() {
         idle.push((reader, writer));
     }
 
-    let r = bed.proxy.reactor_stats().expect("reactor telemetry");
+    let r = bed.proxy.reactor_stats();
     assert!(
         r.registered_fds >= IDLE as u64,
         "all idle connections registered: {r:?}"
@@ -260,18 +72,16 @@ fn reactor_holds_idle_connections_while_serving() {
     bed.shutdown();
 }
 
-/// Slow-loris regression (the test thread-per-connection could never
-/// express): a swarm of connections dribbling a request head one byte at
-/// a time must not delay other clients. Under the worker pool each loris
-/// connection pins a worker for its whole dribble; under the reactor each
-/// costs a registered fd and a parser buffer, and honest requests keep
-/// their sub-threshold latency throughout.
+/// Slow-loris regression: a swarm of connections dribbling a request head
+/// one byte at a time must not delay other clients. Each loris connection
+/// costs a registered fd and a parser buffer, never a thread, and honest
+/// requests keep their sub-threshold latency throughout.
 #[test]
 fn slow_loris_does_not_delay_other_clients() {
     const LORIS_CONNS: usize = 32;
     const DRIBBLE: Duration = Duration::from_millis(20);
 
-    let bed = reactor_bed(
+    let bed = bed(
         2,
         TestBedConfig {
             // Far fewer miss-executor threads than loris connections: if
@@ -309,7 +119,7 @@ fn slow_loris_does_not_delay_other_clients() {
 
     // Give the swarm time to connect and start dribbling.
     std::thread::sleep(Duration::from_millis(100));
-    let r = bed.proxy.reactor_stats().expect("reactor telemetry");
+    let r = bed.proxy.reactor_stats();
     assert!(
         r.registered_fds as usize > LORIS_CONNS / 2,
         "loris swarm is connected: {r:?}"
@@ -336,4 +146,80 @@ fn slow_loris_does_not_delay_other_clients() {
         let _ = handle.join();
     }
     bed.shutdown();
+}
+
+/// Many concurrent misses over more connections than miss workers: every
+/// one is answered (each queued job wakes a worker; none is stranded) and
+/// the executor's queue gauge drains back to zero.
+#[test]
+fn concurrent_misses_over_more_connections_than_workers_all_answer() {
+    const WORKERS: usize = 2;
+    const CONNS: usize = 12;
+    const DOCS: usize = 16;
+    let bed = bed(
+        1,
+        TestBedConfig {
+            proxy_workers: WORKERS,
+            // Too small to hold any document: every GET is a miss.
+            proxy_capacity: 64,
+            ..TestBedConfig::default()
+        },
+    );
+    let addr = bed.proxy.addr();
+    let threads: Vec<_> = (0..CONNS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                for d in 0..DOCS {
+                    let url = format!("http://origin/doc/{}", (c + d) % DOCS);
+                    write_message(
+                        &mut writer,
+                        &Message::new(format!("GET {url} BAPS/1.0"))
+                            .header("Client", (1_000 + c).to_string())
+                            .header("Bypass-Peers", "1"),
+                    )
+                    .unwrap();
+                    let reply = read_message(&mut reader).unwrap().expect("a reply");
+                    assert_eq!(response_code(&reply), Some(200), "{url}");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let r = bed.proxy.reactor_stats();
+    assert_eq!(r.offloaded, (CONNS * DOCS) as u64, "every GET missed");
+    let sat = bed.proxy.saturation();
+    assert_eq!(sat.workers, WORKERS as u64);
+    assert_eq!(sat.queue_depth, 0, "the miss queue drained: {sat:?}");
+    assert_eq!(sat.busy_workers, 0);
+    assert_eq!(sat.queue_wait.count(), (CONNS * DOCS) as u64);
+    assert_eq!(sat.rejected, 0);
+    bed.shutdown();
+}
+
+/// Shutdown with every miss worker parked on the empty queue (and idle
+/// connections registered) wakes them all and joins promptly.
+#[test]
+fn shutdown_with_parked_workers_joins_promptly() {
+    let bed = bed(
+        2,
+        TestBedConfig {
+            proxy_workers: 16,
+            ..TestBedConfig::default()
+        },
+    );
+    bed.clients[0].fetch("http://origin/doc/0").unwrap();
+    let _idle = TcpStream::connect(bed.proxy.addr()).unwrap();
+    assert_eq!(bed.proxy.saturation().busy_workers, 0, "workers parked");
+    let t = Instant::now();
+    bed.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}",
+        t.elapsed()
+    );
 }

@@ -16,6 +16,12 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== benchmark package tests"
+# The repo benchmark (benchmark/) is a package outside the workspace; its
+# unit tests cover the generators, the comparison rules and the JSON it
+# emits, and building it proves the proxy API it drives still exists.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
 # internally to prove determinism. Also gates the HEALTH SLO engine: the
@@ -24,15 +30,6 @@ echo "== chaos soak (fixed seed)"
 # to critical deterministically. Exits nonzero with a reproduction line
 # on any invariant violation.
 cargo run --release -q -p baps-bench --bin chaos_soak -- --seed 42 --requests 2000
-
-echo "== chaos soak, reactor I/O mode (fixed seed)"
-# The same deterministic soak with the proxy on the epoll reactor
-# (io_mode = Reactor) instead of the thread-per-connection pool: every
-# proxy fault kind (stall/drop/restart) must fire with identical
-# per-fault counts and outcome tallies across both internal runs, gating
-# that the event-driven path keeps byte-exact fault semantics.
-cargo run --release -q -p baps-bench --bin chaos_soak -- \
-    --seed 42 --requests 2000 --io-mode reactor
 
 echo "== chaos soak, warm-restart mode (fixed seed)"
 # Same deterministic soak with the persistent disk tier enabled and one
@@ -69,23 +66,14 @@ echo "== metrics smoke (METRICS exposition + recording-overhead gate)"
 # reading) and fails the build if always-on recording costs >3%.
 cargo run --release -q -p baps-bench --bin live_load -- --smoke 8000 64
 
-echo "== metrics smoke, reactor I/O mode (exposition parity, no overhead A/B)"
-# The same scrape assertions with the proxy on the epoll reactor: the
-# exposition (identity gauges included) must parse and balance
-# identically in both serving modes. The wall-clock-heavy overhead gate
-# already ran above and is skipped here.
-cargo run --release -q -p baps-bench --bin live_load -- \
-    --smoke --io-mode reactor --no-overhead 8000 64
-
 echo "== health smoke (HEALTH SLO engine + tail-exemplar resolution gate)"
 # Starts a testbed whose origin stalls every reply 15 ms (deterministic
 # tail latencies), scrapes HEALTH twice 2 s apart, and asserts the full
 # default rule table evaluates, the windows move between scrapes, the
 # METRICS exposition carries well-formed tail-bucket exemplars, and every
 # exemplar trace id resolves through TRACE to a complete sampled span
-# tree. Run in both serving modes.
+# tree.
 cargo run --release -q -p baps-bench --bin health_smoke
-cargo run --release -q -p baps-bench --bin health_smoke -- --io-mode reactor
 
 echo "== trace smoke (multi-hop span-tree reconstruction gate)"
 # Builds a live deployment, forces peer and origin hits, scrapes the
@@ -99,9 +87,8 @@ cargo run --release -q -p baps-bench --bin trace_report -- \
 echo "== live_load thread-scaling sweep (non-gating perf smoke)"
 # Scaled-down sweep to catch serialization collapses (a global lock or an
 # undersized downstream pool shows up as a multiple, not a percentage).
-# Includes the connection-count axis: thread mode vs the reactor holding
-# idle keep-alive connections (up to 10k registered fds) while serving
-# active clients.
+# Includes the connection-count axis: the proxy holding idle keep-alive
+# connections (up to 10k registered fds) while serving active clients.
 # Non-gating: loopback throughput on shared CI hosts is too noisy to fail
 # the build on, so the curve is printed for eyeballing and the canonical
 # numbers live in the committed BENCH_live.json.

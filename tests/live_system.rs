@@ -189,6 +189,11 @@ fn client_survives_proxy_side_connection_drop() {
     // The proxy abruptly severs every open connection (restart, idle
     // reaping, fault injection) — but keeps serving.
     bed.proxy.drop_connections();
+    assert_eq!(
+        bed.proxy.open_connections(),
+        0,
+        "the drop is synchronous: every loop has closed its sockets"
+    );
 
     // Clients keep working: the stale connection is detected on the next
     // roundtrip, redialed transparently, and the request replayed.
