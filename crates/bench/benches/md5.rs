@@ -1,4 +1,15 @@
 //! MD5 digest throughput (the hash behind URL signatures and watermarks).
+//!
+//! Every body is hashed once per hop (DESIGN.md §5): at the origin fetch,
+//! at the disk boundary, and in the client's `verify_document`. That pass
+//! is the largest CPU term of a disk hit and of a large origin fetch, so
+//! the rows to watch are `md5/8192` (the median document) and
+//! `md5/1048576` (the heavy tail); `scripts/ci.sh` prints both. The kernel
+//! is latency-bound — each of the 64 steps waits for the one before — so
+//! bytes/s is flat from 8 KiB up and a drop means the step chain got
+//! longer, not that memory got slower. `sign_digest` / `verify_digest`
+//! are what `ProxySigner::sign` / `verify_hashed` cost once the digest is
+//! in hand.
 
 use baps_crypto::{md5, sign_digest, verify_digest, KeyPair};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -37,5 +37,5 @@ pub use rsa::{
     decrypt_message, encrypt_message, sign_digest, verify_digest, KeyPair, PrivateKey, PublicKey,
     Signature,
 };
-pub use watermark::{verify_document, ProxySigner, Watermark};
+pub use watermark::{verify_document, verify_hashed, ProxySigner, Watermark};
 pub use xtea::XteaKey;

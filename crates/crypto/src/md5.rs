@@ -98,56 +98,183 @@ impl Md5 {
         self.length = self.length.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            let take = need.min(input.len());
+            let take = (64 - self.buffered).min(input.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            self.compress(block.try_into().expect("64-byte block"));
-            input = rest;
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        // Whole blocks are hashed where they lie; only the sub-block tail
+        // is copied.
+        let (blocks, rest) = input.split_at(input.len() & !63);
+        compress(&mut self.state, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes the digest, consuming the context.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80 then zeros until length ≡ 56 (mod 64).
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Undo the length increments caused by the padding updates, then
-        // append the original length in bits, little-endian.
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bit_len.to_le_bytes());
-        self.update(&tail);
-        debug_assert_eq!(self.buffered, 0);
+        // Padding: 0x80, zeros until length ≡ 56 (mod 64), then the
+        // message length in bits, little-endian — one block when the
+        // buffered tail leaves room for the nine bytes, two otherwise.
+        let mut tail = [0u8; 128];
+        tail[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        tail[self.buffered] = 0x80;
+        let end = if self.buffered < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.length.wrapping_mul(8).to_le_bytes());
+        compress(&mut self.state, &tail[..end]);
 
         let mut out = [0u8; 16];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Adds round function `f(b, c, d)` into `$t`. `b` is the value the
+/// previous step just produced, so each form keeps `b` as late and as
+/// shallow in the expression as it can: F as a two-deep select, G as two
+/// disjoint terms of which only `d & b` has to wait for `b`.
+macro_rules! add_round_fn {
+    (F, $t:expr, $b:ident, $c:ident, $d:ident) => {
+        $t.wrapping_add($d ^ ($b & ($c ^ $d)))
+    };
+    (G, $t:expr, $b:ident, $c:ident, $d:ident) => {
+        $t.wrapping_add(!$d & $c).wrapping_add($d & $b)
+    };
+    (H, $t:expr, $b:ident, $c:ident, $d:ident) => {
+        $t.wrapping_add($b ^ $c ^ $d)
+    };
+    (I, $t:expr, $b:ident, $c:ident, $d:ident) => {
+        $t.wrapping_add($c ^ ($b | !$d))
+    };
+}
+
+/// Step `$i` of the 64: `a = b + rotl(a + f(b, c, d) + m[g] + K[i], S[i])`,
+/// summing `a + m[g] + K[i]` first because none of it waits for `b`.
+/// `$g` and `$i` are literals, so the table reads fold to immediates.
+macro_rules! step {
+    ($f:ident, $m:ident, $a:ident, $b:ident, $c:ident, $d:ident, $g:literal, $i:literal) => {
+        $a = add_round_fn!($f, $a.wrapping_add($m[$g]).wrapping_add(K[$i]), $b, $c, $d)
+            .rotate_left(S[$i])
+            .wrapping_add($b);
+    };
+}
+
+/// Folds `blocks` (a whole number of 64-byte blocks) into `state`. The
+/// chaining value lives in locals for the whole run, and every step is
+/// written out, so there is no per-step branch, table load or index
+/// arithmetic left at run time.
+fn compress(state: &mut [u32; 4], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    let [mut a, mut b, mut c, mut d] = *state;
+    for block in blocks.chunks_exact(64) {
+        let mut m = [0u32; 16];
+        for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+        }
+        let (a0, b0, c0, d0) = (a, b, c, d);
+
+        step!(F, m, a, b, c, d, 0, 0);
+        step!(F, m, d, a, b, c, 1, 1);
+        step!(F, m, c, d, a, b, 2, 2);
+        step!(F, m, b, c, d, a, 3, 3);
+        step!(F, m, a, b, c, d, 4, 4);
+        step!(F, m, d, a, b, c, 5, 5);
+        step!(F, m, c, d, a, b, 6, 6);
+        step!(F, m, b, c, d, a, 7, 7);
+        step!(F, m, a, b, c, d, 8, 8);
+        step!(F, m, d, a, b, c, 9, 9);
+        step!(F, m, c, d, a, b, 10, 10);
+        step!(F, m, b, c, d, a, 11, 11);
+        step!(F, m, a, b, c, d, 12, 12);
+        step!(F, m, d, a, b, c, 13, 13);
+        step!(F, m, c, d, a, b, 14, 14);
+        step!(F, m, b, c, d, a, 15, 15);
+
+        step!(G, m, a, b, c, d, 1, 16);
+        step!(G, m, d, a, b, c, 6, 17);
+        step!(G, m, c, d, a, b, 11, 18);
+        step!(G, m, b, c, d, a, 0, 19);
+        step!(G, m, a, b, c, d, 5, 20);
+        step!(G, m, d, a, b, c, 10, 21);
+        step!(G, m, c, d, a, b, 15, 22);
+        step!(G, m, b, c, d, a, 4, 23);
+        step!(G, m, a, b, c, d, 9, 24);
+        step!(G, m, d, a, b, c, 14, 25);
+        step!(G, m, c, d, a, b, 3, 26);
+        step!(G, m, b, c, d, a, 8, 27);
+        step!(G, m, a, b, c, d, 13, 28);
+        step!(G, m, d, a, b, c, 2, 29);
+        step!(G, m, c, d, a, b, 7, 30);
+        step!(G, m, b, c, d, a, 12, 31);
+
+        step!(H, m, a, b, c, d, 5, 32);
+        step!(H, m, d, a, b, c, 8, 33);
+        step!(H, m, c, d, a, b, 11, 34);
+        step!(H, m, b, c, d, a, 14, 35);
+        step!(H, m, a, b, c, d, 1, 36);
+        step!(H, m, d, a, b, c, 4, 37);
+        step!(H, m, c, d, a, b, 7, 38);
+        step!(H, m, b, c, d, a, 10, 39);
+        step!(H, m, a, b, c, d, 13, 40);
+        step!(H, m, d, a, b, c, 0, 41);
+        step!(H, m, c, d, a, b, 3, 42);
+        step!(H, m, b, c, d, a, 6, 43);
+        step!(H, m, a, b, c, d, 9, 44);
+        step!(H, m, d, a, b, c, 12, 45);
+        step!(H, m, c, d, a, b, 15, 46);
+        step!(H, m, b, c, d, a, 2, 47);
+
+        step!(I, m, a, b, c, d, 0, 48);
+        step!(I, m, d, a, b, c, 7, 49);
+        step!(I, m, c, d, a, b, 14, 50);
+        step!(I, m, b, c, d, a, 5, 51);
+        step!(I, m, a, b, c, d, 12, 52);
+        step!(I, m, d, a, b, c, 3, 53);
+        step!(I, m, c, d, a, b, 10, 54);
+        step!(I, m, b, c, d, a, 1, 55);
+        step!(I, m, a, b, c, d, 8, 56);
+        step!(I, m, d, a, b, c, 15, 57);
+        step!(I, m, c, d, a, b, 6, 58);
+        step!(I, m, b, c, d, a, 13, 59);
+        step!(I, m, a, b, c, d, 4, 60);
+        step!(I, m, d, a, b, c, 11, 61);
+        step!(I, m, c, d, a, b, 2, 62);
+        step!(I, m, b, c, d, a, 9, 63);
+        a = a.wrapping_add(a0);
+        b = b.wrapping_add(b0);
+        c = c.wrapping_add(c0);
+        d = d.wrapping_add(d0);
+    }
+    *state = [a, b, c, d];
+}
+
+/// One-shot MD5 of `data`.
+pub fn md5(data: &[u8]) -> Digest {
+    let mut ctx = Md5::new();
+    ctx.update(data);
+    ctx.finalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The loop-form compression function this module shipped before the
+    /// unrolled kernel (RFC 1321 transcribed step by step), kept as the
+    /// reference the kernel is checked against.
+    fn compress_reference(state: &mut [u32; 4], block: &[u8; 64]) {
         let mut m = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             m[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
         }
-        let [mut a, mut b, mut c, mut d] = self.state;
+        let [mut a, mut b, mut c, mut d] = *state;
         for i in 0..64 {
             let (f, g) = match i / 16 {
                 0 => ((b & c) | (!b & d), i),
@@ -166,23 +293,88 @@ impl Md5 {
             );
             a = tmp;
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
     }
-}
 
-/// One-shot MD5 of `data`.
-pub fn md5(data: &[u8]) -> Digest {
-    let mut ctx = Md5::new();
-    ctx.update(data);
-    ctx.finalize()
-}
+    /// One-shot MD5 over the reference compression function, padding the
+    /// message into a scratch buffer first — no code shared with
+    /// `Md5::update` / `Md5::finalize` beyond the tables.
+    fn md5_reference(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_le_bytes());
+        let mut state = Md5::new().state;
+        for block in padded.chunks_exact(64) {
+            compress_reference(&mut state, block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; 16];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        Digest(out)
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + i / 7) as u8).collect()
+    }
+
+    /// Every length that touches the padding edge cases (0..=300 covers
+    /// one-, two- and multi-block messages with every tail length), fed
+    /// one-shot, a byte at a time, and split in two at every offset.
+    #[test]
+    fn kernel_equals_reference_for_every_length_and_split() {
+        for len in 0..=300usize {
+            let data = pattern(len);
+            let want = md5_reference(&data);
+            assert_eq!(md5(&data), want, "one-shot, len {len}");
+            let mut ctx = Md5::new();
+            for b in &data {
+                ctx.update(std::slice::from_ref(b));
+            }
+            assert_eq!(ctx.finalize(), want, "byte-at-a-time, len {len}");
+            for cut in 0..=len {
+                let mut ctx = Md5::new();
+                ctx.update(&data[..cut]);
+                ctx.update(&data[cut..]);
+                assert_eq!(ctx.finalize(), want, "len {len} split at {cut}");
+            }
+        }
+    }
+
+    /// 1 MiB known answers: the multi-block loop over a long run, against
+    /// a digest computed outside this crate (`md5sum`) and the reference.
+    #[test]
+    fn one_mebibyte_known_answers() {
+        let zeros = vec![0u8; 1 << 20];
+        assert_eq!(md5(&zeros).to_hex(), "b6d81b360a5672d80c27430f39153e2c");
+        let data = pattern(1 << 20);
+        assert_eq!(md5(&data), md5_reference(&data));
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes under arbitrary chunkings hash to what the
+        /// reference makes of the whole message.
+        #[test]
+        fn kernel_equals_reference_under_random_chunkings(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+            cuts in proptest::collection::vec(0usize..4096, 0..12),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.extend([0, data.len()]);
+            cuts.sort_unstable();
+            let mut ctx = Md5::new();
+            for w in cuts.windows(2) {
+                ctx.update(&data[w[0]..w[1]]);
+            }
+            proptest::prop_assert_eq!(ctx.finalize(), md5_reference(&data));
+        }
+    }
 
     /// RFC 1321 appendix A.5 test suite.
     #[test]

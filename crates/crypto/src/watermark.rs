@@ -89,25 +89,43 @@ impl ProxySigner {
         self.keys.public
     }
 
-    /// Produces the watermark for a document body.
+    /// Produces the watermark for a document body: [`md5`] then
+    /// [`ProxySigner::sign`].
     pub fn watermark(&self, document: &[u8]) -> Watermark {
-        let digest = md5(document);
+        self.sign(&md5(document))
+    }
+
+    /// Signs a digest the caller already holds, so a body that was hashed
+    /// for another purpose on this hop is not hashed again.
+    pub fn sign(&self, digest: &Digest) -> Watermark {
         Watermark {
-            signature: sign_digest(&self.keys.private, &digest),
+            signature: sign_digest(&self.keys.private, digest),
         }
     }
 }
 
-/// Client-side verification: recompute the digest and check the signature
-/// against the proxy's public key.
+/// Client-side verification: recompute the digest ([`md5`]) and check the
+/// signature against the proxy's public key ([`verify_hashed`]).
 pub fn verify_document(
     proxy_key: &PublicKey,
     document: &[u8],
     watermark: &Watermark,
 ) -> Result<Digest, CryptoError> {
     let digest = md5(document);
-    if verify_digest(proxy_key, &digest, &watermark.signature) {
-        Ok(digest)
+    verify_hashed(proxy_key, &digest, watermark)?;
+    Ok(digest)
+}
+
+/// Checks `watermark` against a digest the caller already holds. The
+/// digest must have been computed from the very bytes about to be
+/// trusted — this only spares hashing them a second time.
+pub fn verify_hashed(
+    proxy_key: &PublicKey,
+    digest: &Digest,
+    watermark: &Watermark,
+) -> Result<(), CryptoError> {
+    if verify_digest(proxy_key, digest, &watermark.signature) {
+        Ok(())
     } else {
         Err(CryptoError::WatermarkMismatch)
     }

@@ -92,6 +92,35 @@ proptest! {
         prop_assert!(baps_crypto::verify_document(&signer.public_key(), &bad, &wm).is_err());
     }
 
+    /// The digest-carrying API is the document API with the hash lifted
+    /// out: `watermark = sign ∘ md5`, and `verify_document` accepts exactly
+    /// what `verify_hashed ∘ md5` accepts (same digest out, same refusals),
+    /// for the right document, a different one, and a forged watermark.
+    #[test]
+    fn digest_carrying_api_equals_document_api(
+        seed in any::<u64>(),
+        doc in proptest::collection::vec(any::<u8>(), 0..512),
+        other in proptest::collection::vec(any::<u8>(), 0..512),
+        sig_byte in 0usize..32,
+    ) {
+        let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(seed));
+        let key = signer.public_key();
+        let wm = signer.watermark(&doc);
+        prop_assert_eq!(wm, signer.sign(&md5(&doc)));
+
+        let mut forged_bytes = wm.to_bytes();
+        forged_bytes[sig_byte] ^= 1;
+        let forged = Watermark::from_bytes(&forged_bytes).unwrap();
+        for (body, mark) in [(&doc, &wm), (&other, &wm), (&doc, &forged)] {
+            let digest = md5(body);
+            prop_assert_eq!(
+                baps_crypto::verify_document(&key, body, mark),
+                baps_crypto::verify_hashed(&key, &digest, mark).map(|()| digest)
+            );
+        }
+        prop_assert!(baps_crypto::verify_hashed(&key, &md5(&doc), &wm).is_ok());
+    }
+
     /// The full §6.1 tamper matrix: a flipped byte, a truncated body, and
     /// a forged (bit-flipped) watermark must each fail verification — a
     /// peer can never make wrong bytes verify.

@@ -29,10 +29,10 @@
 //! atomicity promise for overlapping writes); a torn result is caught by
 //! the same read-time verification and self-heals.
 
-use crate::protocol::Body;
+use crate::protocol::read_body;
 use crate::store::CachedDoc;
 use baps_cache::ByteLru;
-use baps_crypto::{md5::md5, verify_document, PublicKey, Watermark};
+use baps_crypto::{md5, verify_hashed, Digest, PublicKey, Watermark};
 use baps_trace::Interner;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -69,9 +69,9 @@ pub struct DiskConfig {
 pub struct DiskHit {
     /// The document, watermark included (verified against the proxy key).
     pub doc: CachedDoc,
-    /// Lowercase MD5 hex of the body — the `If-Digest` value for
-    /// revalidation.
-    pub digest_hex: String,
+    /// MD5 of the body, from the one hash the read made — what a
+    /// revalidation sends (as hex) in `If-Digest`.
+    pub digest: Digest,
     /// Whether the entry is within its TTL. Stale entries must be
     /// revalidated before serving.
     pub fresh: bool,
@@ -235,19 +235,14 @@ impl DiskTier {
         // File I/O strictly outside the lock.
         let path = entry_path(&self.root, url);
         match read_verified(&path, url, &self.key) {
-            Ok(doc) => {
-                let digest_hex = md5(&doc.body).to_hex();
+            Ok((doc, digest)) => {
                 let fresh = now_unix() < meta.stored_at.saturating_add(meta.ttl_secs);
                 if fresh {
                     self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.counters.stale.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(DiskHit {
-                    doc,
-                    digest_hex,
-                    fresh,
-                })
+                Some(DiskHit { doc, digest, fresh })
             }
             Err(_) => {
                 // Verification failed: self-heal by dropping the entry.
@@ -270,6 +265,12 @@ impl DiskTier {
     /// Best-effort: a filesystem error shrinks the tier (counted in
     /// [`DiskStats::io_errors`]) but never fails the request.
     pub fn store(&self, url: &str, doc: &CachedDoc) {
+        self.store_hashed(url, doc, &md5(&doc.body));
+    }
+
+    /// [`DiskTier::store`] for a caller that already hashed the body on
+    /// this hop; `digest` must be `md5(&doc.body)`.
+    pub(crate) fn store_hashed(&self, url: &str, doc: &CachedDoc, digest: &Digest) {
         let size = doc.byte_size();
         let meta = Meta {
             size,
@@ -280,7 +281,7 @@ impl DiskTier {
         // lock. No fsync and no rename: a crash mid-write leaves a file
         // that fails read-time verification and self-heals.
         let path = entry_path(&self.root, url);
-        if fs::write(&path, encode_entry(url, doc, &meta)).is_err() {
+        if fs::write(&path, encode_entry(url, doc, digest, &meta)).is_err() {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             let _ = fs::remove_file(&path);
             return;
@@ -453,7 +454,7 @@ fn now_unix() -> u64 {
 }
 
 /// Serializes one document file: fixed header, then URL, then body.
-fn encode_entry(url: &str, doc: &CachedDoc, meta: &Meta) -> Vec<u8> {
+fn encode_entry(url: &str, doc: &CachedDoc, digest: &Digest, meta: &Meta) -> Vec<u8> {
     let url_bytes = url.as_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + url_bytes.len() + doc.body.len());
     out.extend_from_slice(MAGIC);
@@ -461,38 +462,40 @@ fn encode_entry(url: &str, doc: &CachedDoc, meta: &Meta) -> Vec<u8> {
     out.extend_from_slice(&(doc.body.len() as u64).to_le_bytes());
     out.extend_from_slice(&meta.stored_at.to_le_bytes());
     out.extend_from_slice(&meta.ttl_secs.to_le_bytes());
-    out.extend_from_slice(&md5(&doc.body).0);
+    out.extend_from_slice(&digest.0);
     out.extend_from_slice(&doc.watermark.to_bytes());
     out.extend_from_slice(url_bytes);
     out.extend_from_slice(&doc.body);
     out
 }
 
-/// Parses only the fixed header and URL of a document file (the cheap
-/// open-time scan). Checks the magic and that the file length matches the
-/// recorded lengths exactly — a truncated (torn) file fails here.
-fn read_header(path: &Path) -> io::Result<(String, Meta)> {
+/// Opens a document file and reads its fixed header and URL, leaving the
+/// file positioned at the body. Checks the magic and that the file length
+/// matches the recorded lengths exactly — a truncated (torn) file fails
+/// here, before anything is allocated for either length.
+fn open_entry(path: &Path) -> io::Result<(fs::File, [u8; HEADER_LEN], Vec<u8>, Meta)> {
     let mut file = fs::File::open(path)?;
     let actual_len = file.metadata()?.len();
     let mut header = [0u8; HEADER_LEN];
     file.read_exact(&mut header)?;
-    let (url_len, body_len, meta) = parse_header(&header)?;
-    if actual_len != (HEADER_LEN + url_len) as u64 + body_len {
+    let (url_len, meta) = parse_header(&header)?;
+    if actual_len != (HEADER_LEN + url_len) as u64 + meta.size {
         return Err(bad("file length does not match header"));
     }
-    let mut url_bytes = vec![0u8; url_len];
-    file.read_exact(&mut url_bytes)?;
-    let url = String::from_utf8(url_bytes).map_err(|_| bad("URL is not UTF-8"))?;
-    Ok((
-        url,
-        Meta {
-            size: body_len,
-            ..meta
-        },
-    ))
+    let mut url = vec![0u8; url_len];
+    file.read_exact(&mut url)?;
+    Ok((file, header, url, meta))
 }
 
-fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(usize, u64, Meta)> {
+/// Parses only the fixed header and URL of a document file (the cheap
+/// open-time scan).
+fn read_header(path: &Path) -> io::Result<(String, Meta)> {
+    let (_, _, url, meta) = open_entry(path)?;
+    let url = String::from_utf8(url).map_err(|_| bad("URL is not UTF-8"))?;
+    Ok((url, meta))
+}
+
+fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(usize, Meta)> {
     if &header[..8] != MAGIC {
         return Err(bad("bad magic"));
     }
@@ -505,7 +508,6 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(usize, u64, Meta)> {
     }
     Ok((
         url_len,
-        body_len,
         Meta {
             size: body_len,
             stored_at,
@@ -518,32 +520,29 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(usize, u64, Meta)> {
 /// file, wrong magic, URL mismatch (hash collision or renamed file),
 /// digest mismatch, bad watermark signature — comes back as an error so
 /// the caller can self-heal.
-fn read_verified(path: &Path, url: &str, key: &PublicKey) -> io::Result<CachedDoc> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < HEADER_LEN {
-        return Err(bad("file shorter than header"));
-    }
-    let header: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
-    let (url_len, body_len, _) = parse_header(header)?;
-    let expect_len = (HEADER_LEN + url_len) as u64 + body_len;
-    if bytes.len() as u64 != expect_len {
-        return Err(bad("file length does not match header"));
-    }
-    let stored_url = &bytes[HEADER_LEN..HEADER_LEN + url_len];
+///
+/// The body is read once, straight into the allocation the returned
+/// document shares with every later holder, and hashed once: that one
+/// digest is compared with the header's (catches a torn or bit-rotted
+/// body), checked against the watermark signature (catches anything the
+/// proxy's key did not sign, a rewritten header digest included), and
+/// handed back for `If-Digest`.
+fn read_verified(path: &Path, url: &str, key: &PublicKey) -> io::Result<(CachedDoc, Digest)> {
+    let (mut file, header, stored_url, meta) = open_entry(path)?;
     if stored_url != url.as_bytes() {
         return Err(bad("stored URL does not match"));
     }
-    let digest: [u8; 16] = header[36..52].try_into().unwrap();
     let watermark =
         Watermark::from_bytes(&header[52..84]).map_err(|_| bad("unparseable watermark"))?;
-    let body: Body = bytes[HEADER_LEN + url_len..].to_vec().into();
-    if md5(&body).0 != digest {
+    let body = read_body(&mut file, meta.size as usize)?;
+    let digest = md5(&body);
+    if digest.0 != header[36..52] {
         return Err(bad("digest mismatch"));
     }
     // The watermark signature binds the body to the proxy's key — the
     // same end-to-end check browsers run, applied at the disk boundary.
-    verify_document(key, &body, &watermark).map_err(|_| bad("watermark verification failed"))?;
-    Ok(CachedDoc { body, watermark })
+    verify_hashed(key, &digest, &watermark).map_err(|_| bad("watermark verification failed"))?;
+    Ok((CachedDoc { body, watermark }, digest))
 }
 
 fn bad(why: &str) -> io::Error {
@@ -556,6 +555,7 @@ mod tests {
     use baps_crypto::ProxySigner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn signer() -> ProxySigner {
         ProxySigner::generate(&mut StdRng::seed_from_u64(0xd15c))
@@ -598,7 +598,7 @@ mod tests {
         assert_eq!(&hit.doc.body[..], b"persistent body");
         assert_eq!(hit.doc.watermark, d.watermark);
         assert!(hit.fresh);
-        assert_eq!(hit.digest_hex, md5(b"persistent body").to_hex());
+        assert_eq!(hit.digest, md5(b"persistent body"));
         let s = t.stats();
         assert_eq!((s.entries, s.bytes), (1, 15));
         assert_eq!((s.hits, s.misses, s.writes), (1, 0, 1));
@@ -704,6 +704,54 @@ mod tests {
         assert!(t.load("u").is_none(), "corrupted body must not serve");
         assert!(!path.exists());
         assert_eq!(t.stats().heals, 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A *consistent* forgery: the body is replaced and the header's
+    /// digest field rewritten to match it, with the old watermark kept.
+    /// The digest comparison passes, so only the signature check stands
+    /// between the forged bytes and a client — a read path that hashed
+    /// once and dropped either check would serve them.
+    #[test]
+    fn consistent_forgery_fails_signature_and_self_heals() {
+        let sg = signer();
+        let root = temp_root("forgery");
+        let t = tier(&root, 1 << 20, Duration::from_secs(3600), sg.public_key());
+        t.store("u", &doc(&sg, b"what the proxy signed"));
+        let path = entry_path(&root, "u");
+        let mut bytes = fs::read(&path).unwrap();
+        let body_at = bytes.len() - b"what the proxy signed".len();
+        bytes[body_at..].copy_from_slice(b"what an attacker put!");
+        let forged_digest = md5(&bytes[body_at..]);
+        bytes[36..52].copy_from_slice(&forged_digest.0);
+        fs::write(&path, &bytes).unwrap();
+
+        let err = read_verified(&path, "u", &sg.public_key()).expect_err("forgery must not verify");
+        assert_eq!(err.to_string(), "watermark verification failed");
+        assert!(t.load("u").is_none(), "forged body must not serve");
+        assert!(!path.exists(), "forged file is deleted");
+        let s = t.stats();
+        assert_eq!((s.heals, s.misses, s.hits, s.entries), (1, 1, 0, 0));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// `store` is `md5` + `store_hashed`: both leave the same file.
+    #[test]
+    fn store_equals_hash_then_store_hashed() {
+        let sg = signer();
+        let root = temp_root("storehashed");
+        let t = tier(&root, 1 << 20, Duration::from_secs(3600), sg.public_key());
+        let d = doc(&sg, b"hashed by the caller");
+        t.store("a", &d);
+        t.store_hashed("b", &d, &md5(&d.body));
+        let (a, b) = (t.load("a").unwrap(), t.load("b").unwrap());
+        assert_eq!(a.doc, b.doc);
+        assert_eq!(a.digest, b.digest);
+        assert_eq!(
+            Arc::strong_count(&a.doc.body),
+            1,
+            "the read is the only holder"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -89,8 +89,9 @@ pub(crate) const MAX_HEAD_BYTES: usize = 1 << 20;
 
 /// A document body as shared immutable bytes. Cloning a `Body` is a
 /// refcount bump, so a cached document travels cache → response frame →
-/// peer → browser cache without ever being copied (the only copy is the
-/// one `read_message` makes off the socket).
+/// peer → browser cache without ever being copied: the bytes are written
+/// once, by [`read_body`], off the socket or the disk into the allocation
+/// every later holder shares.
 pub type Body = Arc<[u8]>;
 
 /// An empty [`Body`].
@@ -347,13 +348,21 @@ pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
         }
     };
     if len > 0 {
-        // The one unavoidable copy: socket bytes into a fresh allocation,
-        // immediately frozen into a shared `Body`.
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        msg.body = body.into();
+        msg.body = read_body(r, len)?;
     }
     Ok(Some(msg))
+}
+
+/// Reads exactly `len` bytes from `r` into a fresh [`Body`]. The reader
+/// fills the `Arc`'s own allocation (zeroed, then borrowed mutably while
+/// this function is still its only holder), so the bytes are never held
+/// in a `Vec` first — `Arc<[u8]>::from(Vec<u8>)` would allocate again and
+/// copy them all. Callers bound `len` before calling.
+pub(crate) fn read_body<R: Read + ?Sized>(r: &mut R, len: usize) -> io::Result<Body> {
+    let mut body: Body = std::iter::repeat_n(0u8, len).collect();
+    let bytes = Arc::get_mut(&mut body).expect("a freshly built Arc has one holder");
+    r.read_exact(bytes)?;
+    Ok(body)
 }
 
 /// Response codes used by the protocol.
@@ -426,6 +435,18 @@ mod tests {
         assert_eq!(back.get("X-Source"), Some("peer"));
         assert_eq!(&back.body[..], &body[..]);
         assert_eq!(back.get("Content-Length"), Some("21"));
+    }
+
+    #[test]
+    fn bodies_of_any_size_arrive_whole_and_unshared() {
+        for len in [0usize, 1, 1 << 20] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 31 + i / 251) as u8).collect();
+            let back = roundtrip(&response(status::OK, "OK").with_body(body.clone()));
+            assert_eq!(&back.body[..], &body[..], "len {len}");
+            // The reader is the body's only holder: nothing kept a second
+            // reference to (or a staging copy of) the allocation.
+            assert_eq!(Arc::strong_count(&back.body), 1, "len {len}");
+        }
     }
 
     #[test]

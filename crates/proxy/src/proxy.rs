@@ -23,7 +23,7 @@ use crate::protocol::{
 use crate::reactor::{Reactor, ReactorHandle, ReactorSnapshot, ReactorTelemetry};
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
-use baps_crypto::{AnonymizingProxy, PeerId, ProxySigner, PublicKey, Watermark};
+use baps_crypto::{md5, AnonymizingProxy, Digest, PeerId, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -300,6 +300,9 @@ pub(crate) struct ProxyState {
     peers: RwLock<HashMap<u32, SocketAddr>>,
     relay: Mutex<AnonymizingProxy>,
     signer: ProxySigner,
+    /// The watermark of the empty body, minted once: what closes a relay
+    /// transaction whose delivery rides the GET reply instead.
+    empty_watermark: Watermark,
     pub(crate) counters: ProxyCounters,
     /// Counter totals carried over from previous incarnations of this
     /// proxy (loaded from the disk root at start). Folded into every
@@ -402,6 +405,7 @@ impl ProxyServer {
             urls: RwLock::new(Interner::new()),
             peers: RwLock::new(HashMap::new()),
             relay: Mutex::new(AnonymizingProxy::new()),
+            empty_watermark: signer.watermark(b""),
             signer,
             counters: ProxyCounters::default(),
             baseline,
@@ -1196,7 +1200,8 @@ fn handle_miss(
             // current before serving it.
             let reval_span = hop_span(trace);
             let t_reval = Instant::now();
-            let outcome = revalidate_with_origin(state, url, &hit.digest_hex, trace, reval_span);
+            let outcome =
+                revalidate_with_origin(state, url, &hit.digest.to_hex(), trace, reval_span);
             record_hop(
                 state,
                 trace,
@@ -1322,7 +1327,7 @@ fn handle_miss(
                     state.counters.peer_hits.fetch_add(1, Ordering::Relaxed);
                     if state.config.cache_peer_hits {
                         state.cache.insert(doc, url, cached.clone());
-                        write_through_to_disk(state, url, &cached, trace);
+                        write_through_to_disk(state, url, &cached, None, trace);
                     }
                     state.index.on_store(requester, doc);
                     state
@@ -1403,12 +1408,15 @@ fn serve_origin_fetch(
         .counters
         .origin_fetches
         .fetch_add(1, Ordering::Relaxed);
+    // The one hash of this hop: signed for the watermark, and stored in
+    // the disk entry's header.
+    let digest = md5(&body);
     let cached = CachedDoc {
-        watermark: state.signer.watermark(&body),
+        watermark: state.signer.sign(&digest),
         body,
     };
     state.cache.insert(doc, url, cached.clone());
-    write_through_to_disk(state, url, &cached, trace);
+    write_through_to_disk(state, url, &cached, Some(&digest), trace);
     state.index.on_store(requester, doc);
     state
         .obs
@@ -1449,11 +1457,21 @@ fn serve_from_disk(
 
 /// Best-effort write-through to the disk tier (no-op without one). The
 /// store itself never fails a request; filesystem trouble is counted in
-/// the tier's `io_errors`.
-fn write_through_to_disk(state: &ProxyState, url: &str, cached: &CachedDoc, trace: TraceId) {
+/// the tier's `io_errors`. `digest` is `md5(&cached.body)` from a caller
+/// that already hashed the body on this hop; `None` leaves it to the tier.
+fn write_through_to_disk(
+    state: &ProxyState,
+    url: &str,
+    cached: &CachedDoc,
+    digest: Option<&Digest>,
+    trace: TraceId,
+) {
     let Some(disk) = &state.disk else { return };
     let t_write = Instant::now();
-    disk.store(url, cached);
+    match digest {
+        Some(digest) => disk.store_hashed(url, cached, digest),
+        None => disk.store(url, cached),
+    }
     state.obs.recorder.record(
         trace,
         EventKind::DiskWrite,
@@ -1665,7 +1683,7 @@ fn probe_peer_once(
             let _ = state.relay.lock().complete(baps_crypto::FetchReply {
                 txn: order.txn,
                 body: Vec::new(),
-                watermark: state.signer.watermark(b""),
+                watermark: state.empty_watermark,
             });
         }
         Err(_) => {

@@ -22,6 +22,15 @@ echo "== benchmark package tests"
 # emits, and building it proves the proxy API it drives still exists.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark command smoke (correctness only, never timing)"
+# The command BENCHMARK.json names, on the workload that reads, verifies
+# and revalidates disk entries, for one measured second (the driver takes
+# any --seconds in (0, 600]; setup dominates the ~15 s this costs). Judged
+# on the exit code alone: bench_e2e exits non-zero on a wrong body byte, a
+# failed operation, a changed inputs_hash, or tier tallies that differ
+# between rounds. The numbers it prints are ignored.
+benchmark/run.sh --workload disk-storm --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
 # internally to prove determinism. Also gates the HEALTH SLO engine: the
@@ -95,5 +104,14 @@ echo "== live_load thread-scaling sweep (non-gating perf smoke)"
 cargo run --release -q -p baps-bench --bin live_load -- \
     --sweep --out target/BENCH_live.ci.json 4000 64 \
     || echo "perf smoke failed (non-gating)"
+
+echo "== md5 kernel throughput (non-gating perf smoke)"
+# One MD5 pass per hop is the largest CPU term of a disk hit and of a
+# large origin fetch (DESIGN.md §5, "hash once per hop"), so a kernel regression should show
+# in the log: the 8 KiB row is the median document, the 1 MiB row the
+# heavy tail. Non-gating for the same reason as the sweep above.
+cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
+    | grep -E '^bench md5/(8192|1048576) ' \
+    || echo "md5 bench failed (non-gating)"
 
 echo "CI OK"
