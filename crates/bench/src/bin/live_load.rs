@@ -249,6 +249,23 @@ fn summarize_metrics(text: &str) {
         get("baps_queue_wait_ms_count", &[]) >= 1.0,
         "queue-wait histogram recorded nothing"
     );
+    // Upstream pool: every exchange the proxy initiated was a dial or a
+    // reuse, and under keep-alive load reuses are the bulk. A scrape where
+    // dials track the served count means the pool stopped reusing.
+    let upstream_sum = |family: &str| -> f64 {
+        ["peer", "origin"]
+            .iter()
+            .map(|u| get(family, &[("upstream", u)]))
+            .sum()
+    };
+    let dials = upstream_sum("baps_upstream_dials_total");
+    let reuses = upstream_sum("baps_upstream_reuses_total");
+    assert!(
+        dials >= 1.0 && reuses > dials,
+        "upstream pool is not reusing connections: {dials} dials, {reuses} reuses"
+    );
+    assert!(get("baps_upstream_stale_total", &[]) >= 0.0);
+    assert!(get("baps_upstream_idle_connections", &[]) >= 1.0);
     println!(
         "\nMETRICS scrape: {} samples, requests_total {requests} = served-by-tier {by_tier} + errors {errors}, histogram observations {histo_count}",
         samples.len()

@@ -16,7 +16,7 @@
 
 use crate::error::ProxyError;
 use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
-use crate::pool::{dial_with_deadline, WorkerPool};
+use crate::pool::{dial_with_deadline, ConnRegistry, WorkerPool};
 use crate::protocol::{
     read_message, response, response_code, status, write_message, Body, Message,
 };
@@ -28,7 +28,7 @@ use baps_obs::{
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,15 +46,21 @@ const DELIVERY_TIMEOUT: Duration = Duration::from_secs(2);
 const SLOW_FETCH: Duration = Duration::from_millis(2);
 
 /// Worker threads serving this client's peer port. PEERGET/PUSH arrive on
-/// short-lived proxy connections and DELIVERY on one-shot pushes, so a
-/// small pool suffices.
-const PEER_WORKERS: usize = 4;
+/// the proxy's kept-alive upstream connections and DELIVER on one-shot
+/// pushes. A connection occupies one blocking worker for as long as it is
+/// open, idle or not, so every connection the proxy keeps pins a worker:
+/// the proxy therefore caps its idle connections per peer at
+/// `upstream::MAX_IDLE_PER_PEER`, which `upstream.rs` asserts is strictly
+/// below this count — a browser can always take a DELIVER and a fresh dial.
+pub(crate) const PEER_WORKERS: usize = 4;
 /// Accept backlog for the peer port.
 const PEER_BACKLOG: usize = 16;
-/// Read deadline on accepted peer-port connections: dialers (the proxy,
-/// delivering peers) send their request immediately, so a connection idle
-/// this long is a stalled or dead dialer and must not pin a peer worker.
-const PEER_SERVE_DEADLINE: Duration = Duration::from_secs(30);
+/// Read/write deadline on accepted peer-port connections. Between frames
+/// it is how long a kept-alive connection may sit idle before this side
+/// closes it (the proxy closes its own idle ones sooner, after
+/// `upstream::IDLE_LIMIT`); inside a frame it is how long a stalled sender
+/// or receiver may hold the worker.
+pub(crate) const PEER_SERVE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// What a tampering client serves its peers (test/fault hook; the honest
 /// value is [`TamperMode::Honest`]). Every dishonest mode must be caught
@@ -182,6 +188,8 @@ pub struct ClientAgent {
     shutdown: Arc<AtomicBool>,
     /// Acceptor thread for the peer port; returns the worker pool on exit.
     handle: Option<JoinHandle<WorkerPool>>,
+    /// The peer port's open connections (the worker pool's registry).
+    peer_conns: Arc<ConnRegistry>,
     /// The persistent keep-alive connection to the proxy, dialed lazily
     /// and redialed transparently when the proxy drops it.
     proxy_conn: Mutex<Option<ProxyConn>>,
@@ -270,6 +278,7 @@ impl ClientAgent {
                 },
             )?
         };
+        let peer_conns = Arc::clone(pool.registry());
         let handle = {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
@@ -294,6 +303,7 @@ impl ClientAgent {
             peer_addr,
             shutdown,
             handle: Some(handle),
+            peer_conns,
             proxy_conn: Mutex::new(None),
             pending_evictions: Mutex::new(Vec::new()),
             keep_alive: AtomicBool::new(true),
@@ -351,6 +361,13 @@ impl ClientAgent {
     /// (crash, out-of-band cache clear). Returns whether it was present.
     pub fn purge_local(&self, url: &str) -> bool {
         self.state.cache.lock().remove(url)
+    }
+
+    /// Ops/test hook: abruptly severs every open connection on this
+    /// client's peer port without stopping it — what the proxy's kept-alive
+    /// upstream connections see when a browser drops them while idle.
+    pub fn drop_peer_connections(&self) {
+        self.peer_conns.sever_all();
     }
 
     /// Toggles connection reuse. With keep-alive off every request dials a
@@ -939,13 +956,32 @@ fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, Stri
 /// (stall/truncate/corrupt) distort the otherwise-correct reply via
 /// [`write_reply_with_fault`].
 fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
-    // Dialers send their request immediately; an idle connection is a
-    // stalled or dead dialer that must not pin this worker forever.
     stream.set_read_timeout(Some(PEER_SERVE_DEADLINE))?;
     stream.set_write_timeout(Some(PEER_SERVE_DEADLINE))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    while let Some(msg) = read_message(&mut reader)? {
+    loop {
+        // The proxy keeps this connection alive between requests, so
+        // waiting here is the normal state, not a fault: a deadline that
+        // expires before the first byte of a frame ends the session
+        // cleanly, exactly like the dialer closing. Once a frame has
+        // started, the same deadline expiring inside `read_message` is a
+        // stalled dialer and an error.
+        match reader.fill_buf() {
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(())
+            }
+            Err(e) => return Err(e),
+        }
+        let Some(msg) = read_message(&mut reader)? else {
+            return Ok(());
+        };
         let tokens = msg.tokens();
         // The proxy forwards the requester's trace id on PEERGET/PUSH and
         // the pushing peer forwards it on DELIVER, so peer-side spans join
@@ -1091,7 +1127,6 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
             return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Connects to a requester's delivery address and pushes the document.

@@ -90,14 +90,16 @@ impl ProxyWindows {
 
     /// Sampler path: captures only when a new wall second has arrived,
     /// so the ring holds at most one capture per second of uptime.
-    pub(crate) fn maybe_capture(&self, state: &ProxyState) {
+    /// Returns whether this call was such a tick.
+    pub(crate) fn maybe_capture(&self, state: &ProxyState) -> bool {
         let sec = self.started.elapsed().as_secs();
         let mut tick = self.tick.lock();
         if tick.is_some_and(|t| t >= sec) {
-            return;
+            return false;
         }
         *tick = Some(sec);
         self.ring.ingest(sec, &capture_values(state));
+        true
     }
 
     /// Forced capture (`HEALTH` request or test hook): always lands,

@@ -39,6 +39,7 @@ pub mod runtime;
 pub mod shard;
 pub mod store;
 mod sys;
+mod upstream;
 
 pub use client::{ClientAgent, ClientConfig, FetchResult, Source, TamperMode};
 pub use disk::{DiskConfig, DiskStats, DiskTier};

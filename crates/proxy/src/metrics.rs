@@ -14,6 +14,7 @@
 //! reset to zero (DESIGN.md §10).
 
 use crate::proxy::ProxyState;
+use crate::upstream::UPSTREAM_LABELS;
 use baps_obs::prom::PromText;
 
 /// Renders the full exposition for `state`.
@@ -197,6 +198,38 @@ pub(crate) fn render(state: &ProxyState) -> String {
             d.io_errors,
         );
     }
+
+    // Upstream connection pool: when reuse works, dials stay far below
+    // the exchanges made (dials{upstream="peer"} ≈ peer hits means every
+    // probe is paying a connection set-up again).
+    let up = state.upstream.snapshot();
+    for (family, help, by_kind) in [
+        (
+            "baps_upstream_dials_total",
+            "Upstream connections established, by kind of upstream.",
+            up.dials,
+        ),
+        (
+            "baps_upstream_reuses_total",
+            "Upstream exchanges sent on a kept-alive connection, by kind of upstream.",
+            up.reuses,
+        ),
+    ] {
+        out.header(family, "counter", help);
+        for (label, count) in UPSTREAM_LABELS.iter().zip(by_kind) {
+            out.sample(family, &[("upstream", label)], count as f64);
+        }
+    }
+    out.counter(
+        "baps_upstream_stale_total",
+        "Kept-alive upstream connections found closed or out of sync at check-out.",
+        up.stale,
+    );
+    out.gauge(
+        "baps_upstream_idle_connections",
+        "Upstream connections idle in the pool right now.",
+        up.idle as f64,
+    );
 
     // Browser index.
     let idx = state.index.stats();

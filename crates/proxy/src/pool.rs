@@ -93,13 +93,18 @@ impl ConnRegistry {
 
     /// Shuts down both directions of every registered socket, forcing any
     /// handler blocked in a read to observe EOF and exit its serve loop.
-    /// Further registrations are refused.
-    pub fn close_all(&self) {
-        self.closing.store(true, Ordering::Release);
+    /// Later connections are served as usual.
+    pub fn sever_all(&self) {
         let conns = std::mem::take(&mut *self.conns.lock());
         for stream in conns.into_values() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
+    }
+
+    /// [`Self::sever_all`], and further registrations are refused.
+    pub fn close_all(&self) {
+        self.closing.store(true, Ordering::Release);
+        self.sever_all();
     }
 }
 

@@ -66,8 +66,9 @@
 //! returns `Ok(None)` on a clean close between messages, which handlers
 //! treat as the end of the session. Clients hold one lazily-dialed
 //! connection to the proxy and transparently redial (replaying the
-//! in-flight request once) when the proxy drops it; the proxy keeps a pool
-//! of kept-alive origin connections the same way. The proxy multiplexes
+//! in-flight request once) when the proxy drops it; the proxy keeps its
+//! own outbound connections — to peers and to the origin — alive in one
+//! pool (`upstream.rs`). The proxy multiplexes
 //! its client connections on event loops (`reactor.rs`), so an idle one
 //! costs a registered fd; the origin and the clients' peer servers run a
 //! fixed worker pool, where each open connection occupies one worker until

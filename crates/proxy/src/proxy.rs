@@ -16,13 +16,12 @@
 use crate::disk::{DiskConfig, DiskStats, DiskTier};
 use crate::fault::FaultPlan;
 use crate::health::{HealthReport, ProxyWindows, SloTable};
-use crate::pool::{dial_with_deadline, PoolTelemetry, SaturationSnapshot, DEFAULT_WORKERS};
-use crate::protocol::{
-    read_message, response, response_code, status, write_message, Body, Message,
-};
+use crate::pool::{PoolTelemetry, SaturationSnapshot, DEFAULT_WORKERS};
+use crate::protocol::{response, response_code, status, Body, Message};
 use crate::reactor::{Reactor, ReactorHandle, ReactorSnapshot, ReactorTelemetry};
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
+use crate::upstream::UpstreamPool;
 use baps_crypto::{md5, AnonymizingProxy, Digest, PeerId, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
@@ -32,7 +31,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,10 +40,10 @@ use std::time::{Duration, Instant};
 
 /// Maximum peer candidates probed per request.
 const MAX_PEER_PROBES: usize = 4;
-/// Default dial/read timeout for peer probes, so one dead client cannot
-/// stall the proxy.
+/// Default dial/read/write timeout for peer probes, so one dead client
+/// cannot stall the proxy.
 const PEER_TIMEOUT: Duration = Duration::from_secs(2);
-/// Default dial/read timeout for origin fetches.
+/// Default dial/read/write timeout for origin fetches.
 const ORIGIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Initial backoff between retried peer probes / origin fetches.
 const RETRY_BACKOFF: Duration = Duration::from_millis(5);
@@ -290,9 +289,9 @@ pub(crate) struct ProxyObs {
 
 /// Shared proxy state. Lock discipline (see DESIGN.md): `cache` and
 /// `index` are doc-sharded stripes (one lock per shard); `urls` and
-/// `peers` are read-mostly RwLocks; `relay` and `origin_pool` are brief
-/// bookkeeping mutexes. No lock is ever held across socket I/O, an origin
-/// fetch, or a body copy, and no worker holds two locks at once.
+/// `peers` are read-mostly RwLocks; `relay` and the `upstream` pool's map
+/// are brief bookkeeping mutexes. No lock is ever held across socket I/O,
+/// an origin fetch, or a body copy, and no worker holds two locks at once.
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache,
     pub(crate) index: StripedIndex,
@@ -312,8 +311,9 @@ pub(crate) struct ProxyState {
     pub(crate) obs: ProxyObs,
     /// The persistent disk tier, when configured.
     pub(crate) disk: Option<DiskTier>,
-    /// Idle keep-alive connections to the origin, reused across fetches.
-    origin_pool: Mutex<Vec<OriginConn>>,
+    /// Kept-alive connections to peers and the origin: every exchange the
+    /// proxy initiates goes through it.
+    pub(crate) upstream: UpstreamPool,
     /// Miss-executor saturation telemetry (shared with the executor), so
     /// STATS/METRICS can report queue depth, busy workers, and
     /// time-in-queue.
@@ -399,6 +399,9 @@ impl ProxyServer {
             .unwrap_or_default();
         let telemetry = Arc::new(PoolTelemetry::new());
         let reactor_telemetry = Arc::new(ReactorTelemetry::new());
+        // Every miss-executor worker may hold one origin connection between
+        // fetches, so that is how many the pool keeps idle for the origin.
+        let upstream = UpstreamPool::new(config.origin_addr, workers);
         let state = Arc::new(ProxyState {
             cache: ShardedCache::new(config.cache_capacity, auto_shards(config.cache_capacity)),
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
@@ -416,7 +419,7 @@ impl ProxyServer {
                 verbs: LabeledHistograms::new(&PROXY_VERBS),
             },
             disk,
-            origin_pool: Mutex::new(Vec::new()),
+            upstream,
             telemetry: Arc::clone(&telemetry),
             reactor: Arc::clone(&reactor_telemetry),
             inflight: Mutex::new(HashMap::new()),
@@ -433,7 +436,11 @@ impl ProxyServer {
                 .name("baps-proxy-windows".into())
                 .spawn(move || {
                     while !shutdown.load(Ordering::Acquire) {
-                        state.windows.maybe_capture(&state);
+                        if state.windows.maybe_capture(&state) {
+                            // Once a second is also how often idle
+                            // upstream connections are aged out.
+                            state.upstream.reap(Instant::now());
+                        }
                         std::thread::park_timeout(Duration::from_millis(50));
                     }
                 })?
@@ -609,16 +616,18 @@ impl ProxyServer {
         self.state.windows.uptime_secs()
     }
 
-    /// Ops/test hook: abruptly severs every open client connection (and
-    /// discards pooled origin connections) without stopping the server.
-    /// Keep-alive clients observe EOF mid-session and must reconnect.
+    /// Ops/test hook: abruptly severs every open client connection and
+    /// closes every idle upstream connection (peers and origin) without
+    /// stopping the server. Keep-alive clients observe EOF mid-session and
+    /// must reconnect; the next upstream exchange dials.
     pub fn drop_connections(&self) {
         self.conns.drop_all();
-        self.state.origin_pool.lock().clear();
+        self.state.upstream.clear();
     }
 
-    /// Stops the accept loop, severs open connections, and joins the
-    /// acceptor and worker threads.
+    /// Stops the accept loop, severs open client connections, joins the
+    /// acceptor and worker threads, and closes every upstream connection
+    /// (peers and origin).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -639,7 +648,7 @@ impl ProxyServer {
             sampler.thread().unpark();
             let _ = sampler.join();
         }
-        self.state.origin_pool.lock().clear();
+        self.state.upstream.clear();
         // Persist the cumulative counters beside the disk tier so the
         // next incarnation's `baps_*_total` series continue monotonically
         // instead of resetting to zero. Written after the workers have
@@ -795,10 +804,13 @@ pub(crate) fn dispatch(
         ["REGISTER", port, "BAPS/1.0"] => {
             let client: u32 = msg.get("Client")?.parse().ok()?;
             let port: u16 = port.parse().ok()?;
-            state
-                .peers
-                .write()
-                .insert(client, SocketAddr::new(peer_ip, port));
+            let addr = SocketAddr::new(peer_ip, port);
+            let previous = state.peers.write().insert(client, addr);
+            if let Some(old) = previous.filter(|&old| old != addr) {
+                // The browser moved: nothing will be asked of its old
+                // address again.
+                state.upstream.forget(old);
+            }
             Some(response(status::OK, "OK"))
         }
         ["STATS", "BAPS/1.0"] => Some(stats_response(state)),
@@ -1651,20 +1663,16 @@ fn probe_peer_once(
 ) -> Result<CachedDoc, io::Error> {
     let order = state.relay.lock().begin(requester, url);
     let result = (|| -> io::Result<CachedDoc> {
-        let stream = dial_with_deadline(addr, state.config.peer_deadline())?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut probe = Message::new(format!("PEERGET {url} BAPS/1.0"))
-            .header("Txn", order.txn.0.to_string())
-            .header("Trace-Id", trace.to_string());
-        if !span.is_none() {
-            // The probe's own hop span becomes the parent of the peer's
-            // serve span, stitching the tree across processes.
-            probe = probe.header("Span-Id", span.to_string());
-        }
-        write_message(&mut writer, &probe)?;
-        let reply = read_message(&mut reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"))?;
+        // The probe's own hop span becomes the parent of the peer's serve
+        // span, stitching the tree across processes.
+        let probe = traced(
+            Message::new(format!("PEERGET {url} BAPS/1.0")).header("Txn", order.txn.0.to_string()),
+            trace,
+            span,
+        );
+        let reply = state
+            .upstream
+            .exchange(addr, state.config.peer_deadline(), &probe)?;
         if response_code(&reply) != Some(status::OK) {
             return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
         }
@@ -1693,6 +1701,17 @@ fn probe_peer_once(
     result
 }
 
+/// Stamps an upstream request with the trace it belongs to and, on a
+/// head-sampled trace, the hop span the receiver's spans attach under.
+fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
+    let msg = msg.header("Trace-Id", trace.to_string());
+    if span.is_none() {
+        msg
+    } else {
+        msg.header("Span-Id", span.to_string())
+    }
+}
+
 /// Direct-forward mode: orders `peer` to push `url` straight to the
 /// requester's registered delivery address. Returns the transaction id the
 /// requester should await. The push itself happens synchronously inside
@@ -1706,48 +1725,33 @@ fn order_direct_push(
     trace: TraceId,
     span: SpanId,
 ) -> Result<u64, io::Error> {
-    let peer_addr = state
-        .peers
-        .read()
-        .get(&peer.0)
-        .copied()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer not registered"))?;
-    let target_addr = state
-        .peers
-        .read()
-        .get(&requester.0)
-        .copied()
+    let (peer_addr, target_addr) = {
+        let peers = state.peers.read();
+        (
+            peers.get(&peer.0).copied(),
+            peers.get(&requester.0).copied(),
+        )
+    };
+    let peer_addr =
+        peer_addr.ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer not registered"))?;
+    let target_addr = target_addr
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "requester not registered"))?;
     let order = state.relay.lock().begin(requester, url);
-    let result = (|| -> io::Result<()> {
-        let stream = dial_with_deadline(peer_addr, state.config.peer_deadline())?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut push = Message::new(format!("PUSH {url} BAPS/1.0"))
+    let push = traced(
+        Message::new(format!("PUSH {url} BAPS/1.0"))
             .header("Txn", order.txn.0.to_string())
-            .header("Target", target_addr.to_string())
-            .header("Trace-Id", trace.to_string());
-        if !span.is_none() {
-            push = push.header("Span-Id", span.to_string());
-        }
-        write_message(&mut writer, &push)?;
-        let reply = read_message(&mut reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"))?;
-        if response_code(&reply) != Some(status::OK) {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            let _ = state.relay.lock().abort(order.txn); // bookkeeping only
-            Ok(order.txn.0)
-        }
-        Err(e) => {
-            let _ = state.relay.lock().abort(order.txn);
-            Err(e)
-        }
+            .header("Target", target_addr.to_string()),
+        trace,
+        span,
+    );
+    let reply = state
+        .upstream
+        .exchange(peer_addr, state.config.peer_deadline(), &push);
+    let _ = state.relay.lock().abort(order.txn); // bookkeeping only
+    if response_code(&reply?) != Some(status::OK) {
+        return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
     }
+    Ok(order.txn.0)
 }
 
 enum OriginError {
@@ -1757,50 +1761,9 @@ enum OriginError {
     Io(io::Error),
 }
 
-/// A kept-alive connection to the origin server.
-struct OriginConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-fn origin_dial(state: &ProxyState) -> io::Result<OriginConn> {
-    let stream = dial_with_deadline(state.config.origin_addr, state.config.origin_deadline())?;
-    Ok(OriginConn {
-        reader: BufReader::new(stream.try_clone()?),
-        writer: stream,
-    })
-}
-
-fn origin_request(
-    conn: &mut OriginConn,
-    url: &str,
-    trace: TraceId,
-    span: SpanId,
-    if_digest: Option<&str>,
-) -> io::Result<Message> {
-    let mut msg =
-        Message::new(format!("GET {url} ORIGIN/1.0")).header("Trace-Id", trace.to_string());
-    if !span.is_none() {
-        // The proxy's origin-fetch span parents the origin's serve span.
-        msg = msg.header("Span-Id", span.to_string());
-    }
-    if let Some(digest) = if_digest {
-        // Conditional fetch: the origin answers 304 if the digest still
-        // matches, saving the body transfer.
-        msg = msg.header("If-Digest", digest);
-    }
-    write_message(&mut conn.writer, &msg)?;
-    read_message(&mut conn.reader)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "origin closed connection"))
-}
-
-/// One origin exchange over a pooled keep-alive connection. A checked-out
-/// connection may have gone stale since its last use (origin restart,
-/// RST); in that case the exchange redials exactly once (not counted as a
-/// retry — nothing was ever asked of the origin). Connections that
-/// completed a well-framed exchange are checked back in, capped at the
-/// worker count; a connection that errored (possibly mid-frame) is
-/// discarded so a desynchronised stream can never be reused.
+/// One origin exchange (`If-Digest` makes it conditional: the origin
+/// answers 304 if the digest still matches, saving the body transfer).
+/// Any fully framed reply comes back `Ok`, 404s and 500s included.
 fn origin_attempt(
     state: &ProxyState,
     url: &str,
@@ -1808,33 +1771,16 @@ fn origin_attempt(
     span: SpanId,
     if_digest: Option<&str>,
 ) -> io::Result<Message> {
-    let pooled = state.origin_pool.lock().pop();
-    let reused = pooled.is_some();
-    let mut conn = match pooled {
-        Some(conn) => conn,
-        None => origin_dial(state)?,
-    };
-    let reply = match origin_request(&mut conn, url, trace, span, if_digest) {
-        Ok(reply) => reply,
-        Err(_) if reused => {
-            conn = origin_dial(state)?;
-            origin_request(&mut conn, url, trace, span, if_digest)?
-        }
-        Err(e) => return Err(e),
-    };
-    // Any fully framed reply (404s and 500s included) leaves the
-    // connection in sync and reusable.
-    let cap = if state.config.worker_threads == 0 {
-        crate::pool::DEFAULT_WORKERS
-    } else {
-        state.config.worker_threads
-    };
-    let mut pool = state.origin_pool.lock();
-    if pool.len() < cap {
-        pool.push(conn);
+    // The proxy's origin-fetch span parents the origin's serve span.
+    let mut msg = traced(Message::new(format!("GET {url} ORIGIN/1.0")), trace, span);
+    if let Some(digest) = if_digest {
+        msg = msg.header("If-Digest", digest);
     }
-    drop(pool);
-    Ok(reply)
+    state.upstream.exchange(
+        state.config.origin_addr,
+        state.config.origin_deadline(),
+        &msg,
+    )
 }
 
 /// Fetches `url` from the origin with bounded retries: transport failures

@@ -121,10 +121,11 @@ impl TestBed {
         } else {
             config.proxy_workers
         };
-        // The origin pool must scale alongside: each proxy worker may hold
-        // a pooled keep-alive origin connection, and each of those occupies
-        // an origin worker while open. A fixed-size origin pool deadlocks
-        // fetches behind held-open connections once workers > pool size.
+        // The origin's workers must scale alongside: each proxy worker may
+        // hold a kept-alive origin connection in the upstream pool, and each
+        // of those occupies an origin worker while open. A fixed number of
+        // origin workers deadlocks fetches behind held-open connections
+        // once the proxy has more workers than that.
         let recorder = Arc::new(if config.recorder_capacity == 0 {
             FlightRecorder::default()
         } else {

@@ -1,12 +1,15 @@
-//! Thin raw-syscall shim over Linux `epoll(7)` and `eventfd(2)`.
+//! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)` and one
+//! nonblocking `recv(2)` peek.
 //!
 //! The workspace takes no external crates and `std` exposes no readiness
 //! API, so the reactor (DESIGN.md §13) declares the handful of libc
 //! symbols it needs directly — `std` already links libc on every supported
 //! target, so the symbols are present without adding a dependency. Only
 //! the two kernel objects the reactor needs are wrapped: an epoll instance
-//! and an eventfd used as a cross-thread wakeup. Everything else
-//! (nonblocking sockets, vectored writes) goes through `std::net`.
+//! and an eventfd used as a cross-thread wakeup; the upstream pool
+//! (`upstream.rs`) adds [`is_idle`], the liveness peek `std` has no
+//! nonblocking form of on a blocking socket. Everything else (nonblocking
+//! sockets, vectored writes) goes through `std::net`.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -20,6 +23,8 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
+const MSG_PEEK: c_int = 0x02;
+const MSG_DONTWAIT: c_int = 0x40;
 
 /// Readable readiness (`EPOLLIN`).
 pub(crate) const EV_READ: u32 = 0x001;
@@ -39,6 +44,7 @@ extern "C" {
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
 }
 
 /// Mirror of the kernel's `struct epoll_event`. The x86-64 kernel ABI
@@ -189,6 +195,26 @@ impl WakeFd {
     }
 }
 
+/// Whether a kept-alive socket is open with nothing to read: the only
+/// state in which the next request may be written to it. One nonblocking
+/// peek, consuming nothing: `EAGAIN` means idle and open; EOF (the other
+/// side closed while the connection sat idle), any other error, and
+/// *pending unread bytes* (a desynchronised stream) all answer `false`.
+pub(crate) fn is_idle(sock: &impl AsRawFd) -> bool {
+    let mut byte = 0u8;
+    // SAFETY: peeks at most one byte into a live stack value; the borrow
+    // of `sock` keeps its fd open for the duration of the call.
+    let n = unsafe {
+        recv(
+            sock.as_raw_fd(),
+            (&mut byte as *mut u8).cast::<c_void>(),
+            1,
+            MSG_PEEK | MSG_DONTWAIT,
+        )
+    };
+    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +272,46 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0, "drained eventfd is quiet again");
+    }
+
+    /// The upstream pool's liveness peek: only an open socket with nothing
+    /// to read may carry the next request.
+    #[test]
+    fn is_idle_only_for_open_and_quiet_sockets() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = TcpStream::connect(addr).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        // A read timeout must not turn the peek into a wait.
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        assert!(is_idle(&client), "open and quiet");
+
+        // Unread bytes pending: a reply nobody asked for means the stream
+        // is desynchronised. The peek consumes nothing, so it stays so.
+        server.write_all(b"x").unwrap();
+        let ep = Epoll::new().unwrap();
+        ep.add(client.as_raw_fd(), 1, EV_READ).unwrap();
+        let mut events = [EpollEvent::default(); 1];
+        assert_eq!(
+            ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap(),
+            1
+        );
+        assert!(!is_idle(&client), "pending bytes");
+        assert!(!is_idle(&client), "the peek consumed nothing");
+
+        // The other side closed while the connection sat idle.
+        let quiet = TcpStream::connect(addr).unwrap();
+        let (closer, _) = listener.accept().unwrap();
+        let ep = Epoll::new().unwrap();
+        ep.add(quiet.as_raw_fd(), 2, EV_READ | EV_RDHUP).unwrap();
+        drop(closer);
+        assert_eq!(
+            ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap(),
+            1
+        );
+        assert!(!is_idle(&quiet), "peer closed");
     }
 
     #[test]

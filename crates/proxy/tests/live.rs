@@ -1100,10 +1100,25 @@ fn metrics_exposition_conforms() {
         "baps_queue_rejected_total",
         "baps_queue_wait_ms_count",
         "baps_flight_registry_occupancy",
+        "baps_upstream_stale_total",
+        "baps_upstream_idle_connections",
     ] {
         assert!(
             prom::find(&samples, name, &[]).is_some(),
             "exposition is missing {name}"
+        );
+    }
+    // The upstream pool's families: twelve origin fetches made so far,
+    // every one of them either a dial or a reuse.
+    let origin = [("upstream", "origin")];
+    let dials = prom::find(&samples, "baps_upstream_dials_total", &origin).unwrap();
+    let reuses = prom::find(&samples, "baps_upstream_reuses_total", &origin).unwrap();
+    assert!(dials >= 1.0);
+    assert_eq!(dials + reuses, bed.proxy.stats().origin_fetches as f64);
+    for family in ["baps_upstream_dials_total", "baps_upstream_reuses_total"] {
+        assert_eq!(
+            prom::find(&samples, family, &[("upstream", "peer")]),
+            Some(0.0)
         );
     }
     assert!(prom::find(&samples, "baps_workers", &[]).unwrap() > 0.0);
@@ -1142,5 +1157,303 @@ fn stats_reports_recorder_drops_and_saturation() {
     assert!(reply.get("Workers").unwrap().parse::<u64>().unwrap() > 0);
     assert_eq!(reply.get("Recorder-Dropped"), Some("0"));
     assert_eq!(reply.get("Queue-Rejected"), Some("0"));
+    bed.shutdown();
+}
+
+// ---- The upstream connection pool (DESIGN.md §6a) ----
+
+/// One `baps_upstream_*` series of the proxy's exposition — the pool's
+/// counters are METRICS-only, so this is also how an operator reads them.
+fn upstream(bed: &TestBed, name: &str, labels: &[(&str, &str)]) -> u64 {
+    let samples = baps_obs::prom::parse(&bed.proxy.metrics_text()).expect("exposition parses");
+    baps_obs::prom::find(&samples, name, labels)
+        .unwrap_or_else(|| panic!("exposition is missing {name}{labels:?}")) as u64
+}
+
+fn peer_dials(bed: &TestBed) -> u64 {
+    upstream(bed, "baps_upstream_dials_total", &[("upstream", "peer")])
+}
+
+fn idle_upstreams(bed: &TestBed) -> u64 {
+    upstream(bed, "baps_upstream_idle_connections", &[])
+}
+
+fn doc_url(i: usize) -> String {
+    format!("http://origin/doc/{i}")
+}
+
+/// Client 0 fetches docs `0..held` from the origin and client
+/// `n_clients - 1` then pushes them out of the (tiny) proxy cache with
+/// docs `8..16`: from here on, any other client's request for one of the
+/// held docs is a remote-browser hit served by client 0. Returns the held
+/// bodies.
+fn seed_holder(bed: &TestBed, held: usize) -> Vec<baps_proxy::Body> {
+    let bodies = (0..held)
+        .map(|i| bed.clients[0].fetch(&doc_url(i)).unwrap().body)
+        .collect();
+    for i in 8..16 {
+        bed.clients.last().unwrap().fetch(&doc_url(i)).unwrap();
+    }
+    bodies
+}
+
+/// (a) The tentpole: a run of peer hits from one holder rides one
+/// connection. (At the parent commit each of them dialed.)
+#[test]
+fn sequential_peer_hits_dial_the_holder_once() {
+    let bed = bed(3, 2_500, 64 << 10);
+    let bodies = seed_holder(&bed, 4);
+    for i in 0..200 {
+        let url = doc_url(i % 4);
+        // Forget the copy without telling the proxy, so the next fetch
+        // goes back out and finds client 0 in the index again.
+        bed.clients[1].purge_local(&url);
+        let got = bed.clients[1].fetch(&url).unwrap();
+        assert_eq!(got.source, Source::Peer, "fetch {i}");
+        assert_eq!(got.body, bodies[i % 4], "fetch {i}");
+    }
+    assert_eq!(bed.proxy.stats().peer_hits, 200);
+    assert_eq!(peer_dials(&bed), 1);
+    assert_eq!(
+        upstream(&bed, "baps_upstream_reuses_total", &[("upstream", "peer")]),
+        199
+    );
+    assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 0);
+    assert_eq!(bed.clients[0].peer_serves(), 200);
+    bed.shutdown();
+}
+
+/// (b) A holder that closes the kept-alive connection while it sits idle
+/// costs the next probe nothing but a dial: the liveness peek finds the
+/// close before the PEERGET is written, so no probe fails.
+#[test]
+fn holder_closing_its_idle_connection_costs_one_dial() {
+    let bed = bed(3, 2_500, 64 << 10);
+    let bodies = seed_holder(&bed, 1);
+    let url = doc_url(0);
+    assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Source::Peer);
+    assert_eq!(peer_dials(&bed), 1);
+
+    bed.clients[0].drop_peer_connections();
+    // The FIN crosses loopback asynchronously; nothing on this side of the
+    // API observes its arrival.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    bed.clients[1].purge_local(&url);
+    let got = bed.clients[1].fetch(&url).unwrap();
+    assert_eq!((got.source, &got.body), (Source::Peer, &bodies[0]));
+    assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 1);
+    assert_eq!(peer_dials(&bed), 2);
+    assert_eq!(bed.proxy.stats().peer_failures, 0);
+    assert!(bed.proxy.index_holds(0, &url));
+    bed.shutdown();
+}
+
+/// (c) A holder that is gone altogether: the probe fails once (stale
+/// connection, then a refused dial on each attempt), the index heals, the
+/// origin serves, and nothing stays parked for the dead address.
+#[test]
+fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
+    let mut bed = bed(3, 2_500, 64 << 10);
+    let bodies = seed_holder(&bed, 1);
+    let url = doc_url(0);
+    assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Source::Peer);
+    // Everything so far was sequential: one origin connection and one to
+    // the holder sit idle.
+    assert_eq!(idle_upstreams(&bed), 2);
+
+    bed.clients.remove(0).shutdown();
+    let requester = &bed.clients[0]; // the old client 1
+    requester.purge_local(&url);
+    let got = requester.fetch(&url).unwrap();
+    assert_eq!((got.source, &got.body), (Source::Origin, &bodies[0]));
+    let stats = bed.proxy.stats();
+    assert_eq!((stats.peer_failures, stats.peer_fallbacks), (1, 1));
+    assert!(!bed.proxy.index_holds(0, &url), "index healed");
+    assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 1);
+    assert_eq!(peer_dials(&bed), 1, "refused dials establish nothing");
+    assert_eq!(idle_upstreams(&bed), 1, "only the origin's connection");
+    bed.shutdown();
+}
+
+/// (d) Faults on reused connections. A dropped or truncated reply kills
+/// the connection it happened on — it is never parked again, so the next
+/// probe dials and no later reply can be misframed; a corrupted body is a
+/// whole frame, caught by the watermark. Every fetch returns the exact
+/// bytes, and the faults drawn are the ones the same schedule drew when
+/// every probe dialed (the numbers asserted below are the parent commit's
+/// for this seed): each probe attempt still sends exactly one PEERGET.
+#[test]
+fn faults_on_reused_peer_connections_never_desynchronise() {
+    use baps_proxy::{FaultConfig, FaultKind, FaultPlan};
+    use std::sync::Arc;
+
+    let plan = Arc::new(FaultPlan::new(
+        11,
+        FaultConfig {
+            p_peer_drop: 0.1,
+            p_peer_truncate: 0.1,
+            p_peer_corrupt: 0.1,
+            ..FaultConfig::default()
+        },
+    ));
+    let bed = TestBed::start(
+        DocumentStore::synthetic(16, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 3,
+            proxy_capacity: 2_500,
+            browser_capacity: 64 << 10,
+            fault_plan: Some(Arc::clone(&plan)),
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let bodies = seed_holder(&bed, 4);
+    let (mut peer, mut other) = (0, 0);
+    for i in 0..300 {
+        let url = doc_url(i % 4);
+        if !bed.proxy.index_holds(0, &url) {
+            // A probe failed twice and the index dropped client 0: have it
+            // fetch the doc again (a probe of client 1, just as faultable).
+            bed.clients[0].purge_local(&url);
+            assert_eq!(bed.clients[0].fetch(&url).unwrap().body, bodies[i % 4]);
+        }
+        bed.clients[1].purge_local(&url);
+        let got = bed.clients[1].fetch(&url).unwrap();
+        assert_eq!(got.body, bodies[i % 4], "fetch {i} from {:?}", got.source);
+        match got.source {
+            Source::Peer => peer += 1,
+            _ => other += 1,
+        }
+    }
+    let faults = plan.counts();
+    let (drops, truncates, corrupts) = (
+        faults.get(FaultKind::PeerDrop),
+        faults.get(FaultKind::PeerTruncate),
+        faults.get(FaultKind::PeerCorrupt),
+    );
+    let stats = bed.proxy.stats();
+    assert_eq!(
+        (peer, other, drops, truncates, corrupts),
+        (140, 160, 18, 23, 16),
+        "outcomes or fault draws differ from the dial-per-probe run: {stats:?}"
+    );
+    assert_eq!(
+        (stats.peer_hits, stats.peer_failures, stats.peer_fallbacks),
+        (156, 10, 10)
+    );
+
+    // Each killed connection forced exactly one later dial (the last kill
+    // per holder may still be waiting for its next probe), nothing dead
+    // was ever parked, and the faults did land on reused connections.
+    let dials = peer_dials(&bed);
+    assert!(
+        (drops + truncates..=drops + truncates + 2).contains(&dials),
+        "{dials} dials for {drops} drops + {truncates} truncated replies"
+    );
+    assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 0);
+    assert!(upstream(&bed, "baps_upstream_reuses_total", &[("upstream", "peer")]) > dials);
+    bed.shutdown();
+}
+
+/// (e) Direct-forward while the proxy holds as many idle connections as
+/// it ever keeps to both the requester and the holder: each of those pins
+/// one of a browser's blocking peer workers, and the cap is below the
+/// worker count precisely so that the holder can still take the PUSH's
+/// reply path and the requester the one-shot DELIVER.
+#[test]
+fn direct_delivery_lands_while_idle_connections_pin_peer_workers() {
+    use std::sync::Barrier;
+
+    let bed = TestBed::start(
+        DocumentStore::synthetic(24, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 6,
+            proxy_capacity: 2_500,
+            browser_capacity: 64 << 10,
+            direct_forward: true,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    // Client 1 holds docs 16..20, client 0 holds docs 0..5; the proxy
+    // cache keeps none of them.
+    for i in 16..20 {
+        bed.clients[1].fetch(&doc_url(i)).unwrap();
+    }
+    let bodies = seed_holder(&bed, 5);
+    // From here on the only upstream traffic is PUSH orders, so the idle
+    // gauge counts peer connections alone.
+    bed.proxy.drop_connections();
+    assert_eq!(idle_upstreams(&bed), 0);
+
+    // Clients 2..6 ask `holder` for one doc each at the same moment, until
+    // enough of the PUSH orders overlapped that the proxy parked its
+    // maximum for that address (it keeps two per peer; `want` says how
+    // many are parked in total by then).
+    let saturate = |first_doc: usize, want: u64| {
+        for _round in 0..200 {
+            let barrier = Barrier::new(4);
+            std::thread::scope(|scope| {
+                for (k, client) in bed.clients[2..6].iter().enumerate() {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let url = doc_url(first_doc + k);
+                        client.purge_local(&url);
+                        barrier.wait();
+                        assert_eq!(client.fetch(&url).unwrap().source, Source::Peer);
+                    });
+                }
+            });
+            if idle_upstreams(&bed) == want {
+                return;
+            }
+        }
+        panic!(
+            "PUSH orders never overlapped: {} parked",
+            idle_upstreams(&bed)
+        );
+    };
+    saturate(0, 2); // to client 0
+    saturate(16, 4); // and to client 1
+
+    // Client 1 (two workers pinned) asks for doc 4, which only client 0
+    // (two workers pinned) holds.
+    let pushes = bed.proxy.stats().direct_pushes;
+    let got = bed.clients[1].fetch(&doc_url(4)).unwrap();
+    assert_eq!((got.source, &got.body), (Source::Peer, &bodies[4]));
+    assert_eq!(bed.proxy.stats().direct_pushes, pushes + 1);
+    assert_eq!(idle_upstreams(&bed), 4, "never more than two per peer");
+    bed.shutdown();
+}
+
+/// (g) A browser that re-registers from a new port has moved: the
+/// connections parked for its old address are closed at once. The same
+/// address again (what a reconnecting client sends) keeps them.
+#[test]
+fn register_from_a_new_port_drops_the_old_idle_set() {
+    use baps_proxy::{read_message, response_code, write_message, Message};
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let bed = bed(3, 2_500, 64 << 10);
+    seed_holder(&bed, 1);
+    assert_eq!(
+        bed.clients[1].fetch(&doc_url(0)).unwrap().source,
+        Source::Peer
+    );
+    let parked = idle_upstreams(&bed);
+
+    let mut conn = BufReader::new(TcpStream::connect(bed.proxy.addr()).unwrap());
+    let mut register = |port: u16| {
+        let msg = Message::new(format!("REGISTER {port} BAPS/1.0")).header("Client", "0");
+        write_message(conn.get_mut(), &msg).unwrap();
+        let reply = read_message(&mut conn).unwrap().unwrap();
+        assert_eq!(response_code(&reply), Some(200));
+    };
+    register(bed.clients[0].peer_addr().port());
+    assert_eq!(idle_upstreams(&bed), parked, "same address: nothing moved");
+    register(9);
+    assert_eq!(idle_upstreams(&bed), parked - 1, "old address forgotten");
     bed.shutdown();
 }

@@ -30,6 +30,10 @@ echo "== benchmark command smoke (correctness only, never timing)"
 # failed operation, a changed inputs_hash, or tier tallies that differ
 # between rounds. The numbers it prints are ignored.
 benchmark/run.sh --workload disk-storm --seed 1 --seconds 1 --trace 0 >/dev/null
+# The same, on the workload where 43 % of fetches are remote-browser hits
+# relayed over the proxy's kept-alive upstream connections: a reply read
+# off a desynchronised reused connection is a wrong body byte here.
+benchmark/run.sh --workload peer-share --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
