@@ -15,24 +15,24 @@
 //! tree with parent/child timing attribution.
 
 use crate::error::ProxyError;
-use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
-use crate::pool::{dial_with_deadline, ConnRegistry, WorkerPool};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
     read_message, response, response_code, status, write_message, Body, Message,
 };
 use crate::proxy::{verb_index, PROXY_VERBS};
+use crate::reactor::{FrameCtx, FrameService, Server};
 use crate::store::{BodyCache, CachedDoc};
+use crate::upstream::dial_with_deadline;
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a requester waits for a direct peer delivery before falling
@@ -44,23 +44,6 @@ const DELIVERY_TIMEOUT: Duration = Duration::from_secs(2);
 /// fast local/proxy hits are the ~50k req/s bulk, fully accounted by the
 /// tier histograms, and recording each one measurably taxed the hot path.
 const SLOW_FETCH: Duration = Duration::from_millis(2);
-
-/// Worker threads serving this client's peer port. PEERGET/PUSH arrive on
-/// the proxy's kept-alive upstream connections and DELIVER on one-shot
-/// pushes. A connection occupies one blocking worker for as long as it is
-/// open, idle or not, so every connection the proxy keeps pins a worker:
-/// the proxy therefore caps its idle connections per peer at
-/// `upstream::MAX_IDLE_PER_PEER`, which `upstream.rs` asserts is strictly
-/// below this count — a browser can always take a DELIVER and a fresh dial.
-pub(crate) const PEER_WORKERS: usize = 4;
-/// Accept backlog for the peer port.
-const PEER_BACKLOG: usize = 16;
-/// Read/write deadline on accepted peer-port connections. Between frames
-/// it is how long a kept-alive connection may sit idle before this side
-/// closes it (the proxy closes its own idle ones sooner, after
-/// `upstream::IDLE_LIMIT`); inside a frame it is how long a stalled sender
-/// or receiver may hold the worker.
-pub(crate) const PEER_SERVE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// What a tampering client serves its peers (test/fault hook; the honest
 /// value is [`TamperMode::Honest`]). Every dishonest mode must be caught
@@ -93,7 +76,7 @@ pub struct ClientConfig {
     pub retries: u32,
     /// Initial backoff before the first retry; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Fault plan consulted by the peer-serving loop (chaos testing).
+    /// Fault plan consulted by the peer port (chaos testing).
     pub faults: Option<Arc<FaultPlan>>,
     /// Shared flight recorder (`None` gives the agent a private ring; the
     /// test bed shares one ring across the whole deployment).
@@ -149,8 +132,39 @@ struct ClientState {
     peer_serves: AtomicU64,
     /// Fault plan consulted once per served PEERGET/PUSH.
     faults: Option<Arc<FaultPlan>>,
-    /// Flight recorder the peer-serving loop records into.
+    /// Flight recorder the peer port records into.
     recorder: Arc<FlightRecorder>,
+}
+
+impl ClientState {
+    fn new(id: u32, config: &ClientConfig, recorder: Arc<FlightRecorder>) -> ClientState {
+        ClientState {
+            id,
+            cache: Mutex::new(BodyCache::new(config.browser_capacity)),
+            deliveries: Mutex::new(HashMap::new()),
+            delivered: Condvar::new(),
+            tamper: Mutex::new(TamperMode::Honest),
+            peer_serves: AtomicU64::new(0),
+            faults: config.faults.clone(),
+            recorder,
+        }
+    }
+
+    /// Waits for a direct delivery with transaction id `txn`.
+    fn await_delivery(&self, txn: u64) -> Option<CachedDoc> {
+        let deadline = Instant::now() + DELIVERY_TIMEOUT;
+        let mut deliveries = self.deliveries.lock();
+        loop {
+            if let Some(doc) = deliveries.remove(&txn) {
+                return Some(doc);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            self.delivered.wait_for(&mut deliveries, deadline - now);
+        }
+    }
 }
 
 /// A kept-alive connection to the proxy (paired buffered reader + writer
@@ -184,12 +198,11 @@ pub struct ClientAgent {
     proxy_key: PublicKey,
     config: ClientConfig,
     state: Arc<ClientState>,
-    peer_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Acceptor thread for the peer port; returns the worker pool on exit.
-    handle: Option<JoinHandle<WorkerPool>>,
-    /// The peer port's open connections (the worker pool's registry).
-    peer_conns: Arc<ConnRegistry>,
+    /// The peer-serving port: one event loop, so a connection the proxy
+    /// keeps alive to this browser costs it an fd and no thread, plus one
+    /// blocking thread for PUSH orders (which dial the requester), started
+    /// by the first one.
+    peer_port: Server,
     /// The persistent keep-alive connection to the proxy, dialed lazily
     /// and redialed transparently when the proxy drops it.
     proxy_conn: Mutex<Option<ProxyConn>>,
@@ -250,60 +263,19 @@ impl ClientAgent {
         proxy_key: PublicKey,
         config: ClientConfig,
     ) -> Result<ClientAgent, ProxyError> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let peer_addr = listener.local_addr()?;
         let recorder = config
             .recorder
             .clone()
             .unwrap_or_else(|| Arc::new(FlightRecorder::default()));
-        let state = Arc::new(ClientState {
-            id,
-            cache: Mutex::new(BodyCache::new(config.browser_capacity)),
-            deliveries: Mutex::new(HashMap::new()),
-            delivered: Condvar::new(),
-            tamper: Mutex::new(TamperMode::Honest),
-            peer_serves: AtomicU64::new(0),
-            faults: config.faults.clone(),
-            recorder: Arc::clone(&recorder),
-        });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let pool = {
-            let state = Arc::clone(&state);
-            WorkerPool::start(
-                &format!("baps-client-{id}-peer"),
-                PEER_WORKERS,
-                PEER_BACKLOG,
-                move |stream| {
-                    let _ = serve_peer(stream, &state);
-                },
-            )?
-        };
-        let peer_conns = Arc::clone(pool.registry());
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name(format!("baps-client-{id}"))
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        pool.dispatch(stream);
-                    }
-                    pool
-                })?
-        };
+        let state = Arc::new(ClientState::new(id, &config, Arc::clone(&recorder)));
+        let peer_port = Server::bind(&format!("baps-client-{id}"), Arc::clone(&state), 1, 1)?;
         let agent = ClientAgent {
             id,
             proxy_addr,
             proxy_key,
             config,
             state,
-            peer_addr,
-            shutdown,
-            handle: Some(handle),
-            peer_conns,
+            peer_port,
             proxy_conn: Mutex::new(None),
             pending_evictions: Mutex::new(Vec::new()),
             keep_alive: AtomicBool::new(true),
@@ -326,7 +298,7 @@ impl ClientAgent {
 
     /// The peer-serving address (for diagnostics).
     pub fn peer_addr(&self) -> SocketAddr {
-        self.peer_addr
+        self.peer_port.addr()
     }
 
     /// How many PEERGETs this client has served.
@@ -366,8 +338,9 @@ impl ClientAgent {
     /// Ops/test hook: abruptly severs every open connection on this
     /// client's peer port without stopping it — what the proxy's kept-alive
     /// upstream connections see when a browser drops them while idle.
+    /// Returns once every one is closed.
     pub fn drop_peer_connections(&self) {
-        self.peer_conns.sever_all();
+        self.peer_port.drop_all();
     }
 
     /// Toggles connection reuse. With keep-alive off every request dials a
@@ -428,7 +401,7 @@ impl ClientAgent {
 
     fn register(&self) -> Result<(), ProxyError> {
         let reply = self.roundtrip(
-            Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr.port()))
+            Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
                 .header("Client", self.id.to_string()),
         )?;
         if response_code(&reply) != Some(status::OK) {
@@ -541,24 +514,6 @@ impl ClientAgent {
         }
     }
 
-    /// Waits for a direct delivery with transaction id `txn`.
-    fn await_delivery(&self, txn: u64) -> Option<CachedDoc> {
-        let deadline = Instant::now() + DELIVERY_TIMEOUT;
-        let mut deliveries = self.state.deliveries.lock();
-        loop {
-            if let Some(doc) = deliveries.remove(&txn) {
-                return Some(doc);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.state
-                .delivered
-                .wait_for(&mut deliveries, deadline - now);
-        }
-    }
-
     fn fetch_via_proxy(
         &self,
         url: &str,
@@ -618,6 +573,7 @@ impl ClientAgent {
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| ProxyError::Protocol("peer-direct without txn".into()))?;
                 let doc = self
+                    .state
                     .await_delivery(txn)
                     .ok_or(ProxyError::DeliveryTimeout)?;
                 self.verify_traced(trace, root, url, &doc.body, &doc.watermark)?;
@@ -867,8 +823,9 @@ impl ClientAgent {
                 // keep finding it. REGISTER is idempotent — against a
                 // merely-reaped connection it just refreshes the address.
                 if !matches!(msg.tokens().first(), Some(&"REGISTER")) {
-                    let reg = Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr.port()))
-                        .header("Client", self.id.to_string());
+                    let reg =
+                        Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
+                            .header("Client", self.id.to_string());
                     match conn.exchange(&reg)? {
                         Some(reply) if response_code(&reply) == Some(status::OK) => {}
                         _ => return Err(hung_up()),
@@ -889,31 +846,11 @@ impl ClientAgent {
         }
     }
 
-    /// Stops the peer-serving threads and closes the proxy connection.
+    /// Closes the proxy connection and stops the peer port, joining its
+    /// threads (dropping the agent does the same).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Close the keep-alive proxy connection so the proxy-side worker
-        // serving it is freed.
         *self.proxy_conn.lock() = None;
-        // Wake the blocking accept; the acceptor hands the pool back.
-        let _ = TcpStream::connect(self.peer_addr);
-        if let Some(handle) = self.handle.take() {
-            if let Ok(pool) = handle.join() {
-                pool.shutdown();
-            }
-        }
-    }
-}
-
-impl Drop for ClientAgent {
-    fn drop(&mut self) {
-        self.stop();
+        self.peer_port.shutdown();
     }
 }
 
@@ -946,43 +883,38 @@ fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, Stri
     (body, hex)
 }
 
-/// Serves PEERGET requests from this client's browser cache. The request
-/// carries only a transaction id — the peer never learns who is asking.
-///
-/// When a fault plan is installed, exactly one fault draw happens per
-/// served PEERGET/PUSH (never for DELIVER or malformed requests):
-/// `PeerDrop` closes the connection without replying, `PeerRefuse`
-/// answers 410 as if the document were gone, and the wire faults
-/// (stall/truncate/corrupt) distort the otherwise-correct reply via
-/// [`write_reply_with_fault`].
-fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
-    stream.set_read_timeout(Some(PEER_SERVE_DEADLINE))?;
-    stream.set_write_timeout(Some(PEER_SERVE_DEADLINE))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        // The proxy keeps this connection alive between requests, so
-        // waiting here is the normal state, not a fault: a deadline that
-        // expires before the first byte of a frame ends the session
-        // cleanly, exactly like the dialer closing. Once a frame has
-        // started, the same deadline expiring inside `read_message` is a
-        // stalled dialer and an error.
-        match reader.fill_buf() {
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(())
-            }
-            Err(e) => return Err(e),
+/// The peer port: PEERGET and PUSH from the proxy's kept-alive upstream
+/// connections, DELIVER from a pushing peer's one-shot connection. A
+/// request carries only a transaction id — the serving peer never learns
+/// who is asking.
+impl FrameService for ClientState {
+    fn faults(&self) -> Option<&FaultPlan> {
+        self.faults.as_deref()
+    }
+
+    /// Exactly one fault draw per served PEERGET/PUSH (never for DELIVER
+    /// or malformed requests — faults apply only to what we serve *to*
+    /// peers). The loop severs on `PeerDrop` and distorts the
+    /// otherwise-correct reply for the wire kinds (stall/truncate/corrupt);
+    /// `PeerRefuse` is answered in [`handle`](Self::handle).
+    fn fault(&self, plan: &FaultPlan, msg: &Message) -> Option<FaultKind> {
+        match msg.tokens().first() {
+            Some(&"PEERGET") | Some(&"PUSH") => plan.peer_fault(),
+            _ => None,
         }
-        let Some(msg) = read_message(&mut reader)? else {
-            return Ok(());
-        };
-        let tokens = msg.tokens();
+    }
+
+    /// A PUSH dials the requester and writes the document to it.
+    fn may_block(&self, msg: &Message) -> bool {
+        msg.tokens().first() == Some(&"PUSH")
+    }
+
+    fn handle(
+        &self,
+        msg: &Message,
+        fault: Option<FaultKind>,
+        _ctx: &mut FrameCtx,
+    ) -> Option<Message> {
         // The proxy forwards the requester's trace id on PEERGET/PUSH and
         // the pushing peer forwards it on DELIVER, so peer-side spans join
         // the same trace as the client's fetch.
@@ -997,23 +929,13 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
             .get("Span-Id")
             .and_then(|h| h.parse().ok())
             .unwrap_or(SpanId::NONE);
-        // Fault decisions apply only to requests we serve *to* peers.
-        let faultable = matches!(tokens.first(), Some(&"PEERGET") | Some(&"PUSH"));
-        let fault = match (faultable, state.faults.as_deref()) {
-            (true, Some(plan)) => plan.peer_fault(),
-            _ => None,
-        };
-        if fault == Some(FaultKind::PeerDrop) {
-            // Vanish mid-conversation: the dialer sees an abrupt EOF.
-            return Ok(());
-        }
         let t_serve = Instant::now();
         let serve_span = if parent.is_none() {
             SpanId::NONE
         } else {
             SpanId::mint()
         };
-        let reply = match tokens.as_slice() {
+        Some(match msg.tokens().as_slice() {
             _ if fault == Some(FaultKind::PeerRefuse) => {
                 // Claim the document is gone even though we may hold it.
                 response(status::GONE, "Gone")
@@ -1021,19 +943,19 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
             ["PEERGET", url, "BAPS/1.0"] => {
                 // Clone the handle out so the cache lock is dropped before
                 // the reply is built and written.
-                let doc = state.cache.lock().get(url).cloned();
+                let doc = self.cache.lock().get(url).cloned();
                 let reply = match doc {
                     Some(doc) => {
-                        state.peer_serves.fetch_add(1, Ordering::Relaxed);
+                        self.peer_serves.fetch_add(1, Ordering::Relaxed);
                         let (body, hex) =
-                            tampered(*state.tamper.lock(), &doc.body, doc.watermark.to_hex());
+                            tampered(*self.tamper.lock(), &doc.body, doc.watermark.to_hex());
                         response(status::OK, "OK")
                             .header("X-Watermark", hex)
                             .with_body(body)
                     }
                     None => response(status::GONE, "Gone"),
                 };
-                state.recorder.record_hop(
+                self.recorder.record_hop(
                     trace,
                     serve_span,
                     parent,
@@ -1041,7 +963,7 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
                     t_serve.elapsed(),
                     format!(
                         "client={} verb=PEERGET url={url} outcome={}",
-                        state.id,
+                        self.id,
                         if response_code(&reply) == Some(status::OK) {
                             "ok"
                         } else {
@@ -1056,11 +978,11 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
                 // the requester's delivery address before acknowledging.
                 let txn = msg.get("Txn").map(str::to_owned);
                 let target = msg.get("Target").map(str::to_owned);
-                let reply = match (txn, target, state.cache.lock().get(url).cloned()) {
+                let reply = match (txn, target, self.cache.lock().get(url).cloned()) {
                     (Some(txn), Some(target), Some(doc)) => {
-                        state.peer_serves.fetch_add(1, Ordering::Relaxed);
+                        self.peer_serves.fetch_add(1, Ordering::Relaxed);
                         let (body, hex) =
-                            tampered(*state.tamper.lock(), &doc.body, doc.watermark.to_hex());
+                            tampered(*self.tamper.lock(), &doc.body, doc.watermark.to_hex());
                         match deliver_to(&target, url, &txn, &hex, body, trace, serve_span) {
                             Ok(()) => response(status::OK, "OK"),
                             Err(_) => response(status::GONE, "Delivery Failed"),
@@ -1069,7 +991,7 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
                     (_, _, None) => response(status::GONE, "Gone"),
                     _ => response(status::BAD_REQUEST, "Bad Request"),
                 };
-                state.recorder.record_hop(
+                self.recorder.record_hop(
                     trace,
                     serve_span,
                     parent,
@@ -1077,7 +999,7 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
                     t_serve.elapsed(),
                     format!(
                         "client={} verb=PUSH url={url} outcome={}",
-                        state.id,
+                        self.id,
                         if response_code(&reply) == Some(status::OK) {
                             "ok"
                         } else {
@@ -1095,21 +1017,21 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
                 );
                 match parsed {
                     Some((txn, watermark)) => {
-                        state.deliveries.lock().insert(
+                        self.deliveries.lock().insert(
                             txn,
                             CachedDoc {
                                 body: msg.body.clone(),
                                 watermark,
                             },
                         );
-                        state.delivered.notify_all();
-                        state.recorder.record_hop(
+                        self.delivered.notify_all();
+                        self.recorder.record_hop(
                             trace,
                             serve_span,
                             parent,
                             EventKind::Deliver,
                             Duration::ZERO,
-                            format!("client={} url={url} txn={txn}", state.id),
+                            format!("client={} url={url} txn={txn}", self.id),
                         );
                         response(status::OK, "OK")
                     }
@@ -1117,15 +1039,7 @@ fn serve_peer(stream: TcpStream, state: &ClientState) -> io::Result<()> {
                 }
             }
             _ => response(status::BAD_REQUEST, "Bad Request"),
-        };
-        let stall = state
-            .faults
-            .as_deref()
-            .map(FaultPlan::stall)
-            .unwrap_or_default();
-        if !write_reply_with_fault(&mut writer, &reply, fault, stall)? {
-            return Ok(());
-        }
+        })
     }
 }
 
@@ -1157,4 +1071,45 @@ fn deliver_to(
         msg = msg.header("Span-Id", span.to_string());
     }
     write_message(&mut writer, &msg.with_body(body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write as _;
+    use std::net::TcpListener;
+
+    /// `deliver_to` writes one DELIVER and closes without reading. When
+    /// the frame is a whole number of read chunks the peer port sees the
+    /// close in the same read that completes the frame — and must still
+    /// take the delivery. The frame and the FIN wait on the listener before
+    /// the port's loop exists, so that is the read it makes.
+    #[test]
+    fn delivery_filling_its_last_read_chunk_then_closing_is_picked_up() {
+        let state = Arc::new(ClientState::new(
+            7,
+            &ClientConfig::default(),
+            Arc::default(),
+        ));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let deliver = Message::new("DELIVER http://origin/doc/0 BAPS/1.0")
+            .header("Txn", "77")
+            .header("X-Watermark", "ab".repeat(32));
+        let frame = crate::reactor::chunk_aligned_frame(deliver, 4);
+        let mut conn = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        conn.write_all(&frame).unwrap();
+        drop(conn);
+        let _port = Server::start_on(
+            listener,
+            "peer-port",
+            Arc::clone(&state),
+            1,
+            1,
+            Arc::default(),
+            Arc::default(),
+        )
+        .unwrap();
+        let doc = state.await_delivery(77).expect("delivery picked up");
+        assert_eq!(&doc.body[..], &frame[frame.len() - doc.body.len()..]);
+    }
 }

@@ -4,9 +4,10 @@
 //! serving *correct* bytes while browser peers churn, stall, lie, and the
 //! origin misbehaves. This module makes those failure modes reproducible: a
 //! [`FaultPlan`] is seeded once and then consulted at each injection point
-//! — the client's peer-serving loop, the origin's request loop, and the
-//! proxy's client-serving loop — where it deterministically decides whether
-//! the next reply is served honestly or sabotaged.
+//! — a client's peer port, the origin, and the proxy's client port, each
+//! once per covered frame as the server's event loop hands it over — where
+//! it deterministically decides whether the next reply is served honestly
+//! or sabotaged.
 //!
 //! # Determinism contract
 //!
@@ -28,10 +29,11 @@
 //! 2. Add it to the relevant site's cumulative table in
 //!    [`FaultPlan::peer_fault`] / [`FaultPlan::origin_fault`] /
 //!    [`FaultPlan::proxy_fault`] so it is drawn (and counted) there.
-//! 3. Implement its effect: either a wire-level effect in [`WireFault`] +
-//!    [`write_reply_with_fault`] (corruption, truncation, stalls), or a
-//!    control-flow effect handled by the site itself (refusals, drops,
-//!    restarts) before the reply is written.
+//! 3. Implement its effect: a wire-level effect in [`WireFault`], applied
+//!    for every server by the event loop's one reply writer (`reactor.rs`:
+//!    corruption, truncation, stalls), a severed connection
+//!    ([`FaultKind::drops`], also the loop's), or a control-flow effect in
+//!    the site's own handler (refusals, error replies, restarts).
 //! 4. Extend the `chaos_soak` invariants if the new fault changes what
 //!    "correct degradation" means.
 
@@ -39,11 +41,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-use crate::protocol::{encode_message, write_message, Message};
 
 /// One kind of injected misbehaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,6 +113,15 @@ impl FaultKind {
             .expect("kind listed in ALL")
     }
 
+    /// Whether this kind severs the connection instead of answering: the
+    /// serving loop closes before the frame is handled.
+    pub fn drops(self) -> bool {
+        matches!(
+            self,
+            FaultKind::PeerDrop | FaultKind::OriginDrop | FaultKind::ProxyDrop
+        )
+    }
+
     /// The wire-level effect of this kind, if it has one. Kinds without a
     /// wire effect (refusals, drops, restarts) are handled by the site's
     /// control flow instead.
@@ -137,7 +145,7 @@ pub enum WireFault {
     Corrupt,
     /// Send only the first half of the frame, then close the connection.
     Truncate,
-    /// Send half the frame, sleep past the reader's deadline, then finish.
+    /// Send half the frame, wait past the reader's deadline, then finish.
     Stall,
 }
 
@@ -381,58 +389,9 @@ impl FaultPlan {
     }
 }
 
-/// Writes `reply`, applying the wire-level effect of `fault` (if any).
-/// Returns `Ok(false)` when the connection must be closed afterwards
-/// (truncation leaves the stream desynchronised on purpose).
-///
-/// Control-flow kinds (refusals, drops, restarts) must be handled by the
-/// caller *before* building a reply; passing them here writes honestly.
-pub fn write_reply_with_fault<W: Write>(
-    w: &mut W,
-    reply: &Message,
-    fault: Option<FaultKind>,
-    stall: Duration,
-) -> io::Result<bool> {
-    match fault.and_then(FaultKind::wire) {
-        None => {
-            write_message(w, reply)?;
-            Ok(true)
-        }
-        Some(WireFault::Corrupt) => {
-            // Bodies are shared `Arc<[u8]>`; corrupting must not touch the
-            // cached original, so this fault path pays for a private copy.
-            let mut bytes = reply.body.to_vec();
-            if let Some(byte) = bytes.first_mut() {
-                *byte ^= 0xff;
-            }
-            let bad = reply.clone().with_body(bytes);
-            write_message(w, &bad)?;
-            Ok(true)
-        }
-        Some(WireFault::Truncate) => {
-            let frame = encode_message(reply)?;
-            w.write_all(&frame[..frame.len() / 2])?;
-            w.flush()?;
-            Ok(false)
-        }
-        Some(WireFault::Stall) => {
-            let frame = encode_message(reply)?;
-            let half = frame.len() / 2;
-            w.write_all(&frame[..half])?;
-            w.flush()?;
-            std::thread::sleep(stall);
-            w.write_all(&frame[half..])?;
-            w.flush()?;
-            Ok(true)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_message, response, status};
-    use std::io::BufReader;
 
     fn saturated() -> FaultConfig {
         FaultConfig {
@@ -503,58 +462,5 @@ mod tests {
             + counts.get(FaultKind::OriginDrop);
         assert_eq!(origin_total, 100);
         assert!(counts.to_string().contains("origin-error="));
-    }
-
-    #[test]
-    fn corrupt_keeps_frame_well_formed_but_flips_bytes() {
-        let reply = response(status::OK, "OK").with_body(b"payload".to_vec());
-        let mut buf = Vec::new();
-        let keep = write_reply_with_fault(
-            &mut buf,
-            &reply,
-            Some(FaultKind::PeerCorrupt),
-            Duration::ZERO,
-        )
-        .unwrap();
-        assert!(keep);
-        let back = read_message(&mut BufReader::new(buf.as_slice()))
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.body.len(), reply.body.len());
-        assert_ne!(back.body, reply.body);
-        assert_eq!(back.body[0], b'p' ^ 0xff);
-    }
-
-    #[test]
-    fn truncate_yields_unreadable_frame_and_closes() {
-        let reply = response(status::OK, "OK").with_body(b"0123456789abcdef".to_vec());
-        let mut buf = Vec::new();
-        let keep = write_reply_with_fault(
-            &mut buf,
-            &reply,
-            Some(FaultKind::PeerTruncate),
-            Duration::ZERO,
-        )
-        .unwrap();
-        assert!(!keep, "truncation must close the connection");
-        assert!(read_message(&mut BufReader::new(buf.as_slice())).is_err());
-    }
-
-    #[test]
-    fn stall_eventually_writes_the_whole_frame() {
-        let reply = response(status::OK, "OK").with_body(b"slow but complete".to_vec());
-        let mut buf = Vec::new();
-        let keep = write_reply_with_fault(
-            &mut buf,
-            &reply,
-            Some(FaultKind::PeerStall),
-            Duration::from_millis(1),
-        )
-        .unwrap();
-        assert!(keep);
-        let back = read_message(&mut BufReader::new(buf.as_slice()))
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.body, reply.body);
     }
 }

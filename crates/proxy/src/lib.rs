@@ -1,9 +1,9 @@
 //! # baps-proxy — the live browsers-aware proxy
 //!
-//! A working, threaded implementation of the paper's system over loopback
-//! TCP: an [`OriginServer`] serving a document corpus, a [`ProxyServer`]
-//! that maintains the browser index and mediates anonymous peer fetches,
-//! and [`ClientAgent`]s with LRU browser caches that serve `PEERGET`
+//! A working implementation of the paper's system over loopback TCP, every
+//! server on one event-loop I/O core (`reactor.rs`): an [`OriginServer`]
+//! serving a document corpus, a [`ProxyServer`] that maintains the browser
+//! index and mediates anonymous peer fetches, and [`ClientAgent`]s with LRU browser caches that serve `PEERGET`
 //! requests, send eviction invalidations, and verify the §6.1 digital
 //! watermark on every document they receive.
 //!
@@ -31,7 +31,6 @@ pub mod fault;
 pub mod health;
 mod metrics;
 pub mod origin;
-pub mod pool;
 pub mod protocol;
 pub mod proxy;
 mod reactor;
@@ -47,10 +46,10 @@ pub use error::ProxyError;
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};
 pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdict, WindowRates};
 pub use origin::OriginServer;
-pub use pool::{dial_with_deadline, ConnRegistry, PoolTelemetry, SaturationSnapshot, WorkerPool};
 pub use protocol::{encode_message, read_message, response_code, write_message, Body, Message};
 pub use proxy::{ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
-pub use reactor::{ReactorSnapshot, ReactorTelemetry};
+pub use reactor::{PoolTelemetry, ReactorSnapshot, ReactorTelemetry, SaturationSnapshot};
 pub use runtime::{TestBed, TestBedConfig};
 pub use shard::{auto_shards, ShardedCache, StripedIndex};
 pub use store::{BodyCache, CachedDoc, DocumentStore};
+pub use upstream::dial_with_deadline;

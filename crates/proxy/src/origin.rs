@@ -7,233 +7,151 @@
 //! disk entry is refreshed for the cost of a header exchange instead of a
 //! full document transfer.
 
-use crate::fault::{write_reply_with_fault, FaultKind, FaultPlan};
-use crate::pool::{WorkerPool, DEFAULT_BACKLOG, DEFAULT_WORKERS};
-use crate::protocol::{read_message, response, status, write_message, Message};
+use crate::fault::{FaultKind, FaultPlan};
+use crate::protocol::{response, response_code, status, Message};
+use crate::reactor::{loops_per_core, FrameCtx, FrameService, Server};
 use crate::store::DocumentStore;
 use baps_obs::{EventKind, FlightRecorder, SpanId, TraceId};
 use parking_lot::RwLock;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// A running origin server.
 pub struct OriginServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Acceptor thread; returns the worker pool on exit for joining.
-    handle: Option<JoinHandle<WorkerPool>>,
-    hits: Arc<AtomicU64>,
-    revalidations: Arc<AtomicU64>,
-    store: Arc<RwLock<DocumentStore>>,
+    server: Server,
+    state: Arc<OriginState>,
+}
+
+/// What the origin's event loops serve from: every request is answered
+/// inline (a read lock and a refcount bump), so the origin runs no
+/// executor and an open connection costs it no thread.
+struct OriginState {
+    store: RwLock<DocumentStore>,
+    hits: AtomicU64,
+    revalidations: AtomicU64,
+    faults: Option<Arc<FaultPlan>>,
+    recorder: Arc<FlightRecorder>,
 }
 
 impl OriginServer {
-    /// Starts the server on an ephemeral loopback port with the default
-    /// worker-pool sizing.
+    /// Starts an honest server on an ephemeral loopback port.
     pub fn start(store: DocumentStore) -> io::Result<OriginServer> {
-        OriginServer::start_with_pool(store, DEFAULT_WORKERS, DEFAULT_BACKLOG)
+        OriginServer::start_with(store, None, None)
     }
 
-    /// Starts the server with an explicit worker count and accept backlog.
-    /// Each keep-alive connection (e.g. a proxy's pooled origin
-    /// connection) occupies a worker while open.
-    pub fn start_with_pool(
-        store: DocumentStore,
-        workers: usize,
-        backlog: usize,
-    ) -> io::Result<OriginServer> {
-        OriginServer::start_with_faults(store, workers, backlog, None)
-    }
-
-    /// Starts the server with a fault plan: each served `GET` draws one
+    /// Starts the server with a fault plan — each served `GET` draws one
     /// origin-site fault decision (500s, mid-reply stalls, dropped
-    /// connections) so a proxy's origin-retry path can be exercised
-    /// deterministically.
-    pub fn start_with_faults(
-        store: DocumentStore,
-        workers: usize,
-        backlog: usize,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> io::Result<OriginServer> {
-        OriginServer::start_with_recorder(store, workers, backlog, faults, None)
-    }
-
-    /// Starts the server recording `origin-serve` spans into `recorder`
+    /// connections), so a proxy's origin-retry path can be exercised
+    /// deterministically — and a recorder for its `origin-serve` spans
     /// (the test bed passes the deployment-shared ring).
-    pub fn start_with_recorder(
+    pub fn start_with(
         store: DocumentStore,
-        workers: usize,
-        backlog: usize,
         faults: Option<Arc<FaultPlan>>,
         recorder: Option<Arc<FlightRecorder>>,
     ) -> io::Result<OriginServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let hits = Arc::new(AtomicU64::new(0));
-        let revalidations = Arc::new(AtomicU64::new(0));
-        let store = Arc::new(RwLock::new(store));
-        let recorder = recorder.unwrap_or_else(|| Arc::new(FlightRecorder::default()));
-        let pool = {
-            let hits = Arc::clone(&hits);
-            let revalidations = Arc::clone(&revalidations);
-            let store = Arc::clone(&store);
-            WorkerPool::start("baps-origin-worker", workers, backlog, move |stream| {
-                let _ = serve_connection(
-                    stream,
-                    &store,
-                    &hits,
-                    &revalidations,
-                    faults.as_deref(),
-                    &recorder,
-                );
-            })?
-        };
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("baps-origin".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        pool.dispatch(stream);
-                    }
-                    pool
-                })?
-        };
-        Ok(OriginServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-            hits,
-            revalidations,
-            store,
-        })
+        let state = Arc::new(OriginState {
+            store: RwLock::new(store),
+            hits: AtomicU64::new(0),
+            revalidations: AtomicU64::new(0),
+            faults,
+            recorder: recorder.unwrap_or_default(),
+        });
+        let server = Server::bind("baps-origin", Arc::clone(&state), loops_per_core(), 0)?;
+        Ok(OriginServer { server, state })
     }
 
     /// The address clients/proxies should dial.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Number of successful document fetches served (full bodies; `304
     /// Not Modified` answers are counted separately).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.state.hits.load(Ordering::Relaxed)
     }
 
     /// Number of conditional GETs answered `304 Not Modified` (the
     /// requester's `If-Digest` still matched, so no body was sent).
     pub fn revalidations(&self) -> u64 {
-        self.revalidations.load(Ordering::Relaxed)
+        self.state.revalidations.load(Ordering::Relaxed)
     }
 
     /// Mutates a stored document (models a changed Web page).
     pub fn mutate(&self, url: &str, body: Vec<u8>) -> bool {
-        self.store.write().mutate(url, body)
+        self.state.store.write().mutate(url, body)
     }
 
-    /// Stops the accept loop and joins the server thread.
+    /// Stops accepting, closes every connection and joins the server's
+    /// threads (dropping the server does the same).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Wake the blocking accept; the acceptor hands the pool back.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            if let Ok(pool) = handle.join() {
-                pool.shutdown();
-            }
-        }
+        self.server.shutdown();
     }
 }
 
-impl Drop for OriginServer {
-    fn drop(&mut self) {
-        self.stop();
+impl FrameService for OriginState {
+    fn faults(&self) -> Option<&FaultPlan> {
+        self.faults.as_deref()
     }
-}
 
-fn serve_connection(
-    stream: TcpStream,
-    store: &RwLock<DocumentStore>,
-    hits: &AtomicU64,
-    revalidations: &AtomicU64,
-    faults: Option<&FaultPlan>,
-    recorder: &FlightRecorder,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    while let Some(msg) = read_message(&mut reader)? {
-        // One fault decision per served GET; other verbs stay honest so
-        // the draw sequence tracks document requests exactly.
-        let fault = match (msg.tokens().first(), faults) {
-            (Some(&"GET"), Some(plan)) => plan.origin_fault(),
+    /// One fault decision per served GET; other verbs stay honest so the
+    /// draw sequence tracks document requests exactly.
+    fn fault(&self, plan: &FaultPlan, msg: &Message) -> Option<FaultKind> {
+        match msg.tokens().first() {
+            Some(&"GET") => plan.origin_fault(),
             _ => None,
-        };
-        match fault {
-            Some(FaultKind::OriginDrop) => return Ok(()),
-            Some(FaultKind::OriginError) => {
-                // Pretend the backend failed; the document is NOT counted
-                // as served.
-                write_message(
-                    &mut writer,
-                    &response(status::SERVER_ERROR, "Internal Server Error"),
-                )?;
-            }
-            other => {
-                let t_serve = std::time::Instant::now();
-                let reply = handle_request(&msg, store, hits, revalidations);
-                if let ["GET", url, "ORIGIN/1.0"] = msg.tokens().as_slice() {
-                    let trace = msg
-                        .get("Trace-Id")
-                        .and_then(|h| h.parse().ok())
-                        .unwrap_or(TraceId::NONE);
-                    // On sampled traces the proxy forwards its origin-fetch
-                    // span in `Span-Id`; our serve span attaches under it.
-                    let parent = msg
-                        .get("Span-Id")
-                        .and_then(|h| h.parse().ok())
-                        .unwrap_or(SpanId::NONE);
-                    let serve_span = if parent.is_none() {
-                        SpanId::NONE
-                    } else {
-                        SpanId::mint()
-                    };
-                    recorder.record_hop(
-                        trace,
-                        serve_span,
-                        parent,
-                        EventKind::OriginServe,
-                        t_serve.elapsed(),
-                        format!(
-                            "url={url} outcome={}",
-                            match crate::protocol::response_code(&reply) {
-                                Some(status::OK) => "ok",
-                                Some(status::NOT_MODIFIED) => "not-modified",
-                                _ => "miss",
-                            }
-                        ),
-                    );
-                }
-                let stall = faults.map(FaultPlan::stall).unwrap_or_default();
-                if !write_reply_with_fault(&mut writer, &reply, other, stall)? {
-                    return Ok(());
-                }
-            }
         }
     }
-    Ok(())
+
+    fn handle(
+        &self,
+        msg: &Message,
+        fault: Option<FaultKind>,
+        _ctx: &mut FrameCtx,
+    ) -> Option<Message> {
+        if fault == Some(FaultKind::OriginError) {
+            // Pretend the backend failed; the document is NOT counted as
+            // served.
+            return Some(response(status::SERVER_ERROR, "Internal Server Error"));
+        }
+        let t_serve = std::time::Instant::now();
+        let reply = handle_request(msg, &self.store, &self.hits, &self.revalidations);
+        if let ["GET", url, "ORIGIN/1.0"] = msg.tokens().as_slice() {
+            let trace = msg
+                .get("Trace-Id")
+                .and_then(|h| h.parse().ok())
+                .unwrap_or(TraceId::NONE);
+            // On sampled traces the proxy forwards its origin-fetch span in
+            // `Span-Id`; our serve span attaches under it.
+            let parent = msg
+                .get("Span-Id")
+                .and_then(|h| h.parse().ok())
+                .unwrap_or(SpanId::NONE);
+            let serve_span = if parent.is_none() {
+                SpanId::NONE
+            } else {
+                SpanId::mint()
+            };
+            self.recorder.record_hop(
+                trace,
+                serve_span,
+                parent,
+                EventKind::OriginServe,
+                t_serve.elapsed(),
+                format!(
+                    "url={url} outcome={}",
+                    match response_code(&reply) {
+                        Some(status::OK) => "ok",
+                        Some(status::NOT_MODIFIED) => "not-modified",
+                        _ => "miss",
+                    }
+                ),
+            );
+        }
+        Some(reply)
+    }
 }
 
 fn handle_request(
@@ -271,8 +189,9 @@ fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::response_code;
+    use crate::protocol::{read_message, write_message};
     use std::io::BufReader;
+    use std::net::TcpStream;
 
     fn fetch(addr: SocketAddr, url: &str) -> Message {
         exchange(addr, Message::new(format!("GET {url} ORIGIN/1.0")))

@@ -14,11 +14,13 @@
 //! `METRICS BAPS/1.0` verb renders all of it as Prometheus text.
 
 use crate::disk::{DiskConfig, DiskStats, DiskTier};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
-use crate::pool::{PoolTelemetry, SaturationSnapshot, DEFAULT_WORKERS};
 use crate::protocol::{response, response_code, status, Body, Message};
-use crate::reactor::{Reactor, ReactorHandle, ReactorSnapshot, ReactorTelemetry};
+use crate::reactor::{
+    loops_per_core, FrameCtx, FrameService, PoolTelemetry, ReactorSnapshot, ReactorTelemetry,
+    SaturationSnapshot, Server,
+};
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::UpstreamPool;
@@ -32,12 +34,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Miss-executor threads when [`ProxyConfig::worker_threads`] is `0`.
+pub(crate) const DEFAULT_WORKERS: usize = 8;
 /// Maximum peer candidates probed per request.
 const MAX_PEER_PROBES: usize = 4;
 /// Default dial/read/write timeout for peer probes, so one dead client
@@ -348,21 +352,12 @@ impl ProxyState {
 
 /// A running browsers-aware proxy.
 pub struct ProxyServer {
-    addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// The acceptor thread; it owns the reactor and hands it back on exit
-    /// so `stop` can join the loops and the miss executor.
-    handle: Option<JoinHandle<Reactor>>,
     /// The 1 Hz window sampler thread feeding `state.windows`.
     sampler: Option<JoinHandle<()>>,
-    conns: ReactorHandle,
+    /// Acceptor, one event loop per core, and the miss executor.
+    server: Server,
     state: Arc<ProxyState>,
-    /// The bound listening socket. The acceptor thread runs on a clone;
-    /// keeping the original here lets [`ProxyServer::restart`] hand the
-    /// same bound port to the next incarnation (no rebind, no
-    /// address-in-use race — connections arriving during the gap queue in
-    /// the kernel backlog).
-    listener: TcpListener,
 }
 
 impl ProxyServer {
@@ -375,7 +370,6 @@ impl ProxyServer {
     /// Starts the proxy on an already-bound listener (the restart path
     /// reuses the previous incarnation's socket).
     fn start_on(listener: TcpListener, config: ProxyConfig) -> io::Result<ProxyServer> {
-        let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(config.key_seed));
         let workers = if config.worker_threads == 0 {
@@ -397,10 +391,10 @@ impl ProxyServer {
             .as_ref()
             .map(|d| load_baseline(d.root()))
             .unwrap_or_default();
-        let telemetry = Arc::new(PoolTelemetry::new());
-        let reactor_telemetry = Arc::new(ReactorTelemetry::new());
-        // Every miss-executor worker may hold one origin connection between
-        // fetches, so that is how many the pool keeps idle for the origin.
+        let telemetry = Arc::<PoolTelemetry>::default();
+        let reactor_telemetry = Arc::<ReactorTelemetry>::default();
+        // Every miss-executor worker may hold one connection to an address
+        // between exchanges, so that is how many the pool keeps idle each.
         let upstream = UpstreamPool::new(config.origin_addr, workers);
         let state = Arc::new(ProxyState {
             cache: ShardedCache::new(config.cache_capacity, auto_shards(config.cache_capacity)),
@@ -445,38 +439,20 @@ impl ProxyServer {
                     }
                 })?
         };
-        let reactor = Reactor::start(
-            "baps-proxy",
-            workers,
-            Arc::clone(&state),
-            telemetry,
-            reactor_telemetry,
-        )?;
-        let conns = reactor.handle();
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let acceptor = listener.try_clone()?;
-            std::thread::Builder::new()
-                .name("baps-proxy".into())
-                .spawn(move || {
-                    for conn in acceptor.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        reactor.dispatch(stream);
-                    }
-                    reactor
-                })?
-        };
-        Ok(ProxyServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-            sampler: Some(sampler),
-            conns,
-            state,
+        let server = Server::start_on(
             listener,
+            "baps-proxy",
+            Arc::clone(&state),
+            loops_per_core(),
+            workers,
+            reactor_telemetry,
+            telemetry,
+        )?;
+        Ok(ProxyServer {
+            shutdown,
+            sampler: Some(sampler),
+            server,
+            state,
         })
     }
 
@@ -491,14 +467,13 @@ impl ProxyServer {
     pub fn restart(&mut self) -> io::Result<()> {
         let config = self.state.config.clone();
         self.stop();
-        let listener = self.listener.try_clone()?;
-        *self = ProxyServer::start_on(listener, config)?;
+        *self = ProxyServer::start_on(self.server.listener()?, config)?;
         Ok(())
     }
 
     /// The address clients should dial.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The public key clients use to verify watermarks.
@@ -565,7 +540,7 @@ impl ProxyServer {
 
     /// Client connections currently registered with the event loops.
     pub fn open_connections(&self) -> usize {
-        self.conns.open_connections()
+        self.server.open_connections()
     }
 
     /// Runtime-saturation snapshot of the blocking miss executor:
@@ -621,7 +596,7 @@ impl ProxyServer {
     /// stopping the server. Keep-alive clients observe EOF mid-session and
     /// must reconnect; the next upstream exchange dials.
     pub fn drop_connections(&self) {
-        self.conns.drop_all();
+        self.server.drop_all();
         self.state.upstream.clear();
     }
 
@@ -636,14 +611,8 @@ impl ProxyServer {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Unblock the acceptor; it checks the flag and returns the reactor.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            if let Ok(reactor) = handle.join() {
-                // Closes every open connection, then joins the threads.
-                reactor.shutdown();
-            }
-        }
+        // Closes every open connection, then joins the threads.
+        self.server.shutdown();
         if let Some(sampler) = self.sampler.take() {
             sampler.thread().unpark();
             let _ = sampler.join();
@@ -726,6 +695,38 @@ fn load_baseline(root: &std::path::Path) -> ProxyStats {
     s
 }
 
+impl FrameService for ProxyState {
+    fn faults(&self) -> Option<&FaultPlan> {
+        self.config.faults.as_deref()
+    }
+
+    /// One draw per client-facing GET; the administrative verbs stay
+    /// honest so chaos runs can still register clients and read counters.
+    fn fault(&self, plan: &FaultPlan, msg: &Message) -> Option<FaultKind> {
+        match msg.tokens().first() {
+            Some(&"GET") => plan.proxy_fault(),
+            _ => None,
+        }
+    }
+
+    fn may_block(&self, msg: &Message) -> bool {
+        needs_miss_executor(msg, self)
+    }
+
+    fn handle(
+        &self,
+        msg: &Message,
+        _fault: Option<FaultKind>,
+        ctx: &mut FrameCtx,
+    ) -> Option<Message> {
+        let t_verb = Instant::now();
+        let verb = verb_index(msg.tokens().first());
+        let reply = dispatch(msg, ctx.peer_ip, &mut ctx.queue_wait, self);
+        self.obs.verbs.record(verb, t_verb.elapsed());
+        reply
+    }
+}
+
 /// Whether this request can block the thread that runs it (disk reads,
 /// peer probes with retry backoff, origin fetches, coalesced followers
 /// parking on a condvar) — i.e. whether the event loop must hand it to the
@@ -737,7 +738,7 @@ fn load_baseline(root: &std::path::Path) -> ProxyStats {
 /// probe can race an eviction — `contains` true, then the real
 /// `get` misses — in which case the loop rarely runs one miss inline;
 /// correctness is unaffected (DESIGN.md §13 discusses the trade).
-pub(crate) fn needs_miss_executor(msg: &Message, state: &ProxyState) -> bool {
+fn needs_miss_executor(msg: &Message, state: &ProxyState) -> bool {
     match msg.tokens().as_slice() {
         ["GET", url, "BAPS/1.0"] => {
             let doc = doc_id(state, url);
@@ -747,7 +748,7 @@ pub(crate) fn needs_miss_executor(msg: &Message, state: &ProxyState) -> bool {
     }
 }
 
-pub(crate) fn dispatch(
+fn dispatch(
     msg: &Message,
     peer_ip: std::net::IpAddr,
     queue_wait: &mut Option<Duration>,
@@ -1859,6 +1860,53 @@ fn revalidate_with_origin(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A client whose GET fills the loop's last read chunk exactly and who
+    /// then half-closes still gets its reply — here through the executor,
+    /// since the GET misses. The frame and the FIN wait on the listener
+    /// before the proxy starts, so its first read of the connection sees
+    /// both.
+    #[test]
+    fn get_filling_the_last_read_chunk_is_answered_after_half_close() {
+        use crate::protocol::read_message;
+        use std::io::Write as _;
+
+        let store = crate::store::DocumentStore::synthetic(1, 50, 100, 1);
+        let body = store.get("http://origin/doc/0").unwrap().to_vec();
+        let origin = crate::origin::OriginServer::start(store).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let get = Message::new("GET http://origin/doc/0 BAPS/1.0").header("Client", "1");
+        conn.write_all(&crate::reactor::chunk_aligned_frame(get, 1))
+            .unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        let proxy = ProxyServer::start_on(
+            listener,
+            ProxyConfig {
+                cache_capacity: 64 << 10,
+                origin_addr: origin.addr(),
+                key_seed: 1,
+                cache_peer_hits: false,
+                direct_forward: false,
+                worker_threads: 0,
+                peer_timeout: Duration::ZERO,
+                peer_retries: 0,
+                origin_timeout: Duration::ZERO,
+                origin_retries: 0,
+                disk: None,
+                faults: None,
+                recorder: None,
+                slo: SloTable::default(),
+            },
+        )
+        .unwrap();
+        let reply = read_message(&mut std::io::BufReader::new(conn))
+            .unwrap()
+            .expect("a reply before EOF");
+        assert_eq!(reply.get("X-Source"), Some("origin"));
+        assert_eq!(&reply.body[..], &body[..]);
+        proxy.shutdown();
+    }
 
     /// A hit response shares the cached allocation — the body is never
     /// copied between the cache and the outgoing frame.

@@ -1,45 +1,47 @@
-//! Event-driven connection serving for the proxy (DESIGN.md §13).
+//! Event-driven connection serving for every BAPS server (DESIGN.md §13).
 //!
-//! The paper's proxy holds a connection for every browser, most of them
-//! idle most of the time, so connections must not cost a thread each. This
-//! module multiplexes every client connection onto a small set of event
-//! loops:
+//! The paper's proxy holds a connection for every browser, a recruited
+//! browser one for every proxy connection kept alive to it, and the origin
+//! one per proxy miss worker — most of them idle most of the time, so a
+//! connection must not cost a thread. [`Server`] is the one shell the
+//! proxy, the origin and each browser's peer port start through:
 //!
-//! - an **accept loop** (blocking) hands accepted sockets round-robin to
-//!   per-core event loops through a mutex-protected inbox, waking the loop
+//! - an **acceptor** thread (blocking) hands accepted sockets round-robin
+//!   to the event loops through a mutex-protected inbox, waking the loop
 //!   via an eventfd;
 //! - each **event loop** owns an epoll instance and a set of per-connection
 //!   state machines that carry partial reads and partial writes of BAPS
 //!   frames across readiness events — an idle connection costs one
 //!   registered fd and a parser buffer, not a parked thread;
-//! - a complete frame is dispatched through `proxy::dispatch`: inline on
-//!   the loop when the answer cannot block (memory-cache hits, admin
-//!   verbs), or on a small blocking **miss executor** when it can (disk,
-//!   peer probes, origin fetches, coalesced followers parking on a
-//!   condvar);
+//! - a complete frame goes to the server's [`FrameService`]: inline on the
+//!   loop when the answer cannot block (memory-cache hits, admin verbs,
+//!   every origin GET, PEERGET, DELIVER), or on a small blocking
+//!   **executor** when it can (the proxy's miss path; a browser's PUSH,
+//!   which dials the requester) — its threads start with the first such
+//!   frame, so a server that never offloads never runs them;
 //! - replies are queued as `[owned head, shared body]` segments and pushed
 //!   with nonblocking vectored writes, continuing from the exact byte where
 //!   the kernel said `EAGAIN`.
 //!
-//! Fault injection: drops sever before handling, stalls write half the
-//! frame and arm a loop timer (the loop never sleeps), truncation closes
-//! after the half frame flushes.
+//! Fault injection, the same on every server: drops sever before handling,
+//! stalls write half the frame and arm a loop timer (the loop never
+//! sleeps), truncation closes after the half frame flushes, corruption
+//! flips a byte of a private copy.
 
+use baps_obs::{AtomicHistogram, LatencyHistogram};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultKind, FaultPlan, WireFault};
-use crate::pool::PoolTelemetry;
 use crate::protocol::{encode_head, encode_message, Body, HeadParser, Message};
-use crate::proxy::{dispatch, needs_miss_executor, verb_index, ProxyState};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE};
 
 /// Token reserved for each loop's wake eventfd.
@@ -50,6 +52,73 @@ const EVENT_BATCH: usize = 256;
 const READ_CHUNK: usize = 16 << 10;
 /// Most write-queue segments offered to one vectored write.
 const MAX_IOVEC: usize = 16;
+
+/// `msg` as a frame of exactly `chunks × READ_CHUNK` bytes (its body is
+/// padded to fit): the sender's last byte fills the loop's last read, so a
+/// close behind it is seen by the same `drive_readable` call.
+#[cfg(test)]
+pub(crate) fn chunk_aligned_frame(msg: Message, chunks: usize) -> Vec<u8> {
+    let want = chunks * READ_CHUNK;
+    let mut body = want;
+    loop {
+        let frame = encode_message(&msg.clone().with_body(vec![b'x'; body])).unwrap();
+        if frame.len() == want {
+            return frame;
+        }
+        body = body + want - frame.len();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What a server plugs into the loop
+// ---------------------------------------------------------------------------
+
+/// What the loop knows about the connection a frame arrived on.
+#[derive(Clone, Copy)]
+pub(crate) struct FrameCtx {
+    /// The sender's address.
+    pub(crate) peer_ip: IpAddr,
+    /// Accept-to-loop handoff wait, until a handler takes it to attribute
+    /// it to a sampled request.
+    pub(crate) queue_wait: Option<Duration>,
+}
+
+/// One server's answer to a complete request frame. The loop owns
+/// everything about the connection — framing, reply order, partial writes,
+/// and the effect of every fault kind on the wire (a kind that drops
+/// severs before [`handle`](Self::handle) is called); the service owns
+/// what a frame means.
+pub(crate) trait FrameService: Send + Sync + 'static {
+    /// The fault plan this server consults, if it runs under one.
+    fn faults(&self) -> Option<&FaultPlan>;
+
+    /// The one fault draw for this frame from the site's table in `plan`,
+    /// taken on the loop in arrival order; `None` without a draw for
+    /// frames the table does not cover.
+    fn fault(&self, plan: &FaultPlan, msg: &Message) -> Option<FaultKind>;
+
+    /// Whether handling `msg` can block its thread, so it must run on the
+    /// executor.
+    fn may_block(&self, _msg: &Message) -> bool {
+        false
+    }
+
+    /// The reply to `msg`, or `None` to send nothing and keep the
+    /// connection open.
+    fn handle(
+        &self,
+        msg: &Message,
+        fault: Option<FaultKind>,
+        ctx: &mut FrameCtx,
+    ) -> Option<Message>;
+}
+
+/// One event loop per available core: what the proxy and the origin run.
+pub(crate) fn loops_per_core() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 // ---------------------------------------------------------------------------
 // Incremental frame parsing
@@ -236,9 +305,9 @@ impl WriteQueue {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-/// Always-on gauges for the event loops: registered connections, epoll
-/// batch depth, loop busy-fraction, inline vs offloaded dispatches.
-/// ([`PoolTelemetry`] beside it describes the blocking miss executor.)
+/// Always-on gauges for one server's event loops: registered connections,
+/// epoll batch depth, loop busy-fraction, inline vs offloaded dispatches.
+/// ([`PoolTelemetry`] below describes the blocking executor beside them.)
 #[derive(Debug)]
 pub struct ReactorTelemetry {
     loops: AtomicU64,
@@ -253,8 +322,8 @@ pub struct ReactorTelemetry {
     started: Instant,
 }
 
-impl ReactorTelemetry {
-    pub(crate) fn new() -> ReactorTelemetry {
+impl Default for ReactorTelemetry {
+    fn default() -> ReactorTelemetry {
         ReactorTelemetry {
             loops: AtomicU64::new(0),
             registered: AtomicU64::new(0),
@@ -268,7 +337,9 @@ impl ReactorTelemetry {
             started: Instant::now(),
         }
     }
+}
 
+impl ReactorTelemetry {
     fn set_loops(&self, n: u64) {
         self.loops.store(n, Ordering::Relaxed);
     }
@@ -327,9 +398,9 @@ impl ReactorTelemetry {
     }
 }
 
-/// A point-in-time copy of a reactor's [`ReactorTelemetry`], surfaced via
-/// `ProxyServer::reactor_stats`, STATS headers, and `baps_reactor_*`
-/// metrics.
+/// A point-in-time copy of a server's [`ReactorTelemetry`]; the proxy's is
+/// surfaced via `ProxyServer::reactor_stats`, the `Reactor-*` STATS
+/// headers, and `baps_reactor_*` metrics.
 #[derive(Debug, Clone)]
 pub struct ReactorSnapshot {
     /// Event loops serving connections.
@@ -343,15 +414,107 @@ pub struct ReactorSnapshot {
     /// Most events one `epoll_wait` returned at once (ready-queue depth).
     pub ready_batch_peak: u64,
     /// Times a loop was woken through its eventfd (new connection or
-    /// miss-executor completion).
+    /// executor completion).
     pub wakeups: u64,
-    /// Requests answered inline on a loop (memory hits, admin verbs).
+    /// Requests answered inline on a loop (on the proxy: memory hits,
+    /// admin verbs).
     pub inline_served: u64,
-    /// Requests handed to the blocking miss executor.
+    /// Requests handed to the server's blocking executor (on the proxy:
+    /// the miss path).
     pub offloaded: u64,
     /// Fraction of wall time the loops spent processing events rather than
     /// parked in `epoll_wait` (0.0–1.0, averaged across loops).
     pub busy_fraction: f64,
+}
+
+/// Runtime-saturation telemetry for a server's blocking executor — the
+/// queue feeding its fixed set of worker threads: how deep the queue runs,
+/// how long requests sit in it before a worker picks them up, and how many
+/// workers are busy. One item per offloaded request.
+///
+/// All fields are plain atomics recorded unconditionally: saturation data
+/// must exist even when the overhead benchmark turns event recording off,
+/// and a handful of relaxed atomic ops per queued item is far below the
+/// always-on budget.
+#[derive(Debug, Default)]
+pub struct PoolTelemetry {
+    workers: AtomicU64,
+    queued: AtomicU64,
+    queued_peak: AtomicU64,
+    busy: AtomicU64,
+    busy_peak: AtomicU64,
+    rejected: AtomicU64,
+    queue_wait: AtomicHistogram,
+}
+
+/// A point-in-time copy of a [`PoolTelemetry`].
+#[derive(Debug, Clone)]
+pub struct SaturationSnapshot {
+    /// Configured worker threads.
+    pub workers: u64,
+    /// Items currently queued, waiting for a worker.
+    pub queue_depth: u64,
+    /// Deepest the queue has been since start.
+    pub queue_depth_peak: u64,
+    /// Workers currently running an item.
+    pub busy_workers: u64,
+    /// Most workers simultaneously busy since start.
+    pub busy_workers_peak: u64,
+    /// Items refused because the queue was full or closed.
+    pub rejected: u64,
+    /// Time items spent queued before a worker claimed them.
+    pub queue_wait: LatencyHistogram,
+}
+
+impl PoolTelemetry {
+    fn raise_peak(peak: &AtomicU64, value: u64) {
+        // Same cheap discipline as `AtomicHistogram::record_ms`: skip the
+        // CAS loop unless this is actually a new peak.
+        if value > peak.load(Ordering::Relaxed) {
+            peak.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
+    fn set_workers(&self, n: u64) {
+        self.workers.store(n, Ordering::Relaxed);
+    }
+
+    fn enqueued(&self) {
+        let depth = self.queued.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        Self::raise_peak(&self.queued_peak, depth);
+    }
+
+    fn enqueue_failed(&self) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn dequeued(&self, wait: Duration) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.queue_wait.record(wait);
+    }
+
+    fn task_started(&self) {
+        let busy = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
+        Self::raise_peak(&self.busy_peak, busy);
+    }
+
+    fn task_finished(&self) {
+        self.busy.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// A point-in-time copy of every gauge, peak, and the wait histogram.
+    pub fn snapshot(&self) -> SaturationSnapshot {
+        SaturationSnapshot {
+            workers: self.workers.load(Ordering::Relaxed),
+            queue_depth: self.queued.load(Ordering::Relaxed),
+            queue_depth_peak: self.queued_peak.load(Ordering::Relaxed),
+            busy_workers: self.busy.load(Ordering::Relaxed),
+            busy_workers_peak: self.busy_peak.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            queue_wait: self.queue_wait.snapshot(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -363,7 +526,7 @@ enum Inbound {
     /// A freshly accepted connection (with its accept timestamp, so the
     /// handoff delay becomes the connection's queue-wait attribution).
     Conn(TcpStream, Instant),
-    /// A finished miss-executor dispatch, routed back to the owning loop.
+    /// A finished executor job, routed back to the owning loop.
     Done {
         token: u64,
         reply: Option<Message>,
@@ -371,7 +534,7 @@ enum Inbound {
         queue_wait: Option<Duration>,
     },
     /// Sever every connection this loop owns, then ack. The ack makes
-    /// `drop_connections` synchronous from the caller's side (it returns
+    /// [`Server::drop_all`] synchronous from the caller's side (it returns
     /// only after every socket is closed) — the sequential chaos driver
     /// relies on that.
     DropAll(Sender<()>),
@@ -382,20 +545,26 @@ struct LoopShared {
     wake: WakeFd,
 }
 
-/// One offloaded request: everything a miss worker needs to run
-/// `dispatch` and route the reply home.
-struct MissJob {
+impl LoopShared {
+    fn send(&self, item: Inbound) {
+        self.inbox.lock().push(item);
+        self.wake.wake();
+    }
+}
+
+/// One offloaded request: everything an executor thread needs to run
+/// [`FrameService::handle`] and route the reply home.
+struct Job {
     loop_id: usize,
     token: u64,
     msg: Message,
-    peer_ip: std::net::IpAddr,
+    ctx: FrameCtx,
     fault: Option<FaultKind>,
-    queue_wait: Option<Duration>,
     enqueued: Instant,
 }
 
-/// A stalled reply's second half, due at `at` (`FaultKind::ProxyStall`:
-/// the loop arms a timer and keeps serving everyone else).
+/// A stalled reply's second half, due at `at` (the stall kinds: the loop
+/// arms a timer and keeps serving everyone else).
 struct StallTimer {
     at: Instant,
     token: u64,
@@ -410,41 +579,44 @@ struct Conn {
     stream: TcpStream,
     /// Epoll/loop-local token.
     token: u64,
-    peer_ip: std::net::IpAddr,
+    ctx: FrameCtx,
     parser: FrameParser,
     wq: WriteQueue,
     /// Interest mask currently registered with epoll.
     interest: u32,
-    /// A dispatch is in flight (offloaded) or a stall timer is pending:
+    /// A job is in flight on the executor or a stall timer is pending:
     /// buffered frames wait, so replies leave in request order.
     busy: bool,
-    /// Close once the write queue drains (fault truncation).
-    close_after_flush: bool,
-    /// Accept-to-loop handoff wait, attributed to the first sampled
-    /// request.
-    queue_wait: Option<Duration>,
+    /// Nothing more is read; close once `busy` clears and the write queue
+    /// drains. Set by the sender's EOF (frames buffered ahead of it are
+    /// still answered) and by a truncation fault.
+    closing: bool,
 }
 
 // ---------------------------------------------------------------------------
 // The event loop
 // ---------------------------------------------------------------------------
 
-struct EventLoop {
+struct EventLoop<S> {
+    /// Names the executor's threads.
+    server: String,
     id: usize,
     epoll: Epoll,
-    shared: Arc<LoopShared>,
+    /// Every loop's inbox; this loop's is `loops[id]`.
+    loops: Arc<Vec<Arc<LoopShared>>>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     timers: Vec<StallTimer>,
-    state: Arc<ProxyState>,
-    misses: Arc<MissQueue>,
+    service: Arc<S>,
+    jobs: Arc<JobQueue>,
+    executor_threads: usize,
     pool_telemetry: Arc<PoolTelemetry>,
     telemetry: Arc<ReactorTelemetry>,
     stop: Arc<AtomicBool>,
     scratch: Vec<u8>,
 }
 
-impl EventLoop {
+impl<S: FrameService> EventLoop<S> {
     fn run(mut self) {
         let mut events = vec![EpollEvent::default(); EVENT_BATCH];
         loop {
@@ -467,7 +639,7 @@ impl EventLoop {
                 let bits = ev.events;
                 if token == WAKE_TOKEN {
                     self.telemetry.on_wakeup();
-                    self.shared.wake.drain();
+                    self.loops[self.id].wake.drain();
                     self.drain_inbox();
                 } else {
                     self.on_ready(token, bits);
@@ -487,7 +659,7 @@ impl EventLoop {
     }
 
     fn drain_inbox(&mut self) {
-        let inbound = std::mem::take(&mut *self.shared.inbox.lock());
+        let inbound = std::mem::take(&mut *self.loops[self.id].inbox.lock());
         for item in inbound {
             match item {
                 Inbound::Conn(stream, accepted) => self.add_conn(stream, accepted),
@@ -496,22 +668,22 @@ impl EventLoop {
                     reply,
                     fault,
                     queue_wait,
-                } => self.on_done(token, reply, fault, queue_wait),
+                } => self.with_conn(token, |this, conn| {
+                    conn.ctx.queue_wait = queue_wait;
+                    conn.busy = false;
+                    reply.is_none_or(|reply| this.enqueue_reply(conn, &reply, fault))
+                }),
                 Inbound::DropAll(ack) => {
-                    self.drop_all_conns();
+                    // Closing the stream is the severing: the loop is the
+                    // fd's only owner — no duplicate handle exists anywhere,
+                    // which is what keeps 10k idle connections at 10k
+                    // server-side fds instead of 20k.
+                    for (_, conn) in std::mem::take(&mut self.conns) {
+                        self.drop_conn(conn);
+                    }
                     let _ = ack.send(());
                 }
             }
-        }
-    }
-
-    /// Severs every connection this loop owns (`drop_connections`). Closing
-    /// the stream is the severing: the loop is the fd's only owner — no
-    /// duplicate handle exists anywhere, which is what keeps 10k idle
-    /// connections at 10k proxy-side fds instead of 20k.
-    fn drop_all_conns(&mut self) {
-        for (_, conn) in std::mem::take(&mut self.conns) {
-            self.drop_conn(conn);
         }
     }
 
@@ -538,13 +710,15 @@ impl EventLoop {
             Conn {
                 stream,
                 token,
-                peer_ip: peer.ip(),
+                ctx: FrameCtx {
+                    peer_ip: peer.ip(),
+                    queue_wait: Some(accepted.elapsed()),
+                },
                 parser: FrameParser::new(),
                 wq: WriteQueue::new(),
                 interest,
                 busy: false,
-                close_after_flush: false,
-                queue_wait: Some(accepted.elapsed()),
+                closing: false,
             },
         );
     }
@@ -555,28 +729,42 @@ impl EventLoop {
         self.timers.retain(|t| t.token != conn.token);
     }
 
-    fn on_ready(&mut self, token: u64, bits: u32) {
+    /// Runs `step` on connection `token` (which may have died in the
+    /// meantime), then whatever I/O became possible; a `false` from either
+    /// closes the connection.
+    fn with_conn(&mut self, token: u64, step: impl FnOnce(&mut Self, &mut Conn) -> bool) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        let mut alive = bits & EV_ERROR == 0;
-        if alive && bits & (EV_READ | EV_RDHUP | EV_HUP) != 0 {
-            alive = self.drive_readable(&mut conn);
-        }
-        let alive = alive && self.after_io(&mut conn);
-        if alive {
+        if step(self, &mut conn) && self.after_io(&mut conn) {
             self.conns.insert(token, conn);
         } else {
             self.drop_conn(conn);
         }
     }
 
-    /// Reads until the socket would block, feeding the frame parser.
-    /// `false` = peer gone (EOF) or hard error: close.
+    fn on_ready(&mut self, token: u64, bits: u32) {
+        self.with_conn(token, |this, conn| {
+            // A hang-up means both directions are gone: nothing buffered
+            // could be answered any more.
+            bits & (EV_ERROR | EV_HUP) == 0
+                && (bits & (EV_READ | EV_RDHUP) == 0 || this.drive_readable(conn))
+        });
+    }
+
+    /// Reads until the socket would block or ends, feeding the frame
+    /// parser. `false` = hard error: close now.
     fn drive_readable(&mut self, conn: &mut Conn) -> bool {
         loop {
             match conn.stream.read(&mut self.scratch) {
-                Ok(0) => return false,
+                // What is already buffered may hold whole frames (a sender
+                // whose last write filled a chunk exactly and then closed):
+                // `after_io` answers them before closing, as a blocking
+                // `read_message` loop would.
+                Ok(0) => {
+                    conn.closing = true;
+                    return true;
+                }
                 Ok(n) => {
                     conn.parser.push(&self.scratch[..n]);
                     if n < self.scratch.len() {
@@ -608,7 +796,7 @@ impl EventLoop {
         }
         match conn.wq.flush(&mut conn.stream) {
             Ok(true) => {
-                if conn.close_after_flush && !conn.busy {
+                if conn.closing && !conn.busy {
                     return false;
                 }
             }
@@ -619,7 +807,9 @@ impl EventLoop {
     }
 
     fn update_interest(&mut self, conn: &mut Conn) -> bool {
-        let mut want = EV_READ | EV_RDHUP;
+        // A closing connection has read its last byte; level-triggered
+        // read interest in its EOF would spin the loop.
+        let mut want = if conn.closing { 0 } else { EV_READ | EV_RDHUP };
         if !conn.wq.is_empty() {
             want |= EV_WRITE;
         }
@@ -637,80 +827,63 @@ impl EventLoop {
         true
     }
 
-    /// One complete request frame: draw the fault decision (one RNG draw
-    /// per client-facing GET, in arrival order; the administrative verbs
-    /// stay honest so chaos runs can still register clients and read
-    /// counters), then dispatch inline or offload to the miss executor.
-    /// `false` = close.
+    /// One complete request frame: draw the service's fault decision (one
+    /// RNG draw per covered frame, in arrival order), then handle it
+    /// inline or offload it to the executor. `false` = close.
     fn handle_frame(&mut self, conn: &mut Conn, msg: Message) -> bool {
-        let fault = match (msg.tokens().first(), self.state.config.faults.as_deref()) {
-            (Some(&"GET"), Some(plan)) => plan.proxy_fault(),
-            _ => None,
-        };
-        if fault == Some(FaultKind::ProxyDrop) {
-            // Sever before handling: the client sees EOF and replays.
+        let service = &self.service;
+        let fault = service.faults().and_then(|plan| service.fault(plan, &msg));
+        if fault.is_some_and(FaultKind::drops) {
+            // Sever before handling: the sender sees EOF.
             return false;
         }
-        if needs_miss_executor(&msg, &self.state) {
+        if self.service.may_block(&msg) {
             conn.busy = true;
             self.telemetry.offload();
             self.pool_telemetry.enqueued();
-            let job = MissJob {
+            let job = Job {
                 loop_id: self.id,
                 token: conn.token,
-                peer_ip: conn.peer_ip,
+                ctx: conn.ctx,
                 fault,
-                queue_wait: conn.queue_wait.take(),
                 enqueued: Instant::now(),
                 msg,
             };
-            if !self.misses.push(job) {
+            if !self.jobs.push(job, || self.start_executor()) {
                 self.pool_telemetry.enqueue_failed();
-                return false; // executor closed: shutting down
+                return false; // shutting down, or nothing to run it on
             }
             return true;
         }
         self.telemetry.inline();
-        let t_verb = Instant::now();
-        let verb = verb_index(msg.tokens().first());
-        let reply = dispatch(&msg, conn.peer_ip, &mut conn.queue_wait, &self.state);
-        self.state.obs.verbs.record(verb, t_verb.elapsed());
-        match reply {
+        match self.service.handle(&msg, fault, &mut conn.ctx) {
             Some(reply) => self.enqueue_reply(conn, &reply, fault),
             None => true,
         }
     }
 
-    /// A miss-executor completion for connection `token` (which may have
-    /// died in the meantime).
-    fn on_done(
-        &mut self,
-        token: u64,
-        reply: Option<Message>,
-        fault: Option<FaultKind>,
-        queue_wait: Option<Duration>,
-    ) {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return;
-        };
-        conn.queue_wait = queue_wait;
-        conn.busy = false;
-        let mut alive = true;
-        if let Some(reply) = reply {
-            alive = self.enqueue_reply(&mut conn, &reply, fault);
-        }
-        let alive = alive && self.after_io(&mut conn);
-        if alive {
-            self.conns.insert(token, conn);
-        } else {
-            self.drop_conn(conn);
-        }
+    /// Spawns the executor's threads (`{server}-exec-N`); returns those that
+    /// started.
+    fn start_executor(&self) -> Vec<JoinHandle<()>> {
+        (0..self.executor_threads)
+            .filter_map(|i| {
+                let (jobs, service, loops, pool_telemetry) = (
+                    Arc::clone(&self.jobs),
+                    Arc::clone(&self.service),
+                    Arc::clone(&self.loops),
+                    Arc::clone(&self.pool_telemetry),
+                );
+                std::thread::Builder::new()
+                    .name(format!("{}-exec-{i}", self.server))
+                    .spawn(move || executor_loop(&jobs, &*service, &loops, &pool_telemetry))
+                    .ok()
+            })
+            .collect()
     }
 
-    /// Queues a reply, applying the wire-level fault exactly as
-    /// [`crate::fault::write_reply_with_fault`] does on the blocking
-    /// servers — except a stall arms a loop timer instead of sleeping the
-    /// thread. `false` = close.
+    /// Queues a reply, applying the wire-level effect of `fault` — the one
+    /// implementation of corrupt / truncate / stall for every server. A
+    /// stall arms a loop timer; no thread sleeps. `false` = close.
     fn enqueue_reply(
         &mut self,
         conn: &mut Conn,
@@ -745,25 +918,22 @@ impl EventLoop {
                 };
                 let half = frame.len() / 2;
                 conn.wq.push_owned(frame[..half].to_vec());
-                conn.close_after_flush = true;
+                conn.closing = true;
                 true
             }
             Some(WireFault::Stall) => {
                 let Ok(frame) = encode_message(reply) else {
                     return false;
                 };
-                let stall = self
-                    .state
-                    .config
-                    .faults
-                    .as_deref()
-                    .map(FaultPlan::stall)
-                    .unwrap_or_default();
                 let half = frame.len() / 2;
                 conn.wq.push_owned(frame[..half].to_vec());
                 // No further requests on this connection until the frame
                 // completes.
                 conn.busy = true;
+                let stall = self
+                    .service
+                    .faults()
+                    .map_or(Duration::ZERO, FaultPlan::stall);
                 self.timers.push(StallTimer {
                     at: Instant::now() + stall,
                     token: conn.token,
@@ -787,143 +957,141 @@ impl EventLoop {
             }
         }
         for timer in due {
-            let Some(mut conn) = self.conns.remove(&timer.token) else {
-                continue;
-            };
-            conn.wq.push_owned(timer.rest);
-            conn.busy = false;
-            let alive = self.after_io(&mut conn);
-            if alive {
-                self.conns.insert(timer.token, conn);
-            } else {
-                self.drop_conn(conn);
-            }
+            self.with_conn(timer.token, |_, conn| {
+                conn.wq.push_owned(timer.rest);
+                conn.busy = false;
+                true
+            });
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The reactor: loops + miss executor + accept-side handle
+// The server shell: acceptor + loops + executor
 // ---------------------------------------------------------------------------
 
-/// The miss executor's job queue: one mutex-guarded deque and one condvar.
-/// A push wakes exactly one parked worker. (An `mpsc::Receiver` shared
-/// behind a mutex wakes two per job — the worker parked in `recv` and the
-/// next one parked on the mutex — which cost `disk-storm` +36 % p99; see
-/// DESIGN.md §13.)
-struct MissQueue {
-    /// Pending jobs; `None` once [`close`](Self::close) has been called.
-    jobs: Mutex<Option<VecDeque<MissJob>>>,
+/// The executor: a job queue — one mutex-guarded deque and one condvar, so
+/// a push wakes exactly one parked worker — and the worker threads behind
+/// it, which the first push starts: a server that never offloads (the
+/// origin; a browser that is never sent a PUSH) never runs them. (An
+/// `mpsc::Receiver` shared behind a mutex wakes two workers per job — the
+/// one parked in `recv` and the next one parked on the mutex — which cost
+/// `disk-storm` +36 % p99; see DESIGN.md §13.)
+struct JobQueue {
+    state: Mutex<QueueState>,
     ready: Condvar,
 }
 
-impl MissQueue {
-    fn new() -> MissQueue {
-        MissQueue {
-            jobs: Mutex::new(Some(VecDeque::new())),
-            ready: Condvar::new(),
-        }
-    }
+struct QueueState {
+    /// Pending jobs; `None` once [`JobQueue::close`] has been called.
+    jobs: Option<VecDeque<Job>>,
+    /// The worker threads; `None` until the first push starts them.
+    workers: Option<Vec<JoinHandle<()>>>,
+}
 
-    /// Queues a job; `false` once the queue is closed.
-    fn push(&self, job: MissJob) -> bool {
-        let mut jobs = self.jobs.lock();
-        let Some(queue) = jobs.as_mut() else {
+impl JobQueue {
+    /// Queues a job; the first call runs `start` for the worker threads.
+    /// `false` once the queue is closed, or if there is no worker to run
+    /// the job (none configured, or none could be spawned): the loop then
+    /// closes the connection rather than leave it waiting.
+    fn push(&self, job: Job, start: impl FnOnce() -> Vec<JoinHandle<()>>) -> bool {
+        let mut st = self.state.lock();
+        let QueueState {
+            jobs: Some(queue),
+            workers,
+        } = &mut *st
+        else {
             return false;
         };
+        if workers.get_or_insert_with(start).is_empty() {
+            return false;
+        }
         queue.push_back(job);
-        drop(jobs);
+        drop(st);
         self.ready.notify_one();
         true
     }
 
     /// Parks until a job arrives; `None` once the queue is closed.
-    fn pop(&self) -> Option<MissJob> {
-        let mut jobs = self.jobs.lock();
+    fn pop(&self) -> Option<Job> {
+        let mut st = self.state.lock();
         loop {
-            if let Some(job) = jobs.as_mut()?.pop_front() {
+            if let Some(job) = st.jobs.as_mut()?.pop_front() {
                 return Some(job);
             }
-            self.ready.wait(&mut jobs);
+            self.ready.wait(&mut st);
         }
     }
 
     /// Refuses further pushes, abandons jobs still queued (their loops
-    /// are already gone) and wakes every parked worker to exit.
-    fn close(&self) {
-        *self.jobs.lock() = None;
+    /// are already gone) and wakes every parked worker to exit. Returns
+    /// the workers, to be joined.
+    fn close(&self) -> Vec<JoinHandle<()>> {
+        let mut st = self.state.lock();
+        st.jobs = None;
         self.ready.notify_all();
+        st.workers.take().unwrap_or_default()
     }
 }
 
-/// The proxy's connection-serving engine: per-core event loops plus a
-/// small blocking miss executor.
-pub(crate) struct Reactor {
+/// A running BAPS server — the proxy's client port, the origin, a
+/// browser's peer port: a blocking acceptor thread feeding `loops` event
+/// loops, plus `executor_threads` blocking threads — started by the first
+/// frame the service says may block — to run such frames. The loops are the sole owners of their sockets
+/// — one fd per connection, which is what lets a 10k-idle-connection
+/// ladder fit in an ordinary fd table.
+pub(crate) struct Server {
+    addr: SocketAddr,
+    /// The bound listening socket; the acceptor thread runs on a clone.
+    listener: TcpListener,
     shared: Arc<Vec<Arc<LoopShared>>>,
-    next: AtomicUsize,
-    loops: Vec<JoinHandle<()>>,
-    misses: Arc<MissQueue>,
-    miss_workers: Vec<JoinHandle<()>>,
+    jobs: Arc<JobQueue>,
     stop: Arc<AtomicBool>,
     telemetry: Arc<ReactorTelemetry>,
+    /// Acceptor (`{name}`) and loops (`{name}-loop-N`); the executor's
+    /// threads are the job queue's.
+    io_threads: Vec<JoinHandle<()>>,
 }
 
-/// Cloneable control surface over a running reactor, detached from the
-/// [`Reactor`] itself (which moves into the acceptor thread). The loops
-/// are the sole owners of their sockets — one fd per connection, which is
-/// what lets a 10k-idle-connection ladder fit in an ordinary fd table — so
-/// `open_connections` reads the registered gauge and `drop_all` asks each
-/// loop to close its own.
-pub(crate) struct ReactorHandle {
-    shared: Arc<Vec<Arc<LoopShared>>>,
-    telemetry: Arc<ReactorTelemetry>,
-}
-
-impl ReactorHandle {
-    /// Client connections currently registered across the loops.
-    pub(crate) fn open_connections(&self) -> usize {
-        self.telemetry.snapshot().registered_fds as usize
-    }
-
-    /// Severs every open connection without stopping the loops, returning
-    /// once every loop has acked (callers may immediately assert on EOF).
-    pub(crate) fn drop_all(&self) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for sh in self.shared.iter() {
-            sh.inbox.lock().push(Inbound::DropAll(tx.clone()));
-            sh.wake.wake();
-        }
-        drop(tx);
-        for _ in 0..self.shared.len() {
-            let _ = rx.recv();
-        }
-    }
-}
-
-impl Reactor {
-    /// Spawns one event loop per available core (`{name}-loop-N`) and
-    /// `miss_workers` blocking executor threads (`{name}-miss-N`).
-    /// `pool_telemetry` tracks the miss executor's queue/busy gauges;
-    /// `telemetry` tracks the loops themselves.
-    pub(crate) fn start(
+impl Server {
+    /// Binds an ephemeral loopback port and starts serving on it.
+    pub(crate) fn bind<S: FrameService>(
         name: &str,
-        miss_workers: usize,
-        state: Arc<ProxyState>,
-        pool_telemetry: Arc<PoolTelemetry>,
-        telemetry: Arc<ReactorTelemetry>,
-    ) -> io::Result<Reactor> {
-        let loops = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let miss_workers = miss_workers.max(1);
-        telemetry.set_loops(loops as u64);
-        pool_telemetry.set_workers(miss_workers as u64);
-        let stop = Arc::new(AtomicBool::new(false));
-        let misses = Arc::new(MissQueue::new());
+        service: Arc<S>,
+        loops: usize,
+        executor_threads: usize,
+    ) -> io::Result<Server> {
+        Server::start_on(
+            TcpListener::bind("127.0.0.1:0")?,
+            name,
+            service,
+            loops,
+            executor_threads,
+            Arc::default(),
+            Arc::default(),
+        )
+    }
 
+    /// Starts serving on an already-bound listener. `telemetry` tracks the
+    /// loops, `pool_telemetry` the executor's queue/busy gauges. A service
+    /// whose `may_block` ever says yes needs `executor_threads ≥ 1`
+    /// (without them such a frame closes its connection).
+    pub(crate) fn start_on<S: FrameService>(
+        listener: TcpListener,
+        name: &str,
+        service: Arc<S>,
+        loops: usize,
+        executor_threads: usize,
+        telemetry: Arc<ReactorTelemetry>,
+        pool_telemetry: Arc<PoolTelemetry>,
+    ) -> io::Result<Server> {
+        let addr = listener.local_addr()?;
+        telemetry.set_loops(loops as u64);
+        pool_telemetry.set_workers(executor_threads as u64);
+        let stop = Arc::new(AtomicBool::new(false));
+
+        let mut epolls = Vec::with_capacity(loops);
         let mut shared = Vec::with_capacity(loops);
-        let mut loop_handles = Vec::with_capacity(loops);
-        let mut prepared = Vec::with_capacity(loops);
         for _ in 0..loops {
             let epoll = Epoll::new()?;
             let sh = Arc::new(LoopShared {
@@ -931,122 +1099,155 @@ impl Reactor {
                 wake: WakeFd::new()?,
             });
             epoll.add(sh.wake.raw(), WAKE_TOKEN, EV_READ)?;
-            shared.push(Arc::clone(&sh));
-            prepared.push((epoll, sh));
+            shared.push(sh);
+            epolls.push(epoll);
         }
         let shared = Arc::new(shared);
 
-        for (id, (epoll, sh)) in prepared.into_iter().enumerate() {
+        let jobs = Arc::new(JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: Some(VecDeque::new()),
+                workers: None,
+            }),
+            ready: Condvar::new(),
+        });
+
+        let mut io_threads = Vec::with_capacity(loops + 1);
+        for (id, epoll) in epolls.into_iter().enumerate() {
             let ev_loop = EventLoop {
+                server: name.to_owned(),
                 id,
                 epoll,
-                shared: sh,
+                loops: Arc::clone(&shared),
                 conns: HashMap::new(),
                 next_token: 0,
                 timers: Vec::new(),
-                state: Arc::clone(&state),
-                misses: Arc::clone(&misses),
+                service: Arc::clone(&service),
+                jobs: Arc::clone(&jobs),
+                executor_threads,
                 pool_telemetry: Arc::clone(&pool_telemetry),
                 telemetry: Arc::clone(&telemetry),
                 stop: Arc::clone(&stop),
                 scratch: vec![0u8; READ_CHUNK],
             };
-            loop_handles.push(
+            io_threads.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-loop-{id}"))
                     .spawn(move || ev_loop.run())?,
             );
         }
 
-        let mut miss_handles = Vec::with_capacity(miss_workers);
-        for i in 0..miss_workers {
-            let misses = Arc::clone(&misses);
-            let state = Arc::clone(&state);
-            let shared = Arc::clone(&shared);
-            let pool_telemetry = Arc::clone(&pool_telemetry);
-            miss_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("{name}-miss-{i}"))
-                    .spawn(move || miss_worker_loop(&misses, &state, &shared, &pool_telemetry))?,
-            );
-        }
+        // The acceptor never rejects: an idle connection costs a
+        // registered fd, nothing more.
+        let acceptor = listener.try_clone()?;
+        let (stop_flag, loops_shared) = (Arc::clone(&stop), Arc::clone(&shared));
+        io_threads.push(
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || {
+                    for (i, conn) in acceptor.incoming().enumerate() {
+                        if stop_flag.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let Ok(stream) = conn else { continue };
+                        loops_shared[i % loops_shared.len()]
+                            .send(Inbound::Conn(stream, Instant::now()));
+                    }
+                })?,
+        );
 
-        Ok(Reactor {
+        Ok(Server {
+            addr,
+            listener,
             shared,
-            next: AtomicUsize::new(0),
-            loops: loop_handles,
-            misses,
-            miss_workers: miss_handles,
+            jobs,
             stop,
             telemetry,
+            io_threads,
         })
     }
 
-    /// Hands an accepted connection to the next loop, round-robin. Never
-    /// rejects: an idle connection costs a registered fd, nothing more.
-    pub(crate) fn dispatch(&self, stream: TcpStream) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.len();
-        let sh = &self.shared[i];
-        sh.inbox.lock().push(Inbound::Conn(stream, Instant::now()));
-        sh.wake.wake();
+    /// The address to dial.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
-    /// Control surface for `open_connections` / `drop_connections`,
-    /// cloneable out before the reactor moves into the acceptor thread.
-    pub(crate) fn handle(&self) -> ReactorHandle {
-        ReactorHandle {
-            shared: Arc::clone(&self.shared),
-            telemetry: Arc::clone(&self.telemetry),
+    /// A second handle on the bound socket, so a restart can hand the same
+    /// port to the next incarnation (no rebind, no address-in-use race —
+    /// connections arriving during the gap queue in the kernel backlog).
+    pub(crate) fn listener(&self) -> io::Result<TcpListener> {
+        self.listener.try_clone()
+    }
+
+    /// Connections currently registered across the loops.
+    pub(crate) fn open_connections(&self) -> usize {
+        self.telemetry.snapshot().registered_fds as usize
+    }
+
+    /// Severs every open connection without stopping the server, returning
+    /// once every loop has acked (callers may immediately assert on EOF).
+    pub(crate) fn drop_all(&self) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for sh in self.shared.iter() {
+            sh.send(Inbound::DropAll(tx.clone()));
+        }
+        drop(tx);
+        for _ in 0..self.shared.len() {
+            let _ = rx.recv();
         }
     }
 
-    /// Stops the loops and the miss executor, joining every thread. The
-    /// loops never block in socket I/O, so the stop flag plus an eventfd
-    /// wake is enough; each loop closes its own connections on exit
-    /// (dropping its conn table), so keep-alive clients see EOF.
-    pub(crate) fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
+    /// Stops accepting, closes every connection and joins every thread;
+    /// idempotent. The loops never block in socket I/O, so the stop flag
+    /// plus an eventfd wake ends them (each closes its own connections on
+    /// exit by dropping its table, so keep-alive senders see EOF); the
+    /// blocking acceptor is woken by a connect.
+    pub(crate) fn shutdown(&mut self) {
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let _ = TcpStream::connect(self.addr);
         for sh in self.shared.iter() {
             sh.wake.wake();
         }
-        for handle in self.loops.drain(..) {
+        for handle in self.io_threads.drain(..) {
             let _ = handle.join();
         }
         // Parked workers wake and exit; a busy one exits after its job.
-        self.misses.close();
-        for handle in self.miss_workers.drain(..) {
+        for handle in self.jobs.close() {
             let _ = handle.join();
         }
     }
 }
 
-/// Blocking executor for requests the loops must not run inline: the whole
-/// miss path (disk tier, peer probes with retry backoff, origin fetches,
-/// coalesced followers parking on the in-flight condvar). Runs `dispatch`,
-/// then routes the reply to the owning loop's inbox.
-fn miss_worker_loop(
-    misses: &MissQueue,
-    state: &Arc<ProxyState>,
-    shared: &Arc<Vec<Arc<LoopShared>>>,
-    pool_telemetry: &Arc<PoolTelemetry>,
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Blocking executor for the frames a loop must not run inline (the
+/// proxy's whole miss path: disk tier, peer probes with retry backoff,
+/// origin fetches, coalesced followers parking on the in-flight condvar; a
+/// browser's PUSH). Runs the handler, then routes the reply to the owning
+/// loop's inbox.
+fn executor_loop<S: FrameService>(
+    jobs: &JobQueue,
+    service: &S,
+    shared: &[Arc<LoopShared>],
+    pool_telemetry: &PoolTelemetry,
 ) {
-    while let Some(job) = misses.pop() {
+    while let Some(mut job) = jobs.pop() {
         pool_telemetry.dequeued(job.enqueued.elapsed());
         pool_telemetry.task_started();
-        let mut queue_wait = job.queue_wait;
-        let t_verb = Instant::now();
-        let verb = verb_index(job.msg.tokens().first());
-        let reply = dispatch(&job.msg, job.peer_ip, &mut queue_wait, state);
-        state.obs.verbs.record(verb, t_verb.elapsed());
+        let reply = service.handle(&job.msg, job.fault, &mut job.ctx);
         pool_telemetry.task_finished();
-        let sh = &shared[job.loop_id];
-        sh.inbox.lock().push(Inbound::Done {
+        shared[job.loop_id].send(Inbound::Done {
             token: job.token,
             reply,
             fault: job.fault,
-            queue_wait,
+            queue_wait: job.ctx.queue_wait,
         });
-        sh.wake.wake();
     }
 }
 
@@ -1219,5 +1420,54 @@ mod tests {
             sink.out, expected,
             "byte-exact frame despite partial writes"
         );
+    }
+
+    /// Echoes each request's start line back as the reply body. A request
+    /// whose verb is a fault kind's name "draws" that fault.
+    struct Echo(FaultPlan);
+
+    impl FrameService for Echo {
+        fn faults(&self) -> Option<&FaultPlan> {
+            Some(&self.0)
+        }
+
+        fn fault(&self, _: &FaultPlan, msg: &Message) -> Option<FaultKind> {
+            let verb = *msg.tokens().first()?;
+            FaultKind::ALL.into_iter().find(|kind| kind.name() == verb)
+        }
+
+        fn handle(&self, msg: &Message, _: Option<FaultKind>, _: &mut FrameCtx) -> Option<Message> {
+            Some(response(status::OK, "OK").with_body(msg.start.clone().into_bytes()))
+        }
+    }
+
+    fn ask(conn: &mut BufReader<TcpStream>, start: &str) -> io::Result<Option<Message>> {
+        conn.get_mut().write_all(&frame(&Message::new(start)))?;
+        read_message(conn)
+    }
+
+    /// The loop's reply writer is the only implementation of the wire
+    /// faults, for every server: check each effect as a reader sees it.
+    /// (Stalls: `tests/live.rs`, on the real peer port and origin.)
+    #[test]
+    fn wire_faults_as_the_reader_sees_them() {
+        let echo = Arc::new(Echo(FaultPlan::new(0, Default::default())));
+        let server = Server::bind("echo", echo, 1, 0).unwrap();
+        let dial = || BufReader::new(TcpStream::connect(server.addr()).unwrap());
+        let mut conn = dial();
+
+        // Corrupt: a well-formed frame of the right length, wrong bytes,
+        // and the connection stays in sync.
+        let bad = ask(&mut conn, "peer-corrupt /a").unwrap().unwrap();
+        assert_eq!(bad.body[0], b'p' ^ 0xff);
+        assert_eq!(&bad.body[1..], b"eer-corrupt /a");
+        let good = ask(&mut conn, "GET /b").unwrap().unwrap();
+        assert_eq!(&good.body[..], b"GET /b");
+
+        // Drop: EOF instead of a reply.
+        assert!(ask(&mut conn, "origin-drop /c").unwrap().is_none());
+
+        // Truncate: half a frame, then EOF — unreadable.
+        assert!(ask(&mut dial(), "peer-truncate /d").is_err());
     }
 }

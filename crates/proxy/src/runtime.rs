@@ -28,10 +28,9 @@ pub struct TestBedConfig {
     pub direct_forward: bool,
     /// Seed for the proxy's key pair.
     pub key_seed: u64,
-    /// Proxy miss-executor threads (and origin workers, which must keep
-    /// pace with them). `0` (the default) sizes them automatically: one
-    /// per client plus headroom, so every client can have a miss in
-    /// flight at once.
+    /// Proxy miss-executor threads. `0` (the default) sizes them
+    /// automatically: one per client plus headroom, so every client can
+    /// have a miss in flight at once.
     pub proxy_workers: usize,
     /// Client-side deadline on the proxy connection (`Duration::ZERO`
     /// disables it).
@@ -49,7 +48,7 @@ pub struct TestBedConfig {
     /// Extra proxy attempts per failed origin fetch.
     pub origin_retries: u32,
     /// Shared fault plan wired into the origin, proxy, and every client's
-    /// peer-serving loop (chaos testing). `None` runs everything honest.
+    /// peer port (chaos testing). `None` runs everything honest.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Flight-recorder ring capacity (events). `0` uses
     /// [`FlightRecorder::DEFAULT_CAPACITY`]. One ring is shared by the
@@ -117,24 +116,17 @@ impl TestBed {
         // miss-executor thread — so the automatic sizing scales with the
         // client count (plus headroom).
         let workers = if config.proxy_workers == 0 {
-            (config.n_clients as usize + 4).max(crate::pool::DEFAULT_WORKERS)
+            (config.n_clients as usize + 4).max(crate::proxy::DEFAULT_WORKERS)
         } else {
             config.proxy_workers
         };
-        // The origin's workers must scale alongside: each proxy worker may
-        // hold a kept-alive origin connection in the upstream pool, and each
-        // of those occupies an origin worker while open. A fixed number of
-        // origin workers deadlocks fetches behind held-open connections
-        // once the proxy has more workers than that.
         let recorder = Arc::new(if config.recorder_capacity == 0 {
             FlightRecorder::default()
         } else {
             FlightRecorder::new(config.recorder_capacity)
         });
-        let origin = OriginServer::start_with_recorder(
+        let origin = OriginServer::start_with(
             store,
-            workers,
-            crate::pool::DEFAULT_BACKLOG,
             config.fault_plan.clone(),
             Some(Arc::clone(&recorder)),
         )?;

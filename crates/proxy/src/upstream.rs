@@ -17,19 +17,18 @@
 //!   nothing buffered behind it. A transport error, an EOF, a truncated
 //!   frame or an expired deadline drops it: a desynchronised stream is
 //!   never reused.
-//! * **Bounded idle sets.** A peer serves each open connection from one of
-//!   its [`PEER_WORKERS`] blocking workers, so an idle connection pins a
-//!   worker; at most [`MAX_IDLE_PER_PEER`] are kept per peer. Idle
-//!   connections older than [`IDLE_LIMIT`] are closed by [`UpstreamPool::reap`]
-//!   (the proxy's 1 Hz sampler tick), before the peer's own
-//!   [`PEER_SERVE_DEADLINE`] would.
+//! * **Bounded idle sets.** Every upstream serves connections from event
+//!   loops, so an idle one costs its far end an fd and no thread; what
+//!   bounds the set is this side: at most one per miss-executor thread is
+//!   ever in use for an address at once, so that many are kept per address,
+//!   peer or origin alike. Idle connections older than [`IDLE_LIMIT`] are
+//!   closed by [`UpstreamPool::reap`] (the proxy's 1 Hz sampler tick) —
+//!   that is what gives both ends their descriptors back.
 //!
 //! Retry policy stays with the callers (`peer_retries`, `origin_retries`),
 //! with one exception kept from the origin-only pool this replaces: an
 //! origin exchange that fails on a *reused* connection redials once.
 
-use crate::client::{PEER_SERVE_DEADLINE, PEER_WORKERS};
-use crate::pool::dial_with_deadline;
 use crate::protocol::{read_message, write_message, Message};
 use crate::sys;
 use parking_lot::Mutex;
@@ -39,18 +38,27 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Idle connections kept per peer address.
-pub(crate) const MAX_IDLE_PER_PEER: usize = 2;
-// An idle connection pins one of the peer's blocking workers; the peer
-// must always have one free for a DELIVER or a fresh dial.
-const _: () = assert!(MAX_IDLE_PER_PEER < PEER_WORKERS);
-
 /// How long a connection may sit idle before [`UpstreamPool::reap`] closes
 /// it.
 pub(crate) const IDLE_LIMIT: Duration = Duration::from_secs(5);
-// The proxy closes first, so a peer's own idle deadline never races a
-// request onto a connection the peer is about to close.
-const _: () = assert!(IDLE_LIMIT.as_nanos() < PEER_SERVE_DEADLINE.as_nanos());
+
+/// Dials `addr` with `deadline` as the connect timeout and installs it as
+/// the read/write timeout on the resulting stream, so no later blocking
+/// operation on this socket can outlive it. `Duration::ZERO` disables the
+/// deadline entirely (plain blocking connect, no socket timeouts).
+pub fn dial_with_deadline(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStream> {
+    let stream = if deadline.is_zero() {
+        TcpStream::connect(addr)?
+    } else {
+        TcpStream::connect_timeout(&addr, deadline)?
+    };
+    stream.set_nodelay(true)?;
+    if !deadline.is_zero() {
+        stream.set_read_timeout(Some(deadline))?;
+        stream.set_write_timeout(Some(deadline))?;
+    }
+    Ok(stream)
+}
 
 /// Which kind of server an address belongs to: the label of the
 /// per-upstream counters and the index into them.
@@ -75,9 +83,9 @@ struct IdleConn {
 /// closes all happen outside it.
 pub(crate) struct UpstreamPool {
     origin: SocketAddr,
-    /// Idle cap for the origin address (the miss-executor width: every
-    /// worker may hold one origin connection between fetches).
-    origin_idle_cap: usize,
+    /// Idle connections kept per address (the miss-executor width: every
+    /// worker may hold one connection to an address between exchanges).
+    idle_cap: usize,
     /// Per address, oldest first: check-in pushes, check-out pops.
     idle: Mutex<HashMap<SocketAddr, Vec<IdleConn>>>,
     dials: [AtomicU64; 2],
@@ -105,10 +113,10 @@ fn round_trip(conn: &mut BufReader<TcpStream>, msg: &Message) -> io::Result<Mess
 }
 
 impl UpstreamPool {
-    pub(crate) fn new(origin: SocketAddr, origin_idle_cap: usize) -> UpstreamPool {
+    pub(crate) fn new(origin: SocketAddr, idle_cap: usize) -> UpstreamPool {
         UpstreamPool {
             origin,
-            origin_idle_cap,
+            idle_cap,
             idle: Mutex::new(HashMap::new()),
             dials: Default::default(),
             reuses: Default::default(),
@@ -185,14 +193,10 @@ impl UpstreamPool {
             // Bytes behind the reply's frame: out of sync, not reusable.
             return;
         }
-        let cap = match self.kind(addr) {
-            Upstream::Peer => MAX_IDLE_PER_PEER,
-            Upstream::Origin => self.origin_idle_cap,
-        };
         let surplus = {
             let mut idle = self.idle.lock();
             let parked = idle.entry(addr).or_default();
-            if parked.len() < cap {
+            if parked.len() < self.idle_cap {
                 parked.push(IdleConn {
                     conn,
                     since: Instant::now(),
@@ -457,19 +461,23 @@ mod tests {
         assert_eq!(pool.snapshot().dials, [2, 0]);
     }
 
+    /// One cap for every address, peer or origin.
     #[test]
-    fn idle_set_is_capped_per_peer() {
+    fn idle_set_is_capped_per_address() {
+        const CAP: usize = 3;
         let srv = server(|_| Act::Echo);
-        let pool = peer_pool();
-        // More connections in use at once than the cap, as concurrent
-        // probes of one holder would have.
-        let held: Vec<_> = (0..MAX_IDLE_PER_PEER + 2)
-            .map(|_| pool.dial(srv.addr, DEADLINE).unwrap())
-            .collect();
-        for conn in held {
-            pool.check_in(srv.addr, conn);
+        for origin in [srv.addr, "127.0.0.1:1".parse().unwrap()] {
+            let pool = UpstreamPool::new(origin, CAP);
+            // More connections in use at once than the cap (callers beyond
+            // the miss executor, say).
+            let held: Vec<_> = (0..CAP + 2)
+                .map(|_| pool.dial(srv.addr, DEADLINE).unwrap())
+                .collect();
+            for conn in held {
+                pool.check_in(srv.addr, conn);
+            }
+            assert_eq!(idle_at(&pool, srv.addr), CAP);
         }
-        assert_eq!(idle_at(&pool, srv.addr), MAX_IDLE_PER_PEER);
     }
 
     /// The reaper closes exactly the entries parked for `IDLE_LIMIT` or

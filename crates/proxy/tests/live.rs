@@ -1,6 +1,13 @@
 //! End-to-end tests of the live browsers-aware proxy over loopback TCP.
 
-use baps_proxy::{DocumentStore, Source, TestBed, TestBedConfig};
+use baps_proxy::{
+    read_message, response_code, write_message, DocumentStore, FaultConfig, FaultKind, FaultPlan,
+    Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TestBed, TestBedConfig,
+};
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn bed(n_clients: u32, proxy_capacity: u64, browser_capacity: u64) -> TestBed {
     let store = DocumentStore::synthetic(16, 200, 2_000, 42);
@@ -258,10 +265,6 @@ fn direct_forward_tampering_detected() {
 
 #[test]
 fn stats_verb_over_one_keepalive_connection() {
-    use baps_proxy::{read_message, response_code, write_message, Message};
-    use std::io::BufReader;
-    use std::net::TcpStream;
-
     let bed = bed(2, 64 << 10, 32 << 10);
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
     bed.clients[1].fetch("http://origin/doc/0").unwrap();
@@ -383,8 +386,6 @@ fn stats_verb_over_one_keepalive_connection() {
 /// allocation, and serving requests in between does not disturb it.
 #[test]
 fn proxy_cache_hit_does_not_copy_body() {
-    use std::sync::Arc;
-
     let bed = bed(2, 64 << 10, 32 << 10);
     let url = "http://origin/doc/5";
     bed.clients[0].fetch(url).unwrap();
@@ -512,9 +513,7 @@ fn keep_alive_reuses_one_connection() {
 
 #[test]
 fn stalled_proxy_reply_times_out_instead_of_hanging() {
-    use baps_proxy::{FaultConfig, FaultPlan, ProxyError};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use baps_proxy::ProxyError;
 
     // Every GET reply stalls mid-frame far longer than the client's read
     // deadline: the fetch must surface a timeout quickly, never hang.
@@ -907,10 +906,6 @@ fn stale_disk_entry_revalidates_with_304() {
 /// leaves the index and the invalidation counter unchanged.
 #[test]
 fn eviction_notices_survive_reconnect_and_apply_once() {
-    use baps_proxy::{read_message, response_code, write_message, Message};
-    use std::io::BufReader;
-    use std::net::TcpStream;
-
     // Browser fits roughly one document: fetching down the corpus soon
     // evicts something, and the notice waits for the next GET.
     let bed = bed(1, 64 << 10, 2_100);
@@ -974,7 +969,6 @@ fn eviction_notices_survive_reconnect_and_apply_once() {
 #[test]
 fn sampled_fetch_assembles_one_tree_across_processes() {
     use baps_obs::span;
-    use baps_proxy::response_code;
 
     // Tiny proxy cache (peer hits need eviction) over a corpus big
     // enough that every round touches fresh documents.
@@ -1182,6 +1176,25 @@ fn doc_url(i: usize) -> String {
     format!("http://origin/doc/{i}")
 }
 
+/// A raw connection to a server, as the proxy's upstream pool holds them.
+fn raw(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+/// One request/reply on a raw connection; `None` = the server hung up.
+fn ask(conn: &mut BufReader<TcpStream>, msg: &Message) -> Option<Message> {
+    write_message(conn.get_mut(), msg).unwrap();
+    read_message(conn).unwrap()
+}
+
+fn peerget(conn: &mut BufReader<TcpStream>, url: &str) -> Option<Message> {
+    ask(conn, &Message::new(format!("PEERGET {url} BAPS/1.0")))
+}
+
 /// Client 0 fetches docs `0..held` from the origin and client
 /// `n_clients - 1` then pushes them out of the (tiny) proxy cache with
 /// docs `8..16`: from here on, any other client's request for one of the
@@ -1225,7 +1238,9 @@ fn sequential_peer_hits_dial_the_holder_once() {
 
 /// (b) A holder that closes the kept-alive connection while it sits idle
 /// costs the next probe nothing but a dial: the liveness peek finds the
-/// close before the PEERGET is written, so no probe fails.
+/// close before the PEERGET is written, so no probe fails. The severing
+/// itself is synchronous — `drop_peer_connections` returns once the
+/// port's loop has closed every socket — and leaves the port serving.
 #[test]
 fn holder_closing_its_idle_connection_costs_one_dial() {
     let bed = bed(3, 2_500, 64 << 10);
@@ -1234,9 +1249,17 @@ fn holder_closing_its_idle_connection_costs_one_dial() {
     assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Source::Peer);
     assert_eq!(peer_dials(&bed), 1);
 
+    let holder = bed.clients[0].peer_addr();
+    let mut bystander = raw(holder);
+    assert_eq!(peerget(&mut bystander, &url).unwrap().body, bodies[0]);
     bed.clients[0].drop_peer_connections();
-    // The FIN crosses loopback asynchronously; nothing on this side of the
-    // API observes its arrival.
+    assert!(
+        matches!(read_message(&mut bystander), Ok(None)),
+        "every open connection was closed"
+    );
+    assert_eq!(peerget(&mut raw(holder), &url).unwrap().body, bodies[0]);
+    // The FIN to the proxy's parked connection crosses loopback
+    // asynchronously; nothing on this side of the API observes its arrival.
     std::thread::sleep(std::time::Duration::from_millis(100));
 
     bed.clients[1].purge_local(&url);
@@ -1285,9 +1308,6 @@ fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
 /// for this seed): each probe attempt still sends exactly one PEERGET.
 #[test]
 fn faults_on_reused_peer_connections_never_desynchronise() {
-    use baps_proxy::{FaultConfig, FaultKind, FaultPlan};
-    use std::sync::Arc;
-
     let plan = Arc::new(FaultPlan::new(
         11,
         FaultConfig {
@@ -1356,15 +1376,15 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
     bed.shutdown();
 }
 
-/// (e) Direct-forward while the proxy holds as many idle connections as
-/// it ever keeps to both the requester and the holder: each of those pins
-/// one of a browser's blocking peer workers, and the cap is below the
-/// worker count precisely so that the holder can still take the PUSH's
-/// reply path and the requester the one-shot DELIVER.
+/// (e) Direct-forward while the proxy holds a full idle set — one
+/// connection per miss-executor thread — to both the requester and the
+/// holder. None of them costs a browser a thread, so the holder still
+/// takes the PUSH and the requester the one-shot DELIVER.
 #[test]
-fn direct_delivery_lands_while_idle_connections_pin_peer_workers() {
+fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
     use std::sync::Barrier;
 
+    const WORKERS: u64 = 4;
     let bed = TestBed::start(
         DocumentStore::synthetic(24, 200, 2_000, 42),
         TestBedConfig {
@@ -1372,6 +1392,7 @@ fn direct_delivery_lands_while_idle_connections_pin_peer_workers() {
             proxy_capacity: 2_500,
             browser_capacity: 64 << 10,
             direct_forward: true,
+            proxy_workers: WORKERS as usize,
             ..TestBedConfig::default()
         },
     )
@@ -1387,10 +1408,10 @@ fn direct_delivery_lands_while_idle_connections_pin_peer_workers() {
     bed.proxy.drop_connections();
     assert_eq!(idle_upstreams(&bed), 0);
 
-    // Clients 2..6 ask `holder` for one doc each at the same moment, until
-    // enough of the PUSH orders overlapped that the proxy parked its
-    // maximum for that address (it keeps two per peer; `want` says how
-    // many are parked in total by then).
+    // Clients 2..6 ask one holder for one doc each at the same moment,
+    // until all four PUSH orders overlapped at least once: the proxy then
+    // parks one connection per miss worker for that address (`want` says
+    // how many are parked in total by then).
     let saturate = |first_doc: usize, want: u64| {
         for _round in 0..200 {
             let barrier = Barrier::new(4);
@@ -1414,16 +1435,19 @@ fn direct_delivery_lands_while_idle_connections_pin_peer_workers() {
             idle_upstreams(&bed)
         );
     };
-    saturate(0, 2); // to client 0
-    saturate(16, 4); // and to client 1
+    saturate(0, WORKERS); // to client 0
+    saturate(16, 2 * WORKERS); // and to client 1
 
-    // Client 1 (two workers pinned) asks for doc 4, which only client 0
-    // (two workers pinned) holds.
+    // Client 1 asks for doc 4, which only client 0 holds.
     let pushes = bed.proxy.stats().direct_pushes;
     let got = bed.clients[1].fetch(&doc_url(4)).unwrap();
     assert_eq!((got.source, &got.body), (Source::Peer, &bodies[4]));
     assert_eq!(bed.proxy.stats().direct_pushes, pushes + 1);
-    assert_eq!(idle_upstreams(&bed), 4, "never more than two per peer");
+    assert_eq!(
+        idle_upstreams(&bed),
+        2 * WORKERS,
+        "never more than one per miss worker and address"
+    );
     bed.shutdown();
 }
 
@@ -1432,10 +1456,6 @@ fn direct_delivery_lands_while_idle_connections_pin_peer_workers() {
 /// address again (what a reconnecting client sends) keeps them.
 #[test]
 fn register_from_a_new_port_drops_the_old_idle_set() {
-    use baps_proxy::{read_message, response_code, write_message, Message};
-    use std::io::BufReader;
-    use std::net::TcpStream;
-
     let bed = bed(3, 2_500, 64 << 10);
     seed_holder(&bed, 1);
     assert_eq!(
@@ -1455,5 +1475,175 @@ fn register_from_a_new_port_drops_the_old_idle_set() {
     assert_eq!(idle_upstreams(&bed), parked, "same address: nothing moved");
     register(9);
     assert_eq!(idle_upstreams(&bed), parked - 1, "old address forgotten");
+    bed.shutdown();
+}
+
+// ---- One I/O core: origin and peer ports on event loops (DESIGN.md §13) ----
+
+/// A proxy with more miss workers than the origin had blocking workers:
+/// every worker parks a kept-alive origin connection after its first
+/// fetch, and at the parent commit each of those pinned one of the
+/// origin's 8 threads — the second wave of misses waited behind them.
+#[test]
+fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
+    const WAVE: usize = 16;
+    let origin = OriginServer::start(DocumentStore::synthetic(2 * WAVE, 200, 2_000, 42)).unwrap();
+    let proxy = ProxyServer::start(ProxyConfig {
+        cache_capacity: 64 << 10,
+        origin_addr: origin.addr(),
+        key_seed: 1,
+        cache_peer_hits: false,
+        direct_forward: false,
+        worker_threads: WAVE,
+        peer_timeout: Duration::ZERO,
+        peer_retries: 0,
+        origin_timeout: Duration::ZERO,
+        origin_retries: 0,
+        disk: None,
+        faults: None,
+        recorder: None,
+        slo: SloTable::default(),
+    })
+    .unwrap();
+    let mut clients: Vec<_> = (0..WAVE).map(|_| raw(proxy.addr())).collect();
+    let t0 = Instant::now();
+    for wave in 0..2 {
+        let barrier = std::sync::Barrier::new(WAVE);
+        std::thread::scope(|scope| {
+            for (c, conn) in clients.iter_mut().enumerate() {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let get = Message::new(format!("GET {} BAPS/1.0", doc_url(wave * WAVE + c)))
+                        .header("Client", c.to_string());
+                    barrier.wait();
+                    let reply = ask(conn, &get).expect("a reply");
+                    assert_eq!(reply.get("X-Source"), Some("origin"));
+                });
+            }
+        });
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "{} misses took {:?}",
+        2 * WAVE,
+        t0.elapsed()
+    );
+    assert_eq!(origin.hits(), 2 * WAVE as u64);
+    proxy.shutdown();
+    origin.shutdown();
+}
+
+/// A one-browser bed whose peer port and origin consult a plan built from
+/// `faults`. The tests below talk to those two ports directly; nothing
+/// passes through the proxy, so every draw is one they caused.
+fn faulted_bed(faults: FaultConfig) -> (TestBed, Arc<FaultPlan>) {
+    let plan = Arc::new(FaultPlan::new(5, faults));
+    let bed = TestBed::start(
+        DocumentStore::synthetic(4, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 1,
+            fault_plan: Some(Arc::clone(&plan)),
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    (bed, plan)
+}
+
+/// A frame neither site's fault table covers: a browser takes a DELIVER,
+/// the origin refuses the verb.
+fn undrawn_frame() -> Message {
+    Message::new(format!("DELIVER {} BAPS/1.0", doc_url(0)))
+        .header("Txn", "1")
+        .header("X-Watermark", "ab".repeat(32))
+}
+
+/// Each site draws once per frame its fault table covers, in arrival
+/// order, and never for anything else: with tables that fire on every
+/// draw, the injected counts are the draw counts.
+#[test]
+fn fault_draws_are_one_per_covered_frame() {
+    const N: u64 = 25;
+    let (bed, plan) = faulted_bed(FaultConfig {
+        p_peer_refuse: 1.0,
+        p_origin_error: 1.0,
+        ..FaultConfig::default()
+    });
+    for (addr, covered, kind, code) in [
+        (
+            bed.clients[0].peer_addr(),
+            Message::new(format!("PEERGET {} BAPS/1.0", doc_url(0))),
+            FaultKind::PeerRefuse,
+            410,
+        ),
+        (
+            bed.origin.addr(),
+            Message::new(format!("GET {} ORIGIN/1.0", doc_url(0))),
+            FaultKind::OriginError,
+            500,
+        ),
+    ] {
+        let before = plan.counts().total();
+        // One kept-alive connection: the draw is per frame, not per dial.
+        let mut conn = raw(addr);
+        for _ in 0..N {
+            let reply = ask(&mut conn, &covered).expect("these kinds keep the connection");
+            assert_eq!(response_code(&reply), Some(code));
+        }
+        assert!(ask(&mut conn, &undrawn_frame()).is_some());
+        assert!(ask(&mut conn, &Message::new("FROB x BAPS/1.0")).is_some());
+        assert_eq!(plan.counts().get(kind), N);
+        assert_eq!(plan.counts().total(), before + N);
+    }
+    assert_eq!(
+        bed.origin.hits(),
+        0,
+        "a faulted GET is not counted as served"
+    );
+    bed.shutdown();
+}
+
+/// Stalled replies wait on the serving loop's timer, not in a sleeping
+/// thread: with more stalls in progress on a browser's peer port (and on
+/// the origin) than either ever had blocking workers, the next connection
+/// is still served at once, and every stalled frame completes.
+#[test]
+fn stalled_replies_hold_no_thread_on_peer_port_or_origin() {
+    const STALLED: usize = 10;
+    const STALL: Duration = Duration::from_millis(400);
+    let (bed, plan) = faulted_bed(FaultConfig {
+        p_peer_stall: 1.0,
+        p_origin_stall: 1.0,
+        stall: STALL,
+        ..FaultConfig::default()
+    });
+    for (addr, stalled_req) in [
+        (
+            bed.clients[0].peer_addr(),
+            Message::new(format!("PEERGET {} BAPS/1.0", doc_url(0))),
+        ),
+        (
+            bed.origin.addr(),
+            Message::new(format!("GET {} ORIGIN/1.0", doc_url(0))),
+        ),
+    ] {
+        let t0 = Instant::now();
+        let mut stalled: Vec<_> = (0..STALLED).map(|_| raw(addr)).collect();
+        for conn in &mut stalled {
+            write_message(conn.get_mut(), &stalled_req).unwrap();
+        }
+        assert!(ask(&mut raw(addr), &undrawn_frame()).is_some());
+        assert!(
+            t0.elapsed() < STALL,
+            "served behind {STALLED} stalls after {:?}",
+            t0.elapsed()
+        );
+        for conn in &mut stalled {
+            read_message(conn).unwrap().expect("the whole frame");
+        }
+        assert!(t0.elapsed() >= STALL);
+    }
+    assert_eq!(plan.counts().get(FaultKind::PeerStall), STALLED as u64);
+    assert_eq!(plan.counts().get(FaultKind::OriginStall), STALLED as u64);
     bed.shutdown();
 }

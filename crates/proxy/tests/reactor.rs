@@ -1,15 +1,18 @@
-//! End-to-end tests of what the proxy's event loops and miss executor
+//! End-to-end tests of what event loops plus a small blocking executor
 //! (DESIGN.md §13) make possible: idle-connection scaling far past the
-//! worker count, slow-loris immunity, a miss queue that drains, and a
-//! prompt shutdown. Verb, tier, disk and restart coverage lives in
-//! `live.rs`.
+//! worker count, slow-loris immunity on the proxy's port and on a
+//! browser's peer port, a miss queue that drains, and a prompt shutdown.
+//! Verb, tier, disk and restart coverage lives in `live.rs`.
 
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, Message, Source, TestBed,
     TestBedConfig,
 };
 use std::io::{BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn bed(n_clients: u32, config: TestBedConfig) -> TestBed {
@@ -72,15 +75,65 @@ fn holds_idle_connections_while_serving() {
     bed.shutdown();
 }
 
+const LORIS_CONNS: usize = 32;
+
+/// Opens `LORIS_CONNS` connections to `addr`, each dribbling `head` one
+/// byte every 20 ms, forever (until `stop`) — the canonical loris never
+/// finishes its request. Returns once the swarm has had time to connect.
+fn loris_swarm(
+    addr: SocketAddr,
+    head: &'static [u8],
+    stop: &Arc<AtomicBool>,
+) -> Vec<JoinHandle<()>> {
+    let swarm = (0..LORIS_CONNS)
+        .map(|_| {
+            let stop = Arc::clone(stop);
+            std::thread::spawn(move || {
+                let Ok(mut stream) = TcpStream::connect(addr) else {
+                    return;
+                };
+                for b in head.iter().cycle() {
+                    if stop.load(Ordering::Relaxed)
+                        || stream.write_all(std::slice::from_ref(b)).is_err()
+                    {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    swarm
+}
+
+/// Fetches `url` on `client` 50 times while a swarm dribbles, via
+/// `before_each`; returns the slowest. The failure mode it guards against
+/// is queuing behind the swarm (hundreds of ms to seconds), so callers
+/// compare against a threshold generous to CI noise.
+fn worst_fetch(
+    client: &baps_proxy::ClientAgent,
+    url: &str,
+    expect: &[Source],
+    before_each: impl Fn(),
+) -> Duration {
+    let mut worst = Duration::ZERO;
+    for _ in 0..50 {
+        before_each();
+        let t = Instant::now();
+        let r = client.fetch(url).unwrap();
+        worst = worst.max(t.elapsed());
+        assert!(expect.contains(&r.source), "{:?}", r.source);
+    }
+    worst
+}
+
 /// Slow-loris regression: a swarm of connections dribbling a request head
 /// one byte at a time must not delay other clients. Each loris connection
 /// costs a registered fd and a parser buffer, never a thread, and honest
 /// requests keep their sub-threshold latency throughout.
 #[test]
 fn slow_loris_does_not_delay_other_clients() {
-    const LORIS_CONNS: usize = 32;
-    const DRIBBLE: Duration = Duration::from_millis(20);
-
     let bed = bed(
         2,
         TestBedConfig {
@@ -93,32 +146,12 @@ fn slow_loris_does_not_delay_other_clients() {
     // Warm the doc so honest fetches are pure proxy hits (inline path).
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
 
-    let head: &[u8] = b"GET http://origin/doc/0 BAPS/1.0\r\nClient: 1\r\n\r\n";
-    let addr = bed.proxy.addr();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut loris = Vec::new();
-    for _ in 0..LORIS_CONNS {
-        let stop = std::sync::Arc::clone(&stop);
-        loris.push(std::thread::spawn(move || {
-            let Ok(mut stream) = TcpStream::connect(addr) else {
-                return;
-            };
-            // Dribble the head one byte at a time, forever (until told to
-            // stop) — the canonical loris never finishes its request.
-            for b in head.iter().cycle() {
-                if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    return;
-                }
-                if stream.write_all(std::slice::from_ref(b)).is_err() {
-                    return;
-                }
-                std::thread::sleep(DRIBBLE);
-            }
-        }));
-    }
-
-    // Give the swarm time to connect and start dribbling.
-    std::thread::sleep(Duration::from_millis(100));
+    let stop = Arc::new(AtomicBool::new(false));
+    let loris = loris_swarm(
+        bed.proxy.addr(),
+        b"GET http://origin/doc/0 BAPS/1.0\r\nClient: 1\r\n\r\n",
+        &stop,
+    );
     let r = bed.proxy.reactor_stats();
     assert!(
         r.registered_fds as usize > LORIS_CONNS / 2,
@@ -126,22 +159,65 @@ fn slow_loris_does_not_delay_other_clients() {
     );
 
     // Honest client: repeated proxy-hit fetches while the swarm dribbles.
-    // Threshold is generous against CI noise; the failure mode it guards
-    // against is queuing behind the swarm (hundreds of ms to seconds).
-    let mut worst = Duration::ZERO;
-    for _ in 0..50 {
-        let t = Instant::now();
-        let r = bed.clients[1].fetch("http://origin/doc/0").unwrap();
-        let elapsed = t.elapsed();
-        assert!(matches!(r.source, Source::Proxy | Source::LocalBrowser));
-        worst = worst.max(elapsed);
-    }
+    let worst = worst_fetch(
+        &bed.clients[1],
+        "http://origin/doc/0",
+        &[Source::Proxy, Source::LocalBrowser],
+        || {},
+    );
     assert!(
         worst < Duration::from_millis(250),
         "honest fetches stayed fast during the loris swarm; worst {worst:?}"
     );
 
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::Relaxed);
+    for handle in loris {
+        let _ = handle.join();
+    }
+    bed.shutdown();
+}
+
+/// The same swarm on a *browser's* peer port, dribbling a PEERGET head:
+/// remote-browser hits served by that holder stay fast. (When the port
+/// served each connection from one of four blocking workers, four
+/// dribblers starved it until their 30 s deadline.)
+#[test]
+fn slow_loris_on_a_peer_port_does_not_delay_peer_hits() {
+    let bed = bed(
+        3,
+        TestBedConfig {
+            // Holds one document: doc 0 is evicted by doc 1 and lives on
+            // in client 0's browser alone.
+            proxy_capacity: 2_500,
+            browser_capacity: 64 << 10,
+            ..TestBedConfig::default()
+        },
+    );
+    let url = "http://origin/doc/0";
+    bed.clients[0].fetch(url).unwrap();
+    for i in 8..16 {
+        bed.clients[2]
+            .fetch(&format!("http://origin/doc/{i}"))
+            .unwrap();
+    }
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let loris = loris_swarm(
+        bed.clients[0].peer_addr(),
+        b"PEERGET http://origin/doc/0 BAPS/1.0\r\n\r\n",
+        &stop,
+    );
+    let requester = &bed.clients[1];
+    let worst = worst_fetch(requester, url, &[Source::Peer], || {
+        requester.purge_local(url);
+    });
+    assert!(
+        worst < Duration::from_millis(250),
+        "peer hits stayed fast during the loris swarm; worst {worst:?}"
+    );
+    assert!(bed.clients[0].peer_serves() >= 50);
+
+    stop.store(true, Ordering::Relaxed);
     for handle in loris {
         let _ = handle.join();
     }

@@ -34,6 +34,10 @@ benchmark/run.sh --workload disk-storm --seed 1 --seconds 1 --trace 0 >/dev/null
 # relayed over the proxy's kept-alive upstream connections: a reply read
 # off a desynchronised reused connection is a wrong body byte here.
 benchmark/run.sh --workload peer-share --seed 1 --seconds 1 --trace 0 >/dev/null
+# And on the workload whose bodies run to 1 MiB: the origin's event loops
+# push them through WriteQueue's resume-after-EAGAIN path, where an offset
+# bug is a wrong body byte.
+benchmark/run.sh --workload heavy-tail --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
