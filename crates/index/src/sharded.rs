@@ -6,8 +6,8 @@
 //! a concurrent caller (the live proxy wraps each shard in its own lock)
 //! touch only one shard per operation. The routing function is a fixed
 //! multiplicative hash so the shard assignment is deterministic across
-//! runs and processes — the property tests and the proxy's `STATS`
-//! shard-occupancy report rely on that.
+//! runs and processes — the property tests and the proxy's per-shard
+//! occupancy gauges rely on that.
 
 use crate::exact::ExactIndex;
 use crate::stats::IndexStats;

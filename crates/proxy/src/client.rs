@@ -369,14 +369,6 @@ impl ClientAgent {
         self.obs.tiers.snapshot(tier.index())
     }
 
-    /// Reads the proxy's live counters over the wire (`STATS BAPS/1.0`).
-    /// Returns the raw reply; counter values are in its headers
-    /// (`Requests`, `Proxy-Hits`, `Peer-Hits`, `Origin-Fetches`,
-    /// `Invalidations`, `Peer-Failures`, `Direct-Pushes`).
-    pub fn proxy_stats_raw(&self) -> Result<Message, ProxyError> {
-        self.roundtrip(Message::new("STATS BAPS/1.0"))
-    }
-
     /// Scrapes the proxy's Prometheus exposition over the wire
     /// (`METRICS BAPS/1.0`). The exposition text is the reply body.
     pub fn proxy_metrics_raw(&self) -> Result<Message, ProxyError> {

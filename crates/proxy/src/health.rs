@@ -18,25 +18,22 @@
 //! a window's span is reported honestly (`span_s`) and may exceed the
 //! asked-for width when captures are sparse.
 
-use crate::proxy::ProxyState;
+use crate::counters::COUNTERS;
+use crate::proxy::{ProxyState, ProxyStats};
 use baps_obs::window::{push_hist, WindowRing, WindowSchema, WindowSnapshot, DEFAULT_CAPACITY};
 use baps_obs::LatencyHistogram;
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// Capture layout: counter slots in every window capture.
-pub(crate) const WIN_REQUESTS: usize = 0;
-pub(crate) const WIN_ERRORS: usize = 1;
-pub(crate) const WIN_ORIGIN_FETCHES: usize = 2;
-pub(crate) const WIN_PEER_FALLBACKS: usize = 3;
-pub(crate) const WIN_COALESCED: usize = 4;
-pub(crate) const WIN_RECORDER_SHED: usize = 5;
-pub(crate) const WIN_QUEUE_REJECTED: usize = 6;
-const WIN_COUNTERS: usize = 7;
+/// Capture layout: every request counter in table order
+/// ([`ProxyStats::values`], read back by [`window_stats`]), then these two.
+const WIN_RECORDER_SHED: usize = COUNTERS.len();
+const WIN_QUEUE_REJECTED: usize = COUNTERS.len() + 1;
+const WIN_COUNTERS: usize = COUNTERS.len() + 2;
 
 /// Capture layout: histogram slots (after the counters).
-pub(crate) const WIN_HIST_REQUEST: usize = 0;
-pub(crate) const WIN_HIST_QUEUE_WAIT: usize = 1;
+const WIN_HIST_REQUEST: usize = 0;
+const WIN_HIST_QUEUE_WAIT: usize = 1;
 const WIN_HISTS: usize = 2;
 
 /// The schema every proxy window capture follows.
@@ -121,11 +118,7 @@ fn capture_values(state: &ProxyState) -> Vec<u64> {
     let s = state.stats();
     let sat = state.telemetry.snapshot();
     let mut v = Vec::with_capacity(schema().width());
-    v.push(s.requests);
-    v.push(s.errors);
-    v.push(s.origin_fetches);
-    v.push(s.peer_fallbacks);
-    v.push(s.coalesced_fetches);
+    v.extend(s.values());
     v.push(state.obs.recorder.dropped());
     v.push(sat.rejected);
     let mut request = LatencyHistogram::new();
@@ -328,7 +321,7 @@ pub struct WindowRates {
     pub origin_fetches: u64,
     /// Coalesced (herd-shared) fetches in the window.
     pub coalesced: u64,
-    /// Connections rejected at the accept backlog / offload queue.
+    /// Requests the miss executor refused (it was shutting down).
     pub rejected: u64,
     /// Requests per second over the span.
     pub req_per_s: f64,
@@ -612,9 +605,10 @@ fn measure(state: &ProxyState, rule: &SloRule) -> (f64, u64) {
         return (0.0, 0);
     };
     let span = w.span_secs();
+    let stats = window_stats(&w);
     let value = match rule.signal {
-        SloSignal::ErrorRate => per_request(&w, WIN_ERRORS),
-        SloSignal::OriginFallbackRate => per_request(&w, WIN_PEER_FALLBACKS),
+        SloSignal::ErrorRate => ratio(stats.errors, stats.requests),
+        SloSignal::OriginFallbackRate => ratio(stats.peer_fallbacks, stats.requests),
         SloSignal::RequestP999Ms => w.hist(WIN_HIST_REQUEST).quantile_ms(0.999),
         SloSignal::QueueWaitP99Ms => w.hist(WIN_HIST_QUEUE_WAIT).quantile_ms(0.99),
         SloSignal::RecorderShedPerSec => w.rate(WIN_RECORDER_SHED),
@@ -623,12 +617,19 @@ fn measure(state: &ProxyState, rule: &SloRule) -> (f64, u64) {
     (value, span)
 }
 
-fn per_request(w: &WindowSnapshot, counter: usize) -> f64 {
-    let requests = w.counter(WIN_REQUESTS);
-    if requests == 0 {
+/// The request counters' deltas over `w`, as the snapshot type they were
+/// captured from (so `requests` is again the sum of the outcomes).
+fn window_stats(w: &WindowSnapshot) -> ProxyStats {
+    ProxyStats::from_values(std::array::from_fn(|slot| w.counter(slot))).unwrap_or_default()
+}
+
+/// `count / per`; 0 when `per` is 0 (a window without requests, or an
+/// empty span).
+fn ratio(count: u64, per: u64) -> f64 {
+    if per == 0 {
         0.0
     } else {
-        w.counter(counter) as f64 / requests as f64
+        count as f64 / per as f64
     }
 }
 
@@ -640,16 +641,17 @@ fn window_rates(w: Option<WindowSnapshot>, want: u64) -> WindowRates {
         };
     };
     let hist = w.hist(WIN_HIST_REQUEST);
+    let stats = window_stats(&w);
     WindowRates {
         window_secs: want,
         span_secs: w.span_secs(),
-        requests: w.counter(WIN_REQUESTS),
-        errors: w.counter(WIN_ERRORS),
-        origin_fetches: w.counter(WIN_ORIGIN_FETCHES),
-        coalesced: w.counter(WIN_COALESCED),
+        requests: stats.requests,
+        errors: stats.errors,
+        origin_fetches: stats.origin_fetches,
+        coalesced: stats.coalesced_fetches,
         rejected: w.counter(WIN_QUEUE_REJECTED),
-        req_per_s: w.rate(WIN_REQUESTS),
-        err_per_s: w.rate(WIN_ERRORS),
+        req_per_s: ratio(stats.requests, w.span_secs()),
+        err_per_s: ratio(stats.errors, w.span_secs()),
         p99_ms: hist.quantile_ms(0.99),
         p999_ms: hist.quantile_ms(0.999),
     }

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod counters;
 pub mod disk;
 pub mod error;
 pub mod fault;
@@ -47,7 +48,7 @@ pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};
 pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdict, WindowRates};
 pub use origin::OriginServer;
 pub use protocol::{encode_message, read_message, response_code, write_message, Body, Message};
-pub use proxy::{ProxyConfig, ProxyCounters, ProxyServer, ProxyStats};
+pub use proxy::{ProxyConfig, ProxyServer, ProxyStats};
 pub use reactor::{PoolTelemetry, ReactorSnapshot, ReactorTelemetry, SaturationSnapshot};
 pub use runtime::{TestBed, TestBedConfig};
 pub use shard::{auto_shards, ShardedCache, StripedIndex};

@@ -1,9 +1,9 @@
 //! Prometheus rendering for the `METRICS BAPS/1.0` verb.
 //!
-//! One scrape covers the whole proxy: request counters (from the same
-//! consistent [`ProxyCounters::snapshot`](crate::proxy::ProxyCounters) the
-//! `STATS` verb reads, so `baps_requests_total` always equals the sum of
-//! `baps_served_total` + `baps_errors_total`), cache, disk-tier, and
+//! One scrape covers the whole proxy: request counters (one consistent
+//! snapshot, its families taken from the table in `counters.rs`, so
+//! `baps_requests_total` always equals the sum of `baps_served_total` +
+//! `baps_errors_total`), cache, disk-tier, and
 //! index occupancy with per-shard gauges, the per-tier and per-verb
 //! latency histograms, and the flight recorder's fill level. The
 //! exposition format and bucket layout are documented in DESIGN.md §9.
@@ -13,6 +13,7 @@
 //! scraper sees monotonic counters across a proxy restart instead of a
 //! reset to zero (DESIGN.md §10).
 
+use crate::counters::Family;
 use crate::proxy::ProxyState;
 use crate::upstream::UPSTREAM_LABELS;
 use baps_obs::prom::PromText;
@@ -42,8 +43,8 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
 
     // Request counters: one consistent snapshot (baseline included), so
-    // the balance identity requests == proxy_hits + disk_hits + peer_hits
-    // + origin_fetches + errors holds inside every scrape.
+    // the balance identity (requests = served tiers + errors) holds
+    // inside every scrape.
     let s = state.stats();
     out.counter(
         "baps_requests_total",
@@ -55,48 +56,16 @@ pub(crate) fn render(state: &ProxyState) -> String {
         "counter",
         "GET requests served, by serve tier.",
     );
-    out.sample(
-        "baps_served_total",
-        &[("tier", "proxy")],
-        s.proxy_hits as f64,
-    );
-    out.sample("baps_served_total", &[("tier", "disk")], s.disk_hits as f64);
-    out.sample("baps_served_total", &[("tier", "peer")], s.peer_hits as f64);
-    out.sample(
-        "baps_served_total",
-        &[("tier", "origin")],
-        s.origin_fetches as f64,
-    );
-    out.counter(
-        "baps_errors_total",
-        "GET requests answered with an error (404/5xx).",
-        s.errors,
-    );
-    out.counter(
-        "baps_invalidations_total",
-        "INVALIDATE messages processed (incl. piggybacked evictions).",
-        s.invalidations,
-    );
-    out.counter(
-        "baps_peer_failures_total",
-        "Peer probes that failed (refused, GONE, bad reply).",
-        s.peer_failures,
-    );
-    out.counter(
-        "baps_direct_pushes_total",
-        "Peer hits served by direct client-to-client pushes.",
-        s.direct_pushes,
-    );
-    out.counter(
-        "baps_peer_fallbacks_total",
-        "Requests that degraded from the peer path to the origin.",
-        s.peer_fallbacks,
-    );
-    out.counter(
-        "baps_coalesced_fetches_total",
-        "Misses coalesced onto another request's in-flight fetch.",
-        s.coalesced_fetches,
-    );
+    for (def, value) in s.counters() {
+        if let Family::Served(tier) = def.family {
+            out.sample("baps_served_total", &[("tier", tier)], value as f64);
+        }
+    }
+    for (def, value) in s.counters() {
+        if let Family::Plain(name, help) = def.family {
+            out.counter(name, help, value);
+        }
+    }
 
     // Proxy cache: aggregate occupancy plus hit/eviction counters from the
     // body caches themselves, then per-shard gauges for skew diagnosis.
@@ -167,11 +136,11 @@ pub(crate) fn render(state: &ProxyState) -> String {
             "Disk reads that returned a verified but TTL-expired document.",
             d.stale,
         );
-        out.counter(
-            "baps_disk_revalidations_total",
-            "Stale disk entries revalidated via 304 Not Modified.",
-            s.disk_revalidations,
-        );
+        for (def, value) in s.counters() {
+            if let Family::Disk(name, help) = def.family {
+                out.counter(name, help, value);
+            }
+        }
         out.counter(
             "baps_disk_writes_total",
             "Documents written through to the disk tier.",

@@ -21,15 +21,11 @@
 //!   (header `Client: <id>`);
 //! * `REGISTER <peer-port> BAPS/1.0` — client → proxy enrolment
 //!   (header `Client: <id>`);
-//! * `STATS BAPS/1.0` — operator → proxy live-counter probe; the reply
-//!   carries every [`ProxyCounters`] field as a header (`Requests`,
-//!   `Proxy-Hits`, `Peer-Hits`, `Origin-Fetches`, `Invalidations`,
-//!   `Peer-Failures`, `Direct-Pushes`);
 //! * `METRICS BAPS/1.0` — operator → proxy metrics scrape; the reply body
 //!   is a Prometheus text exposition (counters, per-shard gauges,
 //!   per-tier/per-verb latency histograms — see DESIGN.md §9), with
-//!   `Content-Type: text/plain; version=0.0.4`. Supersedes the ad-hoc
-//!   `STATS` headers for monitoring; `STATS` remains for compatibility;
+//!   `Content-Type: text/plain; version=0.0.4`. The one verb that
+//!   reports counters and gauges;
 //! * `TRACE BAPS/1.0` — operator → proxy trace export; the reply body is
 //!   JSONL, one span per line, drained from the proxy's flight recorder
 //!   (`Content-Type: application/jsonl`, plus `Sample-One-In` naming the
@@ -73,8 +69,6 @@
 //! costs a registered fd; the origin and the clients' peer servers run a
 //! fixed worker pool, where each open connection occupies one worker until
 //! it closes (see [`crate::pool`]).
-//!
-//! [`ProxyCounters`]: crate::proxy::ProxyCounters
 
 use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::sync::Arc;

@@ -13,6 +13,8 @@
 //! a shared [`FlightRecorder`] keyed by the client-minted `Trace-Id`. The
 //! `METRICS BAPS/1.0` verb renders all of it as Prometheus text.
 
+pub use crate::counters::ProxyStats;
+use crate::counters::{load_baseline, persist_baseline, ProxyCounters};
 use crate::disk::{DiskConfig, DiskStats, DiskTier};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
@@ -24,7 +26,7 @@ use crate::reactor::{
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::UpstreamPool;
-use baps_crypto::{md5, AnonymizingProxy, Digest, PeerId, ProxySigner, PublicKey, Watermark};
+use baps_crypto::{md5, Digest, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -122,145 +124,16 @@ impl ProxyConfig {
     }
 }
 
-/// Aggregate counters, readable while the proxy runs.
-///
-/// There is deliberately no `requests` counter: a request total incremented
-/// separately from the outcome counters can be read mid-request, producing
-/// snapshots where `requests != proxy_hits + disk_hits + peer_hits +
-/// origin_fetches + errors`. [`ProxyCounters::snapshot`] instead *derives*
-/// the total from the outcome counters, so the balance identity holds in
-/// every snapshot by construction (each outcome counter is bumped exactly
-/// once, when the request's fate is decided).
-#[derive(Debug, Default)]
-pub struct ProxyCounters {
-    /// Served from the proxy's in-memory cache.
-    pub proxy_hits: AtomicU64,
-    /// Served from the proxy's disk tier (fresh or revalidated).
-    pub disk_hits: AtomicU64,
-    /// Disk-tier serves that required a `304 Not Modified` revalidation
-    /// round trip first (a subset of `disk_hits`).
-    pub disk_revalidations: AtomicU64,
-    /// Served from a peer browser cache.
-    pub peer_hits: AtomicU64,
-    /// Fetched from the origin.
-    pub origin_fetches: AtomicU64,
-    /// INVALIDATE messages processed.
-    pub invalidations: AtomicU64,
-    /// Peer probes that failed (connection refused / GONE / bad reply).
-    pub peer_failures: AtomicU64,
-    /// Peer hits served by direct client-to-client pushes.
-    pub direct_pushes: AtomicU64,
-    /// Requests where the browser index offered candidates but every
-    /// probe failed, so the request degraded to the origin path.
-    pub peer_fallbacks: AtomicU64,
-    /// GET requests answered with an error (404 or 5xx) instead of a
-    /// document.
-    pub errors: AtomicU64,
-    /// Concurrent misses for the same document that were coalesced onto
-    /// another request's in-flight fetch instead of fetching themselves
-    /// (the thundering-herd guard). Followers are counted under
-    /// `proxy_hits` (success) or `errors` (broadcast failure); this
-    /// counter is the diagnostic overlay saying how many of those were
-    /// coalesced.
-    pub coalesced_fetches: AtomicU64,
-}
-
-impl ProxyCounters {
-    /// A consistent snapshot: each outcome counter is read exactly once
-    /// and the request total is derived from them, so
-    /// `requests == proxy_hits + disk_hits + peer_hits + origin_fetches +
-    /// errors` holds in the result even while workers are mid-flight.
-    pub fn snapshot(&self) -> ProxyStats {
-        let proxy_hits = self.proxy_hits.load(Ordering::Relaxed);
-        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
-        let peer_hits = self.peer_hits.load(Ordering::Relaxed);
-        let origin_fetches = self.origin_fetches.load(Ordering::Relaxed);
-        let errors = self.errors.load(Ordering::Relaxed);
-        ProxyStats {
-            requests: proxy_hits + disk_hits + peer_hits + origin_fetches + errors,
-            proxy_hits,
-            disk_hits,
-            disk_revalidations: self.disk_revalidations.load(Ordering::Relaxed),
-            peer_hits,
-            origin_fetches,
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            peer_failures: self.peer_failures.load(Ordering::Relaxed),
-            direct_pushes: self.direct_pushes.load(Ordering::Relaxed),
-            peer_fallbacks: self.peer_fallbacks.load(Ordering::Relaxed),
-            errors,
-            coalesced_fetches: self.coalesced_fetches.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of [`ProxyCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProxyStats {
-    /// GET requests completed (derived: the sum of the five outcome
-    /// counters, so the balance identity holds in every snapshot).
-    pub requests: u64,
-    /// Served from the proxy's in-memory cache.
-    pub proxy_hits: u64,
-    /// Served from the proxy's disk tier (fresh or revalidated).
-    pub disk_hits: u64,
-    /// Disk serves that needed a `304 Not Modified` revalidation first
-    /// (a subset of `disk_hits`).
-    pub disk_revalidations: u64,
-    /// Served from a peer browser cache.
-    pub peer_hits: u64,
-    /// Fetched from the origin.
-    pub origin_fetches: u64,
-    /// Eviction notices applied to the browser index. Counted only when
-    /// the notice actually removed an entry, so a notice replayed by a
-    /// reconnecting client (delivered, but the reply was lost) counts
-    /// exactly once.
-    pub invalidations: u64,
-    /// Failed peer probes.
-    pub peer_failures: u64,
-    /// Peer hits served by direct client-to-client pushes.
-    pub direct_pushes: u64,
-    /// Requests that degraded from the peer path to the origin path.
-    pub peer_fallbacks: u64,
-    /// GET requests answered with an error instead of a document.
-    pub errors: u64,
-    /// Requests that coalesced onto another request's in-flight fetch (a
-    /// diagnostic overlay on `proxy_hits`/`errors`, outside the balance
-    /// identity).
-    pub coalesced_fetches: u64,
-}
-
-impl ProxyStats {
-    /// Field-wise sum with a persisted pre-restart baseline. Both addends
-    /// satisfy the balance identity (each derives `requests` from its own
-    /// outcome counters), so the sum does too — restart-surviving totals
-    /// stay monotonic *and* balanced.
-    pub fn offset_by(mut self, base: &ProxyStats) -> ProxyStats {
-        self.requests += base.requests;
-        self.proxy_hits += base.proxy_hits;
-        self.disk_hits += base.disk_hits;
-        self.disk_revalidations += base.disk_revalidations;
-        self.peer_hits += base.peer_hits;
-        self.origin_fetches += base.origin_fetches;
-        self.invalidations += base.invalidations;
-        self.peer_failures += base.peer_failures;
-        self.direct_pushes += base.direct_pushes;
-        self.peer_fallbacks += base.peer_fallbacks;
-        self.errors += base.errors;
-        self.coalesced_fetches += base.coalesced_fetches;
-        self
-    }
-}
-
 /// Shard-lock waits above this are worth a flight-recorder event even on
 /// a cache hit; anything quicker is uncontended-fast-path noise.
 const SLOW_SHARD_WAIT: Duration = Duration::from_micros(100);
 
-/// Label set for the proxy's per-verb latency histograms.
-pub(crate) const PROXY_VERBS: [&str; 8] = [
+/// Label set for the proxy's per-verb latency histograms; the last label
+/// takes every message whose first token is none of the others.
+pub(crate) const PROXY_VERBS: [&str; 7] = [
     "GET",
     "INVALIDATE",
     "REGISTER",
-    "STATS",
     "METRICS",
     "TRACE",
     "HEALTH",
@@ -269,16 +142,9 @@ pub(crate) const PROXY_VERBS: [&str; 8] = [
 
 /// Position of a request's first token in [`PROXY_VERBS`].
 pub(crate) fn verb_index(verb: Option<&&str>) -> usize {
-    match verb {
-        Some(&"GET") => 0,
-        Some(&"INVALIDATE") => 1,
-        Some(&"REGISTER") => 2,
-        Some(&"STATS") => 3,
-        Some(&"METRICS") => 4,
-        Some(&"TRACE") => 5,
-        Some(&"HEALTH") => 6,
-        _ => 7,
-    }
+    let other = PROXY_VERBS.len() - 1;
+    verb.and_then(|verb| PROXY_VERBS[..other].iter().position(|label| label == verb))
+        .unwrap_or(other)
 }
 
 /// The proxy's observability surfaces: tier + verb histograms and the
@@ -293,19 +159,19 @@ pub(crate) struct ProxyObs {
 
 /// Shared proxy state. Lock discipline (see DESIGN.md): `cache` and
 /// `index` are doc-sharded stripes (one lock per shard); `urls` and
-/// `peers` are read-mostly RwLocks; `relay` and the `upstream` pool's map
-/// are brief bookkeeping mutexes. No lock is ever held across socket I/O,
-/// an origin fetch, or a body copy, and no worker holds two locks at once.
+/// `peers` are read-mostly RwLocks; the `upstream` pool's map and the
+/// `inflight` registry are brief bookkeeping mutexes. No lock is ever held
+/// across socket I/O, an origin fetch, or a body copy, and no worker holds
+/// two locks at once.
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache,
     pub(crate) index: StripedIndex,
     urls: RwLock<Interner>,
     peers: RwLock<HashMap<u32, SocketAddr>>,
-    relay: Mutex<AnonymizingProxy>,
+    /// The next `Txn` number (1, 2, …) a PEERGET or PUSH order carries:
+    /// all a holder learns about who asked (§6.2).
+    next_txn: AtomicU64,
     signer: ProxySigner,
-    /// The watermark of the empty body, minted once: what closes a relay
-    /// transaction whose delivery rides the GET reply instead.
-    empty_watermark: Watermark,
     pub(crate) counters: ProxyCounters,
     /// Counter totals carried over from previous incarnations of this
     /// proxy (loaded from the disk root at start). Folded into every
@@ -319,8 +185,7 @@ pub(crate) struct ProxyState {
     /// proxy initiates goes through it.
     pub(crate) upstream: UpstreamPool,
     /// Miss-executor saturation telemetry (shared with the executor), so
-    /// STATS/METRICS can report queue depth, busy workers, and
-    /// time-in-queue.
+    /// METRICS can report queue depth, busy workers, and time-in-queue.
     pub(crate) telemetry: Arc<PoolTelemetry>,
     /// Event-loop telemetry (shared with the loops).
     pub(crate) reactor: Arc<ReactorTelemetry>,
@@ -401,8 +266,7 @@ impl ProxyServer {
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
             urls: RwLock::new(Interner::new()),
             peers: RwLock::new(HashMap::new()),
-            relay: Mutex::new(AnonymizingProxy::new()),
-            empty_watermark: signer.watermark(b""),
+            next_txn: AtomicU64::new(1),
             signer,
             counters: ProxyCounters::default(),
             baseline,
@@ -484,8 +348,8 @@ impl ProxyServer {
     /// Counter snapshot, including totals carried over from previous
     /// incarnations when a disk tier is configured. The balance identity
     /// `requests == proxy_hits + disk_hits + peer_hits + origin_fetches +
-    /// errors` holds in every snapshot, even taken mid-load (see
-    /// [`ProxyCounters::snapshot`] and [`ProxyStats::offset_by`]).
+    /// errors` holds in every snapshot, even taken mid-load: `requests` is
+    /// derived from the outcome counters, never counted beside them.
     pub fn stats(&self) -> ProxyStats {
         self.state.stats()
     }
@@ -636,65 +500,6 @@ impl Drop for ProxyServer {
     }
 }
 
-/// File beside the disk tier holding the cumulative counter totals of
-/// previous proxy incarnations (plain `key=value` lines).
-const BASELINE_FILE: &str = "counters.baseline";
-
-/// Writes the cumulative counters as `key=value` lines. `requests` is not
-/// written — it is derived on load, preserving the balance identity.
-fn persist_baseline(root: &std::path::Path, s: &ProxyStats) {
-    let text = format!(
-        "proxy_hits={}\ndisk_hits={}\ndisk_revalidations={}\npeer_hits={}\n\
-         origin_fetches={}\ninvalidations={}\npeer_failures={}\n\
-         direct_pushes={}\npeer_fallbacks={}\nerrors={}\ncoalesced_fetches={}\n",
-        s.proxy_hits,
-        s.disk_hits,
-        s.disk_revalidations,
-        s.peer_hits,
-        s.origin_fetches,
-        s.invalidations,
-        s.peer_failures,
-        s.direct_pushes,
-        s.peer_fallbacks,
-        s.errors,
-        s.coalesced_fetches,
-    );
-    let _ = std::fs::write(root.join(BASELINE_FILE), text);
-}
-
-/// Loads the persisted counter baseline; unknown keys are skipped and a
-/// missing or garbled file yields zeros, so a corrupt baseline degrades
-/// to a counter reset, never a failed start.
-fn load_baseline(root: &std::path::Path) -> ProxyStats {
-    let mut s = ProxyStats::default();
-    if let Ok(text) = std::fs::read_to_string(root.join(BASELINE_FILE)) {
-        for line in text.lines() {
-            let Some((key, value)) = line.split_once('=') else {
-                continue;
-            };
-            let Ok(value) = value.trim().parse::<u64>() else {
-                continue;
-            };
-            match key.trim() {
-                "proxy_hits" => s.proxy_hits = value,
-                "disk_hits" => s.disk_hits = value,
-                "disk_revalidations" => s.disk_revalidations = value,
-                "peer_hits" => s.peer_hits = value,
-                "origin_fetches" => s.origin_fetches = value,
-                "invalidations" => s.invalidations = value,
-                "peer_failures" => s.peer_failures = value,
-                "direct_pushes" => s.direct_pushes = value,
-                "peer_fallbacks" => s.peer_fallbacks = value,
-                "errors" => s.errors = value,
-                "coalesced_fetches" => s.coalesced_fetches = value,
-                _ => {}
-            }
-        }
-    }
-    s.requests = s.proxy_hits + s.disk_hits + s.peer_hits + s.origin_fetches + s.errors;
-    s
-}
-
 impl FrameService for ProxyState {
     fn faults(&self) -> Option<&FaultPlan> {
         self.config.faults.as_deref()
@@ -814,7 +619,6 @@ fn dispatch(
             }
             Some(response(status::OK, "OK"))
         }
-        ["STATS", "BAPS/1.0"] => Some(stats_response(state)),
         ["TRACE", "BAPS/1.0"] => {
             let body = state.obs.recorder.dump_spans();
             Some(
@@ -885,6 +689,53 @@ pub(crate) fn doc_id(state: &ProxyState, url: &str) -> DocId {
     DocId(state.urls.write().intern(url))
 }
 
+/// What the miss path and the serve sites need to know about the GET
+/// being answered.
+struct GetRequest<'a> {
+    url: &'a str,
+    doc: DocId,
+    requester: ClientId,
+    bypass_peers: bool,
+    trace: TraceId,
+    parent: SpanId,
+    t_request: Instant,
+}
+
+/// The one place a GET is counted as served: bumps `tier`'s outcome
+/// counter, lists the requester in the index (it caches what we send and
+/// invalidates on evict), and records the latency under the same tier — so
+/// the balance identity holds and the tier-histogram counts equal the
+/// served counters by construction.
+fn count_served(state: &ProxyState, req: &GetRequest, tier: Tier) {
+    let counters = &state.counters;
+    let counter = match tier {
+        Tier::Proxy => &counters.proxy_hits,
+        Tier::Disk => &counters.disk_hits,
+        Tier::Peer => &counters.peer_hits,
+        Tier::Origin => &counters.origin_fetches,
+        Tier::Local => unreachable!("a browser's own cache never reaches the proxy"),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    state.index.on_store(req.requester, req.doc);
+    state
+        .obs
+        .tiers
+        .record_traced(tier.index(), req.t_request.elapsed(), req.trace);
+}
+
+/// Counts the GET as served from `tier` and builds its 200 reply around
+/// the shared body.
+fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> Message {
+    count_served(state, req, tier);
+    ok_response(tier.name(), doc)
+}
+
+/// The one place a GET is counted as failed; builds its error reply.
+fn fail(state: &ProxyState, code: u16, reason: &str) -> Message {
+    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+    response(code, reason)
+}
+
 fn handle_get(
     url: &str,
     client: u32,
@@ -895,7 +746,15 @@ fn handle_get(
 ) -> Message {
     let t_request = Instant::now();
     let doc = doc_id(state, url);
-    let requester = ClientId(client);
+    let req = GetRequest {
+        url,
+        doc,
+        requester: ClientId(client),
+        bypass_peers,
+        trace,
+        parent,
+        t_request,
+    };
 
     // 1. Proxy cache. The hit hands back a shared body handle — the shard
     // lock is held only for the map lookup, never while the reply frame is
@@ -926,14 +785,7 @@ fn handle_get(
         );
     }
     if let Some(cached) = cached {
-        state.counters.proxy_hits.fetch_add(1, Ordering::Relaxed);
-        // The client will cache what we send it (it invalidates on evict).
-        state.index.on_store(requester, doc);
-        state
-            .obs
-            .tiers
-            .record_traced(Tier::Proxy.index(), t_request.elapsed(), trace);
-        return ok_response("proxy", &cached);
+        return serve(state, &req, Tier::Proxy, &cached);
     }
 
     // 1c. Thundering-herd coalescing (singleflight). The first miss for a
@@ -954,17 +806,7 @@ fn handle_get(
                     entry,
                     published: false,
                 };
-                let (reply, outcome) = handle_miss(
-                    url,
-                    client,
-                    bypass_peers,
-                    trace,
-                    parent,
-                    state,
-                    doc,
-                    requester,
-                    t_request,
-                );
+                let (reply, outcome) = handle_miss(state, &req);
                 leader.publish(outcome);
                 return reply;
             }
@@ -975,49 +817,33 @@ fn handle_get(
                 } else {
                     FlightOutcome::Unshared
                 };
+                // Followers that share the leader's outcome, good or bad.
+                let coalesced = |detail: String| {
+                    state
+                        .counters
+                        .coalesced_fetches
+                        .fetch_add(1, Ordering::Relaxed);
+                    record_hop(
+                        state,
+                        trace,
+                        hop_span(trace),
+                        parent,
+                        EventKind::Coalesced,
+                        t_wait.elapsed(),
+                        detail,
+                    );
+                };
                 match outcome {
                     FlightOutcome::Doc(cached) => {
-                        state
-                            .counters
-                            .coalesced_fetches
-                            .fetch_add(1, Ordering::Relaxed);
-                        state.counters.proxy_hits.fetch_add(1, Ordering::Relaxed);
-                        state.index.on_store(requester, doc);
-                        record_hop(
-                            state,
-                            trace,
-                            hop_span(trace),
-                            parent,
-                            EventKind::Coalesced,
-                            t_wait.elapsed(),
-                            format!("url={url} outcome=ok"),
-                        );
-                        state.obs.tiers.record_traced(
-                            Tier::Proxy.index(),
-                            t_request.elapsed(),
-                            trace,
-                        );
-                        return ok_response("proxy", &cached);
+                        coalesced(format!("url={url} outcome=ok"));
+                        return serve(state, &req, Tier::Proxy, &cached);
                     }
                     FlightOutcome::Error(code, reason) => {
                         // The leader's failure is broadcast: every waiter
                         // fails the same way instead of dogpiling a dead
                         // origin — and instead of hanging.
-                        state
-                            .counters
-                            .coalesced_fetches
-                            .fetch_add(1, Ordering::Relaxed);
-                        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        record_hop(
-                            state,
-                            trace,
-                            hop_span(trace),
-                            parent,
-                            EventKind::Coalesced,
-                            t_wait.elapsed(),
-                            format!("url={url} outcome=err code={code}"),
-                        );
-                        return response(code, &reason);
+                        coalesced(format!("url={url} outcome=err code={code}"));
+                        return fail(state, code, &reason);
                     }
                     FlightOutcome::Unshared => {
                         // The flight ended without a shareable outcome (a
@@ -1028,28 +854,10 @@ fn handle_get(
                         // uncoalesced miss after MAX_FLIGHT_JOINS rounds
                         // so no request loops forever.
                         if let Some(cached) = state.cache.get(doc, url) {
-                            state.counters.proxy_hits.fetch_add(1, Ordering::Relaxed);
-                            state.index.on_store(requester, doc);
-                            state.obs.tiers.record_traced(
-                                Tier::Proxy.index(),
-                                t_request.elapsed(),
-                                trace,
-                            );
-                            return ok_response("proxy", &cached);
+                            return serve(state, &req, Tier::Proxy, &cached);
                         }
                         if attempt >= MAX_FLIGHT_JOINS {
-                            let (reply, _) = handle_miss(
-                                url,
-                                client,
-                                bypass_peers,
-                                trace,
-                                parent,
-                                state,
-                                doc,
-                                requester,
-                                t_request,
-                            );
-                            return reply;
+                            return handle_miss(state, &req).0;
                         }
                     }
                 }
@@ -1165,18 +973,15 @@ impl Drop for FlightLeader<'_> {
 /// The full miss path (disk → peers → origin), shared by coalescing
 /// leaders and by followers that gave up on coalescing. Returns the reply
 /// plus the outcome a leader broadcasts to its followers.
-#[allow(clippy::too_many_arguments)]
-fn handle_miss(
-    url: &str,
-    client: u32,
-    bypass_peers: bool,
-    trace: TraceId,
-    parent: SpanId,
-    state: &ProxyState,
-    doc: DocId,
-    requester: ClientId,
-    t_request: Instant,
-) -> (Message, FlightOutcome) {
+fn handle_miss(state: &ProxyState, req: &GetRequest) -> (Message, FlightOutcome) {
+    let GetRequest {
+        url,
+        doc,
+        requester,
+        trace,
+        parent,
+        ..
+    } = *req;
     // 1b. Disk tier — consulted only after a memory miss, so the
     // in-memory hot path never touches it. A fresh verified entry serves
     // directly; a stale one is revalidated against the origin with a
@@ -1203,11 +1008,8 @@ fn handle_miss(
         );
         if let Some(hit) = hit {
             if hit.fresh {
-                let outcome = FlightOutcome::Doc(hit.doc.clone());
-                return (
-                    serve_from_disk(state, requester, doc, url, hit.doc, false, trace, t_request),
-                    outcome,
-                );
+                let reply = serve_from_disk(state, req, &hit.doc, false);
+                return (reply, FlightOutcome::Doc(hit.doc));
             }
             // TTL expired: ask the origin whether our copy is still
             // current before serving it.
@@ -1235,29 +1037,22 @@ fn handle_miss(
             match outcome {
                 Revalidation::NotModified => {
                     disk.refresh(url);
-                    let outcome = FlightOutcome::Doc(hit.doc.clone());
-                    return (
-                        serve_from_disk(
-                            state, requester, doc, url, hit.doc, true, trace, t_request,
-                        ),
-                        outcome,
-                    );
+                    let reply = serve_from_disk(state, req, &hit.doc, true);
+                    return (reply, FlightOutcome::Doc(hit.doc));
                 }
                 Revalidation::Changed(body) => {
                     // The document changed at the origin: this is an
                     // origin fetch in every respect, write-through
                     // included.
-                    let (reply, cached) =
-                        serve_origin_fetch(state, requester, doc, url, body, trace, t_request);
+                    let (reply, cached) = serve_origin_fetch(state, req, body);
                     return (reply, FlightOutcome::Doc(cached));
                 }
                 Revalidation::Gone => {
                     // The origin no longer serves the document; the
                     // stale disk copy must not outlive it.
                     disk.remove(url);
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
                     return (
-                        response(status::NOT_FOUND, "Not Found"),
+                        fail(state, status::NOT_FOUND, "Not Found"),
                         FlightOutcome::Error(status::NOT_FOUND, "Not Found".into()),
                     );
                 }
@@ -1272,14 +1067,14 @@ fn handle_miss(
 
     // 2. Browser index -> peer browser caches.
     let mut probed_peers = false;
-    if !bypass_peers {
+    if !req.bypass_peers {
         let candidates = state.index.lookup_all(doc, requester);
         for peer in candidates.into_iter().take(MAX_PEER_PROBES) {
             probed_peers = true;
             if state.config.direct_forward {
                 let push_span = hop_span(trace);
                 let t_push = Instant::now();
-                let pushed = order_direct_push(state, PeerId(client), peer, url, trace, push_span);
+                let pushed = order_direct_push(state, requester, peer, url, trace, push_span);
                 record_hop(
                     state,
                     trace,
@@ -1295,14 +1090,8 @@ fn handle_miss(
                 );
                 match pushed {
                     Ok(txn) => {
-                        state.counters.peer_hits.fetch_add(1, Ordering::Relaxed);
                         state.counters.direct_pushes.fetch_add(1, Ordering::Relaxed);
-                        state.index.on_store(requester, doc);
-                        state.obs.tiers.record_traced(
-                            Tier::Peer.index(),
-                            t_request.elapsed(),
-                            trace,
-                        );
+                        count_served(state, req, Tier::Peer);
                         // A direct push carries no body through the proxy,
                         // so there is nothing to share with followers.
                         return (
@@ -1321,7 +1110,7 @@ fn handle_miss(
             }
             let probe_span = hop_span(trace);
             let t_probe = Instant::now();
-            let probed = fetch_from_peer(state, PeerId(client), peer, url, trace, probe_span);
+            let probed = fetch_from_peer(state, peer, url, trace, probe_span);
             record_hop(
                 state,
                 trace,
@@ -1337,17 +1126,11 @@ fn handle_miss(
             );
             match probed {
                 Ok(cached) => {
-                    state.counters.peer_hits.fetch_add(1, Ordering::Relaxed);
                     if state.config.cache_peer_hits {
                         state.cache.insert(doc, url, cached.clone());
                         write_through_to_disk(state, url, &cached, None, trace);
                     }
-                    state.index.on_store(requester, doc);
-                    state
-                        .obs
-                        .tiers
-                        .record_traced(Tier::Peer.index(), t_request.elapsed(), trace);
-                    let reply = ok_response("peer", &cached);
+                    let reply = serve(state, req, Tier::Peer, &cached);
                     return (reply, FlightOutcome::Doc(cached));
                 }
                 Err(_) => {
@@ -1384,12 +1167,10 @@ fn handle_miss(
     );
     match fetched {
         Ok(body) => {
-            let (reply, cached) =
-                serve_origin_fetch(state, requester, doc, url, body, trace, t_request);
+            let (reply, cached) = serve_origin_fetch(state, req, body);
             (reply, FlightOutcome::Doc(cached))
         }
         Err(e) => {
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
             let (code, reason) = match e {
                 OriginError::NotFound => (status::NOT_FOUND, "Not Found".to_string()),
                 OriginError::Unavailable => (status::UNAVAILABLE, "Origin Unavailable".to_string()),
@@ -1398,7 +1179,7 @@ fn handle_miss(
                     format!("Origin Unreachable ({})", e.kind()),
                 ),
             };
-            let reply = response(code, &reason);
+            let reply = fail(state, code, &reason);
             (reply, FlightOutcome::Error(code, reason))
         }
     }
@@ -1407,20 +1188,7 @@ fn handle_miss(
 /// Serves an origin-fetched body: mints the watermark, populates both
 /// cache tiers (write-through), updates the index, and counts the fetch.
 /// Also hands back the cached doc so a coalescing leader can broadcast it.
-#[allow(clippy::too_many_arguments)]
-fn serve_origin_fetch(
-    state: &ProxyState,
-    requester: ClientId,
-    doc: DocId,
-    url: &str,
-    body: Body,
-    trace: TraceId,
-    t_request: Instant,
-) -> (Message, CachedDoc) {
-    state
-        .counters
-        .origin_fetches
-        .fetch_add(1, Ordering::Relaxed);
+fn serve_origin_fetch(state: &ProxyState, req: &GetRequest, body: Body) -> (Message, CachedDoc) {
     // The one hash of this hop: signed for the watermark, and stored in
     // the disk entry's header.
     let digest = md5(&body);
@@ -1428,44 +1196,28 @@ fn serve_origin_fetch(
         watermark: state.signer.sign(&digest),
         body,
     };
-    state.cache.insert(doc, url, cached.clone());
-    write_through_to_disk(state, url, &cached, Some(&digest), trace);
-    state.index.on_store(requester, doc);
-    state
-        .obs
-        .tiers
-        .record_traced(Tier::Origin.index(), t_request.elapsed(), trace);
-    (ok_response("origin", &cached), cached)
+    state.cache.insert(req.doc, req.url, cached.clone());
+    write_through_to_disk(state, req.url, &cached, Some(&digest), req.trace);
+    (serve(state, req, Tier::Origin, &cached), cached)
 }
 
 /// Serves a verified disk-tier document: counts the hit, promotes the
 /// document into the memory tier (repeat requests become memory hits),
 /// and updates the index.
-#[allow(clippy::too_many_arguments)]
 fn serve_from_disk(
     state: &ProxyState,
-    requester: ClientId,
-    doc: DocId,
-    url: &str,
-    cached: CachedDoc,
+    req: &GetRequest,
+    cached: &CachedDoc,
     revalidated: bool,
-    trace: TraceId,
-    t_request: Instant,
 ) -> Message {
-    state.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
     if revalidated {
         state
             .counters
             .disk_revalidations
             .fetch_add(1, Ordering::Relaxed);
     }
-    state.cache.insert(doc, url, cached.clone());
-    state.index.on_store(requester, doc);
-    state
-        .obs
-        .tiers
-        .record_traced(Tier::Disk.index(), t_request.elapsed(), trace);
-    ok_response("disk", &cached)
+    state.cache.insert(req.doc, req.url, cached.clone());
+    serve(state, req, Tier::Disk, cached)
 }
 
 /// Best-effort write-through to the disk tier (no-op without one). The
@@ -1533,81 +1285,6 @@ fn handle_invalidate(url: &str, client: u32, trace: TraceId, state: &ProxyState)
     );
 }
 
-/// Reply for the `STATS BAPS/1.0` verb: every [`ProxyStats`] field as a
-/// header, so operators (and the load generator) can read live counters
-/// over the wire without a side channel. Reads one consistent
-/// [`ProxyCounters::snapshot`], so the headers always balance.
-fn stats_response(state: &ProxyState) -> Message {
-    let s = state.stats();
-    let disk = state.disk.as_ref().map(DiskTier::stats).unwrap_or_default();
-    let sat = state.telemetry.snapshot();
-    let r = state.reactor.snapshot();
-    // `Reactor-*` describe the event loops; `Workers`/`Queue-*` below
-    // describe the miss executor.
-    response(status::OK, "OK")
-        .header("Reactor-Loops", r.loops.to_string())
-        .header("Reactor-Fds", r.registered_fds.to_string())
-        .header("Reactor-Fds-Peak", r.registered_fds_peak.to_string())
-        .header("Reactor-Ready-Peak", r.ready_batch_peak.to_string())
-        .header(
-            "Reactor-Busy-Permille",
-            format!("{:.0}", r.busy_fraction * 1000.0),
-        )
-        .header("Reactor-Inline", r.inline_served.to_string())
-        .header("Reactor-Offloaded", r.offloaded.to_string())
-        .header("Requests", s.requests.to_string())
-        .header("Recorder-Dropped", state.obs.recorder.dropped().to_string())
-        .header("Workers", sat.workers.to_string())
-        .header("Busy-Workers", sat.busy_workers.to_string())
-        .header("Busy-Workers-Peak", sat.busy_workers_peak.to_string())
-        .header("Queue-Depth", sat.queue_depth.to_string())
-        .header("Queue-Depth-Peak", sat.queue_depth_peak.to_string())
-        .header("Queue-Rejected", sat.rejected.to_string())
-        .header("Flight-Occupancy", state.inflight.lock().len().to_string())
-        .header("Proxy-Hits", s.proxy_hits.to_string())
-        .header("Disk-Hits", s.disk_hits.to_string())
-        .header("Disk-Revalidations", s.disk_revalidations.to_string())
-        .header("Disk-Entries", disk.entries.to_string())
-        .header("Disk-Bytes", disk.bytes.to_string())
-        .header("Peer-Hits", s.peer_hits.to_string())
-        .header("Origin-Fetches", s.origin_fetches.to_string())
-        .header("Invalidations", s.invalidations.to_string())
-        .header("Peer-Failures", s.peer_failures.to_string())
-        .header("Direct-Pushes", s.direct_pushes.to_string())
-        .header("Peer-Fallbacks", s.peer_fallbacks.to_string())
-        .header("Errors", s.errors.to_string())
-        .header("Coalesced-Fetches", s.coalesced_fetches.to_string())
-        .header("Cache-Shards", state.cache.n_shards().to_string())
-        .header("Cache-Bytes", state.cache.used().to_string())
-        .header(
-            "Cache-Shard-Entries",
-            join_counts(state.cache.shard_stats().iter().map(|s| s.entries)),
-        )
-        .header(
-            "Cache-Shard-Bytes",
-            join_counts(state.cache.shard_stats().iter().map(|s| s.bytes)),
-        )
-        .header(
-            "Cache-Lock-Acquires",
-            join_counts(state.cache.shard_stats().iter().map(|s| s.lock_acquires)),
-        )
-        .header("Index-Shards", state.index.n_shards().to_string())
-        .header("Index-Entries", state.index.entries().to_string())
-        .header(
-            "Index-Shard-Entries",
-            join_counts(state.index.shard_stats().iter().map(|s| s.entries)),
-        )
-        .header(
-            "Index-Lock-Acquires",
-            join_counts(state.index.shard_stats().iter().map(|s| s.lock_acquires)),
-        )
-}
-
-/// Formats per-shard counters as a comma-separated list header value.
-fn join_counts(counts: impl Iterator<Item = u64>) -> String {
-    counts.map(|c| c.to_string()).collect::<Vec<_>>().join(",")
-}
-
 /// Builds a 200 reply sharing the cached body — `with_body` on an existing
 /// [`Body`] is a refcount bump, so no byte of the document is copied
 /// between the cache and the socket.
@@ -1627,7 +1304,6 @@ fn ok_response(source: &str, doc: &CachedDoc) -> Message {
 /// and returns immediately as `ErrorKind::NotFound`.
 fn fetch_from_peer(
     state: &ProxyState,
-    requester: PeerId,
     peer: ClientId,
     url: &str,
     trace: TraceId,
@@ -1642,7 +1318,7 @@ fn fetch_from_peer(
     let mut attempts_left = state.config.peer_retries;
     let mut backoff = RETRY_BACKOFF;
     loop {
-        match probe_peer_once(state, requester, addr, url, trace, span) {
+        match probe_peer_once(state, addr, url, trace, span) {
             Err(e) if e.kind() != io::ErrorKind::NotFound && attempts_left > 0 => {
                 attempts_left -= 1;
                 std::thread::sleep(backoff);
@@ -1653,53 +1329,40 @@ fn fetch_from_peer(
     }
 }
 
-/// One mediated PEERGET probe, with its own relay transaction.
+/// One mediated PEERGET probe, under a transaction number of its own.
 fn probe_peer_once(
     state: &ProxyState,
-    requester: PeerId,
     addr: SocketAddr,
     url: &str,
     trace: TraceId,
     span: SpanId,
 ) -> Result<CachedDoc, io::Error> {
-    let order = state.relay.lock().begin(requester, url);
-    let result = (|| -> io::Result<CachedDoc> {
-        // The probe's own hop span becomes the parent of the peer's serve
-        // span, stitching the tree across processes.
-        let probe = traced(
-            Message::new(format!("PEERGET {url} BAPS/1.0")).header("Txn", order.txn.0.to_string()),
-            trace,
-            span,
-        );
-        let reply = state
-            .upstream
-            .exchange(addr, state.config.peer_deadline(), &probe)?;
-        if response_code(&reply) != Some(status::OK) {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
-        }
-        let watermark = reply
-            .get("X-Watermark")
-            .and_then(|h| Watermark::from_hex(h).ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing watermark"))?;
-        Ok(CachedDoc {
-            body: reply.body,
-            watermark,
-        })
-    })();
-    match &result {
-        Ok(_) => {
-            // Close the transaction (delivery happens on the GET reply).
-            let _ = state.relay.lock().complete(baps_crypto::FetchReply {
-                txn: order.txn,
-                body: Vec::new(),
-                watermark: state.empty_watermark,
-            });
-        }
-        Err(_) => {
-            let _ = state.relay.lock().abort(order.txn);
-        }
+    // The probe's own hop span becomes the parent of the peer's serve
+    // span, stitching the tree across processes.
+    let probe = traced(
+        Message::new(format!("PEERGET {url} BAPS/1.0")).header("Txn", next_txn(state).to_string()),
+        trace,
+        span,
+    );
+    let reply = state
+        .upstream
+        .exchange(addr, state.config.peer_deadline(), &probe)?;
+    if response_code(&reply) != Some(status::OK) {
+        return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
     }
-    result
+    let watermark = reply
+        .get("X-Watermark")
+        .and_then(|h| Watermark::from_hex(h).ok())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing watermark"))?;
+    Ok(CachedDoc {
+        body: reply.body,
+        watermark,
+    })
+}
+
+/// Mints the transaction number of one PEERGET or PUSH order.
+fn next_txn(state: &ProxyState) -> u64 {
+    state.next_txn.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Stamps an upstream request with the trace it belongs to and, on a
@@ -1720,7 +1383,7 @@ fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
 /// already sent.
 fn order_direct_push(
     state: &ProxyState,
-    requester: PeerId,
+    requester: ClientId,
     peer: ClientId,
     url: &str,
     trace: TraceId,
@@ -1737,22 +1400,21 @@ fn order_direct_push(
         peer_addr.ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer not registered"))?;
     let target_addr = target_addr
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "requester not registered"))?;
-    let order = state.relay.lock().begin(requester, url);
+    let txn = next_txn(state);
     let push = traced(
         Message::new(format!("PUSH {url} BAPS/1.0"))
-            .header("Txn", order.txn.0.to_string())
+            .header("Txn", txn.to_string())
             .header("Target", target_addr.to_string()),
         trace,
         span,
     );
     let reply = state
         .upstream
-        .exchange(peer_addr, state.config.peer_deadline(), &push);
-    let _ = state.relay.lock().abort(order.txn); // bookkeeping only
-    if response_code(&reply?) != Some(status::OK) {
+        .exchange(peer_addr, state.config.peer_deadline(), &push)?;
+    if response_code(&reply) != Some(status::OK) {
         return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
     }
-    Ok(order.txn.0)
+    Ok(txn)
 }
 
 enum OriginError {
@@ -1861,6 +1523,26 @@ fn revalidate_with_origin(
 mod tests {
     use super::*;
 
+    /// A memory-only proxy in front of `origin_addr`, defaults elsewhere.
+    fn test_config(origin_addr: SocketAddr) -> ProxyConfig {
+        ProxyConfig {
+            cache_capacity: 64 << 10,
+            origin_addr,
+            key_seed: 1,
+            cache_peer_hits: false,
+            direct_forward: false,
+            worker_threads: 0,
+            peer_timeout: Duration::ZERO,
+            peer_retries: 0,
+            origin_timeout: Duration::ZERO,
+            origin_retries: 0,
+            disk: None,
+            faults: None,
+            recorder: None,
+            slo: SloTable::default(),
+        }
+    }
+
     /// A client whose GET fills the loop's last read chunk exactly and who
     /// then half-closes still gets its reply — here through the executor,
     /// since the GET misses. The frame and the FIN wait on the listener
@@ -1880,26 +1562,7 @@ mod tests {
         conn.write_all(&crate::reactor::chunk_aligned_frame(get, 1))
             .unwrap();
         conn.shutdown(std::net::Shutdown::Write).unwrap();
-        let proxy = ProxyServer::start_on(
-            listener,
-            ProxyConfig {
-                cache_capacity: 64 << 10,
-                origin_addr: origin.addr(),
-                key_seed: 1,
-                cache_peer_hits: false,
-                direct_forward: false,
-                worker_threads: 0,
-                peer_timeout: Duration::ZERO,
-                peer_retries: 0,
-                origin_timeout: Duration::ZERO,
-                origin_retries: 0,
-                disk: None,
-                faults: None,
-                recorder: None,
-                slo: SloTable::default(),
-            },
-        )
-        .unwrap();
+        let proxy = ProxyServer::start_on(listener, test_config(origin.addr())).unwrap();
         let reply = read_message(&mut std::io::BufReader::new(conn))
             .unwrap()
             .expect("a reply before EOF");
@@ -1965,63 +1628,78 @@ mod tests {
         assert!(matches!(outcome, FlightOutcome::Unshared));
     }
 
-    /// The snapshot derives `requests` from the outcome counters, so the
-    /// balance identity can never be observed broken.
+    /// "Add a row" is sufficient: with counter *i* set to the *i*-th prime,
+    /// every surface derived from the table — the snapshot and its
+    /// derived `requests`, `offset_by`, the `METRICS` exposition, the
+    /// baseline file and the restart that folds it back in — reports
+    /// exactly that value under the row's name.
     #[test]
-    fn snapshot_balances_by_construction() {
-        let c = ProxyCounters::default();
-        c.proxy_hits.fetch_add(3, Ordering::Relaxed);
-        c.disk_hits.fetch_add(4, Ordering::Relaxed);
-        c.peer_hits.fetch_add(2, Ordering::Relaxed);
-        c.origin_fetches.fetch_add(5, Ordering::Relaxed);
-        c.errors.fetch_add(1, Ordering::Relaxed);
-        let s = c.snapshot();
-        assert_eq!(s.requests, 15);
-        assert_eq!(
-            s.requests,
-            s.proxy_hits + s.disk_hits + s.peer_hits + s.origin_fetches + s.errors
-        );
-    }
+    fn every_table_row_reaches_every_surface() {
+        use crate::counters::{Family, COUNTERS};
+        use baps_obs::prom;
 
-    /// The persisted baseline round-trips through the key=value file and
-    /// folds into snapshots without breaking the balance identity.
-    #[test]
-    fn baseline_roundtrip_preserves_balance() {
-        let root = std::env::temp_dir().join(format!("baps-baseline-{}", std::process::id()));
-        std::fs::create_dir_all(&root).unwrap();
-        let before = ProxyStats {
-            requests: 10,
-            proxy_hits: 4,
-            disk_hits: 2,
-            disk_revalidations: 1,
-            peer_hits: 1,
-            origin_fetches: 3,
-            invalidations: 7,
-            peer_failures: 2,
-            direct_pushes: 1,
-            peer_fallbacks: 1,
-            errors: 0,
-            coalesced_fetches: 6,
+        let root = std::env::temp_dir().join(format!("baps-table-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = ProxyConfig {
+            disk: Some(DiskConfig {
+                root: root.clone(),
+                capacity: 1 << 20,
+                default_ttl: Duration::from_secs(3600),
+            }),
+            // Nothing is fetched, so nothing dials this.
+            ..test_config("127.0.0.1:1".parse().unwrap())
         };
-        persist_baseline(&root, &before);
-        let loaded = load_baseline(&root);
-        assert_eq!(loaded, before);
-        let c = ProxyCounters::default();
-        c.proxy_hits.fetch_add(5, Ordering::Relaxed);
-        c.errors.fetch_add(1, Ordering::Relaxed);
-        let total = c.snapshot().offset_by(&loaded);
-        assert_eq!(total.requests, 16);
+        let proxy = ProxyServer::start(config.clone()).unwrap();
+        let primes: Vec<u64> = (2u64..)
+            .filter(|n| (2..*n).all(|d| n % d != 0))
+            .take(COUNTERS.len())
+            .collect();
+        for (cell, prime) in proxy.state.counters.cells().iter().zip(&primes) {
+            cell.store(*prime, Ordering::Relaxed);
+        }
+
+        let stats = proxy.stats();
+        let values: Vec<u64> = stats.counters().map(|(_, value)| value).collect();
+        assert_eq!(values, primes);
+        let outcomes = COUNTERS.iter().zip(&primes).filter(|(def, _)| def.outcome);
+        assert_eq!(outcomes.clone().count(), 5);
+        assert_eq!(stats.requests, outcomes.map(|(_, p)| p).sum::<u64>());
+        let doubled = stats.offset_by(&stats);
+        assert_eq!(doubled.requests, 2 * stats.requests);
+        for ((_, value), prime) in doubled.counters().zip(&primes) {
+            assert_eq!(value, 2 * prime);
+        }
+
+        let text = proxy.metrics_text();
+        let samples = prom::parse(&text).expect("exposition parses");
+        for (def, prime) in COUNTERS.iter().zip(&primes) {
+            let sample = match def.family {
+                Family::Served(tier) => {
+                    prom::find(&samples, "baps_served_total", &[("tier", tier)])
+                }
+                Family::Plain(name, _) | Family::Disk(name, _) => prom::find(&samples, name, &[]),
+            };
+            assert_eq!(sample, Some(*prime as f64), "{} in:\n{text}", def.name);
+        }
         assert_eq!(
-            total.requests,
-            total.proxy_hits
-                + total.disk_hits
-                + total.peer_hits
-                + total.origin_fetches
-                + total.errors
+            prom::find(&samples, "baps_requests_total", &[]),
+            Some(stats.requests as f64)
         );
-        // A missing file is a zero baseline, not an error.
-        let empty = load_baseline(&root.join("nope"));
-        assert_eq!(empty, ProxyStats::default());
+
+        // A graceful stop writes the baseline; the next incarnation starts
+        // from zero live counters and reports the same totals.
+        proxy.shutdown();
+        let file = std::fs::read_to_string(root.join("counters.baseline")).unwrap();
+        for (def, prime) in COUNTERS.iter().zip(&primes) {
+            assert!(
+                file.lines().any(|l| l == format!("{}={prime}", def.name)),
+                "{} missing from:\n{file}",
+                def.name
+            );
+        }
+        let reborn = ProxyServer::start(config).unwrap();
+        assert_eq!(reborn.stats(), stats);
+        reborn.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -399,8 +399,8 @@ impl ReactorTelemetry {
 }
 
 /// A point-in-time copy of a server's [`ReactorTelemetry`]; the proxy's is
-/// surfaced via `ProxyServer::reactor_stats`, the `Reactor-*` STATS
-/// headers, and `baps_reactor_*` metrics.
+/// surfaced via `ProxyServer::reactor_stats` and the `baps_reactor_*`
+/// metrics.
 #[derive(Debug, Clone)]
 pub struct ReactorSnapshot {
     /// Event loops serving connections.
@@ -1309,11 +1309,11 @@ mod tests {
 
     #[test]
     fn parser_accepts_bodyless_frames() {
-        let msg = Message::new("STATS BAPS/1.0");
+        let msg = Message::new("METRICS BAPS/1.0");
         let mut parser = FrameParser::new();
         parser.push(&frame(&msg));
         let got = parser.next().unwrap().expect("frame");
-        assert_eq!(got.start, "STATS BAPS/1.0");
+        assert_eq!(got.start, "METRICS BAPS/1.0");
         assert!(got.body.is_empty());
     }
 

@@ -7,8 +7,7 @@
 //! contend; a worker holds exactly one shard lock at a time, only for the
 //! in-memory operation, and never across socket I/O (see DESIGN.md's lock
 //! map). Every shard also tallies its lock acquisitions and cumulative
-//! lock-wait time so the `STATS` and `METRICS` verbs can report
-//! contention spread.
+//! lock-wait time so the `METRICS` verb can report contention spread.
 //!
 //! Sharding the cache splits the byte budget evenly across shards, which
 //! is *not* identical to one global LRU: a pathologically skewed shard can
@@ -161,7 +160,7 @@ impl ShardedCache {
         out
     }
 
-    /// Per-shard occupancy and lock-contention report (for `STATS`).
+    /// Per-shard occupancy and lock-contention report (for `METRICS`).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
@@ -249,7 +248,7 @@ impl StripedIndex {
         out
     }
 
-    /// Per-shard occupancy and lock-contention report (for `STATS`).
+    /// Per-shard occupancy and lock-contention report (for `METRICS`).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()

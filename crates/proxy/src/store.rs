@@ -93,9 +93,9 @@ pub struct CachedDoc {
 impl CachedDoc {
     /// The bytes this document charges against a cache budget. Every
     /// occupancy gauge — memory-tier LRU accounting, disk-tier accounting,
-    /// `Cache-Bytes`/`Disk-Bytes` STATS headers, Prometheus byte gauges —
-    /// funnels through this one definition so the gauges can never drift
-    /// from each other or from the actual body bytes.
+    /// the Prometheus byte gauges — funnels through this one definition so
+    /// the gauges can never drift from each other or from the actual body
+    /// bytes.
     pub fn byte_size(&self) -> u64 {
         self.body.len() as u64
     }

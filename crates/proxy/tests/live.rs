@@ -264,13 +264,15 @@ fn direct_forward_tampering_detected() {
 }
 
 #[test]
-fn stats_verb_over_one_keepalive_connection() {
+fn admin_verbs_over_one_keepalive_connection() {
+    use baps_obs::prom;
+
     let bed = bed(2, 64 << 10, 32 << 10);
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
     bed.clients[1].fetch("http://origin/doc/0").unwrap();
 
-    // Several exchanges over a single raw connection: a GET, then STATS,
-    // then STATS again — the connection stays framed throughout.
+    // Several exchanges over a single raw connection: a GET, then METRICS,
+    // then METRICS again — the connection stays framed throughout.
     let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -284,88 +286,88 @@ fn stats_verb_over_one_keepalive_connection() {
     assert_eq!(response_code(&reply), Some(200));
 
     for _ in 0..2 {
-        write_message(&mut writer, &Message::new("STATS BAPS/1.0")).unwrap();
-        let stats_reply = read_message(&mut reader).unwrap().unwrap();
-        assert_eq!(response_code(&stats_reply), Some(200));
+        write_message(&mut writer, &Message::new("METRICS BAPS/1.0")).unwrap();
+        let metrics = read_message(&mut reader).unwrap().unwrap();
+        assert_eq!(response_code(&metrics), Some(200));
+        let text = String::from_utf8(metrics.body.to_vec()).unwrap();
+        let samples = prom::parse(&text).expect("exposition parses");
         let stats = bed.proxy.stats();
-        let field = |name: &str| -> u64 { stats_reply.get(name).unwrap().parse().unwrap() };
-        assert_eq!(field("Requests"), stats.requests);
-        assert_eq!(field("Proxy-Hits"), stats.proxy_hits);
-        assert_eq!(field("Disk-Hits"), stats.disk_hits);
-        assert_eq!(field("Disk-Revalidations"), stats.disk_revalidations);
-        // No disk tier configured in this bed: its gauges stay zero but
-        // the headers are always present.
-        assert_eq!(field("Disk-Entries"), 0);
-        assert_eq!(field("Disk-Bytes"), 0);
-        assert_eq!(field("Peer-Hits"), stats.peer_hits);
-        assert_eq!(field("Origin-Fetches"), stats.origin_fetches);
-        assert_eq!(field("Invalidations"), stats.invalidations);
-        assert_eq!(field("Peer-Failures"), stats.peer_failures);
-        assert_eq!(field("Peer-Fallbacks"), stats.peer_fallbacks);
-        assert_eq!(field("Direct-Pushes"), stats.direct_pushes);
-        assert_eq!(field("Errors"), stats.errors);
+        let labelled = |name: &str, labels: &[(&str, &str)]| -> u64 {
+            prom::find(&samples, name, labels)
+                .unwrap_or_else(|| panic!("missing {name}{labels:?} in:\n{text}"))
+                as u64
+        };
+        let field = |name: &str| labelled(name, &[]);
+        let served = |tier: &str| labelled("baps_served_total", &[("tier", tier)]);
+        assert_eq!(field("baps_requests_total"), stats.requests);
+        assert_eq!(served("proxy"), stats.proxy_hits);
+        assert_eq!(served("disk"), stats.disk_hits);
+        assert_eq!(served("peer"), stats.peer_hits);
+        assert_eq!(served("origin"), stats.origin_fetches);
+        assert_eq!(field("baps_invalidations_total"), stats.invalidations);
+        assert_eq!(field("baps_peer_failures_total"), stats.peer_failures);
+        assert_eq!(field("baps_peer_fallbacks_total"), stats.peer_fallbacks);
+        assert_eq!(field("baps_direct_pushes_total"), stats.direct_pushes);
+        assert_eq!(field("baps_errors_total"), stats.errors);
+        // No disk tier configured in this bed: its section is absent.
+        for absent in ["baps_disk_entries", "baps_disk_revalidations_total"] {
+            assert_eq!(prom::find(&samples, absent, &[]), None);
+        }
         assert!(stats.requests >= 3);
         // Balance identity straight off the wire.
         assert_eq!(
-            field("Requests"),
-            field("Proxy-Hits")
-                + field("Disk-Hits")
-                + field("Peer-Hits")
-                + field("Origin-Fetches")
-                + field("Errors")
+            field("baps_requests_total"),
+            served("proxy")
+                + served("disk")
+                + served("peer")
+                + served("origin")
+                + field("baps_errors_total")
         );
 
-        // Shard occupancy and contention counters. Per-shard lists carry
-        // exactly one comma-separated value per shard and sum to the
-        // whole-structure totals.
+        // Shard occupancy and contention counters: one sample per shard,
+        // summing to the whole-structure totals.
         let shard_list = |name: &str| -> Vec<u64> {
-            stats_reply
-                .get(name)
-                .unwrap_or_else(|| panic!("missing {name} header"))
-                .split(',')
-                .map(|v| v.parse().unwrap())
+            samples
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.value as u64)
                 .collect()
         };
-        let cache_shards = field("Cache-Shards") as usize;
-        let index_shards = field("Index-Shards") as usize;
-        assert!(cache_shards >= 1);
-        assert!(index_shards >= 1);
-        let cache_entries = shard_list("Cache-Shard-Entries");
-        let cache_bytes = shard_list("Cache-Shard-Bytes");
-        let cache_locks = shard_list("Cache-Lock-Acquires");
-        assert_eq!(cache_entries.len(), cache_shards);
-        assert_eq!(cache_bytes.len(), cache_shards);
-        assert_eq!(cache_locks.len(), cache_shards);
-        assert_eq!(cache_bytes.iter().sum::<u64>(), field("Cache-Bytes"));
+        let cache_entries = shard_list("baps_cache_shard_entries");
+        let cache_bytes = shard_list("baps_cache_shard_bytes");
+        let cache_locks = shard_list("baps_cache_shard_lock_acquires_total");
+        assert!(!cache_entries.is_empty());
+        assert_eq!(cache_bytes.len(), cache_entries.len());
+        assert_eq!(cache_locks.len(), cache_entries.len());
+        assert_eq!(cache_bytes.iter().sum::<u64>(), field("baps_cache_bytes"));
         assert!(cache_entries.iter().sum::<u64>() >= 2, "doc/0 + doc/1");
         assert!(
             cache_locks.iter().sum::<u64>() > 0,
             "hot path must have taken cache locks"
         );
-        let index_entries = shard_list("Index-Shard-Entries");
-        let index_locks = shard_list("Index-Lock-Acquires");
-        assert_eq!(index_entries.len(), index_shards);
-        assert_eq!(index_locks.len(), index_shards);
-        assert_eq!(index_entries.iter().sum::<u64>(), field("Index-Entries"));
-        assert_eq!(field("Index-Entries"), bed.proxy.index_entries());
+        let index_entries = shard_list("baps_index_shard_entries");
+        let index_locks = shard_list("baps_index_shard_lock_acquires_total");
+        assert!(!index_entries.is_empty());
+        assert_eq!(index_locks.len(), index_entries.len());
+        assert_eq!(
+            index_entries.iter().sum::<u64>(),
+            field("baps_index_entries")
+        );
+        assert_eq!(field("baps_index_entries"), bed.proxy.index_entries());
         assert!(index_locks.iter().sum::<u64>() > 0);
 
         // Event-loop gauges ride the same verb.
-        assert!(field("Reactor-Loops") >= 1);
-        assert!(field("Reactor-Fds") >= 1, "this very connection counts");
-        assert!(field("Reactor-Fds-Peak") >= field("Reactor-Fds"));
-        assert!(field("Reactor-Inline") >= 1);
-        assert!(field("Reactor-Offloaded") >= 1);
+        assert!(field("baps_reactor_event_loops") >= 1);
+        assert!(
+            field("baps_reactor_registered_fds") >= 1,
+            "this very connection counts"
+        );
+        assert!(field("baps_reactor_registered_fds_peak") >= field("baps_reactor_registered_fds"));
+        assert!(field("baps_reactor_inline_dispatch_total") >= 1);
+        assert!(field("baps_reactor_offloaded_dispatch_total") >= 1);
     }
 
     // The other verbs answer on the same framed connection.
-    write_message(&mut writer, &Message::new("METRICS BAPS/1.0")).unwrap();
-    let metrics = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&metrics), Some(200));
-    let text = String::from_utf8(metrics.body.to_vec()).unwrap();
-    assert!(text.contains("baps_reactor_registered_fds"), "{text}");
-    assert!(text.contains("baps_requests_total"), "{text}");
-
     write_message(&mut writer, &Message::new("TRACE BAPS/1.0")).unwrap();
     let trace = read_message(&mut reader).unwrap().unwrap();
     assert_eq!(response_code(&trace), Some(200));
@@ -451,9 +453,8 @@ fn concurrent_stress_hot_and_disjoint_docs() {
             })
             .collect();
         // Sampler: snapshots taken *while* the workers hammer the proxy
-        // must balance every time. (Before `ProxyCounters::snapshot` the
-        // STATS path read each counter independently and could observe a
-        // request in `requests` whose outcome counter had not landed yet.)
+        // must balance every time. (A request total counted beside the
+        // outcome counters could be observed before the outcome landed.)
         let proxy = &bed.proxy;
         let done = &done;
         let sampler = scope.spawn(move || loop {
@@ -486,13 +487,21 @@ fn concurrent_stress_hot_and_disjoint_docs() {
     bed.shutdown();
 }
 
+/// The retired `STATS` verb is an unknown verb like any other: `400`, and
+/// the connection stays framed for the next request.
 #[test]
-fn stats_via_client_helper() {
+fn retired_stats_verb_is_a_bad_request() {
     let bed = bed(1, 64 << 10, 32 << 10);
-    bed.clients[0].fetch("http://origin/doc/2").unwrap();
-    let reply = bed.clients[0].proxy_stats_raw().unwrap();
-    assert_eq!(reply.get("Requests").unwrap(), "1");
-    assert_eq!(reply.get("Origin-Fetches").unwrap(), "1");
+    let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_message(&mut writer, &Message::new("STATS BAPS/1.0")).unwrap();
+    let reply = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(response_code(&reply), Some(400));
+    assert!(reply.body.is_empty());
+    write_message(&mut writer, &Message::new("HEALTH BAPS/1.0")).unwrap();
+    let reply = read_message(&mut reader).unwrap().unwrap();
+    assert_eq!(response_code(&reply), Some(200));
     bed.shutdown();
 }
 
@@ -652,7 +661,7 @@ fn trace_id_propagates_across_peer_and_origin_hops() {
 }
 
 /// Tentpole: the `METRICS BAPS/1.0` verb returns a parseable Prometheus
-/// exposition whose counters agree with the `STATS` snapshot and whose
+/// exposition whose counters agree with the `stats()` snapshot and whose
 /// per-tier histogram counts sum to the served-request total.
 #[test]
 fn metrics_verb_exposition_balances() {
@@ -823,7 +832,8 @@ fn metrics_counters_survive_restart() {
     let after = scrape(&bed);
     assert_eq!(after, before + 1.0, "requests_total must stay monotonic");
 
-    // STATS agrees, and the balance identity holds on the folded values.
+    // The snapshot agrees, and the balance identity holds on the folded
+    // values.
     let stats = bed.proxy.stats();
     assert_eq!(stats.requests, 3);
     assert_eq!(
@@ -1120,37 +1130,36 @@ fn metrics_exposition_conforms() {
     bed.shutdown();
 }
 
-/// Satellite: `STATS` exposes the recorder drop counter and the
-/// runtime-saturation gauges as headers.
+/// Satellite: `METRICS` exposes the recorder drop counter and the
+/// runtime-saturation gauges.
 #[test]
-fn stats_reports_recorder_drops_and_saturation() {
+fn metrics_report_recorder_drops_and_saturation() {
+    use baps_obs::prom;
+
     let bed = bed(2, 64 << 10, 32 << 10);
     for i in 0..4 {
         bed.clients[0]
             .fetch(&format!("http://origin/doc/{i}"))
             .unwrap();
     }
-    let reply = bed.clients[1].proxy_stats_raw().unwrap();
-    for header in [
-        "Recorder-Dropped",
-        "Workers",
-        "Busy-Workers",
-        "Busy-Workers-Peak",
-        "Queue-Depth",
-        "Queue-Depth-Peak",
-        "Queue-Rejected",
-        "Flight-Occupancy",
+    let reply = bed.clients[1].proxy_metrics_raw().unwrap();
+    let text = String::from_utf8(reply.body.to_vec()).unwrap();
+    let samples = prom::parse(&text).expect("exposition parses");
+    let field = |name: &str| {
+        prom::find(&samples, name, &[]).unwrap_or_else(|| panic!("METRICS is missing {name}"))
+    };
+    for gauge in [
+        "baps_workers_busy",
+        "baps_workers_busy_peak",
+        "baps_queue_depth",
+        "baps_queue_depth_peak",
+        "baps_flight_registry_occupancy",
     ] {
-        let value = reply
-            .get(header)
-            .unwrap_or_else(|| panic!("STATS reply is missing {header}"));
-        value
-            .parse::<u64>()
-            .unwrap_or_else(|e| panic!("STATS {header}={value:?} is not a number: {e}"));
+        assert!(field(gauge) >= 0.0);
     }
-    assert!(reply.get("Workers").unwrap().parse::<u64>().unwrap() > 0);
-    assert_eq!(reply.get("Recorder-Dropped"), Some("0"));
-    assert_eq!(reply.get("Queue-Rejected"), Some("0"));
+    assert!(field("baps_workers") > 0.0);
+    assert_eq!(field("baps_flight_recorder_dropped_total"), 0.0);
+    assert_eq!(field("baps_queue_rejected_total"), 0.0);
     bed.shutdown();
 }
 

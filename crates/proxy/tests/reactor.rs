@@ -67,7 +67,7 @@ fn holds_idle_connections_while_serving() {
     }
     // The idle connections are still alive and answer.
     let (reader, writer) = &mut idle[IDLE / 2];
-    write_message(writer, &Message::new("STATS BAPS/1.0")).unwrap();
+    write_message(writer, &Message::new("HEALTH BAPS/1.0")).unwrap();
     let reply = read_message(reader).unwrap().unwrap();
     assert_eq!(response_code(&reply), Some(200));
 

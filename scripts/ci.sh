@@ -122,4 +122,16 @@ cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
     | grep -E '^bench md5/(8192|1048576) ' \
     || echo "md5 bench failed (non-gating)"
 
+echo "== Rust line totals (non-test / test)"
+# The "net line count is reported per PR" number: run this at the parent
+# commit and at the change and quote both in CHANGES.md. Test lines are
+# every line of a file under a tests/ directory plus, in any other file,
+# everything from its top-level `#[cfg(test)]` to the end.
+find . \( -name target -o -name .git -o -name .bench_build \) -prune \
+    -o -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { test = (FILENAME ~ /\/tests\//) }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    { n[test]++ }
+    END { printf "rust lines: non-test %d, test %d, total %d\n", n[0], n[1], n[0] + n[1] }'
+
 echo "CI OK"
