@@ -215,7 +215,7 @@ fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
     }
     out.push('\n');
 
-    // Saturation: the miss executor, then the event loops.
+    // Saturation: the blocking executor, then the event loops.
     let workers = metric(&frame.samples, "baps_workers").max(1.0);
     let busy = metric(&frame.samples, "baps_workers_busy");
     out.push_str(&format!(

@@ -465,7 +465,7 @@ fn saturation_line(bed: &TestBed) -> String {
     let sat = bed.proxy.saturation();
     let r = bed.proxy.reactor_stats();
     format!(
-        "=== saturation: miss executor {} workers (busy {} peak {}) | queue depth {} \
+        "=== saturation: executor {} workers (busy {} peak {}) | queue depth {} \
          (peak {}, rejected {}) | queue-wait p99 {:.3} ms over {} waits | \
          flight occupancy {} | recorder drops {} | reactor {} loops \
          (fds {} peak {}, busy {:.1}%, inline {} offloaded {}) ===",

@@ -254,9 +254,9 @@ pub struct HerdProbe {
 /// This runs on its own bed (not the sequential replay's) because the
 /// stampede is genuinely concurrent: its *outcome counters* are
 /// deterministic, its interleaving is not, so it must not share counters
-/// with the determinism-gated replay. The whole herd lands on the
-/// blocking miss executor (a cold doc is a miss), so the probe doubles as
-/// the coalescing gate for that path.
+/// with the determinism-gated replay. The whole herd misses memory (a
+/// cold doc), so all but its leader park as continuations on the proxy's
+/// event loops: the probe doubles as the coalescing gate for that path.
 pub fn flash_crowd_herd(seed: u64, herd: u32) -> HerdProbe {
     let store = DocumentStore::synthetic(2, 512, 1024, seed);
     let url = "http://origin/doc/0";

@@ -20,7 +20,7 @@ use crate::protocol::{
     read_message, response, response_code, status, write_message, Body, Message,
 };
 use crate::proxy::{verb_index, PROXY_VERBS};
-use crate::reactor::{FrameCtx, FrameService, Server};
+use crate::reactor::{Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::{BodyCache, CachedDoc};
 use crate::upstream::dial_with_deadline;
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
@@ -167,27 +167,23 @@ impl ClientState {
     }
 }
 
-/// A kept-alive connection to the proxy (paired buffered reader + writer
-/// over one TCP stream).
-struct ProxyConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+/// A kept-alive connection to the proxy: a buffered reader over the one
+/// TCP stream. Writes go through `BufReader::get_mut`, so the connection
+/// is one fd.
+struct ProxyConn(BufReader<TcpStream>);
 
 impl ProxyConn {
     fn dial(addr: SocketAddr, deadline: Duration) -> io::Result<ProxyConn> {
-        let stream = dial_with_deadline(addr, deadline)?;
-        Ok(ProxyConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
+        Ok(ProxyConn(BufReader::new(dial_with_deadline(
+            addr, deadline,
+        )?)))
     }
 
     /// One request/response exchange on this connection. `Ok(None)` means
     /// the proxy closed the connection cleanly before replying.
     fn exchange(&mut self, msg: &Message) -> io::Result<Option<Message>> {
-        write_message(&mut self.writer, msg)?;
-        read_message(&mut self.reader)
+        write_message(self.0.get_mut(), msg)?;
+        read_message(&mut self.0)
     }
 }
 
@@ -202,7 +198,7 @@ pub struct ClientAgent {
     /// keeps alive to this browser costs it an fd and no thread, plus one
     /// blocking thread for PUSH orders (which dial the requester), started
     /// by the first one.
-    peer_port: Server,
+    peer_port: Server<Message>,
     /// The persistent keep-alive connection to the proxy, dialed lazily
     /// and redialed transparently when the proxy drops it.
     proxy_conn: Mutex<Option<ProxyConn>>,
@@ -880,6 +876,9 @@ fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, Stri
 /// request carries only a transaction id — the serving peer never learns
 /// who is asking.
 impl FrameService for ClientState {
+    /// A PUSH order on its way to the executor.
+    type Cont = Message;
+
     fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_deref()
     }
@@ -896,17 +895,29 @@ impl FrameService for ClientState {
         }
     }
 
-    /// A PUSH dials the requester and writes the document to it.
-    fn may_block(&self, msg: &Message) -> bool {
-        msg.tokens().first() == Some(&"PUSH")
-    }
-
+    /// A PUSH dials the requester and writes the document to it: blocking
+    /// work, so it is served on the executor. Everything else answers from
+    /// local state.
     fn handle(
         &self,
         msg: &Message,
         fault: Option<FaultKind>,
-        _ctx: &mut FrameCtx,
-    ) -> Option<Message> {
+        _ctx: &mut FrameCtx<'_>,
+    ) -> Step<Message> {
+        if fault != Some(FaultKind::PeerRefuse) && msg.tokens().first() == Some(&"PUSH") {
+            return Step::Offload(msg.clone());
+        }
+        Step::Reply(Some(self.serve(msg, fault)))
+    }
+
+    fn resume(&self, push: Message, _: Event, _: &Seat<'_>) -> Step<Message> {
+        Step::Reply(Some(self.serve(&push, None)))
+    }
+}
+
+impl ClientState {
+    /// The reply to one peer-port request.
+    fn serve(&self, msg: &Message, fault: Option<FaultKind>) -> Message {
         // The proxy forwards the requester's trace id on PEERGET/PUSH and
         // the pushing peer forwards it on DELIVER, so peer-side spans join
         // the same trace as the client's fetch.
@@ -927,7 +938,7 @@ impl FrameService for ClientState {
         } else {
             SpanId::mint()
         };
-        Some(match msg.tokens().as_slice() {
+        match msg.tokens().as_slice() {
             _ if fault == Some(FaultKind::PeerRefuse) => {
                 // Claim the document is gone even though we may hold it.
                 response(status::GONE, "Gone")
@@ -1031,7 +1042,7 @@ impl FrameService for ClientState {
                 }
             }
             _ => response(status::BAD_REQUEST, "Bad Request"),
-        })
+        }
     }
 }
 

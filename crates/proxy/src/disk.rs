@@ -114,6 +114,10 @@ struct Meta {
     ttl_secs: u64,
 }
 
+/// What [`DiskTier::find`] found for a URL, for [`DiskTier::read`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry(Meta);
+
 /// In-memory picture of what is on disk: URL interner, byte-budgeted LRU,
 /// and per-entry metadata. File I/O never happens under this lock.
 struct DiskIndex {
@@ -221,17 +225,30 @@ impl DiskTier {
     /// deleted and the entry dropped, so a torn write self-heals to the
     /// origin path instead of ever serving wrong bytes.
     pub fn load(&self, url: &str) -> Option<DiskHit> {
-        let meta = {
-            let mut inner = self.inner.lock();
-            let id = inner.urls.get(url);
-            match id {
-                Some(id) if inner.lru.touch(&id).is_some() => *inner.meta.get(&id)?,
-                _ => {
-                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        };
+        self.read(url, self.find(url)?)
+    }
+
+    /// The first half of [`load`](Self::load): the tier's entry for `url`
+    /// from the in-memory index (touched in the LRU; a miss is counted).
+    /// No file is touched, so an event loop may call this and keep a miss
+    /// to itself; the entry goes to [`read`](Self::read), on a thread that
+    /// may block.
+    pub(crate) fn find(&self, url: &str) -> Option<Entry> {
+        let mut inner = self.inner.lock();
+        let found = inner
+            .urls
+            .get(url)
+            .filter(|id| inner.lru.touch(id).is_some())
+            .and_then(|id| inner.meta.get(&id).copied());
+        if found.is_none() {
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found.map(Entry)
+    }
+
+    /// The second half of [`load`](Self::load): reads and verifies the
+    /// file behind an entry [`find`](Self::find) returned for `url`.
+    pub(crate) fn read(&self, url: &str, Entry(meta): Entry) -> Option<DiskHit> {
         // File I/O strictly outside the lock.
         let path = entry_path(&self.root, url);
         match read_verified(&path, url, &self.key) {

@@ -321,7 +321,7 @@ pub struct WindowRates {
     pub origin_fetches: u64,
     /// Coalesced (herd-shared) fetches in the window.
     pub coalesced: u64,
-    /// Requests the miss executor refused (it was shutting down).
+    /// Requests the executor refused (it was shutting down).
     pub rejected: u64,
     /// Requests per second over the span.
     pub req_per_s: f64,

@@ -168,36 +168,41 @@ pub(crate) fn render(state: &ProxyState) -> String {
         );
     }
 
-    // Upstream connection pool: when reuse works, dials stay far below
-    // the exchanges made (dials{upstream="peer"} ≈ peer hits means every
+    // Upstream connections: when reuse works, dials stay far below the
+    // exchanges made (dials{upstream="peer"} ≈ peer hits means every
     // probe is paying a connection set-up again).
-    let up = state.upstream.snapshot();
-    for (family, help, by_kind) in [
-        (
-            "baps_upstream_dials_total",
-            "Upstream connections established, by kind of upstream.",
-            up.dials,
-        ),
-        (
-            "baps_upstream_reuses_total",
-            "Upstream exchanges sent on a kept-alive connection, by kind of upstream.",
-            up.reuses,
-        ),
-    ] {
-        out.header(family, "counter", help);
-        for (label, count) in UPSTREAM_LABELS.iter().zip(by_kind) {
-            out.sample(family, &[("upstream", label)], count as f64);
+    let up = state.reactor.upstream();
+    let by_kind = |out: &mut PromText, family: &str, kind: &str, help: &str, values: [u64; 2]| {
+        out.header(family, kind, help);
+        for (label, value) in UPSTREAM_LABELS.iter().zip(values) {
+            out.sample(family, &[("upstream", label)], value as f64);
         }
-    }
+    };
+    by_kind(
+        &mut out,
+        "baps_upstream_dials_total",
+        "counter",
+        "Upstream connections established, by kind of upstream.",
+        up.dials,
+    );
+    by_kind(
+        &mut out,
+        "baps_upstream_reuses_total",
+        "counter",
+        "Upstream exchanges sent on a kept-alive connection, by kind of upstream.",
+        up.reuses,
+    );
     out.counter(
         "baps_upstream_stale_total",
-        "Kept-alive upstream connections found closed or out of sync at check-out.",
+        "Idle kept-alive upstream connections an event loop saw closed or out of sync.",
         up.stale,
     );
-    out.gauge(
+    by_kind(
+        &mut out,
         "baps_upstream_idle_connections",
-        "Upstream connections idle in the pool right now.",
-        up.idle as f64,
+        "gauge",
+        "Upstream connections idle on the event loops right now, by kind of upstream.",
+        up.idle,
     );
 
     // Browser index.
@@ -246,8 +251,8 @@ pub(crate) fn render(state: &ProxyState) -> String {
         state.obs.recorder.dropped(),
     );
 
-    // Miss-executor saturation: how busy the blocking workers run and how
-    // long offloaded requests wait for one.
+    // Executor saturation: how busy the blocking (disk-tier) workers run
+    // and how long offloaded requests wait for one.
     let sat = state.telemetry.snapshot();
     out.gauge(
         "baps_workers",
@@ -333,6 +338,16 @@ pub(crate) fn render(state: &ProxyState) -> String {
         "baps_reactor_offloaded_dispatch_total",
         "Requests handed to the blocking miss executor.",
         r.offloaded,
+    );
+    out.gauge(
+        "baps_reactor_upstream_exchanges",
+        "Upstream exchanges in flight on the event loops right now.",
+        r.exchanges_in_flight as f64,
+    );
+    out.gauge(
+        "baps_reactor_parked_requests",
+        "Requests parked on the event loops (coalesced followers, retry back-offs).",
+        r.parked_requests as f64,
     );
     out.gauge(
         "baps_reactor_busy_fraction",

@@ -9,10 +9,11 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{response, response_code, status, Message};
-use crate::reactor::{loops_per_core, FrameCtx, FrameService, Server};
+use crate::reactor::{loops_per_core, Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::DocumentStore;
 use baps_obs::{EventKind, FlightRecorder, SpanId, TraceId};
 use parking_lot::RwLock;
+use std::convert::Infallible;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,13 +21,13 @@ use std::sync::Arc;
 
 /// A running origin server.
 pub struct OriginServer {
-    server: Server,
+    server: Server<Infallible>,
     state: Arc<OriginState>,
 }
 
 /// What the origin's event loops serve from: every request is answered
-/// inline (a read lock and a refcount bump), so the origin runs no
-/// executor and an open connection costs it no thread.
+/// by its first step (a read lock and a refcount bump), so the origin runs
+/// no executor and an open connection costs it no thread.
 struct OriginState {
     store: RwLock<DocumentStore>,
     hits: AtomicU64,
@@ -92,6 +93,8 @@ impl OriginServer {
 }
 
 impl FrameService for OriginState {
+    type Cont = Infallible;
+
     fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_deref()
     }
@@ -109,12 +112,15 @@ impl FrameService for OriginState {
         &self,
         msg: &Message,
         fault: Option<FaultKind>,
-        _ctx: &mut FrameCtx,
-    ) -> Option<Message> {
+        _ctx: &mut FrameCtx<'_>,
+    ) -> Step<Infallible> {
         if fault == Some(FaultKind::OriginError) {
             // Pretend the backend failed; the document is NOT counted as
             // served.
-            return Some(response(status::SERVER_ERROR, "Internal Server Error"));
+            return Step::Reply(Some(response(
+                status::SERVER_ERROR,
+                "Internal Server Error",
+            )));
         }
         let t_serve = std::time::Instant::now();
         let reply = handle_request(msg, &self.store, &self.hits, &self.revalidations);
@@ -150,7 +156,11 @@ impl FrameService for OriginState {
                 ),
             );
         }
-        Some(reply)
+        Step::Reply(Some(reply))
+    }
+
+    fn resume(&self, cont: Infallible, _: Event, _: &Seat<'_>) -> Step<Infallible> {
+        match cont {}
     }
 }
 

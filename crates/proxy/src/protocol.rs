@@ -63,12 +63,10 @@
 //! treat as the end of the session. Clients hold one lazily-dialed
 //! connection to the proxy and transparently redial (replaying the
 //! in-flight request once) when the proxy drops it; the proxy keeps its
-//! own outbound connections — to peers and to the origin — alive in one
-//! pool (`upstream.rs`). The proxy multiplexes
-//! its client connections on event loops (`reactor.rs`), so an idle one
-//! costs a registered fd; the origin and the clients' peer servers run a
-//! fixed worker pool, where each open connection occupies one worker until
-//! it closes (see [`crate::pool`]).
+//! own outbound connections — to peers and to the origin — alive on its
+//! event loops (`upstream.rs`). Every server multiplexes the connections
+//! it accepts on event loops too (`reactor.rs`), so an idle one costs a
+//! registered fd and no thread.
 
 use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::sync::Arc;
@@ -354,10 +352,16 @@ pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
 /// in a `Vec` first — `Arc<[u8]>::from(Vec<u8>)` would allocate again and
 /// copy them all. Callers bound `len` before calling.
 pub(crate) fn read_body<R: Read + ?Sized>(r: &mut R, len: usize) -> io::Result<Body> {
-    let mut body: Body = std::iter::repeat_n(0u8, len).collect();
+    let mut body = zeroed_body(len);
     let bytes = Arc::get_mut(&mut body).expect("a freshly built Arc has one holder");
     r.read_exact(bytes)?;
     Ok(body)
+}
+
+/// A [`Body`] of `len` zero bytes with one holder: the allocation a reader
+/// fills in place (an event loop does so a chunk at a time).
+pub(crate) fn zeroed_body(len: usize) -> Body {
+    std::iter::repeat_n(0u8, len).collect()
 }
 
 /// Response codes used by the protocol.

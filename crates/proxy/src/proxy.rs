@@ -15,23 +15,23 @@
 
 pub use crate::counters::ProxyStats;
 use crate::counters::{load_baseline, persist_baseline, ProxyCounters};
-use crate::disk::{DiskConfig, DiskStats, DiskTier};
+use crate::disk::{DiskConfig, DiskHit, DiskStats, DiskTier, Entry};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
 use crate::protocol::{response, response_code, status, Body, Message};
 use crate::reactor::{
-    loops_per_core, FrameCtx, FrameService, PoolTelemetry, ReactorSnapshot, ReactorTelemetry,
-    SaturationSnapshot, Server,
+    loops_per_core, Event, FrameCtx, FrameService, PoolTelemetry, ReactorSnapshot,
+    ReactorTelemetry, SaturationSnapshot, Seat, Server, Step, Waker,
 };
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
-use crate::upstream::UpstreamPool;
+use crate::upstream::{Answer, Ask, Upstream};
 use baps_crypto::{md5, Digest, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
 use baps_trace::{ClientId, DocId, Interner};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -42,14 +42,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Miss-executor threads when [`ProxyConfig::worker_threads`] is `0`.
+/// Executor threads when [`ProxyConfig::worker_threads`] is `0`.
 pub(crate) const DEFAULT_WORKERS: usize = 8;
 /// Maximum peer candidates probed per request.
 const MAX_PEER_PROBES: usize = 4;
-/// Default dial/read/write timeout for peer probes, so one dead client
-/// cannot stall the proxy.
+/// Default deadline for one peer exchange (connect, request, reply), so
+/// one dead client cannot hold a request.
 const PEER_TIMEOUT: Duration = Duration::from_secs(2);
-/// Default dial/read/write timeout for origin fetches.
+/// Default deadline for one origin exchange.
 const ORIGIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Initial backoff between retried peer probes / origin fetches.
 const RETRY_BACKOFF: Duration = Duration::from_millis(5);
@@ -73,19 +73,20 @@ pub struct ProxyConfig {
     /// (the paper's companion anonymity protocols, HPL-2001-204, address
     /// that; the relayed mode keeps full mutual anonymity).
     pub direct_forward: bool,
-    /// Threads of the blocking miss executor — the ones that run
-    /// disk/peer/origin fetches, so this bounds concurrent miss-path work
-    /// (`0` = the library default). Connections themselves are served by
-    /// event loops, one per available core, and are not bounded by threads.
+    /// Threads of the blocking executor — the ones that run disk-tier
+    /// reads and writes, so this bounds concurrent disk I/O (`0` = the
+    /// library default; a memory-only proxy never starts them).
+    /// Connections, peer probes and origin fetches are served by event
+    /// loops, one per available core, and are not bounded by threads.
     pub worker_threads: usize,
-    /// Dial/read/write deadline for peer probes (`Duration::ZERO` falls
-    /// back to the built-in default).
+    /// Deadline for one peer exchange — connect, request, reply
+    /// (`Duration::ZERO` falls back to the built-in default).
     pub peer_timeout: Duration,
     /// Extra attempts per peer probe after a *transport* failure. A peer
     /// that answers `410 Gone` is authoritative and never re-probed.
     pub peer_retries: u32,
-    /// Dial/read/write deadline for origin fetches (`Duration::ZERO`
-    /// falls back to the built-in default).
+    /// Deadline for one origin exchange (`Duration::ZERO` falls back to
+    /// the built-in default).
     pub origin_timeout: Duration,
     /// Extra origin fetch attempts after a transport failure or 5xx.
     pub origin_retries: u32,
@@ -159,10 +160,10 @@ pub(crate) struct ProxyObs {
 
 /// Shared proxy state. Lock discipline (see DESIGN.md): `cache` and
 /// `index` are doc-sharded stripes (one lock per shard); `urls` and
-/// `peers` are read-mostly RwLocks; the `upstream` pool's map and the
-/// `inflight` registry are brief bookkeeping mutexes. No lock is ever held
-/// across socket I/O, an origin fetch, or a body copy, and no worker holds
-/// two locks at once.
+/// `peers` are read-mostly RwLocks; the `inflight` registry is a brief
+/// bookkeeping mutex. (Upstream connections belong to the event loops and
+/// take no lock.) No lock is ever held across socket I/O, an origin fetch,
+/// or a body copy, and no thread holds two locks at once.
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache,
     pub(crate) index: StripedIndex,
@@ -181,19 +182,18 @@ pub(crate) struct ProxyState {
     pub(crate) obs: ProxyObs,
     /// The persistent disk tier, when configured.
     pub(crate) disk: Option<DiskTier>,
-    /// Kept-alive connections to peers and the origin: every exchange the
-    /// proxy initiates goes through it.
-    pub(crate) upstream: UpstreamPool,
-    /// Miss-executor saturation telemetry (shared with the executor), so
+    /// Executor saturation telemetry (shared with the executor), so
     /// METRICS can report queue depth, busy workers, and time-in-queue.
     pub(crate) telemetry: Arc<PoolTelemetry>,
-    /// Event-loop telemetry (shared with the loops).
+    /// Event-loop telemetry (shared with the loops), the upstream
+    /// connections' counters included.
     pub(crate) reactor: Arc<ReactorTelemetry>,
     /// Per-document in-flight miss registry (thundering-herd coalescing):
     /// the first miss for a doc becomes the leader and fetches; concurrent
-    /// misses park on the entry's condvar and share the leader's outcome.
-    /// The lock guards only the map — never the fetch itself.
-    inflight: Mutex<HashMap<DocId, Arc<Inflight>>>,
+    /// misses park as continuations on their loops and share the leader's
+    /// outcome. Shared with every [`FlightLeader`], which may outlive a
+    /// borrow of this state.
+    inflight: Arc<FlightRegistry>,
     /// Rolling per-second telemetry windows (fed by the sampler thread
     /// and forced captures), the substrate of `HEALTH` SLO verdicts.
     pub(crate) windows: ProxyWindows,
@@ -220,8 +220,8 @@ pub struct ProxyServer {
     shutdown: Arc<AtomicBool>,
     /// The 1 Hz window sampler thread feeding `state.windows`.
     sampler: Option<JoinHandle<()>>,
-    /// Acceptor, one event loop per core, and the miss executor.
-    server: Server,
+    /// Acceptor, one event loop per core, and the disk-tier executor.
+    server: Server<Miss>,
     state: Arc<ProxyState>,
 }
 
@@ -258,9 +258,6 @@ impl ProxyServer {
             .unwrap_or_default();
         let telemetry = Arc::<PoolTelemetry>::default();
         let reactor_telemetry = Arc::<ReactorTelemetry>::default();
-        // Every miss-executor worker may hold one connection to an address
-        // between exchanges, so that is how many the pool keeps idle each.
-        let upstream = UpstreamPool::new(config.origin_addr, workers);
         let state = Arc::new(ProxyState {
             cache: ShardedCache::new(config.cache_capacity, auto_shards(config.cache_capacity)),
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
@@ -277,10 +274,9 @@ impl ProxyServer {
                 verbs: LabeledHistograms::new(&PROXY_VERBS),
             },
             disk,
-            upstream,
             telemetry: Arc::clone(&telemetry),
             reactor: Arc::clone(&reactor_telemetry),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Arc::default(),
             windows: ProxyWindows::new(),
         });
         // Zero-point capture: the first window differences against the
@@ -294,11 +290,7 @@ impl ProxyServer {
                 .name("baps-proxy-windows".into())
                 .spawn(move || {
                     while !shutdown.load(Ordering::Acquire) {
-                        if state.windows.maybe_capture(&state) {
-                            // Once a second is also how often idle
-                            // upstream connections are aged out.
-                            state.upstream.reap(Instant::now());
-                        }
+                        state.windows.maybe_capture(&state);
                         std::thread::park_timeout(Duration::from_millis(50));
                     }
                 })?
@@ -407,8 +399,8 @@ impl ProxyServer {
         self.server.open_connections()
     }
 
-    /// Runtime-saturation snapshot of the blocking miss executor:
-    /// configured workers, queue depth (current and peak), busy workers
+    /// Runtime-saturation snapshot of the blocking executor (the disk
+    /// tier's): configured workers, queue depth (current and peak), busy workers
     /// (current and peak), rejected jobs, and the time-in-queue histogram.
     pub fn saturation(&self) -> SaturationSnapshot {
         self.state.telemetry.snapshot()
@@ -416,7 +408,7 @@ impl ProxyServer {
 
     /// Event-loop telemetry snapshot: registered fds (current and peak),
     /// ready-batch depth, loop busy-fraction, inline vs offloaded
-    /// dispatches.
+    /// dispatches, upstream exchanges in flight, parked requests.
     pub fn reactor_stats(&self) -> ReactorSnapshot {
         self.state.reactor.snapshot()
     }
@@ -461,7 +453,6 @@ impl ProxyServer {
     /// must reconnect; the next upstream exchange dials.
     pub fn drop_connections(&self) {
         self.server.drop_all();
-        self.state.upstream.clear();
     }
 
     /// Stops the accept loop, severs open client connections, joins the
@@ -475,13 +466,13 @@ impl ProxyServer {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Closes every open connection, then joins the threads.
+        // Closes every open connection — the clients' and the loops' own
+        // to peers and origin — then joins the threads.
         self.server.shutdown();
         if let Some(sampler) = self.sampler.take() {
             sampler.thread().unpark();
             let _ = sampler.join();
         }
-        self.state.upstream.clear();
         // Persist the cumulative counters beside the disk tier so the
         // next incarnation's `baps_*_total` series continue monotonically
         // instead of resetting to zero. Written after the workers have
@@ -501,6 +492,8 @@ impl Drop for ProxyServer {
 }
 
 impl FrameService for ProxyState {
+    type Cont = Miss;
+
     fn faults(&self) -> Option<&FaultPlan> {
         self.config.faults.as_deref()
     }
@@ -514,51 +507,38 @@ impl FrameService for ProxyState {
         }
     }
 
-    fn may_block(&self, msg: &Message) -> bool {
-        needs_miss_executor(msg, self)
-    }
-
+    /// Every admin verb and every memory hit is answered here and now,
+    /// from local state; a GET that misses the memory cache comes back as
+    /// the first step of its [`Miss`].
     fn handle(
         &self,
         msg: &Message,
         _fault: Option<FaultKind>,
-        ctx: &mut FrameCtx,
-    ) -> Option<Message> {
+        ctx: &mut FrameCtx<'_>,
+    ) -> Step<Miss> {
         let t_verb = Instant::now();
         let verb = verb_index(msg.tokens().first());
-        let reply = dispatch(msg, ctx.peer_ip, &mut ctx.queue_wait, self);
-        self.obs.verbs.record(verb, t_verb.elapsed());
-        reply
-    }
-}
-
-/// Whether this request can block the thread that runs it (disk reads,
-/// peer probes with retry backoff, origin fetches, coalesced followers
-/// parking on a condvar) — i.e. whether the event loop must hand it to the
-/// blocking miss executor instead of running it inline.
-/// Only a `GET` that misses the memory cache qualifies; every admin verb
-/// and every memory hit answers from local state. The probe uses
-/// `ShardedCache::contains` (no LRU promotion, no hit/miss counters), so
-/// the real `cache.get` in `handle_get` alone moves the cache stats. The
-/// probe can race an eviction — `contains` true, then the real
-/// `get` misses — in which case the loop rarely runs one miss inline;
-/// correctness is unaffected (DESIGN.md §13 discusses the trade).
-fn needs_miss_executor(msg: &Message, state: &ProxyState) -> bool {
-    match msg.tokens().as_slice() {
-        ["GET", url, "BAPS/1.0"] => {
-            let doc = doc_id(state, url);
-            !state.cache.contains(doc, url)
+        let step = dispatch(msg, t_verb, ctx, self).unwrap_or(Step::Reply(None));
+        // A suspended GET is timed when it is answered (`Miss::done`).
+        if matches!(step, Step::Reply(_)) {
+            self.obs.verbs.record(verb, t_verb.elapsed());
         }
-        _ => false,
+        step
+    }
+
+    fn resume(&self, miss: Miss, event: Event, seat: &Seat<'_>) -> Step<Miss> {
+        miss.resume(self, event, seat)
     }
 }
 
+/// The first step for `msg`; `None` answers nothing (a GET, INVALIDATE or
+/// REGISTER without a usable `Client` header).
 fn dispatch(
     msg: &Message,
-    peer_ip: std::net::IpAddr,
-    queue_wait: &mut Option<Duration>,
+    t_verb: Instant,
+    ctx: &mut FrameCtx<'_>,
     state: &ProxyState,
-) -> Option<Message> {
+) -> Option<Step<Miss>> {
     // The client mints a trace id per logical fetch and stamps every hop;
     // administrative verbs and legacy clients simply have none. For
     // head-sampled traces the `Span-Id` header carries the upstream span
@@ -572,7 +552,7 @@ fn dispatch(
         .and_then(|h| h.parse().ok())
         .unwrap_or(SpanId::NONE);
     if span::sampled(trace) {
-        if let Some(wait) = queue_wait.take() {
+        if let Some(wait) = ctx.queue_wait.take() {
             state.obs.recorder.record_span(
                 trace,
                 SpanId::mint(),
@@ -583,7 +563,7 @@ fn dispatch(
             );
         }
     }
-    match msg.tokens().as_slice() {
+    let reply = match msg.tokens().as_slice() {
         ["GET", url, "BAPS/1.0"] => {
             let client: u32 = msg.get("Client")?.parse().ok()?;
             // Piggybacked eviction notices (processed before the GET so a
@@ -593,8 +573,15 @@ fn dispatch(
                     handle_invalidate(victim, client, trace, state);
                 }
             }
-            let bypass = msg.get("Bypass-Peers").is_some();
-            Some(handle_get(url, client, bypass, trace, parent, state))
+            let req = GetRequest {
+                doc: doc_id(state, url),
+                requester: ClientId(client),
+                bypass_peers: msg.get("Bypass-Peers").is_some(),
+                trace,
+                parent,
+                t_request: t_verb,
+            };
+            return Some(handle_get(url, req, state, &ctx.seat));
         }
         ["INVALIDATE", url, "BAPS/1.0"] => {
             let client: u32 = msg.get("Client")?.parse().ok()?;
@@ -605,53 +592,46 @@ fn dispatch(
                 handle_purge(url, trace, state);
             }
             handle_invalidate(url, client, trace, state);
-            Some(response(status::OK, "OK"))
+            response(status::OK, "OK")
         }
         ["REGISTER", port, "BAPS/1.0"] => {
             let client: u32 = msg.get("Client")?.parse().ok()?;
             let port: u16 = port.parse().ok()?;
-            let addr = SocketAddr::new(peer_ip, port);
+            let addr = SocketAddr::new(ctx.peer_ip, port);
             let previous = state.peers.write().insert(client, addr);
             if let Some(old) = previous.filter(|&old| old != addr) {
                 // The browser moved: nothing will be asked of its old
                 // address again.
-                state.upstream.forget(old);
+                ctx.seat.forget_upstream(old);
             }
-            Some(response(status::OK, "OK"))
+            response(status::OK, "OK")
         }
         ["TRACE", "BAPS/1.0"] => {
             let body = state.obs.recorder.dump_spans();
-            Some(
-                response(status::OK, "OK")
-                    .header("Content-Type", "application/jsonl")
-                    .header("Sample-One-In", span::SAMPLE_ONE_IN.to_string())
-                    .with_body(body.into_bytes()),
-            )
+            response(status::OK, "OK")
+                .header("Content-Type", "application/jsonl")
+                .header("Sample-One-In", span::SAMPLE_ONE_IN.to_string())
+                .with_body(body.into_bytes())
         }
         ["METRICS", "BAPS/1.0"] => {
             let text = crate::metrics::render(state);
-            Some(
-                response(status::OK, "OK")
-                    .header("Content-Type", "text/plain; version=0.0.4")
-                    .with_body(text.into_bytes()),
-            )
+            response(status::OK, "OK")
+                .header("Content-Type", "text/plain; version=0.0.4")
+                .with_body(text.into_bytes())
         }
-        // Like the other read-only admin verbs this runs inline on an
-        // event loop (`needs_miss_executor` is false).
         ["HEALTH", "BAPS/1.0"] => {
             state.windows.force_capture(state);
             let report = crate::health::evaluate(state);
-            Some(
-                response(status::OK, "OK")
-                    .header("Content-Type", "text/plain")
-                    .header("Verdict", report.verdict.name())
-                    .header("Rules", report.rules.len().to_string())
-                    .header("Uptime-Seconds", report.uptime_secs.to_string())
-                    .with_body(report.render().into_bytes()),
-            )
+            response(status::OK, "OK")
+                .header("Content-Type", "text/plain")
+                .header("Verdict", report.verdict.name())
+                .header("Rules", report.rules.len().to_string())
+                .header("Uptime-Seconds", report.uptime_secs.to_string())
+                .with_body(report.render().into_bytes())
         }
-        _ => Some(response(status::BAD_REQUEST, "Bad Request")),
-    }
+        _ => response(status::BAD_REQUEST, "Bad Request"),
+    };
+    Some(Step::Reply(Some(reply)))
 }
 
 /// Mints a span id for one proxy-side hop of a head-sampled trace
@@ -690,9 +670,9 @@ pub(crate) fn doc_id(state: &ProxyState, url: &str) -> DocId {
 }
 
 /// What the miss path and the serve sites need to know about the GET
-/// being answered.
-struct GetRequest<'a> {
-    url: &'a str,
+/// being answered (its URL aside, which a memory hit only borrows).
+#[derive(Clone, Copy)]
+struct GetRequest {
     doc: DocId,
     requester: ClientId,
     bypass_peers: bool,
@@ -736,31 +716,12 @@ fn fail(state: &ProxyState, code: u16, reason: &str) -> Message {
     response(code, reason)
 }
 
-fn handle_get(
-    url: &str,
-    client: u32,
-    bypass_peers: bool,
-    trace: TraceId,
-    parent: SpanId,
-    state: &ProxyState,
-) -> Message {
-    let t_request = Instant::now();
-    let doc = doc_id(state, url);
-    let req = GetRequest {
-        url,
-        doc,
-        requester: ClientId(client),
-        bypass_peers,
-        trace,
-        parent,
-        t_request,
-    };
-
+fn handle_get(url: &str, req: GetRequest, state: &ProxyState, seat: &Seat<'_>) -> Step<Miss> {
     // 1. Proxy cache. The hit hands back a shared body handle — the shard
     // lock is held only for the map lookup, never while the reply frame is
     // written.
     let t_shard = Instant::now();
-    let cached = state.cache.get(doc, url);
+    let cached = state.cache.get(req.doc, url);
     let shard_wait = t_shard.elapsed();
     // Fast cache hits are the hot path (tens of thousands per second, all
     // identical); a ring event for each would be pure overhead with no
@@ -768,13 +729,13 @@ fn handle_get(
     // miss (the request is about to leave the fast path), a slow lock
     // acquisition (shard contention, the thing this span exists to show),
     // or a head-sampled trace (whose tree must be complete).
-    let sampled = span::sampled(trace);
+    let sampled = span::sampled(req.trace);
     if sampled || cached.is_none() || shard_wait > SLOW_SHARD_WAIT {
         record_hop(
             state,
-            trace,
-            hop_span(trace),
-            parent,
+            req.trace,
+            hop_span(req.trace),
+            req.parent,
             EventKind::WaitForShard,
             shard_wait,
             if cached.is_some() {
@@ -785,123 +746,69 @@ fn handle_get(
         );
     }
     if let Some(cached) = cached {
-        return serve(state, &req, Tier::Proxy, &cached);
+        return Step::Reply(Some(serve(state, &req, Tier::Proxy, &cached)));
     }
-
-    // 1c. Thundering-herd coalescing (singleflight). The first miss for a
-    // doc becomes the *leader* and runs the full miss path; concurrent
-    // misses for the same doc park on the flight's condvar and share the
-    // leader's outcome — one backend fetch per herd, not one per waiter.
-    // The no-lock-across-I/O rule holds: the registry mutex is held only
-    // for the map operation, and the leader fetches holding no lock.
-    let wait_budget = state.config.origin_deadline() + state.config.peer_deadline();
-    let mut attempt = 0usize;
-    loop {
-        attempt += 1;
-        match join_inflight(state, doc) {
-            FlightRole::Leader(entry) => {
-                let leader = FlightLeader {
-                    state,
-                    doc,
-                    entry,
-                    published: false,
-                };
-                let (reply, outcome) = handle_miss(state, &req);
-                leader.publish(outcome);
-                return reply;
-            }
-            FlightRole::Follower(entry) => {
-                let t_wait = Instant::now();
-                let outcome = if attempt < MAX_FLIGHT_JOINS {
-                    entry.wait(wait_budget)
-                } else {
-                    FlightOutcome::Unshared
-                };
-                // Followers that share the leader's outcome, good or bad.
-                let coalesced = |detail: String| {
-                    state
-                        .counters
-                        .coalesced_fetches
-                        .fetch_add(1, Ordering::Relaxed);
-                    record_hop(
-                        state,
-                        trace,
-                        hop_span(trace),
-                        parent,
-                        EventKind::Coalesced,
-                        t_wait.elapsed(),
-                        detail,
-                    );
-                };
-                match outcome {
-                    FlightOutcome::Doc(cached) => {
-                        coalesced(format!("url={url} outcome=ok"));
-                        return serve(state, &req, Tier::Proxy, &cached);
-                    }
-                    FlightOutcome::Error(code, reason) => {
-                        // The leader's failure is broadcast: every waiter
-                        // fails the same way instead of dogpiling a dead
-                        // origin — and instead of hanging.
-                        coalesced(format!("url={url} outcome=err code={code}"));
-                        return fail(state, code, &reason);
-                    }
-                    FlightOutcome::Unshared => {
-                        // The flight ended without a shareable outcome (a
-                        // direct push carries no body; an unwound leader
-                        // publishes this from Drop; or the wait budget ran
-                        // out). The doc may have landed in memory in the
-                        // meantime; otherwise retry, degrading to an
-                        // uncoalesced miss after MAX_FLIGHT_JOINS rounds
-                        // so no request loops forever.
-                        if let Some(cached) = state.cache.get(doc, url) {
-                            return serve(state, &req, Tier::Proxy, &cached);
-                        }
-                        if attempt >= MAX_FLIGHT_JOINS {
-                            return handle_miss(state, &req).0;
-                        }
-                    }
-                }
-            }
-        }
+    Miss {
+        req,
+        url: url.to_owned(),
+        lead: None,
+        joins: 0,
+        probed: false,
+        landed: None,
+        stage: Stage::Joining,
     }
+    .join(state, seat)
 }
+
+// ---------------------------------------------------------------------------
+// Thundering-herd coalescing (singleflight)
+// ---------------------------------------------------------------------------
 
 /// Rounds through the in-flight registry a request makes before giving up
 /// on coalescing and fetching for itself (guards against pathological
 /// chains of unshareable outcomes).
 const MAX_FLIGHT_JOINS: usize = 3;
 
+/// The per-document in-flight miss registry. The lock guards only the map
+/// — never a fetch.
+type FlightRegistry = Mutex<HashMap<DocId, Arc<Inflight>>>;
+
 /// How a request relates to the in-flight registry entry for its doc.
 enum FlightRole {
     /// This request created the entry: it must fetch, then publish.
-    Leader(Arc<Inflight>),
+    Leader(FlightLeader),
     /// Another request is already fetching this doc: park and share.
     Follower(Arc<Inflight>),
 }
 
-/// One in-flight miss: the slot the leader fills and the condvar the
-/// followers park on.
+/// One in-flight miss: the outcome the leader fills in, and the wakers of
+/// the followers parked until it does. A follower costs its loop one
+/// parked continuation and this list one boxed waker — no thread.
+#[derive(Default)]
 struct Inflight {
-    slot: Mutex<Option<FlightOutcome>>,
-    cv: Condvar,
+    slot: Mutex<FlightSlot>,
+}
+
+#[derive(Default)]
+struct FlightSlot {
+    outcome: Option<FlightOutcome>,
+    followers: Vec<Waker>,
 }
 
 impl Inflight {
-    /// Parks until the leader publishes or `budget` elapses.
-    fn wait(&self, budget: Duration) -> FlightOutcome {
-        let start = Instant::now();
+    /// The leader's outcome, if it is in.
+    fn outcome(&self) -> Option<FlightOutcome> {
+        self.slot.lock().outcome.clone()
+    }
+
+    /// The leader's outcome if it is in already; otherwise enlists
+    /// `waker`, to be fired when it is.
+    fn outcome_or_enlist(&self, waker: impl FnOnce() -> Waker) -> Option<FlightOutcome> {
         let mut slot = self.slot.lock();
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return outcome.clone();
-            }
-            let Some(remaining) = budget.checked_sub(start.elapsed()) else {
-                // The leader overran every backend deadline combined; stop
-                // trusting it and fend for ourselves.
-                return FlightOutcome::Unshared;
-            };
-            self.cv.wait_for(&mut slot, remaining);
+        if slot.outcome.is_none() {
+            slot.followers.push(waker());
         }
+        slot.outcome.clone()
     }
 }
 
@@ -909,7 +816,7 @@ impl Inflight {
 #[derive(Clone)]
 enum FlightOutcome {
     /// The miss produced a verified document; followers share the body
-    /// (`Body` is `Arc<[u8]>`, so each waiter costs a refcount bump, not
+    /// (`Body` is `Arc<[u8]>`, so each follower costs a refcount bump, not
     /// a copy).
     Doc(CachedDoc),
     /// The miss failed with this status/reason; followers fail the same
@@ -926,26 +833,29 @@ fn join_inflight(state: &ProxyState, doc: DocId) -> FlightRole {
     match registry.entry(doc) {
         Entry::Occupied(e) => FlightRole::Follower(Arc::clone(e.get())),
         Entry::Vacant(v) => {
-            let entry = Arc::new(Inflight {
-                slot: Mutex::new(None),
-                cv: Condvar::new(),
-            });
-            v.insert(Arc::clone(&entry));
-            FlightRole::Leader(entry)
+            let flight = Arc::<Inflight>::default();
+            v.insert(Arc::clone(&flight));
+            FlightRole::Leader(FlightLeader {
+                registry: Arc::clone(&state.inflight),
+                doc,
+                flight,
+                published: false,
+            })
         }
     }
 }
 
 /// Leader-side handle: guarantees the registry entry is removed and the
-/// followers woken exactly once, even if the miss path unwinds.
-struct FlightLeader<'a> {
-    state: &'a ProxyState,
+/// followers woken exactly once, even if the leading request is dropped
+/// half-way (its loop shut down under it).
+struct FlightLeader {
+    registry: Arc<FlightRegistry>,
     doc: DocId,
-    entry: Arc<Inflight>,
+    flight: Arc<Inflight>,
     published: bool,
 }
 
-impl FlightLeader<'_> {
+impl FlightLeader {
     fn publish(mut self, outcome: FlightOutcome) {
         self.finish(outcome);
         self.published = true;
@@ -954,270 +864,748 @@ impl FlightLeader<'_> {
     fn finish(&self, outcome: FlightOutcome) {
         // Deregister first so a request arriving after the outcome was
         // decided starts a fresh flight instead of joining a finished one.
-        self.state.inflight.lock().remove(&self.doc);
-        *self.entry.slot.lock() = Some(outcome);
-        self.entry.cv.notify_all();
+        self.registry.lock().remove(&self.doc);
+        let followers = {
+            let mut slot = self.flight.slot.lock();
+            slot.outcome = Some(outcome);
+            std::mem::take(&mut slot.followers)
+        };
+        // Each wake is a message to the follower's own loop.
+        for wake in followers {
+            wake();
+        }
     }
 }
 
-impl Drop for FlightLeader<'_> {
+impl Drop for FlightLeader {
     fn drop(&mut self) {
         if !self.published {
-            // The miss path unwound: release the followers rather than
-            // stranding them until their wait budget expires.
+            // Release the followers rather than stranding them until
+            // their wait budget expires.
             self.finish(FlightOutcome::Unshared);
         }
     }
 }
 
-/// The full miss path (disk → peers → origin), shared by coalescing
-/// leaders and by followers that gave up on coalescing. Returns the reply
-/// plus the outcome a leader broadcasts to its followers.
-fn handle_miss(state: &ProxyState, req: &GetRequest) -> (Message, FlightOutcome) {
-    let GetRequest {
-        url,
-        doc,
-        requester,
-        trace,
-        parent,
-        ..
-    } = *req;
-    // 1b. Disk tier — consulted only after a memory miss, so the
-    // in-memory hot path never touches it. A fresh verified entry serves
-    // directly; a stale one is revalidated against the origin with a
-    // conditional GET; a torn or corrupted file already self-healed
-    // inside `load` and reads as a miss.
-    if let Some(disk) = &state.disk {
+// ---------------------------------------------------------------------------
+// The miss path: disk → peers → origin, one step at a time
+// ---------------------------------------------------------------------------
+
+/// A GET past the memory tier: what it carries from one [`Step`] to the
+/// next. The serve order below the memory cache — in-flight registry, disk
+/// tier, candidate holders in index order, origin — is the order of this
+/// type's methods, and nowhere else. Nothing here blocks except on the
+/// executor ([`Event::Run`]): peers and the origin are *asked* through the
+/// request's event loop, retry back-offs and a follower's wait are loop
+/// timers.
+pub(crate) struct Miss {
+    req: GetRequest,
+    url: String,
+    /// The flight this request leads; its followers get the outcome.
+    lead: Option<FlightLeader>,
+    /// Rounds through the in-flight registry so far.
+    joins: usize,
+    /// A candidate holder was tried, so reaching the origin is a fallback.
+    probed: bool,
+    /// An upstream's answer being carried to the executor (see
+    /// [`Miss::settles_on_disk`]).
+    landed: Option<io::Result<Answer>>,
+    stage: Stage,
+}
+
+/// Where a [`Miss`] is suspended.
+enum Stage {
+    /// Not suspended (between stages).
+    Joining,
+    /// Parked behind the request that leads this document's flight.
+    Following {
+        flight: Arc<Inflight>,
+        t_wait: Instant,
+    },
+    /// On its way to the executor to read the disk tier's entry.
+    Disk(Entry),
+    /// Asking the origin whether a stale disk entry is still current.
+    Revalidating { hit: DiskHit, call: Call },
+    /// Asking `peer` (PEERGET, or PUSH in direct-forward mode, under
+    /// transaction number `txn`), with `rest` still to try.
+    Probing {
+        peer: ClientId,
+        rest: std::vec::IntoIter<ClientId>,
+        txn: u64,
+        call: Call,
+    },
+    /// Fetching from the origin.
+    Fetching { call: Call },
+}
+
+/// One upstream hop and its retries: the hop span and the clock cover
+/// every attempt.
+struct Call {
+    span: SpanId,
+    t0: Instant,
+    attempts_left: u32,
+    backoff: Duration,
+}
+
+impl Call {
+    fn new(trace: TraceId, retries: u32) -> Call {
+        Call {
+            span: hop_span(trace),
+            t0: Instant::now(),
+            attempts_left: retries,
+            backoff: RETRY_BACKOFF,
+        }
+    }
+
+    /// How long to back off before the next attempt, if one is left.
+    fn again(&mut self) -> Option<Duration> {
+        self.attempts_left = self.attempts_left.checked_sub(1)?;
+        let wait = self.backoff;
+        self.backoff *= 2;
+        Some(wait)
+    }
+}
+
+/// Outcome of a conditional (`If-Digest`) origin exchange for a stale
+/// disk entry.
+enum Revalidation {
+    /// The disk copy is still current; its freshness stamp can be reset.
+    NotModified,
+    /// The document changed; here is the new one.
+    Changed(Answer),
+    /// The origin no longer serves the document (authoritative 404).
+    Gone,
+    /// The origin was unreachable or kept erroring after every retry;
+    /// nothing is known about the copy's currency.
+    Failed,
+}
+
+impl Miss {
+    fn resume(mut self, state: &ProxyState, event: Event, seat: &Seat<'_>) -> Step<Miss> {
+        let event = match event {
+            Event::Answer(answer) if self.settles_on_disk(state) => {
+                self.landed = Some(answer);
+                return Step::Offload(self);
+            }
+            Event::Run => match self.landed.take() {
+                Some(answer) => Event::Answer(answer),
+                None => Event::Run,
+            },
+            event => event,
+        };
+        match (std::mem::replace(&mut self.stage, Stage::Joining), event) {
+            (Stage::Following { flight, t_wait }, Event::Wake) => {
+                // No outcome yet: the leader overran every backend
+                // deadline combined; stop trusting it.
+                let outcome = flight.outcome().unwrap_or(FlightOutcome::Unshared);
+                self.followed(state, seat, outcome, t_wait)
+            }
+            (Stage::Disk(entry), Event::Run) => self.read_disk(state, entry),
+            (Stage::Revalidating { hit, call }, Event::Answer(answer)) => {
+                self.revalidated(state, hit, call, answer)
+            }
+            (
+                Stage::Probing {
+                    peer,
+                    rest,
+                    txn,
+                    call,
+                },
+                Event::Answer(answer),
+            ) => self.probed(state, peer, rest, txn, call, answer),
+            (Stage::Fetching { call }, Event::Answer(answer)) => self.fetched(state, call, answer),
+            // A retry's back-off is over.
+            (stage @ Stage::Probing { .. }, Event::Wake) => {
+                self.stage = stage;
+                self.ask_peer(state)
+            }
+            (stage @ (Stage::Revalidating { .. } | Stage::Fetching { .. }), Event::Wake) => {
+                self.stage = stage;
+                self.ask_origin(state)
+            }
+            _ => {
+                debug_assert!(
+                    false,
+                    "a miss resumed by an event its stage never waits for"
+                );
+                self.fail(state, status::SERVER_ERROR, "Internal Server Error")
+            }
+        }
+    }
+
+    /// Whether handling the upstream answer this request waits for can end
+    /// in disk-tier I/O (a write-through, a refresh, a remove). Such an
+    /// answer is taken to the executor whole and handled there — the hash
+    /// it needs is already done (`Answer::body_md5`), the file write is
+    /// not the loop's to wait for.
+    fn settles_on_disk(&self, state: &ProxyState) -> bool {
+        state.disk.is_some()
+            && match self.stage {
+                Stage::Revalidating { .. } | Stage::Fetching { .. } => true,
+                Stage::Probing { .. } => {
+                    state.config.cache_peer_hits && !state.config.direct_forward
+                }
+                _ => false,
+            }
+    }
+
+    /// Ends the request: the flight's followers get `outcome`, the
+    /// requester gets `reply`.
+    fn done(mut self, state: &ProxyState, reply: Message, outcome: FlightOutcome) -> Step<Miss> {
+        if let Some(lead) = self.lead.take() {
+            lead.publish(outcome);
+        }
+        let get = verb_index(Some(&"GET"));
+        state.obs.verbs.record(get, self.req.t_request.elapsed());
+        Step::Reply(Some(reply))
+    }
+
+    fn fail(self, state: &ProxyState, code: u16, reason: &str) -> Step<Miss> {
+        let reply = fail(state, code, reason);
+        self.done(state, reply, FlightOutcome::Error(code, reason.to_owned()))
+    }
+
+    /// Step 1c, the in-flight registry. The first miss for a doc becomes the
+    /// *leader* and runs the miss path; concurrent misses for the same doc
+    /// park as followers and share the leader's outcome — one backend
+    /// fetch per herd, not one per request.
+    fn join(mut self, state: &ProxyState, seat: &Seat<'_>) -> Step<Miss> {
+        self.joins += 1;
+        match join_inflight(state, self.req.doc) {
+            FlightRole::Leader(lead) => {
+                self.lead = Some(lead);
+                self.below_memory(state)
+            }
+            FlightRole::Follower(flight) => {
+                let t_wait = Instant::now();
+                let outcome = if self.joins < MAX_FLIGHT_JOINS {
+                    match flight.outcome_or_enlist(|| seat.waker()) {
+                        Some(outcome) => outcome,
+                        None => {
+                            let budget =
+                                state.config.origin_deadline() + state.config.peer_deadline();
+                            self.stage = Stage::Following { flight, t_wait };
+                            return Step::Wait(budget, self);
+                        }
+                    }
+                } else {
+                    FlightOutcome::Unshared
+                };
+                self.followed(state, seat, outcome, t_wait)
+            }
+        }
+    }
+
+    /// A follower with its leader's outcome, good or bad.
+    fn followed(
+        self,
+        state: &ProxyState,
+        seat: &Seat<'_>,
+        outcome: FlightOutcome,
+        t_wait: Instant,
+    ) -> Step<Miss> {
+        let GetRequest { trace, parent, .. } = self.req;
+        let coalesced = |detail: String| {
+            state
+                .counters
+                .coalesced_fetches
+                .fetch_add(1, Ordering::Relaxed);
+            record_hop(
+                state,
+                trace,
+                hop_span(trace),
+                parent,
+                EventKind::Coalesced,
+                t_wait.elapsed(),
+                detail,
+            );
+        };
+        match outcome {
+            FlightOutcome::Doc(cached) => {
+                coalesced(format!("url={} outcome=ok", self.url));
+                let reply = serve(state, &self.req, Tier::Proxy, &cached);
+                self.done(state, reply, FlightOutcome::Unshared)
+            }
+            FlightOutcome::Error(code, reason) => {
+                // The leader's failure is broadcast: every follower fails
+                // the same way instead of dogpiling a dead origin — and
+                // instead of hanging.
+                coalesced(format!("url={} outcome=err code={code}", self.url));
+                self.fail(state, code, &reason)
+            }
+            FlightOutcome::Unshared => {
+                // The flight ended without a shareable outcome (a direct
+                // push carries no body; a dropped leader publishes this;
+                // or the wait budget ran out). The doc may have landed in
+                // memory in the meantime; otherwise rejoin, degrading to
+                // an uncoalesced miss after MAX_FLIGHT_JOINS rounds so no
+                // request loops forever.
+                if let Some(cached) = state.cache.get(self.req.doc, &self.url) {
+                    let reply = serve(state, &self.req, Tier::Proxy, &cached);
+                    self.done(state, reply, FlightOutcome::Unshared)
+                } else if self.joins >= MAX_FLIGHT_JOINS {
+                    self.below_memory(state)
+                } else {
+                    self.join(state, seat)
+                }
+            }
+        }
+    }
+
+    /// The miss path proper, for a leader or an uncoalesced request.
+    /// Step 1b, the disk tier — consulted only after a memory miss, so the
+    /// in-memory hot path never touches it. Whether the tier lists the
+    /// document is a question for its in-memory index, asked here; reading
+    /// and verifying a listed entry blocks, so that is the executor's.
+    fn below_memory(mut self, state: &ProxyState) -> Step<Miss> {
+        let Some(disk) = &state.disk else {
+            return self.probe_peers(state);
+        };
         let t_disk = Instant::now();
-        let hit = disk.load(url);
+        match disk.find(&self.url) {
+            Some(entry) => {
+                self.stage = Stage::Disk(entry);
+                Step::Offload(self)
+            }
+            None => {
+                self.disk_hop(state, t_disk.elapsed(), "miss");
+                self.probe_peers(state)
+            }
+        }
+    }
+
+    fn disk_hop(&self, state: &ProxyState, took: Duration, outcome: &str) {
         record_hop(
             state,
-            trace,
-            hop_span(trace),
-            parent,
+            self.req.trace,
+            hop_span(self.req.trace),
+            self.req.parent,
             EventKind::DiskRead,
-            t_disk.elapsed(),
-            format!(
-                "url={url} outcome={}",
-                match &hit {
-                    Some(h) if h.fresh => "fresh",
-                    Some(_) => "stale",
-                    None => "miss",
-                }
-            ),
+            took,
+            format!("url={} outcome={outcome}", self.url),
         );
-        if let Some(hit) = hit {
-            if hit.fresh {
-                let reply = serve_from_disk(state, req, &hit.doc, false);
-                return (reply, FlightOutcome::Doc(hit.doc));
-            }
+    }
+
+    /// A fresh verified entry serves directly; a stale one is revalidated
+    /// against the origin with a conditional GET; a torn or corrupted file
+    /// already self-healed inside `read` and reads as a miss.
+    fn read_disk(mut self, state: &ProxyState, entry: Entry) -> Step<Miss> {
+        let Some(disk) = &state.disk else {
+            return self.probe_peers(state);
+        };
+        let t_disk = Instant::now();
+        let hit = disk.read(&self.url, entry);
+        self.disk_hop(
+            state,
+            t_disk.elapsed(),
+            match &hit {
+                Some(h) if h.fresh => "fresh",
+                Some(_) => "stale",
+                None => "miss",
+            },
+        );
+        match hit {
+            Some(hit) if hit.fresh => self.serve_from_disk(state, hit.doc, false),
             // TTL expired: ask the origin whether our copy is still
             // current before serving it.
-            let reval_span = hop_span(trace);
-            let t_reval = Instant::now();
-            let outcome =
-                revalidate_with_origin(state, url, &hit.digest.to_hex(), trace, reval_span);
-            record_hop(
-                state,
-                trace,
-                reval_span,
-                parent,
-                EventKind::OriginFetch,
-                t_reval.elapsed(),
-                format!(
-                    "url={url} outcome={}",
-                    match &outcome {
-                        Revalidation::NotModified => "not-modified",
-                        Revalidation::Changed(_) => "changed",
-                        Revalidation::Gone => "gone",
-                        Revalidation::Failed => "err",
-                    }
-                ),
-            );
-            match outcome {
-                Revalidation::NotModified => {
-                    disk.refresh(url);
-                    let reply = serve_from_disk(state, req, &hit.doc, true);
-                    return (reply, FlightOutcome::Doc(hit.doc));
+            Some(hit) => {
+                let call = Call::new(self.req.trace, state.config.origin_retries);
+                self.stage = Stage::Revalidating { hit, call };
+                self.ask_origin(state)
+            }
+            None => self.probe_peers(state),
+        }
+    }
+
+    /// One origin exchange: the fetch, or — for a stale disk entry — its
+    /// `If-Digest` revalidation (the origin answers 304 if the digest
+    /// still matches, saving the body transfer).
+    fn ask_origin(self, state: &ProxyState) -> Step<Miss> {
+        let (call, if_digest) = match &self.stage {
+            Stage::Revalidating { hit, call } => (call, Some(hit.digest.to_hex())),
+            Stage::Fetching { call } => (call, None),
+            _ => unreachable!("only the origin stages ask the origin"),
+        };
+        // The proxy's origin-fetch span parents the origin's serve span.
+        let mut request = traced(
+            Message::new(format!("GET {} ORIGIN/1.0", self.url)),
+            self.req.trace,
+            call.span,
+        );
+        if let Some(digest) = if_digest {
+            request = request.header("If-Digest", digest);
+        }
+        let ask = Ask {
+            addr: state.config.origin_addr,
+            upstream: Upstream::Origin,
+            deadline: state.config.origin_deadline(),
+            request,
+        };
+        Step::Ask(ask, self)
+    }
+
+    /// Records the origin hop `call` covered, every attempt included.
+    fn origin_hop(&self, state: &ProxyState, call: &Call, outcome: &str) {
+        record_hop(
+            state,
+            self.req.trace,
+            call.span,
+            self.req.parent,
+            EventKind::OriginFetch,
+            call.t0.elapsed(),
+            format!("url={} outcome={outcome}", self.url),
+        );
+    }
+
+    /// The origin's answer to an `If-Digest`: 200, 304 and 404 are
+    /// authoritative; transport failures and 5xx are retried up to
+    /// `origin_retries` extra times with back-off.
+    fn revalidated(
+        mut self,
+        state: &ProxyState,
+        hit: DiskHit,
+        mut call: Call,
+        answer: io::Result<Answer>,
+    ) -> Step<Miss> {
+        let verdict = answer
+            .ok()
+            .and_then(|answer| match response_code(&answer.reply) {
+                Some(status::OK) => Some(Revalidation::Changed(answer)),
+                Some(status::NOT_MODIFIED) => Some(Revalidation::NotModified),
+                Some(status::NOT_FOUND) => Some(Revalidation::Gone),
+                _ => None,
+            });
+        let verdict = match verdict {
+            Some(verdict) => verdict,
+            None => match call.again() {
+                Some(wait) => {
+                    self.stage = Stage::Revalidating { hit, call };
+                    return Step::Wait(wait, self);
                 }
-                Revalidation::Changed(body) => {
-                    // The document changed at the origin: this is an
-                    // origin fetch in every respect, write-through
-                    // included.
-                    let (reply, cached) = serve_origin_fetch(state, req, body);
-                    return (reply, FlightOutcome::Doc(cached));
+                None => Revalidation::Failed,
+            },
+        };
+        self.origin_hop(
+            state,
+            &call,
+            match &verdict {
+                Revalidation::NotModified => "not-modified",
+                Revalidation::Changed(_) => "changed",
+                Revalidation::Gone => "gone",
+                Revalidation::Failed => "err",
+            },
+        );
+        let disk = state
+            .disk
+            .as_ref()
+            .expect("a disk hit came from a disk tier");
+        match verdict {
+            Revalidation::NotModified => {
+                disk.refresh(&self.url);
+                self.serve_from_disk(state, hit.doc, true)
+            }
+            // The document changed at the origin: this is an origin fetch
+            // in every respect, write-through included.
+            Revalidation::Changed(answer) => self.serve_origin_fetch(state, answer),
+            Revalidation::Gone => {
+                // The origin no longer serves the document; the stale disk
+                // copy must not outlive it.
+                disk.remove(&self.url);
+                self.fail(state, status::NOT_FOUND, "Not Found")
+            }
+            // Origin unreachable: keep the stale entry (a later
+            // revalidation may still rescue it) and degrade to the peers.
+            Revalidation::Failed => self.probe_peers(state),
+        }
+    }
+
+    /// Step 2, browser index → peer browser caches, most recent holder
+    /// first.
+    fn probe_peers(self, state: &ProxyState) -> Step<Miss> {
+        let mut holders = if self.req.bypass_peers {
+            Vec::new()
+        } else {
+            state.index.lookup_all(self.req.doc, self.req.requester)
+        };
+        holders.truncate(MAX_PEER_PROBES);
+        self.next_holder(state, holders.into_iter())
+    }
+
+    fn next_holder(
+        mut self,
+        state: &ProxyState,
+        mut rest: std::vec::IntoIter<ClientId>,
+    ) -> Step<Miss> {
+        let Some(peer) = rest.next() else {
+            return self.fall_to_origin(state);
+        };
+        self.probed = true;
+        // A PUSH order is not retried: by its 200 the delivery was sent.
+        let retries = if state.config.direct_forward {
+            0
+        } else {
+            state.config.peer_retries
+        };
+        self.stage = Stage::Probing {
+            peer,
+            rest,
+            txn: 0,
+            call: Call::new(self.req.trace, retries),
+        };
+        self.ask_peer(state)
+    }
+
+    /// One mediated attempt on the current holder, under a transaction
+    /// number of its own: the holder sees only that and the URL, never the
+    /// requester's identity — unless the mode is direct-forward, where it
+    /// is ordered to push the document straight to the requester's
+    /// registered delivery address.
+    fn ask_peer(mut self, state: &ProxyState) -> Step<Miss> {
+        let Stage::Probing {
+            peer, rest, call, ..
+        } = std::mem::replace(&mut self.stage, Stage::Joining)
+        else {
+            unreachable!("only the probing stage asks a peer");
+        };
+        let direct = state.config.direct_forward;
+        let (holder, target) = {
+            let peers = state.peers.read();
+            (
+                peers.get(&peer.0).copied(),
+                peers.get(&self.req.requester.0).copied(),
+            )
+        };
+        let (addr, target) = match (holder, target) {
+            (Some(addr), Some(target)) if direct => (addr, Some(target)),
+            (Some(addr), _) if !direct => (addr, None),
+            (holder, _) => {
+                let who = if holder.is_none() {
+                    "peer not registered"
+                } else {
+                    "requester not registered"
+                };
+                let unasked = Err(io::Error::new(io::ErrorKind::NotFound, who));
+                return self.probe_settled(state, peer, rest, 0, call, unasked);
+            }
+        };
+        let txn = next_txn(state);
+        let order = match target {
+            Some(target) => Message::new(format!("PUSH {} BAPS/1.0", self.url))
+                .header("Txn", txn.to_string())
+                .header("Target", target.to_string()),
+            None => Message::new(format!("PEERGET {} BAPS/1.0", self.url))
+                .header("Txn", txn.to_string()),
+        };
+        // The probe's own hop span becomes the parent of the peer's serve
+        // span, stitching the tree across processes.
+        let ask = Ask {
+            addr,
+            upstream: Upstream::Peer,
+            deadline: state.config.peer_deadline(),
+            request: traced(order, self.req.trace, call.span),
+        };
+        self.stage = Stage::Probing {
+            peer,
+            rest,
+            txn,
+            call,
+        };
+        Step::Ask(ask, self)
+    }
+
+    /// The holder's answer. Transport failures (refused dial, deadline
+    /// expiry, truncated frame) are retried up to `peer_retries` extra
+    /// times with back-off; an explicit `410 Gone` is authoritative (the
+    /// peer no longer caches the document).
+    fn probed(
+        mut self,
+        state: &ProxyState,
+        peer: ClientId,
+        rest: std::vec::IntoIter<ClientId>,
+        txn: u64,
+        mut call: Call,
+        answer: io::Result<Answer>,
+    ) -> Step<Miss> {
+        let direct = state.config.direct_forward;
+        // `Some(doc)`: relayed; `None`: pushed to the requester directly.
+        let outcome = answer.and_then(|Answer { reply, .. }| {
+            if response_code(&reply) != Some(status::OK) {
+                return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
+            }
+            if direct {
+                return Ok(None);
+            }
+            let watermark = reply
+                .get("X-Watermark")
+                .and_then(|h| Watermark::from_hex(h).ok())
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing watermark"))?;
+            Ok(Some(CachedDoc {
+                body: reply.body,
+                watermark,
+            }))
+        });
+        if outcome
+            .as_ref()
+            .is_err_and(|e| e.kind() != io::ErrorKind::NotFound)
+        {
+            if let Some(wait) = call.again() {
+                self.stage = Stage::Probing {
+                    peer,
+                    rest,
+                    txn,
+                    call,
+                };
+                return Step::Wait(wait, self);
+            }
+        }
+        self.probe_settled(state, peer, rest, txn, call, outcome)
+    }
+
+    /// One holder is done with, every retry included: serve what it gave,
+    /// or heal the index and move on to the next.
+    fn probe_settled(
+        self,
+        state: &ProxyState,
+        peer: ClientId,
+        rest: std::vec::IntoIter<ClientId>,
+        txn: u64,
+        call: Call,
+        outcome: io::Result<Option<CachedDoc>>,
+    ) -> Step<Miss> {
+        let kind = if state.config.direct_forward {
+            EventKind::PushOrder
+        } else {
+            EventKind::PeerProbe
+        };
+        record_hop(
+            state,
+            self.req.trace,
+            call.span,
+            self.req.parent,
+            kind,
+            call.t0.elapsed(),
+            format!(
+                "peer={} url={} outcome={}",
+                peer.0,
+                self.url,
+                if outcome.is_ok() { "ok" } else { "err" }
+            ),
+        );
+        match outcome {
+            Ok(Some(cached)) => {
+                if state.config.cache_peer_hits {
+                    state.cache.insert(self.req.doc, &self.url, cached.clone());
+                    write_through_to_disk(state, &self.url, &cached, None, self.req.trace);
                 }
-                Revalidation::Gone => {
-                    // The origin no longer serves the document; the
-                    // stale disk copy must not outlive it.
-                    disk.remove(url);
-                    return (
-                        fail(state, status::NOT_FOUND, "Not Found"),
-                        FlightOutcome::Error(status::NOT_FOUND, "Not Found".into()),
-                    );
-                }
-                Revalidation::Failed => {
-                    // Origin unreachable: keep the stale entry (a later
-                    // revalidation may still rescue it) and degrade to
-                    // the peer path below.
-                }
+                let reply = serve(state, &self.req, Tier::Peer, &cached);
+                self.done(state, reply, FlightOutcome::Doc(cached))
+            }
+            Ok(None) => {
+                state.counters.direct_pushes.fetch_add(1, Ordering::Relaxed);
+                count_served(state, &self.req, Tier::Peer);
+                let reply = response(status::OK, "OK")
+                    .header("X-Source", "peer-direct")
+                    .header("Txn", txn.to_string());
+                // A direct push carries no body through the proxy, so
+                // there is nothing to share with followers.
+                self.done(state, reply, FlightOutcome::Unshared)
+            }
+            Err(_) => {
+                // The index was stale (or the peer is gone): self-heal.
+                state.counters.peer_failures.fetch_add(1, Ordering::Relaxed);
+                state.index.on_evict(peer, self.req.doc);
+                self.next_holder(state, rest)
             }
         }
     }
 
-    // 2. Browser index -> peer browser caches.
-    let mut probed_peers = false;
-    if !req.bypass_peers {
-        let candidates = state.index.lookup_all(doc, requester);
-        for peer in candidates.into_iter().take(MAX_PEER_PROBES) {
-            probed_peers = true;
-            if state.config.direct_forward {
-                let push_span = hop_span(trace);
-                let t_push = Instant::now();
-                let pushed = order_direct_push(state, requester, peer, url, trace, push_span);
-                record_hop(
-                    state,
-                    trace,
-                    push_span,
-                    parent,
-                    EventKind::PushOrder,
-                    t_push.elapsed(),
-                    format!(
-                        "peer={} url={url} outcome={}",
-                        peer.0,
-                        if pushed.is_ok() { "ok" } else { "err" }
-                    ),
-                );
-                match pushed {
-                    Ok(txn) => {
-                        state.counters.direct_pushes.fetch_add(1, Ordering::Relaxed);
-                        count_served(state, req, Tier::Peer);
-                        // A direct push carries no body through the proxy,
-                        // so there is nothing to share with followers.
-                        return (
-                            response(status::OK, "OK")
-                                .header("X-Source", "peer-direct")
-                                .header("Txn", txn.to_string()),
-                            FlightOutcome::Unshared,
-                        );
-                    }
-                    Err(_) => {
-                        state.counters.peer_failures.fetch_add(1, Ordering::Relaxed);
-                        state.index.on_evict(peer, doc);
-                    }
+    /// Step 3, the origin server. Reaching this point after probing peers
+    /// means the index path degraded gracefully instead of failing the
+    /// request.
+    fn fall_to_origin(mut self, state: &ProxyState) -> Step<Miss> {
+        if self.probed {
+            state
+                .counters
+                .peer_fallbacks
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        self.stage = Stage::Fetching {
+            call: Call::new(self.req.trace, state.config.origin_retries),
+        };
+        self.ask_origin(state)
+    }
+
+    /// The origin's answer to a fetch: 200 and 404 are authoritative;
+    /// transport failures and 5xx are retried up to `origin_retries` extra
+    /// times with back-off.
+    fn fetched(
+        mut self,
+        state: &ProxyState,
+        mut call: Call,
+        answer: io::Result<Answer>,
+    ) -> Step<Miss> {
+        let (code, reason) = match answer {
+            Ok(answer) => match response_code(&answer.reply) {
+                Some(status::OK) => {
+                    self.origin_hop(state, &call, "ok");
+                    return self.serve_origin_fetch(state, answer);
                 }
-                continue;
-            }
-            let probe_span = hop_span(trace);
-            let t_probe = Instant::now();
-            let probed = fetch_from_peer(state, peer, url, trace, probe_span);
-            record_hop(
-                state,
-                trace,
-                probe_span,
-                parent,
-                EventKind::PeerProbe,
-                t_probe.elapsed(),
-                format!(
-                    "peer={} url={url} outcome={}",
-                    peer.0,
-                    if probed.is_ok() { "ok" } else { "err" }
-                ),
-            );
-            match probed {
-                Ok(cached) => {
-                    if state.config.cache_peer_hits {
-                        state.cache.insert(doc, url, cached.clone());
-                        write_through_to_disk(state, url, &cached, None, trace);
-                    }
-                    let reply = serve(state, req, Tier::Peer, &cached);
-                    return (reply, FlightOutcome::Doc(cached));
-                }
-                Err(_) => {
-                    // The index was stale (or the peer is gone): self-heal.
-                    state.counters.peer_failures.fetch_add(1, Ordering::Relaxed);
-                    state.index.on_evict(peer, doc);
-                }
+                Some(status::NOT_FOUND) => (status::NOT_FOUND, "Not Found".to_string()),
+                _ => (status::UNAVAILABLE, "Origin Unavailable".to_string()),
+            },
+            Err(e) => (
+                status::UNAVAILABLE,
+                format!("Origin Unreachable ({})", e.kind()),
+            ),
+        };
+        if code != status::NOT_FOUND {
+            if let Some(wait) = call.again() {
+                self.stage = Stage::Fetching { call };
+                return Step::Wait(wait, self);
             }
         }
+        self.origin_hop(state, &call, "err");
+        self.fail(state, code, &reason)
     }
 
-    // 3. Origin server. Reaching this point after probing peers means the
-    // index path degraded gracefully instead of failing the request.
-    if probed_peers {
-        state
-            .counters
-            .peer_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
+    /// Serves an origin-fetched body: mints the watermark, populates both
+    /// cache tiers (write-through), updates the index, counts the fetch,
+    /// and shares the document with the flight's followers.
+    fn serve_origin_fetch(self, state: &ProxyState, answer: Answer) -> Step<Miss> {
+        let body = answer.reply.body;
+        // The one hash of this hop — taken chunk by chunk as the body came
+        // off the socket — is signed for the watermark and stored in the
+        // disk entry's header.
+        let digest = answer.body_md5.unwrap_or_else(|| md5(&body));
+        let cached = CachedDoc {
+            watermark: state.signer.sign(&digest),
+            body,
+        };
+        state.cache.insert(self.req.doc, &self.url, cached.clone());
+        write_through_to_disk(state, &self.url, &cached, Some(&digest), self.req.trace);
+        let reply = serve(state, &self.req, Tier::Origin, &cached);
+        self.done(state, reply, FlightOutcome::Doc(cached))
     }
-    let origin_span = hop_span(trace);
-    let t_origin = Instant::now();
-    let fetched = fetch_from_origin(state, url, trace, origin_span);
-    record_hop(
-        state,
-        trace,
-        origin_span,
-        parent,
-        EventKind::OriginFetch,
-        t_origin.elapsed(),
-        format!(
-            "url={url} outcome={}",
-            if fetched.is_ok() { "ok" } else { "err" }
-        ),
-    );
-    match fetched {
-        Ok(body) => {
-            let (reply, cached) = serve_origin_fetch(state, req, body);
-            (reply, FlightOutcome::Doc(cached))
+
+    /// Serves a verified disk-tier document: counts the hit, promotes the
+    /// document into the memory tier (repeat requests become memory hits),
+    /// and updates the index.
+    fn serve_from_disk(
+        self,
+        state: &ProxyState,
+        cached: CachedDoc,
+        revalidated: bool,
+    ) -> Step<Miss> {
+        if revalidated {
+            state
+                .counters
+                .disk_revalidations
+                .fetch_add(1, Ordering::Relaxed);
         }
-        Err(e) => {
-            let (code, reason) = match e {
-                OriginError::NotFound => (status::NOT_FOUND, "Not Found".to_string()),
-                OriginError::Unavailable => (status::UNAVAILABLE, "Origin Unavailable".to_string()),
-                OriginError::Io(e) => (
-                    status::UNAVAILABLE,
-                    format!("Origin Unreachable ({})", e.kind()),
-                ),
-            };
-            let reply = fail(state, code, &reason);
-            (reply, FlightOutcome::Error(code, reason))
-        }
+        state.cache.insert(self.req.doc, &self.url, cached.clone());
+        let reply = serve(state, &self.req, Tier::Disk, &cached);
+        self.done(state, reply, FlightOutcome::Doc(cached))
     }
-}
-
-/// Serves an origin-fetched body: mints the watermark, populates both
-/// cache tiers (write-through), updates the index, and counts the fetch.
-/// Also hands back the cached doc so a coalescing leader can broadcast it.
-fn serve_origin_fetch(state: &ProxyState, req: &GetRequest, body: Body) -> (Message, CachedDoc) {
-    // The one hash of this hop: signed for the watermark, and stored in
-    // the disk entry's header.
-    let digest = md5(&body);
-    let cached = CachedDoc {
-        watermark: state.signer.sign(&digest),
-        body,
-    };
-    state.cache.insert(req.doc, req.url, cached.clone());
-    write_through_to_disk(state, req.url, &cached, Some(&digest), req.trace);
-    (serve(state, req, Tier::Origin, &cached), cached)
-}
-
-/// Serves a verified disk-tier document: counts the hit, promotes the
-/// document into the memory tier (repeat requests become memory hits),
-/// and updates the index.
-fn serve_from_disk(
-    state: &ProxyState,
-    req: &GetRequest,
-    cached: &CachedDoc,
-    revalidated: bool,
-) -> Message {
-    if revalidated {
-        state
-            .counters
-            .disk_revalidations
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    state.cache.insert(req.doc, req.url, cached.clone());
-    serve(state, req, Tier::Disk, cached)
 }
 
 /// Best-effort write-through to the disk tier (no-op without one). The
@@ -1295,71 +1683,6 @@ fn ok_response(source: &str, doc: &CachedDoc) -> Message {
         .with_body(Arc::clone(&doc.body))
 }
 
-/// Mediated peer fetch: the peer sees only a transaction id and the URL,
-/// never the requester's identity.
-///
-/// Transport failures (refused dial, deadline expiry, truncated frame) are
-/// retried up to `peer_retries` extra times with backoff; an explicit
-/// `410 Gone` is authoritative (the peer no longer caches the document)
-/// and returns immediately as `ErrorKind::NotFound`.
-fn fetch_from_peer(
-    state: &ProxyState,
-    peer: ClientId,
-    url: &str,
-    trace: TraceId,
-    span: SpanId,
-) -> Result<CachedDoc, io::Error> {
-    let addr = state
-        .peers
-        .read()
-        .get(&peer.0)
-        .copied()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer not registered"))?;
-    let mut attempts_left = state.config.peer_retries;
-    let mut backoff = RETRY_BACKOFF;
-    loop {
-        match probe_peer_once(state, addr, url, trace, span) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound && attempts_left > 0 => {
-                attempts_left -= 1;
-                std::thread::sleep(backoff);
-                backoff *= 2;
-            }
-            other => return other,
-        }
-    }
-}
-
-/// One mediated PEERGET probe, under a transaction number of its own.
-fn probe_peer_once(
-    state: &ProxyState,
-    addr: SocketAddr,
-    url: &str,
-    trace: TraceId,
-    span: SpanId,
-) -> Result<CachedDoc, io::Error> {
-    // The probe's own hop span becomes the parent of the peer's serve
-    // span, stitching the tree across processes.
-    let probe = traced(
-        Message::new(format!("PEERGET {url} BAPS/1.0")).header("Txn", next_txn(state).to_string()),
-        trace,
-        span,
-    );
-    let reply = state
-        .upstream
-        .exchange(addr, state.config.peer_deadline(), &probe)?;
-    if response_code(&reply) != Some(status::OK) {
-        return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
-    }
-    let watermark = reply
-        .get("X-Watermark")
-        .and_then(|h| Watermark::from_hex(h).ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing watermark"))?;
-    Ok(CachedDoc {
-        body: reply.body,
-        watermark,
-    })
-}
-
 /// Mints the transaction number of one PEERGET or PUSH order.
 fn next_txn(state: &ProxyState) -> u64 {
     state.next_txn.fetch_add(1, Ordering::Relaxed)
@@ -1373,149 +1696,6 @@ fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
         msg
     } else {
         msg.header("Span-Id", span.to_string())
-    }
-}
-
-/// Direct-forward mode: orders `peer` to push `url` straight to the
-/// requester's registered delivery address. Returns the transaction id the
-/// requester should await. The push itself happens synchronously inside
-/// the peer before it acknowledges, so a 200 here means the delivery was
-/// already sent.
-fn order_direct_push(
-    state: &ProxyState,
-    requester: ClientId,
-    peer: ClientId,
-    url: &str,
-    trace: TraceId,
-    span: SpanId,
-) -> Result<u64, io::Error> {
-    let (peer_addr, target_addr) = {
-        let peers = state.peers.read();
-        (
-            peers.get(&peer.0).copied(),
-            peers.get(&requester.0).copied(),
-        )
-    };
-    let peer_addr =
-        peer_addr.ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "peer not registered"))?;
-    let target_addr = target_addr
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "requester not registered"))?;
-    let txn = next_txn(state);
-    let push = traced(
-        Message::new(format!("PUSH {url} BAPS/1.0"))
-            .header("Txn", txn.to_string())
-            .header("Target", target_addr.to_string()),
-        trace,
-        span,
-    );
-    let reply = state
-        .upstream
-        .exchange(peer_addr, state.config.peer_deadline(), &push)?;
-    if response_code(&reply) != Some(status::OK) {
-        return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
-    }
-    Ok(txn)
-}
-
-enum OriginError {
-    NotFound,
-    /// The origin kept failing (5xx or garbage) after every retry.
-    Unavailable,
-    Io(io::Error),
-}
-
-/// One origin exchange (`If-Digest` makes it conditional: the origin
-/// answers 304 if the digest still matches, saving the body transfer).
-/// Any fully framed reply comes back `Ok`, 404s and 500s included.
-fn origin_attempt(
-    state: &ProxyState,
-    url: &str,
-    trace: TraceId,
-    span: SpanId,
-    if_digest: Option<&str>,
-) -> io::Result<Message> {
-    // The proxy's origin-fetch span parents the origin's serve span.
-    let mut msg = traced(Message::new(format!("GET {url} ORIGIN/1.0")), trace, span);
-    if let Some(digest) = if_digest {
-        msg = msg.header("If-Digest", digest);
-    }
-    state.upstream.exchange(
-        state.config.origin_addr,
-        state.config.origin_deadline(),
-        &msg,
-    )
-}
-
-/// Fetches `url` from the origin with bounded retries: transport failures
-/// and 5xx replies are retried up to `origin_retries` extra times with
-/// backoff; 200 and 404 are authoritative.
-fn fetch_from_origin(
-    state: &ProxyState,
-    url: &str,
-    trace: TraceId,
-    span: SpanId,
-) -> Result<Body, OriginError> {
-    let mut attempts_left = state.config.origin_retries;
-    let mut backoff = RETRY_BACKOFF;
-    loop {
-        let failure = match origin_attempt(state, url, trace, span, None) {
-            Ok(reply) => match response_code(&reply) {
-                Some(status::OK) => return Ok(reply.body),
-                Some(status::NOT_FOUND) => return Err(OriginError::NotFound),
-                _ => OriginError::Unavailable,
-            },
-            Err(e) => OriginError::Io(e),
-        };
-        if attempts_left == 0 {
-            return Err(failure);
-        }
-        attempts_left -= 1;
-        std::thread::sleep(backoff);
-        backoff *= 2;
-    }
-}
-
-/// Outcome of a conditional (`If-Digest`) origin exchange for a stale
-/// disk entry.
-enum Revalidation {
-    /// The disk copy is still current; its freshness stamp can be reset.
-    NotModified,
-    /// The document changed; here is the new body.
-    Changed(Body),
-    /// The origin no longer serves the document (authoritative 404).
-    Gone,
-    /// The origin was unreachable or kept erroring after every retry;
-    /// nothing is known about the copy's currency.
-    Failed,
-}
-
-/// Revalidates a stale disk entry against the origin with bounded retries
-/// (the same transport/5xx retry policy as [`fetch_from_origin`]; 200,
-/// 304, and 404 are authoritative).
-fn revalidate_with_origin(
-    state: &ProxyState,
-    url: &str,
-    digest_hex: &str,
-    trace: TraceId,
-    span: SpanId,
-) -> Revalidation {
-    let mut attempts_left = state.config.origin_retries;
-    let mut backoff = RETRY_BACKOFF;
-    loop {
-        if let Ok(reply) = origin_attempt(state, url, trace, span, Some(digest_hex)) {
-            match response_code(&reply) {
-                Some(status::OK) => return Revalidation::Changed(reply.body),
-                Some(status::NOT_MODIFIED) => return Revalidation::NotModified,
-                Some(status::NOT_FOUND) => return Revalidation::Gone,
-                _ => {}
-            }
-        }
-        if attempts_left == 0 {
-            return Revalidation::Failed;
-        }
-        attempts_left -= 1;
-        std::thread::sleep(backoff);
-        backoff *= 2;
     }
 }
 
@@ -1585,47 +1765,116 @@ mod tests {
         assert!(Arc::ptr_eq(&reply.body, &body));
     }
 
-    /// Followers of a coalesced flight share the leader's body
-    /// allocation: the broadcast outcome clones [`CachedDoc`], whose body
-    /// is `Arc<[u8]>`, so every waiter holds the same bytes by pointer.
-    #[test]
-    fn flight_followers_share_one_body_allocation() {
-        let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(9));
+    fn herd_doc(seed: u64) -> (Body, CachedDoc) {
+        let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(seed));
         let body: Body = Arc::from(&b"herd body"[..]);
         let cached = CachedDoc {
             watermark: signer.watermark(&body),
             body: Arc::clone(&body),
         };
-        let entry = Arc::new(Inflight {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        let followers: Vec<_> = (0..2)
-            .map(|_| {
-                let entry = Arc::clone(&entry);
-                std::thread::spawn(move || entry.wait(Duration::from_secs(5)))
-            })
-            .collect();
-        *entry.slot.lock() = Some(FlightOutcome::Doc(cached));
-        entry.cv.notify_all();
-        for follower in followers {
-            match follower.join().unwrap() {
-                FlightOutcome::Doc(doc) => assert!(Arc::ptr_eq(&doc.body, &body)),
+        (body, cached)
+    }
+
+    /// Followers of a coalesced flight are woken once each, by the
+    /// leader's publish, and share the leader's body allocation: the
+    /// broadcast outcome clones [`CachedDoc`], whose body is `Arc<[u8]>`,
+    /// so every follower holds the same bytes by pointer. A request that
+    /// arrives after the publish finds the outcome without enlisting.
+    #[test]
+    fn flight_followers_are_woken_once_and_share_one_body_allocation() {
+        let (body, cached) = herd_doc(9);
+        let registry = Arc::<FlightRegistry>::default();
+        let flight = Arc::<Inflight>::default();
+        registry.lock().insert(DocId(1), Arc::clone(&flight));
+        let lead = FlightLeader {
+            registry: Arc::clone(&registry),
+            doc: DocId(1),
+            flight: Arc::clone(&flight),
+            published: false,
+        };
+        let woken = Arc::new(AtomicU64::new(0));
+        for _ in 0..2 {
+            let woken = Arc::clone(&woken);
+            let waker = || -> Waker {
+                Box::new(move || {
+                    woken.fetch_add(1, Ordering::SeqCst);
+                })
+            };
+            assert!(flight.outcome_or_enlist(waker).is_none());
+        }
+        lead.publish(FlightOutcome::Doc(cached));
+        assert_eq!(woken.load(Ordering::SeqCst), 2);
+        assert!(registry.lock().is_empty(), "deregistered before the wake");
+        let late = flight.outcome_or_enlist(|| unreachable!("the outcome is in"));
+        for outcome in [flight.outcome(), late] {
+            match outcome {
+                Some(FlightOutcome::Doc(doc)) => assert!(Arc::ptr_eq(&doc.body, &body)),
                 _ => panic!("expected the shared doc"),
             }
         }
     }
 
-    /// A follower whose leader never publishes gives up after its wait
-    /// budget instead of hanging.
+    /// A leader dropped before it published (its loop shut down under it)
+    /// releases its followers with an unshareable outcome.
     #[test]
-    fn flight_wait_times_out_to_unshared() {
-        let entry = Inflight {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
+    fn dropped_leader_releases_its_followers() {
+        let registry = Arc::<FlightRegistry>::default();
+        let flight = Arc::<Inflight>::default();
+        let woken = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&woken);
+        assert!(flight
+            .outcome_or_enlist(|| Box::new(move || flag.store(true, Ordering::SeqCst)))
+            .is_none());
+        drop(FlightLeader {
+            registry,
+            doc: DocId(1),
+            flight: Arc::clone(&flight),
+            published: false,
+        });
+        assert!(woken.load(Ordering::SeqCst));
+        assert!(matches!(flight.outcome(), Some(FlightOutcome::Unshared)));
+    }
+
+    /// A follower whose wait ends with no outcome published (its budget
+    /// ran out: the leader overran every backend deadline) stops trusting
+    /// the flight instead of hanging: it rejoins, and past
+    /// `MAX_FLIGHT_JOINS` fetches for itself.
+    #[test]
+    fn follower_out_of_budget_rejoins_then_fetches_for_itself() {
+        let proxy = ProxyServer::start(test_config("127.0.0.1:1".parse().unwrap())).unwrap();
+        let state = &proxy.state;
+        let url = "http://origin/doc/0";
+        let doc = doc_id(state, url);
+        // Somebody else's flight, which never publishes.
+        let FlightRole::Leader(stuck) = join_inflight(state, doc) else {
+            panic!("first to join");
         };
-        let outcome = entry.wait(Duration::from_millis(20));
-        assert!(matches!(outcome, FlightOutcome::Unshared));
+        let seat = Seat::nowhere();
+        let req = GetRequest {
+            doc,
+            requester: ClientId(1),
+            bypass_peers: false,
+            trace: TraceId::NONE,
+            parent: SpanId::NONE,
+            t_request: Instant::now(),
+        };
+        let mut step = handle_get(url, req, state, &seat);
+        for _round in 1..MAX_FLIGHT_JOINS {
+            let Step::Wait(budget, miss) = step else {
+                panic!("a follower parks");
+            };
+            assert_eq!(budget, ORIGIN_TIMEOUT + PEER_TIMEOUT);
+            assert!(matches!(miss.stage, Stage::Following { .. }));
+            step = miss.resume(state, Event::Wake, &seat);
+        }
+        let Step::Ask(ask, miss) = step else {
+            panic!("out of rounds: the request asks the origin itself");
+        };
+        assert_eq!(ask.upstream, Upstream::Origin);
+        assert!(miss.lead.is_none(), "uncoalesced");
+        assert_eq!(state.counters.snapshot().coalesced_fetches, 0);
+        drop(stuck);
+        proxy.shutdown();
     }
 
     /// "Add a row" is sufficient: with counter *i* set to the *i*-th prime,

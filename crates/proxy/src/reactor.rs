@@ -2,9 +2,9 @@
 //!
 //! The paper's proxy holds a connection for every browser, a recruited
 //! browser one for every proxy connection kept alive to it, and the origin
-//! one per proxy miss worker — most of them idle most of the time, so a
-//! connection must not cost a thread. [`Server`] is the one shell the
-//! proxy, the origin and each browser's peer port start through:
+//! one per proxy loop and concurrent miss — most of them idle most of the
+//! time, so a connection must not cost a thread. [`Server`] is the one
+//! shell the proxy, the origin and each browser's peer port start through:
 //!
 //! - an **acceptor** thread (blocking) hands accepted sockets round-robin
 //!   to the event loops through a mutex-protected inbox, waking the loop
@@ -13,24 +13,29 @@
 //!   state machines that carry partial reads and partial writes of BAPS
 //!   frames across readiness events — an idle connection costs one
 //!   registered fd and a parser buffer, not a parked thread;
-//! - a complete frame goes to the server's [`FrameService`]: inline on the
-//!   loop when the answer cannot block (memory-cache hits, admin verbs,
-//!   every origin GET, PEERGET, DELIVER), or on a small blocking
-//!   **executor** when it can (the proxy's miss path; a browser's PUSH,
-//!   which dials the requester) — its threads start with the first such
-//!   frame, so a server that never offloads never runs them;
+//! - a complete frame goes to the server's [`FrameService`], which answers
+//!   with a [`Step`]: a **reply**; an **ask** — one request to an upstream
+//!   server, sent from this loop over a connection the loop owns
+//!   (`upstream.rs`), the service resumed with the answer; an **offload**
+//!   of blocking work to a small **executor** (the proxy's disk tier; a
+//!   browser's PUSH, which dials the requester) whose threads start with
+//!   the first such step, so a server that never offloads never runs them;
+//!   or a **wait** for a wake-up or a timer (a coalesced follower, a retry
+//!   back-off). Whatever resumes a request yields its next step;
 //! - replies are queued as `[owned head, shared body]` segments and pushed
 //!   with nonblocking vectored writes, continuing from the exact byte where
-//!   the kernel said `EAGAIN`.
+//!   the kernel said `EAGAIN`; upstream requests leave through the same
+//!   queue, and upstream replies arrive through the same head parser.
 //!
 //! Fault injection, the same on every server: drops sever before handling,
 //! stalls write half the frame and arm a loop timer (the loop never
 //! sleeps), truncation closes after the half frame flushes, corruption
 //! flips a byte of a private copy.
 
+use baps_crypto::Md5;
 use baps_obs::{AtomicHistogram, LatencyHistogram};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -41,11 +46,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultKind, FaultPlan, WireFault};
-use crate::protocol::{encode_head, encode_message, Body, HeadParser, Message};
-use crate::sys::{Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE};
+use crate::protocol::{encode_head, encode_message, zeroed_body, Body, HeadParser, Message};
+use crate::sys::{
+    connect_nonblocking, Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE,
+};
+use crate::upstream::{Answer, Ask, IdleSet, Upstream, UpstreamCounters, UpstreamSnapshot};
 
 /// Token reserved for each loop's wake eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
+/// Set in the token of every upstream connection: one token space per
+/// loop, two connection tables.
+const UPSTREAM_BIT: u64 = 1 << 62;
+/// How often a loop with idle upstream connections looks for expired ones.
+const REAP_TICK: Duration = Duration::from_secs(1);
 /// Ready events fetched per `epoll_wait` call.
 const EVENT_BATCH: usize = 256;
 /// Bytes read per `read` call on a ready socket.
@@ -74,21 +87,125 @@ pub(crate) fn chunk_aligned_frame(msg: Message, chunks: usize) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// What the loop knows about the connection a frame arrived on.
-#[derive(Clone, Copy)]
-pub(crate) struct FrameCtx {
+pub(crate) struct FrameCtx<'a> {
     /// The sender's address.
     pub(crate) peer_ip: IpAddr,
     /// Accept-to-loop handoff wait, until a handler takes it to attribute
     /// it to a sampled request.
     pub(crate) queue_wait: Option<Duration>,
+    /// Where the request sits.
+    pub(crate) seat: Seat<'a>,
+}
+
+/// Where a request sits — which loop, which connection, which of its
+/// waits comes next: what a service needs to have the request woken later,
+/// or to reach every loop of its server.
+pub(crate) struct Seat<'a> {
+    loops: &'a dyn LoopSet,
+    loop_id: usize,
+    token: u64,
+    seq: u64,
+}
+
+/// Ends the [`Step::Wait`] of the request it was made for, from any
+/// thread; a no-op once that wait is over.
+pub(crate) type Waker = Box<dyn FnOnce() + Send>;
+
+impl Seat<'_> {
+    /// A waker for the wait this request enters next. Hand it to whoever
+    /// will know the wait is over *before* returning [`Step::Wait`]: the
+    /// wake travels through the loop's inbox, so it cannot overtake the
+    /// step.
+    pub(crate) fn waker(&self) -> Waker {
+        self.loops.waker(self.loop_id, self.token, self.seq)
+    }
+
+    /// Has every loop close its idle upstream connections to `addr`.
+    pub(crate) fn forget_upstream(&self, addr: SocketAddr) {
+        self.loops.forget_upstream(addr);
+    }
+}
+
+#[cfg(test)]
+impl Seat<'static> {
+    /// A seat on no loop, for driving a service's steps by hand: its
+    /// wakers do nothing.
+    pub(crate) fn nowhere() -> Seat<'static> {
+        struct NoLoops;
+        impl LoopSet for NoLoops {
+            fn waker(&self, _: usize, _: u64, _: u64) -> Waker {
+                Box::new(|| {})
+            }
+            fn forget_upstream(&self, _: SocketAddr) {}
+        }
+        Seat {
+            loops: &NoLoops,
+            loop_id: 0,
+            token: 0,
+            seq: 0,
+        }
+    }
+}
+
+/// A server's loops as a [`Seat`] sees them, whatever their continuation
+/// type.
+trait LoopSet {
+    fn waker(&self, loop_id: usize, token: u64, seq: u64) -> Waker;
+    fn forget_upstream(&self, addr: SocketAddr);
+}
+
+impl<C: Send + 'static> LoopSet for Vec<Arc<LoopShared<C>>> {
+    fn waker(&self, loop_id: usize, token: u64, seq: u64) -> Waker {
+        let target = Arc::clone(&self[loop_id]);
+        Box::new(move || target.send(Inbound::Wake { token, seq }))
+    }
+
+    fn forget_upstream(&self, addr: SocketAddr) {
+        for sh in self {
+            sh.send(Inbound::ForgetUpstream(addr));
+        }
+    }
+}
+
+/// A service's next move for one request. `C` is the service's
+/// continuation: what the request carries while it is suspended.
+pub(crate) enum Step<C> {
+    /// Send this reply (`None`: send nothing) and take the connection's
+    /// next frame.
+    Reply(Option<Message>),
+    /// Send one request to an upstream from this loop; resume with
+    /// [`Event::Answer`].
+    Ask(Ask, C),
+    /// Resume on the blocking executor with [`Event::Run`]; the step that
+    /// returns comes back to the loop.
+    Offload(C),
+    /// Resume with [`Event::Wake`] when a [`Waker`] from this request's
+    /// [`Seat`] fires or after this long, whichever is first.
+    Wait(Duration, C),
+}
+
+/// What resumes a suspended request.
+pub(crate) enum Event {
+    /// The upstream's fully framed reply to an [`Ask`], or why there is
+    /// none (refused or failed connection, EOF, broken frame, deadline).
+    Answer(io::Result<Answer>),
+    /// This is an executor thread: do the blocking work now.
+    Run,
+    /// The wait is over: woken, or out of time.
+    Wake,
 }
 
 /// One server's answer to a complete request frame. The loop owns
 /// everything about the connection — framing, reply order, partial writes,
-/// and the effect of every fault kind on the wire (a kind that drops
-/// severs before [`handle`](Self::handle) is called); the service owns
-/// what a frame means.
+/// upstream sockets and timers, and the effect of every fault kind on the
+/// wire (a kind that drops severs before [`handle`](Self::handle) is
+/// called); the service owns what a frame means.
 pub(crate) trait FrameService: Send + Sync + 'static {
+    /// What a suspended request carries from one [`Step`] to the next.
+    /// ([`std::convert::Infallible`] for a service that always replies at
+    /// once.)
+    type Cont: Send + 'static;
+
     /// The fault plan this server consults, if it runs under one.
     fn faults(&self) -> Option<&FaultPlan>;
 
@@ -97,20 +214,17 @@ pub(crate) trait FrameService: Send + Sync + 'static {
     /// frames the table does not cover.
     fn fault(&self, plan: &FaultPlan, msg: &Message) -> Option<FaultKind>;
 
-    /// Whether handling `msg` can block its thread, so it must run on the
-    /// executor.
-    fn may_block(&self, _msg: &Message) -> bool {
-        false
-    }
-
-    /// The reply to `msg`, or `None` to send nothing and keep the
-    /// connection open.
+    /// The first step for `msg`. Runs on the loop: must not block.
     fn handle(
         &self,
         msg: &Message,
         fault: Option<FaultKind>,
-        ctx: &mut FrameCtx,
-    ) -> Option<Message>;
+        ctx: &mut FrameCtx<'_>,
+    ) -> Step<Self::Cont>;
+
+    /// The next step of a suspended request. Runs on the loop (must not
+    /// block) except for [`Event::Run`].
+    fn resume(&self, cont: Self::Cont, event: Event, seat: &Seat<'_>) -> Step<Self::Cont>;
 }
 
 /// One event loop per available core: what the proxy and the origin run.
@@ -128,8 +242,10 @@ pub(crate) fn loops_per_core() -> usize {
 /// feed it raw socket bytes with [`push`](Self::push), pull complete frames
 /// with [`next`](Self::next). The head grammar and every limit live in
 /// [`HeadParser`], which `read_message` drives too, so both transports
-/// accept and refuse the same bytes; only body acquisition differs (here:
-/// one copy out of the connection buffer once it holds the whole body).
+/// accept and refuse the same bytes; only body acquisition differs:
+/// [`next`](Self::next) copies a request's body out of the connection
+/// buffer once it holds all of it, [`next_head`](Self::next_head) leaves a
+/// reply's body to a caller that reads it into its final allocation.
 pub(crate) struct FrameParser {
     buf: Vec<u8>,
     /// Parse cursor into `buf`; everything before it has been consumed.
@@ -155,10 +271,9 @@ impl FrameParser {
     }
 
     /// Whether the parser sits at a clean frame boundary with nothing
-    /// buffered — i.e. EOF here is a graceful close, exactly the case where
-    /// `read_message` returns `Ok(None)`. (The loop closes on EOF either
-    /// way, so this is a test-only distinction.)
-    #[cfg(test)]
+    /// buffered — EOF here is a graceful close, exactly the case where
+    /// `read_message` returns `Ok(None)`, and an upstream connection in
+    /// this state is in step with its requests.
     pub(crate) fn is_idle(&self) -> bool {
         !self.head.in_head() && self.awaiting_body.is_none() && self.pos == self.buf.len()
     }
@@ -166,18 +281,30 @@ impl FrameParser {
     /// Returns the next complete frame, `Ok(None)` if more bytes are
     /// needed, or the same `InvalidData` errors `read_message` raises.
     pub(crate) fn next(&mut self) -> io::Result<Option<Message>> {
-        loop {
-            if let Some((_, len)) = self.awaiting_body {
-                if self.buf.len() - self.pos < len {
-                    return Ok(None);
-                }
-                let (mut msg, _) = self.awaiting_body.take().expect("checked above");
+        if self.awaiting_body.is_none() {
+            self.awaiting_body = self.next_head()?;
+        }
+        match self.awaiting_body.take() {
+            Some((mut msg, len)) if self.buf.len() - self.pos >= len => {
                 msg.body = Arc::from(&self.buf[self.pos..self.pos + len]);
                 // Compact: everything consumed so far is dead weight.
                 self.buf.drain(..self.pos + len);
                 self.pos = 0;
-                return Ok(Some(msg));
+                Ok(Some(msg))
             }
+            waiting => {
+                self.awaiting_body = waiting;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Returns the next complete head (its message, body still empty) and
+    /// the body length it declares, or `Ok(None)` if more bytes are needed.
+    /// The body is the caller's to collect: [`drain_into`](Self::drain_into)
+    /// hands over what is already buffered, the rest is still on the socket.
+    pub(crate) fn next_head(&mut self) -> io::Result<Option<(Message, usize)>> {
+        loop {
             let rest = &self.buf[self.pos..];
             let Some(i) = rest.iter().position(|&b| b == b'\n') else {
                 self.head.fits(rest.len())?;
@@ -189,9 +316,24 @@ impl FrameParser {
                     "stream did not contain valid UTF-8",
                 )
             })?;
-            self.awaiting_body = self.head.line(line)?;
+            let done = self.head.line(line)?;
             self.pos += i + 1;
+            if done.is_some() {
+                return Ok(done);
+            }
         }
+    }
+
+    /// Moves buffered bytes into `dst` (as many as fit); returns how many.
+    pub(crate) fn drain_into(&mut self, dst: &mut [u8]) -> usize {
+        let n = dst.len().min(self.buf.len() - self.pos);
+        dst[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        }
+        n
     }
 }
 
@@ -278,13 +420,13 @@ impl WriteQueue {
     /// and continue from the same byte on the next writable event.
     pub(crate) fn flush<W: Write>(&mut self, w: &mut W) -> io::Result<bool> {
         while !self.segs.is_empty() {
-            let bufs: Vec<IoSlice<'_>> = self
-                .segs
-                .iter()
-                .take(MAX_IOVEC)
-                .map(|s| IoSlice::new(s.remaining()))
-                .collect();
-            match w.write_vectored(&bufs) {
+            let mut bufs = [IoSlice::new(&[]); MAX_IOVEC];
+            let mut n = 0;
+            for (buf, seg) in bufs.iter_mut().zip(&self.segs) {
+                *buf = IoSlice::new(seg.remaining());
+                n += 1;
+            }
+            match w.write_vectored(&bufs[..n]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -306,7 +448,9 @@ impl WriteQueue {
 // ---------------------------------------------------------------------------
 
 /// Always-on gauges for one server's event loops: registered connections,
-/// epoll batch depth, loop busy-fraction, inline vs offloaded dispatches.
+/// epoll batch depth, loop busy-fraction, inline vs offloaded dispatches,
+/// upstream exchanges in flight and requests parked in a wait, and the
+/// upstream connections' counters.
 /// ([`PoolTelemetry`] below describes the blocking executor beside them.)
 #[derive(Debug)]
 pub struct ReactorTelemetry {
@@ -318,7 +462,10 @@ pub struct ReactorTelemetry {
     wakeups: AtomicU64,
     inline_served: AtomicU64,
     offloaded: AtomicU64,
+    exchanges: AtomicU64,
+    parked: AtomicU64,
     busy_micros: AtomicU64,
+    upstream: UpstreamCounters,
     started: Instant,
 }
 
@@ -333,7 +480,10 @@ impl Default for ReactorTelemetry {
             wakeups: AtomicU64::new(0),
             inline_served: AtomicU64::new(0),
             offloaded: AtomicU64::new(0),
+            exchanges: AtomicU64::new(0),
+            parked: AtomicU64::new(0),
             busy_micros: AtomicU64::new(0),
+            upstream: UpstreamCounters::default(),
             started: Instant::now(),
         }
     }
@@ -379,6 +529,11 @@ impl ReactorTelemetry {
             .fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
     }
 
+    /// A point-in-time copy of the upstream connections' counters.
+    pub(crate) fn upstream(&self) -> UpstreamSnapshot {
+        self.upstream.snapshot()
+    }
+
     /// A point-in-time copy of every reactor gauge.
     pub fn snapshot(&self) -> ReactorSnapshot {
         let loops = self.loops.load(Ordering::Relaxed).max(1);
@@ -393,6 +548,8 @@ impl ReactorTelemetry {
             wakeups: self.wakeups.load(Ordering::Relaxed),
             inline_served: self.inline_served.load(Ordering::Relaxed),
             offloaded: self.offloaded.load(Ordering::Relaxed),
+            exchanges_in_flight: self.exchanges.load(Ordering::Relaxed),
+            parked_requests: self.parked.load(Ordering::Relaxed),
             busy_fraction: (busy_us as f64 / (elapsed_us as f64 * loops as f64)).min(1.0),
         }
     }
@@ -413,15 +570,20 @@ pub struct ReactorSnapshot {
     pub ready_events: u64,
     /// Most events one `epoll_wait` returned at once (ready-queue depth).
     pub ready_batch_peak: u64,
-    /// Times a loop was woken through its eventfd (new connection or
-    /// executor completion).
+    /// Times a loop was woken through its eventfd (new connection,
+    /// executor completion, follower wake-up).
     pub wakeups: u64,
-    /// Requests answered inline on a loop (on the proxy: memory hits,
+    /// Requests answered by their first step (on the proxy: memory hits,
     /// admin verbs).
     pub inline_served: u64,
-    /// Requests handed to the server's blocking executor (on the proxy:
-    /// the miss path).
+    /// Steps handed to the server's blocking executor (on the proxy: disk
+    /// tier reads and writes).
     pub offloaded: u64,
+    /// Upstream exchanges in flight right now (asked, not yet answered).
+    pub exchanges_in_flight: u64,
+    /// Requests parked in a wait right now (coalesced followers, retry
+    /// back-offs).
+    pub parked_requests: u64,
     /// Fraction of wall time the loops spent processing events rather than
     /// parked in `epoll_wait` (0.0–1.0, averaged across loops).
     pub busy_fraction: f64,
@@ -522,93 +684,240 @@ impl PoolTelemetry {
 // ---------------------------------------------------------------------------
 
 /// Work delivered *to* an event loop by other threads.
-enum Inbound {
+enum Inbound<C> {
     /// A freshly accepted connection (with its accept timestamp, so the
     /// handoff delay becomes the connection's queue-wait attribution).
     Conn(TcpStream, Instant),
-    /// A finished executor job, routed back to the owning loop.
-    Done {
-        token: u64,
-        reply: Option<Message>,
-        fault: Option<FaultKind>,
-        queue_wait: Option<Duration>,
-    },
-    /// Sever every connection this loop owns, then ack. The ack makes
-    /// [`Server::drop_all`] synchronous from the caller's side (it returns
-    /// only after every socket is closed) — the sequential chaos driver
-    /// relies on that.
+    /// The step an executor job came back with, for the request on
+    /// connection `token`.
+    Step { token: u64, step: Step<C> },
+    /// A [`Waker`] fired for wait number `seq` of connection `token`.
+    Wake { token: u64, seq: u64 },
+    /// Close the idle upstream connections to this address.
+    ForgetUpstream(SocketAddr),
+    /// Sever every client connection and every idle upstream connection
+    /// this loop owns, then ack. The ack makes [`Server::drop_all`]
+    /// synchronous from the caller's side (it returns only after every
+    /// socket is closed) — the sequential chaos driver relies on that.
     DropAll(Sender<()>),
 }
 
-struct LoopShared {
-    inbox: Mutex<Vec<Inbound>>,
+struct LoopShared<C> {
+    inbox: Mutex<Vec<Inbound<C>>>,
     wake: WakeFd,
 }
 
-impl LoopShared {
-    fn send(&self, item: Inbound) {
+impl<C> LoopShared<C> {
+    fn send(&self, item: Inbound<C>) {
         self.inbox.lock().push(item);
         self.wake.wake();
     }
 }
 
-/// One offloaded request: everything an executor thread needs to run
-/// [`FrameService::handle`] and route the reply home.
-struct Job {
+/// One offloaded step: everything an executor thread needs to run
+/// [`FrameService::resume`] and route the next step home.
+struct Job<C> {
     loop_id: usize,
     token: u64,
-    msg: Message,
-    ctx: FrameCtx,
-    fault: Option<FaultKind>,
+    /// The [`Seat::seq`] the request had when it left the loop.
+    seq: u64,
+    cont: C,
     enqueued: Instant,
 }
 
-/// A stalled reply's second half, due at `at` (the stall kinds: the loop
-/// arms a timer and keeps serving everyone else).
-struct StallTimer {
-    at: Instant,
-    token: u64,
-    rest: Vec<u8>,
+/// A loop timer's place in the queue: when it is due, and a tiebreaker.
+/// Whoever arms a timer keeps its key and removes the entry when the timer
+/// is no longer wanted, so the queue never holds a dead one.
+type TimerKey = (Instant, u64);
+
+/// What a loop timer does when it comes due.
+enum Timer {
+    /// Queue the second half of connection `token`'s stalled reply (the
+    /// stall kinds: the loop arms a timer and keeps serving everyone else).
+    StallRest { token: u64, rest: Vec<u8> },
+    /// End connection `token`'s wait: its budget ran out.
+    WaitOver { token: u64 },
+    /// Fail the exchange on upstream connection `token`: its deadline
+    /// passed.
+    Deadline { token: u64 },
+    /// Close the upstream connections idle past the limit.
+    Reap,
 }
 
 // ---------------------------------------------------------------------------
-// Per-connection state machine
+// Per-connection state machines
 // ---------------------------------------------------------------------------
 
-struct Conn {
+/// A connection this server accepted.
+struct Conn<C> {
     stream: TcpStream,
     /// Epoll/loop-local token.
     token: u64,
-    ctx: FrameCtx,
+    peer_ip: IpAddr,
+    /// See [`FrameCtx::queue_wait`].
+    queue_wait: Option<Duration>,
     parser: FrameParser,
     wq: WriteQueue,
     /// Interest mask currently registered with epoll.
     interest: u32,
-    /// A job is in flight on the executor or a stall timer is pending:
-    /// buffered frames wait, so replies leave in request order.
+    /// A request is suspended (asking, offloaded, waiting) or a stall
+    /// timer is pending: buffered frames wait, so replies leave in request
+    /// order.
     busy: bool,
+    /// The fault drawn for the request in flight, applied to its reply.
+    fault: Option<FaultKind>,
+    /// The request in flight, while it sits in a [`Step::Wait`].
+    parked: Option<C>,
+    /// The pending stall or wait timer (a connection has one at most).
+    timer: Option<TimerKey>,
+    /// Waits this connection's requests have entered; a [`Waker`] names
+    /// the wait it was made for by this number.
+    waits: u64,
     /// Nothing more is read; close once `busy` clears and the write queue
     /// drains. Set by the sender's EOF (frames buffered ahead of it are
     /// still answered) and by a truncation fault.
     closing: bool,
 }
 
+/// A connection this server opened to an upstream: idle (listed in the
+/// loop's [`IdleSet`]) or carrying one exchange.
+struct UpConn<C> {
+    stream: TcpStream,
+    addr: SocketAddr,
+    upstream: Upstream,
+    parser: FrameParser,
+    wq: WriteQueue,
+    interest: u32,
+    /// The nonblocking connect has not completed yet.
+    connecting: bool,
+    /// The reply whose head is in and whose body is arriving.
+    filling: Option<ReplyFill>,
+    exchange: Option<Exchange<C>>,
+}
+
+/// The exchange an upstream connection is carrying.
+struct Exchange<C> {
+    /// The client connection whose request asked.
+    client: u64,
+    /// Kept whole: an origin exchange that fails on a reused connection
+    /// is sent again on a fresh one.
+    ask: Ask,
+    cont: C,
+    /// The connection came out of the idle set.
+    reused: bool,
+    deadline: TimerKey,
+}
+
+/// An upstream reply between its head and the last byte of its body. The
+/// body is read straight into the `Content-Length`-sized allocation every
+/// later holder shares — never grown through the parser buffer and copied
+/// out.
+struct ReplyFill {
+    msg: Message,
+    body: Body,
+    filled: usize,
+    /// Updated with every chunk as it lands, so an origin body's digest is
+    /// ready with its last byte (`Md5::update` is exact at every split).
+    md5: Option<Md5>,
+}
+
+impl<C> UpConn<C> {
+    /// Reads what the socket holds of the reply: `Ok(Some)` once it is
+    /// complete, `Ok(None)` if more is to come. The head comes through the
+    /// frame parser; the body is read one chunk per call, so a large one
+    /// yields to the loop's other connections between chunks
+    /// (level-triggered readiness brings the loop back for the next).
+    fn read_reply(&mut self, scratch: &mut [u8]) -> io::Result<Option<Answer>> {
+        let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "upstream hung up");
+        loop {
+            let Some(fill) = &mut self.filling else {
+                match self.stream.read(scratch) {
+                    Ok(0) => return Err(eof()),
+                    Ok(n) => {
+                        self.parser.push(&scratch[..n]);
+                        let Some((msg, len)) = self.parser.next_head()? else {
+                            if n < scratch.len() {
+                                return Ok(None);
+                            }
+                            continue;
+                        };
+                        // `len` is bounded by `MAX_BODY` (the head parser
+                        // refuses more).
+                        let mut body = zeroed_body(len);
+                        let bytes =
+                            Arc::get_mut(&mut body).expect("a freshly built Arc has one holder");
+                        let filled = self.parser.drain_into(bytes);
+                        let md5 = (self.upstream == Upstream::Origin).then(|| {
+                            let mut md5 = Md5::new();
+                            md5.update(&bytes[..filled]);
+                            md5
+                        });
+                        self.filling = Some(ReplyFill {
+                            msg,
+                            body,
+                            filled,
+                            md5,
+                        });
+                        continue;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                }
+            };
+            let bytes = Arc::get_mut(&mut fill.body).expect("shared only once complete");
+            let end = bytes.len().min(fill.filled + READ_CHUNK);
+            if fill.filled < end {
+                match self.stream.read(&mut bytes[fill.filled..end]) {
+                    Ok(0) => return Err(eof()),
+                    Ok(n) => {
+                        if let Some(md5) = &mut fill.md5 {
+                            md5.update(&bytes[fill.filled..fill.filled + n]);
+                        }
+                        fill.filled += n;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                }
+            }
+            if fill.filled < bytes.len() {
+                return Ok(None);
+            }
+            let done = self.filling.take().expect("checked above");
+            let mut reply = done.msg;
+            reply.body = done.body;
+            return Ok(Some(Answer {
+                reply,
+                body_md5: done.md5.map(Md5::finalize),
+            }));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The event loop
 // ---------------------------------------------------------------------------
 
-struct EventLoop<S> {
+struct EventLoop<S: FrameService> {
     /// Names the executor's threads.
     server: String,
     id: usize,
     epoll: Epoll,
     /// Every loop's inbox; this loop's is `loops[id]`.
-    loops: Arc<Vec<Arc<LoopShared>>>,
-    conns: HashMap<u64, Conn>,
+    loops: Arc<Vec<Arc<LoopShared<S::Cont>>>>,
+    conns: HashMap<u64, Conn<S::Cont>>,
+    /// Upstream connections, idle and busy, by token ([`UPSTREAM_BIT`] set).
+    ups: HashMap<u64, UpConn<S::Cont>>,
+    /// Which of `ups` are idle.
+    idle: IdleSet,
+    /// A [`Timer::Reap`] is pending.
+    reaping: bool,
     next_token: u64,
-    timers: Vec<StallTimer>,
+    timers: BTreeMap<TimerKey, Timer>,
+    next_timer: u64,
     service: Arc<S>,
-    jobs: Arc<JobQueue>,
+    jobs: Arc<JobQueue<S::Cont>>,
     executor_threads: usize,
     pool_telemetry: Arc<PoolTelemetry>,
     telemetry: Arc<ReactorTelemetry>,
@@ -641,6 +950,8 @@ impl<S: FrameService> EventLoop<S> {
                     self.telemetry.on_wakeup();
                     self.loops[self.id].wake.drain();
                     self.drain_inbox();
+                } else if token & UPSTREAM_BIT != 0 {
+                    self.on_upstream_ready(token, bits);
                 } else {
                     self.on_ready(token, bits);
                 }
@@ -650,42 +961,98 @@ impl<S: FrameService> EventLoop<S> {
         }
     }
 
+    // -- timers -------------------------------------------------------------
+
     fn next_timeout(&self) -> Option<Duration> {
-        let now = Instant::now();
-        self.timers
-            .iter()
-            .map(|t| t.at.saturating_duration_since(now))
-            .min()
+        let ((at, _), _) = self.timers.first_key_value()?;
+        Some(at.saturating_duration_since(Instant::now()))
     }
+
+    fn arm(&mut self, after: Duration, timer: Timer) -> TimerKey {
+        let key = (Instant::now() + after, self.next_timer);
+        self.next_timer += 1;
+        self.timers.insert(key, timer);
+        key
+    }
+
+    fn fire_timers(&mut self) {
+        let now = Instant::now();
+        while let Some(first) = self.timers.first_entry() {
+            if first.key().0 > now {
+                break;
+            }
+            match first.remove() {
+                // Deliver the second half of a stalled frame.
+                Timer::StallRest { token, rest } => self.with_conn(token, |_, conn| {
+                    conn.timer = None;
+                    conn.wq.push_owned(rest);
+                    conn.busy = false;
+                    true
+                }),
+                Timer::WaitOver { token } => self.end_wait(token, None),
+                Timer::Deadline { token } => {
+                    // Armed with the exchange, removed with it: the
+                    // connection is there and busy.
+                    if let Some(up) = self.ups.remove(&token) {
+                        let late = io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "upstream exchange passed its deadline",
+                        );
+                        self.fail_exchange(up, late);
+                    }
+                }
+                Timer::Reap => {
+                    self.reaping = false;
+                    for token in self.idle.expired(now) {
+                        self.close_idle(token);
+                    }
+                    self.arm_reaper();
+                }
+            }
+        }
+    }
+
+    /// Keeps one [`Timer::Reap`] pending while anything is idle.
+    fn arm_reaper(&mut self) {
+        if !self.reaping && !self.idle.is_empty() {
+            self.reaping = true;
+            self.arm(REAP_TICK, Timer::Reap);
+        }
+    }
+
+    // -- the inbox ----------------------------------------------------------
 
     fn drain_inbox(&mut self) {
         let inbound = std::mem::take(&mut *self.loops[self.id].inbox.lock());
         for item in inbound {
             match item {
                 Inbound::Conn(stream, accepted) => self.add_conn(stream, accepted),
-                Inbound::Done {
-                    token,
-                    reply,
-                    fault,
-                    queue_wait,
-                } => self.with_conn(token, |this, conn| {
-                    conn.ctx.queue_wait = queue_wait;
-                    conn.busy = false;
-                    reply.is_none_or(|reply| this.enqueue_reply(conn, &reply, fault))
-                }),
+                Inbound::Step { token, step } => {
+                    let conn = self.conns.remove(&token);
+                    self.settle(token, conn, step);
+                }
+                Inbound::Wake { token, seq } => self.end_wait(token, Some(seq)),
+                Inbound::ForgetUpstream(addr) => self.forget_upstream(addr),
                 Inbound::DropAll(ack) => {
                     // Closing the stream is the severing: the loop is the
                     // fd's only owner — no duplicate handle exists anywhere,
                     // which is what keeps 10k idle connections at 10k
-                    // server-side fds instead of 20k.
+                    // server-side fds instead of 20k. Exchanges in flight
+                    // run on (a coalescing leader still owes its followers
+                    // an outcome); their replies find no connection.
                     for (_, conn) in std::mem::take(&mut self.conns) {
                         self.drop_conn(conn);
+                    }
+                    for token in self.idle.clear() {
+                        self.close_idle(token);
                     }
                     let _ = ack.send(());
                 }
             }
         }
     }
+
+    // -- accepted connections -------------------------------------------------
 
     fn add_conn(&mut self, stream: TcpStream, accepted: Instant) {
         if self.stop.load(Ordering::Acquire) {
@@ -710,29 +1077,36 @@ impl<S: FrameService> EventLoop<S> {
             Conn {
                 stream,
                 token,
-                ctx: FrameCtx {
-                    peer_ip: peer.ip(),
-                    queue_wait: Some(accepted.elapsed()),
-                },
+                peer_ip: peer.ip(),
+                queue_wait: Some(accepted.elapsed()),
                 parser: FrameParser::new(),
                 wq: WriteQueue::new(),
                 interest,
                 busy: false,
+                fault: None,
+                parked: None,
+                timer: None,
+                waits: 0,
                 closing: false,
             },
         );
     }
 
-    fn drop_conn(&mut self, conn: Conn) {
+    fn drop_conn(&mut self, conn: Conn<S::Cont>) {
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
         self.telemetry.conn_closed();
-        self.timers.retain(|t| t.token != conn.token);
+        if let Some(key) = conn.timer {
+            self.timers.remove(&key);
+        }
+        if conn.parked.is_some() {
+            self.telemetry.parked.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// Runs `step` on connection `token` (which may have died in the
     /// meantime), then whatever I/O became possible; a `false` from either
     /// closes the connection.
-    fn with_conn(&mut self, token: u64, step: impl FnOnce(&mut Self, &mut Conn) -> bool) {
+    fn with_conn(&mut self, token: u64, step: impl FnOnce(&mut Self, &mut Conn<S::Cont>) -> bool) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
@@ -754,7 +1128,7 @@ impl<S: FrameService> EventLoop<S> {
 
     /// Reads until the socket would block or ends, feeding the frame
     /// parser. `false` = hard error: close now.
-    fn drive_readable(&mut self, conn: &mut Conn) -> bool {
+    fn drive_readable(&mut self, conn: &mut Conn<S::Cont>) -> bool {
         loop {
             match conn.stream.read(&mut self.scratch) {
                 // What is already buffered may hold whole frames (a sender
@@ -779,9 +1153,9 @@ impl<S: FrameService> EventLoop<S> {
     }
 
     /// Parses and dispatches buffered frames (unless the connection is
-    /// mid-dispatch), flushes pending writes, and re-arms epoll interest.
+    /// mid-request), flushes pending writes, and re-arms epoll interest.
     /// `false` = close the connection.
-    fn after_io(&mut self, conn: &mut Conn) -> bool {
+    fn after_io(&mut self, conn: &mut Conn<S::Cont>) -> bool {
         while !conn.busy {
             match conn.parser.next() {
                 Ok(Some(msg)) => {
@@ -806,60 +1180,168 @@ impl<S: FrameService> EventLoop<S> {
         self.update_interest(conn)
     }
 
-    fn update_interest(&mut self, conn: &mut Conn) -> bool {
+    fn update_interest(&mut self, conn: &mut Conn<S::Cont>) -> bool {
         // A closing connection has read its last byte; level-triggered
         // read interest in its EOF would spin the loop.
         let mut want = if conn.closing { 0 } else { EV_READ | EV_RDHUP };
         if !conn.wq.is_empty() {
             want |= EV_WRITE;
         }
-        if want == conn.interest {
-            return true;
+        self.rearm(&conn.stream, conn.token, &mut conn.interest, want)
+            .is_ok()
+    }
+
+    /// Registers `want` as `stream`'s interest mask unless it is already.
+    fn rearm(
+        &self,
+        stream: &TcpStream,
+        token: u64,
+        interest: &mut u32,
+        want: u32,
+    ) -> io::Result<()> {
+        if want != *interest {
+            self.epoll.modify(stream.as_raw_fd(), token, want)?;
+            *interest = want;
         }
-        if self
-            .epoll
-            .modify(conn.stream.as_raw_fd(), conn.token, want)
-            .is_err()
-        {
-            return false;
+        Ok(())
+    }
+
+    // -- requests -------------------------------------------------------------
+
+    fn seat(&self, token: u64, conn: Option<&Conn<S::Cont>>) -> Seat<'_> {
+        Seat {
+            loops: &*self.loops,
+            loop_id: self.id,
+            token,
+            seq: conn.map_or(0, |conn| conn.waits + 1),
         }
-        conn.interest = want;
-        true
     }
 
     /// One complete request frame: draw the service's fault decision (one
-    /// RNG draw per covered frame, in arrival order), then handle it
-    /// inline or offload it to the executor. `false` = close.
-    fn handle_frame(&mut self, conn: &mut Conn, msg: Message) -> bool {
+    /// RNG draw per covered frame, in arrival order), ask the service for
+    /// the request's first step and take it. `false` = close.
+    fn handle_frame(&mut self, conn: &mut Conn<S::Cont>, msg: Message) -> bool {
         let service = &self.service;
         let fault = service.faults().and_then(|plan| service.fault(plan, &msg));
         if fault.is_some_and(FaultKind::drops) {
             // Sever before handling: the sender sees EOF.
             return false;
         }
-        if self.service.may_block(&msg) {
-            conn.busy = true;
-            self.telemetry.offload();
-            self.pool_telemetry.enqueued();
-            let job = Job {
-                loop_id: self.id,
-                token: conn.token,
-                ctx: conn.ctx,
-                fault,
-                enqueued: Instant::now(),
-                msg,
-            };
-            if !self.jobs.push(job, || self.start_executor()) {
-                self.pool_telemetry.enqueue_failed();
-                return false; // shutting down, or nothing to run it on
+        conn.busy = true;
+        conn.fault = fault;
+        let mut ctx = FrameCtx {
+            peer_ip: conn.peer_ip,
+            queue_wait: conn.queue_wait,
+            seat: self.seat(conn.token, Some(conn)),
+        };
+        let step = self.service.handle(&msg, fault, &mut ctx);
+        conn.queue_wait = ctx.queue_wait;
+        if matches!(step, Step::Reply(_)) {
+            self.telemetry.inline();
+        }
+        self.take_step(conn.token, Some(conn), step)
+    }
+
+    /// Resumes the request of connection `token` — which may be gone, in
+    /// which case the request still runs to its end (a coalescing leader
+    /// owes its followers an outcome) and its reply is dropped. Only for
+    /// callers holding no connection out of the table.
+    fn resume(&mut self, token: u64, cont: S::Cont, event: Event) {
+        let conn = self.conns.remove(&token);
+        let step = self
+            .service
+            .resume(cont, event, &self.seat(token, conn.as_ref()));
+        self.settle(token, conn, step);
+    }
+
+    /// Takes `step` for the request of connection `token`, whose
+    /// connection — if it still exists — the caller took out of the table;
+    /// then does the connection's pending I/O and puts it back, or closes
+    /// it.
+    fn settle(&mut self, token: u64, conn: Option<Conn<S::Cont>>, step: Step<S::Cont>) {
+        let Some(mut conn) = conn else {
+            self.take_step(token, None, step);
+            return;
+        };
+        if self.take_step(token, Some(&mut conn), step) && self.after_io(&mut conn) {
+            self.conns.insert(token, conn);
+        } else {
+            self.drop_conn(conn);
+        }
+    }
+
+    /// Does what `step` says for the request of connection `token`
+    /// (`conn`: that connection, unless it is gone). `false` = close it.
+    fn take_step(
+        &mut self,
+        token: u64,
+        conn: Option<&mut Conn<S::Cont>>,
+        mut step: Step<S::Cont>,
+    ) -> bool {
+        loop {
+            match step {
+                Step::Reply(reply) => {
+                    let Some(conn) = conn else { return true };
+                    conn.busy = false;
+                    let fault = conn.fault.take();
+                    return reply.is_none_or(|reply| self.enqueue_reply(conn, &reply, fault));
+                }
+                Step::Ask(ask, cont) => match self.start_exchange(token, ask, cont, false) {
+                    Ok(()) => return true,
+                    // Failed before anything was in flight: the service
+                    // hears of it here and now.
+                    Err((cont, e)) => {
+                        let seat = self.seat(token, conn.as_deref());
+                        step = self.service.resume(cont, Event::Answer(Err(e)), &seat);
+                    }
+                },
+                Step::Offload(cont) => {
+                    self.telemetry.offload();
+                    self.pool_telemetry.enqueued();
+                    let job = Job {
+                        loop_id: self.id,
+                        token,
+                        seq: self.seat(token, conn.as_deref()).seq,
+                        cont,
+                        enqueued: Instant::now(),
+                    };
+                    if !self.jobs.push(job, || self.start_executor()) {
+                        self.pool_telemetry.enqueue_failed();
+                        return false; // shutting down, or nothing to run it on
+                    }
+                    return true;
+                }
+                Step::Wait(budget, cont) => {
+                    // Nobody is left to answer: the request ends here.
+                    let Some(conn) = conn else { return true };
+                    conn.waits += 1;
+                    conn.parked = Some(cont);
+                    conn.timer = Some(self.arm(budget, Timer::WaitOver { token }));
+                    self.telemetry.parked.fetch_add(1, Ordering::Relaxed);
+                    return true;
+                }
             }
-            return true;
         }
-        self.telemetry.inline();
-        match self.service.handle(&msg, fault, &mut conn.ctx) {
-            Some(reply) => self.enqueue_reply(conn, &reply, fault),
-            None => true,
+    }
+
+    /// Ends the wait connection `token`'s request is parked in — wait
+    /// number `seq` if a [`Waker`] says so (one made for an earlier wait is
+    /// late and ignored), whichever it is if its timer does.
+    fn end_wait(&mut self, token: u64, seq: Option<u64>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if seq.is_some_and(|seq| seq != conn.waits) {
+            return;
         }
+        let Some(cont) = conn.parked.take() else {
+            return;
+        };
+        if let Some(key) = conn.timer.take() {
+            self.timers.remove(&key);
+        }
+        self.telemetry.parked.fetch_sub(1, Ordering::Relaxed);
+        self.resume(token, cont, Event::Wake);
     }
 
     /// Spawns the executor's threads (`{server}-exec-N`); returns those that
@@ -886,7 +1368,7 @@ impl<S: FrameService> EventLoop<S> {
     /// stall arms a loop timer; no thread sleeps. `false` = close.
     fn enqueue_reply(
         &mut self,
-        conn: &mut Conn,
+        conn: &mut Conn<S::Cont>,
         reply: &Message,
         fault: Option<FaultKind>,
     ) -> bool {
@@ -934,35 +1416,240 @@ impl<S: FrameService> EventLoop<S> {
                     .service
                     .faults()
                     .map_or(Duration::ZERO, FaultPlan::stall);
-                self.timers.push(StallTimer {
-                    at: Instant::now() + stall,
+                let rest = Timer::StallRest {
                     token: conn.token,
                     rest: frame[half..].to_vec(),
-                });
+                };
+                conn.timer = Some(self.arm(stall, rest));
                 true
             }
         }
     }
 
-    /// Delivers the second half of stalled frames whose deadline passed.
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.timers.len() {
-            if self.timers[i].at <= now {
-                due.push(self.timers.swap_remove(i));
-            } else {
-                i += 1;
+    // -- upstream connections (rules: `upstream.rs`) ---------------------------
+
+    /// Starts the exchange `ask` describes for the request of connection
+    /// `client`: on an idle connection to the address if this loop has one
+    /// (unless `fresh`), on a new one otherwise. The answer resumes `cont`
+    /// later; an `Err` is a failure before anything was in flight and
+    /// hands `cont` back.
+    fn start_exchange(
+        &mut self,
+        client: u64,
+        ask: Ask,
+        cont: S::Cont,
+        fresh: bool,
+    ) -> Result<(), (S::Cont, io::Error)> {
+        let head = match encode_head(&ask.request) {
+            Ok(head) => head.into_bytes(),
+            Err(e) => return Err((cont, e)),
+        };
+        let kind = ask.upstream as usize;
+        let idle = if fresh {
+            None
+        } else {
+            self.idle.take(ask.addr)
+        };
+        let reused = idle.is_some();
+        let (token, mut up) = match idle {
+            Some(token) => {
+                let up = self.ups.remove(&token).expect("idle tokens name live ones");
+                let counters = &self.telemetry.upstream;
+                counters.idle[kind].fetch_sub(1, Ordering::Relaxed);
+                counters.reuses[kind].fetch_add(1, Ordering::Relaxed);
+                (token, up)
+            }
+            None => match self.dial(&ask) {
+                Ok(dialed) => dialed,
+                Err(e) => {
+                    // Nobody is listening there any more: whatever is
+                    // parked for the address is dead weight.
+                    self.forget_upstream(ask.addr);
+                    return Err((cont, e));
+                }
+            },
+        };
+        up.wq.push_owned(head);
+        up.wq.push_shared(Arc::clone(&ask.request.body));
+        // A reused connection is writable now; a new one says so when its
+        // connect completes.
+        if reused {
+            if let Err(e) = self.flush_upstream(token, &mut up) {
+                self.close_upstream(up);
+                return self.redial_or(client, ask, cont, e);
             }
         }
-        for timer in due {
-            self.with_conn(timer.token, |_, conn| {
-                conn.wq.push_owned(timer.rest);
-                conn.busy = false;
-                true
-            });
+        let deadline = self.arm(ask.deadline, Timer::Deadline { token });
+        up.exchange = Some(Exchange {
+            client,
+            ask,
+            cont,
+            reused,
+            deadline,
+        });
+        self.telemetry.exchanges.fetch_add(1, Ordering::Relaxed);
+        self.ups.insert(token, up);
+        Ok(())
+    }
+
+    /// An exchange failed with `e` on a reused connection (now closed). An
+    /// origin exchange is sent once more on a fresh one — the connection
+    /// may have died under the request without the origin ever being heard
+    /// to fail, so this does not count against `origin_retries`; a peer's
+    /// failure stands (peers draw a fault per PEERGET / PUSH, and
+    /// `peer_retries` covers them).
+    fn redial_or(
+        &mut self,
+        client: u64,
+        ask: Ask,
+        cont: S::Cont,
+        e: io::Error,
+    ) -> Result<(), (S::Cont, io::Error)> {
+        if ask.upstream == Upstream::Origin {
+            self.start_exchange(client, ask, cont, true)
+        } else {
+            Err((cont, e))
         }
+    }
+
+    /// Begins a nonblocking connect to `ask.addr`.
+    fn dial(&mut self, ask: &Ask) -> io::Result<(u64, UpConn<S::Cont>)> {
+        let stream = connect_nonblocking(ask.addr)?;
+        let token = self.next_token | UPSTREAM_BIT;
+        self.next_token += 1;
+        let interest = EV_READ | EV_WRITE | EV_RDHUP;
+        self.epoll.add(stream.as_raw_fd(), token, interest)?;
+        Ok((
+            token,
+            UpConn {
+                stream,
+                addr: ask.addr,
+                upstream: ask.upstream,
+                parser: FrameParser::new(),
+                wq: WriteQueue::new(),
+                interest,
+                connecting: true,
+                filling: None,
+                exchange: None,
+            },
+        ))
+    }
+
+    /// Writes what is queued and keeps write interest armed exactly while
+    /// something still is.
+    fn flush_upstream(&mut self, token: u64, up: &mut UpConn<S::Cont>) -> io::Result<()> {
+        up.wq.flush(&mut up.stream)?;
+        let mut want = EV_READ | EV_RDHUP;
+        if !up.wq.is_empty() {
+            want |= EV_WRITE;
+        }
+        self.rearm(&up.stream, token, &mut up.interest, want)
+    }
+
+    fn close_upstream(&mut self, up: UpConn<S::Cont>) {
+        let _ = self.epoll.delete(up.stream.as_raw_fd());
+    }
+
+    /// Closes a connection the idle set just gave up.
+    fn close_idle(&mut self, token: u64) {
+        if let Some(up) = self.ups.remove(&token) {
+            self.telemetry.upstream.idle[up.upstream as usize].fetch_sub(1, Ordering::Relaxed);
+            self.close_upstream(up);
+        }
+    }
+
+    fn forget_upstream(&mut self, addr: SocketAddr) {
+        for token in self.idle.forget(addr) {
+            self.close_idle(token);
+        }
+    }
+
+    fn on_upstream_ready(&mut self, token: u64, bits: u32) {
+        let Some(mut up) = self.ups.remove(&token) else {
+            return;
+        };
+        if up.exchange.is_none() {
+            // Nothing was asked of it: its far end closed it, or sent
+            // bytes nobody is waiting for. Either way it is out of use
+            // before it could cost a request.
+            self.idle.remove(up.addr, token);
+            let counters = &self.telemetry.upstream;
+            counters.idle[up.upstream as usize].fetch_sub(1, Ordering::Relaxed);
+            counters.stale.fetch_add(1, Ordering::Relaxed);
+            self.close_upstream(up);
+            return;
+        }
+        match self.drive_upstream(token, &mut up, bits) {
+            Ok(None) => {
+                self.ups.insert(token, up);
+            }
+            Ok(Some(answer)) => {
+                let done = up.exchange.take().expect("checked above");
+                self.timers.remove(&done.deadline);
+                self.telemetry.exchanges.fetch_sub(1, Ordering::Relaxed);
+                // Back to the idle set only in step with its requests:
+                // nothing buffered behind the reply's frame.
+                if up.parser.is_idle() && self.idle.park(up.addr, token, Instant::now()) {
+                    let counters = &self.telemetry.upstream;
+                    counters.idle[up.upstream as usize].fetch_add(1, Ordering::Relaxed);
+                    self.ups.insert(token, up);
+                    self.arm_reaper();
+                } else {
+                    self.close_upstream(up);
+                }
+                self.resume(done.client, done.cont, Event::Answer(Ok(answer)));
+            }
+            Err(e) => self.fail_exchange(up, e),
+        }
+    }
+
+    /// Moves a busy upstream connection along: completes its connect,
+    /// writes its request, reads its reply.
+    fn drive_upstream(
+        &mut self,
+        token: u64,
+        up: &mut UpConn<S::Cont>,
+        bits: u32,
+    ) -> io::Result<Option<Answer>> {
+        if up.connecting {
+            if bits & (EV_WRITE | EV_ERROR | EV_HUP) == 0 {
+                return Ok(None);
+            }
+            if let Some(e) = up.stream.take_error()? {
+                return Err(e);
+            }
+            up.connecting = false;
+            let _ = up.stream.set_nodelay(true);
+            self.telemetry.upstream.dials[up.upstream as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        self.flush_upstream(token, up)?;
+        // An error or hang-up surfaces through the read as well.
+        if bits & (EV_READ | EV_RDHUP | EV_ERROR | EV_HUP) != 0 {
+            return up.read_reply(&mut self.scratch);
+        }
+        Ok(None)
+    }
+
+    /// Ends the exchange on `up` (already out of the table) without an
+    /// answer and closes the connection: a desynchronised stream is never
+    /// reused.
+    fn fail_exchange(&mut self, mut up: UpConn<S::Cont>, e: io::Error) {
+        let failed = up.exchange.take().expect("only busy connections fail");
+        self.timers.remove(&failed.deadline);
+        self.telemetry.exchanges.fetch_sub(1, Ordering::Relaxed);
+        if up.connecting {
+            self.forget_upstream(up.addr);
+        }
+        self.close_upstream(up);
+        let (cont, e) = if failed.reused {
+            match self.redial_or(failed.client, failed.ask, failed.cont, e) {
+                Ok(()) => return,
+                Err(stands) => stands,
+            }
+        } else {
+            (failed.cont, e)
+        };
+        self.resume(failed.client, cont, Event::Answer(Err(e)));
     }
 }
 
@@ -973,28 +1660,28 @@ impl<S: FrameService> EventLoop<S> {
 /// The executor: a job queue — one mutex-guarded deque and one condvar, so
 /// a push wakes exactly one parked worker — and the worker threads behind
 /// it, which the first push starts: a server that never offloads (the
-/// origin; a browser that is never sent a PUSH) never runs them. (An
-/// `mpsc::Receiver` shared behind a mutex wakes two workers per job — the
-/// one parked in `recv` and the next one parked on the mutex — which cost
-/// `disk-storm` +36 % p99; see DESIGN.md §13.)
-struct JobQueue {
-    state: Mutex<QueueState>,
+/// origin; a memory-only proxy; a browser that is never sent a PUSH) never
+/// runs them. (An `mpsc::Receiver` shared behind a mutex wakes two workers
+/// per job — the one parked in `recv` and the next one parked on the mutex
+/// — which cost `disk-storm` +36 % p99; see DESIGN.md §13.)
+struct JobQueue<C> {
+    state: Mutex<QueueState<C>>,
     ready: Condvar,
 }
 
-struct QueueState {
+struct QueueState<C> {
     /// Pending jobs; `None` once [`JobQueue::close`] has been called.
-    jobs: Option<VecDeque<Job>>,
+    jobs: Option<VecDeque<Job<C>>>,
     /// The worker threads; `None` until the first push starts them.
     workers: Option<Vec<JoinHandle<()>>>,
 }
 
-impl JobQueue {
+impl<C> JobQueue<C> {
     /// Queues a job; the first call runs `start` for the worker threads.
     /// `false` once the queue is closed, or if there is no worker to run
     /// the job (none configured, or none could be spawned): the loop then
     /// closes the connection rather than leave it waiting.
-    fn push(&self, job: Job, start: impl FnOnce() -> Vec<JoinHandle<()>>) -> bool {
+    fn push(&self, job: Job<C>, start: impl FnOnce() -> Vec<JoinHandle<()>>) -> bool {
         let mut st = self.state.lock();
         let QueueState {
             jobs: Some(queue),
@@ -1013,7 +1700,7 @@ impl JobQueue {
     }
 
     /// Parks until a job arrives; `None` once the queue is closed.
-    fn pop(&self) -> Option<Job> {
+    fn pop(&self) -> Option<Job<C>> {
         let mut st = self.state.lock();
         loop {
             if let Some(job) = st.jobs.as_mut()?.pop_front() {
@@ -1028,24 +1715,30 @@ impl JobQueue {
     /// the workers, to be joined.
     fn close(&self) -> Vec<JoinHandle<()>> {
         let mut st = self.state.lock();
-        st.jobs = None;
+        let abandoned = st.jobs.take();
+        let workers = st.workers.take().unwrap_or_default();
+        drop(st);
         self.ready.notify_all();
-        st.workers.take().unwrap_or_default()
+        // Dropped outside the lock: a continuation may do work as it goes
+        // (a coalescing leader releases its followers).
+        drop(abandoned);
+        workers
     }
 }
 
 /// A running BAPS server — the proxy's client port, the origin, a
 /// browser's peer port: a blocking acceptor thread feeding `loops` event
 /// loops, plus `executor_threads` blocking threads — started by the first
-/// frame the service says may block — to run such frames. The loops are the sole owners of their sockets
-/// — one fd per connection, which is what lets a 10k-idle-connection
-/// ladder fit in an ordinary fd table.
-pub(crate) struct Server {
+/// [`Step::Offload`] — to run such steps. The loops are the sole owners of
+/// their sockets — one fd per connection, accepted or upstream, which is
+/// what lets a 10k-idle-connection ladder fit in an ordinary fd table. `C`
+/// is the service's [`FrameService::Cont`].
+pub(crate) struct Server<C> {
     addr: SocketAddr,
     /// The bound listening socket; the acceptor thread runs on a clone.
     listener: TcpListener,
-    shared: Arc<Vec<Arc<LoopShared>>>,
-    jobs: Arc<JobQueue>,
+    shared: Arc<Vec<Arc<LoopShared<C>>>>,
+    jobs: Arc<JobQueue<C>>,
     stop: Arc<AtomicBool>,
     telemetry: Arc<ReactorTelemetry>,
     /// Acceptor (`{name}`) and loops (`{name}-loop-N`); the executor's
@@ -1053,14 +1746,14 @@ pub(crate) struct Server {
     io_threads: Vec<JoinHandle<()>>,
 }
 
-impl Server {
+impl<C: Send + 'static> Server<C> {
     /// Binds an ephemeral loopback port and starts serving on it.
-    pub(crate) fn bind<S: FrameService>(
+    pub(crate) fn bind<S: FrameService<Cont = C>>(
         name: &str,
         service: Arc<S>,
         loops: usize,
         executor_threads: usize,
-    ) -> io::Result<Server> {
+    ) -> io::Result<Server<C>> {
         Server::start_on(
             TcpListener::bind("127.0.0.1:0")?,
             name,
@@ -1074,9 +1767,9 @@ impl Server {
 
     /// Starts serving on an already-bound listener. `telemetry` tracks the
     /// loops, `pool_telemetry` the executor's queue/busy gauges. A service
-    /// whose `may_block` ever says yes needs `executor_threads ≥ 1`
-    /// (without them such a frame closes its connection).
-    pub(crate) fn start_on<S: FrameService>(
+    /// that ever offloads needs `executor_threads ≥ 1` (without them such
+    /// a step closes its connection).
+    pub(crate) fn start_on<S: FrameService<Cont = C>>(
         listener: TcpListener,
         name: &str,
         service: Arc<S>,
@@ -1084,7 +1777,7 @@ impl Server {
         executor_threads: usize,
         telemetry: Arc<ReactorTelemetry>,
         pool_telemetry: Arc<PoolTelemetry>,
-    ) -> io::Result<Server> {
+    ) -> io::Result<Server<C>> {
         let addr = listener.local_addr()?;
         telemetry.set_loops(loops as u64);
         pool_telemetry.set_workers(executor_threads as u64);
@@ -1120,8 +1813,12 @@ impl Server {
                 epoll,
                 loops: Arc::clone(&shared),
                 conns: HashMap::new(),
+                ups: HashMap::new(),
+                idle: IdleSet::default(),
+                reaping: false,
                 next_token: 0,
-                timers: Vec::new(),
+                timers: BTreeMap::new(),
+                next_timer: 0,
                 service: Arc::clone(&service),
                 jobs: Arc::clone(&jobs),
                 executor_threads,
@@ -1166,7 +1863,9 @@ impl Server {
             io_threads,
         })
     }
+}
 
+impl<C> Server<C> {
     /// The address to dial.
     pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
@@ -1184,8 +1883,9 @@ impl Server {
         self.telemetry.snapshot().registered_fds as usize
     }
 
-    /// Severs every open connection without stopping the server, returning
-    /// once every loop has acked (callers may immediately assert on EOF).
+    /// Severs every open client connection and every idle upstream
+    /// connection without stopping the server, returning once every loop
+    /// has acked (callers may immediately assert on EOF).
     pub(crate) fn drop_all(&self) {
         let (tx, rx) = std::sync::mpsc::channel();
         for sh in self.shared.iter() {
@@ -1199,9 +1899,9 @@ impl Server {
 
     /// Stops accepting, closes every connection and joins every thread;
     /// idempotent. The loops never block in socket I/O, so the stop flag
-    /// plus an eventfd wake ends them (each closes its own connections on
-    /// exit by dropping its table, so keep-alive senders see EOF); the
-    /// blocking acceptor is woken by a connect.
+    /// plus an eventfd wake ends them (each closes its own connections,
+    /// accepted and upstream, on exit by dropping its tables, so keep-alive
+    /// senders see EOF); the blocking acceptor is woken by a connect.
     pub(crate) fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
@@ -1217,36 +1917,45 @@ impl Server {
         for handle in self.jobs.close() {
             let _ = handle.join();
         }
+        // Steps nobody will take any more; dropping them here also undoes
+        // the one reference cycle there is (an inbox holding a leader's
+        // continuation, whose followers' wakers hold the inbox).
+        for sh in self.shared.iter() {
+            let undelivered = std::mem::take(&mut *sh.inbox.lock());
+            drop(undelivered);
+        }
     }
 }
 
-impl Drop for Server {
+impl<C> Drop for Server<C> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// Blocking executor for the frames a loop must not run inline (the
-/// proxy's whole miss path: disk tier, peer probes with retry backoff,
-/// origin fetches, coalesced followers parking on the in-flight condvar; a
-/// browser's PUSH). Runs the handler, then routes the reply to the owning
-/// loop's inbox.
+/// Blocking executor for the steps a loop must not run inline (the
+/// proxy's disk tier; a browser's PUSH). Resumes the request with
+/// [`Event::Run`], then routes its next step to the owning loop's inbox.
 fn executor_loop<S: FrameService>(
-    jobs: &JobQueue,
+    jobs: &JobQueue<S::Cont>,
     service: &S,
-    shared: &[Arc<LoopShared>],
+    shared: &Vec<Arc<LoopShared<S::Cont>>>,
     pool_telemetry: &PoolTelemetry,
 ) {
-    while let Some(mut job) = jobs.pop() {
+    while let Some(job) = jobs.pop() {
         pool_telemetry.dequeued(job.enqueued.elapsed());
         pool_telemetry.task_started();
-        let reply = service.handle(&job.msg, job.fault, &mut job.ctx);
-        pool_telemetry.task_finished();
-        shared[job.loop_id].send(Inbound::Done {
+        let seat = Seat {
+            loops: shared,
+            loop_id: job.loop_id,
             token: job.token,
-            reply,
-            fault: job.fault,
-            queue_wait: job.ctx.queue_wait,
+            seq: job.seq,
+        };
+        let step = service.resume(job.cont, Event::Run, &seat);
+        pool_telemetry.task_finished();
+        shared[job.loop_id].send(Inbound::Step {
+            token: job.token,
+            step,
         });
     }
 }
@@ -1427,6 +2136,8 @@ mod tests {
     struct Echo(FaultPlan);
 
     impl FrameService for Echo {
+        type Cont = std::convert::Infallible;
+
         fn faults(&self) -> Option<&FaultPlan> {
             Some(&self.0)
         }
@@ -1436,8 +2147,19 @@ mod tests {
             FaultKind::ALL.into_iter().find(|kind| kind.name() == verb)
         }
 
-        fn handle(&self, msg: &Message, _: Option<FaultKind>, _: &mut FrameCtx) -> Option<Message> {
-            Some(response(status::OK, "OK").with_body(msg.start.clone().into_bytes()))
+        fn handle(
+            &self,
+            msg: &Message,
+            _: Option<FaultKind>,
+            _: &mut FrameCtx<'_>,
+        ) -> Step<Self::Cont> {
+            Step::Reply(Some(
+                response(status::OK, "OK").with_body(msg.start.clone().into_bytes()),
+            ))
+        }
+
+        fn resume(&self, cont: Self::Cont, _: Event, _: &Seat<'_>) -> Step<Self::Cont> {
+            match cont {}
         }
     }
 

@@ -1,17 +1,18 @@
-//! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)` and one
-//! nonblocking `recv(2)` peek.
+//! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)` and a
+//! nonblocking `connect(2)`.
 //!
 //! The workspace takes no external crates and `std` exposes no readiness
 //! API, so the reactor (DESIGN.md §13) declares the handful of libc
 //! symbols it needs directly — `std` already links libc on every supported
 //! target, so the symbols are present without adding a dependency. Only
 //! the two kernel objects the reactor needs are wrapped: an epoll instance
-//! and an eventfd used as a cross-thread wakeup; the upstream pool
-//! (`upstream.rs`) adds [`is_idle`], the liveness peek `std` has no
-//! nonblocking form of on a blocking socket. Everything else (nonblocking
-//! sockets, vectored writes) goes through `std::net`.
+//! and an eventfd used as a cross-thread wakeup; the loop-owned upstream
+//! connections add [`connect_nonblocking`], the one socket call `std` has
+//! no nonblocking form of. Everything else (nonblocking reads, vectored
+//! writes, `SO_ERROR`) goes through `std::net`.
 
 use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
@@ -23,8 +24,12 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
-const MSG_PEEK: c_int = 0x02;
-const MSG_DONTWAIT: c_int = 0x40;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const EINPROGRESS: i32 = 115;
 
 /// Readable readiness (`EPOLLIN`).
 pub(crate) const EV_READ: u32 = 0x001;
@@ -44,7 +49,8 @@ extern "C" {
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
 }
 
 /// Mirror of the kernel's `struct epoll_event`. The x86-64 kernel ABI
@@ -68,6 +74,13 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
     }
 }
 
+/// Takes ownership of a descriptor a syscall just returned.
+fn own(fd: c_int) -> OwnedFd {
+    // SAFETY: every caller passes the fresh, valid result of a successful
+    // `epoll_create1`, `eventfd` or `socket`, which nothing else owns.
+    unsafe { OwnedFd::from_raw_fd(fd) }
+}
+
 /// An epoll instance: a kernel-side interest list plus a ready queue.
 pub(crate) struct Epoll {
     fd: OwnedFd,
@@ -78,10 +91,7 @@ impl Epoll {
     pub(crate) fn new() -> io::Result<Epoll> {
         // SAFETY: plain syscall; the returned fd is owned exclusively here.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        // SAFETY: `fd` is a freshly created, valid descriptor we own.
-        Ok(Epoll {
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
+        Ok(Epoll { fd: own(fd) })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
@@ -144,8 +154,8 @@ impl Epoll {
 }
 
 /// A nonblocking eventfd used to wake an event loop from another thread
-/// (the accept loop handing over a connection, a miss worker delivering a
-/// completion).
+/// (the accept loop handing over a connection, an executor thread
+/// delivering a request's next step, a leader waking its followers).
 pub(crate) struct WakeFd {
     fd: OwnedFd,
 }
@@ -155,10 +165,7 @@ impl WakeFd {
     pub(crate) fn new() -> io::Result<WakeFd> {
         // SAFETY: plain syscall; the returned fd is owned exclusively here.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        // SAFETY: `fd` is a freshly created, valid descriptor we own.
-        Ok(WakeFd {
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
+        Ok(WakeFd { fd: own(fd) })
     }
 
     /// The raw fd, for registering with an [`Epoll`].
@@ -195,31 +202,56 @@ impl WakeFd {
     }
 }
 
-/// Whether a kept-alive socket is open with nothing to read: the only
-/// state in which the next request may be written to it. One nonblocking
-/// peek, consuming nothing: `EAGAIN` means idle and open; EOF (the other
-/// side closed while the connection sat idle), any other error, and
-/// *pending unread bytes* (a desynchronised stream) all answer `false`.
-pub(crate) fn is_idle(sock: &impl AsRawFd) -> bool {
-    let mut byte = 0u8;
-    // SAFETY: peeks at most one byte into a live stack value; the borrow
-    // of `sock` keeps its fd open for the duration of the call.
-    let n = unsafe {
-        recv(
-            sock.as_raw_fd(),
-            (&mut byte as *mut u8).cast::<c_void>(),
-            1,
-            MSG_PEEK | MSG_DONTWAIT,
-        )
+/// Starts a TCP connection to `addr` without waiting for it: the returned
+/// stream is nonblocking and either connected already or still connecting.
+/// Register it for `EV_WRITE`; once writable, `TcpStream::take_error` says
+/// whether the connection was established.
+pub(crate) fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    // `sockaddr_in` / `sockaddr_in6` as the kernel reads them: the family
+    // in host order, the port and the address in network order.
+    let mut sa = [0u8; 28];
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            sa[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            sa[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+            sa[8..24].copy_from_slice(&a.ip().octets());
+            sa[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
     };
-    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+    sa[0..2].copy_from_slice(&family.to_ne_bytes());
+    sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    // SAFETY: plain syscall; the returned fd is owned exclusively here.
+    let fd = cvt(unsafe {
+        socket(
+            c_int::from(family),
+            SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+            0,
+        )
+    })?;
+    let stream = TcpStream::from(own(fd));
+    // SAFETY: `sa` is a live buffer holding `len` (≤ 28) initialised bytes
+    // laid out as the socket address of `family`; the kernel copies it.
+    // `stream` keeps `fd` open across the call.
+    let ret = unsafe { connect(fd, sa.as_ptr().cast::<c_void>(), len) };
+    if ret < 0 {
+        let err = io::Error::last_os_error();
+        // Otherwise the handshake continues in the background.
+        if err.raw_os_error() != Some(EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpListener;
 
     #[test]
     fn epoll_reports_readable_socket_with_token() {
@@ -274,44 +306,44 @@ mod tests {
         assert_eq!(n, 0, "drained eventfd is quiet again");
     }
 
-    /// The upstream pool's liveness peek: only an open socket with nothing
-    /// to read may carry the next request.
+    /// A nonblocking connect reports success as writability with no
+    /// pending socket error, and a refused one as an error — at the call
+    /// or through `take_error` once the socket signals.
     #[test]
-    fn is_idle_only_for_open_and_quiet_sockets() {
+    fn connect_nonblocking_reports_through_readiness() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        // A read timeout must not turn the peek into a wait.
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        assert!(is_idle(&client), "open and quiet");
-
-        // Unread bytes pending: a reply nobody asked for means the stream
-        // is desynchronised. The peek consumes nothing, so it stays so.
-        server.write_all(b"x").unwrap();
+        let mut stream = connect_nonblocking(addr).unwrap();
         let ep = Epoll::new().unwrap();
-        ep.add(client.as_raw_fd(), 1, EV_READ).unwrap();
+        ep.add(stream.as_raw_fd(), 1, EV_WRITE).unwrap();
         let mut events = [EpollEvent::default(); 1];
         assert_eq!(
             ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap(),
             1
         );
-        assert!(!is_idle(&client), "pending bytes");
-        assert!(!is_idle(&client), "the peek consumed nothing");
+        assert!(stream.take_error().unwrap().is_none());
+        assert_eq!(stream.peer_addr().unwrap(), addr);
+        let (mut server, _) = listener.accept().unwrap();
+        stream.write_all(b"ping").unwrap();
+        let mut got = [0u8; 4];
+        std::io::Read::read_exact(&mut server, &mut got).unwrap();
+        assert_eq!(&got, b"ping");
 
-        // The other side closed while the connection sat idle.
-        let quiet = TcpStream::connect(addr).unwrap();
-        let (closer, _) = listener.accept().unwrap();
-        let ep = Epoll::new().unwrap();
-        ep.add(quiet.as_raw_fd(), 2, EV_READ | EV_RDHUP).unwrap();
-        drop(closer);
+        // Nobody listens there any more.
+        drop((listener, server));
+        let refused = connect_nonblocking(addr).and_then(|stream| {
+            let ep = Epoll::new()?;
+            ep.add(stream.as_raw_fd(), 2, EV_WRITE)?;
+            ep.wait(&mut events, Some(Duration::from_secs(5)))?;
+            match stream.take_error()? {
+                Some(e) => Err(e),
+                None => Ok(()),
+            }
+        });
         assert_eq!(
-            ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap(),
-            1
+            refused.unwrap_err().kind(),
+            io::ErrorKind::ConnectionRefused
         );
-        assert!(!is_idle(&quiet), "peer closed");
     }
 
     #[test]

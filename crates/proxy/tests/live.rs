@@ -46,11 +46,13 @@ fn origin_then_proxy_then_local() {
     assert_eq!(stats.proxy_hits, 1);
     assert_eq!(bed.origin.hits(), 1);
 
-    // The miss ran on the blocking executor; the memory hit (and the
-    // REGISTERs) were answered inline on an event loop.
+    // The miss asked the origin from its event loop — a memory-only proxy
+    // hands nothing to the blocking executor; the memory hit (and the
+    // REGISTERs) were answered by their first step.
     let r = bed.proxy.reactor_stats();
-    assert_eq!(r.offloaded, 1, "{r:?}");
-    assert!(r.inline_served >= 1, "{r:?}");
+    assert_eq!(r.offloaded, 0, "{r:?}");
+    assert!(r.inline_served >= 3, "{r:?}");
+    assert_eq!((r.exchanges_in_flight, r.parked_requests), (0, 0), "{r:?}");
     bed.shutdown();
 }
 
@@ -364,7 +366,10 @@ fn admin_verbs_over_one_keepalive_connection() {
         );
         assert!(field("baps_reactor_registered_fds_peak") >= field("baps_reactor_registered_fds"));
         assert!(field("baps_reactor_inline_dispatch_total") >= 1);
-        assert!(field("baps_reactor_offloaded_dispatch_total") >= 1);
+        // No disk tier: nothing is ever handed to the executor.
+        assert_eq!(field("baps_reactor_offloaded_dispatch_total"), 0);
+        assert_eq!(field("baps_reactor_upstream_exchanges"), 0);
+        assert_eq!(field("baps_reactor_parked_requests"), 0);
     }
 
     // The other verbs answer on the same framed connection.
@@ -1105,28 +1110,44 @@ fn metrics_exposition_conforms() {
         "baps_queue_wait_ms_count",
         "baps_flight_registry_occupancy",
         "baps_upstream_stale_total",
-        "baps_upstream_idle_connections",
+        "baps_reactor_upstream_exchanges",
+        "baps_reactor_parked_requests",
     ] {
         assert!(
             prom::find(&samples, name, &[]).is_some(),
             "exposition is missing {name}"
         );
     }
-    // The upstream pool's families: twelve origin fetches made so far,
-    // every one of them either a dial or a reuse.
+    // The upstream connections' families: twelve origin fetches made so
+    // far, every one of them either a dial or a reuse.
     let origin = [("upstream", "origin")];
     let dials = prom::find(&samples, "baps_upstream_dials_total", &origin).unwrap();
     let reuses = prom::find(&samples, "baps_upstream_reuses_total", &origin).unwrap();
     assert!(dials >= 1.0);
     assert_eq!(dials + reuses, bed.proxy.stats().origin_fetches as f64);
-    for family in ["baps_upstream_dials_total", "baps_upstream_reuses_total"] {
+    for family in [
+        "baps_upstream_dials_total",
+        "baps_upstream_reuses_total",
+        "baps_upstream_idle_connections",
+    ] {
         assert_eq!(
             prom::find(&samples, family, &[("upstream", "peer")]),
             Some(0.0)
         );
     }
+    // Every origin connection dialed is idle again (both clients' loops
+    // may hold one).
+    assert_eq!(
+        prom::find(&samples, "baps_upstream_idle_connections", &origin),
+        Some(dials)
+    );
+    // The executor is configured but — no disk tier — was never started
+    // or used.
     assert!(prom::find(&samples, "baps_workers", &[]).unwrap() > 0.0);
-    assert!(prom::find(&samples, "baps_queue_wait_ms_count", &[]).unwrap() >= 1.0);
+    assert_eq!(
+        prom::find(&samples, "baps_queue_wait_ms_count", &[]),
+        Some(0.0)
+    );
     bed.shutdown();
 }
 
@@ -1163,9 +1184,9 @@ fn metrics_report_recorder_drops_and_saturation() {
     bed.shutdown();
 }
 
-// ---- The upstream connection pool (DESIGN.md §6a) ----
+// ---- The proxy's upstream connections (DESIGN.md §6a) ----
 
-/// One `baps_upstream_*` series of the proxy's exposition — the pool's
+/// One `baps_upstream_*` series of the proxy's exposition — these
 /// counters are METRICS-only, so this is also how an operator reads them.
 fn upstream(bed: &TestBed, name: &str, labels: &[(&str, &str)]) -> u64 {
     let samples = baps_obs::prom::parse(&bed.proxy.metrics_text()).expect("exposition parses");
@@ -1177,15 +1198,18 @@ fn peer_dials(bed: &TestBed) -> u64 {
     upstream(bed, "baps_upstream_dials_total", &[("upstream", "peer")])
 }
 
-fn idle_upstreams(bed: &TestBed) -> u64 {
-    upstream(bed, "baps_upstream_idle_connections", &[])
+/// Connections idle on the proxy's loops right now: (to peers, to the
+/// origin).
+fn idle_upstreams(bed: &TestBed) -> (u64, u64) {
+    let idle = |kind| upstream(bed, "baps_upstream_idle_connections", &[("upstream", kind)]);
+    (idle("peer"), idle("origin"))
 }
 
 fn doc_url(i: usize) -> String {
     format!("http://origin/doc/{i}")
 }
 
-/// A raw connection to a server, as the proxy's upstream pool holds them.
+/// A raw connection to a server, as the proxy's event loops hold them.
 fn raw(addr: SocketAddr) -> BufReader<TcpStream> {
     let stream = TcpStream::connect(addr).unwrap();
     stream
@@ -1246,8 +1270,9 @@ fn sequential_peer_hits_dial_the_holder_once() {
 }
 
 /// (b) A holder that closes the kept-alive connection while it sits idle
-/// costs the next probe nothing but a dial: the liveness peek finds the
-/// close before the PEERGET is written, so no probe fails. The severing
+/// costs the next probe nothing but a dial: the proxy's loop sees the
+/// close as a readiness event and drops the connection before any PEERGET
+/// is written to it, so no probe fails. The severing
 /// itself is synchronous — `drop_peer_connections` returns once the
 /// port's loop has closed every socket — and leaves the port serving.
 #[test]
@@ -1267,9 +1292,13 @@ fn holder_closing_its_idle_connection_costs_one_dial() {
         "every open connection was closed"
     );
     assert_eq!(peerget(&mut raw(holder), &url).unwrap().body, bodies[0]);
-    // The FIN to the proxy's parked connection crosses loopback
-    // asynchronously; nothing on this side of the API observes its arrival.
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    // The FIN to the proxy's idle connection crosses loopback
+    // asynchronously; the stale counter says when its loop has seen it.
+    let t0 = Instant::now();
+    while upstream(&bed, "baps_upstream_stale_total", &[]) != 1 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "close never seen");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     bed.clients[1].purge_local(&url);
     let got = bed.clients[1].fetch(&url).unwrap();
@@ -1290,9 +1319,9 @@ fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
     let bodies = seed_holder(&bed, 1);
     let url = doc_url(0);
     assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Source::Peer);
-    // Everything so far was sequential: one origin connection and one to
-    // the holder sit idle.
-    assert_eq!(idle_upstreams(&bed), 2);
+    // Everything so far was sequential: one connection to the holder sits
+    // idle (and one to the origin on every loop that fetched from it).
+    assert_eq!(idle_upstreams(&bed).0, 1);
 
     bed.clients.remove(0).shutdown();
     let requester = &bed.clients[0]; // the old client 1
@@ -1304,7 +1333,7 @@ fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
     assert!(!bed.proxy.index_holds(0, &url), "index healed");
     assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 1);
     assert_eq!(peer_dials(&bed), 1, "refused dials establish nothing");
-    assert_eq!(idle_upstreams(&bed), 1, "only the origin's connection");
+    assert_eq!(idle_upstreams(&bed).0, 0, "only the origin's connections");
     bed.shutdown();
 }
 
@@ -1385,15 +1414,15 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
     bed.shutdown();
 }
 
-/// (e) Direct-forward while the proxy holds a full idle set — one
-/// connection per miss-executor thread — to both the requester and the
+/// (e) Direct-forward while the proxy holds an idle connection for every
+/// requester that ever overlapped another, to both the requester and the
 /// holder. None of them costs a browser a thread, so the holder still
 /// takes the PUSH and the requester the one-shot DELIVER.
 #[test]
 fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
     use std::sync::Barrier;
 
-    const WORKERS: u64 = 4;
+    const REQUESTERS: u64 = 4;
     let bed = TestBed::start(
         DocumentStore::synthetic(24, 200, 2_000, 42),
         TestBedConfig {
@@ -1401,7 +1430,6 @@ fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
             proxy_capacity: 2_500,
             browser_capacity: 64 << 10,
             direct_forward: true,
-            proxy_workers: WORKERS as usize,
             ..TestBedConfig::default()
         },
     )
@@ -1412,18 +1440,16 @@ fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
         bed.clients[1].fetch(&doc_url(i)).unwrap();
     }
     let bodies = seed_holder(&bed, 5);
-    // From here on the only upstream traffic is PUSH orders, so the idle
-    // gauge counts peer connections alone.
     bed.proxy.drop_connections();
-    assert_eq!(idle_upstreams(&bed), 0);
+    assert_eq!(idle_upstreams(&bed), (0, 0));
 
     // Clients 2..6 ask one holder for one doc each at the same moment,
-    // until all four PUSH orders overlapped at least once: the proxy then
-    // parks one connection per miss worker for that address (`want` says
-    // how many are parked in total by then).
+    // until all four PUSH orders overlapped at least once: the proxy's
+    // loops then hold one connection per requester to that address
+    // (`want` says how many are idle to peers in total by then).
     let saturate = |first_doc: usize, want: u64| {
         for _round in 0..200 {
-            let barrier = Barrier::new(4);
+            let barrier = Barrier::new(REQUESTERS as usize);
             std::thread::scope(|scope| {
                 for (k, client) in bed.clients[2..6].iter().enumerate() {
                     let barrier = &barrier;
@@ -1435,28 +1461,29 @@ fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
                     });
                 }
             });
-            if idle_upstreams(&bed) == want {
+            if idle_upstreams(&bed).0 == want {
                 return;
             }
         }
         panic!(
-            "PUSH orders never overlapped: {} parked",
+            "PUSH orders never overlapped: {:?} idle",
             idle_upstreams(&bed)
         );
     };
-    saturate(0, WORKERS); // to client 0
-    saturate(16, 2 * WORKERS); // and to client 1
+    saturate(0, REQUESTERS); // to client 0
+    saturate(16, 2 * REQUESTERS); // and to client 1
 
     // Client 1 asks for doc 4, which only client 0 holds.
     let pushes = bed.proxy.stats().direct_pushes;
+    let dials = peer_dials(&bed);
     let got = bed.clients[1].fetch(&doc_url(4)).unwrap();
     assert_eq!((got.source, &got.body), (Source::Peer, &bodies[4]));
     assert_eq!(bed.proxy.stats().direct_pushes, pushes + 1);
-    assert_eq!(
-        idle_upstreams(&bed),
-        2 * WORKERS,
-        "never more than one per miss worker and address"
+    assert!(
+        peer_dials(&bed) <= dials + 1,
+        "at most the one connection client 1's loop lacked"
     );
+    assert_eq!(idle_upstreams(&bed).1, 0, "no origin fetch since the drop");
     bed.shutdown();
 }
 
@@ -1471,7 +1498,7 @@ fn register_from_a_new_port_drops_the_old_idle_set() {
         bed.clients[1].fetch(&doc_url(0)).unwrap().source,
         Source::Peer
     );
-    let parked = idle_upstreams(&bed);
+    let (parked, _) = idle_upstreams(&bed);
 
     let mut conn = BufReader::new(TcpStream::connect(bed.proxy.addr()).unwrap());
     let mut register = |port: u16| {
@@ -1481,18 +1508,32 @@ fn register_from_a_new_port_drops_the_old_idle_set() {
         assert_eq!(response_code(&reply), Some(200));
     };
     register(bed.clients[0].peer_addr().port());
-    assert_eq!(idle_upstreams(&bed), parked, "same address: nothing moved");
+    assert_eq!(
+        idle_upstreams(&bed).0,
+        parked,
+        "same address: nothing moved"
+    );
     register(9);
-    assert_eq!(idle_upstreams(&bed), parked - 1, "old address forgotten");
+    // The forgetting is a message to every loop; the one that held the
+    // connection may not be the one that answered the REGISTER.
+    let t0 = Instant::now();
+    while idle_upstreams(&bed).0 != parked - 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "old address still parked"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     bed.shutdown();
 }
 
 // ---- One I/O core: origin and peer ports on event loops (DESIGN.md §13) ----
 
-/// A proxy with more miss workers than the origin had blocking workers:
-/// every worker parks a kept-alive origin connection after its first
-/// fetch, and at the parent commit each of those pinned one of the
-/// origin's 8 threads — the second wave of misses waited behind them.
+/// A proxy with more misses in flight than the origin once had blocking
+/// workers: every one leaves a kept-alive origin connection idle
+/// afterwards, and under the origin's old thread-per-connection pool each
+/// of those pinned one of its 8 threads — the second wave of misses
+/// waited behind them.
 #[test]
 fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
     const WAVE: usize = 16;
@@ -1655,4 +1696,222 @@ fn stalled_replies_hold_no_thread_on_peer_port_or_origin() {
     assert_eq!(plan.counts().get(FaultKind::PeerStall), STALLED as u64);
     assert_eq!(plan.counts().get(FaultKind::OriginStall), STALLED as u64);
     bed.shutdown();
+}
+
+// ---- Misses as event-loop exchanges (DESIGN.md §13, reply / ask / offload) ----
+
+/// Two connections to `addr` that the acceptor — which deals connections
+/// round-robin — hands to the same event loop, for a server with `loops`
+/// of them.
+fn two_on_one_loop(addr: SocketAddr) -> (BufReader<TcpStream>, BufReader<TcpStream>) {
+    let loops = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut conns: Vec<_> = (0..=loops).map(|_| raw(addr)).collect();
+    let last = conns.pop().unwrap();
+    (conns.swap_remove(0), last)
+}
+
+fn get_as(client: u32, url: &str) -> Message {
+    Message::new(format!("GET {url} BAPS/1.0")).header("Client", client.to_string())
+}
+
+/// (b) A holder that accepts and never answers costs its requester the
+/// peer deadline — a loop timer, then the origin serves — and everybody
+/// else nothing: memory hits on the *same event loop* are answered at once
+/// all the while. (A blocking probe on the loop would hold them for the
+/// whole deadline.)
+#[test]
+fn silent_holder_delays_only_its_own_requester() {
+    const PEER_DEADLINE: Duration = Duration::from_millis(500);
+    let bed = TestBed::start(
+        DocumentStore::synthetic(16, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 1,
+            proxy_capacity: 2_500,
+            browser_capacity: 64 << 10,
+            peer_timeout: PEER_DEADLINE,
+            peer_retries: 0,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    // "Browser" 77: a listening socket nobody serves. It registers, and
+    // fetches doc 0, so the index lists it as a holder.
+    let mute = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = mute.local_addr().unwrap().port();
+    let mut conn77 = raw(bed.proxy.addr());
+    let register = Message::new(format!("REGISTER {port} BAPS/1.0")).header("Client", "77");
+    assert_eq!(
+        response_code(&ask(&mut conn77, &register).unwrap()),
+        Some(200)
+    );
+    let held = ask(&mut conn77, &get_as(77, &doc_url(0))).unwrap().body;
+    assert!(bed.proxy.index_holds(77, &doc_url(0)));
+    // Push doc 0 out of the proxy cache; the last document fetched stays.
+    let mut resident = 0;
+    while bed.proxy.cached_body(&doc_url(0)).is_some() {
+        resident += 1;
+        bed.clients[0].fetch(&doc_url(resident)).unwrap();
+    }
+    let hot = bed.proxy.cached_body(&doc_url(resident)).expect("resident");
+
+    let (mut requester, mut bystander) = two_on_one_loop(bed.proxy.addr());
+    let t0 = Instant::now();
+    write_message(requester.get_mut(), &get_as(78, &doc_url(0))).unwrap();
+    for i in 0..50 {
+        let t_hit = Instant::now();
+        let reply = ask(&mut bystander, &get_as(79, &doc_url(resident))).unwrap();
+        let took = t_hit.elapsed();
+        assert_eq!(reply.get("X-Source"), Some("proxy"));
+        assert_eq!(reply.body, hot);
+        assert!(took < Duration::from_millis(5), "memory hit {i}: {took:?}");
+    }
+    assert!(
+        t0.elapsed() < PEER_DEADLINE,
+        "the probe was still pending during every hit"
+    );
+    let reply = read_message(&mut requester).unwrap().expect("a reply");
+    let waited = t0.elapsed();
+    assert_eq!(reply.get("X-Source"), Some("origin"));
+    assert_eq!(reply.body, held);
+    assert!(
+        waited >= PEER_DEADLINE && waited < PEER_DEADLINE + Duration::from_millis(400),
+        "served after {waited:?}"
+    );
+    let stats = bed.proxy.stats();
+    assert_eq!((stats.peer_failures, stats.peer_fallbacks), (1, 1));
+    assert!(!bed.proxy.index_holds(77, &doc_url(0)), "index healed");
+    assert_eq!(idle_upstreams(&bed).0, 0, "the silent connection is gone");
+    bed.shutdown();
+}
+
+/// (d) Direct-forward PUSH orders are asked from the event loops like
+/// every other upstream exchange: a run of them rides one kept-alive
+/// connection to the holder, hands nothing to the executor, and each
+/// delivery is byte-exact.
+#[test]
+fn direct_forward_orders_ride_the_event_loops() {
+    let bed = TestBed::start(
+        DocumentStore::synthetic(16, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 3,
+            proxy_capacity: 2_500,
+            browser_capacity: 64 << 10,
+            direct_forward: true,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let bodies = seed_holder(&bed, 4);
+    for i in 0..40 {
+        let url = doc_url(i % 4);
+        bed.clients[1].purge_local(&url);
+        let got = bed.clients[1].fetch(&url).unwrap();
+        assert_eq!(got.source, Source::Peer, "fetch {i}");
+        assert_eq!(got.body, bodies[i % 4], "fetch {i}");
+    }
+    let stats = bed.proxy.stats();
+    assert_eq!((stats.direct_pushes, stats.peer_hits), (40, 40));
+    assert_eq!(bed.clients[0].peer_serves(), 40);
+    assert_eq!(peer_dials(&bed), 1);
+    assert_eq!(
+        upstream(&bed, "baps_upstream_reuses_total", &[("upstream", "peer")]),
+        39
+    );
+    let r = bed.proxy.reactor_stats();
+    assert_eq!((r.offloaded, r.exchanges_in_flight), (0, 0), "{r:?}");
+    bed.shutdown();
+}
+
+/// (e) A 1 MiB origin body that arrives in 16 KiB pieces is hashed piece
+/// by piece as it lands — the watermark the proxy signs is the one `md5`
+/// over the whole buffer gives — and between pieces the loop serves its
+/// other connections: a memory hit requested while half the body is still
+/// to come is answered before the fetch completes.
+#[test]
+fn large_origin_body_is_hashed_as_it_arrives_and_yields_the_loop() {
+    use std::io::Write as _;
+    use std::sync::mpsc;
+
+    const BIG: usize = 1 << 20;
+    const PIECE: usize = 16 << 10;
+    let big: Vec<u8> = (0..BIG).map(|i| (i * 31 % 251) as u8).collect();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let origin_addr = listener.local_addr().unwrap();
+    let (half_sent, half_seen) = mpsc::channel();
+    let (resume, resumed) = mpsc::channel::<()>();
+    let gate = Arc::new(std::sync::Mutex::new(Some((half_sent, resumed))));
+    let body = big.clone();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            stream.set_nodelay(true).unwrap();
+            let (body, gate) = (body.clone(), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                let mut conn = BufReader::new(stream);
+                while let Ok(Some(msg)) = read_message(&mut conn) {
+                    let out = conn.get_mut();
+                    if !msg.start.contains("/big") {
+                        let small = Message::new("BAPS/1.0 200 OK").with_body(b"small".to_vec());
+                        write_message(out, &small).unwrap();
+                        continue;
+                    }
+                    let head = format!("BAPS/1.0 200 OK\r\nContent-Length: {BIG}\r\n\r\n");
+                    out.write_all(head.as_bytes()).unwrap();
+                    for (i, piece) in body.chunks(PIECE).enumerate() {
+                        if i == BIG / PIECE / 2 {
+                            let (half_sent, resumed) = gate.lock().unwrap().take().unwrap();
+                            half_sent.send(()).unwrap();
+                            resumed.recv().unwrap();
+                        }
+                        out.write_all(piece).unwrap();
+                    }
+                }
+            });
+        }
+    });
+    let proxy = ProxyServer::start(ProxyConfig {
+        cache_capacity: 4 << 20,
+        origin_addr,
+        key_seed: 1,
+        cache_peer_hits: false,
+        direct_forward: false,
+        worker_threads: 0,
+        peer_timeout: Duration::ZERO,
+        peer_retries: 0,
+        origin_timeout: Duration::ZERO,
+        origin_retries: 0,
+        disk: None,
+        faults: None,
+        recorder: None,
+        slo: SloTable::default(),
+    })
+    .unwrap();
+    let (mut fetcher, mut bystander) = two_on_one_loop(proxy.addr());
+    let small = ask(&mut bystander, &get_as(2, "http://origin/small")).unwrap();
+    assert_eq!(small.get("X-Source"), Some("origin"));
+
+    write_message(fetcher.get_mut(), &get_as(1, "http://origin/big")).unwrap();
+    half_seen
+        .recv_timeout(Duration::from_secs(5))
+        .expect("half the body sent");
+    let hit = ask(&mut bystander, &get_as(2, "http://origin/small")).unwrap();
+    assert_eq!(hit.get("X-Source"), Some("proxy"));
+    assert_eq!(&hit.body[..], b"small");
+    assert_eq!(
+        proxy.reactor_stats().exchanges_in_flight,
+        1,
+        "still fetching"
+    );
+    resume.send(()).unwrap();
+
+    let reply = read_message(&mut fetcher)
+        .unwrap()
+        .expect("the big document");
+    assert_eq!(reply.get("X-Source"), Some("origin"));
+    assert_eq!(&reply.body[..], &big[..]);
+    let watermark = baps_crypto::Watermark::from_hex(reply.get("X-Watermark").unwrap()).unwrap();
+    baps_crypto::verify_hashed(&proxy.public_key(), &baps_crypto::md5(&big), &watermark)
+        .expect("the chunk-wise digest is the whole-buffer digest");
+    assert_eq!(proxy.reactor_stats().offloaded, 0);
+    proxy.shutdown();
 }

@@ -27,8 +27,8 @@ fn bed(n_clients: u32, config: TestBedConfig) -> TestBed {
     .expect("test bed starts")
 }
 
-/// Idle-connection scaling smoke on a default `TestBedConfig` (8 miss
-/// workers): hundreds of registered keep-alive connections cost fds, not
+/// Idle-connection scaling smoke on a default `TestBedConfig` (two event
+/// loops, no executor thread): hundreds of registered keep-alive connections cost fds, not
 /// threads, and active traffic still flows. (The 10k point lives in
 /// `live_load --sweep`'s connections axis.)
 #[test]
@@ -224,41 +224,58 @@ fn slow_loris_on_a_peer_port_does_not_delay_peer_hits() {
     bed.shutdown();
 }
 
-/// Many concurrent misses over more connections than miss workers: every
-/// one is answered (each queued job wakes a worker; none is stranded) and
-/// the executor's queue gauge drains back to zero.
+/// A scratch disk-tier root; the executor only runs under a proxy that
+/// has one.
+fn disk_root(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("baps-reactor-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    root
+}
+
+/// Many concurrent disk-tier misses over more connections than executor
+/// workers: every one is answered (each queued job wakes a worker; none is
+/// stranded) and the executor's queue gauge drains back to zero.
 #[test]
 fn concurrent_misses_over_more_connections_than_workers_all_answer() {
     const WORKERS: usize = 2;
     const CONNS: usize = 12;
     const DOCS: usize = 16;
-    let bed = bed(
-        1,
+    let root = disk_root("misses");
+    // A document per GET, so no two coalesce. Each crosses the executor
+    // once in the first round — the write-through of what the origin
+    // answered (that the tier does not list it yet, its index says without
+    // leaving the loop) — and once in the second, the disk read.
+    let bed = TestBed::start(
+        DocumentStore::synthetic(CONNS * DOCS, 200, 2_000, 42),
         TestBedConfig {
+            n_clients: 1,
             proxy_workers: WORKERS,
             // Too small to hold any document: every GET is a miss.
             proxy_capacity: 64,
+            disk_root: Some(root.clone()),
             ..TestBedConfig::default()
         },
-    );
+    )
+    .expect("test bed starts");
     let addr = bed.proxy.addr();
     let threads: Vec<_> = (0..CONNS)
         .map(|c| {
             std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut writer = stream;
-                for d in 0..DOCS {
-                    let url = format!("http://origin/doc/{}", (c + d) % DOCS);
-                    write_message(
-                        &mut writer,
-                        &Message::new(format!("GET {url} BAPS/1.0"))
-                            .header("Client", (1_000 + c).to_string())
-                            .header("Bypass-Peers", "1"),
-                    )
-                    .unwrap();
-                    let reply = read_message(&mut reader).unwrap().expect("a reply");
-                    assert_eq!(response_code(&reply), Some(200), "{url}");
+                let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+                for source in ["origin", "disk"] {
+                    for d in 0..DOCS {
+                        let url = format!("http://origin/doc/{}", c * DOCS + d);
+                        write_message(
+                            conn.get_mut(),
+                            &Message::new(format!("GET {url} BAPS/1.0"))
+                                .header("Client", (1_000 + c).to_string())
+                                .header("Bypass-Peers", "1"),
+                        )
+                        .unwrap();
+                        let reply = read_message(&mut conn).unwrap().expect("a reply");
+                        assert_eq!(response_code(&reply), Some(200), "{url}");
+                        assert_eq!(reply.get("X-Source"), Some(source), "{url}");
+                    }
                 }
             })
         })
@@ -267,28 +284,33 @@ fn concurrent_misses_over_more_connections_than_workers_all_answer() {
         t.join().unwrap();
     }
     let r = bed.proxy.reactor_stats();
-    assert_eq!(r.offloaded, (CONNS * DOCS) as u64, "every GET missed");
+    assert_eq!(r.offloaded, 2 * (CONNS * DOCS) as u64, "{r:?}");
     let sat = bed.proxy.saturation();
     assert_eq!(sat.workers, WORKERS as u64);
-    assert_eq!(sat.queue_depth, 0, "the miss queue drained: {sat:?}");
+    assert_eq!(sat.queue_depth, 0, "the executor queue drained: {sat:?}");
     assert_eq!(sat.busy_workers, 0);
-    assert_eq!(sat.queue_wait.count(), (CONNS * DOCS) as u64);
+    assert_eq!(sat.queue_wait.count(), r.offloaded);
     assert_eq!(sat.rejected, 0);
     bed.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Shutdown with every miss worker parked on the empty queue (and idle
-/// connections registered) wakes them all and joins promptly.
+/// Shutdown with every executor worker parked on the empty queue (and
+/// idle connections registered) wakes them all and joins promptly.
 #[test]
 fn shutdown_with_parked_workers_joins_promptly() {
+    let root = disk_root("shutdown");
     let bed = bed(
         2,
         TestBedConfig {
             proxy_workers: 16,
+            disk_root: Some(root.clone()),
             ..TestBedConfig::default()
         },
     );
+    // The first disk-tier access starts the workers.
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
+    assert!(bed.proxy.reactor_stats().offloaded >= 1);
     let _idle = TcpStream::connect(bed.proxy.addr()).unwrap();
     assert_eq!(bed.proxy.saturation().busy_workers, 0, "workers parked");
     let t = Instant::now();
@@ -298,4 +320,5 @@ fn shutdown_with_parked_workers_joins_promptly() {
         "shutdown took {:?}",
         t.elapsed()
     );
+    let _ = std::fs::remove_dir_all(&root);
 }

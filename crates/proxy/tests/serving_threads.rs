@@ -1,18 +1,33 @@
-//! What an open connection costs the server holding it: one descriptor
-//! and no thread, on a browser's peer port and on the origin alike — and
-//! what a whole deployment at rest costs in threads (DESIGN.md §13's
-//! topology table).
+//! What serving costs in threads and descriptors (DESIGN.md §13's
+//! topology table): an open connection is one descriptor and no thread, on
+//! a browser's peer port and on the origin alike; a miss — peer probe,
+//! origin fetch, a coalesced herd of thousands — is work for the proxy's
+//! event loops and starts no thread either.
 //!
-//! Alone in its test binary on purpose: it counts `/proc/self/task` and
-//! `/proc/self/fd`, which any concurrently running test would disturb.
+//! One test, alone in its test binary, on purpose: it counts
+//! `/proc/self/task` and `/proc/self/fd`, which any concurrently running
+//! test (or test-harness thread coming or going) would disturb.
 
-use baps_proxy::{read_message, write_message, DocumentStore, Message, TestBed, TestBedConfig};
+use baps_proxy::{
+    read_message, response_code, write_message, DocumentStore, FaultConfig, FaultPlan, Message,
+    Source, TestBed, TestBedConfig,
+};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// Threads of the proxy's blocking executor (`baps-proxy-exec-N`).
+fn executor_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("baps-proxy-exec"))
+        .count()
 }
 
 fn open_fds() -> usize {
@@ -31,6 +46,15 @@ fn settle_at(want: usize) {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+fn doc_url(i: usize) -> String {
+    format!("http://origin/doc/{i}")
+}
+
+fn get(conn: &mut BufReader<TcpStream>, url: &str, client: u32) {
+    let msg = Message::new(format!("GET {url} BAPS/1.0")).header("Client", client.to_string());
+    write_message(conn.get_mut(), &msg).unwrap();
 }
 
 /// Opens `IDLE` connections to `addr` and leaves them idle: the process
@@ -59,9 +83,15 @@ fn idle_connections_cost_fds_only(addr: SocketAddr, request: &Message, body: &[u
 }
 
 #[test]
+fn serving_costs_descriptors_not_threads() {
+    served_connections_cost_one_fd_and_no_thread();
+    misses_peer_hits_and_a_herd_start_no_thread();
+    a_stalling_origin_with_32_misses_outstanding_delays_nobody_else();
+}
+
 fn served_connections_cost_one_fd_and_no_thread() {
     let loops = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let at_start = threads();
+    let (threads_at_start, fds_at_start) = (threads(), open_fds());
     let store = DocumentStore::synthetic(4, 200, 2_000, 42);
     let url = "http://origin/doc/0";
     let body = store.get(url).unwrap().to_vec();
@@ -74,9 +104,21 @@ fn served_connections_cost_one_fd_and_no_thread() {
     )
     .unwrap();
     // At rest: per browser an acceptor and one loop (executor threads
-    // start with the first frame that needs them); the same for the origin
+    // start with the first step that needs them); the same for the origin
     // and the proxy, with a loop per core, plus the proxy's window sampler.
-    assert_eq!(threads() - at_start, 16 * 2 + (1 + loops) + (1 + loops + 1));
+    assert_eq!(
+        threads() - threads_at_start,
+        16 * 2 + (1 + loops) + (1 + loops + 1)
+    );
+    // A server is its listener (the acceptor thread's handle and the one
+    // a restart would pass on) and an epoll set and an eventfd per loop;
+    // a browser's connection to its proxy is one descriptor at each end.
+    let server = |loops| 2 + 2 * loops;
+    assert_eq!(
+        open_fds() - fds_at_start,
+        16 * (server(1) + 1 + 1) + 2 * server(loops),
+        "a browser's proxy connection is one descriptor"
+    );
 
     // The origin first, while the proxy has no connection to it that its
     // reaper could close under the count.
@@ -85,15 +127,190 @@ fn served_connections_cost_one_fd_and_no_thread() {
         &Message::new(format!("GET {url} ORIGIN/1.0")),
         &body,
     );
-    // (That fetch parks one for five seconds — and, as the first miss,
-    // starts the miss executor: one thread per client plus four.)
+    // That fetch — the proxy's first miss — leaves one idle connection to
+    // the origin for five seconds and starts no thread: the origin is asked
+    // from the event loop that took the GET.
     let resting = threads();
     assert_eq!(&bed.clients[0].fetch(url).unwrap().body[..], &body[..]);
-    assert_eq!(threads() - resting, 20);
+    assert_eq!(threads(), resting);
     idle_connections_cost_fds_only(
         bed.clients[0].peer_addr(),
         &Message::new(format!("PEERGET {url} BAPS/1.0")),
         &body,
     );
+    bed.shutdown();
+}
+
+/// How many connections a herd may open: 2 000, or what the descriptor
+/// limit leaves (each costs one here and one in the proxy).
+fn herd_size() -> usize {
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+    let soft: usize = limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))
+        .and_then(|l| l.split_whitespace().next()?.parse().ok())
+        .unwrap_or(1024);
+    2_000.min(soft.saturating_sub(open_fds() + 64) / 2)
+}
+
+/// (a) On a memory-only proxy the first miss, a run of remote-browser hits
+/// and a herd of thousands on one cold document start no thread at all —
+/// a dial is a nonblocking connect, so it needs none either: 0. The herd
+/// costs one origin fetch; every other member parks as a continuation.
+fn misses_peer_hits_and_a_herd_start_no_thread() {
+    // Every origin reply stalls mid-frame: long enough for a herd to pile
+    // up behind its leader.
+    let plan = FaultPlan::new(
+        3,
+        FaultConfig {
+            p_origin_stall: 1.0,
+            stall: Duration::from_millis(400),
+            ..FaultConfig::default()
+        },
+    );
+    let bed = TestBed::start(
+        DocumentStore::synthetic(16, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 16,
+            proxy_capacity: 2_500,
+            browser_capacity: 64 << 10,
+            fault_plan: Some(Arc::new(plan)),
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let resting = threads();
+
+    // The first miss.
+    let held = bed.clients[0].fetch(&doc_url(0)).unwrap().body;
+    assert_eq!(threads(), resting, "an origin fetch started a thread");
+
+    // Push doc 0 out of the (tiny) proxy cache; from then on client 0's
+    // browser is the only holder.
+    let mut next = 8;
+    while bed.proxy.cached_body(&doc_url(0)).is_some() {
+        bed.clients[15].fetch(&doc_url(next)).unwrap();
+        next += 1;
+    }
+    for i in 0..50 {
+        bed.clients[1].purge_local(&doc_url(0));
+        let got = bed.clients[1].fetch(&doc_url(0)).unwrap();
+        assert_eq!((got.source, &got.body), (Source::Peer, &held), "hit {i}");
+    }
+    assert_eq!(bed.proxy.stats().peer_hits, 50);
+    assert_eq!(threads(), resting, "a peer probe started a thread");
+
+    // The herd: one cold document, a connection per member, every GET on
+    // the wire before the first reply is read.
+    let herd = herd_size();
+    assert!(herd >= 100, "descriptor limit leaves a herd of {herd}");
+    let before = bed.proxy.stats();
+    let origin_hits = bed.origin.hits();
+    let cold = doc_url(7);
+    let mut members: Vec<_> = (0..herd)
+        .map(|_| {
+            // A round trip each (any verb the proxy refuses will do), so
+            // the connects never outrun the acceptor and overflow the
+            // listen backlog.
+            let mut member = BufReader::new(TcpStream::connect(bed.proxy.addr()).unwrap());
+            write_message(member.get_mut(), &Message::new("PING BAPS/1.0")).unwrap();
+            let refused = read_message(&mut member).unwrap().unwrap();
+            assert_eq!(response_code(&refused), Some(400));
+            member
+        })
+        .collect();
+    for (i, member) in members.iter_mut().enumerate() {
+        get(member, &cold, 1_000 + i as u32);
+    }
+    // All of them are in — one asking, the rest parked — and still only
+    // the resting threads exist.
+    let t0 = Instant::now();
+    while bed.proxy.reactor_stats().parked_requests != herd as u64 - 1 {
+        assert!(
+            t0.elapsed() < Duration::from_millis(350),
+            "herd did not assemble behind its leader: {:?}",
+            bed.proxy.reactor_stats()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(bed.proxy.reactor_stats().exchanges_in_flight, 1);
+    assert_eq!(threads(), resting, "a parked follower holds a thread");
+    let mut bodies = members.iter_mut().map(|member| {
+        let reply = read_message(member).unwrap().expect("a reply");
+        assert_eq!(response_code(&reply), Some(200));
+        reply.body
+    });
+    let first = bodies.next().unwrap();
+    assert!(bodies.all(|body| body == first));
+    let after = bed.proxy.stats();
+    assert_eq!(bed.origin.hits() - origin_hits, 1, "one fetch for the herd");
+    assert_eq!(after.origin_fetches - before.origin_fetches, 1);
+    assert_eq!(
+        after.coalesced_fetches - before.coalesced_fetches,
+        herd as u64 - 1
+    );
+    assert_eq!(after.errors, 0);
+    assert_eq!(threads(), resting);
+    assert_eq!(executor_threads(), 0);
+    assert_eq!(bed.proxy.reactor_stats().offloaded, 0);
+    drop(members);
+    bed.shutdown();
+}
+
+/// (c) A slow origin holds requests, not the proxy: with every origin
+/// reply stalled 200 ms and 32 misses waiting on it, HEALTH is answered at
+/// once, and no executor thread exists — the 32 are exchanges on the event
+/// loops.
+fn a_stalling_origin_with_32_misses_outstanding_delays_nobody_else() {
+    const MISSES: usize = 32;
+    let plan = FaultPlan::new(
+        3,
+        FaultConfig {
+            p_origin_stall: 1.0,
+            stall: Duration::from_millis(200),
+            ..FaultConfig::default()
+        },
+    );
+    let bed = TestBed::start(
+        DocumentStore::synthetic(MISSES, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 1,
+            fault_plan: Some(Arc::new(plan)),
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let mut missing: Vec<_> = (0..MISSES)
+        .map(|_| BufReader::new(TcpStream::connect(bed.proxy.addr()).unwrap()))
+        .collect();
+    let t0 = Instant::now();
+    for (i, conn) in missing.iter_mut().enumerate() {
+        get(conn, &doc_url(i), 100 + i as u32);
+    }
+    while bed.proxy.reactor_stats().exchanges_in_flight != MISSES as u64 {
+        assert!(
+            t0.elapsed() < Duration::from_millis(150),
+            "{:?}",
+            bed.proxy.reactor_stats()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let t_health = Instant::now();
+    let health = bed.clients[0].proxy_health_raw().unwrap();
+    let took = t_health.elapsed();
+    assert_eq!(response_code(&health), Some(200));
+    assert!(took < Duration::from_millis(50), "HEALTH took {took:?}");
+    assert!(
+        t0.elapsed() < Duration::from_millis(200),
+        "stalls were over"
+    );
+    assert_eq!(executor_threads(), 0);
+    for conn in &mut missing {
+        let reply = read_message(conn).unwrap().expect("a reply");
+        assert_eq!(reply.get("X-Source"), Some("origin"));
+    }
+    assert!(t0.elapsed() >= Duration::from_millis(200));
+    assert_eq!(bed.proxy.reactor_stats().offloaded, 0);
+    assert_eq!(executor_threads(), 0);
     bed.shutdown();
 }

@@ -39,6 +39,19 @@ benchmark/run.sh --workload peer-share --seed 1 --seconds 1 --trace 0 >/dev/null
 # bug is a wrong body byte.
 benchmark/run.sh --workload heavy-tail --seed 1 --seconds 1 --trace 0 >/dev/null
 
+# Each soak below prints its tallies; `soak` also holds them to the ones
+# committed under scripts/chaos_expected/ (the soak's stdout minus its
+# `wall` / `tails` timing lines), so "chaos tallies unchanged" is a diff,
+# not a habit. A PR that means to change them regenerates the file and says
+# why.
+soak() {
+    local expected="scripts/chaos_expected/$1.txt" out
+    shift
+    out=$(cargo run --release -q -p baps-bench --bin chaos_soak -- --seed 42 --requests 2000 "$@")
+    printf '%s\n' "$out"
+    printf '%s\n' "$out" | grep -v '^\(wall\|tails\) ' | diff "$expected" -
+}
+
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
 # internally to prove determinism. Also gates the HEALTH SLO engine: the
@@ -46,7 +59,7 @@ echo "== chaos soak (fixed seed)"
 # post-schedule burst of GETs for nonexistent URLs must flip error_burn
 # to critical deterministically. Exits nonzero with a reproduction line
 # on any invariant violation.
-cargo run --release -q -p baps-bench --bin chaos_soak -- --seed 42 --requests 2000
+soak plain
 
 echo "== chaos soak, warm-restart mode (fixed seed)"
 # Same deterministic soak with the persistent disk tier enabled and one
@@ -54,8 +67,7 @@ echo "== chaos soak, warm-restart mode (fixed seed)"
 # proxy re-opens its store non-empty, serves disk hits afterwards
 # (post-restart hit ratio > 0), keeps counters monotonic across the
 # restart, and that both runs stay byte-exact and deterministic.
-cargo run --release -q -p baps-bench --bin chaos_soak -- \
-    --seed 42 --requests 2000 --restart-warm
+soak restart-warm --restart-warm
 
 echo "== scenario soak: flash-crowd (fixed seed)"
 # Sequential replay of the flash-crowd schedule (cold doc ramping to ~50%
@@ -63,8 +75,7 @@ echo "== scenario soak: flash-crowd (fixed seed)"
 # 16-worker thundering-herd probe that must coalesce to exactly one
 # origin fetch (coalesced_fetches == 15). Run twice internally to prove
 # same-seed determinism.
-cargo run --release -q -p baps-bench --bin chaos_soak -- \
-    --seed 42 --requests 2000 --scenario flash-crowd
+soak flash-crowd --scenario flash-crowd
 
 echo "== scenario soak: invalidation-storm (fixed seed)"
 # Publisher-storm replay against the memory + disk tiers: every
@@ -72,8 +83,7 @@ echo "== scenario soak: invalidation-storm (fixed seed)"
 # fetch may return stale bytes, and the unchanged half of the updates
 # must come back via If-Digest revalidation. Determinism gated the same
 # way.
-cargo run --release -q -p baps-bench --bin chaos_soak -- \
-    --seed 42 --requests 2000 --scenario invalidation-storm
+soak invalidation-storm --scenario invalidation-storm
 
 echo "== metrics smoke (METRICS exposition + recording-overhead gate)"
 # Scrapes METRICS BAPS/1.0 over the wire under load and asserts the
