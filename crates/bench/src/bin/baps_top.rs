@@ -3,7 +3,7 @@
 //! Scrapes `METRICS` + `HEALTH` once per interval (1 Hz by default) over
 //! one keep-alive connection and renders an at-a-glance view: rolling
 //! request/error rates with a sparkline of recent history, the
-//! serve-tier split, miss-executor/event-loop saturation gauges, and the
+//! serve-tier split, executor/event-loop saturation gauges, and the
 //! active SLO alerts with their exemplar trace ids (each fetchable via
 //! `TRACE`).
 //!

@@ -1,7 +1,6 @@
 //! Critical-path attribution over assembled span trees.
 //!
-//! Shared by the `trace_report` binary and `live_load`'s
-//! `critical_path` block in BENCH_live.json: given the span trees
+//! The aggregation behind the `trace_report` binary: given the span trees
 //! reconstructed from a `TRACE BAPS/1.0` dump, aggregate per-kind
 //! latency distributions two ways — **total** (the span's own duration)
 //! and **self** (duration minus the children's, i.e. the time this step
@@ -73,29 +72,6 @@ pub fn render_table(stats: &[KindStats]) -> String {
         ));
     }
     out
-}
-
-/// Renders the attribution as the JSON array used by BENCH_live.json's
-/// `critical_path` block (the workspace serde is a no-op shim, so this
-/// is rendered by hand like every other JSON writer in-tree).
-pub fn render_json(stats: &[KindStats], indent: &str) -> String {
-    let rows: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            format!(
-                "{indent}{{\"kind\": \"{}\", \"spans\": {}, \
-                 \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-                 \"self_p50_ms\": {:.3}, \"self_p99_ms\": {:.3}}}",
-                s.kind,
-                s.count,
-                s.total.quantile_ms(0.50),
-                s.total.quantile_ms(0.99),
-                s.self_time.quantile_ms(0.50),
-                s.self_time.quantile_ms(0.99),
-            )
-        })
-        .collect();
-    rows.join(",\n")
 }
 
 /// Renders one tree as an indented outline, one span per line.

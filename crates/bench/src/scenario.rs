@@ -2,11 +2,7 @@
 //! schedules of [`baps_trace::scenarios`] through a live [`TestBed`].
 //!
 //! `chaos_soak --scenario <name>` replays a schedule **sequentially**, so
-//! its outcome tallies are run-to-run deterministic and can gate CI;
-//! `live_load --scenario <name>` replays the same schedule concurrently
-//! to measure throughput. Both binaries build on the helpers here, so
-//! they cannot drift in how a scenario corpus is materialized or how an
-//! `Invalidate` op is executed.
+//! its outcome tallies are run-to-run deterministic and can gate CI.
 //!
 //! An `Invalidate` op is the full publisher protocol: mutate the origin
 //! copy (every *other* op leaves the bytes unchanged so the unchanged

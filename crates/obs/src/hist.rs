@@ -445,8 +445,8 @@ impl Tier {
 
 /// A fixed family of [`AtomicHistogram`]s keyed by a small static label
 /// set — one histogram per serve tier, or per protocol verb. Recording is
-/// gated on the global [`recording`](crate::recording) switch so the
-/// overhead benchmark can difference it away.
+/// gated on the global [`recording`](crate::recording) switch so
+/// `metrics_smoke` can difference it away.
 #[derive(Debug)]
 pub struct LabeledHistograms {
     labels: &'static [&'static str],

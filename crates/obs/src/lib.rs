@@ -24,9 +24,9 @@
 //!   substrate the proxy's `HEALTH BAPS/1.0` SLO verdicts are computed
 //!   over.
 //!
-//! Recording is **always on**; [`set_recording`] exists solely so the
-//! overhead benchmark can measure the cost of the instrumentation by
-//! differencing a recording-off run against the default.
+//! Recording is **always on**; [`set_recording`] exists solely so
+//! `metrics_smoke` can measure the cost of the instrumentation by
+//! differencing recording-off slices against the default.
 
 #![warn(missing_docs)]
 
@@ -45,9 +45,9 @@ pub use window::{WindowRing, WindowSchema, WindowSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Global recording switch, defaulting to on. Only the overhead benchmark
-/// turns it off (to measure the cost of recording itself); production and
-/// test paths never touch it.
+/// Global recording switch, defaulting to on. Only `metrics_smoke` turns
+/// it off (to measure the cost of recording itself); production and test
+/// paths never touch it.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables event/histogram recording process-wide.

@@ -64,7 +64,7 @@ pub enum EventKind {
     /// Proxy: a disk-tier write (write-through after an origin fetch).
     DiskWrite,
     /// Proxy: a miss coalesced onto another request's in-flight fetch
-    /// (the span is the time spent parked on the flight's condvar).
+    /// (the span is the time its continuation spent parked on the flight).
     Coalesced,
     /// Proxy: time an accepted connection waited for its event loop to
     /// register it (attributed to the connection's first sampled request).
@@ -254,7 +254,7 @@ impl FlightRecorder {
     }
 
     /// Records one span. A no-op while [`recording`](crate::recording) is
-    /// off (the overhead benchmark's baseline).
+    /// off (`metrics_smoke`'s baseline).
     pub fn record(
         &self,
         trace: TraceId,

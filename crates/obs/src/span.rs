@@ -81,12 +81,12 @@ impl FromStr for SpanId {
 /// One in this many traces is head-sampled for span recording. The rate
 /// errs cheap on purpose: a sampled fast-path request pays ~3 ring
 /// appends with detail allocations (fetch root, shard wait, verify), and
-/// the overhead estimator's noise floor on a 1-CPU host (§9) is too high
-/// to resolve that cost — at 1-in-8 vs 1-in-32 the A/B readings were
-/// indistinguishable from the untouched baseline's. So the budget is
-/// protected by construction, not by a reading: 1-in-32 keeps sampled
-/// work an epsilon of the request stream while a few seconds of load
-/// still dumps hundreds of complete trees.
+/// the noise floor of `metrics_smoke`'s overhead estimator on a 1-CPU
+/// host (§9) is too high to resolve that cost — at 1-in-8 vs 1-in-32 the
+/// A/B readings were indistinguishable from the untouched baseline's. So
+/// the budget is protected by construction, not by a reading: 1-in-32
+/// keeps sampled work an epsilon of the request stream while a few
+/// seconds of load still dumps hundreds of complete trees.
 pub const SAMPLE_ONE_IN: u64 = 32;
 
 /// Deterministic head-sampling decision for a trace: a pure hash of the

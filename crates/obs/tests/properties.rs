@@ -34,7 +34,7 @@ fn bucket_width() -> f64 {
 proptest! {
     /// Recording shards separately and merging is indistinguishable from
     /// recording everything into one histogram — the property that lets
-    /// live_load merge per-worker histograms and the proxy merge
+    /// the load drivers merge per-worker histograms and the proxy merge
     /// per-shard cache stats without skewing the tails.
     #[test]
     fn merge_equals_single_recording(samples in samples_strategy(), split in 0usize..400) {
@@ -363,7 +363,7 @@ proptest! {
 
 /// Flipping the global switch silences the gated recorders (histograms
 /// and flight-recorder events) and re-enabling restores them — the
-/// mechanism the overhead A/B in `live_load --sweep` differences.
+/// mechanism the overhead A/B in `metrics_smoke` differences.
 #[test]
 fn recording_switch_gates_histograms_and_recorder() {
     static LABELS: [&str; 1] = ["only"];

@@ -31,7 +31,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -208,10 +208,6 @@ pub struct ClientAgent {
     /// staleness the same way it tolerates a crashed client (probe fails,
     /// index self-heals).
     pending_evictions: Mutex<Vec<String>>,
-    /// When false, every [`ClientAgent::roundtrip`] dials a fresh
-    /// connection (the pre-keep-alive behaviour, kept for comparison
-    /// benchmarks).
-    keep_alive: AtomicBool,
     /// Times the persistent connection was found dead and redialed.
     reconnects: AtomicU64,
     /// Monotone per-agent fetch counter; with the client id it forms the
@@ -274,7 +270,6 @@ impl ClientAgent {
             peer_port,
             proxy_conn: Mutex::new(None),
             pending_evictions: Mutex::new(Vec::new()),
-            keep_alive: AtomicBool::new(true),
             reconnects: AtomicU64::new(0),
             fetch_seq: AtomicU64::new(0),
             obs: ClientObs {
@@ -300,11 +295,6 @@ impl ClientAgent {
     /// How many PEERGETs this client has served.
     pub fn peer_serves(&self) -> u64 {
         self.state.peer_serves.load(Ordering::Relaxed)
-    }
-
-    /// Bytes in the browser cache.
-    pub fn cache_used(&self) -> u64 {
-        self.state.cache.lock().used()
     }
 
     /// Test hook: make this client serve corrupted bodies to its peers
@@ -339,16 +329,6 @@ impl ClientAgent {
         self.peer_port.drop_all();
     }
 
-    /// Toggles connection reuse. With keep-alive off every request dials a
-    /// fresh proxy connection (the old behaviour); on (the default) a
-    /// single persistent connection carries all of this client's traffic.
-    pub fn set_keep_alive(&self, keep_alive: bool) {
-        self.keep_alive.store(keep_alive, Ordering::Release);
-        if !keep_alive {
-            *self.proxy_conn.lock() = None;
-        }
-    }
-
     /// How many times the persistent proxy connection was found dead and
     /// transparently redialed.
     pub fn reconnects(&self) -> u64 {
@@ -358,11 +338,6 @@ impl ClientAgent {
     /// The flight recorder this agent records into.
     pub fn recorder(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.obs.recorder)
-    }
-
-    /// Client-observed whole-fetch latency for one serve tier.
-    pub fn tier_latency(&self, tier: Tier) -> baps_obs::LatencyHistogram {
-        self.obs.tiers.snapshot(tier.index())
     }
 
     /// Scrapes the proxy's Prometheus exposition over the wire
@@ -728,13 +703,13 @@ impl ClientAgent {
 
     /// One request/response against the proxy.
     ///
-    /// With keep-alive on, the persistent connection is dialed lazily on
-    /// first use and reused for every subsequent message. If the proxy
-    /// drops it between requests (restart, [`drop_connections`], idle
-    /// reaping), the exchange fails or returns a clean EOF; the client
-    /// then redials once and replays the message. Only an error on a
-    /// *fresh* connection propagates, so a mid-session connection loss is
-    /// invisible to callers.
+    /// The persistent connection is dialed lazily on first use and reused
+    /// for every subsequent message. If the proxy drops it between
+    /// requests (restart, [`drop_connections`], idle reaping), the
+    /// exchange fails or returns a clean EOF; the client then redials once
+    /// and replays the message. Only an error on a *fresh* connection
+    /// propagates, so a mid-session connection loss is invisible to
+    /// callers.
     ///
     /// [`drop_connections`]: crate::proxy::ProxyServer::drop_connections
     fn roundtrip(&self, msg: Message) -> Result<Message, ProxyError> {
@@ -787,10 +762,6 @@ impl ClientAgent {
             .get("Span-Id")
             .and_then(|h| h.parse().ok())
             .unwrap_or(SpanId::NONE);
-        if !self.keep_alive.load(Ordering::Acquire) {
-            let mut conn = self.dial_traced(trace, parent, "one-shot")?;
-            return conn.exchange(msg)?.ok_or_else(hung_up);
-        }
         let mut guard = self.proxy_conn.lock();
         let reused = guard.is_some();
         if guard.is_none() {

@@ -140,7 +140,7 @@ pub enum SloSignal {
     OriginFallbackRate,
     /// p999 of client-facing GET latency, milliseconds (all tiers merged).
     RequestP999Ms,
-    /// p99 of miss-executor queue wait, milliseconds.
+    /// p99 of the blocking executor's queue wait, milliseconds.
     QueueWaitP99Ms,
     /// Flight-recorder events shed per second (ring contention).
     RecorderShedPerSec,

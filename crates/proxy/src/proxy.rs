@@ -364,11 +364,6 @@ impl ProxyServer {
         crate::metrics::render(&self.state)
     }
 
-    /// Per-tier latency snapshot (`Tier::index` selects the series).
-    pub fn tier_latency(&self, tier: Tier) -> baps_obs::LatencyHistogram {
-        self.state.obs.tiers.snapshot(tier.index())
-    }
-
     /// Test/diagnostic hook: whether the browser index currently lists
     /// `client` as a holder of `url`.
     pub fn index_holds(&self, client: u32, url: &str) -> bool {
@@ -417,12 +412,6 @@ impl ProxyServer {
     /// coalescing flights open right now).
     pub fn flight_occupancy(&self) -> usize {
         self.state.inflight.lock().len()
-    }
-
-    /// The causal-trace span dump the `TRACE BAPS/1.0` verb serves,
-    /// rendered directly (test/ops hook — no connection needed).
-    pub fn trace_spans(&self) -> String {
-        self.state.obs.recorder.dump_spans()
     }
 
     /// The SLO verdict the `HEALTH BAPS/1.0` verb serves, evaluated
@@ -663,10 +652,15 @@ fn record_hop(
 /// path (every URL after its first sighting). The read→write upgrade race
 /// is benign: `intern` is idempotent, so two writers agree on the id.
 pub(crate) fn doc_id(state: &ProxyState, url: &str) -> DocId {
-    if let Some(id) = state.urls.read().get(url) {
-        return DocId(id);
-    }
-    DocId(state.urls.write().intern(url))
+    known_doc(state, url).unwrap_or_else(|| DocId(state.urls.write().intern(url)))
+}
+
+/// The id of a URL some GET has already interned, `None` for one the proxy
+/// has never served: the cache and the index hold nothing under it. What a
+/// notice looks its URL up with — anybody can send one, so a URL in it
+/// must not cost the interner an entry.
+fn known_doc(state: &ProxyState, url: &str) -> Option<DocId> {
+    state.urls.read().get(url).map(DocId)
 }
 
 /// What the miss path and the serve sites need to know about the GET
@@ -1640,8 +1634,7 @@ fn write_through_to_disk(
 /// instead of a full refetch. Browser-held replicas are the clients' own
 /// responsibility (local discard + piggybacked eviction notices).
 fn handle_purge(url: &str, trace: TraceId, state: &ProxyState) {
-    let doc = doc_id(state, url);
-    let dropped = state.cache.remove(doc, url);
+    let dropped = known_doc(state, url).is_some_and(|doc| state.cache.remove(doc, url));
     let expired = state.disk.as_ref().map(|d| d.expire(url)).unwrap_or(false);
     state.obs.recorder.record(
         trace,
@@ -1652,13 +1645,13 @@ fn handle_purge(url: &str, trace: TraceId, state: &ProxyState) {
 }
 
 fn handle_invalidate(url: &str, client: u32, trace: TraceId, state: &ProxyState) {
-    let doc = doc_id(state, url);
     // Idempotent by construction: the counter moves only when the notice
     // actually removed an index entry. A notice the client replays after
     // a reconnect (it was delivered, but the reply was lost) finds the
     // entry already gone and counts nothing — notices are at-least-once
     // on the wire but exactly-once in the index and the counter.
-    let applied = state.index.on_evict(ClientId(client), doc);
+    let applied =
+        known_doc(state, url).is_some_and(|doc| state.index.on_evict(ClientId(client), doc));
     if applied {
         state.counters.invalidations.fetch_add(1, Ordering::Relaxed);
     }
@@ -1748,6 +1741,43 @@ mod tests {
             .expect("a reply before EOF");
         assert_eq!(reply.get("X-Source"), Some("origin"));
         assert_eq!(&reply.body[..], &body[..]);
+        proxy.shutdown();
+    }
+
+    /// Notices for documents nobody ever fetched — 1 000 INVALIDATEs (every
+    /// other one a publisher purge) and one GET carrying 50 `Evicted` URLs
+    /// — are answered and remove nothing, and none of their URLs is
+    /// interned: what an unauthenticated sender can name does not grow the
+    /// proxy.
+    #[test]
+    fn notices_for_unknown_urls_intern_nothing() {
+        let store = crate::store::DocumentStore::synthetic(1, 50, 100, 1);
+        let origin = crate::origin::OriginServer::start(store).unwrap();
+        let proxy = ProxyServer::start(test_config(origin.addr())).unwrap();
+        let mut conn = std::io::BufReader::new(std::net::TcpStream::connect(proxy.addr()).unwrap());
+        let mut ask = |msg: Message| {
+            crate::protocol::write_message(conn.get_mut(), &msg).unwrap();
+            let reply = crate::protocol::read_message(&mut conn).unwrap();
+            reply.expect("a reply, not EOF")
+        };
+        let get = || Message::new("GET http://origin/doc/0 BAPS/1.0").header("Client", "1");
+        assert_eq!(response_code(&ask(get())), Some(status::OK));
+        let interned = proxy.state.urls.read().len();
+
+        for i in 0..1_000 {
+            let mut notice = Message::new(format!("INVALIDATE http://nowhere/{i} BAPS/1.0"))
+                .header("Client", "1");
+            if i % 2 == 0 {
+                notice = notice.header("Purge", "1");
+            }
+            assert_eq!(response_code(&ask(notice)), Some(status::OK));
+        }
+        let evicted: Vec<String> = (0..50).map(|i| format!("http://nowhere/e{i}")).collect();
+        let reply = ask(get().header("Evicted", evicted.join(" ")));
+        assert_eq!(reply.get("X-Source"), Some("proxy"));
+
+        assert_eq!(proxy.state.urls.read().len(), interned);
+        assert_eq!(proxy.stats().invalidations, 0);
         proxy.shutdown();
     }
 

@@ -595,7 +595,7 @@ pub struct ReactorSnapshot {
 /// workers are busy. One item per offloaded request.
 ///
 /// All fields are plain atomics recorded unconditionally: saturation data
-/// must exist even when the overhead benchmark turns event recording off,
+/// must exist even when `metrics_smoke` turns event recording off,
 /// and a handful of relaxed atomic ops per queued item is far below the
 /// always-on budget.
 #[derive(Debug, Default)]

@@ -28,9 +28,11 @@ pub struct TestBedConfig {
     pub direct_forward: bool,
     /// Seed for the proxy's key pair.
     pub key_seed: u64,
-    /// Proxy miss-executor threads. `0` (the default) sizes them
+    /// Threads of the proxy's blocking executor, which bound its
+    /// concurrent disk-tier reads and writes (misses are exchanges on the
+    /// event loops and use none). `0` (the default) sizes them
     /// automatically: one per client plus headroom, so every client can
-    /// have a miss in flight at once.
+    /// have a disk read in flight at once.
     pub proxy_workers: usize,
     /// Client-side deadline on the proxy connection (`Duration::ZERO`
     /// disables it).
@@ -112,9 +114,9 @@ pub struct TestBed {
 impl TestBed {
     /// Starts everything on ephemeral loopback ports.
     pub fn start(store: DocumentStore, config: TestBedConfig) -> Result<TestBed, ProxyError> {
-        // Every client can have one miss in flight, and each runs on a
-        // miss-executor thread — so the automatic sizing scales with the
-        // client count (plus headroom).
+        // Every client can have one disk-tier read or write in flight,
+        // and each runs on an executor thread — so the automatic sizing
+        // scales with the client count (plus headroom).
         let workers = if config.proxy_workers == 0 {
             (config.n_clients as usize + 4).max(crate::proxy::DEFAULT_WORKERS)
         } else {

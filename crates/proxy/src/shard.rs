@@ -28,7 +28,7 @@ use std::time::Instant;
 /// nothing to attribute, so it goes through `try_lock` — one CAS, no
 /// clock reads; two clock reads on *every* cache lookup measurably taxed
 /// the hot path. Only the contended slow path pays for timing, and skips
-/// it while recording is off so the overhead benchmark can difference it.
+/// it while recording is off so `metrics_smoke` can difference it.
 fn lock_timed<'a, T>(mutex: &'a Mutex<T>, wait_nanos: &AtomicU64) -> MutexGuard<'a, T> {
     if let Some(guard) = mutex.try_lock() {
         return guard;

@@ -729,20 +729,6 @@ fn metrics_verb_exposition_balances() {
     bed.shutdown();
 }
 
-#[test]
-fn per_request_mode_still_works() {
-    let bed = bed(2, 64 << 10, 32 << 10);
-    for client in &bed.clients {
-        client.set_keep_alive(false);
-    }
-    let r0 = bed.clients[0].fetch("http://origin/doc/3").unwrap();
-    assert_eq!(r0.source, Source::Origin);
-    let r1 = bed.clients[1].fetch("http://origin/doc/3").unwrap();
-    assert_eq!(r1.source, Source::Proxy);
-    assert_eq!(r1.body, r0.body);
-    bed.shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Persistent disk tier (DESIGN.md §10): warm restarts, crash safety,
 // restart-surviving counters, and idempotent eviction notices.

@@ -28,9 +28,8 @@ fn bed(n_clients: u32, config: TestBedConfig) -> TestBed {
 }
 
 /// Idle-connection scaling smoke on a default `TestBedConfig` (two event
-/// loops, no executor thread): hundreds of registered keep-alive connections cost fds, not
-/// threads, and active traffic still flows. (The 10k point lives in
-/// `live_load --sweep`'s connections axis.)
+/// loops, no executor thread): hundreds of registered keep-alive
+/// connections cost fds, not threads, and active traffic still flows.
 #[test]
 fn holds_idle_connections_while_serving() {
     const IDLE: usize = 300;
@@ -137,7 +136,7 @@ fn slow_loris_does_not_delay_other_clients() {
     let bed = bed(
         2,
         TestBedConfig {
-            // Far fewer miss-executor threads than loris connections: if
+            // Far fewer executor threads than loris connections: if
             // the dribblers consumed threads, honest traffic would starve.
             proxy_workers: 4,
             ..TestBedConfig::default()

@@ -91,7 +91,7 @@ echo "== metrics smoke (METRICS exposition + recording-overhead gate)"
 # tier histogram counts agree with the counters; then A/Bs recording
 # on/off (median of paired rounds, one re-measure on a noisy first
 # reading) and fails the build if always-on recording costs >3%.
-cargo run --release -q -p baps-bench --bin live_load -- --smoke 8000 64
+cargo run --release -q -p baps-bench --bin metrics_smoke 8000 64
 
 echo "== health smoke (HEALTH SLO engine + tail-exemplar resolution gate)"
 # Starts a testbed whose origin stalls every reply 15 ms (deterministic
@@ -111,23 +111,23 @@ echo "== trace smoke (multi-hop span-tree reconstruction gate)"
 cargo run --release -q -p baps-bench --bin trace_report -- \
     --live --require-multihop
 
-echo "== live_load thread-scaling sweep (non-gating perf smoke)"
-# Scaled-down sweep to catch serialization collapses (a global lock or an
-# undersized downstream pool shows up as a multiple, not a percentage).
-# Includes the connection-count axis: the proxy holding idle keep-alive
-# connections (up to 10k registered fds) while serving active clients.
-# Non-gating: loopback throughput on shared CI hosts is too noisy to fail
-# the build on, so the curve is printed for eyeballing and the canonical
-# numbers live in the committed BENCH_live.json.
-cargo run --release -q -p baps-bench --bin live_load -- \
-    --sweep --out target/BENCH_live.ci.json 4000 64 \
-    || echo "perf smoke failed (non-gating)"
+echo "== doc-rot guard (names of deleted things)"
+# The second load harness, its committed output and the per-request client
+# transport it alone selected are gone (DESIGN.md §8 names what replaced
+# each measurement); nothing a reader or a build reaches may still point
+# at them. CHANGES.md, ROADMAP.md and this script are history and exempt.
+if git grep -nE 'BENCH_live|live_load|set_keep_alive|--sweep' -- \
+    README.md DESIGN.md crates src examples .claude; then
+    echo "doc rot: the lines above name something this repo deleted"
+    exit 1
+fi
 
 echo "== md5 kernel throughput (non-gating perf smoke)"
 # One MD5 pass per hop is the largest CPU term of a disk hit and of a
 # large origin fetch (DESIGN.md §5, "hash once per hop"), so a kernel regression should show
 # in the log: the 8 KiB row is the median document, the 1 MiB row the
-# heavy tail. Non-gating for the same reason as the sweep above.
+# heavy tail. Non-gating: a loopback host shared with CI is too noisy to
+# fail a build on a throughput number.
 cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
     | grep -E '^bench md5/(8192|1048576) ' \
     || echo "md5 bench failed (non-gating)"
