@@ -58,7 +58,7 @@
 //! ```text
 //! cargo run --release -p baps-bench --bin chaos_soak -- \
 //!     [--seed N] [--requests N] [--clients N] [--docs N] \
-//!     [--intensity F] [--direct] [--once] [--restart-warm] \
+//!     [--intensity F] [--once] [--restart-warm] \
 //!     [--scenario NAME]
 //! ```
 
@@ -131,7 +131,6 @@ struct SoakArgs {
     clients: u32,
     docs: usize,
     intensity: f64,
-    direct: bool,
     once: bool,
     restart_warm: bool,
     scenario: Option<Scenario>,
@@ -145,7 +144,6 @@ impl Default for SoakArgs {
             clients: 6,
             docs: 48,
             intensity: 1.0,
-            direct: false,
             once: false,
             restart_warm: false,
             scenario: None,
@@ -161,13 +159,12 @@ impl SoakArgs {
     fn repro_line(&self) -> String {
         format!(
             "cargo run --release -p baps-bench --bin chaos_soak -- \
-             --seed {} --requests {} --clients {} --docs {} --intensity {}{}{}{}{}",
+             --seed {} --requests {} --clients {} --docs {} --intensity {}{}{}{}",
             self.seed,
             self.requests,
             self.clients,
             self.docs,
             self.intensity,
-            if self.direct { " --direct" } else { "" },
             if self.once { " --once" } else { "" },
             if self.restart_warm {
                 " --restart-warm"
@@ -255,7 +252,6 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
             // live peer-fetch path instead of an all-hits steady state.
             proxy_capacity: 16 << 10,
             browser_capacity: 8 << 10,
-            direct_forward: args.direct,
             // The timeout ladder keeps stalls (1300 ms) decisively above
             // the client deadline, which in turn covers a full proxy
             // fallback chain of peer probes + origin fetch (200 ms each).
@@ -813,7 +809,7 @@ fn print_scenario_report(label: &str, scenario: Scenario, args: SoakArgs, r: &Sc
 fn scenario_main(scenario: Scenario, args: SoakArgs) {
     println!(
         "chaos_soak --scenario {}: {} requests replayed fault-free (seed {}; \
-         --intensity/--direct/--restart-warm do not apply)\n",
+         --intensity/--restart-warm do not apply)\n",
         scenario.name(),
         args.requests,
         args.seed
@@ -871,13 +867,8 @@ fn scenario_main(scenario: Scenario, args: SoakArgs) {
 fn print_report(label: &str, args: SoakArgs, r: &SoakReport) {
     println!("--- {label} ---");
     println!(
-        "schedule : {} requests, {} clients, {} docs, seed {}, intensity {}{}",
-        args.requests,
-        args.clients,
-        args.docs,
-        args.seed,
-        args.intensity,
-        if args.direct { ", direct-forward" } else { "" },
+        "schedule : {} requests, {} clients, {} docs, seed {}, intensity {}",
+        args.requests, args.clients, args.docs, args.seed, args.intensity,
     );
     if args.restart_warm {
         println!(
@@ -908,7 +899,7 @@ fn parse_args() -> SoakArgs {
     let mut out = SoakArgs::default();
     let mut args = std::env::args().skip(1);
     let usage = "usage: chaos_soak [--seed N] [--requests N] [--clients N] [--docs N] \
-                 [--intensity F] [--direct] [--once] [--restart-warm] \
+                 [--intensity F] [--once] [--restart-warm] \
                  [--scenario flash-crowd|invalidation-storm|diurnal-swing|heavy-tail]";
     while let Some(flag) = args.next() {
         let mut value = |name: &str| {
@@ -925,7 +916,6 @@ fn parse_args() -> SoakArgs {
             "--intensity" => {
                 out.intensity = value("--intensity").parse().expect("--intensity: f64")
             }
-            "--direct" => out.direct = true,
             "--once" => out.once = true,
             "--restart-warm" => out.restart_warm = true,
             "--scenario" => {

@@ -92,18 +92,17 @@ pub fn render_tree(tree: &SpanTree) -> String {
 /// Whether `tree` demonstrates a complete multi-process request: a
 /// client-side `fetch` root, at least one proxy-side hop under it, and a
 /// span recorded by a *third* process (the origin's serve span, or a
-/// peer's serve/deliver span).
+/// peer's serve span).
 pub fn is_multihop(tree: &SpanTree) -> bool {
     const PROXY_KINDS: &[&str] = &[
         "queue-wait",
         "wait-for-shard",
         "disk-read",
         "peer-probe",
-        "push-order",
         "origin-fetch",
         "coalesced",
     ];
-    const FAR_KINDS: &[&str] = &["origin-serve", "peer-serve", "deliver"];
+    const FAR_KINDS: &[&str] = &["origin-serve", "peer-serve"];
     tree.root.record.kind == "fetch"
         && PROXY_KINDS.iter().any(|k| tree.root.contains_kind(k))
         && FAR_KINDS.iter().any(|k| tree.root.contains_kind(k))

@@ -45,9 +45,7 @@ pub enum EventKind {
     WaitForShard,
     /// Proxy: one mediated PEERGET round trip to a candidate holder.
     PeerProbe,
-    /// Proxy: one direct-forward PUSH order to a holder.
-    PushOrder,
-    /// A client served a PEERGET/PUSH from its browser cache.
+    /// A client served a PEERGET from its browser cache.
     PeerServe,
     /// Proxy: one origin fetch (all retries included).
     OriginFetch,
@@ -55,8 +53,6 @@ pub enum EventKind {
     OriginServe,
     /// Client: watermark verification of a received document.
     Verify,
-    /// Client: a direct peer delivery arrived on the peer port.
-    Deliver,
     /// Proxy: an INVALIDATE was applied (cache purge + index drop).
     Invalidate,
     /// Proxy: a disk-tier read (verify included; outcome in the detail).
@@ -81,12 +77,10 @@ impl EventKind {
             EventKind::Dial => "dial",
             EventKind::WaitForShard => "wait-for-shard",
             EventKind::PeerProbe => "peer-probe",
-            EventKind::PushOrder => "push-order",
             EventKind::PeerServe => "peer-serve",
             EventKind::OriginFetch => "origin-fetch",
             EventKind::OriginServe => "origin-serve",
             EventKind::Verify => "verify",
-            EventKind::Deliver => "deliver",
             EventKind::Invalidate => "invalidate",
             EventKind::DiskRead => "disk-read",
             EventKind::DiskWrite => "disk-write",

@@ -2,8 +2,8 @@
 //!
 //! A [`TraceId`] is minted by the requesting `ClientAgent` (one per
 //! `fetch`, shared by its retries) and travels in the `Trace-Id` header of
-//! every hop the request takes — GET to the proxy, PEERGET/PUSH to a
-//! holder, GET to the origin — so one request can be followed through the
+//! every hop the request takes — GET to the proxy, PEERGET to a holder,
+//! GET to the origin — so one request can be followed through the
 //! flight-recorder events of every component it touched.
 
 use std::fmt;

@@ -3,9 +3,9 @@
 //!
 //! The agent is also where request tracing starts: every logical
 //! [`ClientAgent::fetch`] mints a [`TraceId`] that rides a `Trace-Id`
-//! header on each hop (GET to the proxy, the proxy's PEERGET/PUSH to a
-//! peer, the origin fetch, the direct DELIVER), so one grep through a
-//! flight-recorder dump reconstructs the whole request path.
+//! header on each hop (GET to the proxy, the proxy's PEERGET to a peer,
+//! the origin fetch), so one grep through a flight-recorder dump
+//! reconstructs the whole request path.
 //!
 //! Head-sampled traces ([`baps_obs::span::sampled`], a deterministic 1-in-N
 //! hash of the trace id) additionally carry a causal **span tree**: the
@@ -19,25 +19,18 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
     read_message, response, response_code, status, write_message, Body, Message,
 };
-use crate::proxy::{verb_index, PROXY_VERBS};
 use crate::reactor::{Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::{BodyCache, CachedDoc};
 use crate::upstream::dial_with_deadline;
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
-use baps_obs::{
-    span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
-};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use baps_obs::{span, EventKind, FlightRecorder, SpanId, Tier, TraceId};
+use parking_lot::Mutex;
+use std::convert::Infallible;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long a requester waits for a direct peer delivery before falling
-/// back to a peer-bypassing refetch.
-const DELIVERY_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Latency above which a plain cache-hit fetch earns a flight-recorder
 /// span. Multi-hop fetches (peer, origin) and errors are always recorded;
@@ -124,15 +117,13 @@ pub struct FetchResult {
 struct ClientState {
     id: u32,
     cache: Mutex<BodyCache>,
-    /// Direct deliveries awaiting pickup, keyed by transaction id.
-    deliveries: Mutex<HashMap<u64, CachedDoc>>,
-    delivered: Condvar,
     /// Test hook: what this client serves its peers (a malicious client).
     tamper: Mutex<TamperMode>,
     peer_serves: AtomicU64,
-    /// Fault plan consulted once per served PEERGET/PUSH.
+    /// Fault plan consulted once per served PEERGET.
     faults: Option<Arc<FaultPlan>>,
-    /// Flight recorder the peer port records into.
+    /// The (possibly deployment-shared) flight recorder the agent and its
+    /// peer port record into.
     recorder: Arc<FlightRecorder>,
 }
 
@@ -141,28 +132,10 @@ impl ClientState {
         ClientState {
             id,
             cache: Mutex::new(BodyCache::new(config.browser_capacity)),
-            deliveries: Mutex::new(HashMap::new()),
-            delivered: Condvar::new(),
             tamper: Mutex::new(TamperMode::Honest),
             peer_serves: AtomicU64::new(0),
             faults: config.faults.clone(),
             recorder,
-        }
-    }
-
-    /// Waits for a direct delivery with transaction id `txn`.
-    fn await_delivery(&self, txn: u64) -> Option<CachedDoc> {
-        let deadline = Instant::now() + DELIVERY_TIMEOUT;
-        let mut deliveries = self.deliveries.lock();
-        loop {
-            if let Some(doc) = deliveries.remove(&txn) {
-                return Some(doc);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.delivered.wait_for(&mut deliveries, deadline - now);
         }
     }
 }
@@ -195,10 +168,8 @@ pub struct ClientAgent {
     config: ClientConfig,
     state: Arc<ClientState>,
     /// The peer-serving port: one event loop, so a connection the proxy
-    /// keeps alive to this browser costs it an fd and no thread, plus one
-    /// blocking thread for PUSH orders (which dial the requester), started
-    /// by the first one.
-    peer_port: Server<Message>,
+    /// keeps alive to this browser costs it an fd and no thread.
+    peer_port: Server<Infallible>,
     /// The persistent keep-alive connection to the proxy, dialed lazily
     /// and redialed transparently when the proxy drops it.
     proxy_conn: Mutex<Option<ProxyConn>>,
@@ -213,18 +184,6 @@ pub struct ClientAgent {
     /// Monotone per-agent fetch counter; with the client id it forms the
     /// [`TraceId`] minted for each logical fetch.
     fetch_seq: AtomicU64,
-    obs: ClientObs,
-}
-
-/// Client-side observability: the (possibly deployment-shared) flight
-/// recorder plus this agent's own tier/verb latency histograms.
-struct ClientObs {
-    recorder: Arc<FlightRecorder>,
-    /// Whole-fetch latency by serve tier, as the *client* saw it (includes
-    /// the wire, retries, and watermark verification).
-    tiers: LabeledHistograms,
-    /// Round-trip latency by protocol verb, client side.
-    verbs: LabeledHistograms,
 }
 
 impl ClientAgent {
@@ -259,8 +218,8 @@ impl ClientAgent {
             .recorder
             .clone()
             .unwrap_or_else(|| Arc::new(FlightRecorder::default()));
-        let state = Arc::new(ClientState::new(id, &config, Arc::clone(&recorder)));
-        let peer_port = Server::bind(&format!("baps-client-{id}"), Arc::clone(&state), 1, 1)?;
+        let state = Arc::new(ClientState::new(id, &config, recorder));
+        let peer_port = Server::bind(&format!("baps-client-{id}"), Arc::clone(&state), 1, 0)?;
         let agent = ClientAgent {
             id,
             proxy_addr,
@@ -272,11 +231,6 @@ impl ClientAgent {
             pending_evictions: Mutex::new(Vec::new()),
             reconnects: AtomicU64::new(0),
             fetch_seq: AtomicU64::new(0),
-            obs: ClientObs {
-                recorder,
-                tiers: LabeledHistograms::new(&TIER_NAMES),
-                verbs: LabeledHistograms::new(&PROXY_VERBS),
-            },
         };
         agent.register()?;
         Ok(agent)
@@ -337,13 +291,13 @@ impl ClientAgent {
 
     /// The flight recorder this agent records into.
     pub fn recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.obs.recorder)
+        Arc::clone(&self.state.recorder)
     }
 
     /// Scrapes the proxy's Prometheus exposition over the wire
     /// (`METRICS BAPS/1.0`). The exposition text is the reply body.
     pub fn proxy_metrics_raw(&self) -> Result<Message, ProxyError> {
-        self.roundtrip(Message::new("METRICS BAPS/1.0"))
+        self.roundtrip(&Message::new("METRICS BAPS/1.0"))
     }
 
     /// Scrapes the deployment's causal-trace span dump over the wire
@@ -351,7 +305,7 @@ impl ClientAgent {
     /// [`baps_obs::SpanRecord`] per line, assembled into trees with
     /// [`baps_obs::span::assemble`].
     pub fn proxy_trace_raw(&self) -> Result<Message, ProxyError> {
-        self.roundtrip(Message::new("TRACE BAPS/1.0"))
+        self.roundtrip(&Message::new("TRACE BAPS/1.0"))
     }
 
     /// Scrapes the proxy's SLO verdict document over the wire
@@ -359,12 +313,12 @@ impl ClientAgent {
     /// [`crate::HealthReport::parse`]; the `Verdict` header carries the
     /// worst rule verdict for cheap checks.
     pub fn proxy_health_raw(&self) -> Result<Message, ProxyError> {
-        self.roundtrip(Message::new("HEALTH BAPS/1.0"))
+        self.roundtrip(&Message::new("HEALTH BAPS/1.0"))
     }
 
     fn register(&self) -> Result<(), ProxyError> {
         let reply = self.roundtrip(
-            Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
+            &Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
                 .header("Client", self.id.to_string()),
         )?;
         if response_code(&reply) != Some(status::OK) {
@@ -397,9 +351,8 @@ impl ClientAgent {
         let local = self.state.cache.lock().get(url).map(|doc| doc.body.clone());
         if let Some(body) = local {
             let elapsed = t_fetch.elapsed();
-            self.obs.tiers.record(Tier::Local.index(), elapsed);
             if !root.is_none() || elapsed > SLOW_FETCH {
-                self.obs.recorder.record_hop(
+                self.state.recorder.record_hop(
                     trace,
                     root,
                     SpanId::NONE,
@@ -417,10 +370,10 @@ impl ClientAgent {
         let mut backoff = self.config.retry_backoff;
         loop {
             let result = match self.fetch_via_proxy(url, false, trace, root) {
-                Err(ProxyError::Integrity(_)) | Err(ProxyError::DeliveryTimeout) => {
-                    // A peer served tampered bytes or never delivered:
-                    // bypass peers and retry (doesn't consume an attempt —
-                    // it is a different request, not a repeat).
+                Err(ProxyError::Integrity(_)) => {
+                    // A peer served tampered bytes: bypass peers and retry
+                    // (doesn't consume an attempt — it is a different
+                    // request, not a repeat).
                     self.fetch_via_proxy(url, true, trace, root)
                 }
                 other => other,
@@ -444,15 +397,14 @@ impl ClientAgent {
                                 Source::Peer => Tier::Peer,
                                 Source::Origin => Tier::Origin,
                             };
-                            self.obs.tiers.record(tier.index(), elapsed);
                             // Multi-hop fetches are always worth a span;
                             // plain cache hits only when they ran slow or
                             // the trace is head-sampled (whose tree needs
-                            // its root); the histograms account for the
-                            // fast unsampled bulk.
+                            // its root); the proxy's histograms account
+                            // for the fast unsampled bulk.
                             let multi_hop = matches!(tier, Tier::Peer | Tier::Origin);
                             if !root.is_none() || multi_hop || elapsed > SLOW_FETCH {
-                                self.obs.recorder.record_hop(
+                                self.state.recorder.record_hop(
                                     trace,
                                     root,
                                     SpanId::NONE,
@@ -462,7 +414,7 @@ impl ClientAgent {
                                 );
                             }
                         }
-                        Err(e) => self.obs.recorder.record_hop(
+                        Err(e) => self.state.recorder.record_hop(
                             trace,
                             root,
                             SpanId::NONE,
@@ -498,7 +450,7 @@ impl ClientAgent {
         if bypass {
             req = req.header("Bypass-Peers", "1");
         }
-        let reply = match self.roundtrip(req) {
+        let reply = match self.roundtrip(&req) {
             Ok(reply) => reply,
             Err(e) => {
                 // The notices may not have reached the proxy: requeue them
@@ -528,25 +480,6 @@ impl ClientAgent {
             Some("disk") => Source::ProxyDisk,
             Some("peer") => Source::Peer,
             Some("origin") => Source::Origin,
-            Some("peer-direct") => {
-                // Direct-forward mode: the body arrives out of band on our
-                // peer port; await it by transaction id.
-                let txn: u64 = reply
-                    .get("Txn")
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ProxyError::Protocol("peer-direct without txn".into()))?;
-                let doc = self
-                    .state
-                    .await_delivery(txn)
-                    .ok_or(ProxyError::DeliveryTimeout)?;
-                self.verify_traced(trace, root, url, &doc.body, &doc.watermark)?;
-                let evicted = self.state.cache.lock().insert(url, doc.clone());
-                self.note_stored(url, evicted);
-                return Ok(FetchResult {
-                    body: doc.body,
-                    source: Source::Peer,
-                });
-            }
             other => return Err(ProxyError::Protocol(format!("bad X-Source: {other:?}"))),
         };
         let watermark = reply
@@ -629,7 +562,7 @@ impl ClientAgent {
             } else {
                 SpanId::mint()
             };
-            self.obs.recorder.record_hop(
+            self.state.recorder.record_hop(
                 trace,
                 vspan,
                 root,
@@ -650,7 +583,7 @@ impl ClientAgent {
     /// Tells the proxy this client no longer caches `url`.
     fn invalidate(&self, url: &str) -> Result<(), ProxyError> {
         let reply = self.roundtrip(
-            Message::new(format!("INVALIDATE {url} BAPS/1.0"))
+            &Message::new(format!("INVALIDATE {url} BAPS/1.0"))
                 .header("Client", self.id.to_string()),
         )?;
         if response_code(&reply) != Some(status::OK) {
@@ -691,7 +624,7 @@ impl ClientAgent {
     /// via [`ClientAgent::discard`] + piggybacked notices.
     pub fn publish_invalidate(&self, url: &str) -> Result<(), ProxyError> {
         let reply = self.roundtrip(
-            Message::new(format!("INVALIDATE {url} BAPS/1.0"))
+            &Message::new(format!("INVALIDATE {url} BAPS/1.0"))
                 .header("Client", self.id.to_string())
                 .header("Purge", "1"),
         )?;
@@ -699,25 +632,6 @@ impl ClientAgent {
             return Err(ProxyError::Protocol("invalidate rejected".into()));
         }
         Ok(())
-    }
-
-    /// One request/response against the proxy.
-    ///
-    /// The persistent connection is dialed lazily on first use and reused
-    /// for every subsequent message. If the proxy drops it between
-    /// requests (restart, [`drop_connections`], idle reaping), the
-    /// exchange fails or returns a clean EOF; the client then redials once
-    /// and replays the message. Only an error on a *fresh* connection
-    /// propagates, so a mid-session connection loss is invisible to
-    /// callers.
-    ///
-    /// [`drop_connections`]: crate::proxy::ProxyServer::drop_connections
-    fn roundtrip(&self, msg: Message) -> Result<Message, ProxyError> {
-        let verb = verb_index(msg.tokens().first());
-        let t_verb = Instant::now();
-        let result = self.roundtrip_inner(&msg);
-        self.obs.verbs.record(verb, t_verb.elapsed());
-        result
     }
 
     /// Dials the proxy, recording the dial as a span of `trace` (a causal
@@ -730,7 +644,7 @@ impl ClientAgent {
         } else {
             SpanId::mint()
         };
-        self.obs.recorder.record_hop(
+        self.state.recorder.record_hop(
             trace,
             dspan,
             parent,
@@ -745,7 +659,18 @@ impl ClientAgent {
         conn
     }
 
-    fn roundtrip_inner(&self, msg: &Message) -> Result<Message, ProxyError> {
+    /// One request/response against the proxy.
+    ///
+    /// The persistent connection is dialed lazily on first use and reused
+    /// for every subsequent message. If the proxy drops it between
+    /// requests (restart, [`drop_connections`], idle reaping), the
+    /// exchange fails or returns a clean EOF; the client then redials once
+    /// and replays the message. Only an error on a *fresh* connection
+    /// propagates, so a mid-session connection loss is invisible to
+    /// callers.
+    ///
+    /// [`drop_connections`]: crate::proxy::ProxyServer::drop_connections
+    fn roundtrip(&self, msg: &Message) -> Result<Message, ProxyError> {
         // EOF before a reply is a transport failure (restart, drop), not a
         // protocol violation — callers may retry it.
         fn hung_up() -> ProxyError {
@@ -842,63 +767,55 @@ fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, Stri
     (body, hex)
 }
 
-/// The peer port: PEERGET and PUSH from the proxy's kept-alive upstream
-/// connections, DELIVER from a pushing peer's one-shot connection. A
-/// request carries only a transaction id — the serving peer never learns
-/// who is asking.
+/// The peer port: PEERGET from the proxy's kept-alive upstream
+/// connections. A request names only the URL — the serving peer never
+/// learns who is asking (§6.2: every peer transfer is relayed).
 impl FrameService for ClientState {
-    /// A PUSH order on its way to the executor.
-    type Cont = Message;
+    type Cont = Infallible;
 
     fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_deref()
     }
 
-    /// Exactly one fault draw per served PEERGET/PUSH (never for DELIVER
-    /// or malformed requests — faults apply only to what we serve *to*
-    /// peers). The loop severs on `PeerDrop` and distorts the
-    /// otherwise-correct reply for the wire kinds (stall/truncate/corrupt);
-    /// `PeerRefuse` is answered in [`handle`](Self::handle).
+    /// Exactly one fault draw per served PEERGET (never for malformed
+    /// requests — faults apply only to what we serve *to* peers). The loop
+    /// severs on `PeerDrop` and distorts the otherwise-correct reply for
+    /// the wire kinds (stall/truncate/corrupt); `PeerRefuse` is answered
+    /// in [`serve`](Self::serve).
     fn fault(&self, plan: &FaultPlan, msg: &Message) -> Option<FaultKind> {
         match msg.tokens().first() {
-            Some(&"PEERGET") | Some(&"PUSH") => plan.peer_fault(),
+            Some(&"PEERGET") => plan.peer_fault(),
             _ => None,
         }
     }
 
-    /// A PUSH dials the requester and writes the document to it: blocking
-    /// work, so it is served on the executor. Everything else answers from
-    /// local state.
+    /// Every request answers from local state in its first step.
     fn handle(
         &self,
         msg: &Message,
         fault: Option<FaultKind>,
         _ctx: &mut FrameCtx<'_>,
-    ) -> Step<Message> {
-        if fault != Some(FaultKind::PeerRefuse) && msg.tokens().first() == Some(&"PUSH") {
-            return Step::Offload(msg.clone());
-        }
+    ) -> Step<Infallible> {
         Step::Reply(Some(self.serve(msg, fault)))
     }
 
-    fn resume(&self, push: Message, _: Event, _: &Seat<'_>) -> Step<Message> {
-        Step::Reply(Some(self.serve(&push, None)))
+    fn resume(&self, cont: Infallible, _: Event, _: &Seat<'_>) -> Step<Infallible> {
+        match cont {}
     }
 }
 
 impl ClientState {
     /// The reply to one peer-port request.
     fn serve(&self, msg: &Message, fault: Option<FaultKind>) -> Message {
-        // The proxy forwards the requester's trace id on PEERGET/PUSH and
-        // the pushing peer forwards it on DELIVER, so peer-side spans join
-        // the same trace as the client's fetch.
+        // The proxy forwards the requester's trace id on PEERGET, so
+        // peer-side spans join the same trace as the client's fetch.
         let trace = msg
             .get("Trace-Id")
             .and_then(|h| h.parse().ok())
             .unwrap_or(TraceId::NONE);
-        // For sampled traces the dialer (the proxy on PEERGET/PUSH, the
-        // pushing peer on DELIVER) forwards its own hop span; our serve
-        // span attaches under it, stitching the tree across processes.
+        // For sampled traces the proxy forwards its probe's hop span; our
+        // serve span attaches under it, stitching the tree across
+        // processes.
         let parent = msg
             .get("Span-Id")
             .and_then(|h| h.parse().ok())
@@ -947,143 +864,7 @@ impl ClientState {
                 );
                 reply
             }
-            ["PUSH", url, "BAPS/1.0"] => {
-                // Direct-forward order from the proxy: push the document to
-                // the requester's delivery address before acknowledging.
-                let txn = msg.get("Txn").map(str::to_owned);
-                let target = msg.get("Target").map(str::to_owned);
-                let reply = match (txn, target, self.cache.lock().get(url).cloned()) {
-                    (Some(txn), Some(target), Some(doc)) => {
-                        self.peer_serves.fetch_add(1, Ordering::Relaxed);
-                        let (body, hex) =
-                            tampered(*self.tamper.lock(), &doc.body, doc.watermark.to_hex());
-                        match deliver_to(&target, url, &txn, &hex, body, trace, serve_span) {
-                            Ok(()) => response(status::OK, "OK"),
-                            Err(_) => response(status::GONE, "Delivery Failed"),
-                        }
-                    }
-                    (_, _, None) => response(status::GONE, "Gone"),
-                    _ => response(status::BAD_REQUEST, "Bad Request"),
-                };
-                self.recorder.record_hop(
-                    trace,
-                    serve_span,
-                    parent,
-                    EventKind::PeerServe,
-                    t_serve.elapsed(),
-                    format!(
-                        "client={} verb=PUSH url={url} outcome={}",
-                        self.id,
-                        if response_code(&reply) == Some(status::OK) {
-                            "ok"
-                        } else {
-                            "err"
-                        }
-                    ),
-                );
-                reply
-            }
-            ["DELIVER", url, "BAPS/1.0"] => {
-                // Incoming direct delivery for one of our own requests.
-                let parsed = msg.get("Txn").and_then(|t| t.parse::<u64>().ok()).zip(
-                    msg.get("X-Watermark")
-                        .and_then(|h| Watermark::from_hex(h).ok()),
-                );
-                match parsed {
-                    Some((txn, watermark)) => {
-                        self.deliveries.lock().insert(
-                            txn,
-                            CachedDoc {
-                                body: msg.body.clone(),
-                                watermark,
-                            },
-                        );
-                        self.delivered.notify_all();
-                        self.recorder.record_hop(
-                            trace,
-                            serve_span,
-                            parent,
-                            EventKind::Deliver,
-                            Duration::ZERO,
-                            format!("client={} url={url} txn={txn}", self.id),
-                        );
-                        response(status::OK, "OK")
-                    }
-                    None => response(status::BAD_REQUEST, "Bad Request"),
-                }
-            }
             _ => response(status::BAD_REQUEST, "Bad Request"),
         }
-    }
-}
-
-/// Connects to a requester's delivery address and pushes the document.
-#[allow(clippy::too_many_arguments)]
-fn deliver_to(
-    target: &str,
-    url: &str,
-    txn: &str,
-    watermark_hex: &str,
-    body: Body,
-    trace: TraceId,
-    span: SpanId,
-) -> io::Result<()> {
-    let addr: SocketAddr = target
-        .parse()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("bad target: {e}")))?;
-    let stream = TcpStream::connect_timeout(&addr, DELIVERY_TIMEOUT)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(DELIVERY_TIMEOUT))?;
-    let mut writer = stream;
-    let mut msg = Message::new(format!("DELIVER {url} BAPS/1.0"))
-        .header("Txn", txn)
-        .header("X-Watermark", watermark_hex)
-        .header("Trace-Id", trace.to_string());
-    if !span.is_none() {
-        // The pushing peer's serve span parents the requester's deliver
-        // span.
-        msg = msg.header("Span-Id", span.to_string());
-    }
-    write_message(&mut writer, &msg.with_body(body))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Write as _;
-    use std::net::TcpListener;
-
-    /// `deliver_to` writes one DELIVER and closes without reading. When
-    /// the frame is a whole number of read chunks the peer port sees the
-    /// close in the same read that completes the frame — and must still
-    /// take the delivery. The frame and the FIN wait on the listener before
-    /// the port's loop exists, so that is the read it makes.
-    #[test]
-    fn delivery_filling_its_last_read_chunk_then_closing_is_picked_up() {
-        let state = Arc::new(ClientState::new(
-            7,
-            &ClientConfig::default(),
-            Arc::default(),
-        ));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let deliver = Message::new("DELIVER http://origin/doc/0 BAPS/1.0")
-            .header("Txn", "77")
-            .header("X-Watermark", "ab".repeat(32));
-        let frame = crate::reactor::chunk_aligned_frame(deliver, 4);
-        let mut conn = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        conn.write_all(&frame).unwrap();
-        drop(conn);
-        let _port = Server::start_on(
-            listener,
-            "peer-port",
-            Arc::clone(&state),
-            1,
-            1,
-            Arc::default(),
-            Arc::default(),
-        )
-        .unwrap();
-        let doc = state.await_delivery(77).expect("delivery picked up");
-        assert_eq!(&doc.body[..], &frame[frame.len() - doc.body.len()..]);
     }
 }

@@ -15,8 +15,6 @@ pub enum ProxyError {
     NotFound(String),
     /// Integrity verification failed even after bypassing peers.
     Integrity(CryptoError),
-    /// A direct peer delivery never arrived within the timeout.
-    DeliveryTimeout,
     /// A socket read/write deadline expired (stalled peer). Retryable.
     Timeout,
     /// The proxy answered 5xx (origin unreachable after its own retries).
@@ -31,7 +29,6 @@ impl fmt::Display for ProxyError {
             ProxyError::Protocol(m) => write!(f, "protocol error: {m}"),
             ProxyError::NotFound(url) => write!(f, "document not found: {url}"),
             ProxyError::Integrity(e) => write!(f, "integrity failure: {e}"),
-            ProxyError::DeliveryTimeout => write!(f, "direct peer delivery timed out"),
             ProxyError::Timeout => write!(f, "socket deadline expired"),
             ProxyError::Unavailable(code) => write!(f, "service unavailable ({code})"),
         }
@@ -109,6 +106,5 @@ mod tests {
         assert!(ProxyError::Io(io::Error::other("x")).is_retryable());
         assert!(!ProxyError::NotFound("u".into()).is_retryable());
         assert!(!ProxyError::Protocol("p".into()).is_retryable());
-        assert!(!ProxyError::DeliveryTimeout.is_retryable());
     }
 }

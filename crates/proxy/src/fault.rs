@@ -322,7 +322,7 @@ impl FaultPlan {
         out
     }
 
-    /// Draws the fault decision for one `PEERGET`/`PUSH` served by a peer.
+    /// Draws the fault decision for one `PEERGET` served by a peer.
     pub fn peer_fault(&self) -> Option<FaultKind> {
         let c = &self.config;
         self.draw(

@@ -9,14 +9,9 @@
 //!   integrity check; optional `Evicted: <url> <url> …` carrying
 //!   piggybacked eviction notices, processed before the GET — evictions
 //!   don't spend a round trip each, see `INVALIDATE`);
-//! * `PEERGET <url> BAPS/1.0` — proxy → peer browser-cache fetch
-//!   (header `Txn: <id>`; deliberately **no requester identity**, §6.2);
-//! * `PUSH <url> BAPS/1.0` — proxy → peer, *direct-forward mode* (paper
-//!   §2's first implementation alternative): instructs the peer to push
-//!   the document straight to the requester's delivery address
-//!   (headers `Txn: <id>`, `Target: <host:port>`);
-//! * `DELIVER <url> BAPS/1.0` — peer → requester direct delivery
-//!   (headers `Txn: <id>`, `X-Watermark`; body = document);
+//! * `PEERGET <url> BAPS/1.0` — proxy → peer browser-cache fetch, the
+//!   one way a document leaves a browser: the proxy relays the verified
+//!   reply (deliberately **no requester identity**, §6.2);
 //! * `INVALIDATE <url> BAPS/1.0` — client → proxy eviction notice
 //!   (header `Client: <id>`);
 //! * `REGISTER <peer-port> BAPS/1.0` — client → proxy enrolment
@@ -35,18 +30,17 @@
 //!
 //! Requests initiated on behalf of a client fetch additionally carry a
 //! `Trace-Id: <16 hex digits>` header (minted by the requesting client,
-//! forwarded by the proxy on `PEERGET`/`PUSH` and on the origin `GET`), so
+//! forwarded by the proxy on `PEERGET` and on the origin `GET`), so
 //! one request can be followed through every component's flight-recorder
 //! events.
 //!
 //! Head-sampled traces (a deterministic 1-in-N of trace ids, see
 //! `baps_obs::span::sampled`) additionally carry a `Span-Id: <16 hex
 //! digits>` header naming the **sender's hop span**: the client's root
-//! span on `GET`, the proxy's probe/push/fetch hop spans on
-//! `PEERGET`/`PUSH`/origin `GET`, and the pushing peer's serve span on
-//! `DELIVER`. The receiver records its own spans with that id as the
-//! parent, so span trees stitch across processes without any coordination
-//! beyond the header.
+//! span on `GET`, the proxy's probe/fetch hop spans on `PEERGET`/origin
+//! `GET`. The receiver records its own spans with that id as the parent,
+//! so span trees stitch across processes without any coordination beyond
+//! the header.
 //!
 //! Responses: `BAPS/1.0 <code> <reason>` with `Content-Length`, `X-Source`
 //! (`proxy` | `peer` | `origin`) and `X-Watermark` (hex, §6.1) headers.

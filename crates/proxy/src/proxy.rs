@@ -37,7 +37,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,13 +66,6 @@ pub struct ProxyConfig {
     /// Whether the proxy absorbs peer-served documents into its own cache
     /// (the paper's default is no; see `RemoteHitCaching`).
     pub cache_peer_hits: bool,
-    /// Use the paper's *first* implementation alternative: on an index hit
-    /// the proxy instructs the holder to push the document **directly** to
-    /// the requester instead of relaying it through the proxy. Saves proxy
-    /// bandwidth, but the holder learns the requester's transport address
-    /// (the paper's companion anonymity protocols, HPL-2001-204, address
-    /// that; the relayed mode keeps full mutual anonymity).
-    pub direct_forward: bool,
     /// Threads of the blocking executor — the ones that run disk-tier
     /// reads and writes, so this bounds concurrent disk I/O (`0` = the
     /// library default; a memory-only proxy never starts them).
@@ -131,7 +124,7 @@ const SLOW_SHARD_WAIT: Duration = Duration::from_micros(100);
 
 /// Label set for the proxy's per-verb latency histograms; the last label
 /// takes every message whose first token is none of the others.
-pub(crate) const PROXY_VERBS: [&str; 7] = [
+const PROXY_VERBS: [&str; 7] = [
     "GET",
     "INVALIDATE",
     "REGISTER",
@@ -142,7 +135,7 @@ pub(crate) const PROXY_VERBS: [&str; 7] = [
 ];
 
 /// Position of a request's first token in [`PROXY_VERBS`].
-pub(crate) fn verb_index(verb: Option<&&str>) -> usize {
+fn verb_index(verb: Option<&&str>) -> usize {
     let other = PROXY_VERBS.len() - 1;
     verb.and_then(|verb| PROXY_VERBS[..other].iter().position(|label| label == verb))
         .unwrap_or(other)
@@ -169,9 +162,6 @@ pub(crate) struct ProxyState {
     pub(crate) index: StripedIndex,
     urls: RwLock<Interner>,
     peers: RwLock<HashMap<u32, SocketAddr>>,
-    /// The next `Txn` number (1, 2, …) a PEERGET or PUSH order carries:
-    /// all a holder learns about who asked (§6.2).
-    next_txn: AtomicU64,
     signer: ProxySigner,
     pub(crate) counters: ProxyCounters,
     /// Counter totals carried over from previous incarnations of this
@@ -263,7 +253,6 @@ impl ProxyServer {
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
             urls: RwLock::new(Interner::new()),
             peers: RwLock::new(HashMap::new()),
-            next_txn: AtomicU64::new(1),
             signer,
             counters: ProxyCounters::default(),
             baseline,
@@ -625,7 +614,7 @@ fn dispatch(
 
 /// Mints a span id for one proxy-side hop of a head-sampled trace
 /// ([`SpanId::NONE`] otherwise). The id is minted *before* the hop runs so
-/// outbound wire messages (PEERGET/PUSH/origin GET) can carry it in their
+/// outbound wire messages (PEERGET/origin GET) can carry it in their
 /// `Span-Id` header — the downstream hop's spans then attach under it.
 fn hop_span(trace: TraceId) -> SpanId {
     span::hop(trace)
@@ -679,8 +668,9 @@ struct GetRequest {
 /// counter, lists the requester in the index (it caches what we send and
 /// invalidates on evict), and records the latency under the same tier — so
 /// the balance identity holds and the tier-histogram counts equal the
-/// served counters by construction.
-fn count_served(state: &ProxyState, req: &GetRequest, tier: Tier) {
+/// served counters by construction. Builds the 200 reply around the shared
+/// body.
+fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> Message {
     let counters = &state.counters;
     let counter = match tier {
         Tier::Proxy => &counters.proxy_hits,
@@ -695,12 +685,6 @@ fn count_served(state: &ProxyState, req: &GetRequest, tier: Tier) {
         .obs
         .tiers
         .record_traced(tier.index(), req.t_request.elapsed(), req.trace);
-}
-
-/// Counts the GET as served from `tier` and builds its 200 reply around
-/// the shared body.
-fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> Message {
-    count_served(state, req, tier);
     ok_response(tier.name(), doc)
 }
 
@@ -920,12 +904,10 @@ enum Stage {
     Disk(Entry),
     /// Asking the origin whether a stale disk entry is still current.
     Revalidating { hit: DiskHit, call: Call },
-    /// Asking `peer` (PEERGET, or PUSH in direct-forward mode, under
-    /// transaction number `txn`), with `rest` still to try.
+    /// Asking `peer` (PEERGET), with `rest` still to try.
     Probing {
         peer: ClientId,
         rest: std::vec::IntoIter<ClientId>,
-        txn: u64,
         call: Call,
     },
     /// Fetching from the origin.
@@ -998,15 +980,9 @@ impl Miss {
             (Stage::Revalidating { hit, call }, Event::Answer(answer)) => {
                 self.revalidated(state, hit, call, answer)
             }
-            (
-                Stage::Probing {
-                    peer,
-                    rest,
-                    txn,
-                    call,
-                },
-                Event::Answer(answer),
-            ) => self.probed(state, peer, rest, txn, call, answer),
+            (Stage::Probing { peer, rest, call }, Event::Answer(answer)) => {
+                self.probed(state, peer, rest, call, answer)
+            }
             (Stage::Fetching { call }, Event::Answer(answer)) => self.fetched(state, call, answer),
             // A retry's back-off is over.
             (stage @ Stage::Probing { .. }, Event::Wake) => {
@@ -1036,9 +1012,7 @@ impl Miss {
         state.disk.is_some()
             && match self.stage {
                 Stage::Revalidating { .. } | Stage::Fetching { .. } => true,
-                Stage::Probing { .. } => {
-                    state.config.cache_peer_hits && !state.config.direct_forward
-                }
+                Stage::Probing { .. } => state.config.cache_peer_hits,
                 _ => false,
             }
     }
@@ -1128,12 +1102,11 @@ impl Miss {
                 self.fail(state, code, &reason)
             }
             FlightOutcome::Unshared => {
-                // The flight ended without a shareable outcome (a direct
-                // push carries no body; a dropped leader publishes this;
-                // or the wait budget ran out). The doc may have landed in
-                // memory in the meantime; otherwise rejoin, degrading to
-                // an uncoalesced miss after MAX_FLIGHT_JOINS rounds so no
-                // request loops forever.
+                // The flight ended without a shareable outcome (a dropped
+                // leader publishes this; or the wait budget ran out). The
+                // doc may have landed in memory in the meantime; otherwise
+                // rejoin, degrading to an uncoalesced miss after
+                // MAX_FLIGHT_JOINS rounds so no request loops forever.
                 if let Some(cached) = state.cache.get(self.req.doc, &self.url) {
                     let reply = serve(state, &self.req, Tier::Proxy, &cached);
                     self.done(state, reply, FlightOutcome::Unshared)
@@ -1334,61 +1307,29 @@ impl Miss {
             return self.fall_to_origin(state);
         };
         self.probed = true;
-        // A PUSH order is not retried: by its 200 the delivery was sent.
-        let retries = if state.config.direct_forward {
-            0
-        } else {
-            state.config.peer_retries
-        };
         self.stage = Stage::Probing {
             peer,
             rest,
-            txn: 0,
-            call: Call::new(self.req.trace, retries),
+            call: Call::new(self.req.trace, state.config.peer_retries),
         };
         self.ask_peer(state)
     }
 
-    /// One mediated attempt on the current holder, under a transaction
-    /// number of its own: the holder sees only that and the URL, never the
-    /// requester's identity — unless the mode is direct-forward, where it
-    /// is ordered to push the document straight to the requester's
-    /// registered delivery address.
+    /// One mediated attempt on the current holder: it sees the URL, never
+    /// the requester's identity (§6.2).
     fn ask_peer(mut self, state: &ProxyState) -> Step<Miss> {
-        let Stage::Probing {
-            peer, rest, call, ..
-        } = std::mem::replace(&mut self.stage, Stage::Joining)
+        let Stage::Probing { peer, rest, call } =
+            std::mem::replace(&mut self.stage, Stage::Joining)
         else {
             unreachable!("only the probing stage asks a peer");
         };
-        let direct = state.config.direct_forward;
-        let (holder, target) = {
-            let peers = state.peers.read();
-            (
-                peers.get(&peer.0).copied(),
-                peers.get(&self.req.requester.0).copied(),
-            )
-        };
-        let (addr, target) = match (holder, target) {
-            (Some(addr), Some(target)) if direct => (addr, Some(target)),
-            (Some(addr), _) if !direct => (addr, None),
-            (holder, _) => {
-                let who = if holder.is_none() {
-                    "peer not registered"
-                } else {
-                    "requester not registered"
-                };
-                let unasked = Err(io::Error::new(io::ErrorKind::NotFound, who));
-                return self.probe_settled(state, peer, rest, 0, call, unasked);
-            }
-        };
-        let txn = next_txn(state);
-        let order = match target {
-            Some(target) => Message::new(format!("PUSH {} BAPS/1.0", self.url))
-                .header("Txn", txn.to_string())
-                .header("Target", target.to_string()),
-            None => Message::new(format!("PEERGET {} BAPS/1.0", self.url))
-                .header("Txn", txn.to_string()),
+        let holder = state.peers.read().get(&peer.0).copied();
+        let Some(addr) = holder else {
+            let unasked = Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                "peer not registered",
+            ));
+            return self.probe_settled(state, peer, rest, call, unasked);
         };
         // The probe's own hop span becomes the parent of the peer's serve
         // span, stitching the tree across processes.
@@ -1396,14 +1337,13 @@ impl Miss {
             addr,
             upstream: Upstream::Peer,
             deadline: state.config.peer_deadline(),
-            request: traced(order, self.req.trace, call.span),
+            request: traced(
+                Message::new(format!("PEERGET {} BAPS/1.0", self.url)),
+                self.req.trace,
+                call.span,
+            ),
         };
-        self.stage = Stage::Probing {
-            peer,
-            rest,
-            txn,
-            call,
-        };
+        self.stage = Stage::Probing { peer, rest, call };
         Step::Ask(ask, self)
     }
 
@@ -1416,43 +1356,32 @@ impl Miss {
         state: &ProxyState,
         peer: ClientId,
         rest: std::vec::IntoIter<ClientId>,
-        txn: u64,
         mut call: Call,
         answer: io::Result<Answer>,
     ) -> Step<Miss> {
-        let direct = state.config.direct_forward;
-        // `Some(doc)`: relayed; `None`: pushed to the requester directly.
         let outcome = answer.and_then(|Answer { reply, .. }| {
             if response_code(&reply) != Some(status::OK) {
                 return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
-            }
-            if direct {
-                return Ok(None);
             }
             let watermark = reply
                 .get("X-Watermark")
                 .and_then(|h| Watermark::from_hex(h).ok())
                 .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing watermark"))?;
-            Ok(Some(CachedDoc {
+            Ok(CachedDoc {
                 body: reply.body,
                 watermark,
-            }))
+            })
         });
         if outcome
             .as_ref()
             .is_err_and(|e| e.kind() != io::ErrorKind::NotFound)
         {
             if let Some(wait) = call.again() {
-                self.stage = Stage::Probing {
-                    peer,
-                    rest,
-                    txn,
-                    call,
-                };
+                self.stage = Stage::Probing { peer, rest, call };
                 return Step::Wait(wait, self);
             }
         }
-        self.probe_settled(state, peer, rest, txn, call, outcome)
+        self.probe_settled(state, peer, rest, call, outcome)
     }
 
     /// One holder is done with, every retry included: serve what it gave,
@@ -1462,21 +1391,15 @@ impl Miss {
         state: &ProxyState,
         peer: ClientId,
         rest: std::vec::IntoIter<ClientId>,
-        txn: u64,
         call: Call,
-        outcome: io::Result<Option<CachedDoc>>,
+        outcome: io::Result<CachedDoc>,
     ) -> Step<Miss> {
-        let kind = if state.config.direct_forward {
-            EventKind::PushOrder
-        } else {
-            EventKind::PeerProbe
-        };
         record_hop(
             state,
             self.req.trace,
             call.span,
             self.req.parent,
-            kind,
+            EventKind::PeerProbe,
             call.t0.elapsed(),
             format!(
                 "peer={} url={} outcome={}",
@@ -1486,23 +1409,13 @@ impl Miss {
             ),
         );
         match outcome {
-            Ok(Some(cached)) => {
+            Ok(cached) => {
                 if state.config.cache_peer_hits {
                     state.cache.insert(self.req.doc, &self.url, cached.clone());
                     write_through_to_disk(state, &self.url, &cached, None, self.req.trace);
                 }
                 let reply = serve(state, &self.req, Tier::Peer, &cached);
                 self.done(state, reply, FlightOutcome::Doc(cached))
-            }
-            Ok(None) => {
-                state.counters.direct_pushes.fetch_add(1, Ordering::Relaxed);
-                count_served(state, &self.req, Tier::Peer);
-                let reply = response(status::OK, "OK")
-                    .header("X-Source", "peer-direct")
-                    .header("Txn", txn.to_string());
-                // A direct push carries no body through the proxy, so
-                // there is nothing to share with followers.
-                self.done(state, reply, FlightOutcome::Unshared)
             }
             Err(_) => {
                 // The index was stale (or the peer is gone): self-heal.
@@ -1676,11 +1589,6 @@ fn ok_response(source: &str, doc: &CachedDoc) -> Message {
         .with_body(Arc::clone(&doc.body))
 }
 
-/// Mints the transaction number of one PEERGET or PUSH order.
-fn next_txn(state: &ProxyState) -> u64 {
-    state.next_txn.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Stamps an upstream request with the trace it belongs to and, on a
 /// head-sampled trace, the hop span the receiver's spans attach under.
 fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
@@ -1695,6 +1603,7 @@ fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     /// A memory-only proxy in front of `origin_addr`, defaults elsewhere.
     fn test_config(origin_addr: SocketAddr) -> ProxyConfig {
@@ -1703,7 +1612,6 @@ mod tests {
             origin_addr,
             key_seed: 1,
             cache_peer_hits: false,
-            direct_forward: false,
             worker_threads: 0,
             peer_timeout: Duration::ZERO,
             peer_retries: 0,

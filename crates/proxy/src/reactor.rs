@@ -17,9 +17,9 @@
 //!   with a [`Step`]: a **reply**; an **ask** — one request to an upstream
 //!   server, sent from this loop over a connection the loop owns
 //!   (`upstream.rs`), the service resumed with the answer; an **offload**
-//!   of blocking work to a small **executor** (the proxy's disk tier; a
-//!   browser's PUSH, which dials the requester) whose threads start with
-//!   the first such step, so a server that never offloads never runs them;
+//!   of blocking work to a small **executor** (the proxy's disk tier)
+//!   whose threads start with the first such step, so a server that never
+//!   offloads never runs them;
 //!   or a **wait** for a wake-up or a timer (a coalesced follower, a retry
 //!   back-off). Whatever resumes a request yields its next step;
 //! - replies are queued as `[owned head, shared body]` segments and pushed
@@ -1496,8 +1496,8 @@ impl<S: FrameService> EventLoop<S> {
     /// origin exchange is sent once more on a fresh one — the connection
     /// may have died under the request without the origin ever being heard
     /// to fail, so this does not count against `origin_retries`; a peer's
-    /// failure stands (peers draw a fault per PEERGET / PUSH, and
-    /// `peer_retries` covers them).
+    /// failure stands (peers draw a fault per PEERGET, and `peer_retries`
+    /// covers them).
     fn redial_or(
         &mut self,
         client: u64,
@@ -1660,8 +1660,7 @@ impl<S: FrameService> EventLoop<S> {
 /// The executor: a job queue — one mutex-guarded deque and one condvar, so
 /// a push wakes exactly one parked worker — and the worker threads behind
 /// it, which the first push starts: a server that never offloads (the
-/// origin; a memory-only proxy; a browser that is never sent a PUSH) never
-/// runs them. (An `mpsc::Receiver` shared behind a mutex wakes two workers
+/// origin; a memory-only proxy; a browser's peer port) never runs them. (An `mpsc::Receiver` shared behind a mutex wakes two workers
 /// per job — the one parked in `recv` and the next one parked on the mutex
 /// — which cost `disk-storm` +36 % p99; see DESIGN.md §13.)
 struct JobQueue<C> {
@@ -1934,7 +1933,7 @@ impl<C> Drop for Server<C> {
 }
 
 /// Blocking executor for the steps a loop must not run inline (the
-/// proxy's disk tier; a browser's PUSH). Resumes the request with
+/// proxy's disk tier). Resumes the request with
 /// [`Event::Run`], then routes its next step to the owning loop's inbox.
 fn executor_loop<S: FrameService>(
     jobs: &JobQueue<S::Cont>,

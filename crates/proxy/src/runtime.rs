@@ -24,8 +24,6 @@ pub struct TestBedConfig {
     pub browser_capacity: u64,
     /// Whether the proxy absorbs peer-served documents.
     pub cache_peer_hits: bool,
-    /// Use direct client-to-client forwarding instead of proxy relay.
-    pub direct_forward: bool,
     /// Seed for the proxy's key pair.
     pub key_seed: u64,
     /// Threads of the proxy's blocking executor, which bound its
@@ -79,7 +77,6 @@ impl Default for TestBedConfig {
             proxy_capacity: 64 << 10,
             browser_capacity: 32 << 10,
             cache_peer_hits: false,
-            direct_forward: false,
             key_seed: 0xbaf5,
             proxy_workers: 0,
             client_timeout: Duration::from_secs(5),
@@ -137,7 +134,6 @@ impl TestBed {
             origin_addr: origin.addr(),
             key_seed: config.key_seed,
             cache_peer_hits: config.cache_peer_hits,
-            direct_forward: config.direct_forward,
             worker_threads: workers,
             peer_timeout: config.peer_timeout,
             peer_retries: config.peer_retries,

@@ -1,15 +1,14 @@
 //! The proxy's upstream connections (DESIGN.md §6a): what an event loop
 //! is asked, what it answers, and the idle set it keeps between exchanges.
 //!
-//! Every exchange the proxy *initiates* — a `PEERGET` probe, a
-//! direct-forward `PUSH` order, an origin `GET` / `If-Digest` — is one
-//! [`Ask`] a request's continuation hands its event loop (`reactor.rs`):
-//! the loop takes a kept-alive connection to the address out of its idle
-//! set (or starts a nonblocking connect), writes the one request, reads the
-//! one reply and resumes the continuation with the [`Answer`]. The
-//! connections are the loop's own — registered on its epoll set beside the
-//! client connections, never shared between loops, so nothing here locks.
-//! The rules that keep a reused byte stream trustworthy:
+//! Every exchange the proxy *initiates* — a `PEERGET` probe, an origin
+//! `GET` / `If-Digest` — is one [`Ask`] a request's continuation hands its
+//! event loop (`reactor.rs`): the loop takes a kept-alive connection to the
+//! address out of its idle set (or starts a nonblocking connect), writes
+//! the one request, reads the one reply and resumes the continuation with
+//! the [`Answer`]. The connections are the loop's own — registered on its
+//! epoll set beside the client connections, never shared between loops, so
+//! nothing here locks. The rules that keep a reused byte stream trustworthy:
 //!
 //! * **Liveness by readiness.** An idle connection stays registered for
 //!   `EPOLLIN | EPOLLRDHUP`. Its far end closing it, or sending bytes
@@ -73,8 +72,8 @@ pub fn dial_with_deadline(addr: SocketAddr, deadline: Duration) -> io::Result<Tc
 /// per-upstream counters and the index into them. The origin's replies are
 /// what the proxy signs, so they are hashed as they arrive
 /// ([`Answer::body_md5`]), and only an origin exchange redials after
-/// failing on a reused connection — peers draw a fault per PEERGET / PUSH,
-/// and `peer_retries` already covers them.
+/// failing on a reused connection — peers draw a fault per PEERGET, and
+/// `peer_retries` already covers them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Upstream {
     Peer = 0,

@@ -79,6 +79,11 @@ fn remote_browser_hit_after_proxy_eviction() {
     assert_eq!(r1.body, r0.body);
     assert_eq!(bed.proxy.stats().peer_hits, 1);
     assert!(bed.clients[0].peer_serves() >= 1);
+    // The requester cached the relayed copy: next access is local.
+    assert_eq!(
+        bed.clients[1].fetch(url0).unwrap().source,
+        Source::LocalBrowser
+    );
     bed.shutdown();
 }
 
@@ -199,73 +204,6 @@ fn concurrent_clients_consistent_bodies() {
 }
 
 #[test]
-fn direct_forward_peer_delivery() {
-    // Same scenario as the relayed peer hit, but in direct-forward mode:
-    // the holder pushes the document straight to the requester.
-    let store = DocumentStore::synthetic(16, 200, 2_000, 42);
-    let bed = TestBed::start(
-        store,
-        TestBedConfig {
-            n_clients: 3,
-            proxy_capacity: 2_500,
-            browser_capacity: 64 << 10,
-            direct_forward: true,
-            ..TestBedConfig::default()
-        },
-    )
-    .unwrap();
-    let url0 = "http://origin/doc/0";
-    let r0 = bed.clients[0].fetch(url0).unwrap();
-    for i in 1..8 {
-        bed.clients[2]
-            .fetch(&format!("http://origin/doc/{i}"))
-            .unwrap();
-    }
-    let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.source, Source::Peer);
-    assert_eq!(r1.body, r0.body);
-    let stats = bed.proxy.stats();
-    assert_eq!(stats.peer_hits, 1);
-    assert_eq!(stats.direct_pushes, 1, "must be a direct push, not a relay");
-    // The requester cached the delivery: next access is local.
-    assert_eq!(
-        bed.clients[1].fetch(url0).unwrap().source,
-        Source::LocalBrowser
-    );
-    bed.shutdown();
-}
-
-#[test]
-fn direct_forward_tampering_detected() {
-    let store = DocumentStore::synthetic(16, 200, 2_000, 42);
-    let bed = TestBed::start(
-        store,
-        TestBedConfig {
-            n_clients: 3,
-            proxy_capacity: 2_500,
-            browser_capacity: 64 << 10,
-            direct_forward: true,
-            ..TestBedConfig::default()
-        },
-    )
-    .unwrap();
-    let url0 = "http://origin/doc/0";
-    let r0 = bed.clients[0].fetch(url0).unwrap();
-    for i in 1..8 {
-        bed.clients[2]
-            .fetch(&format!("http://origin/doc/{i}"))
-            .unwrap();
-    }
-    bed.clients[0].set_tamper(true);
-    // The tampered direct delivery fails the watermark check; the retry
-    // bypasses peers and still returns the correct bytes.
-    let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.body, r0.body);
-    assert_ne!(r1.source, Source::Peer);
-    bed.shutdown();
-}
-
-#[test]
 fn admin_verbs_over_one_keepalive_connection() {
     use baps_obs::prom;
 
@@ -309,7 +247,6 @@ fn admin_verbs_over_one_keepalive_connection() {
         assert_eq!(field("baps_invalidations_total"), stats.invalidations);
         assert_eq!(field("baps_peer_failures_total"), stats.peer_failures);
         assert_eq!(field("baps_peer_fallbacks_total"), stats.peer_fallbacks);
-        assert_eq!(field("baps_direct_pushes_total"), stats.direct_pushes);
         assert_eq!(field("baps_errors_total"), stats.errors);
         // No disk tier configured in this bed: its section is absent.
         for absent in ["baps_disk_entries", "baps_disk_revalidations_total"] {
@@ -508,6 +445,55 @@ fn retired_stats_verb_is_a_bad_request() {
     let reply = read_message(&mut reader).unwrap().unwrap();
     assert_eq!(response_code(&reply), Some(200));
     bed.shutdown();
+}
+
+/// So are the retired direct-forward verbs on a browser's peer port, even
+/// for a document it holds: `400`, nothing served, nothing parked, and the
+/// connection stays framed for the next PEERGET.
+#[test]
+fn retired_push_and_deliver_are_bad_requests() {
+    let bed = bed(1, 64 << 10, 32 << 10);
+    let held = bed.clients[0].fetch(&doc_url(0)).unwrap().body;
+    let mut conn = raw(bed.clients[0].peer_addr());
+    for verb in ["PUSH", "DELIVER"] {
+        let reply = ask(&mut conn, &undrawn_frame(verb)).expect("a reply");
+        assert_eq!(response_code(&reply), Some(400), "{verb}");
+        assert!(reply.body.is_empty());
+    }
+    assert_eq!(bed.clients[0].peer_serves(), 0);
+    assert_eq!(peerget(&mut conn, &doc_url(0)).unwrap().body, held);
+    assert_eq!(bed.clients[0].peer_serves(), 1);
+    bed.shutdown();
+}
+
+/// A proxy that answers a GET with the retired out-of-band source label
+/// has broken the protocol: the fetch fails at once, it does not wait for
+/// a delivery that no peer port takes any more.
+#[test]
+fn retired_out_of_band_source_is_a_protocol_error() {
+    use baps_proxy::{ClientAgent, ProxyError};
+    use rand::SeedableRng;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let proxy_addr = listener.local_addr().unwrap();
+    let proxy = std::thread::spawn(move || {
+        let mut conn = BufReader::new(listener.accept().unwrap().0);
+        while let Ok(Some(_)) = read_message(&mut conn) {
+            let reply = Message::new("BAPS/1.0 200 OK")
+                .header("X-Source", "peer-direct")
+                .header("Txn", "1");
+            write_message(conn.get_mut(), &reply).unwrap();
+        }
+    });
+    let key =
+        baps_crypto::ProxySigner::generate(&mut rand::rngs::StdRng::seed_from_u64(1)).public_key();
+    let client = ClientAgent::start(0, proxy_addr, key, 32 << 10).unwrap();
+    let t0 = Instant::now();
+    let err = client.fetch(&doc_url(0)).unwrap_err();
+    assert!(matches!(err, ProxyError::Protocol(_)), "{err}");
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    client.shutdown();
+    proxy.join().unwrap();
 }
 
 #[test]
@@ -792,6 +778,69 @@ fn warm_restart_serves_from_disk() {
     assert_eq!(r2.source, Source::Proxy);
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The paper's §3.2 remote-hit-caching variant (`cache_peer_hits`): a
+/// relayed peer hit is absorbed into the proxy's own tiers, so the next
+/// requester is served from proxy memory and — once memory has evicted the
+/// document — from the disk tier, when there is one. Off (the default),
+/// every requester goes back to a holding browser. Byte-exact throughout.
+#[test]
+fn absorbed_peer_hits_serve_from_proxy_memory_then_disk() {
+    for (absorb, with_disk) in [(false, false), (false, true), (true, false), (true, true)] {
+        let case = format!("cache_peer_hits={absorb} disk={with_disk}");
+        let dir = disk_dir(&format!("absorb_{absorb}_{with_disk}"));
+        let bed = TestBed::start(
+            DocumentStore::synthetic(16, 200, 2_000, 42),
+            TestBedConfig {
+                n_clients: 4,
+                proxy_capacity: 2_500,
+                browser_capacity: 64 << 10,
+                cache_peer_hits: absorb,
+                disk_root: with_disk.then(|| dir.clone()),
+                // Room for a few documents: the seeding churn pushes doc 0
+                // out of the disk tier as well as out of memory.
+                disk_capacity: 6_000,
+                disk_ttl: Duration::from_secs(3600),
+                ..TestBedConfig::default()
+            },
+        )
+        .unwrap();
+        let url = doc_url(0);
+        let body = seed_holder(&bed, 1).remove(0);
+        let exact = |client: usize, source: Source| {
+            let got = bed.clients[client].fetch(&url).unwrap();
+            assert_eq!((got.source, &got.body), (source, &body), "{case}");
+        };
+
+        // A's copy is relayed to B ...
+        exact(1, Source::Peer);
+        // ... and C finds it in proxy memory only if the proxy absorbed it.
+        exact(2, if absorb { Source::Proxy } else { Source::Peer });
+
+        // Push it out of proxy memory; C forgets its copy and asks again.
+        let mut next = 1;
+        while bed.proxy.cached_body(&url).is_some() {
+            bed.clients[3].fetch(&doc_url(next)).unwrap();
+            next += 1;
+        }
+        bed.clients[2].purge_local(&url);
+        exact(
+            2,
+            if absorb && with_disk {
+                Source::ProxyDisk
+            } else {
+                Source::Peer
+            },
+        );
+        assert_eq!(
+            bed.origin.hits(),
+            8 + next as u64,
+            "{case}: doc 0 fetched once"
+        );
+        bed.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Satellite: Prometheus counters survive a proxy restart — a scraper
@@ -1252,6 +1301,10 @@ fn sequential_peer_hits_dial_the_holder_once() {
     );
     assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 0);
     assert_eq!(bed.clients[0].peer_serves(), 200);
+    // Every probe was an exchange on an event loop: nothing went to the
+    // executor, nothing is left in flight.
+    let r = bed.proxy.reactor_stats();
+    assert_eq!((r.offloaded, r.exchanges_in_flight), (0, 0), "{r:?}");
     bed.shutdown();
 }
 
@@ -1400,12 +1453,13 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
     bed.shutdown();
 }
 
-/// (e) Direct-forward while the proxy holds an idle connection for every
-/// requester that ever overlapped another, to both the requester and the
-/// holder. None of them costs a browser a thread, so the holder still
-/// takes the PUSH and the requester the one-shot DELIVER.
+/// (e) A peer hit while the proxy holds an idle connection for every
+/// requester that ever overlapped another, to each of two holders. None of
+/// them costs a browser a thread, so a holder still takes the PEERGET of a
+/// loop that has no connection to it yet: at most one dial, no origin
+/// fetch.
 #[test]
-fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
+fn peer_hit_lands_while_the_proxy_holds_full_idle_sets() {
     use std::sync::Barrier;
 
     const REQUESTERS: u64 = 4;
@@ -1415,7 +1469,6 @@ fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
             n_clients: 6,
             proxy_capacity: 2_500,
             browser_capacity: 64 << 10,
-            direct_forward: true,
             ..TestBedConfig::default()
         },
     )
@@ -1430,7 +1483,7 @@ fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
     assert_eq!(idle_upstreams(&bed), (0, 0));
 
     // Clients 2..6 ask one holder for one doc each at the same moment,
-    // until all four PUSH orders overlapped at least once: the proxy's
+    // until all four PEERGETs overlapped at least once: the proxy's
     // loops then hold one connection per requester to that address
     // (`want` says how many are idle to peers in total by then).
     let saturate = |first_doc: usize, want: u64| {
@@ -1451,20 +1504,17 @@ fn direct_delivery_lands_while_the_proxy_holds_full_idle_sets() {
                 return;
             }
         }
-        panic!(
-            "PUSH orders never overlapped: {:?} idle",
-            idle_upstreams(&bed)
-        );
+        panic!("PEERGETs never overlapped: {:?} idle", idle_upstreams(&bed));
     };
     saturate(0, REQUESTERS); // to client 0
     saturate(16, 2 * REQUESTERS); // and to client 1
 
     // Client 1 asks for doc 4, which only client 0 holds.
-    let pushes = bed.proxy.stats().direct_pushes;
+    let hits = bed.proxy.stats().peer_hits;
     let dials = peer_dials(&bed);
     let got = bed.clients[1].fetch(&doc_url(4)).unwrap();
     assert_eq!((got.source, &got.body), (Source::Peer, &bodies[4]));
-    assert_eq!(bed.proxy.stats().direct_pushes, pushes + 1);
+    assert_eq!(bed.proxy.stats().peer_hits, hits + 1);
     assert!(
         peer_dials(&bed) <= dials + 1,
         "at most the one connection client 1's loop lacked"
@@ -1529,7 +1579,6 @@ fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
         origin_addr: origin.addr(),
         key_seed: 1,
         cache_peer_hits: false,
-        direct_forward: false,
         worker_threads: WAVE,
         peer_timeout: Duration::ZERO,
         peer_retries: 0,
@@ -1586,12 +1635,15 @@ fn faulted_bed(faults: FaultConfig) -> (TestBed, Arc<FaultPlan>) {
     (bed, plan)
 }
 
-/// A frame neither site's fault table covers: a browser takes a DELIVER,
-/// the origin refuses the verb.
-fn undrawn_frame() -> Message {
-    Message::new(format!("DELIVER {} BAPS/1.0", doc_url(0)))
+/// A frame neither site's fault table covers: `verb` is one of the retired
+/// direct-forward verbs (`PUSH`, `DELIVER`), dressed as it used to be sent;
+/// a browser and the origin refuse both.
+fn undrawn_frame(verb: &str) -> Message {
+    Message::new(format!("{verb} {} BAPS/1.0", doc_url(0)))
         .header("Txn", "1")
+        .header("Target", "127.0.0.1:9")
         .header("X-Watermark", "ab".repeat(32))
+        .with_body(b"a delivery nobody awaits".to_vec())
 }
 
 /// Each site draws once per frame its fault table covers, in arrival
@@ -1626,7 +1678,10 @@ fn fault_draws_are_one_per_covered_frame() {
             let reply = ask(&mut conn, &covered).expect("these kinds keep the connection");
             assert_eq!(response_code(&reply), Some(code));
         }
-        assert!(ask(&mut conn, &undrawn_frame()).is_some());
+        for verb in ["PUSH", "DELIVER"] {
+            let reply = ask(&mut conn, &undrawn_frame(verb)).expect("a reply");
+            assert_eq!(response_code(&reply), Some(400), "{verb} draws nothing");
+        }
         assert!(ask(&mut conn, &Message::new("FROB x BAPS/1.0")).is_some());
         assert_eq!(plan.counts().get(kind), N);
         assert_eq!(plan.counts().total(), before + N);
@@ -1668,7 +1723,7 @@ fn stalled_replies_hold_no_thread_on_peer_port_or_origin() {
         for conn in &mut stalled {
             write_message(conn.get_mut(), &stalled_req).unwrap();
         }
-        assert!(ask(&mut raw(addr), &undrawn_frame()).is_some());
+        assert!(ask(&mut raw(addr), &undrawn_frame("DELIVER")).is_some());
         assert!(
             t0.elapsed() < STALL,
             "served behind {STALLED} stalls after {:?}",
@@ -1770,44 +1825,6 @@ fn silent_holder_delays_only_its_own_requester() {
     bed.shutdown();
 }
 
-/// (d) Direct-forward PUSH orders are asked from the event loops like
-/// every other upstream exchange: a run of them rides one kept-alive
-/// connection to the holder, hands nothing to the executor, and each
-/// delivery is byte-exact.
-#[test]
-fn direct_forward_orders_ride_the_event_loops() {
-    let bed = TestBed::start(
-        DocumentStore::synthetic(16, 200, 2_000, 42),
-        TestBedConfig {
-            n_clients: 3,
-            proxy_capacity: 2_500,
-            browser_capacity: 64 << 10,
-            direct_forward: true,
-            ..TestBedConfig::default()
-        },
-    )
-    .unwrap();
-    let bodies = seed_holder(&bed, 4);
-    for i in 0..40 {
-        let url = doc_url(i % 4);
-        bed.clients[1].purge_local(&url);
-        let got = bed.clients[1].fetch(&url).unwrap();
-        assert_eq!(got.source, Source::Peer, "fetch {i}");
-        assert_eq!(got.body, bodies[i % 4], "fetch {i}");
-    }
-    let stats = bed.proxy.stats();
-    assert_eq!((stats.direct_pushes, stats.peer_hits), (40, 40));
-    assert_eq!(bed.clients[0].peer_serves(), 40);
-    assert_eq!(peer_dials(&bed), 1);
-    assert_eq!(
-        upstream(&bed, "baps_upstream_reuses_total", &[("upstream", "peer")]),
-        39
-    );
-    let r = bed.proxy.reactor_stats();
-    assert_eq!((r.offloaded, r.exchanges_in_flight), (0, 0), "{r:?}");
-    bed.shutdown();
-}
-
 /// (e) A 1 MiB origin body that arrives in 16 KiB pieces is hashed piece
 /// by piece as it lands — the watermark the proxy signs is the one `md5`
 /// over the whole buffer gives — and between pieces the loop serves its
@@ -1860,7 +1877,6 @@ fn large_origin_body_is_hashed_as_it_arrives_and_yields_the_loop() {
         origin_addr,
         key_seed: 1,
         cache_peer_hits: false,
-        direct_forward: false,
         worker_threads: 0,
         peer_timeout: Duration::ZERO,
         peer_retries: 0,

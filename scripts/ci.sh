@@ -121,6 +121,17 @@ if git grep -nE 'BENCH_live|live_load|set_keep_alive|--sweep' -- \
     echo "doc rot: the lines above name something this repo deleted"
     exit 1
 fi
+# Direct-forward (PUSH / DELIVER, browser-to-browser sockets) is gone too:
+# a remote-browser hit is a relayed PEERGET (DESIGN.md §8). Sources and
+# docs only — tests under crates/*/tests may name the retired verbs to
+# prove they are refused. The §6.2 protocol-level reproduction has a
+# local binding of one of these names and is no part of the live runtime.
+if git grep -nE 'direct_forward|deliver_to|await_delivery|PushOrder|DeliveryTimeout|baps_direct_pushes_total|peer-direct' -- \
+    README.md DESIGN.md src examples .claude crates/*/src \
+    ':!crates/crypto/src/anonymity.rs' ':!examples/secure_sharing.rs'; then
+    echo "doc rot: the lines above name part of the deleted direct-forward mode"
+    exit 1
+fi
 
 echo "== md5 kernel throughput (non-gating perf smoke)"
 # One MD5 pass per hop is the largest CPU term of a disk hit and of a

@@ -5,7 +5,7 @@
 //! baps generate --profile uc --out trace.baps [--scale 0.1] [--squid log.txt]
 //! baps info trace.baps
 //! baps simulate trace.baps [--org baps] [--proxy-frac 0.10] [--all-orgs]
-//! baps demo [--clients 4] [--docs 32] [--direct]
+//! baps demo [--clients 4] [--docs 32]
 //! ```
 
 use baps::core::{HitClass, LatencyParams, Organization, SystemConfig};
@@ -47,7 +47,7 @@ fn print_usage() {
          baps generate --profile <uc|bo1|bu95|bu98|canet> --out <file> [--scale <f>] [--squid <file>]\n  \
          baps info <trace-file>\n  \
          baps simulate <trace-file> [--org <p|b|gb|plb|baps>] [--proxy-frac <f>] [--all-orgs]\n  \
-         baps demo [--clients <n>] [--docs <n>] [--direct]\n\n\
+         baps demo [--clients <n>] [--docs <n>]\n\n\
          Experiment binaries live in baps-bench; see README.md."
     );
 }
@@ -210,7 +210,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let (_, pairs, switches) = parse_flags(args);
+    let (_, pairs, _) = parse_flags(args);
     let n_clients: u32 = flag(&pairs, "clients")
         .map(|s| s.parse().map_err(|e| format!("bad --clients: {e}")))
         .transpose()?
@@ -219,7 +219,6 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         .map(|s| s.parse().map_err(|e| format!("bad --docs: {e}")))
         .transpose()?
         .unwrap_or(32);
-    let direct = switches.iter().any(|s| s == "direct");
     if n_clients < 2 {
         return Err("--clients must be >= 2".into());
     }
@@ -231,16 +230,14 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
             n_clients,
             proxy_capacity: 4_000,
             browser_capacity: 64 << 10,
-            direct_forward: direct,
             ..TestBedConfig::default()
         },
     )
     .map_err(|e| format!("start test bed: {e}"))?;
     println!(
-        "live system up: origin {}, proxy {}, {n_clients} clients (forward mode: {})",
+        "live system up: origin {}, proxy {}, {n_clients} clients",
         bed.origin.addr(),
         bed.proxy.addr(),
-        if direct { "direct push" } else { "proxy relay" }
     );
 
     // Drive a workload that produces every hit class:
@@ -289,11 +286,10 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     let stats = bed.proxy.stats();
     println!("\nfetch sources: {sources:?}");
     println!(
-        "proxy: {} requests, {} proxy hits, {} peer hits ({} direct), {} origin fetches, {} invalidations",
+        "proxy: {} requests, {} proxy hits, {} peer hits, {} origin fetches, {} invalidations",
         stats.requests,
         stats.proxy_hits,
         stats.peer_hits,
-        stats.direct_pushes,
         stats.origin_fetches,
         stats.invalidations
     );
