@@ -1,12 +1,20 @@
 //! Byte-capacity LRU cache, the replacement policy the paper simulates.
 //!
-//! Entries are whole Web documents: each has a key and a byte size, and the
-//! cache holds at most `capacity` bytes. All operations are O(1) expected.
-//! Documents larger than the whole cache are not admitted (standard Web
-//! cache behaviour; admitting them would flush the entire cache for an
-//! object that can never be reused before eviction).
+//! Entries are whole Web documents: each has a key, a byte size and a
+//! value that rides in the entry itself (`()` for the simulator, which
+//! only asks *whether* a document is cached; a body or a disk entry's
+//! metadata for the live proxy). The cache holds at most `capacity` bytes.
+//! All operations are O(1) expected. Documents larger than the whole cache
+//! are not admitted (standard Web cache behaviour; admitting them would
+//! flush the entire cache for an object that can never be reused before
+//! eviction).
+//!
+//! A key or value lives exactly as long as its entry: eviction,
+//! replacement, rejection and removal drop the value and the cache's
+//! copies of the key.
 
 use crate::slablist::{Handle, SlabList};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -28,16 +36,25 @@ impl<K> InsertOutcome<K> {
     }
 }
 
-/// An LRU cache bounded by total bytes rather than entry count.
 #[derive(Debug, Clone)]
-pub struct ByteLru<K: Hash + Eq + Copy> {
+struct Entry<K, V> {
+    key: K,
+    size: u64,
+    value: V,
+}
+
+/// An LRU cache bounded by total bytes rather than entry count. Lookups
+/// go through [`Borrow`], so a cache keyed by `Arc<str>` is probed with a
+/// `&str`.
+#[derive(Debug, Clone)]
+pub struct ByteLru<K, V = ()> {
     map: HashMap<K, Handle>,
-    list: SlabList<(K, u64)>,
+    list: SlabList<Entry<K, V>>,
     capacity: u64,
     used: u64,
 }
 
-impl<K: Hash + Eq + Copy> ByteLru<K> {
+impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     /// Creates a cache holding at most `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         ByteLru {
@@ -69,45 +86,84 @@ impl<K: Hash + Eq + Copy> ByteLru<K> {
     }
 
     /// Whether `key` is cached (does not promote).
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.contains_key(key)
     }
 
     /// Size of the cached copy of `key`, if present (does not promote).
-    pub fn size_of(&self, key: &K) -> Option<u64> {
-        self.map
-            .get(key)
-            .map(|&h| self.list.get(h).expect("map/list in sync").1)
+    pub fn size_of<Q>(&self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let &h = self.map.get(key)?;
+        self.list.get(h).map(|e| e.size)
+    }
+
+    /// Looks `key` up and promotes it to most-recently-used on a hit.
+    fn promote<Q>(&mut self, key: &Q) -> Option<&Entry<K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let &h = self.map.get(key)?;
+        self.list.move_to_front(h);
+        self.list.get(h)
     }
 
     /// Looks `key` up and promotes it to most-recently-used on a hit.
     /// Returns the cached size.
-    pub fn touch(&mut self, key: &K) -> Option<u64> {
+    pub fn touch<Q>(&mut self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.promote(key).map(|e| e.size)
+    }
+
+    /// [`touch`](Self::touch) that returns the entry's value.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.promote(key).map(|e| &e.value)
+    }
+
+    /// The value of `key` for editing in place (does not promote). The
+    /// entry's size is fixed at insert; the value is not charged.
+    pub fn peek_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let &h = self.map.get(key)?;
-        self.list.move_to_front(h);
-        Some(self.list.get(h).expect("map/list in sync").1)
+        self.list.get_mut(h).map(|e| &mut e.value)
     }
 
     /// Inserts (or refreshes) `key` with `size` bytes, evicting LRU entries
     /// as needed. An existing entry with the same key is replaced (its size
-    /// updated) and promoted.
-    pub fn insert(&mut self, key: K, size: u64) -> InsertOutcome<K> {
+    /// and value updated) and promoted; one that has grown past the whole
+    /// cache is only purged.
+    pub fn insert(&mut self, key: K, size: u64, value: V) -> InsertOutcome<K> {
+        // Drop an existing copy first so its bytes are reclaimed.
+        self.remove(&key);
         if size > self.capacity {
-            // Remove a stale smaller copy if present: the document now
-            // exceeds the cache entirely.
-            self.remove(&key);
             return InsertOutcome::rejected();
         }
-        // Replace an existing copy first so its bytes are reclaimed.
-        self.remove(&key);
         let mut evicted = Vec::new();
         while self.used + size > self.capacity {
-            let (victim, vsize) = self.list.pop_back().expect("used > 0 implies entries");
-            self.map.remove(&victim);
-            self.used -= vsize;
-            evicted.push((victim, vsize));
+            evicted.push(self.pop_lru().expect("used > 0 implies entries"));
         }
-        let h = self.list.push_front((key, size));
+        let h = self.list.push_front(Entry {
+            key: key.clone(),
+            size,
+            value,
+        });
         self.map.insert(key, h);
         self.used += size;
         InsertOutcome {
@@ -117,24 +173,28 @@ impl<K: Hash + Eq + Copy> ByteLru<K> {
     }
 
     /// Removes `key`; returns its size if it was cached.
-    pub fn remove(&mut self, key: &K) -> Option<u64> {
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let h = self.map.remove(key)?;
-        let (_, size) = self.list.remove(h);
+        let size = self.list.remove(h).size;
         self.used -= size;
         Some(size)
     }
 
-    /// Evicts and returns the least-recently-used entry.
+    /// Evicts the least-recently-used entry; returns its key and size.
     pub fn pop_lru(&mut self) -> Option<(K, u64)> {
-        let (key, size) = self.list.pop_back()?;
+        let Entry { key, size, .. } = self.list.pop_back()?;
         self.map.remove(&key);
         self.used -= size;
         Some((key, size))
     }
 
-    /// Iterates entries most-recent first.
-    pub fn iter_mru(&self) -> impl Iterator<Item = (K, u64)> + '_ {
-        self.list.iter().copied()
+    /// Iterates entries (key and size) most-recent first.
+    pub fn iter_mru(&self) -> impl Iterator<Item = (&K, u64)> + '_ {
+        self.list.iter().map(|e| (&e.key, e.size))
     }
 }
 
@@ -145,7 +205,7 @@ mod tests {
     #[test]
     fn insert_and_hit() {
         let mut c = ByteLru::new(100);
-        assert!(c.insert("a", 40).admitted);
+        assert!(c.insert("a", 40, ()).admitted);
         assert_eq!(c.touch(&"a"), Some(40));
         assert_eq!(c.touch(&"b"), None);
         assert_eq!(c.used(), 40);
@@ -155,9 +215,9 @@ mod tests {
     #[test]
     fn eviction_is_lru_order() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 40);
-        c.insert("b", 40);
-        let out = c.insert("c", 40); // must evict "a"
+        c.insert("a", 40, ());
+        c.insert("b", 40, ());
+        let out = c.insert("c", 40, ()); // must evict "a"
         assert_eq!(out.evicted, vec![("a", 40)]);
         assert!(!c.contains(&"a"));
         assert!(c.contains(&"b"));
@@ -167,10 +227,10 @@ mod tests {
     #[test]
     fn touch_promotes_against_eviction() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 40);
-        c.insert("b", 40);
+        c.insert("a", 40, ());
+        c.insert("b", 40, ());
         c.touch(&"a"); // now "b" is LRU
-        let out = c.insert("c", 40);
+        let out = c.insert("c", 40, ());
         assert_eq!(out.evicted, vec![("b", 40)]);
         assert!(c.contains(&"a"));
     }
@@ -178,8 +238,8 @@ mod tests {
     #[test]
     fn oversized_object_rejected() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 40);
-        let out = c.insert("big", 101);
+        c.insert("a", 40, ());
+        let out = c.insert("big", 101, ());
         assert!(!out.admitted);
         assert!(out.evicted.is_empty());
         // Cache undisturbed.
@@ -189,8 +249,8 @@ mod tests {
     #[test]
     fn oversized_update_purges_stale_copy() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 40);
-        let out = c.insert("a", 200); // "a" grew past the cache
+        c.insert("a", 40, ());
+        let out = c.insert("a", 200, ()); // "a" grew past the cache
         assert!(!out.admitted);
         assert!(!c.contains(&"a"));
         assert_eq!(c.used(), 0);
@@ -199,8 +259,8 @@ mod tests {
     #[test]
     fn reinsert_updates_size() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 40);
-        c.insert("a", 70);
+        c.insert("a", 40, ());
+        c.insert("a", 70, ());
         assert_eq!(c.used(), 70);
         assert_eq!(c.size_of(&"a"), Some(70));
         assert_eq!(c.len(), 1);
@@ -209,10 +269,10 @@ mod tests {
     #[test]
     fn exact_fit_evicts_everything_needed() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 30);
-        c.insert("b", 30);
-        c.insert("c", 30);
-        let out = c.insert("d", 100);
+        c.insert("a", 30, ());
+        c.insert("b", 30, ());
+        c.insert("c", 30, ());
+        let out = c.insert("d", 100, ());
         assert!(out.admitted);
         assert_eq!(out.evicted.len(), 3);
         assert_eq!(c.used(), 100);
@@ -222,7 +282,7 @@ mod tests {
     #[test]
     fn remove_frees_bytes() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 60);
+        c.insert("a", 60, ());
         assert_eq!(c.remove(&"a"), Some(60));
         assert_eq!(c.remove(&"a"), None);
         assert_eq!(c.used(), 0);
@@ -231,8 +291,8 @@ mod tests {
     #[test]
     fn pop_lru_drains_in_order() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 10);
-        c.insert("b", 10);
+        c.insert("a", 10, ());
+        c.insert("b", 10, ());
         c.touch(&"a");
         assert_eq!(c.pop_lru(), Some(("b", 10)));
         assert_eq!(c.pop_lru(), Some(("a", 10)));
@@ -242,29 +302,47 @@ mod tests {
     #[test]
     fn iter_mru_order() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 10);
-        c.insert("b", 10);
-        c.insert("c", 10);
+        c.insert("a", 10, ());
+        c.insert("b", 10, ());
+        c.insert("c", 10, ());
         c.touch(&"a");
-        let keys: Vec<&str> = c.iter_mru().map(|(k, _)| k).collect();
+        let keys: Vec<&str> = c.iter_mru().map(|(&k, _)| k).collect();
         assert_eq!(keys, vec!["a", "c", "b"]);
     }
 
     #[test]
     fn size_of_does_not_promote() {
         let mut c = ByteLru::new(100);
-        c.insert("a", 40);
-        c.insert("b", 40);
+        c.insert("a", 40, ());
+        c.insert("b", 40, ());
         assert_eq!(c.size_of(&"a"), Some(40));
         // "a" is still LRU.
-        let out = c.insert("c", 40);
+        let out = c.insert("c", 40, ());
         assert_eq!(out.evicted, vec![("a", 40)]);
     }
 
     #[test]
     fn zero_capacity_rejects_everything() {
         let mut c: ByteLru<u32> = ByteLru::new(0);
-        assert!(!c.insert(1, 1).admitted);
+        assert!(!c.insert(1, 1, ()).admitted);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn value_rides_in_the_entry() {
+        use std::sync::Arc;
+        let mut c: ByteLru<Arc<str>, u32> = ByteLru::new(100);
+        c.insert("a".into(), 40, 1);
+        c.insert("b".into(), 40, 2);
+        // Probed with a `&str`; `get` promotes, `peek_mut` does not.
+        assert_eq!(c.get("a"), Some(&1));
+        *c.peek_mut("b").unwrap() = 20;
+        let out = c.insert("c".into(), 40, 3);
+        assert_eq!(out.evicted, vec![("b".into(), 40)]);
+        assert_eq!(c.get("b"), None);
+        assert_eq!(c.peek_mut("b"), None);
+        c.insert("a".into(), 10, 11);
+        assert_eq!(c.get("a"), Some(&11));
+        assert_eq!(c.used(), 50);
     }
 }

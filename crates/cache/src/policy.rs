@@ -94,7 +94,7 @@ impl<K: Hash + Eq + Copy> DocCache<K> for ByteLru<K> {
         ByteLru::touch(self, key)
     }
     fn insert(&mut self, key: K, size: u64) -> InsertOutcome<K> {
-        ByteLru::insert(self, key, size)
+        ByteLru::insert(self, key, size, ())
     }
     fn remove(&mut self, key: &K) -> Option<u64> {
         ByteLru::remove(self, key)
@@ -309,7 +309,7 @@ impl<K: Hash + Eq + Copy + Ord> DocCache<K> for AnyCache<K> {
         dispatch!(self, c, c.touch(key))
     }
     fn insert(&mut self, key: K, size: u64) -> InsertOutcome<K> {
-        dispatch!(self, c, c.insert(key, size))
+        dispatch!(self, c, DocCache::insert(c, key, size))
     }
     fn remove(&mut self, key: &K) -> Option<u64> {
         dispatch!(self, c, c.remove(key))

@@ -59,10 +59,7 @@ impl<T> SlabList<T> {
 
     fn alloc(&mut self, value: T) -> u32 {
         if let Some(idx) = self.free.pop() {
-            let node = &mut self.nodes[idx as usize];
-            node.value = Some(value);
-            node.prev = NIL;
-            node.next = NIL;
+            self.nodes[idx as usize].value = Some(value);
             idx
         } else {
             let idx = self.nodes.len() as u32;
@@ -76,9 +73,9 @@ impl<T> SlabList<T> {
         }
     }
 
-    /// Pushes a value at the front (most-recent end); returns its handle.
-    pub fn push_front(&mut self, value: T) -> Handle {
-        let idx = self.alloc(value);
+    /// Links the detached node `idx` in at the front.
+    fn link_front(&mut self, idx: u32) {
+        self.nodes[idx as usize].prev = NIL;
         self.nodes[idx as usize].next = self.head;
         if self.head != NIL {
             self.nodes[self.head as usize].prev = idx;
@@ -87,21 +84,16 @@ impl<T> SlabList<T> {
         if self.tail == NIL {
             self.tail = idx;
         }
-        self.len += 1;
-        Handle(idx)
     }
 
-    /// Detaches `h` from the list and returns its value.
+    /// Detaches the live node `idx` from its neighbours.
     ///
     /// # Panics
-    /// Panics if the handle is stale (already removed).
-    pub fn remove(&mut self, h: Handle) -> T {
-        let idx = h.0;
-        let (prev, next) = {
-            let node = &self.nodes[idx as usize];
-            assert!(node.value.is_some(), "stale list handle");
-            (node.prev, node.next)
-        };
+    /// Panics if the node is not live (its handle is stale).
+    fn unlink(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        assert!(node.value.is_some(), "stale list handle");
+        let (prev, next) = (node.prev, node.next);
         if prev != NIL {
             self.nodes[prev as usize].next = next;
         } else {
@@ -112,28 +104,49 @@ impl<T> SlabList<T> {
         } else {
             self.tail = prev;
         }
-        self.len -= 1;
-        self.free.push(idx);
-        let node = &mut self.nodes[idx as usize];
-        node.prev = NIL;
-        node.next = NIL;
-        node.value.take().expect("checked above")
     }
 
-    /// Moves `h` to the front (most-recent end).
+    /// Pushes a value at the front (most-recent end); returns its handle.
+    pub fn push_front(&mut self, value: T) -> Handle {
+        let idx = self.alloc(value);
+        self.link_front(idx);
+        self.len += 1;
+        Handle(idx)
+    }
+
+    /// Detaches `h` from the list and returns its value.
+    ///
+    /// # Panics
+    /// Panics if the handle is stale (already removed).
+    pub fn remove(&mut self, h: Handle) -> T {
+        self.unlink(h.0);
+        self.len -= 1;
+        self.free.push(h.0);
+        self.nodes[h.0 as usize]
+            .value
+            .take()
+            .expect("unlink checked it")
+    }
+
+    /// Moves `h` to the front (most-recent end). Only links change: the
+    /// value stays in its slot, however large it is.
     pub fn move_to_front(&mut self, h: Handle) {
-        if self.head == h.0 {
-            return;
+        if self.head != h.0 {
+            self.unlink(h.0);
+            self.link_front(h.0);
         }
-        let value = self.remove(h);
-        let new = self.push_front(value);
-        // Re-use of the freed slot keeps the handle stable.
-        debug_assert_eq!(new.0, h.0, "slot should be recycled immediately");
     }
 
     /// Returns a reference to the value at `h`.
     pub fn get(&self, h: Handle) -> Option<&T> {
         self.nodes.get(h.0 as usize).and_then(|n| n.value.as_ref())
+    }
+
+    /// Returns a mutable reference to the value at `h`.
+    pub fn get_mut(&mut self, h: Handle) -> Option<&mut T> {
+        self.nodes
+            .get_mut(h.0 as usize)
+            .and_then(|n| n.value.as_mut())
     }
 
     /// Returns the handle of the back (least-recent) element.

@@ -33,7 +33,7 @@ pub enum Tier {
 
 /// A two-segment LRU with a shared global byte budget.
 #[derive(Debug, Clone)]
-pub struct TieredLru<K: Hash + Eq + Copy> {
+pub struct TieredLru<K> {
     mem: ByteLru<K>,
     /// Unbounded list; overflow is enforced against `total_capacity`.
     disk: ByteLru<K>,
@@ -153,16 +153,16 @@ impl<K: Hash + Eq + Copy> TieredLru<K> {
             // entire memory segment (LRU-first, so order is preserved) and
             // place the object at the disk front.
             while let Some((k, s)) = self.mem.pop_lru() {
-                self.disk.insert(k, s);
+                self.disk.insert(k, s, ());
             }
-            self.disk.insert(key, size);
+            self.disk.insert(key, size, ());
         } else {
-            let spill = self.mem.insert(key, size).evicted;
+            let spill = self.mem.insert(key, size, ()).evicted;
             // Demote spilled memory entries to the disk front: spill is
             // LRU-first and each insert lands at the disk front, so the most
             // recent demotee ends up frontmost.
             for (k, s) in spill {
-                self.disk.insert(k, s);
+                self.disk.insert(k, s, ());
             }
         }
         // Enforce the global budget from the global LRU end (disk back,
@@ -181,7 +181,10 @@ impl<K: Hash + Eq + Copy> TieredLru<K> {
 
     /// Iterates all entries in global recency order (memory first).
     pub fn iter_mru(&self) -> impl Iterator<Item = (K, u64)> + '_ {
-        self.mem.iter_mru().chain(self.disk.iter_mru())
+        self.mem
+            .iter_mru()
+            .chain(self.disk.iter_mru())
+            .map(|(&k, s)| (k, s))
     }
 }
 
@@ -228,11 +231,11 @@ mod tests {
                 flat.touch(&k);
             } else {
                 tiered.insert(k, s);
-                flat.insert(k, s);
+                flat.insert(k, s, ());
             }
         }
         let t: Vec<(u32, u64)> = tiered.iter_mru().collect();
-        let f: Vec<(u32, u64)> = flat.iter_mru().collect();
+        let f: Vec<(u32, u64)> = flat.iter_mru().map(|(&k, s)| (k, s)).collect();
         assert_eq!(t, f);
     }
 

@@ -2,6 +2,7 @@
 
 use baps_cache::{AnyCache, ByteLru, DocCache, Policy, TieredLru};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A randomly generated cache operation.
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ proptest! {
                     prop_assert_eq!(hit, shadow.get(&k).copied());
                 }
                 Op::Insert(k, s) => {
-                    let out = c.insert(k, s);
+                    let out = c.insert(k, s, ());
                     if out.admitted {
                         shadow.insert(k, s);
                     } else {
@@ -74,7 +75,7 @@ proptest! {
                     }
                 }
                 Op::Insert(k, s) => {
-                    let out = c.insert(k, s);
+                    let out = c.insert(k, s, ());
                     if out.admitted {
                         last_access.insert(k, i);
                     } else {
@@ -90,7 +91,7 @@ proptest! {
                 }
             }
         }
-        let order: Vec<u16> = c.iter_mru().map(|(k, _)| k).collect();
+        let order: Vec<u16> = c.iter_mru().map(|(&k, _)| k).collect();
         for w in order.windows(2) {
             prop_assert!(last_access[&w[0]] > last_access[&w[1]],
                 "MRU order violated: {:?}", order);
@@ -156,7 +157,7 @@ proptest! {
                 }
                 Op::Insert(k, s) => {
                     let to = tiered.insert(k, s);
-                    let fo = flat.insert(k, s);
+                    let fo = flat.insert(k, s, ());
                     prop_assert_eq!(to.admitted, fo.admitted);
                 }
                 Op::Remove(k) => {
@@ -166,7 +167,80 @@ proptest! {
             prop_assert_eq!(tiered.used(), flat.used());
         }
         let t: Vec<(u16, u64)> = tiered.iter_mru().collect();
-        let f: Vec<(u16, u64)> = flat.iter_mru().collect();
+        let f: Vec<(u16, u64)> = flat.iter_mru().map(|(&k, s)| (k, s)).collect();
         prop_assert_eq!(t, f);
+    }
+
+    /// The keyed, value-carrying LRU against a naive `Vec`-ordered model:
+    /// contents, `used`, recency order and returned victims agree after
+    /// every operation — and the cache lets go. The model keeps one handle
+    /// to every key and value it hands in; once an entry is evicted,
+    /// replaced, rejected or removed, those handles are the only ones left
+    /// (a name table beside the LRU would keep the key alive).
+    #[test]
+    fn keyed_lru_matches_model_and_lets_go(
+        capacity in 1u64..400,
+        ops in proptest::collection::vec(op_strategy(500), 0..300),
+    ) {
+        type Held = (Arc<str>, u64, Arc<()>);
+        let mut c: ByteLru<Arc<str>, Arc<()>> = ByteLru::new(capacity);
+        // Most recent first.
+        let mut model: Vec<Held> = Vec::new();
+        let name = |k: u16| format!("http://origin/doc/{k}");
+        for op in ops {
+            let mut dropped: Vec<Held> = Vec::new();
+            match op {
+                Op::Touch(k) => {
+                    let at = model.iter().position(|e| *e.0 == *name(k));
+                    let hit = c.get(name(k).as_str());
+                    prop_assert_eq!(hit.is_some(), at.is_some());
+                    if let Some(at) = at {
+                        prop_assert!(Arc::ptr_eq(hit.unwrap(), &model[at].2));
+                        let entry = model.remove(at);
+                        model.insert(0, entry);
+                    }
+                }
+                Op::Insert(k, size) => {
+                    let (key, value): (Arc<str>, _) = (name(k).into(), Arc::new(()));
+                    if let Some(at) = model.iter().position(|e| e.0 == key) {
+                        dropped.push(model.remove(at));
+                    }
+                    let mut victims = Vec::new();
+                    let admitted = size <= capacity;
+                    if admitted {
+                        while model.iter().map(|e| e.1).sum::<u64>() + size > capacity {
+                            let lru = model.pop().expect("bytes held imply entries");
+                            victims.push((Arc::clone(&lru.0), lru.1));
+                            dropped.push(lru);
+                        }
+                        model.insert(0, (Arc::clone(&key), size, Arc::clone(&value)));
+                    } else {
+                        dropped.push((Arc::clone(&key), size, Arc::clone(&value)));
+                    }
+                    let out = c.insert(key, size, value);
+                    prop_assert_eq!(out.admitted, admitted);
+                    prop_assert_eq!(out.evicted, victims);
+                }
+                Op::Remove(k) => {
+                    let at = model.iter().position(|e| *e.0 == *name(k));
+                    let removed = c.remove(name(k).as_str());
+                    prop_assert_eq!(removed, at.map(|at| model[at].1));
+                    dropped.extend(at.map(|at| model.remove(at)));
+                }
+            }
+            for (key, _, value) in &dropped {
+                prop_assert_eq!(Arc::strong_count(key), 1, "cache kept the name {}", key);
+                prop_assert_eq!(Arc::strong_count(value), 1, "cache kept the value of {}", key);
+            }
+            prop_assert_eq!(c.used(), model.iter().map(|e| e.1).sum::<u64>());
+            prop_assert!(c.used() <= capacity);
+            prop_assert_eq!(c.len(), model.len());
+            let order: Vec<(Arc<str>, u64)> = c.iter_mru().map(|(k, s)| (Arc::clone(k), s)).collect();
+            let expect: Vec<(Arc<str>, u64)> = model.iter().map(|e| (Arc::clone(&e.0), e.1)).collect();
+            prop_assert_eq!(order, expect);
+            for (key, _, value) in &model {
+                prop_assert!(c.peek_mut(&**key).is_some_and(|v| Arc::ptr_eq(v, value)));
+            }
+        }
     }
 }

@@ -14,9 +14,9 @@
 //!   incremental delta messages (traffic scales with churn, not size).
 //!
 //! [`AnyIndex`] provides enum dispatch so the simulator and the live proxy
-//! can switch models from configuration. [`ShardedIndex`] partitions an
-//! exact directory across doc-hashed shards so the live proxy can stripe
-//! locks without changing observable behaviour.
+//! can switch models from configuration. [`shard_of`] is the doc-hash
+//! routing the live proxy stripes an exact directory's locks by, without
+//! changing observable behaviour.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,7 @@ pub use bloom::{BloomFilter, CountingBloom};
 pub use counting::{CountingBloomIndex, CountingConfig};
 pub use delayed::{DelayedIndex, UpdatePolicy};
 pub use exact::{ExactIndex, BYTES_PER_ENTRY};
-pub use sharded::{shard_of, ShardedIndex, DEFAULT_SHARDS};
+pub use sharded::{shard_of, DEFAULT_SHARDS};
 pub use stats::IndexStats;
 pub use summary::{BloomSummaryIndex, SummaryConfig};
 

@@ -1,8 +1,6 @@
 //! Property-based tests of the index structures.
 
-use baps_index::{
-    BloomSummaryIndex, DelayedIndex, ExactIndex, ShardedIndex, SummaryConfig, UpdatePolicy,
-};
+use baps_index::{BloomSummaryIndex, DelayedIndex, ExactIndex, SummaryConfig, UpdatePolicy};
 use baps_trace::{ClientId, DocId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -88,44 +86,6 @@ proptest! {
                 prop_assert!(shadow.contains(&((h.0 as u8), d)));
             }
         }
-    }
-
-    /// A sharded index is observationally equivalent to one exact index
-    /// under any interleaving of stores, evicts, and lookups.
-    #[test]
-    fn sharded_index_equals_exact(ops in ops(), n_shards in 1usize..9) {
-        let mut sharded = ShardedIndex::new(n_shards);
-        let mut exact = ExactIndex::new();
-        for op in ops {
-            match op {
-                Op::Store(c, d) => {
-                    sharded.on_store(ClientId(c as u32), DocId(d as u32));
-                    exact.on_store(ClientId(c as u32), DocId(d as u32));
-                }
-                Op::Evict(c, d) => {
-                    sharded.on_evict(ClientId(c as u32), DocId(d as u32));
-                    exact.on_evict(ClientId(c as u32), DocId(d as u32));
-                }
-            }
-            prop_assert_eq!(sharded.entries(), exact.entries());
-        }
-        prop_assert_eq!(sharded.distinct_docs(), exact.distinct_docs());
-        prop_assert_eq!(sharded.memory_bytes(), exact.memory_bytes());
-        for d in 0u16..128 {
-            for excl in [0u32, 3, 255] {
-                prop_assert_eq!(
-                    sharded.lookup_all(DocId(d as u32), ClientId(excl)),
-                    exact.lookup_all(DocId(d as u32), ClientId(excl)),
-                    "doc {} exclude {}", d, excl
-                );
-                prop_assert_eq!(
-                    sharded.lookup(DocId(d as u32), ClientId(excl)),
-                    exact.lookup(DocId(d as u32), ClientId(excl))
-                );
-            }
-        }
-        // Lookups above were mirrored, so merged stats must agree too.
-        prop_assert_eq!(sharded.stats(), exact.stats());
     }
 
     /// Bloom summaries never produce false negatives after a rebuild.

@@ -509,12 +509,13 @@ impl ClientAgent {
     /// client holds the document again, and the proxy re-indexed it when
     /// serving) and is cancelled, and the insert's victims are queued
     /// exactly once even when a replayed requeue already listed them.
-    fn note_stored(&self, url: &str, evicted: Vec<String>) {
+    fn note_stored(&self, url: &str, evicted: Vec<(Arc<str>, u64)>) {
         let mut pending = self.pending_evictions.lock();
         pending.retain(|u| u != url);
-        for victim in evicted {
-            if victim != url && !pending.contains(&victim) {
-                pending.push(victim);
+        for (victim, _) in &evicted {
+            let victim: &str = victim;
+            if victim != url && !pending.iter().any(|u| u == victim) {
+                pending.push(victim.to_owned());
             }
         }
     }

@@ -22,9 +22,10 @@
 //!   stamp for the cost of a header exchange).
 //!
 //! Lock discipline matches the rest of the proxy: the in-memory index
-//! (interner + byte-budgeted LRU + per-entry metadata) lives behind one
-//! mutex, and **no file I/O ever happens while it is held** — lookups
-//! copy the metadata out, writes prepare the full file image first.
+//! (one byte-budgeted LRU keyed by URL, each entry carrying its metadata)
+//! lives behind one mutex, and **no file I/O ever happens while it is
+//! held** — lookups copy the metadata out, writes prepare the full file
+//! image first.
 //! Concurrent writers to the same URL can interleave (the OS gives no
 //! atomicity promise for overlapping writes); a torn result is caught by
 //! the same read-time verification and self-heals.
@@ -33,13 +34,13 @@ use crate::protocol::read_body;
 use crate::store::CachedDoc;
 use baps_cache::ByteLru;
 use baps_crypto::{md5, verify_hashed, Digest, PublicKey, Watermark};
-use baps_trace::Interner;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// File-format magic: "BAPS DisK v01". Bump the trailing digits on any
@@ -118,13 +119,10 @@ struct Meta {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry(Meta);
 
-/// In-memory picture of what is on disk: URL interner, byte-budgeted LRU,
-/// and per-entry metadata. File I/O never happens under this lock.
-struct DiskIndex {
-    urls: Interner,
-    lru: ByteLru<u32>,
-    meta: HashMap<u32, Meta>,
-}
+/// In-memory picture of what is on disk: one byte-budgeted LRU keyed by
+/// URL, each entry carrying its metadata. File I/O never happens under
+/// its lock.
+type DiskIndex = ByteLru<Arc<str>, Meta>;
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -160,11 +158,7 @@ impl DiskTier {
             root: config.root,
             key,
             default_ttl: config.default_ttl,
-            inner: Mutex::new(DiskIndex {
-                urls: Interner::new(),
-                lru: ByteLru::new(config.capacity),
-                meta: HashMap::new(),
-            }),
+            inner: Mutex::new(DiskIndex::new(config.capacity)),
             counters: Counters::default(),
         };
         let mut found: Vec<(String, Meta)> = Vec::new();
@@ -184,29 +178,18 @@ impl DiskTier {
             }
         }
         found.sort_by_key(|(_, m)| m.stored_at);
-        {
-            let mut inner = tier.inner.lock();
+        // Deleting under the lock would break the discipline, so the files
+        // of entries the budget evicted or rejected (rare: only on a
+        // shrunk capacity) go in a second pass: whatever the index does
+        // not name.
+        let keep: HashSet<PathBuf> = {
+            let mut index = tier.inner.lock();
             for (url, meta) in found {
-                let id = inner.urls.intern(&url);
-                let out = inner.lru.insert(id, meta.size);
-                for (victim, _) in out.evicted {
-                    inner.meta.remove(&victim);
-                    // Deleting under the lock would break the discipline;
-                    // collect instead. (Rare: only on a shrunk capacity.)
-                }
-                if out.admitted {
-                    inner.meta.insert(id, meta);
-                }
+                index.insert(url.into(), meta.size, meta);
             }
-            // Files for entries the budget rejected are deleted below.
-        }
-        // Second pass outside the lock: remove files not in the index.
-        let keep: std::collections::HashSet<PathBuf> = {
-            let inner = tier.inner.lock();
-            inner
-                .meta
-                .keys()
-                .filter_map(|&id| inner.urls.name(id).map(|u| entry_path(&tier.root, u)))
+            index
+                .iter_mru()
+                .map(|(url, _)| entry_path(&tier.root, url))
                 .collect()
         };
         for entry in fs::read_dir(&tier.root)? {
@@ -234,12 +217,7 @@ impl DiskTier {
     /// to itself; the entry goes to [`read`](Self::read), on a thread that
     /// may block.
     pub(crate) fn find(&self, url: &str) -> Option<Entry> {
-        let mut inner = self.inner.lock();
-        let found = inner
-            .urls
-            .get(url)
-            .filter(|id| inner.lru.touch(id).is_some())
-            .and_then(|id| inner.meta.get(&id).copied());
+        let found = self.inner.lock().get(url).copied();
         if found.is_none() {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -268,11 +246,7 @@ impl DiskTier {
                 if fs::remove_file(&path).is_err() {
                     self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                 }
-                let mut inner = self.inner.lock();
-                if let Some(id) = inner.urls.get(url) {
-                    inner.lru.remove(&id);
-                    inner.meta.remove(&id);
-                }
+                self.inner.lock().remove(url);
                 None
             }
         }
@@ -303,38 +277,20 @@ impl DiskTier {
             let _ = fs::remove_file(&path);
             return;
         }
-        let (admitted, evicted) = {
-            let mut inner = self.inner.lock();
-            let id = inner.urls.intern(url);
-            let out = inner.lru.insert(id, size);
-            let evicted: Vec<PathBuf> = out
-                .evicted
-                .iter()
-                .filter(|(victim, _)| *victim != id)
-                .filter_map(|(victim, _)| {
-                    inner.meta.remove(victim);
-                    inner.urls.name(*victim).map(|u| entry_path(&self.root, u))
-                })
-                .collect();
-            if out.admitted {
-                inner.meta.insert(id, meta);
-            } else {
-                inner.meta.remove(&id);
-            }
-            (out.admitted, evicted)
-        };
+        let key: Arc<str> = url.into();
+        let out = self.inner.lock().insert(key, size, meta);
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         self.counters.write_bytes.fetch_add(size, Ordering::Relaxed);
         self.counters
             .evictions
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            .fetch_add(out.evicted.len() as u64, Ordering::Relaxed);
         // Victim files are deleted after the lock is released.
-        for victim in evicted {
-            if fs::remove_file(&victim).is_err() {
+        for (victim, _) in &out.evicted {
+            if fs::remove_file(entry_path(&self.root, victim)).is_err() {
                 self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if !admitted {
+        if !out.admitted {
             // Too large for the budget: drop the file we just wrote.
             let _ = fs::remove_file(&path);
         }
@@ -344,26 +300,7 @@ impl DiskTier {
     /// from the origin): the `stored_at` field is rewritten in place, so
     /// a revalidation costs eight bytes of I/O, not a full rewrite.
     pub fn refresh(&self, url: &str) {
-        let now = now_unix();
-        {
-            let mut inner = self.inner.lock();
-            let Some(id) = inner.urls.get(url) else {
-                return;
-            };
-            let Some(meta) = inner.meta.get_mut(&id) else {
-                return;
-            };
-            meta.stored_at = now;
-        }
-        let path = entry_path(&self.root, url);
-        let stamp = (|| -> io::Result<()> {
-            let mut file = fs::OpenOptions::new().write(true).open(&path)?;
-            file.seek(SeekFrom::Start(STORED_AT_OFFSET))?;
-            file.write_all(&now.to_le_bytes())
-        })();
-        if stamp.is_err() {
-            self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        self.stamp(url, now_unix());
     }
 
     /// Expires `url` in place: the entry is kept (bytes, digest and
@@ -374,23 +311,25 @@ impl DiskTier {
     /// unchanged document should still come back as a cheap `304` rather
     /// than a refetch. Returns whether an entry was expired.
     pub fn expire(&self, url: &str) -> bool {
-        {
-            let mut inner = self.inner.lock();
-            let Some(id) = inner.urls.get(url) else {
-                return false;
-            };
-            let Some(meta) = inner.meta.get_mut(&id) else {
-                return false;
-            };
-            meta.stored_at = 0;
+        self.stamp(url, 0)
+    }
+
+    /// Sets the `stored_at` of `url`'s entry, in the index and then (lock
+    /// released) in the file's header. Returns whether the tier holds
+    /// `url`.
+    fn stamp(&self, url: &str, stored_at: u64) -> bool {
+        match self.inner.lock().peek_mut(url) {
+            Some(meta) => meta.stored_at = stored_at,
+            None => return false,
         }
-        let path = entry_path(&self.root, url);
-        let stamp = (|| -> io::Result<()> {
-            let mut file = fs::OpenOptions::new().write(true).open(&path)?;
+        let restamp = || -> io::Result<()> {
+            let mut file = fs::OpenOptions::new()
+                .write(true)
+                .open(entry_path(&self.root, url))?;
             file.seek(SeekFrom::Start(STORED_AT_OFFSET))?;
-            file.write_all(&0u64.to_le_bytes())
-        })();
-        if stamp.is_err() {
+            file.write_all(&stored_at.to_le_bytes())
+        };
+        if restamp().is_err() {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
         }
         true
@@ -400,17 +339,7 @@ impl DiskTier {
     /// the document is gone and the stale copy must not outlive it).
     /// Returns whether an entry was removed.
     pub fn remove(&self, url: &str) -> bool {
-        let removed = {
-            let mut inner = self.inner.lock();
-            match inner.urls.get(url) {
-                Some(id) => {
-                    let present = inner.lru.remove(&id).is_some();
-                    inner.meta.remove(&id);
-                    present
-                }
-                None => false,
-            }
-        };
+        let removed = self.inner.lock().remove(url).is_some();
         if removed {
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             if fs::remove_file(entry_path(&self.root, url)).is_err() {
@@ -422,19 +351,19 @@ impl DiskTier {
 
     /// Documents currently stored.
     pub fn entries(&self) -> u64 {
-        self.inner.lock().lru.len() as u64
+        self.inner.lock().len() as u64
     }
 
     /// Body bytes currently stored.
     pub fn bytes(&self) -> u64 {
-        self.inner.lock().lru.used()
+        self.inner.lock().used()
     }
 
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> DiskStats {
         let (entries, bytes) = {
             let inner = self.inner.lock();
-            (inner.lru.len() as u64, inner.lru.used())
+            (inner.len() as u64, inner.used())
         };
         DiskStats {
             entries,

@@ -78,7 +78,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     out.gauge(
         "baps_cache_entries",
         "Documents held by the proxy cache.",
-        state.cache.len() as f64,
+        state.cache.entries() as f64,
     );
     out.counter(
         "baps_cache_hits_total",

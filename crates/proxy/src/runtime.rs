@@ -50,11 +50,6 @@ pub struct TestBedConfig {
     /// Shared fault plan wired into the origin, proxy, and every client's
     /// peer port (chaos testing). `None` runs everything honest.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Flight-recorder ring capacity (events). `0` uses
-    /// [`FlightRecorder::DEFAULT_CAPACITY`]. One ring is shared by the
-    /// origin, the proxy, and every client, so a dump interleaves all
-    /// sides of each traced request.
-    pub recorder_capacity: usize,
     /// Root directory for the proxy's persistent disk tier. `None` (the
     /// default) runs the proxy memory-only.
     pub disk_root: Option<PathBuf>,
@@ -86,7 +81,6 @@ impl Default for TestBedConfig {
             origin_timeout: Duration::ZERO,
             origin_retries: 1,
             fault_plan: None,
-            recorder_capacity: 0,
             disk_root: None,
             disk_capacity: 1 << 20,
             disk_ttl: Duration::from_secs(3600),
@@ -119,11 +113,9 @@ impl TestBed {
         } else {
             config.proxy_workers
         };
-        let recorder = Arc::new(if config.recorder_capacity == 0 {
-            FlightRecorder::default()
-        } else {
-            FlightRecorder::new(config.recorder_capacity)
-        });
+        // One ring, shared by the origin, the proxy and every client, so a
+        // dump interleaves all sides of each traced request.
+        let recorder = Arc::new(FlightRecorder::default());
         let origin = OriginServer::start_with(
             store,
             config.fault_plan.clone(),

@@ -4,10 +4,10 @@
 use crate::protocol::Body;
 use baps_cache::{ByteLru, CacheStats, Tier};
 use baps_crypto::Watermark;
-use baps_trace::Interner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The origin server's document corpus. Bodies are shared [`Body`] values
 /// so serving a document is a refcount bump, not a copy.
@@ -101,12 +101,11 @@ impl CachedDoc {
     }
 }
 
-/// Byte-budgeted LRU cache of document bodies, keyed by URL.
+/// Byte-budgeted LRU cache of document bodies, keyed by URL. A URL is
+/// held exactly as long as its document: nothing outlives an eviction.
 #[derive(Debug)]
 pub struct BodyCache {
-    urls: Interner,
-    lru: ByteLru<u32>,
-    bodies: HashMap<u32, CachedDoc>,
+    lru: ByteLru<Arc<str>, CachedDoc>,
     stats: CacheStats,
 }
 
@@ -114,9 +113,7 @@ impl BodyCache {
     /// Creates a cache holding at most `capacity` body bytes.
     pub fn new(capacity: u64) -> Self {
         BodyCache {
-            urls: Interner::new(),
             lru: ByteLru::new(capacity),
-            bodies: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -124,51 +121,34 @@ impl BodyCache {
     /// Looks up `url`, promoting it on a hit. Hits and misses are tallied
     /// in the embedded [`CacheStats`] block (see [`BodyCache::stats`]).
     pub fn get(&mut self, url: &str) -> Option<&CachedDoc> {
-        let id = match self.urls.get(url) {
-            Some(id) if self.lru.touch(&id).is_some() => id,
-            _ => {
-                self.stats.record_miss(0);
-                return None;
-            }
-        };
-        let doc = self.bodies.get(&id)?;
-        self.stats.record_hit(doc.byte_size(), Tier::Memory);
-        Some(doc)
+        let found = self.lru.get(url);
+        match found {
+            Some(doc) => self.stats.record_hit(doc.byte_size(), Tier::Memory),
+            None => self.stats.record_miss(0),
+        }
+        found
     }
 
     /// Whether `url` is cached (no promotion).
     pub fn contains(&self, url: &str) -> bool {
-        self.urls.get(url).is_some_and(|id| self.lru.contains(&id))
+        self.lru.contains(url)
     }
 
-    /// Inserts a document; returns the URLs evicted to make room
-    /// (callers turn these into `INVALIDATE` messages). If the document is
-    /// too large to admit and a stale copy was purged, the URL itself is
-    /// included in the evicted list.
-    pub fn insert(&mut self, url: &str, doc: CachedDoc) -> Vec<String> {
-        let id = self.urls.intern(url);
-        let had_prior = self.lru.contains(&id);
-        let out = self.lru.insert(id, doc.byte_size());
+    /// Inserts a document; returns the URLs evicted to make room, least
+    /// recent first, each with the body bytes it held (a browser turns
+    /// these into `Evicted:` notices). If the document is too large to
+    /// admit and a stale copy was purged, the URL itself is included in
+    /// the evicted list.
+    pub fn insert(&mut self, url: &str, doc: CachedDoc) -> Vec<(Arc<str>, u64)> {
+        let (held, used) = (self.lru.len(), self.lru.used());
+        let out = self.lru.insert(url.into(), doc.byte_size(), doc);
         self.stats.record_insert(&out.evicted);
-        let mut evicted: Vec<String> = out
-            .evicted
-            .into_iter()
-            .map(|(victim, _)| {
-                self.bodies.remove(&victim);
-                self.urls
-                    .name(victim)
-                    .expect("interned id has a name")
-                    .to_owned()
-            })
-            .collect();
-        if out.admitted {
-            self.bodies.insert(id, doc);
-        } else {
-            self.bodies.remove(&id);
-            if had_prior {
-                self.stats.evictions += 1;
-                evicted.push(url.to_owned());
-            }
+        let mut evicted = out.evicted;
+        // Rejected inserts evict nothing, so a shorter cache means the
+        // stale copy went, and the bytes it freed were its size.
+        if !out.admitted && self.lru.len() < held {
+            self.stats.evictions += 1;
+            evicted.push((url.into(), used - self.lru.used()));
         }
         evicted
     }
@@ -180,14 +160,7 @@ impl BodyCache {
 
     /// Removes `url`; returns whether it was cached.
     pub fn remove(&mut self, url: &str) -> bool {
-        match self.urls.get(url) {
-            Some(id) => {
-                let present = self.lru.remove(&id).is_some();
-                self.bodies.remove(&id);
-                present
-            }
-            None => false,
-        }
+        self.lru.remove(url).is_some()
     }
 
     /// Bytes stored.
@@ -260,7 +233,6 @@ mod tests {
     /// cloning the `CachedDoc` bumps a refcount instead of copying bytes.
     #[test]
     fn cache_hit_shares_body_no_copy() {
-        use std::sync::Arc;
         let sg = signer();
         let mut c = BodyCache::new(1000);
         let body: Body = Arc::from(&b"zero copy body"[..]);
@@ -283,7 +255,7 @@ mod tests {
         c.insert("u2", doc(&sg, &[0u8; 10]));
         c.get("u1"); // promote
         let evicted = c.insert("u3", doc(&sg, &[0u8; 10]));
-        assert_eq!(evicted, vec!["u2".to_owned()]);
+        assert_eq!(evicted, vec![("u2".into(), 10)]);
         assert!(c.contains("u1"));
         assert!(!c.contains("u2"));
     }
@@ -315,6 +287,44 @@ mod tests {
         assert!(evicted.is_empty());
         assert!(!c.contains("big"));
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn oversize_update_reports_the_purged_copy() {
+        let sg = signer();
+        let mut c = BodyCache::new(5);
+        c.insert("u", doc(&sg, b"tiny"));
+        let evicted = c.insert("u", doc(&sg, &[0u8; 10]));
+        assert_eq!(evicted, vec![("u".into(), 4)]);
+        assert!(c.is_empty());
+        assert_eq!(c.stats().evictions, 1);
+    }
+
+    /// A small cache that has seen many URLs holds only what its budget
+    /// admits: every evicted body (and with it the entry's URL) is freed,
+    /// not parked in a name table beside the LRU.
+    #[test]
+    fn cycling_many_urls_keeps_nothing_evicted() {
+        let sg = signer();
+        let watermark = sg.watermark(b"any");
+        let mut c = BodyCache::new(1 << 10);
+        let bodies: Vec<Body> = (0..10_000u32)
+            .map(|i| {
+                let body: Body = vec![i as u8; 100].into();
+                c.insert(
+                    &format!("http://origin/doc/{i}"),
+                    CachedDoc {
+                        body: Arc::clone(&body),
+                        watermark,
+                    },
+                );
+                body
+            })
+            .collect();
+        assert_eq!((c.len(), c.used()), (10, 1000));
+        let held = bodies.iter().filter(|b| Arc::strong_count(b) > 1).count();
+        assert_eq!(held, c.len(), "only resident bodies are still shared");
+        assert_eq!(c.stats().evictions, 10_000 - 10);
     }
 
     #[test]

@@ -7,15 +7,34 @@
 //! `baps-obs` parsers included) because they share the document
 //! generators' mutation step and the property.
 //!
+//! The disk tier's entry file (84-byte header, URL, body) is the fourth
+//! parser here and takes the same mutation step: an edited file never
+//! serves bytes other than the stored document, self-heals, and neither a
+//! read nor the open-time scan allocates for a length it has not checked
+//! against the file.
+//!
 //! The proptest shim does not shrink: a failing case prints its inputs,
 //! and its seed is a function of the test's name (`PROPTEST_SEED`
 //! overrides it, `PROPTEST_CASES` raises the 64-case budget).
 
+use baps_crypto::ProxySigner;
 use baps_obs::span::SpanRecord;
 use baps_obs::{prom, span, LatencyHistogram, SpanId, TraceId};
-use baps_proxy::{HealthReport, RuleVerdict, SloSignal, Verdict, WindowRates};
+use baps_proxy::disk::entry_path;
+use baps_proxy::protocol::MAX_BODY;
+use baps_proxy::{
+    CachedDoc, DiskConfig, DiskTier, HealthReport, RuleVerdict, SloSignal, Verdict, WindowRates,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fs;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Runs all three parsers over `text`; the property is that this returns.
 fn parse_all(text: &str) {
@@ -41,17 +60,22 @@ fn edits() -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
     vec((0u8..3, any::<u32>(), any::<u8>()), 1..48)
 }
 
-/// `doc` with `edit` applied, decoded lossily (an edit may split a UTF-8
-/// sequence).
-fn mutated(doc: &str, (kind, at, byte): (u8, u32, u8)) -> String {
-    let mut bytes = doc.as_bytes().to_vec();
+/// `doc` with `edit` applied.
+fn edited(doc: &[u8], (kind, at, byte): (u8, u32, u8)) -> Vec<u8> {
+    let mut bytes = doc.to_vec();
     let at = at as usize % bytes.len();
     match kind {
         0 => bytes[at] ^= byte | 1,
         1 => bytes.insert(at, byte),
         _ => bytes.truncate(at),
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
+}
+
+/// `doc` with `edit` applied, decoded lossily (an edit may split a UTF-8
+/// sequence).
+fn mutated(doc: &str, edit: (u8, u32, u8)) -> String {
+    String::from_utf8_lossy(&edited(doc.as_bytes(), edit)).into_owned()
 }
 
 /// Text as a peer could put it in a detail or a label: any bytes, lossily
@@ -206,6 +230,149 @@ fn health_report() -> impl Strategy<Value = HealthReport> {
     )
 }
 
+/// The system allocator, noting the largest single request each thread
+/// makes, so a test can say "this call did not allocate a hostile length".
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call is passed straight to `System`.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// Runs `f` (which must stay on this thread) and reports the largest
+/// allocation it asked for.
+fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// The disk entry layout: magic, url_len, body_len, stored_at, ttl_secs,
+/// md5, watermark — then the URL and the body. A read verifies all of it
+/// but the two time fields, which it takes from the in-memory index.
+const DISK_HEADER_LEN: usize = 84;
+const DISK_FIELD_STARTS: [usize; 7] = [0, 8, 12, 20, 28, 36, 52];
+const DISK_TIME_FIELDS: std::ops::Range<usize> = 20..36;
+/// No test document comes near this; a length a hostile header claims
+/// (`url_len` to 4 GiB, `body_len` to [`MAX_BODY`]) is far beyond it.
+const HONEST_ALLOCATION: usize = 64 << 10;
+
+fn signer() -> &'static ProxySigner {
+    static SIGNER: OnceLock<ProxySigner> = OnceLock::new();
+    SIGNER.get_or_init(|| ProxySigner::generate(&mut StdRng::seed_from_u64(0xd15c)))
+}
+
+fn signed(body: &[u8]) -> CachedDoc {
+    CachedDoc {
+        body: body.into(),
+        watermark: signer().watermark(body),
+    }
+}
+
+fn disk_root(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("baps-hostile-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    root
+}
+
+fn open_tier(root: &std::path::Path, capacity: u64) -> DiskTier {
+    let config = DiskConfig {
+        root: root.to_path_buf(),
+        capacity,
+        default_ttl: Duration::from_secs(3600),
+    };
+    DiskTier::open(config, signer().public_key()).expect("the root is writable")
+}
+
+/// Stores `doc` under `url`, replaces its file with the valid image under
+/// `edit`, and reads it back: the read serves the stored document or
+/// nothing, and serves nothing unless the edit only touched a time field;
+/// serving nothing means one heal, no entry and no file.
+fn load_after_edit(
+    tier: &DiskTier,
+    url: &str,
+    doc: &CachedDoc,
+    edit: (u8, u32, u8),
+) -> Result<(), TestCaseError> {
+    tier.store(url, doc);
+    let path = entry_path(tier.root(), url);
+    let valid = fs::read(&path).expect("the entry was just stored");
+    prop_assert_eq!(valid.len(), DISK_HEADER_LEN + url.len() + doc.body.len());
+    fs::write(&path, edited(&valid, edit)).unwrap();
+    let heals = tier.stats().heals;
+    let (hit, largest) = largest_request_during(|| tier.load(url));
+    prop_assert!(
+        largest <= HONEST_ALLOCATION,
+        "{:?} allocated {}",
+        edit,
+        largest
+    );
+    let (kind, at, _) = edit;
+    let harmless = kind == 0 && DISK_TIME_FIELDS.contains(&(at as usize % valid.len()));
+    match hit {
+        Some(hit) => {
+            prop_assert!(harmless, "{:?} was served", edit);
+            prop_assert_eq!(&hit.doc, doc);
+            prop_assert_eq!(tier.stats().heals, heals);
+            prop_assert!(tier.remove(url));
+        }
+        None => {
+            prop_assert!(!harmless, "{:?} was refused", edit);
+            prop_assert_eq!(tier.stats().heals, heals + 1);
+            prop_assert!(!path.exists());
+        }
+    }
+    prop_assert_eq!(tier.entries(), 0);
+    Ok(())
+}
+
+/// Every header field and the URL flipped a byte at a time, and a cut and
+/// a spliced-in byte at each boundary of the layout.
+#[test]
+fn a_disk_entry_edited_at_every_field_and_boundary_never_serves_wrong_bytes() {
+    let root = disk_root("fields");
+    let tier = open_tier(&root, 1 << 20);
+    let (url, doc) = ("http://origin/doc/7", signed(b"the body the proxy signed"));
+    let body_at = DISK_HEADER_LEN + url.len();
+    let boundaries = DISK_FIELD_STARTS.into_iter().chain([
+        DISK_HEADER_LEN,
+        body_at,
+        body_at + doc.body.len() - 1,
+    ]);
+    let edits = (0..body_at + 1)
+        .map(|at| (0u8, at, 0x80u8))
+        .chain(boundaries.flat_map(|at| [(1, at, 0), (1, at, 0xff), (2, at, 0)]));
+    for (kind, at, byte) in edits {
+        load_after_edit(&tier, url, &doc, (kind, at as u32, byte)).unwrap();
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
 proptest! {
     #[test]
     fn no_parser_panics_on_arbitrary_bytes(bytes in hostile_bytes()) {
@@ -268,5 +435,67 @@ proptest! {
         let text = report.render();
         let parsed = HealthReport::parse(&text).map_err(TestCaseError::fail)?;
         prop_assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn a_disk_entry_with_one_byte_edited_never_serves_wrong_bytes(
+        url in "[!-~]{1,40}",
+        body in vec(any::<u8>(), 0..600),
+        edits in edits(),
+    ) {
+        let root = disk_root("edits");
+        let tier = open_tier(&root, 1 << 20);
+        let doc = signed(&body);
+        for edit in edits {
+            load_after_edit(&tier, &url, &doc, edit)?;
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The open-time scan over a directory where every file is one edit
+    /// from valid, beside two whose headers claim the largest lengths the
+    /// fields can carry: it returns, within the (possibly shrunk) budget,
+    /// having allocated for no length it had not checked, and what it kept
+    /// still reads back as the stored document or heals.
+    #[test]
+    fn the_open_scan_survives_a_directory_of_edited_entries(
+        bodies in vec(vec(any::<u8>(), 0..600), 1..8),
+        edits in edits(),
+        capacity in 0u64..3000,
+    ) {
+        let root = disk_root("scan");
+        let docs: Vec<(String, CachedDoc)> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| (format!("http://origin/doc/{i}"), signed(body)))
+            .collect();
+        {
+            let tier = open_tier(&root, 1 << 20);
+            for (url, doc) in &docs {
+                tier.store(url, doc);
+            }
+        }
+        let mut claims_the_most = fs::read(entry_path(&root, &docs[0].0)).unwrap();
+        for ((url, _), edit) in docs.iter().zip(edits.iter().cycle()) {
+            let path = entry_path(&root, url);
+            fs::write(&path, edited(&fs::read(&path).unwrap(), *edit)).unwrap();
+        }
+        claims_the_most[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(root.join("url-len.doc"), &claims_the_most).unwrap();
+        claims_the_most[8..12].copy_from_slice(&1u32.to_le_bytes());
+        claims_the_most[12..20].copy_from_slice(&(MAX_BODY as u64).to_le_bytes());
+        fs::write(root.join("body-len.doc"), &claims_the_most).unwrap();
+
+        let (tier, largest) = largest_request_during(|| open_tier(&root, capacity));
+        prop_assert!(largest <= HONEST_ALLOCATION, "the scan allocated {}", largest);
+        prop_assert!(tier.bytes() <= capacity);
+        prop_assert!(!root.join("url-len.doc").exists() && !root.join("body-len.doc").exists());
+        for (url, doc) in &docs {
+            let (hit, largest) = largest_request_during(|| tier.load(url));
+            prop_assert!(largest <= HONEST_ALLOCATION, "a read allocated {}", largest);
+            prop_assert!(hit.is_none_or(|hit| hit.doc == *doc));
+            prop_assert!(tier.bytes() <= capacity);
+        }
+        let _ = fs::remove_dir_all(&root);
     }
 }

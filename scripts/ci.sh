@@ -133,6 +133,17 @@ if git grep -nE 'direct_forward|deliver_to|await_delivery|PushOrder|DeliveryTime
     exit 1
 fi
 
+# Names earlier rounds deleted and an aside kept alive: the thread-mode
+# pool (`WorkerPool`, `ConnRegistry`), the two-pass miss predicate
+# (`may_block`, `needs_miss_executor`), the unlocked twin of the proxy's
+# striped index (`ShardedIndex`) and the test bed's one-valued recorder
+# option. CHANGES.md tells what each was.
+if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor' -- \
+    README.md DESIGN.md src examples crates/*/src; then
+    echo "doc rot: the lines above name something this repo deleted"
+    exit 1
+fi
+
 echo "== md5 kernel throughput (non-gating perf smoke)"
 # One MD5 pass per hop is the largest CPU term of a disk hit and of a
 # large origin fetch (DESIGN.md §5, "hash once per hop"), so a kernel regression should show
@@ -142,6 +153,16 @@ echo "== md5 kernel throughput (non-gating perf smoke)"
 cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
     | grep -E '^bench md5/(8192|1048576) ' \
     || echo "md5 bench failed (non-gating)"
+
+echo "== LRU throughput (non-gating perf smoke)"
+# The simulator and every live tier share one `baps_cache::ByteLru`; its
+# key and value are type parameters, so a slowdown of the simulator's
+# `ByteLru<DocId>` from a change made for the live tiers should show in
+# the log. 100 k touch-or-insert operations per iteration. Non-gating, for
+# the md5 rows' reason.
+cargo bench -q --offline -p baps-bench --bench lru 2>/dev/null \
+    | grep -E '^bench (cache_policies/LRU|lru_variants/)' \
+    || echo "lru bench failed (non-gating)"
 
 echo "== Rust line totals (non-test / test)"
 # The "net line count is reported per PR" number: run this at the parent
