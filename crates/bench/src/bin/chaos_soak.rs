@@ -422,6 +422,24 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
         );
     }
 
+    // The disk root holds the segment log and the counter baseline a
+    // restart leaves beside it, and nothing else.
+    if let Some(dir) = &disk_root {
+        let strays: Vec<String> = std::fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name != "counters.baseline" && !name.ends_with(".seg"))
+            .collect();
+        if !strays.is_empty() {
+            violate(
+                &bed,
+                &mut violations,
+                format!("the disk root holds more than its segments: {strays:?}"),
+            );
+        }
+    }
+
     // Fault counts are frozen *before* the HEALTH burst so the run-to-run
     // determinism comparison covers exactly the seeded schedule.
     let faults = plan.counts();

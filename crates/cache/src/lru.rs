@@ -105,33 +105,33 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     }
 
     /// Looks `key` up and promotes it to most-recently-used on a hit.
-    fn promote<Q>(&mut self, key: &Q) -> Option<&Entry<K, V>>
+    /// Returns the cached size and the entry's value.
+    pub fn get_entry<Q>(&mut self, key: &Q) -> Option<(u64, &V)>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         let &h = self.map.get(key)?;
         self.list.move_to_front(h);
-        self.list.get(h)
+        self.list.get(h).map(|e| (e.size, &e.value))
     }
 
-    /// Looks `key` up and promotes it to most-recently-used on a hit.
-    /// Returns the cached size.
+    /// [`get_entry`](Self::get_entry) that returns the cached size only.
     pub fn touch<Q>(&mut self, key: &Q) -> Option<u64>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.promote(key).map(|e| e.size)
+        self.get_entry(key).map(|(size, _)| size)
     }
 
-    /// [`touch`](Self::touch) that returns the entry's value.
+    /// [`get_entry`](Self::get_entry) that returns the entry's value only.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.promote(key).map(|e| &e.value)
+        self.get_entry(key).map(|(_, value)| value)
     }
 
     /// The value of `key` for editing in place (does not promote). The
@@ -150,14 +150,32 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     /// and value updated) and promoted; one that has grown past the whole
     /// cache is only purged.
     pub fn insert(&mut self, key: K, size: u64, value: V) -> InsertOutcome<K> {
+        self.insert_with(key, size, value, |_, _, _| {})
+    }
+
+    /// [`insert`](Self::insert) for a caller whose values name something
+    /// outside the cache: `displaced` is handed every entry the insert
+    /// takes out — the copy of `key` it replaces, then each victim in
+    /// eviction order — with its size and value.
+    pub fn insert_with(
+        &mut self,
+        key: K,
+        size: u64,
+        value: V,
+        mut displaced: impl FnMut(&K, u64, V),
+    ) -> InsertOutcome<K> {
         // Drop an existing copy first so its bytes are reclaimed.
-        self.remove(&key);
+        if let Some((old_size, old)) = self.take(&key) {
+            displaced(&key, old_size, old);
+        }
         if size > self.capacity {
             return InsertOutcome::rejected();
         }
         let mut evicted = Vec::new();
         while self.used + size > self.capacity {
-            evicted.push(self.pop_lru().expect("used > 0 implies entries"));
+            let victim = self.pop_lru_entry().expect("used > 0 implies entries");
+            displaced(&victim.key, victim.size, victim.value);
+            evicted.push((victim.key, victim.size));
         }
         let h = self.list.push_front(Entry {
             key: key.clone(),
@@ -178,18 +196,31 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        self.take(key).map(|(size, _)| size)
+    }
+
+    /// [`remove`](Self::remove) that also hands back the entry's value.
+    pub fn take<Q>(&mut self, key: &Q) -> Option<(u64, V)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let h = self.map.remove(key)?;
-        let size = self.list.remove(h).size;
+        let Entry { size, value, .. } = self.list.remove(h);
         self.used -= size;
-        Some(size)
+        Some((size, value))
+    }
+
+    fn pop_lru_entry(&mut self) -> Option<Entry<K, V>> {
+        let entry = self.list.pop_back()?;
+        self.map.remove(&entry.key);
+        self.used -= entry.size;
+        Some(entry)
     }
 
     /// Evicts the least-recently-used entry; returns its key and size.
     pub fn pop_lru(&mut self) -> Option<(K, u64)> {
-        let Entry { key, size, .. } = self.list.pop_back()?;
-        self.map.remove(&key);
-        self.used -= size;
-        Some((key, size))
+        self.pop_lru_entry().map(|e| (e.key, e.size))
     }
 
     /// Iterates entries (key and size) most-recent first.
@@ -286,6 +317,27 @@ mod tests {
         assert_eq!(c.remove(&"a"), Some(60));
         assert_eq!(c.remove(&"a"), None);
         assert_eq!(c.used(), 0);
+    }
+
+    #[test]
+    fn insert_with_hands_over_the_replaced_copy_then_the_victims() {
+        let mut c = ByteLru::new(100);
+        c.insert("a", 40, 'a');
+        c.insert("b", 40, 'b');
+        c.insert("c", 10, 'c');
+        let mut displaced = Vec::new();
+        let out = c.insert_with("c", 60, 'C', |&k, size, v| displaced.push((k, size, v)));
+        assert_eq!(out.evicted, vec![("a", 40)]);
+        assert_eq!(displaced, vec![("c", 10, 'c'), ("a", 40, 'a')]);
+        assert_eq!(c.get_entry(&"c"), Some((60, &'C')));
+        assert_eq!(c.take(&"b"), Some((40, 'b')));
+        assert_eq!(c.used(), 60);
+        // A rejected insert still hands over the copy it purged.
+        displaced.clear();
+        let out = c.insert_with("c", 101, '!', |&k, size, v| displaced.push((k, size, v)));
+        assert!(!out.admitted);
+        assert_eq!(displaced, vec![("c", 60, 'C')]);
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -126,6 +126,16 @@ pub(crate) fn render(state: &ProxyState) -> String {
             "Documents held by the disk tier.",
             d.entries as f64,
         );
+        out.gauge(
+            "baps_disk_file_bytes",
+            "Bytes of the disk tier's segment files (live entries plus dead space not yet cleaned).",
+            d.file_bytes as f64,
+        );
+        out.gauge(
+            "baps_disk_segments",
+            "Segment files the disk tier holds open, the head included.",
+            d.segments as f64,
+        );
         out.counter(
             "baps_disk_reads_fresh_total",
             "Disk reads that returned a verified, fresh document.",
@@ -135,6 +145,11 @@ pub(crate) fn render(state: &ProxyState) -> String {
             "baps_disk_reads_stale_total",
             "Disk reads that returned a verified but TTL-expired document.",
             d.stale,
+        );
+        out.counter(
+            "baps_disk_reads_offloaded_total",
+            "Disk reads an event loop left to the executor (cold, oversized, unsupported or failing a check).",
+            d.reads_offloaded,
         );
         for (def, value) in s.counters() {
             if let Family::Disk(name, help) = def.family {
@@ -152,8 +167,13 @@ pub(crate) fn render(state: &ProxyState) -> String {
             d.write_bytes,
         );
         out.counter(
+            "baps_disk_cleaned_bytes_total",
+            "Entry bytes the cleaner re-appended to free a segment.",
+            d.cleaned_bytes,
+        );
+        out.counter(
             "baps_disk_heals_total",
-            "Torn/corrupt disk files detected by verification and deleted.",
+            "Torn/corrupt disk entries detected by verification and tombstoned.",
             d.heals,
         );
         out.counter(

@@ -15,7 +15,7 @@
 
 pub use crate::counters::ProxyStats;
 use crate::counters::{load_baseline, persist_baseline, ProxyCounters};
-use crate::disk::{DiskConfig, DiskHit, DiskStats, DiskTier, Entry};
+use crate::disk::{DiskConfig, DiskHit, DiskStats, DiskTier, Entry, ReadOutcome, ReadVia};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
 use crate::protocol::{response, response_code, status, Body, Message};
@@ -211,7 +211,7 @@ pub struct ProxyServer {
     /// The 1 Hz window sampler thread feeding `state.windows`.
     sampler: Option<JoinHandle<()>>,
     /// Acceptor, one event loop per core, and the disk-tier executor.
-    server: Server<Miss>,
+    server: Server<Suspended>,
     state: Arc<ProxyState>,
 }
 
@@ -469,8 +469,19 @@ impl Drop for ProxyServer {
     }
 }
 
+/// What a request the proxy has suspended carries to its next step.
+// Nearly every suspension is a GET: boxing it to even out the variants
+// would cost each miss an allocation.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Suspended {
+    /// A GET past the memory tier.
+    Get(Miss),
+    /// A publisher's INVALIDATE on its way to the executor.
+    Purge(Notice),
+}
+
 impl FrameService for ProxyState {
-    type Cont = Miss;
+    type Cont = Suspended;
 
     fn faults(&self) -> Option<&FaultPlan> {
         self.config.faults.as_deref()
@@ -487,13 +498,14 @@ impl FrameService for ProxyState {
 
     /// Every admin verb and every memory hit is answered here and now,
     /// from local state; a GET that misses the memory cache comes back as
-    /// the first step of its [`Miss`].
+    /// the first step of its [`Miss`], and a purge that has a disk entry
+    /// to re-stamp goes to the executor.
     fn handle(
         &self,
         msg: &Message,
         _fault: Option<FaultKind>,
         ctx: &mut FrameCtx<'_>,
-    ) -> Step<Miss> {
+    ) -> Step<Suspended> {
         let t_verb = Instant::now();
         let verb = verb_index(msg.tokens().first());
         let step = dispatch(msg, t_verb, ctx, self).unwrap_or(Step::Reply(None));
@@ -504,8 +516,16 @@ impl FrameService for ProxyState {
         step
     }
 
-    fn resume(&self, miss: Miss, event: Event, seat: &Seat<'_>) -> Step<Miss> {
-        miss.resume(self, event, seat)
+    fn resume(&self, suspended: Suspended, event: Event, seat: &Seat<'_>) -> Step<Suspended> {
+        match suspended {
+            Suspended::Get(miss) => miss.resume(self, event, seat).map(Suspended::Get),
+            Suspended::Purge(notice) => {
+                let reply = notice.apply(self);
+                let verb = verb_index(Some(&"INVALIDATE"));
+                self.obs.verbs.record(verb, notice.t_verb.elapsed());
+                Step::Reply(Some(reply))
+            }
+        }
     }
 }
 
@@ -516,7 +536,7 @@ fn dispatch(
     t_verb: Instant,
     ctx: &mut FrameCtx<'_>,
     state: &ProxyState,
-) -> Option<Step<Miss>> {
+) -> Option<Step<Suspended>> {
     // The client mints a trace id per logical fetch and stamps every hop;
     // administrative verbs and legacy clients simply have none. For
     // head-sampled traces the `Span-Id` header carries the upstream span
@@ -559,18 +579,22 @@ fn dispatch(
                 parent,
                 t_request: t_verb,
             };
-            return Some(handle_get(url, req, state, &ctx.seat));
+            return Some(handle_get(url, req, state, &ctx.seat).map(Suspended::Get));
         }
         ["INVALIDATE", url, "BAPS/1.0"] => {
-            let client: u32 = msg.get("Client")?.parse().ok()?;
-            // `Purge: 1` marks a *publisher* invalidation: the document
-            // changed at the origin, so the proxy's own replicas must go
-            // too, not just the sender's index entry.
-            if msg.get("Purge").is_some() {
-                handle_purge(url, trace, state);
+            let notice = Notice {
+                url: url.to_string(),
+                client: msg.get("Client")?.parse().ok()?,
+                purge: msg.get("Purge").is_some(),
+                trace,
+                t_verb,
+            };
+            // Purging re-stamps the disk tier's entry: a file write, so
+            // not an event loop's to make.
+            if notice.purge && state.disk.is_some() {
+                return Some(Step::Offload(Suspended::Purge(notice)));
             }
-            handle_invalidate(url, client, trace, state);
-            response(status::OK, "OK")
+            notice.apply(state)
         }
         ["REGISTER", port, "BAPS/1.0"] => {
             let client: u32 = msg.get("Client")?.parse().ok()?;
@@ -900,7 +924,8 @@ enum Stage {
         flight: Arc<Inflight>,
         t_wait: Instant,
     },
-    /// On its way to the executor to read the disk tier's entry.
+    /// On its way to the executor to read the disk tier's entry: the loop
+    /// could not without waiting for the disk.
     Disk(Entry),
     /// Asking the origin whether a stale disk entry is still current.
     Revalidating { hit: DiskHit, call: Call },
@@ -976,7 +1001,7 @@ impl Miss {
                 let outcome = flight.outcome().unwrap_or(FlightOutcome::Unshared);
                 self.followed(state, seat, outcome, t_wait)
             }
-            (Stage::Disk(entry), Event::Run) => self.read_disk(state, entry),
+            (Stage::Disk(entry), Event::Run) => self.read_disk(state, entry, ReadVia::Executor),
             (Stage::Revalidating { hit, call }, Event::Answer(answer)) => {
                 self.revalidated(state, hit, call, answer)
             }
@@ -1122,26 +1147,27 @@ impl Miss {
     /// The miss path proper, for a leader or an uncoalesced request.
     /// Step 1b, the disk tier — consulted only after a memory miss, so the
     /// in-memory hot path never touches it. Whether the tier lists the
-    /// document is a question for its in-memory index, asked here; reading
-    /// and verifying a listed entry blocks, so that is the executor's.
-    fn below_memory(mut self, state: &ProxyState) -> Step<Miss> {
+    /// document is a question for its in-memory index, asked here, on the
+    /// loop; so is the read of a listed entry, for as long as it does not
+    /// have to wait for the disk.
+    fn below_memory(self, state: &ProxyState) -> Step<Miss> {
         let Some(disk) = &state.disk else {
             return self.probe_peers(state);
         };
         let t_disk = Instant::now();
         match disk.find(&self.url) {
-            Some(entry) => {
-                self.stage = Stage::Disk(entry);
-                Step::Offload(self)
-            }
+            Some(entry) => self.read_disk(state, entry, ReadVia::Loop),
             None => {
-                self.disk_hop(state, t_disk.elapsed(), "miss");
+                self.disk_hop(state, t_disk.elapsed(), "miss", None);
                 self.probe_peers(state)
             }
         }
     }
 
-    fn disk_hop(&self, state: &ProxyState, took: Duration, outcome: &str) {
+    /// Records a disk-tier lookup: its outcome and, when a file was read,
+    /// who read it.
+    fn disk_hop(&self, state: &ProxyState, took: Duration, outcome: &str, via: Option<ReadVia>) {
+        let url = &self.url;
         record_hop(
             state,
             self.req.trace,
@@ -1149,28 +1175,38 @@ impl Miss {
             self.req.parent,
             EventKind::DiskRead,
             took,
-            format!("url={} outcome={outcome}", self.url),
+            match via {
+                Some(via) => format!("url={url} outcome={outcome} via={}", via.name()),
+                None => format!("url={url} outcome={outcome}"),
+            },
         );
     }
 
     /// A fresh verified entry serves directly; a stale one is revalidated
-    /// against the origin with a conditional GET; a torn or corrupted file
-    /// already self-healed inside `read` and reads as a miss.
-    fn read_disk(mut self, state: &ProxyState, entry: Entry) -> Step<Miss> {
+    /// against the origin with a conditional GET; a torn or corrupted one
+    /// already self-healed inside `read` and reads as a miss. A read the
+    /// loop could not finish at once — pages not in memory, a large body,
+    /// a failed check — is made again by the executor, which may block and
+    /// may write.
+    fn read_disk(mut self, state: &ProxyState, entry: Entry, via: ReadVia) -> Step<Miss> {
         let Some(disk) = &state.disk else {
             return self.probe_peers(state);
         };
         let t_disk = Instant::now();
-        let hit = disk.read(&self.url, entry);
-        self.disk_hop(
-            state,
-            t_disk.elapsed(),
-            match &hit {
-                Some(h) if h.fresh => "fresh",
-                Some(_) => "stale",
-                None => "miss",
-            },
-        );
+        let hit = match disk.read(&self.url, &entry, via) {
+            ReadOutcome::Hit(hit) => Some(hit),
+            ReadOutcome::Healed => None,
+            ReadOutcome::Deferred => {
+                self.stage = Stage::Disk(entry);
+                return Step::Offload(self);
+            }
+        };
+        let outcome = match &hit {
+            Some(h) if h.fresh => "fresh",
+            Some(_) => "stale",
+            None => "miss",
+        };
+        self.disk_hop(state, t_disk.elapsed(), outcome, Some(via));
         match hit {
             Some(hit) if hit.fresh => self.serve_from_disk(state, hit.doc, false),
             // TTL expired: ask the origin whether our copy is still
@@ -1540,15 +1576,37 @@ fn write_through_to_disk(
     );
 }
 
+/// One INVALIDATE frame.
+pub(crate) struct Notice {
+    url: String,
+    client: u32,
+    /// `Purge: 1` marks a *publisher* invalidation: the document changed
+    /// at the origin, so the proxy's own replicas must go too, not just
+    /// the sender's index entry.
+    purge: bool,
+    trace: TraceId,
+    t_verb: Instant,
+}
+
+impl Notice {
+    fn apply(&self, state: &ProxyState) -> Message {
+        if self.purge {
+            handle_purge(&self.url, self.trace, state);
+        }
+        handle_invalidate(&self.url, self.client, self.trace, state);
+        response(status::OK, "OK")
+    }
+}
+
 /// Publisher purge (INVALIDATE with `Purge: 1`): the document changed at
-/// the origin, so the proxy's replicas are dropped from memory and the
-/// disk entry is *expired in place* rather than deleted — the next read
-/// revalidates with `If-Digest`, so a false alarm still costs only a 304
-/// instead of a full refetch. Browser-held replicas are the clients' own
+/// the origin, so the disk entry is *expired in place* rather than deleted
+/// — the next read revalidates with `If-Digest`, so a false alarm still
+/// costs only a 304 instead of a full refetch — and the proxy's replica is
+/// dropped from memory. Browser-held replicas are the clients' own
 /// responsibility (local discard + piggybacked eviction notices).
 fn handle_purge(url: &str, trace: TraceId, state: &ProxyState) {
-    let dropped = known_doc(state, url).is_some_and(|doc| state.cache.remove(doc, url));
     let expired = state.disk.as_ref().map(|d| d.expire(url)).unwrap_or(false);
+    let dropped = known_doc(state, url).is_some_and(|doc| state.cache.remove(doc, url));
     state.obs.recorder.record(
         trace,
         EventKind::Invalidate,

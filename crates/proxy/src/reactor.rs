@@ -184,6 +184,18 @@ pub(crate) enum Step<C> {
     Wait(Duration, C),
 }
 
+impl<C> Step<C> {
+    /// The same step, its continuation wrapped by `wrap`.
+    pub(crate) fn map<D>(self, wrap: impl FnOnce(C) -> D) -> Step<D> {
+        match self {
+            Step::Reply(reply) => Step::Reply(reply),
+            Step::Ask(ask, cont) => Step::Ask(ask, wrap(cont)),
+            Step::Offload(cont) => Step::Offload(wrap(cont)),
+            Step::Wait(budget, cont) => Step::Wait(budget, wrap(cont)),
+        }
+    }
+}
+
 /// What resumes a suspended request.
 pub(crate) enum Event {
     /// The upstream's fully framed reply to an [`Ask`], or why there is

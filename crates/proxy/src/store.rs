@@ -129,11 +129,6 @@ impl BodyCache {
         found
     }
 
-    /// Whether `url` is cached (no promotion).
-    pub fn contains(&self, url: &str) -> bool {
-        self.lru.contains(url)
-    }
-
     /// Inserts a document; returns the URLs evicted to make room, least
     /// recent first, each with the body bytes it held (a browser turns
     /// these into `Evicted:` notices). If the document is too large to
@@ -222,7 +217,7 @@ mod tests {
         let d = doc(&sg, b"hello world");
         assert!(c.insert("http://a", d.clone()).is_empty());
         assert_eq!(c.get("http://a"), Some(&d));
-        assert!(c.contains("http://a"));
+        assert!(c.lru.contains("http://a"));
         assert_eq!(c.used(), 11);
         assert!(c.remove("http://a"));
         assert!(!c.remove("http://a"));
@@ -256,8 +251,8 @@ mod tests {
         c.get("u1"); // promote
         let evicted = c.insert("u3", doc(&sg, &[0u8; 10]));
         assert_eq!(evicted, vec![("u2".into(), 10)]);
-        assert!(c.contains("u1"));
-        assert!(!c.contains("u2"));
+        assert!(c.lru.contains("u1"));
+        assert!(!c.lru.contains("u2"));
     }
 
     #[test]
@@ -285,7 +280,7 @@ mod tests {
         let mut c = BodyCache::new(5);
         let evicted = c.insert("big", doc(&sg, &[0u8; 10]));
         assert!(evicted.is_empty());
-        assert!(!c.contains("big"));
+        assert!(!c.lru.contains("big"));
         assert!(c.is_empty());
     }
 

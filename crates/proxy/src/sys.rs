@@ -1,5 +1,5 @@
-//! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)` and a
-//! nonblocking `connect(2)`.
+//! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)`, a
+//! nonblocking `connect(2)` and `preadv2(2)`.
 //!
 //! The workspace takes no external crates and `std` exposes no readiness
 //! API, so the reactor (DESIGN.md §13) declares the handful of libc
@@ -8,9 +8,12 @@
 //! the two kernel objects the reactor needs are wrapped: an epoll instance
 //! and an eventfd used as a cross-thread wakeup; the loop-owned upstream
 //! connections add [`connect_nonblocking`], the one socket call `std` has
-//! no nonblocking form of. Everything else (nonblocking reads, vectored
-//! writes, `SO_ERROR`) goes through `std::net`.
+//! no nonblocking form of, and the disk tier's reads add [`read_two_at`],
+//! the one file read that can decline to wait for the disk. Everything
+//! else (nonblocking reads, vectored writes, `SO_ERROR`, positional file
+//! writes) goes through `std`.
 
+use std::fs::File;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -30,6 +33,8 @@ const SOCK_STREAM: c_int = 1;
 const SOCK_NONBLOCK: c_int = 0o4000;
 const SOCK_CLOEXEC: c_int = 0o2000000;
 const EINPROGRESS: i32 = 115;
+/// `preadv2` flag: fail with `EAGAIN` rather than wait for the disk.
+const RWF_NOWAIT: c_int = 0x8;
 
 /// Readable readiness (`EPOLLIN`).
 pub(crate) const EV_READ: u32 = 0x001;
@@ -51,6 +56,17 @@ extern "C" {
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn connect(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
+    // `off_t` is 64 bits on every 64-bit Linux target.
+    fn preadv2(fd: c_int, iov: *const IoVec, iovcnt: c_int, offset: i64, flags: c_int) -> isize;
+    #[cfg(test)]
+    fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
+}
+
+/// Mirror of `struct iovec`.
+#[repr(C)]
+struct IoVec {
+    base: *mut c_void,
+    len: usize,
 }
 
 /// Mirror of the kernel's `struct epoll_event`. The x86-64 kernel ABI
@@ -247,6 +263,44 @@ pub(crate) fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
+/// One positional vectored read of `file` at `offset`: fills `first`, then
+/// `second`, and returns how many bytes it read — fewer than both hold at
+/// the end of the file, or when only part of the range could be had. With
+/// `nowait` the call never waits for the disk: bytes not in the page cache
+/// are `EAGAIN`, and a file system that cannot promise that (tmpfs) answers
+/// `EOPNOTSUPP`.
+pub(crate) fn read_two_at(
+    file: &File,
+    first: &mut [u8],
+    second: &mut [u8],
+    offset: u64,
+    nowait: bool,
+) -> io::Result<usize> {
+    let offset = i64::try_from(offset).map_err(|_| io::ErrorKind::InvalidInput)?;
+    let iov = [first, second].map(|buf| IoVec {
+        base: buf.as_mut_ptr().cast::<c_void>(),
+        len: buf.len(),
+    });
+    let flags = if nowait { RWF_NOWAIT } else { 0 };
+    // SAFETY: each iovec names a live, exclusively borrowed buffer of
+    // exactly `len` writable bytes that outlives the call; `file` keeps
+    // the descriptor open across it.
+    let n = unsafe { preadv2(file.as_raw_fd(), iov.as_ptr(), 2, offset, flags) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n as usize)
+}
+
+/// Asks the kernel to drop `file`'s clean pages from the page cache, so a
+/// test can see a cold read. Advice only: some file systems keep them.
+#[cfg(test)]
+pub(crate) fn drop_page_cache(file: &File) {
+    const POSIX_FADV_DONTNEED: c_int = 4;
+    // SAFETY: plain syscall on a descriptor `file` keeps open.
+    unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +398,29 @@ mod tests {
             refused.unwrap_err().kind(),
             io::ErrorKind::ConnectionRefused
         );
+    }
+
+    /// Both buffers fill from one call at an offset; the end of the file
+    /// shortens the count; a `nowait` read returns the same bytes or
+    /// declines, and never anything else.
+    #[test]
+    fn read_two_at_fills_both_buffers_from_an_offset() {
+        let path = std::env::temp_dir().join(format!("baps-sys-pread-{}", std::process::id()));
+        std::fs::write(&path, b"0123456789abcdef").unwrap();
+        let file = File::open(&path).unwrap();
+        let (mut a, mut b) = ([0u8; 4], [0u8; 6]);
+        assert_eq!(read_two_at(&file, &mut a, &mut b, 2, false).unwrap(), 10);
+        assert_eq!((&a, &b), (b"2345", b"6789ab"));
+        assert_eq!(read_two_at(&file, &mut a, &mut b, 12, false).unwrap(), 4);
+        assert_eq!(&a, b"cdef");
+        let (mut a, mut b) = ([0u8; 4], [0u8; 6]);
+        match read_two_at(&file, &mut a, &mut b, 2, true) {
+            Ok(10) => assert_eq!((&a, &b), (b"2345", b"6789ab")),
+            Ok(n) => assert!(n < 10),
+            // `EAGAIN` (cold pages), `EOPNOTSUPP` (tmpfs), `ENOSYS`.
+            Err(_) => {}
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

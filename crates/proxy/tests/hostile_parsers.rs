@@ -7,9 +7,10 @@
 //! `baps-obs` parsers included) because they share the document
 //! generators' mutation step and the property.
 //!
-//! The disk tier's entry file (84-byte header, URL, body) is the fourth
-//! parser here and takes the same mutation step: an edited file never
-//! serves bytes other than the stored document, self-heals, and neither a
+//! The disk tier's log entry (84-byte header, URL, body, one after another
+//! in a segment file) is the fourth parser here and takes the same
+//! mutation step: an edited entry never serves bytes other than the stored
+//! document — nor makes a neighbour serve any —, self-heals, and neither a
 //! read nor the open-time scan allocates for a length it has not checked
 //! against the file.
 //!
@@ -20,7 +21,7 @@
 use baps_crypto::ProxySigner;
 use baps_obs::span::SpanRecord;
 use baps_obs::{prom, span, LatencyHistogram, SpanId, TraceId};
-use baps_proxy::disk::entry_path;
+use baps_proxy::disk::{scan, Scanned};
 use baps_proxy::protocol::MAX_BODY;
 use baps_proxy::{
     CachedDoc, DiskConfig, DiskTier, HealthReport, RuleVerdict, SloSignal, Verdict, WindowRates,
@@ -33,6 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -294,8 +296,11 @@ fn signed(body: &[u8]) -> CachedDoc {
     }
 }
 
+/// A fresh root, unique per call (tests here run side by side).
 fn disk_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("baps-hostile-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let root = std::env::temp_dir().join(format!("baps-hostile-{tag}-{}-{n}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     root
 }
@@ -309,22 +314,44 @@ fn open_tier(root: &std::path::Path, capacity: u64) -> DiskTier {
     DiskTier::open(config, signer().public_key()).expect("the root is writable")
 }
 
-/// Stores `doc` under `url`, replaces its file with the valid image under
-/// `edit`, and reads it back: the read serves the stored document or
-/// nothing, and serves nothing unless the edit only touched a time field;
-/// serving nothing means one heal, no entry and no file.
-fn load_after_edit(
-    tier: &DiskTier,
-    url: &str,
-    doc: &CachedDoc,
-    edit: (u8, u32, u8),
-) -> Result<(), TestCaseError> {
+/// The live entry the open pass finds for `url`.
+fn located(root: &std::path::Path, url: &str) -> Option<Scanned> {
+    scan(root).unwrap().into_iter().find(|e| e.url == url)
+}
+
+/// Replaces `entry`'s bytes in its segment with their image under `edit`,
+/// as an editor would: what follows moves with a spliced-in or cut byte
+/// (a cut takes the rest of the file). Returns the valid image.
+fn edit_in_segment(entry: &Scanned, edit: (u8, u32, u8)) -> Vec<u8> {
+    let segment = fs::read(&entry.path).unwrap();
+    let (start, end) = (entry.offset as usize, (entry.offset + entry.len) as usize);
+    let valid = segment[start..end].to_vec();
+    let mut image = segment[..start].to_vec();
+    image.extend_from_slice(&edited(&valid, edit));
+    if edit.0 < 2 {
+        image.extend_from_slice(&segment[end..]);
+    }
+    fs::write(&entry.path, image).unwrap();
+    valid
+}
+
+/// Stores `doc` under `url` between two neighbours in one segment,
+/// replaces its entry with the valid image under `edit`, and reads all
+/// three back: the read serves the stored document or nothing, and serves
+/// nothing unless the edit only touched a time field; serving nothing
+/// means one heal, no entry and no live copy in the log. The neighbour
+/// before it is untouched; the one behind it serves its own bytes or — the
+/// edit moved it — nothing.
+fn load_after_edit(url: &str, doc: &CachedDoc, edit: (u8, u32, u8)) -> Result<(), TestCaseError> {
+    let root = disk_root("edit");
+    let tier = open_tier(&root, 1 << 20);
+    let (before, behind) = (signed(b"the entry before"), signed(b"the entry behind"));
+    tier.store("before", &before);
     tier.store(url, doc);
-    let path = entry_path(tier.root(), url);
-    let valid = fs::read(&path).expect("the entry was just stored");
+    tier.store("behind", &behind);
+    let entry = located(tier.root(), url).expect("the entry was just stored");
+    let valid = edit_in_segment(&entry, edit);
     prop_assert_eq!(valid.len(), DISK_HEADER_LEN + url.len() + doc.body.len());
-    fs::write(&path, edited(&valid, edit)).unwrap();
-    let heals = tier.stats().heals;
     let (hit, largest) = largest_request_during(|| tier.load(url));
     prop_assert!(
         largest <= HONEST_ALLOCATION,
@@ -338,16 +365,20 @@ fn load_after_edit(
         Some(hit) => {
             prop_assert!(harmless, "{:?} was served", edit);
             prop_assert_eq!(&hit.doc, doc);
-            prop_assert_eq!(tier.stats().heals, heals);
+            prop_assert_eq!(tier.stats().heals, 0);
             prop_assert!(tier.remove(url));
         }
         None => {
             prop_assert!(!harmless, "{:?} was refused", edit);
-            prop_assert_eq!(tier.stats().heals, heals + 1);
-            prop_assert!(!path.exists());
+            prop_assert_eq!(tier.stats().heals, 1);
         }
     }
-    prop_assert_eq!(tier.entries(), 0);
+    prop_assert!(located(tier.root(), url).is_none());
+    prop_assert_eq!(tier.load("before").map(|hit| hit.doc), Some(before));
+    let moved = tier.load("behind").map(|hit| hit.doc);
+    prop_assert!(moved.is_none() && kind != 0 || moved == Some(behind));
+    prop_assert_eq!(tier.entries(), 1 + tier.load("behind").is_some() as u64);
+    let _ = fs::remove_dir_all(&root);
     Ok(())
 }
 
@@ -355,8 +386,6 @@ fn load_after_edit(
 /// a spliced-in byte at each boundary of the layout.
 #[test]
 fn a_disk_entry_edited_at_every_field_and_boundary_never_serves_wrong_bytes() {
-    let root = disk_root("fields");
-    let tier = open_tier(&root, 1 << 20);
     let (url, doc) = ("http://origin/doc/7", signed(b"the body the proxy signed"));
     let body_at = DISK_HEADER_LEN + url.len();
     let boundaries = DISK_FIELD_STARTS.into_iter().chain([
@@ -368,9 +397,8 @@ fn a_disk_entry_edited_at_every_field_and_boundary_never_serves_wrong_bytes() {
         .map(|at| (0u8, at, 0x80u8))
         .chain(boundaries.flat_map(|at| [(1, at, 0), (1, at, 0xff), (2, at, 0)]));
     for (kind, at, byte) in edits {
-        load_after_edit(&tier, url, &doc, (kind, at as u32, byte)).unwrap();
+        load_after_edit(url, &doc, (kind, at as u32, byte)).unwrap();
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 proptest! {
@@ -443,22 +471,20 @@ proptest! {
         body in vec(any::<u8>(), 0..600),
         edits in edits(),
     ) {
-        let root = disk_root("edits");
-        let tier = open_tier(&root, 1 << 20);
+        prop_assume!(url != "before" && url != "behind");
         let doc = signed(&body);
         for edit in edits {
-            load_after_edit(&tier, &url, &doc, edit)?;
+            load_after_edit(&url, &doc, edit)?;
         }
-        let _ = fs::remove_dir_all(&root);
     }
 
-    /// The open-time scan over a directory where every file is one edit
-    /// from valid, beside two whose headers claim the largest lengths the
-    /// fields can carry: it returns, within the (possibly shrunk) budget,
-    /// having allocated for no length it had not checked, and what it kept
-    /// still reads back as the stored document or heals.
+    /// The open-time scan over a log where every entry is one edit from
+    /// valid, beside two segments whose first headers claim the largest
+    /// lengths the fields can carry: it returns, within the (possibly
+    /// shrunk) budget, having allocated for no length it had not checked,
+    /// and what it kept still reads back as the stored document or heals.
     #[test]
-    fn the_open_scan_survives_a_directory_of_edited_entries(
+    fn the_open_scan_survives_a_log_of_edited_entries(
         bodies in vec(vec(any::<u8>(), 0..600), 1..8),
         edits in edits(),
         capacity in 0u64..3000,
@@ -475,21 +501,24 @@ proptest! {
                 tier.store(url, doc);
             }
         }
-        let mut claims_the_most = fs::read(entry_path(&root, &docs[0].0)).unwrap();
-        for ((url, _), edit) in docs.iter().zip(edits.iter().cycle()) {
-            let path = entry_path(&root, url);
-            fs::write(&path, edited(&fs::read(&path).unwrap(), *edit)).unwrap();
+        // Last entry first, so an edit that moves what follows it moves
+        // nothing still to be edited.
+        let entries = scan(&root).unwrap();
+        prop_assert_eq!(entries.len(), docs.len());
+        let mut claims_the_most = Vec::new();
+        for (entry, edit) in entries.iter().rev().zip(edits.iter().cycle()) {
+            claims_the_most = edit_in_segment(entry, *edit);
         }
         claims_the_most[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        fs::write(root.join("url-len.doc"), &claims_the_most).unwrap();
+        fs::write(root.join("00000098.seg"), &claims_the_most).unwrap();
         claims_the_most[8..12].copy_from_slice(&1u32.to_le_bytes());
         claims_the_most[12..20].copy_from_slice(&(MAX_BODY as u64).to_le_bytes());
-        fs::write(root.join("body-len.doc"), &claims_the_most).unwrap();
+        fs::write(root.join("00000099.seg"), &claims_the_most).unwrap();
 
         let (tier, largest) = largest_request_during(|| open_tier(&root, capacity));
         prop_assert!(largest <= HONEST_ALLOCATION, "the scan allocated {}", largest);
         prop_assert!(tier.bytes() <= capacity);
-        prop_assert!(!root.join("url-len.doc").exists() && !root.join("body-len.doc").exists());
+        prop_assert!(!root.join("00000098.seg").exists() && !root.join("00000099.seg").exists());
         for (url, doc) in &docs {
             let (hit, largest) = largest_request_during(|| tier.load(url));
             prop_assert!(largest <= HONEST_ALLOCATION, "a read allocated {}", largest);

@@ -884,10 +884,10 @@ fn metrics_counters_survive_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite: a proxy killed mid-disk-write leaves a torn file behind.
-/// On restart the corrupted entry fails watermark verification and
-/// self-heals via the origin, while intact entries keep serving warm —
-/// and every body is byte-exact either way.
+/// Satellite: a proxy killed mid-disk-write leaves a torn tail behind.
+/// On restart the open scan stops at the torn entry, which self-heals via
+/// the origin, while intact entries keep serving warm — and every body is
+/// byte-exact either way.
 #[test]
 fn torn_disk_write_self_heals_after_crash() {
     let dir = disk_dir("torn_write");
@@ -899,28 +899,37 @@ fn torn_disk_write_self_heals_after_crash() {
         bed.shutdown();
     }
 
-    // Simulate the crash mid-append: doc/1's file loses its tail (the
-    // header and URL survive, the body is short). The write path never
-    // fsyncs — this is exactly what a power cut can leave behind.
-    let torn = baps_proxy::disk::entry_path(&dir, "http://origin/doc/1");
-    let bytes = std::fs::read(&torn).expect("doc/1 landed on disk");
-    std::fs::write(&torn, &bytes[..bytes.len() - 10]).unwrap();
+    // Simulate the crash mid-append: doc/1's entry, the last in the log,
+    // loses its tail (the header and URL survive, the body is short). The
+    // write path never fsyncs — this is exactly what a power cut can leave
+    // behind.
+    let log = baps_proxy::disk::scan(&dir).unwrap();
+    let torn = log.last().expect("both documents landed on disk");
+    assert_eq!(torn.url, "http://origin/doc/1");
+    let segment = std::fs::File::options()
+        .write(true)
+        .open(&torn.path)
+        .unwrap();
+    segment.set_len(torn.offset + torn.len - 10).unwrap();
 
     let bed = disk_bed(1, &dir, std::time::Duration::from_secs(3600));
     // The intact entry serves warm from disk, byte-exact.
     let r0 = bed.clients[0].fetch("http://origin/doc/0").unwrap();
     assert_eq!(r0.source, Source::ProxyDisk);
     assert_eq!(r0.body, body0);
-    // The torn entry fails verification, is deleted, and the request
-    // falls through to the origin — correct bytes, never the torn ones.
+    // The torn entry never entered the index, and the request falls
+    // through to the origin — correct bytes, never the torn ones.
     let r1 = bed.clients[0].fetch("http://origin/doc/1").unwrap();
     assert_eq!(r1.source, Source::Origin, "torn entry must not serve");
     assert_eq!(r1.body, body1);
     assert_eq!(bed.origin.hits(), 1, "only the healed doc hits the origin");
     let d = bed.proxy.disk_stats().unwrap();
-    assert!(d.heals >= 1, "the torn file must be counted as healed");
-    // The self-heal rewrote doc/1 through to disk: both serve warm now.
-    assert!(!std::fs::read(&torn).unwrap().is_empty());
+    assert!(d.heals >= 1, "the torn tail must be counted as healed");
+    // The self-heal wrote doc/1 through to a fresh head segment, not
+    // behind the tear: both documents are in the log again.
+    let log = baps_proxy::disk::scan(&dir).unwrap();
+    assert_eq!(log.len(), 2);
+    assert_ne!(log[1].path, torn.path);
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

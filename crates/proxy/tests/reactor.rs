@@ -231,9 +231,10 @@ fn disk_root(tag: &str) -> std::path::PathBuf {
     root
 }
 
-/// Many concurrent disk-tier misses over more connections than executor
-/// workers: every one is answered (each queued job wakes a worker; none is
-/// stranded) and the executor's queue gauge drains back to zero.
+/// Many concurrent misses of a disk-backed proxy over more connections
+/// than executor workers: every one is answered (each queued job wakes a
+/// worker; none is stranded) and the executor's queue gauge drains back to
+/// zero.
 #[test]
 fn concurrent_misses_over_more_connections_than_workers_all_answer() {
     const WORKERS: usize = 2;
@@ -243,7 +244,9 @@ fn concurrent_misses_over_more_connections_than_workers_all_answer() {
     // A document per GET, so no two coalesce. Each crosses the executor
     // once in the first round — the write-through of what the origin
     // answered (that the tier does not list it yet, its index says without
-    // leaving the loop) — and once in the second, the disk read.
+    // leaving the loop) — and in the second, the disk read, only if the
+    // loop could not have the bytes at once (never, a moment after they
+    // were written; always, where the file system has no `RWF_NOWAIT`).
     let bed = TestBed::start(
         DocumentStore::synthetic(CONNS * DOCS, 200, 2_000, 42),
         TestBedConfig {
@@ -283,7 +286,9 @@ fn concurrent_misses_over_more_connections_than_workers_all_answer() {
         t.join().unwrap();
     }
     let r = bed.proxy.reactor_stats();
-    assert_eq!(r.offloaded, 2 * (CONNS * DOCS) as u64, "{r:?}");
+    let deferred = bed.proxy.disk_stats().unwrap().reads_offloaded;
+    assert!(deferred == 0 || deferred == (CONNS * DOCS) as u64);
+    assert_eq!(r.offloaded, (CONNS * DOCS) as u64 + deferred, "{r:?}");
     let sat = bed.proxy.saturation();
     assert_eq!(sat.workers, WORKERS as u64);
     assert_eq!(sat.queue_depth, 0, "the executor queue drained: {sat:?}");

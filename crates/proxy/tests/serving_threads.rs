@@ -2,7 +2,8 @@
 //! topology table): an open connection is one descriptor and no thread, on
 //! a browser's peer port and on the origin alike; a miss — peer probe,
 //! origin fetch, a coalesced herd of thousands — is work for the proxy's
-//! event loops and starts no thread either.
+//! event loops and starts no thread either, and a warm disk hit is read
+//! and verified by the loop that took the GET.
 //!
 //! One test, alone in its test binary, on purpose: it counts
 //! `/proc/self/task` and `/proc/self/fd`, which any concurrently running
@@ -87,6 +88,7 @@ fn serving_costs_descriptors_not_threads() {
     served_connections_cost_one_fd_and_no_thread();
     misses_peer_hits_and_a_herd_start_no_thread();
     a_stalling_origin_with_32_misses_outstanding_delays_nobody_else();
+    warm_disk_hits_never_leave_the_loop();
 }
 
 fn served_connections_cost_one_fd_and_no_thread() {
@@ -313,4 +315,71 @@ fn a_stalling_origin_with_32_misses_outstanding_delays_nobody_else() {
     assert_eq!(bed.proxy.reactor_stats().offloaded, 0);
     assert_eq!(executor_threads(), 0);
     bed.shutdown();
+}
+
+/// Whether `dir` is on tmpfs, which answers `RWF_NOWAIT` with
+/// `EOPNOTSUPP`: there every disk read is the executor's.
+fn on_tmpfs(dir: &std::path::Path) -> bool {
+    let mounts = std::fs::read_to_string("/proc/self/mountinfo").unwrap();
+    // "36 35 98:0 / /mount/point rw,noatime shared:1 - ext4 /dev/root rw"
+    let mount_of = |line: &str| {
+        let (mount, fs) = line.split_once(" - ")?;
+        let point = mount.split(' ').nth(4)?.to_owned();
+        dir.starts_with(&point)
+            .then(|| (point.len(), fs.starts_with("tmpfs ")))
+    };
+    let deepest = mounts.lines().filter_map(mount_of).max_by_key(|m| m.0);
+    deepest.is_some_and(|(_, tmpfs)| tmpfs)
+}
+
+/// (d) Who runs a disk read: 100 warm hits on documents of at most 16 KiB
+/// are read, verified and served without one hand-off to the executor; a
+/// document above the tier's 64 KiB inline limit costs exactly one.
+fn warm_disk_hits_never_leave_the_loop() {
+    let dir = std::env::temp_dir().join(format!("baps_serving_disk_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = DocumentStore::synthetic(8, 2_000, 16 << 10, 42);
+    store.insert("http://origin/big", vec![0xb1u8; (64 << 10) + 1]);
+    let bodies: Vec<_> = (0..8)
+        .map(|i| store.get(&doc_url(i)).unwrap().to_vec())
+        .collect();
+    let bed = TestBed::start(
+        store,
+        TestBedConfig {
+            n_clients: 1,
+            // Room for one document: every fetch below finds the one
+            // before it in memory and its own on disk.
+            proxy_capacity: 17 << 10,
+            browser_capacity: 1,
+            disk_root: Some(dir.clone()),
+            disk_capacity: 1 << 20,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let fetch = |url: &str| bed.clients[0].fetch(url).unwrap();
+    for i in 0..8 {
+        assert_eq!(fetch(&doc_url(i)).source, Source::Origin);
+    }
+    assert_eq!(fetch("http://origin/big").source, Source::Origin);
+
+    let offloaded = || bed.proxy.reactor_stats().offloaded;
+    let before = offloaded();
+    for hit in 0..100 {
+        let got = fetch(&doc_url(hit % 8));
+        assert_eq!(got.source, Source::ProxyDisk, "hit {hit}");
+        assert_eq!(&got.body[..], &bodies[hit % 8][..], "hit {hit}");
+    }
+    let deferred = bed.proxy.disk_stats().unwrap().reads_offloaded;
+    assert_eq!(offloaded() - before, deferred);
+    assert_eq!(deferred, if on_tmpfs(&dir) { 100 } else { 0 });
+
+    let before = offloaded();
+    let got = fetch("http://origin/big");
+    assert_eq!(got.source, Source::ProxyDisk);
+    assert!(got.body.len() > 64 << 10 && got.body.iter().all(|&b| b == 0xb1));
+    assert_eq!(offloaded() - before, 1, "a large body is the executor's");
+    assert_eq!(bed.origin.hits(), 9, "nothing was fetched twice");
+    bed.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! Invalidation-storm tests against a warm disk tier: a publisher storm
 //! must never let a stale body escape (every post-invalidate read
-//! revalidates with `If-Digest` or refetches), and torn-file self-heal
+//! revalidates with `If-Digest` or refetches), and torn-entry self-heal
 //! counters stay balanced when the storm lands on corrupted entries.
 
 use baps_proxy::{DocumentStore, TestBed, TestBedConfig};
@@ -10,7 +10,6 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const DOCS: usize = 12;
-const BASELINE_FILE: &str = "counters.baseline";
 
 fn unique_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("baps-storm-{tag}-{}", std::process::id()))
@@ -122,9 +121,9 @@ fn invalidation_storm_never_serves_stale_disk_bodies() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// Tears every disk entry mid-storm: each torn file is detected on read,
-/// healed (deleted) exactly once, and refetched from the origin — the
-/// heal counter balances the number of torn files and no client ever
+/// Tears every disk entry mid-storm: each torn entry is detected on read,
+/// healed (tombstoned) exactly once, and refetched from the origin — the
+/// heal counter balances the number of torn entries and no client ever
 /// sees wrong bytes.
 #[test]
 fn torn_files_self_heal_balanced_under_storm() {
@@ -132,27 +131,20 @@ fn torn_files_self_heal_balanced_under_storm() {
     let (bed, expected) = disk_bed(&root, 33);
     warm_disk(&bed, &expected);
 
-    // Tear every entry (truncate below the header), sparing the counter
-    // baseline that lives beside them.
-    let mut torn = 0u64;
-    let mut stack = vec![root.clone()];
-    while let Some(dir) = stack.pop() {
-        for entry in fs::read_dir(&dir).expect("disk root readable") {
-            let entry = entry.expect("dir entry");
-            let path = entry.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.file_name().is_some_and(|n| n != BASELINE_FILE) {
-                fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .and_then(|f| f.set_len(8))
-                    .expect("truncate entry");
-                torn += 1;
-            }
-        }
+    // Tear every entry: each segment of the log is cut inside its first
+    // header.
+    let log = baps_proxy::disk::scan(&root).expect("disk root readable");
+    let torn = log.len() as u64;
+    assert_eq!(torn, DOCS as u64, "every document is in the log");
+    let mut segments: Vec<_> = log.into_iter().map(|entry| entry.path).collect();
+    segments.dedup();
+    for segment in segments {
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&segment)
+            .and_then(|f| f.set_len(8))
+            .expect("truncate segment");
     }
-    assert_eq!(torn, DOCS as u64, "every entry was torn");
 
     // Storm the whole corpus, then read everything back.
     for url in expected.keys() {
@@ -169,7 +161,7 @@ fn torn_files_self_heal_balanced_under_storm() {
     let disk = bed.proxy.disk_stats().expect("disk tier configured");
     assert_eq!(
         disk.heals, torn,
-        "each torn file heals exactly once — counters balance"
+        "each torn entry heals exactly once — counters balance"
     );
     assert_eq!(disk.io_errors, 0);
     assert_eq!(

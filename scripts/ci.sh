@@ -16,6 +16,18 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --workspace
 
+if [ -w /dev/shm ] && [ "$(stat -f -c %T /dev/shm)" = tmpfs ]; then
+    echo "== disk tier on tmpfs (no RWF_NOWAIT: every disk read is the executor's)"
+    # An event loop reads the disk tier with preadv2(RWF_NOWAIT) and hands
+    # whatever it cannot have at once to the executor. tmpfs answers that
+    # flag with EOPNOTSUPP, so with the test roots there the tier's unit
+    # tests and the disk-backed live tests run entirely through the
+    # "anything else -> executor" arm.
+    TMPDIR=/dev/shm cargo test -q -p baps-proxy --lib disk
+    TMPDIR=/dev/shm cargo test -q -p baps-proxy --test live disk
+    TMPDIR=/dev/shm cargo test -q -p baps-proxy --test storm
+fi
+
 echo "== benchmark package tests"
 # The repo benchmark (benchmark/) is a package outside the workspace; its
 # unit tests cover the generators, the comparison rules and the JSON it
@@ -66,7 +78,9 @@ echo "== chaos soak, warm-restart mode (fixed seed)"
 # full in-place proxy restart at mid-schedule: gates that the restarted
 # proxy re-opens its store non-empty, serves disk hits afterwards
 # (post-restart hit ratio > 0), keeps counters monotonic across the
-# restart, and that both runs stay byte-exact and deterministic.
+# restart, leaves nothing in the disk root but `*.seg` segments and
+# `counters.baseline`, and that both runs stay byte-exact and
+# deterministic.
 soak restart-warm --restart-warm
 
 echo "== scenario soak: flash-crowd (fixed seed)"
@@ -141,6 +155,16 @@ fi
 if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor' -- \
     README.md DESIGN.md src examples crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted"
+    exit 1
+fi
+
+# The disk tier is a segment log: no document has a file of its own
+# (`<root>/<md5(url)>.doc`) or a path to compute (DESIGN.md §10). The
+# pattern is the old file name's, not a bare `.doc`, which every
+# `hit.doc.body` in the sources would match; `"doc"` survives in disk.rs
+# as the extension `open` sweeps out of a pre-upgrade root.
+if git grep -nE 'entry_path|>\.doc\b' -- README.md DESIGN.md crates/*/src; then
+    echo "doc rot: the lines above name the deleted path-per-document disk layout"
     exit 1
 fi
 
