@@ -1,19 +1,25 @@
-//! Shared plumbing for the experiment binaries.
+//! The paper's experiments and their shared plumbing.
 //!
-//! Every binary regenerates one table or figure of the paper. All of them
-//! accept `--scale <frac>` (default 1.0) to shrink the workloads for quick
-//! smoke runs, and print paper-reported anchors next to measured values so
-//! calibration drift is visible. Use `--csv` to emit machine-readable
-//! output instead of the ASCII table.
+//! [`experiments::EXPERIMENTS`] is the one list of what this crate can
+//! regenerate: each row names a table, figure or section of the paper and
+//! the function that prints it. The `experiments` binary runs a row (or
+//! `all` of them) in-process. Every row accepts `--scale <frac>` (default
+//! 1.0) to shrink the workloads for quick smoke runs, and prints
+//! paper-reported anchors next to measured values so calibration drift is
+//! visible. Use `--csv` to emit machine-readable output instead of the
+//! ASCII table.
 
 #![warn(missing_docs)]
 
 pub mod critical_path;
+pub mod experiments;
 pub mod scenario;
+
+use std::io::{self, Write};
 
 use baps_trace::{Profile, Trace, TraceStats};
 
-/// Command-line options common to all experiment binaries.
+/// Command-line options common to all experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct Cli {
     /// Workload scale factor in (0, 1].
@@ -23,42 +29,32 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `--scale <f>` and `--csv` from `std::env::args`.
-    pub fn parse() -> Cli {
-        let mut scale = 1.0f64;
-        let mut csv = false;
-        let mut args = std::env::args().skip(1);
+    /// Parses `[--scale <f>] [--csv]`, the arguments after the experiment
+    /// name.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+        let mut cli = Cli {
+            scale: 1.0,
+            csv: false,
+        };
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--scale" => {
-                    let v = args
+                    cli.scale = args
                         .next()
                         .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| die("--scale needs a number in (0, 1]"));
-                    if !(v > 0.0 && v <= 1.0) {
-                        die("--scale must be in (0, 1]");
-                    }
-                    scale = v;
+                        .filter(|v| *v > 0.0 && *v <= 1.0)
+                        .ok_or("--scale needs a number in (0, 1]")?;
                 }
-                "--csv" => csv = true,
-                "--help" | "-h" => {
-                    println!("usage: <bin> [--scale <frac>] [--csv]");
-                    std::process::exit(0);
-                }
-                other => die(&format!("unknown argument: {other}")),
+                "--csv" => cli.csv = true,
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        Cli { scale, csv }
+        Ok(cli)
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
-
 /// Generates a profile trace at the CLI scale and computes its statistics.
-pub fn load_profile(profile: Profile, cli: Cli) -> (Trace, TraceStats) {
+pub(crate) fn load_profile(profile: Profile, cli: Cli) -> (Trace, TraceStats) {
     let trace = if cli.scale >= 1.0 {
         profile.generate()
     } else {
@@ -68,13 +64,13 @@ pub fn load_profile(profile: Profile, cli: Cli) -> (Trace, TraceStats) {
     (trace, stats)
 }
 
-/// Prints a section header.
-pub fn banner(title: &str) {
-    println!("\n=== {title} ===\n");
+/// Writes a section header.
+pub(crate) fn banner(out: &mut dyn Write, title: &str) -> io::Result<()> {
+    writeln!(out, "\n=== {title} ===\n")
 }
 
 /// Formats an `Option<f64>`-like paper anchor: `-` when unknown.
-pub fn anchor(v: f64, known: bool) -> String {
+pub(crate) fn anchor(v: f64, known: bool) -> String {
     if known {
         format!("{v:.2}")
     } else {
@@ -83,7 +79,7 @@ pub fn anchor(v: f64, known: bool) -> String {
 }
 
 use baps_core::{BrowserSizing, LatencyParams, Organization, SystemConfig};
-use baps_sim::{pct, run_matrix, run_sweep, MatrixGroup, RunResult, Table, PROXY_SCALE_POINTS};
+use baps_sim::{run_matrix, MatrixGroup, RunResult, PROXY_SCALE_POINTS};
 
 /// Builds the scale-point configurations for one organization.
 fn org_configs(
@@ -104,26 +100,14 @@ fn org_configs(
         .collect()
 }
 
-/// Runs one organization across the paper's proxy scale points.
-///
-/// `browser_sizing_for` maps each scale fraction to the browser sizing rule
-/// (Fig. 2 uses `Minimum`; Figs. 4–7 scale browser caches with the same
-/// fraction of the average infinite browser cache).
-pub fn sweep_org(
-    trace: &Trace,
-    stats: &TraceStats,
-    org: Organization,
-    browser_sizing_for: impl Fn(f64) -> BrowserSizing,
-) -> Vec<RunResult> {
-    let configs = org_configs(stats, org, &browser_sizing_for);
-    run_sweep(trace, stats, &configs, &LatencyParams::paper())
-}
-
 /// Runs several organizations across the paper's proxy scale points
 /// through one pooled [`run_matrix`] call, so no worker idles at an
-/// organization boundary. Results arrive in `orgs` order and are
-/// identical to calling [`sweep_org`] per organization.
-pub fn sweep_orgs(
+/// organization boundary. Results arrive in `orgs` order.
+///
+/// `browser_sizing_for` maps each scale fraction to the browser sizing rule
+/// (Figs. 2–3 use `Minimum`; Figs. 4–7 scale browser caches with the same
+/// fraction of the average infinite browser cache).
+pub(crate) fn sweep_orgs(
     trace: &Trace,
     stats: &TraceStats,
     orgs: &[Organization],
@@ -144,77 +128,6 @@ pub fn sweep_orgs(
         })
         .collect();
     run_matrix(&groups).0
-}
-
-/// Renders the two-organization comparison used by Figs. 4–7: hit ratios
-/// and byte hit ratios of browsers-aware vs proxy-and-local-browser at each
-/// proxy scale point, with browser caches scaled by the same fraction of
-/// the average infinite browser cache ("average" sizing).
-pub fn print_two_org_figure(profile: Profile, cli: Cli, figure: &str) {
-    banner(&format!(
-        "{figure}: {} — browsers-aware vs proxy-and-local-browser (avg browser cache)",
-        profile.name()
-    ));
-    let (trace, stats) = load_profile(profile, cli);
-    let sizing = BrowserSizing::FractionOfClientInfinite;
-    let mut runs = sweep_orgs(
-        &trace,
-        &stats,
-        &[
-            Organization::BrowsersAware,
-            Organization::ProxyAndLocalBrowser,
-        ],
-        sizing,
-    )
-    .into_iter();
-    let baps = runs.next().expect("browsers-aware sweep");
-    let plb = runs.next().expect("proxy-and-local-browser sweep");
-
-    let header: Vec<String> = std::iter::once("series".to_owned())
-        .chain(PROXY_SCALE_POINTS.iter().map(|f| format!("{}%", f * 100.0)))
-        .collect();
-    let mut hr = Table::new(header.clone());
-    let mut bhr = Table::new(header);
-    let row = |label: &str, results: &[RunResult], byte: bool| -> Vec<String> {
-        std::iter::once(label.to_owned())
-            .chain(results.iter().map(|r| {
-                pct(if byte {
-                    r.byte_hit_ratio()
-                } else {
-                    r.hit_ratio()
-                })
-            }))
-            .collect()
-    };
-    hr.row(row("browsers-aware-proxy-server", &baps, false));
-    hr.row(row("proxy-and-local-browser", &plb, false));
-    bhr.row(row("browsers-aware-proxy-server", &baps, true));
-    bhr.row(row("proxy-and-local-browser", &plb, true));
-
-    if cli.csv {
-        println!("# hit ratios (%)\n{}", hr.to_csv());
-        println!("# byte hit ratios (%)\n{}", bhr.to_csv());
-    } else {
-        println!("Hit ratios (%) by proxy cache size (% of infinite cache):");
-        print!("{}", hr.render());
-        println!("\nByte hit ratios (%):");
-        print!("{}", bhr.render());
-    }
-    let max_hr_gain = baps
-        .iter()
-        .zip(&plb)
-        .map(|(a, b)| a.hit_ratio() - b.hit_ratio())
-        .fold(f64::MIN, f64::max);
-    let max_bhr_gain = baps
-        .iter()
-        .zip(&plb)
-        .map(|(a, b)| a.byte_hit_ratio() - b.byte_hit_ratio())
-        .fold(f64::MIN, f64::max);
-    println!(
-        "\nmax gain of browsers-aware over proxy-and-local-browser: \
-         +{:.2} points hit ratio, +{:.2} points byte hit ratio",
-        max_hr_gain, max_bhr_gain
-    );
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Trace replay engine.
 
-use crate::histo::LatencyHistogram;
 use crate::latency::LatencyTotals;
 use crate::metrics::Metrics;
 use crate::system::SimSystem;
 use baps_core::{HitClass, LatencyParams, SystemConfig};
 use baps_index::IndexStats;
+use baps_obs::LatencyHistogram;
 use baps_trace::{Trace, TraceStats};
 use serde::{Deserialize, Serialize};
 

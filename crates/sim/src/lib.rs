@@ -11,13 +11,12 @@
 //! * [`run_scaling`] — the Fig. 8 client-population scaling experiment;
 //! * [`LatencyModel`] / [`LatencyTotals`] — the §4.2/§5 analytic service
 //!   time model with shared-LAN contention;
-//! * [`Table`] — plain-text rendering for the experiment binaries.
+//! * [`Table`] — plain-text rendering for the `experiments` binary.
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod hierarchy;
-pub mod histo;
 pub mod latency;
 pub mod metrics;
 pub mod report;
@@ -29,10 +28,11 @@ pub use engine::{run, run_simple, run_with_options, ClassHistograms, RunOptions,
 pub use hierarchy::{
     run_hierarchy, HierHit, HierMetrics, HierSystem, HierarchyConfig, SharingMode,
 };
-pub use histo::LatencyHistogram;
 pub use latency::{LanBus, LatencyModel, LatencyTotals};
 pub use metrics::{ClassCounter, Metrics};
 pub use report::{human_bytes, pct, Table};
 pub use scaling::{run_scaling, select_clients, ScalingPoint, CLIENT_SCALE_POINTS};
-pub use sweep::{run_matrix, run_sweep, scale_configs, MatrixGroup, PROXY_SCALE_POINTS};
+pub use sweep::{
+    ordered_pool, run_matrix, run_sweep, scale_configs, MatrixGroup, PROXY_SCALE_POINTS,
+};
 pub use system::SimSystem;

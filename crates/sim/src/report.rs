@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the `experiments` binary.
 
 /// A simple ASCII table builder with right-aligned numeric columns.
 #[derive(Debug, Clone, Default)]

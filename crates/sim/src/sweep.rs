@@ -5,55 +5,33 @@
 //! results are bit-identical to running them serially, just wall-clock
 //! faster. This is how every multi-point figure in the paper is produced.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+
 use crate::engine::{run, RunResult};
 use crate::latency::LatencyTotals;
 use baps_core::{LatencyParams, SystemConfig};
 use baps_trace::{Trace, TraceStats};
 
 /// Runs every configuration against the trace, in parallel, preserving
-/// input order in the output.
+/// input order in the output: [`run_matrix`] over one group.
 pub fn run_sweep(
     trace: &Trace,
     stats: &TraceStats,
     configs: &[SystemConfig],
     latency: &LatencyParams,
 ) -> Vec<RunResult> {
-    let threads = available_threads().min(configs.len().max(1));
-    if threads <= 1 || configs.len() <= 1 {
-        return configs
-            .iter()
-            .map(|cfg| run(trace, stats, cfg, latency))
-            .collect();
-    }
-
-    // Work queue: an atomic cursor hands out configuration indices; each
-    // worker sends (index, result) back over a channel and the coordinator
-    // reassembles input order.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, RunResult)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let result = run(trace, stats, &configs[i], latency);
-                tx.send((i, result)).expect("coordinator alive");
-            });
-        }
-    });
-    drop(tx);
-    let mut results: Vec<Option<RunResult>> = vec![None; configs.len()];
-    for (i, r) in rx {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every config produced a result"))
-        .collect()
+    let group = MatrixGroup {
+        trace,
+        stats,
+        configs,
+        latency,
+    };
+    run_matrix(&[group])
+        .0
+        .pop()
+        .expect("one group in, one group out")
 }
 
 /// One independent unit of matrix work: a trace (with precomputed stats)
@@ -85,69 +63,80 @@ pub struct MatrixGroup<'a> {
 /// [`LatencyTotals::merge`] in input order) is byte-identical to running
 /// the groups sequentially.
 pub fn run_matrix(groups: &[MatrixGroup<'_>]) -> (Vec<Vec<RunResult>>, LatencyTotals) {
-    let n_jobs: usize = groups.iter().map(|g| g.configs.len()).sum();
     // Flat job list: (group index, config index), in input order.
     let jobs: Vec<(usize, usize)> = groups
         .iter()
         .enumerate()
         .flat_map(|(gi, g)| (0..g.configs.len()).map(move |ci| (gi, ci)))
         .collect();
-
-    let threads = available_threads().min(n_jobs.max(1));
-    let mut results: Vec<Vec<Option<RunResult>>> =
-        groups.iter().map(|g| vec![None; g.configs.len()]).collect();
-    if threads <= 1 || n_jobs <= 1 {
-        for &(gi, ci) in &jobs {
-            let g = &groups[gi];
-            results[gi][ci] = Some(run(g.trace, g.stats, &g.configs[ci], g.latency));
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, usize, RunResult)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let (next, jobs) = (&next, &jobs);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(gi, ci)) = jobs.get(i) else { break };
-                    let g = &groups[gi];
-                    let result = run(g.trace, g.stats, &g.configs[ci], g.latency);
-                    tx.send((gi, ci, result)).expect("coordinator alive");
-                });
-            }
-        });
-        drop(tx);
-        for (gi, ci, r) in rx {
-            results[gi][ci] = Some(r);
-        }
-    }
-
-    let results: Vec<Vec<RunResult>> = results
-        .into_iter()
-        .map(|group| {
-            group
-                .into_iter()
-                .map(|r| r.expect("every job produced a result"))
-                .collect()
-        })
+    let mut results: Vec<Vec<RunResult>> = groups
+        .iter()
+        .map(|g| Vec::with_capacity(g.configs.len()))
         .collect();
     // Grand total merged in input order: float addition is order-sensitive,
     // so a fixed merge order keeps the total identical run to run.
     let mut grand = LatencyTotals::default();
-    for group in &results {
-        for r in group {
+    ordered_pool(
+        jobs.len(),
+        |i| {
+            let (gi, ci) = jobs[i];
+            let g = &groups[gi];
+            run(g.trace, g.stats, &g.configs[ci], g.latency)
+        },
+        |i, r| {
             grand.merge(&r.latency);
-        }
-    }
+            results[jobs[i].0].push(r);
+        },
+    );
     (results, grand)
 }
 
-/// Number of worker threads to use (leaves a core for the coordinator).
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(1)
+/// Runs `work(i)` for every `i` in `0..n` on a scoped pool of one worker
+/// per core, and hands each result to `sink` on the calling thread **in
+/// index order**, as soon as every earlier one is in — so whatever `sink`
+/// builds is what a serial loop would have built. The caller runs no
+/// `work` itself (it only waits on the workers' channel), so it is not
+/// counted against the cores.
+///
+/// The pool under every sweep, and under the `experiments` binary's rows.
+pub fn ordered_pool<T: Send>(
+    n: usize,
+    work: impl Fn(usize) -> T + Sync,
+    mut sink: impl FnMut(usize, T),
+) {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |cores| cores.get())
+        .min(n);
+    if threads <= 1 {
+        (0..n).for_each(|i| sink(i, work(i)));
+        return;
+    }
+    // Work queue: an atomic cursor hands out indices; each worker sends
+    // (index, result) back over a channel.
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (tx, next, work) = (tx.clone(), &next, &work);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || tx.send((i, work(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        // Results that arrived before an earlier index did.
+        let mut early = BTreeMap::new();
+        let mut due = 0;
+        for (i, result) in rx {
+            early.insert(i, result);
+            while let Some(result) = early.remove(&due) {
+                sink(due, result);
+                due += 1;
+            }
+        }
+    });
 }
 
 /// The proxy-cache scale points used throughout the paper's figures,
@@ -268,6 +257,29 @@ mod tests {
         }
         assert_eq!(grand, expected_grand);
         assert!(grand.total_ms() > 0.0);
+    }
+
+    #[test]
+    fn pool_sinks_in_index_order() {
+        // With two workers, index 0 blocks until index 1 signals it, so
+        // later results arrive first and must wait for it.
+        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = std::sync::Mutex::new(rx);
+        let mut seen = Vec::new();
+        ordered_pool(
+            6,
+            |i| {
+                match i {
+                    0 if parallel => rx.lock().unwrap().recv().unwrap(),
+                    1 if parallel => tx.send(()).unwrap(),
+                    _ => {}
+                }
+                i * 10
+            },
+            |i, r| seen.push((i, r)),
+        );
+        assert_eq!(seen, [(0, 0), (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   footprint, and the maximum (infinite-cache) hit / byte-hit ratios that
 //!   upper-bound every simulated policy.
 //!
-//! The experiment binaries print paper targets next to measured values so
+//! The experiments print paper targets next to measured values so
 //! calibration drift is always visible.
 
 use crate::synth::{SizeModelConfig, SynthConfig};
@@ -136,7 +136,7 @@ impl Profile {
 
     /// The calibrated generator configuration for this profile.
     ///
-    /// Parameters were fitted with `baps-bench --bin calibrate`, which
+    /// Parameters were fitted with `experiments calibrate` (baps-bench), which
     /// binary-searches the document universe, temporal-locality probability
     /// and popularity-size bias until the generated trace matches the
     /// Table 1 anchors (max hit ratio, max byte hit ratio, total GB).
@@ -261,7 +261,7 @@ impl Profile {
     }
 
     /// Generates the full-size calibrated trace with the canonical seed used
-    /// by every experiment binary.
+    /// by every experiment.
     pub fn generate(self) -> Trace {
         self.config().generate(self.canonical_seed())
     }

@@ -99,6 +99,17 @@ echo "== scenario soak: invalidation-storm (fixed seed)"
 # way.
 soak invalidation-storm --scenario invalidation-storm
 
+echo "== experiments record (experiments_full.txt is what the code prints)"
+# EXPERIMENTS.md quotes experiments_full.txt, so the file is held to the
+# code the way the soaks are held to scripts/chaos_expected/: every row of
+# `experiments all` at full scale is seeded and must reproduce it byte for
+# byte, bar the four wall-clock rows of the §6 table. A PR that means to
+# move a number regenerates the file (`experiments all > experiments_full.txt`)
+# and re-reads EXPERIMENTS.md against it.
+untimed() { grep -vE '^(1|8|64|1024) KB ' "$@"; }
+cargo run --release -q -p baps-bench --bin experiments -- all \
+    | untimed | diff <(untimed experiments_full.txt) -
+
 echo "== metrics smoke (METRICS exposition + recording-overhead gate)"
 # Scrapes METRICS BAPS/1.0 over the wire under load and asserts the
 # exposition parses, requests_total = served-by-tier + errors, and the
@@ -168,6 +179,15 @@ if git grep -nE 'entry_path|>\.doc\b' -- README.md DESIGN.md crates/*/src; then
     exit 1
 fi
 
+# The paper's tables and figures are rows of one `experiments` binary
+# (`experiments --list`), not a binary each; `runall` and `calibrate` are
+# `experiments all` and `experiments calibrate`.
+if git grep -nE -e '--bin (fig[2-8]|table1|memhit|overhead|sharing|security|ablation|latency|hierarchy|runall|calibrate)' -- \
+    README.md DESIGN.md EXPERIMENTS.md src examples .claude crates/*/src crates/*/Cargo.toml; then
+    echo "doc rot: the lines above name an experiment binary this repo deleted"
+    exit 1
+fi
+
 echo "== md5 kernel throughput (non-gating perf smoke)"
 # One MD5 pass per hop is the largest CPU term of a disk hit and of a
 # large origin fetch (DESIGN.md §5, "hash once per hop"), so a kernel regression should show
@@ -192,12 +212,14 @@ echo "== Rust line totals (non-test / test)"
 # The "net line count is reported per PR" number: run this at the parent
 # commit and at the change and quote both in CHANGES.md. Test lines are
 # every line of a file under a tests/ directory plus, in any other file,
-# everything from its top-level `#[cfg(test)]` to the end.
+# everything from its top-level `#[cfg(test)]` + `mod` pair to the end. (A
+# top-level `#[cfg(test)]` on anything else — reactor.rs has a test-only
+# helper function in its first hundred lines — starts nothing.)
 find . \( -name target -o -name .git -o -name .bench_build \) -prune \
     -o -name '*.rs' -print0 | xargs -0 awk '
-    FNR == 1 { test = (FILENAME ~ /\/tests\//) }
-    /^#\[cfg\(test\)\]/ { test = 1 }
-    { n[test]++ }
+    FNR == 1 { test = (FILENAME ~ /\/tests\//); attr = 0 }
+    attr && !test && /^(pub )?mod / { test = 1; n[0]--; n[1]++ }
+    { attr = /^#\[cfg\(test\)\]/; n[test]++ }
     END { printf "rust lines: non-test %d, test %d, total %d\n", n[0], n[1], n[0] + n[1] }'
 
 echo "CI OK"

@@ -17,7 +17,7 @@
 //!   analytic latency model;
 //! * [`sim`] — the trace-driven simulator and experiment harness;
 //! * [`crypto`] — MD5/RSA/XTEA and the §6 reliability protocols;
-//! * [`proxy`] — a live, threaded browsers-aware proxy over TCP.
+//! * [`proxy`] — a live, event-driven browsers-aware proxy over TCP.
 //!
 //! ## Quickstart
 //!

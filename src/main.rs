@@ -48,7 +48,7 @@ fn print_usage() {
          baps info <trace-file>\n  \
          baps simulate <trace-file> [--org <p|b|gb|plb|baps>] [--proxy-frac <f>] [--all-orgs]\n  \
          baps demo [--clients <n>] [--docs <n>]\n\n\
-         Experiment binaries live in baps-bench; see README.md."
+         The paper's experiments are `experiments <name>` in baps-bench; see README.md."
     );
 }
 
