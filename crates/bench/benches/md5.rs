@@ -4,12 +4,15 @@
 //! at the disk boundary, and in the client's `verify_document`. That pass
 //! is the largest CPU term of a disk hit and of a large origin fetch, so
 //! the rows to watch are `md5/8192` (the median document) and
-//! `md5/1048576` (the heavy tail); `scripts/ci.sh` prints both. The kernel
-//! is latency-bound — each of the 64 steps waits for the one before — so
-//! bytes/s is flat from 8 KiB up and a drop means the step chain got
-//! longer, not that memory got slower. `sign_digest` / `verify_digest`
-//! are what `ProxySigner::sign` / `verify_hashed` cost once the digest is
-//! in hand.
+//! `md5/1048576` (the heavy tail); `scripts/ci.sh` prints both, tagged
+//! with the kernel that produced them (the `md5 kernel:` line: `avx512`
+//! where CPUID reports avx512f + avx512vl, `portable` elsewhere). Either
+//! kernel is latency-bound — each of the 64 steps waits for the one
+//! before — so bytes/s is flat from 8 KiB up and a drop means the step
+//! chain got longer, not that memory got slower: ≈ 4 cycles a byte on the
+//! AVX-512 kernel, ≈ 4.5–5 on the portable one. `sign_digest` /
+//! `verify_digest` are what `ProxySigner::sign` / `verify_hashed` cost
+//! once the digest is in hand.
 
 use baps_crypto::{md5, sign_digest, verify_digest, KeyPair};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -17,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn bench_md5(c: &mut Criterion) {
+    println!("md5 kernel: {}", baps_crypto::md5::kernel());
     let mut rng = StdRng::seed_from_u64(1);
     let mut group = c.benchmark_group("md5");
     for size in [64usize, 1 << 10, 8 << 10, 64 << 10, 1 << 20] {

@@ -8,7 +8,8 @@
 //! 1. The exposition scraped over the wire parses, `requests_total` equals
 //!    served-by-tier + errors, the per-tier latency histograms hold one
 //!    observation per served GET, the `baps_build_info` /
-//!    `baps_uptime_seconds` identity gauges are present, and the upstream
+//!    `baps_uptime_seconds` identity gauges are present (the first naming
+//!    the MD5 kernel this host runs), and the upstream
 //!    connections are being reused ([`summarize_metrics`]).
 //! 2. The same run's `TRACE BAPS/1.0` dump parses and holds at least one
 //!    sampled span: the exporter is live, not just the verb.
@@ -144,8 +145,8 @@ fn summarize_metrics(text: &str) {
         "tier histogram counts must sum to requests - errors"
     );
     // Identity gauges (DESIGN.md §14): `baps_build_info` pins the version
-    // of whatever produced the scrape, `baps_uptime_seconds` distinguishes
-    // a restart from a counter reset.
+    // and the MD5 kernel of whatever produced the scrape,
+    // `baps_uptime_seconds` distinguishes a restart from a counter reset.
     let build_info = samples
         .iter()
         .find(|s| s.name == "baps_build_info")
@@ -154,6 +155,11 @@ fn summarize_metrics(text: &str) {
     assert!(
         build_info.label("version").is_some_and(|v| !v.is_empty()),
         "baps_build_info must carry a non-empty version label"
+    );
+    assert_eq!(
+        build_info.label("md5_kernel"),
+        Some(baps_crypto::md5::kernel()),
+        "baps_build_info must name the MD5 kernel this host runs"
     );
     assert!(
         get("baps_uptime_seconds", &[]) >= 0.0,

@@ -32,11 +32,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Latency above which a plain cache-hit fetch earns a flight-recorder
-/// span. Multi-hop fetches (peer, origin) and errors are always recorded;
+/// Latency floor ([`ran_slow`]) of a plain cache-hit fetch's span.
+/// Multi-hop fetches (peer, origin) and errors are always recorded;
 /// fast local/proxy hits are the ~50k req/s bulk, fully accounted by the
 /// tier histograms, and recording each one measurably taxed the hot path.
 const SLOW_FETCH: Duration = Duration::from_millis(2);
+
+/// Latency floor above which a watermark check earns a `verify` span.
+const SLOW_VERIFY: Duration = Duration::from_micros(250);
+
+/// Whether an operation on `len` body bytes that took `elapsed` ran slow:
+/// longer than `floor` plus 10 ns a byte (slower than 100 MB/s). A fixed
+/// time alone calls every large body slow — a 1 MiB verify is ≈ 1.5–2 ms of
+/// MD5 — and turns the shared ring over with events that are merely big.
+fn ran_slow(elapsed: Duration, floor: Duration, len: usize) -> bool {
+    elapsed > floor + Duration::from_nanos(10 * len as u64)
+}
 
 /// What a tampering client serves its peers (test/fault hook; the honest
 /// value is [`TamperMode::Honest`]). Every dishonest mode must be caught
@@ -351,7 +362,7 @@ impl ClientAgent {
         let local = self.state.cache.lock().get(url).map(|doc| doc.body.clone());
         if let Some(body) = local {
             let elapsed = t_fetch.elapsed();
-            if !root.is_none() || elapsed > SLOW_FETCH {
+            if !root.is_none() || ran_slow(elapsed, SLOW_FETCH, body.len()) {
                 self.state.recorder.record_hop(
                     trace,
                     root,
@@ -403,7 +414,8 @@ impl ClientAgent {
                             // its root); the proxy's histograms account
                             // for the fast unsampled bulk.
                             let multi_hop = matches!(tier, Tier::Peer | Tier::Origin);
-                            if !root.is_none() || multi_hop || elapsed > SLOW_FETCH {
+                            let slow = ran_slow(elapsed, SLOW_FETCH, got.body.len());
+                            if !root.is_none() || multi_hop || slow {
                                 self.state.recorder.record_hop(
                                     trace,
                                     root,
@@ -553,11 +565,10 @@ impl ClientAgent {
         body: &Body,
         watermark: &Watermark,
     ) -> Result<(), ProxyError> {
-        const SLOW_VERIFY: Duration = Duration::from_micros(250);
         let t_verify = Instant::now();
         let verdict = verify_document(&self.proxy_key, body, watermark);
         let verify_time = t_verify.elapsed();
-        if verdict.is_err() || verify_time > SLOW_VERIFY || !root.is_none() {
+        if verdict.is_err() || ran_slow(verify_time, SLOW_VERIFY, body.len()) || !root.is_none() {
             let vspan = if root.is_none() {
                 SpanId::NONE
             } else {
@@ -867,5 +878,21 @@ impl ClientState {
             }
             _ => response(status::BAD_REQUEST, "Bad Request"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slow_is_a_per_byte_budget() {
+        // A 1 MiB verify at ≈ 500 MB/s, the portable MD5 kernel's speed,
+        // is not slow; a 1 KiB verify that took 300 µs is.
+        let mib_verify = Duration::from_micros(2_100);
+        assert!(!ran_slow(mib_verify, SLOW_VERIFY, 1 << 20));
+        assert!(ran_slow(Duration::from_micros(300), SLOW_VERIFY, 1 << 10));
+        assert!(!ran_slow(Duration::from_micros(300), SLOW_FETCH, 1 << 10));
+        assert!(ran_slow(Duration::from_millis(3), SLOW_FETCH, 0));
     }
 }

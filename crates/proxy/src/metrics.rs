@@ -22,10 +22,10 @@ use baps_obs::prom::PromText;
 pub(crate) fn render(state: &ProxyState) -> String {
     let mut out = PromText::new();
 
-    // Who is answering: the crate version as an
-    // info-style gauge (constant 1), plus seconds since this incarnation
-    // started — the standard pair scrapers use to detect restarts and
-    // correlate a deploy with a metric shift.
+    // Who is answering: the crate version and the MD5 kernel every body
+    // byte goes through as an info-style gauge (constant 1), plus seconds
+    // since this incarnation started — the standard pair scrapers use to
+    // detect restarts and correlate a deploy with a metric shift.
     out.header(
         "baps_build_info",
         "gauge",
@@ -33,7 +33,10 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.sample(
         "baps_build_info",
-        &[("version", env!("CARGO_PKG_VERSION"))],
+        &[
+            ("version", env!("CARGO_PKG_VERSION")),
+            ("md5_kernel", baps_crypto::md5::kernel()),
+        ],
         1.0,
     );
     out.gauge(

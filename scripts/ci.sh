@@ -188,14 +188,27 @@ if git grep -nE -e '--bin (fig[2-8]|table1|memhit|overhead|sharing|security|abla
     exit 1
 fi
 
+echo "== unsafe confinement (sys.rs and md5.rs only)"
+# `unsafe` lives in two files (DESIGN.md §5): the syscall shim and the one
+# call into the CPUID-gated MD5 kernel. Lines that are comments are not
+# code, so the pattern is `unsafe` with no `/` before it on its line.
+if git grep -nE '^[^/]*\<unsafe\>' -- crates/*/src src \
+    ':!crates/proxy/src/sys.rs' ':!crates/crypto/src/md5.rs'; then
+    echo "unsafe confinement: the lines above are outside sys.rs and md5.rs"
+    exit 1
+fi
+
 echo "== md5 kernel throughput (non-gating perf smoke)"
 # One MD5 pass per hop is the largest CPU term of a disk hit and of a
 # large origin fetch (DESIGN.md §5, "hash once per hop"), so a kernel regression should show
 # in the log: the 8 KiB row is the median document, the 1 MiB row the
-# heavy tail. Non-gating: a loopback host shared with CI is too noisy to
+# heavy tail, each tagged with the kernel CPUID chose (`avx512` or
+# `portable`). Non-gating: a loopback host shared with CI is too noisy to
 # fail a build on a throughput number.
 cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
-    | grep -E '^bench md5/(8192|1048576) ' \
+    | awk '/^md5 kernel: / { k = $3 }
+           /^bench md5\/(8192|1048576) / { print $0 "  [" k "]"; n++ }
+           END { exit n == 0 }' \
     || echo "md5 bench failed (non-gating)"
 
 echo "== LRU throughput (non-gating perf smoke)"
