@@ -18,11 +18,6 @@
 //!                                  # deployment, drive a small workload,
 //!                                  # scrape TRACE, and report on it
 //! ```
-//!
-//! `--live` accepts `--require-multihop`: exit nonzero unless at least
-//! one assembled tree spans three processes (client `fetch` root, a
-//! proxy hop under it, and an origin/peer serve span under that). CI
-//! runs this as the gating trace smoke.
 
 use baps_bench::critical_path::{attribution, is_multihop, render_table, render_tree};
 use baps_obs::span;
@@ -32,21 +27,18 @@ use std::io::Read;
 struct Args {
     input: Option<String>,
     live: bool,
-    require_multihop: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         input: None,
         live: false,
-        require_multihop: false,
     };
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--live" => args.live = true,
-            "--require-multihop" => args.require_multihop = true,
             "--help" | "-h" => {
-                println!("usage: trace_report [<dump.jsonl> | -] [--live [--require-multihop]]");
+                println!("usage: trace_report [<dump.jsonl> | -] [--live]");
                 std::process::exit(0);
             }
             other if args.input.is_none() && !other.starts_with("--") => {
@@ -148,13 +140,12 @@ fn main() {
     };
     let trees = span::assemble(&records);
     let traces: std::collections::HashSet<_> = trees.iter().map(|t| t.trace).collect();
-    let multihop: Vec<_> = trees.iter().filter(|t| is_multihop(t)).collect();
     println!(
         "\n{} spans, {} traces, {} trees ({} spanning client+proxy+far side)",
         records.len(),
         traces.len(),
         trees.len(),
-        multihop.len(),
+        trees.iter().filter(|t| is_multihop(t)).count(),
     );
 
     if let Some(deepest) = trees.iter().max_by_key(|t| t.root.max_depth()) {
@@ -167,12 +158,4 @@ fn main() {
 
     println!("critical-path attribution (per span kind):");
     print!("{}", render_table(&attribution(&trees)));
-
-    if args.require_multihop && multihop.is_empty() {
-        eprintln!(
-            "error: no complete multi-hop tree (client fetch -> proxy hop \
-             -> origin/peer serve) in the dump"
-        );
-        std::process::exit(1);
-    }
 }

@@ -446,7 +446,7 @@ impl Tier {
 /// A fixed family of [`AtomicHistogram`]s keyed by a small static label
 /// set — one histogram per serve tier, or per protocol verb. Recording is
 /// gated on the global [`recording`](crate::recording) switch so
-/// `metrics_smoke` can difference it away.
+/// the `recording` bench can difference it away.
 #[derive(Debug)]
 pub struct LabeledHistograms {
     labels: &'static [&'static str],

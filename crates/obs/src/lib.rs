@@ -18,15 +18,16 @@
 //!   the JSONL export behind the `TRACE BAPS/1.0` verb, and span-tree
 //!   assembly ([`span::assemble`]);
 //! * [`prom`] — Prometheus text exposition rendering (and a parser for
-//!   the CI smoke test), backing the `METRICS BAPS/1.0` verb;
+//!   the tests that scrape it), backing the `METRICS BAPS/1.0` verb;
 //! * [`window`] — a lock-free ring of per-second cumulative captures
 //!   yielding rolling 1 s/10 s/60 s rates and windowed quantiles, the
 //!   substrate the proxy's `HEALTH BAPS/1.0` SLO verdicts are computed
 //!   over.
 //!
-//! Recording is **always on**; [`set_recording`] exists solely so
-//! `metrics_smoke` can measure the cost of the instrumentation by
-//! differencing recording-off slices against the default.
+//! Recording is **always on**; [`set_recording`] exists solely so the
+//! `recording` bench (`crates/bench/benches/recording.rs`) can measure the
+//! cost of the instrumentation by differencing recording-off slices
+//! against the default.
 
 #![warn(missing_docs)]
 
@@ -45,8 +46,8 @@ pub use window::{WindowRing, WindowSchema, WindowSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Global recording switch, defaulting to on. Only `metrics_smoke` turns
-/// it off (to measure the cost of recording itself); production and test
+/// Global recording switch, defaulting to on. Only the `recording` bench
+/// turns it off (to measure the cost of recording itself); production and test
 /// paths never touch it.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 

@@ -1,5 +1,5 @@
 //! Prometheus text exposition: rendering (for the `METRICS BAPS/1.0`
-//! verb) and a small parser (for the CI metrics smoke test).
+//! verb) and a small parser (for the tests and tools that scrape it).
 //!
 //! The renderer emits the classic text format: `# HELP` / `# TYPE`
 //! comments, then `name{label="value",…} value` samples. Histograms

@@ -248,7 +248,7 @@ impl FlightRecorder {
     }
 
     /// Records one span. A no-op while [`recording`](crate::recording) is
-    /// off (`metrics_smoke`'s baseline).
+    /// off (the `recording` bench's baseline).
     pub fn record(
         &self,
         trace: TraceId,

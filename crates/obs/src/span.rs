@@ -81,7 +81,7 @@ impl FromStr for SpanId {
 /// One in this many traces is head-sampled for span recording. The rate
 /// errs cheap on purpose: a sampled fast-path request pays ~3 ring
 /// appends with detail allocations (fetch root, shard wait, verify), and
-/// the noise floor of `metrics_smoke`'s overhead estimator on a 1-CPU
+/// the noise floor of the `recording` bench's overhead estimator on a 1-CPU
 /// host (§9) is too high to resolve that cost — at 1-in-8 vs 1-in-32 the
 /// A/B readings were indistinguishable from the untouched baseline's. So
 /// the budget is protected by construction, not by a reading: 1-in-32

@@ -363,7 +363,7 @@ proptest! {
 
 /// Flipping the global switch silences the gated recorders (histograms
 /// and flight-recorder events) and re-enabling restores them — the
-/// mechanism the overhead A/B in `metrics_smoke` differences.
+/// mechanism the `recording` bench's overhead A/B differences.
 #[test]
 fn recording_switch_gates_histograms_and_recorder() {
     static LABELS: [&str; 1] = ["only"];

@@ -279,12 +279,12 @@ pub(crate) fn render(state: &ProxyState) -> String {
     let sat = state.telemetry.snapshot();
     out.gauge(
         "baps_workers",
-        "Blocking miss-executor threads.",
+        "Blocking executor threads (disk-tier writes, deferred reads, purges).",
         sat.workers as f64,
     );
     out.gauge(
         "baps_workers_busy",
-        "Miss-executor workers currently running a request.",
+        "Executor workers currently running a job.",
         sat.busy_workers as f64,
     );
     out.gauge(
@@ -294,17 +294,17 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.gauge(
         "baps_queue_depth",
-        "Requests currently queued for the miss executor.",
+        "Jobs currently queued for the executor.",
         sat.queue_depth as f64,
     );
     out.gauge(
         "baps_queue_depth_peak",
-        "Deepest the miss-executor queue has been since start.",
+        "Deepest the executor queue has been since start.",
         sat.queue_depth_peak as f64,
     );
     out.counter(
         "baps_queue_rejected_total",
-        "Requests refused because the miss executor was shutting down.",
+        "Requests refused because the executor was shutting down.",
         sat.rejected,
     );
     out.gauge(
@@ -315,7 +315,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     out.header(
         "baps_queue_wait_ms",
         "histogram",
-        "Time requests spent queued for the miss executor, milliseconds.",
+        "Time jobs spent queued for the executor, milliseconds.",
     );
     out.histogram("baps_queue_wait_ms", &[], &sat.queue_wait);
 
@@ -349,7 +349,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.counter(
         "baps_reactor_wakeups_total",
-        "Eventfd wakeups (new connections and miss completions).",
+        "Eventfd wakeups (new connections, executor completions, follower wake-ups).",
         r.wakeups,
     );
     out.counter(
@@ -359,7 +359,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.counter(
         "baps_reactor_offloaded_dispatch_total",
-        "Requests handed to the blocking miss executor.",
+        "Requests handed to the blocking executor (disk tier only).",
         r.offloaded,
     );
     out.gauge(

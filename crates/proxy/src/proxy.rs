@@ -354,9 +354,11 @@ impl ProxyServer {
     }
 
     /// Test/diagnostic hook: whether the browser index currently lists
-    /// `client` as a holder of `url`.
+    /// `client` as a holder of `url` (`false` for a URL never interned).
     pub fn index_holds(&self, client: u32, url: &str) -> bool {
-        let doc = doc_id(&self.state, url);
+        let Some(doc) = known_doc(&self.state, url) else {
+            return false;
+        };
         // `lookup_all` excludes the requester, so ask as nobody.
         self.state
             .index
@@ -374,7 +376,7 @@ impl ProxyServer {
     /// cached. Two calls return the *same* allocation (`Arc::ptr_eq`),
     /// proving a cache hit is a refcount bump, not a copy.
     pub fn cached_body(&self, url: &str) -> Option<Body> {
-        let doc = doc_id(&self.state, url);
+        let doc = known_doc(&self.state, url)?;
         self.state.cache.get(doc, url).map(|d| d.body)
     }
 
@@ -1714,7 +1716,7 @@ mod tests {
     /// other one a publisher purge) and one GET carrying 50 `Evicted` URLs
     /// — are answered and remove nothing, and none of their URLs is
     /// interned: what an unauthenticated sender can name does not grow the
-    /// proxy.
+    /// proxy. Nor do the test hooks that look a URL up.
     #[test]
     fn notices_for_unknown_urls_intern_nothing() {
         let store = crate::store::DocumentStore::synthetic(1, 50, 100, 1);
@@ -1741,6 +1743,11 @@ mod tests {
         let evicted: Vec<String> = (0..50).map(|i| format!("http://nowhere/e{i}")).collect();
         let reply = ask(get().header("Evicted", evicted.join(" ")));
         assert_eq!(reply.get("X-Source"), Some("proxy"));
+        for i in 0..100 {
+            let url = format!("http://nowhere/hook{i}");
+            assert!(!proxy.index_holds(1, &url));
+            assert!(proxy.cached_body(&url).is_none());
+        }
 
         assert_eq!(proxy.state.urls.read().len(), interned);
         assert_eq!(proxy.stats().invalidations, 0);

@@ -2,7 +2,8 @@
 
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, FaultConfig, FaultKind, FaultPlan,
-    Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TestBed, TestBedConfig,
+    HealthReport, Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TestBed,
+    TestBedConfig,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -1162,12 +1163,30 @@ fn metrics_exposition_conforms() {
             "exposition is missing {name}"
         );
     }
-    // The upstream connections' families: twelve origin fetches made so
-    // far, every one of them either a dial or a reuse.
+    // Identity gauges (DESIGN.md §14): `baps_build_info` pins the version
+    // and the MD5 kernel of whatever produced the scrape,
+    // `baps_uptime_seconds` tells a restart from a counter reset.
+    let build_info = samples
+        .iter()
+        .find(|s| s.name == "baps_build_info")
+        .expect("exposition is missing baps_build_info");
+    assert_eq!(build_info.value, 1.0);
+    assert!(build_info.label("version").is_some_and(|v| !v.is_empty()));
+    assert_eq!(
+        build_info.label("md5_kernel"),
+        Some(baps_crypto::md5::kernel())
+    );
+    assert!(prom::find(&samples, "baps_uptime_seconds", &[]).unwrap() >= 0.0);
+    // The upstream connections' families: six origin fetches made so far,
+    // every one of them either a dial or a reuse, and on kept-alive client
+    // connections reuses are the bulk.
     let origin = [("upstream", "origin")];
     let dials = prom::find(&samples, "baps_upstream_dials_total", &origin).unwrap();
     let reuses = prom::find(&samples, "baps_upstream_reuses_total", &origin).unwrap();
-    assert!(dials >= 1.0);
+    assert!(
+        dials >= 1.0 && reuses > dials,
+        "{dials} dials, {reuses} reuses"
+    );
     assert_eq!(dials + reuses, bed.proxy.stats().origin_fetches as f64);
     for family in [
         "baps_upstream_dials_total",
@@ -1225,6 +1244,122 @@ fn metrics_report_recorder_drops_and_saturation() {
     assert!(field("baps_workers") > 0.0);
     assert_eq!(field("baps_flight_recorder_dropped_total"), 0.0);
     assert_eq!(field("baps_queue_rejected_total"), 0.0);
+    bed.shutdown();
+}
+
+/// One wire `HEALTH` scrape: a 200 whose `Verdict` / `Rules` /
+/// `Uptime-Seconds` headers agree with the verdict document it carries.
+fn scrape_health(bed: &TestBed) -> HealthReport {
+    let reply = bed.clients[0].proxy_health_raw().unwrap();
+    assert_eq!(response_code(&reply), Some(200));
+    let report = HealthReport::parse(std::str::from_utf8(&reply.body).unwrap())
+        .expect("verdict document parses");
+    assert_eq!(reply.get("Verdict"), Some(report.verdict.name()));
+    assert_eq!(
+        reply.get("Rules"),
+        Some(report.rules.len().to_string().as_str())
+    );
+    assert_eq!(
+        reply.get("Uptime-Seconds"),
+        Some(report.uptime_secs.to_string().as_str())
+    );
+    report
+}
+
+/// The SLO engine end to end (DESIGN.md §14) against an origin that
+/// stalls every reply 15 ms, so every GET below is a slow origin-tier
+/// success and the head-sampled ones leave tail exemplars behind: HEALTH
+/// evaluates the whole default table, the windowed p999 sees the stall,
+/// the 10 s window counts exactly the requests driven between two forced
+/// captures, and every exemplar — in the exposition or on an offending
+/// rule — resolves through TRACE to a head-sampled span tree.
+#[test]
+fn health_windows_move_and_exemplars_resolve_through_trace() {
+    use baps_obs::{prom, span};
+    use std::collections::BTreeSet;
+
+    const LOAD: u32 = 192;
+    const BETWEEN: u32 = 64;
+    let plan = FaultPlan::new(
+        42,
+        FaultConfig {
+            p_origin_stall: 1.0,
+            stall: Duration::from_millis(15),
+            ..FaultConfig::default()
+        },
+    );
+    let bed = TestBed::start(
+        DocumentStore::synthetic(512, 200, 1_500, 42),
+        TestBedConfig {
+            n_clients: 2,
+            fault_plan: Some(Arc::new(plan)),
+            ..TestBedConfig::default()
+        },
+    )
+    .expect("test bed starts");
+    // Distinct URLs: every fetch is an origin miss.
+    let fetch = |client: usize, i: u32| {
+        bed.clients[client]
+            .fetch(&format!("http://origin/doc/{i}"))
+            .unwrap()
+    };
+    for i in 0..LOAD {
+        fetch(i as usize % 2, i);
+    }
+
+    let first = scrape_health(&bed);
+    let table_len = TestBedConfig::default().slo.rules.len();
+    assert_eq!(first.rules.len(), table_len, "every rule is evaluated");
+    let signals: BTreeSet<&str> = first.rules.iter().map(|r| r.signal.name()).collect();
+    assert_eq!(signals.len(), table_len, "each signal exactly once");
+    let p999 = first.rule("p999_ceiling").expect("p999_ceiling rule");
+    assert!(p999.value >= 10.0, "windowed p999 {} ms", p999.value);
+
+    // Ten forced captures move the capture tick ten seconds past the
+    // scrape's, so the 10 s window closed by the next capture starts here
+    // and sees the between-captures requests and nothing else.
+    for _ in 0..10 {
+        bed.proxy.sample_windows_now();
+    }
+    for i in 0..BETWEEN {
+        fetch(0, LOAD + i);
+    }
+    bed.proxy.sample_windows_now();
+    let second = scrape_health(&bed);
+    let w10 = second
+        .windows
+        .iter()
+        .find(|w| w.window_secs == 10)
+        .expect("10 s window line");
+    assert_eq!(w10.requests, BETWEEN as u64, "{w10:?}");
+    assert!(w10.span_secs > 0 && w10.req_per_s > 0.0, "{w10:?}");
+
+    let reply = bed.clients[0].proxy_metrics_raw().unwrap();
+    let text = String::from_utf8(reply.body.to_vec()).unwrap();
+    prom::check_conformance(&text).unwrap_or_else(|e| panic!("exposition violates format: {e}"));
+    let mut exemplars: BTreeSet<String> = prom::parse(&text)
+        .unwrap()
+        .iter()
+        .filter(|s| s.name == "baps_request_latency_ms_bucket")
+        .filter_map(|s| s.exemplar.as_ref()?.trace_id().map(str::to_string))
+        .collect();
+    assert!(!exemplars.is_empty(), "no tail-bucket exemplars");
+    for rule in second.offending() {
+        exemplars.extend(rule.exemplars.iter().map(|t| format!("{t:016x}")));
+    }
+
+    let reply = bed.clients[0].proxy_trace_raw().unwrap();
+    let records = span::parse_jsonl(std::str::from_utf8(&reply.body).unwrap()).unwrap();
+    let trees = span::assemble(&records);
+    for id in &exemplars {
+        let trace: baps_obs::TraceId = id.parse().expect("exemplar trace id");
+        assert!(span::sampled(trace), "exemplar {id} is not head-sampled");
+        let tree = trees
+            .iter()
+            .find(|t| t.trace == trace)
+            .unwrap_or_else(|| panic!("exemplar {id} has no TRACE span tree"));
+        assert!(tree.root.records().len() >= 2, "exemplar {id}: {tree:#?}");
+    }
     bed.shutdown();
 }
 
