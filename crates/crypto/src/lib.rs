@@ -4,6 +4,7 @@
 //!
 //! * [`mod@md5`] — MD5 per RFC 1321 (the paper's digest for URL signatures and
 //!   watermarks), implemented from scratch with RFC test vectors;
+//! * [`mod@crc32c`] — CRC32C (RFC 3720), the disk tier's at-rest check;
 //! * [`rsa`] — textbook RSA over 64-bit moduli with deterministic
 //!   Miller–Rabin key generation ([`prime`]);
 //! * [`xtea`] — XTEA-CBC standing in for DES as the symmetric cipher;
@@ -20,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod anonymity;
+pub mod crc32c;
 pub mod error;
 pub mod md5;
 pub mod prime;
@@ -31,6 +33,7 @@ pub use anonymity::{
     requester_open, target_serve, AnonymizingProxy, Delivery, FetchOrder, FetchReply, PeerId,
     SealedDelivery, SealedOrder, SecureRelay, TxnId,
 };
+pub use crc32c::{crc32c, Crc32c};
 pub use error::CryptoError;
 pub use md5::{md5, Digest, Md5};
 pub use rsa::{

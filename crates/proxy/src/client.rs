@@ -342,9 +342,10 @@ impl ClientAgent {
     }
 
     /// Fetches a document: browser cache, then the browsers-aware proxy.
-    /// Peer-served documents are integrity-verified against the proxy's
-    /// watermark; on a failed check the request is retried once with
-    /// `Bypass-Peers` so a tampering peer cannot poison the client.
+    /// Every reply is integrity-verified against the proxy's watermark; on
+    /// a failed check the request is retried once with `Bypass-Peers`, so
+    /// a tampering peer cannot poison the client and the proxy re-checks
+    /// its own copy before serving it again (DESIGN.md §5).
     ///
     /// Transient failures ([`ProxyError::is_retryable`]: socket deadlines,
     /// transport errors, proxy 5xx) are retried up to

@@ -1,7 +1,7 @@
 //! The proxy's crash-safe persistent disk tier (DESIGN.md §10).
 //!
 //! An append-only segment log beneath the sharded memory LRU: every
-//! origin-fetched document is appended — an 84-byte self-describing
+//! origin-fetched document is appended — an 88-byte self-describing
 //! header, the URL, the body — to the head of a few always-open
 //! `<root>/NNNNNNNN.seg` files, and a restarted proxy re-opens the same
 //! root and comes back *warm*. The design trades write-time ceremony for
@@ -10,12 +10,14 @@
 //! * **No fsync, no rename.** An append goes straight to the head
 //!   segment. A crash mid-append leaves a torn tail — and that is fine,
 //!   because…
-//! * **…every disk read is verified** before a byte is served: magic,
-//!   lengths, the stored URL, the MD5 digest, and the §6.1 watermark
-//!   signature must all check out. A torn, truncated, or bit-flipped entry
-//!   fails verification, is tombstoned on the spot (self-heal), and the
-//!   request falls through to the origin path — wrong bytes are never
-//!   served, exactly the browser-side `410 Gone` discipline.
+//! * **…every disk read is checked** before a byte is served: magic,
+//!   lengths, the stored URL, a CRC32C over the entry, and the §6.1
+//!   watermark signature of the stored MD5 digest. A torn, truncated, or
+//!   bit-flipped entry fails, is tombstoned on the spot (self-heal), and
+//!   the request falls through to the origin path. The body is never
+//!   MD5-hashed on a read: that pass is the browser's §6.1 verify, and a
+//!   browser that refuses a reply makes the proxy re-hash its copy
+//!   (DESIGN.md §5).
 //! * **TTL freshness + revalidation** replaces the memory tier's implicit
 //!   fresh-until-invalidated model: a disk entry older than its TTL is
 //!   not served directly; the proxy revalidates it against the origin
@@ -52,7 +54,7 @@ use crate::protocol::{zeroed_body, MAX_BODY};
 use crate::store::CachedDoc;
 use crate::sys::read_two_at;
 use baps_cache::ByteLru;
-use baps_crypto::{md5, verify_hashed, Digest, PublicKey, Watermark};
+use baps_crypto::{crc32c, md5, verify_hashed, Crc32c, Digest, PublicKey, Watermark};
 use parking_lot::Mutex;
 use std::collections::{hash_map, BTreeMap, HashMap};
 use std::fs::{self, File};
@@ -63,17 +65,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Entry magic: "BAPS DisK v01". Bump the trailing digits on any layout
+/// Entry magic: "BAPS DisK v02". Bump the trailing digits on any layout
 /// change; old entries then end their segment's scan and self-heal.
-const MAGIC: &[u8; 8] = b"BAPSDK01";
+const MAGIC: &[u8; 8] = b"BAPSDK02";
 /// What replaces the magic of an entry that left the index.
 const TOMBSTONE: &[u8; 8] = b"BAPSDEAD";
-/// Fixed header: magic(8) + url_len(4) + body_len(8) + stored_at(8) +
-/// ttl_secs(8) + md5(16) + watermark(32).
-const HEADER_LEN: usize = 84;
+/// Fixed header: magic(8) + stored_at(8) + crc32c(4) + url_len(4) +
+/// body_len(8) + ttl_secs(8) + md5(16) + watermark(32).
+const HEADER_LEN: usize = 88;
 /// Byte offset of the `stored_at` stamp within an entry, re-written in
 /// place on revalidation.
-const STORED_AT_OFFSET: usize = 20;
+const STORED_AT_OFFSET: usize = 8;
+/// Byte offset of the CRC32C, which covers every entry byte from
+/// [`CRC_FROM`] on: all but the two fields rewritten in place after the
+/// append (the magic by a tombstone, `stored_at` by a re-stamp).
+const CRC_OFFSET: usize = 16;
+const CRC_FROM: usize = 20;
 /// Nominal size of a segment file: the head is sealed before an append
 /// would take it past this (an entry larger than this gets a segment to
 /// itself).
@@ -81,8 +88,9 @@ const SEGMENT_BYTES: u64 = 4 << 20;
 /// Longest URL an entry may carry: what a scan will allocate for a
 /// `url_len` it has only checked against the file's length.
 const MAX_URL_LEN: usize = 64 << 10;
-/// Largest body an event loop reads and verifies itself: about 0.1 ms of
-/// MD5, the longest a loop turn should spend on one request.
+/// Largest body an event loop reads and checks itself: a copy plus
+/// ≈ 8 µs of CRC32C per 64 KiB (SSE4.2; ≈ 45 µs portable), well inside
+/// the ≈ 0.1 ms a loop turn should spend on one request.
 pub(crate) const INLINE_READ_MAX: u64 = 64 << 10;
 
 /// Disk-tier configuration.
@@ -98,12 +106,14 @@ pub struct DiskConfig {
     pub default_ttl: Duration,
 }
 
-/// A verified document read from the disk tier.
+/// A checked document read from the disk tier.
 pub struct DiskHit {
-    /// The document, watermark included (verified against the proxy key).
+    /// The document, watermark included.
     pub doc: CachedDoc,
-    /// MD5 of the body, from the one hash the read made — what a
-    /// revalidation sends (as hex) in `If-Digest`.
+    /// The body's MD5 as the entry stores it, which the watermark signs —
+    /// what a revalidation sends (as hex) in `If-Digest`. The read did not
+    /// hash the body: the entry's CRC32C catches rot between the two, and
+    /// a consistent rewrite is the browser's §6.1 verify to refuse.
     pub digest: Digest,
     /// Whether the entry is within its TTL. Stale entries must be
     /// revalidated before serving.
@@ -140,9 +150,10 @@ pub struct DiskStats {
     pub write_bytes: u64,
     /// Entry bytes the cleaner re-appended to free a segment.
     pub cleaned_bytes: u64,
-    /// Corrupt or torn entries detected by read-time verification and
-    /// tombstoned (self-heals). Also counts segments whose scan ended at
-    /// an unreadable header at [`DiskTier::open`].
+    /// Corrupt or torn entries detected by a read's checks, or refuted on
+    /// a browser's integrity retry, and tombstoned (self-heals). Also
+    /// counts segments whose scan ended at an unreadable header at
+    /// [`DiskTier::open`].
     pub heals: u64,
     /// Entries evicted by the byte budget.
     pub evictions: u64,
@@ -188,7 +199,7 @@ impl ReadVia {
 
 /// What [`DiskTier::read`] made of an entry.
 pub(crate) enum ReadOutcome {
-    /// Verified end to end.
+    /// It passed every check.
     Hit(DiskHit),
     /// It failed a check and is tombstoned: a miss.
     Healed,
@@ -417,9 +428,9 @@ impl DiskTier {
         Ok(tier)
     }
 
-    /// Looks up `url`, verifying the entry end to end (magic, lengths,
-    /// URL, MD5 digest, watermark signature). Returns `None` on a miss
-    /// *or* on any verification failure — in the latter case the entry is
+    /// Looks up `url`, checking the entry (magic, lengths, URL, CRC32C,
+    /// the stored digest's watermark signature). Returns `None` on a miss
+    /// *or* on any failed check — in the latter case the entry is
     /// tombstoned and dropped, so a torn write self-heals to the origin
     /// path instead of ever serving wrong bytes.
     pub fn load(&self, url: &str) -> Option<DiskHit> {
@@ -450,7 +461,7 @@ impl DiskTier {
         found
     }
 
-    /// The second half of [`load`](Self::load): reads and verifies the
+    /// The second half of [`load`](Self::load): reads and checks the
     /// bytes behind an entry [`find`](Self::find) returned for `url`. For
     /// [`ReadVia::Loop`] the read never waits for the disk and never
     /// writes: whatever is not a verified hit at once is
@@ -459,7 +470,7 @@ impl DiskTier {
     pub(crate) fn read(&self, url: &str, entry: &Entry, via: ReadVia) -> ReadOutcome {
         let on_loop = via == ReadVia::Loop;
         let read = if on_loop && entry.size > INLINE_READ_MAX {
-            Err(bad("too large to verify on an event loop"))
+            Err(bad("too large to check on an event loop"))
         } else {
             read_verified(entry, url, &self.key, on_loop)
         };
@@ -482,16 +493,20 @@ impl DiskTier {
                 ReadOutcome::Deferred
             }
             Err(_) => {
-                // Verification failed: self-heal by dropping the entry —
-                // unless the index has moved on from the bytes this read
-                // was given (replaced or cleaned meanwhile).
-                self.counters.heals.fetch_add(1, Ordering::Relaxed);
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                let at = (entry.meta.segment, entry.meta.offset);
-                self.discard_if(url, |meta| (meta.segment, meta.offset) == at);
+                self.heal(url, entry);
                 ReadOutcome::Healed
             }
         }
+    }
+
+    /// Self-heals `url` by dropping the entry `entry` names, which failed
+    /// a check — unless the index has moved on from those bytes (replaced
+    /// or cleaned meanwhile). A file write: the executor's to make.
+    pub(crate) fn heal(&self, url: &str, entry: &Entry) {
+        self.counters.heals.fetch_add(1, Ordering::Relaxed);
+        let at = (entry.meta.segment, entry.meta.offset);
+        self.discard_if(url, |meta| (meta.segment, meta.offset) == at);
     }
 
     /// Writes `doc` through to disk under `url` with the default TTL.
@@ -965,28 +980,33 @@ fn entry_len(url_len: usize, body_len: u64) -> u64 {
     (HEADER_LEN + url_len) as u64 + body_len
 }
 
-/// Serializes one entry: fixed header, then URL, then body.
+/// Serializes one entry: fixed header, then URL, then body, with the
+/// CRC32C taken in one pass over the finished image.
 fn encode_entry(url: &str, doc: &CachedDoc, digest: &Digest, meta: &Meta) -> Vec<u8> {
     let url_bytes = url.as_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + url_bytes.len() + doc.body.len());
     out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&meta.stored_at.to_le_bytes());
+    out.extend_from_slice(&[0; CRC_FROM - CRC_OFFSET]);
     out.extend_from_slice(&(url_bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(&(doc.body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&meta.stored_at.to_le_bytes());
     out.extend_from_slice(&meta.ttl_secs.to_le_bytes());
     out.extend_from_slice(&digest.0);
     out.extend_from_slice(&doc.watermark.to_bytes());
     out.extend_from_slice(url_bytes);
     out.extend_from_slice(&doc.body);
+    let crc = crc32c(&out[CRC_FROM..]);
+    out[CRC_OFFSET..CRC_FROM].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
 /// The fixed header's fields, the digest and watermark aside.
 struct Header {
     dead: bool,
+    stored_at: u64,
+    crc: u32,
     url_len: usize,
     body_len: u64,
-    stored_at: u64,
     ttl_secs: u64,
 }
 
@@ -996,8 +1016,8 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<Header> {
         magic if magic == TOMBSTONE => true,
         _ => return Err(bad("bad magic")),
     };
-    let url_len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-    let body_len = u64::from_le_bytes(header[12..20].try_into().unwrap());
+    let url_len = u32::from_le_bytes(header[20..24].try_into().unwrap()) as usize;
+    let body_len = u64::from_le_bytes(header[24..32].try_into().unwrap());
     if url_len > MAX_URL_LEN {
         return Err(bad("URL length exceeds the tier's maximum"));
     }
@@ -1006,26 +1026,28 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<Header> {
     }
     Ok(Header {
         dead,
+        stored_at: u64::from_le_bytes(header[8..16].try_into().unwrap()),
+        crc: u32::from_le_bytes(header[16..20].try_into().unwrap()),
         url_len,
         body_len,
-        stored_at: u64::from_le_bytes(header[20..28].try_into().unwrap()),
-        ttl_secs: u64::from_le_bytes(header[28..36].try_into().unwrap()),
+        ttl_secs: u64::from_le_bytes(header[32..40].try_into().unwrap()),
     })
 }
 
-/// Reads and fully verifies one entry. Every failure mode — short read,
-/// tombstone or wrong magic, lengths or URL other than the index's,
-/// digest mismatch, bad watermark signature — comes back as an error so
-/// the caller can self-heal; so does, with `nowait`, a read that would
-/// have had to wait for the disk.
+/// Reads and checks one entry. Every failure mode — short read, tombstone
+/// or wrong magic, lengths or URL other than the index's, CRC mismatch,
+/// bad watermark signature — comes back as an error so the caller can
+/// self-heal; so does, with `nowait`, a read that would have had to wait
+/// for the disk.
 ///
 /// Header and URL land in a small scratch buffer and the body straight in
 /// the allocation the returned document shares with every later holder,
-/// all from one positional vectored read, and the body is hashed once:
-/// that one digest is compared with the header's (catches a torn or
-/// bit-rotted body), checked against the watermark signature (catches
-/// anything the proxy's key did not sign, a rewritten header digest
-/// included), and handed back for `If-Digest`.
+/// all from one positional vectored read. The body is not MD5-hashed: the
+/// CRC32C over everything but the magic and the stamp catches a torn or
+/// rotted entry, and the watermark signature of the stored digest catches
+/// a digest the proxy's key did not sign. That digest is handed back for
+/// `If-Digest`. A body and CRC rewritten together under a kept digest
+/// pass both; the browser's §6.1 verify refuses them (DESIGN.md §5).
 fn read_verified(
     entry: &Entry,
     url: &str,
@@ -1060,14 +1082,15 @@ fn read_verified(
     if stored_url != url.as_bytes() {
         return Err(bad("stored URL does not match"));
     }
-    let watermark =
-        Watermark::from_bytes(&header[52..84]).map_err(|_| bad("unparseable watermark"))?;
-    let digest = md5(&body);
-    if digest.0 != header[36..52] {
-        return Err(bad("digest mismatch"));
+    let mut crc = Crc32c::new();
+    crc.update(&head[CRC_FROM..]);
+    crc.update(&body);
+    if crc.finalize() != parsed.crc {
+        return Err(bad("CRC mismatch"));
     }
-    // The watermark signature binds the body to the proxy's key — the
-    // same end-to-end check browsers run, applied at the disk boundary.
+    let digest = Digest(header[40..56].try_into().expect("16 bytes"));
+    let watermark =
+        Watermark::from_bytes(&header[56..88]).map_err(|_| bad("unparseable watermark"))?;
     verify_hashed(key, &digest, &watermark).map_err(|_| bad("watermark verification failed"))?;
     Ok((CachedDoc { body, watermark }, digest))
 }
@@ -1278,7 +1301,7 @@ mod tests {
     }
 
     #[test]
-    fn bitflip_fails_watermark_and_self_heals() {
+    fn bitflip_fails_the_crc_and_self_heals() {
         let sg = signer();
         let root = temp_root("bitflip");
         let t = tier(&root, 1 << 20, HOUR, sg.public_key());
@@ -1293,11 +1316,22 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A *consistent* forgery: the body is replaced and the header's
-    /// digest field rewritten to match it, with the old watermark kept.
-    /// The digest comparison passes, so only the signature check stands
-    /// between the forged bytes and a client — a read path that hashed
-    /// once and dropped either check would serve them.
+    /// Recomputes an edited entry image's CRC32C, as a forger would.
+    fn reseal(bytes: &mut [u8]) {
+        let crc = crc32c(&bytes[CRC_FROM..]);
+        bytes[CRC_OFFSET..CRC_FROM].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Replaces the body of the entry `edit_entry` hands over.
+    fn forge_body(bytes: &mut [u8], forged: &[u8]) {
+        let body_at = bytes.len() - forged.len();
+        bytes[body_at..].copy_from_slice(forged);
+    }
+
+    /// A *consistent* forgery: the body is replaced, the header's digest
+    /// rewritten to match it and the CRC recomputed, with the old
+    /// watermark kept. The CRC passes, so only the signature check stands
+    /// between the forged bytes and a client.
     #[test]
     fn consistent_forgery_fails_signature_and_self_heals() {
         let sg = signer();
@@ -1305,10 +1339,9 @@ mod tests {
         let t = tier(&root, 1 << 20, HOUR, sg.public_key());
         t.store("u", &doc(&sg, b"what the proxy signed"));
         edit_entry(&root, "u", |bytes| {
-            let body_at = bytes.len() - b"what the proxy signed".len();
-            bytes[body_at..].copy_from_slice(b"what an attacker put!");
-            let forged_digest = md5(&bytes[body_at..]);
-            bytes[36..52].copy_from_slice(&forged_digest.0);
+            forge_body(bytes, b"what an attacker put!");
+            bytes[40..56].copy_from_slice(&md5(b"what an attacker put!").0);
+            reseal(bytes);
         });
 
         let entry = t.find("u").unwrap();
@@ -1331,6 +1364,35 @@ mod tests {
         assert!(!in_log(&root, "u"), "forged entry is tombstoned");
         let s = t.stats();
         assert_eq!((s.heals, s.misses, s.hits, s.entries), (1, 1, 0, 0));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The boundary the read does not guard: a body and CRC rewritten
+    /// together under the kept digest and watermark pass every check the
+    /// read makes, since it never MD5-hashes the body. It serves them, with
+    /// the stored digest; the browser's §6.1 verify is what refuses them,
+    /// and its integrity retry makes the proxy re-hash and heal (DESIGN.md
+    /// §5, `disk_forgery_keeping_the_signed_digest_is_healed_on_the_integrity_retry`).
+    #[test]
+    fn a_forgery_keeping_the_signed_digest_passes_the_read() {
+        let sg = signer();
+        let root = temp_root("kept-digest");
+        let t = tier(&root, 1 << 20, HOUR, sg.public_key());
+        let signed = doc(&sg, b"what the proxy signed");
+        t.store("u", &signed);
+        edit_entry(&root, "u", |bytes| {
+            forge_body(bytes, b"what an attacker put!");
+            reseal(bytes);
+        });
+        let hit = t.load("u").expect("the read's checks pass");
+        assert_eq!(&hit.doc.body[..], b"what an attacker put!");
+        assert_eq!(hit.doc.watermark, signed.watermark);
+        assert_eq!(hit.digest, md5(b"what the proxy signed"));
+        assert!(
+            baps_crypto::verify_document(&sg.public_key(), &hit.doc.body, &hit.doc.watermark)
+                .is_err()
+        );
+        assert_eq!(t.stats().heals, 0);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1419,7 +1481,7 @@ mod tests {
             // A write that died inside the next entry's header.
             let head = located(&root, "good");
             let file = File::options().write(true).open(head.path).unwrap();
-            file.write_all_at(b"BAPSDK01 trunc", head.offset + head.len)
+            file.write_all_at(b"BAPSDK02 trunc", head.offset + head.len)
                 .unwrap();
         }
         // A document file of the path-per-document layout.

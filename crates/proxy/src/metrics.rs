@@ -22,10 +22,11 @@ use baps_obs::prom::PromText;
 pub(crate) fn render(state: &ProxyState) -> String {
     let mut out = PromText::new();
 
-    // Who is answering: the crate version and the MD5 kernel every body
-    // byte goes through as an info-style gauge (constant 1), plus seconds
-    // since this incarnation started — the standard pair scrapers use to
-    // detect restarts and correlate a deploy with a metric shift.
+    // Who is answering: the crate version, the MD5 kernel every body byte
+    // goes through and the CRC32C kernel every disk read is checked by, as
+    // an info-style gauge (constant 1), plus seconds since this incarnation
+    // started — the standard pair scrapers use to detect restarts and
+    // correlate a deploy with a metric shift.
     out.header(
         "baps_build_info",
         "gauge",
@@ -36,6 +37,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
         &[
             ("version", env!("CARGO_PKG_VERSION")),
             ("md5_kernel", baps_crypto::md5::kernel()),
+            ("crc32c_kernel", baps_crypto::crc32c::kernel()),
         ],
         1.0,
     );

@@ -26,7 +26,7 @@ use crate::reactor::{
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::{Answer, Ask, Upstream};
-use baps_crypto::{md5, Digest, ProxySigner, PublicKey, Watermark};
+use baps_crypto::{md5, verify_document, Digest, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -684,6 +684,7 @@ fn known_doc(state: &ProxyState, url: &str) -> Option<DocId> {
 struct GetRequest {
     doc: DocId,
     requester: ClientId,
+    /// `Bypass-Peers`: the browser's integrity retry, see [`refuted`].
     bypass_peers: bool,
     trace: TraceId,
     parent: SpanId,
@@ -712,6 +713,17 @@ fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> M
         .tiers
         .record_traced(tier.index(), req.t_request.elapsed(), req.trace);
     ok_response(tier.name(), doc)
+}
+
+/// Whether the GET is a browser's integrity retry and `doc`, the proxy's
+/// own copy, fails the §6.1 verify. The browser verifies every reply and
+/// sends `Bypass-Peers` only after one failed, so its complaint is the one
+/// time the proxy MD5-hashes what it is about to serve (DESIGN.md §5): a
+/// poisoned memory copy or a consistently forged disk entry is dropped
+/// there, and the retry goes on to the origin.
+fn refuted(state: &ProxyState, req: &GetRequest, doc: &CachedDoc) -> bool {
+    req.bypass_peers
+        && verify_document(&state.signer.public_key(), &doc.body, &doc.watermark).is_err()
 }
 
 /// The one place a GET is counted as failed; builds its error reply.
@@ -750,7 +762,10 @@ fn handle_get(url: &str, req: GetRequest, state: &ProxyState, seat: &Seat<'_>) -
         );
     }
     if let Some(cached) = cached {
-        return Step::Reply(Some(serve(state, &req, Tier::Proxy, &cached)));
+        if !refuted(state, &req, &cached) {
+            return Step::Reply(Some(serve(state, &req, Tier::Proxy, &cached)));
+        }
+        state.cache.remove(req.doc, url);
     }
     Miss {
         req,
@@ -1184,18 +1199,27 @@ impl Miss {
         );
     }
 
-    /// A fresh verified entry serves directly; a stale one is revalidated
+    /// A fresh checked entry serves directly; a stale one is revalidated
     /// against the origin with a conditional GET; a torn or corrupted one
-    /// already self-healed inside `read` and reads as a miss. A read the
-    /// loop could not finish at once — pages not in memory, a large body,
-    /// a failed check — is made again by the executor, which may block and
-    /// may write.
+    /// already self-healed inside `read` and reads as a miss, and so does
+    /// one a browser's integrity retry [`refuted`]. A read the loop could
+    /// not finish at once — pages not in memory, a large body, a failed
+    /// check, a refuted entry to heal — is made again by the executor,
+    /// which may block and may write.
     fn read_disk(mut self, state: &ProxyState, entry: Entry, via: ReadVia) -> Step<Miss> {
         let Some(disk) = &state.disk else {
             return self.probe_peers(state);
         };
         let t_disk = Instant::now();
         let hit = match disk.read(&self.url, &entry, via) {
+            ReadOutcome::Hit(hit) if refuted(state, &self.req, &hit.doc) => {
+                if via == ReadVia::Loop {
+                    self.stage = Stage::Disk(entry);
+                    return Step::Offload(self);
+                }
+                disk.heal(&self.url, &entry);
+                None
+            }
             ReadOutcome::Hit(hit) => Some(hit),
             ReadOutcome::Healed => None,
             ReadOutcome::Deferred => {

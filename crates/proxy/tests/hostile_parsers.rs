@@ -7,7 +7,7 @@
 //! `baps-obs` parsers included) because they share the document
 //! generators' mutation step and the property.
 //!
-//! The disk tier's log entry (84-byte header, URL, body, one after another
+//! The disk tier's log entry (88-byte header, URL, body, one after another
 //! in a segment file) is the fourth parser here and takes the same
 //! mutation step: an edited entry never serves bytes other than the stored
 //! document — nor makes a neighbour serve any —, self-heals, and neither a
@@ -274,12 +274,15 @@ fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST.with(Cell::get))
 }
 
-/// The disk entry layout: magic, url_len, body_len, stored_at, ttl_secs,
-/// md5, watermark — then the URL and the body. A read verifies all of it
-/// but the two time fields, which it takes from the in-memory index.
-const DISK_HEADER_LEN: usize = 84;
-const DISK_FIELD_STARTS: [usize; 7] = [0, 8, 12, 20, 28, 36, 52];
-const DISK_TIME_FIELDS: std::ops::Range<usize> = 20..36;
+/// The disk entry layout: magic, stored_at, crc32c, url_len, body_len,
+/// ttl_secs, md5, watermark — then the URL and the body. A read checks all
+/// of it but `stored_at`, which it takes from the in-memory index: the
+/// CRC32C covers every byte from `url_len` on.
+const DISK_HEADER_LEN: usize = 88;
+const DISK_FIELD_STARTS: [usize; 8] = [0, 8, 16, 20, 24, 32, 40, 56];
+const DISK_STORED_AT: std::ops::Range<usize> = 8..16;
+const DISK_URL_LEN: std::ops::Range<usize> = 20..24;
+const DISK_BODY_LEN: std::ops::Range<usize> = 24..32;
 /// No test document comes near this; a length a hostile header claims
 /// (`url_len` to 4 GiB, `body_len` to [`MAX_BODY`]) is far beyond it.
 const HONEST_ALLOCATION: usize = 64 << 10;
@@ -338,7 +341,7 @@ fn edit_in_segment(entry: &Scanned, edit: (u8, u32, u8)) -> Vec<u8> {
 /// Stores `doc` under `url` between two neighbours in one segment,
 /// replaces its entry with the valid image under `edit`, and reads all
 /// three back: the read serves the stored document or nothing, and serves
-/// nothing unless the edit only touched a time field; serving nothing
+/// nothing unless the edit only touched `stored_at`; serving nothing
 /// means one heal, no entry and no live copy in the log. The neighbour
 /// before it is untouched; the one behind it serves its own bytes or — the
 /// edit moved it — nothing.
@@ -360,7 +363,7 @@ fn load_after_edit(url: &str, doc: &CachedDoc, edit: (u8, u32, u8)) -> Result<()
         largest
     );
     let (kind, at, _) = edit;
-    let harmless = kind == 0 && DISK_TIME_FIELDS.contains(&(at as usize % valid.len()));
+    let harmless = kind == 0 && DISK_STORED_AT.contains(&(at as usize % valid.len()));
     match hit {
         Some(hit) => {
             prop_assert!(harmless, "{:?} was served", edit);
@@ -382,8 +385,8 @@ fn load_after_edit(url: &str, doc: &CachedDoc, edit: (u8, u32, u8)) -> Result<()
     Ok(())
 }
 
-/// Every header field and the URL flipped a byte at a time, and a cut and
-/// a spliced-in byte at each boundary of the layout.
+/// Every header, URL and body byte flipped in turn, and a cut and a
+/// spliced-in byte at each boundary of the layout.
 #[test]
 fn a_disk_entry_edited_at_every_field_and_boundary_never_serves_wrong_bytes() {
     let (url, doc) = ("http://origin/doc/7", signed(b"the body the proxy signed"));
@@ -393,12 +396,52 @@ fn a_disk_entry_edited_at_every_field_and_boundary_never_serves_wrong_bytes() {
         body_at,
         body_at + doc.body.len() - 1,
     ]);
-    let edits = (0..body_at + 1)
+    let edits = (0..body_at + doc.body.len())
         .map(|at| (0u8, at, 0x80u8))
         .chain(boundaries.flat_map(|at| [(1, at, 0), (1, at, 0xff), (2, at, 0)]));
     for (kind, at, byte) in edits {
         load_after_edit(url, &doc, (kind, at as u32, byte)).unwrap();
     }
+}
+
+/// A segment of entries in the layout before the CRC32C (magic
+/// `BAPSDK01`, an 84-byte header: url_len, body_len, stored_at, ttl_secs,
+/// md5, watermark), as a pre-upgrade proxy left its root: the first header
+/// ends the scan, so the tier opens cold, with the segment unlinked and one
+/// heal, and writes behind it as usual.
+#[test]
+fn a_segment_of_pre_crc_entries_opens_with_zero_entries() {
+    let root = disk_root("v01");
+    fs::create_dir_all(&root).unwrap();
+    let mut segment = Vec::new();
+    for (i, body) in [&b"an old entry"[..], b"", b"another old entry"]
+        .iter()
+        .enumerate()
+    {
+        let (url, doc) = (format!("http://origin/doc/{i}"), signed(body));
+        segment.extend_from_slice(b"BAPSDK01");
+        segment.extend_from_slice(&(url.len() as u32).to_le_bytes());
+        segment.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        segment.extend_from_slice(&[0; 8]);
+        segment.extend_from_slice(&3600u64.to_le_bytes());
+        segment.extend_from_slice(&baps_crypto::md5(body).0);
+        segment.extend_from_slice(&doc.watermark.to_bytes());
+        segment.extend_from_slice(url.as_bytes());
+        segment.extend_from_slice(body);
+    }
+    fs::write(root.join("00000001.seg"), &segment).unwrap();
+    let tier = open_tier(&root, 1 << 20);
+    let s = tier.stats();
+    assert_eq!((s.entries, s.bytes, s.heals), (0, 0, 1));
+    assert!(!root.join("00000001.seg").exists());
+    assert!(tier.load("http://origin/doc/0").is_none());
+    let fresh = signed(b"written after the upgrade");
+    tier.store("http://origin/doc/0", &fresh);
+    assert_eq!(
+        tier.load("http://origin/doc/0").map(|hit| hit.doc),
+        Some(fresh)
+    );
+    let _ = fs::remove_dir_all(&root);
 }
 
 proptest! {
@@ -509,10 +552,10 @@ proptest! {
         for (entry, edit) in entries.iter().rev().zip(edits.iter().cycle()) {
             claims_the_most = edit_in_segment(entry, *edit);
         }
-        claims_the_most[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        claims_the_most[DISK_URL_LEN].copy_from_slice(&u32::MAX.to_le_bytes());
         fs::write(root.join("00000098.seg"), &claims_the_most).unwrap();
-        claims_the_most[8..12].copy_from_slice(&1u32.to_le_bytes());
-        claims_the_most[12..20].copy_from_slice(&(MAX_BODY as u64).to_le_bytes());
+        claims_the_most[DISK_URL_LEN].copy_from_slice(&1u32.to_le_bytes());
+        claims_the_most[DISK_BODY_LEN].copy_from_slice(&(MAX_BODY as u64).to_le_bytes());
         fs::write(root.join("00000099.seg"), &claims_the_most).unwrap();
 
         let (tier, largest) = largest_request_during(|| open_tier(&root, capacity));

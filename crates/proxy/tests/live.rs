@@ -559,26 +559,45 @@ fn tamper_mode_matrix_never_yields_wrong_bytes() {
 
     // Every way a malicious peer can lie — corrupted bytes, a truncated
     // body, a forged watermark — must be caught by the requester's
-    // verification and answered with correct bytes from elsewhere.
-    for mode in [
-        TamperMode::FlipByte,
-        TamperMode::Truncate,
-        TamperMode::ForgeWatermark,
-    ] {
-        let bed = bed(3, 2_500, 64 << 10);
-        let url0 = "http://origin/doc/0";
-        let r0 = bed.clients[0].fetch(url0).unwrap();
-        for i in 1..8 {
-            bed.clients[2]
-                .fetch(&format!("http://origin/doc/{i}"))
-                .unwrap();
-        }
-        bed.clients[0].set_tamper_mode(mode);
+    // verification and answered with correct bytes from elsewhere. With
+    // `cache_peer_hits` the proxy has absorbed the lie into its memory by
+    // then: the requester's integrity retry makes it re-check that copy,
+    // drop it and refetch, so neither the requester nor the next browser
+    // to ask is served the lie.
+    for absorb in [false, true] {
+        for mode in [
+            TamperMode::FlipByte,
+            TamperMode::Truncate,
+            TamperMode::ForgeWatermark,
+        ] {
+            let case = format!("{mode:?} cache_peer_hits={absorb}");
+            let bed = TestBed::start(
+                DocumentStore::synthetic(16, 200, 2_000, 42),
+                TestBedConfig {
+                    n_clients: 3,
+                    proxy_capacity: 2_500,
+                    browser_capacity: 64 << 10,
+                    cache_peer_hits: absorb,
+                    ..TestBedConfig::default()
+                },
+            )
+            .unwrap();
+            let url0 = "http://origin/doc/0";
+            let r0 = bed.clients[0].fetch(url0).unwrap();
+            for i in 1..8 {
+                bed.clients[2]
+                    .fetch(&format!("http://origin/doc/{i}"))
+                    .unwrap();
+            }
+            bed.clients[0].set_tamper_mode(mode);
 
-        let r1 = bed.clients[1].fetch(url0).unwrap();
-        assert_eq!(r1.body, r0.body, "{mode:?}: wrong bytes served");
-        assert_ne!(r1.source, Source::Peer, "{mode:?}: tampered peer trusted");
-        bed.shutdown();
+            let r1 = bed.clients[1].fetch(url0).unwrap();
+            assert_eq!(r1.body, r0.body, "{case}: wrong bytes served");
+            assert_ne!(r1.source, Source::Peer, "{case}: tampered peer trusted");
+            let r2 = bed.clients[2].fetch(url0).unwrap();
+            assert_eq!(r2.body, r0.body, "{case}: a second browser got wrong bytes");
+            bed.shutdown();
+        }
     }
 }
 
@@ -935,6 +954,51 @@ fn torn_disk_write_self_heals_after_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a disk read no longer catches (DESIGN.md §5, §10): an entry whose
+/// body and CRC32C were rewritten together under the signed digest it
+/// kept. The read serves it; the browser's §6.1 verify refuses it; the
+/// integrity retry makes the proxy re-hash its memory copy and the disk
+/// entry, drop both (one heal) and refetch — origin bytes one round trip
+/// later, and wrong bytes accepted by no browser.
+#[test]
+fn disk_forgery_keeping_the_signed_digest_is_healed_on_the_integrity_retry() {
+    use std::os::unix::fs::FileExt;
+
+    let dir = disk_dir("kept_digest");
+    let mut bed = disk_bed(3, &dir, Duration::from_secs(3600));
+    let url = doc_url(0);
+    let body = bed.clients[0].fetch(&url).unwrap().body;
+    // Out of proxy memory: only the disk tier holds the document now.
+    bed.restart_proxy().expect("proxy restarts in place");
+
+    // The entry ends in the body, and its CRC32C sits at bytes 16..20 and
+    // covers every byte from 20 on.
+    let log = baps_proxy::disk::scan(&dir).unwrap();
+    let entry = log.iter().find(|e| e.url == url).expect("written through");
+    let segment = std::fs::File::options()
+        .read(true)
+        .write(true)
+        .open(&entry.path)
+        .unwrap();
+    let mut image = vec![0u8; entry.len as usize];
+    segment.read_exact_at(&mut image, entry.offset).unwrap();
+    let body_at = image.len() - body.len();
+    image[body_at] ^= 0xff;
+    let crc = baps_crypto::crc32c(&image[20..]);
+    image[16..20].copy_from_slice(&crc.to_le_bytes());
+    segment.write_all_at(&image, entry.offset).unwrap();
+
+    let (origin_hits, heals) = (bed.origin.hits(), bed.proxy.disk_stats().unwrap().heals);
+    let got = bed.clients[1].fetch(&url).unwrap();
+    assert_eq!((got.source, &got.body), (Source::Origin, &body));
+    assert_eq!(bed.origin.hits(), origin_hits + 1);
+    assert_eq!(bed.proxy.disk_stats().unwrap().heals, heals + 1);
+    let other = bed.clients[2].fetch(&url).unwrap();
+    assert_eq!((other.source, &other.body), (Source::Proxy, &body));
+    bed.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: a TTL-expired disk entry revalidates against the origin
 /// with a conditional `If-Digest` GET; the 304 refreshes the entry in
 /// place and the document serves from disk without a full refetch.
@@ -1164,7 +1228,7 @@ fn metrics_exposition_conforms() {
         );
     }
     // Identity gauges (DESIGN.md §14): `baps_build_info` pins the version
-    // and the MD5 kernel of whatever produced the scrape,
+    // and the MD5 and CRC32C kernels of whatever produced the scrape,
     // `baps_uptime_seconds` tells a restart from a counter reset.
     let build_info = samples
         .iter()
@@ -1175,6 +1239,10 @@ fn metrics_exposition_conforms() {
     assert_eq!(
         build_info.label("md5_kernel"),
         Some(baps_crypto::md5::kernel())
+    );
+    assert_eq!(
+        build_info.label("crc32c_kernel"),
+        Some(baps_crypto::crc32c::kernel())
     );
     assert!(prom::find(&samples, "baps_uptime_seconds", &[]).unwrap() >= 0.0);
     // The upstream connections' families: six origin fetches made so far,

@@ -175,26 +175,30 @@ if git grep -nE 'metrics_smoke|health_smoke|require-multihop|IoMode|UpstreamPool
     exit 1
 fi
 
-echo "== unsafe confinement (sys.rs and md5.rs only)"
-# `unsafe` lives in two files (DESIGN.md §5): the syscall shim and the one
-# call into the CPUID-gated MD5 kernel. Lines that are comments are not
-# code, so the pattern is `unsafe` with no `/` before it on its line.
+echo "== unsafe confinement (sys.rs, md5.rs and crc32c.rs only)"
+# `unsafe` lives in three files (DESIGN.md §5): the syscall shim and the
+# one call each into the CPUID-gated MD5 and CRC32C kernels. Lines that are
+# comments are not code, so the pattern is `unsafe` with no `/` before it
+# on its line.
 if git grep -nE '^[^/]*\<unsafe\>' -- crates/*/src src \
-    ':!crates/proxy/src/sys.rs' ':!crates/crypto/src/md5.rs'; then
-    echo "unsafe confinement: the lines above are outside sys.rs and md5.rs"
+    ':!crates/proxy/src/sys.rs' ':!crates/crypto/src/md5.rs' ':!crates/crypto/src/crc32c.rs'; then
+    echo "unsafe confinement: the lines above are outside sys.rs, md5.rs and crc32c.rs"
     exit 1
 fi
 
-echo "== md5 kernel throughput (non-gating perf smoke)"
-# One MD5 pass per hop is the largest CPU term of a disk hit and of a
-# large origin fetch (DESIGN.md §5, "hash once per hop"), so a kernel regression should show
-# in the log: the 8 KiB row is the median document, the 1 MiB row the
-# heavy tail, each tagged with the kernel CPUID chose (`avx512` or
-# `portable`). Non-gating: a loopback host shared with CI is too noisy to
-# fail a build on a throughput number.
+echo "== md5 and crc32c kernel throughput (non-gating perf smoke)"
+# One MD5 pass per trust boundary is the largest CPU term of any hop that
+# moves a body (DESIGN.md §5, "hash once per hop"), and a CRC32C is what
+# the disk tier checks a read by, so a kernel regression should show in
+# the log: the 8 KiB rows are the median document, `md5/1048576` the heavy
+# tail, `crc32c/65536` the largest body a loop checks itself, each tagged
+# with the kernel CPUID chose (`avx512` / `sse4.2` or `portable`).
+# Non-gating: a loopback host shared with CI is too noisy to fail a build
+# on a throughput number.
 cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
-    | awk '/^md5 kernel: / { k = $3 }
-           /^bench md5\/(8192|1048576) / { print $0 "  [" k "]"; n++ }
+    | awk '/^(md5|crc32c) kernel: / { k[$1] = $3 }
+           /^bench (md5\/(8192|1048576)|crc32c\/(8192|65536)) / {
+               split($2, row, "/"); print $0 "  [" k[row[1]] "]"; n++ }
            END { exit n == 0 }' \
     || echo "md5 bench failed (non-gating)"
 
