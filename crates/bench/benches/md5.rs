@@ -1,10 +1,11 @@
 //! MD5 digest throughput (the hash behind URL signatures and watermarks),
 //! and the CRC32C that checks the disk tier's entries at rest.
 //!
-//! A body is MD5-hashed once per trust boundary (DESIGN.md §5): at the
-//! origin fetch, for the watermark and the disk entry's header, and in the
-//! client's `verify_document`; a disk hit is one pass, the browser's, as
-//! the proxy's read checks the entry's CRC32C instead. The MD5 pass is the
+//! A body is MD5-hashed where it is authored and where it is accepted
+//! (DESIGN.md §5): once per version at the origin, whose declared digest
+//! the proxy signs and stores unhashed, and in the client's
+//! `verify_document`; a miss or a hit is one pass, the browser's, as the
+//! proxy's disk read checks the entry's CRC32C instead. The MD5 pass is the
 //! largest CPU term of any hop that moves a body, so the rows to watch are `md5/8192` (the median document) and
 //! `md5/1048576` (the heavy tail); `scripts/ci.sh` prints both, tagged
 //! with the kernel that produced them (the `md5 kernel:` line: `avx512`

@@ -344,8 +344,9 @@ impl ClientAgent {
     /// Fetches a document: browser cache, then the browsers-aware proxy.
     /// Every reply is integrity-verified against the proxy's watermark; on
     /// a failed check the request is retried once with `Bypass-Peers`, so
-    /// a tampering peer cannot poison the client and the proxy re-checks
-    /// its own copy before serving it again (DESIGN.md §5).
+    /// neither a tampering peer nor an origin whose bytes disagree with its
+    /// declared digest can poison the client, and the proxy re-checks its
+    /// own copy before serving it again (DESIGN.md §5).
     ///
     /// Transient failures ([`ProxyError::is_retryable`]: socket deadlines,
     /// transport errors, proxy 5xx) are retried up to
@@ -383,8 +384,10 @@ impl ClientAgent {
         loop {
             let result = match self.fetch_via_proxy(url, false, trace, root) {
                 Err(ProxyError::Integrity(_)) => {
-                    // A peer served tampered bytes: bypass peers and retry
-                    // (doesn't consume an attempt — it is a different
+                    // A peer, the proxy's storage or the origin served
+                    // bytes that disagree with the signed digest: bypass
+                    // peers and retry, which makes the proxy re-check its
+                    // copy (doesn't consume an attempt — it is a different
                     // request, not a repeat).
                     self.fetch_via_proxy(url, true, trace, root)
                 }

@@ -516,8 +516,10 @@ impl DiskTier {
         self.store_hashed(url, doc, &md5(&doc.body));
     }
 
-    /// [`DiskTier::store`] for a caller that already hashed the body on
-    /// this hop; `digest` must be `md5(&doc.body)`.
+    /// [`DiskTier::store`] for a caller that holds the body's digest — on
+    /// an origin fetch, the one the origin declared and `doc.watermark`
+    /// signs. Nothing here checks it against the body: an entry whose
+    /// bytes disagree is refuted on the browser's integrity retry.
     pub(crate) fn store_hashed(&self, url: &str, doc: &CachedDoc, digest: &Digest) {
         let size = doc.byte_size();
         if size > self.capacity || url.len() > MAX_URL_LEN {

@@ -1,16 +1,22 @@
 //! The origin Web server: serves the document corpus over the wire
 //! protocol (`GET <url> ORIGIN/1.0`).
 //!
+//! The origin is where a document's digest is born: the store hashes each
+//! version once, when it is authored, and every `200` carries it as
+//! `Digest: <md5-hex>` — the digest the proxy signs for the §6.1 watermark
+//! without hashing the body again (DESIGN.md §5).
+//!
 //! A `GET` may carry an `If-Digest: <md5-hex>` header (the proxy's
-//! disk-tier revalidation): when the named digest still matches the stored
-//! body, the origin answers `304 Not Modified` with no body, so a stale
-//! disk entry is refreshed for the cost of a header exchange instead of a
-//! full document transfer.
+//! disk-tier revalidation): when the named digest is still the stored
+//! version's, the origin answers `304 Not Modified` with no body, so a
+//! stale disk entry is refreshed for the cost of a header exchange instead
+//! of a full document transfer — and of no MD5 on either side.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{response, response_code, status, Message};
 use crate::reactor::{loops_per_core, Event, FrameCtx, FrameService, Seat, Server, Step};
-use crate::store::DocumentStore;
+use crate::store::{self, DocumentStore};
+use baps_crypto::Digest;
 use baps_obs::{EventKind, FlightRecorder, SpanId, TraceId};
 use parking_lot::RwLock;
 use std::convert::Infallible;
@@ -80,9 +86,12 @@ impl OriginServer {
         self.state.revalidations.load(Ordering::Relaxed)
     }
 
-    /// Mutates a stored document (models a changed Web page).
+    /// Mutates a stored document (models a changed Web page). The new
+    /// version is hashed before the write lock is taken, so serving never
+    /// waits on an MD5.
     pub fn mutate(&self, url: &str, body: Vec<u8>) -> bool {
-        self.state.store.write().mutate(url, body)
+        let version = store::authored(body);
+        self.state.store.write().replace(url, version)
     }
 
     /// Stops accepting, closes every connection and joins the server's
@@ -172,22 +181,22 @@ fn handle_request(
 ) -> Message {
     let tokens = msg.tokens();
     match tokens.as_slice() {
-        // `get_shared` hands out the stored allocation: serving a document
-        // is a refcount bump under the read lock, not a copy.
+        // `get_shared` hands out the stored allocation and the digest
+        // minted with it: serving a document is a refcount bump under the
+        // read lock, not a copy and not a hash.
         ["GET", url, "ORIGIN/1.0"] => match store.read().get_shared(url) {
-            Some(body) => {
+            Some((body, digest)) => {
                 // Conditional GET: the requester names the digest of its
                 // stale copy; if unchanged, refresh it without the body.
-                if let Some(expect) = msg.get("If-Digest") {
-                    if baps_crypto::md5::md5(&body).to_hex() == expect {
-                        revalidations.fetch_add(1, Ordering::Relaxed);
-                        return response(status::NOT_MODIFIED, "Not Modified")
-                            .header("X-Source", "origin");
-                    }
+                if msg.get("If-Digest").and_then(Digest::from_hex) == Some(digest) {
+                    revalidations.fetch_add(1, Ordering::Relaxed);
+                    return response(status::NOT_MODIFIED, "Not Modified")
+                        .header("X-Source", "origin");
                 }
                 hits.fetch_add(1, Ordering::Relaxed);
                 response(status::OK, "OK")
                     .header("X-Source", "origin")
+                    .header("Digest", digest.to_hex())
                     .with_body(body)
             }
             None => response(status::NOT_FOUND, "Not Found"),
@@ -224,6 +233,25 @@ mod tests {
         assert_eq!(response_code(&reply), Some(200));
         assert_eq!(&reply.body[..], &expect[..]);
         assert_eq!(server.hits(), 1);
+        server.shutdown();
+    }
+
+    /// Every `200` declares the digest of the body it carries — first
+    /// versions and mutated ones alike.
+    #[test]
+    fn every_200_carries_the_body_digest() {
+        let store = DocumentStore::synthetic(4, 1, 4000, 6);
+        let urls: Vec<String> = store.urls().map(str::to_owned).collect();
+        let server = OriginServer::start(store).unwrap();
+        assert!(server.mutate(&urls[0], b"a later version".to_vec()));
+        for url in &urls {
+            let reply = fetch(server.addr(), url);
+            assert_eq!(response_code(&reply), Some(status::OK));
+            let declared = reply.get("Digest").and_then(Digest::from_hex);
+            assert_eq!(declared, Some(baps_crypto::md5(&reply.body)), "{url}");
+        }
+        let reply = fetch(server.addr(), &urls[0]);
+        assert_eq!(&reply.body[..], b"a later version");
         server.shutdown();
     }
 

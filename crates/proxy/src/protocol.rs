@@ -43,7 +43,9 @@
 //! the header.
 //!
 //! Responses: `BAPS/1.0 <code> <reason>` with `Content-Length`, `X-Source`
-//! (`proxy` | `peer` | `origin`) and `X-Watermark` (hex, §6.1) headers.
+//! (`proxy` | `peer` | `origin`) and `X-Watermark` (hex, §6.1) headers. An
+//! origin's `200` also carries `Digest: <md5-hex>`, minted when it stored
+//! that version: the digest the proxy signs, without hashing the body.
 //!
 //! # Connection lifecycle (keep-alive)
 //!

@@ -25,8 +25,8 @@ use crate::reactor::{
 };
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
-use crate::upstream::{Answer, Ask, Upstream};
-use baps_crypto::{md5, verify_document, Digest, ProxySigner, PublicKey, Watermark};
+use crate::upstream::{Ask, Upstream};
+use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -928,7 +928,7 @@ pub(crate) struct Miss {
     probed: bool,
     /// An upstream's answer being carried to the executor (see
     /// [`Miss::settles_on_disk`]).
-    landed: Option<io::Result<Answer>>,
+    landed: Option<io::Result<Message>>,
     stage: Stage,
 }
 
@@ -989,8 +989,9 @@ impl Call {
 enum Revalidation {
     /// The disk copy is still current; its freshness stamp can be reset.
     NotModified,
-    /// The document changed; here is the new one.
-    Changed(Answer),
+    /// The document changed; here is the new one, with the digest the
+    /// origin declared for it.
+    Changed(Body, Digest),
     /// The origin no longer serves the document (authoritative 404).
     Gone,
     /// The origin was unreachable or kept erroring after every retry;
@@ -1047,9 +1048,9 @@ impl Miss {
 
     /// Whether handling the upstream answer this request waits for can end
     /// in disk-tier I/O (a write-through, a refresh, a remove). Such an
-    /// answer is taken to the executor whole and handled there — the hash
-    /// it needs is already done (`Answer::body_md5`), the file write is
-    /// not the loop's to wait for.
+    /// answer is taken to the executor whole and handled there — the
+    /// origin declared the digest it needs, the file write is not the
+    /// loop's to wait for.
     fn settles_on_disk(&self, state: &ProxyState) -> bool {
         state.disk.is_some()
             && match self.stage {
@@ -1287,23 +1288,24 @@ impl Miss {
     }
 
     /// The origin's answer to an `If-Digest`: 200, 304 and 404 are
-    /// authoritative; transport failures and 5xx are retried up to
-    /// `origin_retries` extra times with back-off.
+    /// authoritative; transport failures, 5xx and a 200 without a
+    /// well-formed `Digest` are retried up to `origin_retries` extra times
+    /// with back-off.
     fn revalidated(
         mut self,
         state: &ProxyState,
         hit: DiskHit,
         mut call: Call,
-        answer: io::Result<Answer>,
+        answer: io::Result<Message>,
     ) -> Step<Miss> {
-        let verdict = answer
-            .ok()
-            .and_then(|answer| match response_code(&answer.reply) {
-                Some(status::OK) => Some(Revalidation::Changed(answer)),
-                Some(status::NOT_MODIFIED) => Some(Revalidation::NotModified),
-                Some(status::NOT_FOUND) => Some(Revalidation::Gone),
-                _ => None,
-            });
+        let verdict = answer.ok().and_then(|reply| match response_code(&reply) {
+            Some(status::OK) => {
+                declared_digest(&reply).map(|digest| Revalidation::Changed(reply.body, digest))
+            }
+            Some(status::NOT_MODIFIED) => Some(Revalidation::NotModified),
+            Some(status::NOT_FOUND) => Some(Revalidation::Gone),
+            _ => None,
+        });
         let verdict = match verdict {
             Some(verdict) => verdict,
             None => match call.again() {
@@ -1319,7 +1321,7 @@ impl Miss {
             &call,
             match &verdict {
                 Revalidation::NotModified => "not-modified",
-                Revalidation::Changed(_) => "changed",
+                Revalidation::Changed(..) => "changed",
                 Revalidation::Gone => "gone",
                 Revalidation::Failed => "err",
             },
@@ -1335,7 +1337,7 @@ impl Miss {
             }
             // The document changed at the origin: this is an origin fetch
             // in every respect, write-through included.
-            Revalidation::Changed(answer) => self.serve_origin_fetch(state, answer),
+            Revalidation::Changed(body, digest) => self.serve_origin_fetch(state, body, digest),
             Revalidation::Gone => {
                 // The origin no longer serves the document; the stale disk
                 // copy must not outlive it.
@@ -1419,9 +1421,9 @@ impl Miss {
         peer: ClientId,
         rest: std::vec::IntoIter<ClientId>,
         mut call: Call,
-        answer: io::Result<Answer>,
+        answer: io::Result<Message>,
     ) -> Step<Miss> {
-        let outcome = answer.and_then(|Answer { reply, .. }| {
+        let outcome = answer.and_then(|reply| {
             if response_code(&reply) != Some(status::OK) {
                 return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
             }
@@ -1505,20 +1507,23 @@ impl Miss {
     }
 
     /// The origin's answer to a fetch: 200 and 404 are authoritative;
-    /// transport failures and 5xx are retried up to `origin_retries` extra
-    /// times with back-off.
+    /// transport failures, 5xx and a 200 without a well-formed `Digest`
+    /// are retried up to `origin_retries` extra times with back-off.
     fn fetched(
         mut self,
         state: &ProxyState,
         mut call: Call,
-        answer: io::Result<Answer>,
+        answer: io::Result<Message>,
     ) -> Step<Miss> {
         let (code, reason) = match answer {
-            Ok(answer) => match response_code(&answer.reply) {
-                Some(status::OK) => {
-                    self.origin_hop(state, &call, "ok");
-                    return self.serve_origin_fetch(state, answer);
-                }
+            Ok(reply) => match response_code(&reply) {
+                Some(status::OK) => match declared_digest(&reply) {
+                    Some(digest) => {
+                        self.origin_hop(state, &call, "ok");
+                        return self.serve_origin_fetch(state, reply.body, digest);
+                    }
+                    None => (status::UNAVAILABLE, "Origin Sent No Digest".to_string()),
+                },
                 Some(status::NOT_FOUND) => (status::NOT_FOUND, "Not Found".to_string()),
                 _ => (status::UNAVAILABLE, "Origin Unavailable".to_string()),
             },
@@ -1540,12 +1545,11 @@ impl Miss {
     /// Serves an origin-fetched body: mints the watermark, populates both
     /// cache tiers (write-through), updates the index, counts the fetch,
     /// and shares the document with the flight's followers.
-    fn serve_origin_fetch(self, state: &ProxyState, answer: Answer) -> Step<Miss> {
-        let body = answer.reply.body;
-        // The one hash of this hop — taken chunk by chunk as the body came
-        // off the socket — is signed for the watermark and stored in the
-        // disk entry's header.
-        let digest = answer.body_md5.unwrap_or_else(|| md5(&body));
+    fn serve_origin_fetch(self, state: &ProxyState, body: Body, digest: Digest) -> Step<Miss> {
+        // The digest the origin minted when it authored this version is
+        // signed for the watermark and stored in the disk entry's header,
+        // unhashed here: if the bytes disagree with it, the browser's §6.1
+        // verify refuses them and its integrity retry refutes this copy.
         let cached = CachedDoc {
             watermark: state.signer.sign(&digest),
             body,
@@ -1577,10 +1581,19 @@ impl Miss {
     }
 }
 
+/// The digest an origin `200` declares for its body (`Digest:
+/// <md5-hex>`): minted where the version was authored, signed here
+/// unhashed. `None` when it is missing or malformed, which makes the reply
+/// an origin failure.
+fn declared_digest(reply: &Message) -> Option<Digest> {
+    reply.get("Digest").and_then(Digest::from_hex)
+}
+
 /// Best-effort write-through to the disk tier (no-op without one). The
 /// store itself never fails a request; filesystem trouble is counted in
-/// the tier's `io_errors`. `digest` is `md5(&cached.body)` from a caller
-/// that already hashed the body on this hop; `None` leaves it to the tier.
+/// the tier's `io_errors`. `digest` is the one the origin declared for
+/// the body; `None` (a peer body absorbed under `cache_peer_hits`) makes
+/// the tier hash it.
 fn write_through_to_disk(
     state: &ProxyState,
     url: &str,
@@ -1734,6 +1747,68 @@ mod tests {
         assert_eq!(reply.get("X-Source"), Some("origin"));
         assert_eq!(&reply.body[..], &body[..]);
         proxy.shutdown();
+    }
+
+    /// An origin `200` the proxy cannot sign without hashing — no
+    /// `Digest`, or one that does not parse — is an origin failure: it is
+    /// retried `origin_retries` times, then answered 503, and neither
+    /// cache tier keeps the body.
+    #[test]
+    fn origin_200_without_a_well_formed_digest_is_retried_then_503() {
+        use crate::protocol::{read_message, write_message};
+
+        for digest in [None, Some("not-an-md5".to_owned()), Some("zz".repeat(16))] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let origin_addr = listener.local_addr().unwrap();
+            let served = Arc::new(AtomicU64::new(0));
+            let count = Arc::clone(&served);
+            let declared = digest.clone();
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(stream) = stream else { return };
+                    let mut conn = std::io::BufReader::new(stream);
+                    while let Ok(Some(_)) = read_message(&mut conn) {
+                        count.fetch_add(1, Ordering::SeqCst);
+                        let mut reply = response(status::OK, "OK");
+                        if let Some(digest) = &declared {
+                            reply = reply.header("Digest", digest.as_str());
+                        }
+                        if write_message(conn.get_mut(), &reply.with_body(b"x".to_vec())).is_err() {
+                            break;
+                        }
+                    }
+                }
+            });
+            let root = std::env::temp_dir().join(format!("baps-nodigest-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let proxy = ProxyServer::start(ProxyConfig {
+                origin_retries: 2,
+                disk: Some(DiskConfig {
+                    root: root.clone(),
+                    capacity: 1 << 20,
+                    default_ttl: Duration::from_secs(3600),
+                }),
+                ..test_config(origin_addr)
+            })
+            .unwrap();
+            let mut conn =
+                std::io::BufReader::new(std::net::TcpStream::connect(proxy.addr()).unwrap());
+            let url = "http://origin/undigested";
+            let get = Message::new(format!("GET {url} BAPS/1.0")).header("Client", "1");
+            write_message(conn.get_mut(), &get).unwrap();
+            let reply = read_message(&mut conn).unwrap().expect("a reply");
+            assert_eq!(
+                response_code(&reply),
+                Some(status::UNAVAILABLE),
+                "{digest:?}"
+            );
+            assert_eq!(served.load(Ordering::SeqCst), 3, "{digest:?}");
+            assert!(proxy.cached_body(url).is_none());
+            assert_eq!(proxy.disk_stats().unwrap().entries, 0);
+            assert_eq!((proxy.stats().origin_fetches, proxy.stats().errors), (0, 1));
+            proxy.shutdown();
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     /// Notices for documents nobody ever fetched — 1 000 INVALIDATEs (every

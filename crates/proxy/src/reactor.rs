@@ -32,7 +32,6 @@
 //! sleeps), truncation closes after the half frame flushes, corruption
 //! flips a byte of a private copy.
 
-use baps_crypto::Md5;
 use baps_obs::{AtomicHistogram, LatencyHistogram};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -50,7 +49,7 @@ use crate::protocol::{encode_head, encode_message, zeroed_body, Body, HeadParser
 use crate::sys::{
     connect_nonblocking, Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE,
 };
-use crate::upstream::{Answer, Ask, IdleSet, Upstream, UpstreamCounters, UpstreamSnapshot};
+use crate::upstream::{Ask, IdleSet, Upstream, UpstreamCounters, UpstreamSnapshot};
 
 /// Token reserved for each loop's wake eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -200,7 +199,7 @@ impl<C> Step<C> {
 pub(crate) enum Event {
     /// The upstream's fully framed reply to an [`Ask`], or why there is
     /// none (refused or failed connection, EOF, broken frame, deadline).
-    Answer(io::Result<Answer>),
+    Answer(io::Result<Message>),
     /// This is an executor thread: do the blocking work now.
     Run,
     /// The wait is over: woken, or out of time.
@@ -828,9 +827,6 @@ struct ReplyFill {
     msg: Message,
     body: Body,
     filled: usize,
-    /// Updated with every chunk as it lands, so an origin body's digest is
-    /// ready with its last byte (`Md5::update` is exact at every split).
-    md5: Option<Md5>,
 }
 
 impl<C> UpConn<C> {
@@ -839,7 +835,7 @@ impl<C> UpConn<C> {
     /// frame parser; the body is read one chunk per call, so a large one
     /// yields to the loop's other connections between chunks
     /// (level-triggered readiness brings the loop back for the next).
-    fn read_reply(&mut self, scratch: &mut [u8]) -> io::Result<Option<Answer>> {
+    fn read_reply(&mut self, scratch: &mut [u8]) -> io::Result<Option<Message>> {
         let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "upstream hung up");
         loop {
             let Some(fill) = &mut self.filling else {
@@ -859,17 +855,7 @@ impl<C> UpConn<C> {
                         let bytes =
                             Arc::get_mut(&mut body).expect("a freshly built Arc has one holder");
                         let filled = self.parser.drain_into(bytes);
-                        let md5 = (self.upstream == Upstream::Origin).then(|| {
-                            let mut md5 = Md5::new();
-                            md5.update(&bytes[..filled]);
-                            md5
-                        });
-                        self.filling = Some(ReplyFill {
-                            msg,
-                            body,
-                            filled,
-                            md5,
-                        });
+                        self.filling = Some(ReplyFill { msg, body, filled });
                         continue;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
@@ -882,12 +868,7 @@ impl<C> UpConn<C> {
             if fill.filled < end {
                 match self.stream.read(&mut bytes[fill.filled..end]) {
                     Ok(0) => return Err(eof()),
-                    Ok(n) => {
-                        if let Some(md5) = &mut fill.md5 {
-                            md5.update(&bytes[fill.filled..fill.filled + n]);
-                        }
-                        fill.filled += n;
-                    }
+                    Ok(n) => fill.filled += n,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(e),
@@ -899,10 +880,7 @@ impl<C> UpConn<C> {
             let done = self.filling.take().expect("checked above");
             let mut reply = done.msg;
             reply.body = done.body;
-            return Ok(Some(Answer {
-                reply,
-                body_md5: done.md5.map(Md5::finalize),
-            }));
+            return Ok(Some(reply));
         }
     }
 }
@@ -1622,7 +1600,7 @@ impl<S: FrameService> EventLoop<S> {
         token: u64,
         up: &mut UpConn<S::Cont>,
         bits: u32,
-    ) -> io::Result<Option<Answer>> {
+    ) -> io::Result<Option<Message>> {
         if up.connecting {
             if bits & (EV_WRITE | EV_ERROR | EV_HUP) == 0 {
                 return Ok(None);

@@ -3,17 +3,28 @@
 
 use crate::protocol::Body;
 use baps_cache::{ByteLru, CacheStats, Tier};
-use baps_crypto::Watermark;
+use baps_crypto::{md5, Digest, Watermark};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The origin server's document corpus. Bodies are shared [`Body`] values
-/// so serving a document is a refcount bump, not a copy.
+/// so serving a document is a refcount bump, not a copy. Each version is
+/// MD5-hashed once, when it is stored: the digest is what the origin
+/// declares with every `200` and compares an `If-Digest` against, so
+/// serving never hashes (DESIGN.md §5).
 #[derive(Debug, Clone, Default)]
 pub struct DocumentStore {
-    docs: HashMap<String, Body>,
+    docs: HashMap<String, (Body, Digest)>,
+}
+
+/// A document version as the store keeps it: the body and its digest,
+/// minted here, once.
+pub(crate) fn authored(body: impl Into<Body>) -> (Body, Digest) {
+    let body = body.into();
+    let digest = md5(&body);
+    (body, digest)
 }
 
 impl DocumentStore {
@@ -24,24 +35,31 @@ impl DocumentStore {
 
     /// Inserts a document.
     pub fn insert(&mut self, url: impl Into<String>, body: impl Into<Body>) {
-        self.docs.insert(url.into(), body.into());
+        self.docs.insert(url.into(), authored(body));
     }
 
     /// Fetches a document body.
     pub fn get(&self, url: &str) -> Option<&[u8]> {
-        self.docs.get(url).map(|b| &b[..])
+        self.docs.get(url).map(|(b, _)| &b[..])
     }
 
-    /// Fetches a document body as a shared handle (no copy).
-    pub fn get_shared(&self, url: &str) -> Option<Body> {
+    /// Fetches a document body as a shared handle (no copy) with the
+    /// digest minted when that version was stored.
+    pub fn get_shared(&self, url: &str) -> Option<(Body, Digest)> {
         self.docs.get(url).cloned()
     }
 
     /// Mutates a document in place (tests document-change behaviour).
     pub fn mutate(&mut self, url: &str, body: impl Into<Body>) -> bool {
+        self.replace(url, authored(body))
+    }
+
+    /// [`mutate`](Self::mutate) with the new version already [`authored`],
+    /// so a caller holding the store behind a lock hashes outside it.
+    pub(crate) fn replace(&mut self, url: &str, version: (Body, Digest)) -> bool {
         match self.docs.get_mut(url) {
             Some(slot) => {
-                *slot = body.into();
+                *slot = version;
                 true
             }
             None => false,
@@ -208,6 +226,26 @@ mod tests {
         assert!(s.mutate("http://origin/doc/0", vec![1, 2, 3]));
         assert_eq!(s.get("http://origin/doc/0"), Some(&[1u8, 2, 3][..]));
         assert!(!s.mutate("http://origin/doc/99", vec![]));
+    }
+
+    /// Every way a version enters the store leaves its digest beside it.
+    #[test]
+    fn stored_digest_is_the_body_md5_after_insert_synthetic_and_mutate() {
+        let holds_its_md5 = |s: &DocumentStore, url: &str| {
+            let (body, digest) = s.get_shared(url).unwrap();
+            assert_eq!(digest, md5(&body), "{url}");
+        };
+        let mut s = DocumentStore::synthetic(8, 1, 3000, 5);
+        let urls: Vec<String> = s.urls().map(str::to_owned).collect();
+        for url in &urls {
+            holds_its_md5(&s, url);
+        }
+        s.insert("http://origin/new", b"inserted body".to_vec());
+        holds_its_md5(&s, "http://origin/new");
+        let before = s.get_shared(&urls[0]).unwrap().1;
+        assert!(s.mutate(&urls[0], b"the next version".to_vec()));
+        holds_its_md5(&s, &urls[0]);
+        assert_ne!(s.get_shared(&urls[0]).unwrap().1, before);
     }
 
     #[test]

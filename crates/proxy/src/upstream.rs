@@ -6,7 +6,7 @@
 //! event loop (`reactor.rs`): the loop takes a kept-alive connection to the
 //! address out of its idle set (or starts a nonblocking connect), writes
 //! the one request, reads the one reply and resumes the continuation with
-//! the [`Answer`]. The connections are the loop's own — registered on its
+//! it, framed. The connections are the loop's own — registered on its
 //! epoll set beside the client connections, never shared between loops, so
 //! nothing here locks. The rules that keep a reused byte stream trustworthy:
 //!
@@ -30,7 +30,6 @@
 //! a *reused* connection redials once.
 
 use crate::protocol::Message;
-use baps_crypto::Digest;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -69,11 +68,11 @@ pub fn dial_with_deadline(addr: SocketAddr, deadline: Duration) -> io::Result<Tc
 }
 
 /// Which kind of server an address belongs to: the label of the
-/// per-upstream counters and the index into them. The origin's replies are
-/// what the proxy signs, so they are hashed as they arrive
-/// ([`Answer::body_md5`]), and only an origin exchange redials after
-/// failing on a reused connection — peers draw a fault per PEERGET, and
-/// `peer_retries` already covers them.
+/// per-upstream counters and the index into them. Only an origin exchange
+/// redials after failing on a reused connection — peers draw a fault per
+/// PEERGET, and `peer_retries` already covers them. Neither kind of reply
+/// is hashed on arrival: an origin `200` declares its digest, minted where
+/// the version was authored (DESIGN.md §5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Upstream {
     Peer = 0,
@@ -90,14 +89,6 @@ pub(crate) struct Ask {
     /// Bounds the whole exchange — connect, request, reply.
     pub(crate) deadline: Duration,
     pub(crate) request: Message,
-}
-
-/// An upstream's fully framed reply.
-pub(crate) struct Answer {
-    pub(crate) reply: Message,
-    /// MD5 of `reply.body`, updated per chunk as the body came off the
-    /// socket ([`Upstream::Origin`] only).
-    pub(crate) body_md5: Option<Digest>,
 }
 
 /// Always-on counters of every loop's upstream connections (`METRICS`
@@ -423,7 +414,7 @@ mod tests {
 
         fn resume(&self, (): (), event: Event, _: &Seat<'_>) -> Step<()> {
             Step::Reply(Some(match event {
-                Event::Answer(Ok(answer)) => answer.reply,
+                Event::Answer(Ok(reply)) => reply,
                 Event::Answer(Err(e)) => response(502, &e.kind().to_string()),
                 _ => unreachable!("the relay only asks"),
             }))

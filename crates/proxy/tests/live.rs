@@ -7,6 +7,7 @@ use baps_proxy::{
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -997,6 +998,129 @@ fn disk_forgery_keeping_the_signed_digest_is_healed_on_the_integrity_retry() {
     assert_eq!((other.source, &other.body), (Source::Proxy, &body));
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hand-rolled origin serving `body` under any URL: each `200` declares
+/// the body's true `Digest`, but the first `lies` of them carry the body
+/// with one byte flipped. Returns its address and the replies it sent.
+fn lying_origin(body: Vec<u8>, lies: usize) -> (SocketAddr, Arc<AtomicUsize>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let served = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&served);
+    let digest = baps_crypto::md5(&body).to_hex();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            let (body, digest, count) = (body.clone(), digest.clone(), Arc::clone(&count));
+            std::thread::spawn(move || {
+                let mut conn = BufReader::new(stream);
+                while let Ok(Some(_)) = read_message(&mut conn) {
+                    let mut sent = body.clone();
+                    if count.fetch_add(1, Ordering::SeqCst) < lies {
+                        sent[body.len() / 2] ^= 0x01;
+                    }
+                    let reply = Message::new("BAPS/1.0 200 OK")
+                        .header("Digest", digest.as_str())
+                        .with_body(sent);
+                    if write_message(conn.get_mut(), &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, served)
+}
+
+/// A proxy in front of `origin_addr`, with a disk tier under `disk` if
+/// given, and `n` browsers of it.
+fn proxy_before(
+    origin_addr: SocketAddr,
+    disk: Option<&std::path::Path>,
+    n: u32,
+) -> (ProxyServer, Vec<baps_proxy::ClientAgent>) {
+    let proxy = ProxyServer::start(ProxyConfig {
+        cache_capacity: 4 << 20,
+        origin_addr,
+        key_seed: 1,
+        cache_peer_hits: false,
+        worker_threads: 0,
+        peer_timeout: Duration::ZERO,
+        peer_retries: 0,
+        origin_timeout: Duration::ZERO,
+        origin_retries: 0,
+        disk: disk.map(|root| baps_proxy::DiskConfig {
+            root: root.to_path_buf(),
+            capacity: 1 << 20,
+            default_ttl: Duration::from_secs(3600),
+        }),
+        faults: None,
+        recorder: None,
+        slo: SloTable::default(),
+    })
+    .unwrap();
+    let clients = (0..n)
+        .map(|id| {
+            baps_proxy::ClientAgent::start(id, proxy.addr(), proxy.public_key(), 1 << 20).unwrap()
+        })
+        .collect();
+    (proxy, clients)
+}
+
+/// The origin → proxy leg is checked end to end: the proxy signs the
+/// digest an origin declares without hashing the body, so bytes that
+/// disagree with it are refused by the browser's §6.1 verify; its
+/// integrity retry makes the proxy refute its memory copy (and heal its
+/// disk copy) and refetch. The browser gets the true bytes, the next one
+/// too, and an origin that never stops lying yields no bytes at all.
+#[test]
+fn origin_bytes_disagreeing_with_their_declared_digest_are_never_accepted() {
+    let url = "http://origin/doc/lied-about";
+    let body: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 251) as u8).collect();
+    for with_disk in [false, true] {
+        let (origin_addr, served) = lying_origin(body.clone(), 1);
+        let dir = disk_dir(&format!("lying_origin_{with_disk}"));
+        let (proxy, clients) = proxy_before(origin_addr, with_disk.then_some(&*dir), 2);
+        let got = clients[0].fetch(url).unwrap();
+        assert_eq!(got.source, Source::Origin);
+        assert!(
+            got.body[..] == body[..],
+            "the browser accepted the origin's flipped byte"
+        );
+        // The retry found the signed lie in memory and did not serve it:
+        // no memory hit, one more origin fetch.
+        assert_eq!(served.load(Ordering::SeqCst), 2);
+        let stats = proxy.stats();
+        assert_eq!((stats.proxy_hits, stats.origin_fetches), (0, 2));
+        if with_disk {
+            assert_eq!(proxy.disk_stats().unwrap().heals, 1);
+        }
+        let other = clients[1].fetch(url).unwrap();
+        assert_eq!(other.source, Source::Proxy);
+        assert!(
+            other.body[..] == body[..],
+            "the next browser got other bytes"
+        );
+        for client in clients {
+            client.shutdown();
+        }
+        proxy.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    let (origin_addr, _) = lying_origin(body, usize::MAX);
+    let (proxy, clients) = proxy_before(origin_addr, None, 1);
+    for _ in 0..2 {
+        match clients[0].fetch(url) {
+            Err(baps_proxy::ProxyError::Integrity(_)) => {}
+            other => panic!("a lying origin's bytes must be refused: {other:?}"),
+        }
+    }
+    for client in clients {
+        client.shutdown();
+    }
+    proxy.shutdown();
 }
 
 /// Satellite: a TTL-expired disk entry revalidates against the origin
@@ -2037,13 +2161,13 @@ fn silent_holder_delays_only_its_own_requester() {
     bed.shutdown();
 }
 
-/// (e) A 1 MiB origin body that arrives in 16 KiB pieces is hashed piece
-/// by piece as it lands — the watermark the proxy signs is the one `md5`
-/// over the whole buffer gives — and between pieces the loop serves its
-/// other connections: a memory hit requested while half the body is still
-/// to come is answered before the fetch completes.
+/// (e) A 1 MiB origin body that arrives in 16 KiB pieces is read piece by
+/// piece, and between pieces the loop serves its other connections: a
+/// memory hit requested while half the body is still to come is answered
+/// before the fetch completes. The watermark the proxy signs is over the
+/// digest the origin declared.
 #[test]
-fn large_origin_body_is_hashed_as_it_arrives_and_yields_the_loop() {
+fn large_origin_body_yields_the_loop_and_is_signed_as_declared() {
     use std::io::Write as _;
     use std::sync::mpsc;
 
@@ -2066,11 +2190,16 @@ fn large_origin_body_is_hashed_as_it_arrives_and_yields_the_loop() {
                 while let Ok(Some(msg)) = read_message(&mut conn) {
                     let out = conn.get_mut();
                     if !msg.start.contains("/big") {
-                        let small = Message::new("BAPS/1.0 200 OK").with_body(b"small".to_vec());
+                        let small = Message::new("BAPS/1.0 200 OK")
+                            .header("Digest", baps_crypto::md5(b"small").to_hex())
+                            .with_body(b"small".to_vec());
                         write_message(out, &small).unwrap();
                         continue;
                     }
-                    let head = format!("BAPS/1.0 200 OK\r\nContent-Length: {BIG}\r\n\r\n");
+                    let digest = baps_crypto::md5(&body).to_hex();
+                    let head = format!(
+                        "BAPS/1.0 200 OK\r\nDigest: {digest}\r\nContent-Length: {BIG}\r\n\r\n"
+                    );
                     out.write_all(head.as_bytes()).unwrap();
                     for (i, piece) in body.chunks(PIECE).enumerate() {
                         if i == BIG / PIECE / 2 {
@@ -2084,22 +2213,7 @@ fn large_origin_body_is_hashed_as_it_arrives_and_yields_the_loop() {
             });
         }
     });
-    let proxy = ProxyServer::start(ProxyConfig {
-        cache_capacity: 4 << 20,
-        origin_addr,
-        key_seed: 1,
-        cache_peer_hits: false,
-        worker_threads: 0,
-        peer_timeout: Duration::ZERO,
-        peer_retries: 0,
-        origin_timeout: Duration::ZERO,
-        origin_retries: 0,
-        disk: None,
-        faults: None,
-        recorder: None,
-        slo: SloTable::default(),
-    })
-    .unwrap();
+    let (proxy, _) = proxy_before(origin_addr, None, 0);
     let (mut fetcher, mut bystander) = two_on_one_loop(proxy.addr());
     let small = ask(&mut bystander, &get_as(2, "http://origin/small")).unwrap();
     assert_eq!(small.get("X-Source"), Some("origin"));
@@ -2125,7 +2239,7 @@ fn large_origin_body_is_hashed_as_it_arrives_and_yields_the_loop() {
     assert_eq!(&reply.body[..], &big[..]);
     let watermark = baps_crypto::Watermark::from_hex(reply.get("X-Watermark").unwrap()).unwrap();
     baps_crypto::verify_hashed(&proxy.public_key(), &baps_crypto::md5(&big), &watermark)
-        .expect("the chunk-wise digest is the whole-buffer digest");
+        .expect("the declared digest is signed");
     assert_eq!(proxy.reactor_stats().offloaded, 0);
     proxy.shutdown();
 }

@@ -186,10 +186,34 @@ if git grep -nE '^[^/]*\<unsafe\>' -- crates/*/src src \
     exit 1
 fi
 
+echo "== hash sites (where crates/proxy/src may MD5 a body)"
+# A body is hashed where it is authored and where it is accepted
+# (DESIGN.md §5): the origin's store (`store.rs` `authored`) and the
+# browser's §6.1 verify (`client.rs` `verify_traced`). The proxy hashes in
+# two places only: a browser's complaint (`proxy.rs` `refuted`) and a peer
+# body absorbed into the disk tier (`disk.rs` `store`). Any other `md5(`,
+# `Md5::` or `verify_document(` outside comments and `#[cfg(test)]` code
+# fails, named with its enclosing function.
+if ! git ls-files -z 'crates/proxy/src/*.rs' | xargs -0 awk '
+    BEGIN { split("store.rs:authored client.rs:verify_traced proxy.rs:refuted disk.rs:store", a)
+            for (i in a) allowed["crates/proxy/src/" a[i]] = 1 }
+    FNR == 1 { test = 0; attr = 0; fun = "" }
+    attr && /^(pub )?mod / { test = 1 }
+    { attr = /^#\[cfg\(test\)\]/ }
+    test || /^[ \t]*\/\// { next }
+    /^[ \t]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+        fun = $0; sub(/^[^f]*fn /, "", fun); sub(/[^a-z_0-9].*$/, "", fun) }
+    /(^|[^a-z_])md5\(|Md5::|verify_document\(/ && !((FILENAME ":" fun) in allowed) {
+        print FILENAME ":" FNR " (fn " fun "): " $0; bad = 1 }
+    END { exit bad }'; then
+    echo "hash sites: the lines above hash a body outside the four sites DESIGN.md §5 names"
+    exit 1
+fi
+
 echo "== md5 and crc32c kernel throughput (non-gating perf smoke)"
-# One MD5 pass per trust boundary is the largest CPU term of any hop that
-# moves a body (DESIGN.md §5, "hash once per hop"), and a CRC32C is what
-# the disk tier checks a read by, so a kernel regression should show in
+# An MD5 pass is the largest CPU term of any path that moves a body
+# (DESIGN.md §5, "hash where authored, and where accepted"), and a CRC32C
+# is what the disk tier checks a read by, so a kernel regression shows in
 # the log: the 8 KiB rows are the median document, `md5/1048576` the heavy
 # tail, `crc32c/65536` the largest body a loop checks itself, each tagged
 # with the kernel CPUID chose (`avx512` / `sse4.2` or `portable`).
