@@ -3,7 +3,8 @@
 //! Implements the reliability layer of the paper's §6:
 //!
 //! * [`mod@md5`] — MD5 per RFC 1321 (the paper's digest for URL signatures and
-//!   watermarks), implemented from scratch with RFC test vectors;
+//!   watermarks), implemented from scratch with RFC test vectors, and
+//!   [`document_digest`], the sixteen-lane MD5 tree a body is hashed by;
 //! * [`mod@crc32c`] — CRC32C (RFC 3720), the disk tier's at-rest check;
 //! * [`rsa`] — textbook RSA over 64-bit moduli with deterministic
 //!   Miller–Rabin key generation ([`prime`]);
@@ -35,7 +36,7 @@ pub use anonymity::{
 };
 pub use crc32c::{crc32c, Crc32c};
 pub use error::CryptoError;
-pub use md5::{md5, Digest, Md5};
+pub use md5::{document_digest, md5, Digest};
 pub use rsa::{
     decrypt_message, encrypt_message, sign_digest, verify_digest, KeyPair, PrivateKey, PublicKey,
     Signature,

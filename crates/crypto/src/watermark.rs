@@ -1,20 +1,20 @@
 //! Digital watermarks for data integrity (paper §6.1).
 //!
 //! When the proxy first fetches a document from the server it produces a
-//! *digital watermark*: the MD5 digest of the document, encrypted with the
-//! proxy's private key. The watermark travels with the document into browser
-//! caches. When a peer later serves the document out of its browser cache,
-//! the requesting client recomputes the MD5 digest and checks it against the
-//! watermark decrypted with the proxy's **public** key. No client can tamper
-//! with a document and forge a matching watermark, because only the proxy
-//! knows its private key.
+//! *digital watermark*: the document's digest ([`document_digest`], an
+//! MD5 tree), encrypted with the proxy's private key. The watermark travels
+//! with the document into browser caches. When a peer later serves the
+//! document out of its browser cache, the requesting client recomputes the
+//! digest and checks it against the watermark decrypted with the proxy's
+//! **public** key. No client can tamper with a document and forge a
+//! matching watermark, because only the proxy knows its private key.
 
 use crate::error::CryptoError;
-use crate::md5::{md5, Digest};
+use crate::md5::{document_digest, Digest};
 use crate::rsa::{sign_digest, verify_digest, KeyPair, PublicKey, Signature};
 use rand::Rng;
 
-/// A watermark: signature over the document's MD5 digest.
+/// A watermark: signature over the document's digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermark {
     /// The signed signature blocks.
@@ -89,10 +89,10 @@ impl ProxySigner {
         self.keys.public
     }
 
-    /// Produces the watermark for a document body: [`md5`] then
-    /// [`ProxySigner::sign`].
+    /// Produces the watermark for a document body: [`document_digest`]
+    /// then [`ProxySigner::sign`].
     pub fn watermark(&self, document: &[u8]) -> Watermark {
-        self.sign(&md5(document))
+        self.sign(&document_digest(document))
     }
 
     /// Signs a digest the caller already holds, so a body that was hashed
@@ -104,14 +104,15 @@ impl ProxySigner {
     }
 }
 
-/// Client-side verification: recompute the digest ([`md5`]) and check the
-/// signature against the proxy's public key ([`verify_hashed`]).
+/// Client-side verification: recompute the digest ([`document_digest`])
+/// and check the signature against the proxy's public key
+/// ([`verify_hashed`]).
 pub fn verify_document(
     proxy_key: &PublicKey,
     document: &[u8],
     watermark: &Watermark,
 ) -> Result<Digest, CryptoError> {
-    let digest = md5(document);
+    let digest = document_digest(document);
     verify_hashed(proxy_key, &digest, watermark)?;
     Ok(digest)
 }
@@ -147,7 +148,20 @@ mod tests {
         let doc = b"<html>cached page</html>";
         let wm = s.watermark(doc);
         let digest = verify_document(&s.public_key(), doc, &wm).unwrap();
-        assert_eq!(digest, md5(doc));
+        assert_eq!(digest, document_digest(doc));
+    }
+
+    /// A watermark over the body's plain MD5 — what the proxy signed before
+    /// the document digest — does not verify: there is no legacy path.
+    #[test]
+    fn a_watermark_over_plain_md5_is_refused() {
+        let s = signer();
+        let doc = b"<html>cached page</html>";
+        let legacy = s.sign(&crate::md5::md5(doc));
+        assert_eq!(
+            verify_document(&s.public_key(), doc, &legacy),
+            Err(CryptoError::WatermarkMismatch)
+        );
     }
 
     #[test]

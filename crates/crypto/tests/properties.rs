@@ -1,32 +1,14 @@
 //! Property-based tests of the crypto layer.
 
 use baps_crypto::{
-    decrypt_message, encrypt_message, md5, sign_digest, verify_digest, KeyPair, Md5, ProxySigner,
-    Watermark, XteaKey,
+    decrypt_message, document_digest, encrypt_message, md5, sign_digest, verify_digest, KeyPair,
+    ProxySigner, Watermark, XteaKey,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 proptest! {
-    /// Incremental MD5 over arbitrary chunkings equals one-shot MD5.
-    #[test]
-    fn md5_chunking_invariant(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        splits in proptest::collection::vec(0usize..2048, 0..8),
-    ) {
-        let oneshot = md5(&data);
-        let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();
-        cuts.push(0);
-        cuts.push(data.len());
-        cuts.sort_unstable();
-        let mut ctx = Md5::new();
-        for w in cuts.windows(2) {
-            ctx.update(&data[w[0]..w[1]]);
-        }
-        prop_assert_eq!(ctx.finalize(), oneshot);
-    }
-
     /// RSA message encryption round-trips for arbitrary payloads.
     #[test]
     fn rsa_message_roundtrip(
@@ -93,9 +75,11 @@ proptest! {
     }
 
     /// The digest-carrying API is the document API with the hash lifted
-    /// out: `watermark = sign ∘ md5`, and `verify_document` accepts exactly
-    /// what `verify_hashed ∘ md5` accepts (same digest out, same refusals),
-    /// for the right document, a different one, and a forged watermark.
+    /// out: `watermark = sign ∘ document_digest`, and `verify_document`
+    /// accepts exactly what `verify_hashed ∘ document_digest` accepts (same
+    /// digest out, same refusals), for the right document, a different one,
+    /// and a forged watermark. A watermark over the body's plain MD5 is
+    /// refused: there is no legacy acceptance.
     #[test]
     fn digest_carrying_api_equals_document_api(
         seed in any::<u64>(),
@@ -106,19 +90,54 @@ proptest! {
         let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(seed));
         let key = signer.public_key();
         let wm = signer.watermark(&doc);
-        prop_assert_eq!(wm, signer.sign(&md5(&doc)));
+        prop_assert_eq!(wm, signer.sign(&document_digest(&doc)));
 
         let mut forged_bytes = wm.to_bytes();
         forged_bytes[sig_byte] ^= 1;
         let forged = Watermark::from_bytes(&forged_bytes).unwrap();
         for (body, mark) in [(&doc, &wm), (&other, &wm), (&doc, &forged)] {
-            let digest = md5(body);
+            let digest = document_digest(body);
             prop_assert_eq!(
                 baps_crypto::verify_document(&key, body, mark),
                 baps_crypto::verify_hashed(&key, &digest, mark).map(|()| digest)
             );
         }
-        prop_assert!(baps_crypto::verify_hashed(&key, &md5(&doc), &wm).is_ok());
+        prop_assert!(baps_crypto::verify_hashed(&key, &document_digest(&doc), &wm).is_ok());
+        let legacy = signer.sign(&md5(&doc));
+        prop_assert!(baps_crypto::verify_document(&key, &doc, &legacy).is_err());
+    }
+
+    /// Each edit a transfer or a forger could make moves the document
+    /// digest: any byte flipped, one byte cut from or added to the end, and
+    /// two unequal words in different lanes swapped (which keeps every
+    /// byte of the body, only not in its lane).
+    #[test]
+    fn every_edit_moves_the_document_digest(
+        doc in proptest::collection::vec(any::<u8>(), 8..3000),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        extra in any::<u8>(),
+        words in (any::<usize>(), 1usize..16),
+    ) {
+        let digest = document_digest(&doc);
+        let mut flipped = doc.clone();
+        flipped[at % doc.len()] ^= flip;
+        prop_assert_ne!(document_digest(&flipped), digest);
+        prop_assert_ne!(document_digest(&doc[..doc.len() - 1]), digest);
+        let mut longer = doc.clone();
+        longer.push(extra);
+        prop_assert_ne!(document_digest(&longer), digest);
+
+        // Word `i` sits in lane `i mod 16`.
+        let whole = doc.len() / 4;
+        let (i, k) = (words.0 % whole, (words.0 % whole + words.1) % whole);
+        prop_assume!(k % 16 != i % 16);
+        prop_assume!(doc[4 * i..4 * i + 4] != doc[4 * k..4 * k + 4]);
+        let mut swapped = doc.clone();
+        for b in 0..4 {
+            swapped.swap(4 * i + b, 4 * k + b);
+        }
+        prop_assert_ne!(document_digest(&swapped), digest);
     }
 
     /// The full §6.1 tamper matrix: a flipped byte, a truncated body, and

@@ -12,10 +12,10 @@
 //!   because…
 //! * **…every disk read is checked** before a byte is served: magic,
 //!   lengths, the stored URL, a CRC32C over the entry, and the §6.1
-//!   watermark signature of the stored MD5 digest. A torn, truncated, or
-//!   bit-flipped entry fails, is tombstoned on the spot (self-heal), and
+//!   watermark signature of the stored document digest. A torn, truncated,
+//!   or bit-flipped entry fails, is tombstoned on the spot (self-heal), and
 //!   the request falls through to the origin path. The body is never
-//!   MD5-hashed on a read: that pass is the browser's §6.1 verify, and a
+//!   hashed on a read: that pass is the browser's §6.1 verify, and a
 //!   browser that refuses a reply makes the proxy re-hash its copy
 //!   (DESIGN.md §5).
 //! * **TTL freshness + revalidation** replaces the memory tier's implicit
@@ -54,7 +54,7 @@ use crate::protocol::{zeroed_body, MAX_BODY};
 use crate::store::CachedDoc;
 use crate::sys::read_two_at;
 use baps_cache::ByteLru;
-use baps_crypto::{crc32c, md5, verify_hashed, Crc32c, Digest, PublicKey, Watermark};
+use baps_crypto::{crc32c, document_digest, verify_hashed, Crc32c, Digest, PublicKey, Watermark};
 use parking_lot::Mutex;
 use std::collections::{hash_map, BTreeMap, HashMap};
 use std::fs::{self, File};
@@ -65,13 +65,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Entry magic: "BAPS DisK v02". Bump the trailing digits on any layout
-/// change; old entries then end their segment's scan and self-heal.
-const MAGIC: &[u8; 8] = b"BAPSDK02";
+/// Entry magic: "BAPS DisK v03". Bump the trailing digits on any change
+/// to the layout or to what a field means (v03: the digest is
+/// [`document_digest`], no longer the body's MD5); old entries then end
+/// their segment's scan and self-heal.
+const MAGIC: &[u8; 8] = b"BAPSDK03";
 /// What replaces the magic of an entry that left the index.
 const TOMBSTONE: &[u8; 8] = b"BAPSDEAD";
 /// Fixed header: magic(8) + stored_at(8) + crc32c(4) + url_len(4) +
-/// body_len(8) + ttl_secs(8) + md5(16) + watermark(32).
+/// body_len(8) + ttl_secs(8) + digest(16) + watermark(32).
 const HEADER_LEN: usize = 88;
 /// Byte offset of the `stored_at` stamp within an entry, re-written in
 /// place on revalidation.
@@ -110,7 +112,7 @@ pub struct DiskConfig {
 pub struct DiskHit {
     /// The document, watermark included.
     pub doc: CachedDoc,
-    /// The body's MD5 as the entry stores it, which the watermark signs —
+    /// The body's digest as the entry stores it, which the watermark signs —
     /// what a revalidation sends (as hex) in `If-Digest`. The read did not
     /// hash the body: the entry's CRC32C catches rot between the two, and
     /// a consistent rewrite is the browser's §6.1 verify to refuse.
@@ -513,7 +515,7 @@ impl DiskTier {
     /// Best-effort: a filesystem error shrinks the tier (counted in
     /// [`DiskStats::io_errors`]) but never fails the request.
     pub fn store(&self, url: &str, doc: &CachedDoc) {
-        self.store_hashed(url, doc, &md5(&doc.body));
+        self.store_hashed(url, doc, &document_digest(&doc.body));
     }
 
     /// [`DiskTier::store`] for a caller that holds the body's digest — on
@@ -1044,7 +1046,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<Header> {
 ///
 /// Header and URL land in a small scratch buffer and the body straight in
 /// the allocation the returned document shares with every later holder,
-/// all from one positional vectored read. The body is not MD5-hashed: the
+/// all from one positional vectored read. The body is not hashed: the
 /// CRC32C over everything but the magic and the stamp catches a torn or
 /// rotted entry, and the watermark signature of the stored digest catches
 /// a digest the proxy's key did not sign. That digest is handed back for
@@ -1207,7 +1209,7 @@ mod tests {
         assert_eq!(&hit.doc.body[..], b"persistent body");
         assert_eq!(hit.doc.watermark, d.watermark);
         assert!(hit.fresh);
-        assert_eq!(hit.digest, md5(b"persistent body"));
+        assert_eq!(hit.digest, document_digest(b"persistent body"));
         let s = t.stats();
         assert_eq!((s.entries, s.bytes), (1, 15));
         assert_eq!((s.hits, s.misses, s.writes), (1, 0, 1));
@@ -1342,7 +1344,7 @@ mod tests {
         t.store("u", &doc(&sg, b"what the proxy signed"));
         edit_entry(&root, "u", |bytes| {
             forge_body(bytes, b"what an attacker put!");
-            bytes[40..56].copy_from_slice(&md5(b"what an attacker put!").0);
+            bytes[40..56].copy_from_slice(&document_digest(b"what an attacker put!").0);
             reseal(bytes);
         });
 
@@ -1371,7 +1373,7 @@ mod tests {
 
     /// The boundary the read does not guard: a body and CRC rewritten
     /// together under the kept digest and watermark pass every check the
-    /// read makes, since it never MD5-hashes the body. It serves them, with
+    /// read makes, since it never hashes the body. It serves them, with
     /// the stored digest; the browser's §6.1 verify is what refuses them,
     /// and its integrity retry makes the proxy re-hash and heal (DESIGN.md
     /// §5, `disk_forgery_keeping_the_signed_digest_is_healed_on_the_integrity_retry`).
@@ -1389,7 +1391,7 @@ mod tests {
         let hit = t.load("u").expect("the read's checks pass");
         assert_eq!(&hit.doc.body[..], b"what an attacker put!");
         assert_eq!(hit.doc.watermark, signed.watermark);
-        assert_eq!(hit.digest, md5(b"what the proxy signed"));
+        assert_eq!(hit.digest, document_digest(b"what the proxy signed"));
         assert!(
             baps_crypto::verify_document(&sg.public_key(), &hit.doc.body, &hit.doc.watermark)
                 .is_err()
@@ -1398,7 +1400,8 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// `store` is `md5` + `store_hashed`: both leave the same entry.
+    /// `store` is `document_digest` + `store_hashed`: both leave the same
+    /// entry.
     #[test]
     fn store_equals_hash_then_store_hashed() {
         let sg = signer();
@@ -1406,7 +1409,7 @@ mod tests {
         let t = tier(&root, 1 << 20, HOUR, sg.public_key());
         let d = doc(&sg, b"hashed by the caller");
         t.store("a", &d);
-        t.store_hashed("b", &d, &md5(&d.body));
+        t.store_hashed("b", &d, &document_digest(&d.body));
         let (a, b) = (t.load("a").unwrap(), t.load("b").unwrap());
         assert_eq!(a.doc, b.doc);
         assert_eq!(a.digest, b.digest);
@@ -1483,16 +1486,35 @@ mod tests {
             // A write that died inside the next entry's header.
             let head = located(&root, "good");
             let file = File::options().write(true).open(head.path).unwrap();
-            file.write_all_at(b"BAPSDK02 trunc", head.offset + head.len)
-                .unwrap();
+            let torn = [&MAGIC[..], b" trunc"].concat();
+            file.write_all_at(&torn, head.offset + head.len).unwrap();
         }
+        // A segment a pre-upgrade proxy left: a `BAPSDK02` entry, whole,
+        // its CRC valid and its watermark a signature over the body's MD5.
+        let body = b"hashed by plain MD5";
+        let digest = baps_crypto::md5(body);
+        let signed = CachedDoc {
+            body: body[..].into(),
+            watermark: sg.sign(&digest),
+        };
+        let meta = Meta {
+            segment: 0,
+            offset: 0,
+            stored_at: now_unix(),
+            ttl_secs: HOUR.as_secs(),
+        };
+        let mut old = encode_entry("old", &signed, &digest, &meta);
+        old[..8].copy_from_slice(b"BAPSDK02");
+        fs::write(segment_path(&root, 0), &old).unwrap();
         // A document file of the path-per-document layout.
         fs::write(root.join("deadbeef.doc"), b"BAPSDK01 whatever").unwrap();
         // A stray non-entry file is left alone.
         fs::write(root.join("counters.baseline"), b"requests=0\n").unwrap();
         let t = tier(&root, 1 << 20, HOUR, sg.public_key());
         assert_eq!(t.entries(), 1);
-        assert_eq!(t.stats().heals, 1);
+        assert_eq!(t.stats().heals, 2, "the torn tail and the old segment");
+        assert!(t.load("old").is_none(), "a pre-upgrade entry never serves");
+        assert!(!segment_path(&root, 0).exists());
         assert!(!root.join("deadbeef.doc").exists());
         assert!(root.join("counters.baseline").exists());
         assert!(t.load("good").is_some());

@@ -22,8 +22,9 @@ use baps_obs::prom::PromText;
 pub(crate) fn render(state: &ProxyState) -> String {
     let mut out = PromText::new();
 
-    // Who is answering: the crate version, the MD5 kernel every body byte
-    // goes through and the CRC32C kernel every disk read is checked by, as
+    // Who is answering: the crate version, the document-digest kernel
+    // every body byte goes through (`md5_kernel`: its lanes are MD5 chains)
+    // and the CRC32C kernel every disk read is checked by, as
     // an info-style gauge (constant 1), plus seconds since this incarnation
     // started — the standard pair scrapers use to detect restarts and
     // correlate a deploy with a metric shift.

@@ -2,15 +2,16 @@
 //! protocol (`GET <url> ORIGIN/1.0`).
 //!
 //! The origin is where a document's digest is born: the store hashes each
-//! version once, when it is authored, and every `200` carries it as
-//! `Digest: <md5-hex>` — the digest the proxy signs for the §6.1 watermark
-//! without hashing the body again (DESIGN.md §5).
+//! version once ([`baps_crypto::document_digest`]), when it is authored,
+//! and every `200` carries it as `Digest: <hex>` — the digest the proxy
+//! signs for the §6.1 watermark without hashing the body again (DESIGN.md
+//! §5).
 //!
-//! A `GET` may carry an `If-Digest: <md5-hex>` header (the proxy's
+//! A `GET` may carry an `If-Digest: <hex>` header (the proxy's
 //! disk-tier revalidation): when the named digest is still the stored
 //! version's, the origin answers `304 Not Modified` with no body, so a
 //! stale disk entry is refreshed for the cost of a header exchange instead
-//! of a full document transfer — and of no MD5 on either side.
+//! of a full document transfer — and of no hash on either side.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{response, response_code, status, Message};
@@ -88,7 +89,7 @@ impl OriginServer {
 
     /// Mutates a stored document (models a changed Web page). The new
     /// version is hashed before the write lock is taken, so serving never
-    /// waits on an MD5.
+    /// waits on a digest.
     pub fn mutate(&self, url: &str, body: Vec<u8>) -> bool {
         let version = store::authored(body);
         self.state.store.write().replace(url, version)
@@ -248,7 +249,8 @@ mod tests {
             let reply = fetch(server.addr(), url);
             assert_eq!(response_code(&reply), Some(status::OK));
             let declared = reply.get("Digest").and_then(Digest::from_hex);
-            assert_eq!(declared, Some(baps_crypto::md5(&reply.body)), "{url}");
+            let want = baps_crypto::document_digest(&reply.body);
+            assert_eq!(declared, Some(want), "{url}");
         }
         let reply = fetch(server.addr(), &urls[0]);
         assert_eq!(&reply.body[..], b"a later version");
@@ -279,7 +281,7 @@ mod tests {
         let store = DocumentStore::synthetic(1, 50, 100, 9);
         let url = "http://origin/doc/0";
         let body = store.get(url).unwrap().to_vec();
-        let digest = baps_crypto::md5::md5(&body).to_hex();
+        let digest = baps_crypto::document_digest(&body).to_hex();
         let server = OriginServer::start(store).unwrap();
         // Matching digest: 304, empty body, not counted as a served hit.
         let reply = exchange(
@@ -293,8 +295,10 @@ mod tests {
         // Stale digest: a full 200 with the current body.
         let reply = exchange(
             server.addr(),
-            Message::new(format!("GET {url} ORIGIN/1.0"))
-                .header("If-Digest", baps_crypto::md5::md5(b"stale copy").to_hex()),
+            Message::new(format!("GET {url} ORIGIN/1.0")).header(
+                "If-Digest",
+                baps_crypto::document_digest(b"stale copy").to_hex(),
+            ),
         );
         assert_eq!(response_code(&reply), Some(status::OK));
         assert_eq!(&reply.body[..], &body[..]);

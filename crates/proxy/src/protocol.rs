@@ -44,8 +44,10 @@
 //!
 //! Responses: `BAPS/1.0 <code> <reason>` with `Content-Length`, `X-Source`
 //! (`proxy` | `peer` | `origin`) and `X-Watermark` (hex, §6.1) headers. An
-//! origin's `200` also carries `Digest: <md5-hex>`, minted when it stored
-//! that version: the digest the proxy signs, without hashing the body.
+//! origin's `200` also carries `Digest: <hex>`, the body's
+//! `baps_crypto::document_digest` (sixteen interleaved MD5 lanes under one
+//! MD5 root), minted when it stored that version: the digest the proxy
+//! signs, without hashing the body.
 //!
 //! # Connection lifecycle (keep-alive)
 //!

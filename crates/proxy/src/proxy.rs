@@ -718,7 +718,7 @@ fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> M
 /// Whether the GET is a browser's integrity retry and `doc`, the proxy's
 /// own copy, fails the §6.1 verify. The browser verifies every reply and
 /// sends `Bypass-Peers` only after one failed, so its complaint is the one
-/// time the proxy MD5-hashes what it is about to serve (DESIGN.md §5): a
+/// time the proxy hashes what it is about to serve (DESIGN.md §5): a
 /// poisoned memory copy or a consistently forged disk entry is dropped
 /// there, and the retry goes on to the origin.
 fn refuted(state: &ProxyState, req: &GetRequest, doc: &CachedDoc) -> bool {
@@ -1581,8 +1581,8 @@ impl Miss {
     }
 }
 
-/// The digest an origin `200` declares for its body (`Digest:
-/// <md5-hex>`): minted where the version was authored, signed here
+/// The digest an origin `200` declares for its body (`Digest: <hex>`, its
+/// `document_digest`): minted where the version was authored, signed here
 /// unhashed. `None` when it is missing or malformed, which makes the reply
 /// an origin failure.
 fn declared_digest(reply: &Message) -> Option<Digest> {

@@ -3,7 +3,7 @@
 
 use crate::protocol::Body;
 use baps_cache::{ByteLru, CacheStats, Tier};
-use baps_crypto::{md5, Digest, Watermark};
+use baps_crypto::{document_digest, Digest, Watermark};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 /// The origin server's document corpus. Bodies are shared [`Body`] values
 /// so serving a document is a refcount bump, not a copy. Each version is
-/// MD5-hashed once, when it is stored: the digest is what the origin
-/// declares with every `200` and compares an `If-Digest` against, so
-/// serving never hashes (DESIGN.md §5).
+/// hashed ([`document_digest`]) once, when it is stored: the digest is
+/// what the origin declares with every `200` and compares an `If-Digest`
+/// against, so serving never hashes (DESIGN.md §5).
 #[derive(Debug, Clone, Default)]
 pub struct DocumentStore {
     docs: HashMap<String, (Body, Digest)>,
@@ -23,7 +23,7 @@ pub struct DocumentStore {
 /// minted here, once.
 pub(crate) fn authored(body: impl Into<Body>) -> (Body, Digest) {
     let body = body.into();
-    let digest = md5(&body);
+    let digest = document_digest(&body);
     (body, digest)
 }
 
@@ -230,21 +230,21 @@ mod tests {
 
     /// Every way a version enters the store leaves its digest beside it.
     #[test]
-    fn stored_digest_is_the_body_md5_after_insert_synthetic_and_mutate() {
-        let holds_its_md5 = |s: &DocumentStore, url: &str| {
+    fn stored_digest_is_the_document_digest_after_insert_synthetic_and_mutate() {
+        let holds_its_digest = |s: &DocumentStore, url: &str| {
             let (body, digest) = s.get_shared(url).unwrap();
-            assert_eq!(digest, md5(&body), "{url}");
+            assert_eq!(digest, document_digest(&body), "{url}");
         };
         let mut s = DocumentStore::synthetic(8, 1, 3000, 5);
         let urls: Vec<String> = s.urls().map(str::to_owned).collect();
         for url in &urls {
-            holds_its_md5(&s, url);
+            holds_its_digest(&s, url);
         }
         s.insert("http://origin/new", b"inserted body".to_vec());
-        holds_its_md5(&s, "http://origin/new");
+        holds_its_digest(&s, "http://origin/new");
         let before = s.get_shared(&urls[0]).unwrap().1;
         assert!(s.mutate(&urls[0], b"the next version".to_vec()));
-        holds_its_md5(&s, &urls[0]);
+        holds_its_digest(&s, &urls[0]);
         assert_ne!(s.get_shared(&urls[0]).unwrap().1, before);
     }
 

@@ -275,7 +275,7 @@ fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// The disk entry layout: magic, stored_at, crc32c, url_len, body_len,
-/// ttl_secs, md5, watermark — then the URL and the body. A read checks all
+/// ttl_secs, digest, watermark — then the URL and the body. A read checks all
 /// of it but `stored_at`, which it takes from the in-memory index: the
 /// CRC32C covers every byte from `url_len` on.
 const DISK_HEADER_LEN: usize = 88;
@@ -406,7 +406,7 @@ fn a_disk_entry_edited_at_every_field_and_boundary_never_serves_wrong_bytes() {
 
 /// A segment of entries in the layout before the CRC32C (magic
 /// `BAPSDK01`, an 84-byte header: url_len, body_len, stored_at, ttl_secs,
-/// md5, watermark), as a pre-upgrade proxy left its root: the first header
+/// digest, watermark), as a pre-upgrade proxy left its root: the first header
 /// ends the scan, so the tier opens cold, with the segment unlinked and one
 /// heal, and writes behind it as usual.
 #[test]
@@ -424,7 +424,7 @@ fn a_segment_of_pre_crc_entries_opens_with_zero_entries() {
         segment.extend_from_slice(&(body.len() as u64).to_le_bytes());
         segment.extend_from_slice(&[0; 8]);
         segment.extend_from_slice(&3600u64.to_le_bytes());
-        segment.extend_from_slice(&baps_crypto::md5(body).0);
+        segment.extend_from_slice(&baps_crypto::document_digest(body).0);
         segment.extend_from_slice(&doc.watermark.to_bytes());
         segment.extend_from_slice(url.as_bytes());
         segment.extend_from_slice(body);

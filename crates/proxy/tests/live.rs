@@ -1008,7 +1008,7 @@ fn lying_origin(body: Vec<u8>, lies: usize) -> (SocketAddr, Arc<AtomicUsize>) {
     let addr = listener.local_addr().unwrap();
     let served = Arc::new(AtomicUsize::new(0));
     let count = Arc::clone(&served);
-    let digest = baps_crypto::md5(&body).to_hex();
+    let digest = baps_crypto::document_digest(&body).to_hex();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { return };
@@ -2191,12 +2191,12 @@ fn large_origin_body_yields_the_loop_and_is_signed_as_declared() {
                     let out = conn.get_mut();
                     if !msg.start.contains("/big") {
                         let small = Message::new("BAPS/1.0 200 OK")
-                            .header("Digest", baps_crypto::md5(b"small").to_hex())
+                            .header("Digest", baps_crypto::document_digest(b"small").to_hex())
                             .with_body(b"small".to_vec());
                         write_message(out, &small).unwrap();
                         continue;
                     }
-                    let digest = baps_crypto::md5(&body).to_hex();
+                    let digest = baps_crypto::document_digest(&body).to_hex();
                     let head = format!(
                         "BAPS/1.0 200 OK\r\nDigest: {digest}\r\nContent-Length: {BIG}\r\n\r\n"
                     );
@@ -2238,7 +2238,8 @@ fn large_origin_body_yields_the_loop_and_is_signed_as_declared() {
     assert_eq!(reply.get("X-Source"), Some("origin"));
     assert_eq!(&reply.body[..], &big[..]);
     let watermark = baps_crypto::Watermark::from_hex(reply.get("X-Watermark").unwrap()).unwrap();
-    baps_crypto::verify_hashed(&proxy.public_key(), &baps_crypto::md5(&big), &watermark)
+    let digest = baps_crypto::document_digest(&big);
+    baps_crypto::verify_hashed(&proxy.public_key(), &digest, &watermark)
         .expect("the declared digest is signed");
     assert_eq!(proxy.reactor_stats().offloaded, 0);
     proxy.shutdown();

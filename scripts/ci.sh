@@ -186,14 +186,16 @@ if git grep -nE '^[^/]*\<unsafe\>' -- crates/*/src src \
     exit 1
 fi
 
-echo "== hash sites (where crates/proxy/src may MD5 a body)"
+echo "== hash sites (where crates/proxy/src may hash a body)"
 # A body is hashed where it is authored and where it is accepted
 # (DESIGN.md §5): the origin's store (`store.rs` `authored`) and the
 # browser's §6.1 verify (`client.rs` `verify_traced`). The proxy hashes in
 # two places only: a browser's complaint (`proxy.rs` `refuted`) and a peer
-# body absorbed into the disk tier (`disk.rs` `store`). Any other `md5(`,
-# `Md5::` or `verify_document(` outside comments and `#[cfg(test)]` code
-# fails, named with its enclosing function.
+# body absorbed into the disk tier (`disk.rs` `store`). Outside comments and
+# `#[cfg(test)]` code, a `document_digest(` or `verify_document(` anywhere
+# else fails, and so does an `md5(` anywhere at all: a body's digest is
+# `document_digest`, and plain MD5 is only its root node. Each
+# hit is named with its enclosing function.
 if ! git ls-files -z 'crates/proxy/src/*.rs' | xargs -0 awk '
     BEGIN { split("store.rs:authored client.rs:verify_traced proxy.rs:refuted disk.rs:store", a)
             for (i in a) allowed["crates/proxy/src/" a[i]] = 1 }
@@ -203,25 +205,26 @@ if ! git ls-files -z 'crates/proxy/src/*.rs' | xargs -0 awk '
     test || /^[ \t]*\/\// { next }
     /^[ \t]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
         fun = $0; sub(/^[^f]*fn /, "", fun); sub(/[^a-z_0-9].*$/, "", fun) }
-    /(^|[^a-z_])md5\(|Md5::|verify_document\(/ && !((FILENAME ":" fun) in allowed) {
+    /(^|[^a-z_])md5\(/ ||
+    /document_digest\(|verify_document\(/ && !((FILENAME ":" fun) in allowed) {
         print FILENAME ":" FNR " (fn " fun "): " $0; bad = 1 }
     END { exit bad }'; then
-    echo "hash sites: the lines above hash a body outside the four sites DESIGN.md §5 names"
+    echo "hash sites: the lines above hash a body outside the four sites DESIGN.md §5 names, or by plain MD5"
     exit 1
 fi
 
-echo "== md5 and crc32c kernel throughput (non-gating perf smoke)"
-# An MD5 pass is the largest CPU term of any path that moves a body
+echo "== digest and crc32c kernel throughput (non-gating perf smoke)"
+# The document digest is the largest CPU term of any path that moves a body
 # (DESIGN.md §5, "hash where authored, and where accepted"), and a CRC32C
 # is what the disk tier checks a read by, so a kernel regression shows in
-# the log: the 8 KiB rows are the median document, `md5/1048576` the heavy
-# tail, `crc32c/65536` the largest body a loop checks itself, each tagged
-# with the kernel CPUID chose (`avx512` / `sse4.2` or `portable`).
+# the log: the 8 KiB rows are the median document, `digest/1048576` the
+# heavy tail, `crc32c/65536` the largest body a loop checks itself, each
+# tagged with the kernel CPUID chose (`avx512` / `sse4.2` or `portable`).
 # Non-gating: a loopback host shared with CI is too noisy to fail a build
 # on a throughput number.
 cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
-    | awk '/^(md5|crc32c) kernel: / { k[$1] = $3 }
-           /^bench (md5\/(8192|1048576)|crc32c\/(8192|65536)) / {
+    | awk '/^(digest|crc32c) kernel: / { k[$1] = $3 }
+           /^bench (digest\/(8192|1048576)|crc32c\/(8192|65536)) / {
                split($2, row, "/"); print $0 "  [" k[row[1]] "]"; n++ }
            END { exit n == 0 }' \
     || echo "md5 bench failed (non-gating)"
@@ -231,7 +234,7 @@ echo "== LRU throughput (non-gating perf smoke)"
 # key and value are type parameters, so a slowdown of the simulator's
 # `ByteLru<DocId>` from a change made for the live tiers should show in
 # the log. 100 k touch-or-insert operations per iteration. Non-gating, for
-# the md5 rows' reason.
+# the digest rows' reason.
 cargo bench -q --offline -p baps-bench --bench lru 2>/dev/null \
     | grep -E '^bench (cache_policies/LRU|lru_variants/)' \
     || echo "lru bench failed (non-gating)"
@@ -239,7 +242,7 @@ cargo bench -q --offline -p baps-bench --bench lru 2>/dev/null \
 echo "== recording overhead (non-gating A/B)"
 # Always-on recording's cost: throughput with baps_obs recording on vs off
 # over 80 interleaved ~40 ms slice pairs on one warm in-memory bed, printed
-# beside the 3 % budget. Non-gating for the md5 rows' reason: on a shared
+# beside the 3 % budget. Non-gating for the digest rows' reason: on a shared
 # 2-core host the reading swings past the budget with no code change. The
 # bench exits non-zero only when a fetch fails.
 cargo bench -q --offline -p baps-bench --bench recording 2>/dev/null \
