@@ -1,11 +1,12 @@
 //! `baps_top` — a live terminal dashboard for a running BAPS proxy.
 //!
-//! Scrapes `METRICS` + `HEALTH` once per interval (1 Hz by default) over
-//! one keep-alive connection and renders an at-a-glance view: rolling
+//! Scrapes `METRICS` once per interval (1 Hz by default) over one
+//! keep-alive connection — the proxy's one report, SLO windows and
+//! verdicts included — and renders an at-a-glance view: rolling
 //! request/error rates with a sparkline of recent history, the
-//! serve-tier split, executor/event-loop saturation gauges, and the
-//! active SLO alerts with their exemplar trace ids (each fetchable via
-//! `TRACE`).
+//! serve-tier split, executor-queue and event-loop saturation, and the
+//! active SLO alerts beside the slowest requests' exemplar trace ids (each
+//! fetchable via `TRACE`).
 //!
 //! ```text
 //! baps_top --addr 127.0.0.1:4080            # watch a running proxy
@@ -19,8 +20,7 @@
 
 use baps_obs::prom;
 use baps_proxy::{
-    read_message, response_code, write_message, DocumentStore, HealthReport, Message, TestBed,
-    TestBedConfig, Verdict,
+    read_message, response_code, write_message, DocumentStore, Message, TestBed, TestBedConfig,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -32,6 +32,10 @@ use std::time::Duration;
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 /// Sparkline history length (seconds of req/s kept on screen).
 const HISTORY: usize = 60;
+/// Verdict names by the value of the `baps_slo_*verdict` gauges.
+const VERDICTS: [&str; 3] = ["ok", "warn", "critical"];
+/// Most exemplar trace ids listed under the alerts.
+const MAX_TRACES: usize = 8;
 
 struct Args {
     addr: Option<SocketAddr>,
@@ -125,27 +129,16 @@ impl Scraper {
     }
 }
 
-/// One rendered frame's inputs.
-struct Frame {
-    samples: Vec<prom::Sample>,
-    health: HealthReport,
-}
-
-fn scrape(s: &mut Scraper) -> Result<Frame, String> {
+/// One frame's input: the samples of one `METRICS` reply.
+fn scrape(s: &mut Scraper) -> Result<Vec<prom::Sample>, String> {
     let metrics = s
         .roundtrip("METRICS")
         .map_err(|e| format!("METRICS: {e}"))?;
-    let health = s.roundtrip("HEALTH").map_err(|e| format!("HEALTH: {e}"))?;
-    for (verb, reply) in [("METRICS", &metrics), ("HEALTH", &health)] {
-        if response_code(reply) != Some(200) {
-            return Err(format!("{verb} answered {:?}", reply.start));
-        }
+    if response_code(&metrics) != Some(200) {
+        return Err(format!("METRICS answered {:?}", metrics.start));
     }
     let text = String::from_utf8(metrics.body.to_vec()).map_err(|_| "METRICS not UTF-8")?;
-    let samples = prom::parse(&text).map_err(|e| format!("bad exposition: {e}"))?;
-    let body = std::str::from_utf8(&health.body).map_err(|_| "HEALTH not UTF-8")?;
-    let health = HealthReport::parse(body).map_err(|e| format!("bad verdict document: {e}"))?;
-    Ok(Frame { samples, health })
+    prom::parse(&text).map_err(|e| format!("bad exposition: {e}"))
 }
 
 fn sparkline(history: &[f64]) -> String {
@@ -170,33 +163,75 @@ fn gauge(fraction: f64) -> String {
 }
 
 fn metric(samples: &[prom::Sample], name: &str) -> f64 {
-    prom::find(samples, name, &[]).unwrap_or(0.0)
+    labelled(samples, name, &[])
 }
 
-fn tier_count(samples: &[prom::Sample], tier: &str) -> f64 {
-    prom::find(samples, "baps_served_total", &[("tier", tier)]).unwrap_or(0.0)
+/// The first sample of `family` carrying `labels` (0 when absent).
+fn labelled(samples: &[prom::Sample], family: &str, labels: &[(&str, &str)]) -> f64 {
+    prom::find(samples, family, labels).unwrap_or(0.0)
 }
 
-fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
-    let h = &frame.health;
+fn verdict_name(value: f64) -> &'static str {
+    VERDICTS[(value as usize).min(VERDICTS.len() - 1)]
+}
+
+/// `family`'s count over the `window` report window, per second of its
+/// span (0 before the window has any).
+fn per_s(samples: &[prom::Sample], family: &str, window: &str) -> f64 {
+    let at = [("window", window)];
+    let span = labelled(samples, "baps_window_span_seconds", &at);
+    if span > 0.0 {
+        labelled(samples, family, &at) / span
+    } else {
+        0.0
+    }
+}
+
+/// The smallest bucket edge under which a fraction `q` of a histogram
+/// family's observations fall (0 when it has none).
+fn bucket_quantile_ms(samples: &[prom::Sample], family: &str, q: f64) -> f64 {
+    let bucket = format!("{family}_bucket");
+    let cumulative: Vec<(f64, f64)> = samples
+        .iter()
+        .filter(|s| s.name == bucket)
+        .filter_map(|s| Some((s.label("le")?.parse().ok()?, s.value)))
+        .collect();
+    let total = cumulative.last().map_or(0.0, |&(_, n)| n);
+    cumulative
+        .iter()
+        .find(|&&(_, n)| total > 0.0 && n >= q * total)
+        .map_or(0.0, |&(le, _)| le)
+}
+
+fn render(samples: &[prom::Sample], history: &[f64], plain: bool) -> String {
     let mut out = String::new();
     if !plain {
         out.push_str("\x1b[2J\x1b[H"); // clear screen, home cursor
     }
-    let verdict_tag = match h.verdict {
-        Verdict::Ok => "OK",
-        Verdict::Warn => "WARN",
-        Verdict::Critical => "CRITICAL",
-    };
     out.push_str(&format!(
         "baps_top — uptime={}s verdict={}\n\n",
-        h.uptime_secs, verdict_tag
+        metric(samples, "baps_uptime_seconds"),
+        verdict_name(metric(samples, "baps_slo_verdict")).to_uppercase()
     ));
 
-    for w in &h.windows {
+    let windows = samples
+        .iter()
+        .filter(|s| s.name == "baps_window_span_seconds")
+        .filter_map(|s| s.label("window"));
+    for window in windows {
+        let quantile = |q| {
+            labelled(
+                samples,
+                "baps_window_latency_ms",
+                &[("window", window), ("quantile", q)],
+            )
+        };
         out.push_str(&format!(
-            "  {:>3}s window  {:>9.1} req/s  {:>8.2} err/s  p99 {:>8.2}ms  p999 {:>8.2}ms\n",
-            w.window_secs, w.req_per_s, w.err_per_s, w.p99_ms, w.p999_ms
+            "  {window:>3}s window  {:>9.1} req/s  {:>8.2} err/s  p99 {:>8.2}ms  p999 {:>8.2}ms\n",
+            per_s(samples, "baps_window_requests", window),
+            per_s(samples, "baps_window_errors", window),
+            quantile("0.99"),
+            quantile("0.999"),
         ));
     }
     out.push_str(&format!("\n  req/s {}\n", sparkline(history)));
@@ -205,7 +240,7 @@ fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
     let tiers = ["proxy", "disk", "peer", "origin"];
     let counts: Vec<f64> = tiers
         .iter()
-        .map(|t| tier_count(&frame.samples, t))
+        .map(|t| labelled(samples, "baps_served_total", &[("tier", t)]))
         .collect();
     let total: f64 = counts.iter().sum();
     out.push_str("\n  tier split   ");
@@ -215,57 +250,69 @@ fn render(frame: &Frame, history: &[f64], plain: bool) -> String {
     }
     out.push('\n');
 
-    // Saturation: the blocking executor, then the event loops.
-    let workers = metric(&frame.samples, "baps_workers").max(1.0);
-    let busy = metric(&frame.samples, "baps_workers_busy");
+    // Saturation: the blocking executor's queue (a job waits there only
+    // while every executor thread is busy), then the event loops.
     out.push_str(&format!(
-        "\n  workers   {} {:>4.0}/{:<4.0}",
-        gauge(busy / workers),
-        busy,
-        workers
+        "\n  executor  queue depth {:>4.0} (peak {:.0}, rejected {:.0})   \
+         wait p99 <= {:.2}ms over {:.0} jobs\n",
+        metric(samples, "baps_queue_depth"),
+        metric(samples, "baps_queue_depth_peak"),
+        metric(samples, "baps_queue_rejected_total"),
+        bucket_quantile_ms(samples, "baps_queue_wait_ms", 0.99),
+        metric(samples, "baps_queue_wait_ms_count"),
     ));
-    out.push_str(&format!(
-        "   queue depth {:>4.0} (peak {:.0}, rejected {:.0})\n",
-        metric(&frame.samples, "baps_queue_depth"),
-        metric(&frame.samples, "baps_queue_depth_peak"),
-        metric(&frame.samples, "baps_queue_rejected_total"),
-    ));
-    let busy_fraction = metric(&frame.samples, "baps_reactor_busy_fraction");
+    let busy_fraction = metric(samples, "baps_reactor_busy_fraction");
     out.push_str(&format!(
         "  reactor   {} busy {:>4.0}%   fds {:>4.0} (peak {:.0}, ready-batch peak {:.0})\n",
         gauge(busy_fraction),
         busy_fraction * 100.0,
-        metric(&frame.samples, "baps_reactor_registered_fds"),
-        metric(&frame.samples, "baps_reactor_registered_fds_peak"),
-        metric(&frame.samples, "baps_reactor_ready_batch_peak"),
+        metric(samples, "baps_reactor_registered_fds"),
+        metric(samples, "baps_reactor_registered_fds_peak"),
+        metric(samples, "baps_reactor_ready_batch_peak"),
     ));
     out.push_str(&format!(
         "  recorder  {:>6.0} events held, {:>6.0} shed\n",
-        metric(&frame.samples, "baps_flight_recorder_events"),
-        metric(&frame.samples, "baps_flight_recorder_dropped_total"),
+        metric(samples, "baps_flight_recorder_events"),
+        metric(samples, "baps_flight_recorder_dropped_total"),
     ));
 
-    // Active alerts: every rule that is not ok, with its exemplars.
-    let offending: Vec<_> = h.offending().collect();
+    // Active alerts: every rule that is not ok, then the slowest requests'
+    // exemplar trace ids, the evidence a request-facing alert points at.
+    let offending: Vec<_> = samples
+        .iter()
+        .filter(|s| s.name == "baps_slo_rule_verdict" && s.value > 0.0)
+        .collect();
     if offending.is_empty() {
         out.push_str("\n  alerts: none — all SLO rules ok\n");
-    } else {
-        out.push_str("\n  alerts:\n");
-        for r in offending {
-            out.push_str(&format!(
-                "    {:<8} {:<20} {} = {:.3} (warn {:.3}, critical {:.3})\n",
-                r.verdict.name().to_uppercase(),
-                r.name,
-                r.signal.name(),
-                r.value,
-                r.warn,
-                r.critical
-            ));
-            if !r.exemplars.is_empty() {
-                let ids: Vec<String> = r.exemplars.iter().map(|t| format!("{t:016x}")).collect();
-                out.push_str(&format!("             traces: {}\n", ids.join(" ")));
-            }
-        }
+        return out;
+    }
+    out.push_str("\n  alerts:\n");
+    for r in offending {
+        let (rule, signal) = (
+            r.label("rule").unwrap_or("?"),
+            r.label("signal").unwrap_or("?"),
+        );
+        let of = |family| labelled(samples, family, &[("rule", rule)]);
+        out.push_str(&format!(
+            "    {:<8} {rule:<20} {signal} = {:.3} (warn {:.3}, critical {:.3})\n",
+            verdict_name(r.value).to_uppercase(),
+            of("baps_slo_rule_value"),
+            of("baps_slo_rule_warn"),
+            of("baps_slo_rule_critical"),
+        ));
+    }
+    let mut slow: Vec<(f64, &str)> = samples
+        .iter()
+        .filter(|s| s.name == "baps_request_latency_ms_bucket")
+        .filter_map(|s| {
+            let e = s.exemplar.as_ref()?;
+            Some((e.value, e.trace_id()?))
+        })
+        .collect();
+    slow.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let ids: Vec<&str> = slow.iter().map(|&(_, id)| id).take(MAX_TRACES).collect();
+    if !ids.is_empty() {
+        out.push_str(&format!("    slowest traces: {}\n", ids.join(" ")));
     }
     out
 }
@@ -330,19 +377,12 @@ fn main() {
     loop {
         iteration += 1;
         match scrape(&mut scraper) {
-            Ok(frame) => {
-                let rate = frame
-                    .health
-                    .windows
-                    .iter()
-                    .find(|w| w.window_secs == 1)
-                    .map(|w| w.req_per_s)
-                    .unwrap_or(0.0);
-                history.push(rate);
+            Ok(samples) => {
+                history.push(per_s(&samples, "baps_window_requests", "1"));
                 if history.len() > HISTORY {
                     history.remove(0);
                 }
-                print!("{}", render(&frame, &history, args.plain));
+                print!("{}", render(&samples, &history, args.plain));
                 if args.plain {
                     println!("--- frame {iteration} ---");
                 }

@@ -28,7 +28,7 @@
 //!    and serve disk hits afterwards, its counters must stay monotonic
 //!    across the restart, and every post-restart body is still byte-exact
 //!    (invariant 1 keeps applying).
-//! 6. **SLO verdicts** — after the schedule, the `HEALTH` verb
+//! 6. **SLO verdicts** — after the schedule, the SLO engine
 //!    (DESIGN.md §14) must judge the degraded-but-working deployment
 //!    `ok` against a chaos-calibrated rule table, and a post-schedule
 //!    burst of GETs for URLs that exist nowhere (every one a clean
@@ -38,7 +38,7 @@
 //! On any violation the binary dumps the deployment's flight-recorder
 //! ring (the last ~8k span events before the violation, trace ids
 //! included) headed by a live saturation snapshot and the current
-//! `HEALTH` verdict line (offending rules + their tail exemplar trace
+//! SLO verdict line (offending rules + their tail exemplar trace
 //! ids), prints a reproduction command, and exits nonzero.
 //!
 //! With `--scenario <name>` the random schedule is replaced by one of
@@ -440,7 +440,7 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
         }
     }
 
-    // Fault counts are frozen *before* the HEALTH burst so the run-to-run
+    // Fault counts are frozen *before* the error burst so the run-to-run
     // determinism comparison covers exactly the seeded schedule.
     let faults = plan.counts();
     check_health_flip(&bed, &mut violations);
@@ -476,21 +476,17 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
 /// still alive; heads every violation dump so a hang or queue collapse
 /// is distinguishable from a logic bug at a glance.
 fn saturation_line(bed: &TestBed) -> String {
-    let sat = bed.proxy.saturation();
     let r = bed.proxy.reactor_stats();
     format!(
-        "=== saturation: executor {} workers (busy {} peak {}) | queue depth {} \
-         (peak {}, rejected {}) | queue-wait p99 {:.3} ms over {} waits | \
+        "=== saturation: executor queue depth {} (peak {}, rejected {}) | \
+         queue-wait p99 {:.3} ms over {} waits | \
          flight occupancy {} | recorder drops {} | reactor {} loops \
          (fds {} peak {}, busy {:.1}%, inline {} offloaded {}) ===",
-        sat.workers,
-        sat.busy_workers,
-        sat.busy_workers_peak,
-        sat.queue_depth,
-        sat.queue_depth_peak,
-        sat.rejected,
-        sat.queue_wait.quantile_ms(0.99),
-        sat.queue_wait.count(),
+        r.queue_depth,
+        r.queue_depth_peak,
+        r.rejected,
+        r.queue_wait.quantile_ms(0.99),
+        r.queue_wait.count(),
         bed.proxy.flight_occupancy(),
         bed.recorder.dropped(),
         r.loops,
@@ -502,7 +498,7 @@ fn saturation_line(bed: &TestBed) -> String {
     )
 }
 
-/// One-line `HEALTH` verdict snapshot taken while the deployment is
+/// One-line SLO verdict snapshot taken while the deployment is
 /// still alive: the document verdict plus every offending rule with its
 /// measured value and tail exemplar trace ids (resolvable through
 /// `TRACE`). Rides next to the saturation line atop every violation
@@ -560,7 +556,7 @@ fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
             bed,
             violations,
             format!(
-                "clean-run HEALTH verdict {} (expected ok): {}",
+                "clean-run SLO verdict {} (expected ok): {}",
                 clean.verdict.name(),
                 burning.join(", ")
             ),
@@ -584,7 +580,7 @@ fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
         None => violate(
             bed,
             violations,
-            "error_burn rule missing from HEALTH after burst".to_string(),
+            "error_burn rule missing from the SLO report after burst".to_string(),
         ),
         Some(rule) if rule.verdict != Verdict::Critical => violate(
             bed,
@@ -961,7 +957,7 @@ fn fail(args: SoakArgs, violations: &[String], recorder_dump: Option<&str>) -> !
         // The ring holds the spans (with trace ids) leading up to the
         // violation — the VIOLATION events themselves are interleaved at
         // the positions where each invariant broke. A saturation snapshot
-        // (queue depth, busy workers, recorder drops, taken while the
+        // (queue depth and wait, recorder drops, taken while the
         // deployment was still alive) heads the dump, and the header
         // carries the full parameter set (profile/scenario included) so a
         // pasted dump is reproducible on its own.

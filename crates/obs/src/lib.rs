@@ -21,8 +21,8 @@
 //!   the tests that scrape it), backing the `METRICS BAPS/1.0` verb;
 //! * [`window`] — a lock-free ring of per-second cumulative captures
 //!   yielding rolling 1 s/10 s/60 s rates and windowed quantiles, the
-//!   substrate the proxy's `HEALTH BAPS/1.0` SLO verdicts are computed
-//!   over.
+//!   substrate the proxy's SLO verdicts (part of every `METRICS`
+//!   scrape) are computed over.
 //!
 //! Recording is **always on**; [`set_recording`] exists solely so the
 //! `recording` bench (`crates/bench/benches/recording.rs`) can measure the

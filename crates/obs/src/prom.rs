@@ -639,7 +639,7 @@ mod tests {
         }
         let mut text = PromText::new();
         text.counter("baps_requests_total", "GET requests handled.", 4);
-        text.gauge("baps_workers_busy", "Busy workers.", 3.0);
+        text.gauge("baps_queue_depth", "Queued jobs.", 3.0);
         text.header("baps_queue_wait_ms", "histogram", "Time in queue.");
         text.histogram("baps_queue_wait_ms", &[("pool", "proxy")], &h);
         text.histogram("baps_queue_wait_ms", &[("pool", "origin")], &h);

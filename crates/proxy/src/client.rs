@@ -41,6 +41,9 @@ const SLOW_FETCH: Duration = Duration::from_millis(2);
 /// Latency floor above which a watermark check earns a `verify` span.
 const SLOW_VERIFY: Duration = Duration::from_micros(250);
 
+/// Backoff before a fetch's first retry; doubles per attempt.
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Whether an operation on `len` body bytes that took `elapsed` ran slow:
 /// longer than `floor` plus 10 ns a byte (slower than 100 MB/s). A fixed
 /// time alone calls every large body slow and turns the shared ring over
@@ -76,13 +79,12 @@ pub struct ClientConfig {
     pub browser_capacity: u64,
     /// Connect/read/write deadline on the proxy connection. A stalled
     /// proxy makes the in-flight call fail with [`ProxyError::Timeout`]
-    /// instead of hanging the agent forever. `Duration::ZERO` disables it.
+    /// instead of hanging the agent forever.
     pub proxy_deadline: Duration,
     /// Extra fetch attempts after the first for retryable failures
-    /// (timeouts, transport errors, 5xx), with exponential backoff.
+    /// (timeouts, transport errors, 5xx), with exponential backoff from
+    /// 10 ms.
     pub retries: u32,
-    /// Initial backoff before the first retry; doubles per attempt.
-    pub retry_backoff: Duration,
     /// Fault plan consulted by the peer port (chaos testing).
     pub faults: Option<Arc<FaultPlan>>,
     /// Shared flight recorder (`None` gives the agent a private ring; the
@@ -96,7 +98,6 @@ impl Default for ClientConfig {
             browser_capacity: 32 << 10,
             proxy_deadline: Duration::from_secs(5),
             retries: 2,
-            retry_backoff: Duration::from_millis(10),
             faults: None,
             recorder: None,
         }
@@ -233,7 +234,7 @@ impl ClientAgent {
             .clone()
             .unwrap_or_else(|| Arc::new(FlightRecorder::default()));
         let state = Arc::new(ClientState::new(id, &config, recorder));
-        let peer_port = Server::bind(&format!("baps-client-{id}"), Arc::clone(&state), 1, 0)?;
+        let peer_port = Server::bind(&format!("baps-client-{id}"), Arc::clone(&state), 1)?;
         let agent = ClientAgent {
             id,
             proxy_addr,
@@ -322,14 +323,6 @@ impl ClientAgent {
         self.roundtrip(&Message::new("TRACE BAPS/1.0"))
     }
 
-    /// Scrapes the proxy's SLO verdict document over the wire
-    /// (`HEALTH BAPS/1.0`). The reply body parses with
-    /// [`crate::HealthReport::parse`]; the `Verdict` header carries the
-    /// worst rule verdict for cheap checks.
-    pub fn proxy_health_raw(&self) -> Result<Message, ProxyError> {
-        self.roundtrip(&Message::new("HEALTH BAPS/1.0"))
-    }
-
     fn register(&self) -> Result<(), ProxyError> {
         let reply = self.roundtrip(
             &Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
@@ -383,7 +376,7 @@ impl ClientAgent {
             });
         }
         let mut attempts_left = self.config.retries;
-        let mut backoff = self.config.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         loop {
             let result = match self.fetch_via_proxy(url, false, trace, root) {
                 Err(ProxyError::Integrity(_)) => {
@@ -399,9 +392,7 @@ impl ClientAgent {
             match result {
                 Err(e) if e.is_retryable() && attempts_left > 0 => {
                     attempts_left -= 1;
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+                    std::thread::sleep(backoff);
                     backoff *= 2;
                 }
                 other => {

@@ -5,7 +5,7 @@
 //! whose sum **is** `requests`, and where the `METRICS` exposition shows
 //! it. The live atomics ([`ProxyCounters`]), the public snapshot
 //! ([`ProxyStats`]), the restart baseline file, the counter families of
-//! the exposition and the `HEALTH` window capture are all generated from
+//! the exposition and the SLO window capture are all generated from
 //! that table or iterate it, so a new counter costs one row plus its bump
 //! site.
 

@@ -49,7 +49,7 @@ pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdic
 pub use origin::OriginServer;
 pub use protocol::{encode_message, read_message, response_code, write_message, Body, Message};
 pub use proxy::{ProxyConfig, ProxyServer, ProxyStats};
-pub use reactor::{PoolTelemetry, ReactorSnapshot, ReactorTelemetry, SaturationSnapshot};
+pub use reactor::{ReactorSnapshot, ReactorTelemetry};
 pub use runtime::{TestBed, TestBedConfig};
 pub use shard::{auto_shards, ShardedCache, StripedIndex};
 pub use store::{BodyCache, CachedDoc, DocumentStore};

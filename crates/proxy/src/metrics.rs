@@ -5,8 +5,10 @@
 //! `baps_requests_total` always equals the sum of `baps_served_total` +
 //! `baps_errors_total`), cache, disk-tier, and
 //! index occupancy with per-shard gauges, the per-tier and per-verb
-//! latency histograms, and the flight recorder's fill level. The
-//! exposition format and bucket layout are documented in DESIGN.md §9.
+//! latency histograms, the flight recorder's fill level, and the SLO
+//! engine's rolling windows and rule verdicts (`health.rs`), evaluated
+//! over a window capture this scrape forces. The exposition format and
+//! bucket layout are documented in DESIGN.md §9, the SLO families in §14.
 //!
 //! All `baps_*_total` series are **restart-surviving**: the snapshot
 //! folds in the counter baseline persisted beside the disk tier, so a
@@ -14,12 +16,15 @@
 //! reset to zero (DESIGN.md §10).
 
 use crate::counters::Family;
+use crate::health::{HealthReport, RuleVerdict, WindowRates};
 use crate::proxy::ProxyState;
 use crate::upstream::UPSTREAM_LABELS;
 use baps_obs::prom::PromText;
 
-/// Renders the full exposition for `state`.
+/// Renders the full exposition for `state`, after one forced window
+/// capture so the windows end no earlier than the scrape.
 pub(crate) fn render(state: &ProxyState) -> String {
+    state.windows.force_capture(state);
     let mut out = PromText::new();
 
     // Who is answering: the crate version, the document-digest kernel
@@ -277,38 +282,23 @@ pub(crate) fn render(state: &ProxyState) -> String {
         state.obs.recorder.dropped(),
     );
 
-    // Executor saturation: how busy the blocking (disk-tier) workers run
-    // and how long offloaded requests wait for one.
-    let sat = state.telemetry.snapshot();
-    out.gauge(
-        "baps_workers",
-        "Blocking executor threads (disk-tier writes, deferred reads, purges).",
-        sat.workers as f64,
-    );
-    out.gauge(
-        "baps_workers_busy",
-        "Executor workers currently running a job.",
-        sat.busy_workers as f64,
-    );
-    out.gauge(
-        "baps_workers_busy_peak",
-        "Most workers simultaneously busy since start.",
-        sat.busy_workers_peak as f64,
-    );
+    // Executor saturation: a job queues only while no executor thread is
+    // free, so a depth above 0 and the wait's tail say how saturated.
+    let r = state.reactor.snapshot();
     out.gauge(
         "baps_queue_depth",
-        "Jobs currently queued for the executor.",
-        sat.queue_depth as f64,
+        "Jobs currently queued for the executor (disk-tier writes, deferred reads, purges).",
+        r.queue_depth as f64,
     );
     out.gauge(
         "baps_queue_depth_peak",
         "Deepest the executor queue has been since start.",
-        sat.queue_depth_peak as f64,
+        r.queue_depth_peak as f64,
     );
     out.counter(
         "baps_queue_rejected_total",
-        "Requests refused because the executor was shutting down.",
-        sat.rejected,
+        "Jobs no executor thread could take (shutting down, or none could be spawned).",
+        r.rejected,
     );
     out.gauge(
         "baps_flight_registry_occupancy",
@@ -320,11 +310,10 @@ pub(crate) fn render(state: &ProxyState) -> String {
         "histogram",
         "Time jobs spent queued for the executor, milliseconds.",
     );
-    out.histogram("baps_queue_wait_ms", &[], &sat.queue_wait);
+    out.histogram("baps_queue_wait_ms", &[], &r.queue_wait);
 
     // Event-loop saturation: registered connections, ready-batch depth,
     // loop busy-fraction, inline vs offloaded dispatches.
-    let r = state.reactor.snapshot();
     out.gauge(
         "baps_reactor_event_loops",
         "Event loops serving client connections.",
@@ -406,7 +395,110 @@ pub(crate) fn render(state: &ProxyState) -> String {
         out.histogram("baps_verb_latency_ms", &[("verb", label)], &h);
     }
 
+    slo_series(&mut out, &crate::health::evaluate(state));
     out.finish()
+}
+
+/// A labelled gauge family: its name, its help text, and what it reads
+/// off each labelled item.
+type GaugeFamily<T> = (&'static str, &'static str, fn(&T) -> f64);
+
+/// The SLO engine's report: the document verdict, one labelled series per
+/// rule in each `baps_slo_rule_*` family, one per report window in each
+/// `baps_window_*` family. Windowed counts are gauges over the window's
+/// span, for the reader to divide into rates.
+fn slo_series(out: &mut PromText, report: &HealthReport) {
+    out.gauge(
+        "baps_slo_verdict",
+        "Worst SLO rule verdict (0 ok, 1 warn, 2 critical).",
+        report.verdict as u8 as f64,
+    );
+    let rule_families: [GaugeFamily<RuleVerdict>; 5] = [
+        (
+            "baps_slo_rule_value",
+            "Value each SLO rule measured, in its signal's unit.",
+            |r| r.value,
+        ),
+        (
+            "baps_slo_rule_warn",
+            "Each SLO rule's warn threshold (inclusive).",
+            |r| r.warn,
+        ),
+        (
+            "baps_slo_rule_critical",
+            "Each SLO rule's critical threshold (inclusive).",
+            |r| r.critical,
+        ),
+        (
+            "baps_slo_rule_verdict",
+            "Each SLO rule's verdict (0 ok, 1 warn, 2 critical).",
+            |r| r.verdict as u8 as f64,
+        ),
+        (
+            "baps_slo_rule_span_seconds",
+            "Actual span of the window each SLO rule was measured over (0: no data, or a gauge).",
+            |r| r.span_secs as f64,
+        ),
+    ];
+    for (family, help, value) in rule_families {
+        out.header(family, "gauge", help);
+        for r in &report.rules {
+            let labels = [("rule", r.name.as_str()), ("signal", r.signal.name())];
+            out.sample(family, &labels, value(r));
+        }
+    }
+    let window_families: [GaugeFamily<WindowRates>; 5] = [
+        (
+            "baps_window_span_seconds",
+            "Actual span of each report window (0: no data yet).",
+            |w| w.span_secs as f64,
+        ),
+        (
+            "baps_window_requests",
+            "GET requests completed in each report window.",
+            |w| w.requests as f64,
+        ),
+        (
+            "baps_window_errors",
+            "GET requests that failed in each report window.",
+            |w| w.errors as f64,
+        ),
+        (
+            "baps_window_origin_fetches",
+            "Origin fetches in each report window.",
+            |w| w.origin_fetches as f64,
+        ),
+        (
+            "baps_window_coalesced_fetches",
+            "Misses that shared another's fetch in each report window.",
+            |w| w.coalesced as f64,
+        ),
+    ];
+    let labels: Vec<String> = report
+        .windows
+        .iter()
+        .map(|w| w.window_secs.to_string())
+        .collect();
+    for (family, help, value) in window_families {
+        out.header(family, "gauge", help);
+        for (w, window) in report.windows.iter().zip(&labels) {
+            out.sample(family, &[("window", window)], value(w));
+        }
+    }
+    out.header(
+        "baps_window_latency_ms",
+        "gauge",
+        "GET latency quantile over each report window, milliseconds (all tiers merged).",
+    );
+    for (w, window) in report.windows.iter().zip(&labels) {
+        for (quantile, ms) in [("0.99", w.p99_ms), ("0.999", w.p999_ms)] {
+            out.sample(
+                "baps_window_latency_ms",
+                &[("window", window), ("quantile", quantile)],
+                ms,
+            );
+        }
+    }
 }
 
 /// Per-shard gauge/counter series under `prefix` (`…_entries`, `…_bytes`

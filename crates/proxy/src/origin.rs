@@ -66,7 +66,7 @@ impl OriginServer {
             faults,
             recorder: recorder.unwrap_or_default(),
         });
-        let server = Server::bind("baps-origin", Arc::clone(&state), loops_per_core(), 0)?;
+        let server = Server::bind("baps-origin", Arc::clone(&state), loops_per_core())?;
         Ok(OriginServer { server, state })
     }
 

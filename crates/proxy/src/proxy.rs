@@ -20,8 +20,8 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
 use crate::protocol::{response, response_code, status, Body, Message};
 use crate::reactor::{
-    loops_per_core, Event, FrameCtx, FrameService, PoolTelemetry, ReactorSnapshot,
-    ReactorTelemetry, SaturationSnapshot, Seat, Server, Step, Waker,
+    loops_per_core, Event, FrameCtx, FrameService, ReactorSnapshot, ReactorTelemetry, Seat, Server,
+    Step, Waker,
 };
 use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
@@ -42,15 +42,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Executor threads when [`ProxyConfig::worker_threads`] is `0`.
-pub(crate) const DEFAULT_WORKERS: usize = 8;
 /// Maximum peer candidates probed per request.
 const MAX_PEER_PROBES: usize = 4;
-/// Default deadline for one peer exchange (connect, request, reply), so
-/// one dead client cannot hold a request.
-const PEER_TIMEOUT: Duration = Duration::from_secs(2);
-/// Default deadline for one origin exchange.
-const ORIGIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Initial backoff between retried peer probes / origin fetches.
 const RETRY_BACKOFF: Duration = Duration::from_millis(5);
 
@@ -66,20 +59,13 @@ pub struct ProxyConfig {
     /// Whether the proxy absorbs peer-served documents into its own cache
     /// (the paper's default is no; see `RemoteHitCaching`).
     pub cache_peer_hits: bool,
-    /// Threads of the blocking executor — the ones that run disk-tier
-    /// reads and writes, so this bounds concurrent disk I/O (`0` = the
-    /// library default; a memory-only proxy never starts them).
-    /// Connections, peer probes and origin fetches are served by event
-    /// loops, one per available core, and are not bounded by threads.
-    pub worker_threads: usize,
-    /// Deadline for one peer exchange — connect, request, reply
-    /// (`Duration::ZERO` falls back to the built-in default).
+    /// Deadline for one peer exchange — connect, request, reply — so one
+    /// dead browser cannot hold a request.
     pub peer_timeout: Duration,
     /// Extra attempts per peer probe after a *transport* failure. A peer
     /// that answers `410 Gone` is authoritative and never re-probed.
     pub peer_retries: u32,
-    /// Deadline for one origin exchange (`Duration::ZERO` falls back to
-    /// the built-in default).
+    /// Deadline for one origin exchange.
     pub origin_timeout: Duration,
     /// Extra origin fetch attempts after a transport failure or 5xx.
     pub origin_retries: u32,
@@ -95,27 +81,9 @@ pub struct ProxyConfig {
     /// test bed passes one ring shared with the origin and every client so
     /// a single dump interleaves all sides of a request.
     pub recorder: Option<Arc<FlightRecorder>>,
-    /// Declarative SLO rules the `HEALTH BAPS/1.0` verb evaluates over
-    /// the rolling telemetry windows (DESIGN.md §14).
+    /// Declarative SLO rules every `METRICS BAPS/1.0` scrape evaluates
+    /// over the rolling telemetry windows (DESIGN.md §14).
     pub slo: SloTable,
-}
-
-impl ProxyConfig {
-    fn peer_deadline(&self) -> Duration {
-        if self.peer_timeout.is_zero() {
-            PEER_TIMEOUT
-        } else {
-            self.peer_timeout
-        }
-    }
-
-    fn origin_deadline(&self) -> Duration {
-        if self.origin_timeout.is_zero() {
-            ORIGIN_TIMEOUT
-        } else {
-            self.origin_timeout
-        }
-    }
 }
 
 /// Shard-lock waits above this are worth a flight-recorder event even on
@@ -124,15 +92,7 @@ const SLOW_SHARD_WAIT: Duration = Duration::from_micros(100);
 
 /// Label set for the proxy's per-verb latency histograms; the last label
 /// takes every message whose first token is none of the others.
-const PROXY_VERBS: [&str; 7] = [
-    "GET",
-    "INVALIDATE",
-    "REGISTER",
-    "METRICS",
-    "TRACE",
-    "HEALTH",
-    "other",
-];
+const PROXY_VERBS: [&str; 6] = ["GET", "INVALIDATE", "REGISTER", "METRICS", "TRACE", "other"];
 
 /// Position of a request's first token in [`PROXY_VERBS`].
 fn verb_index(verb: Option<&&str>) -> usize {
@@ -172,11 +132,8 @@ pub(crate) struct ProxyState {
     pub(crate) obs: ProxyObs,
     /// The persistent disk tier, when configured.
     pub(crate) disk: Option<DiskTier>,
-    /// Executor saturation telemetry (shared with the executor), so
-    /// METRICS can report queue depth, busy workers, and time-in-queue.
-    pub(crate) telemetry: Arc<PoolTelemetry>,
-    /// Event-loop telemetry (shared with the loops), the upstream
-    /// connections' counters included.
+    /// Event-loop and executor telemetry (shared with the loops and the
+    /// executor), the upstream connections' counters included.
     pub(crate) reactor: Arc<ReactorTelemetry>,
     /// Per-document in-flight miss registry (thundering-herd coalescing):
     /// the first miss for a doc becomes the leader and fetches; concurrent
@@ -185,7 +142,7 @@ pub(crate) struct ProxyState {
     /// borrow of this state.
     inflight: Arc<FlightRegistry>,
     /// Rolling per-second telemetry windows (fed by the sampler thread
-    /// and forced captures), the substrate of `HEALTH` SLO verdicts.
+    /// and forced captures), the substrate of the SLO verdicts.
     pub(crate) windows: ProxyWindows,
 }
 
@@ -227,11 +184,6 @@ impl ProxyServer {
     fn start_on(listener: TcpListener, config: ProxyConfig) -> io::Result<ProxyServer> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(config.key_seed));
-        let workers = if config.worker_threads == 0 {
-            DEFAULT_WORKERS
-        } else {
-            config.worker_threads
-        };
         let recorder = config
             .recorder
             .clone()
@@ -246,8 +198,7 @@ impl ProxyServer {
             .as_ref()
             .map(|d| load_baseline(d.root()))
             .unwrap_or_default();
-        let telemetry = Arc::<PoolTelemetry>::default();
-        let reactor_telemetry = Arc::<ReactorTelemetry>::default();
+        let telemetry = Arc::<ReactorTelemetry>::default();
         let state = Arc::new(ProxyState {
             cache: ShardedCache::new(config.cache_capacity, auto_shards(config.cache_capacity)),
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
@@ -263,8 +214,7 @@ impl ProxyServer {
                 verbs: LabeledHistograms::new(&PROXY_VERBS),
             },
             disk,
-            telemetry: Arc::clone(&telemetry),
-            reactor: Arc::clone(&reactor_telemetry),
+            reactor: Arc::clone(&telemetry),
             inflight: Arc::default(),
             windows: ProxyWindows::new(),
         });
@@ -289,8 +239,6 @@ impl ProxyServer {
             "baps-proxy",
             Arc::clone(&state),
             loops_per_core(),
-            workers,
-            reactor_telemetry,
             telemetry,
         )?;
         Ok(ProxyServer {
@@ -348,7 +296,8 @@ impl ProxyServer {
     }
 
     /// The Prometheus exposition the `METRICS BAPS/1.0` verb serves,
-    /// rendered directly (test/ops hook — no connection needed).
+    /// rendered directly (test/ops hook — no connection needed). Forces a
+    /// window capture first, exactly as the wire verb does.
     pub fn metrics_text(&self) -> String {
         crate::metrics::render(&self.state)
     }
@@ -385,16 +334,11 @@ impl ProxyServer {
         self.server.open_connections()
     }
 
-    /// Runtime-saturation snapshot of the blocking executor (the disk
-    /// tier's): configured workers, queue depth (current and peak), busy workers
-    /// (current and peak), rejected jobs, and the time-in-queue histogram.
-    pub fn saturation(&self) -> SaturationSnapshot {
-        self.state.telemetry.snapshot()
-    }
-
-    /// Event-loop telemetry snapshot: registered fds (current and peak),
-    /// ready-batch depth, loop busy-fraction, inline vs offloaded
-    /// dispatches, upstream exchanges in flight, parked requests.
+    /// Event-loop and executor telemetry snapshot: registered fds (current
+    /// and peak), ready-batch depth, loop busy-fraction, inline vs
+    /// offloaded dispatches, upstream exchanges in flight, parked requests,
+    /// and the executor queue's depth (current and peak), wait histogram
+    /// and rejected jobs.
     pub fn reactor_stats(&self) -> ReactorSnapshot {
         self.state.reactor.snapshot()
     }
@@ -405,9 +349,9 @@ impl ProxyServer {
         self.state.inflight.lock().len()
     }
 
-    /// The SLO verdict the `HEALTH BAPS/1.0` verb serves, evaluated
-    /// directly (test/ops hook — no connection needed). Forces a window
-    /// capture first, exactly as the wire verb does.
+    /// The SLO report a `METRICS BAPS/1.0` scrape renders, as a value
+    /// (test/ops hook — no connection needed). Forces a window capture
+    /// first, exactly as the wire verb does.
     pub fn health(&self) -> HealthReport {
         self.state.windows.force_capture(&self.state);
         crate::health::evaluate(&self.state)
@@ -622,16 +566,6 @@ fn dispatch(
             response(status::OK, "OK")
                 .header("Content-Type", "text/plain; version=0.0.4")
                 .with_body(text.into_bytes())
-        }
-        ["HEALTH", "BAPS/1.0"] => {
-            state.windows.force_capture(state);
-            let report = crate::health::evaluate(state);
-            response(status::OK, "OK")
-                .header("Content-Type", "text/plain")
-                .header("Verdict", report.verdict.name())
-                .header("Rules", report.rules.len().to_string())
-                .header("Uptime-Seconds", report.uptime_secs.to_string())
-                .with_body(report.render().into_bytes())
         }
         _ => response(status::BAD_REQUEST, "Bad Request"),
     };
@@ -1093,8 +1027,7 @@ impl Miss {
                     match flight.outcome_or_enlist(|| seat.waker()) {
                         Some(outcome) => outcome,
                         None => {
-                            let budget =
-                                state.config.origin_deadline() + state.config.peer_deadline();
+                            let budget = state.config.origin_timeout + state.config.peer_timeout;
                             self.stage = Stage::Following { flight, t_wait };
                             return Step::Wait(budget, self);
                         }
@@ -1268,7 +1201,7 @@ impl Miss {
         let ask = Ask {
             addr: state.config.origin_addr,
             upstream: Upstream::Origin,
-            deadline: state.config.origin_deadline(),
+            deadline: state.config.origin_timeout,
             request,
         };
         Step::Ask(ask, self)
@@ -1400,7 +1333,7 @@ impl Miss {
         let ask = Ask {
             addr,
             upstream: Upstream::Peer,
-            deadline: state.config.peer_deadline(),
+            deadline: state.config.peer_timeout,
             request: traced(
                 Message::new(format!("PEERGET {} BAPS/1.0", self.url)),
                 self.req.trace,
@@ -1709,10 +1642,9 @@ mod tests {
             origin_addr,
             key_seed: 1,
             cache_peer_hits: false,
-            worker_threads: 0,
-            peer_timeout: Duration::ZERO,
+            peer_timeout: Duration::from_secs(2),
             peer_retries: 0,
-            origin_timeout: Duration::ZERO,
+            origin_timeout: Duration::from_secs(5),
             origin_retries: 0,
             disk: None,
             faults: None,
@@ -1965,7 +1897,7 @@ mod tests {
             let Step::Wait(budget, miss) = step else {
                 panic!("a follower parks");
             };
-            assert_eq!(budget, ORIGIN_TIMEOUT + PEER_TIMEOUT);
+            assert_eq!(budget, Duration::from_secs(5 + 2), "origin + peer deadline");
             assert!(matches!(miss.stage, Stage::Following { .. }));
             step = miss.resume(state, Event::Wake, &seat);
         }

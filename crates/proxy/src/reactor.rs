@@ -64,6 +64,9 @@ const EVENT_BATCH: usize = 256;
 const READ_CHUNK: usize = 16 << 10;
 /// Most write-queue segments offered to one vectored write.
 const MAX_IOVEC: usize = 16;
+/// Threads of a server's blocking executor, started by its first
+/// [`Step::Offload`]. On the proxy they bound concurrent disk-tier I/O.
+pub(crate) const EXECUTOR_THREADS: usize = 8;
 
 /// `msg` as a frame of exactly `chunks × READ_CHUNK` bytes (its body is
 /// padded to fit): the sender's last byte fills the loop's last read, so a
@@ -458,11 +461,17 @@ impl WriteQueue {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-/// Always-on gauges for one server's event loops: registered connections,
-/// epoll batch depth, loop busy-fraction, inline vs offloaded dispatches,
-/// upstream exchanges in flight and requests parked in a wait, and the
-/// upstream connections' counters.
-/// ([`PoolTelemetry`] below describes the blocking executor beside them.)
+/// Always-on gauges for one server's event loops and its executor:
+/// registered connections, epoll batch depth, loop busy-fraction, inline
+/// vs offloaded dispatches, upstream exchanges in flight and requests
+/// parked in a wait, the upstream connections' counters, and the executor
+/// queue — its depth, how long a job waits in it for a thread, and the
+/// jobs no thread could take.
+///
+/// All plain atomics recorded unconditionally: saturation data must exist
+/// even when the `recording` bench turns event recording off, and a
+/// handful of relaxed atomic ops per event is far below the always-on
+/// budget.
 #[derive(Debug)]
 pub struct ReactorTelemetry {
     loops: AtomicU64,
@@ -477,6 +486,10 @@ pub struct ReactorTelemetry {
     parked: AtomicU64,
     busy_micros: AtomicU64,
     upstream: UpstreamCounters,
+    queued: AtomicU64,
+    queued_peak: AtomicU64,
+    rejected: AtomicU64,
+    queue_wait: AtomicHistogram,
     started: Instant,
 }
 
@@ -495,8 +508,21 @@ impl Default for ReactorTelemetry {
             parked: AtomicU64::new(0),
             busy_micros: AtomicU64::new(0),
             upstream: UpstreamCounters::default(),
+            queued: AtomicU64::new(0),
+            queued_peak: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            queue_wait: AtomicHistogram::default(),
             started: Instant::now(),
         }
+    }
+}
+
+/// Raises `peak` to `value`. Same cheap discipline as
+/// `AtomicHistogram::record_ms`: no read-modify-write unless this is
+/// actually a new peak.
+fn raise_peak(peak: &AtomicU64, value: u64) {
+    if value > peak.load(Ordering::Relaxed) {
+        peak.fetch_max(value, Ordering::Relaxed);
     }
 }
 
@@ -507,9 +533,7 @@ impl ReactorTelemetry {
 
     fn conn_registered(&self) {
         let now = self.registered.fetch_add(1, Ordering::Relaxed) + 1;
-        if now > self.registered_peak.load(Ordering::Relaxed) {
-            self.registered_peak.fetch_max(now, Ordering::Relaxed);
-        }
+        raise_peak(&self.registered_peak, now);
     }
 
     fn conn_closed(&self) {
@@ -518,9 +542,7 @@ impl ReactorTelemetry {
 
     fn on_batch(&self, ready: u64) {
         self.ready_events.fetch_add(ready, Ordering::Relaxed);
-        if ready > self.ready_batch_peak.load(Ordering::Relaxed) {
-            self.ready_batch_peak.fetch_max(ready, Ordering::Relaxed);
-        }
+        raise_peak(&self.ready_batch_peak, ready);
     }
 
     fn on_wakeup(&self) {
@@ -538,6 +560,21 @@ impl ReactorTelemetry {
     fn add_busy(&self, busy: Duration) {
         self.busy_micros
             .fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
+    }
+
+    fn enqueued(&self) {
+        let depth = self.queued.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        raise_peak(&self.queued_peak, depth);
+    }
+
+    fn enqueue_failed(&self) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn dequeued(&self, wait: Duration) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.queue_wait.record(wait);
     }
 
     /// A point-in-time copy of the upstream connections' counters.
@@ -562,12 +599,17 @@ impl ReactorTelemetry {
             exchanges_in_flight: self.exchanges.load(Ordering::Relaxed),
             parked_requests: self.parked.load(Ordering::Relaxed),
             busy_fraction: (busy_us as f64 / (elapsed_us as f64 * loops as f64)).min(1.0),
+            queue_depth: self.queued.load(Ordering::Relaxed),
+            queue_depth_peak: self.queued_peak.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            queue_wait: self.queue_wait.snapshot(),
         }
     }
 }
 
-/// A point-in-time copy of a server's [`ReactorTelemetry`]; the proxy's is
-/// surfaced via `ProxyServer::reactor_stats` and the `baps_reactor_*`
+/// A point-in-time copy of a server's [`ReactorTelemetry`]: the one
+/// in-process view of a server. The proxy's is surfaced via
+/// `ProxyServer::reactor_stats` and the `baps_reactor_*` / `baps_queue_*`
 /// metrics.
 #[derive(Debug, Clone)]
 pub struct ReactorSnapshot {
@@ -598,96 +640,17 @@ pub struct ReactorSnapshot {
     /// Fraction of wall time the loops spent processing events rather than
     /// parked in `epoll_wait` (0.0–1.0, averaged across loops).
     pub busy_fraction: f64,
-}
-
-/// Runtime-saturation telemetry for a server's blocking executor — the
-/// queue feeding its fixed set of worker threads: how deep the queue runs,
-/// how long requests sit in it before a worker picks them up, and how many
-/// workers are busy. One item per offloaded request.
-///
-/// All fields are plain atomics recorded unconditionally: saturation data
-/// must exist even when the `recording` bench turns event recording off,
-/// and a handful of relaxed atomic ops per queued item is far below the
-/// always-on budget.
-#[derive(Debug, Default)]
-pub struct PoolTelemetry {
-    workers: AtomicU64,
-    queued: AtomicU64,
-    queued_peak: AtomicU64,
-    busy: AtomicU64,
-    busy_peak: AtomicU64,
-    rejected: AtomicU64,
-    queue_wait: AtomicHistogram,
-}
-
-/// A point-in-time copy of a [`PoolTelemetry`].
-#[derive(Debug, Clone)]
-pub struct SaturationSnapshot {
-    /// Configured worker threads.
-    pub workers: u64,
-    /// Items currently queued, waiting for a worker.
+    /// Jobs queued for the executor right now, not yet claimed by a
+    /// thread. Past the moment a parked thread takes to wake, a job waits
+    /// only while every thread is busy: above 0 means saturated.
     pub queue_depth: u64,
-    /// Deepest the queue has been since start.
+    /// Deepest the executor queue has been since start.
     pub queue_depth_peak: u64,
-    /// Workers currently running an item.
-    pub busy_workers: u64,
-    /// Most workers simultaneously busy since start.
-    pub busy_workers_peak: u64,
-    /// Items refused because the queue was full or closed.
+    /// Jobs no executor thread could take: the queue was closed (shutting
+    /// down) or no thread could be spawned.
     pub rejected: u64,
-    /// Time items spent queued before a worker claimed them.
+    /// Time jobs spent queued before an executor thread claimed them.
     pub queue_wait: LatencyHistogram,
-}
-
-impl PoolTelemetry {
-    fn raise_peak(peak: &AtomicU64, value: u64) {
-        // Same cheap discipline as `AtomicHistogram::record_ms`: skip the
-        // CAS loop unless this is actually a new peak.
-        if value > peak.load(Ordering::Relaxed) {
-            peak.fetch_max(value, Ordering::Relaxed);
-        }
-    }
-
-    fn set_workers(&self, n: u64) {
-        self.workers.store(n, Ordering::Relaxed);
-    }
-
-    fn enqueued(&self) {
-        let depth = self.queued.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        Self::raise_peak(&self.queued_peak, depth);
-    }
-
-    fn enqueue_failed(&self) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn dequeued(&self, wait: Duration) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        self.queue_wait.record(wait);
-    }
-
-    fn task_started(&self) {
-        let busy = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
-        Self::raise_peak(&self.busy_peak, busy);
-    }
-
-    fn task_finished(&self) {
-        self.busy.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every gauge, peak, and the wait histogram.
-    pub fn snapshot(&self) -> SaturationSnapshot {
-        SaturationSnapshot {
-            workers: self.workers.load(Ordering::Relaxed),
-            queue_depth: self.queued.load(Ordering::Relaxed),
-            queue_depth_peak: self.queued_peak.load(Ordering::Relaxed),
-            busy_workers: self.busy.load(Ordering::Relaxed),
-            busy_workers_peak: self.busy_peak.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            queue_wait: self.queue_wait.snapshot(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -908,8 +871,6 @@ struct EventLoop<S: FrameService> {
     next_timer: u64,
     service: Arc<S>,
     jobs: Arc<JobQueue<S::Cont>>,
-    executor_threads: usize,
-    pool_telemetry: Arc<PoolTelemetry>,
     telemetry: Arc<ReactorTelemetry>,
     stop: Arc<AtomicBool>,
     scratch: Vec<u8>,
@@ -1287,7 +1248,7 @@ impl<S: FrameService> EventLoop<S> {
                 },
                 Step::Offload(cont) => {
                     self.telemetry.offload();
-                    self.pool_telemetry.enqueued();
+                    self.telemetry.enqueued();
                     let job = Job {
                         loop_id: self.id,
                         token,
@@ -1296,7 +1257,7 @@ impl<S: FrameService> EventLoop<S> {
                         enqueued: Instant::now(),
                     };
                     if !self.jobs.push(job, || self.start_executor()) {
-                        self.pool_telemetry.enqueue_failed();
+                        self.telemetry.enqueue_failed();
                         return false; // shutting down, or nothing to run it on
                     }
                     return true;
@@ -1337,17 +1298,17 @@ impl<S: FrameService> EventLoop<S> {
     /// Spawns the executor's threads (`{server}-exec-N`); returns those that
     /// started.
     fn start_executor(&self) -> Vec<JoinHandle<()>> {
-        (0..self.executor_threads)
+        (0..EXECUTOR_THREADS)
             .filter_map(|i| {
-                let (jobs, service, loops, pool_telemetry) = (
+                let (jobs, service, loops, telemetry) = (
                     Arc::clone(&self.jobs),
                     Arc::clone(&self.service),
                     Arc::clone(&self.loops),
-                    Arc::clone(&self.pool_telemetry),
+                    Arc::clone(&self.telemetry),
                 );
                 std::thread::Builder::new()
                     .name(format!("{}-exec-{i}", self.server))
-                    .spawn(move || executor_loop(&jobs, &*service, &loops, &pool_telemetry))
+                    .spawn(move || executor_loop(&jobs, &*service, &loops, &telemetry))
                     .ok()
             })
             .collect()
@@ -1668,8 +1629,8 @@ struct QueueState<C> {
 impl<C> JobQueue<C> {
     /// Queues a job; the first call runs `start` for the worker threads.
     /// `false` once the queue is closed, or if there is no worker to run
-    /// the job (none configured, or none could be spawned): the loop then
-    /// closes the connection rather than leave it waiting.
+    /// the job (none could be spawned): the loop then closes the
+    /// connection rather than leave it waiting.
     fn push(&self, job: Job<C>, start: impl FnOnce() -> Vec<JoinHandle<()>>) -> bool {
         let mut st = self.state.lock();
         let QueueState {
@@ -1717,8 +1678,8 @@ impl<C> JobQueue<C> {
 
 /// A running BAPS server — the proxy's client port, the origin, a
 /// browser's peer port: a blocking acceptor thread feeding `loops` event
-/// loops, plus `executor_threads` blocking threads — started by the first
-/// [`Step::Offload`] — to run such steps. The loops are the sole owners of
+/// loops, plus [`EXECUTOR_THREADS`] blocking threads — started by the
+/// first [`Step::Offload`] — to run such steps. The loops are the sole owners of
 /// their sockets — one fd per connection, accepted or upstream, which is
 /// what lets a 10k-idle-connection ladder fit in an ordinary fd table. `C`
 /// is the service's [`FrameService::Cont`].
@@ -1741,35 +1702,27 @@ impl<C: Send + 'static> Server<C> {
         name: &str,
         service: Arc<S>,
         loops: usize,
-        executor_threads: usize,
     ) -> io::Result<Server<C>> {
         Server::start_on(
             TcpListener::bind("127.0.0.1:0")?,
             name,
             service,
             loops,
-            executor_threads,
-            Arc::default(),
             Arc::default(),
         )
     }
 
-    /// Starts serving on an already-bound listener. `telemetry` tracks the
-    /// loops, `pool_telemetry` the executor's queue/busy gauges. A service
-    /// that ever offloads needs `executor_threads ≥ 1` (without them such
-    /// a step closes its connection).
+    /// Starts serving on an already-bound listener; `telemetry` tracks the
+    /// loops and the executor.
     pub(crate) fn start_on<S: FrameService<Cont = C>>(
         listener: TcpListener,
         name: &str,
         service: Arc<S>,
         loops: usize,
-        executor_threads: usize,
         telemetry: Arc<ReactorTelemetry>,
-        pool_telemetry: Arc<PoolTelemetry>,
     ) -> io::Result<Server<C>> {
         let addr = listener.local_addr()?;
         telemetry.set_loops(loops as u64);
-        pool_telemetry.set_workers(executor_threads as u64);
         let stop = Arc::new(AtomicBool::new(false));
 
         let mut epolls = Vec::with_capacity(loops);
@@ -1810,8 +1763,6 @@ impl<C: Send + 'static> Server<C> {
                 next_timer: 0,
                 service: Arc::clone(&service),
                 jobs: Arc::clone(&jobs),
-                executor_threads,
-                pool_telemetry: Arc::clone(&pool_telemetry),
                 telemetry: Arc::clone(&telemetry),
                 stop: Arc::clone(&stop),
                 scratch: vec![0u8; READ_CHUNK],
@@ -1929,11 +1880,10 @@ fn executor_loop<S: FrameService>(
     jobs: &JobQueue<S::Cont>,
     service: &S,
     shared: &Vec<Arc<LoopShared<S::Cont>>>,
-    pool_telemetry: &PoolTelemetry,
+    telemetry: &ReactorTelemetry,
 ) {
     while let Some(job) = jobs.pop() {
-        pool_telemetry.dequeued(job.enqueued.elapsed());
-        pool_telemetry.task_started();
+        telemetry.dequeued(job.enqueued.elapsed());
         let seat = Seat {
             loops: shared,
             loop_id: job.loop_id,
@@ -1941,7 +1891,6 @@ fn executor_loop<S: FrameService>(
             seq: job.seq,
         };
         let step = service.resume(job.cont, Event::Run, &seat);
-        pool_telemetry.task_finished();
         shared[job.loop_id].send(Inbound::Step {
             token: job.token,
             step,
@@ -2163,7 +2112,7 @@ mod tests {
     #[test]
     fn wire_faults_as_the_reader_sees_them() {
         let echo = Arc::new(Echo(FaultPlan::new(0, Default::default())));
-        let server = Server::bind("echo", echo, 1, 0).unwrap();
+        let server = Server::bind("echo", echo, 1).unwrap();
         let dial = || BufReader::new(TcpStream::connect(server.addr()).unwrap());
         let mut conn = dial();
 

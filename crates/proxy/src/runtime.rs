@@ -13,6 +13,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Seed of every test bed's proxy key pair.
+const KEY_SEED: u64 = 0xbaf5;
+
 /// Configuration of a full loopback deployment.
 #[derive(Debug, Clone)]
 pub struct TestBedConfig {
@@ -24,26 +27,15 @@ pub struct TestBedConfig {
     pub browser_capacity: u64,
     /// Whether the proxy absorbs peer-served documents.
     pub cache_peer_hits: bool,
-    /// Seed for the proxy's key pair.
-    pub key_seed: u64,
-    /// Threads of the proxy's blocking executor, which bound its
-    /// concurrent disk-tier reads and writes (misses are exchanges on the
-    /// event loops and use none). `0` (the default) sizes them
-    /// automatically: one per client plus headroom, so every client can
-    /// have a disk read in flight at once.
-    pub proxy_workers: usize,
-    /// Client-side deadline on the proxy connection (`Duration::ZERO`
-    /// disables it).
+    /// Client-side deadline on the proxy connection.
     pub client_timeout: Duration,
     /// Extra client fetch attempts for retryable failures.
     pub client_retries: u32,
-    /// Proxy-side deadline for peer probes (`Duration::ZERO` uses the
-    /// library default).
+    /// Proxy-side deadline for peer probes.
     pub peer_timeout: Duration,
     /// Extra proxy attempts per failed peer probe.
     pub peer_retries: u32,
-    /// Proxy-side deadline for origin fetches (`Duration::ZERO` uses the
-    /// library default).
+    /// Proxy-side deadline for origin fetches.
     pub origin_timeout: Duration,
     /// Extra proxy attempts per failed origin fetch.
     pub origin_retries: u32,
@@ -58,7 +50,7 @@ pub struct TestBedConfig {
     /// Disk-tier freshness TTL (used when `disk_root` is set). Entries
     /// older than this revalidate against the origin before being served.
     pub disk_ttl: Duration,
-    /// SLO rule table the proxy's `HEALTH BAPS/1.0` verb evaluates.
+    /// SLO rule table the proxy's `METRICS BAPS/1.0` scrapes evaluate.
     /// Chaos/bench runs calibrate these thresholds to the workload
     /// envelope they drive (the library defaults only flag a *broken*
     /// proxy, not a deliberately tormented one).
@@ -72,13 +64,11 @@ impl Default for TestBedConfig {
             proxy_capacity: 64 << 10,
             browser_capacity: 32 << 10,
             cache_peer_hits: false,
-            key_seed: 0xbaf5,
-            proxy_workers: 0,
             client_timeout: Duration::from_secs(5),
             client_retries: 2,
-            peer_timeout: Duration::ZERO,
+            peer_timeout: Duration::from_secs(2),
             peer_retries: 1,
-            origin_timeout: Duration::ZERO,
+            origin_timeout: Duration::from_secs(5),
             origin_retries: 1,
             fault_plan: None,
             disk_root: None,
@@ -105,14 +95,6 @@ pub struct TestBed {
 impl TestBed {
     /// Starts everything on ephemeral loopback ports.
     pub fn start(store: DocumentStore, config: TestBedConfig) -> Result<TestBed, ProxyError> {
-        // Every client can have one disk-tier read or write in flight,
-        // and each runs on an executor thread — so the automatic sizing
-        // scales with the client count (plus headroom).
-        let workers = if config.proxy_workers == 0 {
-            (config.n_clients as usize + 4).max(crate::proxy::DEFAULT_WORKERS)
-        } else {
-            config.proxy_workers
-        };
         // One ring, shared by the origin, the proxy and every client, so a
         // dump interleaves all sides of each traced request.
         let recorder = Arc::new(FlightRecorder::default());
@@ -124,9 +106,8 @@ impl TestBed {
         let proxy = ProxyServer::start(ProxyConfig {
             cache_capacity: config.proxy_capacity,
             origin_addr: origin.addr(),
-            key_seed: config.key_seed,
+            key_seed: KEY_SEED,
             cache_peer_hits: config.cache_peer_hits,
-            worker_threads: workers,
             peer_timeout: config.peer_timeout,
             peer_retries: config.peer_retries,
             origin_timeout: config.origin_timeout,
@@ -151,7 +132,6 @@ impl TestBed {
                         browser_capacity: config.browser_capacity,
                         proxy_deadline: config.client_timeout,
                         retries: config.client_retries,
-                        retry_backoff: Duration::from_millis(10),
                         faults: config.fault_plan.clone(),
                         recorder: Some(Arc::clone(&recorder)),
                     },

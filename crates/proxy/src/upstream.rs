@@ -49,21 +49,14 @@ pub(crate) const IDLE_PER_ADDR: usize = 8;
 
 /// Dials `addr` with `deadline` as the connect timeout and installs it as
 /// the read/write timeout on the resulting stream, so no later blocking
-/// operation on this socket can outlive it. `Duration::ZERO` disables the
-/// deadline entirely (plain blocking connect, no socket timeouts). What a
-/// browser dials its proxy with; the proxy's own upstream connections are
-/// nonblocking and loop-owned.
+/// operation on this socket can outlive it. What a browser dials its proxy
+/// with; the proxy's own upstream connections are nonblocking and
+/// loop-owned.
 pub fn dial_with_deadline(addr: SocketAddr, deadline: Duration) -> io::Result<TcpStream> {
-    let stream = if deadline.is_zero() {
-        TcpStream::connect(addr)?
-    } else {
-        TcpStream::connect_timeout(&addr, deadline)?
-    };
+    let stream = TcpStream::connect_timeout(&addr, deadline)?;
     stream.set_nodelay(true)?;
-    if !deadline.is_zero() {
-        stream.set_read_timeout(Some(deadline))?;
-        stream.set_write_timeout(Some(deadline))?;
-    }
+    stream.set_read_timeout(Some(deadline))?;
+    stream.set_write_timeout(Some(deadline))?;
     Ok(stream)
 }
 
@@ -435,9 +428,7 @@ mod tests {
             "relay",
             Arc::new(Relay { target, upstream }),
             1,
-            0,
             Arc::clone(&telemetry),
-            Arc::default(),
         )
         .unwrap();
         let client = BufReader::new(TcpStream::connect(relay.addr()).unwrap());

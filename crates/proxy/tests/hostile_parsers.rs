@@ -1,14 +1,13 @@
-//! The three text parsers the CI smokes and `baps_top` read a proxy's
-//! replies with — [`prom::parse`] (METRICS), [`span::parse_jsonl`] (TRACE)
-//! and [`HealthReport::parse`] (HEALTH) — under hostile bytes: none of
-//! them panics on an arbitrary byte string decoded lossily, nor on a valid
-//! document with one byte flipped, spliced in or cut off at, and each
-//! recovers exactly what its renderer wrote. One file for all three (the
-//! `baps-obs` parsers included) because they share the document
-//! generators' mutation step and the property.
+//! The two text parsers every proxy reply body is read with — the tests'
+//! and `baps_top`'s — [`prom::parse`] (METRICS) and [`span::parse_jsonl`]
+//! (TRACE) — under hostile bytes: neither panics on an arbitrary byte
+//! string decoded lossily, nor on a valid document with one byte flipped,
+//! spliced in or cut off at, and each recovers exactly what its renderer
+//! wrote. One file for both because they share the document generators'
+//! mutation step and the property.
 //!
 //! The disk tier's log entry (88-byte header, URL, body, one after another
-//! in a segment file) is the fourth parser here and takes the same
+//! in a segment file) is the third parser here and takes the same
 //! mutation step: an edited entry never serves bytes other than the stored
 //! document — nor makes a neighbour serve any —, self-heals, and neither a
 //! read nor the open-time scan allocates for a length it has not checked
@@ -23,9 +22,7 @@ use baps_obs::span::SpanRecord;
 use baps_obs::{prom, span, LatencyHistogram, SpanId, TraceId};
 use baps_proxy::disk::{scan, Scanned};
 use baps_proxy::protocol::MAX_BODY;
-use baps_proxy::{
-    CachedDoc, DiskConfig, DiskTier, HealthReport, RuleVerdict, SloSignal, Verdict, WindowRates,
-};
+use baps_proxy::{CachedDoc, DiskConfig, DiskTier};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,18 +35,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Runs all three parsers over `text`; the property is that this returns.
+/// Runs both parsers over `text`; the property is that this returns.
 fn parse_all(text: &str) {
     let _ = prom::parse(text);
     let _ = prom::check_conformance(text);
     let _ = span::parse_jsonl(text);
-    let _ = HealthReport::parse(text);
 }
 
-/// Arbitrary bytes, half of them drawn from the punctuation the three
+/// Arbitrary bytes, half of them drawn from the punctuation the two
 /// grammars branch on so a random string gets past a parser's first token.
 fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
-    const SYNTAX: &[u8] = b"{}\"\\#=,: \n\r\t+-.0123456789eInfu_abcrulewindowHELPTYPE";
+    const SYNTAX: &[u8] = b"{}\"\\#=,: \n\r\t+-.0123456789eInfu_abcHELPTYPE";
     vec(
         prop_oneof![any::<u8>(), (0..SYNTAX.len()).prop_map(|i| SYNTAX[i]),],
         0..512,
@@ -153,83 +149,6 @@ fn exposition(samples: &[PlainSample], latencies_ms: &[f64], exemplar: u64) -> S
     let exemplars = [exemplar; baps_obs::hist::NBUCKETS];
     out.histogram_with_exemplars("fuzz_latency_ms", &[("tier", "proxy")], &histo, &exemplars);
     out.finish()
-}
-
-fn health_report() -> impl Strategy<Value = HealthReport> {
-    // Counts stay below 2^40 and rates below 10^6: the parser reads every
-    // number as an f64, exact for any count a proxy can reach, and the
-    // renderer keeps three (rules: six) decimals.
-    let count = || 0u64..1 << 40;
-    let rate = || 0.0f64..1e6;
-    let verdict = || {
-        prop_oneof![
-            Just(Verdict::Ok),
-            Just(Verdict::Warn),
-            Just(Verdict::Critical)
-        ]
-    };
-    let window = (
-        (
-            count(),
-            count(),
-            count(),
-            count(),
-            count(),
-            count(),
-            count(),
-        ),
-        (rate(), rate(), rate(), rate()),
-    )
-        .prop_map(|(counts, rates)| WindowRates {
-            window_secs: counts.0,
-            span_secs: counts.1,
-            requests: counts.2,
-            errors: counts.3,
-            origin_fetches: counts.4,
-            coalesced: counts.5,
-            rejected: counts.6,
-            req_per_s: rates.0,
-            err_per_s: rates.1,
-            p99_ms: rates.2,
-            p999_ms: rates.3,
-        });
-    let signal = prop_oneof![
-        Just(SloSignal::ErrorRate),
-        Just(SloSignal::OriginFallbackRate),
-        Just(SloSignal::RequestP999Ms),
-        Just(SloSignal::QueueWaitP99Ms),
-        Just(SloSignal::RecorderShedPerSec),
-        Just(SloSignal::ReactorReadyDepth),
-    ];
-    let rule = (
-        "[a-z_]{1,16}",
-        signal,
-        (count(), count()),
-        (rate(), rate(), rate()),
-        verdict(),
-        vec(any::<u64>(), 0..4),
-    )
-        .prop_map(
-            |(name, signal, spans, values, verdict, exemplars)| RuleVerdict {
-                name,
-                signal,
-                window_secs: spans.0,
-                span_secs: spans.1,
-                value: values.0,
-                warn: values.1,
-                critical: values.2,
-                verdict,
-                exemplars,
-            },
-        );
-    (verdict(), count(), vec(window, 0..4), vec(rule, 0..8)).prop_map(
-        |(verdict, uptime_secs, windows, rules)| HealthReport {
-            verdict,
-            uptime_secs,
-            windows,
-            rules,
-        },
-    )
 }
 
 /// The system allocator, noting the largest single request each thread
@@ -455,13 +374,11 @@ proptest! {
         records in span_records(),
         samples in plain_samples(),
         latencies_ms in vec(1e-3f64..1e4, 0..40),
-        report in health_report(),
         edits in edits(),
     ) {
         let docs = [
             span_dump(&records),
             exposition(&samples, &latencies_ms, 0xfeed),
-            report.render(),
         ];
         for doc in &docs {
             for edit in &edits {
@@ -499,13 +416,6 @@ proptest! {
             let carried = bucket.exemplar.as_ref().and_then(|e| e.trace_id());
             prop_assert_eq!(carried, Some(trace_id.as_str()));
         }
-    }
-
-    #[test]
-    fn a_health_report_round_trips(report in health_report()) {
-        let text = report.render();
-        let parsed = HealthReport::parse(&text).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(parsed.render(), text);
     }
 
     #[test]

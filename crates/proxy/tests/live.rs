@@ -2,8 +2,7 @@
 
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, FaultConfig, FaultKind, FaultPlan,
-    HealthReport, Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TestBed,
-    TestBedConfig,
+    Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TestBed, TestBedConfig,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -431,19 +430,21 @@ fn concurrent_stress_hot_and_disjoint_docs() {
     bed.shutdown();
 }
 
-/// The retired `STATS` verb is an unknown verb like any other: `400`, and
-/// the connection stays framed for the next request.
+/// The retired `STATS` and `HEALTH` verbs are unknown verbs like any
+/// other: `400`, and the connection stays framed for the next request.
 #[test]
 fn retired_stats_verb_is_a_bad_request() {
     let bed = bed(1, 64 << 10, 32 << 10);
     let stream = TcpStream::connect(bed.proxy.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    write_message(&mut writer, &Message::new("STATS BAPS/1.0")).unwrap();
-    let reply = read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(response_code(&reply), Some(400));
-    assert!(reply.body.is_empty());
-    write_message(&mut writer, &Message::new("HEALTH BAPS/1.0")).unwrap();
+    for verb in ["STATS", "HEALTH"] {
+        write_message(&mut writer, &Message::new(format!("{verb} BAPS/1.0"))).unwrap();
+        let reply = read_message(&mut reader).unwrap().unwrap();
+        assert_eq!(response_code(&reply), Some(400), "{verb}");
+        assert!(reply.body.is_empty(), "{verb}");
+    }
+    write_message(&mut writer, &Message::new("METRICS BAPS/1.0")).unwrap();
     let reply = read_message(&mut reader).unwrap().unwrap();
     assert_eq!(response_code(&reply), Some(200));
     bed.shutdown();
@@ -1045,10 +1046,9 @@ fn proxy_before(
         origin_addr,
         key_seed: 1,
         cache_peer_hits: false,
-        worker_threads: 0,
-        peer_timeout: Duration::ZERO,
+        peer_timeout: Duration::from_secs(2),
         peer_retries: 0,
-        origin_timeout: Duration::ZERO,
+        origin_timeout: Duration::from_secs(5),
         origin_retries: 0,
         disk: disk.map(|root| baps_proxy::DiskConfig {
             root: root.to_path_buf(),
@@ -1333,24 +1333,60 @@ fn metrics_exposition_conforms() {
     let text = String::from_utf8(reply.body.to_vec()).unwrap();
     prom::check_conformance(&text).unwrap_or_else(|e| panic!("exposition violates format: {e}"));
 
-    // The new saturation families are part of the scrape.
+    // The saturation families and the SLO report are part of the scrape:
+    // a verdict, every rule of the table under each per-rule family, and
+    // every report window under each per-window family.
     let samples = prom::parse(&text).unwrap();
     for name in [
-        "baps_workers",
-        "baps_workers_busy",
         "baps_queue_depth",
+        "baps_queue_depth_peak",
         "baps_queue_rejected_total",
         "baps_queue_wait_ms_count",
         "baps_flight_registry_occupancy",
         "baps_upstream_stale_total",
         "baps_reactor_upstream_exchanges",
         "baps_reactor_parked_requests",
+        "baps_slo_verdict",
     ] {
         assert!(
             prom::find(&samples, name, &[]).is_some(),
             "exposition is missing {name}"
         );
     }
+    let count = |family: &str| samples.iter().filter(|s| s.name == family).count();
+    let rules = TestBedConfig::default().slo.rules.len();
+    for family in [
+        "baps_slo_rule_value",
+        "baps_slo_rule_warn",
+        "baps_slo_rule_critical",
+        "baps_slo_rule_verdict",
+        "baps_slo_rule_span_seconds",
+    ] {
+        assert_eq!(count(family), rules, "{family}");
+    }
+    for family in [
+        "baps_window_span_seconds",
+        "baps_window_requests",
+        "baps_window_errors",
+        "baps_window_origin_fetches",
+        "baps_window_coalesced_fetches",
+    ] {
+        for window in ["1", "10", "60"] {
+            assert!(
+                prom::find(&samples, family, &[("window", window)]).is_some(),
+                "exposition is missing {family}{{window={window}}}"
+            );
+        }
+    }
+    assert_eq!(
+        count("baps_window_latency_ms"),
+        3 * 2,
+        "p99 and p999 per window"
+    );
+    // The scraped verdict is the one the SLO engine gives in process (the
+    // scrape's own forced capture brought no request with it).
+    let verdict = prom::find(&samples, "baps_slo_verdict", &[]).unwrap();
+    assert_eq!(verdict, bed.proxy.health().verdict as u8 as f64);
     // Identity gauges (DESIGN.md §14): `baps_build_info` pins the version
     // and the MD5 and CRC32C kernels of whatever produced the scrape,
     // `baps_uptime_seconds` tells a restart from a counter reset.
@@ -1396,9 +1432,7 @@ fn metrics_exposition_conforms() {
         prom::find(&samples, "baps_upstream_idle_connections", &origin),
         Some(dials)
     );
-    // The executor is configured but — no disk tier — was never started
-    // or used.
-    assert!(prom::find(&samples, "baps_workers", &[]).unwrap() > 0.0);
+    // No disk tier: the executor was never started or used.
     assert_eq!(
         prom::find(&samples, "baps_queue_wait_ms_count", &[]),
         Some(0.0)
@@ -1406,8 +1440,8 @@ fn metrics_exposition_conforms() {
     bed.shutdown();
 }
 
-/// Satellite: `METRICS` exposes the recorder drop counter and the
-/// runtime-saturation gauges.
+/// `METRICS` exposes the recorder drop counter and the executor-queue
+/// gauges.
 #[test]
 fn metrics_report_recorder_drops_and_saturation() {
     use baps_obs::prom;
@@ -1425,46 +1459,36 @@ fn metrics_report_recorder_drops_and_saturation() {
         prom::find(&samples, name, &[]).unwrap_or_else(|| panic!("METRICS is missing {name}"))
     };
     for gauge in [
-        "baps_workers_busy",
-        "baps_workers_busy_peak",
         "baps_queue_depth",
         "baps_queue_depth_peak",
         "baps_flight_registry_occupancy",
     ] {
         assert!(field(gauge) >= 0.0);
     }
-    assert!(field("baps_workers") > 0.0);
     assert_eq!(field("baps_flight_recorder_dropped_total"), 0.0);
     assert_eq!(field("baps_queue_rejected_total"), 0.0);
     bed.shutdown();
 }
 
-/// One wire `HEALTH` scrape: a 200 whose `Verdict` / `Rules` /
-/// `Uptime-Seconds` headers agree with the verdict document it carries.
-fn scrape_health(bed: &TestBed) -> HealthReport {
-    let reply = bed.clients[0].proxy_health_raw().unwrap();
+/// One wire `METRICS` scrape: a 200 whose body conforms, parsed.
+fn scrape_metrics(bed: &TestBed) -> Vec<baps_obs::prom::Sample> {
+    use baps_obs::prom;
+
+    let reply = bed.clients[0].proxy_metrics_raw().unwrap();
     assert_eq!(response_code(&reply), Some(200));
-    let report = HealthReport::parse(std::str::from_utf8(&reply.body).unwrap())
-        .expect("verdict document parses");
-    assert_eq!(reply.get("Verdict"), Some(report.verdict.name()));
-    assert_eq!(
-        reply.get("Rules"),
-        Some(report.rules.len().to_string().as_str())
-    );
-    assert_eq!(
-        reply.get("Uptime-Seconds"),
-        Some(report.uptime_secs.to_string().as_str())
-    );
-    report
+    let text = String::from_utf8(reply.body.to_vec()).unwrap();
+    prom::check_conformance(&text).unwrap_or_else(|e| panic!("exposition violates format: {e}"));
+    prom::parse(&text).unwrap()
 }
 
 /// The SLO engine end to end (DESIGN.md §14) against an origin that
 /// stalls every reply 15 ms, so every GET below is a slow origin-tier
-/// success and the head-sampled ones leave tail exemplars behind: HEALTH
-/// evaluates the whole default table, the windowed p999 sees the stall,
-/// the 10 s window counts exactly the requests driven between two forced
-/// captures, and every exemplar — in the exposition or on an offending
-/// rule — resolves through TRACE to a head-sampled span tree.
+/// success and the head-sampled ones leave tail exemplars behind: one
+/// METRICS scrape carries the whole default table's evaluation, the
+/// windowed p999 sees the stall, the 10 s window counts exactly the
+/// requests driven between two forced captures, and every exemplar the
+/// scrape's tier buckets carry resolves through TRACE to a head-sampled
+/// span tree.
 #[test]
 fn health_windows_move_and_exemplars_resolve_through_trace() {
     use baps_obs::{prom, span};
@@ -1499,13 +1523,18 @@ fn health_windows_move_and_exemplars_resolve_through_trace() {
         fetch(i as usize % 2, i);
     }
 
-    let first = scrape_health(&bed);
+    let first = scrape_metrics(&bed);
+    let values: Vec<_> = first
+        .iter()
+        .filter(|s| s.name == "baps_slo_rule_value")
+        .collect();
     let table_len = TestBedConfig::default().slo.rules.len();
-    assert_eq!(first.rules.len(), table_len, "every rule is evaluated");
-    let signals: BTreeSet<&str> = first.rules.iter().map(|r| r.signal.name()).collect();
+    assert_eq!(values.len(), table_len, "every rule is evaluated");
+    let signals: BTreeSet<&str> = values.iter().filter_map(|s| s.label("signal")).collect();
     assert_eq!(signals.len(), table_len, "each signal exactly once");
-    let p999 = first.rule("p999_ceiling").expect("p999_ceiling rule");
-    assert!(p999.value >= 10.0, "windowed p999 {} ms", p999.value);
+    let p999 = prom::find(&first, "baps_slo_rule_value", &[("rule", "p999_ceiling")])
+        .expect("p999_ceiling rule");
+    assert!(p999 >= 10.0, "windowed p999 {p999} ms");
 
     // Ten forced captures move the capture tick ten seconds past the
     // scrape's, so the 10 s window closed by the next capture starts here
@@ -1517,28 +1546,20 @@ fn health_windows_move_and_exemplars_resolve_through_trace() {
         fetch(0, LOAD + i);
     }
     bed.proxy.sample_windows_now();
-    let second = scrape_health(&bed);
-    let w10 = second
-        .windows
-        .iter()
-        .find(|w| w.window_secs == 10)
-        .expect("10 s window line");
-    assert_eq!(w10.requests, BETWEEN as u64, "{w10:?}");
-    assert!(w10.span_secs > 0 && w10.req_per_s > 0.0, "{w10:?}");
+    let second = scrape_metrics(&bed);
+    let w10 = |family: &str| {
+        prom::find(&second, family, &[("window", "10")])
+            .unwrap_or_else(|| panic!("no 10 s window in {family}"))
+    };
+    assert_eq!(w10("baps_window_requests"), BETWEEN as f64);
+    assert!(w10("baps_window_span_seconds") > 0.0);
 
-    let reply = bed.clients[0].proxy_metrics_raw().unwrap();
-    let text = String::from_utf8(reply.body.to_vec()).unwrap();
-    prom::check_conformance(&text).unwrap_or_else(|e| panic!("exposition violates format: {e}"));
-    let mut exemplars: BTreeSet<String> = prom::parse(&text)
-        .unwrap()
+    let exemplars: BTreeSet<&str> = second
         .iter()
         .filter(|s| s.name == "baps_request_latency_ms_bucket")
-        .filter_map(|s| s.exemplar.as_ref()?.trace_id().map(str::to_string))
+        .filter_map(|s| s.exemplar.as_ref()?.trace_id())
         .collect();
     assert!(!exemplars.is_empty(), "no tail-bucket exemplars");
-    for rule in second.offending() {
-        exemplars.extend(rule.exemplars.iter().map(|t| format!("{t:016x}")));
-    }
 
     let reply = bed.clients[0].proxy_trace_raw().unwrap();
     let records = span::parse_jsonl(std::str::from_utf8(&reply.body).unwrap()).unwrap();
@@ -1915,10 +1936,9 @@ fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
         origin_addr: origin.addr(),
         key_seed: 1,
         cache_peer_hits: false,
-        worker_threads: WAVE,
-        peer_timeout: Duration::ZERO,
+        peer_timeout: Duration::from_secs(2),
         peer_retries: 0,
-        origin_timeout: Duration::ZERO,
+        origin_timeout: Duration::from_secs(5),
         origin_retries: 0,
         disk: None,
         faults: None,

@@ -66,7 +66,7 @@ fn holds_idle_connections_while_serving() {
     }
     // The idle connections are still alive and answer.
     let (reader, writer) = &mut idle[IDLE / 2];
-    write_message(writer, &Message::new("HEALTH BAPS/1.0")).unwrap();
+    write_message(writer, &Message::new("METRICS BAPS/1.0")).unwrap();
     let reply = read_message(reader).unwrap().unwrap();
     assert_eq!(response_code(&reply), Some(200));
 
@@ -133,15 +133,9 @@ fn worst_fetch(
 /// requests keep their sub-threshold latency throughout.
 #[test]
 fn slow_loris_does_not_delay_other_clients() {
-    let bed = bed(
-        2,
-        TestBedConfig {
-            // Far fewer executor threads than loris connections: if
-            // the dribblers consumed threads, honest traffic would starve.
-            proxy_workers: 4,
-            ..TestBedConfig::default()
-        },
-    );
+    // Far fewer executor threads (8) than loris connections: if the
+    // dribblers consumed threads, honest traffic would starve.
+    let bed = bed(2, TestBedConfig::default());
     // Warm the doc so honest fetches are pure proxy hits (inline path).
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
 
@@ -232,12 +226,11 @@ fn disk_root(tag: &str) -> std::path::PathBuf {
 }
 
 /// Many concurrent misses of a disk-backed proxy over more connections
-/// than executor workers: every one is answered (each queued job wakes a
-/// worker; none is stranded) and the executor's queue gauge drains back to
-/// zero.
+/// than executor threads (8): every one is answered (each queued job wakes
+/// a thread; none is stranded) and the executor's queue gauge drains back
+/// to zero.
 #[test]
 fn concurrent_misses_over_more_connections_than_workers_all_answer() {
-    const WORKERS: usize = 2;
     const CONNS: usize = 12;
     const DOCS: usize = 16;
     let root = disk_root("misses");
@@ -251,7 +244,6 @@ fn concurrent_misses_over_more_connections_than_workers_all_answer() {
         DocumentStore::synthetic(CONNS * DOCS, 200, 2_000, 42),
         TestBedConfig {
             n_clients: 1,
-            proxy_workers: WORKERS,
             // Too small to hold any document: every GET is a miss.
             proxy_capacity: 64,
             disk_root: Some(root.clone()),
@@ -289,12 +281,9 @@ fn concurrent_misses_over_more_connections_than_workers_all_answer() {
     let deferred = bed.proxy.disk_stats().unwrap().reads_offloaded;
     assert!(deferred == 0 || deferred == (CONNS * DOCS) as u64);
     assert_eq!(r.offloaded, (CONNS * DOCS) as u64 + deferred, "{r:?}");
-    let sat = bed.proxy.saturation();
-    assert_eq!(sat.workers, WORKERS as u64);
-    assert_eq!(sat.queue_depth, 0, "the executor queue drained: {sat:?}");
-    assert_eq!(sat.busy_workers, 0);
-    assert_eq!(sat.queue_wait.count(), r.offloaded);
-    assert_eq!(sat.rejected, 0);
+    assert_eq!(r.queue_depth, 0, "the executor queue drained: {r:?}");
+    assert_eq!(r.queue_wait.count(), r.offloaded);
+    assert_eq!(r.rejected, 0);
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -307,16 +296,16 @@ fn shutdown_with_parked_workers_joins_promptly() {
     let bed = bed(
         2,
         TestBedConfig {
-            proxy_workers: 16,
             disk_root: Some(root.clone()),
             ..TestBedConfig::default()
         },
     );
     // The first disk-tier access starts the workers.
     bed.clients[0].fetch("http://origin/doc/0").unwrap();
-    assert!(bed.proxy.reactor_stats().offloaded >= 1);
+    let r = bed.proxy.reactor_stats();
+    assert!(r.offloaded >= 1);
     let _idle = TcpStream::connect(bed.proxy.addr()).unwrap();
-    assert_eq!(bed.proxy.saturation().busy_workers, 0, "workers parked");
+    assert_eq!(r.queue_depth, 0, "every job claimed: {r:?}");
     let t = Instant::now();
     bed.shutdown();
     assert!(

@@ -260,7 +260,7 @@ fn misses_peer_hits_and_a_herd_start_no_thread() {
 }
 
 /// (c) A slow origin holds requests, not the proxy: with every origin
-/// reply stalled 200 ms and 32 misses waiting on it, HEALTH is answered at
+/// reply stalled 200 ms and 32 misses waiting on it, METRICS is answered at
 /// once, and no executor thread exists — the 32 are exchanges on the event
 /// loops.
 fn a_stalling_origin_with_32_misses_outstanding_delays_nobody_else() {
@@ -297,11 +297,11 @@ fn a_stalling_origin_with_32_misses_outstanding_delays_nobody_else() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    let t_health = Instant::now();
-    let health = bed.clients[0].proxy_health_raw().unwrap();
-    let took = t_health.elapsed();
-    assert_eq!(response_code(&health), Some(200));
-    assert!(took < Duration::from_millis(50), "HEALTH took {took:?}");
+    let t_metrics = Instant::now();
+    let metrics = bed.clients[0].proxy_metrics_raw().unwrap();
+    let took = t_metrics.elapsed();
+    assert_eq!(response_code(&metrics), Some(200));
+    assert!(took < Duration::from_millis(50), "METRICS took {took:?}");
     assert!(
         t0.elapsed() < Duration::from_millis(200),
         "stalls were over"

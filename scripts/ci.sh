@@ -66,7 +66,7 @@ soak() {
 
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
-# internally to prove determinism. Also gates the HEALTH SLO engine: the
+# internally to prove determinism. Also gates the SLO engine: the
 # chaos-calibrated rule table must judge the completed schedule ok, and a
 # post-schedule burst of GETs for nonexistent URLs must flip error_burn
 # to critical deterministically. Exits nonzero with a reproduction line
@@ -167,9 +167,13 @@ fi
 # which test holds each); the thread-mode `IoMode`, the locked
 # `UpstreamPool` and the `STATS` verb went earlier; and the executor has
 # run no miss since the disk tier moved onto the loops, so nothing may call
-# it a miss executor. Tests under crates/*/tests are exempt: one sends
-# `STATS` to prove it is refused.
-if git grep -nE 'metrics_smoke|health_smoke|require-multihop|IoMode|UpstreamPool|STATS BAPS|[Mm]iss[- ]executor' -- \
+# it a miss executor. METRICS is the proxy's one report: the `HEALTH` verb,
+# its parser and client call went, the executor's separate telemetry
+# block and its busy-worker gauges joined or left `ReactorTelemetry`, and
+# the executor's thread count is a constant, not an option. Tests under
+# crates/*/tests are exempt: one sends `STATS` and `HEALTH` to prove they
+# are refused.
+if git grep -nE 'metrics_smoke|health_smoke|require-multihop|IoMode|UpstreamPool|STATS BAPS|[Mm]iss[- ]executor|HEALTH BAPS|proxy_health_raw|HealthReport::parse|PoolTelemetry|SaturationSnapshot|saturation\(\)|proxy_workers|worker_threads|baps_workers' -- \
     README.md DESIGN.md src examples .claude crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted or renamed"
     exit 1
