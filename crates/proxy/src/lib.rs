@@ -11,7 +11,7 @@
 //! the integration tests and the `live_proxy` example.
 //!
 //! The proxy cache is optionally two-tiered: a crash-safe persistent
-//! [`DiskTier`] (DESIGN.md §10) sits beneath the sharded memory LRU, so a
+//! [`DiskTier`] (DESIGN.md §10) sits beneath the memory LRU, so a
 //! restarted proxy re-opens its store and comes back warm, with TTL
 //! freshness + `If-Digest` revalidation and watermark verification on
 //! every disk read (torn files self-heal to the origin path).

@@ -78,8 +78,8 @@ pub(crate) fn render(state: &ProxyState) -> String {
         }
     }
 
-    // Proxy cache: aggregate occupancy plus hit/eviction counters from the
-    // body caches themselves, then per-shard gauges for skew diagnosis.
+    // Proxy cache: occupancy plus hit/eviction counters from the body cache
+    // itself, then its lock's tallies (one series: the tier is one LRU).
     let cache = state.cache.stats();
     out.gauge(
         "baps_cache_bytes",

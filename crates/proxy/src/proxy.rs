@@ -23,7 +23,7 @@ use crate::reactor::{
     loops_per_core, Event, FrameCtx, FrameService, ReactorSnapshot, ReactorTelemetry, Seat, Server,
     Step, Waker,
 };
-use crate::shard::{auto_shards, ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
+use crate::shard::{ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::{Ask, Upstream};
 use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey, Watermark};
@@ -111,12 +111,12 @@ pub(crate) struct ProxyObs {
     pub(crate) verbs: LabeledHistograms,
 }
 
-/// Shared proxy state. Lock discipline (see DESIGN.md): `cache` and
-/// `index` are doc-sharded stripes (one lock per shard); `urls` and
-/// `peers` are read-mostly RwLocks; the `inflight` registry is a brief
-/// bookkeeping mutex. (Upstream connections belong to the event loops and
-/// take no lock.) No lock is ever held across socket I/O, an origin fetch,
-/// or a body copy, and no thread holds two locks at once.
+/// Shared proxy state. Lock discipline (see DESIGN.md): `cache` is one
+/// LRU behind one lock, `index` doc-sharded stripes (one lock per shard);
+/// `urls` and `peers` are read-mostly RwLocks; the `inflight` registry is
+/// a brief bookkeeping mutex. (Upstream connections belong to the event
+/// loops and take no lock.) No lock is ever held across socket I/O, an
+/// origin fetch, or a body copy, and no thread holds two locks at once.
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache,
     pub(crate) index: StripedIndex,
@@ -200,7 +200,7 @@ impl ProxyServer {
             .unwrap_or_default();
         let telemetry = Arc::<ReactorTelemetry>::default();
         let state = Arc::new(ProxyState {
-            cache: ShardedCache::new(config.cache_capacity, auto_shards(config.cache_capacity)),
+            cache: ShardedCache::single(config.cache_capacity),
             index: StripedIndex::new(DEFAULT_INDEX_SHARDS),
             urls: RwLock::new(Interner::new()),
             peers: RwLock::new(HashMap::new()),

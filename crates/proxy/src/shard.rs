@@ -1,20 +1,22 @@
-//! Lock-striped sharded state for the proxy hot path.
+//! Lock-tallied state for the proxy hot path.
 //!
-//! The proxy's two hottest structures — the body cache and the browser
-//! index — are partitioned into N independent shards routed by a
-//! [`DocId`] hash ([`baps_index::shard_of`]), each behind its own mutex.
-//! Two workers handling different documents take different locks and never
-//! contend; a worker holds exactly one shard lock at a time, only for the
-//! in-memory operation, and never across socket I/O (see DESIGN.md's lock
-//! map). Every shard also tallies its lock acquisitions and cumulative
-//! lock-wait time so the `METRICS` verb can report contention spread.
+//! The proxy's memory tier is one [`BodyCache`] behind one mutex
+//! ([`ShardedCache::single`]): a single byte-budgeted LRU over the whole
+//! configured capacity, so recency is global and a document up to the whole
+//! budget can stay cached. That is the model of the paper's §4 and of
+//! `baps-sim` (`memory_tier_agrees_with_the_simulators_lru` holds the two
+//! to the same hits and bytes). The browser index has no byte budget, so it
+//! is striped into N independent shards routed by a [`DocId`] hash
+//! ([`baps_index::shard_of`]), each behind its own mutex. Every lock is held
+//! only for the in-memory operation, never across socket I/O (see
+//! DESIGN.md's lock map), and tallies its acquisitions and cumulative
+//! lock-wait time so the `METRICS` verb can report contention.
 //!
-//! Sharding the cache splits the byte budget evenly across shards, which
-//! is *not* identical to one global LRU: a pathologically skewed shard can
-//! evict while others have room. [`auto_shards`] therefore scales the
-//! shard count with the configured capacity, so tiny caches (as used by
-//! eviction-order tests) keep a single shard and byte-exact legacy
-//! behaviour, while realistically sized caches get striped.
+//! [`ShardedCache::new`] with more than one shard, [`auto_shards`],
+//! [`MIN_SHARD_CAPACITY`] and [`MAX_SHARDS`] exist only for the benchmark's
+//! per-layer binary (`bench_layers`); the proxy names none of them. Such a
+//! cache splits its byte budget evenly across shards, so recency is per
+//! shard and a document larger than one shard's slice never stays cached.
 
 use crate::store::{BodyCache, CachedDoc};
 use baps_index::{shard_of, ExactIndex, IndexStats};
@@ -42,9 +44,10 @@ fn lock_timed<'a, T>(mutex: &'a Mutex<T>, wait_nanos: &AtomicU64) -> MutexGuard<
     guard
 }
 
-/// Smallest per-shard byte budget [`auto_shards`] will carve out.
+/// Smallest per-shard byte budget [`auto_shards`] will carve out. Only the
+/// benchmark's per-layer binary splits a budget (see the module doc).
 pub const MIN_SHARD_CAPACITY: u64 = 32 << 10;
-/// Upper bound on the automatic shard count.
+/// Upper bound on the automatic shard count. Benchmark-only, as above.
 pub const MAX_SHARDS: usize = 16;
 /// Shard count for the striped browser index. Index shards have no byte
 /// budget to split, so sharding is semantics-preserving at any count and
@@ -52,7 +55,8 @@ pub const MAX_SHARDS: usize = 16;
 pub const DEFAULT_INDEX_SHARDS: usize = baps_index::DEFAULT_SHARDS;
 
 /// Capacity-adaptive shard count: one shard per [`MIN_SHARD_CAPACITY`]
-/// bytes, between 1 and [`MAX_SHARDS`].
+/// bytes, between 1 and [`MAX_SHARDS`]. Benchmark-only: the proxy's memory
+/// tier is [`ShardedCache::single`].
 pub fn auto_shards(capacity: u64) -> usize {
     ((capacity / MIN_SHARD_CAPACITY) as usize).clamp(1, MAX_SHARDS)
 }
@@ -77,15 +81,22 @@ struct CacheShard {
     lock_wait_nanos: AtomicU64,
 }
 
-/// A [`BodyCache`] striped into doc-hashed shards, each behind its own
-/// lock. The byte budget is split evenly across shards.
+/// One or more [`BodyCache`]s, each behind its own tallied lock. The
+/// proxy's is [`single`](Self::single): one LRU over the whole budget.
 pub struct ShardedCache {
     shards: Vec<CacheShard>,
 }
 
 impl ShardedCache {
-    /// Creates a cache of `n_shards` shards splitting `capacity` bytes
-    /// (the first shards absorb any remainder byte).
+    /// The proxy's memory tier: one LRU holding at most `capacity` body
+    /// bytes, behind one lock.
+    pub fn single(capacity: u64) -> Self {
+        ShardedCache::new(capacity, 1)
+    }
+
+    /// Creates a cache of `n_shards` doc-hashed shards splitting `capacity`
+    /// bytes (the first shards absorb any remainder byte). Kept for the
+    /// benchmark's per-layer binary only; see the module doc.
     pub fn new(capacity: u64, n_shards: usize) -> Self {
         let n = n_shards.max(1) as u64;
         let shards = (0..n)
@@ -99,11 +110,6 @@ impl ShardedCache {
             })
             .collect();
         ShardedCache { shards }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Routes to the shard for `doc` and locks it, tallying the
@@ -121,8 +127,8 @@ impl ShardedCache {
         self.locked(doc).get(url).cloned()
     }
 
-    /// Inserts a document, evicting from its shard as needed. The proxy
-    /// has nobody to tell about its own victims (only a browser sends
+    /// Inserts a document, evicting least recent documents as needed. The
+    /// proxy has nobody to tell about its own victims (only a browser sends
     /// `Evicted:` notices), so they are dropped here.
     pub fn insert(&self, doc: DocId, url: &str, entry: CachedDoc) {
         self.locked(doc).insert(url, entry);
@@ -361,6 +367,46 @@ mod tests {
             let shards = striped.shard_stats();
             prop_assert_eq!(shards.len(), n_shards);
             prop_assert_eq!(shards.iter().map(|s| s.entries).sum::<u64>(), exact.entries());
+        }
+    }
+
+    /// A capacity and up to 200 get-or-insert operations `(doc, size)`, each
+    /// body between one byte and the whole capacity. Capacities reach 128
+    /// KiB, where [`auto_shards`] would have cut the budget in four.
+    fn tier_ops() -> impl Strategy<Value = (u64, Vec<(u32, u64)>)> {
+        let ops = proptest::collection::vec(((0u32..64), any::<u64>()), 0..200);
+        ((1u64..=(128 << 10)), ops).prop_map(|(capacity, ops)| {
+            let ops = ops.into_iter().map(|(d, r)| (d, 1 + r % capacity));
+            (capacity, ops.collect())
+        })
+    }
+
+    proptest! {
+        /// The proxy's memory tier is the simulator's LRU: the cache
+        /// `ProxyState` builds and the `TieredLru` that `baps-sim` runs for
+        /// an all-memory LRU proxy give the same hit or miss on every
+        /// get-or-insert and hold the same bytes after it.
+        #[test]
+        fn memory_tier_agrees_with_the_simulators_lru(case in tier_ops()) {
+            let (capacity, ops) = case;
+            let live = ShardedCache::single(capacity);
+            let mut sim = baps_cache::TieredLru::with_mem_fraction(capacity, 1.0);
+            let watermark = ProxySigner::generate(&mut StdRng::seed_from_u64(1)).watermark(b"any");
+            for (d, size) in ops {
+                let (doc, url) = (DocId(d), format!("http://origin/doc/{d}"));
+                let live_hit = live.get(doc, &url).is_some();
+                if !live_hit {
+                    let body = vec![0u8; size as usize].into();
+                    live.insert(doc, &url, CachedDoc { body, watermark });
+                }
+                let sim_hit = sim.touch(&doc).is_some();
+                if !sim_hit {
+                    sim.insert(doc, size);
+                }
+                prop_assert_eq!(live_hit, sim_hit, "doc {} size {}", d, size);
+                prop_assert_eq!(live.used(), sim.used());
+            }
+            prop_assert_eq!(live.entries(), sim.len() as u64);
         }
     }
 

@@ -349,6 +349,40 @@ fn proxy_cache_hit_does_not_copy_body() {
     bed.shutdown();
 }
 
+/// The proxy's memory is one LRU over its whole byte budget, as in the
+/// paper's §4 and the simulator: a document a quarter of the budget stays
+/// cached (sixteen 64 KiB LRUs of the same budget would each refuse it),
+/// and one byte past the budget is still refused. Browser caches smaller than
+/// either document keep every second fetch away from the peers.
+#[test]
+fn a_document_up_to_the_whole_budget_stays_in_proxy_memory() {
+    const CAPACITY: u64 = 1 << 20;
+    let (quarter, over) = ("http://origin/quarter", "http://origin/over");
+    let mut store = DocumentStore::new();
+    store.insert(quarter, vec![0x5a; 256 << 10]);
+    store.insert(over, vec![0xa5; CAPACITY as usize + 1]);
+    let bed = TestBed::start(
+        store,
+        TestBedConfig {
+            n_clients: 2,
+            proxy_capacity: CAPACITY,
+            browser_capacity: 64 << 10,
+            ..TestBedConfig::default()
+        },
+    )
+    .expect("test bed starts");
+
+    let source = |client: usize, url| bed.clients[client].fetch(url).unwrap().source;
+    assert_eq!(source(0, quarter), Source::Origin);
+    assert_eq!(source(1, quarter), Source::Proxy);
+    assert_eq!(bed.origin.hits(), 1);
+
+    assert_eq!(source(0, over), Source::Origin);
+    assert_eq!(source(1, over), Source::Origin);
+    assert_eq!(bed.origin.hits(), 3);
+    bed.shutdown();
+}
+
 /// Tentpole stress: many workers hammering one hot document plus disjoint
 /// per-thread documents. Every fetch must return byte-exact,
 /// watermark-valid bodies with no deadlock, while the sharded state takes

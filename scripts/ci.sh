@@ -47,8 +47,10 @@ benchmark/run.sh --workload disk-storm --seed 1 --seconds 1 --trace 0 >/dev/null
 # off a desynchronised reused connection is a wrong body byte here.
 benchmark/run.sh --workload peer-share --seed 1 --seconds 1 --trace 0 >/dev/null
 # And on the workload whose bodies run to 1 MiB: the origin's event loops
-# push them through WriteQueue's resume-after-EAGAIN path, where an offset
-# bug is a wrong body byte.
+# push them through WriteQueue's resume-after-EAGAIN path, and so do the
+# proxy's when it serves them from memory (one LRU over the whole 16 MiB
+# budget keeps a 1 MiB body cached). An offset bug there is a wrong body
+# byte.
 benchmark/run.sh --workload heavy-tail --seed 1 --seconds 1 --trace 0 >/dev/null
 
 # Each soak below prints its tallies; `soak` also holds them to the ones
@@ -176,6 +178,18 @@ fi
 if git grep -nE 'metrics_smoke|health_smoke|require-multihop|IoMode|UpstreamPool|STATS BAPS|[Mm]iss[- ]executor|HEALTH BAPS|proxy_health_raw|HealthReport::parse|PoolTelemetry|SaturationSnapshot|saturation\(\)|proxy_workers|worker_threads|baps_workers' -- \
     README.md DESIGN.md src examples .claude crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted or renamed"
+    exit 1
+fi
+
+echo "== one memory budget (no split-budget helper outside shard.rs)"
+# The proxy's memory tier is one LRU over the whole cache capacity, the
+# model of the paper's §4 and of baps-sim (DESIGN.md §6b).
+# The helpers that cut a budget into per-shard LRUs remain only for the
+# benchmark's per-layer binary, so outside shard.rs the sources may name
+# them only in lib.rs's re-export. Tests (crates/*/tests) are exempt.
+if git grep -nwE 'auto_shards|MIN_SHARD_CAPACITY|MAX_SHARDS' -- crates/*/src src \
+    ':!crates/proxy/src/shard.rs' | grep -vE '^crates/proxy/src/lib\.rs:[0-9]+:pub use shard::'; then
+    echo "one memory budget: the lines above name a helper that splits the memory tier's budget"
     exit 1
 fi
 
