@@ -1,6 +1,8 @@
 //! Browser-index micro-benchmarks: exact vs delayed vs Bloom summaries.
 
-use baps_index::{BloomFilter, ExactIndex, IndexModel};
+use baps_core::IndexModel;
+use baps_index::ExactIndex;
+use baps_sim::index::{AnyIndex, BloomFilter};
 use baps_trace::{ClientId, DocId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -56,7 +58,7 @@ fn bench_index_models(c: &mut Criterion) {
     for (name, model) in models {
         group.bench_with_input(BenchmarkId::from_parameter(name), &ops, |b, ops| {
             b.iter(|| {
-                let mut index = model.build(CLIENTS);
+                let mut index = AnyIndex::new(model, CLIENTS);
                 let mut found = 0u64;
                 for op in ops {
                     match *op {

@@ -13,12 +13,13 @@ use std::time::Instant;
 use crate::{anchor, banner, load_profile, sweep_orgs, Cli};
 use baps_cache::Policy;
 use baps_core::{
-    BrowserSizing, HitClass, LatencyParams, Organization, RemoteHitCaching, SystemConfig,
+    BrowserSizing, HitClass, IndexModel, LatencyParams, Organization, RemoteHitCaching,
+    SystemConfig,
 };
 use baps_crypto::{
     requester_open, target_serve, verify_document, KeyPair, PeerId, ProxySigner, SecureRelay,
 };
-use baps_index::{IndexModel, BYTES_PER_ENTRY};
+use baps_index::BYTES_PER_ENTRY;
 use baps_obs::LatencyHistogram;
 use baps_sim::{
     human_bytes, ordered_pool, pct, run, run_hierarchy, run_scaling, run_sweep, run_with_options,

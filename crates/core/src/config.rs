@@ -2,7 +2,6 @@
 
 use crate::org::Organization;
 use baps_cache::Policy;
-use baps_index::IndexModel;
 use serde::{Deserialize, Serialize};
 
 /// How each client's browser cache is sized (paper §4).
@@ -26,7 +25,7 @@ impl BrowserSizing {
     /// * `proxy_capacity` — the proxy cache size in bytes;
     /// * `n_clients` — number of clients;
     /// * `mean_client_infinite` — average per-client infinite cache bytes
-    ///   (from [`baps_trace::TraceStats`]).
+    ///   (from `baps_trace::TraceStats`).
     pub fn resolve(&self, proxy_capacity: u64, n_clients: u32, mean_client_infinite: f64) -> u64 {
         let n = n_clients.max(1) as u64;
         match *self {
@@ -74,6 +73,55 @@ impl RemoteHitCaching {
             self,
             RemoteHitCaching::CacheAtProxy | RemoteHitCaching::CacheBoth
         )
+    }
+}
+
+/// Declarative choice of browser-index model (used in experiment configs).
+/// The live proxy runs only the exact directory; the other three are §5's
+/// cheaper indexes, which `baps_sim::index::AnyIndex` builds.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum IndexModel {
+    /// Exact invalidation-driven directory.
+    Exact,
+    /// Batched updates flushed past a pending-fraction threshold.
+    Delayed {
+        /// Flush threshold as a fraction of cached documents (e.g. 0.1).
+        threshold: f64,
+        /// Optional periodic flush interval in simulated milliseconds.
+        interval_ms: Option<u64>,
+    },
+    /// Per-client Bloom summaries.
+    Bloom {
+        /// Bits per cached document.
+        bits_per_item: u64,
+        /// Rebuild threshold as a fraction of cached documents.
+        threshold: f64,
+    },
+    /// Per-client counting-Bloom filters patched by delta messages.
+    CountingBloom {
+        /// Counters per client filter.
+        slots: u64,
+        /// Flush threshold as a fraction of cached documents.
+        threshold: f64,
+    },
+}
+
+impl IndexModel {
+    /// Human-readable label for reports.
+    pub fn label(&self) -> String {
+        match self {
+            IndexModel::Exact => "exact".to_owned(),
+            IndexModel::Delayed { threshold, .. } => format!("delayed({:.0}%)", threshold * 100.0),
+            IndexModel::Bloom {
+                bits_per_item,
+                threshold,
+            } => {
+                format!("bloom({bits_per_item}b,{:.0}%)", threshold * 100.0)
+            }
+            IndexModel::CountingBloom { slots, threshold } => {
+                format!("cbloom({slots},{:.0}%)", threshold * 100.0)
+            }
+        }
     }
 }
 
@@ -190,6 +238,25 @@ mod tests {
         assert!(RemoteHitCaching::CacheAtProxy.at_proxy());
         assert!(RemoteHitCaching::CacheBoth.at_requester());
         assert!(RemoteHitCaching::CacheBoth.at_proxy());
+    }
+
+    #[test]
+    fn model_labels() {
+        assert_eq!(IndexModel::Exact.label(), "exact");
+        assert_eq!(
+            IndexModel::Delayed {
+                threshold: 0.1,
+                interval_ms: None
+            }
+            .label(),
+            "delayed(10%)"
+        );
+        assert!(IndexModel::Bloom {
+            bits_per_item: 10,
+            threshold: 0.05
+        }
+        .label()
+        .starts_with("bloom"));
     }
 
     #[test]

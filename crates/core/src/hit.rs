@@ -1,7 +1,7 @@
 //! Classification of how each request was served.
 
+use crate::ids::ClientId;
 use baps_cache::Tier;
-use baps_trace::ClientId;
 use serde::{Deserialize, Serialize};
 
 /// Where a request was satisfied (paper Fig. 3's breakdown categories).

@@ -7,7 +7,7 @@
 //! the union of all browser caches exactly.
 
 use crate::stats::IndexStats;
-use baps_trace::{ClientId, DocId};
+use baps_core::{ClientId, DocId};
 use std::collections::HashMap;
 
 /// Estimated bytes per index entry: a 16-byte MD5 URL signature plus a
@@ -109,11 +109,6 @@ impl ExactIndex {
         self.entries
     }
 
-    /// Number of distinct indexed documents.
-    pub fn distinct_docs(&self) -> usize {
-        self.holders.len()
-    }
-
     /// Estimated memory footprint of the index (paper §5 accounting).
     pub fn memory_bytes(&self) -> u64 {
         self.entries * BYTES_PER_ENTRY
@@ -153,7 +148,6 @@ mod tests {
         idx.on_evict(c(0), d(7));
         assert_eq!(idx.lookup(d(7), c(1)), None);
         assert_eq!(idx.entries(), 0);
-        assert_eq!(idx.distinct_docs(), 0);
     }
 
     #[test]

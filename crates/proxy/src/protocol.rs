@@ -82,7 +82,7 @@ pub(crate) const MAX_HEAD_BYTES: usize = 1 << 20;
 /// A document body as shared immutable bytes. Cloning a `Body` is a
 /// refcount bump, so a cached document travels cache → response frame →
 /// peer → browser cache without ever being copied: the bytes are written
-/// once, by [`read_body`], off the socket or the disk into the allocation
+/// once, by `read_body`, off the socket or the disk into the allocation
 /// every later holder shares.
 pub type Body = Arc<[u8]>;
 

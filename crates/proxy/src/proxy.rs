@@ -26,11 +26,11 @@ use crate::reactor::{
 use crate::shard::{ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::{Ask, Upstream};
+use baps_core::{ClientId, DocId, Interner};
 use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey, Watermark};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
-use baps_trace::{ClientId, DocId, Interner};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -308,12 +308,7 @@ impl ProxyServer {
         let Some(doc) = known_doc(&self.state, url) else {
             return false;
         };
-        // `lookup_all` excludes the requester, so ask as nobody.
-        self.state
-            .index
-            .lookup_all(doc, ClientId(u32::MAX))
-            .iter()
-            .any(|holder| holder.0 == client)
+        self.state.index.contains(ClientId(client), doc)
     }
 
     /// Current browser-index entry count (summed across shards).

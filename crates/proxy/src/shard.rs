@@ -5,12 +5,15 @@
 //! configured capacity, so recency is global and a document up to the whole
 //! budget can stay cached. That is the model of the paper's §4 and of
 //! `baps-sim` (`memory_tier_agrees_with_the_simulators_lru` holds the two
-//! to the same hits and bytes). The browser index has no byte budget, so it
-//! is striped into N independent shards routed by a [`DocId`] hash
-//! ([`baps_index::shard_of`]), each behind its own mutex. Every lock is held
-//! only for the in-memory operation, never across socket I/O (see
-//! DESIGN.md's lock map), and tallies its acquisitions and cumulative
-//! lock-wait time so the `METRICS` verb can report contention.
+//! to the same hits and bytes). The browser index is the exact directory of
+//! `baps-index`, the one index the live proxy runs. It has no byte budget,
+//! so it is striped into [`DEFAULT_INDEX_SHARDS`] independent shards routed
+//! by a fixed multiplicative hash of the [`DocId`], each behind its own
+//! mutex; every index operation is keyed by document, so striping keeps the
+//! directory exact. Every lock is held only for the in-memory operation,
+//! never across socket I/O (see DESIGN.md's lock map), and tallies its
+//! acquisitions and cumulative lock-wait time so the `METRICS` verb can
+//! report contention.
 //!
 //! [`ShardedCache::new`] with more than one shard, [`auto_shards`],
 //! [`MIN_SHARD_CAPACITY`] and [`MAX_SHARDS`] exist only for the benchmark's
@@ -19,8 +22,8 @@
 //! shard and a document larger than one shard's slice never stays cached.
 
 use crate::store::{BodyCache, CachedDoc};
-use baps_index::{shard_of, ExactIndex, IndexStats};
-use baps_trace::{ClientId, DocId};
+use baps_core::{ClientId, DocId};
+use baps_index::{ExactIndex, IndexStats};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -49,10 +52,20 @@ fn lock_timed<'a, T>(mutex: &'a Mutex<T>, wait_nanos: &AtomicU64) -> MutexGuard<
 pub const MIN_SHARD_CAPACITY: u64 = 32 << 10;
 /// Upper bound on the automatic shard count. Benchmark-only, as above.
 pub const MAX_SHARDS: usize = 16;
-/// Shard count for the striped browser index. Index shards have no byte
-/// budget to split, so sharding is semantics-preserving at any count and
-/// a fixed stripe width suffices.
-pub const DEFAULT_INDEX_SHARDS: usize = baps_index::DEFAULT_SHARDS;
+/// Shard count for the striped browser index (see DESIGN.md §6b for the
+/// sizing argument). Index shards have no byte budget to split, so
+/// sharding is semantics-preserving at any count and a fixed stripe width
+/// suffices.
+pub const DEFAULT_INDEX_SHARDS: usize = 16;
+
+/// Deterministic shard routing: Fibonacci multiplicative hashing spreads
+/// dense interner-assigned ids evenly instead of clustering neighbours. The
+/// assignment is the same across runs and processes, which the per-shard
+/// occupancy gauges rely on.
+fn shard_of(doc: DocId, n_shards: usize) -> usize {
+    debug_assert!(n_shards > 0);
+    (((doc.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n_shards
+}
 
 /// Capacity-adaptive shard count: one shard per [`MIN_SHARD_CAPACITY`]
 /// bytes, between 1 and [`MAX_SHARDS`]. Benchmark-only: the proxy's memory
@@ -237,6 +250,12 @@ impl StripedIndex {
         self.locked(doc).lookup_all(doc, exclude)
     }
 
+    /// Whether the index lists `client` as a holder of `doc`. Unlike
+    /// [`lookup_all`](Self::lookup_all) it counts no lookup or hit.
+    pub fn contains(&self, client: ClientId, doc: DocId) -> bool {
+        self.locked(doc).contains(client, doc)
+    }
+
     /// Total (client, doc) entries across shards.
     pub fn entries(&self) -> u64 {
         self.shards.iter().map(|s| s.index.lock().entries()).sum()
@@ -280,6 +299,28 @@ mod tests {
             body: body.into(),
             watermark: signer.watermark(body),
         }
+    }
+
+    #[test]
+    fn routing_is_stable_and_in_range() {
+        for n in [1usize, 2, 3, 16] {
+            for id in 0..1000 {
+                let s = shard_of(DocId(id), n);
+                assert!(s < n);
+                assert_eq!(s, shard_of(DocId(id), n), "stable per (doc, n)");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_ids_spread_across_shards() {
+        let n = 16;
+        let mut hist = vec![0u32; n];
+        for id in 0..160 {
+            hist[shard_of(DocId(id), n)] += 1;
+        }
+        let occupied = hist.iter().filter(|&&h| h > 0).count();
+        assert!(occupied >= n / 2, "dense ids clustered: {hist:?}");
     }
 
     #[test]

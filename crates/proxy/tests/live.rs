@@ -130,6 +130,27 @@ fn invalidation_keeps_index_consistent() {
     bed.shutdown();
 }
 
+/// `index_holds` is a test hook, not a lookup: asking it whether a browser
+/// holds a document moves neither counter a test may go on to check.
+#[test]
+fn index_holds_counts_no_lookup_or_hit() {
+    let bed = bed(2, 64 << 10, 32 << 10);
+    let url = "http://origin/doc/0";
+    bed.clients[0].fetch(url).unwrap();
+    bed.clients[1].fetch("http://origin/doc/1").unwrap();
+    let counted = || {
+        let samples = baps_obs::prom::parse(&bed.proxy.metrics_text()).unwrap();
+        ["baps_index_lookups_total", "baps_index_hits_total"]
+            .map(|name| baps_obs::prom::find(&samples, name, &[]).unwrap())
+    };
+    let before = counted();
+    assert!(before[0] > 0.0, "the misses looked the index up");
+    assert!(bed.proxy.index_holds(0, url));
+    assert!(!bed.proxy.index_holds(1, url));
+    assert_eq!(counted(), before);
+    bed.shutdown();
+}
+
 #[test]
 fn stale_index_self_heals_on_dead_peer() {
     let bed = bed(3, 2_500, 64 << 10);

@@ -6,7 +6,7 @@
 //! (4-bit counters in Summary Cache; we use 8-bit for simplicity) so a
 //! browser can keep its summary incrementally up to date.
 
-use baps_trace::DocId;
+use baps_core::DocId;
 
 /// SplitMix64 finaliser: cheap, well-distributed 64-bit mixing.
 #[inline]

@@ -2,15 +2,15 @@
 //!
 //! Summary Cache's counting Bloom filter supports *removal*, so instead of
 //! periodically rebuilding each client's summary (as
-//! [`crate::summary::BloomSummaryIndex`] does), the proxy-side filter can be
-//! patched incrementally: each batched update message carries the insert /
-//! delete keys since the last flush (16-byte signatures), and the proxy
-//! applies them to its counting filter. Update traffic scales with churn
-//! rather than cache size, trading away the rebuild's self-cleaning.
+//! [`BloomSummaryIndex`](super::BloomSummaryIndex) does), the proxy-side
+//! filter can be patched incrementally: each batched update message carries
+//! the insert / delete keys since the last flush (16-byte signatures), and
+//! the proxy applies them to its counting filter. Update traffic scales with
+//! churn rather than cache size, trading away the rebuild's self-cleaning.
 
-use crate::bloom::CountingBloom;
-use crate::stats::IndexStats;
-use baps_trace::{ClientId, DocId};
+use super::bloom::CountingBloom;
+use baps_core::{ClientId, DocId};
+use baps_index::IndexStats;
 use std::collections::HashSet;
 
 /// Bytes per delta entry in an update message (MD5 signature + op flag).

@@ -13,9 +13,8 @@
 //! hits* — the simulator falls back to the server and counts the penalty)
 //! and can miss clients that recently cached it (*missed opportunities*).
 
-use crate::exact::ExactIndex;
-use crate::stats::IndexStats;
-use baps_trace::{ClientId, DocId};
+use baps_core::{ClientId, DocId};
+use baps_index::{ExactIndex, IndexStats};
 use std::collections::HashSet;
 
 /// Per-entry bytes in an update message: the 16-byte MD5 URL signature.

@@ -8,9 +8,9 @@
 //! clients that do not actually hold the document — and staleness between
 //! rebuilds.
 
-use crate::bloom::BloomFilter;
-use crate::stats::IndexStats;
-use baps_trace::{ClientId, DocId};
+use super::bloom::BloomFilter;
+use baps_core::{ClientId, DocId};
+use baps_index::IndexStats;
 use std::collections::HashSet;
 
 /// Configuration of the summary index.
@@ -243,7 +243,7 @@ mod tests {
         }
         idx.rebuild_all();
         // 10 bits/doc ≈ 1.25 B/doc vs 28 B/doc exact: > 10x smaller.
-        let exact_bytes = 1024 * crate::exact::BYTES_PER_ENTRY;
+        let exact_bytes = 1024 * baps_index::BYTES_PER_ENTRY;
         assert!(idx.memory_bytes() * 10 < exact_bytes * 2);
     }
 

@@ -5,6 +5,9 @@
 //!
 //! * [`SimSystem`] — browser caches + proxy cache + browser index with the
 //!   per-organization routing logic;
+//! * [`index`] — the §5 index models only the simulator runs (delayed,
+//!   Bloom summary, counting Bloom) and [`index::AnyIndex`], which picks
+//!   one of them or the exact directory from the configuration;
 //! * [`run`] / [`run_simple`] — single replays producing a [`RunResult`];
 //! * [`run_sweep`] — parallel parameter sweeps (`std::thread::scope`
 //!   workers; results bit-identical to serial execution);
@@ -17,6 +20,7 @@
 
 pub mod engine;
 pub mod hierarchy;
+pub mod index;
 pub mod latency;
 pub mod metrics;
 pub mod report;

@@ -1,11 +1,11 @@
 //! The simulated caching system: browser caches, proxy cache, browser index
 //! and the request-routing logic of each of the five organizations.
 
+use crate::index::AnyIndex;
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use baps_cache::{AnyCache, DocCache, Policy, Tier, TieredLru};
 use baps_core::{HitClass, LatencyParams, SystemConfig};
-use baps_index::AnyIndex;
 use baps_trace::{ClientId, DocId, Request};
 use std::collections::HashMap;
 
@@ -128,7 +128,7 @@ impl SimSystem {
         let index = cfg
             .organization
             .shares_browsers()
-            .then(|| cfg.index_model.build(n_clients));
+            .then(|| AnyIndex::new(cfg.index_model, n_clients));
         let stored_at = if cfg.ttl_ms.is_some() {
             vec![HashMap::new(); n_clients as usize + 1]
         } else {
@@ -416,8 +416,7 @@ impl SimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baps_core::{BrowserSizing, Organization, RemoteHitCaching};
-    use baps_index::IndexModel;
+    use baps_core::{BrowserSizing, IndexModel, Organization, RemoteHitCaching};
 
     fn req(t: u64, c: u32, d: u32, s: u32) -> Request {
         Request {

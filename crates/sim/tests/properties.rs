@@ -3,9 +3,11 @@
 use baps_core::{
     BrowserSizing, HitClass, LatencyParams, Organization, RemoteHitCaching, SystemConfig,
 };
+use baps_sim::index::{BloomSummaryIndex, DelayedIndex, SummaryConfig, UpdatePolicy};
 use baps_sim::{run, run_simple};
 use baps_trace::{ClientId, DocId, Request, Trace, TraceStats};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A small random trace: bounded universes so caches see real contention.
 ///
@@ -133,5 +135,83 @@ proptest! {
         prop_assert_eq!(b.metrics.proxy.count, 0);
         prop_assert_eq!(b.metrics.remote_browser.count, 0);
         prop_assert_eq!(b.metrics.class_ratio(HitClass::Proxy), 0.0);
+    }
+}
+
+/// A store/evict notice from one of 8 clients about one of 128 documents.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Store(u8, u16),
+    Evict(u8, u16),
+}
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        prop_oneof![
+            ((0u8..8), (0u16..128)).prop_map(|(c, d)| Op::Store(c, d)),
+            ((0u8..8), (0u16..128)).prop_map(|(c, d)| Op::Evict(c, d)),
+        ],
+        0..400,
+    )
+}
+
+proptest! {
+    /// After flushing everything, a delayed index converges to ground truth.
+    #[test]
+    fn delayed_index_converges_on_flush(ops in ops()) {
+        let policy = UpdatePolicy { threshold_frac: 0.5, min_pending: 4, interval_ms: None };
+        let mut idx = DelayedIndex::new(8, policy);
+        let mut shadow: HashSet<(u8, u16)> = HashSet::new();
+        for op in ops {
+            match op {
+                Op::Store(c, d) => {
+                    idx.on_store(ClientId(c as u32), DocId(d as u32));
+                    shadow.insert((c, d));
+                }
+                Op::Evict(c, d) => {
+                    idx.on_evict(ClientId(c as u32), DocId(d as u32));
+                    shadow.remove(&(c, d));
+                }
+            }
+            // Ground truth is always exact, even between flushes.
+            for &(c, d) in &shadow {
+                prop_assert!(idx.actually_holds(ClientId(c as u32), DocId(d as u32)));
+            }
+        }
+        idx.flush_all();
+        for &(c, d) in &shadow {
+            prop_assert!(idx.published_contains(ClientId(c as u32), DocId(d as u32)));
+        }
+        for d in 0u16..128 {
+            let holders = idx.lookup_all(DocId(d as u32), ClientId(255));
+            for h in holders {
+                prop_assert!(shadow.contains(&((h.0 as u8), d)));
+            }
+        }
+    }
+
+    /// Bloom summaries never produce false negatives after a rebuild.
+    #[test]
+    fn bloom_summary_no_false_negatives(ops in ops()) {
+        let mut idx = BloomSummaryIndex::new(8, SummaryConfig::default());
+        let mut shadow: HashSet<(u8, u16)> = HashSet::new();
+        for op in ops {
+            match op {
+                Op::Store(c, d) => {
+                    idx.on_store(ClientId(c as u32), DocId(d as u32));
+                    shadow.insert((c, d));
+                }
+                Op::Evict(c, d) => {
+                    idx.on_evict(ClientId(c as u32), DocId(d as u32));
+                    shadow.remove(&(c, d));
+                }
+            }
+        }
+        idx.rebuild_all();
+        for &(c, d) in &shadow {
+            let holders = idx.lookup_all(DocId(d as u32), ClientId(255));
+            prop_assert!(holders.contains(&ClientId(c as u32)),
+                "false negative for client {c} doc {d}");
+        }
     }
 }

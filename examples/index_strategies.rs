@@ -6,8 +6,7 @@
 //! cargo run --release --example index_strategies
 //! ```
 
-use baps::core::{LatencyParams, Organization, SystemConfig};
-use baps::index::IndexModel;
+use baps::core::{IndexModel, LatencyParams, Organization, SystemConfig};
 use baps::sim::{human_bytes, pct, run_sweep, Table};
 use baps::trace::{Profile, TraceStats};
 

@@ -10,6 +10,29 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== crate graph (the proxy links only what it runs)"
+# DESIGN.md §3, "Simulator-only index models": the live proxy runs the
+# exact index alone, so its first-level workspace dependencies are exactly
+# these; the simulator's index models and baps-trace's generators and
+# parsers stay out of it, and out of baps-index, which both sides link.
+want='baps-cache baps-core baps-crypto baps-index baps-obs parking_lot rand'
+got=$(cargo tree --offline -p baps-proxy -e normal --depth 1 --prefix none \
+    | tail -n +2 | awk '{ print $1 }' | sort -u | xargs)
+if [ "$got" != "$want" ]; then
+    echo "crate graph: baps-proxy depends on [$got], expected [$want]"
+    exit 1
+fi
+if cargo tree --offline -p baps-index -e normal | grep -q baps-trace; then
+    echo "crate graph: baps-index depends on baps-trace"
+    exit 1
+fi
+
+echo "== rustdoc -D warnings"
+# A doc link to a private item, an ambiguous name or a crate this one no
+# longer depends on is a warning; moving a type between crates breaks
+# such links silently unless this fails.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release"
 cargo build --release
 

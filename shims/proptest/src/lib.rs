@@ -339,7 +339,7 @@ impl Strategy for &'static str {
 pub mod collection {
     use super::*;
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,

@@ -12,10 +12,10 @@
 //!   calibrated to the paper's Table 1, and real log parsers;
 //! * [`cache`] — byte-budgeted LRU / LFU / GDSF / SIZE / FIFO caches and
 //!   the memory+disk tier model;
-//! * [`index`] — exact, delayed and Bloom-summary browser indexes;
-//! * [`core`] — the five caching organizations, configuration and the
-//!   analytic latency model;
-//! * [`sim`] — the trace-driven simulator and experiment harness;
+//! * [`index`] — the exact browser index, the one the live proxy runs;
+//! * [`core`] — client / document ids, the five caching organizations,
+//!   configuration and the analytic latency model;
+//! * [`sim`] — the simulator, its §5 index models and the experiment harness;
 //! * [`crypto`] — MD5/RSA/XTEA and the §6 reliability protocols;
 //! * [`proxy`] — a live, event-driven browsers-aware proxy over TCP.
 //!
