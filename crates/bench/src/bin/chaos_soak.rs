@@ -541,8 +541,8 @@ fn health_line(bed: &TestBed) -> String {
 /// schedule `ok`, then an error burst flips `error_burn` to `critical`.
 ///
 /// The flip is deterministic by construction: ten forced captures push
-/// the window tick train ten seconds past the wall clock (parking the
-/// once-a-second sampler), so the `error_burn` 10 s window at the next
+/// the window tick train ten seconds past the wall clock (idling the
+/// once-a-second capture timer), so the `error_burn` 10 s window at the next
 /// evaluation starts exactly here and the burst below — GETs for URLs
 /// that exist nowhere, every one an error — is the only traffic it sees.
 fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {

@@ -250,15 +250,29 @@ impl LatencyHistogram {
     }
 
     /// The raw per-bucket counts, all [`NBUCKETS`] of them (zeros
-    /// included) — the capture shape the window ring stores.
+    /// included).
     pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Rebuilds a histogram from raw bucket counts (the window ring's
-    /// read path). The count is derived from the bucket sum; the maximum
-    /// is approximated by the highest occupied bucket's edge, since the
-    /// exact sample is not recoverable from bucket deltas.
+    /// What was recorded between `earlier` and this later snapshot of the
+    /// same cumulative histogram, bucket by bucket: quantiles over it
+    /// describe only that interval. The maximum is the highest occupied
+    /// bucket's edge, since the exact sample is not recoverable from
+    /// bucket deltas.
+    pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
+        let counts = self
+            .counts
+            .iter()
+            .zip(&earlier.counts)
+            .map(|(now, then)| now.saturating_sub(*then))
+            .collect();
+        LatencyHistogram::from_bucket_counts(counts, (self.sum_ms - earlier.sum_ms).max(0.0))
+    }
+
+    /// Rebuilds a histogram from raw bucket counts. The count is derived
+    /// from the bucket sum; the maximum is approximated by the highest
+    /// occupied bucket's edge.
     pub(crate) fn from_bucket_counts(counts: Vec<u64>, sum_ms: f64) -> LatencyHistogram {
         assert_eq!(counts.len(), NBUCKETS);
         let total = counts.iter().sum();

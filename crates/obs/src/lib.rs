@@ -6,7 +6,8 @@
 //!
 //! * [`LatencyHistogram`] — the fixed-bucket log-scale histogram (moved
 //!   here from `baps-sim`, which now re-exports it), for single-threaded
-//!   recording and for snapshots/merges;
+//!   recording, snapshots, merges and the differences rolling windows
+//!   take ([`LatencyHistogram::since`]);
 //! * [`AtomicHistogram`] — the same bucket layout with lock-free
 //!   `AtomicU64` buckets, for always-on recording inside servers;
 //! * [`TraceId`] — per-request ids minted by the client and propagated in
@@ -18,11 +19,7 @@
 //!   the JSONL export behind the `TRACE BAPS/1.0` verb, and span-tree
 //!   assembly ([`span::assemble`]);
 //! * [`prom`] — Prometheus text exposition rendering (and a parser for
-//!   the tests that scrape it), backing the `METRICS BAPS/1.0` verb;
-//! * [`window`] — a lock-free ring of per-second cumulative captures
-//!   yielding rolling 1 s/10 s/60 s rates and windowed quantiles, the
-//!   substrate the proxy's SLO verdicts (part of every `METRICS`
-//!   scrape) are computed over.
+//!   the tests that scrape it), backing the `METRICS BAPS/1.0` verb.
 //!
 //! Recording is **always on**; [`set_recording`] exists solely so the
 //! `recording` bench (`crates/bench/benches/recording.rs`) can measure the
@@ -36,13 +33,11 @@ pub mod prom;
 pub mod recorder;
 pub mod span;
 pub mod trace;
-pub mod window;
 
 pub use hist::{AtomicHistogram, LabeledHistograms, LatencyHistogram, Tier, TIER_NAMES};
 pub use recorder::{Event, EventKind, FlightRecorder};
 pub use span::{SpanId, SpanRecord, SpanTree};
 pub use trace::TraceId;
-pub use window::{WindowRing, WindowSchema, WindowSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

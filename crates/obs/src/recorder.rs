@@ -381,8 +381,14 @@ impl FlightRecorder {
     /// Events dropped: displaced because the ring was full, plus events
     /// shed because every stripe lock was held at push time.
     pub fn dropped(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().dropped).sum::<u64>()
-            + self.shed.load(Ordering::Relaxed)
+        self.stripes.iter().map(|s| s.lock().dropped).sum::<u64>() + self.shed()
+    }
+
+    /// Events shed because every stripe lock was held at push time: the
+    /// contention share of [`dropped`](Self::dropped), which a full ring
+    /// displacing its oldest event does not move.
+    pub fn shed(&self) -> u64 {
+        self.shed.load(Ordering::Relaxed)
     }
 
     /// A copy of the ring, oldest event first (merged across stripes by
@@ -447,6 +453,7 @@ mod tests {
         }
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.dropped(), 6);
+        assert_eq!(rec.shed(), 0, "a full ring displaces events, it sheds none");
         let dump = rec.dump();
         let seqs: Vec<u64> = dump.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "keeps the newest events in order");

@@ -12,9 +12,7 @@
 
 use baps_obs::hist::{LatencyHistogram, BUCKETS_PER_DECADE};
 use baps_obs::span::{assemble, SpanRecord};
-use baps_obs::{
-    EventKind, FlightRecorder, LabeledHistograms, SpanId, TraceId, WindowRing, WindowSchema,
-};
+use baps_obs::{EventKind, FlightRecorder, LabeledHistograms, SpanId, TraceId};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -216,148 +214,6 @@ proptest! {
         let mut rotated = records.clone();
         rotated.rotate_left(rot % records.len().max(1));
         prop_assert_eq!(&baseline, &shape(&assemble(&rotated)));
-    }
-}
-
-/// An arbitrary sampler history for the window ring: per capture, a clock
-/// advance in seconds (0 = a re-capture within the same second) and the
-/// counter/latency activity since the previous capture (the bool gates
-/// whether a latency sample landed — the shim has no `Option` strategy).
-fn window_history() -> impl Strategy<Value = Vec<(u64, u64, bool, f64)>> {
-    proptest::collection::vec((0u64..40, 0u64..1000, any::<bool>(), 1e-3f64..1e4), 2..120)
-}
-
-proptest! {
-    /// Bucket rotation under arbitrary clock advances: whatever the
-    /// advance pattern (steady ticks, stalls, jumps past the whole ring),
-    /// every window the ring answers is the exact difference of two
-    /// cumulative captures — equal to the sum of the per-capture deltas
-    /// attributed to seconds inside `(start_sec, end_sec]`. This is the
-    /// telescoping identity "windowed count ≡ sum of cumulative deltas".
-    #[test]
-    fn window_equals_sum_of_deltas_under_arbitrary_advances(
-        history in window_history(),
-        want in 1u64..70,
-    ) {
-        let schema = WindowSchema { counters: 1, hists: 1 };
-        let ring = WindowRing::new(schema, 16);
-        let mut sec = 0u64;
-        let mut hist = LatencyHistogram::new();
-        let mut total = 0u64;
-        // Ground truth, kept independently of the ring: the per-second
-        // activity deltas (same-second re-captures merge into one entry).
-        let mut deltas: Vec<(u64, u64, u64)> = Vec::new(); // (sec, counter, hist count)
-        for &(advance, inc, has_ms, ms) in &history {
-            sec += advance;
-            total += inc;
-            let hist_inc = u64::from(has_ms);
-            if has_ms {
-                hist.record(ms);
-            }
-            match deltas.last_mut() {
-                Some(last) if last.0 == sec => { last.1 += inc; last.2 += hist_inc; }
-                _ => deltas.push((sec, inc, hist_inc)),
-            }
-            let mut capture = vec![total];
-            baps_obs::window::push_hist(&mut capture, &hist);
-            ring.ingest(sec, &capture);
-        }
-        let Some(w) = ring.window(want) else {
-            // Only a degenerate history (every capture in second 0's
-            // slot) leaves nothing to difference.
-            let distinct: std::collections::HashSet<u64> =
-                deltas.iter().map(|d| d.0 % 16).collect();
-            prop_assert_eq!(distinct.len(), 1);
-            return Ok(());
-        };
-        prop_assert_eq!(w.end_sec, sec, "end capture is the newest ingested");
-        prop_assert!(w.start_sec < w.end_sec);
-        let expect_counter: u64 = deltas
-            .iter()
-            .filter(|d| d.0 > w.start_sec && d.0 <= w.end_sec)
-            .map(|d| d.1)
-            .sum();
-        let expect_hist: u64 = deltas
-            .iter()
-            .filter(|d| d.0 > w.start_sec && d.0 <= w.end_sec)
-            .map(|d| d.2)
-            .sum();
-        prop_assert_eq!(w.counter(0), expect_counter);
-        prop_assert_eq!(w.hist(0).count(), expect_hist);
-        // The start capture is legitimate: either the newest capture at
-        // or before the cutoff (a capture gap can make it older than
-        // asked — the span is reported honestly), or — when rotation or
-        // youth left nothing that old — the oldest capture the ring still
-        // retains (modelled independently: a capture survives iff no
-        // later capture landed in its slot).
-        let cutoff = w.end_sec.saturating_sub(want);
-        if w.start_sec > cutoff {
-            let oldest_retained = deltas
-                .iter()
-                .map(|d| d.0)
-                .filter(|&s| !deltas.iter().any(|d| d.0 > s && d.0 % 16 == s % 16))
-                .min()
-                .unwrap();
-            prop_assert_eq!(w.start_sec, oldest_retained,
-                "start past the cutoff must be the oldest retained capture");
-        }
-    }
-
-    /// Windows are monotone in their length and never exceed the
-    /// lifetime totals: a longer ask can only widen the covered range,
-    /// and no delta can double-count past what actually happened —
-    /// the "snapshot never double-counts or goes negative" invariant
-    /// (going negative is a u64 panic/wrap, caught by the equality
-    /// checks above; this adds the upper bound).
-    #[test]
-    fn windows_are_monotone_and_bounded(history in window_history()) {
-        let schema = WindowSchema { counters: 1, hists: 0 };
-        let ring = WindowRing::new(schema, 16);
-        let mut sec = 0u64;
-        let mut total = 0u64;
-        for &(advance, inc, _, _) in &history {
-            sec += advance;
-            total += inc;
-            ring.ingest(sec, &[total]);
-        }
-        let mut prev = 0u64;
-        for want in [1u64, 5, 10, 30, 60, 600] {
-            let Some(w) = ring.window(want) else { continue };
-            prop_assert!(w.counter(0) >= prev, "longer window lost events");
-            prop_assert!(w.counter(0) <= total, "window exceeds lifetime total");
-            prop_assert_eq!(w.rate(0), w.counter(0) as f64 / w.span_secs() as f64);
-            prev = w.counter(0);
-        }
-    }
-
-    /// Merge semantics: merging two windows adds their deltas and takes
-    /// the union of their ranges, and merge with an all-zero window of
-    /// the same schema is the identity.
-    #[test]
-    fn window_merge_adds_and_widens(history in window_history()) {
-        let schema = WindowSchema { counters: 1, hists: 1 };
-        let ring = WindowRing::new(schema, 32);
-        let mut sec = 0u64;
-        let mut hist = LatencyHistogram::new();
-        let mut total = 0u64;
-        for &(advance, inc, has_ms, ms) in &history {
-            sec += advance;
-            total += inc;
-            if has_ms {
-                hist.record(ms);
-            }
-            let mut capture = vec![total];
-            baps_obs::window::push_hist(&mut capture, &hist);
-            ring.ingest(sec, &capture);
-        }
-        let Some(short) = ring.window(1) else { return Ok(()) };
-        let long = ring.window(600).unwrap();
-        let mut merged = short.clone();
-        merged.merge(&long);
-        prop_assert_eq!(merged.counter(0), short.counter(0) + long.counter(0));
-        prop_assert_eq!(merged.hist(0).count(), short.hist(0).count() + long.hist(0).count());
-        prop_assert_eq!(merged.start_sec, short.start_sec.min(long.start_sec));
-        prop_assert_eq!(merged.end_sec, short.end_sec.max(long.end_sec));
     }
 }
 

@@ -266,16 +266,6 @@ impl ClientAgent {
         self.state.peer_serves.load(Ordering::Relaxed)
     }
 
-    /// Test hook: make this client serve corrupted bodies to its peers
-    /// (shorthand for [`TamperMode::FlipByte`] / [`TamperMode::Honest`]).
-    pub fn set_tamper(&self, tamper: bool) {
-        self.set_tamper_mode(if tamper {
-            TamperMode::FlipByte
-        } else {
-            TamperMode::Honest
-        });
-    }
-
     /// Test hook: choose exactly how this client tampers with the
     /// documents it serves to peers.
     pub fn set_tamper_mode(&self, mode: TamperMode) {

@@ -7,8 +7,9 @@
 //! index occupancy with per-shard gauges, the per-tier and per-verb
 //! latency histograms, the flight recorder's fill level, and the SLO
 //! engine's rolling windows and rule verdicts (`health.rs`), evaluated
-//! over a window capture this scrape forces. The exposition format and
-//! bucket layout are documented in DESIGN.md §9, the SLO families in §14.
+//! over the captures loop 0 takes once a second plus one this scrape
+//! forces. The exposition format and bucket layout are documented in
+//! DESIGN.md §9, the SLO families in §14.
 //!
 //! All `baps_*_total` series are **restart-surviving**: the snapshot
 //! folds in the counter baseline persisted beside the disk tier, so a
@@ -278,7 +279,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     out.counter(
         "baps_flight_recorder_dropped_total",
-        "Events dropped because the ring was full.",
+        "Events dropped: displaced because the ring was full, or shed under stripe-lock contention.",
         state.obs.recorder.dropped(),
     );
 

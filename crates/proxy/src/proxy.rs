@@ -37,9 +37,8 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maximum peer candidates probed per request.
@@ -141,8 +140,8 @@ pub(crate) struct ProxyState {
     /// outcome. Shared with every [`FlightLeader`], which may outlive a
     /// borrow of this state.
     inflight: Arc<FlightRegistry>,
-    /// Rolling per-second telemetry windows (fed by the sampler thread
-    /// and forced captures), the substrate of the SLO verdicts.
+    /// Rolling per-second telemetry windows (fed by loop 0's timer and
+    /// forced captures), the substrate of the SLO verdicts.
     pub(crate) windows: ProxyWindows,
 }
 
@@ -164,9 +163,7 @@ impl ProxyState {
 
 /// A running browsers-aware proxy.
 pub struct ProxyServer {
-    shutdown: Arc<AtomicBool>,
-    /// The 1 Hz window sampler thread feeding `state.windows`.
-    sampler: Option<JoinHandle<()>>,
+    stopped: bool,
     /// Acceptor, one event loop per core, and the disk-tier executor.
     server: Server<Suspended>,
     state: Arc<ProxyState>,
@@ -182,7 +179,6 @@ impl ProxyServer {
     /// Starts the proxy on an already-bound listener (the restart path
     /// reuses the previous incarnation's socket).
     fn start_on(listener: TcpListener, config: ProxyConfig) -> io::Result<ProxyServer> {
-        let shutdown = Arc::new(AtomicBool::new(false));
         let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(config.key_seed));
         let recorder = config
             .recorder
@@ -222,18 +218,6 @@ impl ProxyServer {
         // counters as they stood at start (the restart baseline included),
         // so windows measure activity of *this* incarnation only.
         state.windows.force_capture(&state);
-        let sampler = {
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("baps-proxy-windows".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        state.windows.maybe_capture(&state);
-                        std::thread::park_timeout(Duration::from_millis(50));
-                    }
-                })?
-        };
         let server = Server::start_on(
             listener,
             "baps-proxy",
@@ -242,8 +226,7 @@ impl ProxyServer {
             telemetry,
         )?;
         Ok(ProxyServer {
-            shutdown,
-            sampler: Some(sampler),
+            stopped: false,
             server,
             state,
         })
@@ -382,16 +365,12 @@ impl ProxyServer {
     }
 
     fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
+        if std::mem::replace(&mut self.stopped, true) {
             return;
         }
         // Closes every open connection — the clients' and the loops' own
         // to peers and origin — then joins the threads.
         self.server.shutdown();
-        if let Some(sampler) = self.sampler.take() {
-            sampler.thread().unpark();
-            let _ = sampler.join();
-        }
         // Persist the cumulative counters beside the disk tier so the
         // next incarnation's `baps_*_total` series continue monotonically
         // instead of resetting to zero. Written after the workers have
@@ -455,6 +434,12 @@ impl FrameService for ProxyState {
             self.obs.verbs.record(verb, t_verb.elapsed());
         }
         step
+    }
+
+    /// The rolling windows' capture, once per second of uptime.
+    fn tick(&self) -> Option<Duration> {
+        self.windows.maybe_capture(self);
+        Some(self.windows.until_next_sec())
     }
 
     fn resume(&self, suspended: Suspended, event: Event, seat: &Seat<'_>) -> Step<Suspended> {
@@ -1628,7 +1613,7 @@ fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     /// A memory-only proxy in front of `origin_addr`, defaults elsewhere.
     fn test_config(origin_addr: SocketAddr) -> ProxyConfig {

@@ -2,7 +2,8 @@
 
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, FaultConfig, FaultKind, FaultPlan,
-    Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TestBed, TestBedConfig,
+    Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TamperMode, TestBed,
+    TestBedConfig, Verdict,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -100,7 +101,7 @@ fn tampering_peer_detected_and_bypassed() {
             .unwrap();
     }
     // Client 0 turns malicious: serves corrupted bytes to peers.
-    bed.clients[0].set_tamper(true);
+    bed.clients[0].set_tamper_mode(TamperMode::FlipByte);
 
     // Client 1 still receives the *correct* document: the watermark check
     // rejects the tampered copy and the retry bypasses peers.
@@ -612,8 +613,6 @@ fn stalled_proxy_reply_times_out_instead_of_hanging() {
 
 #[test]
 fn tamper_mode_matrix_never_yields_wrong_bytes() {
-    use baps_proxy::TamperMode;
-
     // Every way a malicious peer can lie — corrupted bytes, a truncated
     // body, a forged watermark — must be caught by the requester's
     // verification and answered with correct bytes from elsewhere. With
@@ -1628,6 +1627,67 @@ fn health_windows_move_and_exemplars_resolve_through_trace() {
             .unwrap_or_else(|| panic!("exemplar {id} has no TRACE span tree"));
         assert!(tree.root.records().len() >= 2, "exemplar {id}: {tree:#?}");
     }
+    bed.shutdown();
+}
+
+/// A full flight-recorder ring displaces its oldest event for every new
+/// one: that is rotation, not shedding, and the `recorder_shed` rule
+/// reads only shedding. One client's sequential origin misses contend for
+/// no stripe lock, so however often the ring turned over, the rule reads
+/// 0 and is ok.
+#[test]
+fn recorder_shed_reads_contention_not_ring_rotation() {
+    const MISSES: usize = 1_500;
+    let bed = TestBed::start(
+        DocumentStore::synthetic(MISSES, 200, 1_500, 42),
+        TestBedConfig {
+            n_clients: 1,
+            ..TestBedConfig::default()
+        },
+    )
+    .expect("test bed starts");
+    for i in 0..MISSES {
+        bed.clients[0].fetch(&doc_url(i)).unwrap();
+    }
+    let recorder = bed.proxy.recorder();
+    assert!(
+        recorder.dropped() > recorder.capacity() as u64,
+        "the ring turned over ({} dropped)",
+        recorder.dropped()
+    );
+    let report = bed.proxy.health();
+    let shed = report.rule("recorder_shed").expect("default table rule");
+    assert_eq!(shed.value, 0.0);
+    assert_eq!(shed.verdict, Verdict::Ok);
+    bed.shutdown();
+}
+
+/// The windows fill with nobody scraping: loop 0's timer captures once a
+/// second, so after three idle seconds the 1 s window a forced capture
+/// closes starts at one of its captures. With no background capture it
+/// would start at the start-up capture, three seconds back.
+#[test]
+fn windows_capture_in_the_background() {
+    let bed = TestBed::start(
+        DocumentStore::synthetic(4, 200, 1_500, 42),
+        TestBedConfig {
+            n_clients: 1,
+            ..TestBedConfig::default()
+        },
+    )
+    .expect("test bed starts");
+    std::thread::sleep(Duration::from_millis(3_200));
+    let report = bed.proxy.health();
+    let w1 = report
+        .windows
+        .iter()
+        .find(|w| w.window_secs == 1)
+        .expect("a 1 s report window");
+    assert!(
+        (1..=2).contains(&w1.span_secs),
+        "1 s window spans {} s",
+        w1.span_secs
+    );
     bed.shutdown();
 }
 

@@ -107,10 +107,11 @@ fn served_connections_cost_one_fd_and_no_thread() {
     .unwrap();
     // At rest: per browser an acceptor and one loop (executor threads
     // start with the first step that needs them); the same for the origin
-    // and the proxy, with a loop per core, plus the proxy's window sampler.
+    // and the proxy, with a loop per core. The proxy's rolling windows
+    // ride a timer on its first loop, not a thread.
     assert_eq!(
         threads() - threads_at_start,
-        16 * 2 + (1 + loops) + (1 + loops + 1)
+        16 * 2 + (1 + loops) + (1 + loops)
     );
     // A server is its listener (the acceptor thread's handle and the one
     // a restart would pass on) and an epoll set and an eventfd per loop;

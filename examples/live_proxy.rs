@@ -7,7 +7,7 @@
 //! cargo run --release --example live_proxy
 //! ```
 
-use baps::proxy::{DocumentStore, Source, TestBed, TestBedConfig};
+use baps::proxy::{DocumentStore, Source, TamperMode, TestBed, TestBedConfig};
 
 fn main() {
     // 16 documents of 0.2–2 KB at the origin; a deliberately tiny proxy
@@ -59,7 +59,7 @@ fn main() {
     assert_eq!(r.source, Source::Peer);
 
     // 4. A tampering peer is caught by the watermark and bypassed.
-    bed.clients[0].set_tamper(true);
+    bed.clients[0].set_tamper_mode(TamperMode::FlipByte);
     bed.clients[1].evict(url).unwrap();
     let r = bed.clients[1].fetch(url).unwrap();
     println!(
@@ -69,7 +69,7 @@ fn main() {
     assert_ne!(r.source, Source::Peer);
 
     // 5. Invalidation keeps the index honest.
-    bed.clients[0].set_tamper(false);
+    bed.clients[0].set_tamper_mode(TamperMode::Honest);
     bed.clients[0].evict(url).unwrap();
     println!("client 0 evicted {url} and invalidated its index entry");
 

@@ -204,6 +204,16 @@ if git grep -nE 'metrics_smoke|health_smoke|require-multihop|IoMode|UpstreamPool
     exit 1
 fi
 
+# The proxy's rolling windows are one mutex-guarded deque of typed
+# captures, taken by a timer on its first event loop (DESIGN.md §14): the
+# lock-free ring, its flat capture layout and the thread that fed it are
+# gone.
+if git grep -nE 'WindowRing|WindowSchema|WindowSnapshot|push_hist|baps-proxy-windows|seqlock' -- \
+    README.md DESIGN.md src examples .claude crates/*/src; then
+    echo "doc rot: the lines above name the deleted window ring or its sampler thread"
+    exit 1
+fi
+
 echo "== one memory budget (no split-budget helper outside shard.rs)"
 # The proxy's memory tier is one LRU over the whole cache capacity, the
 # model of the paper's §4 and of baps-sim (DESIGN.md §6b).
