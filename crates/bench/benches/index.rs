@@ -1,7 +1,6 @@
 //! Browser-index micro-benchmarks: exact vs delayed vs Bloom summaries.
 
-use baps_core::IndexModel;
-use baps_index::ExactIndex;
+use baps_core::{ExactIndex, IndexModel};
 use baps_sim::index::{AnyIndex, BloomFilter};
 use baps_trace::{ClientId, DocId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

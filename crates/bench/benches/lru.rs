@@ -1,6 +1,7 @@
 //! Cache-substrate micro-benchmarks: LRU / ranked policies / tiered LRU.
 
-use baps_cache::{AnyCache, ByteLru, DocCache, Policy, TieredLru};
+use baps_core::{ByteLru, Policy};
+use baps_sim::{AnyCache, DocCache, TieredLru};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,8 +1,47 @@
 //! System configuration: cache sizing rules and request-routing options.
 
 use crate::org::Organization;
-use baps_cache::Policy;
 use serde::{Deserialize, Serialize};
+
+/// Replacement policies available to the simulator (the live proxy and
+/// browsers run LRU alone).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Policy {
+    /// Least-recently-used (the paper's policy).
+    Lru,
+    /// Least-frequently-used, ties broken oldest-first.
+    Lfu,
+    /// GreedyDual-Size with Frequency: priority `L + freq / size`.
+    Gdsf,
+    /// Evict the largest document first.
+    Size,
+    /// First-in first-out.
+    Fifo,
+}
+
+impl Policy {
+    /// All policies, LRU first.
+    pub fn all() -> [Policy; 5] {
+        [
+            Policy::Lru,
+            Policy::Lfu,
+            Policy::Gdsf,
+            Policy::Size,
+            Policy::Fifo,
+        ]
+    }
+
+    /// Display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Policy::Lru => "LRU",
+            Policy::Lfu => "LFU",
+            Policy::Gdsf => "GDSF",
+            Policy::Size => "SIZE",
+            Policy::Fifo => "FIFO",
+        }
+    }
+}
 
 /// How each client's browser cache is sized (paper §4).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -238,6 +277,12 @@ mod tests {
         assert!(RemoteHitCaching::CacheAtProxy.at_proxy());
         assert!(RemoteHitCaching::CacheBoth.at_requester());
         assert!(RemoteHitCaching::CacheBoth.at_proxy());
+    }
+
+    #[test]
+    fn policy_names() {
+        assert_eq!(Policy::Lru.name(), "LRU");
+        assert_eq!(Policy::Gdsf.name(), "GDSF");
     }
 
     #[test]

@@ -1,8 +1,17 @@
 //! Classification of how each request was served.
 
 use crate::ids::ClientId;
-use baps_cache::Tier;
 use serde::{Deserialize, Serialize};
+
+/// Which storage tier of a cache served a hit (the §4.2 memory byte hit
+/// ratio splits hits this way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Tier {
+    /// RAM-resident segment.
+    Memory,
+    /// Disk-resident segment.
+    Disk,
+}
 
 /// Where a request was satisfied (paper Fig. 3's breakdown categories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -1,18 +1,62 @@
-//! The exact, invalidation-driven browser index (the paper's base design).
+//! The browser index: a directory, kept at the proxy, of which documents
+//! live in which client's browser cache (paper §2). [`ExactIndex`] is the
+//! paper's base design, exact and invalidation-driven: the live proxy
+//! stripes it across locks, and the simulator runs it as its base model.
+//! The cheaper §5 models are simulator-only (`baps_sim::index`).
 //!
-//! The proxy learns about browser-cache contents from two event streams
-//! (§2): an index item is **added** when the proxy sends a document to a
+//! The proxy learns about browser-cache contents from two event streams:
+//! an index item is **added** when the proxy sends a document to a
 //! browser, and **removed** when the browser sends an invalidation message
 //! on eviction. With both streams applied synchronously the index mirrors
 //! the union of all browser caches exactly.
 
-use crate::stats::IndexStats;
-use baps_core::{ClientId, DocId};
+use crate::ids::{ClientId, DocId};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Estimated bytes per index entry: a 16-byte MD5 URL signature plus a
 /// client id and list overhead (paper §5 sizes the index this way).
 pub const BYTES_PER_ENTRY: u64 = 16 + 4 + 8;
+
+/// Counters accumulated by an index implementation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct IndexStats {
+    /// Lookup operations performed.
+    pub lookups: u64,
+    /// Lookups that returned at least one candidate holder.
+    pub index_hits: u64,
+    /// Update operations applied (stores + evictions).
+    pub updates: u64,
+    /// Update messages actually transmitted browser → proxy (delayed
+    /// models batch several updates per message).
+    pub messages: u64,
+    /// Bytes of update traffic (16-byte signature per entry, paper §5).
+    pub update_bytes: u64,
+    /// Batch flushes performed (delayed/summary models).
+    pub flushes: u64,
+}
+
+impl IndexStats {
+    /// Fraction of lookups that found at least one candidate holder
+    /// (0 when no lookups have happened).
+    pub fn hit_ratio(&self) -> f64 {
+        if self.lookups == 0 {
+            0.0
+        } else {
+            self.index_hits as f64 / self.lookups as f64
+        }
+    }
+
+    /// Merges another stats block into this one.
+    pub fn merge(&mut self, other: &IndexStats) {
+        self.lookups += other.lookups;
+        self.index_hits += other.index_hits;
+        self.updates += other.updates;
+        self.messages += other.messages;
+        self.update_bytes += other.update_bytes;
+        self.flushes += other.flushes;
+    }
+}
 
 /// Exact directory of which clients cache which documents.
 #[derive(Debug, Clone, Default)]
@@ -203,5 +247,35 @@ mod tests {
         assert_eq!(s.updates, 1);
         assert_eq!(s.lookups, 2);
         assert_eq!(s.index_hits, 1);
+    }
+
+    #[test]
+    fn merge_accumulates() {
+        let mut a = IndexStats {
+            lookups: 1,
+            index_hits: 1,
+            updates: 2,
+            messages: 1,
+            update_bytes: 16,
+            flushes: 0,
+        };
+        let b = IndexStats {
+            lookups: 3,
+            ..Default::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.lookups, 4);
+        assert_eq!(a.updates, 2);
+    }
+
+    #[test]
+    fn hit_ratio_handles_empty() {
+        assert_eq!(IndexStats::default().hit_ratio(), 0.0);
+        let s = IndexStats {
+            lookups: 4,
+            index_hits: 1,
+            ..Default::default()
+        };
+        assert!((s.hit_ratio() - 0.25).abs() < 1e-12);
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests of the exact browser index.
 
-use baps_core::{ClientId, DocId};
-use baps_index::ExactIndex;
+use baps_core::{ClientId, DocId, ExactIndex};
 use proptest::prelude::*;
 use std::collections::HashSet;
 

@@ -53,7 +53,7 @@
 use crate::protocol::{zeroed_body, MAX_BODY};
 use crate::store::CachedDoc;
 use crate::sys::read_two_at;
-use baps_cache::ByteLru;
+use baps_core::ByteLru;
 use baps_crypto::{crc32c, document_digest, verify_hashed, Crc32c, Digest, PublicKey, Watermark};
 use parking_lot::Mutex;
 use std::collections::{hash_map, BTreeMap, HashMap};

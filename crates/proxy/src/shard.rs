@@ -4,16 +4,16 @@
 //! ([`ShardedCache::single`]): a single byte-budgeted LRU over the whole
 //! configured capacity, so recency is global and a document up to the whole
 //! budget can stay cached. That is the model of the paper's §4 and of
-//! `baps-sim` (`memory_tier_agrees_with_the_simulators_lru` holds the two
-//! to the same hits and bytes). The browser index is the exact directory of
-//! `baps-index`, the one index the live proxy runs. It has no byte budget,
-//! so it is striped into [`DEFAULT_INDEX_SHARDS`] independent shards routed
-//! by a fixed multiplicative hash of the [`DocId`], each behind its own
-//! mutex; every index operation is keyed by document, so striping keeps the
-//! directory exact. Every lock is held only for the in-memory operation,
-//! never across socket I/O (see DESIGN.md's lock map), and tallies its
-//! acquisitions and cumulative lock-wait time so the `METRICS` verb can
-//! report contention.
+//! `baps-sim` (`memory_tier_agrees_with_the_simulators_lru`, in the facade's
+//! `tests/live_system.rs`, holds the two to the same hits and bytes). The
+//! browser index is `baps_core`'s exact directory, the one index the live
+//! proxy runs. It has no byte budget, so it is striped into
+//! [`DEFAULT_INDEX_SHARDS`] independent shards routed by a fixed
+//! multiplicative hash of the [`DocId`], each behind its own mutex; every
+//! index operation is keyed by document, so striping keeps the directory
+//! exact. Every lock is held only for the in-memory operation, never across
+//! socket I/O (see DESIGN.md's lock map), and tallies its acquisitions and
+//! cumulative lock-wait time so the `METRICS` verb can report contention.
 //!
 //! [`ShardedCache::new`] with more than one shard, [`auto_shards`],
 //! [`MIN_SHARD_CAPACITY`] and [`MAX_SHARDS`] exist only for the benchmark's
@@ -21,9 +21,8 @@
 //! cache splits its byte budget evenly across shards, so recency is per
 //! shard and a document larger than one shard's slice never stays cached.
 
-use crate::store::{BodyCache, CachedDoc};
-use baps_core::{ClientId, DocId};
-use baps_index::{ExactIndex, IndexStats};
+use crate::store::{BodyCache, CacheCounters, CachedDoc};
+use baps_core::{ClientId, DocId, ExactIndex, IndexStats};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -166,8 +165,8 @@ impl ShardedCache {
     }
 
     /// Hit/miss/eviction statistics merged across shards (for `METRICS`).
-    pub fn stats(&self) -> baps_cache::CacheStats {
-        let mut out = baps_cache::CacheStats::default();
+    pub fn stats(&self) -> CacheCounters {
+        let mut out = CacheCounters::default();
         for s in &self.shards {
             out.merge(s.cache.lock().stats());
         }
@@ -408,46 +407,6 @@ mod tests {
             let shards = striped.shard_stats();
             prop_assert_eq!(shards.len(), n_shards);
             prop_assert_eq!(shards.iter().map(|s| s.entries).sum::<u64>(), exact.entries());
-        }
-    }
-
-    /// A capacity and up to 200 get-or-insert operations `(doc, size)`, each
-    /// body between one byte and the whole capacity. Capacities reach 128
-    /// KiB, where [`auto_shards`] would have cut the budget in four.
-    fn tier_ops() -> impl Strategy<Value = (u64, Vec<(u32, u64)>)> {
-        let ops = proptest::collection::vec(((0u32..64), any::<u64>()), 0..200);
-        ((1u64..=(128 << 10)), ops).prop_map(|(capacity, ops)| {
-            let ops = ops.into_iter().map(|(d, r)| (d, 1 + r % capacity));
-            (capacity, ops.collect())
-        })
-    }
-
-    proptest! {
-        /// The proxy's memory tier is the simulator's LRU: the cache
-        /// `ProxyState` builds and the `TieredLru` that `baps-sim` runs for
-        /// an all-memory LRU proxy give the same hit or miss on every
-        /// get-or-insert and hold the same bytes after it.
-        #[test]
-        fn memory_tier_agrees_with_the_simulators_lru(case in tier_ops()) {
-            let (capacity, ops) = case;
-            let live = ShardedCache::single(capacity);
-            let mut sim = baps_cache::TieredLru::with_mem_fraction(capacity, 1.0);
-            let watermark = ProxySigner::generate(&mut StdRng::seed_from_u64(1)).watermark(b"any");
-            for (d, size) in ops {
-                let (doc, url) = (DocId(d), format!("http://origin/doc/{d}"));
-                let live_hit = live.get(doc, &url).is_some();
-                if !live_hit {
-                    let body = vec![0u8; size as usize].into();
-                    live.insert(doc, &url, CachedDoc { body, watermark });
-                }
-                let sim_hit = sim.touch(&doc).is_some();
-                if !sim_hit {
-                    sim.insert(doc, size);
-                }
-                prop_assert_eq!(live_hit, sim_hit, "doc {} size {}", d, size);
-                prop_assert_eq!(live.used(), sim.used());
-            }
-            prop_assert_eq!(live.entries(), sim.len() as u64);
         }
     }
 

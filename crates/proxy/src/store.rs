@@ -2,7 +2,7 @@
 //! used by the live proxy and client agents.
 
 use crate::protocol::Body;
-use baps_cache::{ByteLru, CacheStats, Tier};
+use baps_core::ByteLru;
 use baps_crypto::{document_digest, Digest, Watermark};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,12 +119,40 @@ impl CachedDoc {
     }
 }
 
+/// A [`BodyCache`]'s counters, the five `METRICS` exports as
+/// `baps_cache_{hits,misses,inserts,evictions,evicted_bytes}_total`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounters {
+    /// Lookups that hit.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Documents admitted.
+    pub inserts: u64,
+    /// Documents dropped to make room, or purged when an oversize update
+    /// replaced them.
+    pub evictions: u64,
+    /// Body bytes those documents held.
+    pub evicted_bytes: u64,
+}
+
+impl CacheCounters {
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: &CacheCounters) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.inserts += other.inserts;
+        self.evictions += other.evictions;
+        self.evicted_bytes += other.evicted_bytes;
+    }
+}
+
 /// Byte-budgeted LRU cache of document bodies, keyed by URL. A URL is
 /// held exactly as long as its document: nothing outlives an eviction.
 #[derive(Debug)]
 pub struct BodyCache {
     lru: ByteLru<Arc<str>, CachedDoc>,
-    stats: CacheStats,
+    stats: CacheCounters,
 }
 
 impl BodyCache {
@@ -132,17 +160,17 @@ impl BodyCache {
     pub fn new(capacity: u64) -> Self {
         BodyCache {
             lru: ByteLru::new(capacity),
-            stats: CacheStats::default(),
+            stats: CacheCounters::default(),
         }
     }
 
     /// Looks up `url`, promoting it on a hit. Hits and misses are tallied
-    /// in the embedded [`CacheStats`] block (see [`BodyCache::stats`]).
+    /// (see [`BodyCache::stats`]).
     pub fn get(&mut self, url: &str) -> Option<&CachedDoc> {
         let found = self.lru.get(url);
         match found {
-            Some(doc) => self.stats.record_hit(doc.byte_size(), Tier::Memory),
-            None => self.stats.record_miss(0),
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
         found
     }
@@ -155,19 +183,21 @@ impl BodyCache {
     pub fn insert(&mut self, url: &str, doc: CachedDoc) -> Vec<(Arc<str>, u64)> {
         let (held, used) = (self.lru.len(), self.lru.used());
         let out = self.lru.insert(url.into(), doc.byte_size(), doc);
-        self.stats.record_insert(&out.evicted);
         let mut evicted = out.evicted;
-        // Rejected inserts evict nothing, so a shorter cache means the
-        // stale copy went, and the bytes it freed were its size.
-        if !out.admitted && self.lru.len() < held {
-            self.stats.evictions += 1;
+        if out.admitted {
+            self.stats.inserts += 1;
+        } else if self.lru.len() < held {
+            // Rejected inserts evict nothing, so a shorter cache means the
+            // stale copy went, and the bytes it freed were its size.
             evicted.push((url.into(), used - self.lru.used()));
         }
+        self.stats.evictions += evicted.len() as u64;
+        self.stats.evicted_bytes += evicted.iter().map(|(_, bytes)| bytes).sum::<u64>();
         evicted
     }
 
     /// Access/eviction counters accumulated since construction.
-    pub fn stats(&self) -> &CacheStats {
+    pub fn stats(&self) -> &CacheCounters {
         &self.stats
     }
 
@@ -305,11 +335,9 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 1);
-        assert_eq!(s.hit_bytes, 10);
         assert_eq!(s.inserts, 3);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.evicted_bytes, 10);
-        assert_eq!(s.requests(), 2);
     }
 
     #[test]
@@ -320,6 +348,7 @@ mod tests {
         assert!(evicted.is_empty());
         assert!(!c.lru.contains("big"));
         assert!(c.is_empty());
+        assert_eq!(c.stats().inserts, 0);
     }
 
     #[test]
@@ -331,6 +360,7 @@ mod tests {
         assert_eq!(evicted, vec![("u".into(), 4)]);
         assert!(c.is_empty());
         assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats().evicted_bytes, 4);
     }
 
     /// A small cache that has seen many URLs holds only what its budget

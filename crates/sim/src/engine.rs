@@ -3,8 +3,7 @@
 use crate::latency::LatencyTotals;
 use crate::metrics::Metrics;
 use crate::system::SimSystem;
-use baps_core::{HitClass, LatencyParams, SystemConfig};
-use baps_index::IndexStats;
+use baps_core::{HitClass, IndexStats, LatencyParams, SystemConfig};
 use baps_obs::LatencyHistogram;
 use baps_trace::{Trace, TraceStats};
 use serde::{Deserialize, Serialize};

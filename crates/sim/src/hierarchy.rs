@@ -13,9 +13,8 @@
 //! ```
 
 use crate::latency::LatencyModel;
-use baps_cache::{Tier, TieredLru};
-use baps_core::LatencyParams;
-use baps_index::ExactIndex;
+use crate::tiered::TieredLru;
+use baps_core::{ExactIndex, LatencyParams, Tier};
 use baps_trace::{ClientId, DocId, Request, Trace, TraceStats};
 use serde::{Deserialize, Serialize};
 

@@ -9,8 +9,7 @@
 //! churn rather than cache size, trading away the rebuild's self-cleaning.
 
 use super::bloom::CountingBloom;
-use baps_core::{ClientId, DocId};
-use baps_index::IndexStats;
+use baps_core::{ClientId, DocId, IndexStats};
 use std::collections::HashSet;
 
 /// Bytes per delta entry in an update message (MD5 signature + op flag).

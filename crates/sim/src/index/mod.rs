@@ -1,7 +1,7 @@
 //! The browser-index models the simulator evaluates (paper §5).
 //!
 //! The live proxy runs one index, the exact directory of
-//! [`baps_index::ExactIndex`]. §5 asks what it costs in space and update
+//! [`baps_core::ExactIndex`]. §5 asks what it costs in space and update
 //! traffic and how much a cheaper index loses; the simulator answers with
 //! three more models:
 //!
@@ -25,8 +25,7 @@ pub use counting::{CountingBloomIndex, CountingConfig};
 pub use delayed::{DelayedIndex, UpdatePolicy};
 pub use summary::{BloomSummaryIndex, SummaryConfig};
 
-use baps_core::{ClientId, DocId, IndexModel};
-use baps_index::{ExactIndex, IndexStats};
+use baps_core::{ClientId, DocId, ExactIndex, IndexModel, IndexStats};
 
 /// Enum dispatch over the four index implementations.
 #[derive(Debug, Clone)]

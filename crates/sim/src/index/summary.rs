@@ -9,8 +9,7 @@
 //! rebuilds.
 
 use super::bloom::BloomFilter;
-use baps_core::{ClientId, DocId};
-use baps_index::IndexStats;
+use baps_core::{ClientId, DocId, IndexStats};
 use std::collections::HashSet;
 
 /// Configuration of the summary index.
@@ -243,7 +242,7 @@ mod tests {
         }
         idx.rebuild_all();
         // 10 bits/doc ≈ 1.25 B/doc vs 28 B/doc exact: > 10x smaller.
-        let exact_bytes = 1024 * baps_index::BYTES_PER_ENTRY;
+        let exact_bytes = 1024 * baps_core::BYTES_PER_ENTRY;
         assert!(idx.memory_bytes() * 10 < exact_bytes * 2);
     }
 

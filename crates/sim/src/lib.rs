@@ -8,6 +8,11 @@
 //! * [`index`] — the §5 index models only the simulator runs (delayed,
 //!   Bloom summary, counting Bloom) and [`index::AnyIndex`], which picks
 //!   one of them or the exact directory from the configuration;
+//! * [`policy`] — the LFU / GDSF / SIZE / FIFO replacement policies of
+//!   the ablation rows beside `baps_core`'s LRU ([`AnyCache`] holds
+//!   either);
+//! * [`tiered`] — [`TieredLru`], the §4.2 memory+disk model behind the
+//!   memory byte hit ratio;
 //! * [`run`] / [`run_simple`] — single replays producing a [`RunResult`];
 //! * [`run_sweep`] — parallel parameter sweeps (`std::thread::scope`
 //!   workers; results bit-identical to serial execution);
@@ -23,10 +28,12 @@ pub mod hierarchy;
 pub mod index;
 pub mod latency;
 pub mod metrics;
+pub mod policy;
 pub mod report;
 pub mod scaling;
 pub mod sweep;
 pub mod system;
+pub mod tiered;
 
 pub use engine::{run, run_simple, run_with_options, ClassHistograms, RunOptions, RunResult};
 pub use hierarchy::{
@@ -34,9 +41,11 @@ pub use hierarchy::{
 };
 pub use latency::{LanBus, LatencyModel, LatencyTotals};
 pub use metrics::{ClassCounter, Metrics};
+pub use policy::{AnyCache, DocCache, RankedCache};
 pub use report::{human_bytes, pct, Table};
 pub use scaling::{run_scaling, select_clients, ScalingPoint, CLIENT_SCALE_POINTS};
 pub use sweep::{
     ordered_pool, run_matrix, run_sweep, scale_configs, MatrixGroup, PROXY_SCALE_POINTS,
 };
 pub use system::SimSystem;
+pub use tiered::TieredLru;

@@ -4,51 +4,12 @@
 //! GDSF (GreedyDual-Size with Frequency), SIZE and FIFO so the benchmark
 //! suite can run replacement-policy ablations. All policies share the
 //! [`DocCache`] trait and the [`AnyCache`] enum-dispatch wrapper so the
-//! simulator is policy-agnostic.
+//! simulator is policy-agnostic. [`Policy`] itself lives in `baps-core`,
+//! beside the `SystemConfig` that names it.
 
-use crate::lru::{ByteLru, InsertOutcome};
-use serde::{Deserialize, Serialize};
+use baps_core::{ByteLru, InsertOutcome, Policy};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-
-/// Replacement policies available to the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Policy {
-    /// Least-recently-used (the paper's policy).
-    Lru,
-    /// Least-frequently-used, ties broken oldest-first.
-    Lfu,
-    /// GreedyDual-Size with Frequency: priority `L + freq / size`.
-    Gdsf,
-    /// Evict the largest document first.
-    Size,
-    /// First-in first-out.
-    Fifo,
-}
-
-impl Policy {
-    /// All policies, LRU first.
-    pub fn all() -> [Policy; 5] {
-        [
-            Policy::Lru,
-            Policy::Lfu,
-            Policy::Gdsf,
-            Policy::Size,
-            Policy::Fifo,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::Lru => "LRU",
-            Policy::Lfu => "LFU",
-            Policy::Gdsf => "GDSF",
-            Policy::Size => "SIZE",
-            Policy::Fifo => "FIFO",
-        }
-    }
-}
 
 /// Common interface of byte-capacity document caches.
 pub trait DocCache<K> {
@@ -427,12 +388,6 @@ mod tests {
             assert_eq!(c.remove(&1), Some(50));
             assert!(c.is_empty());
         }
-    }
-
-    #[test]
-    fn policy_names() {
-        assert_eq!(Policy::Lru.name(), "LRU");
-        assert_eq!(Policy::Gdsf.name(), "GDSF");
     }
 
     #[test]

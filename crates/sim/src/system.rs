@@ -4,8 +4,9 @@
 use crate::index::AnyIndex;
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
-use baps_cache::{AnyCache, DocCache, Policy, Tier, TieredLru};
-use baps_core::{HitClass, LatencyParams, SystemConfig};
+use crate::policy::{AnyCache, DocCache};
+use crate::tiered::TieredLru;
+use baps_core::{HitClass, LatencyParams, Policy, SystemConfig, Tier};
 use baps_trace::{ClientId, DocId, Request};
 use std::collections::HashMap;
 

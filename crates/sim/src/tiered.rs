@@ -19,17 +19,8 @@
 //! front (they can never be RAM-resident, but their global recency position
 //! still matches flat LRU).
 
-use crate::lru::{ByteLru, InsertOutcome};
+use baps_core::{ByteLru, InsertOutcome, Tier};
 use std::hash::Hash;
-
-/// Which tier served a hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// RAM-resident segment.
-    Memory,
-    /// Disk-resident segment.
-    Disk,
-}
 
 /// A two-segment LRU with a shared global byte budget.
 #[derive(Debug, Clone)]

@@ -11,19 +11,22 @@ echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== crate graph (the proxy links only what it runs)"
-# DESIGN.md §3, "Simulator-only index models": the live proxy runs the
-# exact index alone, so its first-level workspace dependencies are exactly
-# these; the simulator's index models and baps-trace's generators and
-# parsers stay out of it, and out of baps-index, which both sides link.
-want='baps-cache baps-core baps-crypto baps-index baps-obs parking_lot rand'
+# DESIGN.md §3, "Simulator-only models": the live proxy runs one LRU and
+# the exact index, both in baps-core, so its first-level workspace
+# dependencies are exactly these; the simulator's index models, policies
+# and tier model and baps-trace's generators and parsers stay out of it,
+# and out of baps-core, which both sides link.
+want='baps-core baps-crypto baps-obs parking_lot rand'
 got=$(cargo tree --offline -p baps-proxy -e normal --depth 1 --prefix none \
     | tail -n +2 | awk '{ print $1 }' | sort -u | xargs)
 if [ "$got" != "$want" ]; then
     echo "crate graph: baps-proxy depends on [$got], expected [$want]"
     exit 1
 fi
-if cargo tree --offline -p baps-index -e normal | grep -q baps-trace; then
-    echo "crate graph: baps-index depends on baps-trace"
+got=$(cargo tree --offline -p baps-core -e normal --depth 1 --prefix none \
+    | tail -n +2 | awk '{ print $1 }' | sort -u | xargs)
+if [ "$got" != serde ]; then
+    echo "crate graph: baps-core depends on [$got], expected [serde]"
     exit 1
 fi
 
@@ -214,6 +217,16 @@ if git grep -nE 'WindowRing|WindowSchema|WindowSnapshot|push_hist|baps-proxy-win
     exit 1
 fi
 
+# The cache and index crates folded into baps-core, the simulator-only
+# policies and tier model into baps-sim (DESIGN.md §3). Prometheus
+# families such as `baps_cache_bytes` keep their names: the pattern wants
+# a crate name, a path or a `::`.
+if git grep -nE 'baps-cache|baps-index|baps_cache::|baps_index::|crates/(cache|index)' -- \
+    README.md DESIGN.md src examples .claude 'crates/*/src' 'crates/*/Cargo.toml' Cargo.toml; then
+    echo "doc rot: the lines above name a crate this repo folded into baps-core"
+    exit 1
+fi
+
 echo "== one memory budget (no split-budget helper outside shard.rs)"
 # The proxy's memory tier is one LRU over the whole cache capacity, the
 # model of the paper's §4 and of baps-sim (DESIGN.md §6b).
@@ -281,7 +294,7 @@ cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
     || echo "md5 bench failed (non-gating)"
 
 echo "== LRU throughput (non-gating perf smoke)"
-# The simulator and every live tier share one `baps_cache::ByteLru`; its
+# The simulator and every live tier share one `baps_core::ByteLru`; its
 # key and value are type parameters, so a slowdown of the simulator's
 # `ByteLru<DocId>` from a change made for the live tiers should show in
 # the log. 100 k touch-or-insert operations per iteration. Non-gating, for

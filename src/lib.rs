@@ -10,10 +10,10 @@
 //!
 //! * [`trace`] — workload model, synthetic trace generator with profiles
 //!   calibrated to the paper's Table 1, and real log parsers;
-//! * [`cache`] — byte-budgeted LRU / LFU / GDSF / SIZE / FIFO caches and
-//!   the memory+disk tier model;
-//! * [`index`] — the exact browser index, the one the live proxy runs;
-//! * [`core`] — client / document ids, the five caching organizations,
+//! * [`cache`] — `core`'s byte-budgeted LRU, `sim`'s LFU / GDSF / SIZE /
+//!   FIFO policies and memory+disk tier model;
+//! * [`index`] — `core`'s exact browser index, the one the live proxy runs;
+//! * [`core`] — ids, the LRU, the exact index, the five organizations,
 //!   configuration and the analytic latency model;
 //! * [`sim`] — the simulator, its §5 index models and the experiment harness;
 //! * [`crypto`] — MD5/RSA/XTEA and the §6 reliability protocols;
@@ -35,10 +35,22 @@
 
 #![warn(missing_docs)]
 
-pub use baps_cache as cache;
 pub use baps_core as core;
 pub use baps_crypto as crypto;
-pub use baps_index as index;
 pub use baps_proxy as proxy;
 pub use baps_sim as sim;
 pub use baps_trace as trace;
+
+/// Byte-budgeted document caches: the O(1) LRU that the simulator, the
+/// proxy and the browsers all run (`baps_core`), and the simulator's other
+/// replacement policies and §4.2 memory+disk model (`baps_sim`).
+pub mod cache {
+    pub use baps_core::{ByteLru, Handle, InsertOutcome, Policy, SlabList, Tier};
+    pub use baps_sim::{AnyCache, DocCache, RankedCache, TieredLru};
+}
+
+/// The exact browser index (`baps_core`), the one the live proxy runs; the
+/// simulator's cheaper §5 models are [`sim::index`].
+pub mod index {
+    pub use baps_core::{ExactIndex, IndexStats, BYTES_PER_ENTRY};
+}

@@ -2,8 +2,14 @@
 //! facade crate, replaying a small synthetic trace through real sockets and
 //! cross-checking against the simulator's invariants.
 
-use baps::proxy::{DocumentStore, Source, TestBed, TestBedConfig};
+use baps::core::DocId;
+use baps::crypto::ProxySigner;
+use baps::proxy::{CachedDoc, DocumentStore, ShardedCache, Source, TestBed, TestBedConfig};
+use baps::sim::TieredLru;
 use baps::trace::SynthConfig;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 #[test]
@@ -214,4 +220,44 @@ fn client_survives_proxy_side_connection_drop() {
     // Counters kept counting across the drops.
     assert_eq!(bed.proxy.stats().requests, 4);
     bed.shutdown();
+}
+
+/// A capacity and up to 200 get-or-insert operations `(doc, size)`, each
+/// body between one byte and the whole capacity. Capacities reach 128 KiB,
+/// where `baps::proxy::auto_shards` would have cut the budget in four.
+fn tier_ops() -> impl Strategy<Value = (u64, Vec<(u32, u64)>)> {
+    let ops = proptest::collection::vec(((0u32..64), any::<u64>()), 0..200);
+    ((1u64..=(128 << 10)), ops).prop_map(|(capacity, ops)| {
+        let ops = ops.into_iter().map(|(d, r)| (d, 1 + r % capacity));
+        (capacity, ops.collect())
+    })
+}
+
+proptest! {
+    /// The proxy's memory tier is the simulator's LRU: the cache
+    /// `ProxyState` builds and the `TieredLru` that `baps-sim` runs for an
+    /// all-memory LRU proxy give the same hit or miss on every
+    /// get-or-insert and hold the same bytes after it.
+    #[test]
+    fn memory_tier_agrees_with_the_simulators_lru(case in tier_ops()) {
+        let (capacity, ops) = case;
+        let live = ShardedCache::single(capacity);
+        let mut sim = TieredLru::with_mem_fraction(capacity, 1.0);
+        let watermark = ProxySigner::generate(&mut StdRng::seed_from_u64(1)).watermark(b"any");
+        for (d, size) in ops {
+            let (doc, url) = (DocId(d), format!("http://origin/doc/{d}"));
+            let live_hit = live.get(doc, &url).is_some();
+            if !live_hit {
+                let body = vec![0u8; size as usize].into();
+                live.insert(doc, &url, CachedDoc { body, watermark });
+            }
+            let sim_hit = sim.touch(&doc).is_some();
+            if !sim_hit {
+                sim.insert(doc, size);
+            }
+            prop_assert_eq!(live_hit, sim_hit, "doc {} size {}", d, size);
+            prop_assert_eq!(live.used(), sim.used());
+        }
+        prop_assert_eq!(live.entries(), sim.len() as u64);
+    }
 }
