@@ -12,7 +12,7 @@ use baps_obs::LatencyHistogram;
 /// Aggregated latency for one span kind across a set of trees.
 #[derive(Debug, Clone)]
 pub struct KindStats {
-    /// The span kind name (e.g. `"origin-fetch"`, `"queue-wait"`).
+    /// The span kind name (e.g. `"origin-fetch"`, `"peer-probe"`).
     pub kind: String,
     /// Spans of this kind seen.
     pub count: u64,
@@ -95,7 +95,6 @@ pub fn render_tree(tree: &SpanTree) -> String {
 /// peer's serve span).
 pub fn is_multihop(tree: &SpanTree) -> bool {
     const PROXY_KINDS: &[&str] = &[
-        "queue-wait",
         "wait-for-shard",
         "disk-read",
         "peer-probe",

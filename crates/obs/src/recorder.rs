@@ -62,9 +62,6 @@ pub enum EventKind {
     /// Proxy: a miss coalesced onto another request's in-flight fetch
     /// (the span is the time its continuation spent parked on the flight).
     Coalesced,
-    /// Proxy: time an accepted connection waited for its event loop to
-    /// register it (attributed to the connection's first sampled request).
-    QueueWait,
     /// An invariant violation (chaos soak, live test); always recorded.
     Violation,
 }
@@ -85,7 +82,6 @@ impl EventKind {
             EventKind::DiskRead => "disk-read",
             EventKind::DiskWrite => "disk-write",
             EventKind::Coalesced => "coalesced",
-            EventKind::QueueWait => "queue-wait",
             EventKind::Violation => "VIOLATION",
         }
     }
@@ -262,26 +258,10 @@ impl FlightRecorder {
         self.push(trace, SpanId::NONE, SpanId::NONE, kind, dur, detail.into());
     }
 
-    /// Records one span of a head-sampled trace, carrying its causal ids.
-    /// Like [`record`](Self::record), a no-op while recording is off.
-    pub fn record_span(
-        &self,
-        trace: TraceId,
-        span: SpanId,
-        parent: SpanId,
-        kind: EventKind,
-        dur: Duration,
-        detail: impl Into<String>,
-    ) {
-        if !crate::recording() {
-            return;
-        }
-        self.push(trace, span, parent, kind, dur, detail.into());
-    }
-
     /// Records one hop either way: as a causal span under `parent` when
     /// `span` was minted (see [`crate::span::hop`]), or as a plain event
-    /// when the trace is unsampled (`span` is [`SpanId::NONE`]).
+    /// when the trace is unsampled (`span` is [`SpanId::NONE`]). Like
+    /// [`record`](Self::record), a no-op while recording is off.
     pub fn record_hop(
         &self,
         trace: TraceId,
@@ -293,8 +273,8 @@ impl FlightRecorder {
     ) {
         if span.is_none() {
             self.record(trace, kind, dur, detail);
-        } else {
-            self.record_span(trace, span, parent, kind, dur, detail);
+        } else if crate::recording() {
+            self.push(trace, span, parent, kind, dur, detail.into());
         }
     }
 
@@ -470,7 +450,7 @@ mod tests {
         let trace = TraceId::mint(1, 3);
         let root = SpanId::mint();
         let child = SpanId::mint();
-        rec.record_span(
+        rec.record_hop(
             trace,
             root,
             SpanId::NONE,
@@ -478,7 +458,7 @@ mod tests {
             Duration::from_micros(500),
             "client=1",
         );
-        rec.record_span(
+        rec.record_hop(
             trace,
             child,
             root,

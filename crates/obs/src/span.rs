@@ -115,6 +115,16 @@ pub fn hop(trace: TraceId) -> SpanId {
     }
 }
 
+/// Mints a span id for a hop under `parent`, the span a message arrived
+/// with: [`SpanId::NONE`] when `parent` is (the trace is unsampled).
+pub fn child(parent: SpanId) -> SpanId {
+    if parent.is_none() {
+        SpanId::NONE
+    } else {
+        SpanId::mint()
+    }
+}
+
 /// One span as exported/parsed on the `TRACE` wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {

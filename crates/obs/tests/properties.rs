@@ -93,7 +93,7 @@ fn forest_strategy() -> impl Strategy<Value = Vec<SpanRecord>> {
                 "fetch",
                 "dial",
                 "verify",
-                "queue-wait",
+                "disk-read",
                 "origin-fetch",
                 "peer-probe",
             ];

@@ -17,7 +17,7 @@
 use crate::error::ProxyError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
-    read_message, response, response_code, status, write_message, Body, Message,
+    read_message, response, response_code, status, trace_of, write_message, Body, Message,
 };
 use crate::reactor::{Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::{BodyCache, CachedDoc};
@@ -557,14 +557,9 @@ impl ClientAgent {
         let verdict = verify_document(&self.proxy_key, body, watermark);
         let verify_time = t_verify.elapsed();
         if verdict.is_err() || ran_slow(verify_time, SLOW_VERIFY, body.len()) || !root.is_none() {
-            let vspan = if root.is_none() {
-                SpanId::NONE
-            } else {
-                SpanId::mint()
-            };
             self.state.recorder.record_hop(
                 trace,
-                vspan,
+                span::child(root),
                 root,
                 EventKind::Verify,
                 verify_time,
@@ -639,14 +634,9 @@ impl ClientAgent {
     fn dial_traced(&self, trace: TraceId, parent: SpanId, reason: &str) -> io::Result<ProxyConn> {
         let t_dial = Instant::now();
         let conn = ProxyConn::dial(self.proxy_addr, self.config.proxy_deadline);
-        let dspan = if parent.is_none() {
-            SpanId::NONE
-        } else {
-            SpanId::mint()
-        };
         self.state.recorder.record_hop(
             trace,
-            dspan,
+            span::child(parent),
             parent,
             EventKind::Dial,
             t_dial.elapsed(),
@@ -679,14 +669,7 @@ impl ClientAgent {
                 "proxy closed connection",
             ))
         }
-        let trace = msg
-            .get("Trace-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(TraceId::NONE);
-        let parent = msg
-            .get("Span-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(SpanId::NONE);
+        let (trace, parent) = trace_of(msg);
         let mut guard = self.proxy_conn.lock();
         let reused = guard.is_some();
         if guard.is_none() {
@@ -808,24 +791,12 @@ impl ClientState {
     /// The reply to one peer-port request.
     fn serve(&self, msg: &Message, fault: Option<FaultKind>) -> Message {
         // The proxy forwards the requester's trace id on PEERGET, so
-        // peer-side spans join the same trace as the client's fetch.
-        let trace = msg
-            .get("Trace-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(TraceId::NONE);
-        // For sampled traces the proxy forwards its probe's hop span; our
-        // serve span attaches under it, stitching the tree across
-        // processes.
-        let parent = msg
-            .get("Span-Id")
-            .and_then(|h| h.parse().ok())
-            .unwrap_or(SpanId::NONE);
+        // peer-side spans join the same trace as the client's fetch; for
+        // sampled traces also its probe's hop span, which our serve span
+        // attaches under, stitching the tree across processes.
+        let (trace, parent) = trace_of(msg);
         let t_serve = Instant::now();
-        let serve_span = if parent.is_none() {
-            SpanId::NONE
-        } else {
-            SpanId::mint()
-        };
+        let serve_span = span::child(parent);
         match msg.tokens().as_slice() {
             _ if fault == Some(FaultKind::PeerRefuse) => {
                 // Claim the document is gone even though we may hold it.

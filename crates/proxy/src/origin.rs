@@ -14,11 +14,11 @@
 //! of a full document transfer — and of no hash on either side.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::protocol::{response, response_code, status, Message};
+use crate::protocol::{response, response_code, status, trace_of, Message};
 use crate::reactor::{loops_per_core, Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::{self, DocumentStore};
 use baps_crypto::Digest;
-use baps_obs::{EventKind, FlightRecorder, SpanId, TraceId};
+use baps_obs::{span, EventKind, FlightRecorder};
 use parking_lot::RwLock;
 use std::convert::Infallible;
 use std::io;
@@ -135,24 +135,12 @@ impl FrameService for OriginState {
         let t_serve = std::time::Instant::now();
         let reply = handle_request(msg, &self.store, &self.hits, &self.revalidations);
         if let ["GET", url, "ORIGIN/1.0"] = msg.tokens().as_slice() {
-            let trace = msg
-                .get("Trace-Id")
-                .and_then(|h| h.parse().ok())
-                .unwrap_or(TraceId::NONE);
             // On sampled traces the proxy forwards its origin-fetch span in
             // `Span-Id`; our serve span attaches under it.
-            let parent = msg
-                .get("Span-Id")
-                .and_then(|h| h.parse().ok())
-                .unwrap_or(SpanId::NONE);
-            let serve_span = if parent.is_none() {
-                SpanId::NONE
-            } else {
-                SpanId::mint()
-            };
+            let (trace, parent) = trace_of(msg);
             self.recorder.record_hop(
                 trace,
-                serve_span,
+                span::child(parent),
                 parent,
                 EventKind::OriginServe,
                 t_serve.elapsed(),

@@ -67,6 +67,7 @@
 //! it accepts on event loops too (`reactor.rs`), so an idle one costs a
 //! registered fd and no thread.
 
+use baps_obs::{SpanId, TraceId};
 use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::sync::Arc;
 
@@ -138,6 +139,16 @@ impl Message {
     pub fn tokens(&self) -> Vec<&str> {
         self.start.split_ascii_whitespace().collect()
     }
+}
+
+/// The trace `msg` belongs to and the sender's hop span, from its
+/// `Trace-Id` and `Span-Id` headers; a missing or unparsable header reads
+/// as [`TraceId::NONE`] / [`SpanId::NONE`] (administrative verbs carry
+/// neither, unsampled traces no `Span-Id`).
+pub(crate) fn trace_of(msg: &Message) -> (TraceId, SpanId) {
+    let trace = msg.get("Trace-Id").and_then(|h| h.parse().ok());
+    let span = msg.get("Span-Id").and_then(|h| h.parse().ok());
+    (trace.unwrap_or(TraceId::NONE), span.unwrap_or(SpanId::NONE))
 }
 
 /// Writes a message, framing the body with exactly one `Content-Length`.

@@ -18,7 +18,7 @@ use crate::counters::{load_baseline, persist_baseline, ProxyCounters};
 use crate::disk::{DiskConfig, DiskHit, DiskStats, DiskTier, Entry, ReadOutcome, ReadVia};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
-use crate::protocol::{response, response_code, status, Body, Message};
+use crate::protocol::{response, response_code, status, trace_of, Body, Message};
 use crate::reactor::{
     loops_per_core, Event, FrameCtx, FrameService, ReactorSnapshot, ReactorTelemetry, Seat, Server,
     Step, Waker,
@@ -164,7 +164,8 @@ impl ProxyState {
 /// A running browsers-aware proxy.
 pub struct ProxyServer {
     stopped: bool,
-    /// Acceptor, one event loop per core, and the disk-tier executor.
+    /// One event loop per core (loop 0 also accepts), and the disk-tier
+    /// executor.
     server: Server<Suspended>,
     state: Arc<ProxyState>,
 }
@@ -357,8 +358,8 @@ impl ProxyServer {
         self.server.drop_all();
     }
 
-    /// Stops the accept loop, severs open client connections, joins the
-    /// acceptor and worker threads, and closes every upstream connection
+    /// Stops accepting, severs open client connections, joins the event
+    /// loops and executor threads, and closes every upstream connection
     /// (peers and origin).
     pub fn shutdown(mut self) {
         self.stop();
@@ -467,26 +468,7 @@ fn dispatch(
     // administrative verbs and legacy clients simply have none. For
     // head-sampled traces the `Span-Id` header carries the upstream span
     // every proxy-side span of this request attaches to.
-    let trace = msg
-        .get("Trace-Id")
-        .and_then(|h| h.parse().ok())
-        .unwrap_or(TraceId::NONE);
-    let parent = msg
-        .get("Span-Id")
-        .and_then(|h| h.parse().ok())
-        .unwrap_or(SpanId::NONE);
-    if span::sampled(trace) {
-        if let Some(wait) = ctx.queue_wait.take() {
-            state.obs.recorder.record_span(
-                trace,
-                SpanId::mint(),
-                parent,
-                EventKind::QueueWait,
-                wait,
-                "queue=accept-handoff",
-            );
-        }
-    }
+    let (trace, parent) = trace_of(msg);
     let reply = match msg.tokens().as_slice() {
         ["GET", url, "BAPS/1.0"] => {
             let client: u32 = msg.get("Client")?.parse().ok()?;
@@ -550,31 +532,6 @@ fn dispatch(
         _ => response(status::BAD_REQUEST, "Bad Request"),
     };
     Some(Step::Reply(Some(reply)))
-}
-
-/// Mints a span id for one proxy-side hop of a head-sampled trace
-/// ([`SpanId::NONE`] otherwise). The id is minted *before* the hop runs so
-/// outbound wire messages (PEERGET/origin GET) can carry it in their
-/// `Span-Id` header — the downstream hop's spans then attach under it.
-fn hop_span(trace: TraceId) -> SpanId {
-    span::hop(trace)
-}
-
-/// Records one hop into the proxy's recorder: as a causal span (under
-/// `parent`) when `span` was minted, as a legacy plain event otherwise.
-fn record_hop(
-    state: &ProxyState,
-    trace: TraceId,
-    span: SpanId,
-    parent: SpanId,
-    kind: EventKind,
-    dur: Duration,
-    detail: impl Into<String>,
-) {
-    state
-        .obs
-        .recorder
-        .record_hop(trace, span, parent, kind, dur, detail);
 }
 
 /// Interns `url`, taking only the shared read lock on the steady-state
@@ -661,10 +618,9 @@ fn handle_get(url: &str, req: GetRequest, state: &ProxyState, seat: &Seat<'_>) -
     // or a head-sampled trace (whose tree must be complete).
     let sampled = span::sampled(req.trace);
     if sampled || cached.is_none() || shard_wait > SLOW_SHARD_WAIT {
-        record_hop(
-            state,
+        state.obs.recorder.record_hop(
             req.trace,
-            hop_span(req.trace),
+            span::hop(req.trace),
             req.parent,
             EventKind::WaitForShard,
             shard_wait,
@@ -882,7 +838,7 @@ struct Call {
 impl Call {
     fn new(trace: TraceId, retries: u32) -> Call {
         Call {
-            span: hop_span(trace),
+            span: span::hop(trace),
             t0: Instant::now(),
             attempts_left: retries,
             backoff: RETRY_BACKOFF,
@@ -1034,10 +990,9 @@ impl Miss {
                 .counters
                 .coalesced_fetches
                 .fetch_add(1, Ordering::Relaxed);
-            record_hop(
-                state,
+            state.obs.recorder.record_hop(
                 trace,
-                hop_span(trace),
+                span::hop(trace),
                 parent,
                 EventKind::Coalesced,
                 t_wait.elapsed(),
@@ -1099,10 +1054,9 @@ impl Miss {
     /// who read it.
     fn disk_hop(&self, state: &ProxyState, took: Duration, outcome: &str, via: Option<ReadVia>) {
         let url = &self.url;
-        record_hop(
-            state,
+        state.obs.recorder.record_hop(
             self.req.trace,
-            hop_span(self.req.trace),
+            span::hop(self.req.trace),
             self.req.parent,
             EventKind::DiskRead,
             took,
@@ -1189,8 +1143,7 @@ impl Miss {
 
     /// Records the origin hop `call` covered, every attempt included.
     fn origin_hop(&self, state: &ProxyState, call: &Call, outcome: &str) {
-        record_hop(
-            state,
+        state.obs.recorder.record_hop(
             self.req.trace,
             call.span,
             self.req.parent,
@@ -1371,8 +1324,7 @@ impl Miss {
         call: Call,
         outcome: io::Result<CachedDoc>,
     ) -> Step<Miss> {
-        record_hop(
-            state,
+        state.obs.recorder.record_hop(
             self.req.trace,
             call.span,
             self.req.parent,

@@ -6,9 +6,11 @@
 //! time, so a connection must not cost a thread. [`Server`] is the one
 //! shell the proxy, the origin and each browser's peer port start through:
 //!
-//! - an **acceptor** thread (blocking) hands accepted sockets round-robin
-//!   to the event loops through a mutex-protected inbox, waking the loop
-//!   via an eventfd;
+//! - **loop 0** also owns the nonblocking listener: it accepts until the
+//!   backlog is empty and deals the sockets round-robin across the loops,
+//!   registering its own share and handing the rest over through each
+//!   loop's mutex-protected inbox, woken via an eventfd; out of
+//!   descriptors, it stops watching the listener for [`ACCEPT_PAUSE`];
 //! - each **event loop** owns an epoll instance and a set of per-connection
 //!   state machines that carry partial reads and partial writes of BAPS
 //!   frames across readiness events — an idle connection costs one
@@ -53,6 +55,12 @@ use crate::upstream::{Ask, IdleSet, Upstream, UpstreamCounters, UpstreamSnapshot
 
 /// Token reserved for each loop's wake eventfd.
 const WAKE_TOKEN: u64 = u64::MAX;
+/// Token of the listening socket, registered with loop 0 only.
+const LISTEN_TOKEN: u64 = u64::MAX - 1;
+/// How long loop 0 leaves the listener unwatched after an `accept` failed
+/// for want of a descriptor or memory (`EMFILE`, `ENFILE`, `ENOMEM`): the
+/// backlog waits in the kernel instead of the loop spinning on it.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
 /// Set in the token of every upstream connection: one token space per
 /// loop, two connection tables.
 const UPSTREAM_BIT: u64 = 1 << 62;
@@ -92,9 +100,6 @@ pub(crate) fn chunk_aligned_frame(msg: Message, chunks: usize) -> Vec<u8> {
 pub(crate) struct FrameCtx<'a> {
     /// The sender's address.
     pub(crate) peer_ip: IpAddr,
-    /// Accept-to-loop handoff wait, until a handler takes it to attribute
-    /// it to a sampled request.
-    pub(crate) queue_wait: Option<Duration>,
     /// Where the request sits.
     pub(crate) seat: Seat<'a>,
 }
@@ -629,8 +634,8 @@ pub struct ReactorSnapshot {
     pub ready_events: u64,
     /// Most events one `epoll_wait` returned at once (ready-queue depth).
     pub ready_batch_peak: u64,
-    /// Times a loop was woken through its eventfd (new connection,
-    /// executor completion, follower wake-up).
+    /// Times a loop was woken through its eventfd (a connection loop 0
+    /// dealt it, an executor completion, a follower wake-up).
     pub wakeups: u64,
     /// Requests answered by their first step (on the proxy: memory hits,
     /// admin verbs).
@@ -665,9 +670,8 @@ pub struct ReactorSnapshot {
 
 /// Work delivered *to* an event loop by other threads.
 enum Inbound<C> {
-    /// A freshly accepted connection (with its accept timestamp, so the
-    /// handoff delay becomes the connection's queue-wait attribution).
-    Conn(TcpStream, Instant),
+    /// A connection loop 0 accepted and dealt to this loop.
+    Conn(TcpStream),
     /// The step an executor job came back with, for the request on
     /// connection `token`.
     Step { token: u64, step: Step<C> },
@@ -724,6 +728,8 @@ enum Timer {
     Reap,
     /// Run [`FrameService::tick`] (loop 0 only).
     Tick,
+    /// Watch the listener again after an [`ACCEPT_PAUSE`] (loop 0 only).
+    Accept,
 }
 
 // ---------------------------------------------------------------------------
@@ -736,8 +742,6 @@ struct Conn<C> {
     /// Epoll/loop-local token.
     token: u64,
     peer_ip: IpAddr,
-    /// See [`FrameCtx::queue_wait`].
-    queue_wait: Option<Duration>,
     parser: FrameParser,
     wq: WriteQueue,
     /// Interest mask currently registered with epoll.
@@ -867,6 +871,11 @@ struct EventLoop<S: FrameService> {
     epoll: Epoll,
     /// Every loop's inbox; this loop's is `loops[id]`.
     loops: Arc<Vec<Arc<LoopShared<S::Cont>>>>,
+    /// The listening socket, on loop 0 only.
+    listener: Option<Arc<TcpListener>>,
+    /// Connections accepted so far: the next one goes to loop
+    /// `dealt % loops.len()`.
+    dealt: usize,
     conns: HashMap<u64, Conn<S::Cont>>,
     /// Upstream connections, idle and busy, by token ([`UPSTREAM_BIT`] set).
     ups: HashMap<u64, UpConn<S::Cont>>,
@@ -912,6 +921,8 @@ impl<S: FrameService> EventLoop<S> {
                     self.telemetry.on_wakeup();
                     self.loops[self.id].wake.drain();
                     self.drain_inbox();
+                } else if token == LISTEN_TOKEN {
+                    self.accept();
                 } else if token & UPSTREAM_BIT != 0 {
                     self.on_upstream_ready(token, bits);
                 } else {
@@ -971,6 +982,11 @@ impl<S: FrameService> EventLoop<S> {
                     self.arm_reaper();
                 }
                 Timer::Tick => self.tick(),
+                Timer::Accept => {
+                    if self.watch_listener().is_err() {
+                        self.arm(ACCEPT_PAUSE, Timer::Accept);
+                    }
+                }
             }
         }
     }
@@ -996,7 +1012,7 @@ impl<S: FrameService> EventLoop<S> {
         let inbound = std::mem::take(&mut *self.loops[self.id].inbox.lock());
         for item in inbound {
             match item {
-                Inbound::Conn(stream, accepted) => self.add_conn(stream, accepted),
+                Inbound::Conn(stream) => self.add_conn(stream),
                 Inbound::Step { token, step } => {
                     let conn = self.conns.remove(&token);
                     self.settle(token, conn, step);
@@ -1024,10 +1040,50 @@ impl<S: FrameService> EventLoop<S> {
 
     // -- accepted connections -------------------------------------------------
 
-    fn add_conn(&mut self, stream: TcpStream, accepted: Instant) {
-        if self.stop.load(Ordering::Acquire) {
-            return; // shutting down: close instead of registering
+    /// Registers the listener with this loop's epoll (loop 0 only).
+    fn watch_listener(&self) -> io::Result<()> {
+        match &self.listener {
+            Some(listener) => self.epoll.add(listener.as_raw_fd(), LISTEN_TOKEN, EV_READ),
+            None => Ok(()),
         }
+    }
+
+    /// Accepts until the backlog is empty, dealing connection *i* to loop
+    /// `i % loops`. The listener never rejects: an idle connection costs a
+    /// registered fd, nothing more. Out of descriptors or memory, loop 0
+    /// stops watching the listener for an [`ACCEPT_PAUSE`] rather than
+    /// spin on a backlog it cannot take.
+    fn accept(&mut self) {
+        let Some(listener) = self.listener.clone() else {
+            return;
+        };
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let to = self.dealt % self.loops.len();
+                    self.dealt += 1;
+                    if to == self.id {
+                        self.add_conn(stream);
+                    } else {
+                        self.loops[to].send(Inbound::Conn(stream));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => {
+                    let _ = self.epoll.delete(listener.as_raw_fd());
+                    self.arm(ACCEPT_PAUSE, Timer::Accept);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn add_conn(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -1048,7 +1104,6 @@ impl<S: FrameService> EventLoop<S> {
                 stream,
                 token,
                 peer_ip: peer.ip(),
-                queue_wait: Some(accepted.elapsed()),
                 parser: FrameParser::new(),
                 wq: WriteQueue::new(),
                 interest,
@@ -1201,11 +1256,9 @@ impl<S: FrameService> EventLoop<S> {
         conn.fault = fault;
         let mut ctx = FrameCtx {
             peer_ip: conn.peer_ip,
-            queue_wait: conn.queue_wait,
             seat: self.seat(conn.token, Some(conn)),
         };
         let step = self.service.handle(&msg, fault, &mut ctx);
-        conn.queue_wait = ctx.queue_wait;
         if matches!(step, Step::Reply(_)) {
             self.telemetry.inline();
         }
@@ -1624,7 +1677,7 @@ impl<S: FrameService> EventLoop<S> {
 }
 
 // ---------------------------------------------------------------------------
-// The server shell: acceptor + loops + executor
+// The server shell: loops + executor
 // ---------------------------------------------------------------------------
 
 /// The executor: a job queue — one mutex-guarded deque and one condvar, so
@@ -1696,22 +1749,22 @@ impl<C> JobQueue<C> {
 }
 
 /// A running BAPS server — the proxy's client port, the origin, a
-/// browser's peer port: a blocking acceptor thread feeding `loops` event
-/// loops, plus [`EXECUTOR_THREADS`] blocking threads — started by the
-/// first [`Step::Offload`] — to run such steps. The loops are the sole owners of
-/// their sockets — one fd per connection, accepted or upstream, which is
-/// what lets a 10k-idle-connection ladder fit in an ordinary fd table. `C`
-/// is the service's [`FrameService::Cont`].
+/// browser's peer port: `loops` event loops, the first of which accepts
+/// and deals the connections, plus [`EXECUTOR_THREADS`] blocking threads —
+/// started by the first [`Step::Offload`] — to run such steps. The loops
+/// are the sole owners of their sockets — one fd per connection, accepted
+/// or upstream, which is what lets a 10k-idle-connection ladder fit in an
+/// ordinary fd table. `C` is the service's [`FrameService::Cont`].
 pub(crate) struct Server<C> {
     addr: SocketAddr,
-    /// The bound listening socket; the acceptor thread runs on a clone.
-    listener: TcpListener,
+    /// The bound listening socket, shared with loop 0.
+    listener: Arc<TcpListener>,
     shared: Arc<Vec<Arc<LoopShared<C>>>>,
     jobs: Arc<JobQueue<C>>,
     stop: Arc<AtomicBool>,
     telemetry: Arc<ReactorTelemetry>,
-    /// Acceptor (`{name}`) and loops (`{name}-loop-N`); the executor's
-    /// threads are the job queue's.
+    /// The loops (`{name}-loop-N`); the executor's threads are the job
+    /// queue's.
     io_threads: Vec<JoinHandle<()>>,
 }
 
@@ -1741,6 +1794,8 @@ impl<C: Send + 'static> Server<C> {
         telemetry: Arc<ReactorTelemetry>,
     ) -> io::Result<Server<C>> {
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let listener = Arc::new(listener);
         telemetry.set_loops(loops as u64);
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -1766,13 +1821,15 @@ impl<C: Send + 'static> Server<C> {
             ready: Condvar::new(),
         });
 
-        let mut io_threads = Vec::with_capacity(loops + 1);
+        let mut io_threads = Vec::with_capacity(loops);
         for (id, epoll) in epolls.into_iter().enumerate() {
             let ev_loop = EventLoop {
                 server: name.to_owned(),
                 id,
                 epoll,
                 loops: Arc::clone(&shared),
+                listener: (id == 0).then(|| Arc::clone(&listener)),
+                dealt: 0,
                 conns: HashMap::new(),
                 ups: HashMap::new(),
                 idle: IdleSet::default(),
@@ -1786,31 +1843,13 @@ impl<C: Send + 'static> Server<C> {
                 stop: Arc::clone(&stop),
                 scratch: vec![0u8; READ_CHUNK],
             };
+            ev_loop.watch_listener()?;
             io_threads.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-loop-{id}"))
                     .spawn(move || ev_loop.run())?,
             );
         }
-
-        // The acceptor never rejects: an idle connection costs a
-        // registered fd, nothing more.
-        let acceptor = listener.try_clone()?;
-        let (stop_flag, loops_shared) = (Arc::clone(&stop), Arc::clone(&shared));
-        io_threads.push(
-            std::thread::Builder::new()
-                .name(name.into())
-                .spawn(move || {
-                    for (i, conn) in acceptor.incoming().enumerate() {
-                        if stop_flag.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        loops_shared[i % loops_shared.len()]
-                            .send(Inbound::Conn(stream, Instant::now()));
-                    }
-                })?,
-        );
 
         Ok(Server {
             addr,
@@ -1857,15 +1896,15 @@ impl<C> Server<C> {
     }
 
     /// Stops accepting, closes every connection and joins every thread;
-    /// idempotent. The loops never block in socket I/O, so the stop flag
-    /// plus an eventfd wake ends them (each closes its own connections,
-    /// accepted and upstream, on exit by dropping its tables, so keep-alive
-    /// senders see EOF); the blocking acceptor is woken by a connect.
+    /// idempotent. The loops never block, so the stop flag plus an eventfd
+    /// wake ends them (each closes its own connections, accepted and
+    /// upstream, on exit by dropping its tables, so keep-alive senders see
+    /// EOF). Connections still in the listen backlog stay there, for a
+    /// restart on the same listener to take.
     pub(crate) fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        let _ = TcpStream::connect(self.addr);
         for sh in self.shared.iter() {
             sh.wake.wake();
         }

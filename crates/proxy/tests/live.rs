@@ -2212,9 +2212,9 @@ fn stalled_replies_hold_no_thread_on_peer_port_or_origin() {
 
 // ---- Misses as event-loop exchanges (DESIGN.md §13, reply / ask / offload) ----
 
-/// Two connections to `addr` that the acceptor — which deals connections
-/// round-robin — hands to the same event loop, for a server with `loops`
-/// of them.
+/// Two connections to `addr` that loop 0 — which deals the connections it
+/// accepts round-robin — hands to the same event loop, for a server with
+/// `loops` of them.
 fn two_on_one_loop(addr: SocketAddr) -> (BufReader<TcpStream>, BufReader<TcpStream>) {
     let loops = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut conns: Vec<_> = (0..=loops).map(|_| raw(addr)).collect();

@@ -5,28 +5,54 @@
 //! event loops and starts no thread either, and a warm disk hit is read
 //! and verified by the loop that took the GET.
 //!
-//! One test, alone in its test binary, on purpose: it counts
-//! `/proc/self/task` and `/proc/self/fd`, which any concurrently running
-//! test (or test-harness thread coming or going) would disturb.
+//! Alone in their test binary, on purpose: they count `/proc/self/task`
+//! and `/proc/self/fd`, which any concurrently running test would disturb.
+//! The binary's two tests take turns on [`SERIAL`], and the thread count
+//! leaves out the harness thread of the fd-limit test, which may come and
+//! go while the other counts.
 
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, FaultConfig, FaultPlan, Message,
     Source, TestBed, TestBedConfig,
 };
+use std::fs::File;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::os::unix::fs::FileExt;
+use std::process::Command;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// Held for the whole of each test: the two never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The fd-limit test, by the name its harness thread carries.
+const AT_FD_LIMIT: &str = "accept_errors_neither_spin_nor_stick";
+
+/// The names (`comm`) of this process's threads.
+fn thread_names() -> impl Iterator<Item = String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+}
+
+/// This process's threads, less the fd-limit test's harness thread (its
+/// `comm` is the test's name cut to 15 bytes).
 fn threads() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
+    thread_names()
+        .filter(|name| !AT_FD_LIMIT.starts_with(name.trim_end()))
+        .count()
 }
 
 /// Threads of the proxy's blocking executor (`baps-proxy-exec-N`).
 fn executor_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+    thread_names()
         .filter(|name| name.starts_with("baps-proxy-exec"))
         .count()
 }
@@ -68,7 +94,7 @@ fn idle_connections_cost_fds_only(addr: SocketAddr, request: &Message, body: &[u
         .map(|_| BufReader::new(TcpStream::connect(addr).unwrap()))
         .collect();
     // A round trip on one more connection, accepted after the idle ones:
-    // by its reply the acceptor has taken all of them.
+    // by its reply loop 0 has accepted all of them.
     let mut last = BufReader::new(TcpStream::connect(addr).unwrap());
     write_message(last.get_mut(), request).unwrap();
     assert_eq!(&read_message(&mut last).unwrap().unwrap().body[..], body);
@@ -85,6 +111,7 @@ fn idle_connections_cost_fds_only(addr: SocketAddr, request: &Message, body: &[u
 
 #[test]
 fn serving_costs_descriptors_not_threads() {
+    let _turn = serial();
     served_connections_cost_one_fd_and_no_thread();
     misses_peer_hits_and_a_herd_start_no_thread();
     a_stalling_origin_with_32_misses_outstanding_delays_nobody_else();
@@ -105,18 +132,15 @@ fn served_connections_cost_one_fd_and_no_thread() {
         },
     )
     .unwrap();
-    // At rest: per browser an acceptor and one loop (executor threads
-    // start with the first step that needs them); the same for the origin
-    // and the proxy, with a loop per core. The proxy's rolling windows
-    // ride a timer on its first loop, not a thread.
-    assert_eq!(
-        threads() - threads_at_start,
-        16 * 2 + (1 + loops) + (1 + loops)
-    );
-    // A server is its listener (the acceptor thread's handle and the one
-    // a restart would pass on) and an epoll set and an eventfd per loop;
-    // a browser's connection to its proxy is one descriptor at each end.
-    let server = |loops| 2 + 2 * loops;
+    // At rest: per browser one loop (executor threads start with the
+    // first step that needs them); for the origin and the proxy a loop per
+    // core. Each server's loop 0 also accepts, and the proxy's rolling
+    // windows ride a timer on it: neither is a thread.
+    assert_eq!(threads() - threads_at_start, 16 + loops + loops);
+    // A server is its listener (loop 0 watches it; a restart passes it
+    // on) and an epoll set and an eventfd per loop; a browser's connection
+    // to its proxy is one descriptor at each end.
+    let server = |loops| 1 + 2 * loops;
     assert_eq!(
         open_fds() - fds_at_start,
         16 * (server(1) + 1 + 1) + 2 * server(loops),
@@ -213,7 +237,7 @@ fn misses_peer_hits_and_a_herd_start_no_thread() {
     let mut members: Vec<_> = (0..herd)
         .map(|_| {
             // A round trip each (any verb the proxy refuses will do), so
-            // the connects never outrun the acceptor and overflow the
+            // the connects never outrun loop 0's accepts and overflow the
             // listen backlog.
             let mut member = BufReader::new(TcpStream::connect(bed.proxy.addr()).unwrap());
             write_message(member.get_mut(), &Message::new("PING BAPS/1.0")).unwrap();
@@ -383,4 +407,134 @@ fn warm_disk_hits_never_leave_the_loop() {
     assert_eq!(bed.origin.hits(), 9, "nothing was fetched twice");
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The descriptor limit [`accept_errors_neither_spin_nor_stick`] runs
+/// under: room for a bed and a hundred-odd connections.
+const FD_LIMIT: usize = 256;
+
+/// This process's soft `RLIMIT_NOFILE`.
+fn fd_limit() -> usize {
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+    limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))
+        .and_then(|l| l.split_whitespace().next()?.parse().ok())
+        .expect("a numeric descriptor limit")
+}
+
+/// User plus system CPU time, in clock ticks, of every thread whose
+/// `/proc/self/task/<tid>/stat` is in `stats` (opened beforehand: at the
+/// descriptor limit nothing more can be opened).
+fn cpu_ticks(stats: &[File]) -> u64 {
+    let mut buf = [0u8; 1024];
+    stats
+        .iter()
+        .map(|stat| {
+            let n = stat.read_at(&mut buf, 0).unwrap();
+            let line = std::str::from_utf8(&buf[..n]).unwrap();
+            // "tid (comm) state ..." — fields 14 and 15 are utime, stime.
+            let (_, rest) = line.rsplit_once(')').unwrap();
+            let fields: Vec<&str> = rest.split_whitespace().collect();
+            fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+        })
+        .sum()
+}
+
+/// A proxy that runs out of descriptors neither spins nor stops
+/// accepting: while `accept` fails with `EMFILE`, loop 0 leaves the
+/// listener unwatched and the process burns almost no CPU; once
+/// descriptors are free again, the connection that waited in the backlog
+/// is served. Runs itself again under `ulimit -n FD_LIMIT`, so the limit
+/// binds only the copy that fills it.
+#[test]
+fn accept_errors_neither_spin_nor_stick() {
+    let _turn = serial();
+    if fd_limit() != FD_LIMIT {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -n {FD_LIMIT} && exec \"$0\" --exact {AT_FD_LIMIT} --test-threads=1"
+            ))
+            .arg(std::env::current_exe().unwrap())
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "under ulimit -n {FD_LIMIT}:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let bed = TestBed::start(
+        DocumentStore::synthetic(1, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 1,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let stats: Vec<File> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .map(|task| File::open(task.unwrap().path().join("stat")).unwrap())
+        .collect();
+    let ping = Message::new("PING BAPS/1.0");
+    // One descriptor to give back if the client end of a connect is what
+    // meets the limit first.
+    let mut spare = Some(File::open("/dev/null").unwrap());
+    let mut served = Vec::new();
+    // Connections, each answered, until one is not: its accept failed
+    // with EMFILE and it waits in the backlog.
+    let mut stuck = loop {
+        let stream = match TcpStream::connect(bed.proxy.addr()) {
+            Ok(stream) => stream,
+            Err(e) if e.raw_os_error() == Some(24) => {
+                // EMFILE on this side: the last accept took the last
+                // descriptor. Free one for the client end; the next
+                // accept then has none.
+                assert!(spare.take().is_some(), "out of descriptors twice");
+                continue;
+            }
+            Err(e) => panic!("connect: {e}"),
+        };
+        stream
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut conn = BufReader::new(stream);
+        write_message(conn.get_mut(), &ping).unwrap();
+        match read_message(&mut conn) {
+            Ok(Some(reply)) => {
+                assert_eq!(response_code(&reply), Some(400));
+                served.push(conn);
+            }
+            Ok(None) => panic!("the proxy closed a connection"),
+            Err(_) => break conn,
+        }
+        assert!(served.len() < FD_LIMIT, "never ran out of descriptors");
+    };
+    assert!(
+        served.len() > 50,
+        "ran out after {} connections",
+        served.len()
+    );
+
+    // A backlog loop 0 cannot take costs it (almost) no CPU.
+    let before = cpu_ticks(&stats);
+    std::thread::sleep(Duration::from_millis(300));
+    let burned = cpu_ticks(&stats) - before;
+    // Ticks are 10 ms.
+    assert!(burned <= 2, "{burned} ticks of CPU in 300 ms at EMFILE");
+
+    // Free descriptors: the waiting connection is accepted and served.
+    drop(spare);
+    drop(served.pop());
+    stuck
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let reply = read_message(&mut stuck).unwrap().expect("a reply");
+    assert_eq!(response_code(&reply), Some(400));
+    drop((stuck, served));
+    bed.shutdown();
 }

@@ -227,6 +227,17 @@ if git grep -nE 'baps-cache|baps-index|baps_cache::|baps_index::|crates/(cache|i
     exit 1
 fi
 
+# Every server is its event loops: loop 0 accepts and deals the
+# connections (DESIGN.md §13). The acceptor thread, the accept-to-loop
+# handoff it created and the span that timed that handoff are gone. The
+# executor's queue wait (`baps_queue_wait_ms`, `SloSignal::QueueWaitP99Ms`,
+# chaos_soak's `queue-wait p99`) is another wait and does not match.
+if git grep -nE 'acceptor|accept-handoff|EventKind::QueueWait|"queue-wait"' -- \
+    README.md DESIGN.md src examples .claude crates/*/src; then
+    echo "doc rot: the lines above name the deleted acceptor thread or its handoff span"
+    exit 1
+fi
+
 echo "== one memory budget (no split-budget helper outside shard.rs)"
 # The proxy's memory tier is one LRU over the whole cache capacity, the
 # model of the paper's §4 and of baps-sim (DESIGN.md §6b).
