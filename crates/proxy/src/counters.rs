@@ -147,6 +147,14 @@ counters! {
         "baps_coalesced_fetches_total",
         "Misses coalesced onto another request's in-flight fetch.",
     );
+    /// Minor page faults the proxy's process has taken — every thread of
+    /// it, whatever else the process runs — read from `/proc/self/stat`
+    /// once per `METRICS` scrape, which adds the faults taken since the
+    /// previous one. A body whose pages are faulted in afresh shows here.
+    minor_faults: EVENT, Plain(
+        "baps_process_minor_faults_total",
+        "Minor page faults taken by the proxy's process, as of this scrape.",
+    );
     /// Disk-tier serves that required a `304 Not Modified` revalidation
     /// round trip first (a subset of `disk_hits`).
     disk_revalidations: EVENT, Disk(
@@ -269,6 +277,7 @@ mod tests {
             peer_fallbacks: 1,
             errors: 0,
             coalesced_fetches: 6,
+            minor_faults: 9,
         };
         persist_baseline(&root, &before);
         // A baseline written before a counter was retired still names it:

@@ -1654,18 +1654,24 @@ mod tests {
     }
 
     /// The head segment cut at every byte of its last entry: a reopen
-    /// serves every earlier entry byte-exact and the torn one not at all.
+    /// serves every earlier entry byte-exact (a 1 MiB one among them) and
+    /// the torn one not at all. Torn under an open tier, whose index still
+    /// lists the entry, the entry is a failed read and no body on either
+    /// path — cut inside its head, where its body starts, inside the body
+    /// or one byte short.
     #[test]
     fn a_tail_torn_at_any_byte_loses_only_the_torn_entry() {
         let sg = signer();
         let root = temp_root("tear");
+        let big: Vec<u8> = (0..1 << 20).map(|i: usize| (i * 31 % 251) as u8).collect();
         let docs = [
-            ("http://origin/a", &b"the first document"[..]),
+            ("http://origin/a", &big[..]),
             ("http://origin/b", &b""[..]),
             ("http://origin/c", &b"the entry the crash tears"[..]),
         ];
+        let open = |root: &Path| tier(root, 4 << 20, HOUR, sg.public_key());
         {
-            let t = tier(&root, 1 << 20, HOUR, sg.public_key());
+            let t = open(&root);
             for (url, body) in docs {
                 t.store(url, &doc(&sg, body));
             }
@@ -1674,20 +1680,23 @@ mod tests {
         let image = fs::read(&last.path).unwrap();
         assert_eq!(image.len() as u64, last.offset + last.len);
         let torn_root = temp_root("tear-copy");
-        for cut in last.offset..last.offset + last.len {
+        let torn = torn_root.join(last.path.file_name().unwrap());
+        let tear = |cut: u64| {
             let _ = fs::remove_dir_all(&torn_root);
             fs::create_dir_all(&torn_root).unwrap();
-            fs::write(
-                torn_root.join(last.path.file_name().unwrap()),
-                &image[..cut as usize],
-            )
-            .unwrap();
-            let t = tier(&torn_root, 1 << 20, HOUR, sg.public_key());
-            assert_eq!(t.entries(), 2, "cut at {cut}");
-            assert_eq!(t.stats().heals, (cut > last.offset) as u64);
+            fs::write(&torn, &image[..cut as usize]).unwrap();
+        };
+        let intact = |t: &DiskTier| {
             for (url, body) in &docs[..2] {
                 assert_eq!(&t.load(url).expect("intact entry").doc.body[..], *body);
             }
+        };
+        for cut in last.offset..last.offset + last.len {
+            tear(cut);
+            let t = open(&torn_root);
+            assert_eq!(t.entries(), 2, "cut at {cut}");
+            assert_eq!(t.stats().heals, (cut > last.offset) as u64);
+            intact(&t);
             assert!(t.load(docs[2].0).is_none());
             // Nothing is appended behind the tear.
             t.store(docs[2].0, &doc(&sg, docs[2].1));
@@ -1696,6 +1705,30 @@ mod tests {
                 last.path.file_name()
             );
         }
+        let body_at = last.offset + (HEADER_LEN + docs[2].0.len()) as u64;
+        let end = last.offset + last.len;
+        assert_eq!(end - body_at, docs[2].1.len() as u64);
+        for cut in [body_at - 1, body_at, body_at + 10, end - 1] {
+            tear(end);
+            let t = open(&torn_root);
+            assert_eq!(t.entries(), 3);
+            File::options()
+                .write(true)
+                .open(&torn)
+                .unwrap()
+                .set_len(cut)
+                .unwrap();
+            let entry = t.find(docs[2].0).expect("still indexed");
+            let loop_read = t.read(docs[2].0, &entry, ReadVia::Loop);
+            assert!(matches!(loop_read, ReadOutcome::Deferred), "cut at {cut}");
+            let read = t.read(docs[2].0, &entry, ReadVia::Executor);
+            assert!(matches!(read, ReadOutcome::Healed), "cut at {cut}");
+            intact(&t);
+        }
+        tear(end);
+        let t = open(&torn_root);
+        intact(&t);
+        assert_eq!(&t.load(docs[2].0).unwrap().doc.body[..], docs[2].1);
         let _ = fs::remove_dir_all(&torn_root);
         let _ = fs::remove_dir_all(&root);
     }

@@ -22,9 +22,22 @@ use crate::proxy::ProxyState;
 use crate::upstream::UPSTREAM_LABELS;
 use baps_obs::prom::PromText;
 
-/// Renders the full exposition for `state`, after one forced window
-/// capture so the windows end no earlier than the scrape.
+/// Minor page faults this process has taken: field 10 of
+/// `/proc/self/stat`, 0 where the file cannot be read.
+pub(crate) fn process_minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // Field 2, the command name, is parenthesised and may hold spaces;
+    // field 3 starts after its closing parenthesis.
+    stat.rsplit_once(')')
+        .and_then(|(_, rest)| rest.split_whitespace().nth(7)?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Renders the full exposition for `state`, after reading the process's
+/// minor faults and one forced window capture, so both are as of the
+/// scrape.
 pub(crate) fn render(state: &ProxyState) -> String {
+    state.note_minor_faults();
     state.windows.force_capture(state);
     let mut out = PromText::new();
 

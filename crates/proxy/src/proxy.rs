@@ -18,6 +18,7 @@ use crate::counters::{load_baseline, persist_baseline, ProxyCounters};
 use crate::disk::{DiskConfig, DiskHit, DiskStats, DiskTier, Entry, ReadOutcome, ReadVia};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::health::{HealthReport, ProxyWindows, SloTable};
+use crate::metrics::process_minor_faults;
 use crate::protocol::{response, response_code, status, trace_of, Body, Message};
 use crate::reactor::{
     loops_per_core, Event, FrameCtx, FrameService, ReactorSnapshot, ReactorTelemetry, Seat, Server,
@@ -37,7 +38,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -143,6 +144,9 @@ pub(crate) struct ProxyState {
     /// Rolling per-second telemetry windows (fed by loop 0's timer and
     /// forced captures), the substrate of the SLO verdicts.
     pub(crate) windows: ProxyWindows,
+    /// The process's minor faults at the last scrape (at start before the
+    /// first): `counters.minor_faults` grows by the difference.
+    faults_read: AtomicU64,
 }
 
 impl ProxyState {
@@ -151,6 +155,16 @@ impl ProxyState {
     /// [`ProxyStats::offset_by`]).
     pub(crate) fn stats(&self) -> ProxyStats {
         self.counters.snapshot().offset_by(&self.baseline)
+    }
+
+    /// Adds the minor faults the process has taken since the last call to
+    /// `counters.minor_faults`: once per `METRICS` scrape.
+    pub(crate) fn note_minor_faults(&self) {
+        let now = process_minor_faults();
+        let last = self.faults_read.swap(now, Ordering::Relaxed);
+        self.counters
+            .minor_faults
+            .fetch_add(now.saturating_sub(last), Ordering::Relaxed);
     }
 
     /// In-flight coalescing entries open right now (flight-registry
@@ -214,6 +228,7 @@ impl ProxyServer {
             reactor: Arc::clone(&telemetry),
             inflight: Arc::default(),
             windows: ProxyWindows::new(),
+            faults_read: AtomicU64::new(process_minor_faults()),
         });
         // Zero-point capture: the first window differences against the
         // counters as they stood at start (the restart baseline included),
@@ -1887,14 +1902,26 @@ mod tests {
 
         let text = proxy.metrics_text();
         let samples = prom::parse(&text).expect("exposition parses");
-        for (def, prime) in COUNTERS.iter().zip(&primes) {
+        // The scrape adds the process's minor faults since start to the
+        // row that counts them; every other row reads as stored.
+        let scraped = proxy.stats();
+        let faults = COUNTERS.iter().position(|def| def.name == "minor_faults");
+        assert!(faults.is_some(), "the table counts minor faults");
+        for (i, (want, prime)) in scraped.values().into_iter().zip(&primes).enumerate() {
+            if Some(i) == faults {
+                assert!(want >= *prime);
+            } else {
+                assert_eq!(want, *prime, "{}", COUNTERS[i].name);
+            }
+        }
+        for (def, want) in scraped.counters() {
             let sample = match def.family {
                 Family::Served(tier) => {
                     prom::find(&samples, "baps_served_total", &[("tier", tier)])
                 }
                 Family::Plain(name, _) | Family::Disk(name, _) => prom::find(&samples, name, &[]),
             };
-            assert_eq!(sample, Some(*prime as f64), "{} in:\n{text}", def.name);
+            assert_eq!(sample, Some(want as f64), "{} in:\n{text}", def.name);
         }
         assert_eq!(
             prom::find(&samples, "baps_requests_total", &[]),
@@ -1905,15 +1932,15 @@ mod tests {
         // from zero live counters and reports the same totals.
         proxy.shutdown();
         let file = std::fs::read_to_string(root.join("counters.baseline")).unwrap();
-        for (def, prime) in COUNTERS.iter().zip(&primes) {
+        for (def, want) in scraped.counters() {
             assert!(
-                file.lines().any(|l| l == format!("{}={prime}", def.name)),
+                file.lines().any(|l| l == format!("{}={want}", def.name)),
                 "{} missing from:\n{file}",
                 def.name
             );
         }
         let reborn = ProxyServer::start(config).unwrap();
-        assert_eq!(reborn.stats(), stats);
+        assert_eq!(reborn.stats(), scraped);
         reborn.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

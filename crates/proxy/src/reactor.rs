@@ -49,7 +49,8 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultKind, FaultPlan, WireFault};
 use crate::protocol::{encode_head, encode_message, zeroed_body, Body, HeadParser, Message};
 use crate::sys::{
-    connect_nonblocking, Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP, EV_READ, EV_WRITE,
+    connect_nonblocking, set_memory_policy, Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP,
+    EV_READ, EV_WRITE,
 };
 use crate::upstream::{Ask, IdleSet, Upstream, UpstreamCounters, UpstreamSnapshot};
 
@@ -68,7 +69,9 @@ const UPSTREAM_BIT: u64 = 1 << 62;
 const REAP_TICK: Duration = Duration::from_secs(1);
 /// Ready events fetched per `epoll_wait` call.
 const EVENT_BATCH: usize = 256;
-/// Bytes read per `read` call on a ready socket.
+/// Bytes read per `read` call into a connection's frame parser (a reply
+/// body is read straight into its own allocation instead, all of the rest
+/// at once).
 const READ_CHUNK: usize = 16 << 10;
 /// Most write-queue segments offered to one vectored write.
 const MAX_IOVEC: usize = 16;
@@ -807,9 +810,10 @@ struct ReplyFill {
 impl<C> UpConn<C> {
     /// Reads what the socket holds of the reply: `Ok(Some)` once it is
     /// complete, `Ok(None)` if more is to come. The head comes through the
-    /// frame parser; the body is read one chunk per call, so a large one
-    /// yields to the loop's other connections between chunks
-    /// (level-triggered readiness brings the loop back for the next).
+    /// frame parser; the body is read in one go, as much of it as the
+    /// socket holds, and a body still short after that read yields to the
+    /// loop's other connections (level-triggered readiness brings the loop
+    /// back for the rest).
     fn read_reply(&mut self, scratch: &mut [u8]) -> io::Result<Option<Message>> {
         let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "upstream hung up");
         loop {
@@ -839,9 +843,8 @@ impl<C> UpConn<C> {
                 }
             };
             let bytes = Arc::get_mut(&mut fill.body).expect("shared only once complete");
-            let end = bytes.len().min(fill.filled + READ_CHUNK);
-            if fill.filled < end {
-                match self.stream.read(&mut bytes[fill.filled..end]) {
+            if fill.filled < bytes.len() {
+                match self.stream.read(&mut bytes[fill.filled..]) {
                     Ok(0) => return Err(eof()),
                     Ok(n) => fill.filled += n,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
@@ -1785,7 +1788,8 @@ impl<C: Send + 'static> Server<C> {
     }
 
     /// Starts serving on an already-bound listener; `telemetry` tracks the
-    /// loops and the executor.
+    /// loops and the executor. The first server a process starts sets its
+    /// allocator policy for bodies (`sys::set_memory_policy`).
     pub(crate) fn start_on<S: FrameService<Cont = C>>(
         listener: TcpListener,
         name: &str,
@@ -1793,6 +1797,7 @@ impl<C: Send + 'static> Server<C> {
         loops: usize,
         telemetry: Arc<ReactorTelemetry>,
     ) -> io::Result<Server<C>> {
+        set_memory_policy();
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let listener = Arc::new(listener);

@@ -1,5 +1,5 @@
 //! Thin raw-syscall shim over Linux `epoll(7)`, `eventfd(2)`, a
-//! nonblocking `connect(2)` and `preadv2(2)`.
+//! nonblocking `connect(2)` and `preadv2(2)`, plus glibc's `mallopt(3)`.
 //!
 //! The workspace takes no external crates and `std` exposes no readiness
 //! API, so the reactor (DESIGN.md §13) declares the handful of libc
@@ -9,9 +9,10 @@
 //! and an eventfd used as a cross-thread wakeup; the loop-owned upstream
 //! connections add [`connect_nonblocking`], the one socket call `std` has
 //! no nonblocking form of, and the disk tier's reads add [`read_two_at`],
-//! the one file read that can decline to wait for the disk. Everything
-//! else (nonblocking reads, vectored writes, `SO_ERROR`, positional file
-//! writes) goes through `std`.
+//! the one file read that can decline to wait for the disk;
+//! [`set_memory_policy`] keeps freed body pages in the heap (DESIGN.md
+//! §6b). Everything else (nonblocking reads, vectored writes, `SO_ERROR`,
+//! positional file writes) goes through `std`.
 
 use std::fs::File;
 use std::io;
@@ -35,6 +36,15 @@ const SOCK_CLOEXEC: c_int = 0o2000000;
 const EINPROGRESS: i32 = 115;
 /// `preadv2` flag: fail with `EAGAIN` rather than wait for the disk.
 const RWF_NOWAIT: c_int = 0x8;
+// `mallopt` parameters from glibc's `malloc.h`.
+#[cfg(target_env = "gnu")]
+const M_TRIM_THRESHOLD: c_int = -1;
+#[cfg(target_env = "gnu")]
+const M_MMAP_THRESHOLD: c_int = -3;
+/// Largest block the allocator serves from its heap rather than a mapping
+/// of its own: the ceiling glibc's adaptive threshold climbs to on 64-bit.
+#[cfg(target_env = "gnu")]
+const MMAP_THRESHOLD: c_int = 32 << 20;
 
 /// Readable readiness (`EPOLLIN`).
 pub(crate) const EV_READ: u32 = 0x001;
@@ -58,6 +68,8 @@ extern "C" {
     fn connect(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
     // `off_t` is 64 bits on every 64-bit Linux target.
     fn preadv2(fd: c_int, iov: *const IoVec, iovcnt: c_int, offset: i64, flags: c_int) -> isize;
+    #[cfg(target_env = "gnu")]
+    fn mallopt(param: c_int, value: c_int) -> c_int;
     #[cfg(test)]
     fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
 }
@@ -261,6 +273,33 @@ pub(crate) fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
         }
     }
     Ok(stream)
+}
+
+/// Sets the process's allocator policy for bodies, once (every server
+/// calls it as it starts). glibc serves a block above its mmap threshold
+/// from a mapping of its own and unmaps it on free, and returns a heap's
+/// free top to the kernel above its trim threshold; both start at
+/// 128 KiB and chase each larger body freed. Either way the next body of
+/// that size faults its pages back in, ≈ 2 µs per 4 KiB page. Fixed at
+/// 32 MiB (glibc's own ceiling for the adaptive threshold) and 64 MiB
+/// (twice it, glibc's own rule), a freed body's pages stay in the heap
+/// for the next one. Other C libraries keep their defaults.
+pub(crate) fn set_memory_policy() {
+    #[cfg(target_env = "gnu")]
+    {
+        static POLICY: std::sync::Once = std::sync::Once::new();
+        POLICY.call_once(|| {
+            // SAFETY: `mallopt` only sets two of glibc's allocator
+            // parameters, under the main arena's lock, and touches no
+            // memory of ours; other threads read them unlocked, as they
+            // do when glibc's own `free` moves them. A refused value
+            // keeps the default.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
+                mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD);
+            }
+        });
+    }
 }
 
 /// One positional vectored read of `file` at `offset`: fills `first`, then

@@ -1,9 +1,9 @@
 //! End-to-end tests of the live browsers-aware proxy over loopback TCP.
 
 use baps_proxy::{
-    read_message, response_code, write_message, DocumentStore, FaultConfig, FaultKind, FaultPlan,
-    Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source, TamperMode, TestBed,
-    TestBedConfig, Verdict,
+    encode_message, read_message, response_code, write_message, DocumentStore, FaultConfig,
+    FaultKind, FaultPlan, Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source,
+    TamperMode, TestBed, TestBedConfig, Verdict,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -271,6 +271,10 @@ fn admin_verbs_over_one_keepalive_connection() {
         assert_eq!(field("baps_peer_failures_total"), stats.peer_failures);
         assert_eq!(field("baps_peer_fallbacks_total"), stats.peer_fallbacks);
         assert_eq!(field("baps_errors_total"), stats.errors);
+        // The process's minor faults, read once per scrape.
+        let faults = field("baps_process_minor_faults_total");
+        assert_eq!(faults, stats.minor_faults);
+        assert!(faults > 0);
         // No disk tier configured in this bed: its section is absent.
         for absent in ["baps_disk_entries", "baps_disk_revalidations_total"] {
             assert_eq!(prom::find(&samples, absent, &[]), None);
@@ -1923,6 +1927,89 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
     assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 0);
     assert!(upstream(&bed, "baps_upstream_reuses_total", &[("upstream", "peer")]) > dials);
     bed.shutdown();
+
+    // The same fault at chosen cuts of a reply the proxy's loop reads
+    // straight into the body's allocation: a scripted holder answers each
+    // PEERGET with the frame cut after `kept` body bytes and hangs up — no
+    // body byte, inside the bytes the loop's first 16 KiB read takes
+    // behind the head, exactly at their end, one byte short (64 KiB
+    // bodies, longer than that read). Each cut is a failed probe and no
+    // body; the origin serves instead. A whole 1 MiB frame is a peer hit,
+    // byte-identical.
+    const CUT: usize = 64 << 10;
+    const BIG: usize = 1 << 20;
+    let lens = [CUT, CUT, CUT, CUT, BIG];
+    let bodies: Vec<Vec<u8>> = lens
+        .iter()
+        .enumerate()
+        .map(|(k, &len)| (0..len).map(|i| ((i + k) * 31 % 251) as u8).collect())
+        .collect();
+    let mut store = DocumentStore::new();
+    for (k, body) in bodies.iter().enumerate() {
+        store.insert(format!("http://origin/big/{k}"), body.clone());
+    }
+    let bed = TestBed::start(
+        store,
+        TestBedConfig {
+            n_clients: 0,
+            proxy_capacity: 32 << 10,
+            peer_retries: 0,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    // "Browser" 77 registers the holder's port and fetches every
+    // document, so the index lists it (the proxy cache keeps none).
+    let holder = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut conn77 = raw(bed.proxy.addr());
+    let port = holder.local_addr().unwrap().port();
+    let register = Message::new(format!("REGISTER {port} BAPS/1.0")).header("Client", "77");
+    assert_eq!(
+        response_code(&ask(&mut conn77, &register).unwrap()),
+        Some(200)
+    );
+    let frames: Vec<Vec<u8>> = (0..bodies.len())
+        .map(|k| {
+            let signed = ask(&mut conn77, &get_as(77, &format!("http://origin/big/{k}"))).unwrap();
+            assert_eq!(&signed.body[..], &bodies[k][..]);
+            let reply = Message::new("BAPS/1.0 200 OK")
+                .header("X-Watermark", signed.get("X-Watermark").unwrap())
+                .with_body(signed.body);
+            encode_message(&reply).unwrap()
+        })
+        .collect();
+    let buffered = (16 << 10) - (frames[0].len() - CUT);
+    let cuts = [0, buffered / 2, buffered, CUT - 1, BIG];
+    let frames: Vec<Vec<u8>> = (0..cuts.len())
+        .map(|k| frames[k][..frames[k].len() - lens[k] + cuts[k]].to_vec())
+        .collect();
+    let script = std::thread::spawn(move || {
+        for frame in frames {
+            let mut conn = BufReader::new(holder.accept().unwrap().0);
+            read_message(&mut conn).unwrap().expect("a PEERGET");
+            std::io::Write::write_all(conn.get_mut(), &frame).unwrap();
+        }
+    });
+    let mut conn78 = raw(bed.proxy.addr());
+    for (k, kept) in cuts.into_iter().enumerate() {
+        let reply = ask(&mut conn78, &get_as(78, &format!("http://origin/big/{k}"))).unwrap();
+        let want = if kept < lens[k] { "origin" } else { "peer" };
+        assert_eq!(
+            reply.get("X-Source"),
+            Some(want),
+            "kept {kept} of {}",
+            lens[k]
+        );
+        assert!(
+            reply.body[..] == bodies[k][..],
+            "kept {kept} of {}",
+            lens[k]
+        );
+    }
+    script.join().unwrap();
+    let stats = bed.proxy.stats();
+    assert_eq!((stats.peer_hits, stats.peer_failures), (1, 4));
+    bed.shutdown();
 }
 
 /// (e) A peer hit while the proxy holds an idle connection for every
@@ -2296,11 +2383,11 @@ fn silent_holder_delays_only_its_own_requester() {
     bed.shutdown();
 }
 
-/// (e) A 1 MiB origin body that arrives in 16 KiB pieces is read piece by
-/// piece, and between pieces the loop serves its other connections: a
-/// memory hit requested while half the body is still to come is answered
-/// before the fetch completes. The watermark the proxy signs is over the
-/// digest the origin declared.
+/// (e) A 1 MiB origin body is read as fast as the socket delivers it,
+/// and while the rest of it is still to come the loop serves its other
+/// connections: a memory hit requested while the origin holds back half
+/// the body is answered before the fetch completes. The watermark the
+/// proxy signs is over the digest the origin declared.
 #[test]
 fn large_origin_body_yields_the_loop_and_is_signed_as_declared() {
     use std::io::Write as _;

@@ -83,16 +83,30 @@ proptest! {
         }
     }
 
-    /// A truncated valid stream errors rather than fabricating a message.
+    /// A truncated valid stream errors rather than fabricating a message:
+    /// cut in the body's last 64 bytes, or where the reader's buffer
+    /// matters — no body byte, some of those it buffered behind the head,
+    /// exactly its worth, one byte short.
     #[test]
-    fn truncation_detected(msg in message(), cut in 1usize..64) {
+    fn truncation_detected(
+        msg in message(),
+        cut in 1usize..64,
+        capacity in 64usize..4096,
+        inside in 1usize..4096,
+    ) {
         prop_assume!(!msg.body.is_empty());
-        let mut buf = Vec::new();
-        write_message(&mut buf, &msg).unwrap();
-        let cut = cut.min(msg.body.len());
-        buf.truncate(buf.len() - cut);
-        let result = read_message(&mut BufReader::new(buf.as_slice()));
-        prop_assert!(result.is_err(), "truncated body must error");
+        let frame = encode_message(&msg).unwrap();
+        let len = msg.body.len();
+        let head = frame.len() - len;
+        let buffered = capacity.saturating_sub(head);
+        for kept in [len - cut.min(len), 0, inside % (buffered + 1), buffered, len - 1] {
+            if kept >= len {
+                continue;
+            }
+            let mut reader = BufReader::with_capacity(capacity, &frame[..head + kept]);
+            let result = read_message(&mut reader);
+            prop_assert!(result.is_err(), "truncated body must error (kept {} of {})", kept, len);
+        }
     }
 
     /// A stream that ends inside the header section (before the blank

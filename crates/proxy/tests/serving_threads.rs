@@ -43,10 +43,20 @@ fn thread_names() -> impl Iterator<Item = String> {
 }
 
 /// This process's threads, less the fd-limit test's harness thread (its
-/// `comm` is the test's name cut to 15 bytes).
+/// `comm` is the test's name cut to 15 bytes — once the thread has named
+/// itself: until then it carries the main thread's name, so the main
+/// thread's name counts once).
 fn threads() -> usize {
+    let main = std::fs::read_to_string("/proc/self/comm").unwrap();
+    let mut main_counted = false;
     thread_names()
-        .filter(|name| !AT_FD_LIMIT.starts_with(name.trim_end()))
+        .filter(|name| {
+            if *name == main {
+                !std::mem::replace(&mut main_counted, true)
+            } else {
+                !AT_FD_LIMIT.starts_with(name.trim_end())
+            }
+        })
         .count()
 }
 

@@ -222,7 +222,7 @@ fi
 # families such as `baps_cache_bytes` keep their names: the pattern wants
 # a crate name, a path or a `::`.
 if git grep -nE 'baps-cache|baps-index|baps_cache::|baps_index::|crates/(cache|index)' -- \
-    README.md DESIGN.md src examples .claude 'crates/*/src' 'crates/*/Cargo.toml' Cargo.toml; then
+    README.md DESIGN.md src examples .claude crates/*/src crates/*/Cargo.toml Cargo.toml; then
     echo "doc rot: the lines above name a crate this repo folded into baps-core"
     exit 1
 fi
