@@ -56,9 +56,9 @@ fn ran_slow(elapsed: Duration, floor: Duration, len: usize) -> bool {
 }
 
 /// What a tampering client serves its peers (test/fault hook; the honest
-/// value is [`TamperMode::Honest`]). Every dishonest mode must be caught
-/// by the requester's §6.1 watermark verification — never silently
-/// accepted as wrong bytes.
+/// value is [`TamperMode::Honest`]). A peer reply is only a body, so every
+/// dishonest mode must be caught by the relaying proxy's check against the
+/// watermark it signed for the document — never relayed as wrong bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TamperMode {
     /// Serve the cached document faithfully.
@@ -68,8 +68,8 @@ pub enum TamperMode {
     /// Serve only the first half of the body, with a matching
     /// `Content-Length` (well-formed frame, wrong content).
     Truncate,
-    /// Serve the intact body under a forged (bit-flipped) watermark.
-    ForgeWatermark,
+    /// Serve the intact body of another document this browser caches.
+    Substitute,
 }
 
 /// Tuning knobs for one [`ClientAgent`].
@@ -328,11 +328,12 @@ impl ClientAgent {
     }
 
     /// Fetches a document: browser cache, then the browsers-aware proxy.
-    /// Every reply is integrity-verified against the proxy's watermark; on
-    /// a failed check the request is retried once with `Bypass-Peers`, so
-    /// neither a tampering peer nor an origin whose bytes disagree with its
-    /// declared digest can poison the client, and the proxy re-checks its
-    /// own copy before serving it again (DESIGN.md §5).
+    /// Every reply is integrity-verified against the proxy's watermark
+    /// (§6.1; a peer's bytes were already checked by the proxy, which
+    /// relays them). On a failed check the request is retried once with
+    /// `Bypass-Peers`, so an origin whose bytes disagree with its declared
+    /// digest or a forged disk entry cannot poison the client, and the
+    /// proxy re-checks its own copy before serving it again (DESIGN.md §5).
     ///
     /// Transient failures ([`ProxyError::is_retryable`]: socket deadlines,
     /// transport errors, proxy 5xx) are retried up to
@@ -370,10 +371,10 @@ impl ClientAgent {
         loop {
             let result = match self.fetch_via_proxy(url, false, trace, root) {
                 Err(ProxyError::Integrity(_)) => {
-                    // A peer, the proxy's storage or the origin served
-                    // bytes that disagree with the signed digest: bypass
-                    // peers and retry, which makes the proxy re-check its
-                    // copy (doesn't consume an attempt — it is a different
+                    // The proxy's storage or the origin served bytes that
+                    // disagree with the signed digest: bypass peers and
+                    // retry, which makes the proxy re-check its copy
+                    // (doesn't consume an attempt — it is a different
                     // request, not a repeat).
                     self.fetch_via_proxy(url, true, trace, root)
                 }
@@ -721,13 +722,13 @@ impl ClientAgent {
     }
 }
 
-/// Applies a tamper mode to a document about to be served to a peer:
-/// returns the (possibly corrupted) body and watermark hex to send. The
-/// honest path shares the cached body; only the corrupting modes copy.
-fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, String) {
-    let mut hex = watermark_hex;
-    let body = match mode {
-        TamperMode::Honest => Arc::clone(body),
+/// The body a browser serves a peer for `url`, if `cache` holds it, as
+/// `mode` tampers with it. The honest path shares the cached body; only
+/// the corrupting modes copy.
+fn peer_body(mode: TamperMode, cache: &mut BodyCache, url: &str) -> Option<Body> {
+    let body = Arc::clone(&cache.get(url)?.body);
+    Some(match mode {
+        TamperMode::Honest => body,
         TamperMode::FlipByte => {
             let mut bytes = body.to_vec();
             if let Some(b) = bytes.first_mut() {
@@ -735,19 +736,9 @@ fn tampered(mode: TamperMode, body: &Body, watermark_hex: String) -> (Body, Stri
             }
             bytes.into()
         }
-        TamperMode::Truncate => {
-            let half = body.len() / 2;
-            Body::from(&body[..half])
-        }
-        TamperMode::ForgeWatermark => {
-            // Swap the first hex digit for a different one: still parses
-            // as a watermark, but verifies against nothing.
-            let forged = if hex.starts_with('0') { "1" } else { "0" };
-            hex.replace_range(0..1, forged);
-            Arc::clone(body)
-        }
-    };
-    (body, hex)
+        TamperMode::Truncate => Body::from(&body[..body.len() / 2]),
+        TamperMode::Substitute => cache.another(url).map_or(body, |doc| Arc::clone(&doc.body)),
+    })
 }
 
 /// The peer port: PEERGET from the proxy's kept-alive upstream
@@ -803,17 +794,12 @@ impl ClientState {
                 response(status::GONE, "Gone")
             }
             ["PEERGET", url, "BAPS/1.0"] => {
-                // Clone the handle out so the cache lock is dropped before
-                // the reply is built and written.
-                let doc = self.cache.lock().get(url).cloned();
-                let reply = match doc {
-                    Some(doc) => {
+                // The body alone (the proxy checks it), out of the lock.
+                let body = peer_body(*self.tamper.lock(), &mut self.cache.lock(), url);
+                let reply = match body {
+                    Some(body) => {
                         self.peer_serves.fetch_add(1, Ordering::Relaxed);
-                        let (body, hex) =
-                            tampered(*self.tamper.lock(), &doc.body, doc.watermark.to_hex());
-                        response(status::OK, "OK")
-                            .header("X-Watermark", hex)
-                            .with_body(body)
+                        response(status::OK, "OK").with_body(body)
                     }
                     None => response(status::GONE, "Gone"),
                 };

@@ -126,10 +126,15 @@ counters! {
         "baps_invalidations_total",
         "INVALIDATE messages processed (incl. piggybacked evictions).",
     );
-    /// Peer probes that failed (connection refused / GONE / bad reply).
+    /// Peer probes that failed (holder gone or unreachable, not refuted).
     peer_failures: EVENT, Plain(
         "baps_peer_failures_total",
         "Peer probes that failed (refused, GONE, bad reply).",
+    );
+    /// Peer bodies refuted: not the version whose watermark is on record.
+    peer_refuted: EVENT, Plain(
+        "baps_peer_refuted_total",
+        "Peer bodies refused: not the version the proxy signed.",
     );
     /// Requests where the browser index offered candidates but every
     /// probe failed, so the request degraded to the origin path.
@@ -274,6 +279,7 @@ mod tests {
             origin_fetches: 3,
             invalidations: 7,
             peer_failures: 2,
+            peer_refuted: 3,
             peer_fallbacks: 1,
             errors: 0,
             coalesced_fetches: 6,

@@ -511,17 +511,18 @@ impl DiskTier {
         self.discard_if(url, |meta| (meta.segment, meta.offset) == at);
     }
 
-    /// Writes `doc` through to disk under `url` with the default TTL.
-    /// Best-effort: a filesystem error shrinks the tier (counted in
-    /// [`DiskStats::io_errors`]) but never fails the request.
+    /// Writes `doc` through to disk under `url` with the default TTL,
+    /// hashing it; only tests and the benchmark's per-layer binary do.
+    /// Best-effort: filesystem trouble counts in [`DiskStats::io_errors`].
     pub fn store(&self, url: &str, doc: &CachedDoc) {
         self.store_hashed(url, doc, &document_digest(&doc.body));
     }
 
     /// [`DiskTier::store`] for a caller that holds the body's digest — on
     /// an origin fetch, the one the origin declared and `doc.watermark`
-    /// signs. Nothing here checks it against the body: an entry whose
-    /// bytes disagree is refuted on the browser's integrity retry.
+    /// signs, or the proxy's check's for a peer body. Nothing here checks
+    /// it against the body: an entry whose bytes disagree is refuted on
+    /// the browser's integrity retry.
     pub(crate) fn store_hashed(&self, url: &str, doc: &CachedDoc, digest: &Digest) {
         let size = doc.byte_size();
         if size > self.capacity || url.len() > MAX_URL_LEN {

@@ -56,7 +56,7 @@ pub enum FaultKind {
     PeerStall,
     /// A peer sends a truncated frame, then closes.
     PeerTruncate,
-    /// A peer serves a corrupted body — the §6.1 watermark must catch it.
+    /// A peer serves a corrupted body — the relaying proxy must refute it.
     PeerCorrupt,
     /// The origin replies `500 Internal Server Error`.
     OriginError,
@@ -141,7 +141,7 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFault {
     /// Flip a body byte; the frame stays well-formed but the bytes are
-    /// wrong (watermark verification must reject them).
+    /// wrong (a watermark check must reject them).
     Corrupt,
     /// Send only the first half of the frame, then close the connection.
     Truncate,

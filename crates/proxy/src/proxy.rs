@@ -28,7 +28,7 @@ use crate::shard::{ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::{Ask, Upstream};
 use baps_core::{ClientId, DocId, Interner};
-use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey, Watermark};
+use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey};
 use baps_obs::{
     span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
 };
@@ -570,7 +570,7 @@ fn known_doc(state: &ProxyState, url: &str) -> Option<DocId> {
 struct GetRequest {
     doc: DocId,
     requester: ClientId,
-    /// `Bypass-Peers`: the browser's integrity retry, see [`refuted`].
+    /// `Bypass-Peers`: the browser's integrity retry, see [`vouch`].
     bypass_peers: bool,
     trace: TraceId,
     parent: SpanId,
@@ -601,15 +601,15 @@ fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> M
     ok_response(tier.name(), doc)
 }
 
-/// Whether the GET is a browser's integrity retry and `doc`, the proxy's
-/// own copy, fails the §6.1 verify. The browser verifies every reply and
-/// sends `Bypass-Peers` only after one failed, so its complaint is the one
-/// time the proxy hashes what it is about to serve (DESIGN.md §5): a
-/// poisoned memory copy or a consistently forged disk entry is dropped
-/// there, and the retry goes on to the origin.
-fn refuted(state: &ProxyState, req: &GetRequest, doc: &CachedDoc) -> bool {
-    req.bypass_peers
-        && verify_document(&state.signer.public_key(), &doc.body, &doc.watermark).is_err()
+/// The one place the proxy hashes a body it is about to serve (DESIGN.md
+/// §5): the body's digest if `doc.watermark` signs it. A peer's reply is
+/// held to the watermark the proxy recorded for the document; its own
+/// copy only on a browser's integrity retry (`Bypass-Peers`, sent after a
+/// failed §6.1 verify: a memory copy poisoned after it was vouched for, a
+/// forged disk entry, an origin's lie), which drops a copy that fails and
+/// goes on to the origin.
+fn vouch(state: &ProxyState, doc: &CachedDoc) -> Option<Digest> {
+    verify_document(&state.signer.public_key(), &doc.body, &doc.watermark).ok()
 }
 
 /// The one place a GET is counted as failed; builds its error reply.
@@ -647,7 +647,7 @@ fn handle_get(url: &str, req: GetRequest, state: &ProxyState, seat: &Seat<'_>) -
         );
     }
     if let Some(cached) = cached {
-        if !refuted(state, &req, &cached) {
+        if !req.bypass_peers || vouch(state, &cached).is_some() {
             return Step::Reply(Some(serve(state, &req, Tier::Proxy, &cached)));
         }
         state.cache.remove(req.doc, url);
@@ -1085,17 +1085,17 @@ impl Miss {
     /// A fresh checked entry serves directly; a stale one is revalidated
     /// against the origin with a conditional GET; a torn or corrupted one
     /// already self-healed inside `read` and reads as a miss, and so does
-    /// one a browser's integrity retry [`refuted`]. A read the loop could
-    /// not finish at once — pages not in memory, a large body, a failed
-    /// check, a refuted entry to heal — is made again by the executor,
-    /// which may block and may write.
+    /// one a browser's integrity retry refutes ([`vouch`]). A read the
+    /// loop could not finish at once — pages not in memory, a large body,
+    /// a failed check, a refuted entry to heal — is made again by the
+    /// executor, which may block and may write.
     fn read_disk(mut self, state: &ProxyState, entry: Entry, via: ReadVia) -> Step<Miss> {
         let Some(disk) = &state.disk else {
             return self.probe_peers(state);
         };
         let t_disk = Instant::now();
         let hit = match disk.read(&self.url, &entry, via) {
-            ReadOutcome::Hit(hit) if refuted(state, &self.req, &hit.doc) => {
+            ReadOutcome::Hit(hit) if self.req.bypass_peers && vouch(state, &hit.doc).is_none() => {
                 if via == ReadVia::Loop {
                     self.stage = Stage::Disk(entry);
                     return Step::Offload(self);
@@ -1292,10 +1292,10 @@ impl Miss {
         Step::Ask(ask, self)
     }
 
-    /// The holder's answer. Transport failures (refused dial, deadline
-    /// expiry, truncated frame) are retried up to `peer_retries` extra
-    /// times with back-off; an explicit `410 Gone` is authoritative (the
-    /// peer no longer caches the document).
+    /// The holder's answer: a `200` is just a body. Transport failures
+    /// (refused dial, deadline expiry, truncated frame) are retried up to
+    /// `peer_retries` extra times with back-off; an explicit `410 Gone` is
+    /// authoritative (the peer no longer caches the document).
     fn probed(
         mut self,
         state: &ProxyState,
@@ -1304,18 +1304,9 @@ impl Miss {
         mut call: Call,
         answer: io::Result<Message>,
     ) -> Step<Miss> {
-        let outcome = answer.and_then(|reply| {
-            if response_code(&reply) != Some(status::OK) {
-                return Err(io::Error::new(io::ErrorKind::NotFound, "peer gone"));
-            }
-            let watermark = reply
-                .get("X-Watermark")
-                .and_then(|h| Watermark::from_hex(h).ok())
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing watermark"))?;
-            Ok(CachedDoc {
-                body: reply.body,
-                watermark,
-            })
+        let outcome = answer.and_then(|reply| match response_code(&reply) {
+            Some(status::OK) => Ok(reply.body),
+            _ => Err(io::Error::new(io::ErrorKind::NotFound, "peer gone")),
         });
         if outcome
             .as_ref()
@@ -1329,16 +1320,26 @@ impl Miss {
         self.probe_settled(state, peer, rest, call, outcome)
     }
 
-    /// One holder is done with, every retry included: serve what it gave,
-    /// or heal the index and move on to the next.
+    /// One holder is done with, every retry included: serve what it gave
+    /// if it is the version on record now (a purge during the PEERGET
+    /// counts), or heal the index and move on to the next.
     fn probe_settled(
         self,
         state: &ProxyState,
         peer: ClientId,
         rest: std::vec::IntoIter<ClientId>,
         call: Call,
-        outcome: io::Result<CachedDoc>,
+        outcome: io::Result<Body>,
     ) -> Step<Miss> {
+        let verdict = match outcome {
+            Ok(body) => state
+                .index
+                .signed(self.req.doc)
+                .map(|watermark| CachedDoc { body, watermark })
+                .and_then(|doc| vouch(state, &doc).map(|digest| (doc, digest)))
+                .ok_or(("refuted", &state.counters.peer_refuted)),
+            Err(_) => Err(("err", &state.counters.peer_failures)),
+        };
         state.obs.recorder.record_hop(
             self.req.trace,
             call.span,
@@ -1349,21 +1350,21 @@ impl Miss {
                 "peer={} url={} outcome={}",
                 peer.0,
                 self.url,
-                if outcome.is_ok() { "ok" } else { "err" }
+                verdict.as_ref().map_or_else(|(why, _)| *why, |_| "ok")
             ),
         );
-        match outcome {
-            Ok(cached) => {
+        match verdict {
+            Ok((cached, digest)) => {
                 if state.config.cache_peer_hits {
                     state.cache.insert(self.req.doc, &self.url, cached.clone());
-                    write_through_to_disk(state, &self.url, &cached, None, self.req.trace);
+                    write_through_to_disk(state, &self.url, &cached, &digest, self.req.trace);
                 }
                 let reply = serve(state, &self.req, Tier::Peer, &cached);
                 self.done(state, reply, FlightOutcome::Doc(cached))
             }
-            Err(_) => {
-                // The index was stale (or the peer is gone): self-heal.
-                state.counters.peer_failures.fetch_add(1, Ordering::Relaxed);
+            Err((_, counter)) => {
+                // A stale index, a gone peer or unsigned bytes: self-heal.
+                counter.fetch_add(1, Ordering::Relaxed);
                 state.index.on_evict(peer, self.req.doc);
                 self.next_holder(state, rest)
             }
@@ -1422,9 +1423,9 @@ impl Miss {
         self.fail(state, code, &reason)
     }
 
-    /// Serves an origin-fetched body: mints the watermark, populates both
-    /// cache tiers (write-through), updates the index, counts the fetch,
-    /// and shares the document with the flight's followers.
+    /// Serves an origin-fetched body: mints and records the watermark,
+    /// populates both cache tiers (write-through), updates the index,
+    /// counts the fetch, and shares the document with the flight's followers.
     fn serve_origin_fetch(self, state: &ProxyState, body: Body, digest: Digest) -> Step<Miss> {
         // The digest the origin minted when it authored this version is
         // signed for the watermark and stored in the disk entry's header,
@@ -1434,15 +1435,16 @@ impl Miss {
             watermark: state.signer.sign(&digest),
             body,
         };
+        state.index.set_signed(self.req.doc, Some(cached.watermark));
         state.cache.insert(self.req.doc, &self.url, cached.clone());
-        write_through_to_disk(state, &self.url, &cached, Some(&digest), self.req.trace);
+        write_through_to_disk(state, &self.url, &cached, &digest, self.req.trace);
         let reply = serve(state, &self.req, Tier::Origin, &cached);
         self.done(state, reply, FlightOutcome::Doc(cached))
     }
 
-    /// Serves a verified disk-tier document: counts the hit, promotes the
-    /// document into the memory tier (repeat requests become memory hits),
-    /// and updates the index.
+    /// Serves a verified disk-tier document: counts the hit, records its
+    /// watermark, promotes the document into the memory tier (repeat
+    /// requests become memory hits), and updates the index.
     fn serve_from_disk(
         self,
         state: &ProxyState,
@@ -1455,6 +1457,7 @@ impl Miss {
                 .disk_revalidations
                 .fetch_add(1, Ordering::Relaxed);
         }
+        state.index.set_signed(self.req.doc, Some(cached.watermark));
         state.cache.insert(self.req.doc, &self.url, cached.clone());
         let reply = serve(state, &self.req, Tier::Disk, &cached);
         self.done(state, reply, FlightOutcome::Doc(cached))
@@ -1471,22 +1474,18 @@ fn declared_digest(reply: &Message) -> Option<Digest> {
 
 /// Best-effort write-through to the disk tier (no-op without one). The
 /// store itself never fails a request; filesystem trouble is counted in
-/// the tier's `io_errors`. `digest` is the one the origin declared for
-/// the body; `None` (a peer body absorbed under `cache_peer_hits`) makes
-/// the tier hash it.
+/// the tier's `io_errors`. `digest` is the one the origin declared, or
+/// [`vouch`]'s for a peer body absorbed under `cache_peer_hits`.
 fn write_through_to_disk(
     state: &ProxyState,
     url: &str,
     cached: &CachedDoc,
-    digest: Option<&Digest>,
+    digest: &Digest,
     trace: TraceId,
 ) {
     let Some(disk) = &state.disk else { return };
     let t_write = Instant::now();
-    match digest {
-        Some(digest) => disk.store_hashed(url, cached, digest),
-        None => disk.store(url, cached),
-    }
+    disk.store_hashed(url, cached, digest);
     state.obs.recorder.record(
         trace,
         EventKind::DiskWrite,
@@ -1520,12 +1519,15 @@ impl Notice {
 /// Publisher purge (INVALIDATE with `Purge: 1`): the document changed at
 /// the origin, so the disk entry is *expired in place* rather than deleted
 /// — the next read revalidates with `If-Digest`, so a false alarm still
-/// costs only a 304 instead of a full refetch — and the proxy's replica is
-/// dropped from memory. Browser-held replicas are the clients' own
-/// responsibility (local discard + piggybacked eviction notices).
+/// costs only a 304 instead of a full refetch — the proxy's replica is
+/// dropped from memory and its watermark record cleared. Browsers holding
+/// the old version stay indexed until refuted when next probed.
 fn handle_purge(url: &str, trace: TraceId, state: &ProxyState) {
     let expired = state.disk.as_ref().map(|d| d.expire(url)).unwrap_or(false);
-    let dropped = known_doc(state, url).is_some_and(|doc| state.cache.remove(doc, url));
+    let dropped = known_doc(state, url).is_some_and(|doc| {
+        state.index.set_signed(doc, None);
+        state.cache.remove(doc, url)
+    });
     state.obs.recorder.record(
         trace,
         EventKind::Invalidate,

@@ -23,7 +23,9 @@
 
 use crate::store::{BodyCache, CacheCounters, CachedDoc};
 use baps_core::{ClientId, DocId, ExactIndex, IndexStats};
+use baps_crypto::Watermark;
 use parking_lot::{Mutex, MutexGuard};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -190,8 +192,15 @@ impl ShardedCache {
     }
 }
 
+/// Who holds each document, and the watermark of the version served.
+#[derive(Default)]
+struct Stripe {
+    index: ExactIndex,
+    signed: HashMap<DocId, Option<Watermark>>,
+}
+
 struct IndexShard {
-    index: Mutex<ExactIndex>,
+    stripe: Mutex<Stripe>,
     lock_acquires: AtomicU64,
     lock_wait_nanos: AtomicU64,
 }
@@ -200,7 +209,7 @@ struct IndexShard {
 /// lock. Index shards have no budget to split, so striping preserves
 /// exact semantics at any shard count (the `striped_index_equals_exact`
 /// property holds it to one [`ExactIndex`] under arbitrary store / evict /
-/// lookup sequences).
+/// lookup sequences). Each shard's lock also guards its watermark records.
 pub struct StripedIndex {
     shards: Vec<IndexShard>,
 }
@@ -211,7 +220,7 @@ impl StripedIndex {
         StripedIndex {
             shards: (0..n_shards.max(1))
                 .map(|_| IndexShard {
-                    index: Mutex::new(ExactIndex::new()),
+                    stripe: Mutex::default(),
                     lock_acquires: AtomicU64::new(0),
                     lock_wait_nanos: AtomicU64::new(0),
                 })
@@ -226,45 +235,58 @@ impl StripedIndex {
 
     /// Routes to the shard for `doc` and locks it, tallying the
     /// acquisition and attributing any wait to the shard.
-    fn locked(&self, doc: DocId) -> MutexGuard<'_, ExactIndex> {
+    fn locked(&self, doc: DocId) -> MutexGuard<'_, Stripe> {
         let s = &self.shards[shard_of(doc, self.shards.len())];
         s.lock_acquires.fetch_add(1, Ordering::Relaxed);
-        lock_timed(&s.index, &s.lock_wait_nanos)
+        lock_timed(&s.stripe, &s.lock_wait_nanos)
     }
 
     /// Records that `client` now caches `doc`.
     pub fn on_store(&self, client: ClientId, doc: DocId) {
-        self.locked(doc).on_store(client, doc);
+        self.locked(doc).index.on_store(client, doc);
+    }
+
+    /// Records the watermark of the version of `doc` served; `None` forgets.
+    pub fn set_signed(&self, doc: DocId, watermark: Option<Watermark>) {
+        self.locked(doc).signed.insert(doc, watermark);
+    }
+
+    /// The watermark recorded for `doc`, if any.
+    pub fn signed(&self, doc: DocId) -> Option<Watermark> {
+        self.locked(doc).signed.get(&doc).copied().flatten()
     }
 
     /// Records that `client` evicted `doc`. Returns whether an entry was
     /// actually removed (`false` for stale/replayed notices), so callers
     /// can count applied invalidations idempotently.
     pub fn on_evict(&self, client: ClientId, doc: DocId) -> bool {
-        self.locked(doc).on_evict(client, doc)
+        self.locked(doc).index.on_evict(client, doc)
     }
 
     /// All holders of `doc` other than `exclude`, most recent first.
     pub fn lookup_all(&self, doc: DocId, exclude: ClientId) -> Vec<ClientId> {
-        self.locked(doc).lookup_all(doc, exclude)
+        self.locked(doc).index.lookup_all(doc, exclude)
     }
 
     /// Whether the index lists `client` as a holder of `doc`. Unlike
     /// [`lookup_all`](Self::lookup_all) it counts no lookup or hit.
     pub fn contains(&self, client: ClientId, doc: DocId) -> bool {
-        self.locked(doc).contains(client, doc)
+        self.locked(doc).index.contains(client, doc)
     }
 
     /// Total (client, doc) entries across shards.
     pub fn entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.index.lock().entries()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.stripe.lock().index.entries())
+            .sum()
     }
 
     /// Access statistics merged across shards.
     pub fn stats(&self) -> IndexStats {
         let mut out = IndexStats::default();
         for s in &self.shards {
-            out.merge(&s.index.lock().stats());
+            out.merge(&s.stripe.lock().index.stats());
         }
         out
     }
@@ -274,7 +296,7 @@ impl StripedIndex {
         self.shards
             .iter()
             .map(|s| ShardStats {
-                entries: s.index.lock().entries(),
+                entries: s.stripe.lock().index.entries(),
                 bytes: 0,
                 lock_acquires: s.lock_acquires.load(Ordering::Relaxed),
                 lock_wait_micros: s.lock_wait_nanos.load(Ordering::Relaxed) / 1_000,
@@ -408,6 +430,25 @@ mod tests {
             prop_assert_eq!(shards.len(), n_shards);
             prop_assert_eq!(shards.iter().map(|s| s.entries).sum::<u64>(), exact.entries());
         }
+    }
+
+    /// The watermark on record is per document, replaced by a newer
+    /// version's and forgotten by a purge; holders are untouched by it.
+    #[test]
+    fn signed_watermark_is_recorded_replaced_and_forgotten() {
+        let idx = StripedIndex::new(4);
+        let (v1, v2) = (doc(b"version 1").watermark, doc(b"version 2").watermark);
+        idx.on_store(ClientId(3), DocId(9));
+        assert_eq!(idx.signed(DocId(9)), None);
+        idx.set_signed(DocId(9), Some(v1));
+        idx.set_signed(DocId(9), Some(v2));
+        assert_eq!(
+            (idx.signed(DocId(9)), idx.signed(DocId(8))),
+            (Some(v2), None)
+        );
+        idx.set_signed(DocId(9), None);
+        assert_eq!(idx.signed(DocId(9)), None);
+        assert!(idx.contains(ClientId(3), DocId(9)));
     }
 
     #[test]

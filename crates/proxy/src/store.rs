@@ -206,6 +206,12 @@ impl BodyCache {
         self.lru.remove(url).is_some()
     }
 
+    /// The most recent document but `url` ([`crate::TamperMode::Substitute`]).
+    pub fn another(&mut self, url: &str) -> Option<&CachedDoc> {
+        let other = Arc::clone(self.lru.iter_mru().map(|(u, _)| u).find(|u| &***u != url)?);
+        self.lru.peek_mut(&other).map(|doc| &*doc)
+    }
+
     /// Bytes stored.
     pub fn used(&self) -> u64 {
         self.lru.used()

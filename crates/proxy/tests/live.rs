@@ -269,6 +269,7 @@ fn admin_verbs_over_one_keepalive_connection() {
         assert_eq!(served("origin"), stats.origin_fetches);
         assert_eq!(field("baps_invalidations_total"), stats.invalidations);
         assert_eq!(field("baps_peer_failures_total"), stats.peer_failures);
+        assert_eq!(field("baps_peer_refuted_total"), stats.peer_refuted);
         assert_eq!(field("baps_peer_fallbacks_total"), stats.peer_fallbacks);
         assert_eq!(field("baps_errors_total"), stats.errors);
         // The process's minor faults, read once per scrape.
@@ -618,17 +619,18 @@ fn stalled_proxy_reply_times_out_instead_of_hanging() {
 #[test]
 fn tamper_mode_matrix_never_yields_wrong_bytes() {
     // Every way a malicious peer can lie — corrupted bytes, a truncated
-    // body, a forged watermark — must be caught by the requester's
-    // verification and answered with correct bytes from elsewhere. With
-    // `cache_peer_hits` the proxy has absorbed the lie into its memory by
-    // then: the requester's integrity retry makes it re-check that copy,
-    // drop it and refetch, so neither the requester nor the next browser
-    // to ask is served the lie.
+    // body, the genuine body of another document — must be caught by the
+    // relaying proxy, which checks a peer's bytes against the watermark it
+    // signed for the document asked for: the holder is refuted and leaves
+    // the index, and the requester gets correct bytes from elsewhere. With
+    // `cache_peer_hits` the proxy absorbs only what it vouched for, so the
+    // lie never reaches its memory and the next browser to ask is not
+    // served it either.
     for absorb in [false, true] {
         for mode in [
             TamperMode::FlipByte,
             TamperMode::Truncate,
-            TamperMode::ForgeWatermark,
+            TamperMode::Substitute,
         ] {
             let case = format!("{mode:?} cache_peer_hits={absorb}");
             let bed = TestBed::start(
@@ -644,6 +646,9 @@ fn tamper_mode_matrix_never_yields_wrong_bytes() {
             .unwrap();
             let url0 = "http://origin/doc/0";
             let r0 = bed.clients[0].fetch(url0).unwrap();
+            // The document a substituting holder serves in doc 0's place.
+            let other = bed.clients[0].fetch("http://origin/doc/15").unwrap();
+            assert_ne!(other.body, r0.body);
             for i in 1..8 {
                 bed.clients[2]
                     .fetch(&format!("http://origin/doc/{i}"))
@@ -656,8 +661,68 @@ fn tamper_mode_matrix_never_yields_wrong_bytes() {
             assert_ne!(r1.source, Source::Peer, "{case}: tampered peer trusted");
             let r2 = bed.clients[2].fetch(url0).unwrap();
             assert_eq!(r2.body, r0.body, "{case}: a second browser got wrong bytes");
+            let stats = bed.proxy.stats();
+            assert_eq!(stats.peer_refuted, 1, "{case}: {stats:?}");
+            assert_eq!(stats.peer_failures, 0, "{case}: {stats:?}");
+            assert!(
+                !bed.proxy.index_holds(0, url0),
+                "{case}: liar still indexed"
+            );
+            let refuted = bed.recorder.dump().into_iter().filter(|e| {
+                e.kind == baps_obs::EventKind::PeerProbe && e.detail.contains("outcome=refuted")
+            });
+            assert_eq!(refuted.count(), 1, "{case}: the probe span reads refuted");
             bed.shutdown();
         }
+    }
+}
+
+/// A publisher purge with no discards: the browser that fetched v1 still
+/// caches it and the index still lists it, and v1's watermark still
+/// verifies — but the proxy no longer vouches for v1, so it refutes the
+/// holder's copy and every other browser gets v2, whether or not the proxy
+/// absorbs peer hits. The holder's own copy still lags: a purge tells no
+/// holder (the proxy has no channel to the browsers for that).
+#[test]
+fn purge_without_discards_never_relays_the_old_version() {
+    for absorb in [false, true] {
+        let case = format!("cache_peer_hits={absorb}");
+        let bed = TestBed::start(
+            DocumentStore::synthetic(16, 200, 2_000, 42),
+            TestBedConfig {
+                n_clients: 4,
+                proxy_capacity: 64 << 10,
+                browser_capacity: 64 << 10,
+                cache_peer_hits: absorb,
+                ..TestBedConfig::default()
+            },
+        )
+        .unwrap();
+        let url = doc_url(0);
+        let v1 = bed.clients[0].fetch(&url).unwrap().body;
+        let v2 = b"version two of doc 0 ".repeat(40);
+        assert!(bed.origin.mutate(&url, v2.clone()));
+        bed.clients[3].publish_invalidate(&url).unwrap();
+        assert!(bed.proxy.index_holds(0, &url), "{case}: nobody discarded");
+
+        for c in 1..4 {
+            let got = bed.clients[c].fetch(&url).unwrap();
+            assert_eq!(&got.body[..], &v2[..], "{case}: client {c} got v1");
+        }
+        let stats = bed.proxy.stats();
+        assert_eq!(
+            (stats.peer_refuted, stats.peer_hits, stats.origin_fetches),
+            (1, 0, 2),
+            "{case}: {stats:?}"
+        );
+        assert!(!bed.proxy.index_holds(0, &url), "{case}: v1 holder indexed");
+        let lagging = bed.clients[0].fetch(&url).unwrap();
+        assert_eq!(
+            (lagging.source, lagging.body),
+            (Source::LocalBrowser, v1),
+            "{case}"
+        );
+        bed.shutdown();
     }
 }
 
@@ -1855,10 +1920,10 @@ fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
 /// (d) Faults on reused connections. A dropped or truncated reply kills
 /// the connection it happened on — it is never parked again, so the next
 /// probe dials and no later reply can be misframed; a corrupted body is a
-/// whole frame, caught by the watermark. Every fetch returns the exact
-/// bytes, and the faults drawn are the ones the same schedule drew when
-/// every probe dialed (the numbers asserted below are the parent commit's
-/// for this seed): each probe attempt still sends exactly one PEERGET.
+/// whole frame, which the proxy refutes against the watermark it signed.
+/// Every fetch returns the exact bytes, and each probe attempt sends
+/// exactly one PEERGET: the numbers asserted below are this seed's fault
+/// draws and outcomes, the same on a dialed or a reused connection.
 #[test]
 fn faults_on_reused_peer_connections_never_desynchronise() {
     let plan = Arc::new(FaultPlan::new(
@@ -1908,12 +1973,19 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
     let stats = bed.proxy.stats();
     assert_eq!(
         (peer, other, drops, truncates, corrupts),
-        (140, 160, 18, 23, 16),
-        "outcomes or fault draws differ from the dial-per-probe run: {stats:?}"
+        (139, 161, 18, 23, 16),
+        "outcomes or fault draws differ from this seed's: {stats:?}"
     );
+    // Each corrupted body was refuted, not relayed: the refuted holder
+    // left the index and the request fell back to the origin.
     assert_eq!(
-        (stats.peer_hits, stats.peer_failures, stats.peer_fallbacks),
-        (156, 10, 10)
+        (
+            stats.peer_hits,
+            stats.peer_failures,
+            stats.peer_refuted,
+            stats.peer_fallbacks
+        ),
+        (143, 10, corrupts, 26)
     );
 
     // Each killed connection forced exactly one later dial (the last kill
@@ -1972,9 +2044,7 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
         .map(|k| {
             let signed = ask(&mut conn77, &get_as(77, &format!("http://origin/big/{k}"))).unwrap();
             assert_eq!(&signed.body[..], &bodies[k][..]);
-            let reply = Message::new("BAPS/1.0 200 OK")
-                .header("X-Watermark", signed.get("X-Watermark").unwrap())
-                .with_body(signed.body);
+            let reply = Message::new("BAPS/1.0 200 OK").with_body(signed.body);
             encode_message(&reply).unwrap()
         })
         .collect();

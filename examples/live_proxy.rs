@@ -58,12 +58,13 @@ fn main() {
     );
     assert_eq!(r.source, Source::Peer);
 
-    // 4. A tampering peer is caught by the watermark and bypassed.
+    // 4. A tampering peer is refuted by the proxy, against the watermark
+    //    it signed, and dropped from the index.
     bed.clients[0].set_tamper_mode(TamperMode::FlipByte);
     bed.clients[1].evict(url).unwrap();
     let r = bed.clients[1].fetch(url).unwrap();
     println!(
-        "client 0 tampers; client 1 re-fetch -> {:?} (integrity check bypassed the peer)",
+        "client 0 tampers; client 1 re-fetch -> {:?} (the proxy refuted the peer's bytes)",
         r.source
     );
     assert_ne!(r.source, Source::Peer);

@@ -163,9 +163,11 @@ fi
 # Names earlier rounds deleted and an aside kept alive: the thread-mode
 # pool (`WorkerPool`, `ConnRegistry`), the two-pass miss predicate
 # (`may_block`, `needs_miss_executor`), the unlocked twin of the proxy's
-# striped index (`ShardedIndex`) and the test bed's one-valued recorder
-# option. CHANGES.md tells what each was.
-if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor' -- \
+# striped index (`ShardedIndex`), the test bed's one-valued recorder
+# option and the tamper mode that forged a peer's `X-Watermark`
+# (`ForgeWatermark`: a peer reply is a body alone, which the proxy checks
+# against the watermark it signed). CHANGES.md tells what each was.
+if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark' -- \
     README.md DESIGN.md src examples crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted"
     exit 1
@@ -263,16 +265,19 @@ fi
 
 echo "== hash sites (where crates/proxy/src may hash a body)"
 # A body is hashed where it is authored and where it is accepted
-# (DESIGN.md §5): the origin's store (`store.rs` `authored`) and the
-# browser's §6.1 verify (`client.rs` `verify_traced`). The proxy hashes in
-# two places only: a browser's complaint (`proxy.rs` `refuted`) and a peer
-# body absorbed into the disk tier (`disk.rs` `store`). Outside comments and
+# (DESIGN.md §5): the origin's store (`store.rs` `authored`), the
+# browser's §6.1 verify (`client.rs` `verify_traced`) and the proxy's one
+# vouching function (`proxy.rs` `vouch`: a peer's reply against the
+# watermark the proxy signed, its own copy on a browser's complaint).
+# `disk.rs` `store` hashes too, but only tests and the benchmark's
+# per-layer binary reach it: serving code hands the tier a digest
+# (`store_hashed`). Outside comments and
 # `#[cfg(test)]` code, a `document_digest(` or `verify_document(` anywhere
 # else fails, and so does an `md5(` anywhere at all: a body's digest is
 # `document_digest`, and plain MD5 is only its root node. Each
 # hit is named with its enclosing function.
 if ! git ls-files -z 'crates/proxy/src/*.rs' | xargs -0 awk '
-    BEGIN { split("store.rs:authored client.rs:verify_traced proxy.rs:refuted disk.rs:store", a)
+    BEGIN { split("store.rs:authored client.rs:verify_traced proxy.rs:vouch disk.rs:store", a)
             for (i in a) allowed["crates/proxy/src/" a[i]] = 1 }
     FNR == 1 { test = 0; attr = 0; fun = "" }
     attr && /^(pub )?mod / { test = 1 }
