@@ -18,6 +18,7 @@
 //! with `--addr`) runs until interrupted. `--plain` appends frames as
 //! plain text instead of redrawing the screen.
 
+use baps_core::Served;
 use baps_obs::prom;
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, Message, TestBed, TestBedConfig,
@@ -236,8 +237,9 @@ fn render(samples: &[prom::Sample], history: &[f64], plain: bool) -> String {
     }
     out.push_str(&format!("\n  req/s {}\n", sparkline(history)));
 
-    // Tier split from the cumulative counters.
-    let tiers = ["proxy", "disk", "peer", "origin"];
+    // Tier split from the cumulative counters: every tier the proxy serves
+    // from (a browser's own cache never reaches it).
+    let tiers = &Served::LABELS[Served::Proxy.index()..];
     let counts: Vec<f64> = tiers
         .iter()
         .map(|t| labelled(samples, "baps_served_total", &[("tier", t)]))

@@ -69,7 +69,7 @@ use baps_obs::{EventKind, TraceId};
 use baps_proxy::fault::FaultKind;
 use baps_proxy::{
     DocumentStore, FaultConfig, FaultCounts, FaultPlan, ProxyError, SloRule, SloSignal, SloTable,
-    Source, TestBed, TestBedConfig, Verdict,
+    TestBed, TestBedConfig, Verdict,
 };
 use baps_trace::Scenario;
 use rand::rngs::StdRng;
@@ -179,25 +179,9 @@ impl SoakArgs {
     }
 }
 
-/// Outcome tallies that must be identical across same-seed runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Tally {
-    local: u64,
-    proxy: u64,
-    disk: u64,
-    peer: u64,
-    origin: u64,
-    failed: u64,
-}
-
-impl Tally {
-    fn successes(&self) -> u64 {
-        self.local + self.proxy + self.disk + self.peer + self.origin
-    }
-}
-
 struct SoakReport {
-    tally: Tally,
+    /// Must be identical across same-seed runs.
+    tally: ScenarioTally,
     faults: FaultCounts,
     proxy_requests: u64,
     proxy_hits: u64,
@@ -275,7 +259,7 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
     let mut disk_hits_at_restart = 0;
 
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x5eed_5eed);
-    let mut tally = Tally::default();
+    let mut tally = ScenarioTally::default();
     let mut violations = Vec::new();
     let t0 = Instant::now();
 
@@ -338,13 +322,7 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
                         ),
                     );
                 }
-                match res.source {
-                    Source::LocalBrowser => tally.local += 1,
-                    Source::Proxy => tally.proxy += 1,
-                    Source::ProxyDisk => tally.disk += 1,
-                    Source::Peer => tally.peer += 1,
-                    Source::Origin => tally.origin += 1,
-                }
+                tally.served[res.source.index()] += 1;
             }
             Err(e) => {
                 // Transient transport/backend failures that survived the
@@ -797,10 +775,7 @@ fn print_scenario_report(label: &str, scenario: Scenario, args: SoakArgs, r: &Sc
         args.docs,
         r.invalidation_msgs,
     );
-    println!(
-        "outcomes : local {} | proxy {} | disk {} | peer {} | origin {} | degraded-errors {}",
-        r.tally.local, r.tally.proxy, r.tally.disk, r.tally.peer, r.tally.origin, r.tally.failed
-    );
+    println!("outcomes : {}", r.tally.outcomes());
     println!(
         "proxy    : origin_fetches {} | coalesced_fetches {} | disk_revalidations {}",
         r.origin_fetches, r.coalesced_fetches, r.disk_revalidations
@@ -890,10 +865,7 @@ fn print_report(label: &str, args: SoakArgs, r: &SoakReport) {
             args.requests / 2
         );
     }
-    println!(
-        "outcomes : local {} | proxy {} | disk {} | peer {} | origin {} | degraded-errors {}",
-        r.tally.local, r.tally.proxy, r.tally.disk, r.tally.peer, r.tally.origin, r.tally.failed
-    );
+    println!("outcomes : {}", r.tally.outcomes());
     println!(
         "proxy    : requests {} = proxy_hits {} + disk_hits {} + peer_hits {} \
          + origin_fetches {} + errors {} (peer_fallbacks {})",

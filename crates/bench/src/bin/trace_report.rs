@@ -20,8 +20,9 @@
 //! ```
 
 use baps_bench::critical_path::{attribution, is_multihop, render_table, render_tree};
+use baps_core::Served;
 use baps_obs::span;
-use baps_proxy::{response_code, DocumentStore, Source, TestBed, TestBedConfig};
+use baps_proxy::{response_code, DocumentStore, TestBed, TestBedConfig};
 use std::io::Read;
 
 struct Args {
@@ -90,7 +91,7 @@ fn live_dump() -> String {
                 .expect("flood fetch");
         }
         let r = bed.clients[1].fetch(&url0).expect("follow-up fetch");
-        if r.source == Source::Peer {
+        if r.source == Served::Peer {
             peer_hits += 1;
         }
     }

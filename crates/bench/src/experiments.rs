@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use crate::{anchor, banner, load_profile, sweep_orgs, Cli};
 use baps_core::{
-    BrowserSizing, HitClass, IndexModel, LatencyParams, Organization, Policy, RemoteHitCaching,
-    SystemConfig, BYTES_PER_ENTRY,
+    BrowserSizing, IndexModel, LatencyParams, Organization, Policy, RemoteHitCaching, Served,
+    SystemConfig, BYTES_PER_ENTRY, PROXY_TIERS,
 };
 use baps_crypto::{
     requester_open, target_serve, verify_document, KeyPair, PeerId, ProxySigner, SecureRelay,
@@ -354,10 +354,10 @@ fn fig3(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
     .pop()
     .expect("one organization in, one sweep out");
 
-    let classes = [
-        ("local-browser", HitClass::LocalBrowser),
-        ("proxy", HitClass::Proxy),
-        ("remote-browsers", HitClass::RemoteBrowser),
+    let classes: [(&str, &[Served]); 3] = [
+        ("local-browser", &[Served::LocalBrowser]),
+        ("proxy", PROXY_TIERS),
+        ("remote-browsers", &[Served::Peer]),
     ];
     for (byte, title) in [
         (false, "Hit ratio breakdown (%)"),
@@ -381,7 +381,7 @@ fn fig3(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
     }
     let min_remote = runs
         .iter()
-        .map(|r| r.metrics.class_ratio(HitClass::RemoteBrowser))
+        .map(|r| r.metrics.class_ratio(&[Served::Peer]))
         .fold(f64::MAX, f64::min);
     writeln!(
         out,
@@ -913,7 +913,7 @@ fn ablation(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
             (*label).to_owned(),
             pct(r.hit_ratio()),
             pct(r.byte_hit_ratio()),
-            format!("{}", r.metrics.remote_browser.count),
+            format!("{}", r.metrics.served(&[Served::Peer]).count),
         ]);
     }
     emit(out, cli, &t)?;
@@ -955,7 +955,7 @@ fn ablation(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
         t.row(vec![
             model.label(),
             pct(r.hit_ratio()),
-            format!("{}", r.metrics.remote_browser.count),
+            format!("{}", r.metrics.served(&[Served::Peer]).count),
             format!("{}", r.metrics.wasted_probes),
             human_bytes(r.index_stats.update_bytes),
             human_bytes(r.index_memory_bytes),
@@ -978,7 +978,7 @@ fn ablation(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
         t.row(vec![
             (*label).to_owned(),
             pct(r.hit_ratio()),
-            format!("{}", r.metrics.remote_browser.count),
+            format!("{}", r.metrics.served(&[Served::Peer]).count),
             format!("{}", r.metrics.mem_hits),
         ]);
     }
@@ -1007,7 +1007,7 @@ fn ablation(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
             pct(r.hit_ratio()),
             format!("{}", r.metrics.revalidations),
             format!("{:.0}", r.latency.revalidation_ms / 1000.0),
-            format!("{}", r.metrics.remote_browser.count),
+            format!("{}", r.metrics.served(&[Served::Peer]).count),
         ]);
     }
     emit(out, cli, &t)
@@ -1056,10 +1056,10 @@ fn latency(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
         let mut table = Table::new(vec![
             "class", "requests", "mean", "p50", "p90", "p99", "max",
         ]);
-        table.row(row("local-browser", &h.local_browser));
-        table.row(row("proxy", &h.proxy));
-        table.row(row("remote-browsers", &h.remote_browser));
-        table.row(row("miss (WAN)", &h.miss));
+        table.row(row("local-browser", &h.served(&[Served::LocalBrowser])));
+        table.row(row("proxy", &h.served(PROXY_TIERS)));
+        table.row(row("remote-browsers", &h.served(&[Served::Peer])));
+        table.row(row("miss (WAN)", &h.served(&[Served::Origin])));
         table.row(row("all", &h.all));
         emit(out, cli, &table)?;
         writeln!(out)?;

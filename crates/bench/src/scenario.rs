@@ -12,10 +12,9 @@
 //! `INVALIDATE` with `Purge: 1` through the proxy — the wire cost of a
 //! storm is one message per update, not one per replica.
 
+use baps_core::Served;
 use baps_obs::{EventKind, LatencyHistogram, TraceId};
-use baps_proxy::{
-    DocumentStore, FaultConfig, FaultPlan, ProxyError, Source, TestBed, TestBedConfig,
-};
+use baps_proxy::{DocumentStore, FaultConfig, FaultPlan, ProxyError, TestBed, TestBedConfig};
 use baps_trace::{DocId, Scenario, ScenarioConfig, ScenarioOp, ScenarioSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,16 +72,8 @@ pub fn bed_config(cfg: &ScenarioConfig, disk_root: Option<PathBuf>) -> TestBedCo
 /// compares two of these directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScenarioTally {
-    /// Served from the requesting browser's own cache.
-    pub local: u64,
-    /// Served from the proxy memory tier.
-    pub proxy: u64,
-    /// Served from the proxy disk tier.
-    pub disk: u64,
-    /// Served from a peer browser.
-    pub peer: u64,
-    /// Fetched from the origin.
-    pub origin: u64,
+    /// Successful fetches by where they were served, by [`Served::index`].
+    pub served: [u64; Served::ALL.len()],
     /// Failed after bounded retries (honest degradation).
     pub failed: u64,
 }
@@ -90,7 +81,13 @@ pub struct ScenarioTally {
 impl ScenarioTally {
     /// Total successful fetches.
     pub fn successes(&self) -> u64 {
-        self.local + self.proxy + self.disk + self.peer + self.origin
+        self.served.iter().sum()
+    }
+
+    /// The soak reports' line: `local N | proxy N | … | degraded-errors N`.
+    pub fn outcomes(&self) -> String {
+        let served = Served::ALL.map(|s| format!("{} {}", s.label(), self.served[s.index()]));
+        format!("{} | degraded-errors {}", served.join(" | "), self.failed)
     }
 }
 
@@ -162,13 +159,7 @@ pub fn replay_schedule(
                                 ),
                             );
                         }
-                        match res.source {
-                            Source::LocalBrowser => tally.local += 1,
-                            Source::Proxy => tally.proxy += 1,
-                            Source::ProxyDisk => tally.disk += 1,
-                            Source::Peer => tally.peer += 1,
-                            Source::Origin => tally.origin += 1,
-                        }
+                        tally.served[res.source.index()] += 1;
                     }
                     Err(ProxyError::Io(_) | ProxyError::Timeout | ProxyError::Unavailable(_)) => {
                         tally.failed += 1

@@ -83,8 +83,10 @@ impl BrowserSizing {
 /// What happens to a document served from a *remote* browser cache.
 ///
 /// The paper (§3.2, global-browsers description) does not re-cache documents
-/// fetched from another browser; that is the default here and a knob for the
-/// ablation bench.
+/// fetched from another browser; that is the simulator's default here and a
+/// knob for the ablation bench. The live runtime has no such knob: it runs
+/// `CacheAtRequester` — the browser caches every body it receives, and the
+/// proxy relays a peer's body without keeping it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RemoteHitCaching {
     /// Neither the requester nor the proxy stores the forwarded copy.

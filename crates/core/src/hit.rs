@@ -1,6 +1,5 @@
 //! Classification of how each request was served.
 
-use crate::ids::ClientId;
 use serde::{Deserialize, Serialize};
 
 /// Which storage tier of a cache served a hit (the §4.2 memory byte hit
@@ -13,79 +12,57 @@ pub enum Tier {
     Disk,
 }
 
-/// Where a request was satisfied (paper Fig. 3's breakdown categories).
+/// Where a request was served, in probe order: the paper's Fig. 3
+/// breakdown (local browser, proxy, remote browser, miss) with the proxy
+/// split by the tier that held the copy. The simulator classifies its
+/// requests with it, the live proxy names its outcome counters and tier
+/// histograms after it, and a browser reads it off the `X-Source` header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum HitClass {
-    /// Served by the requester's own browser cache.
+pub enum Served {
+    /// The requester's own browser cache.
     LocalBrowser,
-    /// Served by the proxy cache.
+    /// The proxy cache's memory tier.
     Proxy,
-    /// Served by another client's browser cache via the browser index.
-    RemoteBrowser,
-    /// Fetched from the origin server (or upper-level proxy).
-    Miss,
+    /// The proxy cache's disk tier.
+    ProxyDisk,
+    /// Another client's browser cache, found through the browser index.
+    Peer,
+    /// The origin server (a miss).
+    Origin,
 }
 
-impl HitClass {
-    /// Whether the request counts as a hit for the paper's hit-ratio metric
-    /// ("requests that hit in browser caches or in the proxy cache").
-    pub fn is_hit(self) -> bool {
-        !matches!(self, HitClass::Miss)
+/// The paper's single "proxy" class: a report that prints one proxy
+/// column sums these.
+pub const PROXY_TIERS: &[Served] = &[Served::Proxy, Served::ProxyDisk];
+
+impl Served {
+    /// Every variant, in probe order (= [`index`](Self::index) order).
+    pub const ALL: [Served; 5] = [
+        Served::LocalBrowser,
+        Served::Proxy,
+        Served::ProxyDisk,
+        Served::Peer,
+        Served::Origin,
+    ];
+
+    /// Wire (`X-Source`) and metric (`tier=`) labels, by [`index`](Self::index).
+    pub const LABELS: [&'static str; 5] = ["local", "proxy", "disk", "peer", "origin"];
+
+    /// Position in [`ALL`](Self::ALL) / [`LABELS`](Self::LABELS), and the
+    /// slot of a per-tier table.
+    pub fn index(self) -> usize {
+        self as usize
     }
 
-    /// Display label.
+    /// The wire and metric label (`local` / `proxy` / `disk` / `peer` /
+    /// `origin`).
     pub fn label(self) -> &'static str {
-        match self {
-            HitClass::LocalBrowser => "local-browser",
-            HitClass::Proxy => "proxy",
-            HitClass::RemoteBrowser => "remote-browsers",
-            HitClass::Miss => "miss",
-        }
-    }
-}
-
-/// Everything the simulator records about one processed request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outcome {
-    /// Where the request was served.
-    pub class: HitClass,
-    /// The storage tier that served a hit (memory vs disk), if applicable.
-    pub tier: Option<Tier>,
-    /// The peer that served a remote-browser hit.
-    pub remote_peer: Option<ClientId>,
-    /// Bytes served.
-    pub size: u64,
-    /// Number of index candidates probed that did *not* actually hold the
-    /// document (stale index entries or Bloom false positives).
-    pub wasted_probes: u32,
-    /// Whether this request observed a changed document size (forced miss).
-    pub size_change: bool,
-}
-
-impl Outcome {
-    /// A plain miss outcome.
-    pub fn miss(size: u64) -> Outcome {
-        Outcome {
-            class: HitClass::Miss,
-            tier: None,
-            remote_peer: None,
-            size,
-            wasted_probes: 0,
-            size_change: false,
-        }
+        Self::LABELS[self.index()]
     }
 
-    /// A hit outcome of the given class.
-    pub fn hit(class: HitClass, tier: Option<Tier>, size: u64) -> Outcome {
-        debug_assert!(class.is_hit());
-        Outcome {
-            class,
-            tier,
-            remote_peer: None,
-            size,
-            wasted_probes: 0,
-            size_change: false,
-        }
+    /// Inverse of [`label`](Self::label); `None` for any other string.
+    pub fn from_label(label: &str) -> Option<Served> {
+        Self::ALL.into_iter().find(|s| s.label() == label)
     }
 }
 
@@ -94,25 +71,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_classification() {
-        assert!(HitClass::LocalBrowser.is_hit());
-        assert!(HitClass::Proxy.is_hit());
-        assert!(HitClass::RemoteBrowser.is_hit());
-        assert!(!HitClass::Miss.is_hit());
-    }
-
-    #[test]
-    fn constructors() {
-        let m = Outcome::miss(100);
-        assert_eq!(m.class, HitClass::Miss);
-        assert_eq!(m.size, 100);
-        let h = Outcome::hit(HitClass::Proxy, Some(Tier::Memory), 50);
-        assert_eq!(h.class, HitClass::Proxy);
-        assert_eq!(h.tier, Some(Tier::Memory));
-    }
-
-    #[test]
     fn labels() {
-        assert_eq!(HitClass::RemoteBrowser.label(), "remote-browsers");
+        // The `X-Source` values and `tier=` label values on the wire.
+        assert_eq!(Served::LABELS, ["local", "proxy", "disk", "peer", "origin"]);
+        assert_eq!(Served::ProxyDisk.label(), "disk");
+    }
+
+    #[test]
+    fn labels_round_trip_and_nothing_else_parses() {
+        for (i, s) in Served::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i);
+            assert_eq!(Served::from_label(s.label()), Some(s));
+        }
+        for other in [
+            "",
+            "Proxy",
+            "miss",
+            "remote-browsers",
+            "local-browser",
+            "origin ",
+        ] {
+            assert_eq!(Served::from_label(other), None, "{other:?}");
+        }
     }
 }

@@ -9,8 +9,10 @@
 //!   [`IndexModel`] / [`Policy`] — system configuration, including the
 //!   paper's browser-cache sizing rules (*minimum* = proxy/n, *average* =
 //!   k·proxy/n);
-//! * [`HitClass`] / [`Outcome`] / [`Tier`] — request classification (local
-//!   browser / proxy / remote browser / miss, and memory or disk);
+//! * [`Served`] / [`Tier`] — where a request was served (local browser /
+//!   proxy memory / proxy disk / peer / origin), one name for the
+//!   simulator, the live proxy's counters and the wire, and the memory or
+//!   disk tier of a cache hit;
 //! * [`LatencyParams`] — the analytic latency model of §4.2/§5;
 //! * [`ByteLru`] — the byte-budgeted O(1) LRU of the paper's caches, over
 //!   a slab-backed intrusive list ([`SlabList`]);
@@ -32,7 +34,7 @@ pub mod org;
 pub mod slablist;
 
 pub use config::{BrowserSizing, IndexModel, Policy, RemoteHitCaching, SystemConfig};
-pub use hit::{HitClass, Outcome, Tier};
+pub use hit::{Served, Tier, PROXY_TIERS};
 pub use ids::{ClientId, DocId, Interner};
 pub use index::{ExactIndex, IndexStats, BYTES_PER_ENTRY};
 pub use latency::LatencyParams;

@@ -427,36 +427,6 @@ impl AtomicHistogram {
     }
 }
 
-/// The serve tiers of the paper's request path, in probe order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// The requester's own browser cache.
-    Local,
-    /// The proxy's in-memory cache.
-    Proxy,
-    /// The proxy's persistent disk tier (probed after a memory miss).
-    Disk,
-    /// Another client's browser cache.
-    Peer,
-    /// The origin server.
-    Origin,
-}
-
-/// Label values for [`Tier`], indexable by [`Tier::index`].
-pub const TIER_NAMES: [&str; 5] = ["local", "proxy", "disk", "peer", "origin"];
-
-impl Tier {
-    /// Position in [`TIER_NAMES`] / a [`LabeledHistograms`] built over it.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The label value (`local` / `proxy` / `disk` / `peer` / `origin`).
-    pub fn name(self) -> &'static str {
-        TIER_NAMES[self.index()]
-    }
-}
-
 /// A fixed family of [`AtomicHistogram`]s keyed by a small static label
 /// set — one histogram per serve tier, or per protocol verb. Recording is
 /// gated on the global [`recording`](crate::recording) switch so
@@ -745,15 +715,16 @@ mod tests {
 
     #[test]
     fn labeled_histograms_route_by_index() {
-        let lh = LabeledHistograms::new(&TIER_NAMES);
-        lh.record(Tier::Proxy.index(), Duration::from_millis(3));
-        lh.record(Tier::Disk.index(), Duration::from_millis(9));
-        lh.record(Tier::Origin.index(), Duration::from_millis(40));
-        lh.record(Tier::Origin.index(), Duration::from_millis(50));
-        assert_eq!(lh.snapshot(Tier::Proxy.index()).count(), 1);
-        assert_eq!(lh.snapshot(Tier::Disk.index()).count(), 1);
-        assert_eq!(lh.snapshot(Tier::Origin.index()).count(), 2);
-        assert_eq!(lh.snapshot(Tier::Local.index()).count(), 0);
+        const LABELS: [&str; 5] = ["local", "proxy", "disk", "peer", "origin"];
+        let lh = LabeledHistograms::new(&LABELS);
+        lh.record(1, Duration::from_millis(3));
+        lh.record(2, Duration::from_millis(9));
+        lh.record(4, Duration::from_millis(40));
+        lh.record(4, Duration::from_millis(50));
+        assert_eq!(lh.snapshot(1).count(), 1);
+        assert_eq!(lh.snapshot(2).count(), 1);
+        assert_eq!(lh.snapshot(4).count(), 2);
+        assert_eq!(lh.snapshot(0).count(), 0);
         let by_label: Vec<_> = lh.iter().map(|(l, h)| (l, h.count())).collect();
         assert_eq!(
             by_label,

@@ -34,7 +34,7 @@ pub mod recorder;
 pub mod span;
 pub mod trace;
 
-pub use hist::{AtomicHistogram, LabeledHistograms, LatencyHistogram, Tier, TIER_NAMES};
+pub use hist::{AtomicHistogram, LabeledHistograms, LatencyHistogram};
 pub use recorder::{Event, EventKind, FlightRecorder};
 pub use span::{SpanId, SpanRecord, SpanTree};
 pub use trace::TraceId;

@@ -22,8 +22,9 @@ use crate::protocol::{
 use crate::reactor::{Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::{BodyCache, CachedDoc};
 use crate::upstream::dial_with_deadline;
+use baps_core::Served;
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
-use baps_obs::{span, EventKind, FlightRecorder, SpanId, Tier, TraceId};
+use baps_obs::{span, EventKind, FlightRecorder, SpanId, TraceId};
 use parking_lot::Mutex;
 use std::convert::Infallible;
 use std::io::{self, BufReader};
@@ -104,21 +105,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// Where a fetched document came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// The client's own browser cache.
-    LocalBrowser,
-    /// The proxy's in-memory cache.
-    Proxy,
-    /// The proxy's persistent disk tier (a warm-restart or spill hit).
-    ProxyDisk,
-    /// Another client's browser cache (mediated by the proxy).
-    Peer,
-    /// The origin server.
-    Origin,
-}
-
 /// A successful fetch. The body is a shared handle: a browser-cache hit
 /// returns the cached allocation itself, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +112,7 @@ pub struct FetchResult {
     /// The document body.
     pub body: Body,
     /// Where it was served from.
-    pub source: Source,
+    pub source: Served,
 }
 
 struct ClientState {
@@ -363,7 +349,7 @@ impl ClientAgent {
             }
             return Ok(FetchResult {
                 body,
-                source: Source::LocalBrowser,
+                source: Served::LocalBrowser,
             });
         }
         let mut attempts_left = self.config.retries;
@@ -390,19 +376,12 @@ impl ClientAgent {
                     let elapsed = t_fetch.elapsed();
                     match &other {
                         Ok(got) => {
-                            let tier = match got.source {
-                                Source::LocalBrowser => Tier::Local,
-                                Source::Proxy => Tier::Proxy,
-                                Source::ProxyDisk => Tier::Disk,
-                                Source::Peer => Tier::Peer,
-                                Source::Origin => Tier::Origin,
-                            };
                             // Multi-hop fetches are always worth a span;
                             // plain cache hits only when they ran slow or
                             // the trace is head-sampled (whose tree needs
                             // its root); the proxy's histograms account
                             // for the fast unsampled bulk.
-                            let multi_hop = matches!(tier, Tier::Peer | Tier::Origin);
+                            let multi_hop = matches!(got.source, Served::Peer | Served::Origin);
                             let slow = ran_slow(elapsed, SLOW_FETCH, got.body.len());
                             if !root.is_none() || multi_hop || slow {
                                 self.state.recorder.record_hop(
@@ -411,7 +390,11 @@ impl ClientAgent {
                                     SpanId::NONE,
                                     EventKind::Fetch,
                                     elapsed,
-                                    format!("client={} url={url} source={}", self.id, tier.name()),
+                                    format!(
+                                        "client={} url={url} source={}",
+                                        self.id,
+                                        got.source.label()
+                                    ),
                                 );
                             }
                         }
@@ -476,12 +459,13 @@ impl ClientAgent {
                 )))
             }
         }
-        let source = match reply.get("X-Source") {
-            Some("proxy") => Source::Proxy,
-            Some("disk") => Source::ProxyDisk,
-            Some("peer") => Source::Peer,
-            Some("origin") => Source::Origin,
-            other => return Err(ProxyError::Protocol(format!("bad X-Source: {other:?}"))),
+        // Any tier but this browser's own: a proxy cannot serve from it.
+        let source = reply.get("X-Source");
+        let Some(source) = source
+            .and_then(Served::from_label)
+            .filter(|&s| s != Served::LocalBrowser)
+        else {
+            return Err(ProxyError::Protocol(format!("bad X-Source: {source:?}")));
         };
         let watermark = reply
             .get("X-Watermark")

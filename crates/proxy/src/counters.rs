@@ -9,13 +9,15 @@
 //! that table or iterate it, so a new counter costs one row plus its bump
 //! site.
 
+// A `Served(..)` row names its tier bare: `Served(Peer)`.
+use baps_core::Served::{self, Origin, Peer, Proxy, ProxyDisk};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a counter appears in the `METRICS` exposition.
 pub(crate) enum Family {
     /// One `tier=` sample of the labelled `baps_served_total` family.
-    Served(&'static str),
+    Served(Served),
     /// An unlabelled family (name, help) among the request counters.
     Plain(&'static str, &'static str),
     /// An unlabelled family (name, help) in the disk-tier section, which
@@ -105,13 +107,13 @@ macro_rules! counters {
 
 counters! {
     /// Served from the proxy's in-memory cache.
-    proxy_hits: OUTCOME, Served("proxy");
+    proxy_hits: OUTCOME, Served(Proxy);
     /// Served from the proxy's disk tier (fresh or revalidated).
-    disk_hits: OUTCOME, Served("disk");
+    disk_hits: OUTCOME, Served(ProxyDisk);
     /// Served from a peer browser cache.
-    peer_hits: OUTCOME, Served("peer");
+    peer_hits: OUTCOME, Served(Peer);
     /// Fetched from the origin.
-    origin_fetches: OUTCOME, Served("origin");
+    origin_fetches: OUTCOME, Served(Origin);
     /// GET requests answered with an error (404 or 5xx) instead of a
     /// document.
     errors: OUTCOME, Plain(

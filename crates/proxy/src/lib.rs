@@ -41,7 +41,10 @@ pub mod store;
 mod sys;
 mod upstream;
 
-pub use client::{ClientAgent, ClientConfig, FetchResult, Source, TamperMode};
+/// Where a fetched document came from ([`FetchResult::source`]): the
+/// shared [`Served`](baps_core::Served) under its browser-side name.
+pub use baps_core::Served as Source;
+pub use client::{ClientAgent, ClientConfig, FetchResult, TamperMode};
 pub use disk::{DiskConfig, DiskStats, DiskTier};
 pub use error::ProxyError;
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};

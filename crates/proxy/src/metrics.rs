@@ -83,7 +83,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     );
     for (def, value) in s.counters() {
         if let Family::Served(tier) = def.family {
-            out.sample("baps_served_total", &[("tier", tier)], value as f64);
+            out.sample("baps_served_total", &[("tier", tier.label())], value as f64);
         }
     }
     for (def, value) in s.counters() {

@@ -179,12 +179,10 @@ fn handle_request(
                 // stale copy; if unchanged, refresh it without the body.
                 if msg.get("If-Digest").and_then(Digest::from_hex) == Some(digest) {
                     revalidations.fetch_add(1, Ordering::Relaxed);
-                    return response(status::NOT_MODIFIED, "Not Modified")
-                        .header("X-Source", "origin");
+                    return response(status::NOT_MODIFIED, "Not Modified");
                 }
                 hits.fetch_add(1, Ordering::Relaxed);
                 response(status::OK, "OK")
-                    .header("X-Source", "origin")
                     .header("Digest", digest.to_hex())
                     .with_body(body)
             }

@@ -43,12 +43,15 @@
 //! so span trees stitch across processes without any coordination beyond
 //! the header.
 //!
-//! Responses: `BAPS/1.0 <code> <reason>` with `Content-Length`; the proxy's
-//! add `X-Source` and `X-Watermark` (hex, §6.1), a peer's `200` is the body
-//! alone (the proxy checks it). An origin's `200` also carries `Digest:
-//! <hex>`, the body's `baps_crypto::document_digest` (sixteen interleaved
-//! MD5 lanes under one MD5 root), minted when it stored that version: the
-//! digest the proxy signs, without hashing the body.
+//! Responses: `BAPS/1.0 <code> <reason>` with `Content-Length`. The proxy's
+//! `200` to a GET adds `X-Watermark` (hex, §6.1) and `X-Source`, the label
+//! of the tier that served it (`proxy` / `disk` / `peer` / `origin`, a
+//! `baps_core::Served` label); the proxy is its one writer and the browser
+//! its one reader. A peer's `200` is the body alone (the proxy checks it).
+//! An origin's `200` carries `Digest: <hex>`, the body's
+//! `baps_crypto::document_digest` (sixteen interleaved MD5 lanes under one
+//! MD5 root), minted when it stored that version: the digest the proxy
+//! signs, without hashing the body.
 //!
 //! # Connection lifecycle (keep-alive)
 //!

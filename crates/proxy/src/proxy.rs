@@ -27,11 +27,9 @@ use crate::reactor::{
 use crate::shard::{ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::{Ask, Upstream};
-use baps_core::{ClientId, DocId, Interner};
+use baps_core::{ClientId, DocId, Interner, Served};
 use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey};
-use baps_obs::{
-    span, EventKind, FlightRecorder, LabeledHistograms, SpanId, Tier, TraceId, TIER_NAMES,
-};
+use baps_obs::{span, EventKind, FlightRecorder, LabeledHistograms, SpanId, TraceId};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,6 +46,11 @@ const MAX_PEER_PROBES: usize = 4;
 const RETRY_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Proxy configuration.
+///
+/// Placement is fixed: the proxy caches what it fetched from the origin or
+/// read from its disk tier, and relays a peer's body without keeping it —
+/// the requesting browser caches that (the simulator's
+/// `RemoteHitCaching::CacheAtRequester`).
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
     /// Proxy cache capacity in bytes.
@@ -56,9 +59,6 @@ pub struct ProxyConfig {
     pub origin_addr: SocketAddr,
     /// Seed for the proxy's signing key pair.
     pub key_seed: u64,
-    /// Whether the proxy absorbs peer-served documents into its own cache
-    /// (the paper's default is no; see `RemoteHitCaching`).
-    pub cache_peer_hits: bool,
     /// Deadline for one peer exchange — connect, request, reply — so one
     /// dead browser cannot hold a request.
     pub peer_timeout: Duration,
@@ -221,7 +221,7 @@ impl ProxyServer {
             config,
             obs: ProxyObs {
                 recorder,
-                tiers: LabeledHistograms::new(&TIER_NAMES),
+                tiers: LabeledHistograms::new(&Served::LABELS),
                 verbs: LabeledHistograms::new(&PROXY_VERBS),
             },
             disk,
@@ -583,14 +583,14 @@ struct GetRequest {
 /// the balance identity holds and the tier-histogram counts equal the
 /// served counters by construction. Builds the 200 reply around the shared
 /// body.
-fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> Message {
+fn serve(state: &ProxyState, req: &GetRequest, tier: Served, doc: &CachedDoc) -> Message {
     let counters = &state.counters;
     let counter = match tier {
-        Tier::Proxy => &counters.proxy_hits,
-        Tier::Disk => &counters.disk_hits,
-        Tier::Peer => &counters.peer_hits,
-        Tier::Origin => &counters.origin_fetches,
-        Tier::Local => unreachable!("a browser's own cache never reaches the proxy"),
+        Served::Proxy => &counters.proxy_hits,
+        Served::ProxyDisk => &counters.disk_hits,
+        Served::Peer => &counters.peer_hits,
+        Served::Origin => &counters.origin_fetches,
+        Served::LocalBrowser => unreachable!("a browser's own cache never reaches the proxy"),
     };
     counter.fetch_add(1, Ordering::Relaxed);
     state.index.on_store(req.requester, req.doc);
@@ -598,18 +598,18 @@ fn serve(state: &ProxyState, req: &GetRequest, tier: Tier, doc: &CachedDoc) -> M
         .obs
         .tiers
         .record_traced(tier.index(), req.t_request.elapsed(), req.trace);
-    ok_response(tier.name(), doc)
+    ok_response(tier, doc)
 }
 
 /// The one place the proxy hashes a body it is about to serve (DESIGN.md
-/// §5): the body's digest if `doc.watermark` signs it. A peer's reply is
+/// §5): whether `doc.watermark` signs the body. A peer's reply is
 /// held to the watermark the proxy recorded for the document; its own
 /// copy only on a browser's integrity retry (`Bypass-Peers`, sent after a
 /// failed §6.1 verify: a memory copy poisoned after it was vouched for, a
 /// forged disk entry, an origin's lie), which drops a copy that fails and
 /// goes on to the origin.
-fn vouch(state: &ProxyState, doc: &CachedDoc) -> Option<Digest> {
-    verify_document(&state.signer.public_key(), &doc.body, &doc.watermark).ok()
+fn vouch(state: &ProxyState, doc: &CachedDoc) -> bool {
+    verify_document(&state.signer.public_key(), &doc.body, &doc.watermark).is_ok()
 }
 
 /// The one place a GET is counted as failed; builds its error reply.
@@ -647,8 +647,8 @@ fn handle_get(url: &str, req: GetRequest, state: &ProxyState, seat: &Seat<'_>) -
         );
     }
     if let Some(cached) = cached {
-        if !req.bypass_peers || vouch(state, &cached).is_some() {
-            return Step::Reply(Some(serve(state, &req, Tier::Proxy, &cached)));
+        if !req.bypass_peers || vouch(state, &cached) {
+            return Step::Reply(Some(serve(state, &req, Served::Proxy, &cached)));
         }
         state.cache.remove(req.doc, url);
     }
@@ -938,11 +938,10 @@ impl Miss {
     /// loop's to wait for.
     fn settles_on_disk(&self, state: &ProxyState) -> bool {
         state.disk.is_some()
-            && match self.stage {
-                Stage::Revalidating { .. } | Stage::Fetching { .. } => true,
-                Stage::Probing { .. } => state.config.cache_peer_hits,
-                _ => false,
-            }
+            && matches!(
+                self.stage,
+                Stage::Revalidating { .. } | Stage::Fetching { .. }
+            )
     }
 
     /// Ends the request: the flight's followers get `outcome`, the
@@ -1017,7 +1016,7 @@ impl Miss {
         match outcome {
             FlightOutcome::Doc(cached) => {
                 coalesced(format!("url={} outcome=ok", self.url));
-                let reply = serve(state, &self.req, Tier::Proxy, &cached);
+                let reply = serve(state, &self.req, Served::Proxy, &cached);
                 self.done(state, reply, FlightOutcome::Unshared)
             }
             FlightOutcome::Error(code, reason) => {
@@ -1034,7 +1033,7 @@ impl Miss {
                 // rejoin, degrading to an uncoalesced miss after
                 // MAX_FLIGHT_JOINS rounds so no request loops forever.
                 if let Some(cached) = state.cache.get(self.req.doc, &self.url) {
-                    let reply = serve(state, &self.req, Tier::Proxy, &cached);
+                    let reply = serve(state, &self.req, Served::Proxy, &cached);
                     self.done(state, reply, FlightOutcome::Unshared)
                 } else if self.joins >= MAX_FLIGHT_JOINS {
                     self.below_memory(state)
@@ -1095,7 +1094,7 @@ impl Miss {
         };
         let t_disk = Instant::now();
         let hit = match disk.read(&self.url, &entry, via) {
-            ReadOutcome::Hit(hit) if self.req.bypass_peers && vouch(state, &hit.doc).is_none() => {
+            ReadOutcome::Hit(hit) if self.req.bypass_peers && !vouch(state, &hit.doc) => {
                 if via == ReadVia::Loop {
                     self.stage = Stage::Disk(entry);
                     return Step::Offload(self);
@@ -1336,7 +1335,7 @@ impl Miss {
                 .index
                 .signed(self.req.doc)
                 .map(|watermark| CachedDoc { body, watermark })
-                .and_then(|doc| vouch(state, &doc).map(|digest| (doc, digest)))
+                .filter(|doc| vouch(state, doc))
                 .ok_or(("refuted", &state.counters.peer_refuted)),
             Err(_) => Err(("err", &state.counters.peer_failures)),
         };
@@ -1354,12 +1353,9 @@ impl Miss {
             ),
         );
         match verdict {
-            Ok((cached, digest)) => {
-                if state.config.cache_peer_hits {
-                    state.cache.insert(self.req.doc, &self.url, cached.clone());
-                    write_through_to_disk(state, &self.url, &cached, &digest, self.req.trace);
-                }
-                let reply = serve(state, &self.req, Tier::Peer, &cached);
+            Ok(cached) => {
+                // Relayed, not absorbed: the requester caches it.
+                let reply = serve(state, &self.req, Served::Peer, &cached);
                 self.done(state, reply, FlightOutcome::Doc(cached))
             }
             Err((_, counter)) => {
@@ -1438,7 +1434,7 @@ impl Miss {
         state.index.set_signed(self.req.doc, Some(cached.watermark));
         state.cache.insert(self.req.doc, &self.url, cached.clone());
         write_through_to_disk(state, &self.url, &cached, &digest, self.req.trace);
-        let reply = serve(state, &self.req, Tier::Origin, &cached);
+        let reply = serve(state, &self.req, Served::Origin, &cached);
         self.done(state, reply, FlightOutcome::Doc(cached))
     }
 
@@ -1459,7 +1455,7 @@ impl Miss {
         }
         state.index.set_signed(self.req.doc, Some(cached.watermark));
         state.cache.insert(self.req.doc, &self.url, cached.clone());
-        let reply = serve(state, &self.req, Tier::Disk, &cached);
+        let reply = serve(state, &self.req, Served::ProxyDisk, &cached);
         self.done(state, reply, FlightOutcome::Doc(cached))
     }
 }
@@ -1474,8 +1470,7 @@ fn declared_digest(reply: &Message) -> Option<Digest> {
 
 /// Best-effort write-through to the disk tier (no-op without one). The
 /// store itself never fails a request; filesystem trouble is counted in
-/// the tier's `io_errors`. `digest` is the one the origin declared, or
-/// [`vouch`]'s for a peer body absorbed under `cache_peer_hits`.
+/// the tier's `io_errors`. `digest` is the one the origin declared.
 fn write_through_to_disk(
     state: &ProxyState,
     url: &str,
@@ -1561,9 +1556,9 @@ fn handle_invalidate(url: &str, client: u32, trace: TraceId, state: &ProxyState)
 /// Builds a 200 reply sharing the cached body — `with_body` on an existing
 /// [`Body`] is a refcount bump, so no byte of the document is copied
 /// between the cache and the socket.
-fn ok_response(source: &str, doc: &CachedDoc) -> Message {
+fn ok_response(source: Served, doc: &CachedDoc) -> Message {
     response(status::OK, "OK")
-        .header("X-Source", source)
+        .header("X-Source", source.label())
         .header("X-Watermark", doc.watermark.to_hex())
         .with_body(Arc::clone(&doc.body))
 }
@@ -1590,7 +1585,6 @@ mod tests {
             cache_capacity: 64 << 10,
             origin_addr,
             key_seed: 1,
-            cache_peer_hits: false,
             peer_timeout: Duration::from_secs(2),
             peer_retries: 0,
             origin_timeout: Duration::from_secs(5),
@@ -1744,7 +1738,7 @@ mod tests {
             watermark: signer.watermark(&body),
             body: Arc::clone(&body),
         };
-        let reply = ok_response("proxy", &cached);
+        let reply = ok_response(Served::Proxy, &cached);
         assert!(Arc::ptr_eq(&reply.body, &body));
     }
 
@@ -1919,7 +1913,7 @@ mod tests {
         for (def, want) in scraped.counters() {
             let sample = match def.family {
                 Family::Served(tier) => {
-                    prom::find(&samples, "baps_served_total", &[("tier", tier)])
+                    prom::find(&samples, "baps_served_total", &[("tier", tier.label())])
                 }
                 Family::Plain(name, _) | Family::Disk(name, _) => prom::find(&samples, name, &[]),
             };

@@ -25,8 +25,6 @@ pub struct TestBedConfig {
     pub proxy_capacity: u64,
     /// Per-client browser cache capacity, bytes.
     pub browser_capacity: u64,
-    /// Whether the proxy absorbs peer-served documents.
-    pub cache_peer_hits: bool,
     /// Client-side deadline on the proxy connection.
     pub client_timeout: Duration,
     /// Extra client fetch attempts for retryable failures.
@@ -63,7 +61,6 @@ impl Default for TestBedConfig {
             n_clients: 4,
             proxy_capacity: 64 << 10,
             browser_capacity: 32 << 10,
-            cache_peer_hits: false,
             client_timeout: Duration::from_secs(5),
             client_retries: 2,
             peer_timeout: Duration::from_secs(2),
@@ -107,7 +104,6 @@ impl TestBed {
             cache_capacity: config.proxy_capacity,
             origin_addr: origin.addr(),
             key_seed: KEY_SEED,
-            cache_peer_hits: config.cache_peer_hits,
             peer_timeout: config.peer_timeout,
             peer_retries: config.peer_retries,
             origin_timeout: config.origin_timeout,

@@ -2,7 +2,8 @@
 //! document must coalesce onto one in-flight backend fetch, and a failed
 //! leader must broadcast its error instead of stranding the waiters.
 
-use baps_proxy::{DocumentStore, FaultConfig, FaultPlan, Source, TestBed, TestBedConfig};
+use baps_core::Served;
+use baps_proxy::{DocumentStore, FaultConfig, FaultPlan, TestBed, TestBedConfig};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -79,8 +80,8 @@ fn herd_of_misses_coalesces_to_one_origin_fetch() {
         let fetched = result.as_ref().expect("herd fetch succeeds");
         assert_eq!(fetched.body, first.body, "herd bytes must be identical");
         match fetched.source {
-            Source::Origin => origin_serves += 1,
-            Source::Proxy => {}
+            Served::Origin => origin_serves += 1,
+            Served::Proxy => {}
             other => panic!("unexpected serve source {other:?}"),
         }
     }

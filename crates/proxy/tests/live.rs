@@ -1,9 +1,10 @@
 //! End-to-end tests of the live browsers-aware proxy over loopback TCP.
 
+use baps_core::Served;
 use baps_proxy::{
     encode_message, read_message, response_code, write_message, DocumentStore, FaultConfig,
-    FaultKind, FaultPlan, Message, OriginServer, ProxyConfig, ProxyServer, SloTable, Source,
-    TamperMode, TestBed, TestBedConfig, Verdict,
+    FaultKind, FaultPlan, Message, OriginServer, ProxyConfig, ProxyServer, SloTable, TamperMode,
+    TestBed, TestBedConfig, Verdict,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -32,16 +33,16 @@ fn origin_then_proxy_then_local() {
 
     // First fetch: from the origin (and verified).
     let r0 = bed.clients[0].fetch(url).unwrap();
-    assert_eq!(r0.source, Source::Origin);
+    assert_eq!(r0.source, Served::Origin);
 
     // Another client: proxy cache hit.
     let r1 = bed.clients[1].fetch(url).unwrap();
-    assert_eq!(r1.source, Source::Proxy);
+    assert_eq!(r1.source, Served::Proxy);
     assert_eq!(r1.body, r0.body);
 
     // Same client again: local browser cache.
     let r2 = bed.clients[1].fetch(url).unwrap();
-    assert_eq!(r2.source, Source::LocalBrowser);
+    assert_eq!(r2.source, Served::LocalBrowser);
 
     let stats = bed.proxy.stats();
     assert_eq!(stats.origin_fetches, 1);
@@ -65,7 +66,7 @@ fn remote_browser_hit_after_proxy_eviction() {
     let url0 = "http://origin/doc/0";
 
     let r0 = bed.clients[0].fetch(url0).unwrap();
-    assert_eq!(r0.source, Source::Origin);
+    assert_eq!(r0.source, Served::Origin);
 
     // Flood the proxy cache so doc/0 is evicted from it (but stays in
     // client 0's browser cache).
@@ -77,14 +78,14 @@ fn remote_browser_hit_after_proxy_eviction() {
 
     // Client 1 now gets doc/0 from client 0's browser via the index.
     let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.source, Source::Peer, "expected a peer hit");
+    assert_eq!(r1.source, Served::Peer, "expected a peer hit");
     assert_eq!(r1.body, r0.body);
     assert_eq!(bed.proxy.stats().peer_hits, 1);
     assert!(bed.clients[0].peer_serves() >= 1);
     // The requester cached the relayed copy: next access is local.
     assert_eq!(
         bed.clients[1].fetch(url0).unwrap().source,
-        Source::LocalBrowser
+        Served::LocalBrowser
     );
     bed.shutdown();
 }
@@ -107,7 +108,7 @@ fn tampering_peer_detected_and_bypassed() {
     // rejects the tampered copy and the retry bypasses peers.
     let r1 = bed.clients[1].fetch(url0).unwrap();
     assert_eq!(r1.body, r0.body);
-    assert_ne!(r1.source, Source::Peer);
+    assert_ne!(r1.source, Served::Peer);
     bed.shutdown();
 }
 
@@ -127,7 +128,7 @@ fn invalidation_keeps_index_consistent() {
 
     // Client 1's fetch cannot be served by a peer anymore.
     let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.source, Source::Origin);
+    assert_eq!(r1.source, Served::Origin);
     bed.shutdown();
 }
 
@@ -172,7 +173,7 @@ fn stale_index_self_heals_on_dead_peer() {
     };
     // The probe fails, the proxy self-heals, and the origin serves.
     let r1 = client0[0].fetch(url0).unwrap(); // this is old client 1
-    assert_eq!(r1.source, Source::Origin);
+    assert_eq!(r1.source, Served::Origin);
     // (peer_failures may be 0 if the OS delivered a GONE-equivalent reset
     // before the probe; the fetch succeeding is the contract.)
     for c in client0 {
@@ -400,12 +401,12 @@ fn a_document_up_to_the_whole_budget_stays_in_proxy_memory() {
     .expect("test bed starts");
 
     let source = |client: usize, url| bed.clients[client].fetch(url).unwrap().source;
-    assert_eq!(source(0, quarter), Source::Origin);
-    assert_eq!(source(1, quarter), Source::Proxy);
+    assert_eq!(source(0, quarter), Served::Origin);
+    assert_eq!(source(1, quarter), Served::Proxy);
     assert_eq!(bed.origin.hits(), 1);
 
-    assert_eq!(source(0, over), Source::Origin);
-    assert_eq!(source(1, over), Source::Origin);
+    assert_eq!(source(0, over), Served::Origin);
+    assert_eq!(source(1, over), Served::Origin);
     assert_eq!(bed.origin.hits(), 3);
     bed.shutdown();
 }
@@ -530,34 +531,52 @@ fn retired_push_and_deliver_are_bad_requests() {
     bed.shutdown();
 }
 
-/// A proxy that answers a GET with the retired out-of-band source label
-/// has broken the protocol: the fetch fails at once, it does not wait for
-/// a delivery that no peer port takes any more.
+/// A proxy that answers a GET with a source label no proxy can serve from
+/// has broken the protocol: the retired out-of-band `peer-direct`, or
+/// `local` (the browser's own cache). The fetch fails at once, it does not
+/// wait for a delivery that no peer port takes any more, and it does not
+/// take the reply for a local hit. The same signed reply labelled `peer`
+/// is accepted, so the label alone decides.
 #[test]
 fn retired_out_of_band_source_is_a_protocol_error() {
     use baps_proxy::{ClientAgent, ProxyError};
     use rand::SeedableRng;
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let proxy_addr = listener.local_addr().unwrap();
-    let proxy = std::thread::spawn(move || {
-        let mut conn = BufReader::new(listener.accept().unwrap().0);
-        while let Ok(Some(_)) = read_message(&mut conn) {
-            let reply = Message::new("BAPS/1.0 200 OK")
-                .header("X-Source", "peer-direct")
-                .header("Txn", "1");
-            write_message(conn.get_mut(), &reply).unwrap();
+    for (label, accepted) in [("peer-direct", false), ("local", false), ("peer", true)] {
+        let signer = baps_crypto::ProxySigner::generate(&mut rand::rngs::StdRng::seed_from_u64(1));
+        let key = signer.public_key();
+        let body = b"a document the proxy signed".to_vec();
+        let watermark = signer.watermark(&body).to_hex();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy_addr = listener.local_addr().unwrap();
+        let proxy = std::thread::spawn(move || {
+            let mut conn = BufReader::new(listener.accept().unwrap().0);
+            while let Ok(Some(_)) = read_message(&mut conn) {
+                let reply = Message::new("BAPS/1.0 200 OK")
+                    .header("X-Source", label)
+                    .header("X-Watermark", watermark.clone())
+                    .header("Txn", "1")
+                    .with_body(body.clone());
+                write_message(conn.get_mut(), &reply).unwrap();
+            }
+        });
+        let client = ClientAgent::start(0, proxy_addr, key, 32 << 10).unwrap();
+        let t0 = Instant::now();
+        match client.fetch(&doc_url(0)) {
+            Ok(got) => assert!(accepted, "{label}: taken as {:?}", got.source),
+            Err(err) => {
+                assert!(!accepted, "{label}: {err}");
+                assert!(matches!(err, ProxyError::Protocol(_)), "{label}: {err}");
+            }
         }
-    });
-    let key =
-        baps_crypto::ProxySigner::generate(&mut rand::rngs::StdRng::seed_from_u64(1)).public_key();
-    let client = ClientAgent::start(0, proxy_addr, key, 32 << 10).unwrap();
-    let t0 = Instant::now();
-    let err = client.fetch(&doc_url(0)).unwrap_err();
-    assert!(matches!(err, ProxyError::Protocol(_)), "{err}");
-    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
-    client.shutdown();
-    proxy.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "{label}: {:?}",
+            t0.elapsed()
+        );
+        client.shutdown();
+        proxy.join().unwrap();
+    }
 }
 
 #[test]
@@ -622,108 +641,95 @@ fn tamper_mode_matrix_never_yields_wrong_bytes() {
     // body, the genuine body of another document — must be caught by the
     // relaying proxy, which checks a peer's bytes against the watermark it
     // signed for the document asked for: the holder is refuted and leaves
-    // the index, and the requester gets correct bytes from elsewhere. With
-    // `cache_peer_hits` the proxy absorbs only what it vouched for, so the
-    // lie never reaches its memory and the next browser to ask is not
-    // served it either.
-    for absorb in [false, true] {
-        for mode in [
-            TamperMode::FlipByte,
-            TamperMode::Truncate,
-            TamperMode::Substitute,
-        ] {
-            let case = format!("{mode:?} cache_peer_hits={absorb}");
-            let bed = TestBed::start(
-                DocumentStore::synthetic(16, 200, 2_000, 42),
-                TestBedConfig {
-                    n_clients: 3,
-                    proxy_capacity: 2_500,
-                    browser_capacity: 64 << 10,
-                    cache_peer_hits: absorb,
-                    ..TestBedConfig::default()
-                },
-            )
-            .unwrap();
-            let url0 = "http://origin/doc/0";
-            let r0 = bed.clients[0].fetch(url0).unwrap();
-            // The document a substituting holder serves in doc 0's place.
-            let other = bed.clients[0].fetch("http://origin/doc/15").unwrap();
-            assert_ne!(other.body, r0.body);
-            for i in 1..8 {
-                bed.clients[2]
-                    .fetch(&format!("http://origin/doc/{i}"))
-                    .unwrap();
-            }
-            bed.clients[0].set_tamper_mode(mode);
-
-            let r1 = bed.clients[1].fetch(url0).unwrap();
-            assert_eq!(r1.body, r0.body, "{case}: wrong bytes served");
-            assert_ne!(r1.source, Source::Peer, "{case}: tampered peer trusted");
-            let r2 = bed.clients[2].fetch(url0).unwrap();
-            assert_eq!(r2.body, r0.body, "{case}: a second browser got wrong bytes");
-            let stats = bed.proxy.stats();
-            assert_eq!(stats.peer_refuted, 1, "{case}: {stats:?}");
-            assert_eq!(stats.peer_failures, 0, "{case}: {stats:?}");
-            assert!(
-                !bed.proxy.index_holds(0, url0),
-                "{case}: liar still indexed"
-            );
-            let refuted = bed.recorder.dump().into_iter().filter(|e| {
-                e.kind == baps_obs::EventKind::PeerProbe && e.detail.contains("outcome=refuted")
-            });
-            assert_eq!(refuted.count(), 1, "{case}: the probe span reads refuted");
-            bed.shutdown();
+    // the index, and the requester gets correct bytes from elsewhere, as
+    // does the next browser to ask.
+    for mode in [
+        TamperMode::FlipByte,
+        TamperMode::Truncate,
+        TamperMode::Substitute,
+    ] {
+        let case = format!("{mode:?}");
+        let bed = TestBed::start(
+            DocumentStore::synthetic(16, 200, 2_000, 42),
+            TestBedConfig {
+                n_clients: 3,
+                proxy_capacity: 2_500,
+                browser_capacity: 64 << 10,
+                ..TestBedConfig::default()
+            },
+        )
+        .unwrap();
+        let url0 = "http://origin/doc/0";
+        let r0 = bed.clients[0].fetch(url0).unwrap();
+        // The document a substituting holder serves in doc 0's place.
+        let other = bed.clients[0].fetch("http://origin/doc/15").unwrap();
+        assert_ne!(other.body, r0.body);
+        for i in 1..8 {
+            bed.clients[2]
+                .fetch(&format!("http://origin/doc/{i}"))
+                .unwrap();
         }
+        bed.clients[0].set_tamper_mode(mode);
+
+        let r1 = bed.clients[1].fetch(url0).unwrap();
+        assert_eq!(r1.body, r0.body, "{case}: wrong bytes served");
+        assert_ne!(r1.source, Served::Peer, "{case}: tampered peer trusted");
+        let r2 = bed.clients[2].fetch(url0).unwrap();
+        assert_eq!(r2.body, r0.body, "{case}: a second browser got wrong bytes");
+        let stats = bed.proxy.stats();
+        assert_eq!(stats.peer_refuted, 1, "{case}: {stats:?}");
+        assert_eq!(stats.peer_failures, 0, "{case}: {stats:?}");
+        assert!(
+            !bed.proxy.index_holds(0, url0),
+            "{case}: liar still indexed"
+        );
+        let refuted = bed.recorder.dump().into_iter().filter(|e| {
+            e.kind == baps_obs::EventKind::PeerProbe && e.detail.contains("outcome=refuted")
+        });
+        assert_eq!(refuted.count(), 1, "{case}: the probe span reads refuted");
+        bed.shutdown();
     }
 }
 
 /// A publisher purge with no discards: the browser that fetched v1 still
 /// caches it and the index still lists it, and v1's watermark still
 /// verifies — but the proxy no longer vouches for v1, so it refutes the
-/// holder's copy and every other browser gets v2, whether or not the proxy
-/// absorbs peer hits. The holder's own copy still lags: a purge tells no
-/// holder (the proxy has no channel to the browsers for that).
+/// holder's copy and every other browser gets v2. The holder's own copy
+/// still lags: a purge tells no holder (the proxy has no channel to the
+/// browsers for that).
 #[test]
 fn purge_without_discards_never_relays_the_old_version() {
-    for absorb in [false, true] {
-        let case = format!("cache_peer_hits={absorb}");
-        let bed = TestBed::start(
-            DocumentStore::synthetic(16, 200, 2_000, 42),
-            TestBedConfig {
-                n_clients: 4,
-                proxy_capacity: 64 << 10,
-                browser_capacity: 64 << 10,
-                cache_peer_hits: absorb,
-                ..TestBedConfig::default()
-            },
-        )
-        .unwrap();
-        let url = doc_url(0);
-        let v1 = bed.clients[0].fetch(&url).unwrap().body;
-        let v2 = b"version two of doc 0 ".repeat(40);
-        assert!(bed.origin.mutate(&url, v2.clone()));
-        bed.clients[3].publish_invalidate(&url).unwrap();
-        assert!(bed.proxy.index_holds(0, &url), "{case}: nobody discarded");
+    let bed = TestBed::start(
+        DocumentStore::synthetic(16, 200, 2_000, 42),
+        TestBedConfig {
+            n_clients: 4,
+            proxy_capacity: 64 << 10,
+            browser_capacity: 64 << 10,
+            ..TestBedConfig::default()
+        },
+    )
+    .unwrap();
+    let url = doc_url(0);
+    let v1 = bed.clients[0].fetch(&url).unwrap().body;
+    let v2 = b"version two of doc 0 ".repeat(40);
+    assert!(bed.origin.mutate(&url, v2.clone()));
+    bed.clients[3].publish_invalidate(&url).unwrap();
+    assert!(bed.proxy.index_holds(0, &url), "nobody discarded");
 
-        for c in 1..4 {
-            let got = bed.clients[c].fetch(&url).unwrap();
-            assert_eq!(&got.body[..], &v2[..], "{case}: client {c} got v1");
-        }
-        let stats = bed.proxy.stats();
-        assert_eq!(
-            (stats.peer_refuted, stats.peer_hits, stats.origin_fetches),
-            (1, 0, 2),
-            "{case}: {stats:?}"
-        );
-        assert!(!bed.proxy.index_holds(0, &url), "{case}: v1 holder indexed");
-        let lagging = bed.clients[0].fetch(&url).unwrap();
-        assert_eq!(
-            (lagging.source, lagging.body),
-            (Source::LocalBrowser, v1),
-            "{case}"
-        );
-        bed.shutdown();
+    for c in 1..4 {
+        let got = bed.clients[c].fetch(&url).unwrap();
+        assert_eq!(&got.body[..], &v2[..], "client {c} got v1");
     }
+    let stats = bed.proxy.stats();
+    assert_eq!(
+        (stats.peer_refuted, stats.peer_hits, stats.origin_fetches),
+        (1, 0, 2),
+        "{stats:?}"
+    );
+    assert!(!bed.proxy.index_holds(0, &url), "v1 holder indexed");
+    let lagging = bed.clients[0].fetch(&url).unwrap();
+    assert_eq!((lagging.source, lagging.body), (Served::LocalBrowser, v1));
+    bed.shutdown();
 }
 
 /// Satellite: a client-minted `Trace-Id` must reappear on every hop the
@@ -747,7 +753,7 @@ fn trace_id_propagates_across_peer_and_origin_hops() {
             .unwrap();
     }
     let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.source, Source::Peer, "scenario must produce a peer hit");
+    assert_eq!(r1.source, Served::Peer, "scenario must produce a peer hit");
 
     let events = bed.recorder.dump();
     // The whole-fetch span carries the client id, url, and serve tier in
@@ -899,7 +905,7 @@ fn warm_restart_serves_from_disk() {
     let url = "http://origin/doc/0";
 
     let r0 = bed.clients[0].fetch(url).unwrap();
-    assert_eq!(r0.source, Source::Origin);
+    assert_eq!(r0.source, Served::Origin);
     assert_eq!(bed.origin.hits(), 1);
 
     bed.restart_proxy().expect("proxy restarts in place");
@@ -912,7 +918,7 @@ fn warm_restart_serves_from_disk() {
     // empty; the index is empty too — only the disk tier can serve this
     // without the origin.
     let r1 = bed.clients[1].fetch(url).unwrap();
-    assert_eq!(r1.source, Source::ProxyDisk, "expected a warm disk hit");
+    assert_eq!(r1.source, Served::ProxyDisk, "expected a warm disk hit");
     assert_eq!(r1.body, r0.body, "disk-served bytes must be exact");
     assert_eq!(bed.origin.hits(), 1, "origin must not be refetched");
     assert!(bed.proxy.stats().disk_hits >= 1);
@@ -920,28 +926,27 @@ fn warm_restart_serves_from_disk() {
     // The disk hit promoted the doc back into the memory cache: a third
     // client (whose browser never held it) gets a plain proxy hit.
     let r2 = bed.clients[2].fetch(url).unwrap();
-    assert_eq!(r2.source, Source::Proxy);
+    assert_eq!(r2.source, Served::Proxy);
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The paper's §3.2 remote-hit-caching variant (`cache_peer_hits`): a
-/// relayed peer hit is absorbed into the proxy's own tiers, so the next
-/// requester is served from proxy memory and — once memory has evicted the
-/// document — from the disk tier, when there is one. Off (the default),
-/// every requester goes back to a holding browser. Byte-exact throughout.
+/// A relayed peer hit is not absorbed (the live runtime's one placement,
+/// the simulator's `CacheAtRequester`): the proxy keeps the body in
+/// neither memory nor its disk tier, so every later requester is served by
+/// a holding browser again, with a disk tier and without. Byte-exact
+/// throughout.
 #[test]
-fn absorbed_peer_hits_serve_from_proxy_memory_then_disk() {
-    for (absorb, with_disk) in [(false, false), (false, true), (true, false), (true, true)] {
-        let case = format!("cache_peer_hits={absorb} disk={with_disk}");
-        let dir = disk_dir(&format!("absorb_{absorb}_{with_disk}"));
+fn relayed_peer_hits_are_not_absorbed_with_or_without_disk() {
+    for with_disk in [false, true] {
+        let case = format!("disk={with_disk}");
+        let dir = disk_dir(&format!("relay_{with_disk}"));
         let bed = TestBed::start(
             DocumentStore::synthetic(16, 200, 2_000, 42),
             TestBedConfig {
                 n_clients: 4,
                 proxy_capacity: 2_500,
                 browser_capacity: 64 << 10,
-                cache_peer_hits: absorb,
                 disk_root: with_disk.then(|| dir.clone()),
                 // Room for a few documents: the seeding churn pushes doc 0
                 // out of the disk tier as well as out of memory.
@@ -953,36 +958,19 @@ fn absorbed_peer_hits_serve_from_proxy_memory_then_disk() {
         .unwrap();
         let url = doc_url(0);
         let body = seed_holder(&bed, 1).remove(0);
-        let exact = |client: usize, source: Source| {
+        let exact = |client: usize, source: Served| {
             let got = bed.clients[client].fetch(&url).unwrap();
             assert_eq!((got.source, &got.body), (source, &body), "{case}");
         };
 
-        // A's copy is relayed to B ...
-        exact(1, Source::Peer);
-        // ... and C finds it in proxy memory only if the proxy absorbed it.
-        exact(2, if absorb { Source::Proxy } else { Source::Peer });
-
-        // Push it out of proxy memory; C forgets its copy and asks again.
-        let mut next = 1;
-        while bed.proxy.cached_body(&url).is_some() {
-            bed.clients[3].fetch(&doc_url(next)).unwrap();
-            next += 1;
-        }
+        // A's copy is relayed to B, and C finds it at a browser again.
+        exact(1, Served::Peer);
+        assert!(bed.proxy.cached_body(&url).is_none(), "{case}: absorbed");
+        exact(2, Served::Peer);
+        // C forgets its copy and asks again: still a browser, never disk.
         bed.clients[2].purge_local(&url);
-        exact(
-            2,
-            if absorb && with_disk {
-                Source::ProxyDisk
-            } else {
-                Source::Peer
-            },
-        );
-        assert_eq!(
-            bed.origin.hits(),
-            8 + next as u64,
-            "{case}: doc 0 fetched once"
-        );
+        exact(2, Served::Peer);
+        assert_eq!(bed.origin.hits(), 9, "{case}: doc 0 fetched once");
         bed.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1013,7 +1001,7 @@ fn metrics_counters_survive_restart() {
     // The restarted proxy folds the persisted baseline into every
     // snapshot: the next scrape continues from 2, it does not reset.
     let r = bed.clients[0].fetch("http://origin/doc/2").unwrap();
-    assert_eq!(r.source, Source::Origin);
+    assert_eq!(r.source, Served::Origin);
     let after = scrape(&bed);
     assert_eq!(after, before + 1.0, "requests_total must stay monotonic");
 
@@ -1060,12 +1048,12 @@ fn torn_disk_write_self_heals_after_crash() {
     let bed = disk_bed(1, &dir, std::time::Duration::from_secs(3600));
     // The intact entry serves warm from disk, byte-exact.
     let r0 = bed.clients[0].fetch("http://origin/doc/0").unwrap();
-    assert_eq!(r0.source, Source::ProxyDisk);
+    assert_eq!(r0.source, Served::ProxyDisk);
     assert_eq!(r0.body, body0);
     // The torn entry never entered the index, and the request falls
     // through to the origin — correct bytes, never the torn ones.
     let r1 = bed.clients[0].fetch("http://origin/doc/1").unwrap();
-    assert_eq!(r1.source, Source::Origin, "torn entry must not serve");
+    assert_eq!(r1.source, Served::Origin, "torn entry must not serve");
     assert_eq!(r1.body, body1);
     assert_eq!(bed.origin.hits(), 1, "only the healed doc hits the origin");
     let d = bed.proxy.disk_stats().unwrap();
@@ -1115,11 +1103,11 @@ fn disk_forgery_keeping_the_signed_digest_is_healed_on_the_integrity_retry() {
 
     let (origin_hits, heals) = (bed.origin.hits(), bed.proxy.disk_stats().unwrap().heals);
     let got = bed.clients[1].fetch(&url).unwrap();
-    assert_eq!((got.source, &got.body), (Source::Origin, &body));
+    assert_eq!((got.source, &got.body), (Served::Origin, &body));
     assert_eq!(bed.origin.hits(), origin_hits + 1);
     assert_eq!(bed.proxy.disk_stats().unwrap().heals, heals + 1);
     let other = bed.clients[2].fetch(&url).unwrap();
-    assert_eq!((other.source, &other.body), (Source::Proxy, &body));
+    assert_eq!((other.source, &other.body), (Served::Proxy, &body));
     bed.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1168,7 +1156,6 @@ fn proxy_before(
         cache_capacity: 4 << 20,
         origin_addr,
         key_seed: 1,
-        cache_peer_hits: false,
         peer_timeout: Duration::from_secs(2),
         peer_retries: 0,
         origin_timeout: Duration::from_secs(5),
@@ -1206,7 +1193,7 @@ fn origin_bytes_disagreeing_with_their_declared_digest_are_never_accepted() {
         let dir = disk_dir(&format!("lying_origin_{with_disk}"));
         let (proxy, clients) = proxy_before(origin_addr, with_disk.then_some(&*dir), 2);
         let got = clients[0].fetch(url).unwrap();
-        assert_eq!(got.source, Source::Origin);
+        assert_eq!(got.source, Served::Origin);
         assert!(
             got.body[..] == body[..],
             "the browser accepted the origin's flipped byte"
@@ -1220,7 +1207,7 @@ fn origin_bytes_disagreeing_with_their_declared_digest_are_never_accepted() {
             assert_eq!(proxy.disk_stats().unwrap().heals, 1);
         }
         let other = clients[1].fetch(url).unwrap();
-        assert_eq!(other.source, Source::Proxy);
+        assert_eq!(other.source, Served::Proxy);
         assert!(
             other.body[..] == body[..],
             "the next browser got other bytes"
@@ -1257,13 +1244,13 @@ fn stale_disk_entry_revalidates_with_304() {
     let url = "http://origin/doc/0";
 
     let r0 = bed.clients[0].fetch(url).unwrap();
-    assert_eq!(r0.source, Source::Origin);
+    assert_eq!(r0.source, Served::Origin);
 
     // Clear the memory cache so the next fetch reaches the disk tier.
     bed.restart_proxy().expect("proxy restarts in place");
 
     let r1 = bed.clients[1].fetch(url).unwrap();
-    assert_eq!(r1.source, Source::ProxyDisk, "revalidated entry serves");
+    assert_eq!(r1.source, Served::ProxyDisk, "revalidated entry serves");
     assert_eq!(r1.body, r0.body);
     assert_eq!(bed.origin.hits(), 1, "304 must not transfer the body");
     assert_eq!(bed.origin.revalidations(), 1, "one conditional GET");
@@ -1380,7 +1367,7 @@ fn sampled_fetch_assembles_one_tree_across_processes() {
                 .unwrap();
         }
         let r = bed.clients[1].fetch(&url0).unwrap();
-        assert_eq!(r.source, Source::Peer, "round {round} must peer-hit");
+        assert_eq!(r.source, Served::Peer, "round {round} must peer-hit");
 
         // The test bed shares one flight recorder across origin, proxy,
         // and clients, so the proxy's TRACE dump holds all three sides.
@@ -1831,7 +1818,7 @@ fn sequential_peer_hits_dial_the_holder_once() {
         // goes back out and finds client 0 in the index again.
         bed.clients[1].purge_local(&url);
         let got = bed.clients[1].fetch(&url).unwrap();
-        assert_eq!(got.source, Source::Peer, "fetch {i}");
+        assert_eq!(got.source, Served::Peer, "fetch {i}");
         assert_eq!(got.body, bodies[i % 4], "fetch {i}");
     }
     assert_eq!(bed.proxy.stats().peer_hits, 200);
@@ -1860,7 +1847,7 @@ fn holder_closing_its_idle_connection_costs_one_dial() {
     let bed = bed(3, 2_500, 64 << 10);
     let bodies = seed_holder(&bed, 1);
     let url = doc_url(0);
-    assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Source::Peer);
+    assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Served::Peer);
     assert_eq!(peer_dials(&bed), 1);
 
     let holder = bed.clients[0].peer_addr();
@@ -1882,7 +1869,7 @@ fn holder_closing_its_idle_connection_costs_one_dial() {
 
     bed.clients[1].purge_local(&url);
     let got = bed.clients[1].fetch(&url).unwrap();
-    assert_eq!((got.source, &got.body), (Source::Peer, &bodies[0]));
+    assert_eq!((got.source, &got.body), (Served::Peer, &bodies[0]));
     assert_eq!(upstream(&bed, "baps_upstream_stale_total", &[]), 1);
     assert_eq!(peer_dials(&bed), 2);
     assert_eq!(bed.proxy.stats().peer_failures, 0);
@@ -1898,7 +1885,7 @@ fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
     let mut bed = bed(3, 2_500, 64 << 10);
     let bodies = seed_holder(&bed, 1);
     let url = doc_url(0);
-    assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Source::Peer);
+    assert_eq!(bed.clients[1].fetch(&url).unwrap().source, Served::Peer);
     // Everything so far was sequential: one connection to the holder sits
     // idle (and one to the origin on every loop that fetched from it).
     assert_eq!(idle_upstreams(&bed).0, 1);
@@ -1907,7 +1894,7 @@ fn dead_holder_fails_one_probe_and_leaves_nothing_parked() {
     let requester = &bed.clients[0]; // the old client 1
     requester.purge_local(&url);
     let got = requester.fetch(&url).unwrap();
-    assert_eq!((got.source, &got.body), (Source::Origin, &bodies[0]));
+    assert_eq!((got.source, &got.body), (Served::Origin, &bodies[0]));
     let stats = bed.proxy.stats();
     assert_eq!((stats.peer_failures, stats.peer_fallbacks), (1, 1));
     assert!(!bed.proxy.index_holds(0, &url), "index healed");
@@ -1960,7 +1947,7 @@ fn faults_on_reused_peer_connections_never_desynchronise() {
         let got = bed.clients[1].fetch(&url).unwrap();
         assert_eq!(got.body, bodies[i % 4], "fetch {i} from {:?}", got.source);
         match got.source {
-            Source::Peer => peer += 1,
+            Served::Peer => peer += 1,
             _ => other += 1,
         }
     }
@@ -2125,7 +2112,7 @@ fn peer_hit_lands_while_the_proxy_holds_full_idle_sets() {
                         let url = doc_url(first_doc + k);
                         client.purge_local(&url);
                         barrier.wait();
-                        assert_eq!(client.fetch(&url).unwrap().source, Source::Peer);
+                        assert_eq!(client.fetch(&url).unwrap().source, Served::Peer);
                     });
                 }
             });
@@ -2142,7 +2129,7 @@ fn peer_hit_lands_while_the_proxy_holds_full_idle_sets() {
     let hits = bed.proxy.stats().peer_hits;
     let dials = peer_dials(&bed);
     let got = bed.clients[1].fetch(&doc_url(4)).unwrap();
-    assert_eq!((got.source, &got.body), (Source::Peer, &bodies[4]));
+    assert_eq!((got.source, &got.body), (Served::Peer, &bodies[4]));
     assert_eq!(bed.proxy.stats().peer_hits, hits + 1);
     assert!(
         peer_dials(&bed) <= dials + 1,
@@ -2161,7 +2148,7 @@ fn register_from_a_new_port_drops_the_old_idle_set() {
     seed_holder(&bed, 1);
     assert_eq!(
         bed.clients[1].fetch(&doc_url(0)).unwrap().source,
-        Source::Peer
+        Served::Peer
     );
     let (parked, _) = idle_upstreams(&bed);
 
@@ -2207,7 +2194,6 @@ fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
         cache_capacity: 64 << 10,
         origin_addr: origin.addr(),
         key_seed: 1,
-        cache_peer_hits: false,
         peer_timeout: Duration::from_secs(2),
         peer_retries: 0,
         origin_timeout: Duration::from_secs(5),

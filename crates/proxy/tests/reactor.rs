@@ -4,9 +4,9 @@
 //! browser's peer port, a miss queue that drains, and a prompt shutdown.
 //! Verb, tier, disk and restart coverage lives in `live.rs`.
 
+use baps_core::Served;
 use baps_proxy::{
-    read_message, response_code, write_message, DocumentStore, Message, Source, TestBed,
-    TestBedConfig,
+    read_message, response_code, write_message, DocumentStore, Message, TestBed, TestBedConfig,
 };
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -113,7 +113,7 @@ fn loris_swarm(
 fn worst_fetch(
     client: &baps_proxy::ClientAgent,
     url: &str,
-    expect: &[Source],
+    expect: &[Served],
     before_each: impl Fn(),
 ) -> Duration {
     let mut worst = Duration::ZERO;
@@ -155,7 +155,7 @@ fn slow_loris_does_not_delay_other_clients() {
     let worst = worst_fetch(
         &bed.clients[1],
         "http://origin/doc/0",
-        &[Source::Proxy, Source::LocalBrowser],
+        &[Served::Proxy, Served::LocalBrowser],
         || {},
     );
     assert!(
@@ -201,7 +201,7 @@ fn slow_loris_on_a_peer_port_does_not_delay_peer_hits() {
         &stop,
     );
     let requester = &bed.clients[1];
-    let worst = worst_fetch(requester, url, &[Source::Peer], || {
+    let worst = worst_fetch(requester, url, &[Served::Peer], || {
         requester.purge_local(url);
     });
     assert!(

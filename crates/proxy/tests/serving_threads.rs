@@ -11,9 +11,10 @@
 //! leaves out the harness thread of the fd-limit test, which may come and
 //! go while the other counts.
 
+use baps_core::Served;
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, FaultConfig, FaultPlan, Message,
-    Source, TestBed, TestBedConfig,
+    TestBed, TestBedConfig,
 };
 use std::fs::File;
 use std::io::BufReader;
@@ -232,7 +233,7 @@ fn misses_peer_hits_and_a_herd_start_no_thread() {
     for i in 0..50 {
         bed.clients[1].purge_local(&doc_url(0));
         let got = bed.clients[1].fetch(&doc_url(0)).unwrap();
-        assert_eq!((got.source, &got.body), (Source::Peer, &held), "hit {i}");
+        assert_eq!((got.source, &got.body), (Served::Peer, &held), "hit {i}");
     }
     assert_eq!(bed.proxy.stats().peer_hits, 50);
     assert_eq!(threads(), resting, "a peer probe started a thread");
@@ -394,15 +395,15 @@ fn warm_disk_hits_never_leave_the_loop() {
     .unwrap();
     let fetch = |url: &str| bed.clients[0].fetch(url).unwrap();
     for i in 0..8 {
-        assert_eq!(fetch(&doc_url(i)).source, Source::Origin);
+        assert_eq!(fetch(&doc_url(i)).source, Served::Origin);
     }
-    assert_eq!(fetch("http://origin/big").source, Source::Origin);
+    assert_eq!(fetch("http://origin/big").source, Served::Origin);
 
     let offloaded = || bed.proxy.reactor_stats().offloaded;
     let before = offloaded();
     for hit in 0..100 {
         let got = fetch(&doc_url(hit % 8));
-        assert_eq!(got.source, Source::ProxyDisk, "hit {hit}");
+        assert_eq!(got.source, Served::ProxyDisk, "hit {hit}");
         assert_eq!(&got.body[..], &bodies[hit % 8][..], "hit {hit}");
     }
     let deferred = bed.proxy.disk_stats().unwrap().reads_offloaded;
@@ -411,7 +412,7 @@ fn warm_disk_hits_never_leave_the_loop() {
 
     let before = offloaded();
     let got = fetch("http://origin/big");
-    assert_eq!(got.source, Source::ProxyDisk);
+    assert_eq!(got.source, Served::ProxyDisk);
     assert!(got.body.len() > 64 << 10 && got.body.iter().all(|&b| b == 0xb1));
     assert_eq!(offloaded() - before, 1, "a large body is the executor's");
     assert_eq!(bed.origin.hits(), 9, "nothing was fetched twice");

@@ -7,7 +7,8 @@
 //! Alone in its test binary on purpose: it counts `/proc/self/fd`, which
 //! any concurrently running test would disturb.
 
-use baps_proxy::{DocumentStore, Source, TestBed, TestBedConfig};
+use baps_core::Served;
+use baps_proxy::{DocumentStore, TestBed, TestBedConfig};
 use std::time::{Duration, Instant};
 
 fn open_fds() -> usize {
@@ -49,7 +50,7 @@ fn idle_upstream_connections_are_reaped_and_their_fds_returned() {
             .fetch(&format!("http://origin/doc/{i}"))
             .unwrap();
     }
-    assert_eq!(bed.clients[1].fetch(url).unwrap().source, Source::Peer);
+    assert_eq!(bed.clients[1].fetch(url).unwrap().source, Served::Peer);
     let (to_peers, to_origin) = idle_upstreams(&bed);
     assert_eq!(to_peers, 1.0);
     assert!(to_origin >= 1.0);

@@ -3,35 +3,33 @@
 use crate::latency::LatencyTotals;
 use crate::metrics::Metrics;
 use crate::system::SimSystem;
-use baps_core::{HitClass, IndexStats, LatencyParams, SystemConfig};
+use baps_core::{IndexStats, LatencyParams, Served, SystemConfig};
 use baps_obs::LatencyHistogram;
 use baps_trace::{Trace, TraceStats};
 use serde::{Deserialize, Serialize};
 
-/// Per-hit-class service-time distributions.
+/// Per-tier service-time distributions.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClassHistograms {
-    /// Local-browser hits.
-    pub local_browser: LatencyHistogram,
-    /// Proxy hits.
-    pub proxy: LatencyHistogram,
-    /// Remote-browser hits.
-    pub remote_browser: LatencyHistogram,
-    /// Misses (WAN fetches).
-    pub miss: LatencyHistogram,
+    /// One distribution per serving tier, by [`Served::index`].
+    by_tier: [LatencyHistogram; Served::ALL.len()],
     /// All requests.
     pub all: LatencyHistogram,
 }
 
 impl ClassHistograms {
-    fn record(&mut self, class: HitClass, ms: f64) {
-        match class {
-            HitClass::LocalBrowser => self.local_browser.record(ms),
-            HitClass::Proxy => self.proxy.record(ms),
-            HitClass::RemoteBrowser => self.remote_browser.record(ms),
-            HitClass::Miss => self.miss.record(ms),
-        }
+    fn record(&mut self, served: Served, ms: f64) {
+        self.by_tier[served.index()].record(ms);
         self.all.record(ms);
+    }
+
+    /// The distribution over requests served by any of `tiers`.
+    pub fn served(&self, tiers: &[Served]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for s in tiers {
+            h.merge(&self.by_tier[s.index()]);
+        }
+        h
     }
 }
 
@@ -146,9 +144,9 @@ pub fn run_with_options(
             system.latency.totals = LatencyTotals::default();
         }
         let before = system.latency.totals.total_ms();
-        let class = system.process(req);
+        let served = system.process(req);
         if i >= warmup {
-            histograms.record(class, system.latency.totals.total_ms() - before);
+            histograms.record(served, system.latency.totals.total_ms() - before);
         }
     }
     let (index_stats, index_memory_bytes) = system
@@ -236,8 +234,8 @@ mod tests {
             plb.hit_ratio()
         );
         // The gain comes from remote-browser hits, which P+LB cannot have.
-        assert!(baps.metrics.remote_browser.count > 0);
-        assert_eq!(plb.metrics.remote_browser.count, 0);
+        assert!(baps.metrics.served(&[Served::Peer]).count > 0);
+        assert_eq!(plb.metrics.served(&[Served::Peer]).count, 0);
     }
 
     #[test]
@@ -312,19 +310,22 @@ mod tests {
         let r = run_simple(&trace, &cfg);
         let h = &r.histograms;
         assert_eq!(h.all.count(), r.metrics.requests());
-        assert_eq!(
-            h.local_browser.count() + h.proxy.count() + h.remote_browser.count() + h.miss.count(),
-            h.all.count()
+        assert_eq!(h.served(&Served::ALL).count(), h.all.count());
+        for s in Served::ALL {
+            assert_eq!(h.served(&[s]).count(), r.metrics.served(&[s]).count);
+        }
+        let (local, peer, miss) = (
+            h.served(&[Served::LocalBrowser]),
+            h.served(&[Served::Peer]),
+            h.served(&[Served::Origin]),
         );
-        assert_eq!(h.local_browser.count(), r.metrics.local_browser.count);
-        assert_eq!(h.miss.count(), r.metrics.miss.count);
         // Latency ordering: local hits are faster than misses at p50.
-        if h.local_browser.count() > 0 && h.miss.count() > 0 {
-            assert!(h.local_browser.quantile_ms(0.5) < h.miss.quantile_ms(0.5));
+        if local.count() > 0 && miss.count() > 0 {
+            assert!(local.quantile_ms(0.5) < miss.quantile_ms(0.5));
         }
         // Remote hits pay the 0.1 s connection: p50 at least 100 ms.
-        if h.remote_browser.count() > 0 {
-            assert!(h.remote_browser.quantile_ms(0.5) >= 90.0);
+        if peer.count() > 0 {
+            assert!(peer.quantile_ms(0.5) >= 90.0);
         }
         // The histogram's mean matches the accounted totals.
         let total_from_histo = h.all.mean_ms() * h.all.count() as f64;

@@ -1,6 +1,6 @@
 //! Request-level metrics: hit ratios, byte hit ratios, breakdowns.
 
-use baps_core::HitClass;
+use baps_core::Served;
 use serde::{Deserialize, Serialize};
 
 /// Count/byte pair for one hit class.
@@ -15,14 +15,8 @@ pub struct ClassCounter {
 /// Aggregated metrics over a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
-    /// Requests served by the local browser cache.
-    pub local_browser: ClassCounter,
-    /// Requests served by the proxy cache.
-    pub proxy: ClassCounter,
-    /// Requests served by remote browser caches.
-    pub remote_browser: ClassCounter,
-    /// Requests that went to the server.
-    pub miss: ClassCounter,
+    /// Requests and bytes per serving tier, by [`Served::index`].
+    by_tier: [ClassCounter; Served::ALL.len()],
     /// Bytes served from memory tiers (across local/proxy/remote hits).
     pub mem_hit_bytes: u64,
     /// Hits served from memory tiers.
@@ -37,65 +31,65 @@ pub struct Metrics {
 
 impl Metrics {
     /// Records one request outcome.
-    pub fn record(&mut self, class: HitClass, size: u64) {
-        let slot = match class {
-            HitClass::LocalBrowser => &mut self.local_browser,
-            HitClass::Proxy => &mut self.proxy,
-            HitClass::RemoteBrowser => &mut self.remote_browser,
-            HitClass::Miss => &mut self.miss,
-        };
+    pub fn record(&mut self, served: Served, size: u64) {
+        let slot = &mut self.by_tier[served.index()];
         slot.count += 1;
         slot.bytes += size;
     }
 
+    /// Requests and bytes served by any of `tiers` (pass [`PROXY_TIERS`]
+    /// for the paper's single proxy class).
+    ///
+    /// [`PROXY_TIERS`]: baps_core::PROXY_TIERS
+    pub fn served(&self, tiers: &[Served]) -> ClassCounter {
+        tiers.iter().fold(ClassCounter::default(), |sum, s| {
+            let c = self.by_tier[s.index()];
+            ClassCounter {
+                count: sum.count + c.count,
+                bytes: sum.bytes + c.bytes,
+            }
+        })
+    }
+
     /// Total requests.
     pub fn requests(&self) -> u64 {
-        self.local_browser.count + self.proxy.count + self.remote_browser.count + self.miss.count
+        self.served(&Served::ALL).count
     }
 
     /// Total bytes requested.
     pub fn total_bytes(&self) -> u64 {
-        self.local_browser.bytes + self.proxy.bytes + self.remote_browser.bytes + self.miss.bytes
+        self.served(&Served::ALL).bytes
     }
 
     /// Hit ratio in percent (paper's definition: hits in browser caches or
     /// the proxy cache — remote-browser hits count as browser-cache hits).
     pub fn hit_ratio(&self) -> f64 {
-        percent(
-            self.local_browser.count + self.proxy.count + self.remote_browser.count,
-            self.requests(),
-        )
+        percent(self.hits().count, self.requests())
     }
 
     /// Byte hit ratio in percent.
     pub fn byte_hit_ratio(&self) -> f64 {
-        percent(
-            self.local_browser.bytes + self.proxy.bytes + self.remote_browser.bytes,
-            self.total_bytes(),
-        )
+        percent(self.hits().bytes, self.total_bytes())
     }
 
-    /// Fraction of all requests served by a given class, percent
-    /// (the Fig. 3 breakdown).
-    pub fn class_ratio(&self, class: HitClass) -> f64 {
-        let c = match class {
-            HitClass::LocalBrowser => self.local_browser,
-            HitClass::Proxy => self.proxy,
-            HitClass::RemoteBrowser => self.remote_browser,
-            HitClass::Miss => self.miss,
-        };
-        percent(c.count, self.requests())
+    fn hits(&self) -> ClassCounter {
+        self.served(&[
+            Served::LocalBrowser,
+            Served::Proxy,
+            Served::ProxyDisk,
+            Served::Peer,
+        ])
     }
 
-    /// Fraction of all requested bytes served by a given class, percent.
-    pub fn class_byte_ratio(&self, class: HitClass) -> f64 {
-        let c = match class {
-            HitClass::LocalBrowser => self.local_browser,
-            HitClass::Proxy => self.proxy,
-            HitClass::RemoteBrowser => self.remote_browser,
-            HitClass::Miss => self.miss,
-        };
-        percent(c.bytes, self.total_bytes())
+    /// Fraction of all requests served by any of `tiers`, percent (the
+    /// Fig. 3 breakdown).
+    pub fn class_ratio(&self, tiers: &[Served]) -> f64 {
+        percent(self.served(tiers).count, self.requests())
+    }
+
+    /// Fraction of all requested bytes served by any of `tiers`, percent.
+    pub fn class_byte_ratio(&self, tiers: &[Served]) -> f64 {
+        percent(self.served(tiers).bytes, self.total_bytes())
     }
 
     /// Memory byte hit ratio in percent (paper §4.2): bytes served from RAM
@@ -120,23 +114,17 @@ mod tests {
     #[test]
     fn ratios_add_up() {
         let mut m = Metrics::default();
-        m.record(HitClass::LocalBrowser, 100);
-        m.record(HitClass::Proxy, 200);
-        m.record(HitClass::RemoteBrowser, 300);
-        m.record(HitClass::Miss, 400);
-        assert_eq!(m.requests(), 4);
+        m.record(Served::LocalBrowser, 100);
+        m.record(Served::Proxy, 120);
+        m.record(Served::ProxyDisk, 80);
+        m.record(Served::Peer, 300);
+        m.record(Served::Origin, 400);
+        assert_eq!(m.requests(), 5);
         assert_eq!(m.total_bytes(), 1000);
-        assert!((m.hit_ratio() - 75.0).abs() < 1e-9);
+        assert!((m.hit_ratio() - 80.0).abs() < 1e-9);
         assert!((m.byte_hit_ratio() - 60.0).abs() < 1e-9);
-        let sum: f64 = [
-            HitClass::LocalBrowser,
-            HitClass::Proxy,
-            HitClass::RemoteBrowser,
-            HitClass::Miss,
-        ]
-        .iter()
-        .map(|&c| m.class_ratio(c))
-        .sum();
+        assert_eq!(m.served(baps_core::PROXY_TIERS).bytes, 200);
+        let sum: f64 = Served::ALL.iter().map(|&s| m.class_ratio(&[s])).sum();
         assert!((sum - 100.0).abs() < 1e-9);
     }
 
@@ -151,8 +139,8 @@ mod tests {
     #[test]
     fn mem_byte_hit_ratio() {
         let mut m = Metrics::default();
-        m.record(HitClass::Proxy, 100);
-        m.record(HitClass::Miss, 100);
+        m.record(Served::Proxy, 100);
+        m.record(Served::Origin, 100);
         m.mem_hit_bytes = 50;
         assert!((m.mem_byte_hit_ratio() - 25.0).abs() < 1e-9);
     }

@@ -6,7 +6,7 @@ use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::policy::{AnyCache, DocCache};
 use crate::tiered::TieredLru;
-use baps_core::{HitClass, LatencyParams, Policy, SystemConfig, Tier};
+use baps_core::{LatencyParams, Policy, Served, SystemConfig, Tier};
 use baps_trace::{ClientId, DocId, Request};
 use std::collections::HashMap;
 
@@ -218,7 +218,7 @@ impl SimSystem {
     }
 
     /// Processes one trace request, returning how it was served.
-    pub fn process(&mut self, req: &Request) -> HitClass {
+    pub fn process(&mut self, req: &Request) -> Served {
         let Request {
             time_ms,
             client,
@@ -240,8 +240,8 @@ impl SimSystem {
                         .touch(doc)
                         .expect("size_of implied presence");
                     self.account_tier(tier, size);
-                    self.metrics.record(HitClass::LocalBrowser, size);
-                    return HitClass::LocalBrowser;
+                    self.metrics.record(Served::LocalBrowser, size);
+                    return Served::LocalBrowser;
                 }
                 Some(_) => {
                     // Stale copy: the document changed; purge and continue.
@@ -268,8 +268,12 @@ impl SimSystem {
                     // The browser caches what it receives from the proxy.
                     self.store_browser(client, doc, size);
                     self.note_store(Some(client), doc, time_ms);
-                    self.metrics.record(HitClass::Proxy, size);
-                    return HitClass::Proxy;
+                    let served = match tier {
+                        Tier::Memory => Served::Proxy,
+                        Tier::Disk => Served::ProxyDisk,
+                    };
+                    self.metrics.record(served, size);
+                    return served;
                 }
                 Some(_) => {
                     self.proxy.as_mut().expect("checked").remove(doc);
@@ -282,7 +286,7 @@ impl SimSystem {
         // 3. Remote browser caches via the browser index.
         if self.cfg.organization.shares_browsers() {
             if let Some(peer) = self.probe_remote(time_ms, client, doc, size) {
-                self.metrics.record(HitClass::RemoteBrowser, size);
+                self.metrics.record(Served::Peer, size);
                 // Optional re-caching of the forwarded copy.
                 if self.cfg.remote_hit_caching.at_requester() {
                     self.store_browser(client, doc, size);
@@ -297,7 +301,7 @@ impl SimSystem {
                     }
                 }
                 let _ = peer;
-                return HitClass::RemoteBrowser;
+                return Served::Peer;
             }
         }
 
@@ -306,7 +310,7 @@ impl SimSystem {
             self.metrics.size_change_misses += 1;
         }
         self.latency.miss(size);
-        self.metrics.record(HitClass::Miss, size);
+        self.metrics.record(Served::Origin, size);
         if let Some(proxy) = self.proxy.as_mut() {
             proxy.insert(doc, size);
         }
@@ -317,7 +321,7 @@ impl SimSystem {
             self.store_browser(client, doc, size);
             self.note_store(Some(client), doc, time_ms);
         }
-        HitClass::Miss
+        Served::Origin
     }
 
     /// Probes index candidates; returns the serving peer on success.
@@ -439,63 +443,63 @@ mod tests {
     #[test]
     fn proxy_only_routes_through_proxy() {
         let mut s = system(Organization::ProxyOnly);
-        assert_eq!(s.process(&req(0, 0, 1, 500)), HitClass::Miss);
+        assert_eq!(s.process(&req(0, 0, 1, 500)), Served::Origin);
         // A different client hits the shared proxy cache.
-        assert_eq!(s.process(&req(1, 1, 1, 500)), HitClass::Proxy);
+        assert_eq!(s.process(&req(1, 1, 1, 500)), Served::Proxy);
         // No browser caches exist, so the same client also hits the proxy.
-        assert_eq!(s.process(&req(2, 1, 1, 500)), HitClass::Proxy);
+        assert_eq!(s.process(&req(2, 1, 1, 500)), Served::Proxy);
     }
 
     #[test]
     fn local_browser_only_private_caches() {
         let mut s = system(Organization::LocalBrowserOnly);
-        assert_eq!(s.process(&req(0, 0, 1, 500)), HitClass::Miss);
-        assert_eq!(s.process(&req(1, 0, 1, 500)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(0, 0, 1, 500)), Served::Origin);
+        assert_eq!(s.process(&req(1, 0, 1, 500)), Served::LocalBrowser);
         // Other clients cannot see client 0's cache.
-        assert_eq!(s.process(&req(2, 1, 1, 500)), HitClass::Miss);
+        assert_eq!(s.process(&req(2, 1, 1, 500)), Served::Origin);
     }
 
     #[test]
     fn global_browsers_share_without_proxy() {
         let mut s = system(Organization::GlobalBrowsersOnly);
-        assert_eq!(s.process(&req(0, 0, 1, 500)), HitClass::Miss);
-        assert_eq!(s.process(&req(1, 1, 1, 500)), HitClass::RemoteBrowser);
+        assert_eq!(s.process(&req(0, 0, 1, 500)), Served::Origin);
+        assert_eq!(s.process(&req(1, 1, 1, 500)), Served::Peer);
         // Default policy: the requester did not cache the remote copy.
-        assert_eq!(s.process(&req(2, 1, 1, 500)), HitClass::RemoteBrowser);
+        assert_eq!(s.process(&req(2, 1, 1, 500)), Served::Peer);
     }
 
     #[test]
     fn proxy_and_local_browser_no_sharing() {
         let mut s = system(Organization::ProxyAndLocalBrowser);
-        assert_eq!(s.process(&req(0, 0, 1, 500)), HitClass::Miss);
-        assert_eq!(s.process(&req(1, 0, 1, 500)), HitClass::LocalBrowser);
-        assert_eq!(s.process(&req(2, 1, 1, 500)), HitClass::Proxy);
+        assert_eq!(s.process(&req(0, 0, 1, 500)), Served::Origin);
+        assert_eq!(s.process(&req(1, 0, 1, 500)), Served::LocalBrowser);
+        assert_eq!(s.process(&req(2, 1, 1, 500)), Served::Proxy);
         // Client 1's browser now has a copy from the proxy hit.
-        assert_eq!(s.process(&req(3, 1, 1, 500)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(3, 1, 1, 500)), Served::LocalBrowser);
     }
 
     #[test]
     fn browsers_aware_finds_docs_evicted_from_proxy() {
         let mut s = system(Organization::BrowsersAware);
-        assert_eq!(s.process(&req(0, 0, 1, 500)), HitClass::Miss);
+        assert_eq!(s.process(&req(0, 0, 1, 500)), Served::Origin);
         // Push doc 1 out of the proxy cache (capacity 100_000).
         for i in 0..300 {
             s.process(&req(1 + i, 2, 100 + i as u32, 50_000));
         }
         // Doc 1 is gone from the proxy but alive in client 0's browser.
-        assert_eq!(s.process(&req(1000, 1, 1, 500)), HitClass::RemoteBrowser);
+        assert_eq!(s.process(&req(1000, 1, 1, 500)), Served::Peer);
     }
 
     #[test]
     fn size_change_invalidates_caches() {
         let mut s = system(Organization::BrowsersAware);
         s.process(&req(0, 0, 1, 500));
-        assert_eq!(s.process(&req(1, 0, 1, 500)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(1, 0, 1, 500)), Served::LocalBrowser);
         // The document changes size: every cached copy is stale.
-        assert_eq!(s.process(&req(2, 0, 1, 600)), HitClass::Miss);
+        assert_eq!(s.process(&req(2, 0, 1, 600)), Served::Origin);
         assert_eq!(s.metrics.size_change_misses, 1);
         // The fresh copy is served locally afterwards.
-        assert_eq!(s.process(&req(3, 0, 1, 600)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(3, 0, 1, 600)), Served::LocalBrowser);
     }
 
     #[test]
@@ -508,9 +512,9 @@ mod tests {
         let mut s = SimSystem::new(cfg, 4, 0.0, LatencyParams::paper());
         s.process(&req(0, 0, 1, 900)); // miss; proxy cap 1000
         s.process(&req(1, 2, 2, 900)); // evicts doc 1 from proxy
-        assert_eq!(s.process(&req(2, 1, 1, 900)), HitClass::RemoteBrowser);
+        assert_eq!(s.process(&req(2, 1, 1, 900)), Served::Peer);
         // Requester cached the forwarded copy: next access is local.
-        assert_eq!(s.process(&req(3, 1, 1, 900)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(3, 1, 1, 900)), Served::LocalBrowser);
     }
 
     #[test]
@@ -522,7 +526,7 @@ mod tests {
             s.process(&req(1 + i, 2, 100 + i as u32, 50_000));
         }
         // Doc 1 changed size: the peer's copy cannot be used.
-        assert_eq!(s.process(&req(1000, 1, 1, 700)), HitClass::Miss);
+        assert_eq!(s.process(&req(1000, 1, 1, 700)), Served::Origin);
         assert!(s.metrics.wasted_probes >= 1);
     }
 
@@ -548,14 +552,14 @@ mod tests {
         let mut s = SimSystem::new(cfg, 2, 0.0, LatencyParams::paper());
         s.process(&req(0, 0, 1, 500));
         // Within TTL: plain local hit, no revalidation.
-        assert_eq!(s.process(&req(500, 0, 1, 500)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(500, 0, 1, 500)), Served::LocalBrowser);
         assert_eq!(s.metrics.revalidations, 0);
         // Past TTL: still a local hit, but a revalidation round-trip is paid.
-        assert_eq!(s.process(&req(5_000, 0, 1, 500)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(5_000, 0, 1, 500)), Served::LocalBrowser);
         assert_eq!(s.metrics.revalidations, 1);
         assert!(s.latency.totals.revalidation_ms > 0.0);
         // The revalidation refreshed the copy: an immediate re-access is free.
-        assert_eq!(s.process(&req(5_100, 0, 1, 500)), HitClass::LocalBrowser);
+        assert_eq!(s.process(&req(5_100, 0, 1, 500)), Served::LocalBrowser);
         assert_eq!(s.metrics.revalidations, 1);
     }
 
@@ -570,9 +574,9 @@ mod tests {
         s.process(&req(0, 0, 1, 900));
         s.process(&req(1, 2, 2, 900)); // evict doc 1 from the tiny proxy
                                        // Within TTL a peer hit works.
-        assert_eq!(s.process(&req(500, 1, 1, 900)), HitClass::RemoteBrowser);
+        assert_eq!(s.process(&req(500, 1, 1, 900)), Served::Peer);
         // Far beyond the TTL the peer copy is expired: fall through to miss.
-        assert_eq!(s.process(&req(60_000, 3, 1, 900)), HitClass::Miss);
+        assert_eq!(s.process(&req(60_000, 3, 1, 900)), Served::Origin);
         assert!(s.metrics.wasted_probes >= 1);
     }
 
@@ -602,7 +606,7 @@ mod tests {
         s.process(&req(1, 2, 2, 900)); // evict doc 1 from tiny proxy
         let class = s.process(&req(2, 1, 1, 900));
         assert!(
-            class == HitClass::Miss || class == HitClass::RemoteBrowser,
+            class == Served::Origin || class == Served::Peer,
             "unexpected class {class:?}"
         );
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulator's accounting invariants.
 
 use baps_core::{
-    BrowserSizing, HitClass, LatencyParams, Organization, RemoteHitCaching, SystemConfig,
+    BrowserSizing, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig, PROXY_TIERS,
 };
 use baps_sim::index::{BloomSummaryIndex, DelayedIndex, SummaryConfig, UpdatePolicy};
 use baps_sim::{run, run_simple};
@@ -64,9 +64,7 @@ proptest! {
             "{} HR {} > bound {}", cfg.organization.name(), r.hit_ratio(), stats.max_hit_ratio);
         prop_assert!(r.byte_hit_ratio() <= stats.max_byte_hit_ratio + 1e-9);
         // Memory hits are a subset of all hit bytes.
-        let hit_bytes = r.metrics.local_browser.bytes
-            + r.metrics.proxy.bytes
-            + r.metrics.remote_browser.bytes;
+        let hit_bytes = r.metrics.total_bytes() - r.metrics.served(&[Served::Origin]).bytes;
         prop_assert!(r.metrics.mem_hit_bytes <= hit_bytes);
         // Latency accumulates for every request.
         prop_assert!(r.latency.total_ms() > 0.0);
@@ -94,11 +92,12 @@ proptest! {
         let baps = run(&trace, &stats, &baps_cfg, &LatencyParams::paper());
         let plb = run(&trace, &stats, &plb_cfg, &LatencyParams::paper());
 
-        prop_assert_eq!(baps.metrics.local_browser, plb.metrics.local_browser);
-        prop_assert_eq!(baps.metrics.proxy, plb.metrics.proxy);
+        for s in [Served::LocalBrowser, Served::Proxy, Served::ProxyDisk] {
+            prop_assert_eq!(baps.metrics.served(&[s]), plb.metrics.served(&[s]));
+        }
         prop_assert_eq!(
-            baps.metrics.remote_browser.count + baps.metrics.miss.count,
-            plb.metrics.miss.count
+            baps.metrics.served(&[Served::Peer, Served::Origin]).count,
+            plb.metrics.served(&[Served::Origin]).count
         );
         prop_assert!(baps.hit_ratio() >= plb.hit_ratio());
     }
@@ -124,17 +123,16 @@ proptest! {
             &SystemConfig::paper_default(Organization::ProxyOnly, proxy_capacity),
             &LatencyParams::paper(),
         );
-        prop_assert_eq!(p.metrics.local_browser.count, 0);
-        prop_assert_eq!(p.metrics.remote_browser.count, 0);
+        prop_assert_eq!(p.metrics.served(&[Served::LocalBrowser, Served::Peer]).count, 0);
         let b = run(
             &trace,
             &stats,
             &SystemConfig::paper_default(Organization::LocalBrowserOnly, proxy_capacity),
             &LatencyParams::paper(),
         );
-        prop_assert_eq!(b.metrics.proxy.count, 0);
-        prop_assert_eq!(b.metrics.remote_browser.count, 0);
-        prop_assert_eq!(b.metrics.class_ratio(HitClass::Proxy), 0.0);
+        prop_assert_eq!(b.metrics.served(PROXY_TIERS).count, 0);
+        prop_assert_eq!(b.metrics.served(&[Served::Peer]).count, 0);
+        prop_assert_eq!(b.metrics.class_ratio(PROXY_TIERS), 0.0);
     }
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example index_strategies
 //! ```
 
-use baps::core::{IndexModel, LatencyParams, Organization, SystemConfig};
+use baps::core::{IndexModel, LatencyParams, Organization, Served, SystemConfig};
 use baps::sim::{human_bytes, pct, run_sweep, Table};
 use baps::trace::{Profile, TraceStats};
 
@@ -90,7 +90,7 @@ fn main() {
         table.row(vec![
             label.clone(),
             pct(r.hit_ratio()),
-            format!("{}", r.metrics.remote_browser.count),
+            format!("{}", r.metrics.served(&[Served::Peer]).count),
             format!("{}", r.metrics.wasted_probes),
             format!("{}", r.index_stats.messages),
             human_bytes(r.index_stats.update_bytes),

@@ -7,7 +7,8 @@
 //! cargo run --release --example live_proxy
 //! ```
 
-use baps::proxy::{DocumentStore, Source, TamperMode, TestBed, TestBedConfig};
+use baps::core::Served;
+use baps::proxy::{DocumentStore, TamperMode, TestBed, TestBedConfig};
 
 fn main() {
     // 16 documents of 0.2–2 KB at the origin; a deliberately tiny proxy
@@ -39,7 +40,7 @@ fn main() {
         r.source,
         r.body.len()
     );
-    assert_eq!(r.source, Source::Origin);
+    assert_eq!(r.source, Served::Origin);
 
     // 2. Flood the tiny proxy cache so doc/0 is evicted from it.
     for i in 1..8 {
@@ -56,7 +57,7 @@ fn main() {
         "client 1 GET {url} -> {:?} (peer-served, watermark verified)",
         r.source
     );
-    assert_eq!(r.source, Source::Peer);
+    assert_eq!(r.source, Served::Peer);
 
     // 4. A tampering peer is refuted by the proxy, against the watermark
     //    it signed, and dropped from the index.
@@ -67,7 +68,7 @@ fn main() {
         "client 0 tampers; client 1 re-fetch -> {:?} (the proxy refuted the peer's bytes)",
         r.source
     );
-    assert_ne!(r.source, Source::Peer);
+    assert_ne!(r.source, Served::Peer);
 
     // 5. Invalidation keeps the index honest.
     bed.clients[0].set_tamper_mode(TamperMode::Honest);

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use baps::core::{Organization, SystemConfig};
+use baps::core::{Organization, Served, SystemConfig};
 use baps::sim::{run, Table};
 use baps::trace::{SynthConfig, TraceStats};
 use baps_core::LatencyParams;
@@ -41,7 +41,7 @@ fn main() {
             org.name().to_owned(),
             format!("{:.2}", r.hit_ratio()),
             format!("{:.2}", r.byte_hit_ratio()),
-            format!("{}", r.metrics.remote_browser.count),
+            format!("{}", r.metrics.served(&[Served::Peer]).count),
         ]);
     }
     print!("{}", table.render());

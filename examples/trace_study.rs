@@ -7,7 +7,7 @@
 //! cargo run --release --example trace_study -- bu95    # choose a profile
 //! ```
 
-use baps::core::{HitClass, LatencyParams, Organization, SystemConfig};
+use baps::core::{LatencyParams, Organization, Served, SystemConfig, PROXY_TIERS};
 use baps::sim::{pct, run_sweep, Table};
 use baps::trace::{Profile, TraceStats};
 
@@ -52,9 +52,9 @@ fn main() {
             cfg.organization.name().to_owned(),
             pct(r.hit_ratio()),
             pct(r.byte_hit_ratio()),
-            pct(r.metrics.class_ratio(HitClass::LocalBrowser)),
-            pct(r.metrics.class_ratio(HitClass::Proxy)),
-            pct(r.metrics.class_ratio(HitClass::RemoteBrowser)),
+            pct(r.metrics.class_ratio(&[Served::LocalBrowser])),
+            pct(r.metrics.class_ratio(PROXY_TIERS)),
+            pct(r.metrics.class_ratio(&[Served::Peer])),
             format!("{:.0}", r.latency.total_ms() / 1000.0),
         ]);
     }

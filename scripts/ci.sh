@@ -166,8 +166,12 @@ fi
 # striped index (`ShardedIndex`), the test bed's one-valued recorder
 # option and the tamper mode that forged a peer's `X-Watermark`
 # (`ForgeWatermark`: a peer reply is a body alone, which the proxy checks
-# against the watermark it signed). CHANGES.md tells what each was.
-if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark' -- \
+# against the watermark it signed). Where a request was served has one
+# name, `baps_core::Served`, so its three retired spellings (`HitClass`,
+# `baps_obs::Tier` and `TIER_NAMES`) stay gone, and so does the live
+# proxy's test-only placement knob (`cache_peer_hits`).
+# CHANGES.md tells what each was.
+if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark|HitClass|TIER_NAMES|baps_obs::Tier|cache_peer_hits' -- \
     README.md DESIGN.md src examples crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted"
     exit 1

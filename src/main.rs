@@ -8,8 +8,8 @@
 //! baps demo [--clients 4] [--docs 32]
 //! ```
 
-use baps::core::{HitClass, LatencyParams, Organization, SystemConfig};
-use baps::proxy::{DocumentStore, Source, TestBed, TestBedConfig};
+use baps::core::{LatencyParams, Organization, Served, SystemConfig, PROXY_TIERS};
+use baps::proxy::{DocumentStore, TestBed, TestBedConfig};
 use baps::sim::{pct, run_sweep, Table};
 use baps::trace::{
     read_trace, write_squid_log, write_trace, ExportNames, Profile, Trace, TraceStats,
@@ -192,9 +192,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             cfg.organization.name().to_owned(),
             pct(r.hit_ratio()),
             pct(r.byte_hit_ratio()),
-            pct(r.metrics.class_ratio(HitClass::LocalBrowser)),
-            pct(r.metrics.class_ratio(HitClass::Proxy)),
-            pct(r.metrics.class_ratio(HitClass::RemoteBrowser)),
+            pct(r.metrics.class_ratio(&[Served::LocalBrowser])),
+            pct(r.metrics.class_ratio(PROXY_TIERS)),
+            pct(r.metrics.class_ratio(&[Served::Peer])),
             format!("{:.1}", r.histograms.all.mean_ms()),
         ]);
     }
@@ -277,7 +277,7 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     println!(
         "  client 1 re-fetched doc/0 after proxy churn: {:?}{}",
         r.source,
-        if r.source == Source::Peer {
+        if r.source == Served::Peer {
             " (served from a peer browser cache, watermark verified)"
         } else {
             ""

@@ -2,7 +2,7 @@
 //! exercising the public facade the way a downstream user would.
 
 use baps::core::{
-    BrowserSizing, HitClass, LatencyParams, Organization, RemoteHitCaching, SystemConfig,
+    BrowserSizing, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig, PROXY_TIERS,
 };
 use baps::sim::{run, run_simple, run_sweep, scale_configs, PROXY_SCALE_POINTS};
 use baps::trace::{Profile, SynthConfig, TraceStats};
@@ -66,15 +66,15 @@ fn browsers_aware_gain_comes_from_remote_hits() {
         &SystemConfig::paper_default(Organization::ProxyAndLocalBrowser, proxy_capacity),
         &LatencyParams::paper(),
     );
-    assert!(baps.metrics.remote_browser.count > 0);
+    assert!(baps.metrics.served(&[Served::Peer]).count > 0);
     let gain_requests =
         (baps.hit_ratio() - plb.hit_ratio()) / 100.0 * baps.metrics.requests() as f64;
     // The entire hit-count gain must be attributable to remote-browser hits
     // (local/proxy classes can shift slightly, hence the inequality).
     assert!(
-        baps.metrics.remote_browser.count as f64 >= gain_requests - 1.0,
+        baps.metrics.served(&[Served::Peer]).count as f64 >= gain_requests - 1.0,
         "remote hits {} cannot explain gain {gain_requests}",
-        baps.metrics.remote_browser.count
+        baps.metrics.served(&[Served::Peer]).count
     );
 }
 
@@ -98,11 +98,11 @@ fn breakdown_sums_to_hit_ratio() {
     let trace = trace();
     let cfg = SystemConfig::paper_default(Organization::BrowsersAware, 1 << 22);
     let r = run_simple(&trace, &cfg);
-    let sum = r.metrics.class_ratio(HitClass::LocalBrowser)
-        + r.metrics.class_ratio(HitClass::Proxy)
-        + r.metrics.class_ratio(HitClass::RemoteBrowser);
+    let sum = r.metrics.class_ratio(&[Served::LocalBrowser])
+        + r.metrics.class_ratio(PROXY_TIERS)
+        + r.metrics.class_ratio(&[Served::Peer]);
     assert!((sum - r.hit_ratio()).abs() < 1e-9);
-    let with_miss = sum + r.metrics.class_ratio(HitClass::Miss);
+    let with_miss = sum + r.metrics.class_ratio(&[Served::Origin]);
     assert!((with_miss - 100.0).abs() < 1e-9);
 }
 
@@ -121,7 +121,8 @@ fn remote_hit_caching_increases_local_hits() {
     // Re-caching forwarded copies converts future remote hits into local
     // ones (total hit ratio stays in the same neighbourhood).
     assert!(
-        cache_req.metrics.local_browser.count >= no_cache.metrics.local_browser.count,
+        cache_req.metrics.served(&[Served::LocalBrowser]).count
+            >= no_cache.metrics.served(&[Served::LocalBrowser]).count,
         "caching at requester should not lose local hits"
     );
 }

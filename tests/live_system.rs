@@ -2,16 +2,23 @@
 //! facade crate, replaying a small synthetic trace through real sockets and
 //! cross-checking against the simulator's invariants.
 
-use baps::core::DocId;
+use baps::core::{
+    BrowserSizing, DocId, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig,
+};
 use baps::crypto::ProxySigner;
-use baps::proxy::{CachedDoc, DocumentStore, ShardedCache, Source, TestBed, TestBedConfig};
-use baps::sim::TieredLru;
+use baps::proxy::{CachedDoc, DocumentStore, ShardedCache, TestBed, TestBedConfig};
+use baps::sim::{SimSystem, TieredLru};
 use baps::trace::SynthConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
+/// The simulator is the live system's oracle: a small synthetic trace is
+/// replayed through real sockets and through `SimSystem` configured as the
+/// bed is (browsers-aware, the same capacities, all-memory LRU caches, the
+/// exact index, and the runtime's one placement, `CacheAtRequester`), and
+/// both must say the same `Served` for every request.
 #[test]
 fn replay_synthetic_trace_through_live_proxy() {
     // A tiny workload replayed through real sockets.
@@ -20,12 +27,13 @@ fn replay_synthetic_trace_through_live_proxy() {
     synth.n_requests = 300;
     synth.n_docs = 40;
     synth.p_size_change = 0.0;
-    let trace = synth.generate(77);
+    let mut trace = synth.generate(77);
 
-    // Build the origin corpus: one body per doc id, sized from the trace.
+    // Build the origin corpus: one body per doc id, sized from the trace,
+    // and give the simulator the same clamped sizes.
     let mut sizes: HashMap<u32, u32> = HashMap::new();
-    for r in trace.iter() {
-        sizes.entry(r.doc.0).or_insert(r.size.clamp(64, 4096));
+    for r in trace.requests.iter_mut() {
+        r.size = *sizes.entry(r.doc.0).or_insert(r.size.clamp(64, 4096));
     }
     let mut store = DocumentStore::new();
     for (&doc, &size) in &sizes {
@@ -35,61 +43,61 @@ fn replay_synthetic_trace_through_live_proxy() {
         );
     }
 
+    let (proxy_capacity, browser_capacity) = (24 << 10, 12 << 10);
     let bed = TestBed::start(
         store,
         TestBedConfig {
             n_clients: 4,
-            proxy_capacity: 24 << 10,
-            browser_capacity: 12 << 10,
+            proxy_capacity,
+            browser_capacity,
             ..TestBedConfig::default()
         },
     )
     .expect("test bed starts");
+    let mut sim = SimSystem::new(
+        SystemConfig {
+            browser_sizing: BrowserSizing::Fixed(browser_capacity),
+            mem_fraction: 1.0,
+            remote_hit_caching: RemoteHitCaching::CacheAtRequester,
+            ..SystemConfig::paper_default(Organization::BrowsersAware, proxy_capacity)
+        },
+        trace.n_clients,
+        0.0,
+        LatencyParams::paper(),
+    );
 
-    let mut sources: HashMap<&'static str, u64> = HashMap::new();
-    for req in trace.iter() {
+    let mut served = [0u64; Served::ALL.len()];
+    for (i, req) in trace.iter().enumerate() {
         let url = format!("http://origin/doc/{}", req.doc.0);
-        let result = bed.clients[req.client.index() % 4].fetch(&url).unwrap();
-        let label = match result.source {
-            Source::LocalBrowser => "local",
-            Source::Proxy => "proxy",
-            Source::ProxyDisk => "disk",
-            Source::Peer => "peer",
-            Source::Origin => "origin",
-        };
-        *sources.entry(label).or_insert(0) += 1;
+        let result = bed.clients[req.client.index()].fetch(&url).unwrap();
+        assert_eq!(
+            result.source,
+            sim.process(req),
+            "request {i}: client {} doc {}",
+            req.client.0,
+            req.doc.0
+        );
+        served[result.source.index()] += 1;
         // Bodies always match the origin's content for that doc.
         assert_eq!(result.body[0], req.doc.0 as u8);
     }
 
-    // Every request was served; the mix contains real cache hits.
-    let total: u64 = sources.values().sum();
-    assert_eq!(total, trace.len() as u64);
-    assert!(
-        *sources.get("local").unwrap_or(&0) > 0,
-        "no local hits: {sources:?}"
-    );
-    assert!(
-        *sources.get("proxy").unwrap_or(&0) > 0,
-        "no proxy hits: {sources:?}"
-    );
+    // The mix contains real cache hits of every kind the bed can serve.
+    for tier in [Served::LocalBrowser, Served::Proxy, Served::Peer] {
+        assert!(served[tier.index()] > 0, "no {tier:?}: {served:?}");
+    }
 
     // The proxy's own counters agree with what clients observed.
     let stats = bed.proxy.stats();
     assert_eq!(
-        stats.proxy_hits,
-        *sources.get("proxy").unwrap_or(&0),
-        "proxy hit accounting"
-    );
-    assert_eq!(
-        stats.peer_hits,
-        *sources.get("peer").unwrap_or(&0),
-        "peer hit accounting"
-    );
-    assert_eq!(
-        stats.origin_fetches,
-        *sources.get("origin").unwrap_or(&0),
-        "origin fetch accounting"
+        [
+            stats.proxy_hits,
+            stats.disk_hits,
+            stats.peer_hits,
+            stats.origin_fetches
+        ],
+        served[Served::Proxy.index()..],
+        "proxy accounting"
     );
     // Origin server agrees too.
     assert_eq!(bed.origin.hits(), stats.origin_fetches);
@@ -116,7 +124,7 @@ fn live_peer_hit_with_integrity_end_to_end() {
             .unwrap();
     }
     let r = bed.clients[1].fetch("http://origin/doc/0").unwrap();
-    assert_eq!(r.source, Source::Peer);
+    assert_eq!(r.source, Served::Peer);
     assert_eq!(r.body, body0);
     bed.shutdown();
 }
@@ -157,7 +165,7 @@ fn stale_index_eviction_race_falls_back_and_heals() {
     // The probe gets 410 Gone, the proxy falls back to the origin, and the
     // requester still receives the correct bytes.
     let r1 = bed.clients[1].fetch(url0).unwrap();
-    assert_eq!(r1.source, Source::Origin, "fallback must reach the origin");
+    assert_eq!(r1.source, Served::Origin, "fallback must reach the origin");
     assert_eq!(r1.body, r0.body);
 
     let stats = bed.proxy.stats();
@@ -189,7 +197,7 @@ fn client_survives_proxy_side_connection_drop() {
 
     // Warm the persistent connections with real traffic.
     let r0 = bed.clients[0].fetch("http://origin/doc/0").unwrap();
-    assert_eq!(r0.source, Source::Origin);
+    assert_eq!(r0.source, Served::Origin);
     assert_eq!(bed.clients[0].reconnects(), 0);
 
     // The proxy abruptly severs every open connection (restart, idle
@@ -204,9 +212,9 @@ fn client_survives_proxy_side_connection_drop() {
     // Clients keep working: the stale connection is detected on the next
     // roundtrip, redialed transparently, and the request replayed.
     let r1 = bed.clients[0].fetch("http://origin/doc/1").unwrap();
-    assert_eq!(r1.source, Source::Origin);
+    assert_eq!(r1.source, Served::Origin);
     let r2 = bed.clients[1].fetch("http://origin/doc/1").unwrap();
-    assert_eq!(r2.source, Source::Proxy);
+    assert_eq!(r2.source, Served::Proxy);
     assert_eq!(r2.body, r1.body);
     assert_eq!(bed.clients[0].reconnects(), 1);
     assert_eq!(bed.clients[1].reconnects(), 1);
@@ -214,7 +222,7 @@ fn client_survives_proxy_side_connection_drop() {
     // A second drop mid-session is survived the same way.
     bed.proxy.drop_connections();
     let r3 = bed.clients[0].fetch("http://origin/doc/2").unwrap();
-    assert_eq!(r3.source, Source::Origin);
+    assert_eq!(r3.source, Served::Origin);
     assert_eq!(bed.clients[0].reconnects(), 2);
 
     // Counters kept counting across the drops.
