@@ -1,4 +1,5 @@
-//! Browser-index micro-benchmarks: exact vs delayed vs Bloom summaries.
+//! Browser-index micro-benchmarks: the exact directory and each batched
+//! model (delayed directory, Bloom summaries, counting-Bloom filters).
 
 use baps_core::{ExactIndex, IndexModel};
 use baps_sim::index::{AnyIndex, BloomFilter};
@@ -37,17 +38,18 @@ fn bench_index_models(c: &mut Criterion) {
     let ops = workload(5);
     let models = [
         ("exact", IndexModel::Exact),
-        (
-            "delayed-10pct",
-            IndexModel::Delayed {
-                threshold: 0.10,
-                interval_ms: None,
-            },
-        ),
+        ("delayed-10pct", IndexModel::Delayed { threshold: 0.10 }),
         (
             "bloom-10b",
             IndexModel::Bloom {
                 bits_per_item: 10,
+                threshold: 0.05,
+            },
+        ),
+        (
+            "cbloom-16k",
+            IndexModel::CountingBloom {
+                slots: 16_384,
                 threshold: 0.05,
             },
         ),

@@ -669,14 +669,8 @@ fn overhead(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
     let (trace, stats) = load_profile(Profile::NlanrUc, cli);
     let models = [
         IndexModel::Exact,
-        IndexModel::Delayed {
-            threshold: 0.01,
-            interval_ms: None,
-        },
-        IndexModel::Delayed {
-            threshold: 0.10,
-            interval_ms: None,
-        },
+        IndexModel::Delayed { threshold: 0.01 },
+        IndexModel::Delayed { threshold: 0.10 },
         IndexModel::Bloom {
             bits_per_item: 10,
             threshold: 0.05,
@@ -922,10 +916,7 @@ fn ablation(cli: Cli, out: &mut dyn Write) -> io::Result<()> {
     banner(out, "Ablation C: index model (hit ratio vs index memory)")?;
     let models = [
         IndexModel::Exact,
-        IndexModel::Delayed {
-            threshold: 0.05,
-            interval_ms: None,
-        },
+        IndexModel::Delayed { threshold: 0.05 },
         IndexModel::Bloom {
             bits_per_item: 16,
             threshold: 0.05,

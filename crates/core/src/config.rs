@@ -1,11 +1,10 @@
 //! System configuration: cache sizing rules and request-routing options.
 
 use crate::org::Organization;
-use serde::{Deserialize, Serialize};
 
 /// Replacement policies available to the simulator (the live proxy and
 /// browsers run LRU alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Least-recently-used (the paper's policy).
     Lru,
@@ -44,7 +43,7 @@ impl Policy {
 }
 
 /// How each client's browser cache is sized (paper §4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BrowserSizing {
     /// The paper's *minimum*: `proxy_capacity / n_clients`.
     Minimum,
@@ -87,7 +86,7 @@ impl BrowserSizing {
 /// knob for the ablation bench. The live runtime has no such knob: it runs
 /// `CacheAtRequester` — the browser caches every body it receives, and the
 /// proxy relays a peer's body without keeping it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemoteHitCaching {
     /// Neither the requester nor the proxy stores the forwarded copy.
     NoCaching,
@@ -117,10 +116,10 @@ impl RemoteHitCaching {
     }
 }
 
-/// Declarative choice of browser-index model (used in experiment configs).
+/// Declarative choice of browser-index model, the only index configuration.
 /// The live proxy runs only the exact directory; the other three are §5's
-/// cheaper indexes, which `baps_sim::index::AnyIndex` builds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// cheaper indexes, which `baps_sim::index::BatchedIndex` models.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IndexModel {
     /// Exact invalidation-driven directory.
     Exact,
@@ -128,8 +127,6 @@ pub enum IndexModel {
     Delayed {
         /// Flush threshold as a fraction of cached documents (e.g. 0.1).
         threshold: f64,
-        /// Optional periodic flush interval in simulated milliseconds.
-        interval_ms: Option<u64>,
     },
     /// Per-client Bloom summaries.
     Bloom {
@@ -152,7 +149,7 @@ impl IndexModel {
     pub fn label(&self) -> String {
         match self {
             IndexModel::Exact => "exact".to_owned(),
-            IndexModel::Delayed { threshold, .. } => format!("delayed({:.0}%)", threshold * 100.0),
+            IndexModel::Delayed { threshold } => format!("delayed({:.0}%)", threshold * 100.0),
             IndexModel::Bloom {
                 bits_per_item,
                 threshold,
@@ -167,7 +164,7 @@ impl IndexModel {
 }
 
 /// Full configuration of a simulated caching system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Which caching organization to run.
     pub organization: Organization,
@@ -291,11 +288,7 @@ mod tests {
     fn model_labels() {
         assert_eq!(IndexModel::Exact.label(), "exact");
         assert_eq!(
-            IndexModel::Delayed {
-                threshold: 0.1,
-                interval_ms: None
-            }
-            .label(),
+            IndexModel::Delayed { threshold: 0.1 }.label(),
             "delayed(10%)"
         );
         assert!(IndexModel::Bloom {

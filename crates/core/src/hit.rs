@@ -1,7 +1,5 @@
 //! Classification of how each request was served.
 
-use serde::{Deserialize, Serialize};
-
 /// Which storage tier of a cache served a hit (the §4.2 memory byte hit
 /// ratio splits hits this way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,7 +15,7 @@ pub enum Tier {
 /// split by the tier that held the copy. The simulator classifies its
 /// requests with it, the live proxy names its outcome counters and tier
 /// histograms after it, and a browser reads it off the `X-Source` header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Served {
     /// The requester's own browser cache.
     LocalBrowser,

@@ -11,7 +11,6 @@
 //! the union of all browser caches exactly.
 
 use crate::ids::{ClientId, DocId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Estimated bytes per index entry: a 16-byte MD5 URL signature plus a
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 pub const BYTES_PER_ENTRY: u64 = 16 + 4 + 8;
 
 /// Counters accumulated by an index implementation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Lookup operations performed.
     pub lookups: u64,
@@ -32,7 +31,7 @@ pub struct IndexStats {
     pub messages: u64,
     /// Bytes of update traffic (16-byte signature per entry, paper §5).
     pub update_bytes: u64,
-    /// Batch flushes performed (delayed/summary models).
+    /// Batch flushes performed (the batched models).
     pub flushes: u64,
 }
 

@@ -11,10 +11,8 @@
 //!
 //! All times are in milliseconds.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic latency parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyParams {
     /// Microseconds per memory block access.
     pub mem_us_per_block: f64,

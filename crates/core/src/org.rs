@@ -1,10 +1,8 @@
 //! The five Web-caching organizations compared in the paper (§3.2).
 
-use serde::{Deserialize, Serialize};
-
 /// A caching organization: which caches exist and how a request routes
 /// through them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Organization {
     /// No browser caches; every request goes straight to the proxy cache.
     ProxyOnly,

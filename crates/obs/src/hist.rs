@@ -14,7 +14,6 @@
 //! [`AtomicHistogram`] for lock-free always-on recording inside servers
 //! (snapshot into a `LatencyHistogram` to read it).
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -148,7 +147,7 @@ pub fn bucket_upper_ms(idx: usize) -> f64 {
 }
 
 /// A fixed-size log-scaled histogram of millisecond latencies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,

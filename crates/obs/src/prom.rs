@@ -9,8 +9,8 @@
 //! stay correct; scrapers interpolate between the edges that do appear),
 //! which keeps a 164-bucket histogram to a handful of lines in practice.
 //!
-//! The in-tree serde shim has no derive support, so this is hand-rolled —
-//! which is also what keeps it dependency-free.
+//! The workspace has no serialization crate, so this is hand-rolled, which
+//! keeps it dependency-free.
 
 use crate::hist::LatencyHistogram;
 use std::fmt::Write as _;

@@ -210,8 +210,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
         .collect()
 }
 
-/// JSON string escaping for the hand-rendered export (the workspace's
-/// serde is a no-op shim, so every JSON writer in-tree renders by hand).
+/// JSON string escaping for the hand-rendered export (the workspace has no
+/// serialization crate, so every JSON writer in-tree renders by hand).
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

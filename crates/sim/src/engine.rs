@@ -6,10 +6,9 @@ use crate::system::SimSystem;
 use baps_core::{IndexStats, LatencyParams, Served, SystemConfig};
 use baps_obs::LatencyHistogram;
 use baps_trace::{Trace, TraceStats};
-use serde::{Deserialize, Serialize};
 
 /// Per-tier service-time distributions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClassHistograms {
     /// One distribution per serving tier, by [`Served::index`].
     by_tier: [LatencyHistogram; Served::ALL.len()],
@@ -34,7 +33,7 @@ impl ClassHistograms {
 }
 
 /// Replay options beyond the system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Fraction of the trace treated as cache warm-up: those requests are
     /// replayed (populating caches and index) but excluded from metrics.
@@ -48,7 +47,7 @@ impl Default for RunOptions {
 }
 
 /// The result of replaying one trace through one system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Trace name.
     pub trace: String,

@@ -16,10 +16,9 @@ use crate::latency::LatencyModel;
 use crate::tiered::TieredLru;
 use baps_core::{ExactIndex, LatencyParams, Tier};
 use baps_trace::{ClientId, DocId, Request, Trace, TraceStats};
-use serde::{Deserialize, Serialize};
 
 /// Where the browser index lives (and how far sharing reaches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharingMode {
     /// Plain hierarchy: no browser sharing at all.
     NoSharing,
@@ -43,7 +42,7 @@ impl SharingMode {
 }
 
 /// Configuration of the hierarchical system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// Number of client groups / first-level proxies.
     pub n_groups: u32,
@@ -78,7 +77,7 @@ impl HierarchyConfig {
 }
 
 /// Where a hierarchical request was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HierHit {
     /// The requester's own browser.
     LocalBrowser,
@@ -93,7 +92,7 @@ pub enum HierHit {
 }
 
 /// Counters per hierarchical hit class.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HierMetrics {
     counts: [u64; 5],
     bytes: [u64; 5],

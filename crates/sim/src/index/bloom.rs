@@ -31,7 +31,6 @@ pub struct BloomFilter {
     words: Vec<u64>,
     bits: u64,
     k: u32,
-    inserted: u64,
 }
 
 impl BloomFilter {
@@ -47,7 +46,6 @@ impl BloomFilter {
             words: vec![0; words as usize],
             bits: words * 64,
             k,
-            inserted: 0,
         }
     }
 
@@ -62,7 +60,6 @@ impl BloomFilter {
         for pos in positions(doc, self.k, self.bits) {
             self.words[(pos / 64) as usize] |= 1 << (pos % 64);
         }
-        self.inserted += 1;
     }
 
     /// Whether the filter may contain `doc` (false positives possible,
@@ -72,29 +69,9 @@ impl BloomFilter {
             .all(|pos| self.words[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
 
-    /// Clears the filter.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.inserted = 0;
-    }
-
     /// Size of the filter in bytes.
     pub fn byte_size(&self) -> u64 {
         self.bits / 8
-    }
-
-    /// Number of insert calls since the last clear.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Expected false-positive probability given the current load:
-    /// `(1 - e^(-k n / m))^k`.
-    pub fn expected_fp_rate(&self) -> f64 {
-        let n = self.inserted as f64;
-        let m = self.bits as f64;
-        let k = self.k as f64;
-        (1.0 - (-k * n / m).exp()).powf(k)
     }
 }
 
@@ -104,7 +81,6 @@ pub struct CountingBloom {
     counters: Vec<u8>,
     bits: u64,
     k: u32,
-    items: u64,
 }
 
 impl CountingBloom {
@@ -118,7 +94,6 @@ impl CountingBloom {
             counters: vec![0; slots as usize],
             bits: slots,
             k,
-            items: 0,
         }
     }
 
@@ -129,7 +104,6 @@ impl CountingBloom {
             let c = &mut self.counters[pos as usize];
             *c = c.saturating_add(1);
         }
-        self.items += 1;
     }
 
     /// Removes a previously inserted document.
@@ -140,17 +114,11 @@ impl CountingBloom {
                 *c -= 1;
             }
         }
-        self.items = self.items.saturating_sub(1);
     }
 
     /// Whether the filter may contain `doc`.
     pub fn contains(&self, doc: DocId) -> bool {
         positions(doc, self.k, self.bits).all(|pos| self.counters[pos as usize] > 0)
-    }
-
-    /// Number of logically present items.
-    pub fn items(&self) -> u64 {
-        self.items
     }
 
     /// Size in bytes.
@@ -188,17 +156,6 @@ mod tests {
         let rate = fps as f64 / 50_000.0;
         // 10 bits/item, k=4 -> theoretical ~1.2%; allow generous headroom.
         assert!(rate < 0.05, "fp rate {rate}");
-        assert!(f.expected_fp_rate() < 0.05);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = BloomFilter::new(256, 3);
-        f.insert(d(1));
-        assert!(f.contains(d(1)));
-        f.clear();
-        assert!(!f.contains(d(1)));
-        assert_eq!(f.inserted(), 0);
     }
 
     #[test]
@@ -223,7 +180,6 @@ mod tests {
                 assert!(f.contains(d(i)), "false negative after removal at {i}");
             }
         }
-        assert_eq!(f.items(), 99);
     }
 
     #[test]
@@ -232,7 +188,6 @@ mod tests {
         f.insert(d(7));
         f.remove(d(7));
         assert!(!f.contains(d(7)));
-        assert_eq!(f.items(), 0);
     }
 
     #[test]

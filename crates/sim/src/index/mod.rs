@@ -3,90 +3,42 @@
 //! The live proxy runs one index, the exact directory of
 //! [`baps_core::ExactIndex`]. §5 asks what it costs in space and update
 //! traffic and how much a cheaper index loses; the simulator answers with
-//! three more models:
+//! [`BatchedIndex`], where browsers send their changes in batches and the
+//! proxy publishes a delayed directory, Bloom summaries or counting-Bloom
+//! filters from them.
 //!
-//! * [`DelayedIndex`] — batched updates with a staleness threshold (§5's
-//!   overhead mitigation);
-//! * [`BloomSummaryIndex`] — per-client Bloom-filter summaries rebuilt at a
-//!   churn threshold (Summary-Cache style compression, §5's space argument);
-//! * [`CountingBloomIndex`] — per-client counting-Bloom filters patched by
-//!   incremental delta messages (traffic scales with churn, not size).
-//!
-//! [`AnyIndex`] dispatches over the four, chosen by
+//! [`AnyIndex`] holds either, chosen by
 //! [`SystemConfig::index_model`](baps_core::SystemConfig::index_model).
 
+pub mod batched;
 pub mod bloom;
-pub mod counting;
-pub mod delayed;
-pub mod summary;
 
+pub use batched::BatchedIndex;
 pub use bloom::{BloomFilter, CountingBloom};
-pub use counting::{CountingBloomIndex, CountingConfig};
-pub use delayed::{DelayedIndex, UpdatePolicy};
-pub use summary::{BloomSummaryIndex, SummaryConfig};
 
 use baps_core::{ClientId, DocId, ExactIndex, IndexModel, IndexStats};
 
-/// Enum dispatch over the four index implementations.
+/// The exact directory or a batched model.
 #[derive(Debug, Clone)]
 pub enum AnyIndex {
     /// Exact directory.
     Exact(ExactIndex),
-    /// Threshold-batched directory.
-    Delayed(DelayedIndex),
-    /// Bloom summaries.
-    Bloom(BloomSummaryIndex),
-    /// Counting-Bloom filters with delta updates.
-    Counting(CountingBloomIndex),
+    /// A delayed directory, Bloom summaries or counting-Bloom filters.
+    Batched(BatchedIndex),
 }
 
 impl AnyIndex {
     /// Instantiates `model` for `n_clients` clients.
     pub fn new(model: IndexModel, n_clients: u32) -> AnyIndex {
-        match model {
-            IndexModel::Exact => AnyIndex::Exact(ExactIndex::new()),
-            IndexModel::Delayed {
-                threshold,
-                interval_ms,
-            } => AnyIndex::Delayed(DelayedIndex::new(
-                n_clients,
-                UpdatePolicy {
-                    threshold_frac: threshold,
-                    min_pending: 2,
-                    interval_ms,
-                },
-            )),
-            IndexModel::Bloom {
-                bits_per_item,
-                threshold,
-            } => AnyIndex::Bloom(BloomSummaryIndex::new(
-                n_clients,
-                SummaryConfig {
-                    bits_per_item,
-                    rebuild_threshold: threshold,
-                    ..SummaryConfig::default()
-                },
-            )),
-            IndexModel::CountingBloom { slots, threshold } => {
-                AnyIndex::Counting(CountingBloomIndex::new(
-                    n_clients,
-                    CountingConfig {
-                        slots,
-                        flush_threshold: threshold,
-                        ..CountingConfig::default()
-                    },
-                ))
-            }
-        }
+        BatchedIndex::new(model, n_clients)
+            .map_or_else(|| AnyIndex::Exact(ExactIndex::new()), AnyIndex::Batched)
     }
 
     /// Records that `client` now caches `doc`.
     pub fn on_store(&mut self, client: ClientId, doc: DocId) {
         match self {
             AnyIndex::Exact(i) => i.on_store(client, doc),
-            AnyIndex::Delayed(i) => i.on_store(client, doc),
-            AnyIndex::Bloom(i) => i.on_store(client, doc),
-            AnyIndex::Counting(i) => i.on_store(client, doc),
+            AnyIndex::Batched(i) => i.on_store(client, doc),
         }
     }
 
@@ -96,16 +48,7 @@ impl AnyIndex {
             AnyIndex::Exact(i) => {
                 i.on_evict(client, doc);
             }
-            AnyIndex::Delayed(i) => i.on_evict(client, doc),
-            AnyIndex::Bloom(i) => i.on_evict(client, doc),
-            AnyIndex::Counting(i) => i.on_evict(client, doc),
-        }
-    }
-
-    /// Advances simulated time (drives interval-based flushing).
-    pub fn advance_time(&mut self, now_ms: u64) {
-        if let AnyIndex::Delayed(i) = self {
-            i.advance_time(now_ms);
+            AnyIndex::Batched(i) => i.on_evict(client, doc),
         }
     }
 
@@ -113,9 +56,7 @@ impl AnyIndex {
     pub fn candidates(&mut self, doc: DocId, exclude: ClientId) -> Vec<ClientId> {
         match self {
             AnyIndex::Exact(i) => i.lookup_all(doc, exclude),
-            AnyIndex::Delayed(i) => i.lookup_all(doc, exclude),
-            AnyIndex::Bloom(i) => i.lookup_all(doc, exclude),
-            AnyIndex::Counting(i) => i.lookup_all(doc, exclude),
+            AnyIndex::Batched(i) => i.lookup_all(doc, exclude),
         }
     }
 
@@ -123,9 +64,7 @@ impl AnyIndex {
     pub fn memory_bytes(&self) -> u64 {
         match self {
             AnyIndex::Exact(i) => i.memory_bytes(),
-            AnyIndex::Delayed(i) => i.memory_bytes(),
-            AnyIndex::Bloom(i) => i.memory_bytes(),
-            AnyIndex::Counting(i) => i.memory_bytes(),
+            AnyIndex::Batched(i) => i.memory_bytes(),
         }
     }
 
@@ -133,9 +72,7 @@ impl AnyIndex {
     pub fn stats(&self) -> IndexStats {
         match self {
             AnyIndex::Exact(i) => i.stats(),
-            AnyIndex::Delayed(i) => i.stats(),
-            AnyIndex::Bloom(i) => i.stats(),
-            AnyIndex::Counting(i) => i.stats(),
+            AnyIndex::Batched(i) => i.stats(),
         }
     }
 }
@@ -163,10 +100,7 @@ mod tests {
 
     #[test]
     fn delayed_any_index_has_staleness() {
-        let model = IndexModel::Delayed {
-            threshold: 10.0,
-            interval_ms: None,
-        };
+        let model = IndexModel::Delayed { threshold: 10.0 };
         let mut idx = AnyIndex::new(model, 4);
         idx.on_store(c(2), d(9));
         // High threshold: not yet published.

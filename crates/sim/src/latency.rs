@@ -1,10 +1,9 @@
 //! Service-time accounting and the shared-LAN contention model (paper §5).
 
 use baps_core::LatencyParams;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated service-time components over a run, in milliseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyTotals {
     /// Memory-tier access time.
     pub mem_ms: f64,

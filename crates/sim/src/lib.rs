@@ -5,9 +5,10 @@
 //!
 //! * [`SimSystem`] — browser caches + proxy cache + browser index with the
 //!   per-organization routing logic;
-//! * [`index`] — the §5 index models only the simulator runs (delayed,
-//!   Bloom summary, counting Bloom) and [`index::AnyIndex`], which picks
-//!   one of them or the exact directory from the configuration;
+//! * [`index`] — §5's [`index::BatchedIndex`] (a delayed directory, Bloom
+//!   or counting-Bloom summaries), which only the simulator runs, and
+//!   [`index::AnyIndex`], which picks it or the exact directory from the
+//!   configuration;
 //! * [`policy`] — the LFU / GDSF / SIZE / FIFO replacement policies of
 //!   the ablation rows beside `baps_core`'s LRU ([`AnyCache`] holds
 //!   either);

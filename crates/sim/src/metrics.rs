@@ -1,10 +1,9 @@
 //! Request-level metrics: hit ratios, byte hit ratios, breakdowns.
 
 use baps_core::Served;
-use serde::{Deserialize, Serialize};
 
 /// Count/byte pair for one hit class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounter {
     /// Number of requests in this class.
     pub count: u64,
@@ -13,7 +12,7 @@ pub struct ClassCounter {
 }
 
 /// Aggregated metrics over a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Requests and bytes per serving tier, by [`Served::index`].
     by_tier: [ClassCounter; Served::ALL.len()],

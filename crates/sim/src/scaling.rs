@@ -12,13 +12,12 @@ use baps_core::{LatencyParams, Organization, SystemConfig};
 use baps_trace::{ClientId, Trace, TraceStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The relative client-population points used in Fig. 8.
 pub const CLIENT_SCALE_POINTS: [f64; 4] = [0.25, 0.50, 0.75, 1.00];
 
 /// One point of the scaling experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Fraction of the client population included.
     pub fraction: f64,

@@ -226,9 +226,6 @@ impl SimSystem {
             size,
         } = *req;
         let size = size as u64;
-        if let Some(idx) = self.index.as_mut() {
-            idx.advance_time(time_ms);
-        }
         let mut saw_stale_copy = false;
 
         // 1. Local browser cache.
@@ -595,10 +592,7 @@ mod tests {
             browser_sizing: BrowserSizing::Fixed(10_000),
             ..SystemConfig::paper_default(Organization::BrowsersAware, 1_000)
         };
-        cfg.index_model = IndexModel::Delayed {
-            threshold: 0.5,
-            interval_ms: None,
-        };
+        cfg.index_model = IndexModel::Delayed { threshold: 0.5 };
         let mut s = SimSystem::new(cfg, 4, 0.0, LatencyParams::paper());
         // Client 0 fetches a doc; with a lazy index the store may not be
         // published yet, so client 1 may miss even though the copy exists.

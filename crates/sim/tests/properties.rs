@@ -1,9 +1,10 @@
 //! Property-based tests of the simulator's accounting invariants.
 
 use baps_core::{
-    BrowserSizing, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig, PROXY_TIERS,
+    BrowserSizing, IndexModel, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig,
+    PROXY_TIERS,
 };
-use baps_sim::index::{BloomSummaryIndex, DelayedIndex, SummaryConfig, UpdatePolicy};
+use baps_sim::index::BatchedIndex;
 use baps_sim::{run, run_simple};
 use baps_trace::{ClientId, DocId, Request, Trace, TraceStats};
 use proptest::prelude::*;
@@ -153,12 +154,27 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// One of the batched index models, at a threshold from eager to lazy.
+fn batched_model() -> impl Strategy<Value = IndexModel> {
+    ((0u8..3), (0.0f64..0.6)).prop_map(|(kind, threshold)| match kind {
+        0 => IndexModel::Delayed { threshold },
+        1 => IndexModel::Bloom {
+            bits_per_item: 10,
+            threshold,
+        },
+        _ => IndexModel::CountingBloom {
+            slots: 1024,
+            threshold,
+        },
+    })
+}
+
 proptest! {
-    /// After flushing everything, a delayed index converges to ground truth.
+    /// Once every batch is sent, each model names every browser holding a
+    /// document (no false negatives); the directory names no other.
     #[test]
-    fn delayed_index_converges_on_flush(ops in ops()) {
-        let policy = UpdatePolicy { threshold_frac: 0.5, min_pending: 4, interval_ms: None };
-        let mut idx = DelayedIndex::new(8, policy);
+    fn batched_index_converges_on_flush(model in batched_model(), ops in ops()) {
+        let mut idx = BatchedIndex::new(model, 8).expect("a batched model");
         let mut shadow: HashSet<(u8, u16)> = HashSet::new();
         for op in ops {
             match op {
@@ -170,46 +186,21 @@ proptest! {
                     idx.on_evict(ClientId(c as u32), DocId(d as u32));
                     shadow.remove(&(c, d));
                 }
-            }
-            // Ground truth is always exact, even between flushes.
-            for &(c, d) in &shadow {
-                prop_assert!(idx.actually_holds(ClientId(c as u32), DocId(d as u32)));
             }
         }
         idx.flush_all();
-        for &(c, d) in &shadow {
-            prop_assert!(idx.published_contains(ClientId(c as u32), DocId(d as u32)));
-        }
+        let exact = matches!(model, IndexModel::Delayed { .. });
         for d in 0u16..128 {
             let holders = idx.lookup_all(DocId(d as u32), ClientId(255));
-            for h in holders {
-                prop_assert!(shadow.contains(&((h.0 as u8), d)));
-            }
-        }
-    }
-
-    /// Bloom summaries never produce false negatives after a rebuild.
-    #[test]
-    fn bloom_summary_no_false_negatives(ops in ops()) {
-        let mut idx = BloomSummaryIndex::new(8, SummaryConfig::default());
-        let mut shadow: HashSet<(u8, u16)> = HashSet::new();
-        for op in ops {
-            match op {
-                Op::Store(c, d) => {
-                    idx.on_store(ClientId(c as u32), DocId(d as u32));
-                    shadow.insert((c, d));
-                }
-                Op::Evict(c, d) => {
-                    idx.on_evict(ClientId(c as u32), DocId(d as u32));
-                    shadow.remove(&(c, d));
+            for c in 0u8..8 {
+                if shadow.contains(&(c, d)) {
+                    prop_assert!(holders.contains(&ClientId(c as u32)),
+                        "false negative for client {c} doc {d}");
+                } else if exact {
+                    prop_assert!(!holders.contains(&ClientId(c as u32)),
+                        "directory names client {c} for doc {d} it does not hold");
                 }
             }
-        }
-        idx.rebuild_all();
-        for &(c, d) in &shadow {
-            let holders = idx.lookup_all(DocId(d as u32), ClientId(255));
-            prop_assert!(holders.contains(&ClientId(c as u32)),
-                "false negative for client {c} doc {d}");
         }
     }
 }

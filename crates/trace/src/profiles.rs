@@ -18,10 +18,9 @@
 
 use crate::synth::{SizeModelConfig, SynthConfig};
 use crate::types::Trace;
-use serde::{Deserialize, Serialize};
 
 /// The five paper traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Profile {
     /// NLANR `uc` proxy, one day (2000-07-14). Many clients, low locality.
     NlanrUc,
@@ -285,7 +284,7 @@ impl Profile {
 }
 
 /// Targets read (or reconstructed) from the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperTargets {
     /// Number of requests.
     pub requests: u64,

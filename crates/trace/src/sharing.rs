@@ -11,11 +11,10 @@
 //! document after the proxy lost it.
 
 use crate::types::Trace;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Sharing statistics of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharingStats {
     /// Number of distinct documents requested by exactly one client.
     pub private_docs: u64,

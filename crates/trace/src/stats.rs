@@ -8,11 +8,10 @@
 //! previous request (the paper counts size-changed documents as misses).
 
 use crate::types::{ClientId, Trace};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Summary statistics of a trace (the columns of the paper's Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Trace name.
     pub name: String,

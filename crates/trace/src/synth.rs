@@ -28,10 +28,9 @@ use crate::dist::{DocSize, Exponential, WeightedIndex, Zipf};
 use crate::types::{ClientId, DocId, Request, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic workload generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Trace name to stamp on the output.
     pub name: String,
@@ -79,8 +78,8 @@ pub struct SynthConfig {
     pub pop_size_bias: f64,
 }
 
-/// Serializable description of the document-size model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Description of the document-size model.
+#[derive(Debug, Clone)]
 pub struct SizeModelConfig {
     /// Median of the lognormal body, bytes.
     pub body_median: f64,

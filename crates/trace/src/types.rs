@@ -8,13 +8,12 @@
 //! request*, so document-change events (the paper counts a request whose
 //! size differs from the cached copy as a miss) are representable.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 pub use baps_core::{ClientId, DocId, Interner};
 
 /// A single Web request record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Milliseconds since the start of the trace.
     pub time_ms: u64,
@@ -27,7 +26,7 @@ pub struct Request {
 }
 
 /// A complete, time-ordered request trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Human-readable trace name (e.g. `"NLANR-uc"`).
     pub name: String,

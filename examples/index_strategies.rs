@@ -22,24 +22,11 @@ fn main() {
         ("exact (paper's design)".into(), IndexModel::Exact),
         (
             "delayed, 1% threshold".into(),
-            IndexModel::Delayed {
-                threshold: 0.01,
-                interval_ms: None,
-            },
+            IndexModel::Delayed { threshold: 0.01 },
         ),
         (
             "delayed, 10% threshold".into(),
-            IndexModel::Delayed {
-                threshold: 0.10,
-                interval_ms: None,
-            },
-        ),
-        (
-            "delayed, 30 min interval".into(),
-            IndexModel::Delayed {
-                threshold: 1.0,
-                interval_ms: Some(30 * 60 * 1000),
-            },
+            IndexModel::Delayed { threshold: 0.10 },
         ),
         (
             "bloom summaries, 16 bits/doc".into(),
