@@ -1,8 +1,9 @@
 //! Browser-index micro-benchmarks: the exact directory and each batched
 //! model (delayed directory, Bloom summaries, counting-Bloom filters).
 
-use baps_core::{ExactIndex, IndexModel};
+use baps_core::ExactIndex;
 use baps_sim::index::{AnyIndex, BloomFilter};
+use baps_sim::IndexModel;
 use baps_trace::{ClientId, DocId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;

@@ -1,8 +1,8 @@
 //! End-to-end simulator throughput: requests replayed per second for each
 //! caching organization, plus generator throughput.
 
-use baps_core::{LatencyParams, Organization, SystemConfig};
-use baps_sim::run;
+use baps_core::LatencyParams;
+use baps_sim::{run, Organization, SystemConfig};
 use baps_trace::{SynthConfig, TraceStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -3,13 +3,13 @@
 //! content-blind secure relay where even the proxy never sees plaintext.
 //!
 //! ```sh
-//! cargo run --release --example secure_sharing
+//! cargo run --release -p baps-bench --example secure_sharing
 //! ```
 
-use baps::crypto::{
-    requester_open, target_serve, verify_document, AnonymizingProxy, FetchReply, KeyPair, PeerId,
-    ProxySigner, SecureRelay,
+use baps_bench::anonymity::{
+    requester_open, target_serve, AnonymizingProxy, FetchReply, PeerId, SecureRelay,
 };
+use baps_crypto::{verify_document, KeyPair, ProxySigner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

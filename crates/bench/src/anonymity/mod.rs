@@ -1,4 +1,6 @@
-//! Communication-anonymity protocols (paper §6.2).
+//! Communication-anonymity protocols (paper §6.2), modelled at protocol
+//! level: no live component runs them, and `experiments security` times
+//! them beside the §6.1 watermark the proxy does run.
 //!
 //! The browsers-aware proxy hides the identities of both the requesting
 //! browser and the serving browser: a client always talks to the proxy, the
@@ -15,16 +17,48 @@
 //! * [`SecureRelay`] — the stronger variant sketched from the companion
 //!   HP Labs report (Xu, Xiao, Zhang, HPL-2001-204): the proxy provisions a
 //!   one-time session key per transaction, delivered to each endpoint under
-//!   that endpoint's public key; the document body transits the proxy only
-//!   as ciphertext, so even the relay cannot read it while still keeping the
-//!   endpoints mutually anonymous.
+//!   that endpoint's public key ([`encrypt_message`]); the document body
+//!   transits the proxy only as XTEA ciphertext ([`XteaKey`]), so even the
+//!   relay cannot read it while still keeping the endpoints mutually
+//!   anonymous.
 
-use crate::error::CryptoError;
-use crate::rsa::{decrypt_message, encrypt_message, KeyPair, PublicKey};
-use crate::watermark::Watermark;
-use crate::xtea::XteaKey;
+mod rsa;
+mod xtea;
+
+pub use rsa::{decrypt_message, encrypt_message};
+pub use xtea::XteaKey;
+
+use baps_crypto::{KeyPair, PublicKey, Watermark};
 use rand::Rng;
 use std::collections::HashMap;
+use std::fmt;
+
+/// Failures raised by the anonymity protocol and its ciphers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnonymityError {
+    /// A raw RSA block was not smaller than the modulus.
+    BlockTooLarge,
+    /// A ciphertext could not be parsed (wrong length, framing, or range).
+    MalformedCiphertext,
+    /// CBC padding was invalid after decryption (tampering or wrong key).
+    BadPadding,
+    /// A protocol message referenced an unknown transaction.
+    UnknownTransaction,
+}
+
+impl fmt::Display for AnonymityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let msg = match self {
+            AnonymityError::BlockTooLarge => "RSA block not smaller than modulus",
+            AnonymityError::MalformedCiphertext => "malformed ciphertext",
+            AnonymityError::BadPadding => "bad CBC padding (tampering or wrong key)",
+            AnonymityError::UnknownTransaction => "unknown anonymity transaction",
+        };
+        f.write_str(msg)
+    }
+}
+
+impl std::error::Error for AnonymityError {}
 
 /// Opaque peer identity, known only to the proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,11 +134,11 @@ impl AnonymizingProxy {
 
     /// Completes a transaction with the target's reply; returns who to
     /// deliver to (known only to the proxy) and the identity-free delivery.
-    pub fn complete(&mut self, reply: FetchReply) -> Result<(PeerId, Delivery), CryptoError> {
+    pub fn complete(&mut self, reply: FetchReply) -> Result<(PeerId, Delivery), AnonymityError> {
         let requester = self
             .pending
             .remove(&reply.txn)
-            .ok_or(CryptoError::UnknownTransaction)?;
+            .ok_or(AnonymityError::UnknownTransaction)?;
         Ok((
             requester,
             Delivery {
@@ -116,10 +150,10 @@ impl AnonymizingProxy {
     }
 
     /// Drops a transaction (e.g. target no longer holds the document).
-    pub fn abort(&mut self, txn: TxnId) -> Result<PeerId, CryptoError> {
+    pub fn abort(&mut self, txn: TxnId) -> Result<PeerId, AnonymityError> {
         self.pending
             .remove(&txn)
-            .ok_or(CryptoError::UnknownTransaction)
+            .ok_or(AnonymityError::UnknownTransaction)
     }
 }
 
@@ -162,7 +196,7 @@ impl SecureRelay {
         requester: PeerId,
         target_key: &PublicKey,
         url: &str,
-    ) -> Result<SealedOrder, CryptoError> {
+    ) -> Result<SealedOrder, AnonymityError> {
         self.next_txn += 1;
         let txn = TxnId(self.next_txn);
         let session = XteaKey::generate(rng);
@@ -187,11 +221,11 @@ impl SecureRelay {
         &mut self,
         reply: FetchReply,
         requester_key: &PublicKey,
-    ) -> Result<(PeerId, SealedDelivery), CryptoError> {
+    ) -> Result<(PeerId, SealedDelivery), AnonymityError> {
         let (requester, session) = self
             .pending
             .remove(&reply.txn)
-            .ok_or(CryptoError::UnknownTransaction)?;
+            .ok_or(AnonymityError::UnknownTransaction)?;
         let mut key_bytes = [0u8; 16];
         for (i, w) in session.0.iter().enumerate() {
             key_bytes[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
@@ -218,11 +252,11 @@ pub fn target_serve<R: Rng + ?Sized>(
     order: &SealedOrder,
     document: &[u8],
     watermark: Watermark,
-) -> Result<FetchReply, CryptoError> {
+) -> Result<FetchReply, AnonymityError> {
     let key_bytes = decrypt_message(&target_keys.private, &order.sealed_key)?;
     let key_arr: [u8; 16] = key_bytes
         .try_into()
-        .map_err(|_| CryptoError::MalformedCiphertext)?;
+        .map_err(|_| AnonymityError::MalformedCiphertext)?;
     let session = XteaKey::from_bytes(&key_arr);
     Ok(FetchReply {
         txn: order.order.txn,
@@ -235,11 +269,11 @@ pub fn target_serve<R: Rng + ?Sized>(
 pub fn requester_open(
     requester_keys: &KeyPair,
     delivery: &SealedDelivery,
-) -> Result<Vec<u8>, CryptoError> {
+) -> Result<Vec<u8>, AnonymityError> {
     let key_bytes = decrypt_message(&requester_keys.private, &delivery.sealed_key)?;
     let key_arr: [u8; 16] = key_bytes
         .try_into()
-        .map_err(|_| CryptoError::MalformedCiphertext)?;
+        .map_err(|_| AnonymityError::MalformedCiphertext)?;
     let session = XteaKey::from_bytes(&key_arr);
     session.decrypt_cbc(&delivery.delivery.body)
 }
@@ -247,9 +281,14 @@ pub fn requester_open(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watermark::{verify_document, ProxySigner};
+    use baps_crypto::{verify_document, ProxySigner};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn display_is_informative() {
+        assert!(AnonymityError::BadPadding.to_string().contains("padding"));
+    }
 
     #[test]
     fn base_relay_roundtrip_hides_identities() {
@@ -285,7 +324,7 @@ mod tests {
         };
         assert_eq!(
             proxy.complete(reply).unwrap_err(),
-            CryptoError::UnknownTransaction
+            AnonymityError::UnknownTransaction
         );
     }
 
@@ -389,7 +428,7 @@ mod tests {
         };
         assert_eq!(
             relay.complete(reply, &keys.public).unwrap_err(),
-            CryptoError::UnknownTransaction
+            AnonymityError::UnknownTransaction
         );
     }
 }

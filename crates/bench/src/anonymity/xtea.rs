@@ -1,13 +1,13 @@
 //! XTEA block cipher with CBC mode and PKCS#7-style padding.
 //!
-//! The paper's anonymity protocols assume a symmetric cipher (it names DES).
+//! The paper's anonymity protocol assumes a symmetric cipher (it names DES).
 //! DES is obsolete and export-grade; XTEA (Wheeler & Needham, 1997) is a
 //! contemporaneous 64-bit block cipher that is far simpler to implement
 //! correctly, so it stands in for DES here. The substitution is documented
 //! in DESIGN.md: the protocols only require *some* shared-key cipher with a
 //! 64-bit block, and overhead comparisons are unaffected.
 
-use crate::error::CryptoError;
+use super::AnonymityError;
 use rand::Rng;
 
 const ROUNDS: u32 = 32;
@@ -92,9 +92,9 @@ impl XteaKey {
     }
 
     /// Decrypts a CBC ciphertext produced by [`XteaKey::encrypt_cbc`].
-    pub fn decrypt_cbc(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    pub fn decrypt_cbc(&self, ciphertext: &[u8]) -> Result<Vec<u8>, AnonymityError> {
         if ciphertext.len() < 16 || !ciphertext.len().is_multiple_of(8) {
-            return Err(CryptoError::MalformedCiphertext);
+            return Err(AnonymityError::MalformedCiphertext);
         }
         let mut prev = u64::from_le_bytes(ciphertext[..8].try_into().expect("8 bytes"));
         let mut out = Vec::with_capacity(ciphertext.len() - 8);
@@ -106,10 +106,10 @@ impl XteaKey {
         }
         let pad = *out.last().expect("at least one block") as usize;
         if pad == 0 || pad > 8 || pad > out.len() {
-            return Err(CryptoError::BadPadding);
+            return Err(AnonymityError::BadPadding);
         }
         if out[out.len() - pad..].iter().any(|&b| b as usize != pad) {
-            return Err(CryptoError::BadPadding);
+            return Err(AnonymityError::BadPadding);
         }
         out.truncate(out.len() - pad);
         Ok(out)

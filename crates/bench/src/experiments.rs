@@ -10,18 +10,15 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use crate::anonymity::{requester_open, target_serve, PeerId, SecureRelay};
 use crate::{anchor, banner, load_profile, sweep_orgs, Cli};
-use baps_core::{
-    BrowserSizing, IndexModel, LatencyParams, Organization, Policy, RemoteHitCaching, Served,
-    SystemConfig, BYTES_PER_ENTRY, PROXY_TIERS,
-};
-use baps_crypto::{
-    requester_open, target_serve, verify_document, KeyPair, PeerId, ProxySigner, SecureRelay,
-};
+use baps_core::{LatencyParams, Served, BYTES_PER_ENTRY, PROXY_TIERS};
+use baps_crypto::{verify_document, KeyPair, ProxySigner};
 use baps_obs::LatencyHistogram;
 use baps_sim::{
     human_bytes, ordered_pool, pct, run, run_hierarchy, run_scaling, run_sweep, run_with_options,
-    HierHit, HierarchyConfig, RunOptions, RunResult, SharingMode, Table, CLIENT_SCALE_POINTS,
+    BrowserSizing, HierHit, HierarchyConfig, IndexModel, Organization, Policy, RemoteHitCaching,
+    RunOptions, RunResult, SharingMode, SystemConfig, Table, CLIENT_SCALE_POINTS,
     PROXY_SCALE_POINTS,
 };
 use baps_trace::{Profile, SharingStats, SynthConfig, TraceStats};

@@ -8,9 +8,13 @@
 //! paper-reported anchors next to measured values so calibration drift is
 //! visible. Use `--csv` to emit machine-readable output instead of the
 //! ASCII table.
+//!
+//! [`anonymity`] is §6.2's anonymity protocol, which no live component
+//! runs: the `security` row times it beside the §6.1 watermark.
 
 #![warn(missing_docs)]
 
+pub mod anonymity;
 pub mod critical_path;
 pub mod experiments;
 pub mod scenario;
@@ -78,8 +82,11 @@ pub(crate) fn anchor(v: f64, known: bool) -> String {
     }
 }
 
-use baps_core::{BrowserSizing, LatencyParams, Organization, SystemConfig};
-use baps_sim::{run_matrix, MatrixGroup, RunResult, PROXY_SCALE_POINTS};
+use baps_core::LatencyParams;
+use baps_sim::{
+    run_matrix, BrowserSizing, MatrixGroup, Organization, RunResult, SystemConfig,
+    PROXY_SCALE_POINTS,
+};
 
 /// Builds the scale-point configurations for one organization.
 fn org_configs(

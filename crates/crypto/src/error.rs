@@ -1,34 +1,22 @@
-//! Error type shared by the crypto primitives and protocols.
+//! Error type of the signature and watermark checks.
 
 use std::fmt;
 
 /// Failures raised by the crypto layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoError {
-    /// A raw RSA block was not smaller than the modulus.
-    BlockTooLarge,
-    /// A ciphertext could not be parsed (wrong length, framing, or range).
-    MalformedCiphertext,
     /// A signature blob had the wrong length.
     MalformedSignature,
-    /// CBC padding was invalid after decryption (tampering or wrong key).
-    BadPadding,
     /// A digital watermark failed verification: the document was modified
     /// or the watermark was not produced by the expected proxy.
     WatermarkMismatch,
-    /// An anonymity-protocol message referenced an unknown transaction.
-    UnknownTransaction,
 }
 
 impl fmt::Display for CryptoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
-            CryptoError::BlockTooLarge => "RSA block not smaller than modulus",
-            CryptoError::MalformedCiphertext => "malformed ciphertext",
             CryptoError::MalformedSignature => "malformed signature",
-            CryptoError::BadPadding => "bad CBC padding (tampering or wrong key)",
             CryptoError::WatermarkMismatch => "digital watermark verification failed",
-            CryptoError::UnknownTransaction => "unknown anonymity transaction",
         };
         f.write_str(msg)
     }
@@ -45,6 +33,5 @@ mod tests {
         assert!(CryptoError::WatermarkMismatch
             .to_string()
             .contains("watermark"));
-        assert!(CryptoError::BadPadding.to_string().contains("padding"));
     }
 }

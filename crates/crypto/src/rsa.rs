@@ -1,9 +1,9 @@
 //! Textbook RSA over 64-bit moduli.
 //!
-//! The paper's reliability protocols (§6) assume the proxy owns a
-//! public/private key pair and that clients know every peer's public key.
-//! This module provides the *shape* of RSA — key generation, raw
-//! encrypt/decrypt, digest signing — over `n = p·q` with 32-bit primes.
+//! The paper's §6.1 watermark assumes the proxy owns a public/private key
+//! pair whose public half every browser knows. This module provides the
+//! *shape* of RSA — key generation and digest signing — over `n = p·q`
+//! with 32-bit primes.
 //!
 //! **This is a demonstration-grade substitute, not secure cryptography**: a
 //! 64-bit modulus is factorable instantly and textbook RSA lacks padding.
@@ -68,26 +68,6 @@ impl KeyPair {
     }
 }
 
-impl PublicKey {
-    /// Raw RSA on one block: `m^e mod n`. `m` must be `< n`.
-    pub fn encrypt_block(&self, m: u64) -> Result<u64, CryptoError> {
-        if m >= self.n {
-            return Err(CryptoError::BlockTooLarge);
-        }
-        Ok(pow_mod(m, self.e, self.n))
-    }
-}
-
-impl PrivateKey {
-    /// Raw RSA on one block: `c^d mod n`.
-    pub fn decrypt_block(&self, c: u64) -> Result<u64, CryptoError> {
-        if c >= self.n {
-            return Err(CryptoError::BlockTooLarge);
-        }
-        Ok(pow_mod(c, self.d, self.n))
-    }
-}
-
 /// A signature over an MD5 digest: the four 4-byte words of the digest,
 /// each raised to the private exponent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,44 +121,6 @@ pub fn verify_digest(key: &PublicKey, digest: &Digest, sig: &Signature) -> bool 
     true
 }
 
-/// Encrypts an arbitrary byte message for `key` by chunking into 4-byte
-/// blocks (length-prefixed, zero-padded). Output is one `u64` per block.
-pub fn encrypt_message(key: &PublicKey, msg: &[u8]) -> Result<Vec<u64>, CryptoError> {
-    let mut framed = Vec::with_capacity(4 + msg.len());
-    framed.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    framed.extend_from_slice(msg);
-    while framed.len() % 4 != 0 {
-        framed.push(0);
-    }
-    framed
-        .chunks_exact(4)
-        .map(|c| {
-            let m = u32::from_le_bytes(c.try_into().expect("4 bytes")) as u64;
-            key.encrypt_block(m)
-        })
-        .collect()
-}
-
-/// Decrypts a message produced by [`encrypt_message`].
-pub fn decrypt_message(key: &PrivateKey, blocks: &[u64]) -> Result<Vec<u8>, CryptoError> {
-    let mut bytes = Vec::with_capacity(blocks.len() * 4);
-    for &c in blocks {
-        let m = key.decrypt_block(c)?;
-        if m > u32::MAX as u64 {
-            return Err(CryptoError::MalformedCiphertext);
-        }
-        bytes.extend_from_slice(&(m as u32).to_le_bytes());
-    }
-    if bytes.len() < 4 {
-        return Err(CryptoError::MalformedCiphertext);
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    if len > bytes.len() - 4 {
-        return Err(CryptoError::MalformedCiphertext);
-    }
-    Ok(bytes[4..4 + len].to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,24 +130,6 @@ mod tests {
 
     fn keypair(seed: u64) -> KeyPair {
         KeyPair::generate(&mut StdRng::seed_from_u64(seed))
-    }
-
-    #[test]
-    fn block_roundtrip() {
-        let kp = keypair(1);
-        for m in [0u64, 1, 42, u32::MAX as u64, (1u64 << 40) + 12345] {
-            let c = kp.public.encrypt_block(m).unwrap();
-            assert_eq!(kp.private.decrypt_block(c).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn block_too_large_rejected() {
-        let kp = keypair(2);
-        assert!(matches!(
-            kp.public.encrypt_block(kp.public.n),
-            Err(CryptoError::BlockTooLarge)
-        ));
     }
 
     #[test]
@@ -250,23 +174,6 @@ mod tests {
         let back = Signature::from_bytes(&sig.to_bytes()).unwrap();
         assert_eq!(back, sig);
         assert!(Signature::from_bytes(&[0u8; 31]).is_err());
-    }
-
-    #[test]
-    fn message_roundtrip_various_lengths() {
-        let kp = keypair(9);
-        for len in [0usize, 1, 3, 4, 5, 16, 255] {
-            let msg: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
-            let ct = encrypt_message(&kp.public, &msg).unwrap();
-            let pt = decrypt_message(&kp.private, &ct).unwrap();
-            assert_eq!(pt, msg, "len {len}");
-        }
-    }
-
-    #[test]
-    fn decrypt_garbage_fails_gracefully() {
-        let kp = keypair(10);
-        assert!(decrypt_message(&kp.private, &[]).is_err());
     }
 
     #[test]

@@ -1,26 +1,13 @@
 //! Property-based tests of the crypto layer.
 
 use baps_crypto::{
-    decrypt_message, document_digest, encrypt_message, md5, sign_digest, verify_digest, KeyPair,
-    ProxySigner, Watermark, XteaKey,
+    document_digest, md5, sign_digest, verify_digest, KeyPair, ProxySigner, Watermark,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 proptest! {
-    /// RSA message encryption round-trips for arbitrary payloads.
-    #[test]
-    fn rsa_message_roundtrip(
-        seed in any::<u64>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let kp = KeyPair::generate(&mut StdRng::seed_from_u64(seed));
-        let ct = encrypt_message(&kp.public, &msg).unwrap();
-        let pt = decrypt_message(&kp.private, &ct).unwrap();
-        prop_assert_eq!(pt, msg);
-    }
-
     /// Signatures verify iff the digest is unchanged.
     #[test]
     fn signature_soundness(
@@ -43,19 +30,6 @@ proptest! {
         let d2 = md5(&tampered);
         prop_assert!(d2 != d);
         prop_assert!(!verify_digest(&kp.public, &d2, &sig));
-    }
-
-    /// XTEA-CBC round-trips for arbitrary payloads and keys.
-    #[test]
-    fn xtea_cbc_roundtrip(
-        key in any::<[u32; 4]>(),
-        rng_seed in any::<u64>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..1024),
-    ) {
-        let k = XteaKey(key);
-        let mut rng = StdRng::seed_from_u64(rng_seed);
-        let ct = k.encrypt_cbc(&mut rng, &msg);
-        prop_assert_eq!(k.decrypt_cbc(&ct).unwrap(), msg);
     }
 
     /// Watermarks verify intact documents and reject any corruption.

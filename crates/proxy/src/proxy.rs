@@ -40,6 +40,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Seed of the proxy's signing key pair. One key for every proxy: a
+/// restarted proxy must verify the watermarks its disk tier holds.
+const KEY_SEED: u64 = 0xbaf5;
 /// Maximum peer candidates probed per request.
 const MAX_PEER_PROBES: usize = 4;
 /// Initial backoff between retried peer probes / origin fetches.
@@ -57,8 +60,6 @@ pub struct ProxyConfig {
     pub cache_capacity: u64,
     /// Address of the origin server.
     pub origin_addr: SocketAddr,
-    /// Seed for the proxy's signing key pair.
-    pub key_seed: u64,
     /// Deadline for one peer exchange — connect, request, reply — so one
     /// dead browser cannot hold a request.
     pub peer_timeout: Duration,
@@ -194,7 +195,7 @@ impl ProxyServer {
     /// Starts the proxy on an already-bound listener (the restart path
     /// reuses the previous incarnation's socket).
     fn start_on(listener: TcpListener, config: ProxyConfig) -> io::Result<ProxyServer> {
-        let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(config.key_seed));
+        let signer = ProxySigner::generate(&mut StdRng::seed_from_u64(KEY_SEED));
         let recorder = config
             .recorder
             .clone()
@@ -1584,7 +1585,6 @@ mod tests {
         ProxyConfig {
             cache_capacity: 64 << 10,
             origin_addr,
-            key_seed: 1,
             peer_timeout: Duration::from_secs(2),
             peer_retries: 0,
             origin_timeout: Duration::from_secs(5),

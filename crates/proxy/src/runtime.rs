@@ -13,9 +13,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Seed of every test bed's proxy key pair.
-const KEY_SEED: u64 = 0xbaf5;
-
 /// Configuration of a full loopback deployment.
 #[derive(Debug, Clone)]
 pub struct TestBedConfig {
@@ -103,7 +100,6 @@ impl TestBed {
         let proxy = ProxyServer::start(ProxyConfig {
             cache_capacity: config.proxy_capacity,
             origin_addr: origin.addr(),
-            key_seed: KEY_SEED,
             peer_timeout: config.peer_timeout,
             peer_retries: config.peer_retries,
             origin_timeout: config.origin_timeout,

@@ -555,7 +555,6 @@ fn retired_out_of_band_source_is_a_protocol_error() {
                 let reply = Message::new("BAPS/1.0 200 OK")
                     .header("X-Source", label)
                     .header("X-Watermark", watermark.clone())
-                    .header("Txn", "1")
                     .with_body(body.clone());
                 write_message(conn.get_mut(), &reply).unwrap();
             }
@@ -1155,7 +1154,6 @@ fn proxy_before(
     let proxy = ProxyServer::start(ProxyConfig {
         cache_capacity: 4 << 20,
         origin_addr,
-        key_seed: 1,
         peer_timeout: Duration::from_secs(2),
         peer_retries: 0,
         origin_timeout: Duration::from_secs(5),
@@ -2193,7 +2191,6 @@ fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
     let proxy = ProxyServer::start(ProxyConfig {
         cache_capacity: 64 << 10,
         origin_addr: origin.addr(),
-        key_seed: 1,
         peer_timeout: Duration::from_secs(2),
         peer_retries: 0,
         origin_timeout: Duration::from_secs(5),
@@ -2373,7 +2370,8 @@ fn get_as(client: u32, url: &str) -> Message {
 /// peer deadline — a loop timer, then the origin serves — and everybody
 /// else nothing: memory hits on the *same event loop* are answered at once
 /// all the while. (A blocking probe on the loop would hold them for the
-/// whole deadline.)
+/// whole deadline, so each hit is bounded by a tenth of it: far above a
+/// hit's own time on a loaded host, far below a blocked loop's.)
 #[test]
 fn silent_holder_delays_only_its_own_requester() {
     const PEER_DEADLINE: Duration = Duration::from_millis(500);
@@ -2418,7 +2416,7 @@ fn silent_holder_delays_only_its_own_requester() {
         let took = t_hit.elapsed();
         assert_eq!(reply.get("X-Source"), Some("proxy"));
         assert_eq!(reply.body, hot);
-        assert!(took < Duration::from_millis(5), "memory hit {i}: {took:?}");
+        assert!(took < PEER_DEADLINE / 10, "memory hit {i}: {took:?}");
     }
     assert!(
         t0.elapsed() < PEER_DEADLINE,

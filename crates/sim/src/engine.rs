@@ -3,7 +3,8 @@
 use crate::latency::LatencyTotals;
 use crate::metrics::Metrics;
 use crate::system::SimSystem;
-use baps_core::{IndexStats, LatencyParams, Served, SystemConfig};
+use crate::SystemConfig;
+use baps_core::{IndexStats, LatencyParams, Served};
 use baps_obs::LatencyHistogram;
 use baps_trace::{Trace, TraceStats};
 
@@ -173,7 +174,7 @@ pub fn run_simple(trace: &Trace, cfg: &SystemConfig) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baps_core::Organization;
+    use crate::Organization;
     use baps_trace::SynthConfig;
 
     fn small_trace() -> Trace {

@@ -22,7 +22,9 @@
 //! false positives.
 
 use super::bloom::{BloomFilter, CountingBloom};
-use baps_core::{ClientId, DocId, ExactIndex, IndexModel, IndexStats};
+use super::DIRECTORY_CHANGE_BYTES;
+use crate::IndexModel;
+use baps_core::{ClientId, DocId, ExactIndex, IndexStats};
 use std::collections::HashSet;
 
 /// Hash functions per Bloom or counting-Bloom filter.
@@ -30,8 +32,6 @@ const HASHES: u32 = 4;
 /// Documents a browser's Bloom filter is sized for before its first
 /// update; a rebuilt filter is sized for at least a quarter of this.
 const EXPECTED_ITEMS: u64 = 1024;
-/// Bytes per change in a directory update: the 16-byte MD5 URL signature.
-const DIRECTORY_CHANGE_BYTES: u64 = 16;
 /// Bytes per change in a counting-Bloom update: the signature plus an op
 /// flag.
 const COUNTING_CHANGE_BYTES: u64 = 17;

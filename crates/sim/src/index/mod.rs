@@ -8,7 +8,7 @@
 //! filters from them.
 //!
 //! [`AnyIndex`] holds either, chosen by
-//! [`SystemConfig::index_model`](baps_core::SystemConfig::index_model).
+//! [`SystemConfig::index_model`](crate::SystemConfig::index_model).
 
 pub mod batched;
 pub mod bloom;
@@ -16,13 +16,24 @@ pub mod bloom;
 pub use batched::BatchedIndex;
 pub use bloom::{BloomFilter, CountingBloom};
 
-use baps_core::{ClientId, DocId, ExactIndex, IndexModel, IndexStats};
+use crate::IndexModel;
+use baps_core::{ClientId, DocId, ExactIndex, IndexStats};
+
+/// Bytes per change a browser sends a directory: the 16-byte MD5 URL
+/// signature.
+const DIRECTORY_CHANGE_BYTES: u64 = 16;
 
 /// The exact directory or a batched model.
 #[derive(Debug, Clone)]
 pub enum AnyIndex {
-    /// Exact directory.
-    Exact(ExactIndex),
+    /// Exact directory. The proxy learns a store from the document it
+    /// sends; each eviction costs the browser one message.
+    Exact {
+        /// The directory.
+        directory: ExactIndex,
+        /// Eviction messages sent (evictions that removed an entry).
+        evictions: u64,
+    },
     /// A delayed directory, Bloom summaries or counting-Bloom filters.
     Batched(BatchedIndex),
 }
@@ -30,14 +41,19 @@ pub enum AnyIndex {
 impl AnyIndex {
     /// Instantiates `model` for `n_clients` clients.
     pub fn new(model: IndexModel, n_clients: u32) -> AnyIndex {
-        BatchedIndex::new(model, n_clients)
-            .map_or_else(|| AnyIndex::Exact(ExactIndex::new()), AnyIndex::Batched)
+        BatchedIndex::new(model, n_clients).map_or_else(
+            || AnyIndex::Exact {
+                directory: ExactIndex::new(),
+                evictions: 0,
+            },
+            AnyIndex::Batched,
+        )
     }
 
     /// Records that `client` now caches `doc`.
     pub fn on_store(&mut self, client: ClientId, doc: DocId) {
         match self {
-            AnyIndex::Exact(i) => i.on_store(client, doc),
+            AnyIndex::Exact { directory, .. } => directory.on_store(client, doc),
             AnyIndex::Batched(i) => i.on_store(client, doc),
         }
     }
@@ -45,8 +61,13 @@ impl AnyIndex {
     /// Records that `client` evicted `doc`.
     pub fn on_evict(&mut self, client: ClientId, doc: DocId) {
         match self {
-            AnyIndex::Exact(i) => {
-                i.on_evict(client, doc);
+            AnyIndex::Exact {
+                directory,
+                evictions,
+            } => {
+                if directory.on_evict(client, doc) {
+                    *evictions += 1;
+                }
             }
             AnyIndex::Batched(i) => i.on_evict(client, doc),
         }
@@ -55,7 +76,7 @@ impl AnyIndex {
     /// Candidate holders of `doc`, preference-ordered, excluding `exclude`.
     pub fn candidates(&mut self, doc: DocId, exclude: ClientId) -> Vec<ClientId> {
         match self {
-            AnyIndex::Exact(i) => i.lookup_all(doc, exclude),
+            AnyIndex::Exact { directory, .. } => directory.lookup_all(doc, exclude),
             AnyIndex::Batched(i) => i.lookup_all(doc, exclude),
         }
     }
@@ -63,7 +84,7 @@ impl AnyIndex {
     /// Estimated index memory (paper §5 accounting).
     pub fn memory_bytes(&self) -> u64 {
         match self {
-            AnyIndex::Exact(i) => i.memory_bytes(),
+            AnyIndex::Exact { directory, .. } => directory.memory_bytes(),
             AnyIndex::Batched(i) => i.memory_bytes(),
         }
     }
@@ -71,7 +92,14 @@ impl AnyIndex {
     /// Access/traffic statistics.
     pub fn stats(&self) -> IndexStats {
         match self {
-            AnyIndex::Exact(i) => i.stats(),
+            AnyIndex::Exact {
+                directory,
+                evictions,
+            } => IndexStats {
+                messages: *evictions,
+                update_bytes: evictions * DIRECTORY_CHANGE_BYTES,
+                ..directory.stats()
+            },
             AnyIndex::Batched(i) => i.stats(),
         }
     }
@@ -96,6 +124,18 @@ mod tests {
         idx.on_evict(c(2), d(9));
         assert!(idx.candidates(d(9), c(0)).is_empty());
         assert!(idx.stats().lookups >= 2);
+    }
+
+    #[test]
+    fn exact_counts_one_message_per_eviction() {
+        let mut idx = AnyIndex::new(IndexModel::Exact, 4);
+        idx.on_store(c(1), d(1));
+        idx.on_store(c(2), d(2));
+        idx.on_evict(c(1), d(1));
+        // A stale notice removes nothing and costs nothing.
+        idx.on_evict(c(3), d(2));
+        let stats = idx.stats();
+        assert_eq!((stats.messages, stats.update_bytes), (1, 16));
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! Replays Web traces through the five caching organizations of the paper
 //! (§3.2) and produces the metrics behind every table and figure:
 //!
+//! * [`Organization`] — the five caching organizations of the paper's §3.2;
+//! * [`SystemConfig`] / [`BrowserSizing`] / [`RemoteHitCaching`] /
+//!   [`IndexModel`] / [`Policy`] — a simulated system's configuration,
+//!   including the paper's browser-cache sizing rules (*minimum* =
+//!   proxy/n, *average* = k·proxy/n);
 //! * [`SimSystem`] — browser caches + proxy cache + browser index with the
 //!   per-organization routing logic;
 //! * [`index`] — §5's [`index::BatchedIndex`] (a delayed directory, Bloom
@@ -24,11 +29,13 @@
 
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod engine;
 pub mod hierarchy;
 pub mod index;
 pub mod latency;
 pub mod metrics;
+pub mod org;
 pub mod policy;
 pub mod report;
 pub mod scaling;
@@ -36,12 +43,14 @@ pub mod sweep;
 pub mod system;
 pub mod tiered;
 
+pub use config::{BrowserSizing, IndexModel, Policy, RemoteHitCaching, SystemConfig};
 pub use engine::{run, run_simple, run_with_options, ClassHistograms, RunOptions, RunResult};
 pub use hierarchy::{
     run_hierarchy, HierHit, HierMetrics, HierSystem, HierarchyConfig, SharingMode,
 };
 pub use latency::{LanBus, LatencyModel, LatencyTotals};
 pub use metrics::{ClassCounter, Metrics};
+pub use org::Organization;
 pub use policy::{AnyCache, DocCache, RankedCache};
 pub use report::{human_bytes, pct, Table};
 pub use scaling::{run_scaling, select_clients, ScalingPoint, CLIENT_SCALE_POINTS};

@@ -7,7 +7,8 @@
 //! simulator is policy-agnostic. [`Policy`] itself lives in `baps-core`,
 //! beside the `SystemConfig` that names it.
 
-use baps_core::{ByteLru, InsertOutcome, Policy};
+use crate::Policy;
+use baps_core::{ByteLru, InsertOutcome};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 

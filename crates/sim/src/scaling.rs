@@ -8,7 +8,8 @@
 //! proxy-and-local-browser.
 
 use crate::engine::{run, RunResult};
-use baps_core::{LatencyParams, Organization, SystemConfig};
+use crate::{Organization, SystemConfig};
+use baps_core::LatencyParams;
 use baps_trace::{ClientId, Trace, TraceStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -11,7 +11,8 @@ use std::sync::mpsc;
 
 use crate::engine::{run, RunResult};
 use crate::latency::LatencyTotals;
-use baps_core::{LatencyParams, SystemConfig};
+use crate::SystemConfig;
+use baps_core::LatencyParams;
 use baps_trace::{Trace, TraceStats};
 
 /// Runs every configuration against the trace, in parallel, preserving
@@ -163,7 +164,7 @@ pub fn scale_configs(
 mod tests {
     use super::*;
     use crate::engine::run_simple;
-    use baps_core::Organization;
+    use crate::Organization;
     use baps_trace::SynthConfig;
 
     #[test]

@@ -6,7 +6,8 @@ use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::policy::{AnyCache, DocCache};
 use crate::tiered::TieredLru;
-use baps_core::{LatencyParams, Policy, Served, SystemConfig, Tier};
+use crate::{Policy, SystemConfig};
+use baps_core::{LatencyParams, Served, Tier};
 use baps_trace::{ClientId, DocId, Request};
 use std::collections::HashMap;
 
@@ -103,7 +104,7 @@ impl SimSystem {
     /// Builds the system for `n_clients` clients.
     ///
     /// `mean_client_infinite` feeds the browser sizing rule (see
-    /// [`baps_core::BrowserSizing`]).
+    /// [`crate::BrowserSizing`]).
     pub fn new(
         cfg: SystemConfig,
         n_clients: u32,
@@ -418,7 +419,7 @@ impl SimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baps_core::{BrowserSizing, IndexModel, Organization, RemoteHitCaching};
+    use crate::{BrowserSizing, IndexModel, Organization, RemoteHitCaching};
 
     fn req(t: u64, c: u32, d: u32, s: u32) -> Request {
         Request {

@@ -1,6 +1,7 @@
 //! Property-based tests of the cache substrate invariants.
 
-use baps_core::{ByteLru, Policy};
+use baps_core::ByteLru;
+use baps_sim::Policy;
 use baps_sim::{AnyCache, DocCache, TieredLru};
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -1,11 +1,10 @@
 //! Property-based tests of the simulator's accounting invariants.
 
-use baps_core::{
-    BrowserSizing, IndexModel, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig,
-    PROXY_TIERS,
-};
+use baps_core::{LatencyParams, Served, PROXY_TIERS};
 use baps_sim::index::BatchedIndex;
-use baps_sim::{run, run_simple};
+use baps_sim::{
+    run, run_simple, BrowserSizing, IndexModel, Organization, RemoteHitCaching, SystemConfig,
+};
 use baps_trace::{ClientId, DocId, Request, Trace, TraceStats};
 use proptest::prelude::*;
 use std::collections::HashSet;

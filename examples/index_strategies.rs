@@ -6,8 +6,8 @@
 //! cargo run --release --example index_strategies
 //! ```
 
-use baps::core::{IndexModel, LatencyParams, Organization, Served, SystemConfig};
-use baps::sim::{human_bytes, pct, run_sweep, Table};
+use baps::core::{LatencyParams, Served};
+use baps::sim::{human_bytes, pct, run_sweep, IndexModel, Organization, SystemConfig, Table};
 use baps::trace::{Profile, TraceStats};
 
 fn main() {
@@ -86,8 +86,9 @@ fn main() {
     }
     print!("{}", table.render());
     println!(
-        "\nExact directories maximise remote hits; delayed updates trade a little\n\
-         freshness for far fewer messages; Bloom summaries shrink the index by an\n\
+        "\nExact directories maximise remote hits and cost one message per eviction\n\
+         (the proxy learns stores from the documents it sends); delayed updates\n\
+         batch stores and evictions alike; Bloom summaries shrink the index by an\n\
          order of magnitude at the cost of wasted probes (false positives)."
     );
 }

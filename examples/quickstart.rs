@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use baps::core::{Organization, Served, SystemConfig};
-use baps::sim::{run, Table};
+use baps::core::Served;
+use baps::sim::{run, Organization, SystemConfig, Table};
 use baps::trace::{SynthConfig, TraceStats};
 use baps_core::LatencyParams;
 

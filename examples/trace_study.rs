@@ -7,8 +7,8 @@
 //! cargo run --release --example trace_study -- bu95    # choose a profile
 //! ```
 
-use baps::core::{LatencyParams, Organization, Served, SystemConfig, PROXY_TIERS};
-use baps::sim::{pct, run_sweep, Table};
+use baps::core::{LatencyParams, Served, PROXY_TIERS};
+use baps::sim::{pct, run_sweep, Organization, SystemConfig, Table};
 use baps::trace::{Profile, TraceStats};
 
 fn main() {

@@ -29,6 +29,14 @@ if [ -n "$got" ]; then
     echo "crate graph: baps-core depends on [$got], expected nothing"
     exit 1
 fi
+# What the proxy links holds only what it runs (DESIGN.md §3): §6.2's
+# anonymity protocol and its ciphers live in baps-bench, not baps-crypto,
+# and the simulator's configuration lives in baps-sim, not baps-core.
+if git grep -nE '(struct|enum|fn) (XteaKey|SecureRelay|AnonymizingProxy|encrypt_message)\b|\bUnknownTransaction\b' -- crates/crypto/src \
+    || git grep -nE '(struct|enum) (SystemConfig|Organization|IndexModel|Policy|RemoteHitCaching|BrowserSizing)\b' -- crates/core/src; then
+    echo "crate boundary: the lines above define simulator-side code in a crate the proxy links"
+    exit 1
+fi
 
 echo "== rustdoc -D warnings"
 # A doc link to a private item, an ambiguous name or a crate this one no
@@ -155,7 +163,7 @@ fi
 # local binding of one of these names and is no part of the live runtime.
 if git grep -nE 'direct_forward|deliver_to|await_delivery|PushOrder|DeliveryTimeout|baps_direct_pushes_total|peer-direct' -- \
     README.md DESIGN.md src examples .claude crates/*/src \
-    ':!crates/crypto/src/anonymity.rs' ':!examples/secure_sharing.rs'; then
+    ':!crates/bench/src/anonymity' ':!crates/bench/examples/secure_sharing.rs'; then
     echo "doc rot: the lines above name part of the deleted direct-forward mode"
     exit 1
 fi
@@ -173,8 +181,10 @@ fi
 # are one `BatchedIndex` configured by `IndexModel` alone, so the three
 # model types, their config structs and the delayed directory's flush
 # interval stay gone, and so do the no-op serde shims (`serde_derive`).
-# CHANGES.md tells what each was.
-if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark|HitClass|TIER_NAMES|baps_obs::Tier|cache_peer_hits|DelayedIndex|BloomSummaryIndex|CountingBloomIndex|UpdatePolicy|SummaryConfig|CountingConfig|Delayed \{[^}]*interval_ms|serde_derive' -- \
+# §6.2's anonymity protocol left baps-crypto for baps-bench and the
+# simulator's configuration left baps-core for baps-sim, so neither old
+# path may be named. CHANGES.md tells what each was.
+if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark|HitClass|TIER_NAMES|baps_obs::Tier|cache_peer_hits|DelayedIndex|BloomSummaryIndex|CountingBloomIndex|UpdatePolicy|SummaryConfig|CountingConfig|Delayed \{[^}]*interval_ms|serde_derive|baps_crypto::anonymity|baps-crypto::anonymity|baps_core::SystemConfig' -- \
     README.md DESIGN.md src examples crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted"
     exit 1
@@ -343,11 +353,24 @@ echo "== Rust line totals (non-test / test)"
 # everything from its top-level `#[cfg(test)]` + `mod` pair to the end. (A
 # top-level `#[cfg(test)]` on anything else — reactor.rs has a test-only
 # helper function in its first hundred lines — starts nothing.)
-find . \( -name target -o -name .git -o -name .bench_build \) -prune \
-    -o -name '*.rs' -print0 | xargs -0 awk '
-    FNR == 1 { test = (FILENAME ~ /\/tests\//); attr = 0 }
-    attr && !test && /^(pub )?mod / { test = 1; n[0]--; n[1]++ }
-    { attr = /^#\[cfg\(test\)\]/; n[test]++ }
-    END { printf "rust lines: non-test %d, test %d, total %d\n", n[0], n[1], n[0] + n[1] }'
+# The proxy's compiled closure is the non-test lines of the workspace
+# crates it links (proxy + core + crypto + obs), by the same rule.
+lines() {
+    find "$@" \( -name target -o -name .git -o -name .bench_build \) -prune \
+        -o -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { test = (FILENAME ~ /\/tests\//); attr = 0 }
+        attr && !test && /^(pub )?mod / { test = 1; n[0]--; n[1]++ }
+        { attr = /^#\[cfg\(test\)\]/; n[test]++ }
+        END { print n[0] + 0, n[1] + 0 }'
+}
+read -r non_test test < <(lines .)
+echo "rust lines: non-test $non_test, test $test, total $((non_test + test))"
+closure=0
+for crate in proxy core crypto obs; do
+    read -r n _ < <(lines "crates/$crate")
+    printf 'proxy closure: %s %d\n' "$crate" "$n"
+    closure=$((closure + n))
+done
+echo "proxy closure: non-test $closure (proxy + core + crypto + obs)"
 
 echo "CI OK"

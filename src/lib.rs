@@ -13,17 +13,16 @@
 //! * [`cache`] — `core`'s byte-budgeted LRU, `sim`'s LFU / GDSF / SIZE /
 //!   FIFO policies and memory+disk tier model;
 //! * [`index`] — `core`'s exact browser index, the one the live proxy runs;
-//! * [`core`] — ids, the LRU, the exact index, the five organizations,
-//!   configuration and the analytic latency model;
-//! * [`sim`] — the simulator, its §5 index models and the experiment harness;
-//! * [`crypto`] — MD5/RSA/XTEA and the §6 reliability protocols;
+//! * [`core`] — what the simulator and the proxy share: ids, the LRU, the
+//!   exact index, where a request was served and the latency model;
+//! * [`sim`] — the simulator, its configuration and §5 index models;
+//! * [`crypto`] — MD5/CRC32C/RSA and the §6.1 watermark the proxy runs;
 //! * [`proxy`] — a live, event-driven browsers-aware proxy over TCP.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use baps::core::{Organization, SystemConfig};
-//! use baps::sim::run_simple;
+//! use baps::sim::{run_simple, Organization, SystemConfig};
 //! use baps::trace::SynthConfig;
 //!
 //! let trace = SynthConfig::small().scaled(0.1).generate(42);
@@ -45,8 +44,8 @@ pub use baps_trace as trace;
 /// proxy and the browsers all run (`baps_core`), and the simulator's other
 /// replacement policies and §4.2 memory+disk model (`baps_sim`).
 pub mod cache {
-    pub use baps_core::{ByteLru, Handle, InsertOutcome, Policy, SlabList, Tier};
-    pub use baps_sim::{AnyCache, DocCache, RankedCache, TieredLru};
+    pub use baps_core::{ByteLru, Handle, InsertOutcome, SlabList, Tier};
+    pub use baps_sim::{AnyCache, DocCache, Policy, RankedCache, TieredLru};
 }
 
 /// The exact browser index (`baps_core`), the one the live proxy runs; the

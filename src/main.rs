@@ -8,9 +8,9 @@
 //! baps demo [--clients 4] [--docs 32]
 //! ```
 
-use baps::core::{LatencyParams, Organization, Served, SystemConfig, PROXY_TIERS};
+use baps::core::{LatencyParams, Served, PROXY_TIERS};
 use baps::proxy::{DocumentStore, TestBed, TestBedConfig};
-use baps::sim::{pct, run_sweep, Table};
+use baps::sim::{pct, run_sweep, Organization, SystemConfig, Table};
 use baps::trace::{
     read_trace, write_squid_log, write_trace, ExportNames, Profile, Trace, TraceStats,
 };

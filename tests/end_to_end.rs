@@ -1,10 +1,11 @@
 //! Workspace integration tests: trace generation → simulation → metrics,
 //! exercising the public facade the way a downstream user would.
 
-use baps::core::{
-    BrowserSizing, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig, PROXY_TIERS,
+use baps::core::{LatencyParams, Served, PROXY_TIERS};
+use baps::sim::{
+    run, run_simple, run_sweep, scale_configs, BrowserSizing, Organization, RemoteHitCaching,
+    SystemConfig, PROXY_SCALE_POINTS,
 };
-use baps::sim::{run, run_simple, run_sweep, scale_configs, PROXY_SCALE_POINTS};
 use baps::trace::{Profile, SynthConfig, TraceStats};
 
 fn trace() -> baps::trace::Trace {

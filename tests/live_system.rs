@@ -2,12 +2,12 @@
 //! facade crate, replaying a small synthetic trace through real sockets and
 //! cross-checking against the simulator's invariants.
 
-use baps::core::{
-    BrowserSizing, DocId, LatencyParams, Organization, RemoteHitCaching, Served, SystemConfig,
-};
+use baps::core::{DocId, LatencyParams, Served};
 use baps::crypto::ProxySigner;
 use baps::proxy::{CachedDoc, DocumentStore, ShardedCache, TestBed, TestBedConfig};
-use baps::sim::{SimSystem, TieredLru};
+use baps::sim::{
+    BrowserSizing, Organization, RemoteHitCaching, SimSystem, SystemConfig, TieredLru,
+};
 use baps::trace::SynthConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
