@@ -136,7 +136,7 @@ fn scrape(s: &mut Scraper) -> Result<Vec<prom::Sample>, String> {
         .roundtrip("METRICS")
         .map_err(|e| format!("METRICS: {e}"))?;
     if response_code(&metrics) != Some(200) {
-        return Err(format!("METRICS answered {:?}", metrics.start));
+        return Err(format!("METRICS answered {:?}", metrics.start()));
     }
     let text = String::from_utf8(metrics.body.to_vec()).map_err(|_| "METRICS not UTF-8")?;
     prom::parse(&text).map_err(|e| format!("bad exposition: {e}"))

@@ -6,17 +6,43 @@
 
 use rand::Rng;
 
-/// Modular multiplication without overflow (via `u128`).
+/// Modular multiplication without overflow (via `u128`): a 128-bit
+/// division per product. The path of even moduli, and the reference the
+/// Montgomery path is checked against.
 #[inline]
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
-/// Modular exponentiation `base^exp mod m` (square-and-multiply).
-pub fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+/// Modular exponentiation `base^exp mod m` (square-and-multiply): in
+/// Montgomery form for an odd modulus — every RSA modulus — so no step
+/// divides; through [`mul_mod`] for an even one.
+pub fn pow_mod(base: u64, exp: u64, m: u64) -> u64 {
     if m == 1 {
         return 0;
     }
+    if m % 2 == 1 {
+        let [x] = Montgomery::new(m).pow([base], exp);
+        return x;
+    }
+    pow_mod_reference(base, exp, m)
+}
+
+/// `bases[i]^exp mod m` for four bases under one exponent — the four
+/// words of a signature — in one square-and-multiply loop, so the four
+/// independent chains overlap in the pipeline.
+pub fn pow_mod4(bases: [u64; 4], exp: u64, m: u64) -> [u64; 4] {
+    if m == 1 {
+        return [0; 4];
+    }
+    if m % 2 == 1 {
+        return Montgomery::new(m).pow(bases, exp);
+    }
+    bases.map(|base| pow_mod_reference(base, exp, m))
+}
+
+/// Square-and-multiply through [`mul_mod`], for any modulus above 1.
+fn pow_mod_reference(mut base: u64, mut exp: u64, m: u64) -> u64 {
     let mut acc = 1u64;
     base %= m;
     while exp > 0 {
@@ -27,6 +53,74 @@ pub fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
         exp >>= 1;
     }
     acc
+}
+
+/// Arithmetic modulo an odd `m` in Montgomery form, `x·2^64 mod m`: a
+/// product is one 128-bit multiply and a reduction by multiplies and one
+/// subtraction, no division.
+struct Montgomery {
+    m: u64,
+    /// `m⁻¹ mod 2^64`.
+    inv: u64,
+    /// `2^128 mod m`: multiplying by it enters the form.
+    r2: u64,
+}
+
+impl Montgomery {
+    fn new(m: u64) -> Montgomery {
+        debug_assert!(m % 2 == 1, "Montgomery form needs an odd modulus");
+        // Newton's iteration doubles the correct low bits each step; `m`
+        // is its own inverse modulo 8, so five steps reach 96 ≥ 64.
+        let mut inv = m;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+        }
+        let m128 = u128::from(m);
+        let r2 = ((u128::MAX % m128 + 1) % m128) as u64;
+        Montgomery { m, inv, r2 }
+    }
+
+    /// `t·2^-64 mod m` for `t < m·2^64`. The subtracting form: with `u =
+    /// t·m⁻¹ mod 2^64`, `t` and `u·m` share their low word, so `(t − u·m) /
+    /// 2^64` is the difference of their high words — in `(−m, m)`, fixed
+    /// by one addition of `m` — and nothing overflows, even for `m > 2^63`.
+    #[inline]
+    fn reduce(&self, t: u128) -> u64 {
+        let u = (t as u64).wrapping_mul(self.inv);
+        let um = (u128::from(u) * u128::from(self.m)) >> 64;
+        let (diff, borrow) = ((t >> 64) as u64).overflowing_sub(um as u64);
+        if borrow {
+            diff.wrapping_add(self.m)
+        } else {
+            diff
+        }
+    }
+
+    /// The product of two numbers in the form, in the form.
+    #[inline]
+    fn mul(&self, a: u64, b: u64) -> u64 {
+        self.reduce(u128::from(a) * u128::from(b))
+    }
+
+    /// `bases[i]^exp mod m`, each chain in the form from its first square
+    /// to the last multiply.
+    fn pow<const N: usize>(&self, bases: [u64; N], mut exp: u64) -> [u64; N] {
+        let one = self.mul(1, self.r2);
+        let mut acc = [one; N];
+        let mut base = bases.map(|b| self.mul(b % self.m, self.r2));
+        while exp > 0 {
+            if exp & 1 == 1 {
+                for (a, b) in acc.iter_mut().zip(&base) {
+                    *a = self.mul(*a, *b);
+                }
+            }
+            for b in &mut base {
+                *b = self.mul(*b, *b);
+            }
+            exp >>= 1;
+        }
+        acc.map(|x| self.reduce(u128::from(x)))
+    }
 }
 
 /// Deterministic Miller–Rabin for `u64` using the minimal witness set
@@ -194,6 +288,33 @@ mod tests {
             assert!((1 << 31..1 << 32).contains(&p));
             assert!(is_prime(p));
         }
+    }
+
+    /// Montgomery exponentiation equals the `u128` reference on 10 000
+    /// seeded odd moduli — a fifth of them at or above 2^63, where a
+    /// non-subtracting reduction would overflow — and arbitrary bases and
+    /// exponents; the four-base form equals four single ones.
+    #[test]
+    fn montgomery_pow_matches_the_reference() {
+        let mut rng = StdRng::seed_from_u64(2002);
+        for i in 0..10_000 {
+            let m = match i % 5 {
+                0 => rng.gen_range(1u64 << 63..=u64::MAX),
+                1 => rng.gen_range(3u64..1 << 16),
+                _ => rng.gen::<u64>() >> rng.gen_range(0..62),
+            } | 1;
+            let m = m.max(3);
+            let bases = [rng.gen::<u64>(), rng.gen(), rng.gen_range(0..m), m - 1];
+            let exp = match i % 3 {
+                0 => rng.gen_range(0u64..64),
+                _ => rng.gen::<u64>(),
+            };
+            let want = bases.map(|b| pow_mod_reference(b, exp, m));
+            assert_eq!(pow_mod4(bases, exp, m), want, "m {m} exp {exp}");
+            assert_eq!(pow_mod(bases[0], exp, m), want[0], "m {m} exp {exp}");
+        }
+        // Even moduli take the reference path.
+        assert_eq!(pow_mod4([3, 5, 7, 9], 3, 10), [7, 5, 3, 9]);
     }
 
     #[test]

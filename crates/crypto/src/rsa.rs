@@ -13,7 +13,7 @@
 
 use crate::error::CryptoError;
 use crate::md5::Digest;
-use crate::prime::{gcd, mod_inverse, pow_mod, random_prime};
+use crate::prime::{gcd, mod_inverse, pow_mod4, random_prime};
 use rand::Rng;
 
 /// RSA public key `(n, e)`.
@@ -96,29 +96,25 @@ impl Signature {
     }
 }
 
-/// Signs an MD5 digest with `key`: each 4-byte word of the digest (always
-/// `< 2^32 ≤ n`) is RSA-decrypted (i.e. raised to `d`).
-pub fn sign_digest(key: &PrivateKey, digest: &Digest) -> Signature {
+/// The digest's four 4-byte words (little-endian), each `< 2^32 ≤ n`.
+fn digest_words(digest: &Digest) -> [u64; 4] {
     let mut words = [0u64; 4];
-    for (i, chunk) in digest.0.chunks_exact(4).enumerate() {
-        let m = u32::from_le_bytes(chunk.try_into().expect("4 bytes")) as u64;
-        words[i] = pow_mod(m, key.d, key.n);
+    for (word, chunk) in words.iter_mut().zip(digest.0.chunks_exact(4)) {
+        *word = u32::from_le_bytes(chunk.try_into().expect("4 bytes")) as u64;
     }
-    Signature(words)
+    words
+}
+
+/// Signs an MD5 digest with `key`: each 4-byte word of the digest (always
+/// `< 2^32 ≤ n`) is RSA-decrypted (i.e. raised to `d`), the four in one
+/// interleaved exponentiation.
+pub fn sign_digest(key: &PrivateKey, digest: &Digest) -> Signature {
+    Signature(pow_mod4(digest_words(digest), key.d, key.n))
 }
 
 /// Verifies a digest signature with the matching public key.
 pub fn verify_digest(key: &PublicKey, digest: &Digest, sig: &Signature) -> bool {
-    for (i, chunk) in digest.0.chunks_exact(4).enumerate() {
-        let expect = u32::from_le_bytes(chunk.try_into().expect("4 bytes")) as u64;
-        if sig.0[i] >= key.n {
-            return false;
-        }
-        if pow_mod(sig.0[i], key.e, key.n) != expect {
-            return false;
-        }
-    }
-    true
+    sig.0.iter().all(|&word| word < key.n) && pow_mod4(sig.0, key.e, key.n) == digest_words(digest)
 }
 
 #[cfg(test)]

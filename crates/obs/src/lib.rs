@@ -35,7 +35,7 @@ pub mod span;
 pub mod trace;
 
 pub use hist::{AtomicHistogram, LabeledHistograms, LatencyHistogram};
-pub use recorder::{Event, EventKind, FlightRecorder};
+pub use recorder::{decimal, Detail, Event, EventKind, FlightRecorder};
 pub use span::{SpanId, SpanRecord, SpanTree};
 pub use trace::TraceId;
 

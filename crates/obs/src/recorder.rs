@@ -9,8 +9,8 @@
 //! violation are always available. `chaos_soak` dumps the ring next to its
 //! reproduction command; tests dump it on assertion failures.
 //!
-//! An event is small but not free (one mutex acquisition and one short
-//! `String`), so the ring earns its always-on budget three ways: recording
+//! An event is small but not free (a stripe lock and a detail string), so
+//! the ring earns its always-on budget four ways: recording
 //! sits behind the global [`recording`](crate::recording) switch like the
 //! histograms do; callers record hot-path spans *selectively* (multi-hop
 //! fetches, errors, and slow operations always; routine fast cache hits
@@ -20,7 +20,10 @@
 //! hot path). A push never *blocks* either: stripe locks are only ever
 //! `try_lock`ed and an event whose every stripe is momentarily held is
 //! shed (and counted) rather than parking the calling worker — a context
-//! switch costs microseconds, the push itself well under one. `dump`
+//! switch costs microseconds, the push itself well under one. And a full
+//! ring recycles: a push takes the detail buffer of the event it displaces
+//! and writes its own detail into it outside the stripe lock ([`Detail`]),
+//! so once the ring has wrapped, recording allocates nothing. `dump`
 //! merges the stripes back into one sequence ordered by the global event
 //! counter.
 
@@ -170,6 +173,49 @@ fn thread_stripe(n: usize) -> usize {
     })
 }
 
+/// An event's detail, written into the buffer the event will keep: text
+/// as it is, or a closure that writes the fields itself (with
+/// [`decimal`] for numbers), so a span's detail costs no `format!` and, in
+/// a wrapped ring, no allocation.
+pub trait Detail {
+    /// Appends the detail to `out`.
+    fn write_to(self, out: &mut String);
+}
+
+impl Detail for &str {
+    fn write_to(self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Detail for String {
+    fn write_to(self, out: &mut String) {
+        out.push_str(&self);
+    }
+}
+
+impl<F: FnOnce(&mut String)> Detail for F {
+    fn write_to(self, out: &mut String) {
+        self(out)
+    }
+}
+
+/// `value` in decimal, written into `digits` and returned as text: how a
+/// detail or a frame head writes a number without formatting machinery or
+/// an allocation.
+pub fn decimal(mut value: u64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII")
+}
+
 /// A bounded, shared ring of [`Event`]s.
 ///
 /// Internally striped (for capacities that warrant it) so that proxy
@@ -245,17 +291,11 @@ impl FlightRecorder {
 
     /// Records one span. A no-op while [`recording`](crate::recording) is
     /// off (the `recording` bench's baseline).
-    pub fn record(
-        &self,
-        trace: TraceId,
-        kind: EventKind,
-        dur: Duration,
-        detail: impl Into<String>,
-    ) {
+    pub fn record(&self, trace: TraceId, kind: EventKind, dur: Duration, detail: impl Detail) {
         if !crate::recording() {
             return;
         }
-        self.push(trace, SpanId::NONE, SpanId::NONE, kind, dur, detail.into());
+        self.push(trace, SpanId::NONE, SpanId::NONE, kind, dur, detail);
     }
 
     /// Records one hop either way: as a causal span under `parent` when
@@ -269,26 +309,26 @@ impl FlightRecorder {
         parent: SpanId,
         kind: EventKind,
         dur: Duration,
-        detail: impl Into<String>,
+        detail: impl Detail,
     ) {
         if span.is_none() {
             self.record(trace, kind, dur, detail);
         } else if crate::recording() {
-            self.push(trace, span, parent, kind, dur, detail.into());
+            self.push(trace, span, parent, kind, dur, detail);
         }
     }
 
     /// Records an instantaneous event **unconditionally** — used for
     /// invariant violations, which must land in the dump even if a
     /// benchmark turned recording off.
-    pub fn note(&self, trace: TraceId, kind: EventKind, detail: impl Into<String>) {
+    pub fn note(&self, trace: TraceId, kind: EventKind, detail: impl Detail) {
         self.push(
             trace,
             SpanId::NONE,
             SpanId::NONE,
             kind,
             Duration::ZERO,
-            detail.into(),
+            detail,
         );
     }
 
@@ -299,21 +339,33 @@ impl FlightRecorder {
         parent: SpanId,
         kind: EventKind,
         dur: Duration,
-        detail: String,
+        detail: impl Detail,
     ) {
-        let at_micros = self.epoch.elapsed().as_micros() as u64;
-        let dur_micros = dur.as_micros() as u64;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let stripe_cap = self.stripe_cap();
+        let n = self.stripes.len();
+        let first = thread_stripe(n);
+        // The buffer the detail is written into: the detail of the event
+        // this push displaces from the thread's stripe when that is full,
+        // taken under the lock and filled outside it.
+        let mut buf = match self.stripes[first].try_lock() {
+            Some(mut ring) if ring.events.len() >= stripe_cap => {
+                ring.dropped += 1;
+                ring.events.pop_front().map(|e| e.detail)
+            }
+            _ => None,
+        }
+        .unwrap_or_default();
+        buf.clear();
+        detail.write_to(&mut buf);
         let event = Event {
-            seq,
-            at_micros,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            at_micros: self.epoch.elapsed().as_micros() as u64,
             trace,
             kind,
-            dur_micros,
+            dur_micros: dur.as_micros() as u64,
             span,
             parent,
-            detail,
+            detail: buf,
         };
         // Never block the hot path for bookkeeping: try the thread's
         // preferred stripe, fall through to the others, and shed the
@@ -323,15 +375,13 @@ impl FlightRecorder {
         // holder into a convoy of parked workers; losing an event under
         // that kind of pressure is the correct trade for a diagnostics
         // ring.
-        let n = self.stripes.len();
-        let first = thread_stripe(n);
         let Some(mut ring) = (0..n).find_map(|i| self.stripes[(first + i) % n].try_lock()) else {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        // Evict into a local so the displaced event's detail string is
-        // freed after the lock is released, not inside the critical
-        // section.
+        // Another thread may have filled the stripe since: evict into a
+        // local, so a displaced detail is freed after the lock is
+        // released, not inside the critical section.
         let evicted = if ring.events.len() >= stripe_cap {
             ring.dropped += 1;
             ring.events.pop_front()

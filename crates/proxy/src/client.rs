@@ -24,7 +24,7 @@ use crate::store::{BodyCache, CachedDoc};
 use crate::upstream::dial_with_deadline;
 use baps_core::Served;
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
-use baps_obs::{span, EventKind, FlightRecorder, SpanId, TraceId};
+use baps_obs::{decimal, span, EventKind, FlightRecorder, SpanId, TraceId};
 use parking_lot::Mutex;
 use std::convert::Infallible;
 use std::io::{self, BufReader};
@@ -54,6 +54,18 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// and a fetch's budget also covers its socket copies, so it stays at 10.
 fn ran_slow(elapsed: Duration, floor: Duration, len: usize) -> bool {
     elapsed > floor + Duration::from_nanos(10 * len as u64)
+}
+
+/// A span detail `client=<id>` followed by `rest`, written into the
+/// recorder's buffer.
+fn client_detail<'a>(id: u32, rest: &'a [&'a str]) -> impl FnOnce(&mut String) + 'a {
+    move |out| {
+        out.push_str("client=");
+        out.push_str(decimal(id.into(), &mut [0; 20]));
+        for part in rest {
+            out.push_str(part);
+        }
+    }
 }
 
 /// What a tampering client serves its peers (test/fault hook; the honest
@@ -300,14 +312,11 @@ impl ClientAgent {
     }
 
     fn register(&self) -> Result<(), ProxyError> {
-        let reply = self.roundtrip(
-            &Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
-                .header("Client", self.id.to_string()),
-        )?;
+        let reply = self.roundtrip(&register_request(self.id, self.peer_addr().port()))?;
         if response_code(&reply) != Some(status::OK) {
             return Err(ProxyError::Protocol(format!(
                 "register rejected: {}",
-                reply.start
+                reply.start()
             )));
         }
         Ok(())
@@ -344,7 +353,7 @@ impl ClientAgent {
                     SpanId::NONE,
                     EventKind::Fetch,
                     elapsed,
-                    format!("client={} url={url} source=local", self.id),
+                    client_detail(self.id, &[" url=", url, " source=local"]),
                 );
             }
             return Ok(FetchResult {
@@ -390,10 +399,9 @@ impl ClientAgent {
                                     SpanId::NONE,
                                     EventKind::Fetch,
                                     elapsed,
-                                    format!(
-                                        "client={} url={url} source={}",
+                                    client_detail(
                                         self.id,
-                                        got.source.label()
+                                        &[" url=", url, " source=", got.source.label()],
                                     ),
                                 );
                             }
@@ -420,20 +428,8 @@ impl ClientAgent {
         trace: TraceId,
         root: SpanId,
     ) -> Result<FetchResult, ProxyError> {
-        let mut req = Message::new(format!("GET {url} BAPS/1.0"))
-            .header("Client", self.id.to_string())
-            .header("Trace-Id", trace.to_string());
-        if !root.is_none() {
-            // The root span parents every proxy-side span of this request.
-            req = req.header("Span-Id", root.to_string());
-        }
         let notices: Vec<String> = std::mem::take(&mut *self.pending_evictions.lock());
-        if !notices.is_empty() {
-            req = req.header("Evicted", notices.join(" "));
-        }
-        if bypass {
-            req = req.header("Bypass-Peers", "1");
-        }
+        let req = get_request(self.id, url, trace, root, &notices, bypass);
         let reply = match self.roundtrip(&req) {
             Ok(reply) => reply,
             Err(e) => {
@@ -455,7 +451,7 @@ impl ClientAgent {
             other => {
                 return Err(ProxyError::Protocol(format!(
                     "unexpected proxy response {other:?}: {}",
-                    reply.start
+                    reply.start()
                 )))
             }
         }
@@ -548,10 +544,14 @@ impl ClientAgent {
                 root,
                 EventKind::Verify,
                 verify_time,
-                format!(
-                    "client={} url={url} outcome={}",
+                client_detail(
                     self.id,
-                    if verdict.is_ok() { "ok" } else { "MISMATCH" }
+                    &[
+                        " url=",
+                        url,
+                        " outcome=",
+                        if verdict.is_ok() { "ok" } else { "MISMATCH" },
+                    ],
                 ),
             );
         }
@@ -562,10 +562,7 @@ impl ClientAgent {
 
     /// Tells the proxy this client no longer caches `url`.
     fn invalidate(&self, url: &str) -> Result<(), ProxyError> {
-        let reply = self.roundtrip(
-            &Message::new(format!("INVALIDATE {url} BAPS/1.0"))
-                .header("Client", self.id.to_string()),
-        )?;
+        let reply = self.roundtrip(&notice_request(self.id, url, false))?;
         if response_code(&reply) != Some(status::OK) {
             return Err(ProxyError::Protocol("invalidate rejected".into()));
         }
@@ -603,11 +600,7 @@ impl ClientAgent {
     /// regardless of how many clients hold replicas; the holders clean up
     /// via [`ClientAgent::discard`] + piggybacked notices.
     pub fn publish_invalidate(&self, url: &str) -> Result<(), ProxyError> {
-        let reply = self.roundtrip(
-            &Message::new(format!("INVALIDATE {url} BAPS/1.0"))
-                .header("Client", self.id.to_string())
-                .header("Purge", "1"),
-        )?;
+        let reply = self.roundtrip(&notice_request(self.id, url, true))?;
         if response_code(&reply) != Some(status::OK) {
             return Err(ProxyError::Protocol("invalidate rejected".into()));
         }
@@ -625,10 +618,14 @@ impl ClientAgent {
             parent,
             EventKind::Dial,
             t_dial.elapsed(),
-            format!(
-                "client={} reason={reason} outcome={}",
+            client_detail(
                 self.id,
-                if conn.is_ok() { "ok" } else { "err" }
+                &[
+                    " reason=",
+                    reason,
+                    " outcome=",
+                    if conn.is_ok() { "ok" } else { "err" },
+                ],
             ),
         );
         conn
@@ -654,11 +651,15 @@ impl ClientAgent {
                 "proxy closed connection",
             ))
         }
-        let (trace, parent) = trace_of(msg);
+        // The dial span joins the request's trace.
+        let dial = |reason| {
+            let (trace, parent) = trace_of(msg);
+            self.dial_traced(trace, parent, reason)
+        };
         let mut guard = self.proxy_conn.lock();
         let reused = guard.is_some();
         if guard.is_none() {
-            *guard = Some(self.dial_traced(trace, parent, "first-use")?);
+            *guard = Some(dial("first-use")?);
         }
         let conn = guard.as_mut().expect("connection dialed above");
         match conn.exchange(msg) {
@@ -668,16 +669,14 @@ impl ClientAgent {
             Ok(None) | Err(_) if reused => {
                 *guard = None;
                 self.reconnects.fetch_add(1, Ordering::Relaxed);
-                let mut conn = self.dial_traced(trace, parent, "reconnect")?;
+                let mut conn = dial("reconnect")?;
                 // A dropped connection may mean the proxy restarted and
                 // lost its in-memory registrations: re-introduce this
                 // client's peer port before replaying, so peer fetches
                 // keep finding it. REGISTER is idempotent — against a
                 // merely-reaped connection it just refreshes the address.
                 if !matches!(msg.tokens().first(), Some(&"REGISTER")) {
-                    let reg =
-                        Message::new(format!("REGISTER {} BAPS/1.0", self.peer_addr().port()))
-                            .header("Client", self.id.to_string());
+                    let reg = register_request(self.id, self.peer_addr().port());
                     match conn.exchange(&reg)? {
                         Some(reply) if response_code(&reply) == Some(status::OK) => {}
                         _ => return Err(hung_up()),
@@ -704,6 +703,47 @@ impl ClientAgent {
         *self.proxy_conn.lock() = None;
         self.peer_port.shutdown();
     }
+}
+
+/// The browser's enrolment: its peer port and client id.
+pub(crate) fn register_request(client: u32, port: u16) -> Message {
+    Message::request("REGISTER", decimal(port.into(), &mut [0; 20]), "BAPS/1.0")
+        .header_num("Client", client.into())
+}
+
+/// The browser's INVALIDATE for `url`; `purge` marks a publisher's.
+pub(crate) fn notice_request(client: u32, url: &str, purge: bool) -> Message {
+    let notice =
+        Message::request("INVALIDATE", url, "BAPS/1.0").header_num("Client", client.into());
+    if purge {
+        notice.header("Purge", "1")
+    } else {
+        notice
+    }
+}
+
+/// The browser's GET for `url` to the proxy: its client id, the trace and
+/// (when sampled) its root span, the eviction notices riding along, and
+/// `Bypass-Peers` on an integrity retry.
+pub(crate) fn get_request(
+    client: u32,
+    url: &str,
+    trace: TraceId,
+    root: SpanId,
+    notices: &[String],
+    bypass: bool,
+) -> Message {
+    // The root span parents every proxy-side span of this request.
+    let mut req = Message::request("GET", url, "BAPS/1.0")
+        .header_num("Client", client.into())
+        .traced(trace, root);
+    if !notices.is_empty() {
+        req = req.header_words("Evicted", notices.iter().map(String::as_str));
+    }
+    if bypass {
+        req = req.header("Bypass-Peers", "1");
+    }
+    req
 }
 
 /// The body a browser serves a peer for `url`, if `cache` holds it, as
@@ -787,21 +827,18 @@ impl ClientState {
                     }
                     None => response(status::GONE, "Gone"),
                 };
+                let outcome = if response_code(&reply) == Some(status::OK) {
+                    "ok"
+                } else {
+                    "gone"
+                };
                 self.recorder.record_hop(
                     trace,
                     serve_span,
                     parent,
                     EventKind::PeerServe,
                     t_serve.elapsed(),
-                    format!(
-                        "client={} verb=PEERGET url={url} outcome={}",
-                        self.id,
-                        if response_code(&reply) == Some(status::OK) {
-                            "ok"
-                        } else {
-                            "gone"
-                        }
-                    ),
+                    client_detail(self.id, &[" verb=PEERGET url=", url, " outcome=", outcome]),
                 );
                 reply
             }

@@ -14,7 +14,7 @@
 //! of a full document transfer — and of no hash on either side.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::protocol::{response, response_code, status, trace_of, Message};
+use crate::protocol::{response, response_code, status, trace_of, Body, Message};
 use crate::reactor::{loops_per_core, Event, FrameCtx, FrameService, Seat, Server, Step};
 use crate::store::{self, DocumentStore};
 use baps_crypto::Digest;
@@ -144,14 +144,16 @@ impl FrameService for OriginState {
                 parent,
                 EventKind::OriginServe,
                 t_serve.elapsed(),
-                format!(
-                    "url={url} outcome={}",
-                    match response_code(&reply) {
+                |out: &mut String| {
+                    let outcome = match response_code(&reply) {
                         Some(status::OK) => "ok",
                         Some(status::NOT_MODIFIED) => "not-modified",
                         _ => "miss",
+                    };
+                    for part in ["url=", url, " outcome=", outcome] {
+                        out.push_str(part);
                     }
-                ),
+                },
             );
         }
         Step::Reply(Some(reply))
@@ -182,14 +184,20 @@ fn handle_request(
                     return response(status::NOT_MODIFIED, "Not Modified");
                 }
                 hits.fetch_add(1, Ordering::Relaxed);
-                response(status::OK, "OK")
-                    .header("Digest", digest.to_hex())
-                    .with_body(body)
+                document_response(body, &digest)
             }
             None => response(status::NOT_FOUND, "Not Found"),
         },
         _ => response(status::BAD_REQUEST, "Bad Request"),
     }
+}
+
+/// A document the origin serves, with the digest minted when that version
+/// was stored.
+pub(crate) fn document_response(body: Body, digest: &Digest) -> Message {
+    response(status::OK, "OK")
+        .header_hex("Digest", &digest.0)
+        .with_body(body)
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@
 //! it accepts on event loops too (`reactor.rs`), so an idle one costs a
 //! registered fd and no thread.
 
-use baps_obs::{SpanId, TraceId};
+use baps_obs::{decimal, SpanId, TraceId};
 use std::io::{self, BufRead, IoSlice, Read, Write};
 use std::sync::Arc;
 
@@ -82,6 +82,15 @@ pub const MAX_BODY: usize = 64 << 20;
 /// legitimate head: a peer that dribbles bytes without ever ending a line
 /// gets a bounded allowance instead of unbounded memory.
 pub(crate) const MAX_HEAD_BYTES: usize = 1 << 20;
+/// Bytes a head buffer starts with: any hop's start line and headers, and
+/// the length line a writer appends, fit without growing it.
+const HEAD_CAPACITY: usize = 256;
+/// Start-line tokens [`Message::tokens`] keeps.
+const MAX_TOKENS: usize = 4;
+/// Header lines whose end a [`Message`] notes as it writes them, so a
+/// lookup compares names without scanning for line ends; lines past these
+/// (no hop sends that many) are found by scanning.
+const INDEXED_LINES: usize = 8;
 
 /// A document body as shared immutable bytes. Cloning a `Body` is a
 /// refcount bump, so a cached document travels cache → response frame →
@@ -96,31 +105,123 @@ pub fn empty_body() -> Body {
     Body::default()
 }
 
-/// A parsed protocol message (request or response).
+/// A protocol message (request or response): its head in one buffer,
+/// exactly as it goes on the wire, and the shared body.
+///
+/// Builders write the start line and each header line straight into the
+/// buffer — numbers and hex from their values, no intermediate `String` —
+/// and the parser validates each received line into it, so reading a
+/// header is a walk over one buffer's lines and writing a frame is that
+/// buffer, the length line and the body in one vectored write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
-    /// The start line, e.g. `GET /doc BAPS/1.0` or `BAPS/1.0 200 OK`.
-    pub start: String,
-    /// Header name/value pairs in order of appearance.
-    pub headers: Vec<(String, String)>,
+    /// The start line, then each header line as `Name: value`, every one
+    /// ending in CRLF.
+    head: String,
+    /// Bytes of `head` the start line spans, its CRLF excluded.
+    start_len: usize,
+    /// Where each of the first [`INDEXED_LINES`] header lines ends in
+    /// `head` (at its CR).
+    line_ends: [usize; INDEXED_LINES],
+    /// Header lines in `head`.
+    headers: usize,
+    /// A header line names `Content-Length`: the writer checks it against
+    /// the body instead of adding one.
+    declares_length: bool,
     /// The body (empty when no `Content-Length` was present).
     pub body: Body,
 }
 
 impl Message {
     /// Creates a message with no headers and no body.
-    pub fn new(start: impl Into<String>) -> Message {
+    pub fn new(start: impl AsRef<str>) -> Message {
+        Message::with_start(&[start.as_ref()])
+    }
+
+    /// Creates the request `VERB target PROTOCOL` (`GET <url> BAPS/1.0`),
+    /// written into the head without formatting it first.
+    pub fn request(verb: &str, target: &str, protocol: &str) -> Message {
+        Message::with_start(&[verb, " ", target, " ", protocol])
+    }
+
+    fn with_start(parts: &[&str]) -> Message {
+        let start_len = parts.iter().map(|part| part.len()).sum();
+        let mut head = String::with_capacity(HEAD_CAPACITY.max(start_len + 2));
+        for part in parts {
+            head.push_str(part);
+        }
+        head.push_str("\r\n");
         Message {
-            start: start.into(),
-            headers: Vec::new(),
+            head,
+            start_len,
+            line_ends: [0; INDEXED_LINES],
+            headers: 0,
+            declares_length: false,
             body: empty_body(),
         }
     }
 
     /// Appends a header.
-    pub fn header(mut self, name: impl Into<String>, value: impl Into<String>) -> Message {
-        self.headers.push((name.into(), value.into()));
+    pub fn header(self, name: impl AsRef<str>, value: impl AsRef<str>) -> Message {
+        self.header_with(name.as_ref(), |head| head.push_str(value.as_ref()))
+    }
+
+    /// Appends a header whose value is `value` in decimal.
+    pub fn header_num(self, name: &str, value: u64) -> Message {
+        self.header_with(name, |head| head.push_str(decimal(value, &mut [0; 20])))
+    }
+
+    /// Appends a header whose value is `bytes` in lowercase hex, two
+    /// digits a byte (a watermark, a digest, a trace or span id).
+    pub fn header_hex(self, name: &str, bytes: &[u8]) -> Message {
+        self.header_with(name, |head| push_hex(head, bytes))
+    }
+
+    /// Appends a header whose value is `words` joined by single spaces
+    /// (the `Evicted` notices).
+    pub fn header_words<'w>(self, name: &str, words: impl IntoIterator<Item = &'w str>) -> Message {
+        self.header_with(name, |head| {
+            for (i, word) in words.into_iter().enumerate() {
+                if i > 0 {
+                    head.push(' ');
+                }
+                head.push_str(word);
+            }
+        })
+    }
+
+    fn header_with(mut self, name: &str, value: impl FnOnce(&mut String)) -> Message {
+        debug_assert!(!name.contains(':') || name.eq_ignore_ascii_case("host"));
+        self.push_header(name, value);
         self
+    }
+
+    /// Appends the line `name: value`, `value` writing the value, and
+    /// notes where it ends; returns where the value sits in the head.
+    fn push_header(&mut self, name: &str, value: impl FnOnce(&mut String)) -> (usize, usize) {
+        self.declares_length |= name.eq_ignore_ascii_case("Content-Length");
+        self.head.push_str(name);
+        self.head.push_str(": ");
+        let from = self.head.len();
+        value(&mut self.head);
+        let to = self.head.len();
+        if let Some(end) = self.line_ends.get_mut(self.headers) {
+            *end = to;
+        }
+        self.headers += 1;
+        self.head.push_str("\r\n");
+        (from, to)
+    }
+
+    /// Stamps the message with the trace it belongs to (`Trace-Id`) and,
+    /// on a head-sampled trace, the sender's hop span (`Span-Id`).
+    pub(crate) fn traced(self, trace: TraceId, span: SpanId) -> Message {
+        let msg = self.header_hex("Trace-Id", &trace.0.to_be_bytes());
+        if span.is_none() {
+            msg
+        } else {
+            msg.header_hex("Span-Id", &span.0.to_be_bytes())
+        }
     }
 
     /// Attaches a body (the `Content-Length` header is added on write).
@@ -131,17 +232,207 @@ impl Message {
         self
     }
 
-    /// First value of a header (case-insensitive name match).
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+    /// The start line, e.g. `GET /doc BAPS/1.0` or `BAPS/1.0 200 OK`.
+    pub fn start(&self) -> &str {
+        &self.head[..self.start_len]
     }
 
-    /// Splits the start line into whitespace-separated tokens.
-    pub fn tokens(&self) -> Vec<&str> {
-        self.start.split_ascii_whitespace().collect()
+    /// Header name/value pairs in order of appearance.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.header_lines().map(|line| {
+            let (name, value) = line.split_once(':').unwrap_or((line, ""));
+            (name, value.strip_prefix(' ').unwrap_or(value))
+        })
+    }
+
+    /// First value of a header (case-insensitive name match).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.header_lines().find_map(|line| {
+            let value = line.get(name.len()..)?.strip_prefix(':')?;
+            let named = line[..name.len()].eq_ignore_ascii_case(name);
+            named.then(|| value.strip_prefix(' ').unwrap_or(value))
+        })
+    }
+
+    /// The header lines, each `name: value` without its CRLF.
+    fn header_lines(&self) -> impl Iterator<Item = &str> {
+        let mut start = self.start_len + 2;
+        (0..self.headers).map(move |i| {
+            let end = match self.line_ends.get(i) {
+                Some(&end) => end,
+                None => {
+                    let rest = &self.head[start..];
+                    start + rest.find("\r\n").expect("every head line ends in CRLF")
+                }
+            };
+            let line = &self.head[start..end];
+            start = end + 2;
+            line
+        })
+    }
+
+    /// The start line's whitespace-separated tokens.
+    pub fn tokens(&self) -> Tokens<'_> {
+        let mut tokens = Tokens {
+            words: [""; MAX_TOKENS],
+            len: 0,
+            more: false,
+        };
+        for word in self.start().split_ascii_whitespace() {
+            if tokens.len == MAX_TOKENS {
+                tokens.more = true;
+                break;
+            }
+            tokens.words[tokens.len] = word;
+            tokens.len += 1;
+        }
+        tokens
+    }
+
+    /// What ends the head on the wire: a `Content-Length` line for the
+    /// body unless the head declares one — which must then match the body
+    /// (a mismatch is `InvalidInput`) — and the blank line.
+    fn head_end(&self) -> io::Result<HeadEnd> {
+        let mut end = HeadEnd {
+            bytes: [0; HeadEnd::CAPACITY],
+            len: 0,
+        };
+        let declared = if self.declares_length {
+            self.get("Content-Length")
+        } else {
+            None
+        };
+        match declared {
+            Some(declared) => {
+                let declared: usize = declared.parse().map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!("unparsable Content-Length {declared:?}: {e}"),
+                    )
+                })?;
+                if declared != self.body.len() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "Content-Length {} does not match body length {}",
+                            declared,
+                            self.body.len()
+                        ),
+                    ));
+                }
+            }
+            None => {
+                end.push("Content-Length: ");
+                end.push(decimal(self.body.len() as u64, &mut [0; 20]));
+                end.push("\r\n");
+            }
+        }
+        end.push("\r\n");
+        Ok(end)
+    }
+
+    /// The whole head (start line through the blank line) in the message's
+    /// own buffer, and the body: what an event loop queues for a reply it
+    /// now owns, without copying either.
+    pub(crate) fn into_frame(self) -> io::Result<(Vec<u8>, Body)> {
+        let end = self.head_end()?;
+        let mut head = self.head.into_bytes();
+        head.extend_from_slice(end.as_bytes());
+        Ok((head, self.body))
+    }
+
+    /// The frame as the three slices a vectored write takes: the head
+    /// buffer, the length line and blank line, the body.
+    pub(crate) fn write_parts(&self) -> io::Result<FrameParts<'_>> {
+        Ok(FrameParts {
+            head: self.head.as_bytes(),
+            end: self.head_end()?,
+            body: &self.body,
+        })
+    }
+}
+
+/// Lowercase hex of `bytes`, two digits a byte, appended to `out`.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 64];
+    for chunk in bytes.chunks(digits.len() / 2) {
+        for (pair, b) in digits.chunks_exact_mut(2).zip(chunk) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
+        }
+        let hex = &digits[..chunk.len() * 2];
+        out.push_str(std::str::from_utf8(hex).expect("hex digits are ASCII"));
+    }
+}
+
+/// A start line's tokens, as [`Message::tokens`] splits them, without a
+/// `Vec`: at most the first four. A longer line shows those four, which
+/// no pattern of a verb and fewer arguments matches.
+#[derive(Debug)]
+pub struct Tokens<'a> {
+    words: [&'a str; MAX_TOKENS],
+    len: usize,
+    /// The line had more tokens than `words` holds.
+    more: bool,
+}
+
+impl<'a> Tokens<'a> {
+    /// The tokens as a slice, for matching against a pattern.
+    pub fn as_slice(&self) -> &[&'a str] {
+        &self.words[..self.len]
+    }
+}
+
+impl<'a> std::ops::Deref for Tokens<'a> {
+    type Target = [&'a str];
+
+    fn deref(&self) -> &[&'a str] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq<Vec<&str>> for Tokens<'_> {
+    fn eq(&self, other: &Vec<&str>) -> bool {
+        !self.more && self.as_slice() == other.as_slice()
+    }
+}
+
+/// The bytes between a head buffer and the body: at most a length line and
+/// the blank line, on the stack.
+pub(crate) struct HeadEnd {
+    bytes: [u8; HeadEnd::CAPACITY],
+    len: usize,
+}
+
+impl HeadEnd {
+    /// `Content-Length: ` + 20 digits + two CRLFs.
+    const CAPACITY: usize = 40;
+
+    fn push(&mut self, text: &str) {
+        self.bytes[self.len..self.len + text.len()].copy_from_slice(text.as_bytes());
+        self.len += text.len();
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// A frame as a vectored write sends it (see [`Message::write_parts`]).
+pub(crate) struct FrameParts<'a> {
+    pub(crate) head: &'a [u8],
+    pub(crate) end: HeadEnd,
+    pub(crate) body: &'a Body,
+}
+
+impl FrameParts<'_> {
+    pub(crate) fn slices(&self) -> [IoSlice<'_>; 3] {
+        [
+            IoSlice::new(self.head),
+            IoSlice::new(self.end.as_bytes()),
+            IoSlice::new(self.body),
+        ]
     }
 }
 
@@ -168,29 +459,22 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
     // Nagle/delayed-ACK interaction on keep-alive connections: the kernel
     // holds the second small write until the peer ACKs the first, and the
     // peer delays that ACK up to ~40 ms waiting to piggyback it. A
-    // vectored write keeps that single-syscall framing without copying the
-    // body into a contiguous frame first (bodies are shared `Arc<[u8]>`).
-    let head = encode_head(msg)?;
-    let body = &msg.body[..];
-    let total = head.len() + body.len();
-    let mut written = 0;
-    while written < total {
-        let n = if written < head.len() {
-            let bufs = [
-                IoSlice::new(&head.as_bytes()[written..]),
-                IoSlice::new(body),
-            ];
-            w.write_vectored(&bufs)?
-        } else {
-            w.write(&body[written - head.len()..])?
-        };
+    // vectored write of the head buffer, the length line and the body
+    // keeps that single-syscall framing without copying any of them into
+    // a contiguous frame first (bodies are shared `Arc<[u8]>`).
+    let parts = msg.write_parts()?;
+    let mut slices = parts.slices();
+    let mut bufs = &mut slices[..];
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        let n = w.write_vectored(bufs)?;
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
                 "failed to write whole frame",
             ));
         }
-        written += n;
+        IoSlice::advance_slices(&mut bufs, n);
     }
     w.flush()
 }
@@ -200,50 +484,12 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 /// fault injector uses this to truncate or stall frames mid-byte-stream;
 /// the hot path uses [`write_message`], which never builds this copy.
 pub fn encode_message(msg: &Message) -> io::Result<Vec<u8>> {
-    let head = encode_head(msg)?;
-    let mut frame = Vec::with_capacity(head.len() + msg.body.len());
-    frame.extend_from_slice(head.as_bytes());
-    frame.extend_from_slice(&msg.body);
+    let parts = msg.write_parts()?;
+    let mut frame = Vec::with_capacity(parts.head.len() + parts.end.len + parts.body.len());
+    for slice in parts.slices() {
+        frame.extend_from_slice(&slice);
+    }
     Ok(frame)
-}
-
-/// Serialises the start line and headers (through the terminating blank
-/// line), validating any caller-supplied `Content-Length`.
-pub(crate) fn encode_head(msg: &Message) -> io::Result<String> {
-    if let Some(declared) = msg.get("Content-Length") {
-        let declared: usize = declared.parse().map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("unparsable Content-Length {declared:?}: {e}"),
-            )
-        })?;
-        if declared != msg.body.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "Content-Length {} does not match body length {}",
-                    declared,
-                    msg.body.len()
-                ),
-            ));
-        }
-    }
-    let mut head = String::with_capacity(64 + msg.headers.len() * 32);
-    head.push_str(&msg.start);
-    head.push_str("\r\n");
-    for (name, value) in &msg.headers {
-        debug_assert!(!name.contains(':') || name.eq_ignore_ascii_case("host"));
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    if msg.get("Content-Length").is_none() {
-        use std::fmt::Write as _;
-        let _ = write!(head, "Content-Length: {}\r\n", msg.body.len());
-    }
-    head.push_str("\r\n");
-    Ok(head)
 }
 
 fn invalid(reason: impl Into<String>) -> io::Error {
@@ -253,15 +499,19 @@ fn invalid(reason: impl Into<String>) -> io::Error {
 /// The frame head grammar and its limits, defined once: start line,
 /// `name: value` headers, the blank line that ends the head, and the body
 /// length the head declares. It is fed one `\n`-terminated line at a time,
-/// so the blocking transport ([`read_message`], lines from `read_line`) and
-/// the event loops (`reactor::FrameParser`, lines cut from a socket buffer)
-/// accept and refuse exactly the same bytes. Acquiring the body stays with
-/// the transport.
+/// so the blocking transport ([`read_message`], lines cut from a reader's
+/// buffer) and the event loops (`reactor::FrameParser`, lines cut from a
+/// socket buffer) accept and refuse exactly the same bytes. Each accepted
+/// line is written into the head buffer the finished [`Message`] keeps —
+/// the start line trimmed at its end, a header as its trimmed name and
+/// value — so the head allocates once. Acquiring the body stays with the
+/// transport.
 #[derive(Default)]
 pub(crate) struct HeadParser {
-    /// Empty until the start line has arrived.
-    start: String,
-    headers: Vec<(String, String)>,
+    /// The head so far; `None` until the start line has arrived.
+    msg: Option<Message>,
+    /// Where the first `Content-Length` value sits in the head.
+    length: Option<(usize, usize)>,
     /// Head bytes consumed so far in this frame.
     head_bytes: usize,
 }
@@ -269,7 +519,7 @@ pub(crate) struct HeadParser {
 impl HeadParser {
     /// Whether a frame has begun (EOF now would be mid-head, not clean).
     pub(crate) fn in_head(&self) -> bool {
-        !self.start.is_empty()
+        self.msg.is_some()
     }
 
     /// Head bytes this frame may still spend before [`MAX_HEAD_BYTES`].
@@ -294,33 +544,32 @@ impl HeadParser {
         self.fits(line.len())?;
         self.head_bytes += line.len();
         let line = line.trim_end();
-        if self.start.is_empty() {
+        let Some(msg) = &mut self.msg else {
             if line.is_empty() {
                 return Err(invalid("empty start line"));
             }
-            self.start = line.to_owned();
+            self.msg = Some(Message::with_start(&[line]));
             return Ok(None);
-        }
+        };
         if !line.is_empty() {
-            if self.headers.len() >= MAX_HEADERS {
+            if msg.headers >= MAX_HEADERS {
                 return Err(invalid("too many headers"));
             }
             let (name, value) = line
                 .split_once(':')
                 .ok_or_else(|| invalid(format!("bad header: {line}")))?;
-            self.headers
-                .push((name.trim().to_owned(), value.trim().to_owned()));
+            let (name, value) = (name.trim(), value.trim());
+            let at = msg.push_header(name, |head| head.push_str(value));
+            if self.length.is_none() && name.eq_ignore_ascii_case("Content-Length") {
+                self.length = Some(at);
+            }
             return Ok(None);
         }
-        let head = std::mem::take(self);
-        let msg = Message {
-            start: head.start,
-            headers: head.headers,
-            body: empty_body(),
-        };
-        let len = match msg.get("Content-Length") {
+        let done = std::mem::take(self);
+        let msg = done.msg.expect("the start line arrived");
+        let len = match done.length {
             None => 0,
-            Some(len) => len
+            Some((from, to)) => msg.head[from..to]
                 .parse()
                 .map_err(|e| invalid(format!("bad length: {e}")))?,
         };
@@ -332,16 +581,32 @@ impl HeadParser {
 }
 
 /// Reads one message; returns `None` on a cleanly closed connection.
+///
+/// Lines are handed to the head parser straight out of the reader's
+/// buffer; only a line the buffer splits is gathered into a side copy.
 pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
+    let not_utf8 = || invalid("stream did not contain valid UTF-8");
     let mut head = HeadParser::default();
-    let mut line = String::new();
+    // The start of a line the reader's buffer cut short.
+    let mut split = Vec::new();
     let (mut msg, len) = loop {
-        line.clear();
-        // Read at most one byte past the head allowance: a sender that
-        // never sends `\n` is refused by the parser instead of growing
-        // `line` without limit.
-        let mut capped = Read::take(&mut *r, head.allowance() as u64 + 1);
-        if capped.read_line(&mut line)? == 0 {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            // End of stream: an unterminated last line still counts as a
+            // line, as `read_line` would return it.
+            if !split.is_empty() {
+                let line = std::str::from_utf8(&split).map_err(|_| not_utf8())?;
+                let done = head.line(line)?;
+                split.clear();
+                match done {
+                    Some(done) => break done,
+                    None => continue,
+                }
+            }
             if head.in_head() {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -350,7 +615,27 @@ pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
             }
             return Ok(None);
         }
-        if let Some(done) = head.line(&line)? {
+        let Some(i) = buf.iter().position(|&b| b == b'\n') else {
+            // Refused once the unterminated tail passes the allowance: a
+            // sender that never sends `\n` cannot grow `split` without
+            // limit.
+            head.fits(split.len() + buf.len())?;
+            split.extend_from_slice(buf);
+            let n = buf.len();
+            r.consume(n);
+            continue;
+        };
+        let done = if split.is_empty() {
+            head.line(std::str::from_utf8(&buf[..=i]).map_err(|_| not_utf8())?)?
+        } else {
+            split.extend_from_slice(&buf[..=i]);
+            let line = std::str::from_utf8(&split).map_err(|_| not_utf8())?;
+            let done = head.line(line)?;
+            split.clear();
+            done
+        };
+        r.consume(i + 1);
+        if let Some(done) = done {
             break done;
         }
     };
@@ -400,16 +685,15 @@ pub mod status {
 
 /// Builds a response message with the given status code.
 pub fn response(code: u16, reason: &str) -> Message {
-    Message::new(format!("BAPS/1.0 {code} {reason}"))
+    Message::with_start(&["BAPS/1.0 ", decimal(code.into(), &mut [0; 20]), " ", reason])
 }
 
 /// Parses the status code out of a response start line.
 pub fn response_code(msg: &Message) -> Option<u16> {
-    let tokens = msg.tokens();
-    if tokens.len() < 2 || !tokens[0].starts_with("BAPS/") {
-        return None;
+    match msg.tokens().as_slice() {
+        [version, code, ..] if version.starts_with("BAPS/") => code.parse().ok(),
+        _ => None,
     }
-    tokens[1].parse().ok()
 }
 
 #[cfg(test)]
@@ -431,7 +715,7 @@ mod tests {
             .header("Client", "3")
             .header("Bypass-Peers", "1");
         let back = roundtrip(&msg);
-        assert_eq!(back.start, msg.start);
+        assert_eq!(back.start(), msg.start());
         assert_eq!(back.get("Client"), Some("3"));
         assert_eq!(back.get("bypass-peers"), Some("1"));
         assert!(back.body.is_empty());
@@ -474,6 +758,171 @@ mod tests {
             &back.body,
             &Message::new("GET x BAPS/1.0").body
         ));
+    }
+
+    /// Every frame kind the runtime sends, built by the function that
+    /// sends it, is byte for byte its golden frame — through
+    /// `encode_message`, `write_message` and the event loops' `into_frame`
+    /// alike — and reads back to the same message. The golden bytes are
+    /// the protocol: a peer or origin built against them must keep
+    /// understanding every hop.
+    #[test]
+    fn every_frame_kind_matches_its_golden_bytes() {
+        use crate::client::{get_request, notice_request, register_request};
+        use crate::origin::document_response;
+        use crate::proxy::{ok_response, origin_request, peer_request};
+        use crate::store::CachedDoc;
+        use baps_core::Served;
+        use baps_crypto::{Digest, Signature, Watermark};
+
+        let url = "http://origin/doc/42";
+        let trace = TraceId::mint(3, 7);
+        let span = SpanId(0x0123_4567_89ab_cdef);
+        let evicted = [
+            "http://origin/doc/1".to_owned(),
+            "http://origin/doc/2".to_owned(),
+        ];
+        let digest = Digest([0xab; 16]);
+        let watermark = Watermark {
+            signature: Signature([1, 0xffff_ffff_ffff, 0x1234_5678_9abc_def0, 42]),
+        };
+        let doc = CachedDoc {
+            body: Body::from(&b"hello"[..]),
+            watermark,
+        };
+        let refused = format!("Origin Unreachable ({})", io::ErrorKind::ConnectionRefused);
+        let cases: [(&str, Message, &str); 18] = [
+            (
+                "get",
+                get_request(3, url, trace, SpanId::NONE, &[], false),
+                "GET http://origin/doc/42 BAPS/1.0\r\nClient: 3\r\nTrace-Id: 0000040000000007\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "get_full",
+                get_request(3, url, trace, span, &evicted, true),
+                "GET http://origin/doc/42 BAPS/1.0\r\nClient: 3\r\nTrace-Id: 0000040000000007\r\nSpan-Id: 0123456789abcdef\r\nEvicted: http://origin/doc/1 http://origin/doc/2\r\nBypass-Peers: 1\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "peerget",
+                peer_request(url, trace, SpanId::NONE),
+                "PEERGET http://origin/doc/42 BAPS/1.0\r\nTrace-Id: 0000040000000007\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "peerget_span",
+                peer_request(url, trace, span),
+                "PEERGET http://origin/doc/42 BAPS/1.0\r\nTrace-Id: 0000040000000007\r\nSpan-Id: 0123456789abcdef\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "origin_get",
+                origin_request(url, trace, SpanId::NONE, None),
+                "GET http://origin/doc/42 ORIGIN/1.0\r\nTrace-Id: 0000040000000007\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "origin_get_if",
+                origin_request(url, trace, span, Some(digest)),
+                "GET http://origin/doc/42 ORIGIN/1.0\r\nTrace-Id: 0000040000000007\r\nSpan-Id: 0123456789abcdef\r\nIf-Digest: abababababababababababababababab\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "invalidate",
+                notice_request(3, url, false),
+                "INVALIDATE http://origin/doc/42 BAPS/1.0\r\nClient: 3\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "invalidate_purge",
+                notice_request(3, url, true),
+                "INVALIDATE http://origin/doc/42 BAPS/1.0\r\nClient: 3\r\nPurge: 1\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "register",
+                register_request(3, 40123),
+                "REGISTER 40123 BAPS/1.0\r\nClient: 3\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "proxy_200",
+                ok_response(Served::Peer, &doc),
+                "BAPS/1.0 200 OK\r\nX-Source: peer\r\nX-Watermark: 0100000000000000ffffffffffff0000f0debc9a785634122a00000000000000\r\nContent-Length: 5\r\n\r\nhello",
+            ),
+            (
+                "proxy_404",
+                response(status::NOT_FOUND, "Not Found"),
+                "BAPS/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "proxy_500",
+                response(status::SERVER_ERROR, "Internal Server Error"),
+                "BAPS/1.0 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "proxy_503",
+                response(status::UNAVAILABLE, &refused),
+                "BAPS/1.0 503 Origin Unreachable (connection refused)\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "origin_304",
+                response(status::NOT_MODIFIED, "Not Modified"),
+                "BAPS/1.0 304 Not Modified\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "peer_200",
+                response(status::OK, "OK").with_body(b"hello".to_vec()),
+                "BAPS/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+            ),
+            (
+                "peer_410",
+                response(status::GONE, "Gone"),
+                "BAPS/1.0 410 Gone\r\nContent-Length: 0\r\n\r\n",
+            ),
+            (
+                "origin_200",
+                document_response(Body::from(&b"hello"[..]), &digest),
+                "BAPS/1.0 200 OK\r\nDigest: abababababababababababababababab\r\nContent-Length: 5\r\n\r\nhello",
+            ),
+            (
+                "bad_request",
+                response(status::BAD_REQUEST, "Bad Request"),
+                "BAPS/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n",
+            ),
+        ];
+        for (name, msg, golden) in cases {
+            assert_eq!(
+                String::from_utf8(encode_message(&msg).unwrap()).unwrap(),
+                golden,
+                "{name}"
+            );
+            let mut written = Vec::new();
+            write_message(&mut written, &msg).unwrap();
+            assert_eq!(written, golden.as_bytes(), "{name} written");
+            let (mut queued, body) = msg.clone().into_frame().unwrap();
+            queued.extend_from_slice(&body);
+            assert_eq!(queued, golden.as_bytes(), "{name} queued");
+            let back = read_message(&mut golden.as_bytes()).unwrap().unwrap();
+            assert_eq!(back.start(), msg.start(), "{name}");
+            assert!(msg.headers().all(|(n, v)| back.get(n) == Some(v)), "{name}");
+            assert_eq!(back.body, msg.body, "{name}");
+        }
+    }
+
+    /// A head with more header lines than `Message` notes the ends of is
+    /// read the same, built or parsed: every header found by name, in order.
+    #[test]
+    fn headers_past_the_noted_lines_are_found() {
+        let names: Vec<String> = (0..INDEXED_LINES + 4).map(|i| format!("X-{i}")).collect();
+        let built = names
+            .iter()
+            .fold(Message::new("GET x BAPS/1.0"), |msg, name| {
+                msg.header(name, format!("v {name}"))
+            });
+        let parsed = roundtrip(&built);
+        for msg in [&built, &parsed] {
+            for name in &names {
+                assert_eq!(msg.get(name), Some(format!("v {name}").as_str()));
+            }
+            let got: Vec<&str> = msg.headers().map(|(name, _)| name).collect();
+            assert_eq!(
+                got[..names.len()],
+                names.iter().map(String::as_str).collect::<Vec<_>>()[..]
+            );
+        }
     }
 
     #[test]

@@ -21,15 +21,15 @@ use crate::health::{HealthReport, ProxyWindows, SloTable};
 use crate::metrics::process_minor_faults;
 use crate::protocol::{response, response_code, status, trace_of, Body, Message};
 use crate::reactor::{
-    loops_per_core, Event, FrameCtx, FrameService, ReactorSnapshot, ReactorTelemetry, Seat, Server,
-    Step, Waker,
+    loops_per_core, Event, FrameCtx, FrameService, MintedMap, ReactorSnapshot, ReactorTelemetry,
+    Seat, Server, Step, Waker,
 };
 use crate::shard::{ShardedCache, StripedIndex, DEFAULT_INDEX_SHARDS};
 use crate::store::CachedDoc;
 use crate::upstream::{Ask, Upstream};
 use baps_core::{ClientId, DocId, Interner, Served};
 use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey};
-use baps_obs::{span, EventKind, FlightRecorder, LabeledHistograms, SpanId, TraceId};
+use baps_obs::{decimal, span, EventKind, FlightRecorder, LabeledHistograms, SpanId, TraceId};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,7 +121,11 @@ pub(crate) struct ProxyObs {
 pub(crate) struct ProxyState {
     pub(crate) cache: ShardedCache,
     pub(crate) index: StripedIndex,
+    /// Keyed by URL, which a client chooses: SipHash, like every map whose
+    /// keys come off the wire.
     urls: RwLock<Interner>,
+    /// Registered peer ports by `Client:` id, a key a client chooses:
+    /// SipHash.
     peers: RwLock<HashMap<u32, SocketAddr>>,
     signer: ProxySigner,
     pub(crate) counters: ProxyCounters,
@@ -536,7 +540,7 @@ fn dispatch(
             let body = state.obs.recorder.dump_spans();
             response(status::OK, "OK")
                 .header("Content-Type", "application/jsonl")
-                .header("Sample-One-In", span::SAMPLE_ONE_IN.to_string())
+                .header_num("Sample-One-In", span::SAMPLE_ONE_IN)
                 .with_body(body.into_bytes())
         }
         ["METRICS", "BAPS/1.0"] => {
@@ -674,9 +678,12 @@ fn handle_get(url: &str, req: GetRequest, state: &ProxyState, seat: &Seat<'_>) -
 /// chains of unshareable outcomes).
 const MAX_FLIGHT_JOINS: usize = 3;
 
-/// The per-document in-flight miss registry. The lock guards only the map
-/// — never a fetch.
-type FlightRegistry = Mutex<HashMap<DocId, Arc<Inflight>>>;
+/// The per-document in-flight miss registry, keyed by the id the proxy's
+/// interner minted (so hashed by [`MintedKeyHasher`]). The lock guards
+/// only the map — never a fetch.
+///
+/// [`MintedKeyHasher`]: crate::reactor::MintedKeyHasher
+type FlightRegistry = Mutex<MintedMap<DocId, Arc<Inflight>>>;
 
 /// How a request relates to the in-flight registry entry for its doc.
 enum FlightRole {
@@ -1000,7 +1007,8 @@ impl Miss {
         t_wait: Instant,
     ) -> Step<Miss> {
         let GetRequest { trace, parent, .. } = self.req;
-        let coalesced = |detail: String| {
+        let url = self.url.as_str();
+        let coalesced = |outcome: &str, code: &str| {
             state
                 .counters
                 .coalesced_fetches
@@ -1011,12 +1019,16 @@ impl Miss {
                 parent,
                 EventKind::Coalesced,
                 t_wait.elapsed(),
-                detail,
+                |out: &mut String| {
+                    for part in ["url=", url, " outcome=", outcome, code] {
+                        out.push_str(part);
+                    }
+                },
             );
         };
         match outcome {
             FlightOutcome::Doc(cached) => {
-                coalesced(format!("url={} outcome=ok", self.url));
+                coalesced("ok", "");
                 let reply = serve(state, &self.req, Served::Proxy, &cached);
                 self.done(state, reply, FlightOutcome::Unshared)
             }
@@ -1024,7 +1036,7 @@ impl Miss {
                 // The leader's failure is broadcast: every follower fails
                 // the same way instead of dogpiling a dead origin — and
                 // instead of hanging.
-                coalesced(format!("url={} outcome=err code={code}", self.url));
+                coalesced("err code=", decimal(code.into(), &mut [0; 20]));
                 self.fail(state, code, &reason)
             }
             FlightOutcome::Unshared => {
@@ -1075,9 +1087,14 @@ impl Miss {
             self.req.parent,
             EventKind::DiskRead,
             took,
-            match via {
-                Some(via) => format!("url={url} outcome={outcome} via={}", via.name()),
-                None => format!("url={url} outcome={outcome}"),
+            |out: &mut String| {
+                for part in ["url=", url, " outcome=", outcome] {
+                    out.push_str(part);
+                }
+                if let Some(via) = via {
+                    out.push_str(" via=");
+                    out.push_str(via.name());
+                }
             },
         );
     }
@@ -1134,24 +1151,15 @@ impl Miss {
     /// still matches, saving the body transfer).
     fn ask_origin(self, state: &ProxyState) -> Step<Miss> {
         let (call, if_digest) = match &self.stage {
-            Stage::Revalidating { hit, call } => (call, Some(hit.digest.to_hex())),
+            Stage::Revalidating { hit, call } => (call, Some(hit.digest)),
             Stage::Fetching { call } => (call, None),
             _ => unreachable!("only the origin stages ask the origin"),
         };
-        // The proxy's origin-fetch span parents the origin's serve span.
-        let mut request = traced(
-            Message::new(format!("GET {} ORIGIN/1.0", self.url)),
-            self.req.trace,
-            call.span,
-        );
-        if let Some(digest) = if_digest {
-            request = request.header("If-Digest", digest);
-        }
         let ask = Ask {
             addr: state.config.origin_addr,
             upstream: Upstream::Origin,
             deadline: state.config.origin_timeout,
-            request,
+            request: origin_request(&self.url, self.req.trace, call.span, if_digest),
         };
         Step::Ask(ask, self)
     }
@@ -1164,7 +1172,11 @@ impl Miss {
             self.req.parent,
             EventKind::OriginFetch,
             call.t0.elapsed(),
-            format!("url={} outcome={outcome}", self.url),
+            |out: &mut String| {
+                for part in ["url=", &self.url, " outcome=", outcome] {
+                    out.push_str(part);
+                }
+            },
         );
     }
 
@@ -1282,11 +1294,7 @@ impl Miss {
             addr,
             upstream: Upstream::Peer,
             deadline: state.config.peer_timeout,
-            request: traced(
-                Message::new(format!("PEERGET {} BAPS/1.0", self.url)),
-                self.req.trace,
-                call.span,
-            ),
+            request: peer_request(&self.url, self.req.trace, call.span),
         };
         self.stage = Stage::Probing { peer, rest, call };
         Step::Ask(ask, self)
@@ -1346,12 +1354,14 @@ impl Miss {
             self.req.parent,
             EventKind::PeerProbe,
             call.t0.elapsed(),
-            format!(
-                "peer={} url={} outcome={}",
-                peer.0,
-                self.url,
-                verdict.as_ref().map_or_else(|(why, _)| *why, |_| "ok")
-            ),
+            |out: &mut String| {
+                let outcome = verdict.as_ref().map_or_else(|(why, _)| *why, |_| "ok");
+                out.push_str("peer=");
+                out.push_str(decimal(peer.0.into(), &mut [0; 20]));
+                for part in [" url=", &self.url, " outcome=", outcome] {
+                    out.push_str(part);
+                }
+            },
         );
         match verdict {
             Ok(cached) => {
@@ -1486,7 +1496,12 @@ fn write_through_to_disk(
         trace,
         EventKind::DiskWrite,
         t_write.elapsed(),
-        format!("url={url} bytes={}", cached.byte_size()),
+        |out: &mut String| {
+            out.push_str("url=");
+            out.push_str(url);
+            out.push_str(" bytes=");
+            out.push_str(decimal(cached.byte_size(), &mut [0; 20]));
+        },
     );
 }
 
@@ -1528,7 +1543,14 @@ fn handle_purge(url: &str, trace: TraceId, state: &ProxyState) {
         trace,
         EventKind::Invalidate,
         Duration::ZERO,
-        format!("url={url} purge memory={dropped} disk={expired}"),
+        |out: &mut String| {
+            for part in ["url=", url, " purge memory="] {
+                out.push_str(part);
+            }
+            out.push_str(if dropped { "true" } else { "false" });
+            out.push_str(" disk=");
+            out.push_str(if expired { "true" } else { "false" });
+        },
     );
 }
 
@@ -1547,31 +1569,47 @@ fn handle_invalidate(url: &str, client: u32, trace: TraceId, state: &ProxyState)
         trace,
         EventKind::Invalidate,
         Duration::ZERO,
-        format!(
-            "client={client} url={url} outcome={}",
-            if applied { "applied" } else { "stale" }
-        ),
+        |out: &mut String| {
+            out.push_str("client=");
+            out.push_str(decimal(client.into(), &mut [0; 20]));
+            for part in [" url=", url, " outcome="] {
+                out.push_str(part);
+            }
+            out.push_str(if applied { "applied" } else { "stale" });
+        },
     );
 }
 
 /// Builds a 200 reply sharing the cached body — `with_body` on an existing
 /// [`Body`] is a refcount bump, so no byte of the document is copied
-/// between the cache and the socket.
-fn ok_response(source: Served, doc: &CachedDoc) -> Message {
+/// between the cache and the socket — with the watermark's hex written
+/// from its bytes.
+pub(crate) fn ok_response(source: Served, doc: &CachedDoc) -> Message {
     response(status::OK, "OK")
         .header("X-Source", source.label())
-        .header("X-Watermark", doc.watermark.to_hex())
+        .header_hex("X-Watermark", &doc.watermark.to_bytes())
         .with_body(Arc::clone(&doc.body))
 }
 
-/// Stamps an upstream request with the trace it belongs to and, on a
-/// head-sampled trace, the hop span the receiver's spans attach under.
-fn traced(msg: Message, trace: TraceId, span: SpanId) -> Message {
-    let msg = msg.header("Trace-Id", trace.to_string());
-    if span.is_none() {
-        msg
-    } else {
-        msg.header("Span-Id", span.to_string())
+/// The proxy's PEERGET for `url`: the trace, and the probe's hop span the
+/// peer's serve span attaches under.
+pub(crate) fn peer_request(url: &str, trace: TraceId, span: SpanId) -> Message {
+    Message::request("PEERGET", url, "BAPS/1.0").traced(trace, span)
+}
+
+/// The proxy's origin GET for `url` — with `If-Digest` when it revalidates
+/// a stale disk entry — under the origin-fetch span that parents the
+/// origin's serve span.
+pub(crate) fn origin_request(
+    url: &str,
+    trace: TraceId,
+    span: SpanId,
+    if_digest: Option<Digest>,
+) -> Message {
+    let request = Message::request("GET", url, "ORIGIN/1.0").traced(trace, span);
+    match if_digest {
+        Some(digest) => request.header_hex("If-Digest", &digest.0),
+        None => request,
     }
 }
 

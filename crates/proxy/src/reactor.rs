@@ -24,10 +24,12 @@
 //!   offloads never runs them;
 //!   or a **wait** for a wake-up or a timer (a coalesced follower, a retry
 //!   back-off). Whatever resumes a request yields its next step;
-//! - replies are queued as `[owned head, shared body]` segments and pushed
-//!   with nonblocking vectored writes, continuing from the exact byte where
-//!   the kernel said `EAGAIN`; upstream requests leave through the same
-//!   queue, and upstream replies arrive through the same head parser.
+//! - a reply's own head buffer (its length line appended in place) and its
+//!   shared body are queued as segments and pushed with nonblocking
+//!   vectored writes, continuing from the exact byte where the kernel said
+//!   `EAGAIN`; an upstream request is written straight from the buffers
+//!   the exchange keeps, only what the socket refuses is queued, and
+//!   upstream replies arrive through the same head parser.
 //!
 //! Fault injection, the same on every server: drops sever before handling,
 //! stalls write half the frame and arm a loop timer (the loop never
@@ -37,6 +39,7 @@
 use baps_obs::{AtomicHistogram, LatencyHistogram};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -47,7 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultKind, FaultPlan, WireFault};
-use crate::protocol::{encode_head, encode_message, zeroed_body, Body, HeadParser, Message};
+use crate::protocol::{encode_message, zeroed_body, Body, FrameParts, HeadParser, Message};
 use crate::sys::{
     connect_nonblocking, set_memory_policy, Epoll, EpollEvent, WakeFd, EV_ERROR, EV_HUP, EV_RDHUP,
     EV_READ, EV_WRITE,
@@ -94,6 +97,37 @@ pub(crate) fn chunk_aligned_frame(msg: Message, chunks: usize) -> Vec<u8> {
         body = body + want - frame.len();
     }
 }
+
+/// Hashes a key the server mints itself — a loop's connection token, an
+/// interned document id — with one rotate, xor and multiply per word. No
+/// client chooses such a key, so SipHash's resistance to chosen-key
+/// flooding buys nothing there; a map keyed by what a client sends (a URL,
+/// a `Client:` id, a registered address) keeps the default SipHash.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct MintedKeyHasher(u64);
+
+impl Hasher for MintedKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A map whose keys the server minted (see [`MintedKeyHasher`]).
+pub(crate) type MintedMap<K, V> = HashMap<K, V, BuildHasherDefault<MintedKeyHasher>>;
 
 // ---------------------------------------------------------------------------
 // What a server plugs into the loop
@@ -314,7 +348,9 @@ impl FrameParser {
         }
         match self.awaiting_body.take() {
             Some((mut msg, len)) if self.buf.len() - self.pos >= len => {
-                msg.body = Arc::from(&self.buf[self.pos..self.pos + len]);
+                if len > 0 {
+                    msg.body = Arc::from(&self.buf[self.pos..self.pos + len]);
+                }
                 // Compact: everything consumed so far is dead weight.
                 self.buf.drain(..self.pos + len);
                 self.pos = 0;
@@ -370,7 +406,8 @@ impl FrameParser {
 // ---------------------------------------------------------------------------
 
 enum SegBytes {
-    /// Encoded head (or a fault-mangled private frame copy).
+    /// A reply's head buffer, the unsent rest of a request's head, or a
+    /// fault-mangled private frame copy.
     Owned(Vec<u8>),
     /// The reply body, shared zero-copy with the cache.
     Shared(Body),
@@ -419,12 +456,53 @@ impl WriteQueue {
     }
 
     pub(crate) fn push_shared(&mut self, body: Body) {
-        if !body.is_empty() {
+        self.push_shared_from(body, 0);
+    }
+
+    fn push_shared_from(&mut self, body: Body, pos: usize) {
+        if pos < body.len() {
             self.segs.push_back(Segment {
                 bytes: SegBytes::Shared(body),
-                pos: 0,
+                pos,
             });
         }
+    }
+
+    /// Sends a frame the caller keeps (a request it may send again): when
+    /// nothing is queued ahead of it, one vectored write straight from its
+    /// buffers; whatever the socket does not take is queued — the rest of
+    /// the head copied, the body shared — for [`flush`](Self::flush).
+    pub(crate) fn send<W: Write>(&mut self, w: &mut W, frame: &FrameParts<'_>) -> io::Result<()> {
+        let mut sent = 0;
+        if self.segs.is_empty() {
+            sent = match w.write_vectored(&frame.slices()) {
+                Ok(n) => n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    0
+                }
+                Err(e) => return Err(e),
+            };
+        }
+        self.push_rest(frame, sent);
+        Ok(())
+    }
+
+    /// Queues `frame` past its first `sent` bytes.
+    pub(crate) fn push_rest(&mut self, frame: &FrameParts<'_>, sent: usize) {
+        let end = frame.end.as_bytes();
+        let head_len = frame.head.len() + end.len();
+        if sent < head_len {
+            let mut rest = Vec::with_capacity(head_len - sent);
+            rest.extend_from_slice(frame.head.get(sent..).unwrap_or_default());
+            rest.extend_from_slice(&end[sent.saturating_sub(frame.head.len())..]);
+            self.push_owned(rest);
+        }
+        self.push_shared_from(Arc::clone(frame.body), sent.saturating_sub(head_len));
     }
 
     /// Advances the queue past `n` freshly written bytes.
@@ -879,9 +957,10 @@ struct EventLoop<S: FrameService> {
     /// Connections accepted so far: the next one goes to loop
     /// `dealt % loops.len()`.
     dealt: usize,
-    conns: HashMap<u64, Conn<S::Cont>>,
+    /// Accepted connections by token (a key the loop mints).
+    conns: MintedMap<u64, Conn<S::Cont>>,
     /// Upstream connections, idle and busy, by token ([`UPSTREAM_BIT`] set).
-    ups: HashMap<u64, UpConn<S::Cont>>,
+    ups: MintedMap<u64, UpConn<S::Cont>>,
     /// Which of `ups` are idle.
     idle: IdleSet,
     /// A [`Timer::Reap`] is pending.
@@ -1310,7 +1389,7 @@ impl<S: FrameService> EventLoop<S> {
                     let Some(conn) = conn else { return true };
                     conn.busy = false;
                     let fault = conn.fault.take();
-                    return reply.is_none_or(|reply| self.enqueue_reply(conn, &reply, fault));
+                    return reply.is_none_or(|reply| self.enqueue_reply(conn, reply, fault));
                 }
                 Step::Ask(ask, cont) => match self.start_exchange(token, ask, cont, false) {
                     Ok(()) => return true,
@@ -1395,16 +1474,17 @@ impl<S: FrameService> EventLoop<S> {
     fn enqueue_reply(
         &mut self,
         conn: &mut Conn<S::Cont>,
-        reply: &Message,
+        reply: Message,
         fault: Option<FaultKind>,
     ) -> bool {
         match fault.and_then(FaultKind::wire) {
             None => {
-                let Ok(head) = encode_head(reply) else {
+                // The reply's own head buffer goes on the queue.
+                let Ok((head, body)) = reply.into_frame() else {
                     return false;
                 };
-                conn.wq.push_owned(head.into_bytes());
-                conn.wq.push_shared(Arc::clone(&reply.body));
+                conn.wq.push_owned(head);
+                conn.wq.push_shared(body);
                 true
             }
             Some(WireFault::Corrupt) => {
@@ -1421,7 +1501,7 @@ impl<S: FrameService> EventLoop<S> {
                 true
             }
             Some(WireFault::Truncate) => {
-                let Ok(frame) = encode_message(reply) else {
+                let Ok(frame) = encode_message(&reply) else {
                     return false;
                 };
                 let half = frame.len() / 2;
@@ -1430,7 +1510,7 @@ impl<S: FrameService> EventLoop<S> {
                 true
             }
             Some(WireFault::Stall) => {
-                let Ok(frame) = encode_message(reply) else {
+                let Ok(frame) = encode_message(&reply) else {
                     return false;
                 };
                 let half = frame.len() / 2;
@@ -1466,8 +1546,10 @@ impl<S: FrameService> EventLoop<S> {
         cont: S::Cont,
         fresh: bool,
     ) -> Result<(), (S::Cont, io::Error)> {
-        let head = match encode_head(&ask.request) {
-            Ok(head) => head.into_bytes(),
+        // A request the protocol cannot frame fails before it costs a
+        // connection.
+        let frame = match ask.request.write_parts() {
+            Ok(frame) => frame,
             Err(e) => return Err((cont, e)),
         };
         let kind = ask.upstream as usize;
@@ -1495,12 +1577,14 @@ impl<S: FrameService> EventLoop<S> {
                 }
             },
         };
-        up.wq.push_owned(head);
-        up.wq.push_shared(Arc::clone(&ask.request.body));
-        // A reused connection is writable now; a new one says so when its
-        // connect completes.
-        if reused {
-            if let Err(e) = self.flush_upstream(token, &mut up) {
+        // A reused connection is writable now: the request goes straight
+        // out of the buffers the exchange keeps. A new one says so when its
+        // connect completes, so its copy waits in the queue.
+        if !reused {
+            up.wq.push_rest(&frame, 0);
+        } else {
+            let sent = up.wq.send(&mut up.stream, &frame);
+            if let Err(e) = sent.and_then(|()| self.flush_upstream(token, &mut up)) {
                 self.close_upstream(up);
                 return self.redial_or(client, ask, cont, e);
             }
@@ -1835,8 +1919,8 @@ impl<C: Send + 'static> Server<C> {
                 loops: Arc::clone(&shared),
                 listener: (id == 0).then(|| Arc::clone(&listener)),
                 dealt: 0,
-                conns: HashMap::new(),
-                ups: HashMap::new(),
+                conns: MintedMap::default(),
+                ups: MintedMap::default(),
                 idle: IdleSet::default(),
                 reaping: false,
                 next_token: 0,
@@ -1995,8 +2079,8 @@ mod tests {
         let want = read_message(&mut BufReader::new(&bytes[..]))
             .unwrap()
             .unwrap();
-        assert_eq!(got.start, want.start);
-        assert_eq!(got.headers, want.headers);
+        assert_eq!(got.start(), want.start());
+        assert!(got.headers().eq(want.headers()));
         assert_eq!(&got.body[..], &want.body[..]);
         assert!(parser.is_idle());
     }
@@ -2010,7 +2094,7 @@ mod tests {
         let mut parser = FrameParser::new();
         parser.push(&bytes);
         let first = parser.next().unwrap().expect("first frame");
-        assert_eq!(first.start, a.start);
+        assert_eq!(first.start(), a.start());
         let second = parser.next().unwrap().expect("second frame");
         assert_eq!(&second.body[..], b"second");
         assert!(parser.next().unwrap().is_none());
@@ -2023,7 +2107,7 @@ mod tests {
         let mut parser = FrameParser::new();
         parser.push(&frame(&msg));
         let got = parser.next().unwrap().expect("frame");
-        assert_eq!(got.start, "METRICS BAPS/1.0");
+        assert_eq!(got.start(), "METRICS BAPS/1.0");
         assert!(got.body.is_empty());
     }
 
@@ -2099,37 +2183,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_queue_resumes_after_eagain_across_segments() {
-        let reply = response(status::OK, "OK").with_body(b"shared-body-bytes".to_vec());
-        let head = encode_head(&reply).unwrap();
-        let mut expected = head.clone().into_bytes();
-        expected.extend_from_slice(&reply.body);
-
-        let mut wq = WriteQueue::new();
-        wq.push_owned(head.into_bytes());
-        wq.push_shared(Arc::clone(&reply.body));
-
-        let mut sink = Throttled {
-            out: Vec::new(),
-            cap: 5,
-            blocked: false,
-        };
+    /// Flushes `wq` into `sink` until it drains, as a loop re-armed on
+    /// every `EAGAIN` would.
+    fn drain(wq: &mut WriteQueue, sink: &mut Throttled) {
         let mut rounds = 0;
         loop {
             rounds += 1;
             assert!(rounds < 1000, "flush must terminate");
-            match wq.flush(&mut sink) {
+            match wq.flush(sink) {
                 Ok(true) => break,
                 Ok(false) => continue, // EAGAIN: a real loop would re-arm EPOLLOUT
                 Err(e) => panic!("unexpected write error: {e}"),
             }
         }
         assert!(wq.is_empty());
+    }
+
+    #[test]
+    fn write_queue_resumes_after_eagain_across_segments() {
+        let reply = response(status::OK, "OK").with_body(b"shared-body-bytes".to_vec());
+        let expected = encode_message(&reply).unwrap();
+
+        let mut wq = WriteQueue::new();
+        let (head, body) = reply.into_frame().unwrap();
+        wq.push_owned(head);
+        wq.push_shared(body);
+
+        let mut sink = Throttled {
+            out: Vec::new(),
+            cap: 5,
+            blocked: false,
+        };
+        drain(&mut wq, &mut sink);
         assert_eq!(
             sink.out, expected,
             "byte-exact frame despite partial writes"
         );
+    }
+
+    /// A frame sent from the buffers its sender keeps arrives byte-exact
+    /// wherever the socket cuts the first write short — in the head, in
+    /// the length line, in the body, or nowhere — and behind bytes already
+    /// queued.
+    #[test]
+    fn send_queues_exactly_what_the_socket_refused() {
+        let request = Message::request("PEERGET", "http://o/d", "BAPS/1.0")
+            .header("Trace-Id", "0000040000000007")
+            .with_body(b"body".to_vec());
+        let frame = encode_message(&request).unwrap();
+        for cap in 1..=frame.len() + 1 {
+            for queued_ahead in [false, true] {
+                let mut wq = WriteQueue::new();
+                let mut expected = Vec::new();
+                if queued_ahead {
+                    wq.push_owned(b"ahead".to_vec());
+                    expected.extend_from_slice(b"ahead");
+                }
+                expected.extend_from_slice(&frame);
+                let mut sink = Throttled {
+                    out: Vec::new(),
+                    cap,
+                    blocked: false,
+                };
+                wq.send(&mut sink, &request.write_parts().unwrap()).unwrap();
+                drain(&mut wq, &mut sink);
+                assert_eq!(sink.out, expected, "cap {cap}, queued ahead {queued_ahead}");
+            }
+        }
     }
 
     /// Echoes each request's start line back as the reply body. A request
@@ -2155,7 +2275,7 @@ mod tests {
             _: &mut FrameCtx<'_>,
         ) -> Step<Self::Cont> {
             Step::Reply(Some(
-                response(status::OK, "OK").with_body(msg.start.clone().into_bytes()),
+                response(status::OK, "OK").with_body(msg.start().as_bytes().to_vec()),
             ))
         }
 

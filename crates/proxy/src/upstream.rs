@@ -317,7 +317,8 @@ mod tests {
                     let mut reader = BufReader::new(stream);
                     while let Ok(Some(msg)) = read_message(&mut reader) {
                         let n = requests.fetch_add(1, Ordering::SeqCst);
-                        let echo = response(status::OK, "OK").with_body(msg.start.into_bytes());
+                        let echo =
+                            response(status::OK, "OK").with_body(msg.start().as_bytes().to_vec());
                         let out = reader.get_mut();
                         match script(n) {
                             Act::Echo => write_message(out, &echo).unwrap(),
@@ -392,7 +393,7 @@ mod tests {
         }
 
         fn handle(&self, msg: &Message, _: Option<FaultKind>, ctx: &mut FrameCtx<'_>) -> Step<()> {
-            if msg.start.starts_with("FORGET") {
+            if msg.start().starts_with("FORGET") {
                 ctx.seat.forget_upstream(self.target);
                 return Step::Reply(Some(response(status::OK, "OK")));
             }
@@ -448,7 +449,7 @@ mod tests {
         fn recv(&mut self) -> io::Result<Message> {
             let reply = read_message(&mut self.client)?.expect("the relay answers");
             match response_code(&reply) {
-                Some(502) => Err(io::Error::other(reply.start)),
+                Some(502) => Err(io::Error::other(reply.start().to_owned())),
                 _ => Ok(reply),
             }
         }

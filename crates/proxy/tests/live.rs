@@ -2465,7 +2465,7 @@ fn large_origin_body_yields_the_loop_and_is_signed_as_declared() {
                 let mut conn = BufReader::new(stream);
                 while let Ok(Some(msg)) = read_message(&mut conn) {
                     let out = conn.get_mut();
-                    if !msg.start.contains("/big") {
+                    if !msg.start().contains("/big") {
                         let small = Message::new("BAPS/1.0 200 OK")
                             .header("Digest", baps_crypto::document_digest(b"small").to_hex())
                             .with_body(b"small".to_vec());

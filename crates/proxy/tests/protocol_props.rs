@@ -45,10 +45,10 @@ proptest! {
         let back = read_message(&mut BufReader::new(buf.as_slice()))
             .unwrap()
             .expect("one message");
-        prop_assert_eq!(&back.start, &msg.start);
+        prop_assert_eq!(back.start(), msg.start());
         prop_assert_eq!(&back.body, &msg.body);
-        for (name, value) in &msg.headers {
-            prop_assert_eq!(back.get(name), Some(value.as_str()), "header {}", name);
+        for (name, value) in msg.headers() {
+            prop_assert_eq!(back.get(name), Some(value), "header {}", name);
         }
     }
 
@@ -62,7 +62,7 @@ proptest! {
         let mut reader = BufReader::new(buf.as_slice());
         for m in &msgs {
             let back = read_message(&mut reader).unwrap().expect("message");
-            prop_assert_eq!(&back.start, &m.start);
+            prop_assert_eq!(back.start(), m.start());
             prop_assert_eq!(&back.body, &m.body);
         }
         prop_assert!(read_message(&mut reader).unwrap().is_none());

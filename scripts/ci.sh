@@ -68,6 +68,14 @@ echo "== benchmark package tests"
 # emits, and building it proves the proxy API it drives still exists.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== bench_pairs arithmetic (fixture)"
+# scripts/bench_pairs.sh judges a change by paired benchmark runs; its
+# medians, interpolated quartiles, per-pair wins and IQR verdicts are
+# checked here on a committed runs file whose numbers were worked by hand,
+# not on the benchmark.
+scripts/bench_pairs.sh --summarize scripts/fixtures/bench_pairs.runs \
+    | diff scripts/fixtures/bench_pairs.expected -
+
 echo "== benchmark command smoke (correctness only, never timing)"
 # The command BENCHMARK.json names, on the workload that reads, verifies
 # and revalidates disk entries, for one measured second (the driver takes
