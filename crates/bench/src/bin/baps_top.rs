@@ -1,12 +1,13 @@
 //! `baps_top` — a live terminal dashboard for a running BAPS proxy.
 //!
 //! Scrapes `METRICS` once per interval (1 Hz by default) over one
-//! keep-alive connection — the proxy's one report, SLO windows and
-//! verdicts included — and renders an at-a-glance view: rolling
-//! request/error rates with a sparkline of recent history, the
-//! serve-tier split, executor-queue and event-loop saturation, and the
-//! active SLO alerts beside the slowest requests' exemplar trace ids (each
-//! fetchable via `TRACE`).
+//! keep-alive connection, keeps the scrapes of the last minute, and
+//! renders an at-a-glance view: the 1, 10 and 60 s request/error rates
+//! and latency quantiles, each the difference of two scrapes, with a
+//! sparkline of recent history, the serve-tier split, executor-queue and
+//! event-loop saturation, and the SLO verdict `baps_bench::health`
+//! judges over the last 10 s, its alerts beside the slowest requests'
+//! exemplar trace ids (each fetchable via `TRACE`).
 //!
 //! ```text
 //! baps_top --addr 127.0.0.1:4080            # watch a running proxy
@@ -18,23 +19,28 @@
 //! with `--addr`) runs until interrupted. `--plain` appends frames as
 //! plain text instead of redrawing the screen.
 
+use baps_bench::health::{evaluate, Buckets, SloTable, Window};
 use baps_core::Served;
 use baps_obs::prom;
 use baps_proxy::{
     read_message, response_code, write_message, DocumentStore, Message, TestBed, TestBedConfig,
 };
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sparkline glyphs, lowest to highest.
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 /// Sparkline history length (seconds of req/s kept on screen).
 const HISTORY: usize = 60;
-/// Verdict names by the value of the `baps_slo_*verdict` gauges.
-const VERDICTS: [&str; 3] = ["ok", "warn", "critical"];
+/// The rows printed, seconds; the longest is how far back scrapes are
+/// kept.
+const WINDOWS: [u64; 3] = [1, 10, 60];
+/// The window the verdict line is judged over.
+const VERDICT_WINDOW: u64 = 10;
 /// Most exemplar trace ids listed under the alerts.
 const MAX_TRACES: usize = 8;
 
@@ -163,6 +169,58 @@ fn gauge(fraction: f64) -> String {
     format!("[{}{}]", "█".repeat(filled), "·".repeat(20 - filled))
 }
 
+/// A scrape and when it was taken, by this reader's clock since it
+/// started.
+type Stamped = (Duration, Vec<prom::Sample>);
+
+/// The scrapes of the last minute, oldest first.
+#[derive(Default)]
+struct Scrapes(VecDeque<Stamped>);
+
+impl Scrapes {
+    /// Appends the scrape taken at `at`, and drops those no window needs
+    /// any more: all but the newest at or before the longest window's
+    /// start.
+    fn push(&mut self, at: Duration, samples: Vec<prom::Sample>) {
+        self.0.push_back((at, samples));
+        let longest = Duration::from_secs(WINDOWS[WINDOWS.len() - 1]);
+        while self.0.get(1).is_some_and(|(t, _)| *t + longest <= at) {
+            self.0.pop_front();
+        }
+    }
+
+    /// The trailing `secs`: the newest scrape, and the newest at or before
+    /// `secs` earlier than it, else the oldest held (the newest itself
+    /// when it is the only one). `None` before the first scrape.
+    fn window(&self, secs: u64) -> Option<(&Stamped, &Stamped)> {
+        let later = self.0.back()?;
+        let cutoff = later.0.checked_sub(Duration::from_secs(secs));
+        let earlier = self
+            .0
+            .iter()
+            .rev()
+            .find(|(t, _)| cutoff.is_some_and(|c| *t <= c))
+            .unwrap_or(&self.0[0]);
+        Some((earlier, later))
+    }
+
+    /// Requests and errors per second over the trailing `secs`, and the
+    /// window (0 before two scrapes).
+    fn rates(&self, secs: u64) -> Option<(f64, f64, Window)> {
+        let ((t0, earlier), (t1, later)) = self.window(secs)?;
+        let w = Window::between(earlier, later);
+        let elapsed = (*t1 - *t0).as_secs_f64();
+        let per_s = |n: u64| {
+            if elapsed > 0.0 {
+                n as f64 / elapsed
+            } else {
+                0.0
+            }
+        };
+        Some((per_s(w.requests), per_s(w.errors), w))
+    }
+}
+
 fn metric(samples: &[prom::Sample], name: &str) -> f64 {
     labelled(samples, name, &[])
 }
@@ -172,39 +230,11 @@ fn labelled(samples: &[prom::Sample], family: &str, labels: &[(&str, &str)]) -> 
     prom::find(samples, family, labels).unwrap_or(0.0)
 }
 
-fn verdict_name(value: f64) -> &'static str {
-    VERDICTS[(value as usize).min(VERDICTS.len() - 1)]
-}
-
-/// `family`'s count over the `window` report window, per second of its
-/// span (0 before the window has any).
-fn per_s(samples: &[prom::Sample], family: &str, window: &str) -> f64 {
-    let at = [("window", window)];
-    let span = labelled(samples, "baps_window_span_seconds", &at);
-    if span > 0.0 {
-        labelled(samples, family, &at) / span
-    } else {
-        0.0
-    }
-}
-
-/// The smallest bucket edge under which a fraction `q` of a histogram
-/// family's observations fall (0 when it has none).
-fn bucket_quantile_ms(samples: &[prom::Sample], family: &str, q: f64) -> f64 {
-    let bucket = format!("{family}_bucket");
-    let cumulative: Vec<(f64, f64)> = samples
-        .iter()
-        .filter(|s| s.name == bucket)
-        .filter_map(|s| Some((s.label("le")?.parse().ok()?, s.value)))
-        .collect();
-    let total = cumulative.last().map_or(0.0, |&(_, n)| n);
-    cumulative
-        .iter()
-        .find(|&&(_, n)| total > 0.0 && n >= q * total)
-        .map_or(0.0, |&(le, _)| le)
-}
-
-fn render(samples: &[prom::Sample], history: &[f64], plain: bool) -> String {
+fn render(scrapes: &Scrapes, history: &[f64], plain: bool) -> String {
+    let ((_, earlier), (_, samples)) = scrapes
+        .window(VERDICT_WINDOW)
+        .expect("a frame is rendered after its scrape");
+    let report = evaluate(earlier, samples, &SloTable::default());
     let mut out = String::new();
     if !plain {
         out.push_str("\x1b[2J\x1b[H"); // clear screen, home cursor
@@ -212,27 +242,17 @@ fn render(samples: &[prom::Sample], history: &[f64], plain: bool) -> String {
     out.push_str(&format!(
         "baps_top — uptime={}s verdict={}\n\n",
         metric(samples, "baps_uptime_seconds"),
-        verdict_name(metric(samples, "baps_slo_verdict")).to_uppercase()
+        report.verdict.name().to_uppercase()
     ));
 
-    let windows = samples
-        .iter()
-        .filter(|s| s.name == "baps_window_span_seconds")
-        .filter_map(|s| s.label("window"));
-    for window in windows {
-        let quantile = |q| {
-            labelled(
-                samples,
-                "baps_window_latency_ms",
-                &[("window", window), ("quantile", q)],
-            )
+    for secs in WINDOWS {
+        let Some((req_s, err_s, w)) = scrapes.rates(secs) else {
+            continue;
         };
         out.push_str(&format!(
-            "  {window:>3}s window  {:>9.1} req/s  {:>8.2} err/s  p99 {:>8.2}ms  p999 {:>8.2}ms\n",
-            per_s(samples, "baps_window_requests", window),
-            per_s(samples, "baps_window_errors", window),
-            quantile("0.99"),
-            quantile("0.999"),
+            "  {secs:>3}s window  {req_s:>9.1} req/s  {err_s:>8.2} err/s  p99 {:>8.2}ms  p999 {:>8.2}ms\n",
+            w.request.quantile_ms(0.99),
+            w.request.quantile_ms(0.999),
         ));
     }
     out.push_str(&format!("\n  req/s {}\n", sparkline(history)));
@@ -254,14 +274,15 @@ fn render(samples: &[prom::Sample], history: &[f64], plain: bool) -> String {
 
     // Saturation: the blocking executor's queue (a job waits there only
     // while every executor thread is busy), then the event loops.
+    let queue_wait = Buckets::of(samples, "baps_queue_wait_ms");
     out.push_str(&format!(
         "\n  executor  queue depth {:>4.0} (peak {:.0}, rejected {:.0})   \
-         wait p99 <= {:.2}ms over {:.0} jobs\n",
+         wait p99 {:.2}ms over {} jobs\n",
         metric(samples, "baps_queue_depth"),
         metric(samples, "baps_queue_depth_peak"),
         metric(samples, "baps_queue_rejected_total"),
-        bucket_quantile_ms(samples, "baps_queue_wait_ms", 0.99),
-        metric(samples, "baps_queue_wait_ms_count"),
+        queue_wait.quantile_ms(0.99),
+        queue_wait.count(),
     ));
     let busy_fraction = metric(samples, "baps_reactor_busy_fraction");
     out.push_str(&format!(
@@ -273,34 +294,28 @@ fn render(samples: &[prom::Sample], history: &[f64], plain: bool) -> String {
         metric(samples, "baps_reactor_ready_batch_peak"),
     ));
     out.push_str(&format!(
-        "  recorder  {:>6.0} events held, {:>6.0} shed\n",
+        "  recorder  {:>6.0} events held, {:>6.0} dropped, {:>6.0} shed\n",
         metric(samples, "baps_flight_recorder_events"),
         metric(samples, "baps_flight_recorder_dropped_total"),
+        metric(samples, "baps_flight_recorder_shed_total"),
     ));
 
     // Active alerts: every rule that is not ok, then the slowest requests'
     // exemplar trace ids, the evidence a request-facing alert points at.
-    let offending: Vec<_> = samples
-        .iter()
-        .filter(|s| s.name == "baps_slo_rule_verdict" && s.value > 0.0)
-        .collect();
-    if offending.is_empty() {
+    if report.offending().count() == 0 {
         out.push_str("\n  alerts: none — all SLO rules ok\n");
         return out;
     }
     out.push_str("\n  alerts:\n");
-    for r in offending {
-        let (rule, signal) = (
-            r.label("rule").unwrap_or("?"),
-            r.label("signal").unwrap_or("?"),
-        );
-        let of = |family| labelled(samples, family, &[("rule", rule)]);
+    for r in report.offending() {
         out.push_str(&format!(
-            "    {:<8} {rule:<20} {signal} = {:.3} (warn {:.3}, critical {:.3})\n",
-            verdict_name(r.value).to_uppercase(),
-            of("baps_slo_rule_value"),
-            of("baps_slo_rule_warn"),
-            of("baps_slo_rule_critical"),
+            "    {:<8} {:<20} {} = {:.3} (warn {:.3}, critical {:.3})\n",
+            r.verdict.name().to_uppercase(),
+            r.name,
+            r.signal.name(),
+            r.value,
+            r.warn,
+            r.critical,
         ));
     }
     let mut slow: Vec<(f64, &str)> = samples
@@ -374,17 +389,20 @@ fn main() {
     let mut scraper =
         Scraper::connect(addr).unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
 
+    let started = Instant::now();
+    let mut scrapes = Scrapes::default();
     let mut history: Vec<f64> = Vec::with_capacity(HISTORY);
     let mut iteration: u64 = 0;
     loop {
         iteration += 1;
         match scrape(&mut scraper) {
             Ok(samples) => {
-                history.push(per_s(&samples, "baps_window_requests", "1"));
+                scrapes.push(started.elapsed(), samples);
+                history.push(scrapes.rates(1).map_or(0.0, |(req_s, _, _)| req_s));
                 if history.len() > HISTORY {
                     history.remove(0);
                 }
-                print!("{}", render(&samples, &history, args.plain));
+                print!("{}", render(&scrapes, &history, args.plain));
                 if args.plain {
                     println!("--- frame {iteration} ---");
                 }
@@ -410,5 +428,77 @@ fn main() {
             bed.clients = clients;
         }
         bed.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A scrape of the two counters the rates read, as the proxy renders
+    /// them.
+    fn fixture(requests: u64, errors: u64) -> Vec<prom::Sample> {
+        let mut out = prom::PromText::new();
+        out.counter("baps_requests_total", "GET requests completed.", requests);
+        out.counter("baps_errors_total", "GET requests that failed.", errors);
+        prom::parse(&out.finish()).unwrap()
+    }
+
+    fn secs(s: f64) -> Duration {
+        Duration::from_secs_f64(s)
+    }
+
+    #[test]
+    fn rates_difference_the_scrapes_each_window_spans() {
+        let mut scrapes = Scrapes::default();
+        scrapes.push(secs(0.0), fixture(1_000, 10));
+        let (req_s, err_s, _) = scrapes.rates(1).unwrap();
+        assert_eq!((req_s, err_s), (0.0, 0.0), "one scrape spans nothing");
+        scrapes.push(secs(9.5), fixture(1_900, 100));
+        scrapes.push(secs(10.5), fixture(2_000, 110));
+        // 1 s: the scrape one second back.
+        let (req_s, err_s, w) = scrapes.rates(1).unwrap();
+        assert_eq!((req_s, err_s), (100.0, 10.0));
+        assert_eq!((w.requests, w.errors), (100, 10));
+        // 10 s: the newest scrape at or before 0.5 s is the first.
+        let (req_s, err_s, _) = scrapes.rates(10).unwrap();
+        assert_eq!((req_s, err_s), (1_000.0 / 10.5, 100.0 / 10.5));
+        // 60 s on a 10.5 s history: everything held.
+        assert_eq!(scrapes.rates(60).unwrap().0, 1_000.0 / 10.5);
+        // A minute on, the first two scrapes are no window's start.
+        scrapes.push(secs(70.5), fixture(8_000, 110));
+        assert_eq!(scrapes.0.len(), 2);
+        assert_eq!(scrapes.rates(60).unwrap().0, 100.0);
+    }
+
+    /// Whatever the scrape cadence (steady, stalled, jumping past the
+    /// longest window), every window starts where it would on a history
+    /// that kept every scrape: the newest at or before its start, else
+    /// the oldest.
+    #[test]
+    fn retention_keeps_every_window_start() {
+        let mut rng = StdRng::seed_from_u64(0x70b);
+        for _ in 0..200 {
+            let mut scrapes = Scrapes::default();
+            let mut all: Vec<Duration> = Vec::new();
+            let mut at = Duration::ZERO;
+            for _ in 0..rng.gen_range(1..150) {
+                at += Duration::from_millis(rng.gen_range(1..40_000u64));
+                all.push(at);
+                scrapes.push(at, Vec::new());
+                for want in WINDOWS {
+                    let ((start, _), (end, _)) = scrapes.window(want).unwrap();
+                    assert_eq!(*end, at);
+                    let expect = all
+                        .iter()
+                        .rev()
+                        .find(|t| **t + Duration::from_secs(want) <= at)
+                        .unwrap_or(&all[0]);
+                    assert_eq!(start, expect, "{want} s window over {all:?}");
+                }
+            }
+        }
     }
 }

@@ -28,16 +28,16 @@
 //!    and serve disk hits afterwards, its counters must stay monotonic
 //!    across the restart, and every post-restart body is still byte-exact
 //!    (invariant 1 keeps applying).
-//! 6. **SLO verdicts** — after the schedule, the SLO engine
-//!    (DESIGN.md §14) must judge the degraded-but-working deployment
-//!    `ok` against a chaos-calibrated rule table, and a post-schedule
-//!    burst of GETs for URLs that exist nowhere (every one a clean
-//!    proxy-side error) must flip `error_burn` to `critical`
-//!    deterministically.
+//! 6. **SLO verdicts** — a chaos-calibrated rule table, evaluated
+//!    (DESIGN.md §14) over the scrapes taken when the bed starts and when
+//!    the schedule ends, must judge the degraded-but-working deployment
+//!    `ok`; evaluated over the end scrape and one taken after a burst of
+//!    GETs for URLs that exist nowhere (every one a clean proxy-side
+//!    error), it must flip `error_burn` to `critical`.
 //!
 //! On any violation the binary dumps the deployment's flight-recorder
 //! ring (the last ~8k span events before the violation, trace ids
-//! included) headed by a live saturation snapshot and the current
+//! included) headed by a live saturation snapshot and the latest
 //! SLO verdict line (offending rules + their tail exemplar trace
 //! ids), prints a reproduction command, and exits nonzero.
 //!
@@ -62,14 +62,15 @@
 //!     [--scenario NAME]
 //! ```
 
+use baps_bench::health::{evaluate, scrape, HealthReport, SloRule, SloSignal, SloTable, Verdict};
 use baps_bench::scenario::{
     bed_config, flash_crowd_herd, replay_schedule, scenario_corpus, ScenarioTally,
 };
+use baps_obs::prom::Sample;
 use baps_obs::{EventKind, TraceId};
 use baps_proxy::fault::FaultKind;
 use baps_proxy::{
-    DocumentStore, FaultConfig, FaultCounts, FaultPlan, ProxyError, SloRule, SloSignal, SloTable,
-    TestBed, TestBedConfig, Verdict,
+    DocumentStore, FaultConfig, FaultCounts, FaultPlan, ProxyError, TestBed, TestBedConfig,
 };
 use baps_trace::Scenario;
 use rand::rngs::StdRng;
@@ -83,8 +84,8 @@ use std::time::{Duration, Instant};
 const FETCH_DEADLINE: Duration = Duration::from_secs(10);
 
 /// GETs for nonexistent URLs in the post-schedule error burst. Every one
-/// is a clean proxy-side error, so the windowed error rate the burst
-/// window sees is 1.0 — far past any sane critical ceiling.
+/// is a clean proxy-side error, so the error rate between the scrapes
+/// around the burst is 1.0 — far past any sane critical ceiling.
 const BURST_REQUESTS: u32 = 200;
 
 /// SLO table calibrated to the envelope this soak deliberately drives:
@@ -96,27 +97,14 @@ const BURST_REQUESTS: u32 = 200;
 fn chaos_slo() -> SloTable {
     SloTable {
         rules: vec![
-            SloRule::new("error_burn", SloSignal::ErrorRate, 10, 0.30, 0.60),
-            SloRule::new(
-                "p999_ceiling",
-                SloSignal::RequestP999Ms,
-                60,
-                2_500.0,
-                8_000.0,
-            ),
-            SloRule::new(
-                "origin_fallback",
-                SloSignal::OriginFallbackRate,
-                10,
-                0.60,
-                0.90,
-            ),
-            SloRule::new("queue_wait", SloSignal::QueueWaitP99Ms, 10, 250.0, 1_000.0),
-            SloRule::new("recorder_shed", SloSignal::RecorderShedPerSec, 10, 1e3, 1e5),
+            SloRule::new("error_burn", SloSignal::ErrorRate, 0.30, 0.60),
+            SloRule::new("p999_ceiling", SloSignal::RequestP999Ms, 2_500.0, 8_000.0),
+            SloRule::new("origin_fallback", SloSignal::OriginFallbackRate, 0.60, 0.90),
+            SloRule::new("queue_wait", SloSignal::QueueWaitP99Ms, 250.0, 1_000.0),
+            SloRule::new("recorder_shed", SloSignal::RecorderShedPerSec, 1e3, 1e5),
             SloRule::new(
                 "reactor_ready_depth",
                 SloSignal::ReactorReadyDepth,
-                1,
                 1024.0,
                 8192.0,
             ),
@@ -247,11 +235,11 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
             origin_retries: 1,
             fault_plan: Some(Arc::clone(&plan)),
             disk_root: disk_root.clone(),
-            slo: chaos_slo(),
             ..TestBedConfig::default()
         },
     )
     .expect("test bed starts");
+    let start = scrape(&bed.proxy);
     // With --restart-warm one *full* proxy restart (process-equivalent:
     // workers stopped, memory cache and index lost, disk tier and counter
     // baseline re-opened) lands deterministically at mid-schedule.
@@ -421,12 +409,12 @@ fn run_soak(args: SoakArgs, run: u32) -> SoakReport {
     // Fault counts are frozen *before* the error burst so the run-to-run
     // determinism comparison covers exactly the seeded schedule.
     let faults = plan.counts();
-    check_health_flip(&bed, &mut violations);
+    let latest = check_health_flip(&bed, &start, &mut violations);
     let recorder_dump = (!violations.is_empty()).then(|| {
         format!(
             "{}\n{}\n{}",
             saturation_line(&bed),
-            health_line(&bed),
+            health_line(&latest),
             bed.recorder.render()
         )
     });
@@ -476,13 +464,12 @@ fn saturation_line(bed: &TestBed) -> String {
     )
 }
 
-/// One-line SLO verdict snapshot taken while the deployment is
-/// still alive: the document verdict plus every offending rule with its
-/// measured value and tail exemplar trace ids (resolvable through
-/// `TRACE`). Rides next to the saturation line atop every violation
-/// dump, so an SLO burn is visible before reading the span stream.
-fn health_line(bed: &TestBed) -> String {
-    let report = bed.proxy.health();
+/// One-line SLO verdict: the document verdict plus every offending rule
+/// with its measured value and tail exemplar trace ids (resolvable
+/// through `TRACE`). Rides next to the saturation line atop every
+/// violation dump, so an SLO burn is visible before reading the span
+/// stream.
+fn health_line(report: &HealthReport) -> String {
     let offending: Vec<String> = report
         .offending()
         .map(|r| {
@@ -516,15 +503,17 @@ fn health_line(bed: &TestBed) -> String {
 }
 
 /// Invariant 6: the chaos-calibrated SLO table judges the completed
-/// schedule `ok`, then an error burst flips `error_burn` to `critical`.
-///
-/// The flip is deterministic by construction: ten forced captures push
-/// the window tick train ten seconds past the wall clock (idling the
-/// once-a-second capture timer), so the `error_burn` 10 s window at the next
-/// evaluation starts exactly here and the burst below — GETs for URLs
-/// that exist nowhere, every one an error — is the only traffic it sees.
-fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
-    let clean = bed.proxy.health();
+/// schedule `ok` over the scrapes at bed start and at its end, then an
+/// error burst flips `error_burn` to `critical` over the scrapes around
+/// it: the burst's GETs, for URLs that exist nowhere, every one an error,
+/// are the only traffic between them. Returns the burst's report.
+fn check_health_flip(
+    bed: &TestBed,
+    start: &[Sample],
+    violations: &mut Vec<String>,
+) -> HealthReport {
+    let end = scrape(&bed.proxy);
+    let clean = evaluate(start, &end, &chaos_slo());
     if clean.verdict != Verdict::Ok {
         let burning: Vec<String> = clean
             .offending()
@@ -540,9 +529,6 @@ fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
             ),
         );
     }
-    for _ in 0..10 {
-        bed.proxy.sample_windows_now();
-    }
     for i in 0..BURST_REQUESTS {
         let url = format!("http://origin/missing/{i}");
         if bed.clients[0].fetch(&url).is_ok() {
@@ -553,7 +539,7 @@ fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
             );
         }
     }
-    let burst = bed.proxy.health();
+    let burst = evaluate(&end, &scrape(&bed.proxy), &chaos_slo());
     match burst.rule("error_burn") {
         None => violate(
             bed,
@@ -568,7 +554,7 @@ fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
                  (error rate {:.3} over a {} s span)",
                 rule.verdict.name(),
                 rule.value,
-                rule.span_secs
+                burst.span_secs
             ),
         ),
         Some(_) => {}
@@ -583,6 +569,7 @@ fn check_health_flip(bed: &TestBed, violations: &mut Vec<String>) {
             ),
         );
     }
+    burst
 }
 
 /// Workers in the flash-crowd thundering-herd probe.
@@ -632,6 +619,7 @@ fn run_scenario_soak(scenario: Scenario, args: SoakArgs, run: u32) -> ScenarioRe
         },
     )
     .expect("scenario bed starts");
+    let start = scrape(&bed.proxy);
 
     let outcome = replay_schedule(&bed, &schedule, &mut expected, args.seed, FETCH_DEADLINE);
     let mut violations = outcome.violations;
@@ -742,7 +730,7 @@ fn run_scenario_soak(scenario: Scenario, args: SoakArgs, run: u32) -> ScenarioRe
         format!(
             "{}\n{}\n{}",
             saturation_line(&bed),
-            health_line(&bed),
+            health_line(&evaluate(&start, &scrape(&bed.proxy), &SloTable::default())),
             bed.recorder.render()
         )
     });

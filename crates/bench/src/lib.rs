@@ -11,12 +11,15 @@
 //!
 //! [`anonymity`] is §6.2's anonymity protocol, which no live component
 //! runs: the `security` row times it beside the §6.1 watermark.
+//! [`health`] works out rolling windows and SLO verdicts from two of the
+//! live proxy's `METRICS` scrapes, for `baps_top` and `chaos_soak`.
 
 #![warn(missing_docs)]
 
 pub mod anonymity;
 pub mod critical_path;
 pub mod experiments;
+pub mod health;
 pub mod scenario;
 
 use std::io::{self, Write};

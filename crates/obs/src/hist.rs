@@ -736,4 +736,22 @@ mod tests {
             ]
         );
     }
+
+    #[test]
+    fn histogram_deltas_are_bucket_by_bucket() {
+        let mut h = LatencyHistogram::new();
+        for ms in [0.5, 3.0, 9000.0] {
+            h.record(ms);
+        }
+        let earlier = h.clone();
+        for ms in [42.0, 42.0, 42.0] {
+            h.record(ms);
+        }
+        let delta = h.since(&earlier);
+        assert_eq!(delta.count(), 3);
+        assert_eq!(delta.quantile_ms(0.0), delta.quantile_ms(1.0), "one bucket");
+        assert!(delta.quantile_ms(0.5) <= 42.0 && delta.max_ms() >= 42.0);
+        assert!((delta.sum_ms() - 126.0).abs() < 1e-9);
+        assert_eq!(h.since(&h).count(), 0);
+    }
 }

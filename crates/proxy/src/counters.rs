@@ -4,10 +4,9 @@
 //! counter, documents it, says whether it is one of the *outcome* counters
 //! whose sum **is** `requests`, and where the `METRICS` exposition shows
 //! it. The live atomics ([`ProxyCounters`]), the public snapshot
-//! ([`ProxyStats`]), the restart baseline file, the counter families of
-//! the exposition and the SLO window capture are all generated from
-//! that table or iterate it, so a new counter costs one row plus its bump
-//! site.
+//! ([`ProxyStats`]), the restart baseline file and the counter families
+//! of the exposition are all generated from that table or iterate it, so
+//! a new counter costs one row plus its bump site.
 
 // A `Served(..)` row names its tier bare: `Served(Peer)`.
 use baps_core::Served::{self, Origin, Peer, Proxy, ProxyDisk};

@@ -29,7 +29,6 @@ mod counters;
 pub mod disk;
 pub mod error;
 pub mod fault;
-pub mod health;
 mod metrics;
 pub mod origin;
 pub mod protocol;
@@ -48,7 +47,6 @@ pub use client::{ClientAgent, ClientConfig, FetchResult, TamperMode};
 pub use disk::{DiskConfig, DiskStats, DiskTier};
 pub use error::ProxyError;
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultPlan};
-pub use health::{HealthReport, RuleVerdict, SloRule, SloSignal, SloTable, Verdict, WindowRates};
 pub use origin::OriginServer;
 pub use protocol::{encode_message, read_message, response_code, write_message, Body, Message};
 pub use proxy::{ProxyConfig, ProxyServer, ProxyStats};

@@ -5,19 +5,21 @@
 //! `baps_requests_total` always equals the sum of `baps_served_total` +
 //! `baps_errors_total`), cache, disk-tier, and
 //! index occupancy with per-shard gauges, the per-tier and per-verb
-//! latency histograms, the flight recorder's fill level, and the SLO
-//! engine's rolling windows and rule verdicts (`health.rs`), evaluated
-//! over the captures loop 0 takes once a second plus one this scrape
-//! forces. The exposition format and bucket layout are documented in
-//! DESIGN.md §9, the SLO families in §14.
+//! latency histograms, and the flight recorder's fill level. Every series
+//! is cumulative or a gauge of the moment: the proxy keeps no windows and
+//! judges nothing. A reader differences two scrapes into rates,
+//! windowed quantiles and SLO verdicts (`baps_bench::health`). The
+//! exposition format and bucket layout are documented in DESIGN.md §9,
+//! the reader-side contract in §14.
 //!
-//! All `baps_*_total` series are **restart-surviving**: the snapshot
-//! folds in the counter baseline persisted beside the disk tier, so a
-//! scraper sees monotonic counters across a proxy restart instead of a
-//! reset to zero (DESIGN.md §10).
+//! The request counters (the families of `counters.rs`'s table) are
+//! **restart-surviving**: the snapshot folds in the counter baseline
+//! persisted beside the disk tier, so a scraper sees them monotonic
+//! across a proxy restart instead of a reset to zero (DESIGN.md §10).
+//! Every other counter and every histogram starts again at zero with the
+//! new incarnation.
 
 use crate::counters::Family;
-use crate::health::{HealthReport, RuleVerdict, WindowRates};
 use crate::proxy::ProxyState;
 use crate::upstream::UPSTREAM_LABELS;
 use baps_obs::prom::PromText;
@@ -34,11 +36,9 @@ pub(crate) fn process_minor_faults() -> u64 {
 }
 
 /// Renders the full exposition for `state`, after reading the process's
-/// minor faults and one forced window capture, so both are as of the
-/// scrape.
+/// minor faults, so they are as of the scrape.
 pub(crate) fn render(state: &ProxyState) -> String {
     state.note_minor_faults();
-    state.windows.force_capture(state);
     let mut out = PromText::new();
 
     // Who is answering: the crate version, the document-digest kernel
@@ -64,7 +64,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     out.gauge(
         "baps_uptime_seconds",
         "Seconds since this proxy incarnation started.",
-        state.windows.uptime_secs() as f64,
+        state.started.elapsed().as_secs() as f64,
     );
 
     // Request counters: one consistent snapshot (baseline included), so
@@ -295,6 +295,11 @@ pub(crate) fn render(state: &ProxyState) -> String {
         "Events dropped: displaced because the ring was full, or shed under stripe-lock contention.",
         state.obs.recorder.dropped(),
     );
+    out.counter(
+        "baps_flight_recorder_shed_total",
+        "Events shed under stripe-lock contention (a full ring displacing its oldest event is not shed).",
+        state.obs.recorder.shed(),
+    );
 
     // Executor saturation: a job queues only while no executor thread is
     // free, so a depth above 0 and the wait's tail say how saturated.
@@ -408,111 +413,7 @@ pub(crate) fn render(state: &ProxyState) -> String {
     for (label, h) in state.obs.verbs.iter() {
         out.histogram("baps_verb_latency_ms", &[("verb", label)], &h);
     }
-
-    slo_series(&mut out, &crate::health::evaluate(state));
     out.finish()
-}
-
-/// A labelled gauge family: its name, its help text, and what it reads
-/// off each labelled item.
-type GaugeFamily<T> = (&'static str, &'static str, fn(&T) -> f64);
-
-/// The SLO engine's report: the document verdict, one labelled series per
-/// rule in each `baps_slo_rule_*` family, one per report window in each
-/// `baps_window_*` family. Windowed counts are gauges over the window's
-/// span, for the reader to divide into rates.
-fn slo_series(out: &mut PromText, report: &HealthReport) {
-    out.gauge(
-        "baps_slo_verdict",
-        "Worst SLO rule verdict (0 ok, 1 warn, 2 critical).",
-        report.verdict as u8 as f64,
-    );
-    let rule_families: [GaugeFamily<RuleVerdict>; 5] = [
-        (
-            "baps_slo_rule_value",
-            "Value each SLO rule measured, in its signal's unit.",
-            |r| r.value,
-        ),
-        (
-            "baps_slo_rule_warn",
-            "Each SLO rule's warn threshold (inclusive).",
-            |r| r.warn,
-        ),
-        (
-            "baps_slo_rule_critical",
-            "Each SLO rule's critical threshold (inclusive).",
-            |r| r.critical,
-        ),
-        (
-            "baps_slo_rule_verdict",
-            "Each SLO rule's verdict (0 ok, 1 warn, 2 critical).",
-            |r| r.verdict as u8 as f64,
-        ),
-        (
-            "baps_slo_rule_span_seconds",
-            "Actual span of the window each SLO rule was measured over (0: no data, or a gauge).",
-            |r| r.span_secs as f64,
-        ),
-    ];
-    for (family, help, value) in rule_families {
-        out.header(family, "gauge", help);
-        for r in &report.rules {
-            let labels = [("rule", r.name.as_str()), ("signal", r.signal.name())];
-            out.sample(family, &labels, value(r));
-        }
-    }
-    let window_families: [GaugeFamily<WindowRates>; 5] = [
-        (
-            "baps_window_span_seconds",
-            "Actual span of each report window (0: no data yet).",
-            |w| w.span_secs as f64,
-        ),
-        (
-            "baps_window_requests",
-            "GET requests completed in each report window.",
-            |w| w.requests as f64,
-        ),
-        (
-            "baps_window_errors",
-            "GET requests that failed in each report window.",
-            |w| w.errors as f64,
-        ),
-        (
-            "baps_window_origin_fetches",
-            "Origin fetches in each report window.",
-            |w| w.origin_fetches as f64,
-        ),
-        (
-            "baps_window_coalesced_fetches",
-            "Misses that shared another's fetch in each report window.",
-            |w| w.coalesced as f64,
-        ),
-    ];
-    let labels: Vec<String> = report
-        .windows
-        .iter()
-        .map(|w| w.window_secs.to_string())
-        .collect();
-    for (family, help, value) in window_families {
-        out.header(family, "gauge", help);
-        for (w, window) in report.windows.iter().zip(&labels) {
-            out.sample(family, &[("window", window)], value(w));
-        }
-    }
-    out.header(
-        "baps_window_latency_ms",
-        "gauge",
-        "GET latency quantile over each report window, milliseconds (all tiers merged).",
-    );
-    for (w, window) in report.windows.iter().zip(&labels) {
-        for (quantile, ms) in [("0.99", w.p99_ms), ("0.999", w.p999_ms)] {
-            out.sample(
-                "baps_window_latency_ms",
-                &[("window", window), ("quantile", quantile)],
-                ms,
-            );
-        }
-    }
 }
 
 /// Per-shard gauge/counter series under `prefix` (`…_entries`, `…_bytes`

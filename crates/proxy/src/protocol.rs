@@ -18,10 +18,9 @@
 //!   (header `Client: <id>`);
 //! * `METRICS BAPS/1.0` — operator → proxy metrics scrape; the reply body
 //!   is a Prometheus text exposition (counters, per-shard gauges,
-//!   per-tier/per-verb latency histograms — see DESIGN.md §9 — and the
-//!   SLO engine's rolling windows and rule verdicts, §14), with
+//!   per-tier/per-verb latency histograms — see DESIGN.md §9), with
 //!   `Content-Type: text/plain; version=0.0.4`. The proxy's one report:
-//!   the one verb that carries counters, gauges and verdicts;
+//!   the one verb that carries counters and gauges;
 //! * `TRACE BAPS/1.0` — operator → proxy trace export; the reply body is
 //!   JSONL, one span per line, drained from the proxy's flight recorder
 //!   (`Content-Type: application/jsonl`, plus `Sample-One-In` naming the

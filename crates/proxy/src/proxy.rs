@@ -17,7 +17,6 @@ pub use crate::counters::ProxyStats;
 use crate::counters::{load_baseline, persist_baseline, ProxyCounters};
 use crate::disk::{DiskConfig, DiskHit, DiskStats, DiskTier, Entry, ReadOutcome, ReadVia};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::health::{HealthReport, ProxyWindows, SloTable};
 use crate::metrics::process_minor_faults;
 use crate::protocol::{response, response_code, status, trace_of, Body, Message};
 use crate::reactor::{
@@ -82,9 +81,6 @@ pub struct ProxyConfig {
     /// test bed passes one ring shared with the origin and every client so
     /// a single dump interleaves all sides of a request.
     pub recorder: Option<Arc<FlightRecorder>>,
-    /// Declarative SLO rules every `METRICS BAPS/1.0` scrape evaluates
-    /// over the rolling telemetry windows (DESIGN.md §14).
-    pub slo: SloTable,
 }
 
 /// Shard-lock waits above this are worth a flight-recorder event even on
@@ -146,9 +142,8 @@ pub(crate) struct ProxyState {
     /// outcome. Shared with every [`FlightLeader`], which may outlive a
     /// borrow of this state.
     inflight: Arc<FlightRegistry>,
-    /// Rolling per-second telemetry windows (fed by loop 0's timer and
-    /// forced captures), the substrate of the SLO verdicts.
-    pub(crate) windows: ProxyWindows,
+    /// When this incarnation started (`baps_uptime_seconds`).
+    pub(crate) started: Instant,
     /// The process's minor faults at the last scrape (at start before the
     /// first): `counters.minor_faults` grows by the difference.
     faults_read: AtomicU64,
@@ -232,13 +227,9 @@ impl ProxyServer {
             disk,
             reactor: Arc::clone(&telemetry),
             inflight: Arc::default(),
-            windows: ProxyWindows::new(),
+            started: Instant::now(),
             faults_read: AtomicU64::new(process_minor_faults()),
         });
-        // Zero-point capture: the first window differences against the
-        // counters as they stood at start (the restart baseline included),
-        // so windows measure activity of *this* incarnation only.
-        state.windows.force_capture(&state);
         let server = Server::start_on(
             listener,
             "baps-proxy",
@@ -300,8 +291,7 @@ impl ProxyServer {
     }
 
     /// The Prometheus exposition the `METRICS BAPS/1.0` verb serves,
-    /// rendered directly (test/ops hook — no connection needed). Forces a
-    /// window capture first, exactly as the wire verb does.
+    /// rendered directly (test/ops hook — no connection needed).
     pub fn metrics_text(&self) -> String {
         crate::metrics::render(&self.state)
     }
@@ -348,26 +338,10 @@ impl ProxyServer {
         self.state.inflight.lock().len()
     }
 
-    /// The SLO report a `METRICS BAPS/1.0` scrape renders, as a value
-    /// (test/ops hook — no connection needed). Forces a window capture
-    /// first, exactly as the wire verb does.
-    pub fn health(&self) -> HealthReport {
-        self.state.windows.force_capture(&self.state);
-        crate::health::evaluate(&self.state)
-    }
-
-    /// Test hook: forces one window capture *now*, advancing the capture
-    /// tick by at least one second even if the wall clock has not moved.
-    /// Deterministic tests bracket a burst with two calls and difference
-    /// the resulting windows.
-    pub fn sample_windows_now(&self) {
-        self.state.windows.force_capture(&self.state);
-    }
-
     /// Seconds since this proxy incarnation started (the
     /// `baps_uptime_seconds` gauge).
     pub fn uptime_secs(&self) -> u64 {
-        self.state.windows.uptime_secs()
+        self.state.started.elapsed().as_secs()
     }
 
     /// Ops/test hook: abruptly severs every open client connection and
@@ -455,12 +429,6 @@ impl FrameService for ProxyState {
             self.obs.verbs.record(verb, t_verb.elapsed());
         }
         step
-    }
-
-    /// The rolling windows' capture, once per second of uptime.
-    fn tick(&self) -> Option<Duration> {
-        self.windows.maybe_capture(self);
-        Some(self.windows.until_next_sec())
     }
 
     fn resume(&self, suspended: Suspended, event: Event, seat: &Seat<'_>) -> Step<Suspended> {
@@ -1630,7 +1598,6 @@ mod tests {
             disk: None,
             faults: None,
             recorder: None,
-            slo: SloTable::default(),
         }
     }
 

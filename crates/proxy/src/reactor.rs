@@ -281,12 +281,6 @@ pub(crate) trait FrameService: Send + Sync + 'static {
     /// The next step of a suspended request. Runs on the loop (must not
     /// block) except for [`Event::Run`].
     fn resume(&self, cont: Self::Cont, event: Event, seat: &Seat<'_>) -> Step<Self::Cont>;
-
-    /// Periodic work, run on loop 0 when it starts and then again after
-    /// each delay it returns; `None` arms nothing. Must not block.
-    fn tick(&self) -> Option<Duration> {
-        None
-    }
 }
 
 /// One event loop per available core: what the proxy and the origin run.
@@ -807,8 +801,6 @@ enum Timer {
     Deadline { token: u64 },
     /// Close the upstream connections idle past the limit.
     Reap,
-    /// Run [`FrameService::tick`] (loop 0 only).
-    Tick,
     /// Watch the listener again after an [`ACCEPT_PAUSE`] (loop 0 only).
     Accept,
 }
@@ -977,9 +969,6 @@ struct EventLoop<S: FrameService> {
 
 impl<S: FrameService> EventLoop<S> {
     fn run(mut self) {
-        if self.id == 0 {
-            self.tick();
-        }
         let mut events = vec![EpollEvent::default(); EVENT_BATCH];
         loop {
             let timeout = self.next_timeout();
@@ -1063,20 +1052,12 @@ impl<S: FrameService> EventLoop<S> {
                     }
                     self.arm_reaper();
                 }
-                Timer::Tick => self.tick(),
                 Timer::Accept => {
                     if self.watch_listener().is_err() {
                         self.arm(ACCEPT_PAUSE, Timer::Accept);
                     }
                 }
             }
-        }
-    }
-
-    /// Runs the service's periodic work and arms its next turn.
-    fn tick(&mut self) {
-        if let Some(after) = self.service.tick() {
-            self.arm(after, Timer::Tick);
         }
     }
 

@@ -4,7 +4,6 @@ use crate::client::{ClientAgent, ClientConfig};
 use crate::disk::DiskConfig;
 use crate::error::ProxyError;
 use crate::fault::FaultPlan;
-use crate::health::SloTable;
 use crate::origin::OriginServer;
 use crate::proxy::{ProxyConfig, ProxyServer};
 use crate::store::DocumentStore;
@@ -45,11 +44,6 @@ pub struct TestBedConfig {
     /// Disk-tier freshness TTL (used when `disk_root` is set). Entries
     /// older than this revalidate against the origin before being served.
     pub disk_ttl: Duration,
-    /// SLO rule table the proxy's `METRICS BAPS/1.0` scrapes evaluate.
-    /// Chaos/bench runs calibrate these thresholds to the workload
-    /// envelope they drive (the library defaults only flag a *broken*
-    /// proxy, not a deliberately tormented one).
-    pub slo: SloTable,
 }
 
 impl Default for TestBedConfig {
@@ -68,7 +62,6 @@ impl Default for TestBedConfig {
             disk_root: None,
             disk_capacity: 1 << 20,
             disk_ttl: Duration::from_secs(3600),
-            slo: SloTable::default(),
         }
     }
 }
@@ -111,7 +104,6 @@ impl TestBed {
             }),
             faults: config.fault_plan.clone(),
             recorder: Some(Arc::clone(&recorder)),
-            slo: config.slo.clone(),
         })?;
         let key = proxy.public_key();
         let clients = (0..config.n_clients)

@@ -3,8 +3,8 @@
 use baps_core::Served;
 use baps_proxy::{
     encode_message, read_message, response_code, write_message, DocumentStore, FaultConfig,
-    FaultKind, FaultPlan, Message, OriginServer, ProxyConfig, ProxyServer, SloTable, TamperMode,
-    TestBed, TestBedConfig, Verdict,
+    FaultKind, FaultPlan, Message, OriginServer, ProxyConfig, ProxyServer, TamperMode, TestBed,
+    TestBedConfig,
 };
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -1165,7 +1165,6 @@ fn proxy_before(
         }),
         faults: None,
         recorder: None,
-        slo: SloTable::default(),
     })
     .unwrap();
     let clients = (0..n)
@@ -1441,9 +1440,9 @@ fn metrics_exposition_conforms() {
     let text = String::from_utf8(reply.body.to_vec()).unwrap();
     prom::check_conformance(&text).unwrap_or_else(|e| panic!("exposition violates format: {e}"));
 
-    // The saturation families and the SLO report are part of the scrape:
-    // a verdict, every rule of the table under each per-rule family, and
-    // every report window under each per-window family.
+    // The saturation families are part of the scrape, and nothing in it
+    // is a window or a verdict: the proxy exports cumulative series and
+    // gauges, and whoever reads them judges (DESIGN.md §14).
     let samples = prom::parse(&text).unwrap();
     for name in [
         "baps_queue_depth",
@@ -1451,51 +1450,21 @@ fn metrics_exposition_conforms() {
         "baps_queue_rejected_total",
         "baps_queue_wait_ms_count",
         "baps_flight_registry_occupancy",
+        "baps_flight_recorder_shed_total",
         "baps_upstream_stale_total",
         "baps_reactor_upstream_exchanges",
         "baps_reactor_parked_requests",
-        "baps_slo_verdict",
     ] {
         assert!(
             prom::find(&samples, name, &[]).is_some(),
             "exposition is missing {name}"
         );
     }
-    let count = |family: &str| samples.iter().filter(|s| s.name == family).count();
-    let rules = TestBedConfig::default().slo.rules.len();
-    for family in [
-        "baps_slo_rule_value",
-        "baps_slo_rule_warn",
-        "baps_slo_rule_critical",
-        "baps_slo_rule_verdict",
-        "baps_slo_rule_span_seconds",
-    ] {
-        assert_eq!(count(family), rules, "{family}");
-    }
-    for family in [
-        "baps_window_span_seconds",
-        "baps_window_requests",
-        "baps_window_errors",
-        "baps_window_origin_fetches",
-        "baps_window_coalesced_fetches",
-    ] {
-        for window in ["1", "10", "60"] {
-            assert!(
-                prom::find(&samples, family, &[("window", window)]).is_some(),
-                "exposition is missing {family}{{window={window}}}"
-            );
-        }
-    }
-    assert_eq!(
-        count("baps_window_latency_ms"),
-        3 * 2,
-        "p99 and p999 per window"
+    assert!(
+        !text.contains("baps_slo_") && !text.contains("baps_window_"),
+        "the proxy judges nothing"
     );
-    // The scraped verdict is the one the SLO engine gives in process (the
-    // scrape's own forced capture brought no request with it).
-    let verdict = prom::find(&samples, "baps_slo_verdict", &[]).unwrap();
-    assert_eq!(verdict, bed.proxy.health().verdict as u8 as f64);
-    // Identity gauges (DESIGN.md §14): `baps_build_info` pins the version
+    // Identity gauges (DESIGN.md §9): `baps_build_info` pins the version
     // and the MD5 and CRC32C kernels of whatever produced the scrape,
     // `baps_uptime_seconds` tells a restart from a counter reset.
     let build_info = samples
@@ -1575,173 +1544,6 @@ fn metrics_report_recorder_drops_and_saturation() {
     }
     assert_eq!(field("baps_flight_recorder_dropped_total"), 0.0);
     assert_eq!(field("baps_queue_rejected_total"), 0.0);
-    bed.shutdown();
-}
-
-/// One wire `METRICS` scrape: a 200 whose body conforms, parsed.
-fn scrape_metrics(bed: &TestBed) -> Vec<baps_obs::prom::Sample> {
-    use baps_obs::prom;
-
-    let reply = bed.clients[0].proxy_metrics_raw().unwrap();
-    assert_eq!(response_code(&reply), Some(200));
-    let text = String::from_utf8(reply.body.to_vec()).unwrap();
-    prom::check_conformance(&text).unwrap_or_else(|e| panic!("exposition violates format: {e}"));
-    prom::parse(&text).unwrap()
-}
-
-/// The SLO engine end to end (DESIGN.md §14) against an origin that
-/// stalls every reply 15 ms, so every GET below is a slow origin-tier
-/// success and the head-sampled ones leave tail exemplars behind: one
-/// METRICS scrape carries the whole default table's evaluation, the
-/// windowed p999 sees the stall, the 10 s window counts exactly the
-/// requests driven between two forced captures, and every exemplar the
-/// scrape's tier buckets carry resolves through TRACE to a head-sampled
-/// span tree.
-#[test]
-fn health_windows_move_and_exemplars_resolve_through_trace() {
-    use baps_obs::{prom, span};
-    use std::collections::BTreeSet;
-
-    const LOAD: u32 = 192;
-    const BETWEEN: u32 = 64;
-    let plan = FaultPlan::new(
-        42,
-        FaultConfig {
-            p_origin_stall: 1.0,
-            stall: Duration::from_millis(15),
-            ..FaultConfig::default()
-        },
-    );
-    let bed = TestBed::start(
-        DocumentStore::synthetic(512, 200, 1_500, 42),
-        TestBedConfig {
-            n_clients: 2,
-            fault_plan: Some(Arc::new(plan)),
-            ..TestBedConfig::default()
-        },
-    )
-    .expect("test bed starts");
-    // Distinct URLs: every fetch is an origin miss.
-    let fetch = |client: usize, i: u32| {
-        bed.clients[client]
-            .fetch(&format!("http://origin/doc/{i}"))
-            .unwrap()
-    };
-    for i in 0..LOAD {
-        fetch(i as usize % 2, i);
-    }
-
-    let first = scrape_metrics(&bed);
-    let values: Vec<_> = first
-        .iter()
-        .filter(|s| s.name == "baps_slo_rule_value")
-        .collect();
-    let table_len = TestBedConfig::default().slo.rules.len();
-    assert_eq!(values.len(), table_len, "every rule is evaluated");
-    let signals: BTreeSet<&str> = values.iter().filter_map(|s| s.label("signal")).collect();
-    assert_eq!(signals.len(), table_len, "each signal exactly once");
-    let p999 = prom::find(&first, "baps_slo_rule_value", &[("rule", "p999_ceiling")])
-        .expect("p999_ceiling rule");
-    assert!(p999 >= 10.0, "windowed p999 {p999} ms");
-
-    // Ten forced captures move the capture tick ten seconds past the
-    // scrape's, so the 10 s window closed by the next capture starts here
-    // and sees the between-captures requests and nothing else.
-    for _ in 0..10 {
-        bed.proxy.sample_windows_now();
-    }
-    for i in 0..BETWEEN {
-        fetch(0, LOAD + i);
-    }
-    bed.proxy.sample_windows_now();
-    let second = scrape_metrics(&bed);
-    let w10 = |family: &str| {
-        prom::find(&second, family, &[("window", "10")])
-            .unwrap_or_else(|| panic!("no 10 s window in {family}"))
-    };
-    assert_eq!(w10("baps_window_requests"), BETWEEN as f64);
-    assert!(w10("baps_window_span_seconds") > 0.0);
-
-    let exemplars: BTreeSet<&str> = second
-        .iter()
-        .filter(|s| s.name == "baps_request_latency_ms_bucket")
-        .filter_map(|s| s.exemplar.as_ref()?.trace_id())
-        .collect();
-    assert!(!exemplars.is_empty(), "no tail-bucket exemplars");
-
-    let reply = bed.clients[0].proxy_trace_raw().unwrap();
-    let records = span::parse_jsonl(std::str::from_utf8(&reply.body).unwrap()).unwrap();
-    let trees = span::assemble(&records);
-    for id in &exemplars {
-        let trace: baps_obs::TraceId = id.parse().expect("exemplar trace id");
-        assert!(span::sampled(trace), "exemplar {id} is not head-sampled");
-        let tree = trees
-            .iter()
-            .find(|t| t.trace == trace)
-            .unwrap_or_else(|| panic!("exemplar {id} has no TRACE span tree"));
-        assert!(tree.root.records().len() >= 2, "exemplar {id}: {tree:#?}");
-    }
-    bed.shutdown();
-}
-
-/// A full flight-recorder ring displaces its oldest event for every new
-/// one: that is rotation, not shedding, and the `recorder_shed` rule
-/// reads only shedding. One client's sequential origin misses contend for
-/// no stripe lock, so however often the ring turned over, the rule reads
-/// 0 and is ok.
-#[test]
-fn recorder_shed_reads_contention_not_ring_rotation() {
-    const MISSES: usize = 1_500;
-    let bed = TestBed::start(
-        DocumentStore::synthetic(MISSES, 200, 1_500, 42),
-        TestBedConfig {
-            n_clients: 1,
-            ..TestBedConfig::default()
-        },
-    )
-    .expect("test bed starts");
-    for i in 0..MISSES {
-        bed.clients[0].fetch(&doc_url(i)).unwrap();
-    }
-    let recorder = bed.proxy.recorder();
-    assert!(
-        recorder.dropped() > recorder.capacity() as u64,
-        "the ring turned over ({} dropped)",
-        recorder.dropped()
-    );
-    let report = bed.proxy.health();
-    let shed = report.rule("recorder_shed").expect("default table rule");
-    assert_eq!(shed.value, 0.0);
-    assert_eq!(shed.verdict, Verdict::Ok);
-    bed.shutdown();
-}
-
-/// The windows fill with nobody scraping: loop 0's timer captures once a
-/// second, so after three idle seconds the 1 s window a forced capture
-/// closes starts at one of its captures. With no background capture it
-/// would start at the start-up capture, three seconds back.
-#[test]
-fn windows_capture_in_the_background() {
-    let bed = TestBed::start(
-        DocumentStore::synthetic(4, 200, 1_500, 42),
-        TestBedConfig {
-            n_clients: 1,
-            ..TestBedConfig::default()
-        },
-    )
-    .expect("test bed starts");
-    std::thread::sleep(Duration::from_millis(3_200));
-    let report = bed.proxy.health();
-    let w1 = report
-        .windows
-        .iter()
-        .find(|w| w.window_secs == 1)
-        .expect("a 1 s report window");
-    assert!(
-        (1..=2).contains(&w1.span_secs),
-        "1 s window spans {} s",
-        w1.span_secs
-    );
     bed.shutdown();
 }
 
@@ -2198,7 +2000,6 @@ fn origin_serves_more_kept_alive_connections_than_it_has_threads() {
         disk: None,
         faults: None,
         recorder: None,
-        slo: SloTable::default(),
     })
     .unwrap();
     let mut clients: Vec<_> = (0..WAVE).map(|_| raw(proxy.addr())).collect();

@@ -1,25 +1,27 @@
-//! §5's cheap indexes: browsers send their index updates late and in
+//! §5's cheap indexes: browsers send their evictions late and in
 //! batches.
 //!
 //! The paper argues the index costs little because a browser need not tell
 //! the proxy about every change at once: citing Fan et al., it batches them
 //! until a fixed share of its cached documents has changed (1%–10%
 //! thresholds cost only ~0.2%–1.7% of hit ratio), and the proxy may keep a
-//! compressed summary instead of a directory (Summary Cache). A
-//! [`BatchedIndex`] keeps, per browser, what it really holds and its batch
-//! of unsent changes. When a batch is due the browser sends it as one
-//! update message, and the proxy applies it to the view it publishes:
+//! compressed summary instead of a directory (Summary Cache). A store needs
+//! no message at all: the proxy learns it from the document it sends, as
+//! the exact directory and the live proxy do, and applies it to the view it
+//! publishes at once. A [`BatchedIndex`] keeps, per browser, what it really
+//! holds and its batch of unsent evictions. When a batch is due the
+//! browser sends it as one update message, and the proxy applies it:
 //!
-//! * a directory ([`IndexModel::Delayed`]): the changes in order, 16 B each;
+//! * a directory ([`IndexModel::Delayed`]): the evictions, 16 B each;
 //! * a Bloom filter per browser ([`IndexModel::Bloom`]): rebuilt from what
 //!   the browser holds and sent whole;
 //! * a counting-Bloom filter per browser ([`IndexModel::CountingBloom`]):
-//!   patched with the changes, 17 B each (signature plus op flag).
+//!   patched with the evictions, 17 B each (signature plus op flag).
 //!
-//! Between flushes the published view is stale both ways: a lookup can name
-//! a browser that already evicted the document (the simulator counts a
-//! wasted probe) and miss one that recently cached it. The filters add
-//! false positives.
+//! Between flushes the published view is stale one way only: a lookup can
+//! name a browser that already evicted the document (the simulator counts
+//! a wasted probe), never miss one that holds it. The filters add false
+//! positives.
 
 use super::bloom::{BloomFilter, CountingBloom};
 use super::DIRECTORY_CHANGE_BYTES;
@@ -51,9 +53,8 @@ enum View {
 struct Browser {
     /// What the browser really holds.
     held: HashSet<DocId>,
-    /// Changes not yet sent, in order: a document and whether it was
-    /// stored (`true`) or evicted.
-    batch: Vec<(DocId, bool)>,
+    /// Evictions not yet sent: documents the published view still names.
+    batch: Vec<DocId>,
 }
 
 /// A browser index whose published view lags the browsers by a batch.
@@ -101,31 +102,39 @@ impl BatchedIndex {
         })
     }
 
-    /// Records that `client` cached `doc`; may send its batch.
+    /// Records that `client` cached `doc`, which the proxy learns from
+    /// the document it sent: the published view shows it at once, and no
+    /// message is sent.
     pub fn on_store(&mut self, client: ClientId, doc: DocId) {
-        self.change(client, doc, true);
-    }
-
-    /// Records that `client` evicted `doc`; may send its batch.
-    pub fn on_evict(&mut self, client: ClientId, doc: DocId) {
-        self.change(client, doc, false);
-    }
-
-    /// Queues a change that alters what `client` holds, and sends the batch
-    /// once its length reaches `ceil(max(held, floor) × threshold)`, at
-    /// least `min` changes.
-    fn change(&mut self, client: ClientId, doc: DocId, stored: bool) {
         self.stats.updates += 1;
         let browser = &mut self.browsers[client.index()];
-        let altered = if stored {
-            browser.held.insert(doc)
-        } else {
-            browser.held.remove(&doc)
-        };
-        if !altered {
+        let new = browser.held.insert(doc);
+        // An unsent eviction of it is void: the view never dropped it.
+        let pending = browser.batch.iter().position(|&d| d == doc);
+        if let Some(i) = pending {
+            browser.batch.swap_remove(i);
+        }
+        match &mut self.view {
+            View::Directory(directory) => directory.on_store(client, doc),
+            View::Bloom { filters, .. } => filters[client.index()].insert(doc),
+            View::Counting(filters) => {
+                if new && pending.is_none() {
+                    filters[client.index()].insert(doc);
+                }
+            }
+        }
+    }
+
+    /// Records that `client` evicted `doc`. An eviction of something it
+    /// holds joins its batch, which is sent once its length reaches
+    /// `ceil(max(held, floor) × threshold)`, at least `min` evictions.
+    pub fn on_evict(&mut self, client: ClientId, doc: DocId) {
+        self.stats.updates += 1;
+        let browser = &mut self.browsers[client.index()];
+        if !browser.held.remove(&doc) {
             return;
         }
-        browser.batch.push((doc, stored));
+        browser.batch.push(doc);
         let (floor, min) = match self.view {
             View::Directory(_) => (0, 2),
             View::Bloom { .. } | View::Counting(_) => (16, 1),
@@ -149,12 +158,8 @@ impl BatchedIndex {
         self.stats.messages += 1;
         self.stats.update_bytes += match &mut self.view {
             View::Directory(directory) => {
-                for (doc, stored) in batch {
-                    if stored {
-                        directory.on_store(client, doc);
-                    } else {
-                        directory.on_evict(client, doc);
-                    }
+                for doc in batch {
+                    directory.on_evict(client, doc);
                 }
                 changes * DIRECTORY_CHANGE_BYTES
             }
@@ -175,12 +180,8 @@ impl BatchedIndex {
             }
             View::Counting(filters) => {
                 let filter = &mut filters[client.index()];
-                for (doc, stored) in batch {
-                    if stored {
-                        filter.insert(doc);
-                    } else {
-                        filter.remove(doc);
-                    }
+                for doc in batch {
+                    filter.remove(doc);
                 }
                 changes * COUNTING_CHANGE_BYTES
             }
@@ -275,28 +276,43 @@ mod tests {
     }
 
     #[test]
-    fn delayed_at_one_percent_sends_two_changes_at_32_bytes() {
-        let mut idx = holding(delayed(0.01), 10);
-        let before = idx.stats();
-        idx.on_store(c(0), d(100));
-        assert_eq!(idx.stats().messages, before.messages, "1 change < 2");
-        idx.on_evict(c(0), d(0));
-        let after = idx.stats();
-        assert_eq!(after.messages, before.messages + 1);
-        assert_eq!(after.update_bytes - before.update_bytes, 32);
-        assert_eq!(idx.lookup_all(d(100), c(1)), vec![c(0)]);
-        assert!(idx.lookup_all(d(0), c(1)).is_empty());
+    fn stores_cost_nothing_and_show_at_once() {
+        for model in [delayed(0.01), bloom(0.05), counting(0.01)] {
+            let mut idx = index(model, 2);
+            for i in 0..100 {
+                idx.on_store(c(0), d(i));
+            }
+            let s = idx.stats();
+            assert_eq!(
+                (s.updates, s.messages, s.update_bytes),
+                (100, 0, 0),
+                "{model:?}"
+            );
+            assert_eq!(idx.lookup_all(d(42), c(1)), vec![c(0)], "{model:?}");
+        }
     }
 
     #[test]
-    fn bloom_at_five_percent_sends_the_first_change_whole() {
-        // ceil(max(held, 16) × 5%) = 1 change for up to 20 documents.
-        let mut idx = index(bloom(0.05), 2);
-        for i in 0..20 {
+    fn delayed_at_one_percent_sends_two_evictions_at_32_bytes() {
+        let mut idx = holding(delayed(0.01), 10);
+        idx.on_evict(c(0), d(0));
+        assert_eq!(idx.stats().messages, 0, "1 eviction < 2");
+        idx.on_evict(c(0), d(1));
+        let s = idx.stats();
+        assert_eq!((s.messages, s.update_bytes), (1, 32));
+        assert!(idx.lookup_all(d(0), c(1)).is_empty());
+        assert_eq!(idx.lookup_all(d(2), c(1)), vec![c(0)]);
+    }
+
+    #[test]
+    fn bloom_at_five_percent_sends_each_eviction_whole() {
+        // ceil(max(held, 16) × 5%) = 1 eviction for up to 20 documents.
+        let mut idx = holding(bloom(0.05), 20);
+        for i in 0..4 {
             let before = idx.stats();
-            idx.on_store(c(0), d(i));
+            idx.on_evict(c(0), d(i));
             let after = idx.stats();
-            assert_eq!(after.messages, before.messages + 1, "store {i}");
+            assert_eq!(after.messages, before.messages + 1, "eviction {i}");
             // Sized for max(held, 256) documents at 10 bits each.
             assert_eq!(after.update_bytes - before.update_bytes, 256 * 10 / 8);
         }
@@ -305,20 +321,21 @@ mod tests {
     }
 
     #[test]
-    fn counting_sends_17_bytes_per_change() {
+    fn counting_sends_17_bytes_per_eviction() {
         let mut idx = index(counting(10.0), 1);
         for i in 0..5 {
             idx.on_store(c(0), d(i));
         }
         idx.on_evict(c(0), d(0));
+        idx.on_evict(c(0), d(1));
         idx.flush(c(0));
         assert_eq!(idx.stats().messages, 1);
-        assert_eq!(idx.stats().update_bytes, 6 * 17);
+        assert_eq!(idx.stats().update_bytes, 2 * 17);
     }
 
     #[test]
-    fn changes_that_alter_nothing_are_not_batched() {
-        // One change each: 16 B, a whole 256-document filter, 17 B.
+    fn evictions_of_what_is_not_held_are_not_batched() {
+        // One eviction each: 16 B, a whole 256-document filter, 17 B.
         for (model, bytes) in [
             (delayed(10.0), 16),
             (bloom(10.0), 320),
@@ -328,9 +345,11 @@ mod tests {
             idx.on_store(c(0), d(1));
             idx.on_store(c(0), d(1));
             idx.on_evict(c(0), d(2));
+            idx.on_evict(c(0), d(1));
+            idx.on_evict(c(0), d(1));
             idx.flush_all();
             let s = idx.stats();
-            assert_eq!(s.updates, 3, "{model:?}");
+            assert_eq!(s.updates, 5, "{model:?}");
             assert_eq!((s.messages, s.update_bytes), (1, bytes), "{model:?}");
         }
     }
@@ -344,18 +363,8 @@ mod tests {
             assert_eq!(idx.lookup_all(d(0), c(1)), vec![c(0)], "{model:?}");
             idx.flush(c(0));
             assert!(idx.lookup_all(d(0), c(1)).is_empty(), "{model:?}");
-        }
-    }
-
-    #[test]
-    fn lazy_threshold_leaves_staleness() {
-        for model in [delayed(10.0), bloom(10.0), counting(10.0)] {
-            let mut idx = index(model, 2);
-            idx.on_store(c(0), d(1));
-            assert!(idx.lookup_all(d(1), c(1)).is_empty(), "{model:?}");
-            idx.flush_all();
-            assert_eq!(idx.lookup_all(d(1), c(1)), vec![c(0)], "{model:?}");
             // A lookup never names the browser that asks.
+            idx.on_store(c(0), d(1));
             assert!(idx.lookup_all(d(1), c(0)).is_empty(), "{model:?}");
             // Flushing with nothing pending sends nothing.
             let messages = idx.stats().messages;
@@ -365,14 +374,20 @@ mod tests {
     }
 
     #[test]
-    fn directory_applies_changes_in_order() {
-        let mut idx = index(delayed(10.0), 2);
-        idx.on_store(c(0), d(1));
-        idx.on_evict(c(0), d(1));
-        idx.on_store(c(0), d(1));
-        idx.flush(c(0));
-        assert_eq!(idx.lookup_all(d(1), c(1)), vec![c(0)]);
-        assert_eq!(idx.stats().update_bytes, 3 * 16);
+    fn a_store_voids_the_unsent_eviction_of_it() {
+        for model in [delayed(10.0), bloom(10.0), counting(10.0)] {
+            let mut idx = index(model, 2);
+            idx.on_store(c(0), d(1));
+            idx.on_evict(c(0), d(1));
+            idx.on_store(c(0), d(1));
+            idx.flush(c(0));
+            assert_eq!(idx.lookup_all(d(1), c(1)), vec![c(0)], "{model:?}");
+            assert_eq!(idx.stats().messages, 0, "{model:?}");
+            // Held once, so one eviction clears it.
+            idx.on_evict(c(0), d(1));
+            idx.flush(c(0));
+            assert!(idx.lookup_all(d(1), c(1)).is_empty(), "{model:?}");
+        }
     }
 
     #[test]

@@ -143,8 +143,9 @@ mod tests {
         let model = IndexModel::Delayed { threshold: 10.0 };
         let mut idx = AnyIndex::new(model, 4);
         idx.on_store(c(2), d(9));
-        // High threshold: not yet published.
-        assert!(idx.candidates(d(9), c(0)).is_empty());
+        idx.on_evict(c(2), d(9));
+        // High threshold: the eviction is not yet published.
+        assert_eq!(idx.candidates(d(9), c(0)), vec![c(2)]);
     }
 
     #[test]

@@ -86,9 +86,10 @@ fn main() {
     }
     print!("{}", table.render());
     println!(
-        "\nExact directories maximise remote hits and cost one message per eviction\n\
-         (the proxy learns stores from the documents it sends); delayed updates\n\
-         batch stores and evictions alike; Bloom summaries shrink the index by an\n\
-         order of magnitude at the cost of wasted probes (false positives)."
+        "\nEvery index learns a store from the document the proxy sends. Exact\n\
+         directories maximise remote hits and cost one message per eviction;\n\
+         delayed updates batch the evictions into fewer messages; Bloom summaries\n\
+         shrink the index by an order of magnitude at the cost of wasted probes\n\
+         (false positives)."
     );
 }

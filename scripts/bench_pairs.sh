@@ -19,7 +19,9 @@
 # base's interquartile range; and it appends one JSON line per workload to
 # BENCH_history.jsonl: commit, base, seeds, per-metric medians, quartiles
 # and wins, and the host (nproc, CPU model, the digest and CRC32C kernel
-# labels). A failed or incorrect run stops the script.
+# labels). Each run's result line goes to stderr as it finishes, so a
+# metric can be read pair by pair. A failed or incorrect run stops the
+# script.
 #
 # The second form is the arithmetic alone, over a runs file: lines of
 # `workload pair seed side json`, side `base` or `change`, json the last
@@ -162,6 +164,7 @@ for w in "${workloads[@]}"; do
             echo "bench_pairs: $w pair $p/$pairs $side" >&2
             result=$(run "$side" "$dir" "$w" "$p")
             printf '%s %d %d %s %s\n' "$w" "$p" "$p" "$side" "$result" >>"$runs"
+            echo "bench_pairs: $w pair $p/$pairs $side $result" >&2
         done
     done
 done

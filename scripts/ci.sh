@@ -31,10 +31,15 @@ if [ -n "$got" ]; then
 fi
 # What the proxy links holds only what it runs (DESIGN.md §3): §6.2's
 # anonymity protocol and its ciphers live in baps-bench, not baps-crypto,
-# and the simulator's configuration lives in baps-sim, not baps-core.
+# the simulator's configuration lives in baps-sim, not baps-core, and the
+# proxy exports cumulative series only: rolling windows, SLO rules and
+# verdicts are worked out by whoever reads two scrapes (baps_bench::health,
+# DESIGN.md §14), so neither the proxy nor baps-obs defines them or renders
+# a `baps_slo_*` or `baps_window_*` family.
 if git grep -nE '(struct|enum|fn) (XteaKey|SecureRelay|AnonymizingProxy|encrypt_message)\b|\bUnknownTransaction\b' -- crates/crypto/src \
-    || git grep -nE '(struct|enum) (SystemConfig|Organization|IndexModel|Policy|RemoteHitCaching|BrowserSizing)\b' -- crates/core/src; then
-    echo "crate boundary: the lines above define simulator-side code in a crate the proxy links"
+    || git grep -nE '(struct|enum) (SystemConfig|Organization|IndexModel|Policy|RemoteHitCaching|BrowserSizing)\b' -- crates/core/src \
+    || git grep -nE '(struct|enum|fn) (SloTable|SloRule|HealthReport|ProxyWindows|force_capture)\b|baps_slo_|baps_window_' -- crates/proxy/src crates/obs/src; then
+    echo "crate boundary: the lines above define simulator- or reader-side code in a crate the proxy links"
     exit 1
 fi
 
@@ -110,10 +115,11 @@ soak() {
 
 echo "== chaos soak (fixed seed)"
 # Deterministic fault-injection soak: 2k requests under seed 42, run twice
-# internally to prove determinism. Also gates the SLO engine: the
-# chaos-calibrated rule table must judge the completed schedule ok, and a
-# post-schedule burst of GETs for nonexistent URLs must flip error_burn
-# to critical deterministically. Exits nonzero with a reproduction line
+# internally to prove determinism. Also gates the reader-side SLO rules
+# (baps_bench::health): judged over the METRICS scrapes at bed start and at
+# the schedule's end, the chaos-calibrated table must read ok, and over
+# the scrapes around a post-schedule burst of GETs for nonexistent URLs it
+# must flip error_burn to critical. Exits nonzero with a reproduction line
 # on any invariant violation.
 soak plain
 
@@ -234,13 +240,15 @@ if git grep -nE 'metrics_smoke|health_smoke|require-multihop|IoMode|UpstreamPool
     exit 1
 fi
 
-# The proxy's rolling windows are one mutex-guarded deque of typed
-# captures, taken by a timer on its first event loop (DESIGN.md §14): the
-# lock-free ring, its flat capture layout and the thread that fed it are
-# gone.
-if git grep -nE 'WindowRing|WindowSchema|WindowSnapshot|push_hist|baps-proxy-windows|seqlock' -- \
+# The proxy keeps no rolling windows: a reader differences two METRICS
+# scrapes (DESIGN.md §14). The lock-free window ring, its flat capture
+# layout and the thread that fed it went first; then the capture deque,
+# the loop-0 timer that filled it (`Timer::Tick`) and the in-process
+# hooks that forced a capture or evaluated the rules
+# (`sample_windows_now`, `ProxyServer::health`).
+if git grep -nE 'WindowRing|WindowSchema|WindowSnapshot|push_hist|baps-proxy-windows|seqlock|sample_windows_now|ProxyServer::health|proxy\.health\(\)|Timer::Tick' -- \
     README.md DESIGN.md src examples .claude crates/*/src; then
-    echo "doc rot: the lines above name the deleted window ring or its sampler thread"
+    echo "doc rot: the lines above name the deleted window store, its timer or its hooks"
     exit 1
 fi
 
