@@ -1,8 +1,9 @@
-//! Browser-index micro-benchmarks: the exact directory and each batched
-//! model (delayed directory, Bloom summaries, counting-Bloom filters).
+//! Browser-index micro-benchmarks: each §5 model (the exact directory, a
+//! delayed directory, Bloom summaries, counting-Bloom filters) and the
+//! two lookups under them.
 
 use baps_core::ExactIndex;
-use baps_sim::index::{AnyIndex, BloomFilter};
+use baps_sim::index::{BatchedIndex, BloomFilter};
 use baps_sim::IndexModel;
 use baps_trace::{ClientId, DocId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -60,14 +61,15 @@ fn bench_index_models(c: &mut Criterion) {
     for (name, model) in models {
         group.bench_with_input(BenchmarkId::from_parameter(name), &ops, |b, ops| {
             b.iter(|| {
-                let mut index = AnyIndex::new(model, CLIENTS);
+                let mut index = BatchedIndex::new(model, CLIENTS);
                 let mut found = 0u64;
                 for op in ops {
                     match *op {
                         Op::Store(c, d) => index.on_store(ClientId(c), DocId(d)),
                         Op::Evict(c, d) => index.on_evict(ClientId(c), DocId(d)),
                         Op::Lookup(c, d) => {
-                            found += !index.candidates(DocId(d), ClientId(c)).is_empty() as u64;
+                            index.on_request(ClientId(c));
+                            found += !index.lookup_all(DocId(d), ClientId(c)).is_empty() as u64;
                         }
                     }
                 }

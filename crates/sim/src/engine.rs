@@ -174,7 +174,7 @@ pub fn run_simple(trace: &Trace, cfg: &SystemConfig) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Organization;
+    use crate::{BrowserSizing, Organization};
     use baps_trace::SynthConfig;
 
     fn small_trace() -> Trace {
@@ -239,13 +239,26 @@ mod tests {
     }
 
     #[test]
-    fn exact_index_never_wastes_probes_without_churn() {
+    fn exact_index_wastes_probes_only_on_unsent_evictions() {
         let mut synth = SynthConfig::small().scaled(0.25);
         synth.p_size_change = 0.0; // no document churn
         let trace = synth.generate(5);
-        let cfg = SystemConfig::paper_default(Organization::BrowsersAware, 1 << 20);
+        // Browsers that never evict never leave a stale entry behind.
+        let cfg = SystemConfig {
+            browser_sizing: BrowserSizing::Fixed(u64::MAX / 2),
+            ..SystemConfig::paper_default(Organization::BrowsersAware, 1 << 20)
+        };
         let r = run_simple(&trace, &cfg);
+        assert!(r.metrics.served(&[Served::Peer]).count > 0);
         assert_eq!(r.metrics.wasted_probes, 0);
+        // Small browsers evict, and a holder stays named until its next
+        // request carries the notice: some probes are wasted.
+        let cfg = SystemConfig {
+            browser_sizing: BrowserSizing::Fixed(64 << 10),
+            ..SystemConfig::paper_default(Organization::BrowsersAware, 64 << 10)
+        };
+        let r = run_simple(&trace, &cfg);
+        assert!(r.metrics.wasted_probes > 0);
     }
 
     #[test]

@@ -163,7 +163,9 @@ pub struct HierSystem {
     group_of: Vec<u32>,
     l1: Vec<TieredLru<DocId>>,
     l2: TieredLru<DocId>,
-    /// One index per group, or a single global one at slot 0.
+    /// One index per group, or a single global one at slot 0. Each applies
+    /// a change at once: this design has no live runtime whose piggybacked
+    /// notices it would have to match.
     indexes: Vec<ExactIndex>,
     /// Accumulated metrics.
     pub metrics: HierMetrics,

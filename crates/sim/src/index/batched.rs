@@ -1,30 +1,38 @@
-//! §5's cheap indexes: browsers send their evictions late and in
+//! §5's browser indexes: browsers send their evictions late and in
 //! batches.
 //!
-//! The paper argues the index costs little because a browser need not tell
-//! the proxy about every change at once: citing Fan et al., it batches them
-//! until a fixed share of its cached documents has changed (1%–10%
-//! thresholds cost only ~0.2%–1.7% of hit ratio), and the proxy may keep a
-//! compressed summary instead of a directory (Summary Cache). A store needs
-//! no message at all: the proxy learns it from the document it sends, as
-//! the exact directory and the live proxy do, and applies it to the view it
-//! publishes at once. A [`BatchedIndex`] keeps, per browser, what it really
-//! holds and its batch of unsent evictions. When a batch is due the
-//! browser sends it as one update message, and the proxy applies it:
+//! A store needs no message at all: the proxy learns it from the document
+//! it sends, as the live proxy does, and applies it to the view it
+//! publishes at once. A [`BatchedIndex`] keeps, per browser, what it
+//! really holds and its batch of unsent evictions. When the batch goes
+//! depends on the model:
 //!
-//! * a directory ([`IndexModel::Delayed`]): the evictions, 16 B each;
+//! * the exact directory ([`IndexModel::Exact`]), which the live proxy
+//!   runs: the batch rides the browser's next request to the proxy (the
+//!   `Evicted` header of its next GET, sent after a local-browser miss),
+//!   so it costs no message, only its 16 B per eviction;
+//! * the others follow the paper, citing Fan et al.: a browser batches its
+//!   evictions until a fixed share of its cached documents has changed
+//!   (1%–10% thresholds cost only ~0.2%–1.7% of hit ratio) and sends them
+//!   as one update message.
+//!
+//! The proxy applies a batch to what it publishes:
+//!
+//! * a directory ([`IndexModel::Exact`], [`IndexModel::Delayed`]): the
+//!   evictions, 16 B each;
 //! * a Bloom filter per browser ([`IndexModel::Bloom`]): rebuilt from what
-//!   the browser holds and sent whole;
+//!   the browser holds and sent whole. The proxy also rebuilds it, at no
+//!   traffic, when the stores it has seen outgrow its sizing;
 //! * a counting-Bloom filter per browser ([`IndexModel::CountingBloom`]):
 //!   patched with the evictions, 17 B each (signature plus op flag).
 //!
-//! Between flushes the published view is stale one way only: a lookup can
+//! Between batches the published view is stale one way only: a lookup can
 //! name a browser that already evicted the document (the simulator counts
-//! a wasted probe), never miss one that holds it. The filters add false
-//! positives.
+//! a wasted probe), never miss one that holds it. A directory then drops
+//! the holder it probed in vain, as the live proxy does; the filters add
+//! false positives and cannot drop one.
 
 use super::bloom::{BloomFilter, CountingBloom};
-use super::DIRECTORY_CHANGE_BYTES;
 use crate::IndexModel;
 use baps_core::{ClientId, DocId, ExactIndex, IndexStats};
 use std::collections::HashSet;
@@ -32,8 +40,11 @@ use std::collections::HashSet;
 /// Hash functions per Bloom or counting-Bloom filter.
 const HASHES: u32 = 4;
 /// Documents a browser's Bloom filter is sized for before its first
-/// update; a rebuilt filter is sized for at least a quarter of this.
+/// rebuild; a rebuilt filter is sized for at least a quarter of this.
 const EXPECTED_ITEMS: u64 = 1024;
+/// Bytes per change a browser sends a directory: the 16-byte MD5 URL
+/// signature.
+const DIRECTORY_CHANGE_BYTES: u64 = 16;
 /// Bytes per change in a counting-Bloom update: the signature plus an op
 /// flag.
 const COUNTING_CHANGE_BYTES: u64 = 17;
@@ -62,18 +73,23 @@ struct Browser {
 pub struct BatchedIndex {
     view: View,
     browsers: Vec<Browser>,
-    threshold: f64,
+    /// The share of its documents a browser's batch must reach before it is
+    /// sent; `None` when the batch rides the browser's next request.
+    threshold: Option<f64>,
     stats: IndexStats,
+    /// Evictions a directory applied that removed an entry.
+    applied: u64,
 }
 
 impl BatchedIndex {
-    /// Builds `model` for `n_clients` browsers, or `None` for
-    /// [`IndexModel::Exact`], which publishes every change at once.
-    pub fn new(model: IndexModel, n_clients: u32) -> Option<BatchedIndex> {
+    /// Builds `model` for `n_clients` browsers.
+    pub fn new(model: IndexModel, n_clients: u32) -> BatchedIndex {
         let n = n_clients as usize;
         let (view, threshold) = match model {
-            IndexModel::Exact => return None,
-            IndexModel::Delayed { threshold } => (View::Directory(ExactIndex::new()), threshold),
+            IndexModel::Exact => (View::Directory(ExactIndex::new()), None),
+            IndexModel::Delayed { threshold } => {
+                (View::Directory(ExactIndex::new()), Some(threshold))
+            }
             IndexModel::Bloom {
                 bits_per_item,
                 threshold,
@@ -85,21 +101,24 @@ impl BatchedIndex {
                         bits_per_item,
                         filters,
                     },
-                    threshold,
+                    Some(threshold),
                 )
             }
             IndexModel::CountingBloom { slots, threshold } => (
                 View::Counting(vec![CountingBloom::new(slots, HASHES); n]),
-                threshold,
+                Some(threshold),
             ),
         };
-        assert!(threshold >= 0.0, "batch threshold {threshold} is negative");
-        Some(BatchedIndex {
+        if let Some(threshold) = threshold {
+            assert!(threshold >= 0.0, "batch threshold {threshold} is negative");
+        }
+        BatchedIndex {
             view,
             browsers: vec![Browser::default(); n],
             threshold,
             stats: IndexStats::default(),
-        })
+            applied: 0,
+        }
     }
 
     /// Records that `client` cached `doc`, which the proxy learns from
@@ -116,7 +135,18 @@ impl BatchedIndex {
         }
         match &mut self.view {
             View::Directory(directory) => directory.on_store(client, doc),
-            View::Bloom { filters, .. } => filters[client.index()].insert(doc),
+            View::Bloom {
+                bits_per_item,
+                filters,
+            } => {
+                let filter = &mut filters[client.index()];
+                // Outgrown: the proxy resizes it from what it has seen sent.
+                if browser.held.len() as u64 * *bits_per_item > filter.byte_size() * 8 {
+                    *filter = summary(&browser.held, *bits_per_item);
+                } else {
+                    filter.insert(doc);
+                }
+            }
             View::Counting(filters) => {
                 if new && pending.is_none() {
                     filters[client.index()].insert(doc);
@@ -126,8 +156,9 @@ impl BatchedIndex {
     }
 
     /// Records that `client` evicted `doc`. An eviction of something it
-    /// holds joins its batch, which is sent once its length reaches
-    /// `ceil(max(held, floor) × threshold)`, at least `min` evictions.
+    /// holds joins its batch. Under a threshold the batch is sent once its
+    /// length reaches `ceil(max(held, floor) × threshold)`, at least `min`
+    /// evictions; otherwise it waits for [`on_request`](Self::on_request).
     pub fn on_evict(&mut self, client: ClientId, doc: DocId) {
         self.stats.updates += 1;
         let browser = &mut self.browsers[client.index()];
@@ -135,18 +166,38 @@ impl BatchedIndex {
             return;
         }
         browser.batch.push(doc);
+        let Some(threshold) = self.threshold else {
+            return;
+        };
         let (floor, min) = match self.view {
             View::Directory(_) => (0, 2),
             View::Bloom { .. } | View::Counting(_) => (16, 1),
         };
-        let due = (browser.held.len().max(floor) as f64 * self.threshold).ceil() as usize;
+        let due = (browser.held.len().max(floor) as f64 * threshold).ceil() as usize;
         if browser.batch.len() >= due.max(min) {
             self.flush(client);
         }
     }
 
-    /// Sends `client`'s batch as one update message and applies it to the
-    /// published view. An empty batch sends nothing.
+    /// `client`'s request reached the proxy: the exact directory's batch
+    /// rides it.
+    pub fn on_request(&mut self, client: ClientId) {
+        if self.threshold.is_none() {
+            self.flush(client);
+        }
+    }
+
+    /// A probe of `peer` for `doc` found no copy it could serve: a
+    /// directory drops the entry, as the live proxy does; a filter cannot.
+    pub fn on_wasted_probe(&mut self, peer: ClientId, doc: DocId) {
+        if let View::Directory(directory) = &mut self.view {
+            directory.on_evict(peer, doc);
+        }
+    }
+
+    /// Sends `client`'s batch, as one update message unless it rides a
+    /// request, and applies it to the published view. An empty batch sends
+    /// nothing.
     pub fn flush(&mut self, client: ClientId) {
         let browser = &mut self.browsers[client.index()];
         if browser.batch.is_empty() {
@@ -155,11 +206,11 @@ impl BatchedIndex {
         let batch = std::mem::take(&mut browser.batch);
         let changes = batch.len() as u64;
         self.stats.flushes += 1;
-        self.stats.messages += 1;
+        self.stats.messages += u64::from(self.threshold.is_some());
         self.stats.update_bytes += match &mut self.view {
             View::Directory(directory) => {
                 for doc in batch {
-                    directory.on_evict(client, doc);
+                    self.applied += u64::from(directory.on_evict(client, doc));
                 }
                 changes * DIRECTORY_CHANGE_BYTES
             }
@@ -167,13 +218,7 @@ impl BatchedIndex {
                 bits_per_item,
                 filters,
             } => {
-                // Sized for the current population, so the false-positive
-                // rate stays put as the browser's cache grows.
-                let items = (browser.held.len() as u64).max(EXPECTED_ITEMS / 4);
-                let mut filter = BloomFilter::for_items(items, *bits_per_item, HASHES);
-                for &doc in &browser.held {
-                    filter.insert(doc);
-                }
+                let filter = summary(&browser.held, *bits_per_item);
                 let bytes = filter.byte_size();
                 filters[client.index()] = filter;
                 bytes
@@ -224,6 +269,23 @@ impl BatchedIndex {
     pub fn stats(&self) -> IndexStats {
         self.stats
     }
+
+    /// Evictions a directory applied that removed an entry: the live
+    /// proxy's `baps_invalidations_total`.
+    pub fn applied_evictions(&self) -> u64 {
+        self.applied
+    }
+}
+
+/// A browser's Bloom summary of `held`, sized for `max(held, 256)`
+/// documents so its false-positive rate stays put as the cache grows.
+fn summary(held: &HashSet<DocId>, bits_per_item: u64) -> BloomFilter {
+    let items = (held.len() as u64).max(EXPECTED_ITEMS / 4);
+    let mut filter = BloomFilter::for_items(items, bits_per_item, HASHES);
+    for &doc in held {
+        filter.insert(doc);
+    }
+    filter
 }
 
 /// The clients but `exclude` whose filter `claims` the document.
@@ -261,13 +323,9 @@ mod tests {
         }
     }
 
-    fn index(model: IndexModel, n_clients: u32) -> BatchedIndex {
-        BatchedIndex::new(model, n_clients).expect("a batched model")
-    }
-
     /// An index whose browser 0 already holds documents `0..n`, all sent.
     fn holding(model: IndexModel, n: u32) -> BatchedIndex {
-        let mut idx = index(model, 2);
+        let mut idx = BatchedIndex::new(model, 2);
         for i in 0..n {
             idx.on_store(c(0), d(i));
         }
@@ -277,8 +335,13 @@ mod tests {
 
     #[test]
     fn stores_cost_nothing_and_show_at_once() {
-        for model in [delayed(0.01), bloom(0.05), counting(0.01)] {
-            let mut idx = index(model, 2);
+        for model in [
+            IndexModel::Exact,
+            delayed(0.01),
+            bloom(0.05),
+            counting(0.01),
+        ] {
+            let mut idx = BatchedIndex::new(model, 2);
             for i in 0..100 {
                 idx.on_store(c(0), d(i));
             }
@@ -289,6 +352,68 @@ mod tests {
                 "{model:?}"
             );
             assert_eq!(idx.lookup_all(d(42), c(1)), vec![c(0)], "{model:?}");
+        }
+    }
+
+    #[test]
+    fn exact_directory_names_an_evicted_holder_until_its_next_request() {
+        let mut idx = holding(IndexModel::Exact, 3);
+        idx.on_evict(c(0), d(0));
+        idx.on_evict(c(0), d(1));
+        // However long the batch, it waits for the browser's request.
+        assert_eq!(idx.lookup_all(d(0), c(1)), vec![c(0)]);
+        idx.on_request(c(1));
+        assert_eq!(idx.lookup_all(d(1), c(1)), vec![c(0)]);
+        assert_eq!(idx.applied_evictions(), 0);
+        idx.on_request(c(0));
+        assert!(idx.lookup_all(d(0), c(1)).is_empty());
+        assert!(idx.lookup_all(d(1), c(1)).is_empty());
+        assert_eq!(idx.lookup_all(d(2), c(1)), vec![c(0)]);
+        // It rode the request: no message of its own, 16 B per eviction.
+        let s = idx.stats();
+        assert_eq!((s.messages, s.update_bytes), (0, 2 * 16));
+        assert_eq!((s.lookups, s.index_hits), (5, 3));
+        assert_eq!(idx.applied_evictions(), 2);
+        idx.on_request(c(0));
+        assert_eq!(idx.stats().update_bytes, 2 * 16, "nothing left to send");
+    }
+
+    #[test]
+    fn a_wasted_probe_drops_a_directory_holder_not_a_filter_one() {
+        for model in [IndexModel::Exact, delayed(10.0)] {
+            let mut idx = holding(model, 2);
+            idx.on_evict(c(0), d(0));
+            idx.on_wasted_probe(c(0), d(0));
+            assert!(idx.lookup_all(d(0), c(1)).is_empty(), "{model:?}");
+            assert_eq!(idx.lookup_all(d(1), c(1)), vec![c(0)], "{model:?}");
+            // The notice that follows finds nothing left to remove.
+            idx.flush(c(0));
+            assert_eq!(idx.applied_evictions(), 0, "{model:?}");
+        }
+        for model in [bloom(10.0), counting(10.0)] {
+            let mut idx = holding(model, 2);
+            idx.on_evict(c(0), d(0));
+            idx.on_wasted_probe(c(0), d(0));
+            assert_eq!(idx.lookup_all(d(0), c(1)), vec![c(0)], "{model:?}");
+        }
+    }
+
+    #[test]
+    fn a_bloom_filter_grows_with_the_stores_it_sees() {
+        let mut idx = BatchedIndex::new(bloom(0.05), 1);
+        for i in 0..2000 {
+            idx.on_store(c(0), d(i));
+        }
+        assert!(
+            idx.memory_bytes() * 8 >= 2000 * 10,
+            "{}",
+            idx.memory_bytes()
+        );
+        // The proxy resized it on its own: nothing was sent.
+        let s = idx.stats();
+        assert_eq!((s.messages, s.update_bytes), (0, 0));
+        for i in 0..2000 {
+            assert_eq!(idx.lookup_all(d(i), c(1)), vec![c(0)], "doc {i}");
         }
     }
 
@@ -322,7 +447,7 @@ mod tests {
 
     #[test]
     fn counting_sends_17_bytes_per_eviction() {
-        let mut idx = index(counting(10.0), 1);
+        let mut idx = BatchedIndex::new(counting(10.0), 1);
         for i in 0..5 {
             idx.on_store(c(0), d(i));
         }
@@ -335,13 +460,15 @@ mod tests {
 
     #[test]
     fn evictions_of_what_is_not_held_are_not_batched() {
-        // One eviction each: 16 B, a whole 256-document filter, 17 B.
-        for (model, bytes) in [
-            (delayed(10.0), 16),
-            (bloom(10.0), 320),
-            (counting(10.0), 17),
+        // One eviction each: 16 B (riding a request, or in a message of
+        // its own), a whole 256-document filter, 17 B.
+        for (model, messages, bytes) in [
+            (IndexModel::Exact, 0, 16),
+            (delayed(10.0), 1, 16),
+            (bloom(10.0), 1, 320),
+            (counting(10.0), 1, 17),
         ] {
-            let mut idx = index(model, 2);
+            let mut idx = BatchedIndex::new(model, 2);
             idx.on_store(c(0), d(1));
             idx.on_store(c(0), d(1));
             idx.on_evict(c(0), d(2));
@@ -350,13 +477,18 @@ mod tests {
             idx.flush_all();
             let s = idx.stats();
             assert_eq!(s.updates, 5, "{model:?}");
-            assert_eq!((s.messages, s.update_bytes), (1, bytes), "{model:?}");
+            assert_eq!((s.messages, s.update_bytes), (messages, bytes), "{model:?}");
         }
     }
 
     #[test]
     fn eviction_staleness_window() {
-        for model in [delayed(10.0), bloom(10.0), counting(10.0)] {
+        for model in [
+            IndexModel::Exact,
+            delayed(10.0),
+            bloom(10.0),
+            counting(10.0),
+        ] {
             let mut idx = holding(model, 1);
             idx.on_evict(c(0), d(0));
             // Not yet sent: the published view still names browser 0.
@@ -375,8 +507,13 @@ mod tests {
 
     #[test]
     fn a_store_voids_the_unsent_eviction_of_it() {
-        for model in [delayed(10.0), bloom(10.0), counting(10.0)] {
-            let mut idx = index(model, 2);
+        for model in [
+            IndexModel::Exact,
+            delayed(10.0),
+            bloom(10.0),
+            counting(10.0),
+        ] {
+            let mut idx = BatchedIndex::new(model, 2);
             idx.on_store(c(0), d(1));
             idx.on_evict(c(0), d(1));
             idx.on_store(c(0), d(1));
@@ -393,7 +530,7 @@ mod tests {
     #[test]
     fn filters_have_no_false_negatives_under_churn() {
         for model in [bloom(1e-9), counting(1e-9)] {
-            let mut idx = index(model, 2);
+            let mut idx = BatchedIndex::new(model, 2);
             for i in 0..500 {
                 idx.on_store(c(0), d(i));
             }

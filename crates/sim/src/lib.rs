@@ -10,10 +10,10 @@
 //!   proxy/n, *average* = k·proxy/n);
 //! * [`SimSystem`] — browser caches + proxy cache + browser index with the
 //!   per-organization routing logic;
-//! * [`index`] — §5's [`index::BatchedIndex`] (a delayed directory, Bloom
-//!   or counting-Bloom summaries), which only the simulator runs, and
-//!   [`index::AnyIndex`], which picks it or the exact directory from the
-//!   configuration;
+//! * [`index`] — §5's browser indexes, one [`index::BatchedIndex`]: the
+//!   exact directory as the live proxy keeps it (evictions ride a
+//!   browser's next request, a failed probe drops its holder), a delayed
+//!   directory, Bloom or counting-Bloom summaries;
 //! * [`policy`] — the LFU / GDSF / SIZE / FIFO replacement policies of
 //!   the ablation rows beside `baps_core`'s LRU ([`AnyCache`] holds
 //!   either);

@@ -1,7 +1,7 @@
 //! The simulated caching system: browser caches, proxy cache, browser index
 //! and the request-routing logic of each of the five organizations.
 
-use crate::index::AnyIndex;
+use crate::index::BatchedIndex;
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::policy::{AnyCache, DocCache};
@@ -12,7 +12,7 @@ use baps_trace::{ClientId, DocId, Request};
 use std::collections::HashMap;
 
 /// Maximum remote candidates probed before giving up and going to the
-/// server (only inexact indexes ever produce failing probes).
+/// server (only a stale or inexact index produces failing probes).
 const MAX_PROBES: usize = 4;
 
 /// A cache that is either a two-tier LRU (memory attribution) or a ranked
@@ -89,7 +89,7 @@ pub struct SimSystem {
     cfg: SystemConfig,
     proxy: Option<SimCache>,
     browsers: Vec<SimCache>,
-    index: Option<AnyIndex>,
+    index: Option<BatchedIndex>,
     /// Store timestamps for TTL accounting (only maintained when
     /// `cfg.ttl_ms` is set). Browser slots first, proxy last.
     stored_at: Vec<HashMap<DocId, u64>>,
@@ -130,7 +130,7 @@ impl SimSystem {
         let index = cfg
             .organization
             .shares_browsers()
-            .then(|| AnyIndex::new(cfg.index_model, n_clients));
+            .then(|| BatchedIndex::new(cfg.index_model, n_clients));
         let stored_at = if cfg.ttl_ms.is_some() {
             vec![HashMap::new(); n_clients as usize + 1]
         } else {
@@ -214,7 +214,7 @@ impl SimSystem {
     }
 
     /// The browser index, if this organization maintains one.
-    pub fn index(&self) -> Option<&AnyIndex> {
+    pub fn index(&self) -> Option<&BatchedIndex> {
         self.index.as_ref()
     }
 
@@ -248,6 +248,11 @@ impl SimSystem {
                 }
                 None => {}
             }
+        }
+
+        // The request reaches the proxy, carrying the evictions that ride it.
+        if let Some(idx) = self.index.as_mut() {
+            idx.on_request(client);
         }
 
         // 2. Proxy cache.
@@ -333,7 +338,7 @@ impl SimSystem {
         let candidates = self
             .index
             .as_mut()
-            .map(|idx| idx.candidates(doc, client))
+            .map(|idx| idx.lookup_all(doc, client))
             .unwrap_or_default();
         for peer in candidates.into_iter().take(MAX_PROBES) {
             match self.browsers[peer.index()].size_of(doc) {
@@ -366,9 +371,13 @@ impl SimSystem {
                 }
                 _ => {
                     // Stale index entry, Bloom false positive, or a peer
-                    // copy with a changed size: wasted probe.
+                    // copy with a changed size: wasted probe, after which
+                    // a directory drops the holder.
                     self.metrics.wasted_probes += 1;
                     self.latency.wasted_probe();
+                    if let Some(idx) = self.index.as_mut() {
+                        idx.on_wasted_probe(peer, doc);
+                    }
                 }
             }
         }

@@ -153,11 +153,13 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// One of the batched index models, at a threshold from eager to lazy.
+/// One of the index models, at a threshold from eager to lazy (the exact
+/// directory's batch waits for a request instead).
 fn batched_model() -> impl Strategy<Value = IndexModel> {
-    ((0u8..3), (0.0f64..0.6)).prop_map(|(kind, threshold)| match kind {
+    ((0u8..4), (0.0f64..0.6)).prop_map(|(kind, threshold)| match kind {
         0 => IndexModel::Delayed { threshold },
-        1 => IndexModel::Bloom {
+        1 => IndexModel::Exact,
+        2 => IndexModel::Bloom {
             bits_per_item: 10,
             threshold,
         },
@@ -170,10 +172,10 @@ fn batched_model() -> impl Strategy<Value = IndexModel> {
 
 proptest! {
     /// Once every batch is sent, each model names every browser holding a
-    /// document (no false negatives); the directory names no other.
+    /// document (no false negatives); a directory names no other.
     #[test]
     fn batched_index_converges_on_flush(model in batched_model(), ops in ops()) {
-        let mut idx = BatchedIndex::new(model, 8).expect("a batched model");
+        let mut idx = BatchedIndex::new(model, 8);
         let mut shadow: HashSet<(u8, u16)> = HashSet::new();
         for op in ops {
             match op {
@@ -188,7 +190,7 @@ proptest! {
             }
         }
         idx.flush_all();
-        let exact = matches!(model, IndexModel::Delayed { .. });
+        let exact = matches!(model, IndexModel::Exact | IndexModel::Delayed { .. });
         for d in 0u16..128 {
             let holders = idx.lookup_all(DocId(d as u32), ClientId(255));
             for c in 0u8..8 {

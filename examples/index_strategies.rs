@@ -1,5 +1,5 @@
-//! Browser-index strategy comparison: exact invalidation-driven directory
-//! vs batched (delayed) updates vs Bloom summaries — the hit-ratio /
+//! Browser-index strategy comparison: the exact directory the live proxy
+//! keeps vs batched (delayed) updates vs Bloom summaries — the hit-ratio /
 //! freshness / memory trade-off discussed in the paper's §5.
 //!
 //! ```sh
@@ -86,10 +86,11 @@ fn main() {
     }
     print!("{}", table.render());
     println!(
-        "\nEvery index learns a store from the document the proxy sends. Exact\n\
-         directories maximise remote hits and cost one message per eviction;\n\
-         delayed updates batch the evictions into fewer messages; Bloom summaries\n\
-         shrink the index by an order of magnitude at the cost of wasted probes\n\
-         (false positives)."
+        "\nEvery index learns a store from the document the proxy sends. The exact\n\
+         directory, kept as the live proxy keeps it, sends no message of its own:\n\
+         evictions ride each browser's next request and a failed probe drops its\n\
+         holder. Delayed updates add messages of their own at about the same\n\
+         bytes; Bloom summaries shrink the index by an order of magnitude at the\n\
+         cost of wasted probes (false positives)."
     );
 }

@@ -23,6 +23,14 @@
 # metric can be read pair by pair. A failed or incorrect run stops the
 # script.
 #
+# Medians compare only within one set: the same commit has read 30-70 %
+# apart on the small-request workloads in two sittings, so a line's pairs
+# judge its change and nothing else. To show which box and sitting a line
+# came from, the script times a reference before the first pair and after
+# the last, from this checkout's criterion benches: `digest/8192` (md5)
+# and `lru_variants/flat_byte_lru` (lru), in ns per iteration, written
+# into every line as "reference": {"before": ..., "after": ...}.
+#
 # The second form is the arithmetic alone, over a runs file: lines of
 # `workload pair seed side json`, side `base` or `change`, json the last
 # line run.sh printed. scripts/ci.sh checks it on a fixture.
@@ -40,10 +48,10 @@ directions() {
         | sed 's/"name": "\([^"]*\)".*"better": "\([a-z]*\)".*/\1 \2/'
 }
 
-# summarize RUNS COMMIT BASE NPROC CPU MD5 CRC: the table on stdout, one
-# `history <json>` line per workload after it.
+# summarize RUNS COMMIT BASE NPROC CPU MD5 CRC [REFERENCE]: the table on
+# stdout, one `history <json>` line per workload after it.
 summarize() {
-    awk -v commit="$2" -v base="$3" -v nproc="$4" -v cpu="$5" -v md5="$6" -v crc="$7" '
+    awk -v commit="$2" -v base="$3" -v nproc="$4" -v cpu="$5" -v md5="$6" -v crc="$7" -v ref="${8:-}" '
     FNR == NR { better[$1] = $2; metric[++nm] = $1; next }
     NF >= 5 {
         w = $1; p = $2 + 0
@@ -103,7 +111,8 @@ summarize() {
             }
             history[k] = "{\"commit\": \"" commit "\", \"base\": \"" base "\", \"workload\": \"" w "\", \"pairs\": " n \
                 ", \"seeds\": [" seeds "], \"host\": {\"nproc\": " nproc ", \"cpu\": \"" cpu "\", \"md5_kernel\": \"" md5 \
-                "\", \"crc32c_kernel\": \"" crc "\"}, \"metrics\": {" json "}}"
+                "\", \"crc32c_kernel\": \"" crc "\"}" (ref == "" ? "" : ", \"reference\": " ref) \
+                ", \"metrics\": {" json "}}"
         }
         for (k = 1; k <= nw; k++) print "history " history[k]
     }' <(directions) "$1"
@@ -137,6 +146,16 @@ if [ ! -d "$base_dir" ]; then
     mv "$base_dir.tmp" "$base_dir"
 fi
 
+# reference: the box's speed now, as a JSON object of ns per iteration.
+reference() {
+    local digest lru
+    digest=$(cargo bench -q --offline -p baps-bench --bench md5 2>/dev/null \
+        | awk '$2 == "digest/8192" { print $3 }')
+    lru=$(cargo bench -q --offline -p baps-bench --bench lru 2>/dev/null \
+        | awk '$2 == "lru_variants/flat_byte_lru" { print $3 }')
+    printf '{"digest_8192_ns": %s, "flat_byte_lru_ns": %s}' "${digest:-null}" "${lru:-null}"
+}
+
 # run SIDE DIR WORKLOAD SEED: one benchmark run; its result line on stdout.
 run() {
     local lock="$2/benchmark/Cargo.lock" saved out
@@ -154,6 +173,8 @@ run() {
 
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
+echo "bench_pairs: timing the reference" >&2
+before=$(reference)
 for w in "${workloads[@]}"; do
     for ((p = 1; p <= pairs; p++)); do
         sides=(base change)
@@ -169,11 +190,14 @@ for w in "${workloads[@]}"; do
     done
 done
 
+after=$(reference)
+echo "bench_pairs: reference before $before, after $after" >&2
 cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo | sed 's/["\\]//g')
 md5=portable crc=portable
 grep -qw avx512f /proc/cpuinfo && md5=avx512
 grep -qw sse4_2 /proc/cpuinfo && crc=sse4.2
-summarize "$runs" "$commit" "$base_rev" "$(nproc)" "$cpu" "$md5" "$crc" | while IFS= read -r line; do
+summarize "$runs" "$commit" "$base_rev" "$(nproc)" "$cpu" "$md5" "$crc" \
+    "{\"before\": $before, \"after\": $after}" | while IFS= read -r line; do
     case "$line" in
         "history "*) printf '%s\n' "${line#history }" >>BENCH_history.jsonl ;;
         *) printf '%s\n' "$line" ;;

@@ -194,11 +194,13 @@ fi
 # proxy's test-only placement knob (`cache_peer_hits`). §5's cheap indexes
 # are one `BatchedIndex` configured by `IndexModel` alone, so the three
 # model types, their config structs and the delayed directory's flush
-# interval stay gone, and so do the no-op serde shims (`serde_derive`).
+# interval stay gone, and so do the no-op serde shims (`serde_derive`);
+# the exact directory is that type too, so the enum that once chose
+# between it and the batched models (`AnyIndex`) stays gone.
 # §6.2's anonymity protocol left baps-crypto for baps-bench and the
 # simulator's configuration left baps-core for baps-sim, so neither old
 # path may be named. CHANGES.md tells what each was.
-if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark|HitClass|TIER_NAMES|baps_obs::Tier|cache_peer_hits|DelayedIndex|BloomSummaryIndex|CountingBloomIndex|UpdatePolicy|SummaryConfig|CountingConfig|Delayed \{[^}]*interval_ms|serde_derive|baps_crypto::anonymity|baps-crypto::anonymity|baps_core::SystemConfig' -- \
+if git grep -nE 'ShardedIndex|recorder_capacity|WorkerPool|ConnRegistry|may_block|needs_miss_executor|ForgeWatermark|HitClass|TIER_NAMES|baps_obs::Tier|cache_peer_hits|DelayedIndex|BloomSummaryIndex|CountingBloomIndex|UpdatePolicy|SummaryConfig|CountingConfig|Delayed \{[^}]*interval_ms|AnyIndex|serde_derive|baps_crypto::anonymity|baps-crypto::anonymity|baps_core::SystemConfig' -- \
     README.md DESIGN.md src examples crates/*/src; then
     echo "doc rot: the lines above name something this repo deleted"
     exit 1

@@ -14,20 +14,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
-/// The simulator is the live system's oracle: a small synthetic trace is
+/// The simulator is the live system's oracle: a seeded synthetic trace is
 /// replayed through real sockets and through `SimSystem` configured as the
 /// bed is (browsers-aware, the same capacities, all-memory LRU caches, the
-/// exact index, and the runtime's one placement, `CacheAtRequester`), and
-/// both must say the same `Served` for every request.
-#[test]
-fn replay_synthetic_trace_through_live_proxy() {
-    // A tiny workload replayed through real sockets.
+/// exact index, and the runtime's one placement, `CacheAtRequester`). Both
+/// must say the same `Served` for every request, and keep the index the
+/// same way: the simulator's applied evictions are the proxy's
+/// `invalidations`, and its wasted probes the proxy's `peer_failures`.
+fn replay(seed: u64, n_clients: u32, n_requests: u64, n_docs: u32) {
     let mut synth = SynthConfig::small();
-    synth.n_clients = 4;
-    synth.n_requests = 300;
-    synth.n_docs = 40;
+    synth.n_clients = n_clients;
+    synth.n_requests = n_requests;
+    synth.n_docs = n_docs;
     synth.p_size_change = 0.0;
-    let mut trace = synth.generate(77);
+    let mut trace = synth.generate(seed);
 
     // Build the origin corpus: one body per doc id, sized from the trace,
     // and give the simulator the same clamped sizes.
@@ -47,7 +47,7 @@ fn replay_synthetic_trace_through_live_proxy() {
     let bed = TestBed::start(
         store,
         TestBedConfig {
-            n_clients: 4,
+            n_clients,
             proxy_capacity,
             browser_capacity,
             ..TestBedConfig::default()
@@ -73,7 +73,7 @@ fn replay_synthetic_trace_through_live_proxy() {
         assert_eq!(
             result.source,
             sim.process(req),
-            "request {i}: client {} doc {}",
+            "seed {seed} request {i}: client {} doc {}",
             req.client.0,
             req.doc.0
         );
@@ -84,7 +84,10 @@ fn replay_synthetic_trace_through_live_proxy() {
 
     // The mix contains real cache hits of every kind the bed can serve.
     for tier in [Served::LocalBrowser, Served::Proxy, Served::Peer] {
-        assert!(served[tier.index()] > 0, "no {tier:?}: {served:?}");
+        assert!(
+            served[tier.index()] > 0,
+            "seed {seed}: no {tier:?}: {served:?}"
+        );
     }
 
     // The proxy's own counters agree with what clients observed.
@@ -97,11 +100,31 @@ fn replay_synthetic_trace_through_live_proxy() {
             stats.origin_fetches
         ],
         served[Served::Proxy.index()..],
-        "proxy accounting"
+        "seed {seed}: proxy accounting"
     );
     // Origin server agrees too.
     assert_eq!(bed.origin.hits(), stats.origin_fetches);
+
+    // The index was kept the same way on both sides.
+    let applied = sim.index().expect("browsers-aware").applied_evictions();
+    assert_eq!(
+        (applied, sim.metrics.wasted_probes, stats.peer_refuted),
+        (stats.invalidations, stats.peer_failures, 0),
+        "seed {seed}: (applied evictions, wasted probes, refuted)"
+    );
     bed.shutdown();
+}
+
+#[test]
+fn replay_synthetic_trace_through_live_proxy() {
+    replay(77, 4, 300, 40);
+}
+
+#[test]
+fn replay_larger_traces_through_live_proxy() {
+    for seed in [77, 1, 2, 3] {
+        replay(seed, 8, 3_000, 400);
+    }
 }
 
 #[test]
