@@ -31,8 +31,6 @@ pub struct IndexStats {
     pub messages: u64,
     /// Bytes of update traffic (16-byte signature per entry, paper §5).
     pub update_bytes: u64,
-    /// Batch flushes performed (the batched models).
-    pub flushes: u64,
 }
 
 impl IndexStats {
@@ -53,7 +51,6 @@ impl IndexStats {
         self.updates += other.updates;
         self.messages += other.messages;
         self.update_bytes += other.update_bytes;
-        self.flushes += other.flushes;
     }
 }
 
@@ -256,7 +253,6 @@ mod tests {
             updates: 2,
             messages: 1,
             update_bytes: 16,
-            flushes: 0,
         };
         let b = IndexStats {
             lookups: 3,

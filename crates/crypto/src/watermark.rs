@@ -79,11 +79,6 @@ impl ProxySigner {
         }
     }
 
-    /// Wraps an existing key pair.
-    pub fn from_keys(keys: KeyPair) -> ProxySigner {
-        ProxySigner { keys }
-    }
-
     /// The public key clients use for verification.
     pub fn public_key(&self) -> PublicKey {
         self.keys.public

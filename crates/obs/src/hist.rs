@@ -181,11 +181,6 @@ impl LatencyHistogram {
         self.max_ms = self.max_ms.max(ms);
     }
 
-    /// Records one latency observation from a [`Duration`].
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_secs_f64() * 1e3);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.total

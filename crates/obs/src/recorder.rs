@@ -29,11 +29,11 @@
 
 use crate::span::{SpanId, SpanRecord};
 use crate::trace::TraceId;
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a flight-recorder event describes.
@@ -348,7 +348,7 @@ impl FlightRecorder {
         // this push displaces from the thread's stripe when that is full,
         // taken under the lock and filled outside it.
         let mut buf = match self.stripes[first].try_lock() {
-            Some(mut ring) if ring.events.len() >= stripe_cap => {
+            Ok(mut ring) if ring.events.len() >= stripe_cap => {
                 ring.dropped += 1;
                 ring.events.pop_front().map(|e| e.detail)
             }
@@ -375,7 +375,8 @@ impl FlightRecorder {
         // holder into a convoy of parked workers; losing an event under
         // that kind of pressure is the correct trade for a diagnostics
         // ring.
-        let Some(mut ring) = (0..n).find_map(|i| self.stripes[(first + i) % n].try_lock()) else {
+        let Some(mut ring) = (0..n).find_map(|i| self.stripes[(first + i) % n].try_lock().ok())
+        else {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return;
         };
@@ -395,7 +396,10 @@ impl FlightRecorder {
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().events.len()).sum()
+        self.stripes
+            .iter()
+            .map(|s| s.lock().unwrap().events.len())
+            .sum()
     }
 
     /// Whether the ring is empty.
@@ -411,7 +415,11 @@ impl FlightRecorder {
     /// Events dropped: displaced because the ring was full, plus events
     /// shed because every stripe lock was held at push time.
     pub fn dropped(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().dropped).sum::<u64>() + self.shed()
+        self.stripes
+            .iter()
+            .map(|s| s.lock().unwrap().dropped)
+            .sum::<u64>()
+            + self.shed()
     }
 
     /// Events shed because every stripe lock was held at push time: the
@@ -427,7 +435,7 @@ impl FlightRecorder {
         let mut events: Vec<Event> = self
             .stripes
             .iter()
-            .flat_map(|s| s.lock().events.iter().cloned().collect::<Vec<_>>())
+            .flat_map(|s| s.lock().unwrap().events.iter().cloned().collect::<Vec<_>>())
             .collect();
         events.sort_by_key(|e| e.seq);
         events
@@ -488,6 +496,34 @@ mod tests {
         let seqs: Vec<u64> = dump.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "keeps the newest events in order");
         assert_eq!(dump[3].detail, "n=9");
+    }
+
+    /// DESIGN.md §6b's poisoning rule, on the one path that never blocks: a
+    /// push skips a stripe whose holder panicked, landing in another stripe
+    /// or, with none left, counted as shed.
+    #[test]
+    fn a_poisoned_stripe_is_skipped() {
+        for n in [1, 2] {
+            let rec = FlightRecorder::new(n * FlightRecorder::MIN_STRIPE_CAPACITY);
+            assert_eq!(rec.stripes.len(), n);
+            let own = thread_stripe(n);
+            std::thread::scope(|s| {
+                let holder = s.spawn(|| {
+                    let _ring = rec.stripes[own].lock().unwrap();
+                    panic!("the holder panics with its stripe locked");
+                });
+                assert!(holder.join().is_err());
+            });
+            for i in 0..3 {
+                rec.note(TraceId::mint(0, i), EventKind::Fetch, "after");
+            }
+            let landed: usize = (0..n)
+                .filter(|&i| i != own)
+                .map(|i| rec.stripes[i].lock().unwrap().events.len())
+                .sum();
+            let expected = if n == 1 { (0, 3) } else { (3, 0) };
+            assert_eq!((landed, rec.shed()), expected, "{n} stripes");
+        }
     }
 
     // The recording-switch behaviour is covered in tests/properties.rs:

@@ -25,12 +25,11 @@ use crate::upstream::dial_with_deadline;
 use baps_core::Served;
 use baps_crypto::{verify_document, CryptoError, PublicKey, Watermark};
 use baps_obs::{decimal, span, EventKind, FlightRecorder, SpanId, TraceId};
-use parking_lot::Mutex;
 use std::convert::Infallible;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Latency floor ([`ran_slow`]) of a plain cache-hit fetch's span.
@@ -267,7 +266,7 @@ impl ClientAgent {
     /// Test hook: choose exactly how this client tampers with the
     /// documents it serves to peers.
     pub fn set_tamper_mode(&self, mode: TamperMode) {
-        *self.state.tamper.lock() = mode;
+        *self.state.tamper.lock().unwrap() = mode;
     }
 
     /// Test hook: silently drops `url` from the browser cache *without*
@@ -275,7 +274,7 @@ impl ClientAgent {
     /// client as holding it. Models the index racing a local eviction
     /// (crash, out-of-band cache clear). Returns whether it was present.
     pub fn purge_local(&self, url: &str) -> bool {
-        self.state.cache.lock().remove(url)
+        self.state.cache.lock().unwrap().remove(url)
     }
 
     /// Ops/test hook: abruptly severs every open connection on this
@@ -343,7 +342,13 @@ impl ClientAgent {
         // attaches under it via the `Span-Id` header.
         let root = span::hop(trace);
         let t_fetch = Instant::now();
-        let local = self.state.cache.lock().get(url).map(|doc| doc.body.clone());
+        let local = self
+            .state
+            .cache
+            .lock()
+            .unwrap()
+            .get(url)
+            .map(|doc| doc.body.clone());
         if let Some(body) = local {
             let elapsed = t_fetch.elapsed();
             if !root.is_none() || ran_slow(elapsed, SLOW_FETCH, body.len()) {
@@ -428,7 +433,7 @@ impl ClientAgent {
         trace: TraceId,
         root: SpanId,
     ) -> Result<FetchResult, ProxyError> {
-        let notices: Vec<String> = std::mem::take(&mut *self.pending_evictions.lock());
+        let notices: Vec<String> = std::mem::take(&mut *self.pending_evictions.lock().unwrap());
         let req = get_request(self.id, url, trace, root, &notices, bypass);
         let reply = match self.roundtrip(&req) {
             Ok(reply) => reply,
@@ -471,7 +476,7 @@ impl ClientAgent {
 
         // Cache the verified copy; queue eviction notices for the next
         // request instead of spending a round trip per victim now.
-        let evicted = self.state.cache.lock().insert(
+        let evicted = self.state.cache.lock().unwrap().insert(
             url,
             CachedDoc {
                 body: reply.body.clone(),
@@ -491,7 +496,7 @@ impl ClientAgent {
     /// serving) and is cancelled, and the insert's victims are queued
     /// exactly once even when a replayed requeue already listed them.
     fn note_stored(&self, url: &str, evicted: Vec<(Arc<str>, u64)>) {
-        let mut pending = self.pending_evictions.lock();
+        let mut pending = self.pending_evictions.lock().unwrap();
         pending.retain(|u| u != url);
         for (victim, _) in &evicted {
             let victim: &str = victim;
@@ -507,7 +512,7 @@ impl ClientAgent {
         if notices.is_empty() {
             return;
         }
-        let mut pending = self.pending_evictions.lock();
+        let mut pending = self.pending_evictions.lock().unwrap();
         for url in notices {
             if !pending.contains(&url) {
                 pending.push(url);
@@ -517,7 +522,7 @@ impl ClientAgent {
 
     /// Test hook: the eviction notices queued to ride the next GET.
     pub fn pending_eviction_notices(&self) -> Vec<String> {
-        self.pending_evictions.lock().clone()
+        self.pending_evictions.lock().unwrap().clone()
     }
 
     /// §6.1 watermark verification wrapped in a `verify` span.
@@ -572,7 +577,7 @@ impl ClientAgent {
     /// Evicts `url` locally and notifies the proxy (models the user
     /// clearing cache entries).
     pub fn evict(&self, url: &str) -> Result<bool, ProxyError> {
-        let present = self.state.cache.lock().remove(url);
+        let present = self.state.cache.lock().unwrap().remove(url);
         if present {
             self.invalidate(url)?;
         }
@@ -586,7 +591,7 @@ impl ClientAgent {
     /// doc cost zero extra messages (the notices ride the next GETs),
     /// versus N INVALIDATE round trips. Returns whether it was cached.
     pub fn discard(&self, url: &str) -> bool {
-        let present = self.state.cache.lock().remove(url);
+        let present = self.state.cache.lock().unwrap().remove(url);
         if present {
             self.requeue_evictions(vec![url.to_string()]);
         }
@@ -656,7 +661,7 @@ impl ClientAgent {
             let (trace, parent) = trace_of(msg);
             self.dial_traced(trace, parent, reason)
         };
-        let mut guard = self.proxy_conn.lock();
+        let mut guard = self.proxy_conn.lock().unwrap();
         let reused = guard.is_some();
         if guard.is_none() {
             *guard = Some(dial("first-use")?);
@@ -700,7 +705,7 @@ impl ClientAgent {
     /// Closes the proxy connection and stops the peer port, joining its
     /// threads (dropping the agent does the same).
     pub fn shutdown(mut self) {
-        *self.proxy_conn.lock() = None;
+        *self.proxy_conn.lock().unwrap() = None;
         self.peer_port.shutdown();
     }
 }
@@ -819,7 +824,11 @@ impl ClientState {
             }
             ["PEERGET", url, "BAPS/1.0"] => {
                 // The body alone (the proxy checks it), out of the lock.
-                let body = peer_body(*self.tamper.lock(), &mut self.cache.lock(), url);
+                let body = peer_body(
+                    *self.tamper.lock().unwrap(),
+                    &mut self.cache.lock().unwrap(),
+                    url,
+                );
                 let reply = match body {
                     Some(body) => {
                         self.peer_serves.fetch_add(1, Ordering::Relaxed);

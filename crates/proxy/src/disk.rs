@@ -55,14 +55,13 @@ use crate::store::CachedDoc;
 use crate::sys::read_two_at;
 use baps_core::ByteLru;
 use baps_crypto::{crc32c, document_digest, verify_hashed, Crc32c, Digest, PublicKey, Watermark};
-use parking_lot::Mutex;
 use std::collections::{hash_map, BTreeMap, HashMap};
 use std::fs::{self, File};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Entry magic: "BAPS DisK v03". Bump the trailing digits on any change
@@ -426,7 +425,7 @@ impl DiskTier {
             index: Mutex::new(index),
             counters,
         };
-        tier.settle(&mut tier.head.lock(), burial);
+        tier.settle(&mut tier.head.lock().unwrap(), burial);
         Ok(tier)
     }
 
@@ -449,7 +448,7 @@ impl DiskTier {
     /// entry goes to [`read`](Self::read).
     pub(crate) fn find(&self, url: &str) -> Option<Entry> {
         let found = {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap();
             let found = index.lru.get_entry(url).map(|(size, &meta)| (size, meta));
             found.map(|(size, meta)| Entry {
                 file: index.file_of(meta.segment),
@@ -542,7 +541,7 @@ impl DiskTier {
         // its segment's scan, or fails read-time verification, and
         // self-heals.
         let image = encode_entry(url, doc, digest, &meta);
-        let mut head = self.head.lock();
+        let mut head = self.head.lock().unwrap();
         let Ok(offset) = self.append(&mut head, &image) else {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             return;
@@ -554,7 +553,7 @@ impl DiskTier {
         };
         let mut dead = Vec::new();
         let (evicted, burial) = {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap();
             let out = index
                 .lru
                 .insert_with(url.into(), size, meta, |url, size, meta| {
@@ -593,9 +592,9 @@ impl DiskTier {
     /// released) in the entry's header. Returns whether the tier holds
     /// `url`.
     fn stamp(&self, url: &str, stored_at: u64) -> bool {
-        let _head = self.head.lock();
+        let _head = self.head.lock().unwrap();
         let (file, offset) = {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap();
             let Some(meta) = index.lru.peek_mut(url) else {
                 return false;
             };
@@ -625,9 +624,9 @@ impl DiskTier {
     /// Takes `url`'s entry out of the index and tombstones it, if there is
     /// one and `doomed` says so. Returns whether it did.
     fn discard_if(&self, url: &str, doomed: impl FnOnce(&Meta) -> bool) -> bool {
-        let mut head = self.head.lock();
+        let mut head = self.head.lock().unwrap();
         let burial = {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap();
             if !index.lru.peek_mut(url).is_some_and(|meta| doomed(meta)) {
                 return false;
             }
@@ -646,7 +645,7 @@ impl DiskTier {
         if head.len > 0 && head.len + len > self.segment_bytes {
             let next = Head::create(&self.root, head.id)?;
             let burial = {
-                let mut index = self.index.lock();
+                let mut index = self.index.lock().unwrap();
                 index.segments.insert(next.id, next.segment());
                 // The sealed head may hold nothing live already.
                 index.retire(next.id, &[])
@@ -687,7 +686,7 @@ impl DiskTier {
     fn compact(&self, head: &mut Head) {
         loop {
             let victim = {
-                let index = self.index.lock();
+                let index = self.index.lock().unwrap();
                 if index.dead_bytes() <= self.capacity + 2 * self.segment_bytes {
                     return;
                 }
@@ -715,7 +714,13 @@ impl DiskTier {
     fn clean(&self, head: &mut Head, id: u32, file: &File, len: u64) -> io::Result<()> {
         for entry in SegmentScan::new(file, len).filter(|e| !e.header.dead) {
             let named_here = |meta: &Meta| (meta.segment, meta.offset) == (id, entry.offset);
-            let stamp = self.index.lock().lru.peek_mut(entry.url.as_str()).copied();
+            let stamp = self
+                .index
+                .lock()
+                .unwrap()
+                .lru
+                .peek_mut(entry.url.as_str())
+                .copied();
             let Some(stamp) = stamp.filter(named_here).map(|meta| meta.stored_at) else {
                 continue;
             };
@@ -725,7 +730,7 @@ impl DiskTier {
             // may have failed).
             image[STORED_AT_OFFSET..STORED_AT_OFFSET + 8].copy_from_slice(&stamp.to_le_bytes());
             let offset = self.append(head, &image)?;
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap();
             let meta = index.lru.peek_mut(entry.url.as_str());
             let meta = meta.expect("nothing leaves the index while the head is held");
             (meta.segment, meta.offset) = (head.id, offset);
@@ -741,7 +746,7 @@ impl DiskTier {
         // the pass, as it would from a reopen: they are lost with the
         // segment.
         let unlink = {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap();
             if index.segments.get(&id).is_some_and(|s| s.live > 0) {
                 let urls: Vec<Arc<str>> = index.lru.iter_mru().map(|(u, _)| u.clone()).collect();
                 for url in urls {
@@ -761,18 +766,18 @@ impl DiskTier {
 
     /// Documents currently stored.
     pub fn entries(&self) -> u64 {
-        self.index.lock().lru.len() as u64
+        self.index.lock().unwrap().lru.len() as u64
     }
 
     /// Body bytes currently stored.
     pub fn bytes(&self) -> u64 {
-        self.index.lock().lru.used()
+        self.index.lock().unwrap().lru.used()
     }
 
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> DiskStats {
         let (entries, bytes, file_bytes, segments) = {
-            let index = self.index.lock();
+            let index = self.index.lock().unwrap();
             (
                 index.lru.len() as u64,
                 index.lru.used(),
@@ -1189,7 +1194,7 @@ mod tests {
     /// Every segment file is one the table names, and the gauges agree
     /// with the files.
     fn assert_table_matches_root(t: &DiskTier) {
-        let index = t.index.lock();
+        let index = t.index.lock().unwrap();
         let table: BTreeSet<u32> = index.segments.keys().copied().collect();
         assert_eq!(table, segment_files(&t.root));
         for (&id, segment) in &index.segments {
@@ -1632,9 +1637,9 @@ mod tests {
         // Rot in b's magic: neither an entry nor a tombstone.
         edit_entry(&root, "b", |bytes| bytes[..8].copy_from_slice(b"ROTROTRO"));
         {
-            let mut head = t.head.lock();
+            let mut head = t.head.lock().unwrap();
             let (file, len) = {
-                let index = t.index.lock();
+                let index = t.index.lock().unwrap();
                 (index.file_of(1), index.segments[&1].len)
             };
             t.clean(&mut head, 1, &file, len).unwrap();
@@ -1842,7 +1847,7 @@ mod tests {
         prop_assert_eq!(s.bytes, model.bytes());
         prop_assert!(s.bytes <= model.capacity);
         let held: Vec<usize> = (0..URLS)
-            .filter(|&i| t.index.lock().lru.contains(url_of(i).as_str()))
+            .filter(|&i| t.index.lock().unwrap().lru.contains(url_of(i).as_str()))
             .collect();
         let mut want: Vec<usize> = model.docs.keys().copied().collect();
         want.sort_unstable();
@@ -1896,13 +1901,13 @@ mod tests {
                         t = small_tier(&root, capacity, segment, sg.public_key());
                         prop_assert_eq!(t.stats().heals, 0);
                         // Recency restarts from the stamps, oldest first.
-                        let index = t.index.lock();
+                        let index = t.index.lock().unwrap();
                         let mru: Vec<Arc<str>> =
                             index.lru.iter_mru().map(|(url, _)| url.clone()).collect();
                         drop(index);
                         let stamps: Vec<u64> = mru
                             .iter()
-                            .map(|url| t.index.lock().lru.peek_mut(&**url).unwrap().stored_at)
+                            .map(|url| t.index.lock().unwrap().lru.peek_mut(&**url).unwrap().stored_at)
                             .collect();
                         prop_assert!(stamps.windows(2).all(|w| w[0] >= w[1]), "{:?}", stamps);
                         model.recency = mru

@@ -37,11 +37,11 @@
 //! 4. Extend the `chaos_soak` invariants if the new fault changes what
 //!    "correct degradation" means.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// One kind of injected misbehaviour.
@@ -376,7 +376,7 @@ impl FaultPlan {
     /// RNG draw per call, so the site's stream advances identically whether
     /// or not a fault fires — the heart of the determinism contract.
     fn draw(&self, rng: &Mutex<StdRng>, table: &[(FaultKind, f64)]) -> Option<FaultKind> {
-        let x: f64 = rng.lock().gen();
+        let x: f64 = rng.lock().unwrap().gen();
         let mut acc = 0.0;
         for &(kind, p) in table {
             acc += p;

@@ -19,12 +19,11 @@ use crate::reactor::{loops_per_core, Event, FrameCtx, FrameService, Seat, Server
 use crate::store::{self, DocumentStore};
 use baps_crypto::Digest;
 use baps_obs::{span, EventKind, FlightRecorder};
-use parking_lot::RwLock;
 use std::convert::Infallible;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A running origin server.
 pub struct OriginServer {
@@ -92,7 +91,7 @@ impl OriginServer {
     /// waits on a digest.
     pub fn mutate(&self, url: &str, body: Vec<u8>) -> bool {
         let version = store::authored(body);
-        self.state.store.write().replace(url, version)
+        self.state.store.write().unwrap().replace(url, version)
     }
 
     /// Stops accepting, closes every connection and joins the server's
@@ -175,7 +174,7 @@ fn handle_request(
         // `get_shared` hands out the stored allocation and the digest
         // minted with it: serving a document is a refcount bump under the
         // read lock, not a copy and not a hash.
-        ["GET", url, "ORIGIN/1.0"] => match store.read().get_shared(url) {
+        ["GET", url, "ORIGIN/1.0"] => match store.read().unwrap().get_shared(url) {
             Some((body, digest)) => {
                 // Conditional GET: the requester names the digest of its
                 // stale copy; if unchanged, refresh it without the body.

@@ -29,14 +29,13 @@ use crate::upstream::{Ask, Upstream};
 use baps_core::{ClientId, DocId, Interner, Served};
 use baps_crypto::{verify_document, Digest, ProxySigner, PublicKey};
 use baps_obs::{decimal, span, EventKind, FlightRecorder, LabeledHistograms, SpanId, TraceId};
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Seed of the proxy's signing key pair. One key for every proxy: a
@@ -171,7 +170,7 @@ impl ProxyState {
     /// occupancy). Nonzero under load means misses are actively sharing
     /// leaders; a stuck high value means leaders aren't finishing.
     pub(crate) fn inflight_occupancy(&self) -> usize {
-        self.inflight.lock().len()
+        self.inflight.lock().unwrap().len()
     }
 }
 
@@ -335,13 +334,7 @@ impl ProxyServer {
     /// Entries currently in the in-flight miss registry (thundering-herd
     /// coalescing flights open right now).
     pub fn flight_occupancy(&self) -> usize {
-        self.state.inflight.lock().len()
-    }
-
-    /// Seconds since this proxy incarnation started (the
-    /// `baps_uptime_seconds` gauge).
-    pub fn uptime_secs(&self) -> u64 {
-        self.state.started.elapsed().as_secs()
+        self.state.inflight.lock().unwrap().len()
     }
 
     /// Ops/test hook: abruptly severs every open client connection and
@@ -496,7 +489,7 @@ fn dispatch(
             let client: u32 = msg.get("Client")?.parse().ok()?;
             let port: u16 = port.parse().ok()?;
             let addr = SocketAddr::new(ctx.peer_ip, port);
-            let previous = state.peers.write().insert(client, addr);
+            let previous = state.peers.write().unwrap().insert(client, addr);
             if let Some(old) = previous.filter(|&old| old != addr) {
                 // The browser moved: nothing will be asked of its old
                 // address again.
@@ -526,7 +519,7 @@ fn dispatch(
 /// path (every URL after its first sighting). The read→write upgrade race
 /// is benign: `intern` is idempotent, so two writers agree on the id.
 pub(crate) fn doc_id(state: &ProxyState, url: &str) -> DocId {
-    known_doc(state, url).unwrap_or_else(|| DocId(state.urls.write().intern(url)))
+    known_doc(state, url).unwrap_or_else(|| DocId(state.urls.write().unwrap().intern(url)))
 }
 
 /// The id of a URL some GET has already interned, `None` for one the proxy
@@ -534,7 +527,7 @@ pub(crate) fn doc_id(state: &ProxyState, url: &str) -> DocId {
 /// notice looks its URL up with — anybody can send one, so a URL in it
 /// must not cost the interner an entry.
 fn known_doc(state: &ProxyState, url: &str) -> Option<DocId> {
-    state.urls.read().get(url).map(DocId)
+    state.urls.read().unwrap().get(url).map(DocId)
 }
 
 /// What the miss path and the serve sites need to know about the GET
@@ -678,13 +671,13 @@ struct FlightSlot {
 impl Inflight {
     /// The leader's outcome, if it is in.
     fn outcome(&self) -> Option<FlightOutcome> {
-        self.slot.lock().outcome.clone()
+        self.slot.lock().unwrap().outcome.clone()
     }
 
     /// The leader's outcome if it is in already; otherwise enlists
     /// `waker`, to be fired when it is.
     fn outcome_or_enlist(&self, waker: impl FnOnce() -> Waker) -> Option<FlightOutcome> {
-        let mut slot = self.slot.lock();
+        let mut slot = self.slot.lock().unwrap();
         if slot.outcome.is_none() {
             slot.followers.push(waker());
         }
@@ -709,7 +702,7 @@ enum FlightOutcome {
 /// Joins (or creates) the in-flight entry for `doc`.
 fn join_inflight(state: &ProxyState, doc: DocId) -> FlightRole {
     use std::collections::hash_map::Entry;
-    let mut registry = state.inflight.lock();
+    let mut registry = state.inflight.lock().unwrap();
     match registry.entry(doc) {
         Entry::Occupied(e) => FlightRole::Follower(Arc::clone(e.get())),
         Entry::Vacant(v) => {
@@ -744,9 +737,9 @@ impl FlightLeader {
     fn finish(&self, outcome: FlightOutcome) {
         // Deregister first so a request arriving after the outcome was
         // decided starts a fresh flight instead of joining a finished one.
-        self.registry.lock().remove(&self.doc);
+        self.registry.lock().unwrap().remove(&self.doc);
         let followers = {
-            let mut slot = self.flight.slot.lock();
+            let mut slot = self.flight.slot.lock().unwrap();
             slot.outcome = Some(outcome);
             std::mem::take(&mut slot.followers)
         };
@@ -759,9 +752,11 @@ impl FlightLeader {
 
 impl Drop for FlightLeader {
     fn drop(&mut self) {
-        if !self.published {
-            // Release the followers rather than stranding them until
-            // their wait budget expires.
+        // Release the followers rather than stranding them until their
+        // wait budget expires. A poisoned registry or slot is left alone:
+        // every later lock of it panics anyway, and a second panic here,
+        // while a first one unwinds, would abort the process.
+        if !self.published && !self.registry.is_poisoned() && !self.flight.slot.is_poisoned() {
             self.finish(FlightOutcome::Unshared);
         }
     }
@@ -1248,7 +1243,7 @@ impl Miss {
         else {
             unreachable!("only the probing stage asks a peer");
         };
-        let holder = state.peers.read().get(&peer.0).copied();
+        let holder = state.peers.read().unwrap().get(&peer.0).copied();
         let Some(addr) = holder else {
             let unasked = Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -1709,7 +1704,7 @@ mod tests {
         };
         let get = || Message::new("GET http://origin/doc/0 BAPS/1.0").header("Client", "1");
         assert_eq!(response_code(&ask(get())), Some(status::OK));
-        let interned = proxy.state.urls.read().len();
+        let interned = proxy.state.urls.read().unwrap().len();
 
         for i in 0..1_000 {
             let mut notice = Message::new(format!("INVALIDATE http://nowhere/{i} BAPS/1.0"))
@@ -1728,7 +1723,7 @@ mod tests {
             assert!(proxy.cached_body(&url).is_none());
         }
 
-        assert_eq!(proxy.state.urls.read().len(), interned);
+        assert_eq!(proxy.state.urls.read().unwrap().len(), interned);
         assert_eq!(proxy.stats().invalidations, 0);
         proxy.shutdown();
     }
@@ -1767,7 +1762,10 @@ mod tests {
         let (body, cached) = herd_doc(9);
         let registry = Arc::<FlightRegistry>::default();
         let flight = Arc::<Inflight>::default();
-        registry.lock().insert(DocId(1), Arc::clone(&flight));
+        registry
+            .lock()
+            .unwrap()
+            .insert(DocId(1), Arc::clone(&flight));
         let lead = FlightLeader {
             registry: Arc::clone(&registry),
             doc: DocId(1),
@@ -1786,7 +1784,10 @@ mod tests {
         }
         lead.publish(FlightOutcome::Doc(cached));
         assert_eq!(woken.load(Ordering::SeqCst), 2);
-        assert!(registry.lock().is_empty(), "deregistered before the wake");
+        assert!(
+            registry.lock().unwrap().is_empty(),
+            "deregistered before the wake"
+        );
         let late = flight.outcome_or_enlist(|| unreachable!("the outcome is in"));
         for outcome in [flight.outcome(), late] {
             match outcome {

@@ -37,7 +37,6 @@
 //! flips a byte of a private copy.
 
 use baps_obs::{AtomicHistogram, LatencyHistogram};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, IoSlice, Read, Write};
@@ -45,7 +44,7 @@ use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -768,7 +767,7 @@ struct LoopShared<C> {
 
 impl<C> LoopShared<C> {
     fn send(&self, item: Inbound<C>) {
-        self.inbox.lock().push(item);
+        self.inbox.lock().unwrap().push(item);
         self.wake.wake();
     }
 }
@@ -1072,7 +1071,7 @@ impl<S: FrameService> EventLoop<S> {
     // -- the inbox ----------------------------------------------------------
 
     fn drain_inbox(&mut self) {
-        let inbound = std::mem::take(&mut *self.loops[self.id].inbox.lock());
+        let inbound = std::mem::take(&mut *self.loops[self.id].inbox.lock().unwrap());
         for item in inbound {
             match item {
                 Inbound::Conn(stream) => self.add_conn(stream),
@@ -1772,7 +1771,7 @@ impl<C> JobQueue<C> {
     /// the job (none could be spawned): the loop then closes the
     /// connection rather than leave it waiting.
     fn push(&self, job: Job<C>, start: impl FnOnce() -> Vec<JoinHandle<()>>) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         let QueueState {
             jobs: Some(queue),
             workers,
@@ -1791,12 +1790,12 @@ impl<C> JobQueue<C> {
 
     /// Parks until a job arrives; `None` once the queue is closed.
     fn pop(&self) -> Option<Job<C>> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         loop {
             if let Some(job) = st.jobs.as_mut()?.pop_front() {
                 return Some(job);
             }
-            self.ready.wait(&mut st);
+            st = self.ready.wait(st).unwrap();
         }
     }
 
@@ -1804,7 +1803,7 @@ impl<C> JobQueue<C> {
     /// are already gone) and wakes every parked worker to exit. Returns
     /// the workers, to be joined.
     fn close(&self) -> Vec<JoinHandle<()>> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         let abandoned = st.jobs.take();
         let workers = st.workers.take().unwrap_or_default();
         drop(st);
@@ -1989,7 +1988,7 @@ impl<C> Server<C> {
         // the one reference cycle there is (an inbox holding a leader's
         // continuation, whose followers' wakers hold the inbox).
         for sh in self.shared.iter() {
-            let undelivered = std::mem::take(&mut *sh.inbox.lock());
+            let undelivered = std::mem::take(&mut *sh.inbox.lock().unwrap());
             drop(undelivered);
         }
     }

@@ -24,9 +24,9 @@
 use crate::store::{BodyCache, CacheCounters, CachedDoc};
 use baps_core::{ClientId, DocId, ExactIndex, IndexStats};
 use baps_crypto::Watermark;
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Locks `mutex`, attributing the wait (the time between asking for the
@@ -36,14 +36,14 @@ use std::time::Instant;
 /// the hot path. Only the contended slow path pays for timing, and skips
 /// it while recording is off so the `recording` bench can difference it.
 fn lock_timed<'a, T>(mutex: &'a Mutex<T>, wait_nanos: &AtomicU64) -> MutexGuard<'a, T> {
-    if let Some(guard) = mutex.try_lock() {
+    if let Ok(guard) = mutex.try_lock() {
         return guard;
     }
     if !baps_obs::recording() {
-        return mutex.lock();
+        return mutex.lock().unwrap();
     }
     let t = Instant::now();
-    let guard = mutex.lock();
+    let guard = mutex.lock().unwrap();
     wait_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
     guard
 }
@@ -155,14 +155,17 @@ impl ShardedCache {
 
     /// Total body bytes across shards.
     pub fn used(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache.lock().used()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.cache.lock().unwrap().used())
+            .sum()
     }
 
     /// Total cached documents across shards.
     pub fn entries(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.cache.lock().len() as u64)
+            .map(|s| s.cache.lock().unwrap().len() as u64)
             .sum()
     }
 
@@ -170,7 +173,7 @@ impl ShardedCache {
     pub fn stats(&self) -> CacheCounters {
         let mut out = CacheCounters::default();
         for s in &self.shards {
-            out.merge(s.cache.lock().stats());
+            out.merge(s.cache.lock().unwrap().stats());
         }
         out
     }
@@ -180,7 +183,7 @@ impl ShardedCache {
         self.shards
             .iter()
             .map(|s| {
-                let cache = s.cache.lock();
+                let cache = s.cache.lock().unwrap();
                 ShardStats {
                     entries: cache.len() as u64,
                     bytes: cache.used(),
@@ -278,7 +281,7 @@ impl StripedIndex {
     pub fn entries(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.stripe.lock().index.entries())
+            .map(|s| s.stripe.lock().unwrap().index.entries())
             .sum()
     }
 
@@ -286,7 +289,7 @@ impl StripedIndex {
     pub fn stats(&self) -> IndexStats {
         let mut out = IndexStats::default();
         for s in &self.shards {
-            out.merge(&s.stripe.lock().index.stats());
+            out.merge(&s.stripe.lock().unwrap().index.stats());
         }
         out
     }
@@ -296,7 +299,7 @@ impl StripedIndex {
         self.shards
             .iter()
             .map(|s| ShardStats {
-                entries: s.stripe.lock().index.entries(),
+                entries: s.stripe.lock().unwrap().index.entries(),
                 bytes: 0,
                 lock_acquires: s.lock_acquires.load(Ordering::Relaxed),
                 lock_wait_micros: s.lock_wait_nanos.load(Ordering::Relaxed) / 1_000,
@@ -369,6 +372,23 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.lock_acquires).sum::<u64>(), 2);
         assert!(c.remove(DocId(7), "u7"));
         assert_eq!(c.entries(), 0);
+    }
+
+    /// DESIGN.md §6b's poisoning rule: a holder that panicked leaves the
+    /// LRU in whatever state it reached, so no later caller serves from it.
+    #[test]
+    fn a_shard_whose_holder_panicked_serves_nothing() {
+        let c = ShardedCache::single(64 << 10);
+        c.insert(DocId(7), "u7", doc(b"hello shard"));
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _shard = c.locked(DocId(7));
+                panic!("the holder panics with the shard locked");
+            });
+            assert!(holder.join().is_err());
+        });
+        let later = std::panic::catch_unwind(|| c.get(DocId(7), "u7"));
+        assert!(later.is_err(), "a poisoned shard served a lookup");
     }
 
     #[derive(Debug, Clone, Copy)]

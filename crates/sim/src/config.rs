@@ -47,8 +47,6 @@ impl Policy {
 pub enum BrowserSizing {
     /// The paper's *minimum*: `proxy_capacity / n_clients`.
     Minimum,
-    /// The paper's *average*: `k × proxy_capacity / n_clients`, k in 2..10.
-    AverageK(f64),
     /// A fixed byte size per browser.
     Fixed(u64),
     /// A fraction of the mean per-client infinite cache size (used by
@@ -68,9 +66,6 @@ impl BrowserSizing {
         let n = n_clients.max(1) as u64;
         match *self {
             BrowserSizing::Minimum => (proxy_capacity / n).max(1),
-            BrowserSizing::AverageK(k) => {
-                (((proxy_capacity as f64) * k / n as f64).round() as u64).max(1)
-            }
             BrowserSizing::Fixed(bytes) => bytes,
             BrowserSizing::FractionOfClientInfinite(frac) => {
                 ((mean_client_infinite * frac).round() as u64).max(1)
@@ -231,11 +226,6 @@ impl SystemConfig {
         if self.organization.has_proxy_cache() && self.proxy_capacity == 0 {
             return Err("proxy organizations need proxy_capacity > 0".into());
         }
-        if let BrowserSizing::AverageK(k) = self.browser_sizing {
-            if k <= 0.0 {
-                return Err("AverageK needs k > 0".into());
-            }
-        }
         Ok(())
     }
 }
@@ -248,12 +238,6 @@ mod tests {
     fn minimum_sizing_divides_proxy() {
         let s = BrowserSizing::Minimum.resolve(1000, 10, 0.0);
         assert_eq!(s, 100);
-    }
-
-    #[test]
-    fn average_k_sizing_scales() {
-        let s = BrowserSizing::AverageK(4.0).resolve(1000, 10, 0.0);
-        assert_eq!(s, 400);
     }
 
     #[test]
@@ -317,9 +301,5 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.proxy_capacity = 1;
         assert!(cfg.validate().is_ok());
-
-        let mut cfg = SystemConfig::paper_default(Organization::BrowsersAware, 100);
-        cfg.browser_sizing = BrowserSizing::AverageK(0.0);
-        assert!(cfg.validate().is_err());
     }
 }

@@ -205,7 +205,6 @@ impl BatchedIndex {
         }
         let batch = std::mem::take(&mut browser.batch);
         let changes = batch.len() as u64;
-        self.stats.flushes += 1;
         self.stats.messages += u64::from(self.threshold.is_some());
         self.stats.update_bytes += match &mut self.view {
             View::Directory(directory) => {

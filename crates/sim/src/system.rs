@@ -287,25 +287,23 @@ impl SimSystem {
         }
 
         // 3. Remote browser caches via the browser index.
-        if self.cfg.organization.shares_browsers() {
-            if let Some(peer) = self.probe_remote(time_ms, client, doc, size) {
-                self.metrics.record(Served::Peer, size);
-                // Optional re-caching of the forwarded copy.
-                if self.cfg.remote_hit_caching.at_requester() {
-                    self.store_browser(client, doc, size);
-                    self.note_store(Some(client), doc, time_ms);
-                }
-                if self.cfg.remote_hit_caching.at_proxy() {
-                    if let Some(proxy) = self.proxy.as_mut() {
-                        proxy.insert(doc, size);
-                    }
-                    if self.proxy.is_some() {
-                        self.note_store(None, doc, time_ms);
-                    }
-                }
-                let _ = peer;
-                return Served::Peer;
+        if self.cfg.organization.shares_browsers() && self.probe_remote(time_ms, client, doc, size)
+        {
+            self.metrics.record(Served::Peer, size);
+            // Optional re-caching of the forwarded copy.
+            if self.cfg.remote_hit_caching.at_requester() {
+                self.store_browser(client, doc, size);
+                self.note_store(Some(client), doc, time_ms);
             }
+            if self.cfg.remote_hit_caching.at_proxy() {
+                if let Some(proxy) = self.proxy.as_mut() {
+                    proxy.insert(doc, size);
+                }
+                if self.proxy.is_some() {
+                    self.note_store(None, doc, time_ms);
+                }
+            }
+            return Served::Peer;
         }
 
         // 4. Miss: fetch from the server, populate caches on the way back.
@@ -327,14 +325,8 @@ impl SimSystem {
         Served::Origin
     }
 
-    /// Probes index candidates; returns the serving peer on success.
-    fn probe_remote(
-        &mut self,
-        time_ms: u64,
-        client: ClientId,
-        doc: DocId,
-        size: u64,
-    ) -> Option<ClientId> {
+    /// Probes index candidates; returns whether a peer served the document.
+    fn probe_remote(&mut self, time_ms: u64, client: ClientId, doc: DocId, size: u64) -> bool {
         let candidates = self
             .index
             .as_mut()
@@ -367,7 +359,7 @@ impl SimSystem {
                     };
                     self.account_tier(tier, size);
                     self.latency.remote_transfer(time_ms, size);
-                    return Some(peer);
+                    return true;
                 }
                 _ => {
                     // Stale index entry, Bloom false positive, or a peer
@@ -381,7 +373,7 @@ impl SimSystem {
                 }
             }
         }
-        None
+        false
     }
 
     /// Stores a document into a browser cache, keeping the index in sync.

@@ -38,7 +38,6 @@ fn config_strategy() -> impl Strategy<Value = SystemConfig> {
         1_000u64..200_000,
         prop_oneof![
             Just(BrowserSizing::Minimum),
-            (1.0f64..8.0).prop_map(BrowserSizing::AverageK),
             (100u64..50_000).prop_map(BrowserSizing::Fixed),
         ],
         0.0f64..=1.0,

@@ -121,18 +121,6 @@ impl Profile {
         }
     }
 
-    /// The `k` multiplier used for "average" browser-cache sizing
-    /// (`k × proxy_size / n_clients`, paper §4: k ranges 2..10).
-    pub fn avg_browser_k(self) -> f64 {
-        match self {
-            Profile::NlanrUc => 4.0,
-            Profile::NlanrBo1 => 4.0,
-            Profile::Bu95 => 6.0,
-            Profile::Bu98 => 6.0,
-            Profile::CaNetII => 2.0,
-        }
-    }
-
     /// The calibrated generator configuration for this profile.
     ///
     /// Parameters were fitted with `experiments calibrate` (baps-bench), which

@@ -16,7 +16,7 @@ echo "== crate graph (the proxy links only what it runs)"
 # dependencies are exactly these; the simulator's index models, policies
 # and tier model and baps-trace's generators and parsers stay out of it,
 # and out of baps-core, which both sides link and which depends on nothing.
-want='baps-core baps-crypto baps-obs parking_lot rand'
+want='baps-core baps-crypto baps-obs rand'
 got=$(cargo tree --offline -p baps-proxy -e normal --depth 1 --prefix none \
     | tail -n +2 | awk '{ print $1 }' | sort -u | xargs)
 if [ "$got" != "$want" ]; then
@@ -275,6 +275,14 @@ if git grep -nE 'acceptor|accept-handoff|EventKind::QueueWait|"queue-wait"' -- \
     exit 1
 fi
 
+# The proxy and baps-obs lock through std::sync, whose poisoning propagates
+# (DESIGN.md §6b); the facade that recovered a poisoned guard
+# (`shims/parking_lot`) is gone from the workspace.
+if git grep -nw 'parking_lot' -- README.md DESIGN.md Cargo.toml src examples crates/*/src crates/*/Cargo.toml; then
+    echo "doc rot: the lines above name the deleted parking_lot facade"
+    exit 1
+fi
+
 echo "== one memory budget (no split-budget helper outside shard.rs)"
 # The proxy's memory tier is one LRU over the whole cache capacity, the
 # model of the paper's §4 and of baps-sim (DESIGN.md §6b).
@@ -372,7 +380,8 @@ echo "== Rust line totals (non-test / test)"
 # top-level `#[cfg(test)]` on anything else — reactor.rs has a test-only
 # helper function in its first hundred lines — starts nothing.)
 # The proxy's compiled closure is the non-test lines of the workspace
-# crates it links (proxy + core + crypto + obs), by the same rule.
+# crates it links (proxy + core + crypto + obs), by the same rule; the last
+# line adds the shims they link, the names in `want` that are not baps-*.
 lines() {
     find "$@" \( -name target -o -name .git -o -name .bench_build \) -prune \
         -o -name '*.rs' -print0 | xargs -0 awk '
@@ -390,5 +399,13 @@ for crate in proxy core crypto obs; do
     closure=$((closure + n))
 done
 echo "proxy closure: non-test $closure (proxy + core + crypto + obs)"
+shims=()
+for dep in $want; do
+    [ "${dep#baps-}" = "$dep" ] || continue
+    read -r n _ < <(lines "shims/$dep")
+    closure=$((closure + n))
+    shims+=("shims/$dep")
+done
+echo "proxy closure + shims: non-test $closure (+ ${shims[*]})"
 
 echo "CI OK"

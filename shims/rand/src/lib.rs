@@ -5,8 +5,9 @@
 //! [`SeedableRng`] traits and a seeded [`rngs::StdRng`] built on
 //! xoshiro256** (seeded through SplitMix64). All BAPS randomness is already
 //! funneled through explicitly seeded `StdRng` instances, so determinism is
-//! preserved; the concrete streams differ from upstream `rand`, which no
-//! test relies on.
+//! preserved. The concrete streams differ from upstream `rand`, and every
+//! seeded record in the workspace depends on them
+//! (`crates/trace/tests/rng_stream.rs` pins them).
 
 #![warn(missing_docs)]
 

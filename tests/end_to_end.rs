@@ -115,7 +115,8 @@ fn remote_hit_caching_increases_local_hits() {
         Organization::BrowsersAware,
         (stats.infinite_cache_bytes / 50).max(1),
     );
-    cfg.browser_sizing = BrowserSizing::AverageK(4.0);
+    // The paper's "average" browser, k × proxy / n with k = 4.
+    cfg.browser_sizing = BrowserSizing::Fixed(4 * cfg.proxy_capacity / u64::from(trace.n_clients));
     let no_cache = run(&trace, &stats, &cfg, &LatencyParams::paper());
     cfg.remote_hit_caching = RemoteHitCaching::CacheAtRequester;
     let cache_req = run(&trace, &stats, &cfg, &LatencyParams::paper());
